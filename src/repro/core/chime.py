@@ -37,6 +37,7 @@ Engineering notes (deviations are listed in DESIGN.md):
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -63,7 +64,7 @@ from repro.core.sync import (
     check_entry_evs,
     check_nv_uniform,
     collect_leaf_nv,
-    reconstruct_bitmap,
+    reconstruct_bitmaps,
 )
 from repro.errors import (
     FaultInjectedError,
@@ -212,54 +213,61 @@ class ChimeIndex(BTreeIndexBase):
         if pairs and pairs[0][0] < 1:
             raise IndexError_("keys must be >= 1 (0 marks empty entries)")
         target = max(1, int(config.span * config.bulk_load_factor))
-        leaves: List[List[Tuple[int, int]]] = []
+        # Each key is placed once, while chunking.  A closed chunk keeps
+        # only its items plus the table's slot and bitmap vectors — not
+        # the table — until every leaf address is known (leaves are
+        # allocated before any indirect block).
+        leaves: List[Tuple[List[Tuple[int, int]], array, array]] = []
         table = HopscotchTable(config.span, config.neighborhood)
         current: List[Tuple[int, int]] = []
-        for key, value in pairs:
-            if len(current) >= target:
-                leaves.append(current)
+
+        def close_chunk() -> None:
+            slots = array("H", [0 if slot is None else slot + 1
+                                for slot in table._values])
+            leaves.append((current, slots, array("H", table._bitmaps)))
+
+        for pair in pairs:
+            fits = len(current) < target
+            if fits:
+                try:
+                    # The table's "value" is the item's index in the chunk.
+                    table.insert(pair[0], len(current))
+                except HashTableFullError:  # raised before any mutation
+                    fits = False
+            if not fits:
+                close_chunk()
                 table = HopscotchTable(config.span, config.neighborhood)
                 current = []
-            try:
-                table.insert(key, value)
-            except HashTableFullError:
-                leaves.append(current)
-                table = HopscotchTable(config.span, config.neighborhood)
-                table.insert(key, value)
-                current = []
-            current.append((key, value))
-        leaves.append(current)
+                table.insert(pair[0], 0)
+            current.append(pair)
+        close_chunk()
         addrs = [self._host_alloc(layout.total_size) for _ in leaves]
         # Fence boundaries: first key of each chunk.
-        bounds = [0] + [chunk[0][0] for chunk in leaves[1:]] + [MAX_KEY]
+        bounds = ([0] + [chunk[0][0] for chunk, _s, _b in leaves[1:]]
+                  + [MAX_KEY])
         level1_entries: List[Tuple[int, int]] = []
-        for index, chunk in enumerate(leaves):
+        for index, (chunk, slots, bitmaps) in enumerate(leaves):
             sibling = addrs[index + 1] if index + 1 < len(addrs) else NULL_ADDR
             fence_low, fence_high = bounds[index], bounds[index + 1]
-            items = self._place_items(chunk)
-            self._host_write_leaf(addrs[index], items, sibling,
-                                  fence_low, fence_high)
+            self._host_write_leaf(addrs[index], chunk, slots, bitmaps,
+                                  sibling, fence_low, fence_high)
             level1_entries.append((fence_low, addrs[index]))
         self.loaded_items = len(pairs)
         self._build_internal_levels(level1_entries)
 
-    def _place_items(self, chunk: Sequence[Tuple[int, int]]) -> HopscotchTable:
-        table = HopscotchTable(self.config.span, self.config.neighborhood)
-        for key, value in chunk:
-            table.insert(key, value)  # sized to fit by the caller
-        return table
-
-    def _host_write_leaf(self, addr: int, table: HopscotchTable, sibling: int,
-                         fence_low: int, fence_high: int) -> None:
+    def _host_write_leaf(self, addr: int, chunk: Sequence[Tuple[int, int]],
+                         slots: Sequence[int], bitmaps: Sequence[int],
+                         sibling: int, fence_low: int,
+                         fence_high: int) -> None:
+        """Compose + write one bulk-loaded leaf: position ``pos`` holds
+        ``chunk[slots[pos] - 1]`` (slot 0 = empty)."""
         layout = self.leaf_layout
         view = LeafNodeView.blank(layout, sibling=sibling,
                                   fence_low=fence_low, fence_high=fence_high)
         occupied = [False] * layout.span
-        for pos in range(layout.span):
-            key = table._keys[pos]
-            bitmap = table.bitmap(pos)
-            if key is not None:
-                value = table._values[pos]
+        for pos, (slot, bitmap) in enumerate(zip(slots, bitmaps)):
+            if slot:
+                key, value = chunk[slot - 1]
                 stored = value
                 if self.config.indirect_values:
                     stored = self._host_alloc_block(key, value)
@@ -319,7 +327,7 @@ class ChimeIndex(BTreeIndexBase):
         for addr in self.leaf_addrs():
             raw = self._host_read(addr, layout.raw_size)
             view = LeafNodeView(layout, StripedSpan(raw, 0))
-            for _pos, key, value in view.items():
+            for key, value in view.pairs():
                 if self.config.indirect_values:
                     value = self._host_read_block(value)[1]
                 out.append((key, value))
@@ -342,7 +350,7 @@ class ChimeIndex(BTreeIndexBase):
         for addr in addrs:
             raw = self._host_read(addr, layout.raw_size)
             view = LeafNodeView(layout, StripedSpan(raw, 0))
-            total += sum(1 for flag in view.occupancy() if flag)
+            total += sum(view.occupancy())
         return total / (len(addrs) * layout.span)
 
     def remote_memory_bytes(self) -> int:
@@ -1021,7 +1029,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin,
         if full_view is None:
             full_view = yield from self._fetch_leaf(leaf_addr,
                                                     [layout.full_span()])
-        items = sorted((key, value) for _pos, key, value in full_view.items())
+        items = sorted(full_view.pairs())
         if not items:
             raise IndexError_("split of an empty leaf")
         mid = len(items) // 2
@@ -1123,26 +1131,17 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin,
         views = yield from self._phase(
             "leaf_read", self._read_leaves_batch(candidates[:needed]))
         results: List[Tuple[int, int]] = []
-        last_view: Optional[LeafNodeView] = None
         for view in views:
-            last_view = view
-            for _pos, item_key, value in view.items():
-                if item_key >= key:
-                    results.append((item_key, value))
-        results.sort()
-        next_addr = last_view.replica_sibling(0) if last_view is not None \
-            else NULL_ADDR
+            results.extend(view.pairs(key))
+        next_addr = views[-1].replica_sibling(0)
         guard = 0
         while len(results) < count and next_addr != NULL_ADDR and guard < 1024:
             guard += 1
             views = yield from self._phase(
                 "leaf_read", self._read_leaves_batch([next_addr]))
-            view = views[0]
-            for _pos, item_key, value in view.items():
-                if item_key >= key:
-                    results.append((item_key, value))
-            results.sort()
-            next_addr = view.replica_sibling(0)
+            results.extend(views[0].pairs(key))
+            next_addr = views[0].replica_sibling(0)
+        results.sort()
         results = results[:count]
         if self.config.indirect_values:
             resolved = []
@@ -1212,13 +1211,12 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin,
         layout = self.layout
         view = yield from self._fetch_leaf(leaf_addr, [layout.full_span()])
         modified = set()
-        for home in range(layout.span):
-            bitmap = reconstruct_bitmap(view, home, self.chime.home_of)
-            if view.entry(home).bitmap != bitmap:
-                view.set_entry_bitmap(home, bitmap)
+        truth = reconstruct_bitmaps(view, self.chime.home_of)
+        for home, stored in enumerate(view.bitmaps()):
+            if stored != truth[home]:
+                view.set_entry_bitmap(home, truth[home])
                 modified.add(home)
-        occupied = [view.entry(pos).occupied for pos in range(layout.span)]
-        vacancy = self.chime.vacancy_map.compose(occupied)
+        vacancy = self.chime.vacancy_map.compose(view.occupancy())
         word = pack_lock_word(False, view.argmax_key(), vacancy)
         writes = self._entry_writes(leaf_addr, view, modified) if modified \
             else []

@@ -476,13 +476,14 @@ class LearnedChimeClient(HopscotchLeafOpsMixin):
                                      fence_low=low, fence_high=high)
         rebuilt.set_all_nv(bump_nibble(old_nv))
         rebuilt.set_all_replicas(new_addr, low, high)
-        for pos in range(layout.span):
-            entry = tail_view.entry(pos)
-            if entry.occupied:
-                rebuilt.write_entry(pos, entry.key, entry.value,
-                                    bitmap=entry.bitmap, bump_ev=False)
-            elif entry.bitmap:
-                rebuilt.set_entry_bitmap(pos, entry.bitmap, bump_ev=False)
+        bitmaps = list(tail_view.bitmaps())
+        for pos, key, value in tail_view.items():
+            rebuilt.write_entry(pos, key, value, bitmap=bitmaps[pos],
+                                bump_ev=False)
+            bitmaps[pos] = 0
+        for pos, bitmap in enumerate(bitmaps):
+            if bitmap:  # an empty entry that is still some keys' home
+                rebuilt.set_entry_bitmap(pos, bitmap, bump_ev=False)
         yield from self.ops.write_batch([
             (tail_addr, bytes(rebuilt.span.data)),
             (guard.lock_addr, encode_u64(guard.release_word())),

@@ -28,8 +28,10 @@ The lock word packs (paper §4.2.1/§4.2.3)::
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import List, Tuple
+from operator import itemgetter
+from typing import List, Sequence, Tuple
 
 from repro.errors import LayoutError
 from repro.layout import versions
@@ -216,6 +218,24 @@ class InternalLayout:
     OFF_COUNT = 3
 
 
+def _image_struct(byte_order: str, code: str, field_off: int,
+                  entry_offsets: Sequence[int],
+                  logical_size: int) -> struct.Struct:
+    """One field of every entry, unpacked from a whole logical payload.
+
+    Everything between the fields (replicas, version and bitmap bytes,
+    the other fields) is ``x`` padding, so the struct spans exactly
+    *logical_size* bytes and a payload of any other length is rejected.
+    """
+    parts = []
+    pos = 0
+    for off in entry_offsets:
+        parts.append(f"{off + field_off - pos}x{code}")
+        pos = off + field_off + struct.calcsize(byte_order + code)
+    parts.append(f"{logical_size - pos}x")
+    return struct.Struct(byte_order + "".join(parts))
+
+
 @dataclass(frozen=True)
 class LeafLayout:
     """Logical layout of a hopscotch leaf node.
@@ -288,6 +308,23 @@ class LeafLayout:
             first_line = ((raw_off + line_size - 1) // line_size) * line_size
             ev_ranges.append((raw_off, first_line, raw_end))
         set_attr(self, "_entry_ev_ranges", tuple(ev_ranges))
+        # Image codec: whole-leaf decoders over the de-striped payload
+        # (keys big-endian, values and bitmaps little-endian — the field
+        # codecs of ``repro.layout.codec``; an inline value narrower
+        # than a word comes out as its raw bytes), plus a getter of every
+        # entry version byte straight from a raw image fetched at base 0.
+        value_code = "Q" if self.value_size >= 8 else f"{self.value_size}s"
+        set_attr(self, "_image_keys", _image_struct(
+            ">", "Q", self.ENTRY_OFF_KEY, offsets, logical_size))
+        set_attr(self, "_image_values", _image_struct(
+            "<", value_code, self.entry_off_value, offsets, logical_size))
+        set_attr(self, "_image_bitmaps", _image_struct(
+            "<", "H", self.ENTRY_OFF_BITMAP, offsets, logical_size))
+        version_raws = [raw_off for raw_off, _first, _end in ev_ranges]
+        # ``itemgetter`` of one index returns a scalar, not a 1-tuple.
+        set_attr(self, "_image_entry_versions",
+                 itemgetter(*version_raws) if self.span > 1
+                 else lambda data, _raw=version_raws[0]: (data[_raw],))
 
     # -- positions --------------------------------------------------------------
 

@@ -10,7 +10,8 @@ images host-side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from itertools import compress, count
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.node_layout import InternalLayout, LeafLayout
 from repro.errors import LayoutError
@@ -27,7 +28,7 @@ from repro.layout import (
     pack_version,
     unpack_version,
 )
-from repro.layout.versions import LINE, bump_nibble
+from repro.layout.versions import LINE, NV_OF_BYTE, bump_nibble
 from repro.memory.region import NULL_ADDR
 
 
@@ -356,62 +357,82 @@ class LeafNodeView:
         return (self.span.payload_byte(off) >> 4) & 0xF
 
     # -- whole-node helpers -------------------------------------------------------------
+    #
+    # A view over one contiguous span decodes through the layout's
+    # compiled image codec — a handful of C calls for the whole leaf.  A
+    # segmented (``SpanSet`` wrap-around) fetch has no contiguous image,
+    # so it answers through the per-entry accessors, which route every
+    # field to its segment.
 
-    def _full_payload(self) -> Optional[bytes]:
-        """One logical read of the whole node, or None when the view is a
-        segmented (wrap-around) fetch with no single contiguous raw span;
-        callers then fall back to routed per-entry reads."""
-        try:
-            return self.span.read_logical(0, self.layout.logical_size)
-        except LayoutError:
-            return None
+    def _image(self) -> Optional[bytearray]:
+        """The de-striped payload of a contiguous whole-leaf image, or
+        None for a segmented view; a contiguous span that does not hold
+        the whole leaf raises :class:`LayoutError`."""
+        span = self.span
+        if type(span) is StripedSpan:
+            return span.image_payload(self.layout.logical_size)
+        return None
+
+    def _column(self, codec, accessor) -> Sequence[int]:
+        payload = self._image()
+        if payload is None:
+            return [accessor(i) for i in range(self.layout.span)]
+        return codec.unpack(payload)
+
+    def keys(self) -> Sequence[int]:
+        """The key of every entry in position order (0 means empty)."""
+        return self._column(self.layout._image_keys, self.entry_key)
+
+    def bitmaps(self) -> Sequence[int]:
+        """The stored hopscotch bitmap of every entry in position order."""
+        return self._column(self.layout._image_bitmaps, self.entry_bitmap)
+
+    def _keys_values(self) -> Tuple[Sequence[int], Sequence[int]]:
+        layout = self.layout
+        payload = self._image()
+        if payload is None:
+            entries = [self.entry(i) for i in range(layout.span)]
+            return ([entry.key for entry in entries],
+                    [entry.value for entry in entries])
+        values = layout._image_values.unpack(payload)
+        if layout.value_size < 8:
+            values = [int.from_bytes(raw, "little") for raw in values]
+        return layout._image_keys.unpack(payload), values
 
     def occupancy(self) -> List[bool]:
         """Per-entry occupancy of a full-node image."""
-        layout = self.layout
-        payload = self._full_payload()
-        if payload is None:
-            return [self.entry(i).occupied for i in range(layout.span)]
-        offsets = layout._entry_offsets
-        return [decode_key(payload, off + 3) != 0 for off in offsets]
+        return list(map(bool, self.keys()))
 
     def items(self) -> List[Tuple[int, int, int]]:
         """(position, key, value) of occupied entries in a full image."""
-        layout = self.layout
-        payload = self._full_payload()
-        out = []
-        if payload is None:
-            for index in range(layout.span):
-                entry = self.entry(index)
-                if entry.occupied:
-                    out.append((index, entry.key, entry.value))
-            return out
-        value_off = 3 + layout.key_size
-        value_size = layout.value_size
-        for index, off in enumerate(layout._entry_offsets):
-            key = decode_key(payload, off + 3)
-            if key:
-                out.append((index, key,
-                            decode_value(payload, off + value_off,
-                                         size=value_size)))
-        return out
+        keys, values = self._keys_values()
+        return list(compress(zip(count(), keys, values), keys))
+
+    def pairs(self, start: int = 1) -> List[Tuple[int, int]]:
+        """(key, value) of occupied entries with key >= *start*, in
+        position order (what scans, splits and migrations consume)."""
+        start = max(start, 1)  # key 0 marks an empty entry
+        keys, values = self._keys_values()
+        return [(key, value) for key, value in zip(keys, values)
+                if key >= start]
 
     def argmax_key(self) -> int:
         """Entry index holding the maximum key (0 when node is empty)."""
+        keys = self.keys()
+        return keys.index(max(keys))
+
+    def image_nv(self) -> List[int]:
+        """Every NV nibble of a whole-leaf image fetched at raw offset 0:
+        the line version bytes, then each entry's version byte."""
         layout = self.layout
-        payload = self._full_payload()
-        best_index, best_key = 0, -1
-        if payload is None:
-            for index in range(layout.span):
-                entry = self.entry(index)
-                if entry.occupied and entry.key > best_key:
-                    best_index, best_key = index, entry.key
-            return best_index
-        for index, off in enumerate(layout._entry_offsets):
-            key = decode_key(payload, off + 3)
-            if key and key > best_key:
-                best_index, best_key = index, key
-        return best_index
+        span = self.span
+        if (type(span) is not StripedSpan or span.base
+                or len(span.data) < layout.raw_size):
+            raise LayoutError("view does not hold a whole raw leaf image")
+        data = span.data
+        versions = data[0:layout.raw_size:LINE]
+        versions += bytes(layout._image_entry_versions(data))
+        return list(versions.translate(NV_OF_BYTE))
 
     def set_all_nv(self, nv: int) -> None:
         """Node-write semantics: bump every NV nibble, reset every EV."""
@@ -420,10 +441,3 @@ class LeafNodeView:
         for index in range(self.layout.span):
             self.span.write_logical(self.layout.entry_offset(index),
                                     bytes([byte]))
-
-    def nv_values(self) -> List[int]:
-        """NV nibbles of line bytes + entry bytes present in this span."""
-        values = list(self.span.nv_nibbles())
-        # Entry bytes only for entries fully inside the span; partial
-        # views use per-entry accessors instead.
-        return values

@@ -328,9 +328,7 @@ class ShardedIndex:
                     word = yield from client._lock(lock_addr)
                     raw = yield from ctx.qp.read(leaf_addr, layout.raw_size)
                     view = LeafNodeView(layout, StripedSpan(raw, 0))
-                    items.extend(
-                        (key, value) for _pos, key, value in view.items()
-                    )
+                    items.extend(view.pairs())
                     yield from client._unlock_remote(lock_addr, word)
                 items.sort()
             else:

@@ -22,6 +22,7 @@ from typing import Iterable, List, Sequence
 
 from repro.core.nodes import LeafNodeView
 from repro.errors import TornReadError
+from repro.layout import StripedSpan
 from repro.obs.bus import BUS
 from repro.retry import DEFAULT_RETRY_POLICY
 
@@ -75,6 +76,20 @@ def check_entry_evs(view: LeafNodeView, indices: Sequence[int]) -> None:
                     f"{sorted(set(evs))}")
 
 
+def reconstruct_bitmaps(view: LeafNodeView, hash_home) -> List[int]:
+    """status(keys) of every home entry at once, from a whole-leaf view."""
+    layout = view.layout
+    span = layout.span
+    bitmaps = [0] * span
+    for pos, key in enumerate(view.keys()):
+        if key:
+            home = hash_home(key)
+            offset = (pos - home) % span
+            if offset < layout.neighborhood:
+                bitmaps[home] |= 1 << offset
+    return bitmaps
+
+
 def reconstruct_bitmap(view: LeafNodeView, home: int,
                        hash_home) -> int:
     """Rebuild status(keys): which neighborhood entries hold keys whose
@@ -102,9 +117,17 @@ def check_hopscotch_bitmap(view: LeafNodeView, home: int, hash_home) -> None:
 
 
 def collect_leaf_nv(view: LeafNodeView, indices: Sequence[int]) -> List[int]:
-    """NV nibbles visible in a partial leaf view: line bytes + the version
-    bytes of the given (fully fetched) entries."""
-    values = list(view.span.nv_nibbles())
+    """NV nibbles visible in a leaf view: line bytes + the version bytes
+    of the given (fully fetched) entries.
+
+    A whole-leaf image read from raw offset 0 (scans) answers through the
+    layout's image codec; partial and segmented views go entry by entry.
+    """
+    span = view.span
+    if (type(span) is StripedSpan and span.base == 0
+            and len(indices) == view.layout.span):
+        return view.image_nv()
+    values = list(span.nv_nibbles())
     for index in indices:
         values.append(view.entry_nv(index))
     return values

@@ -31,7 +31,7 @@ from repro.core.node_layout import (
     unpack_lock_word,
 )
 from repro.core.nodes import InternalNodeView, LeafNodeView
-from repro.core.sync import reconstruct_bitmap
+from repro.core.sync import reconstruct_bitmaps
 from repro.layout import MAX_KEY, StripedSpan, decode_key, decode_u64
 from repro.memory import NULL_ADDR
 
@@ -172,7 +172,7 @@ def check_tree_invariants(index,
                 f"({fence_low} != previous high {prev_fence_high})")
         prev_fence_high = fence_high
         # Entries within fences; collect for readability check.
-        for _pos, key, value in view.items():
+        for key, value in view.pairs():
             report.keys += 1
             if not (fence_low <= key < fence_high):
                 report.violations.append(
@@ -180,15 +180,14 @@ def check_tree_invariants(index,
                     f"[{fence_low}, {fence_high})")
             present[key] = value
         # Hopscotch bitmap / entry agreement, per home slot.
-        for home in range(layout.span):
-            truth = reconstruct_bitmap(view, home, index.home_of)
-            stored = view.entry(home).bitmap
-            if stored != truth:
+        truth = reconstruct_bitmaps(view, index.home_of)
+        for home, stored in enumerate(view.bitmaps()):
+            if stored != truth[home]:
                 report.violations.append(
                     f"leaf {addr:#x}: home {home} bitmap {stored:#06x} "
-                    f"disagrees with entries {truth:#06x}")
+                    f"disagrees with entries {truth[home]:#06x}")
         # Piggybacked metadata (self-correcting: warnings only).
-        occupied = [view.entry(pos).occupied for pos in range(layout.span)]
+        occupied = view.occupancy()
         true_vacancy = index.vacancy_map.compose(occupied)
         if vacancy & ~true_vacancy:
             report.warnings.append(

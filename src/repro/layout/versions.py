@@ -48,6 +48,9 @@ PAYLOAD_PER_LINE = LINE - 1
 
 _NIBBLE = 0xF
 
+#: ``bytes.translate`` table mapping a version byte to its NV nibble.
+NV_OF_BYTE = bytes(byte >> 4 for byte in range(256))
+
 
 def pack_version(nv: int, ev: int) -> int:
     """Pack (NV, EV) nibbles into one version byte."""
@@ -172,6 +175,23 @@ class StripedSpan:
         if len(out) != length:
             raise LayoutError("logical read crossed the span boundary")
         return out
+
+    def image_payload(self, logical_size: int) -> bytearray:
+        """De-striped payload ``[0, logical_size)`` of a whole-region span.
+
+        One copy plus one strided delete of the line version bytes; a
+        span that starts past the first payload byte or ends before the
+        last one raises instead of yielding a shifted payload.
+        """
+        base = self.base
+        end = raw_size(logical_size) - base
+        if base > 1 or end > len(self.data):
+            raise LayoutError(
+                f"span [{base}, {base + len(self.data)}) does not hold the "
+                f"whole {logical_size}-byte payload")
+        payload = self.data[:end]
+        del payload[-base % LINE::LINE]
+        return payload
 
     def payload_byte(self, logical_off: int) -> int:
         """The single payload byte at *logical_off* (no bytes allocation)."""

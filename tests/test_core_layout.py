@@ -1,9 +1,15 @@
 """Unit tests for CHIME node layouts, lock words, and node views."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import Cluster
+from repro.config import ChimeConfig, ClusterConfig
+from repro.core import ChimeIndex
 from repro.core.node_layout import (
     ARGMAX_BITS,
     InternalLayout,
@@ -14,8 +20,10 @@ from repro.core.node_layout import (
     unpack_lock_word,
 )
 from repro.core.nodes import InternalNodeView, LeafNodeView
+from repro.core.sync import collect_leaf_nv
 from repro.errors import LayoutError
-from repro.layout import MAX_KEY
+from repro.layout import MAX_KEY, StripedSpan
+from repro.layout.versions import LINE, SpanSet, raw_span
 from repro.memory.region import CACHE_LINE
 
 
@@ -302,3 +310,133 @@ class TestLeafNodeView:
                                   fence_high=50)
         for block in range(layout.num_blocks):
             assert view.replica_fences(block) == (5, 50)
+
+
+def random_leaf_image(layout, seed, torn):
+    """A full raw leaf image: random occupancy, bitmaps and (when *torn*)
+    an independent random version byte at every line and entry."""
+    rng = random.Random(seed)
+    view = LeafNodeView.blank(layout, sibling=rng.getrandbits(48),
+                              nv=rng.randrange(16))
+    value_bits = 8 * min(layout.value_size, 8)
+    for index in range(layout.span):
+        if rng.random() < 0.6:
+            view.write_entry(index, rng.randrange(1, MAX_KEY),
+                             rng.getrandbits(value_bits),
+                             bitmap=rng.getrandbits(16),
+                             bump_ev=rng.random() < 0.5)
+        elif rng.random() < 0.3:
+            view.set_entry_bitmap(index, rng.getrandbits(16), bump_ev=False)
+    if torn:
+        data = view.span.data
+        for pos in range(0, len(data), LINE):
+            data[pos] = rng.randrange(256)
+        for index in range(layout.span):
+            view.span.write_logical(layout.entry_offset(index),
+                                    bytes([rng.randrange(256)]))
+    return bytes(view.span.data)
+
+
+def oracle(view):
+    """Whole-leaf answers computed one entry at a time."""
+    entries = [view.entry(i) for i in range(view.layout.span)]
+    items = [(e.index, e.key, e.value) for e in entries if e.occupied]
+    argmax, best = 0, -1
+    for e in entries:
+        if e.occupied and e.key > best:
+            argmax, best = e.index, e.key
+    nv = view.span.nv_nibbles() + [view.entry_nv(i)
+                                   for i in range(view.layout.span)]
+    return entries, items, argmax, nv
+
+
+class TestLeafImageCodec:
+    """The compiled image codec against the per-entry accessors."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(span=st.sampled_from([8, 16, 64]),
+           neighborhood=st.sampled_from([4, 8]),
+           value_size=st.sampled_from([4, 8, 32, 253]),
+           replicated=st.booleans(), fence_keys=st.booleans(),
+           seed=st.integers(0, 2**32), torn=st.booleans())
+    def test_codec_equals_per_entry_oracle(self, span, neighborhood,
+                                           value_size, replicated,
+                                           fence_keys, seed, torn):
+        layout = LeafLayout(span=span, neighborhood=neighborhood,
+                            value_size=value_size, replicated=replicated,
+                            fence_keys=fence_keys)
+        raw = random_leaf_image(layout, seed, torn)
+        view = LeafNodeView(layout, StripedSpan(raw))
+        entries, items, argmax, nv = oracle(view)
+        start = random.Random(seed).choice(
+            [0, 1] + [key for _i, key, _v in items])
+
+        def check_decodes(candidate):
+            assert candidate.items() == items
+            assert candidate.pairs() == [(k, v) for _i, k, v in items]
+            assert candidate.pairs(start) == [(k, v) for _i, k, v in items
+                                              if k >= start]
+            assert candidate.occupancy() == [e.occupied for e in entries]
+            assert candidate.argmax_key() == argmax
+            assert list(candidate.keys()) == [e.key for e in entries]
+            assert list(candidate.bitmaps()) == [e.bitmap for e in entries]
+
+        check_decodes(view)
+        assert view.image_nv() == nv
+        assert collect_leaf_nv(view, range(span)) == nv
+        # A locked full-leaf fetch starts at the first payload byte.
+        check_decodes(LeafNodeView(layout, StripedSpan(raw[1:], base=1)))
+        # A wrap-around fetch has no contiguous image: the accessors
+        # still answer, segment by segment.
+        first = 1 + seed % (span - 1)
+        spans = []
+        for off, length in layout.range_segments(first, first - 1):
+            raw_off, raw_len = raw_span(off, length)
+            spans.append(StripedSpan(raw[raw_off:raw_off + raw_len],
+                                     base=raw_off))
+        segmented = LeafNodeView(layout, SpanSet(spans))
+        check_decodes(segmented)
+        assert collect_leaf_nv(segmented, range(span)) == (
+            segmented.span.nv_nibbles() + nv[-span:])
+
+    @pytest.mark.parametrize("cut", [1, LINE, 700])
+    def test_short_image_raises(self, cut):
+        layout = LeafLayout(span=64, neighborhood=8)
+        raw = random_leaf_image(layout, seed=3, torn=False)
+        view = LeafNodeView(layout, StripedSpan(raw[:-cut]))
+        for decode in (view.items, view.pairs, view.occupancy,
+                       view.argmax_key, view.keys, view.bitmaps,
+                       view.image_nv,
+                       lambda: collect_leaf_nv(view, range(64))):
+            with pytest.raises(LayoutError):
+                decode()
+        # ... and so does a span that starts past the first payload byte.
+        late = LeafNodeView(layout, StripedSpan(raw[LINE:], base=LINE))
+        with pytest.raises(LayoutError):
+            late.items()
+
+
+class TestBulkLoadImage:
+    """Bulk load places every key once; the MN image it writes is pinned
+    to the bytes the two-pass loader produced."""
+
+    PINNED = {
+        False: "fae896540e2782c90ddd35e724f675d4"
+               "b75d062e016ed57eab64ab8054f39531",
+        True: "fb8a4e3704ca60b885a3fa0b57ef232e"
+              "3be2f8443c795495acd477709ab2d591",
+    }
+
+    @pytest.mark.parametrize("indirect", [False, True])
+    def test_mn_regions_byte_identical(self, indirect):
+        cluster = Cluster(ClusterConfig(num_cns=1, num_mns=2,
+                                        clients_per_cn=1, seed=5))
+        index = ChimeIndex(cluster, ChimeConfig(indirect_values=indirect))
+        pairs = [(k * 7 + 1, k * 13 + 5) for k in range(3000)]
+        index.bulk_load(pairs)
+        digest = hashlib.sha256()
+        for mn_id in sorted(cluster.mns):
+            mn = cluster.mns[mn_id]
+            digest.update(mn.region.read(0, mn.allocator.bytes_used))
+        assert digest.hexdigest() == self.PINNED[indirect]
+        assert index.collect_items() == pairs

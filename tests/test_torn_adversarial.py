@@ -12,6 +12,8 @@ from repro.baselines import ShermanIndex
 from repro.cluster import Cluster
 from repro.config import ChimeConfig, ClusterConfig
 from repro.core import ChimeIndex
+from repro.core.nodes import LeafNodeView
+from repro.memory.region import CACHE_LINE
 from repro.rdma.nic import NicSpec
 
 #: Slow + fat-window NIC: multi-microsecond transfer windows per node.
@@ -152,6 +154,102 @@ class TestChimeUnderTearing:
                 for i, c in enumerate(clients)]
         drive(cluster, *gens)
         assert not bad, bad[:5]
+
+    #: Loaded keys sit at BASE, BASE + 10, ...; everything below BASE is
+    #: free for writers to grow the leftmost leaf into.
+    BASE = 100_000
+
+    def _scanners_vs_hop_writers(self):
+        """Scanners racing inserting/updating writers; asserts that no
+        scan returns a value nobody wrote or keys out of order, and that
+        the scanners' whole-leaf NV check fired.
+
+        Free-running scans are tx-bound and phase-lock with the writers'
+        rx-side chunk landings, so they rarely sample a node write
+        mid-flight.  An ambush scanner makes the race certain: it starts
+        the moment the third line of a rewrite of the leftmost leaf (a
+        split's left half, rewritten in place) has landed, so its READ
+        is served between two later chunks of the same write.
+        """
+        base, loaded_count = self.BASE, 100
+        cluster = slow_cluster(clients=9, seed=11)
+        index = ChimeIndex(cluster, ChimeConfig(bulk_load_factor=0.85))
+        loaded = [base + 10 * k for k in range(loaded_count)]
+        index.bulk_load([(k, k * 10) for k in loaded])
+        clients = [index.client(ctx) for ctx in cluster.clients()]
+        writers, scanners, ambusher = clients[:4], clients[4:8], clients[8]
+        written = {k: {k * 10} for k in loaded}
+        problems = []
+
+        def check(start, count, pairs):
+            keys = [k for k, _v in pairs]
+            if (len(pairs) > count or any(k < start for k in keys)
+                    or any(a >= b for a, b in zip(keys, keys[1:]))):
+                problems.append(("order", start, count, keys))
+            problems.extend(("value", k, v) for k, v in pairs
+                            if v not in written.get(k, ()))
+
+        def writer(client, lane):
+            rng = random.Random(lane)
+            for i in range(200):
+                if i % 2:  # below every key so far: splits the leftmost leaf
+                    key = base - 1 - (i * len(writers) + lane)
+                else:      # between loaded keys: hops inside their leaves
+                    key = base + 10 * rng.randrange(loaded_count) + 1 + lane
+                written.setdefault(key, set()).add(key)
+                yield from client.insert(key, key)
+                hot = rng.choice(loaded)
+                written[hot].add(hot * 10 + lane + 1)
+                yield from client.update(hot, hot * 10 + lane + 1)
+
+        def scanner(client, seed):
+            rng = random.Random(seed)
+            for _ in range(150):
+                start = rng.choice(
+                    [1, rng.randrange(base - 1000, base + 10 * loaded_count)])
+                count = rng.randrange(20, 121)
+                pairs = yield from client.scan(start, count)
+                check(start, count, pairs)
+
+        mn = cluster.mns[0]
+        leftmost = index.leaf_addrs()[0]
+        original_write = mn.mem_write
+        ambushing = []
+
+        def ambush():
+            pairs = yield from ambusher.scan(1, 40)
+            check(1, 40, pairs)
+            ambushing.clear()
+
+        def ambushing_write(addr, data):
+            original_write(addr, data)
+            if (addr == leftmost + 2 * CACHE_LINE and len(data) == CACHE_LINE
+                    and not ambushing):
+                ambushing.append(cluster.engine.process(ambush()))
+
+        mn.mem_write = ambushing_write
+        drive(cluster, *[writer(c, i) for i, c in enumerate(writers)],
+              *[scanner(c, i) for i, c in enumerate(scanners)])
+        assert not problems, problems[:5]
+        assert len(index.leaf_addrs()) > 3  # the writers did split leaves
+        # Scan-only clients retry for one reason: a torn whole-leaf image.
+        assert sum(c.ops.stats.retries for c in scanners + [ambusher]) > 0
+
+    def test_scanners_vs_hop_writers(self):
+        self._scanners_vs_hop_writers()
+
+    def test_scanners_need_the_leaf_nv_kernel(self, monkeypatch):
+        """Plant a bug: the whole-leaf NV kernel reports no nibbles, so a
+        half-landed node write looks uniform — the campaign must fail.
+
+        (Dropping *only* the entry-byte nibbles cannot fail a race:
+        writes land in line-aligned chunks, so the line bytes alone
+        expose every tear.  That bug is caught by the codec-vs-accessor
+        property in ``test_core_layout.py`` instead.)
+        """
+        monkeypatch.setattr(LeafNodeView, "image_nv", lambda self: [])
+        with pytest.raises(AssertionError):
+            self._scanners_vs_hop_writers()
 
 
 class TestShermanUnderTearing:
