@@ -58,13 +58,6 @@ SWEEP_WORKLOADS = ("C", "A")
 DEPTH_SWEEP = (1, 4)
 DEPTH_SWEEP_CLIENTS = 4
 
-#: Partition count for the pinned space-partitioned point: the CHIME
-#: YCSB-C point re-run under ``--partitions 2``.  Its merged event
-#: fingerprint and simulated results must equal the serial point's —
-#: this is the suite's standing proof that the lookahead-window
-#: protocol stays byte-identical to the serial engine.
-PARTITIONED_POINT = 2
-
 #: MN counts pinned for the CHIME YCSB-C shard sweep (one key-range
 #: shard per MN; see :mod:`repro.cluster.shards`), and the client count
 #: it runs at.  At :data:`PERF_SCALE` one MN NIC saturates around 16
@@ -138,41 +131,6 @@ def _perf_point(index_name: str, depth: int = 1,
     return point
 
 
-def _partitioned_point(serial: Dict) -> Dict:
-    """The pinned CHIME point under the space-partitioned executor.
-
-    *serial* is the already-measured serial point; the partitioned run
-    must reproduce its event fingerprint, op count, and simulated
-    throughput exactly (``matches_serial``).  Wall time covers process
-    spawn + the mirrored bulk loads, so it measures protocol overhead,
-    not a speedup claim.
-    """
-    from repro.bench.partition import run_point_partitioned
-    scale = PERF_SCALE
-    config = scale.cluster_config(clients=scale.clients)
-    started = time.perf_counter()
-    result = run_point_partitioned(
-        "chime", "C", scale.num_keys, scale.ops_per_client, config,
-        PARTITIONED_POINT, chime_overrides=scale.chime_overrides(),
-        key_space=scale.key_space)
-    wall = time.perf_counter() - started
-    events = int(result.notes["partition.events"])
-    point = {
-        "partitions": PARTITIONED_POINT,
-        "index": "chime",
-        "wall_s": round(wall, 3),
-        "events": events,
-        "events_per_sec": round(events / wall, 1),
-        "ops": result.ops_completed,
-        "sim_throughput_mops": round(result.throughput_mops, 4),
-    }
-    point["matches_serial"] = (
-        events == serial["events"]
-        and point["ops"] == serial["ops"]
-        and point["sim_throughput_mops"] == serial["sim_throughput_mops"])
-    return point
-
-
 def _chaos_point() -> Dict:
     """The default chaos campaign, timed."""
     from repro.faults import ChaosConfig, run_chaos
@@ -220,7 +178,6 @@ def run_suite(jobs: Optional[int] = None) -> Dict:
         total_events += point["events"]
         total_wall += point["wall_s"]
     report["aggregate_events_per_sec"] = round(total_events / total_wall, 1)
-    report["partitioned"] = _partitioned_point(report["points"]["chime"])
     report["chaos"] = _chaos_point()
 
     report["depth_sweep"] = {"clients": DEPTH_SWEEP_CLIENTS}
@@ -355,18 +312,6 @@ def check_report(report: Dict, baseline: Dict,
         problems.append(
             "placement: the cache-constrained flexkv point flipped no "
             "partition to MN-side execution")
-    partitioned = report.get("partitioned")
-    if partitioned is not None:
-        if not partitioned["matches_serial"]:
-            problems.append(
-                f"partitioned point ({partitioned['partitions']} "
-                "partitions) diverged from the serial run")
-        base_part = baseline.get("partitioned")
-        if (isinstance(base_part, dict)
-                and partitioned["events"] != base_part["events"]):
-            problems.append(
-                "partitioned point: event count drifted "
-                f"({base_part['events']} -> {partitioned['events']})")
     if not report["chaos"]["ok"]:
         problems.append("chaos campaign failed its invariants")
     if report["sweep_fig12_mini"].get("identical_results") is False:

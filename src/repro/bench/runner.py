@@ -136,9 +136,7 @@ def prepare_point(index_name: str, workload_name: str, num_keys: int,
                   ):
     """Build cluster + index + loaded workload for one measurement point.
 
-    Returns ``(cluster, index, context)`` ready for :func:`run_workload`
-    (or the partitioned executor's windowed drive, which replays exactly
-    this construction in every partition process).
+    Returns ``(cluster, index, context)`` ready for :func:`run_workload`.
 
     ``unlimited_cache_for`` defaults to the registry's
     ``unlimited_cache`` capability (historically the hardcoded
@@ -176,26 +174,8 @@ def run_point(index_name: str, workload_name: str, num_keys: int,
               key_space: int = 0,
               unlimited_cache_for: Optional[Sequence[str]] = None,
               depth: Optional[int] = None,
-              partitions: Optional[int] = None,
               ) -> RunResult:
-    """Build cluster + index + workload and run one measurement point.
-
-    *partitions* (explicit > ``REPRO_PARTITIONS`` > 1) routes the run
-    through the space-partitioned executor: ``N`` partition processes
-    mirror the cluster, advance in lockstep lookahead windows, and merge
-    metrics deterministically — byte-identical to the serial path (see
-    :mod:`repro.bench.partition`).
-    """
-    from repro.bench.partition import resolve_partitions
-    if resolve_partitions(partitions) > 1:
-        from repro.bench.partition import run_point_partitioned
-        return run_point_partitioned(
-            index_name, workload_name, num_keys, ops_per_client,
-            cluster_config, resolve_partitions(partitions),
-            depth=depth, annotate=False, value_size=value_size,
-            span=span, neighborhood=neighborhood, theta=theta,
-            chime_overrides=chime_overrides, key_space=key_space,
-            unlimited_cache_for=unlimited_cache_for)
+    """Build cluster + index + workload and run one measurement point."""
     cluster, index, context = prepare_point(
         index_name, workload_name, num_keys, ops_per_client,
         cluster_config, value_size=value_size, span=span,

@@ -188,15 +188,6 @@ def _cmd_run(args) -> int:
         # inherit it.
         from repro.bench.scale import SYNC_MODE_ENV
         os.environ[SYNC_MODE_ENV] = args.sync_mode
-    if args.partitions is not None:
-        if args.partitions < 1:
-            print("--partitions must be >= 1", file=sys.stderr)
-            return 2
-        # Same pattern once more: run_point resolves the partition count
-        # through the environment (repro.bench.partition), so one flag
-        # space-partitions every single run the selected figures make.
-        from repro.bench.partition import PARTITIONS_ENV
-        os.environ[PARTITIONS_ENV] = str(args.partitions)
     # Sharding knobs ride the same environment channel so every point
     # the selected figures run (including sweep worker processes) sees
     # them via Scale.cluster_config.
@@ -319,12 +310,6 @@ def _cmd_perf(args) -> int:
                  f"{sweep['parallel_wall_s']}s, {sweep['speedup']}x")
     print(line + f"; chaos {report['chaos']['wall_s']}s "
                  f"{'OK' if report['chaos']['ok'] else 'FAILED'}]")
-    partitioned = report.get("partitioned")
-    if partitioned is not None:
-        print(f"[partitioned ({partitioned['index']}, "
-              f"{partitioned['partitions']} partitions): "
-              f"{partitioned['wall_s']}s, "
-              f"{'serial-identical' if partitioned['matches_serial'] else 'DIVERGED FROM SERIAL'}]")
     depth_sweep = report.get("depth_sweep", {})
     parts = [f"depth={p['depth']}: {p['sim_throughput_mops']} Mops"
              for p in depth_sweep.values() if isinstance(p, dict)]
@@ -465,17 +450,6 @@ def _cmd_chaos(args) -> int:
     if migrations:
         overrides["migrations"] = tuple(migrations)
     cfg = ChaosConfig(**overrides)
-    if args.partitions is not None and args.partitions > 1:
-        from repro.bench.partition import run_chaos_partitioned
-        payload = run_chaos_partitioned(cfg, args.partitions)
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        ok = payload["invariants"]["ok"] and not payload["errors"]
-        print(f"[chaos ({args.partitions} partitions, cross-checked): "
-              f"{'OK' if ok else 'FAILED'} — "
-              f"{len(payload['invariants']['violations'])} violations, "
-              f"{len(payload['errors'])} client errors, "
-              f"dead CNs {payload['dead_cns']}]", file=sys.stderr)
-        return 0 if ok else 1
     result = run_chaos(cfg)
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     ok = result.invariants.ok and not result.errors
@@ -695,12 +669,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                             help="lock synchronization mode "
                                  "(default: $REPRO_SYNC_MODE or "
                                  "optimistic)")
-    run_parser.add_argument("--partitions", type=int, default=None,
-                            metavar="N",
-                            help="space-partition every single run over "
-                                 "N processes (lockstep lookahead "
-                                 "windows, byte-identical to serial; "
-                                 "default: $REPRO_PARTITIONS or 1)")
     run_parser.add_argument("--num-mns", type=int, default=None,
                             metavar="M",
                             help="memory nodes per cluster "
@@ -798,11 +766,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     chaos_parser.add_argument("--depth", type=int, default=None,
                               metavar="D",
                               help="op coroutines per client (default: 1)")
-    chaos_parser.add_argument("--partitions", type=int, default=None,
-                              metavar="N",
-                              help="mirror the campaign over N lockstep "
-                                   "partition processes and cross-check "
-                                   "the results are byte-identical")
     chaos_parser.add_argument("--sync-mode", default=None,
                               choices=SYNC_MODES,
                               help="lock synchronization mode "

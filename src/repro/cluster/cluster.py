@@ -86,13 +86,11 @@ class Cluster:
         """Bytes of index cache in use across all CNs."""
         return sum(cn.cache.bytes_used for cn in self.cns)
 
-    def run(self, until=None, clamp: bool = True) -> float:
+    def run(self, until=None) -> float:
         """Drive the simulation (delegates to the engine).
 
         While the observability bus has subscribers, a sampling hook on
         the engine publishes scheduler progress (``sim.tick`` events).
-        ``clamp=False`` is the windowed drive the partitioned executor
-        uses (see :meth:`repro.sim.engine.Engine.run`).
         """
         if BUS.active and self.engine.trace_hook is None:
             self.engine.trace_hook = (
@@ -100,4 +98,4 @@ class Cluster:
                     "sim.tick", now, events=events, heap=heap))
         elif not BUS.active:
             self.engine.trace_hook = None
-        return self.engine.run(until=until, clamp=clamp)
+        return self.engine.run(until=until)

@@ -20,9 +20,10 @@ PAPER_DATASET_SIZE = 60_000_000
 #: Every ``REPRO_*`` environment knob any layer resolves.  Modules that
 #: define a knob keep their own ``*_ENV`` constant next to the consuming
 #: code; this central list exists so the CLI can warn about typos
-#: (``REPRO_DETPH=4`` silently doing nothing) at startup.  Keep it in
-#: sync when adding a knob — ``tests/test_access.py`` cross-checks the
-#: constants it can import.
+#: (``REPRO_DETPH=4`` silently doing nothing) at startup.  It is kept in
+#: sync by ``test_known_env_vars_match_source_literals`` in
+#: ``tests/test_access.py``, which fails in both directions when this
+#: list and the quoted ``"REPRO_*"`` literals in the source tree disagree.
 KNOWN_ENV_VARS = frozenset(
     {
         "REPRO_CACHE_MODE",      # bench.scale: CN cache admission mode
@@ -32,14 +33,11 @@ KNOWN_ENV_VARS = frozenset(
         "REPRO_DEPTH",           # sched: op coroutines per client
         "REPRO_JOBS",            # bench.parallel: sweep worker count
         "REPRO_NUM_MNS",         # bench.scale: memory node count
-        "REPRO_PARTITIONS",      # bench.partition: partition processes
-        "REPRO_PARTITION_WINDOW",  # bench.partition: lookahead factor
         "REPRO_PLACEMENT",       # baselines.flexkv: cn / mn / auto
         "REPRO_REBALANCE",       # bench.scale: hot-shard rebalancer
         "REPRO_SCALE",           # bench.scale: preset name
         "REPRO_SEED",            # bench.scale: RNG seed override
         "REPRO_SHARDS",          # bench.scale: key-space shard count
-        "REPRO_SIM_QUEUE",       # sim.engine: event queue implementation
         "REPRO_SYNC_MODE",       # bench.scale: lock synchronization mode
     }
 )

@@ -253,14 +253,8 @@ def _scheduled_migration(engine, index, shard: int, target_mn: int,
         pass
 
 
-def run_chaos(cfg: ChaosConfig, drive=None) -> ChaosResult:
-    """Run one chaos campaign and check the tree afterwards.
-
-    *drive*, when given, replaces the default ``cluster.run()`` engine
-    drain — the partitioned executor passes a windowed drive that stops
-    at lookahead barriers (see :mod:`repro.bench.partition`); the
-    campaign itself is oblivious to how its engine is advanced.
-    """
+def run_chaos(cfg: ChaosConfig) -> ChaosResult:
+    """Run one chaos campaign and check the tree afterwards."""
     cluster_config = ClusterConfig(
         num_cns=cfg.num_cns, num_mns=cfg.num_mns,
         clients_per_cn=cfg.clients_per_cn,
@@ -311,10 +305,7 @@ def run_chaos(cfg: ChaosConfig, drive=None) -> ChaosResult:
                                 lane_ctx.name, name, ops, completed,
                                 inserted, errors, halted),
                     name=f"chaos-{lane_ctx.name}")
-        if drive is None:
-            cluster.run()
-        else:
-            drive(cluster)
+        cluster.run()
         expected = set(k for k, _ in pairs) | set(inserted)
         dead = sorted(injector.dead_cns)
         invariants = check_index_invariants(index, expected_keys=expected,

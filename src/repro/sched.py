@@ -235,30 +235,19 @@ def client_lane(engine, client, ops: Iterator[Tuple[int, object]],
 
 def launch_clients(cluster, index, context: WorkloadContext,
                    ops_per_client: int, warmup: int,
-                   depth: int = 1, books=None) -> ScheduledRun:
+                   depth: int = 1) -> ScheduledRun:
     """Start ``depth`` lanes per client context on the cluster engine.
 
     Lane 0 of each client binds to the raw context; further lanes bind
     to :class:`LaneContext` views.  Processes are created client-major
     (client 0 lane 0, client 0 lane 1, ..., client 1 lane 0, ...) so
     the ``depth=1`` process creation order matches the historical
-    serial runner exactly.
-
-    *books*, when given, supplies per-client metric sinks:
-    ``books.for_client(client_index, run)`` must return a
-    ``(latencies, completed)`` pair with list-``append`` / one-cell
-    semantics.  The partitioned executor uses this to tag latency
-    samples with their global completion slot and tally only the
-    clients its partition owns; the default (None) is the shared
-    ``run.latencies`` / ``run.completed`` pair, unchanged.
+    serial runner exactly.  Every lane records into the shared
+    ``run.latencies`` / ``run.completed`` pair.
     """
     run = ScheduledRun(depth=depth)
     engine = cluster.engine
     for client_index, ctx in enumerate(cluster.clients()):
-        if books is None:
-            latencies, completed = run.latencies, run.completed
-        else:
-            latencies, completed = books.for_client(client_index, run)
         ops = shared_stream(context.stream(client_index, ops_per_client))
         for lane in range(depth):
             lane_ctx = ctx if lane == 0 else LaneContext(ctx, lane)
@@ -267,7 +256,7 @@ def launch_clients(cluster, index, context: WorkloadContext,
                                 client_index=client_index, lane=lane)
             handle.process = engine.process(
                 client_lane(engine, client, ops, context, warmup,
-                            latencies, completed),
+                            run.latencies, run.completed),
                 name=f"lane-{lane_ctx.name}")
             run.lanes.append(handle)
     if (getattr(cluster.config, "rebalance_shards", False)

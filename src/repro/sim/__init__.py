@@ -6,7 +6,6 @@ expressed as events on the :class:`~repro.sim.engine.Engine`.
 """
 
 from repro.sim.engine import (
-    QUEUE_ENV,
     AllOf,
     AnyOf,
     CalendarQueue,
@@ -30,7 +29,6 @@ __all__ = [
     "Interrupted",
     "Lock",
     "Process",
-    "QUEUE_ENV",
     "QueueServer",
     "Store",
     "Timeout",

@@ -12,23 +12,23 @@ Scheduling is strictly ordered by ``(time, sequence)`` so two events at
 the same timestamp trigger in the order they were scheduled.  Simulated
 time is a float in **seconds**.
 
-Two interchangeable scheduling structures implement that order:
+One scheduling structure implements that order: :class:`CalendarQueue`,
+a bucketed calendar queue.  Near-future events (the short-horizon NIC
+timeouts that dominate RDMA traffic) land in per-tick buckets with O(1)
+amortized insert; only the current tick is kept heap-ordered.  Bucket
+width resizes automatically from the observed event density, and sparse
+far-future events simply become singleton buckets — the structure
+degenerates gracefully into a plain heap of tick indexes, which is its
+far-future fallback.
 
-* :class:`CalendarQueue` (the default) — a bucketed calendar queue.
-  Near-future events (the short-horizon NIC timeouts that dominate RDMA
-  traffic) land in per-tick buckets with O(1) amortized insert; only the
-  current tick is kept heap-ordered.  Bucket width resizes automatically
-  from the observed event density, and sparse far-future events simply
-  become singleton buckets — the structure degenerates gracefully into a
-  plain heap of tick indexes, which is its far-future fallback.
-* :class:`HeapQueue` — the original single binary heap, kept selectable
-  (``Engine(queue="heap")`` or ``REPRO_SIM_QUEUE=heap``) so golden tests
-  can assert the two produce byte-identical event sequences.
+:class:`HeapQueue`, the original single binary heap, is not selectable at
+run time; it is the reference the golden tests hand to
+``Engine(queue=HeapQueue())`` to assert the calendar queue produces a
+byte-identical event sequence.
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heapify, heappop, heappush
 from math import inf
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
@@ -37,10 +37,6 @@ from repro.errors import SimulationError
 
 #: Type alias for the generator type processes are written as.
 ProcessGenerator = Generator["Event", Any, Any]
-
-#: Environment variable selecting the scheduling structure ("calendar"
-#: or "heap") when the Engine is constructed without an explicit choice.
-QUEUE_ENV = "REPRO_SIM_QUEUE"
 
 #: One queue entry: ``(time, sequence, event)``.  Sequence numbers are
 #: unique, so tuple comparison never reaches the (uncomparable) event.
@@ -382,27 +378,29 @@ class Interrupted(Exception):
 class HeapQueue:
     """The original event queue: one binary heap of ``(time, seq, event)``.
 
-    Kept as the reference implementation — golden tests assert the
-    calendar queue reproduces its pop order byte-for-byte.
+    Kept as the reference implementation — golden tests hand one to
+    ``Engine(queue=HeapQueue())`` and assert the calendar queue
+    reproduces its pop order byte-for-byte.  It presents the surface
+    :meth:`Engine.run` drains as a degenerate calendar: every entry lives
+    in the current tick's heap and no future tick ever exists, so the
+    loop never asks it to advance.
     """
 
-    __slots__ = ("_heap",)
+    __slots__ = ("_current", "_count")
+
+    #: No future ticks, ever: ``Engine.run`` stops when ``_current`` drains.
+    _ticks = ()
 
     def __init__(self) -> None:
-        self._heap: List[Entry] = []
+        self._current: List[Entry] = []
+        self._count = 0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return self._count
 
     def push(self, entry: Entry) -> None:
-        heappush(self._heap, entry)
-
-    def pop_due(self, bound: float) -> Optional[Entry]:
-        """Pop and return the next entry with ``time <= bound``, if any."""
-        heap = self._heap
-        if not heap or heap[0][0] > bound:
-            return None
-        return heappop(heap)
+        heappush(self._current, entry)
+        self._count += 1
 
 
 class CalendarQueue:
@@ -552,22 +550,18 @@ class CalendarQueue:
         heapify(current)
 
 
-def _resolve_queue(queue: Optional[str]):
-    """Instantiate the scheduling structure *queue* names."""
-    name = queue or os.environ.get(QUEUE_ENV, "").strip() or "calendar"
-    if name == "calendar":
-        return CalendarQueue()
-    if name == "heap":
-        return HeapQueue()
-    raise SimulationError(f"unknown event queue implementation: {name!r}")
-
-
 class Engine:
-    """The event loop over a pluggable ``(time, seq)``-ordered queue."""
+    """The event loop over a ``(time, seq)``-ordered queue.
 
-    def __init__(self, queue: Optional[str] = None) -> None:
+    *queue* is the scheduling structure to drain; the default (and the
+    only one production code uses) is a fresh :class:`CalendarQueue`.
+    Tests pass a :class:`HeapQueue` as the reference to compare against.
+    """
+
+    def __init__(self,
+                 queue: Optional[CalendarQueue | HeapQueue] = None) -> None:
         self._now = 0.0
-        self._queue = _resolve_queue(queue)
+        self._queue = CalendarQueue() if queue is None else queue
         self._push = self._queue.push  # bound once: schedule hot path
         self._sequence = 0
         self._pending_crash: Optional[BaseException] = None
@@ -586,29 +580,6 @@ class Engine:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def queue_impl(self) -> str:
-        """Name of the active scheduling structure."""
-        return "heap" if isinstance(self._queue, HeapQueue) else "calendar"
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live (non-tombstoned) event, or None."""
-        queue = self._queue
-        skipped: List[Entry] = []
-        found = None
-        while True:
-            entry = queue.pop_due(inf)
-            if entry is None:
-                break
-            if entry[2]._cancelled:
-                continue
-            found = entry[0]
-            skipped.append(entry)
-            break
-        for entry in skipped:
-            queue.push(entry)
-        return found
 
     # -- factory helpers ----------------------------------------------------
 
@@ -660,32 +631,24 @@ class Engine:
         if self._pending_crash is None:
             self._pending_crash = exc
 
-    def run(self, until: Optional[float] = None,
-            clamp: bool = True) -> float:
+    def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or simulated time reaches *until*.
 
         Returns the simulated time at which the run stopped.  Re-raises
         the first uncaught exception from any process nobody was waiting
-        on.  With ``clamp=False`` the clock is left at the last processed
-        event instead of being bumped to *until* — the windowed drive
-        mode the partitioned executor uses, so a run chopped into
-        lookahead windows ends at exactly the same time as an unchopped
-        one.
+        on.
         """
         queue = self._queue
-        pop_due = queue.pop_due
         bound = inf if until is None else until
-        # The calendar queue's pop is inlined into the loop (the current
-        # tick's heap is mutated in place, so one binding survives tick
-        # advances); other queue types go through pop_due.  Saves a
-        # Python method call per processed event on the hot path.  The
-        # processed counter runs in a local and is written back on every
-        # exit (the ``finally``), so nothing observes a stale count after
-        # the loop; hooks are rebound locally too — they are configured
-        # before a run, never from inside one.
-        inline = type(queue) is CalendarQueue
-        if inline:
-            current = queue._current
+        # The queue's pop is inlined into the loop (the current tick's
+        # heap is mutated in place, so one binding survives tick
+        # advances).  Saves a Python method call per processed event on
+        # the hot path.  The processed counter runs in a local and is
+        # written back on every exit (the ``finally``), so nothing
+        # observes a stale count after the loop; hooks are rebound
+        # locally too — they are configured before a run, never from
+        # inside one.
+        current = queue._current
         processed = self.events_processed
         interval = self.trace_interval
         trace_hook = self.trace_hook
@@ -696,20 +659,15 @@ class Engine:
                 if self._pending_crash is not None:
                     exc, self._pending_crash = self._pending_crash, None
                     raise exc
-                if inline:
-                    if not current:
-                        if not queue._ticks:
-                            break
-                        queue._advance()
-                    entry = current[0]
-                    if entry[0] > bound:
+                if not current:
+                    if not queue._ticks:
                         break
-                    heappop(current)
-                    queue._count -= 1
-                else:
-                    entry = pop_due(bound)
-                    if entry is None:
-                        break
+                    queue._advance()
+                entry = current[0]
+                if entry[0] > bound:
+                    break
+                heappop(current)
+                queue._count -= 1
                 event = entry[2]
                 self._now = entry[0]
                 if event._fires_by_time:
@@ -744,7 +702,7 @@ class Engine:
                     trace_hook(self._now, processed, len(queue))
         finally:
             self.events_processed = processed
-        if until is not None and clamp and until > self._now:
+        if until is not None and until > self._now:
             self._now = until
         if self._pending_crash is not None:
             exc, self._pending_crash = self._pending_crash, None

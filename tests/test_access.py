@@ -8,9 +8,12 @@ FlexKV) including the CAS endianness regression.
 """
 
 import os
+import pathlib
+import re
 
 import pytest
 
+import repro
 from repro import registry
 from repro.baselines.flexkv import (
     FlexKVConfig,
@@ -414,17 +417,17 @@ class TestOutbackRouting:
 
 
 class TestKnownEnvVars:
-    def test_importable_constants_are_registered(self):
-        from repro.bench.parallel import JOBS_ENV
-        from repro.bench.scale import (
-            CACHE_MODE_ENV,
-            NUM_MNS_ENV,
-            SHARDS_ENV,
-        )
-
-        for name in (JOBS_ENV, CACHE_MODE_ENV, NUM_MNS_ENV, SHARDS_ENV,
-                     PLACEMENT_ENV):
-            assert name in KNOWN_ENV_VARS, name
+    def test_known_env_vars_match_source_literals(self):
+        # Every knob a layer resolves is a quoted "REPRO_*" literal
+        # somewhere under src/repro; the central list must name exactly
+        # those (config.py itself is the list, so it is not evidence).
+        package = pathlib.Path(repro.__file__).parent
+        literals = set()
+        for path in package.rglob("*.py"):
+            if path != package / "config.py":
+                literals.update(re.findall(r'"(REPRO_[A-Z_]+)"',
+                                           path.read_text()))
+        assert literals == KNOWN_ENV_VARS
 
     def test_unknown_env_vars_flags_typos_only(self):
         environ = {

@@ -9,6 +9,7 @@ from repro.bench.experiments import (
     ablation_write_amplification,
 )
 from repro.cli import EXPERIMENTS, main, run_experiment
+from repro.config import unknown_env_vars
 
 TINY = Scale(name="tiny", num_keys=3000, ops_per_client=50,
              client_sweep=[4], clients=6, nic_scale=32.0)
@@ -40,6 +41,20 @@ class TestCli:
     def test_run_experiment_dispatch(self):
         rows = run_experiment("fig3d", TINY)
         assert rows and "max_load_factor" in rows[0]
+
+    @pytest.mark.parametrize("argv", [["run", "fig3d"], ["chaos"]])
+    def test_partitions_flag_is_rejected_not_ignored(self, argv, capsys):
+        # The mirrored-replica executor is gone; its flag must be an
+        # argparse error on both subcommands, never a silent serial run.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--partitions", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --partitions" in capsys.readouterr().err
+
+    def test_removed_env_knobs_get_the_typo_warning(self):
+        stale = {"REPRO_PARTITIONS": "2", "REPRO_PARTITION_WINDOW": "64",
+                 "REPRO_SIM_QUEUE": "heap"}
+        assert unknown_env_vars(stale) == sorted(stale)
 
 
 class TestAblations:

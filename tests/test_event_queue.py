@@ -3,7 +3,8 @@
 The load-bearing guarantee of the queue swap: the calendar queue and
 the legacy binary heap produce **byte-identical event sequences** — not
 just equal counts — for every registry family.  The golden tests run
-identically seeded clusters under both queue implementations with the
+identically seeded clusters on the production calendar queue and on the
+:class:`~repro.sim.engine.HeapQueue` oracle (injected by object) with the
 engine's ``event_log`` enabled and compare the full ``(time, type)``
 sequences, plus every observable metric.
 
@@ -21,9 +22,9 @@ import pytest
 from repro.bench.runner import build_index, load_index
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
-from repro.registry import family_names
+from repro.registry import family_names, get_family
 from repro.sched import launch_clients
-from repro.sim import QUEUE_ENV, CalendarQueue, Engine, HeapQueue, Interrupted
+from repro.sim import CalendarQueue, Engine, HeapQueue, Interrupted
 from repro.workloads.ycsb import WORKLOADS, WorkloadContext, dataset
 
 NUM_KEYS = 300
@@ -31,12 +32,22 @@ OPS = 30
 SEED = 11
 
 
-def _golden_run(index_name: str, workload: str, queue: str, monkeypatch):
-    """One fully seeded run under the named queue; returns observables."""
-    monkeypatch.setenv(QUEUE_ENV, queue)
+def _golden_run(index_name: str, workload: str, monkeypatch,
+                heap_oracle: bool):
+    """One fully seeded run; returns observables.
+
+    The production path (``Cluster`` -> ``Engine()``) runs untouched;
+    with *heap_oracle* the ``Engine`` that ``Cluster`` constructs is
+    swapped for one draining a :class:`HeapQueue`.
+    """
     config = ClusterConfig(num_cns=2, clients_per_cn=2, seed=SEED)
-    cluster = Cluster(config)
-    assert cluster.engine.queue_impl == queue
+    with monkeypatch.context() as patch:
+        if heap_oracle:
+            patch.setattr("repro.cluster.cluster.Engine",
+                          lambda: Engine(queue=HeapQueue()))
+        cluster = Cluster(config)
+    assert type(cluster.engine._queue) is (
+        HeapQueue if heap_oracle else CalendarQueue)
     index = build_index(index_name, cluster)
     pairs = dataset(NUM_KEYS, key_space=0, seed=SEED)
     spec = WORKLOADS[workload]
@@ -58,30 +69,22 @@ def _golden_run(index_name: str, workload: str, queue: str, monkeypatch):
 
 
 class TestCalendarGoldenEquality:
-    @pytest.mark.parametrize("index_name",
-                             sorted(set(family_names())
-                                    & {"chime", "sherman", "rolex",
-                                       "smart"}))
+    @pytest.mark.parametrize("index_name", sorted(family_names()))
     def test_calendar_matches_heap_event_sequence(self, index_name,
                                                   monkeypatch):
-        heap = _golden_run(index_name, "A", "heap", monkeypatch)
-        calendar = _golden_run(index_name, "A", "calendar", monkeypatch)
+        # Point-only families (no range scans) run the read-only mix.
+        workload = "A" if get_family(index_name).supports_scan else "C"
+        heap = _golden_run(index_name, workload, monkeypatch,
+                           heap_oracle=True)
+        calendar = _golden_run(index_name, workload, monkeypatch,
+                               heap_oracle=False)
+        assert heap["log"]
         assert calendar["log"] == heap["log"]
         assert calendar["events"] == heap["events"]
         assert calendar["now"] == heap["now"]
         assert calendar["ops"] == heap["ops"]
         assert calendar["latencies"] == heap["latencies"]
         assert calendar["traffic"] == heap["traffic"]
-
-    def test_default_queue_is_calendar(self, monkeypatch):
-        monkeypatch.delenv(QUEUE_ENV, raising=False)
-        assert Engine().queue_impl == "calendar"
-
-    def test_unknown_queue_rejected(self, monkeypatch):
-        monkeypatch.setenv(QUEUE_ENV, "wheel")
-        from repro.errors import SimulationError
-        with pytest.raises(SimulationError):
-            Engine()
 
 
 def _drain(queue, bound=float("inf")):
@@ -168,13 +171,6 @@ class TestTimeoutCancel:
         assert keeper.triggered
         # The tombstone is discarded without being counted as an event.
         assert engine.events_processed == 1
-
-    def test_peek_time_skips_tombstones(self):
-        engine = Engine()
-        early = engine.timeout(1e-6)
-        engine.timeout(4e-6)
-        early.cancel()
-        assert engine.peek_time() == pytest.approx(4e-6)
 
     def test_cancel_after_trigger_is_refused(self):
         engine = Engine()
