@@ -23,13 +23,12 @@ module lands that design on the access layer of
   path touches, so both placements see one source of truth.
 * The :class:`~repro.core.access.CachePressurePlacement` policy flips a
   partition CN→MN once directory misses accumulate, emitting
-  ``placement.switch`` obs events; ``REPRO_PLACEMENT`` forces a static
-  ``cn`` or ``mn`` placement instead (``auto`` restores the policy).
+  ``placement.switch`` obs events; ``ClusterConfig.placement`` forces a
+  static ``cn`` or ``mn`` placement instead (``auto`` is the policy).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -54,11 +53,7 @@ from repro.layout import (
 from repro.memory.region import CACHE_LINE, addr_mn
 from repro.obs.spans import SpanInstrumentedOps
 
-__all__ = ["FlexKVClient", "FlexKVConfig", "FlexKVIndex", "PLACEMENT_ENV"]
-
-#: Forces a static placement for every FlexKV partition: ``cn`` or
-#: ``mn``; ``auto`` (or unset) runs the cache-pressure policy.
-PLACEMENT_ENV = "REPRO_PLACEMENT"
+__all__ = ["FlexKVClient", "FlexKVConfig", "FlexKVIndex"]
 
 
 @dataclass(frozen=True)
@@ -79,31 +74,18 @@ class FlexKVConfig:
     switch_threshold: int = 4
 
 
-def resolve_placement(value: Optional[str] = None) -> str:
-    """``cn`` / ``mn`` / ``auto`` from the argument or ``REPRO_PLACEMENT``."""
-    if value is None:
-        value = os.environ.get(PLACEMENT_ENV, "").strip() or "auto"
-    value = value.lower()
-    if value not in ("cn", "mn", "auto"):
-        raise SimulationError(
-            f"{PLACEMENT_ENV} must be cn, mn, or auto: {value!r}"
-        )
-    return value
-
-
 class FlexKVIndex:
     """Host-side state: partition homes, bucket arrays, placement policy."""
 
     access_family = "flexkv"
 
     def __init__(self, cluster: Cluster,
-                 config: Optional[FlexKVConfig] = None,
-                 placement: Optional[str] = None) -> None:
+                 config: Optional[FlexKVConfig] = None) -> None:
         self.cluster = cluster
         self.config = config or FlexKVConfig()
         self.mn_ids: List[int] = sorted(cluster.mns)
         self.partitions = self.config.partitions or 4 * len(self.mn_ids)
-        mode = resolve_placement(placement)
+        mode = cluster.config.placement
         if mode == "auto":
             self.placement = CachePressurePlacement(
                 self.partitions, threshold=self.config.switch_threshold

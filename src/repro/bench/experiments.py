@@ -111,7 +111,7 @@ def fig3b_limited_bandwidth(scale: Optional[Scale] = None,
         for index_name in indexes
         for clients in scale.client_sweep
     ]
-    return sweep_rows(specs)
+    return sweep_rows(specs, jobs=scale.jobs)
 
 
 def fig3c_limited_cache(scale: Optional[Scale] = None,
@@ -131,7 +131,7 @@ def fig3c_limited_cache(scale: Optional[Scale] = None,
         for index_name in indexes
         for clients in scale.client_sweep
     ]
-    return sweep_rows(specs)
+    return sweep_rows(specs, jobs=scale.jobs)
 
 
 # --------------------------------------------------------------------------
@@ -280,7 +280,7 @@ def fig12_ycsb(scale: Optional[Scale] = None,
         if not (workload == "LOAD" and get_family(index_name).family == "rolex")
         for clients in sweep
     ]
-    return sweep_rows(specs)
+    return sweep_rows(specs, jobs=scale.jobs)
 
 
 # --------------------------------------------------------------------------
@@ -323,7 +323,7 @@ def fig12_point_families(scale: Optional[Scale] = None,
         for index_name in indexes
         for clients in sweep
     ]
-    return sweep_rows(specs)
+    return sweep_rows(specs, jobs=scale.jobs)
 
 
 def figplacement(scale: Optional[Scale] = None,
@@ -404,7 +404,7 @@ def figshard_scaleout(scale: Optional[Scale] = None,
         for num_mns in mn_sweep
         for clients in sweep
     ]
-    return sweep_rows(specs)
+    return sweep_rows(specs, jobs=scale.jobs)
 
 
 # --------------------------------------------------------------------------
@@ -427,7 +427,7 @@ def fig13_variable_kv(scale: Optional[Scale] = None,
         for index_name in INDIRECT_INDEXES
         if not (workload == "LOAD" and get_family(index_name).family == "rolex")
     ]
-    return sweep_rows(specs)
+    return sweep_rows(specs, jobs=scale.jobs)
 
 
 # --------------------------------------------------------------------------
@@ -503,7 +503,7 @@ def fig15b_learned_branch(scale: Optional[Scale] = None,
         for workload in workloads
         for index_name in ("rolex", "chime-learned", "chime")
     ]
-    return sweep_rows(specs)
+    return sweep_rows(specs, jobs=scale.jobs)
 
 
 def fig15_factor_analysis(scale: Optional[Scale] = None,
@@ -525,7 +525,7 @@ def fig15_factor_analysis(scale: Optional[Scale] = None,
                 scale.cluster_config(seed=seed), key_space=scale.key_space,
                 chime_overrides=chime_overrides,
                 extra=(("step", step_name),)))
-    return sweep_rows(specs)
+    return sweep_rows(specs, jobs=scale.jobs)
 
 
 # --------------------------------------------------------------------------
@@ -570,7 +570,7 @@ def fig17_speculative(scale: Optional[Scale] = None,
         for speculative in (False, True)
         for clients in sweep
     ]
-    return sweep_rows(specs)
+    return sweep_rows(specs, jobs=scale.jobs)
 
 
 # --------------------------------------------------------------------------
@@ -592,7 +592,7 @@ def fig18a_skewness(scale: Optional[Scale] = None,
         for index_name in indexes
         for theta in thetas
     ]
-    return sweep_rows(specs)
+    return sweep_rows(specs, jobs=scale.jobs)
 
 
 def skew_sync_sweep(scale: Optional[Scale] = None,
@@ -637,7 +637,7 @@ def skew_sync_sweep(scale: Optional[Scale] = None,
         for theta in thetas
         for clients in client_sweep
     ]
-    return sweep_rows(specs)
+    return sweep_rows(specs, jobs=scale.jobs)
 
 
 def fig18b_cache_size(scale: Optional[Scale] = None,
@@ -658,7 +658,7 @@ def fig18b_cache_size(scale: Optional[Scale] = None,
         for index_name in indexes
         for factor in factors
     ]
-    return sweep_rows(specs)
+    return sweep_rows(specs, jobs=scale.jobs)
 
 
 def fig18c_inline_value_size(scale: Optional[Scale] = None,
@@ -676,7 +676,7 @@ def fig18c_inline_value_size(scale: Optional[Scale] = None,
         for index_name in indexes
         for size in sizes
     ]
-    return sweep_rows(specs)
+    return sweep_rows(specs, jobs=scale.jobs)
 
 
 def fig18d_indirect_value_size(scale: Optional[Scale] = None,
@@ -692,7 +692,7 @@ def fig18d_indirect_value_size(scale: Optional[Scale] = None,
         for index_name in INDIRECT_INDEXES
         for size in sizes
     ]
-    return sweep_rows(specs)
+    return sweep_rows(specs, jobs=scale.jobs)
 
 
 def fig18e_span_size(scale: Optional[Scale] = None,
@@ -708,7 +708,7 @@ def fig18e_span_size(scale: Optional[Scale] = None,
         for index_name in ("chime", "sherman", "rolex")
         for span in spans
     ]
-    return sweep_rows(specs)
+    return sweep_rows(specs, jobs=scale.jobs)
 
 
 def fig18f_neighborhood_size(scale: Optional[Scale] = None,
@@ -723,7 +723,7 @@ def fig18f_neighborhood_size(scale: Optional[Scale] = None,
                   extra=(("neighborhood", neighborhood),))
         for neighborhood in neighborhoods
     ]
-    return sweep_rows(specs)
+    return sweep_rows(specs, jobs=scale.jobs)
 
 
 # --------------------------------------------------------------------------

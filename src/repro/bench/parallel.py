@@ -13,11 +13,12 @@ the determinism contract cheap to state:
   input order), so serial and parallel sweeps produce byte-identical
   row lists.
 
-Worker count resolution (first match wins): the ``jobs`` argument, the
-``REPRO_JOBS`` environment variable, then ``cpu_count() - 1`` (floor 1).
-``jobs=1`` runs inline with no pool, which is also the forced path while
-an observability recording is active — phase spans and the event bus do
-not cross process boundaries.
+The worker count is the ``jobs`` argument (figure sweeps pass
+``Scale.jobs``), else ``cpu_count() - 1`` (floor 1).  ``jobs=1`` runs
+inline with no pool, which is also the forced path while an
+observability recording is active — phase spans and the event bus do
+not cross process boundaries.  Workers need no inherited environment:
+every spec is fully resolved in the parent.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ from repro.bench.runner import run_point
 from repro.config import ClusterConfig
 from repro.obs import active_recording
 
-#: Environment variable consulted when ``jobs`` is not given explicitly.
-JOBS_ENV = "REPRO_JOBS"
-
 
 def derive_seed(base_seed: int, *components: Any) -> int:
     """A stable per-point seed from a base seed and labelling components.
@@ -49,14 +47,10 @@ def derive_seed(base_seed: int, *components: Any) -> int:
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """The worker count to use: explicit > ``REPRO_JOBS`` > cores - 1."""
-    if jobs is None:
-        env = os.environ.get(JOBS_ENV, "").strip()
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise ValueError(f"{JOBS_ENV} must be an integer: {env!r}")
+    """The worker count to use: *jobs*, else cores - 1; never below 1.
+
+    ``REPRO_JOBS`` is resolved where a ``Scale`` is built, not here.
+    """
     if jobs is None:
         jobs = (os.cpu_count() or 2) - 1
     return max(1, int(jobs))
@@ -65,7 +59,11 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 @dataclass(frozen=True)
 class PointSpec:
     """One picklable measurement point: the arguments of ``run_point``
-    plus ``extra`` row fields merged into the result's summary row."""
+    plus ``extra`` row fields merged into the result's summary row.
+
+    Every run-level knob (depth, placement, sync mode, sharding) is a
+    field of ``cluster_config``, so a point never depends on the
+    environment of the process that runs it."""
 
     index_name: str
     workload_name: str
@@ -79,14 +77,6 @@ class PointSpec:
     chime_overrides: Optional[dict] = None
     key_space: int = 0
     unlimited_cache_for: Tuple[str, ...] = ("smart-opt",)
-    #: Explicit pipeline depth.  None resolves through ``REPRO_DEPTH``
-    #: and then the cluster config (the historical behavior); campaigns
-    #: pin it so a stored point can never depend on ambient environment.
-    depth: Optional[int] = None
-    #: Index placement mode pinned for this point ("cn"/"mn"/"auto").
-    #: None leaves ``REPRO_PLACEMENT`` ambient (figure sweeps); campaigns
-    #: always pin it for the same reason as ``depth``.
-    placement: Optional[str] = None
     extra: Tuple[Tuple[str, Any], ...] = ()
 
     def with_extra(self, **fields: Any) -> "PointSpec":
@@ -96,31 +86,15 @@ class PointSpec:
 
 def run_spec(spec: PointSpec) -> RunResult:
     """Execute one point (also the worker entry point — must pickle)."""
-    env_token: Any = 0  # sentinel distinct from None (= var was unset)
-    if spec.placement is not None:
-        from repro.baselines.flexkv import PLACEMENT_ENV
-
-        env_token = os.environ.get(PLACEMENT_ENV)
-        os.environ[PLACEMENT_ENV] = spec.placement
-    try:
-        return run_point(
-            spec.index_name, spec.workload_name, spec.num_keys,
-            spec.ops_per_client, spec.cluster_config,
-            value_size=spec.value_size, span=spec.span,
-            neighborhood=spec.neighborhood, theta=spec.theta,
-            chime_overrides=dict(spec.chime_overrides)
-            if spec.chime_overrides is not None else None,
-            key_space=spec.key_space,
-            unlimited_cache_for=spec.unlimited_cache_for,
-            depth=spec.depth)
-    finally:
-        if spec.placement is not None:
-            from repro.baselines.flexkv import PLACEMENT_ENV
-
-            if env_token is None:
-                del os.environ[PLACEMENT_ENV]
-            else:
-                os.environ[PLACEMENT_ENV] = env_token
+    return run_point(
+        spec.index_name, spec.workload_name, spec.num_keys,
+        spec.ops_per_client, spec.cluster_config,
+        value_size=spec.value_size, span=spec.span,
+        neighborhood=spec.neighborhood, theta=spec.theta,
+        chime_overrides=dict(spec.chime_overrides)
+        if spec.chime_overrides is not None else None,
+        key_space=spec.key_space,
+        unlimited_cache_for=spec.unlimited_cache_for)
 
 
 def run_sweep(specs: Iterable[PointSpec],

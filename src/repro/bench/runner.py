@@ -19,10 +19,10 @@ from typing import Optional, Sequence
 
 from repro.bench.metrics import RunResult
 from repro.cluster.cluster import Cluster
-from repro.config import ClusterConfig
+from repro.config import KNOBS, ClusterConfig
 from repro.obs import active_recording
 from repro.registry import build_index, get_family
-from repro.sched import launch_clients, resolve_depth
+from repro.sched import launch_clients
 from repro.workloads.ycsb import WORKLOADS, WorkloadContext, dataset
 
 __all__ = ["KV_DISCRETE", "build_index", "load_index", "prepare_point",
@@ -70,11 +70,12 @@ def run_workload(cluster: Cluster, index, workload_name: str,
                  depth: Optional[int] = None) -> RunResult:
     """Drive every cluster client through its op stream; returns metrics.
 
-    *depth* overrides the pipeline depth for this run; by default it
-    resolves through ``REPRO_DEPTH`` and then
-    :attr:`~repro.config.ClusterConfig.pipeline_depth`.
+    *depth* overrides the pipeline depth for this run; None means
+    the cluster's :attr:`~repro.config.ClusterConfig.pipeline_depth`.
     """
-    depth = resolve_depth(depth, cluster.config)
+    if depth is None:
+        depth = cluster.config.pipeline_depth
+    KNOBS["depth"].check(depth, "run_workload(depth=)")
     warmup = int(ops_per_client * warmup_fraction)
     traffic_before = cluster.traffic_totals()
     # Snapshot cumulative cache counters so the reported hit ratio only
@@ -173,7 +174,6 @@ def run_point(index_name: str, workload_name: str, num_keys: int,
               chime_overrides: Optional[dict] = None,
               key_space: int = 0,
               unlimited_cache_for: Optional[Sequence[str]] = None,
-              depth: Optional[int] = None,
               ) -> RunResult:
     """Build cluster + index + workload and run one measurement point."""
     cluster, index, context = prepare_point(
@@ -183,6 +183,6 @@ def run_point(index_name: str, workload_name: str, num_keys: int,
         chime_overrides=chime_overrides, key_space=key_space,
         unlimited_cache_for=unlimited_cache_for)
     result = run_workload(cluster, index, workload_name, ops_per_client,
-                          context, depth=depth)
+                          context)
     result.index_name = index_name
     return result

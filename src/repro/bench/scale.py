@@ -12,65 +12,26 @@ the figures depend on:
 * keys are sampled sparsely from a large key space, as YCSB's hashed
   keys are.
 
-Select a preset with the ``REPRO_SCALE`` environment variable
-(``quick`` / ``default`` / ``full``).  EXPERIMENTS.md records which
-preset produced the committed numbers.
+``current_scale()`` selects a preset with the ``REPRO_SCALE``
+environment variable (``quick`` / ``default`` / ``full``).
+EXPERIMENTS.md records which preset produced the committed numbers.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from repro.config import (
     ClusterConfig,
+    KNOBS,
     PAPER_CACHE_BYTES,
     PAPER_DATASET_SIZE,
     PAPER_HOTSPOT_BYTES,
+    env_value,
+    scale_fields,
 )
 from repro.rdma.nic import NicSpec
-
-#: Environment variable selecting the lock sync mode for CLI runs
-#: (the ``--sync-mode`` analogue of ``REPRO_DEPTH``; see
-#: :mod:`repro.core.adaptive`).
-SYNC_MODE_ENV = "REPRO_SYNC_MODE"
-
-#: Environment analogues of the sharding CLI flags (``--num-mns`` /
-#: ``--shards`` / ``--cache-mode``; see :mod:`repro.cluster.shards`).
-NUM_MNS_ENV = "REPRO_NUM_MNS"
-SHARDS_ENV = "REPRO_SHARDS"
-CACHE_MODE_ENV = "REPRO_CACHE_MODE"
-REBALANCE_ENV = "REPRO_REBALANCE"
-
-
-def _resolve_sync_mode(sync_mode: Optional[str]) -> str:
-    """Explicit argument > ``REPRO_SYNC_MODE`` > the optimistic default."""
-    if sync_mode is not None:
-        return sync_mode
-    env = os.environ.get(SYNC_MODE_ENV, "").strip().lower()
-    return env or "optimistic"
-
-
-def _resolve_int_env(value: Optional[int], env_name: str) -> Optional[int]:
-    """Explicit argument > integer environment variable > None."""
-    if value is not None:
-        return value
-    env = os.environ.get(env_name, "").strip()
-    if not env:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"{env_name} must be an integer: {env!r}") from None
-
-
-def _resolve_cache_mode(cache_mode: Optional[str]) -> str:
-    """Explicit argument > ``REPRO_CACHE_MODE`` > the shared default."""
-    if cache_mode is not None:
-        return cache_mode
-    env = os.environ.get(CACHE_MODE_ENV, "").strip().lower()
-    return env or "shared"
 
 
 @dataclass(frozen=True)
@@ -91,6 +52,19 @@ class Scale:
     #: sparsely from a key space this many times larger.
     key_space_factor: int = 1
     seed: int = 42
+    #: Run-level knobs (rows of :data:`repro.config.KNOBS`): every
+    #: figure point built from this scale inherits them through
+    #: :meth:`cluster_config`, unless the figure pins its own value.
+    depth: int = 1
+    sync_mode: str = "optimistic"
+    #: 0 = the legacy striped pool (multi-MN figures like fig3c rely on
+    #: striping); the CLI defaults to one shard per MN instead.
+    num_shards: int = 0
+    cache_mode: str = "shared"
+    rebalance: bool = False
+    placement: str = "auto"
+    #: Sweep worker processes (None = cores - 1); never affects results.
+    jobs: Optional[int] = None
 
     @property
     def key_space(self) -> int:
@@ -115,47 +89,36 @@ class Scale:
 
     def cluster_config(self, clients: Optional[int] = None,
                        cache_bytes: Optional[int] = -1,
-                       num_mns: Optional[int] = None,
-                       num_cns: int = 2,
-                       seed: Optional[int] = None,
-                       sync_mode: Optional[str] = None,
-                       num_shards: Optional[int] = None,
-                       cache_mode: Optional[str] = None,
-                       rebalance_shards: bool = False) -> ClusterConfig:
+                       num_cns: int = 2, **overrides) -> ClusterConfig:
         """A cluster config for one run (``cache_bytes=-1`` = preset).
 
-        Sharding knobs resolve explicit > environment > default:
-        *num_mns* through ``REPRO_NUM_MNS``, *num_shards* through
-        ``REPRO_SHARDS``, *cache_mode* through ``REPRO_CACHE_MODE``.
-        Sharding stays off (0, the legacy striped pool) unless requested
-        — multi-MN experiments like fig3c rely on striping; the CLI's
-        ``run`` command defaults ``--shards`` to one per MN instead.
+        *overrides* are :class:`ClusterConfig` fields (``num_mns``,
+        ``seed``, ``sync_mode``, ``num_shards``, ``cache_mode``,
+        ``rebalance_shards``, ``pipeline_depth``, ``placement``, ...).
+        Precedence is explicit argument > this scale's field; None
+        means "not given".  Nothing here reads the environment: ambient
+        ``REPRO_*`` values enter only where a ``Scale`` is built
+        (:func:`current_scale` and the CLI).
         """
         total_clients = clients if clients is not None else self.clients
-        per_cn = max(1, total_clients // num_cns)
-        budget = self.cache_bytes if cache_bytes == -1 else cache_bytes
-        num_mns = _resolve_int_env(num_mns, NUM_MNS_ENV)
-        if num_mns is None:
-            num_mns = self.num_mns
-        num_shards = _resolve_int_env(num_shards, SHARDS_ENV)
-        if num_shards is None:
-            num_shards = 0
-        if not rebalance_shards:
-            env = os.environ.get(REBALANCE_ENV, "").strip().lower()
-            rebalance_shards = env not in ("", "0", "false", "no")
-        return ClusterConfig(
+        fields = dict(
             num_cns=num_cns,
-            num_mns=num_mns,
-            clients_per_cn=per_cn,
-            cache_bytes=budget,
+            num_mns=self.num_mns,
+            clients_per_cn=max(1, total_clients // num_cns),
+            cache_bytes=self.cache_bytes if cache_bytes == -1 else cache_bytes,
             region_bytes=1 << 27,
             mn_nic=self.nic_spec(),
-            sync_mode=_resolve_sync_mode(sync_mode),
-            num_shards=num_shards,
-            cache_mode=_resolve_cache_mode(cache_mode),
-            rebalance_shards=rebalance_shards,
-            seed=seed if seed is not None else self.seed,
+            sync_mode=self.sync_mode,
+            pipeline_depth=self.depth,
+            num_shards=self.num_shards,
+            cache_mode=self.cache_mode,
+            rebalance_shards=self.rebalance,
+            placement=self.placement,
+            seed=self.seed,
         )
+        fields.update((name, value) for name, value in overrides.items()
+                      if value is not None)
+        return ClusterConfig(**fields)
 
     def chime_overrides(self) -> dict:
         return {"hotspot_bytes": self.hotspot_bytes}
@@ -175,20 +138,13 @@ PRESETS = {"quick": QUICK, "default": DEFAULT, "full": FULL}
 
 
 def current_scale() -> Scale:
-    """The preset selected by ``REPRO_SCALE`` (default: ``default``).
+    """The preset selected by ``REPRO_SCALE`` (default: ``default``)
+    with every other ``REPRO_*`` knob applied to its fields.
 
-    ``REPRO_SEED`` overrides the preset's RNG seed — the environment
-    analogue of the CLI's ``--seed``, used by campaign replicates to
-    rerun the committed benchmark suites under an explicit seed.
+    This is how ambient configuration reaches the ``pytest benchmarks/``
+    harness and ``scale=None`` experiment calls — e.g. ``REPRO_SEED``
+    lets campaign replicates rerun the committed suites under an
+    explicit seed.  Bad values raise :class:`~repro.errors.ConfigError`.
     """
-    name = os.environ.get("REPRO_SCALE", "default").lower()
-    if name not in PRESETS:
-        raise KeyError(f"REPRO_SCALE must be one of {sorted(PRESETS)}")
-    scale = PRESETS[name]
-    seed_env = os.environ.get("REPRO_SEED", "").strip()
-    if seed_env:
-        try:
-            scale = replace(scale, seed=int(seed_env))
-        except ValueError:
-            raise ValueError(f"REPRO_SEED must be an integer: {seed_env!r}")
-    return scale
+    name = env_value("scale") or KNOBS["scale"].default
+    return replace(PRESETS[name], **scale_fields())

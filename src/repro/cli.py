@@ -42,7 +42,6 @@ import csv
 import dataclasses
 import io
 import json
-import os
 import sys
 import time
 from typing import Dict, List, Optional, Sequence
@@ -50,7 +49,8 @@ from typing import Dict, List, Optional, Sequence
 from repro.bench import PRESETS, Scale
 from repro.bench.report import format_table
 from repro.bench import experiments as exp
-from repro.core.adaptive import SYNC_MODES
+from repro.config import KNOBS, Knob, scale_fields, unknown_env_vars
+from repro.errors import ConfigError
 
 #: Figure name -> (experiment callable, wants_scale).
 EXPERIMENTS: Dict[str, tuple] = {
@@ -113,10 +113,63 @@ def format_rows(rows: Sequence[dict], fmt: str, title: str = "") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _apply_seed(scale: Scale, seed: Optional[int]) -> Scale:
-    if seed is None:
-        return scale
-    return dataclasses.replace(scale, seed=seed)
+#: The CLI runs the quick preset unless told otherwise
+#: (``current_scale()`` defaults to ``default`` for the benchmark suite).
+CLI_SCALE = "quick"
+
+
+def _flag_type(knob: Knob):
+    """An argparse ``type=`` that validates like the knob's variable."""
+    def parse(text: str):
+        try:
+            return knob.parse(text, knob.flag)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
+def _add_knob_flags(parser, names: str, env: str = "",
+                    pinned: bool = False) -> None:
+    """Add the flags of the :data:`~repro.config.KNOBS` rows in *names*.
+
+    *env* lists the knobs this command reads from their ``REPRO_*``
+    variable when no flag is given (a knob may be honoured without
+    having a flag here).  A *pinned* command (campaigns) defaults every
+    other flag to the table default, so what it stores never depends on
+    ambient environment.
+    """
+    honoured = env.split()
+    parser.set_defaults(knob_env=honoured)
+    for name in names.split():
+        knob = KNOBS[name]
+        fallback = CLI_SCALE if name == "scale" else knob.default
+        note = f"default: {knob.default_text or fallback}"
+        # Only --scale and pinned flags carry a default into args; any
+        # other absent flag stays None so the Scale's own value stands.
+        carried = name == "scale"
+        if name in honoured:
+            note = f"default: ${knob.env} or {knob.default_text or fallback}"
+        elif pinned:
+            note, carried = "pinned per point; " + note, True
+        if knob.kind is bool:
+            kind = dict(action="store_const", const=True)
+        else:
+            kind = dict(type=_flag_type(knob), choices=knob.choices or None,
+                        default=fallback if carried else None)
+        parser.add_argument(knob.flag, dest=name,
+                            help=f"{knob.help} ({note})", **kind)
+
+
+def _knob_values(args) -> dict:
+    """``Scale`` fields for this command: flag > honoured environment.
+
+    More than one MN with no shard count given means "scale out": one
+    shard per MN (``--shards 0`` keeps the legacy striped pool).
+    """
+    values = scale_fields(vars(args), args.knob_env)
+    if values.get("num_mns", 1) > 1 and "num_shards" not in values:
+        values["num_shards"] = values["num_mns"]
+    return values
 
 
 def _list_indexes() -> None:
@@ -164,57 +217,7 @@ def _cmd_run(args) -> int:
         print(f"unknown figure(s): {', '.join(unknown)}; "
               f"try 'python -m repro list'", file=sys.stderr)
         return 2
-    scale = _apply_seed(PRESETS[args.scale], args.seed)
-    if args.jobs is not None:
-        if args.jobs < 1:
-            print("--jobs must be >= 1", file=sys.stderr)
-            return 2
-        # Sweeps read the worker count from the environment (via
-        # repro.bench.parallel.resolve_jobs), so one flag covers every
-        # figure the selected run touches.
-        os.environ["REPRO_JOBS"] = str(args.jobs)
-    if args.depth is not None:
-        if args.depth < 1:
-            print("--depth must be >= 1", file=sys.stderr)
-            return 2
-        # Same pattern as --jobs: run_workload reads the pipeline depth
-        # from the environment (via repro.sched.resolve_depth), so one
-        # flag covers every point the selected figures run.
-        os.environ["REPRO_DEPTH"] = str(args.depth)
-    if args.sync_mode is not None:
-        # Same pattern again: Scale.cluster_config reads the lock mode
-        # from the environment (via repro.bench.scale._resolve_sync_mode),
-        # so one flag covers every point — and sweep worker processes
-        # inherit it.
-        from repro.bench.scale import SYNC_MODE_ENV
-        os.environ[SYNC_MODE_ENV] = args.sync_mode
-    # Sharding knobs ride the same environment channel so every point
-    # the selected figures run (including sweep worker processes) sees
-    # them via Scale.cluster_config.
-    from repro.bench.scale import (
-        CACHE_MODE_ENV,
-        NUM_MNS_ENV,
-        REBALANCE_ENV,
-        SHARDS_ENV,
-    )
-    if args.num_mns is not None:
-        if args.num_mns < 1:
-            print("--num-mns must be >= 1", file=sys.stderr)
-            return 2
-        os.environ[NUM_MNS_ENV] = str(args.num_mns)
-    if args.shards is not None:
-        if args.shards < 0:
-            print("--shards must be >= 0", file=sys.stderr)
-            return 2
-        os.environ[SHARDS_ENV] = str(args.shards)
-    elif args.num_mns is not None and args.num_mns > 1:
-        # --num-mns alone means "scale out": default to one shard per MN
-        # (pass --shards 0 explicitly for the legacy striped pool).
-        os.environ[SHARDS_ENV] = str(args.num_mns)
-    if args.cache_mode is not None:
-        os.environ[CACHE_MODE_ENV] = args.cache_mode
-    if args.rebalance:
-        os.environ[REBALANCE_ENV] = "1"
+    scale = dataclasses.replace(PRESETS[args.scale], **_knob_values(args))
 
     recorder = None
     if args.trace:
@@ -263,17 +266,15 @@ def _cmd_trace(args) -> int:
         print(f"unknown workload {args.workload!r}; "
               f"choose from {', '.join(sorted(WORKLOADS))}", file=sys.stderr)
         return 2
-    scale = _apply_seed(PRESETS[args.scale], args.seed)
-    config = scale.cluster_config(clients=args.clients,
-                                  sync_mode=args.sync_mode)
+    scale = dataclasses.replace(PRESETS[args.scale], **_knob_values(args))
+    config = scale.cluster_config(clients=args.clients)
     try:
         family = get_family(args.index)
         with obs.recording() as recorder:
             result = run_point(args.index, args.workload, scale.num_keys,
                                args.ops or scale.ops_per_client, config,
                                chime_overrides=scale.chime_overrides()
-                               if family.accepts_overrides else None,
-                               depth=args.depth)
+                               if family.accepts_overrides else None)
     except WorkloadError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -294,7 +295,7 @@ def _cmd_trace(args) -> int:
 def _cmd_perf(args) -> int:
     from repro.bench import perf
 
-    report = perf.run_suite(jobs=args.jobs)
+    report = perf.run_suite(jobs=_knob_values(args).get("jobs"))
     rows = []
     for name, point in report["points"].items():
         rows.append({"index": name, "wall_s": point["wall_s"],
@@ -379,8 +380,11 @@ def _cmd_chaos(args) -> int:
     overrides: dict = {"seed": args.seed, "lock_leases": not args.no_leases}
     if args.index:
         overrides["index"] = args.index
-    if args.sync_mode is not None:
-        overrides["sync_mode"] = args.sync_mode
+    values = _knob_values(args)
+    for name in ("depth", "sync_mode", "num_mns", "num_shards", "cache_mode"):
+        if name in values:
+            field = "pipeline_depth" if name == "depth" else name
+            overrides[field] = values[name]
     if args.crash is not None:
         if args.crash:
             try:
@@ -405,8 +409,6 @@ def _cmd_chaos(args) -> int:
     if args.keys:
         overrides["initial_keys"] = args.keys
         overrides["key_space"] = args.keys * 2
-    if args.depth:
-        overrides["pipeline_depth"] = args.depth
     outages = []
     for spec in args.outage or ():
         try:
@@ -419,24 +421,6 @@ def _cmd_chaos(args) -> int:
             return 2
     if outages:
         overrides["mn_outages"] = tuple(outages)
-    # Sharding knobs: explicit flag > environment > ChaosConfig default.
-    from repro.bench.scale import (
-        CACHE_MODE_ENV,
-        NUM_MNS_ENV,
-        SHARDS_ENV,
-        _resolve_int_env,
-    )
-    num_mns = _resolve_int_env(args.num_mns, NUM_MNS_ENV)
-    if num_mns is not None:
-        overrides["num_mns"] = num_mns
-    num_shards = _resolve_int_env(args.shards, SHARDS_ENV)
-    if num_shards is None and num_mns is not None and num_mns > 1:
-        num_shards = num_mns
-    if num_shards is not None:
-        overrides["num_shards"] = num_shards
-    cache_mode = args.cache_mode or os.environ.get(CACHE_MODE_ENV, "").strip()
-    if cache_mode:
-        overrides["cache_mode"] = cache_mode
     migrations = []
     for spec in args.migrate or ():
         try:
@@ -475,12 +459,15 @@ def _campaign_scale(args) -> Scale:
         scale = PERF_SCALE
     else:
         scale = PRESETS[args.scale]
-    overrides = {}
+    # Cells pin every knob they carry; the rebalancer has no cell
+    # field, so it alone reaches campaign points from the environment
+    # (and re-keys them, see repro.xpmt.spec.relevant_env).
+    overrides = {"rebalance": _knob_values(args).get("rebalance", False)}
     if getattr(args, "num_keys", None):
         overrides["num_keys"] = args.num_keys
     if getattr(args, "ops", None):
         overrides["ops_per_client"] = args.ops
-    return dataclasses.replace(scale, **overrides) if overrides else scale
+    return dataclasses.replace(scale, **overrides)
 
 
 def _campaign_plan(args):
@@ -552,12 +539,10 @@ def _cmd_campaign(args) -> int:
         if not plan.cells:
             print("empty campaign matrix", file=sys.stderr)
             return 2
-        if args.jobs is not None and args.jobs < 1:
-            print("--jobs must be >= 1", file=sys.stderr)
-            return 2
         with CampaignStore(args.db) as store:
             from repro.xpmt import run_campaign
-            summary = run_campaign(store, plan, jobs=args.jobs,
+            summary = run_campaign(store, plan,
+                                   jobs=_knob_values(args).get("jobs"),
                                    limit=args.limit, echo=print)
         print(summary.describe())
         return 0
@@ -643,51 +628,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                                  "their capability flags, then exit")
     run_parser.add_argument("--list-workloads", action="store_true",
                             help="list YCSB workload mixes, then exit")
-    run_parser.add_argument("--scale", default="quick",
-                            choices=sorted(PRESETS),
-                            help="scaling preset (default: quick)")
     run_parser.add_argument("--out", default=None,
                             help="also append output to this file")
     run_parser.add_argument("--format", default="table",
                             choices=("table", "csv", "json"),
                             help="output format (default: table)")
-    run_parser.add_argument("--seed", type=int, default=None,
-                            help="override the preset's RNG seed")
     run_parser.add_argument("--trace", default=None, metavar="PATH",
                             help="record per-op phase spans and write a "
                                  "Chrome trace-event JSON file")
-    run_parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                            help="worker processes for sweep points "
-                                 "(default: $REPRO_JOBS or cores-1; "
-                                 "1 = serial; forced serial with --trace)")
-    run_parser.add_argument("--depth", type=int, default=None, metavar="D",
-                            help="op coroutines per client "
-                                 "(default: $REPRO_DEPTH or 1 = the "
-                                 "strictly serial client loop)")
-    run_parser.add_argument("--sync-mode", default=None,
-                            choices=SYNC_MODES,
-                            help="lock synchronization mode "
-                                 "(default: $REPRO_SYNC_MODE or "
-                                 "optimistic)")
-    run_parser.add_argument("--num-mns", type=int, default=None,
-                            metavar="M",
-                            help="memory nodes per cluster "
-                                 "(default: $REPRO_NUM_MNS or the "
-                                 "experiment's own choice)")
-    run_parser.add_argument("--shards", type=int, default=None,
-                            metavar="S",
-                            help="key-space shards (default: "
-                                 "$REPRO_SHARDS; with --num-mns > 1 and "
-                                 "no value, one shard per MN; 0 = the "
-                                 "legacy striped pool)")
-    run_parser.add_argument("--cache-mode", default=None,
-                            choices=("shared", "partitioned"),
-                            help="CN cache admission under sharding "
-                                 "(default: $REPRO_CACHE_MODE or shared)")
-    run_parser.add_argument("--rebalance", action="store_true",
-                            help="run the hot-shard rebalancer (EWMA "
-                                 "detection + online migration) alongside "
-                                 "sharded workloads")
+    _add_knob_flags(run_parser, "scale seed jobs depth sync_mode num_mns "
+                                "num_shards cache_mode rebalance",
+                    env="jobs depth sync_mode num_mns num_shards cache_mode "
+                        "rebalance placement")
 
     trace_parser = sub.add_parser(
         "trace", help="trace one workload point (spans + metrics)")
@@ -695,26 +647,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                               help="index legend name (default: chime)")
     trace_parser.add_argument("--workload", default="C",
                               help="YCSB workload letter (default: C)")
-    trace_parser.add_argument("--scale", default="quick",
-                              choices=sorted(PRESETS),
-                              help="scaling preset (default: quick)")
     trace_parser.add_argument("--clients", type=int, default=None,
                               help="total client count (default: preset)")
     trace_parser.add_argument("--ops", type=int, default=None,
                               help="ops per client (default: preset)")
-    trace_parser.add_argument("--seed", type=int, default=None,
-                              help="override the preset's RNG seed")
-    trace_parser.add_argument("--depth", type=int, default=None,
-                              metavar="D",
-                              help="op coroutines per client (default: "
-                                   "$REPRO_DEPTH or 1)")
-    trace_parser.add_argument("--sync-mode", default=None,
-                              choices=SYNC_MODES,
-                              help="lock synchronization mode "
-                                   "(default: $REPRO_SYNC_MODE or "
-                                   "optimistic)")
     trace_parser.add_argument("--out", default=None, metavar="PATH",
                               help="write Chrome trace-event JSON here")
+    _add_knob_flags(trace_parser, "scale seed depth sync_mode",
+                    env="depth sync_mode num_mns num_shards cache_mode "
+                        "rebalance placement")
+
     perf_parser = sub.add_parser(
         "perf", help="run the pinned simulator performance suite")
     perf_parser.add_argument("--check", action="store_true",
@@ -726,9 +668,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     perf_parser.add_argument("--baseline", default="BENCH_perf.json",
                              metavar="PATH",
                              help="baseline file (default: BENCH_perf.json)")
-    perf_parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                             help="worker processes for the sweep stage "
-                                  "(default: $REPRO_JOBS or cores-1)")
+    _add_knob_flags(perf_parser, "jobs", env="jobs")
     perf_parser.add_argument("--out", default=None, metavar="PATH",
                              help="with --check: also write the fresh "
                                   "report here (for CI artifacts)")
@@ -763,26 +703,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                               help="ops per client")
     chaos_parser.add_argument("--keys", type=int, default=None,
                               help="bulk-loaded key count")
-    chaos_parser.add_argument("--depth", type=int, default=None,
-                              metavar="D",
-                              help="op coroutines per client (default: 1)")
-    chaos_parser.add_argument("--sync-mode", default=None,
-                              choices=SYNC_MODES,
-                              help="lock synchronization mode "
-                                   "(default: optimistic)")
-    chaos_parser.add_argument("--num-mns", type=int, default=None,
-                              metavar="M",
-                              help="memory nodes (default: $REPRO_NUM_MNS "
-                                   "or 1)")
-    chaos_parser.add_argument("--shards", type=int, default=None,
-                              metavar="S",
-                              help="key-space shards (default: "
-                                   "$REPRO_SHARDS; with --num-mns > 1 and "
-                                   "no value, one shard per MN)")
-    chaos_parser.add_argument("--cache-mode", default=None,
-                              choices=("shared", "partitioned"),
-                              help="CN cache admission under sharding "
-                                   "(default: $REPRO_CACHE_MODE or shared)")
+    _add_knob_flags(chaos_parser,
+                    "depth sync_mode num_mns num_shards cache_mode",
+                    env="num_mns num_shards cache_mode")
     chaos_parser.add_argument("--migrate", action="append", metavar="SPEC",
                               help="online shard migration "
                                    "'SHARD:MN:START' (repeatable), e.g. "
@@ -817,30 +740,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     crun.add_argument("--clients", default="", metavar="N,M",
                       help="comma-separated client counts "
                            "(default: the preset's operating point)")
-    crun.add_argument("--depth", type=int, default=1, metavar="D",
-                      help="pipeline depth pinned per point (default: 1)")
     crun.add_argument("--value-size", type=int, default=8, metavar="B")
     crun.add_argument("--theta", type=float, default=0.99,
                       help="zipf skew for A-style workloads")
     crun.add_argument("--span", type=int, default=None)
     crun.add_argument("--neighborhood", type=int, default=None)
-    crun.add_argument("--sync-mode", default="optimistic",
-                      choices=SYNC_MODES,
-                      help="lock synchronization mode pinned per point "
-                           "(default: optimistic)")
-    crun.add_argument("--num-mns", type=int, default=1, metavar="M",
-                      help="memory nodes pinned per point; > 1 shards "
-                           "the key space one sub-tree per MN "
-                           "(default: 1)")
-    crun.add_argument("--cache-mode", default="shared",
-                      choices=("shared", "partitioned"),
-                      help="CN cache admission under sharding pinned "
-                           "per point (default: shared)")
-    crun.add_argument("--placement", default="auto",
-                      choices=("cn", "mn", "auto"),
-                      help="index placement pinned per point; read by "
-                           "placement-aware families such as flexkv "
-                           "(default: auto)")
     crun.add_argument("--seeds", type=int, default=3, metavar="N",
                       help="replicates per cell (default: 3)")
     crun.add_argument("--seed-base", type=int, default=None, metavar="S",
@@ -849,9 +753,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                       help="override the preset's dataset size")
     crun.add_argument("--ops", type=int, default=None,
                       help="override the preset's ops per client")
-    crun.add_argument("--jobs", type=int, default=None, metavar="N",
-                      help="worker processes (default: $REPRO_JOBS "
-                           "or cores-1)")
+    _add_knob_flags(crun, "depth sync_mode num_mns cache_mode placement jobs",
+                    env="jobs rebalance", pinned=True)
     crun.add_argument("--limit", type=int, default=None, metavar="K",
                       help="execute at most K missing points this "
                            "invocation (budget valve)")
@@ -893,7 +796,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     args = parser.parse_args(argv)
 
-    from repro.config import unknown_env_vars
     for name in unknown_env_vars():
         print(f"warning: unrecognized environment variable {name} "
               f"(no REPRO_* knob by that name; typo?)", file=sys.stderr)
@@ -905,15 +807,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         except BrokenPipeError:  # e.g. `python -m repro list | head`
             pass
         return 0
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "perf":
-        return _cmd_perf(args)
-    if args.command == "campaign":
-        return _cmd_campaign(args)
-    return _cmd_run(args)
+    handler = {"trace": _cmd_trace, "chaos": _cmd_chaos, "perf": _cmd_perf,
+               "campaign": _cmd_campaign, "run": _cmd_run}[args.command]
+    try:
+        return handler(args)
+    except ConfigError as exc:  # a bad REPRO_* value (flags fail in argparse)
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -4,43 +4,168 @@ Defaults mirror the paper's setup (§5.1) with byte budgets scaled for
 simulated datasets: the paper runs 60 M keys with a 100 MB cache and a
 30 MB hotspot buffer per CN; experiments here scale those budgets by
 ``dataset_size / 60e6`` so cache pressure is comparable.
+
+Also home of the run-level knob table (:data:`KNOBS`) and the only code
+under ``src/`` that reads the process environment; see DESIGN.md §4.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
-from typing import List, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.errors import ConfigError
 from repro.rdma.nic import NicSpec
 from repro.retry import RetryPolicy
 
 #: The paper's dataset size; used as the budget-scaling reference.
 PAPER_DATASET_SIZE = 60_000_000
 
-#: Every ``REPRO_*`` environment knob any layer resolves.  Modules that
-#: define a knob keep their own ``*_ENV`` constant next to the consuming
-#: code; this central list exists so the CLI can warn about typos
-#: (``REPRO_DETPH=4`` silently doing nothing) at startup.  It is kept in
-#: sync by ``test_known_env_vars_match_source_literals`` in
-#: ``tests/test_access.py``, which fails in both directions when this
-#: list and the quoted ``"REPRO_*"`` literals in the source tree disagree.
-KNOWN_ENV_VARS = frozenset(
-    {
-        "REPRO_CACHE_MODE",      # bench.scale: CN cache admission mode
-        "REPRO_CAMPAIGN_DB",     # xpmt.record: campaign store path
-        "REPRO_CAMPAIGN_ID",     # xpmt.record: campaign id override
-        "REPRO_COMMIT",          # xpmt.spec: commit hash override
-        "REPRO_DEPTH",           # sched: op coroutines per client
-        "REPRO_JOBS",            # bench.parallel: sweep worker count
-        "REPRO_NUM_MNS",         # bench.scale: memory node count
-        "REPRO_PLACEMENT",       # baselines.flexkv: cn / mn / auto
-        "REPRO_REBALANCE",       # bench.scale: hot-shard rebalancer
-        "REPRO_SCALE",           # bench.scale: preset name
-        "REPRO_SEED",            # bench.scale: RNG seed override
-        "REPRO_SHARDS",          # bench.scale: key-space shard count
-        "REPRO_SYNC_MODE",       # bench.scale: lock synchronization mode
-    }
-)
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
+@dataclass(frozen=True)
+class Knob:
+    """One row of the knob table: how a run-level setting is spelled,
+    validated and defaulted.
+
+    ``name`` is the ``Scale`` field the knob sets and the argparse
+    destination of its flag; rows with ``scale_field=False`` select a
+    preset or route results instead of configuring a run.
+    """
+
+    name: str
+    env: str
+    flag: Optional[str]
+    kind: type
+    #: What a run gets when neither flag nor variable is given (None =
+    #: decided elsewhere, as *default_text* says in help strings).
+    default: Any
+    help: str
+    default_text: str = ""
+    choices: Tuple[str, ...] = ()
+    minimum: Optional[int] = None
+    scale_field: bool = True
+
+    def check(self, value: Any, source: str) -> Any:
+        """*value* if it is in range, else a :class:`ConfigError`
+        naming *source* (a flag, a variable or a config field)."""
+        if self.choices and value not in self.choices:
+            raise ConfigError(f"{source} must be one of "
+                              f"{', '.join(self.choices)}: {value!r}")
+        if self.minimum is not None and value < self.minimum:
+            raise ConfigError(f"{source} must be >= {self.minimum}: {value!r}")
+        return value
+
+    def parse(self, text: str, source: str) -> Any:
+        """The validated value of *text* as typed on a command line or
+        found in the environment."""
+        text = text.strip()
+        if self.kind is int:
+            try:
+                value: Any = int(text)
+            except ValueError:
+                raise ConfigError(
+                    f"{source} must be an integer: {text!r}") from None
+        elif self.kind is bool:
+            value = _BOOL_WORDS.get(text.lower())
+            if value is None:
+                raise ConfigError(f"{source} must be one of "
+                                  f"{', '.join(_BOOL_WORDS)}: {text!r}")
+        else:
+            value = text.lower() if self.choices else text
+        return self.check(value, source)
+
+
+#: Every run-level knob.  Adding one is a row here plus the ``Scale``
+#: field it names; flags, ``REPRO_*`` handling, help strings and
+#: :data:`KNOWN_ENV_VARS` follow from the row.
+KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
+    Knob("scale", "REPRO_SCALE", "--scale", str, "default",
+         "scaling preset", choices=("quick", "default", "full"),
+         scale_field=False),
+    Knob("seed", "REPRO_SEED", "--seed", int, None,
+         "RNG seed for datasets and client op streams", "the preset's"),
+    Knob("jobs", "REPRO_JOBS", "--jobs", int, None,
+         "worker processes for sweep points (1 = serial; forced serial "
+         "while tracing)", "cores-1", minimum=1),
+    Knob("depth", "REPRO_DEPTH", "--depth", int, 1,
+         "op coroutines per client (1 = the strictly serial client loop)",
+         minimum=1),
+    Knob("sync_mode", "REPRO_SYNC_MODE", "--sync-mode", str, "optimistic",
+         "lock synchronization mode",
+         choices=("optimistic", "pessimistic", "adaptive")),
+    Knob("num_mns", "REPRO_NUM_MNS", "--num-mns", int, 1,
+         "memory nodes per cluster", minimum=1),
+    Knob("num_shards", "REPRO_SHARDS", "--shards", int, 0,
+         "key-space shards (0 = the legacy striped pool)",
+         "one per MN when there are several, else 0", minimum=0),
+    Knob("cache_mode", "REPRO_CACHE_MODE", "--cache-mode", str, "shared",
+         "CN cache admission under sharding",
+         choices=("shared", "partitioned")),
+    Knob("rebalance", "REPRO_REBALANCE", "--rebalance", bool, False,
+         "run the hot-shard rebalancer (EWMA detection + online "
+         "migration) alongside sharded workloads", "off"),
+    Knob("placement", "REPRO_PLACEMENT", "--placement", str, "auto",
+         "index placement, read by placement-aware families (flexkv); "
+         "auto = the cache-pressure policy", choices=("cn", "mn", "auto")),
+    Knob("campaign_db", "REPRO_CAMPAIGN_DB", None, str, "",
+         "campaign store that figure tables are also written to",
+         scale_field=False),
+    Knob("campaign_id", "REPRO_CAMPAIGN_ID", None, str, "",
+         "campaign id those figure tables are attributed to",
+         scale_field=False),
+    Knob("commit", "REPRO_COMMIT", None, str, "",
+         "commit hash results are keyed under (default: git HEAD)",
+         scale_field=False),
+)}
+
+#: Every ``REPRO_*`` name some layer honours; anything else with that
+#: prefix is a typo the CLI warns about (:func:`unknown_env_vars`).
+KNOWN_ENV_VARS = frozenset(knob.env for knob in KNOBS.values())
+
+
+def repro_environ() -> Dict[str, str]:
+    """The process's ``REPRO_*`` variables.
+
+    The only ``os.environ`` access under ``src/``: everything below the
+    process edge (``current_scale()`` and the CLI) takes fields.
+    """
+    return {key: value for key, value in os.environ.items()
+            if key.startswith("REPRO_")}
+
+
+def env_value(name: str, environ: Optional[Mapping[str, str]] = None) -> Any:
+    """Knob *name*'s validated environment value; None when unset/blank."""
+    knob = KNOBS[name]
+    if environ is None:
+        environ = repro_environ()
+    text = environ.get(knob.env, "").strip()
+    return knob.parse(text, knob.env) if text else None
+
+
+def scale_fields(flags: Optional[Mapping[str, Any]] = None,
+                 honour_env: Optional[Iterable[str]] = None) -> Dict[str, Any]:
+    """``Scale`` field values given by *flags* (name -> value, None =
+    not given) or else the environment, for ``dataclasses.replace``.
+
+    Only knobs named in *honour_env* (default: all) fall back to their
+    variable; knobs set by neither are left out, so the preset's own
+    value stands.
+    """
+    environ = repro_environ()
+    fields = {}
+    for knob in KNOBS.values():
+        if not knob.scale_field:
+            continue
+        value = flags.get(knob.name) if flags else None
+        if value is None and (honour_env is None or knob.name in honour_env):
+            value = env_value(knob.name, environ)
+        if value is not None:
+            fields[knob.name] = value
+    return fields
 
 
 def unknown_env_vars(environ: Optional[Mapping[str, str]] = None) -> List[str]:
@@ -50,9 +175,7 @@ def unknown_env_vars(environ: Optional[Mapping[str, str]] = None) -> List[str]:
     silently falls back to its default.
     """
     if environ is None:
-        import os
-
-        environ = os.environ
+        environ = repro_environ()
     return sorted(
         key
         for key in environ
@@ -124,8 +247,18 @@ class ClusterConfig:
     #: Start the hot-shard rebalancer (decaying-EWMA detection + online
     #: shard migration) alongside the workload (sharded mode only).
     rebalance_shards: bool = False
+    #: Where placement-aware families (flexkv) run index logic: a static
+    #: ``cn`` or ``mn``, or ``auto`` for the cache-pressure policy.
+    placement: str = "auto"
     #: RNG seed for client workload streams.
     seed: int = 42
+
+    def __post_init__(self) -> None:
+        for name, attr in (("depth", "pipeline_depth"),
+                           ("sync_mode", "sync_mode"),
+                           ("cache_mode", "cache_mode"),
+                           ("placement", "placement")):
+            KNOBS[name].check(getattr(self, attr), f"ClusterConfig.{attr}")
 
     @property
     def total_clients(self) -> int:

@@ -56,6 +56,11 @@ class WorkloadError(ReproError):
     """A workload specification is invalid."""
 
 
+class ConfigError(ReproError, ValueError):
+    """A run-level knob (flag, ``REPRO_*`` variable or config field)
+    carries a value its validator rejects; the message names the knob."""
+
+
 class RetryExhaustedError(ReproError):
     """A bounded retry loop used up its attempt budget.
 

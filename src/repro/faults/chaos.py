@@ -39,7 +39,7 @@ from repro.faults.plan import FaultPlan
 from repro.obs import recording
 from repro.registry import build_index, get_family
 from repro.retry import DEFAULT_RETRY_POLICY
-from repro.sched import LaneContext, resolve_depth, stranded_tickets
+from repro.sched import LaneContext, stranded_tickets
 from repro.workloads.ycsb import dataset
 
 __all__ = ["ChaosConfig", "ChaosResult", "build_plan", "run_chaos"]
@@ -263,9 +263,6 @@ def run_chaos(cfg: ChaosConfig) -> ChaosResult:
         pipeline_depth=cfg.pipeline_depth,
         num_shards=cfg.num_shards, cache_mode=cfg.cache_mode,
         seed=cfg.seed)
-    # Explicit depth: a ChaosConfig maps to exactly one ChaosResult, so
-    # the REPRO_DEPTH environment override must not apply here.
-    depth = resolve_depth(cfg.pipeline_depth)
     retry = DEFAULT_RETRY_POLICY.scaled(max_attempts=cfg.max_attempts,
                                         deadline=cfg.deadline)
     family = get_family(cfg.index)
@@ -298,7 +295,7 @@ def run_chaos(cfg: ChaosConfig) -> ChaosResult:
             completed[name] = 0
             ops = iter(_client_ops(cfg, client_index))
             halted = [False]
-            for lane in range(depth):
+            for lane in range(cfg.pipeline_depth):
                 lane_ctx = ctx if lane == 0 else LaneContext(ctx, lane)
                 cluster.engine.process(
                     _chaos_lane(cluster.engine, index.client(lane_ctx),

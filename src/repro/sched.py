@@ -29,16 +29,14 @@ Determinism contract:
   ``(time, priority, sequence)`` order: the same seed gives byte
   identical results on every run.
 
-Depth resolution (first match wins): an explicit argument, the
-``REPRO_DEPTH`` environment variable, then
-:attr:`~repro.config.ClusterConfig.pipeline_depth`.
+The depth is :attr:`~repro.config.ClusterConfig.pipeline_depth` unless
+the caller of ``run_workload`` passes one explicitly.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Dict, Generator, Iterator, List, Optional, Tuple
+from typing import Dict, Generator, Iterator, List, Tuple
 
 from repro.errors import WorkloadError
 from repro.workloads.ycsb import (
@@ -51,7 +49,6 @@ from repro.workloads.ycsb import (
 )
 
 __all__ = [
-    "DEPTH_ENV",
     "LaneContext",
     "LaneHandle",
     "ScheduledRun",
@@ -60,39 +57,9 @@ __all__ = [
     "launch_clients",
     "parked_by_cn",
     "placement_table",
-    "resolve_depth",
     "shared_stream",
     "stranded_tickets",
 ]
-
-#: Environment variable consulted when no explicit depth is given.
-DEPTH_ENV = "REPRO_DEPTH"
-
-
-def resolve_depth(depth: Optional[int] = None, config=None) -> int:
-    """The pipeline depth to use: explicit > ``REPRO_DEPTH`` > config.
-
-    *config* is anything with a ``pipeline_depth`` attribute (a
-    :class:`~repro.config.ClusterConfig`); the final fallback is 1, the
-    behavior-preserving serial depth.
-    """
-    if depth is None:
-        env = os.environ.get(DEPTH_ENV, "").strip()
-        if env:
-            try:
-                depth = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"{DEPTH_ENV} must be an integer: {env!r}") from None
-    if depth is None and config is not None:
-        depth = getattr(config, "pipeline_depth", 1)
-    if depth is None:
-        depth = 1
-    depth = int(depth)
-    if depth < 1:
-        raise ValueError(f"pipeline depth must be >= 1, got {depth}")
-    return depth
-
 
 class LaneContext:
     """A per-coroutine view of one :class:`ClientContext`.

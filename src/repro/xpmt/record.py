@@ -12,18 +12,12 @@ perf database for free.
 from __future__ import annotations
 
 import json
-import os
 from typing import Dict, List
 
+from repro.config import env_value
 from repro.xpmt.spec import current_commit
 
-__all__ = ["CAMPAIGN_DB_ENV", "CAMPAIGN_ID_ENV", "record_rows", "write_jsonl"]
-
-#: Environment variable naming the active campaign store, if any.
-CAMPAIGN_DB_ENV = "REPRO_CAMPAIGN_DB"
-
-#: Campaign id figure tables are attributed to (optional).
-CAMPAIGN_ID_ENV = "REPRO_CAMPAIGN_ID"
+__all__ = ["record_rows", "write_jsonl"]
 
 
 def write_jsonl(path: str, rows: List[Dict]) -> None:
@@ -33,19 +27,14 @@ def write_jsonl(path: str, rows: List[Dict]) -> None:
             sink.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def active_store_path() -> str:
-    """The campaign store path routed via the environment ("" = none)."""
-    return os.environ.get(CAMPAIGN_DB_ENV, "").strip()
-
-
 def record_rows(name: str, rows: List[Dict], jsonl_path: str, seed: int) -> None:
     """Dual-write one figure table: JSONL always, store when active."""
     write_jsonl(jsonl_path, rows)
-    db_path = active_store_path()
+    db_path = env_value("campaign_db")
     if not db_path:
         return
     from repro.xpmt.store import CampaignStore
 
-    campaign_id = os.environ.get(CAMPAIGN_ID_ENV, "").strip()
     with CampaignStore(db_path) as store:
-        store.record_table(name, rows, current_commit(), seed, campaign_id=campaign_id)
+        store.record_table(name, rows, current_commit(), seed,
+                           campaign_id=env_value("campaign_id") or "")

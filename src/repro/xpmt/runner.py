@@ -58,17 +58,18 @@ class RunSummary:
 def build_point_spec(plan: CampaignPlan, cell: CellSpec, seed: int) -> PointSpec:
     """The picklable sweep point for one (cell, seed) replicate."""
     scale = plan.scale
-    # Shard one sub-tree per MN when the cell scales MNs out (or asks
-    # for partitioned cache ownership); num_shards is pinned explicitly
-    # so the REPRO_SHARDS environment knob never reaches campaign points.
+    # Every knob a cell carries is pinned explicitly (num_shards too:
+    # one sub-tree per MN when the cell scales MNs out or asks for
+    # partitioned cache ownership), so a stored point depends on its
+    # cell, never on the plan's scale having picked up ambient knobs.
     sharded = cell.num_mns > 1 or cell.cache_mode != "shared"
     config = scale.cluster_config(clients=cell.clients, seed=seed,
                                   sync_mode=cell.sync_mode,
                                   num_mns=cell.num_mns,
                                   num_shards=cell.num_mns if sharded else 0,
-                                  cache_mode=cell.cache_mode)
-    if cell.depth != 1:
-        config = config.scaled(pipeline_depth=cell.depth)
+                                  cache_mode=cell.cache_mode,
+                                  pipeline_depth=cell.depth,
+                                  placement=cell.placement)
     return PointSpec(
         index_name=cell.index,
         workload_name=cell.workload,
@@ -81,10 +82,6 @@ def build_point_spec(plan: CampaignPlan, cell: CellSpec, seed: int) -> PointSpec
         theta=cell.theta,
         chime_overrides=plan.cell_overrides(cell),
         key_space=scale.key_space,
-        depth=cell.depth,
-        # Always pinned (never None) so a stored campaign point can
-        # never depend on the ambient REPRO_PLACEMENT knob.
-        placement=cell.placement,
     )
 
 

@@ -9,23 +9,23 @@ keyed by ``(commit, seed, spec_hash)``.
 The spec hash must never alias across configurations: it covers the
 cell's own fields, the resolved scale preset (name *and* the concrete
 numbers, so an edited preset re-keys), the CHIME overrides the runner
-will apply, and any unrecognized ``REPRO_*`` environment knobs.  Knobs
-the runner resolves explicitly (scale, depth, seed, jobs, campaign
-routing) are excluded from the environment section because their
-resolved values are already first-class hash fields — including the raw
-environment too would alias identical runs apart.
+will apply, and any ``REPRO_*`` environment variable the runner does
+not pin.  Knobs whose values are first-class hash fields, or that cannot
+change a point's result (jobs, campaign routing), are excluded from the
+environment section — including the raw environment too would alias
+identical runs apart.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import subprocess
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench.scale import Scale
+from repro.config import KNOBS, KNOWN_ENV_VARS, env_value, repro_environ
 
 __all__ = [
     "CellSpec",
@@ -39,44 +39,16 @@ __all__ = [
 #: old stored points can never collide with new ones.
 SPEC_VERSION = 1
 
-#: ``REPRO_*`` knobs whose resolved values are explicit payload fields
-#: (or provably cannot change a point's result, like the worker count).
-RESOLVED_ENV = frozenset(
-    {
-        "REPRO_CAMPAIGN_DB",
-        "REPRO_CAMPAIGN_ID",
-        "REPRO_COMMIT",
-        "REPRO_DEPTH",
-        "REPRO_JOBS",
-        "REPRO_SCALE",
-        "REPRO_SEED",
-        # Campaign cells pin sync_mode explicitly (a first-class payload
-        # field when non-default), so the environment knob never reaches
-        # a campaign point's cluster config.
-        "REPRO_SYNC_MODE",
-        # Same for the sharding knobs: cells pin num_mns and cache_mode
-        # (payload fields when non-default) and the runner derives
-        # num_shards from them, so these never reach a campaign point.
-        # REPRO_REBALANCE is deliberately NOT resolved — it has no cell
-        # field, so setting it re-keys the spec hash.
-        "REPRO_NUM_MNS",
-        "REPRO_SHARDS",
-        "REPRO_CACHE_MODE",
-        # Cells pin placement too (payload field when non-default); the
-        # runner exports the pinned value around each point, so the
-        # ambient knob never reaches a campaign point.
-        "REPRO_PLACEMENT",
-    }
-)
+#: ``REPRO_*`` knobs that never re-key a campaign point: cells pin
+#: them (payload fields), or they cannot change a result.  The
+#: rebalancer alone has no cell field, so setting it re-keys the hash.
+RESOLVED_ENV = KNOWN_ENV_VARS - {KNOBS["rebalance"].env}
 
 
 def relevant_env() -> Dict[str, str]:
     """Unresolved ``REPRO_*`` environment knobs, for the spec payload."""
-    env = {}
-    for key in sorted(os.environ):
-        if key.startswith("REPRO_") and key not in RESOLVED_ENV:
-            env[key] = os.environ[key]
-    return env
+    return {key: value for key, value in sorted(repro_environ().items())
+            if key not in RESOLVED_ENV}
 
 
 def current_commit() -> str:
@@ -86,7 +58,7 @@ def current_commit() -> str:
     fabricate trajectories); otherwise ``git rev-parse HEAD``; falls
     back to ``"unknown"`` outside a checkout.
     """
-    override = os.environ.get("REPRO_COMMIT", "").strip()
+    override = env_value("commit")
     if override:
         return override
     try:
@@ -123,7 +95,7 @@ class CellSpec:
     #: CN cache admission under sharding ("shared" or "partitioned").
     cache_mode: str = "shared"
     #: Index placement mode ("cn", "mn", or "auto"); only placement-
-    #: aware families (flexkv) read it, via ``REPRO_PLACEMENT``.
+    #: aware families (flexkv) read it (``ClusterConfig.placement``).
     placement: str = "auto"
 
     def label(self) -> str:
@@ -148,26 +120,22 @@ class CellSpec:
         return text
 
 
+#: The cell fields of the v1 payload: always hashed, even at default.
+_V1_CELL_FIELDS = ("index", "workload", "clients", "depth", "value_size",
+                   "theta", "span", "neighborhood")
+
+
 def _cell_payload(cell: CellSpec) -> Dict:
     """A cell's hash payload fields.
 
-    ``sync_mode`` is omitted at its optimistic default so every spec
-    hash and auto campaign id minted before the field existed still
-    resolves to the same stored points; non-default modes re-key.  The
-    sharding fields follow the same rule: ``num_mns`` is omitted at 1
-    and ``cache_mode`` at "shared", so pre-sharding campaign ids and
-    point keys survive unchanged.
+    Every field added after the v1 payload is omitted at its dataclass
+    default, so spec hashes and auto campaign ids minted before the
+    field existed still resolve to the same stored points; a
+    non-default value re-keys.
     """
-    payload = asdict(cell)
-    if payload.get("sync_mode") == "optimistic":
-        del payload["sync_mode"]
-    if payload.get("num_mns") == 1:
-        del payload["num_mns"]
-    if payload.get("cache_mode") == "shared":
-        del payload["cache_mode"]
-    if payload.get("placement") == "auto":
-        del payload["placement"]
-    return payload
+    return {f.name: getattr(cell, f.name) for f in fields(cell)
+            if f.name in _V1_CELL_FIELDS
+            or getattr(cell, f.name) != f.default}
 
 
 def _scale_payload(scale: Scale) -> Dict:

@@ -7,7 +7,6 @@ and the functional contract of the two landed families (Outback,
 FlexKV) including the CAS endianness regression.
 """
 
-import os
 import pathlib
 import re
 
@@ -15,12 +14,7 @@ import pytest
 
 import repro
 from repro import registry
-from repro.baselines.flexkv import (
-    FlexKVConfig,
-    FlexKVIndex,
-    PLACEMENT_ENV,
-    resolve_placement,
-)
+from repro.baselines.flexkv import FlexKVConfig, FlexKVIndex
 from repro.baselines.outback import OutbackIndex
 from repro.cluster import Cluster
 from repro.config import ClusterConfig, KNOWN_ENV_VARS, unknown_env_vars
@@ -37,7 +31,7 @@ from repro.core.access import (
     family_plans,
     step,
 )
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.faults.invariants import check_index_invariants
 from repro.hashing.mph import MinimalPerfectHash
 
@@ -346,12 +340,8 @@ class TestFlexKvEndianness:
 
 class TestFlexKvPlacement:
     def test_static_mn_placement_uses_rpc_only(self):
-        os.environ[PLACEMENT_ENV] = "mn"
-        try:
-            cluster = make_cluster()
-            index = build_kv(FlexKVIndex, cluster)
-        finally:
-            del os.environ[PLACEMENT_ENV]
+        cluster = make_cluster(placement="mn")
+        index = build_kv(FlexKVIndex, cluster)
         client = index.client(cluster.cns[0].clients[0])
         out = {}
 
@@ -383,10 +373,10 @@ class TestFlexKvPlacement:
         assert index.placement_switches >= 1
 
     def test_resolve_placement_validates(self):
-        assert resolve_placement("CN") == "cn"
-        assert resolve_placement(None) == "auto"
-        with pytest.raises(SimulationError):
-            resolve_placement("gpu")
+        assert ClusterConfig().placement == "auto"
+        assert ClusterConfig(placement="cn").placement == "cn"
+        with pytest.raises(ConfigError, match="ClusterConfig.placement"):
+            ClusterConfig(placement="gpu")
 
     def test_directory_bytes_matches_bulk_load(self):
         cluster = make_cluster()
@@ -418,16 +408,22 @@ class TestOutbackRouting:
 
 class TestKnownEnvVars:
     def test_known_env_vars_match_source_literals(self):
-        # Every knob a layer resolves is a quoted "REPRO_*" literal
-        # somewhere under src/repro; the central list must name exactly
-        # those (config.py itself is the list, so it is not evidence).
+        # The knob table in config.py is the only place under src/repro
+        # that spells a "REPRO_*" name or touches os.environ; every
+        # other layer takes fields.  KNOWN_ENV_VARS is derived from the
+        # table, so it must name exactly config.py's literals.
         package = pathlib.Path(repro.__file__).parent
-        literals = set()
         for path in package.rglob("*.py"):
             if path != package / "config.py":
-                literals.update(re.findall(r'"(REPRO_[A-Z_]+)"',
-                                           path.read_text()))
+                text = path.read_text()
+                assert not re.findall(r'"REPRO_[A-Z_]+"', text), path
+                assert "os.environ" not in text, path
+        config_text = (package / "config.py").read_text()
+        literals = set(re.findall(r'"(REPRO_[A-Z_]+)"', config_text))
         assert literals == KNOWN_ENV_VARS
+        assert len(KNOWN_ENV_VARS) == 13
+        assert not re.search(r"os\.environ(\[|\.(setdefault|pop|update))",
+                             config_text)
 
     def test_unknown_env_vars_flags_typos_only(self):
         environ = {

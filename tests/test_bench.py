@@ -8,6 +8,7 @@ from repro.bench.metrics import RunResult, percentile
 from repro.bench.report import format_table, ratio
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
+from repro.errors import ConfigError
 from repro.rdma.ops import TrafficStats
 
 TINY = Scale(name="tiny", num_keys=4000, ops_per_client=60,
@@ -67,7 +68,7 @@ class TestScalePresets:
         monkeypatch.setenv("REPRO_SCALE", "quick")
         assert current_scale().name == "quick"
         monkeypatch.setenv("REPRO_SCALE", "bogus")
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError, match="REPRO_SCALE"):
             current_scale()
 
 

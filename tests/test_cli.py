@@ -1,5 +1,7 @@
 """Tests for the figure-regeneration CLI and the ablation experiments."""
 
+import os
+
 import pytest
 
 from repro.bench import Scale
@@ -50,6 +52,64 @@ class TestCli:
             main(argv + ["--partitions", "2"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --partitions" in capsys.readouterr().err
+
+    def test_main_leaves_the_environment_as_it_found_it(self, capsys):
+        # Flags used to reach the run by being written into os.environ,
+        # where they stayed and re-configured every later test.
+        before = dict(os.environ)
+        assert main(["run", "fig19b", "--depth", "4", "--sync-mode",
+                     "pessimistic", "--num-mns", "2", "--shards", "2",
+                     "--cache-mode", "partitioned", "--rebalance",
+                     "--jobs", "1"]) == 0
+        assert dict(os.environ) == before
+
+    def _captured_scale(self, monkeypatch, argv):
+        seen = []
+        monkeypatch.setattr("repro.cli.run_experiment",
+                            lambda name, scale: seen.append(scale) or [])
+        assert main(["run", "fig19b"] + argv) == 0
+        return seen[0]
+
+    def test_run_flags_travel_as_scale_fields(self, monkeypatch, capsys):
+        for name in ("REPRO_NUM_MNS", "REPRO_SHARDS", "REPRO_DEPTH"):
+            monkeypatch.delenv(name, raising=False)
+        scale = self._captured_scale(monkeypatch, [
+            "--depth", "4", "--sync-mode", "pessimistic", "--num-mns", "2",
+            "--shards", "2", "--cache-mode", "partitioned", "--rebalance",
+            "--jobs", "1", "--seed", "9"])
+        assert scale.jobs == 1
+        config = scale.cluster_config()
+        assert (config.pipeline_depth, config.sync_mode, config.num_mns,
+                config.num_shards, config.cache_mode,
+                config.rebalance_shards, config.seed) == (
+                    4, "pessimistic", 2, 2, "partitioned", True, 9)
+        # --num-mns alone means "scale out": one shard per MN, unless a
+        # shard count is given by flag or variable.
+        alone = self._captured_scale(monkeypatch, ["--num-mns", "2"])
+        assert alone.cluster_config().num_shards == 2
+        striped = self._captured_scale(monkeypatch,
+                                       ["--num-mns", "2", "--shards", "0"])
+        assert striped.cluster_config().num_shards == 0
+        # flag > environment > default, with nothing written back
+        monkeypatch.setenv("REPRO_DEPTH", "3")
+        assert self._captured_scale(monkeypatch, []).depth == 3
+        assert self._captured_scale(monkeypatch, ["--depth", "2"]).depth == 2
+        assert os.environ["REPRO_DEPTH"] == "3"
+
+    @pytest.mark.parametrize("flag,value", [("--depth", "0"), ("--jobs", "0"),
+                                            ("--num-mns", "0"),
+                                            ("--shards", "-1")])
+    def test_out_of_range_flags_exit_2(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "fig19b", flag, value])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_bad_env_value_exits_2_naming_the_variable(self, monkeypatch,
+                                                       capsys):
+        monkeypatch.setenv("REPRO_CACHE_MODE", "wat")
+        assert main(["run", "fig19b"]) == 2
+        assert "REPRO_CACHE_MODE" in capsys.readouterr().err
 
     def test_removed_env_knobs_get_the_typo_warning(self):
         stale = {"REPRO_PARTITIONS": "2", "REPRO_PARTITION_WINDOW": "64",

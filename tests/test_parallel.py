@@ -11,7 +11,6 @@ import os
 import pytest
 
 from repro.bench.parallel import (
-    JOBS_ENV,
     PointSpec,
     derive_seed,
     resolve_jobs,
@@ -19,7 +18,8 @@ from repro.bench.parallel import (
     run_sweep,
     sweep_rows,
 )
-from repro.bench.scale import Scale
+from repro.bench.scale import Scale, current_scale
+from repro.config import scale_fields
 
 #: A tiny-but-real operating point; small enough for test budgets.
 TEST_SCALE = Scale(name="test", num_keys=400, ops_per_client=30,
@@ -66,22 +66,31 @@ class TestDeriveSeed:
 
 
 class TestResolveJobs:
+    """Worker count: flag > ``REPRO_JOBS`` > cores - 1.  The variable is
+    read where a ``Scale`` is built; ``resolve_jobs`` sees only fields."""
+
     def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV, "7")
+        monkeypatch.setenv("REPRO_JOBS", "7")
+        assert scale_fields({"jobs": 3})["jobs"] == 3
         assert resolve_jobs(3) == 3
 
     def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV, "5")
-        assert resolve_jobs() == 5
+        monkeypatch.setenv("REPRO_JOBS", "5")
+        assert scale_fields({"jobs": None})["jobs"] == 5
+        assert resolve_jobs(current_scale().jobs) == 5
+        # ... and only there: the sweep layer itself ignores the variable.
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert resolve_jobs() == 2
 
     def test_env_invalid(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV, "many")
-        with pytest.raises(ValueError):
-            resolve_jobs()
+        monkeypatch.setenv("REPRO_JOBS", "many")
+        with pytest.raises(ValueError, match="REPRO_JOBS"):
+            current_scale()
 
     def test_default_from_cpu_count(self, monkeypatch):
-        monkeypatch.delenv(JOBS_ENV, raising=False)
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
         expected = max(1, (os.cpu_count() or 2) - 1)
+        assert current_scale().jobs is None
         assert resolve_jobs() == expected
 
     def test_floor_is_one(self):

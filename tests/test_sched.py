@@ -18,12 +18,7 @@ from repro.bench.runner import build_index, load_index, run_workload
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.registry import family_names
-from repro.sched import (
-    DEPTH_ENV,
-    LaneContext,
-    launch_clients,
-    resolve_depth,
-)
+from repro.sched import LaneContext, launch_clients
 from repro.workloads.ycsb import (
     INSERT,
     READ_MODIFY_WRITE,
@@ -186,34 +181,6 @@ class TestLaneContext:
         assert lane.client_id == ctx.client_id
 
 
-class TestResolveDepth:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv(DEPTH_ENV, raising=False)
-        assert resolve_depth() == 1
-
-    def test_explicit_beats_env_and_config(self, monkeypatch):
-        monkeypatch.setenv(DEPTH_ENV, "7")
-        config = ClusterConfig(pipeline_depth=5)
-        assert resolve_depth(3, config) == 3
-
-    def test_env_beats_config(self, monkeypatch):
-        monkeypatch.setenv(DEPTH_ENV, "7")
-        assert resolve_depth(None, ClusterConfig(pipeline_depth=5)) == 7
-
-    def test_config_is_final_fallback(self, monkeypatch):
-        monkeypatch.delenv(DEPTH_ENV, raising=False)
-        assert resolve_depth(None, ClusterConfig(pipeline_depth=5)) == 5
-
-    def test_bad_env_raises(self, monkeypatch):
-        monkeypatch.setenv(DEPTH_ENV, "many")
-        with pytest.raises(ValueError):
-            resolve_depth()
-
-    def test_depth_below_one_raises(self):
-        with pytest.raises(ValueError):
-            resolve_depth(0)
-
-
 class TestChaosAtDepth:
     def test_cn_crash_at_depth4_parks_all_lanes_and_tree_survives(self):
         from repro.faults import ChaosConfig, run_chaos
@@ -233,11 +200,11 @@ class TestChaosAtDepth:
 
     def test_chaos_depth_is_config_determined_not_env(self, monkeypatch):
         from repro.faults import ChaosConfig, run_chaos
-        monkeypatch.setenv(DEPTH_ENV, "4")
+        monkeypatch.setenv("REPRO_DEPTH", "4")
         blob_env = json.dumps(
             run_chaos(ChaosConfig(ops_per_client=10)).to_dict(),
             sort_keys=True)
-        monkeypatch.delenv(DEPTH_ENV)
+        monkeypatch.delenv("REPRO_DEPTH")
         blob_plain = json.dumps(
             run_chaos(ChaosConfig(ops_per_client=10)).to_dict(),
             sort_keys=True)

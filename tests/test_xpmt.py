@@ -68,6 +68,17 @@ class TestSpecHash:
         assert first == second
         assert len(first) == 16
 
+    def test_default_cell_hash_is_pinned(self, monkeypatch):
+        # Golden value: a payload-rule change that would re-key every
+        # stored campaign point must show up here, not in a user's store.
+        monkeypatch.setattr("repro.xpmt.spec.repro_environ", dict)
+        cell = CellSpec(index="chime", workload="C", clients=4)
+        payload = spec_payload(cell, TINY)
+        assert sorted(payload["cell"]) == [
+            "clients", "depth", "index", "neighborhood", "span", "theta",
+            "value_size", "workload"]
+        assert spec_hash(payload) == "2e3135c13f232ab0"
+
     def test_cell_fields_change_the_hash(self):
         base = CellSpec(index="chime", workload="C", clients=4)
         digests = {spec_hash(spec_payload(base, TINY))}
@@ -240,7 +251,8 @@ class TestRunnerResume:
         spec = build_point_spec(plan, cell, 31)
         assert spec.cluster_config.seed == 31
         assert spec.cluster_config.pipeline_depth == 4
-        assert spec.depth == 4
+        # ... and nowhere else: PointSpec no longer duplicates the field.
+        assert not hasattr(spec, "depth") and not hasattr(spec, "placement")
 
 
 def fabricate_trajectory(store, metrics_by_commit, cell=None, scale=TINY):
