@@ -33,14 +33,17 @@ SEED = 11
 
 
 def _golden_run(index_name: str, workload: str, monkeypatch,
-                heap_oracle: bool):
+                heap_oracle: bool, **cluster_fields):
     """One fully seeded run; returns observables.
 
     The production path (``Cluster`` -> ``Engine()``) runs untouched;
     with *heap_oracle* the ``Engine`` that ``Cluster`` constructs is
-    swapped for one draining a :class:`HeapQueue`.
+    swapped for one draining a :class:`HeapQueue`.  *cluster_fields*
+    override :class:`ClusterConfig` defaults (``tests/
+    test_golden_families.py`` pins non-default knobs with the same recipe).
     """
-    config = ClusterConfig(num_cns=2, clients_per_cn=2, seed=SEED)
+    config = ClusterConfig(num_cns=2, clients_per_cn=2, seed=SEED,
+                           **cluster_fields)
     with monkeypatch.context() as patch:
         if heap_oracle:
             patch.setattr("repro.cluster.cluster.Engine",
@@ -56,7 +59,8 @@ def _golden_run(index_name: str, workload: str, monkeypatch,
     context.expected_insert_budget = 64
     load_index(index, pairs, workload, context)
     cluster.engine.event_log = log = []
-    run = launch_clients(cluster, index, context, OPS, OPS // 10)
+    run = launch_clients(cluster, index, context, OPS, OPS // 10,
+                         depth=config.pipeline_depth)
     cluster.run()
     return {
         "log": log,

@@ -1,0 +1,172 @@
+"""Golden fingerprints for every registered index family.
+
+The simulation is deterministic, so one seeded run of a family is
+summarised exactly by ``(events_processed, ops_completed,
+traffic_totals(), repr(engine.now))``.  The table below pins that tuple
+for every ``family_names()`` entry on YCSB A and D (and E where the
+family scans), plus CHIME under the non-default knobs that reach its
+lock path (pipeline depth, lock leases, the pessimistic ticket queue) —
+so a refactor of the shared client plumbing that moves *any* family's
+simulated events fails here, not only the four ``repro perf`` covers.
+
+It also pins the event counts of ``BENCH_perf.json``'s ``points`` and
+``placement`` sections, which otherwise only CI's ``repro perf --check``
+enforces.
+
+``GOLDEN`` was recorded at commit 28828c4 with :func:`_observe`; rows are
+only ever *added* (a family, a knob).  An intentional protocol change
+re-records the affected rows in the same commit and says so.
+"""
+
+import dataclasses
+import json
+import pathlib
+
+import pytest
+
+from repro.bench import perf
+from repro.baselines.flexkv import FlexKVIndex
+from repro.registry import family_names, get_family
+from tests.test_event_queue import _golden_run
+
+
+def _observe(index_name, workload, monkeypatch, **cluster_fields):
+    run = _golden_run(index_name, workload, monkeypatch, heap_oracle=False,
+                      **cluster_fields)
+    return (run["events"], run["ops"],
+            dataclasses.astuple(run["traffic"]), repr(run["now"]))
+
+
+#: (family, workload, knobs) -> (events, ops, TrafficStats fields, now).
+GOLDEN = {
+    ('chime', 'A', ()):
+        (2014, 120, (246, 314, 134, 110, 70, 0, 16954, 1500, 15), '0.0002254798400000011'),
+    ('chime', 'D', ()):
+        (1185, 120, (126, 147, 134, 8, 5, 0, 16718, 127, 1), '0.00010627070666666671'),
+    ('chime', 'E', ()):
+        (1832, 120, (148, 324, 291, 18, 15, 0, 353350, 262, 6), '0.00014887630666666704'),
+    ('chime-indirect', 'A', ()):
+        (2811, 120, (374, 437, 195, 162, 80, 4, 17927, 2337, 26), '0.0003755146000000001'),
+    ('chime-indirect', 'D', ()):
+        (2143, 120, (248, 266, 246, 12, 8, 3, 18514, 191, 4), '0.00021260917333333423'),
+    ('chime-indirect', 'E', ()):
+        (37822, 120, (4650, 4822, 4786, 27, 9, 4, 425270, 406, 0), '0.003896928693333453'),
+    ('sherman', 'A', ()):
+        (1972, 120, (247, 302, 121, 110, 71, 0, 137218, 1384, 16), '0.00022139194666666762'),
+    ('sherman', 'D', ()):
+        (1260, 120, (127, 131, 117, 8, 6, 0, 132681, 4568, 2), '0.00011216746666666675'),
+    ('sherman', 'E', ()):
+        (2078, 120, (148, 309, 276, 18, 15, 0, 312988, 10278, 6), '0.00014811886666666718'),
+    ('marlin', 'A', ()):
+        (2276, 120, (312, 311, 189, 64, 58, 4, 145014, 1006, 4), '0.0002944190400000008'),
+    ('marlin', 'D', ()):
+        (2211, 120, (248, 249, 229, 12, 8, 3, 135591, 4632, 4), '0.00021512061333333452'),
+    ('marlin', 'E', ()):
+        (38068, 120, (4650, 4807, 4771, 27, 9, 4, 384908, 10422, 0), '0.003895814826666786'),
+    ('smart', 'A', ()):
+        (2612, 120, (338, 338, 284, 54, 0, 0, 210752, 432, 0), '0.0003254292666666671'),
+    ('smart', 'D', ()):
+        (1725, 120, (209, 206, 147, 6, 53, 3, 34672, 2144, 0), '0.0002934327600000002'),
+    ('smart', 'E', ()):
+        (23200, 120, (468, 5337, 5270, 10, 57, 4, 248608, 2208, 0), '0.00041581085333334454'),
+    ('smart-opt', 'A', ()):
+        (2612, 120, (338, 338, 284, 54, 0, 0, 210752, 432, 0), '0.0003254292666666671'),
+    ('smart-opt', 'D', ()):
+        (1725, 120, (209, 206, 147, 6, 53, 3, 34672, 2144, 0), '0.0002934327600000002'),
+    ('smart-opt', 'E', ()):
+        (23200, 120, (468, 5337, 5270, 10, 57, 4, 248608, 2208, 0), '0.00041581085333334454'),
+    ('smart-rcu', 'A', ()):
+        (3338, 120, (444, 440, 326, 57, 57, 4, 269888, 912, 0), '0.00043644083999999975'),
+    ('smart-rcu', 'D', ()):
+        (1725, 120, (209, 206, 147, 6, 53, 3, 34672, 2144, 0), '0.0002934327600000002'),
+    ('smart-rcu', 'E', ()):
+        (23200, 120, (468, 5337, 5270, 10, 57, 4, 248608, 2208, 0), '0.00041581085333334454'),
+    ('rolex', 'A', ()):
+        (3431, 120, (283, 626, 459, 108, 59, 0, 139995, 1361, 5), '0.0002733363333333347'),
+    ('rolex', 'D', ()):
+        (2433, 120, (129, 448, 434, 8, 6, 0, 132370, 1252, 2), '0.00011610773333333387'),
+    ('rolex', 'E', ()):
+        (5249, 120, (290, 1017, 988, 18, 11, 0, 301340, 2817, 2), '0.00025442366666666955'),
+    ('rolex-indirect', 'A', ()):
+        (4208, 120, (410, 746, 516, 162, 68, 4, 139751, 2225, 14), '0.0003963837333333329'),
+    ('rolex-indirect', 'D', ()):
+        (3375, 120, (249, 565, 545, 12, 8, 3, 134146, 1316, 4), '0.00021895206666666827'),
+    ('rolex-indirect', 'E', ()):
+        (41250, 120, (4794, 5517, 5481, 27, 9, 4, 373228, 2961, 0), '0.004009363066666751'),
+    ('chime-learned', 'A', ()):
+        (2827, 120, (342, 420, 243, 110, 67, 0, 109354, 1500, 12), '0.0003058514000000004'),
+    ('chime-learned', 'D', ()):
+        (2018, 120, (222, 259, 245, 9, 5, 0, 48626, 129, 1), '0.0001855354000000004'),
+    ('outback', 'A', ()):
+        (1196, 120, (177, 177, 120, 57, 0, 0, 1920, 912, 0), '0.00014773333333333358'),
+    ('outback', 'D', ()):
+        (1048, 120, (130, 126, 126, 0, 0, 4, 2304, 0, 0), '0.00010653333333333335'),
+    ('flexkv', 'A', ()):
+        (1260, 120, (185, 185, 128, 57, 0, 0, 8192, 456, 0), '0.00015675833333333365'),
+    ('flexkv', 'D', ()):
+        (1104, 120, (140, 140, 132, 4, 4, 0, 8448, 32, 0), '0.00011165000000000003'),
+    ('chime', 'A', (('pipeline_depth', 4),)):
+        (2105, 120, (258, 321, 138, 100, 83, 0, 29448, 1363, 33), '9.606429333333334e-05'),
+    ('chime', 'A', (('lock_leases', True),)):
+        (2588, 120, (302, 424, 199, 165, 60, 0, 18934, 1940, 12), '0.00028571565333333424'),
+    ('chime', 'A', (('sync_mode', 'pessimistic'),)):
+        (2834, 120, (345, 460, 199, 158, 103, 0, 19948, 1884, 17), '0.000347030193009938'),
+}
+
+
+def _rows():
+    for name in family_names():
+        workloads = ("A", "D", "E") if get_family(name).supports_scan \
+            else ("A", "D")
+        for workload in workloads:
+            yield name, workload, ()
+    yield "chime", "A", (("pipeline_depth", 4),)
+    yield "chime", "A", (("lock_leases", True),)
+    yield "chime", "A", (("sync_mode", "pessimistic"),)
+
+
+@pytest.mark.parametrize("index_name,workload,knobs", list(_rows()),
+                         ids=lambda v: v if isinstance(v, str) else
+                         ",".join(f"{k}={x}" for k, x in v) or "default")
+def test_family_fingerprint(index_name, workload, knobs, monkeypatch):
+    observed = _observe(index_name, workload, monkeypatch, **dict(knobs))
+    assert observed == GOLDEN[(index_name, workload, knobs)]
+
+
+def test_golden_table_has_no_stale_rows():
+    assert set(GOLDEN) == set(_rows())
+
+
+# -- BENCH_perf.json event fingerprints ------------------------------------
+
+_BASELINE = json.loads(
+    (pathlib.Path(__file__).resolve().parent.parent / perf.BENCH_FILE)
+    .read_text())
+
+
+@pytest.mark.parametrize("index_name,events", [
+    ("chime", 27339), ("rolex", 57447), ("sherman", 26579),
+    ("smart", 45686)])
+def test_perf_point_event_count(index_name, events):
+    assert index_name in perf.PERF_INDEXES
+    assert _BASELINE["points"][index_name]["events"] == events
+    assert perf._perf_point(index_name)["events"] == events
+
+
+@pytest.mark.parametrize("index_name,events", [
+    ("chime", 30437), ("outback", 25632)])
+def test_perf_placement_event_count(index_name, events):
+    assert index_name in perf.PLACEMENT_INDEXES
+    assert _BASELINE["placement"][index_name]["events"] == events
+    assert perf._perf_point(index_name, theta=0.0)["events"] == events
+
+
+def test_perf_flexkv_constrained_event_count():
+    footprint = FlexKVIndex.directory_bytes(perf.PERF_SCALE.num_keys,
+                                            perf.PERF_SCALE.num_mns)
+    point = perf._perf_point(
+        "flexkv", theta=0.0,
+        cache_bytes=max(1024, footprint // perf.PLACEMENT_CACHE_DIVISOR))
+    baseline = _BASELINE["placement"]["flexkv_constrained"]
+    assert point["events"] == baseline["events"] == 25760
+    assert point["switches"] == baseline["switches"] == 4
