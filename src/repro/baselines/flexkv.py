@@ -39,9 +39,9 @@ from repro.core.access import (
     PLACEMENT_MN,
     CachePressurePlacement,
     StaticPlacement,
-    family_plans,
 )
-from repro.errors import IndexError_, SimulationError
+from repro.core.family import FamilyClientBase, FamilyIndexBase
+from repro.errors import SimulationError
 from repro.hashing.mph import _mix
 from repro.layout import (
     decode_key,
@@ -50,8 +50,7 @@ from repro.layout import (
     encode_key,
     encode_value,
 )
-from repro.memory.region import CACHE_LINE, addr_mn
-from repro.obs.spans import SpanInstrumentedOps
+from repro.memory.region import CACHE_LINE
 
 __all__ = ["FlexKVClient", "FlexKVConfig", "FlexKVIndex"]
 
@@ -74,15 +73,14 @@ class FlexKVConfig:
     switch_threshold: int = 4
 
 
-class FlexKVIndex:
+class FlexKVIndex(FamilyIndexBase):
     """Host-side state: partition homes, bucket arrays, placement policy."""
 
     access_family = "flexkv"
 
     def __init__(self, cluster: Cluster,
                  config: Optional[FlexKVConfig] = None) -> None:
-        self.cluster = cluster
-        self.config = config or FlexKVConfig()
+        super().__init__(cluster, config or FlexKVConfig())
         self.mn_ids: List[int] = sorted(cluster.mns)
         self.partitions = self.config.partitions or 4 * len(self.mn_ids)
         mode = cluster.config.placement
@@ -99,7 +97,6 @@ class FlexKVIndex:
         self.part_base: Dict[int, int] = {}
         self.meta_addr: Dict[int, int] = {}
         self.buckets = 0
-        self.loaded_items = 0
 
     def client(self, ctx: ClientContext) -> "FlexKVClient":
         return FlexKVClient(self, ctx)
@@ -158,12 +155,7 @@ class FlexKVIndex:
     # -- bulk load -----------------------------------------------------------
 
     def bulk_load(self, pairs: Sequence[Tuple[int, int]]) -> None:
-        pairs = list(pairs)
-        for (a, _), (b, _) in zip(pairs, pairs[1:]):
-            if a >= b:
-                raise IndexError_("bulk_load requires sorted unique keys")
-        if pairs and pairs[0][0] < 1:
-            raise IndexError_("keys must be >= 1")
+        pairs = self._checked_pairs(pairs)
         per_part = max(1, len(pairs) // self.partitions)
         self.buckets = self._bucket_count(per_part, self.config)
         for part in range(self.partitions):
@@ -183,12 +175,6 @@ class FlexKVIndex:
                     "(raise FlexKVConfig.capacity_factor)"
                 )
         self.loaded_items = len(pairs)
-
-    def _host_write(self, addr: int, data: bytes) -> None:
-        self.cluster.mns[addr_mn(addr)].mem_write(addr, data)
-
-    def _host_read(self, addr: int, length: int) -> bytes:
-        return self.cluster.mns[addr_mn(addr)].mem_read(addr, length)
 
     # -- MN-side execution (RPC handler) -------------------------------------
 
@@ -277,23 +263,17 @@ class FlexKVIndex:
         out.sort()
         return out
 
-    def remote_memory_bytes(self) -> int:
-        return sum(mn.allocator.bytes_used for mn in self.cluster.mns.values())
 
+class FlexKVClient(FamilyClientBase):
+    """Per-client FlexKV operations under the partition's placement.
 
-class FlexKVClient(SpanInstrumentedOps):
-    """Per-client FlexKV operations under the partition's placement."""
+    The operations below replace the base templates: the placement
+    dispatch decides per partition where an operation runs, and RDWC is
+    not applied.
+    """
 
     #: Bucket re-reads after a lost slot-claim CAS before giving up.
     _CLAIM_ATTEMPTS = 4
-
-    def __init__(self, index: FlexKVIndex, ctx: ClientContext) -> None:
-        self.index = index
-        self.ctx = ctx
-        self.qp = ctx.qp
-        self.ops = ctx.ops
-        self.plans = family_plans("flexkv")
-        self.engine = ctx.engine
 
     # -- the placement decision ----------------------------------------------
 

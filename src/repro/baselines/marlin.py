@@ -17,8 +17,6 @@ from typing import Generator, Optional
 from repro.baselines.sherman import ShermanClient, ShermanConfig, ShermanIndex
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import ClientContext
-from repro.core.btree_base import TraversalError
-from repro.core.sync import MAX_RETRIES, backoff_delay
 from repro.layout.versions import raw_of
 
 
@@ -51,7 +49,8 @@ class MarlinClient(ShermanClient):
         *same* entry, or the entry moved) retries from traversal.
         """
         layout = self.layout
-        for attempt in range(MAX_RETRIES):
+        retry = self.retry.start(f"update({key})", self.engine, self.ctx.rng)
+        while retry.check():
             ref = yield from self._locate_leaf(key)
             leaf_addr, view = yield from self._leaf_for(ref, key)
             if view is None:
@@ -71,10 +70,9 @@ class MarlinClient(ShermanClient):
                 result = yield from super()._update(key, value)
                 return result
             new_block = yield from self._write_block(key, value)
-            _old, swapped = yield from self.qp.cas(leaf_addr + raw_start,
+            _old, swapped = yield from self.ops.cas(leaf_addr + raw_start,
                                                    old_block, new_block)
             if swapped:
                 return True
-            self.qp.stats.retries += 1
-            yield self.engine.timeout(backoff_delay(attempt))
-        raise TraversalError(f"update({key}) did not converge")
+            self.ops.stats.retries += 1
+            yield from retry.backoff()

@@ -23,13 +23,12 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import ClientContext
-from repro.core.access import family_plans
-from repro.errors import IndexError_, SimulationError
+from repro.core.family import FamilyClientBase, FamilyIndexBase
+from repro.errors import SimulationError
 from repro.hashing.hopscotch import default_hash
 from repro.hashing.mph import MinimalPerfectHash
 from repro.layout import decode_key, decode_value, encode_key, encode_value
 from repro.memory.region import CACHE_LINE
-from repro.obs.spans import SpanInstrumentedOps
 
 __all__ = ["OutbackClient", "OutbackConfig", "OutbackIndex"]
 
@@ -45,15 +44,14 @@ class OutbackConfig:
     overflow_headroom: float = 0.5
 
 
-class OutbackIndex:
+class OutbackIndex(FamilyIndexBase):
     """Host-side state: the MPH routing table and the slot-array layout."""
 
     access_family = "outback"
 
     def __init__(self, cluster: Cluster,
                  config: Optional[OutbackConfig] = None) -> None:
-        self.cluster = cluster
-        self.config = config or OutbackConfig()
+        super().__init__(cluster, config or OutbackConfig())
         self.mph: Optional[MinimalPerfectHash] = None
         self.mn_ids: List[int] = sorted(cluster.mns)
         #: Per-MN base address of this MN's stripe of the slot array.
@@ -61,7 +59,6 @@ class OutbackIndex:
         #: Per-MN overflow bucket array base and bucket count.
         self.overflow_base: Dict[int, int] = {}
         self.overflow_buckets = 0
-        self.loaded_items = 0
 
     def client(self, ctx: ClientContext) -> "OutbackClient":
         return OutbackClient(self, ctx)
@@ -99,12 +96,7 @@ class OutbackIndex:
     # -- bulk load -----------------------------------------------------------
 
     def bulk_load(self, pairs: Sequence[Tuple[int, int]]) -> None:
-        pairs = list(pairs)
-        for (a, _), (b, _) in zip(pairs, pairs[1:]):
-            if a >= b:
-                raise IndexError_("bulk_load requires sorted unique keys")
-        if pairs and pairs[0][0] < 1:
-            raise IndexError_("keys must be >= 1")
+        pairs = self._checked_pairs(pairs)
         keys = [k for k, _ in pairs]
         self.mph = MinimalPerfectHash(keys, seed=self.config.mph_seed)
         num_mns = len(self.mn_ids)
@@ -131,16 +123,6 @@ class OutbackIndex:
                 addr, encode_key(key) + encode_value(value, value_size)
             )
         self.loaded_items = len(pairs)
-
-    def _host_write(self, addr: int, data: bytes) -> None:
-        from repro.memory.region import addr_mn
-
-        self.cluster.mns[addr_mn(addr)].mem_write(addr, data)
-
-    def _host_read(self, addr: int, length: int) -> bytes:
-        from repro.memory.region import addr_mn
-
-        return self.cluster.mns[addr_mn(addr)].mem_read(addr, length)
 
     # -- MN-side overflow insert (RPC handler) -------------------------------
 
@@ -202,20 +184,13 @@ class OutbackIndex:
         out.sort()
         return out
 
-    def remote_memory_bytes(self) -> int:
-        return sum(mn.allocator.bytes_used for mn in self.cluster.mns.values())
 
+class OutbackClient(FamilyClientBase):
+    """Per-client Outback operations (hash placement: MPH, then one verb).
 
-class OutbackClient(SpanInstrumentedOps):
-    """Per-client Outback operations (hash placement: MPH, then one verb)."""
-
-    def __init__(self, index: OutbackIndex, ctx: ClientContext) -> None:
-        self.index = index
-        self.ctx = ctx
-        self.qp = ctx.qp
-        self.ops = ctx.ops
-        self.plans = family_plans("outback")
-        self.engine = ctx.engine
+    The operations below replace the base templates: RDWC is not
+    applied to the one-RTT paths.
+    """
 
     # -- point lookups (the one-RTT fast path) -------------------------------
 

@@ -18,26 +18,16 @@ and ROLEX is excluded from the 100 %-insert LOAD workload.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Generator, List, Optional, Sequence, Tuple
 
 from repro.baselines.pla import PlaModel
 from repro.baselines.sherman import ShermanLeafLayout, ShermanLeafView
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import ClientContext
-from repro.core.sync import MAX_RETRIES, backoff_delay
-from repro.errors import IndexError_, TornReadError
-from repro.layout import (
-    MAX_KEY,
-    StripedSpan,
-    decode_key,
-    decode_value,
-    encode_key,
-    encode_u64,
-    encode_value,
-)
+from repro.core.family import FamilyClientBase, FamilyIndexBase
+from repro.layout import MAX_KEY, StripedSpan, encode_u64
 from repro.layout.versions import bump_nibble
-from repro.memory import ChunkAllocator, NULL_ADDR, addr_mn
-from repro.memory.region import CACHE_LINE
+from repro.memory import NULL_ADDR
 
 #: Cached bytes per leaf-table address entry.
 LEAF_ADDR_BYTES = 8
@@ -56,13 +46,14 @@ class RolexConfig:
     bulk_load_factor: float = 0.75
 
 
-class RolexIndex:
+class RolexIndex(FamilyIndexBase):
     """Host-side state of one ROLEX index."""
+
+    access_family = "rolex"
 
     def __init__(self, cluster: Cluster,
                  config: Optional[RolexConfig] = None) -> None:
-        self.cluster = cluster
-        self.config = config or RolexConfig()
+        super().__init__(cluster, config or RolexConfig())
         entry_value = 8 if self.config.indirect_values \
             else self.config.value_size
         self.leaf_layout = ShermanLeafLayout(self.config.span,
@@ -70,26 +61,9 @@ class RolexIndex:
                                              entry_value)
         self.model: Optional[PlaModel] = None
         self.leaf_addrs: List[int] = []
-        self._host_rr = 0
-        self.loaded_items = 0
 
     def client(self, ctx: ClientContext) -> "RolexClient":
         return RolexClient(self, ctx)
-
-    # -- host helpers --------------------------------------------------------------
-
-    def _host_alloc(self, size: int) -> int:
-        mn_ids = sorted(self.cluster.mns)
-        mn_id = mn_ids[self._host_rr % len(mn_ids)]
-        self._host_rr += 1
-        return self.cluster.mns[mn_id].allocator.alloc(size,
-                                                       align=CACHE_LINE)
-
-    def _host_write(self, addr: int, data: bytes) -> None:
-        self.cluster.mns[addr_mn(addr)].mem_write(addr, data)
-
-    def _host_read(self, addr: int, length: int) -> bytes:
-        return self.cluster.mns[addr_mn(addr)].mem_read(addr, length)
 
     # -- bulk load -------------------------------------------------------------------
 
@@ -99,12 +73,7 @@ class RolexIndex:
         *future_keys* (keys that workloads will insert later)."""
         config = self.config
         layout = self.leaf_layout
-        pairs = list(pairs)
-        for (a, _), (b, _) in zip(pairs, pairs[1:]):
-            if a >= b:
-                raise IndexError_("bulk_load requires sorted unique keys")
-        if pairs and pairs[0][0] < 1:
-            raise IndexError_("keys must be >= 1")
+        pairs = self._checked_pairs(pairs)
         loaded = {k for k, _ in pairs}
         all_keys = sorted(loaded | set(future_keys))
         self.model = PlaModel.train(all_keys, config.error)
@@ -134,13 +103,6 @@ class RolexIndex:
         self.loaded_items = len(pairs)
         self._items_per_leaf = per_leaf
 
-    def _host_alloc_block(self, key: int, value: int) -> int:
-        size = 8 + self.config.value_size
-        addr = self._host_alloc(size)
-        self._host_write(addr, encode_key(key)
-                         + encode_value(value, self.config.value_size))
-        return addr
-
     # -- prediction ---------------------------------------------------------------------
 
     def candidate_leaves(self, key: int) -> List[int]:
@@ -168,17 +130,11 @@ class RolexIndex:
                 view = ShermanLeafView(layout, StripedSpan(raw, 0))
                 for key, value in view.items():
                     if self.config.indirect_values:
-                        data = self._host_read(value,
-                                               8 + self.config.value_size)
-                        value = decode_value(data, 8,
-                                             size=self.config.value_size)
+                        value = self._host_read_block(value)[1]
                     out.append((key, value))
                 chain = view.sibling  # synonym pointer
         out.sort()
         return out
-
-    def remote_memory_bytes(self) -> int:
-        return sum(mn.allocator.bytes_used for mn in self.cluster.mns.values())
 
     def synonym_chain_lengths(self) -> List[int]:
         """Chain length per leaf (diagnostics for insert behaviour)."""
@@ -195,51 +151,42 @@ class RolexIndex:
         return lengths
 
 
-class RolexClient:
+class RolexClient(FamilyClientBase):
     """Per-client ROLEX operations."""
 
+    scan = FamilyClientBase._scan_op
+
     def __init__(self, index: RolexIndex, ctx: ClientContext) -> None:
-        self.index = index
-        self.ctx = ctx
-        self.qp = ctx.qp
-        self.engine = ctx.engine
-        self.config = index.config
+        super().__init__(index, ctx)
         self.layout = index.leaf_layout
-        self._allocators: Dict[int, ChunkAllocator] = {}
-        self._alloc_rr = ctx.client_id
 
     # -------------------------------------------------------------- plumbing
-
-    def _alloc(self, size: int) -> Generator:
-        mn_ids = sorted(self.index.cluster.mns)
-        mn_id = mn_ids[self._alloc_rr % len(mn_ids)]
-        self._alloc_rr += 1
-        allocator = self._allocators.get(mn_id)
-        if allocator is None:
-            allocator = ChunkAllocator(
-                self.qp, mn_id,
-                chunk_size=self.index.cluster.config.alloc_chunk_bytes)
-            self._allocators[mn_id] = allocator
-        addr = yield from allocator.alloc(size)
-        return addr
 
     def _read_leaf_batch(self, addrs: Sequence[int]) -> Generator:
         """Batched whole-leaf READs with per-leaf consistency retries."""
         layout = self.layout
         requests = [(addr, layout.raw_size) for addr in addrs]
-        payloads = yield from self.qp.read_batch(requests)
+        payloads = yield from self.ops.read_batch(requests)
         views = []
         for addr, data in zip(addrs, payloads):
             view = ShermanLeafView(layout, StripedSpan(data, 0))
-            for attempt in range(MAX_RETRIES):
-                if view.is_consistent():
-                    break
-                self.qp.stats.retries += 1
-                yield self.engine.timeout(backoff_delay(attempt))
-                data = yield from self.qp.read(addr, layout.raw_size)
-                view = ShermanLeafView(layout, StripedSpan(data, 0))
+            if not view.is_consistent():
+                view = yield from self._reread_torn(addr)
             views.append(view)
         return views
+
+    def _reread_torn(self, addr: int) -> Generator:
+        """Back off and re-READ a leaf until it is consistent."""
+        layout = self.layout
+        retry = self.retry.start(f"leaf read {addr:#x}", self.engine,
+                                 self.ctx.rng)
+        while retry.check():
+            self.ops.stats.retries += 1
+            yield from retry.backoff()
+            data = yield from self.ops.read(addr, layout.raw_size)
+            view = ShermanLeafView(layout, StripedSpan(data, 0))
+            if view.is_consistent():
+                return view
 
     def _read_leaf(self, addr: int) -> Generator:
         views = yield from self._read_leaf_batch([addr])
@@ -260,14 +207,6 @@ class RolexClient:
 
     # -------------------------------------------------------------- search
 
-    def search(self, key: int) -> Generator:
-        if self.ctx.combiner.enabled:
-            result = yield from self.ctx.combiner.read(
-                ("rolex-s", id(self.index), key), lambda: self._search(key))
-            return result
-        result = yield from self._search(key)
-        return result
-
     def _search(self, key: int) -> Generator:
         leaf_index, view = yield from self._locate(key)
         if view is None:
@@ -284,34 +223,16 @@ class RolexClient:
                 return None
             view = yield from self._read_leaf(synonym)
 
-    def _read_block(self, block_addr: int, key: int) -> Generator:
-        data = yield from self.qp.read(block_addr, 8 + self.config.value_size)
-        if decode_key(data) != key:
-            raise TornReadError("indirect block key mismatch")
-        return decode_value(data, 8, size=self.config.value_size)
-
     # -------------------------------------------------------------- writes
 
-    def insert(self, key: int, value: int) -> Generator:
-        if key < 1:
-            raise IndexError_("keys must be >= 1")
-        result = yield from self._modify(key, value, delete=False,
-                                         upsert=True)
-        return result
+    def _insert(self, key: int, value: int) -> Generator:
+        return self._modify(key, value, delete=False, upsert=True)
 
-    def update(self, key: int, value: int) -> Generator:
-        if self.ctx.combiner.enabled:
-            result = yield from self.ctx.combiner.write(
-                ("rolex-u", id(self.index), key), value,
-                lambda v: self._modify(key, v, delete=False, upsert=False))
-            return result
-        result = yield from self._modify(key, value, delete=False,
-                                         upsert=False)
-        return result
+    def _update(self, key: int, value: int) -> Generator:
+        return self._modify(key, value, delete=False, upsert=False)
 
-    def delete(self, key: int) -> Generator:
-        result = yield from self._modify(key, 0, delete=True, upsert=False)
-        return result
+    def _delete(self, key: int) -> Generator:
+        return self._modify(key, 0, delete=True, upsert=False)
 
     def _modify(self, key: int, value: int, delete: bool,
                 upsert: bool) -> Generator:
@@ -325,30 +246,18 @@ class RolexClient:
             return False
         base_addr = self.index.leaf_addrs[leaf_index]
         lock_addr = base_addr + layout.lock_offset
-        local = self.ctx.cn.local_lock(lock_addr)
-        if local is not None:
-            yield local.acquire()
+        yield from self._lock(lock_addr, zero_rest=False)
         try:
-            for attempt in range(MAX_RETRIES):
-                _old, swapped = yield from self.qp.masked_cas(
-                    lock_addr, compare=0, swap=1, compare_mask=1,
-                    swap_mask=1)
-                if swapped:
-                    break
-                self.qp.stats.retries += 1
-                yield self.engine.timeout(backoff_delay(attempt))
-            else:
-                raise IndexError_("leaf lock not acquired")
-            try:
-                result = yield from self._modify_locked(
-                    base_addr, lock_addr, key, value, delete, upsert)
-                return result
-            except BaseException:
-                yield from self.qp.write(lock_addr, encode_u64(0))
-                raise
+            result = yield from self._modify_locked(
+                base_addr, lock_addr, key, value, delete, upsert)
+            return result
+        except GeneratorExit:
+            raise  # reclaimed while parked: must not yield restore verbs
+        except BaseException:
+            yield from self._restore_unlock(lock_addr)
+            raise
         finally:
-            if local is not None:
-                local.release()
+            self._release_local(lock_addr)
 
     def _modify_locked(self, base_addr: int, lock_addr: int, key: int,
                        value: int, delete: bool, upsert: bool) -> Generator:
@@ -374,17 +283,16 @@ class RolexClient:
                     stored = yield from self._write_block(key, value)
                 view.write_entry_value(position, key, stored)
                 raw_off, raw_bytes = view.entry_sub_span(position)
-                yield from self.qp.write_batch([
-                    (chain_addr + raw_off, raw_bytes),
-                    (lock_addr, encode_u64(0)),
-                ])
+                yield from self.ops.write_batch(
+                    [(chain_addr + raw_off, raw_bytes)]
+                    + self._unlock_writes(lock_addr))
                 return True
             if spacious is None and view.count < layout.span:
                 spacious = (chain_addr, view)
             tail_addr, tail_view = chain_addr, view
             chain_addr = view.sibling
         if delete or not upsert:
-            yield from self.qp.write(lock_addr, encode_u64(0))
+            yield from self._unlock_remote(lock_addr)
             return False
         stored = value
         if self.config.indirect_values:
@@ -402,7 +310,7 @@ class RolexClient:
         new_view = ShermanLeafView.compose(
             layout, [(key, stored)], NULL_ADDR, tail_view.fence_low,
             tail_view.fence_high, nv=0)
-        yield from self.qp.write_batch([
+        yield from self.ops.write_batch([
             (new_addr, bytes(new_view.span.data)),
             (new_addr + layout.lock_offset, encode_u64(0)),
         ])
@@ -411,10 +319,9 @@ class RolexClient:
         rewritten = ShermanLeafView.compose(
             layout, tail_items, new_addr, tail_view.fence_low,
             tail_view.fence_high, nv=bump_nibble(tail_view.nv))
-        yield from self.qp.write_batch([
-            (tail_addr, bytes(rewritten.span.data)),
-            (lock_addr, encode_u64(0)),
-        ])
+        yield from self.ops.write_batch(
+            [(tail_addr, bytes(rewritten.span.data))]
+            + self._unlock_writes(lock_addr))
         return True
 
     def _rewrite_table(self, table_addr: int, lock_addr: int,
@@ -424,22 +331,14 @@ class RolexClient:
         new_view = ShermanLeafView.compose(
             layout, items, view.sibling, view.fence_low, view.fence_high,
             nv=bump_nibble(view.nv))
-        yield from self.qp.write_batch([
-            (table_addr, bytes(new_view.span.data)),
-            (lock_addr, encode_u64(0)),
-        ])
+        yield from self.ops.write_batch(
+            [(table_addr, bytes(new_view.span.data))]
+            + self._unlock_writes(lock_addr))
         return True
-
-    def _write_block(self, key: int, value: int) -> Generator:
-        addr = yield from self._alloc(8 + self.config.value_size)
-        yield from self.qp.write(addr, encode_key(key)
-                                 + encode_value(value,
-                                                self.config.value_size))
-        return addr
 
     # -------------------------------------------------------------- scan
 
-    def scan(self, key: int, count: int) -> Generator:
+    def _scan(self, key: int, count: int) -> Generator:
         """Read consecutive leaf tables (plus synonym chains) in key
         order; ROLEX's small span makes this its best workload (§5.2)."""
         leaf_index, first_view = yield from self._locate(key)
@@ -469,9 +368,5 @@ class RolexClient:
         results.sort()
         results = results[:count]
         if self.config.indirect_values:
-            resolved = []
-            for item_key, block in results:
-                value = yield from self._read_block(block, item_key)
-                resolved.append((item_key, value))
-            return resolved
+            results = yield from self._resolve_indirect(results)
         return results

@@ -29,8 +29,6 @@ from repro.core.btree_base import (
     MAX_CHASE,
     TraversalError,
 )
-from repro.core.sync import MAX_RETRIES, backoff_delay
-from repro.errors import IndexError_, TornReadError
 from repro.layout import (
     MAX_KEY,
     StripedSpan,
@@ -258,14 +256,12 @@ class ShermanIndex(BTreeIndexBase):
 
     def __init__(self, cluster: Cluster,
                  config: Optional[ShermanConfig] = None) -> None:
-        self.config = config or ShermanConfig()
-        super().__init__(cluster, self.config.span, self.config.key_size)
+        super().__init__(cluster, config or ShermanConfig())
         entry_value = 8 if self.config.indirect_values \
             else self.config.value_size
         self.leaf_layout = ShermanLeafLayout(self.config.span,
                                              self.config.key_size,
                                              entry_value)
-        self.loaded_items = 0
 
     def client(self, ctx: ClientContext) -> "ShermanClient":
         return ShermanClient(self, ctx)
@@ -275,12 +271,7 @@ class ShermanIndex(BTreeIndexBase):
     def bulk_load(self, pairs: Sequence[Tuple[int, int]]) -> None:
         config = self.config
         layout = self.leaf_layout
-        pairs = list(pairs)
-        for (a, _), (b, _) in zip(pairs, pairs[1:]):
-            if a >= b:
-                raise IndexError_("bulk_load requires sorted unique keys")
-        if pairs and pairs[0][0] < 1:
-            raise IndexError_("keys must be >= 1")
+        pairs = self._checked_pairs(pairs)
         per_leaf = max(1, int(config.span * config.bulk_load_factor))
         chunks = [pairs[i:i + per_leaf]
                   for i in range(0, len(pairs), per_leaf)] or [[]]
@@ -303,37 +294,6 @@ class ShermanIndex(BTreeIndexBase):
         self.loaded_items = len(pairs)
         self._build_internal_levels(level1)
 
-    def _host_alloc_block(self, key: int, value: int) -> int:
-        size = 8 + self.config.value_size
-        addr = self._host_alloc(size)
-        self._host_write(addr, encode_key(key)
-                         + encode_value(value, self.config.value_size))
-        return addr
-
-    def _build_internal_levels(self, entries: List[Tuple[int, int]]) -> None:
-        from repro.core.nodes import InternalNodeView
-        layout = self.internal_layout
-        level = 1
-        while True:
-            groups = [entries[i:i + layout.span]
-                      for i in range(0, len(entries), layout.span)]
-            addrs = [self._host_alloc(layout.total_size) for _ in groups]
-            bounds = [0] + [g[0][0] for g in groups[1:]] + [MAX_KEY]
-            next_entries = []
-            for index, group in enumerate(groups):
-                sibling = addrs[index + 1] if index + 1 < len(addrs) \
-                    else NULL_ADDR
-                view = InternalNodeView.compose(
-                    layout, level, bounds[index], bounds[index + 1],
-                    sibling, group, nv=0)
-                self._host_write(addrs[index], bytes(view.span.data))
-                next_entries.append((bounds[index], addrs[index]))
-            if len(groups) == 1:
-                self._set_root(addrs[0], level)
-                return
-            entries = next_entries
-            level += 1
-
     # -- host-side inspection --------------------------------------------------------
 
     def collect_items(self) -> List[Tuple[int, int]]:
@@ -344,15 +304,10 @@ class ShermanIndex(BTreeIndexBase):
             view = ShermanLeafView(layout, StripedSpan(raw, 0))
             for key, value in view.items():
                 if self.config.indirect_values:
-                    data = self._host_read(value, 8 + self.config.value_size)
-                    value = decode_value(data, 8,
-                                         size=self.config.value_size)
+                    value = self._host_read_block(value)[1]
                 out.append((key, value))
         out.sort()
         return out
-
-    def remote_memory_bytes(self) -> int:
-        return sum(mn.allocator.bytes_used for mn in self.cluster.mns.values())
 
 
 class ShermanClient(BTreeClientBase):
@@ -360,56 +315,21 @@ class ShermanClient(BTreeClientBase):
 
     def __init__(self, index: ShermanIndex, ctx: ClientContext) -> None:
         super().__init__(index, ctx)
-        self.sherman = index
-        self.config = index.config
         self.layout = index.leaf_layout
-
-    # -------------------------------------------------------------- public API
-
-    def search(self, key: int) -> Generator:
-        if self.ctx.combiner.enabled:
-            result = yield from self.ctx.combiner.read(
-                ("sherman-s", id(self.sherman), key), lambda: self._search(key))
-            return result
-        result = yield from self._search(key)
-        return result
-
-    def insert(self, key: int, value: int) -> Generator:
-        if key < 1:
-            raise IndexError_("keys must be >= 1")
-        result = yield from self._insert(key, value)
-        return result
-
-    def update(self, key: int, value: int) -> Generator:
-        if self.ctx.combiner.enabled:
-            result = yield from self.ctx.combiner.write(
-                ("sherman-u", id(self.sherman), key), value,
-                lambda v: self._update(key, v))
-            return result
-        result = yield from self._update(key, value)
-        return result
-
-    def delete(self, key: int) -> Generator:
-        """Clear by rewriting the leaf without the key (no merges)."""
-        result = yield from self._delete(key)
-        return result
-
-    def scan(self, key: int, count: int) -> Generator:
-        result = yield from self._scan(key, count)
-        return result
 
     # -------------------------------------------------------------- leaf IO
 
     def _read_leaf(self, addr: int) -> Generator:
         layout = self.layout
-        for attempt in range(MAX_RETRIES):
+        retry = self.retry.start(f"leaf read {addr:#x}", self.engine,
+                                 self.ctx.rng)
+        while retry.check():
             raw = yield from self.ops.read(addr, layout.raw_size)
             view = ShermanLeafView(layout, StripedSpan(raw, 0))
             if view.is_consistent():
                 return view
             self.ops.stats.retries += 1
-            yield self.engine.timeout(backoff_delay(attempt))
-        raise TornReadError(f"leaf {addr:#x} never consistent")
+            yield from retry.backoff()
 
     def _leaf_for(self, ref: LeafRef, key: int) -> Generator:
         """Fetch the leaf, applying cache and half-split validation."""
@@ -434,7 +354,8 @@ class ShermanClient(BTreeClientBase):
     # -------------------------------------------------------------- search
 
     def _search(self, key: int) -> Generator:
-        for attempt in range(MAX_RETRIES):
+        retry = self.retry.start(f"search({key})", self.engine, self.ctx.rng)
+        while retry.check():
             ref = yield from self._locate_leaf(key)
             leaf_addr, view = yield from self._leaf_for(ref, key)
             if view is None:
@@ -446,143 +367,109 @@ class ShermanClient(BTreeClientBase):
             if self.config.indirect_values:
                 value = yield from self._read_block(value, key)
             return value
-        raise TraversalError(f"search({key}) did not converge")
 
-    def _read_block(self, block_addr: int, key: int) -> Generator:
-        data = yield from self.ops.read(block_addr, 8 + self.config.value_size)
-        if decode_key(data) != key:
-            raise TornReadError("indirect block key mismatch")
-        return decode_value(data, 8, size=self.config.value_size)
-
-    # -------------------------------------------------------------- update / delete
-
-    def _update(self, key: int, value: int) -> Generator:
-        for attempt in range(MAX_RETRIES):
-            ref = yield from self._locate_leaf(key)
-            lock_addr = ref.leaf_addr + self.layout.lock_offset
-            yield from self._lock(lock_addr, zero_rest=False)
-            try:
-                leaf_addr, view = yield from self._leaf_for(ref, key)
-                if view is None or leaf_addr != ref.leaf_addr:
-                    # Routed elsewhere while locking this node: release
-                    # and retry from the top (rare).
-                    yield from self.ops.write(lock_addr, encode_u64(0))
-                    continue
-                index = view.find(key)
-                if index is None:
-                    yield from self.ops.write(lock_addr, encode_u64(0))
-                    return False
-                stored = value
-                if self.config.indirect_values:
-                    stored = yield from self._write_block(key, value)
-                view.write_entry_value(index, key, stored)
-                raw_off, raw_bytes = view.entry_sub_span(index)
-                yield from self.ops.write_batch([
-                    (leaf_addr + raw_off, raw_bytes),
-                    (lock_addr, encode_u64(0)),
-                ])
-                return True
-            finally:
-                self._release_local(lock_addr)
-        raise TraversalError(f"update({key}) did not converge")
-
-    def _write_block(self, key: int, value: int) -> Generator:
-        addr = yield from self._alloc(8 + self.config.value_size)
-        yield from self.ops.write(addr, encode_key(key)
-                                 + encode_value(value,
-                                                self.config.value_size))
-        return addr
-
-    def _delete(self, key: int) -> Generator:
-        result = yield from self._modify_sorted(key, None)
-        return result
-
-    # -------------------------------------------------------------- insert
+    # -------------------------------------------------------------- writes
 
     def _insert(self, key: int, value: int) -> Generator:
-        result = yield from self._modify_sorted(key, value)
-        return result
+        return self._write_leaf(key, value, "insert")
 
-    def _modify_sorted(self, key: int, value: Optional[int]) -> Generator:
-        """Insert (value given) or delete (value None) in the sorted leaf;
-        both rewrite the node under its lock."""
+    def _update(self, key: int, value: int) -> Generator:
+        return self._write_leaf(key, value, "update")
+
+    def _delete(self, key: int) -> Generator:
+        """Clear by rewriting the leaf without the key (no merges)."""
+        return self._write_leaf(key, 0, "delete")
+
+    def _write_leaf(self, key: int, value: int, op: str) -> Generator:
+        """One locked leaf write.
+
+        ``update`` is fine-grained (entry write + EV bump); ``insert``
+        (an upsert) and ``delete`` shift the sorted array and therefore
+        rewrite the node (NV bump), splitting it first when full.  The
+        data write and the unlock ride one doorbell batch.
+        """
         layout = self.layout
-        for attempt in range(MAX_RETRIES):
+        retry = self.retry.start(f"{op}({key})", self.engine, self.ctx.rng)
+        while retry.check():
             ref = yield from self._locate_leaf(key)
             lock_addr = ref.leaf_addr + layout.lock_offset
             yield from self._lock(lock_addr, zero_rest=False)
-            released = False
+            held = True
             try:
                 leaf_addr, view = yield from self._leaf_for(ref, key)
-                if view is None or leaf_addr != ref.leaf_addr:
-                    yield from self.ops.write(lock_addr, encode_u64(0))
-                    released = True
-                    continue
-                items = view.items()
-                index = view.find(key)
-                if value is None:
-                    if index is None:
-                        yield from self.ops.write(lock_addr, encode_u64(0))
-                        released = True
-                        return False
-                    items.pop(index)
+                moved = view is None or leaf_addr != ref.leaf_addr
+                index = None if moved else view.find(key)
+                if moved or (index is None and op != "insert"):
+                    held = False
+                    yield from self._unlock_remote(lock_addr)
+                    if moved:
+                        # Routed elsewhere while locking this node:
+                        # retry from the top (rare).
+                        continue
+                    return False
+                stored = value
+                if op != "delete" and self.config.indirect_values:
+                    stored = yield from self._write_block(key, value)
+                split = None
+                if op == "update":
+                    view.write_entry_value(index, key, stored)
+                    raw_off, raw_bytes = view.entry_sub_span(index)
+                    writes = [(leaf_addr + raw_off, raw_bytes)]
                 else:
-                    stored = value
-                    if self.config.indirect_values:
-                        stored = yield from self._write_block(key, value)
-                    if index is not None:
+                    items = view.items()
+                    if op == "delete":
+                        items.pop(index)
+                    elif index is not None:
                         items[index] = (key, stored)
                     else:
                         items.append((key, stored))
                         items.sort()
-                if len(items) > layout.span:
-                    yield from self._split_sherman_leaf(ref, leaf_addr,
-                                                        lock_addr, view,
-                                                        items)
-                    released = True
-                    continue  # retry the insert after the split
-                new_view = ShermanLeafView.compose(
-                    layout, items, view.sibling, view.fence_low,
-                    view.fence_high, nv=bump_nibble(view.nv))
-                yield from self.ops.write_batch([
-                    (leaf_addr, bytes(new_view.span.data)),
-                    (lock_addr, encode_u64(0)),
-                ])
-                released = True
-                return True
+                    if len(items) > layout.span:
+                        split, new_view = yield from self._split_right_half(
+                            view, items)
+                    else:
+                        new_view = ShermanLeafView.compose(
+                            layout, items, view.sibling, view.fence_low,
+                            view.fence_high, nv=bump_nibble(view.nv))
+                    writes = [(leaf_addr, bytes(new_view.span.data))]
+                writes.extend(self._unlock_writes(lock_addr))
+                held = False
+                yield from self.ops.write_batch(writes)
+                if split is None:
+                    return True
+                yield from self._propagate_split(ref.parent, 1, leaf_addr,
+                                                 *split)
+                # ... and retry the insert after the split.
+            except GeneratorExit:
+                # A parked (crashed) client being reclaimed must not
+                # yield restore verbs — its node is dead.
+                raise
             except BaseException:
-                if not released:
-                    yield from self.ops.write(lock_addr, encode_u64(0))
+                if held:
+                    yield from self._restore_unlock(lock_addr)
                 raise
             finally:
                 self._release_local(lock_addr)
-        raise TraversalError(f"modify({key}) did not converge")
 
-    def _split_sherman_leaf(self, ref: LeafRef, leaf_addr: int,
-                            lock_addr: int, view: ShermanLeafView,
-                            items: List[Tuple[int, int]]) -> Generator:
+    def _split_right_half(self, view: ShermanLeafView,
+                          items: List[Tuple[int, int]]) -> Generator:
+        """With the overfull leaf locked: write the new right sibling;
+        returns ``((pivot, new_addr), left_view)`` — the caller publishes
+        the left half (sibling -> new node) batched with its unlock."""
         layout = self.layout
         mid = len(items) // 2
         pivot = items[mid][0]
-        left_items = items[:mid]
-        right_items = items[mid:]
         new_addr = yield from self._alloc(layout.total_size)
         right_view = ShermanLeafView.compose(
-            layout, right_items, view.sibling, pivot, view.fence_high, nv=0)
+            layout, items[mid:], view.sibling, pivot, view.fence_high, nv=0)
         yield from self.ops.write_batch([
             (new_addr, bytes(right_view.span.data)),
             (new_addr + layout.lock_offset, encode_u64(0)),
         ])
         left_view = ShermanLeafView.compose(
-            layout, left_items, new_addr, view.fence_low, pivot,
+            layout, items[:mid], new_addr, view.fence_low, pivot,
             nv=bump_nibble(view.nv))
-        yield from self.ops.write_batch([
-            (leaf_addr, bytes(left_view.span.data)),
-            (lock_addr, encode_u64(0)),
-        ])
-        parent_hint = ref.parent if ref.parent is not None else None
-        yield from self._propagate_split(parent_hint, 1, leaf_addr, pivot,
-                                         new_addr)
+        return (pivot, new_addr), left_view
 
     # -------------------------------------------------------------- scan
 
@@ -616,9 +503,5 @@ class ShermanClient(BTreeClientBase):
             next_addr = view.sibling
         results = results[:count]
         if self.config.indirect_values:
-            resolved = []
-            for item_key, block in results:
-                value = yield from self._read_block(block, item_key)
-                resolved.append((item_key, value))
-            return resolved
+            results = yield from self._resolve_indirect(results)
         return results

@@ -28,12 +28,11 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import ClientContext
-from repro.core.access import family_plans
-from repro.core.sync import MAX_RETRIES, backoff_delay
+from repro.core.family import FamilyClientBase, FamilyIndexBase
 from repro.errors import IndexError_, LayoutError
 from repro.layout import decode_key, decode_value, encode_key, encode_value
-from repro.memory import ChunkAllocator, NULL_ADDR, addr_mn
-from repro.memory.region import CACHE_LINE, addr_offset, make_addr
+from repro.memory import NULL_ADDR, addr_mn
+from repro.memory.region import addr_offset, make_addr
 
 #: Slot word format: [63]=occupied, [62]=leaf, [59..61]=node type,
 #: [56]=seal, [48..55]=partial key byte, [0..47]=compressed address.
@@ -189,37 +188,21 @@ class SmartConfig:
     rcu_updates: bool = False
 
 
-class SmartIndex:
+class SmartIndex(FamilyIndexBase):
     """Host-side state of one SMART tree."""
+
+    access_family = "smart"
 
     def __init__(self, cluster: Cluster,
                  config: Optional[SmartConfig] = None) -> None:
-        self.cluster = cluster
-        self.config = config or SmartConfig()
+        super().__init__(cluster, config or SmartConfig())
         self.root_addr = NULL_ADDR
         self.root_type = NODE256
-        self._host_rr = 0
-        self.loaded_items = 0
         self._internal_bytes = 0
         self._internal_count = 0
 
     def client(self, ctx: ClientContext) -> "SmartClient":
         return SmartClient(self, ctx)
-
-    # -- host helpers ------------------------------------------------------------
-
-    def _host_alloc(self, size: int) -> int:
-        mn_ids = sorted(self.cluster.mns)
-        mn_id = mn_ids[self._host_rr % len(mn_ids)]
-        self._host_rr += 1
-        return self.cluster.mns[mn_id].allocator.alloc(size,
-                                                       align=CACHE_LINE)
-
-    def _host_write(self, addr: int, data: bytes) -> None:
-        self.cluster.mns[addr_mn(addr)].mem_write(addr, data)
-
-    def _host_read(self, addr: int, length: int) -> bytes:
-        return self.cluster.mns[addr_mn(addr)].mem_read(addr, length)
 
     @property
     def leaf_size(self) -> int:
@@ -228,12 +211,7 @@ class SmartIndex:
     # -- bulk load --------------------------------------------------------------------
 
     def bulk_load(self, pairs: Sequence[Tuple[int, int]]) -> None:
-        pairs = list(pairs)
-        for (a, _), (b, _) in zip(pairs, pairs[1:]):
-            if a >= b:
-                raise IndexError_("bulk_load requires sorted unique keys")
-        if pairs and pairs[0][0] < 1:
-            raise IndexError_("keys must be >= 1")
+        pairs = self._checked_pairs(pairs)
         items = [(encode_key(k), k, v) for k, v in pairs]
         root = RadixNode(NULL_ADDR, NODE256, 0, b"",
                          [0] * SLOT_COUNTS[NODE256])
@@ -258,11 +236,9 @@ class SmartIndex:
         """Build the subtree for keys sharing bytes [0, depth); returns a
         slot word (partial byte unset — the caller sets it)."""
         if len(group) == 1:
-            key_bytes, key, value = group[0]
-            addr = self._host_alloc(self.leaf_size)
-            self._host_write(addr, key_bytes
-                             + encode_value(value, self.config.value_size))
-            return pack_slot(0, addr, leaf=True)
+            _key_bytes, key, value = group[0]
+            return pack_slot(0, self._host_alloc_block(key, value),
+                             leaf=True)
         # Longest common prefix from `depth`.
         first = group[0][0]
         last = group[-1][0]
@@ -304,10 +280,7 @@ class SmartIndex:
             for _partial, word in node.occupied_slots():
                 _occ, _p, child, is_leaf, child_type = unpack_slot(word)
                 if is_leaf:
-                    data = self._host_read(child, self.leaf_size)
-                    out.append((decode_key(data),
-                                decode_value(data, 8,
-                                             size=self.config.value_size)))
+                    out.append(self._host_read_block(child))
                 else:
                     walk(child, child_type)
 
@@ -350,38 +323,13 @@ class SmartIndex:
             return 0
         return walk(self.root_addr, self.root_type)
 
-    def remote_memory_bytes(self) -> int:
-        return sum(mn.allocator.bytes_used for mn in self.cluster.mns.values())
 
-
-class SmartClient:
+class SmartClient(FamilyClientBase):
     """Per-client SMART operations (one-sided, lock-free writes)."""
 
-    def __init__(self, index: SmartIndex, ctx: ClientContext) -> None:
-        self.index = index
-        self.ctx = ctx
-        self.qp = ctx.qp
-        self.ops = ctx.ops
-        self.plans = family_plans("smart")
-        self.engine = ctx.engine
-        self.config = index.config
-        self._allocators: Dict[int, ChunkAllocator] = {}
-        self._alloc_rr = ctx.client_id
+    scan = FamilyClientBase._scan_op
 
     # -------------------------------------------------------------- plumbing
-
-    def _alloc(self, size: int) -> Generator:
-        mn_ids = sorted(self.index.cluster.mns)
-        mn_id = mn_ids[self._alloc_rr % len(mn_ids)]
-        self._alloc_rr += 1
-        allocator = self._allocators.get(mn_id)
-        if allocator is None:
-            allocator = ChunkAllocator(
-                self.qp, mn_id,
-                chunk_size=self.index.cluster.config.alloc_chunk_bytes)
-            self._allocators[mn_id] = allocator
-        addr = yield from allocator.alloc(size)
-        return addr
 
     def _read_node(self, addr: int, node_type: int,
                    cacheable: bool = True) -> Generator:
@@ -406,14 +354,6 @@ class SmartClient:
                 decode_value(data, 8, size=self.config.value_size))
 
     # -------------------------------------------------------------- search
-
-    def search(self, key: int) -> Generator:
-        if self.ctx.combiner.enabled:
-            result = yield from self.ctx.combiner.read(
-                ("smart-s", id(self.index), key), lambda: self._search(key))
-            return result
-        result = yield from self._search(key)
-        return result
 
     def _search(self, key: int) -> Generator:
         # First pass may use cached nodes; a second pass (after a stale
@@ -465,30 +405,21 @@ class SmartClient:
 
     # -------------------------------------------------------------- insert / update
 
-    def insert(self, key: int, value: int) -> Generator:
-        if key < 1:
-            raise IndexError_("keys must be >= 1")
-        result = yield from self._upsert(key, value, must_exist=False)
-        return result
+    def _insert(self, key: int, value: int) -> Generator:
+        return self._upsert(key, value, must_exist=False)
 
-    def update(self, key: int, value: int) -> Generator:
-        if self.ctx.combiner.enabled:
-            result = yield from self.ctx.combiner.write(
-                ("smart-u", id(self.index), key), value,
-                lambda v: self._upsert(key, v, must_exist=True))
-            return result
-        result = yield from self._upsert(key, value, must_exist=True)
-        return result
+    def _update(self, key: int, value: int) -> Generator:
+        return self._upsert(key, value, must_exist=True)
 
     def _upsert(self, key: int, value: int, must_exist: bool) -> Generator:
         key_bytes = encode_key(key)
-        for attempt in range(MAX_RETRIES):
+        retry = self.retry.start(f"upsert({key})", self.engine, self.ctx.rng)
+        while retry.check():
             outcome = yield from self._upsert_pass(key, key_bytes, value,
                                                    must_exist)
             if outcome is not _RETRY:
                 return outcome
-            yield self.engine.timeout(backoff_delay(min(attempt, 8)))
-        raise IndexError_(f"upsert({key}) did not converge")
+            yield from retry.backoff(cap=8)
 
     def _upsert_pass(self, key: int, key_bytes: bytes, value: int,
                      must_exist: bool) -> Generator:
@@ -543,13 +474,6 @@ class SmartClient:
     def _slot_addr(self, node: RadixNode, slot: int) -> int:
         return node.addr + HEADER_SIZE + 8 * slot
 
-    def _write_leaf_block(self, key: int, value: int) -> Generator:
-        addr = yield from self._alloc(self.index.leaf_size)
-        yield from self.ops.write(
-            addr, encode_key(key)
-            + encode_value(value, self.config.value_size))
-        return addr
-
     def _install_leaf(self, node: RadixNode, parent_info, partial: int,
                       key: int, value: int) -> Generator:
         """CAS a fresh leaf into a free slot (upgrading a full node)."""
@@ -560,7 +484,7 @@ class SmartClient:
             done = yield from self._upgrade_node(node, parent_info, partial,
                                                  key, value)
             return done
-        leaf_addr = yield from self._write_leaf_block(key, value)
+        leaf_addr = yield from self._write_block(key, value)
         word = pack_slot(partial, leaf_addr, leaf=True)
         _old, swapped = yield from self.ops.cas(
             self._slot_addr(node, free), 0, word)
@@ -577,7 +501,7 @@ class SmartClient:
             return True
         if word & SEAL_BIT:
             return False
-        new_leaf = yield from self._write_leaf_block(key, value)
+        new_leaf = yield from self._write_block(key, value)
         _occ, partial, _a, _l, _t = unpack_slot(word)
         new_word = pack_slot(partial, new_leaf, leaf=True)
         _old, swapped = yield from self.ops.cas(
@@ -601,7 +525,7 @@ class SmartClient:
             divergence += 1
         if divergence >= 8:
             raise IndexError_("duplicate key in split path")
-        new_leaf = yield from self._write_leaf_block(key, value)
+        new_leaf = yield from self._write_block(key, value)
         slots = [0] * SLOT_COUNTS[NODE4]
         slots[0] = pack_slot(existing[divergence], leaf_addr, leaf=True)
         slots[1] = pack_slot(mine[divergence], new_leaf, leaf=True)
@@ -621,11 +545,12 @@ class SmartClient:
     def _seal_node(self, node: RadixNode) -> Generator:
         """Atomically seal every slot of *node*; returns the node as it
         stood once fully sealed (the authoritative copy source)."""
+        what = f"seal node {node.addr:#x}"
         for index in range(len(node.slots)):
             current = node.slots[index]
-            for _try in range(MAX_RETRIES):
-                if current & SEAL_BIT:
-                    break  # another structural op already sealed this slot
+            retry = self.retry.start(what, self.engine, self.ctx.rng)
+            # A set seal bit: another structural op already sealed it.
+            while not current & SEAL_BIT and retry.check():
                 target = (current | SEAL_BIT) if current & _OCCUPIED \
                     else EMPTY_SEALED
                 old, swapped = yield from self.ops.cas(
@@ -633,8 +558,6 @@ class SmartClient:
                 if swapped:
                     break
                 current = old  # lost to a concurrent install; retry
-            else:
-                raise IndexError_("slot sealing did not converge")
         data = yield from self.ops.read(node.addr, node.size)
         return decode_node(node.addr, data)
 
@@ -673,7 +596,7 @@ class SmartClient:
         else:
             for index, (_slot_partial, word) in enumerate(occupied):
                 slots[index] = word
-        leaf_addr = yield from self._write_leaf_block(key, value)
+        leaf_addr = yield from self._write_block(key, value)
         leaf_word = pack_slot(partial, leaf_addr, leaf=True)
         if new_type == NODE256:
             slots[partial] = leaf_word
@@ -721,7 +644,7 @@ class SmartClient:
                          full_prefix[divergence + 1:], copy_slots)
         copy.addr = yield from self._alloc(copy.size)
         yield from self.ops.write(copy.addr, encode_node(copy))
-        leaf_addr = yield from self._write_leaf_block(key, value)
+        leaf_addr = yield from self._write_block(key, value)
         slots = [0] * SLOT_COUNTS[NODE4]
         slots[0] = pack_slot(full_prefix[divergence], copy.addr, leaf=False,
                              node_type=copy.node_type)
@@ -745,9 +668,10 @@ class SmartClient:
 
     # -------------------------------------------------------------- delete
 
-    def delete(self, key: int) -> Generator:
+    def _delete(self, key: int) -> Generator:
         key_bytes = encode_key(key)
-        for attempt in range(MAX_RETRIES):
+        retry = self.retry.start(f"delete({key})", self.engine, self.ctx.rng)
+        while retry.check():
             addr, node_type = self.index.root_addr, self.index.root_type
             while True:
                 node = yield from self._read_node(addr, node_type)
@@ -773,12 +697,11 @@ class SmartClient:
                     self.ctx.cache.invalidate(node.addr)
                     return True
                 break  # lost a race: retry from the root
-            yield self.engine.timeout(backoff_delay(attempt))
-        raise IndexError_(f"delete({key}) did not converge")
+            yield from retry.backoff()
 
     # -------------------------------------------------------------- scan
 
-    def scan(self, key: int, count: int) -> Generator:
+    def _scan(self, key: int, count: int) -> Generator:
         """Ordered scan via in-order traversal; each item is a dedicated
         leaf READ (batched per node), which is why KV-discrete indexes
         saturate the MN NIC's IOPS on YCSB E (§5.2)."""

@@ -7,6 +7,7 @@ operations, obtained via ``index.client(ctx)``).
 
 from repro.core.btree_base import BTreeClientBase, BTreeIndexBase, LeafRef, TraversalError
 from repro.core.chime import ChimeClient, ChimeIndex
+from repro.core.family import FamilyClientBase, FamilyIndexBase
 from repro.core.hotspot import HotspotBuffer
 from repro.core.learned import LearnedChimeClient, LearnedChimeIndex
 from repro.core.varkey import VarKeyChimeClient, VarKeyChimeIndex
@@ -24,6 +25,8 @@ __all__ = [
     "BTreeIndexBase",
     "ChimeClient",
     "ChimeIndex",
+    "FamilyClientBase",
+    "FamilyIndexBase",
     "HotspotBuffer",
     "InternalLayout",
     "InternalNodeView",

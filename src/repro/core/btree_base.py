@@ -9,10 +9,12 @@ this module hosts everything above the leaf level:
 * remote lock acquisition (masked-CAS) backed by the CN-local lock table,
 * node splits of internal nodes and split-key up-propagation,
 * root growth via a remote CAS on the global root pointer,
-* host-side (off-data-path) helpers for bulk loading.
+* host-side construction of the internal levels for bulk loading.
 
 Leaf formats and leaf operations are index-specific and live in
-subclasses (:mod:`repro.core.chime`, :mod:`repro.baselines.sherman`).
+subclasses (:mod:`repro.core.chime`, :mod:`repro.baselines.sherman`);
+allocation, the public-operation templates and the plain lock pairing
+come from :mod:`repro.core.family`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import ClientContext
-from repro.core.access import family_plans
 from repro.core.adaptive import (
     HANDOFF_CHAIN_LIMIT,
     SYNC_OPTIMISTIC,
@@ -31,6 +32,7 @@ from repro.core.adaptive import (
     SyncState,
     resolve_sync_mode,
 )
+from repro.core.family import FamilyClientBase, FamilyIndexBase
 from repro.core.node_layout import (
     FULL_MASK,
     InternalLayout,
@@ -56,10 +58,8 @@ from repro.errors import (
 )
 from repro.layout import MAX_KEY, StripedSpan, decode_u64, encode_u64
 from repro.obs.bus import BUS
-from repro.retry import DEFAULT_RETRY_POLICY
 from repro.layout.versions import bump_nibble
-from repro.memory import ChunkAllocator, NULL_ADDR, addr_mn, addr_offset
-from repro.memory.region import CACHE_LINE
+from repro.memory import NULL_ADDR, addr_mn, addr_offset
 
 #: Remote offset (on MN 0) of the 8-byte global root pointer.
 ROOT_PTR_OFFSET = 8
@@ -104,19 +104,14 @@ class LeafRef:
         return self.parent.next_child(self.parent_index)
 
 
-class BTreeIndexBase:
+class BTreeIndexBase(FamilyIndexBase):
     """Host-side state shared by all clients of one tree index."""
 
-    #: Structural family key into :data:`repro.core.access.PLAN_TABLES`;
-    #: subclasses with different traversal plans override it.
     access_family = "chime"
 
-    def __init__(self, cluster: Cluster, span: int, key_size: int = 8) -> None:
-        self.cluster = cluster
-        self.internal_layout = InternalLayout(span, key_size)
-        #: Retry budget shared by every client of this index; subclasses
-        #: override it from their config (see :class:`repro.retry.RetryPolicy`).
-        self.retry_policy = DEFAULT_RETRY_POLICY
+    def __init__(self, cluster: Cluster, config) -> None:
+        super().__init__(cluster, config)
+        self.internal_layout = InternalLayout(config.span, config.key_size)
         #: Host-visible hints; the authoritative root pointer lives at
         #: ``root_ptr_addr`` (by default ``ROOT_PTR_OFFSET`` on MN 0 —
         #: note ``make_addr(0, 8) == 8``, so the legacy constant *is* a
@@ -128,7 +123,6 @@ class BTreeIndexBase:
         self.root_ptr_addr = ROOT_PTR_OFFSET
         self.root_addr = NULL_ADDR
         self.root_level = 0
-        self._host_rr = 0
         #: Contention-adaptive synchronization state (ticket queues,
         #: per-leaf mode estimator, stranded-ticket registry); None in
         #: the default optimistic mode, which is what keeps the
@@ -138,19 +132,36 @@ class BTreeIndexBase:
         self.sync_state: Optional[SyncState] = (
             SyncState(mode) if mode != SYNC_OPTIMISTIC else None)
 
-    # -- host-side helpers (bulk load only; no simulated cost) ----------------
+    # -- bulk load (host-side, off the simulated data path) -------------------
 
-    def _host_alloc(self, size: int) -> int:
-        mn_ids = sorted(self.cluster.mns)
-        mn_id = mn_ids[self._host_rr % len(mn_ids)]
-        self._host_rr += 1
-        return self.cluster.mns[mn_id].allocator.alloc(size, align=CACHE_LINE)
-
-    def _host_write(self, addr: int, data: bytes) -> None:
-        self.cluster.mns[addr_mn(addr)].mem_write(addr, data)
-
-    def _host_read(self, addr: int, length: int) -> bytes:
-        return self.cluster.mns[addr_mn(addr)].mem_read(addr, length)
+    def _build_internal_levels(self, entries: List[Tuple[int, int]]) -> None:
+        """Pack ``(fence_low, child)`` *entries* into full internal nodes,
+        level by level, and install the root."""
+        layout = self.internal_layout
+        level = 1
+        # Each pass shrinks the entry list by a factor of span; 64 levels
+        # bounds any realistic tree (span=1 would otherwise loop forever).
+        for _pass in range(64):
+            groups = [entries[i:i + layout.span]
+                      for i in range(0, len(entries), layout.span)]
+            addrs = [self._host_alloc(layout.total_size) for _ in groups]
+            bounds = [0] + [g[0][0] for g in groups[1:]] + [MAX_KEY]
+            next_entries: List[Tuple[int, int]] = []
+            for index, group in enumerate(groups):
+                sibling = addrs[index + 1] if index + 1 < len(addrs) else NULL_ADDR
+                view = InternalNodeView.compose(
+                    layout, level, bounds[index], bounds[index + 1],
+                    sibling, group, nv=0)
+                self._host_write(addrs[index], bytes(view.span.data))
+                next_entries.append((bounds[index], addrs[index]))
+            if len(groups) == 1:
+                self._set_root(addrs[0], level)
+                return
+            entries = next_entries
+            level += 1
+        raise RetryExhaustedError(
+            "bulk load built 64 internal levels without converging on a "
+            "root (span too small for the dataset?)")
 
     def _set_root(self, addr: int, level: int) -> None:
         self.root_addr = addr
@@ -198,19 +209,13 @@ class BTreeIndexBase:
         return self.root_level
 
 
-class BTreeClientBase:
+class BTreeClientBase(FamilyClientBase):
     """Per-client machinery above the leaf level."""
 
+    scan = FamilyClientBase._scan_op
+
     def __init__(self, index: BTreeIndexBase, ctx: ClientContext) -> None:
-        self.index = index
-        self.ctx = ctx
-        self.qp = ctx.qp
-        #: Plan executor: all hot-path verbs go through this so the
-        #: access layer (placement, offload) is swappable per family.
-        self.ops = ctx.ops
-        self.plans = family_plans(index.access_family)
-        self.engine = ctx.engine
-        self.retry = index.retry_policy
+        super().__init__(index, ctx)
         cluster_cfg = index.cluster.config
         self._leases_on = cluster_cfg.lock_leases
         self._lease_duration = cluster_cfg.lease_duration
@@ -221,43 +226,12 @@ class BTreeClientBase:
         #: in optimistic mode) and the queue tickets this client holds.
         self._sync = index.sync_state
         self._held_tickets: Dict[int, int] = {}
-        self._allocators: Dict[int, ChunkAllocator] = {}
-        self._alloc_rr = ctx.client_id  # stagger MN choice across clients
-
-    # -- allocation (on the data path) ------------------------------------------
-
-    def _alloc(self, size: int) -> Generator:
-        """Allocate remote memory via the chunked RPC allocator."""
-        mn_ids = sorted(self.index.cluster.mns)
-        mn_id = mn_ids[self._alloc_rr % len(mn_ids)]
-        self._alloc_rr += 1
-        allocator = self._allocators.get(mn_id)
-        if allocator is None:
-            allocator = ChunkAllocator(
-                self.qp, mn_id,
-                chunk_size=self.index.cluster.config.alloc_chunk_bytes)
-            self._allocators[mn_id] = allocator
-        addr = yield from allocator.alloc(size)
-        return addr
 
     # -- remote locks --------------------------------------------------------------
 
     def _lock(self, lock_addr: int, zero_rest: bool = True,
               piggyback: bool = True, repair=None) -> Generator:
-        """Acquire the remote lock at *lock_addr*; returns the old word.
-
-        Serializes same-CN attempts through the local lock table first
-        (Sherman's optimization), then spins on a remote masked-CAS whose
-        compare mask covers only the lock bit — the returned old word
-        carries the rest of the lock word for free (vacancy-bitmap
-        piggybacking, §4.2.1).  ``zero_rest`` controls whether the swap
-        zeroes the non-lock bits (leaf locks do; the holder rewrites them
-        at unlock) or leaves them in place.
-
-        With ``piggyback=False`` (the CXL-atomics model, §4.5), the CAS
-        only toggles the lock bit and its return value is not used; the
-        rest of the word is fetched with a dedicated READ — the extra
-        round trip the paper predicts for CXL deployments.
+        """:meth:`FamilyClientBase._lock`, lease- and sync-mode-aware.
 
         With lease-based locks (``ClusterConfig.lock_leases``), the spin
         runs on the (owner, epoch, expiry) lease word instead and may
@@ -265,33 +239,21 @@ class BTreeClientBase:
         generator callback run after a steal, before the caller proceeds
         (leaf callers pass their repair routine).
 
-        The spin is bounded by the index :class:`~repro.retry.RetryPolicy`;
-        exhaustion raises :class:`~repro.errors.RetryExhaustedError` (the
-        CN-local shadow lock is released on any failure path).
-
         With a non-default ``ClusterConfig.sync_mode`` the acquire is
         routed through :meth:`_lock_adaptive`, which may replace the
         open spin with a CIDER-style FIFO ticket queue
         (:meth:`_lock_queued`) per the per-leaf policy.
         """
         if self._sync is not None:
-            old = yield from self._lock_adaptive(lock_addr, zero_rest,
-                                                 piggyback, repair)
-            return old
-        local = self.ctx.cn.local_lock(lock_addr)
-        if local is not None:
-            yield local.acquire()
-        try:
-            if self._leases_on:
-                old = yield from self._lock_leased(lock_addr, repair)
-            else:
-                old = yield from self._lock_spin(lock_addr, zero_rest,
-                                                 piggyback)
-        except BaseException:
-            if local is not None:
-                local.release()
-            raise
-        return old
+            return self._lock_adaptive(lock_addr, zero_rest, piggyback,
+                                       repair)
+        return super()._lock(lock_addr, zero_rest, piggyback, repair)
+
+    def _remote_acquire(self, lock_addr: int, zero_rest: bool,
+                        piggyback: bool, repair) -> Generator:
+        if self._leases_on:
+            return self._lock_leased(lock_addr, repair)
+        return self._lock_spin(lock_addr, zero_rest, piggyback)
 
     def _lock_adaptive(self, lock_addr: int, zero_rest: bool,
                        piggyback: bool, repair=None) -> Generator:
@@ -332,11 +294,9 @@ class BTreeClientBase:
                 old = yield from self._lock_queued(
                     lock_addr, zero_rest, piggyback, repair, token,
                     local_waiting=waiting)
-            elif self._leases_on:
-                old = yield from self._lock_leased(lock_addr, repair)
             else:
-                old = yield from self._lock_spin(lock_addr, zero_rest,
-                                                 piggyback)
+                old = yield from self._remote_acquire(lock_addr, zero_rest,
+                                                      piggyback, repair)
         except BaseException:
             if local is not None:
                 local.release()
@@ -587,30 +547,6 @@ class BTreeClientBase:
             BUS.emit("sync.mode_switch", self.engine.now, addr=lock_addr,
                      mode=switched, direction="down")
 
-    def _lock_spin(self, lock_addr: int, zero_rest: bool,
-                   piggyback: bool) -> Generator:
-        """The classic lock-bit masked-CAS spin (no leases)."""
-        swap_mask = (FULL_MASK if zero_rest else LOCK_BIT) if piggyback \
-            else LOCK_BIT
-        retry = self.retry.start(f"lock {lock_addr:#x}", self.engine,
-                                 self.ctx.rng)
-        while retry.check():
-            old, swapped = yield from self.ops.masked_cas(
-                lock_addr, compare=0, swap=LOCK_BIT,
-                compare_mask=LOCK_BIT, swap_mask=swap_mask)
-            if swapped:
-                if self._sync is not None:
-                    self._note_optimistic(lock_addr, retry.attempt - 1)
-                if not piggyback:
-                    data = yield from self.ops.read(lock_addr, 8)
-                    return decode_u64(data) & ~LOCK_BIT
-                return old
-            self.ops.stats.retries += 1
-            if BUS.active:
-                BUS.emit("lock.cas_fail", self.engine.now, addr=lock_addr,
-                         attempt=retry.attempt - 1)
-            yield from retry.backoff()
-
     def _lock_leased(self, lock_addr: int, repair=None) -> Generator:
         """Lease-based acquire: READ the lock line, CAS the lease word.
 
@@ -685,7 +621,7 @@ class BTreeClientBase:
         parked in the CN delegation table instead, and the recipient
         revalidates with one CAS.
         """
-        writes = [(lock_addr, encode_u64(word))]
+        writes = super()._unlock_writes(lock_addr, word)
         ticket = (self._held_tickets.pop(lock_addr, None)
                   if self._sync is not None else None)
         handoff_entry: Optional[DelegationEntry] = None
@@ -722,14 +658,6 @@ class BTreeClientBase:
                            encode_u64((ticket + 1) & FULL_MASK)))
         return writes
 
-    def _unlock_remote(self, lock_addr: int, word: int = 0) -> Generator:
-        """Release the remote lock with a standalone write (no batch)."""
-        writes = self._unlock_writes(lock_addr, word)
-        if len(writes) == 1:
-            yield from self.ops.write(writes[0][0], writes[0][1])
-        else:
-            yield from self.ops.write_batch(writes)
-
     def _restore_unlock(self, lock_addr: int, word: int = 0) -> Generator:
         """Best-effort unlock on an exception path.
 
@@ -759,12 +687,7 @@ class BTreeClientBase:
             yield from self.ops.write_batch(
                 [(lock_addr, encode_u64(word))] + serving_writes)
         else:
-            yield from self.ops.write(lock_addr, encode_u64(word))
-
-    def _release_local(self, lock_addr: int) -> None:
-        local = self.ctx.cn.local_lock(lock_addr)
-        if local is not None:
-            local.release()
+            yield from super()._restore_unlock(lock_addr, word)
 
     # -- internal node IO --------------------------------------------------------------
 

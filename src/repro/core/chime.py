@@ -71,7 +71,6 @@ from repro.errors import (
     HashTableFullError,
     IndexError_,
     LayoutError,
-    RetryExhaustedError,
     TornReadError,
 )
 from repro.hashing.hopscotch import HopscotchTable, default_hash, distance, plan_insert
@@ -81,13 +80,10 @@ from repro.layout import (
     decode_key,
     encode_key,
     encode_u64,
-    encode_value,
 )
 from repro.layout.versions import SpanSet, bump_nibble, raw_span
 from repro.memory import NULL_ADDR
 from repro.obs.bus import BUS
-from repro.obs.spans import SpanInstrumentedOps
-from repro.retry import DEFAULT_RETRY_POLICY
 
 #: Lock-line layout: [lock word: 8][fence_low: 8][fence_high: 8].
 LOCKLINE_FENCE_LOW = 8
@@ -137,12 +133,9 @@ class ChimeIndex(BTreeIndexBase):
     """Host-side state of one CHIME tree."""
 
     def __init__(self, cluster: Cluster, config: Optional[ChimeConfig] = None) -> None:
-        self.config = config or ChimeConfig()
-        super().__init__(cluster, self.config.span, self.config.key_size)
+        super().__init__(cluster, config or ChimeConfig())
         if self.config.retry is not None:
             self.retry_policy = self.config.retry
-        else:
-            self.retry_policy = DEFAULT_RETRY_POLICY
         entry_value_size = 8 if self.config.indirect_values else self.config.value_size
         self.leaf_layout = LeafLayout(
             span=self.config.span,
@@ -154,7 +147,6 @@ class ChimeIndex(BTreeIndexBase):
         )
         self.vacancy_map = VacancyBitmap(self.config.span)
         self._hotspots: Dict[int, HotspotBuffer] = {}
-        self.loaded_items = 0
 
     # -- clients -----------------------------------------------------------------
 
@@ -206,12 +198,7 @@ class ChimeIndex(BTreeIndexBase):
         """
         config = self.config
         layout = self.leaf_layout
-        pairs = list(pairs)
-        for (a, _), (b, _) in zip(pairs, pairs[1:]):
-            if a >= b:
-                raise IndexError_("bulk_load requires sorted unique keys")
-        if pairs and pairs[0][0] < 1:
-            raise IndexError_("keys must be >= 1 (0 marks empty entries)")
+        pairs = self._checked_pairs(pairs)
         target = max(1, int(config.span * config.bulk_load_factor))
         # Each key is placed once, while chunking.  A closed chunk keeps
         # only its items plus the table's slot and bitmap vectors — not
@@ -282,42 +269,6 @@ class ChimeIndex(BTreeIndexBase):
                      + encode_key(fence_low) + encode_key(fence_high))
         self._host_write(addr + layout.lock_offset, lock_line)
 
-    def _host_alloc_block(self, key: int, value: int) -> int:
-        """Allocate + fill an indirect value block host-side (bulk load)."""
-        size = 8 + self.config.value_size
-        block_addr = self._host_alloc(size)
-        data = encode_key(key) + encode_value(value, self.config.value_size)
-        self._host_write(block_addr, data)
-        return block_addr
-
-    def _build_internal_levels(self, entries: List[Tuple[int, int]]) -> None:
-        from repro.core.nodes import InternalNodeView  # local to avoid cycle noise
-        layout = self.internal_layout
-        level = 1
-        # Each pass shrinks the entry list by a factor of span; 64 levels
-        # bounds any realistic tree (span=1 would otherwise loop forever).
-        for _pass in range(64):
-            groups = [entries[i:i + layout.span]
-                      for i in range(0, len(entries), layout.span)]
-            addrs = [self._host_alloc(layout.total_size) for _ in groups]
-            bounds = [0] + [g[0][0] for g in groups[1:]] + [MAX_KEY]
-            next_entries: List[Tuple[int, int]] = []
-            for index, group in enumerate(groups):
-                sibling = addrs[index + 1] if index + 1 < len(addrs) else NULL_ADDR
-                view = InternalNodeView.compose(
-                    layout, level, bounds[index], bounds[index + 1],
-                    sibling, group, nv=0)
-                self._host_write(addrs[index], bytes(view.span.data))
-                next_entries.append((bounds[index], addrs[index]))
-            if len(groups) == 1:
-                self._set_root(addrs[0], level)
-                return
-            entries = next_entries
-            level += 1
-        raise RetryExhaustedError(
-            "bulk load built 64 internal levels without converging on a "
-            "root (span too small for the dataset?)")
-
     # -- host-side verification helpers -----------------------------------------------
 
     def collect_items(self) -> List[Tuple[int, int]]:
@@ -334,12 +285,6 @@ class ChimeIndex(BTreeIndexBase):
         out.sort()
         return out
 
-    def _host_read_block(self, block_addr: int) -> Tuple[int, int]:
-        data = self._host_read(block_addr, 8 + self.config.value_size)
-        from repro.layout import decode_value
-        return decode_key(data), decode_value(data, 8,
-                                              size=self.config.value_size)
-
     def average_leaf_load(self) -> float:
         """Mean leaf occupancy (memory-efficiency metric, Fig. 19)."""
         layout = self.leaf_layout
@@ -353,76 +298,24 @@ class ChimeIndex(BTreeIndexBase):
             total += sum(view.occupancy())
         return total / (len(addrs) * layout.span)
 
-    def remote_memory_bytes(self) -> int:
-        """Memory-pool bytes consumed (leaves + internals + blocks)."""
-        return sum(mn.allocator.bytes_used for mn in self.cluster.mns.values())
 
-
-class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin,
-                  SpanInstrumentedOps):
+class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
     """One client's view of a CHIME tree: the §4.4 operations.
 
-    Every public operation is wrapped in an observability *op span* and
-    its remote-access stages in *phase spans* (traverse → leaf read →
-    speculative read → lock → write-back → split → retry backoff), so a
-    trace recording shows exactly where each operation's round trips go.
-    With no bus subscriber the wrappers pass generators through
-    untouched.
+    The public operations are the family-base templates (RDWC, *op
+    span*) over the ``_search/_insert/_update/_delete/_scan`` generators
+    below, whose remote-access stages run in *phase spans* (traverse →
+    leaf read → speculative read → lock → write-back → split → retry
+    backoff), so a trace recording shows exactly where each operation's
+    round trips go.  With no bus subscriber the wrappers pass generators
+    through untouched.
     """
 
     def __init__(self, index: ChimeIndex, ctx: ClientContext) -> None:
         super().__init__(index, ctx)
-        self.chime = index
-        self.config = index.config
         self.layout = index.leaf_layout
         self.home_of = index.home_of
         self.hotspots = index.hotspot_buffer(ctx.cn.cn_id)
-
-    # ---------------------------------------------------------------- public API
-
-    def search(self, key: int) -> Generator:
-        """Point lookup; returns the value or None."""
-        result = yield from self._op("search", self._search_entry(key))
-        return result
-
-    def _search_entry(self, key: int) -> Generator:
-        if self.ctx.combiner.enabled:
-            result = yield from self.ctx.combiner.read(
-                ("chime-s", id(self.chime), key), lambda: self._search(key))
-            return result
-        result = yield from self._search(key)
-        return result
-
-    def insert(self, key: int, value: int) -> Generator:
-        """Insert (or overwrite) a key; returns True."""
-        if key < 1:
-            raise IndexError_("keys must be >= 1")
-        result = yield from self._op("insert", self._insert(key, value))
-        return result
-
-    def update(self, key: int, value: int) -> Generator:
-        """Update an existing key; returns False when absent."""
-        result = yield from self._op("update", self._update_entry(key, value))
-        return result
-
-    def _update_entry(self, key: int, value: int) -> Generator:
-        if self.ctx.combiner.enabled:
-            result = yield from self.ctx.combiner.write(
-                ("chime-u", id(self.chime), key), value,
-                lambda v: self._update(key, v))
-            return result
-        result = yield from self._update(key, value)
-        return result
-
-    def delete(self, key: int) -> Generator:
-        """Delete a key; returns False when absent."""
-        result = yield from self._op("delete", self._delete(key))
-        return result
-
-    def scan(self, key: int, count: int) -> Generator:
-        """Return up to *count* (key, value) pairs with keys >= *key*."""
-        result = yield from self._op("scan", self._scan(key, count))
-        return result
 
     # ---------------------------------------------------------------- search
 
@@ -441,13 +334,13 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin,
                 continue
             if result.found and self.config.indirect_values:
                 value = yield from self._phase(
-                    "indirect_read", self._read_indirect(result.value, key))
+                    "indirect_read", self._read_block(result.value, key))
                 return value
             return result.value if result.found else None
 
     def _search_leaf(self, ref: LeafRef, key: int) -> Generator:
         layout = self.layout
-        home = self.chime.home_of(key)
+        home = self.index.home_of(key)
         leaf_addr = ref.leaf_addr
         expected = ref.expected_next
         from_cache = ref.from_cache
@@ -508,15 +401,6 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin,
                      leaf_addr=leaf_addr)
         return None
 
-    def _read_indirect(self, block_addr: int, key: int) -> Generator:
-        data = yield from self.ops.read(block_addr, 8 + self.config.value_size)
-        stored_key = decode_key(data)
-        if stored_key != key:
-            raise TornReadError(
-                f"indirect block key mismatch ({stored_key} != {key})")
-        from repro.layout import decode_value
-        return decode_value(data, 8, size=self.config.value_size)
-
     # ---------------------------------------------------------------- update / delete
 
     def _update(self, key: int, value: int) -> Generator:
@@ -555,7 +439,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin,
                         delete: bool) -> Generator:
         """Shared update/delete flow: lock, locate entry, write, unlock."""
         layout = self.layout
-        home = self.chime.home_of(key)
+        home = self.index.home_of(key)
         leaf_addr = ref.leaf_addr
         expected = ref.expected_next
         from_cache = ref.from_cache
@@ -616,14 +500,14 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin,
             view.set_entry_bitmap(home, home_bitmap)
             writes.extend(self._entry_writes(leaf_addr, view,
                                              {position, home}))
-            vacancy &= ~(1 << self.chime.vacancy_map.bit_of(position))
+            vacancy &= ~(1 << self.index.vacancy_map.bit_of(position))
             if position == argmax:
                 argmax = yield from self._recompute_argmax(leaf_addr)
             self.hotspots.invalidate(leaf_addr, position)
         else:
             stored = value
             if self.config.indirect_values:
-                stored = yield from self._write_indirect(key, value)
+                stored = yield from self._write_block(key, value)
             view.write_entry(position, key, stored)
             writes.extend(self._entry_writes(leaf_addr, view, {position}))
             self.hotspots.record_access(leaf_addr, position, key)
@@ -674,14 +558,6 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin,
                                            [self.layout.full_span()])
         return view.argmax_key()
 
-    def _write_indirect(self, key: int, value: int) -> Generator:
-        """Allocate + write a fresh indirect value block (out-of-place)."""
-        size = 8 + self.config.value_size
-        block_addr = yield from self._alloc(size)
-        data = encode_key(key) + encode_value(value, self.config.value_size)
-        yield from self.ops.write(block_addr, data)
-        return block_addr
-
     # ---------------------------------------------------------------- insert
 
     def _insert(self, key: int, value: int) -> Generator:
@@ -705,7 +581,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin,
     def _insert_leaf(self, ref: LeafRef, key: int, value: int) -> Generator:
         layout = self.layout
         config = self.config
-        home = self.chime.home_of(key)
+        home = self.index.home_of(key)
         leaf_addr = ref.leaf_addr
         expected = ref.expected_next
         from_cache = ref.from_cache
@@ -749,7 +625,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin,
         """
         layout = self.layout
         config = self.config
-        vmap = self.chime.vacancy_map
+        vmap = self.index.vacancy_map
         lock_addr = guard.lock_addr
         argmax, vacancy = guard.argmax, guard.vacancy
         # Decide the read range from the piggybacked vacancy bitmap.
@@ -847,7 +723,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin,
         (the indirect-value block pointer when indirection is on; the
         variable-length-key subclass stores a chain head instead)."""
         if self.config.indirect_values:
-            stored = yield from self._write_indirect(key, value)
+            stored = yield from self._write_block(key, value)
             return stored
         return value
 
@@ -858,7 +734,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin,
         """Insert hit an existing key: overwrite it (upsert)."""
         stored = value
         if self.config.indirect_values:
-            stored = yield from self._write_indirect(key, value)
+            stored = yield from self._write_block(key, value)
         view.write_entry(position, key, stored)
         writes = self._entry_writes(leaf_addr, view, {position})
         writes.extend(self._unlock_writes(
@@ -925,7 +801,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin,
             entry = view.entry(pos)
             if not entry.occupied:
                 return None
-            return self.chime.home_of(entry.key)
+            return self.index.home_of(entry.key)
         return home_of
 
     def _plan_needs_extension(self, plan, home: int, empty: int) -> bool:
@@ -949,7 +825,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin,
         modified = set()
         for src, dst in plan.moves:
             entry = view.entry(src)
-            src_home = self.chime.home_of(entry.key)
+            src_home = self.index.home_of(entry.key)
             view.write_entry(dst, entry.key, entry.value)
             view.clear_entry(src)
             bitmap = view.entry(src_home).bitmap
@@ -968,7 +844,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin,
                         full_read: bool, home: int, last: int) -> int:
         """Set the bit covering *target* only when its whole coverage is
         visibly occupied; conservative otherwise (clear = maybe empty)."""
-        vmap = self.chime.vacancy_map
+        vmap = self.index.vacancy_map
         bit = vmap.bit_of(target)
         coverage = vmap.coverage(bit)
         known = self._segment_entries(home, last) if not full_read else \
@@ -1097,7 +973,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin,
                 occupied[pos] = True
             elif bitmap:
                 view.set_entry_bitmap(pos, bitmap, bump_ev=False)
-        vacancy = self.chime.vacancy_map.compose(occupied)
+        vacancy = self.index.vacancy_map.compose(occupied)
         word = pack_lock_word(False, view.argmax_key(), vacancy)
         return view, word
 
@@ -1144,12 +1020,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin,
         results.sort()
         results = results[:count]
         if self.config.indirect_values:
-            resolved = []
-            for item_key, block in results:
-                value = yield from self._phase(
-                    "indirect_read", self._read_indirect(block, item_key))
-                resolved.append((item_key, value))
-            return resolved
+            results = yield from self._resolve_indirect(results)
         return results
 
     def _read_leaves_batch(self, addrs: Sequence[int]) -> Generator:
@@ -1178,7 +1049,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin,
     # ---------------------------------------------------------------- shared plumbing
 
     def _replica_info(self, view: LeafNodeView, home: int) -> Tuple[int, bool]:
-        block = self.chime.covered_replica_block(home)
+        block = self.index.covered_replica_block(home)
         return view.replica_sibling(block), view.replica_valid(block)
 
     def _range_replica_block(self, first: int, last: int) -> int:
@@ -1188,11 +1059,6 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin,
         if first <= last:
             return self.layout.block_of(first)
         return 0  # wrapped reads start their head segment at block 0
-
-    def _unlock(self, lock_addr: int, argmax: int, vacancy: int) -> Generator:
-        """Release the remote lock, restoring the piggybacked metadata."""
-        word = pack_lock_word(False, argmax, vacancy)
-        yield from self._unlock_remote(lock_addr, word)
 
     # ---------------------------------------------------------------- recovery
 
@@ -1211,12 +1077,12 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin,
         layout = self.layout
         view = yield from self._fetch_leaf(leaf_addr, [layout.full_span()])
         modified = set()
-        truth = reconstruct_bitmaps(view, self.chime.home_of)
+        truth = reconstruct_bitmaps(view, self.index.home_of)
         for home, stored in enumerate(view.bitmaps()):
             if stored != truth[home]:
                 view.set_entry_bitmap(home, truth[home])
                 modified.add(home)
-        vacancy = self.chime.vacancy_map.compose(view.occupancy())
+        vacancy = self.index.vacancy_map.compose(view.occupancy())
         word = pack_lock_word(False, view.argmax_key(), vacancy)
         writes = self._entry_writes(leaf_addr, view, modified) if modified \
             else []

@@ -2,9 +2,9 @@
 
 Both CHIME (B+-tree routing) and CHIME-Learned (model routing, §5.3) read
 and validate hopscotch leaf nodes the same way; this mixin hosts that
-logic.  Users must provide ``self.layout`` (a
-:class:`~repro.core.node_layout.LeafLayout`), ``self.ops`` (a
-:class:`~repro.core.access.PlanExecutor`), ``self.engine`` and
+logic.  It is mixed into a :class:`~repro.core.family.FamilyClientBase`
+(which provides ``ops``, ``engine``, ``retry`` and ``ctx``); the client
+adds ``self.layout`` (a :class:`~repro.core.node_layout.LeafLayout`) and
 ``self.home_of(key)``.
 """
 
@@ -22,7 +22,6 @@ from repro.core.sync import (
 from repro.errors import FaultInjectedError, TornReadError
 from repro.layout import StripedSpan
 from repro.layout.versions import SpanSet, raw_span
-from repro.retry import DEFAULT_RETRY_POLICY
 
 
 class HopscotchLeafOpsMixin:
@@ -76,12 +75,9 @@ class HopscotchLeafOpsMixin:
         layout = self.layout
         indices = [(home + o) % layout.span
                    for o in range(layout.neighborhood)]
-        # CHIME clients carry an index-level RetryPolicy; the learned
-        # variant (no B-tree base) falls back to the default.
-        policy = getattr(self, "retry", None) or DEFAULT_RETRY_POLICY
-        rng = getattr(getattr(self, "ctx", None), "rng", None)
-        retry = policy.start(
-            f"neighborhood {home} @ leaf {leaf_addr:#x}", self.engine, rng)
+        retry = self.retry.start(
+            f"neighborhood {home} @ leaf {leaf_addr:#x}", self.engine,
+            self.ctx.rng)
         while retry.check():
             try:
                 view = yield from self._fetch_neighborhood_view(leaf_addr,

@@ -19,13 +19,13 @@ paper evaluates CHIME-Learned on point workloads only.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Generator, List, Optional, Sequence, Tuple
 
 from repro.baselines.pla import PlaModel
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import ClientContext
 from repro.core.chime import LockGuard
-from repro.core.access import family_plans
+from repro.core.family import FamilyClientBase, FamilyIndexBase
 from repro.core.leaf_ops import HopscotchLeafOpsMixin
 from repro.core.node_layout import (
     LeafLayout,
@@ -33,8 +33,6 @@ from repro.core.node_layout import (
     pack_lock_word,
 )
 from repro.core.nodes import LeafNodeView
-from repro.core.sync import MAX_RETRIES, backoff_delay
-from repro.errors import IndexError_
 from repro.hashing.hopscotch import (
     HopscotchTable,
     default_hash,
@@ -43,21 +41,22 @@ from repro.hashing.hopscotch import (
 )
 from repro.layout import MAX_KEY, StripedSpan, encode_key, encode_u64
 from repro.layout.versions import bump_nibble
-from repro.memory import ChunkAllocator, NULL_ADDR, addr_mn
-from repro.memory.region import CACHE_LINE
+from repro.memory import NULL_ADDR
 
 #: Cached bytes per leaf address (like ROLEX's leaf table).
 LEAF_ADDR_BYTES = 8
 
 
-class LearnedChimeIndex:
+class LearnedChimeIndex(FamilyIndexBase):
     """Host-side state: PLA model + flat array of hopscotch leaves."""
+
+    access_family = "chime-learned"
 
     def __init__(self, cluster: Cluster, span: int = 64,
                  neighborhood: int = 8, error: int = 16,
                  value_size: int = 8,
                  bulk_load_factor: float = 0.7) -> None:
-        self.cluster = cluster
+        super().__init__(cluster)
         self.span = span
         self.neighborhood = neighborhood
         self.error = error
@@ -70,8 +69,6 @@ class LearnedChimeIndex:
         self.model: Optional[PlaModel] = None
         self.leaf_addrs: List[int] = []
         self._items_per_leaf = 1
-        self._host_rr = 0
-        self.loaded_items = 0
 
     def client(self, ctx: ClientContext) -> "LearnedChimeClient":
         return LearnedChimeClient(self, ctx)
@@ -79,31 +76,11 @@ class LearnedChimeIndex:
     def home_of(self, key: int) -> int:
         return default_hash(key, self.span)
 
-    # -- host helpers -----------------------------------------------------------
-
-    def _host_alloc(self, size: int) -> int:
-        mn_ids = sorted(self.cluster.mns)
-        mn_id = mn_ids[self._host_rr % len(mn_ids)]
-        self._host_rr += 1
-        return self.cluster.mns[mn_id].allocator.alloc(size,
-                                                       align=CACHE_LINE)
-
-    def _host_write(self, addr: int, data: bytes) -> None:
-        self.cluster.mns[addr_mn(addr)].mem_write(addr, data)
-
-    def _host_read(self, addr: int, length: int) -> bytes:
-        return self.cluster.mns[addr_mn(addr)].mem_read(addr, length)
-
     # -- bulk load ------------------------------------------------------------------
 
     def bulk_load(self, pairs: Sequence[Tuple[int, int]],
                   future_keys: Sequence[int] = ()) -> None:
-        pairs = list(pairs)
-        for (a, _), (b, _) in zip(pairs, pairs[1:]):
-            if a >= b:
-                raise IndexError_("bulk_load requires sorted unique keys")
-        if pairs and pairs[0][0] < 1:
-            raise IndexError_("keys must be >= 1")
+        pairs = self._checked_pairs(pairs)
         loaded = dict(pairs)
         all_keys = sorted(set(loaded) | set(future_keys))
         self.model = PlaModel.train(all_keys, self.error)
@@ -182,43 +159,15 @@ class LearnedChimeIndex:
         return out
 
 
-class LearnedChimeClient(HopscotchLeafOpsMixin):
+class LearnedChimeClient(FamilyClientBase, HopscotchLeafOpsMixin):
     """Point operations routed by the model onto hopscotch leaves."""
 
     def __init__(self, index: LearnedChimeIndex, ctx: ClientContext) -> None:
-        self.index = index
-        self.ctx = ctx
-        self.qp = ctx.qp
-        self.ops = ctx.ops
-        self.plans = family_plans("chime-learned")
-        self.engine = ctx.engine
+        super().__init__(index, ctx)
         self.layout = index.leaf_layout
         self.home_of = index.home_of
-        self._allocators: Dict[int, ChunkAllocator] = {}
-        self._alloc_rr = ctx.client_id
-
-    def _alloc(self, size: int) -> Generator:
-        mn_ids = sorted(self.index.cluster.mns)
-        mn_id = mn_ids[self._alloc_rr % len(mn_ids)]
-        self._alloc_rr += 1
-        allocator = self._allocators.get(mn_id)
-        if allocator is None:
-            allocator = ChunkAllocator(
-                self.qp, mn_id,
-                chunk_size=self.index.cluster.config.alloc_chunk_bytes)
-            self._allocators[mn_id] = allocator
-        addr = yield from allocator.alloc(size)
-        return addr
 
     # ---------------------------------------------------------------- search
-
-    def search(self, key: int) -> Generator:
-        if self.ctx.combiner.enabled:
-            result = yield from self.ctx.combiner.read(
-                ("lchime-s", id(self.index), key), lambda: self._search(key))
-            return result
-        result = yield from self._search(key)
-        return result
 
     def _search(self, key: int) -> Generator:
         """Fetch one neighborhood from *each* candidate leaf (the defining
@@ -227,7 +176,8 @@ class LearnedChimeClient(HopscotchLeafOpsMixin):
         candidates = self.index.candidate_leaves(key)
         segments = self.layout.neighborhood_segments(home)
         covering: Optional[int] = None
-        for attempt in range(MAX_RETRIES):
+        retry = self.retry.start(f"search({key})", self.engine, self.ctx.rng)
+        while retry.attempt < self.retry.max_attempts and retry.check():
             views = []
             for leaf_index in candidates:
                 leaf_addr = self.index.leaf_addrs[leaf_index]
@@ -253,33 +203,19 @@ class LearnedChimeClient(HopscotchLeafOpsMixin):
                         synonym = syn_view.replica_sibling(block)
             if covering is not None or not candidates:
                 return None
-            yield self.engine.timeout(backoff_delay(attempt))
-        return None
+            yield from retry.backoff()
+        return None  # no candidate's fences ever covered the key: a miss
 
     # ---------------------------------------------------------------- writes
 
-    def insert(self, key: int, value: int) -> Generator:
-        if key < 1:
-            raise IndexError_("keys must be >= 1")
-        result = yield from self._locked_write(key, value, delete=False,
-                                               upsert=True)
-        return result
+    def _insert(self, key: int, value: int) -> Generator:
+        return self._locked_write(key, value, delete=False, upsert=True)
 
-    def update(self, key: int, value: int) -> Generator:
-        if self.ctx.combiner.enabled:
-            result = yield from self.ctx.combiner.write(
-                ("lchime-u", id(self.index), key), value,
-                lambda v: self._locked_write(key, v, delete=False,
-                                             upsert=False))
-            return result
-        result = yield from self._locked_write(key, value, delete=False,
-                                               upsert=False)
-        return result
+    def _update(self, key: int, value: int) -> Generator:
+        return self._locked_write(key, value, delete=False, upsert=False)
 
-    def delete(self, key: int) -> Generator:
-        result = yield from self._locked_write(key, 0, delete=True,
-                                               upsert=False)
-        return result
+    def _delete(self, key: int) -> Generator:
+        return self._locked_write(key, 0, delete=True, upsert=False)
 
     def _locate_base_leaf(self, key: int) -> Generator:
         """The candidate leaf whose fences cover *key* (fence replicas
@@ -301,35 +237,21 @@ class LearnedChimeClient(HopscotchLeafOpsMixin):
             return False
         layout = self.layout
         lock_addr = base_addr + layout.lock_offset
-        local = self.ctx.cn.local_lock(lock_addr)
-        if local is not None:
-            yield local.acquire()
+        old_word = yield from self._lock(lock_addr)
+        guard = LockGuard(lock_addr, old_word)
         try:
-            old_word = yield from self._acquire_remote(lock_addr)
-            guard = LockGuard(lock_addr, old_word)
-            try:
-                result = yield from self._write_chain(guard, base_addr, key,
-                                                      value, delete, upsert)
-                return result
-            except BaseException:
-                if guard.held:
-                    yield from self.ops.write(lock_addr,
-                                             encode_u64(guard.release_word()))
-                raise
+            result = yield from self._write_chain(guard, base_addr, key,
+                                                  value, delete, upsert)
+            return result
+        except GeneratorExit:
+            raise  # reclaimed while parked: must not yield restore verbs
+        except BaseException:
+            if guard.held:
+                yield from self._restore_unlock(lock_addr,
+                                                guard.release_word())
+            raise
         finally:
-            if local is not None:
-                local.release()
-
-    def _acquire_remote(self, lock_addr: int) -> Generator:
-        for attempt in range(MAX_RETRIES):
-            old, swapped = yield from self.ops.masked_cas(
-                lock_addr, compare=0, swap=1, compare_mask=1,
-                swap_mask=0xFFFFFFFFFFFFFFFF)
-            if swapped:
-                return old
-            self.ops.stats.retries += 1
-            yield self.engine.timeout(backoff_delay(attempt))
-        raise IndexError_("leaf lock not acquired")
+            self._release_local(lock_addr)
 
     def _write_chain(self, guard: LockGuard, base_addr: int, key: int,
                      value: int, delete: bool, upsert: bool) -> Generator:
@@ -359,8 +281,8 @@ class LearnedChimeClient(HopscotchLeafOpsMixin):
             tail_addr, tail_view = chain_addr, view
             chain_addr = view.replica_sibling(block)
         if delete or not upsert:
-            yield from self.ops.write(guard.lock_addr,
-                                     encode_u64(guard.release_word()))
+            yield from self._unlock_remote(guard.lock_addr,
+                                           guard.release_word())
             return False
         target = spacious if spacious is not None else None
         if target is not None:
@@ -395,7 +317,8 @@ class LearnedChimeClient(HopscotchLeafOpsMixin):
             off = layout.entry_offset(position)
             raw_off, raw_bytes = view.span.sub_span(off, layout.entry_size)
             writes.append((leaf_addr + raw_off, raw_bytes))
-        writes.append((guard.lock_addr, encode_u64(guard.release_word())))
+        writes.extend(self._unlock_writes(guard.lock_addr,
+                                          guard.release_word()))
         yield from self.ops.write_batch(writes)
         return True
 
@@ -443,7 +366,8 @@ class LearnedChimeClient(HopscotchLeafOpsMixin):
             off = layout.entry_offset(pos)
             raw_off, raw_bytes = view.span.sub_span(off, layout.entry_size)
             writes.append((leaf_addr + raw_off, raw_bytes))
-        writes.append((guard.lock_addr, encode_u64(guard.release_word())))
+        writes.extend(self._unlock_writes(guard.lock_addr,
+                                          guard.release_word()))
         yield from self.ops.write_batch(writes)
         return True
 
@@ -484,8 +408,7 @@ class LearnedChimeClient(HopscotchLeafOpsMixin):
         for pos, bitmap in enumerate(bitmaps):
             if bitmap:  # an empty entry that is still some keys' home
                 rebuilt.set_entry_bitmap(pos, bitmap, bump_ev=False)
-        yield from self.ops.write_batch([
-            (tail_addr, bytes(rebuilt.span.data)),
-            (guard.lock_addr, encode_u64(guard.release_word())),
-        ])
+        yield from self.ops.write_batch(
+            [(tail_addr, bytes(rebuilt.span.data))]
+            + self._unlock_writes(guard.lock_addr, guard.release_word()))
         return True

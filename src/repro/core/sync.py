@@ -26,28 +26,17 @@ from repro.layout import StripedSpan
 from repro.obs.bus import BUS
 from repro.retry import DEFAULT_RETRY_POLICY
 
-#: Retry budget for optimistic reads and remote lock acquisition.
-#: Single source of truth is :data:`repro.retry.DEFAULT_RETRY_POLICY`;
-#: these aliases keep the historical names importable.
-MAX_RETRIES = DEFAULT_RETRY_POLICY.max_attempts
-
-#: Base backoff between retries, in seconds (grows linearly per attempt).
-RETRY_BACKOFF = DEFAULT_RETRY_POLICY.base_backoff
-
-#: Attempts past which the linear backoff growth stops.
-BACKOFF_CAP_ATTEMPTS = DEFAULT_RETRY_POLICY.linear_cap
-
-
 def backoff_delay(attempt: int, rng=None, jitter: float = 0.0) -> float:
-    """Linearly growing backoff, capped at 16x the base.
+    """:data:`~repro.retry.DEFAULT_RETRY_POLICY`'s linear backoff with an
+    explicit *jitter* (the queued-lock poll path picks its own).
 
     With ``jitter`` > 0 and a seeded ``rng``, the delay is scaled by a
     uniform factor in ``[1 - jitter, 1 + jitter]`` so contending clients
-    do not retry in lockstep convoys.  The default (no rng, no jitter)
-    is byte-identical to the historical pure-linear behavior, and jitter
-    drawn from a per-client seeded rng stays reproducible run to run.
+    do not retry in lockstep convoys; jitter drawn from a per-client
+    seeded rng stays reproducible run to run.
     """
-    delay = RETRY_BACKOFF * min(attempt + 1, BACKOFF_CAP_ATTEMPTS)
+    policy = DEFAULT_RETRY_POLICY
+    delay = policy.base_backoff * min(attempt + 1, policy.linear_cap)
     if jitter and rng is not None:
         delay *= 1.0 + jitter * (2.0 * rng.random() - 1.0)
     return delay

@@ -186,7 +186,7 @@ class VarKeyChimeClient(ChimeClient):
 
     # ---------------------------------------------------------------- chain IO
 
-    def _read_block(self, addr: int) -> Generator:
+    def _read_chain_block(self, addr: int) -> Generator:
         """(next_ptr, key, value) of one block; 1 READ for short blocks."""
         data = yield from self.ops.read(addr,
                                        BLOCK_HEADER + FIRST_READ_PAYLOAD)
@@ -208,15 +208,15 @@ class VarKeyChimeClient(ChimeClient):
         guard = 0
         while addr != NULL_ADDR and guard < 1024:
             guard += 1
-            next_ptr, block_key, value = yield from self._read_block(addr)
+            next_ptr, block_key, value = yield from self._read_chain_block(addr)
             if block_key == key:
                 return addr, prev, next_ptr, value
             prev = addr
             addr = next_ptr
         return None
 
-    def _write_block(self, next_ptr: int, key: bytes,
-                     value: bytes) -> Generator:
+    def _write_chain_block(self, next_ptr: int, key: bytes,
+                           value: bytes) -> Generator:
         data = encode_block(next_ptr, key, value)
         addr = yield from self._alloc(len(data))
         yield from self.ops.write(addr, data)
@@ -231,8 +231,8 @@ class VarKeyChimeClient(ChimeClient):
             return result
         if self._pending_value is None:
             raise _AbortInsert()  # delete found no fingerprint entry
-        addr = yield from self._write_block(NULL_ADDR, self._pending_key,
-                                            self._pending_value)
+        addr = yield from self._write_chain_block(
+            NULL_ADDR, self._pending_key, self._pending_value)
         return addr
 
     def _handle_duplicate(self, guard: LockGuard, view: LeafNodeView,
@@ -260,19 +260,19 @@ class VarKeyChimeClient(ChimeClient):
             if deleting:
                 replacement = next_ptr
             else:
-                replacement = yield from self._write_block(
+                replacement = yield from self._write_chain_block(
                     next_ptr, self._pending_key, self._pending_value)
             if prev == NULL_ADDR:
                 new_head = replacement
             else:
                 writes.append((prev, encode_u64(replacement)))
         elif deleting:
-            yield from self.ops.write(guard.lock_addr,
-                                     encode_u64(guard.release_word()))
+            yield from self._unlock_remote(guard.lock_addr,
+                                           guard.release_word())
             return OpResult(_DONE, found=False)
         else:
-            new_head = yield from self._write_block(head, self._pending_key,
-                                                    self._pending_value)
+            new_head = yield from self._write_chain_block(
+                head, self._pending_key, self._pending_value)
         if new_head != head:
             if new_head == NULL_ADDR:
                 # Chain empty: clear the entry and its home bitmap bit.
@@ -282,13 +282,13 @@ class VarKeyChimeClient(ChimeClient):
                 home_bitmap = view.entry(home).bitmap & ~(1 << offset)
                 view.set_entry_bitmap(home, home_bitmap)
                 positions = {position, home}
-                vacancy &= ~(1 << self.chime.vacancy_map.bit_of(position))
+                vacancy &= ~(1 << self.index.vacancy_map.bit_of(position))
                 self.hotspots.invalidate(leaf_addr, position)
             else:
                 view.write_entry(position, key, new_head)
                 positions = {position}
             writes.extend(self._entry_writes(leaf_addr, view, positions))
-        writes.append((guard.lock_addr,
-                       encode_u64(guard.release_word(argmax, vacancy))))
+        writes.extend(self._unlock_writes(
+            guard.lock_addr, guard.release_word(argmax, vacancy)))
         yield from self.ops.write_batch(writes)
         return OpResult(_DONE, found=True)

@@ -162,7 +162,9 @@ class SpanInstrumentedOps:
     """Mixin giving index clients ``_op`` / ``_phase`` span wrappers.
 
     Requires ``self.engine``, ``self.qp``, and ``self.ctx.name`` (all
-    provided by :class:`~repro.core.btree_base.BTreeClientBase`).
+    provided by :class:`~repro.core.family.FamilyClientBase`, the one
+    class that mixes this in — every index family's client derives
+    from it).
     """
 
     #: Per-client operation sequence number (monotonic while tracing).

@@ -9,9 +9,9 @@ typed :class:`~repro.errors.RetryExhaustedError` /
 :class:`~repro.errors.OperationTimeoutError` instead of live-locking —
 the behaviour an orphaned remote lock would otherwise cause.
 
-The default policy reproduces the historical constants
-(``sync.MAX_RETRIES`` attempts, linear backoff capped at 16x the base)
-exactly, so enabling the layer changes no simulated timing.
+The default policy reproduces the historical constants (256 attempts,
+0.2 us linear backoff capped at 16x the base) exactly, so enabling the
+layer changes no simulated timing.
 """
 
 from __future__ import annotations

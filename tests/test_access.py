@@ -7,6 +7,7 @@ and the functional contract of the two landed families (Outback,
 FlexKV) including the CAS endianness regression.
 """
 
+import ast
 import pathlib
 import re
 
@@ -436,6 +437,52 @@ class TestKnownEnvVars:
 
     def test_all_known_names_have_repro_prefix(self):
         assert all(name.startswith("REPRO_") for name in KNOWN_ENV_VARS)
+
+
+# ---------------------------------------------------------------------------
+# Family plumbing is written once (repro.core.family / btree_base)
+# ---------------------------------------------------------------------------
+
+
+class TestFamilyPlumbingWrittenOnce:
+    #: Helpers every family used to re-spell; each has exactly one home.
+    SINGLE_HOME = ("_alloc", "_host_alloc", "_host_write", "_host_read",
+                   "_host_alloc_block", "_host_read_block", "_read_block",
+                   "_write_block", "_build_internal_levels", "_lock_spin",
+                   "remote_memory_bytes")
+    #: (class, method) pairs allowed beside the single home, with reason.
+    ALLOWED = {
+        # Sums its per-shard sub-indexes instead of the cluster's MNs.
+        ("ShardedIndex", "remote_memory_bytes"),
+    }
+
+    def test_each_helper_is_defined_in_exactly_one_class(self):
+        package = pathlib.Path(repro.__file__).parent
+        homes = {name: [] for name in self.SINGLE_HOME}
+        for folder in ("core", "baselines"):
+            for path in sorted((package / folder).glob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if not isinstance(node, ast.ClassDef):
+                        continue
+                    for item in node.body:
+                        if (isinstance(item, ast.FunctionDef)
+                                and item.name in homes
+                                and (node.name, item.name) not in self.ALLOWED):
+                            homes[item.name].append(node.name)
+        assert all(len(classes) == 1 for classes in homes.values()), homes
+
+    def test_one_retry_idiom_and_no_raw_unlock(self):
+        package = pathlib.Path(repro.__file__).parent
+        base = {package / "core" / "family.py",
+                package / "core" / "btree_base.py"}
+        for path in package.rglob("*.py"):
+            text = path.read_text()
+            assert "range(MAX_RETRIES)" not in text, path
+            assert 'getattr(self, "retry"' not in text, path
+            if path not in base:
+                # Releasing a lock is _unlock_writes/_unlock_remote/
+                # _restore_unlock's job (leases, tickets, delegation).
+                assert not re.search(r"lock_addr,\s*encode_u64\(0\)", text), path
 
 
 # ---------------------------------------------------------------------------

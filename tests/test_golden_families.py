@@ -14,7 +14,7 @@ It also pins the event counts of ``BENCH_perf.json``'s ``points`` and
 enforces.
 
 ``GOLDEN`` was recorded at commit 28828c4 with :func:`_observe`; rows are
-only ever *added* (a family, a knob).  An intentional protocol change
+only ever *added* (a family, a knob, a configuration that used to fail).  An intentional protocol change
 re-records the affected rows in the same commit and says so.
 """
 
@@ -111,6 +111,12 @@ GOLDEN = {
         (2588, 120, (302, 424, 199, 165, 60, 0, 18934, 1940, 12), '0.00028571565333333424'),
     ('chime', 'A', (('sync_mode', 'pessimistic'),)):
         (2834, 120, (345, 460, 199, 158, 103, 0, 19948, 1884, 17), '0.000347030193009938'),
+    # Recorded after Sherman's unlocks were routed through the lease- and
+    # ticket-aware release (at 28828c4 both configurations failed to finish).
+    ('sherman', 'A', (('lock_leases', True),)):
+        (2540, 120, (302, 412, 187, 165, 60, 0, 138228, 1824, 12), '0.0002883942000000009'),
+    ('sherman', 'A', (('sync_mode', 'pessimistic'),)):
+        (2856, 120, (353, 457, 194, 159, 104, 0, 141808, 1776, 23), '0.0003433783680445866'),
 }
 
 
@@ -123,6 +129,8 @@ def _rows():
     yield "chime", "A", (("pipeline_depth", 4),)
     yield "chime", "A", (("lock_leases", True),)
     yield "chime", "A", (("sync_mode", "pessimistic"),)
+    yield "sherman", "A", (("lock_leases", True),)
+    yield "sherman", "A", (("sync_mode", "pessimistic"),)
 
 
 @pytest.mark.parametrize("index_name,workload,knobs", list(_rows()),

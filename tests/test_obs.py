@@ -10,6 +10,7 @@ from repro.cli import main
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.core import ChimeIndex
+from repro.registry import build_index, family_names
 from repro.obs import (
     BUS,
     EventBus,
@@ -291,6 +292,47 @@ class TestSpans:
             with pytest.raises(RuntimeError):
                 recorder.__enter__()
         assert not BUS.active
+
+
+class TestEveryFamilyEmitsOpSpans:
+    """``_op`` lives in the family base, so every registered family gets
+    one ``op`` span per operation — the precondition for deriving
+    Table 1 from observation for all twelve indexes."""
+
+    OPS = [("search", 300), ("update", 301), ("insert", 302),
+           ("search", 302)]
+
+    def _client(self, index_name):
+        cluster = Cluster(ClusterConfig(num_cns=1, clients_per_cn=1))
+        index = build_index(index_name, cluster)
+        index.bulk_load([(k, k) for k in range(1, 401)])
+        return cluster, index.client(cluster.cns[0].clients[0])
+
+    @pytest.mark.parametrize("index_name", family_names())
+    def test_n_ops_emit_n_op_spans(self, index_name):
+        cluster, client = self._client(index_name)
+
+        def gen():
+            for name, key in self.OPS:
+                args = (key,) if name == "search" else (key, 9)
+                yield from getattr(client, name)(*args)
+
+        cluster.engine.process(gen())
+        with obs.recording() as recorder:
+            cluster.run()
+        op_spans = [s for s in recorder.spans if s.level == "op"]
+        assert [s.name for s in op_spans] == [name for name, _ in self.OPS]
+        assert all(s.rtts >= 1 and not s.error for s in op_spans)
+        assert not BUS.active
+
+    @pytest.mark.parametrize("index_name", family_names())
+    def test_quiet_bus_costs_nothing(self, index_name):
+        _cluster, client = self._client(index_name)
+        assert not BUS.active
+        sentinel = iter(())
+        assert client._op("search", sentinel) is sentinel
+        assert client._phase("traverse", sentinel) is sentinel
+        assert client._obs_seq == 0
 
 
 class TestIntegration:

@@ -115,15 +115,14 @@ class TestBackoff:
         assert all(d > 0 for d in delays)
 
     def test_legacy_constants_mirror_the_default_policy(self):
-        """The historical constants are aliases of the single source of
-        truth in repro.retry; their values are pinned — a change there
-        silently re-times every baseline index."""
-        from repro.core.sync import BACKOFF_CAP_ATTEMPTS, MAX_RETRIES, \
-            RETRY_BACKOFF
+        """The historical retry constants live only in repro.retry now;
+        their values are pinned — a change there silently re-times every
+        index family."""
         from repro.retry import DEFAULT_RETRY_POLICY
-        assert MAX_RETRIES == DEFAULT_RETRY_POLICY.max_attempts == 256
-        assert RETRY_BACKOFF == DEFAULT_RETRY_POLICY.base_backoff == 0.2e-6
-        assert BACKOFF_CAP_ATTEMPTS == DEFAULT_RETRY_POLICY.linear_cap == 16
+        assert DEFAULT_RETRY_POLICY.max_attempts == 256
+        assert DEFAULT_RETRY_POLICY.base_backoff == 0.2e-6
+        assert DEFAULT_RETRY_POLICY.linear_cap == 16
+        assert backoff_delay(3) == DEFAULT_RETRY_POLICY.delay(3)
 
     def test_no_rng_is_byte_identical_to_historical(self):
         assert backoff_delay(5) == backoff_delay(5, rng=None, jitter=0.5)
