@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
-from repro.bench.parallel import PointSpec, sweep_rows
-from repro.bench.runner import build_index, run_point
+from repro.bench.parallel import run_sweep, sweep_rows
+from repro.bench.runner import build_index, run_workload
 from repro.registry import get_family
 from repro.bench.scale import Scale, current_scale
 from repro.cluster.cluster import Cluster
@@ -23,7 +23,7 @@ from repro.hashing import HopscotchTable, figure_3d_schemes, measure_max_load_fa
 from repro.memory import MemoryNode, make_addr
 from repro.rdma.verbs import RdmaQp
 from repro.sim.engine import Engine
-from repro.workloads.ycsb import WORKLOADS, WorkloadContext, dataset
+from repro.workloads.ycsb import dataset
 
 #: The four headline indexes of most figures.
 MAIN_INDEXES = ("chime", "sherman", "rolex", "smart", "smart-opt")
@@ -48,12 +48,10 @@ def fig3a_tradeoff(scale: Optional[Scale] = None) -> List[Dict]:
     pairs = dataset(scale.num_keys, key_space=scale.key_space,
                     seed=scale.seed)
 
-    def built_cache_bytes(name: str, span: Optional[int] = None,
-                          neighborhood: Optional[int] = None) -> int:
+    def built_cache_bytes(name: str, **shape) -> int:
         cluster = Cluster(scale.cluster_config(clients=2,
                                                cache_bytes=None))
-        index = build_index(name, cluster, span=span,
-                            neighborhood=neighborhood)
+        index = build_index(name, cluster, **shape)
         if get_family(name).model_routed:
             index.bulk_load(pairs, future_keys=())
         else:
@@ -102,12 +100,10 @@ def fig3b_limited_bandwidth(scale: Optional[Scale] = None,
     """YCSB C, 1 MN (bandwidth-limited), ample cache: client sweep."""
     scale = scale or current_scale()
     specs = [
-        PointSpec(index_name, "C", scale.num_keys, scale.ops_per_client,
-                  scale.cluster_config(clients=clients, num_mns=1,
-                                       cache_bytes=10 * scale.cache_bytes,
-                                       seed=seed),
-                  key_space=scale.key_space,
-                  chime_overrides=scale.chime_overrides())
+        scale.point(index_name, "C",
+                    scale.cluster_config(clients=clients, num_mns=1,
+                                         cache_bytes=10 * scale.cache_bytes,
+                                         seed=seed))
         for index_name in indexes
         for clients in scale.client_sweep
     ]
@@ -121,13 +117,11 @@ def fig3c_limited_cache(scale: Optional[Scale] = None,
     """YCSB C, several MNs (ample bandwidth), the scaled 100 MB cache."""
     scale = scale or current_scale()
     specs = [
-        PointSpec(index_name, "C", scale.num_keys, scale.ops_per_client,
-                  scale.cluster_config(clients=clients, num_mns=8,
-                                       cache_bytes=scale.cache_bytes,
-                                       seed=seed),
-                  key_space=scale.key_space,
-                  chime_overrides=scale.chime_overrides(),
-                  unlimited_cache_for=())
+        scale.point(index_name, "C",
+                    scale.cluster_config(clients=clients, num_mns=8,
+                                         cache_bytes=scale.cache_bytes,
+                                         seed=seed),
+                    unlimited_cache_for=())
         for index_name in indexes
         for clients in scale.client_sweep
     ]
@@ -269,11 +263,8 @@ def fig12_ycsb(scale: Optional[Scale] = None,
     scale = scale or current_scale()
     sweep = client_sweep or scale.client_sweep
     specs = [
-        PointSpec(index_name, workload, scale.num_keys,
-                  scale.ops_per_client,
-                  scale.cluster_config(clients=clients, seed=seed),
-                  key_space=scale.key_space,
-                  chime_overrides=scale.chime_overrides())
+        scale.point(index_name, workload,
+                    scale.cluster_config(clients=clients, seed=seed))
         for workload in workloads
         for index_name in indexes
         # the paper skips ROLEX for LOAD (§5.1 fn. 3)
@@ -311,14 +302,10 @@ def fig12_point_families(scale: Optional[Scale] = None,
     scale = scale or current_scale()
     sweep = client_sweep or scale.client_sweep
     specs = [
-        PointSpec(index_name, workload, scale.num_keys,
-                  scale.ops_per_client,
-                  scale.cluster_config(clients=clients, seed=seed),
-                  key_space=scale.key_space,
-                  chime_overrides=scale.chime_overrides()
-                  if get_family(index_name).accepts_overrides else None,
-                  extra=(("placement",
-                          get_family(index_name).default_placement),))
+        scale.point(index_name, workload,
+                    scale.cluster_config(clients=clients, seed=seed),
+                    extra=(("placement",
+                            get_family(index_name).default_placement),))
         for workload in workloads
         for index_name in indexes
         for clients in sweep
@@ -345,26 +332,23 @@ def figplacement(scale: Optional[Scale] = None,
     from repro.baselines.flexkv import FlexKVIndex
 
     scale = scale or current_scale()
-    rows: List[Dict] = []
     base = scale.cluster_config(seed=seed)
     footprint = FlexKVIndex.directory_bytes(scale.num_keys, base.num_mns)
-    for fraction in footprint_fractions:
-        cache_bytes = max(1024, int(footprint * fraction))
-        config = base.scaled(cache_bytes=cache_bytes)
-        result = run_point("flexkv", "C", scale.num_keys,
-                           scale.ops_per_client, config,
-                           key_space=scale.key_space)
-        rows.append({
-            "index": "flexkv",
-            "workload": "C",
-            "cache_bytes": cache_bytes,
-            "throughput_mops": round(result.throughput_mops, 4),
-            "p50_us": result.summary().get("p50_us", 0.0),
-            "switches": int(result.notes.get("placement.switches", 0)),
-            "mn_partitions": int(
-                result.notes.get("placement.mn_partitions", 0)),
-        })
-    return rows
+    specs = [
+        scale.point("flexkv", "C", base.scaled(
+            cache_bytes=max(1024, int(footprint * fraction))))
+        for fraction in footprint_fractions
+    ]
+    return [{
+        "index": "flexkv",
+        "workload": "C",
+        "cache_bytes": spec.cluster_config.cache_bytes,
+        "throughput_mops": round(result.throughput_mops, 4),
+        "p50_us": result.summary().get("p50_us", 0.0),
+        "switches": int(result.notes.get("placement.switches", 0)),
+        "mn_partitions": int(
+            result.notes.get("placement.mn_partitions", 0)),
+    } for spec, result in zip(specs, run_sweep(specs, jobs=scale.jobs))]
 
 
 # --------------------------------------------------------------------------
@@ -391,15 +375,12 @@ def figshard_scaleout(scale: Optional[Scale] = None,
     scale = scale or current_scale()
     sweep = client_sweep or scale.client_sweep
     specs = [
-        PointSpec("chime", workload, scale.num_keys,
-                  scale.ops_per_client,
-                  scale.cluster_config(clients=clients, seed=seed,
-                                       num_mns=num_mns,
-                                       num_shards=num_mns,
-                                       cache_mode=cache_mode),
-                  key_space=scale.key_space,
-                  chime_overrides=scale.chime_overrides(),
-                  extra=(("num_mns", num_mns),))
+        scale.point("chime", workload,
+                    scale.cluster_config(clients=clients, seed=seed,
+                                         num_mns=num_mns,
+                                         num_shards=num_mns,
+                                         cache_mode=cache_mode),
+                    extra=(("num_mns", num_mns),))
         for workload in workloads
         for num_mns in mn_sweep
         for clients in sweep
@@ -418,11 +399,8 @@ def fig13_variable_kv(scale: Optional[Scale] = None,
                       seed: Optional[int] = None) -> List[Dict]:
     scale = scale or current_scale()
     specs = [
-        PointSpec(index_name, workload, scale.num_keys,
-                  scale.ops_per_client, scale.cluster_config(seed=seed),
-                  value_size=value_size,
-                  key_space=scale.key_space,
-                  chime_overrides=scale.chime_overrides())
+        scale.point(index_name, workload, scale.cluster_config(seed=seed),
+                    value_size=value_size)
         for workload in workloads
         for index_name in INDIRECT_INDEXES
         if not (workload == "LOAD" and get_family(index_name).family == "rolex")
@@ -446,9 +424,9 @@ def fig14_cache_consumption(scale: Optional[Scale] = None,
             cluster = Cluster(scale.cluster_config(clients=2,
                                                    cache_bytes=None))
             family = get_family(index_name)
-            index = build_index(index_name, cluster,
-                                chime_overrides=scale.chime_overrides()
-                                if family.accepts_overrides else None)
+            index = build_index(
+                index_name, cluster,
+                chime_overrides=scale.chime_overrides(index_name))
             if family.model_routed:
                 index.bulk_load(pairs, future_keys=())
             else:
@@ -495,11 +473,7 @@ def fig15b_learned_branch(scale: Optional[Scale] = None,
     """
     scale = scale or current_scale()
     specs = [
-        PointSpec(index_name, workload, scale.num_keys,
-                  scale.ops_per_client, scale.cluster_config(seed=seed),
-                  key_space=scale.key_space,
-                  chime_overrides=scale.chime_overrides()
-                  if get_family(index_name).accepts_overrides else None)
+        scale.point(index_name, workload, scale.cluster_config(seed=seed))
         for workload in workloads
         for index_name in ("rolex", "chime-learned", "chime")
     ]
@@ -510,21 +484,13 @@ def fig15_factor_analysis(scale: Optional[Scale] = None,
                           workloads: Sequence[str] = ("C", "LOAD", "A"),
                           seed: Optional[int] = None) -> List[Dict]:
     scale = scale or current_scale()
-    specs = []
-    for workload in workloads:
-        for step_name, overrides in FACTOR_STEPS:
-            if step_name == "sherman":
-                index_name, chime_overrides = "sherman", None
-            else:
-                index_name = "chime"
-                chime_overrides = dict(scale.chime_overrides())
-                if overrides:
-                    chime_overrides.update(overrides)
-            specs.append(PointSpec(
-                index_name, workload, scale.num_keys, scale.ops_per_client,
-                scale.cluster_config(seed=seed), key_space=scale.key_space,
-                chime_overrides=chime_overrides,
-                extra=(("step", step_name),)))
+    specs = [
+        scale.point("sherman" if step_name == "sherman" else "chime",
+                    workload, scale.cluster_config(seed=seed),
+                    overrides=overrides, extra=(("step", step_name),))
+        for workload in workloads
+        for step_name, overrides in FACTOR_STEPS
+    ]
     return sweep_rows(specs, jobs=scale.jobs)
 
 
@@ -561,12 +527,10 @@ def fig17_speculative(scale: Optional[Scale] = None,
     scale = scale or current_scale()
     sweep = client_sweep or scale.client_sweep
     specs = [
-        PointSpec("chime", "C", scale.num_keys, scale.ops_per_client,
-                  scale.cluster_config(clients=clients, seed=seed),
-                  key_space=scale.key_space,
-                  chime_overrides=dict(scale.chime_overrides(),
-                                       speculative_read=speculative),
-                  extra=(("speculative_read", speculative),))
+        scale.point("chime", "C",
+                    scale.cluster_config(clients=clients, seed=seed),
+                    overrides={"speculative_read": speculative},
+                    extra=(("speculative_read", speculative),))
         for speculative in (False, True)
         for clients in sweep
     ]
@@ -584,11 +548,8 @@ def fig18a_skewness(scale: Optional[Scale] = None,
                     seed: Optional[int] = None) -> List[Dict]:
     scale = scale or current_scale()
     specs = [
-        PointSpec(index_name, "A", scale.num_keys, scale.ops_per_client,
-                  scale.cluster_config(seed=seed), theta=theta,
-                  key_space=scale.key_space,
-                  chime_overrides=scale.chime_overrides(),
-                  extra=(("theta", theta),))
+        scale.point(index_name, "A", scale.cluster_config(seed=seed),
+                    theta=theta, extra=(("theta", theta),))
         for index_name in indexes
         for theta in thetas
     ]
@@ -624,15 +585,14 @@ def skew_sync_sweep(scale: Optional[Scale] = None,
     """
     scale = scale or current_scale()
     specs = [
-        PointSpec("chime", "A", num_keys, scale.ops_per_client,
-                  replace(scale.cluster_config(clients=clients,
-                                               num_cns=num_cns,
-                                               sync_mode=mode,
-                                               seed=seed),
-                          lock_leases=True),
-                  chime_overrides=scale.chime_overrides(),
-                  theta=theta,
-                  extra=(("sync_mode", mode), ("theta", theta)))
+        scale.point("chime", "A",
+                    replace(scale.cluster_config(clients=clients,
+                                                 num_cns=num_cns,
+                                                 sync_mode=mode,
+                                                 seed=seed),
+                            lock_leases=True),
+                    num_keys=num_keys, key_space=0, theta=theta,
+                    extra=(("sync_mode", mode), ("theta", theta)))
         for mode in sync_modes
         for theta in thetas
         for clients in client_sweep
@@ -647,14 +607,13 @@ def fig18b_cache_size(scale: Optional[Scale] = None,
                       seed: Optional[int] = None) -> List[Dict]:
     scale = scale or current_scale()
     specs = [
-        PointSpec(index_name, "C", scale.num_keys, scale.ops_per_client,
-                  scale.cluster_config(
-                      cache_bytes=int(scale.cache_bytes * factor),
-                      seed=seed),
-                  key_space=scale.key_space,
-                  chime_overrides=scale.chime_overrides(),
-                  unlimited_cache_for=(),
-                  extra=(("cache_budget", int(scale.cache_bytes * factor)),))
+        scale.point(index_name, "C",
+                    scale.cluster_config(
+                        cache_bytes=int(scale.cache_bytes * factor),
+                        seed=seed),
+                    unlimited_cache_for=(),
+                    extra=(("cache_budget",
+                            int(scale.cache_bytes * factor)),))
         for index_name in indexes
         for factor in factors
     ]
@@ -668,11 +627,8 @@ def fig18c_inline_value_size(scale: Optional[Scale] = None,
                              seed: Optional[int] = None) -> List[Dict]:
     scale = scale or current_scale()
     specs = [
-        PointSpec(index_name, "C", scale.num_keys, scale.ops_per_client,
-                  scale.cluster_config(seed=seed), value_size=size,
-                  key_space=scale.key_space,
-                  chime_overrides=scale.chime_overrides(),
-                  extra=(("value_size", size),))
+        scale.point(index_name, "C", scale.cluster_config(seed=seed),
+                    value_size=size, extra=(("value_size", size),))
         for index_name in indexes
         for size in sizes
     ]
@@ -684,11 +640,8 @@ def fig18d_indirect_value_size(scale: Optional[Scale] = None,
                                seed: Optional[int] = None) -> List[Dict]:
     scale = scale or current_scale()
     specs = [
-        PointSpec(index_name, "C", scale.num_keys, scale.ops_per_client,
-                  scale.cluster_config(seed=seed), value_size=size,
-                  key_space=scale.key_space,
-                  chime_overrides=scale.chime_overrides(),
-                  extra=(("value_size", size),))
+        scale.point(index_name, "C", scale.cluster_config(seed=seed),
+                    value_size=size, extra=(("value_size", size),))
         for index_name in INDIRECT_INDEXES
         for size in sizes
     ]
@@ -700,11 +653,8 @@ def fig18e_span_size(scale: Optional[Scale] = None,
                      seed: Optional[int] = None) -> List[Dict]:
     scale = scale or current_scale()
     specs = [
-        PointSpec(index_name, "C", scale.num_keys, scale.ops_per_client,
-                  scale.cluster_config(seed=seed), span=span,
-                  key_space=scale.key_space,
-                  chime_overrides=scale.chime_overrides(),
-                  extra=(("span", span),))
+        scale.point(index_name, "C", scale.cluster_config(seed=seed),
+                    span=span, extra=(("span", span),))
         for index_name in ("chime", "sherman", "rolex")
         for span in spans
     ]
@@ -716,11 +666,9 @@ def fig18f_neighborhood_size(scale: Optional[Scale] = None,
                              seed: Optional[int] = None) -> List[Dict]:
     scale = scale or current_scale()
     specs = [
-        PointSpec("chime", "C", scale.num_keys, scale.ops_per_client,
-                  scale.cluster_config(seed=seed), neighborhood=neighborhood,
-                  key_space=scale.key_space,
-                  chime_overrides=scale.chime_overrides(),
-                  extra=(("neighborhood", neighborhood),))
+        scale.point("chime", "C", scale.cluster_config(seed=seed),
+                    neighborhood=neighborhood,
+                    extra=(("neighborhood", neighborhood),))
         for neighborhood in neighborhoods
     ]
     return sweep_rows(specs, jobs=scale.jobs)
@@ -769,18 +717,12 @@ def fig19c_hotspot_buffer(scale: Optional[Scale] = None,
     rows: List[Dict] = []
     for factor in factors:
         budget = int(scale.hotspot_bytes * factor)
-        config = scale.cluster_config()
-        cluster = Cluster(config)
-        index = build_index("chime", cluster,
-                            chime_overrides={"hotspot_bytes": budget,
-                                             "speculative_read": budget > 0})
-        pairs = dataset(scale.num_keys, key_space=scale.key_space,
-                        seed=scale.seed)
-        index.bulk_load(pairs)
-        spec = WORKLOADS["C"]
-        context = WorkloadContext(spec, [k for k, _ in pairs],
-                                  seed=scale.seed)
-        from repro.bench.runner import run_workload
+        # Prepared by hand, not swept: the hotspot counters live on the
+        # index, which a sweep worker does not return.
+        cluster, index, context = scale.point(
+            "chime", "C", overrides={"hotspot_bytes": budget,
+                                     "speculative_read": budget > 0}
+        ).prepare()
         result = run_workload(cluster, index, "C", scale.ops_per_client,
                               context)
         lookups, hits, correct, wrong = index.hotspot_stats()
@@ -803,20 +745,14 @@ def ablation_cxl_atomics(scale: Optional[Scale] = None,
     """§4.5's CXL prediction: without masked-CAS the vacancy bitmap costs
     a dedicated READ, hurting insert workloads but not searches."""
     scale = scale or current_scale()
-    rows: List[Dict] = []
-    for workload in workloads:
-        for mode in ("rdma-masked-cas", "cxl-atomics"):
-            overrides = dict(scale.chime_overrides())
-            overrides["cxl_atomics"] = mode == "cxl-atomics"
-            config = scale.cluster_config()
-            result = run_point("chime", workload, scale.num_keys,
-                               scale.ops_per_client, config,
-                               key_space=scale.key_space,
-                               chime_overrides=overrides)
-            row = result.summary()
-            row["mode"] = mode
-            rows.append(row)
-    return rows
+    specs = [
+        scale.point("chime", workload,
+                    overrides={"cxl_atomics": mode == "cxl-atomics"},
+                    extra=(("mode", mode),))
+        for workload in workloads
+        for mode in ("rdma-masked-cas", "cxl-atomics")
+    ]
+    return sweep_rows(specs, jobs=scale.jobs)
 
 
 def ablation_rdwc(scale: Optional[Scale] = None,
@@ -824,53 +760,39 @@ def ablation_rdwc(scale: Optional[Scale] = None,
     """Read delegation / write combining under skew (why Fig. 18a's
     curves rise instead of collapsing)."""
     scale = scale or current_scale()
-    rows: List[Dict] = []
-    for rdwc in (False, True):
-        for theta in thetas:
-            config = scale.cluster_config().scaled(rdwc=rdwc)
-            result = run_point("chime", "A", scale.num_keys,
-                               scale.ops_per_client, config, theta=theta,
-                               key_space=scale.key_space,
-                               chime_overrides=scale.chime_overrides())
-            row = result.summary()
-            row["rdwc"] = rdwc
-            row["theta"] = theta
-            rows.append(row)
-    return rows
+    specs = [
+        scale.point("chime", "A", scale.cluster_config().scaled(rdwc=rdwc),
+                    theta=theta, extra=(("rdwc", rdwc), ("theta", theta)))
+        for rdwc in (False, True)
+        for theta in thetas
+    ]
+    return sweep_rows(specs, jobs=scale.jobs)
 
 
 def ablation_local_lock_table(scale: Optional[Scale] = None) -> List[Dict]:
     """Sherman's CN-local lock table vs raw remote CAS spinning under a
     write-heavy contended workload."""
     scale = scale or current_scale()
-    rows: List[Dict] = []
-    for local_locks in (False, True):
-        config = scale.cluster_config().scaled(local_lock_table=local_locks)
-        result = run_point("chime", "A", scale.num_keys,
-                           scale.ops_per_client, config, theta=0.99,
-                           key_space=scale.key_space,
-                           chime_overrides=scale.chime_overrides())
-        row = result.summary()
-        row["local_lock_table"] = local_locks
-        rows.append(row)
-    return rows
+    specs = [
+        scale.point("chime", "A",
+                    scale.cluster_config().scaled(local_lock_table=local),
+                    extra=(("local_lock_table", local),))
+        for local in (False, True)
+    ]
+    return sweep_rows(specs, jobs=scale.jobs)
 
 
 def ablation_torn_writes(scale: Optional[Scale] = None) -> List[Dict]:
     """The three-level synchronization pays retries only when tearing is
     possible; with atomic writes the checks never fire."""
     scale = scale or current_scale()
-    rows: List[Dict] = []
-    for torn in (False, True):
-        config = scale.cluster_config().scaled(torn_writes=torn)
-        result = run_point("chime", "A", scale.num_keys,
-                           scale.ops_per_client, config, theta=0.99,
-                           key_space=scale.key_space,
-                           chime_overrides=scale.chime_overrides())
-        row = result.summary()
-        row["torn_writes"] = torn
-        rows.append(row)
-    return rows
+    specs = [
+        scale.point("chime", "A",
+                    scale.cluster_config().scaled(torn_writes=torn),
+                    extra=(("torn_writes", torn),))
+        for torn in (False, True)
+    ]
+    return sweep_rows(specs, jobs=scale.jobs)
 
 
 def ablation_write_amplification(scale: Optional[Scale] = None,

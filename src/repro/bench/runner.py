@@ -8,14 +8,15 @@ throughput / latency / traffic into a
 :class:`~repro.bench.metrics.RunResult`.  ``depth=1`` (the default) is
 event-sequence identical to the historical strictly serial client loop.
 
-Index construction goes through :mod:`repro.registry`;
-:func:`build_index` and :data:`KV_DISCRETE` are re-exported here for
-backwards compatibility with existing callers.
+A measurement point's fields are declared once, on :class:`PointSpec`;
+:func:`prepare_point` and :func:`run_point` are its positional
+spellings.  Index construction goes through :mod:`repro.registry`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Optional, Sequence, Tuple
 
 from repro.bench.metrics import RunResult
 from repro.cluster.cluster import Cluster
@@ -25,34 +26,15 @@ from repro.registry import build_index, get_family
 from repro.sched import launch_clients
 from repro.workloads.ycsb import WORKLOADS, WorkloadContext, dataset
 
-__all__ = ["KV_DISCRETE", "build_index", "load_index", "prepare_point",
+__all__ = ["PointSpec", "build_index", "load_index", "prepare_point",
            "run_point", "run_workload"]
-
-#: Index names that store leaf items discretely (no bulk-ordered leaves).
-#: Derived from the registry's ``kv_discrete`` capability flag; kept as a
-#: module attribute for backwards compatibility.
-from repro.registry import kv_discrete_names as _kv_discrete_names
-
-KV_DISCRETE = set(_kv_discrete_names())
 
 
 def load_index(index, pairs, workload_name: str,
                context: WorkloadContext) -> None:
     """Bulk load, pre-training model-routed indexes (ROLEX and
-    CHIME-Learned) on future insert keys (§5.1 fn. 3).
-
-    Model-routedness comes from the registry when the index was built
-    through it; indexes constructed directly fall back to an
-    isinstance check.
-    """
-    family = getattr(index, "registry_family", None)
-    if family is not None:
-        model_routed = family.model_routed
-    else:
-        from repro.baselines import RolexIndex
-        from repro.core.learned import LearnedChimeIndex
-        model_routed = isinstance(index, (RolexIndex, LearnedChimeIndex))
-    if model_routed:
+    CHIME-Learned) on future insert keys (§5.1 fn. 3)."""
+    if index.registry_family.model_routed:
         spec = WORKLOADS[workload_name]
         expected_inserts = 0
         if spec.insert_fraction:
@@ -126,63 +108,77 @@ def run_workload(cluster: Cluster, index, workload_name: str,
     return result
 
 
-def prepare_point(index_name: str, workload_name: str, num_keys: int,
-                  ops_per_client: int, cluster_config: ClusterConfig,
-                  value_size: int = 8, span: Optional[int] = None,
-                  neighborhood: Optional[int] = None,
-                  theta: float = 0.99,
-                  chime_overrides: Optional[dict] = None,
-                  key_space: int = 0,
-                  unlimited_cache_for: Optional[Sequence[str]] = None,
-                  ):
-    """Build cluster + index + loaded workload for one measurement point.
+@dataclass(frozen=True)
+class PointSpec:
+    """One picklable measurement point: everything that decides its
+    result, plus ``extra`` row fields a sweep merges into its summary row.
 
-    Returns ``(cluster, index, context)`` ready for :func:`run_workload`.
-
-    ``unlimited_cache_for`` defaults to the registry's
-    ``unlimited_cache`` capability (historically the hardcoded
-    ``("smart-opt",)`` set); pass an explicit sequence to override.
+    Every run-level knob (depth, placement, sync mode, sharding) is a
+    field of ``cluster_config``, so a point never depends on the
+    environment of the process that runs it.
+    :meth:`repro.bench.scale.Scale.point` fills the size fields, the
+    CHIME overrides and the config from a scale.
     """
-    family = get_family(index_name)
-    if unlimited_cache_for is None:
-        uncapped = family.unlimited_cache
-    else:
-        uncapped = index_name in unlimited_cache_for
-    if uncapped:
-        cluster_config = cluster_config.scaled(cache_bytes=None)
-    cluster = Cluster(cluster_config)
-    index = build_index(index_name, cluster, value_size=value_size,
-                        span=span, neighborhood=neighborhood,
-                        chime_overrides=chime_overrides)
-    pairs = dataset(num_keys, key_space=key_space,
-                    seed=cluster_config.seed)
-    spec = WORKLOADS[workload_name]
-    context = WorkloadContext(spec, [k for k, _ in pairs],
-                              seed=cluster_config.seed, theta=theta)
-    total_inserts = (int(spec.insert_fraction * ops_per_client
-                         * cluster_config.total_clients) + 64)
-    context.expected_insert_budget = total_inserts
-    load_index(index, pairs, workload_name, context)
-    return cluster, index, context
+
+    index_name: str
+    workload_name: str
+    num_keys: int
+    ops_per_client: int
+    cluster_config: ClusterConfig
+    value_size: int = 8
+    span: Optional[int] = None
+    neighborhood: Optional[int] = None
+    theta: float = 0.99
+    chime_overrides: Optional[dict] = None
+    key_space: int = 0
+    #: Index names that run with an uncapped CN cache; None means the
+    #: registry's ``unlimited_cache`` capability (``smart-opt``).
+    unlimited_cache_for: Optional[Sequence[str]] = None
+    extra: Tuple[Tuple[str, Any], ...] = ()
+
+    def prepare(self):
+        """Build cluster + index + loaded workload.
+
+        Returns ``(cluster, index, context)`` ready for
+        :func:`run_workload`.
+        """
+        config = self.cluster_config
+        if self.unlimited_cache_for is None:
+            uncapped = get_family(self.index_name).unlimited_cache
+        else:
+            uncapped = self.index_name in self.unlimited_cache_for
+        if uncapped:
+            config = config.scaled(cache_bytes=None)
+        cluster = Cluster(config)
+        index = build_index(self.index_name, cluster,
+                            value_size=self.value_size, span=self.span,
+                            neighborhood=self.neighborhood,
+                            chime_overrides=self.chime_overrides)
+        pairs = dataset(self.num_keys, key_space=self.key_space,
+                        seed=config.seed)
+        spec = WORKLOADS[self.workload_name]
+        context = WorkloadContext(spec, [k for k, _ in pairs],
+                                  seed=config.seed, theta=self.theta)
+        context.expected_insert_budget = (
+            int(spec.insert_fraction * self.ops_per_client
+                * config.total_clients) + 64)
+        load_index(index, pairs, self.workload_name, context)
+        return cluster, index, context
+
+    def run(self) -> RunResult:
+        """Prepare and run the point (also the sweep worker entry)."""
+        cluster, index, context = self.prepare()
+        result = run_workload(cluster, index, self.workload_name,
+                              self.ops_per_client, context)
+        result.index_name = self.index_name
+        return result
 
 
-def run_point(index_name: str, workload_name: str, num_keys: int,
-              ops_per_client: int, cluster_config: ClusterConfig,
-              value_size: int = 8, span: Optional[int] = None,
-              neighborhood: Optional[int] = None,
-              theta: float = 0.99,
-              chime_overrides: Optional[dict] = None,
-              key_space: int = 0,
-              unlimited_cache_for: Optional[Sequence[str]] = None,
-              ) -> RunResult:
-    """Build cluster + index + workload and run one measurement point."""
-    cluster, index, context = prepare_point(
-        index_name, workload_name, num_keys, ops_per_client,
-        cluster_config, value_size=value_size, span=span,
-        neighborhood=neighborhood, theta=theta,
-        chime_overrides=chime_overrides, key_space=key_space,
-        unlimited_cache_for=unlimited_cache_for)
-    result = run_workload(cluster, index, workload_name, ops_per_client,
-                          context)
-    result.index_name = index_name
-    return result
+def prepare_point(*fields, **named):
+    """``PointSpec(...).prepare()`` under its historical name."""
+    return PointSpec(*fields, **named).prepare()
+
+
+def run_point(*fields, **named) -> RunResult:
+    """``PointSpec(...).run()`` under its historical name."""
+    return PointSpec(*fields, **named).run()

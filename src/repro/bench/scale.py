@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional
 
+from repro.bench.runner import PointSpec
 from repro.config import (
     ClusterConfig,
     KNOBS,
@@ -32,6 +33,7 @@ from repro.config import (
     scale_fields,
 )
 from repro.rdma.nic import NicSpec
+from repro.registry import get_family
 
 
 @dataclass(frozen=True)
@@ -120,8 +122,39 @@ class Scale:
                       if value is not None)
         return ClusterConfig(**fields)
 
-    def chime_overrides(self) -> dict:
-        return {"hotspot_bytes": self.hotspot_bytes}
+    def chime_overrides(self, index_name: Optional[str] = None,
+                        **extra) -> Optional[dict]:
+        """CHIME config overrides at this scale (the scaled hotspot
+        buffer) plus *extra*; None for an *index_name* whose family
+        takes no overrides."""
+        if (index_name is not None
+                and not get_family(index_name).accepts_overrides):
+            return None
+        return {"hotspot_bytes": self.hotspot_bytes, **extra}
+
+    def point(self, index_name: str, workload_name: str,
+              config: Optional[ClusterConfig] = None,
+              overrides: Optional[dict] = None, **fields) -> PointSpec:
+        """The measurement point of *index_name* on YCSB *workload_name*
+        at this scale.
+
+        Fills ``num_keys``, ``ops_per_client``, ``key_space``, the CHIME
+        overrides (:meth:`chime_overrides` plus *overrides*) and the
+        cluster config (*config*, else :meth:`cluster_config`).
+        *fields* are the remaining :class:`PointSpec` fields; naming a
+        size field there pins it to a non-preset value.
+        """
+        sized = dict(num_keys=self.num_keys,
+                     ops_per_client=self.ops_per_client,
+                     key_space=self.key_space)
+        sized.update(fields)
+        return PointSpec(
+            index_name, workload_name,
+            cluster_config=(config if config is not None
+                            else self.cluster_config()),
+            chime_overrides=self.chime_overrides(index_name,
+                                                 **(overrides or {})),
+            **sized)
 
 
 QUICK = Scale(name="quick", num_keys=10_000, ops_per_client=120,

@@ -13,8 +13,6 @@ Usage::
     python -m repro run fig12 --depth 4               # 4 op coroutines/client
     python -m repro run --list-indexes                # registry contents
     python -m repro run --list-workloads
-    python -m repro perf                              # pinned perf suite
-    python -m repro perf --check --tolerance 0.5
     python -m repro trace --index chime --workload C --out trace.json
     python -m repro run skew-sync --sync-mode adaptive   # lock-mode sweep
     python -m repro chaos --crash cn0/c0:lock --seed 7
@@ -257,9 +255,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_trace(args) -> int:
     from repro import obs
-    from repro.bench.runner import run_point
     from repro.errors import WorkloadError
-    from repro.registry import get_family
     from repro.workloads.ycsb import WORKLOADS
 
     if args.workload not in WORKLOADS:
@@ -267,14 +263,13 @@ def _cmd_trace(args) -> int:
               f"choose from {', '.join(sorted(WORKLOADS))}", file=sys.stderr)
         return 2
     scale = dataclasses.replace(PRESETS[args.scale], **_knob_values(args))
-    config = scale.cluster_config(clients=args.clients)
     try:
-        family = get_family(args.index)
+        point = scale.point(
+            args.index, args.workload,
+            scale.cluster_config(clients=args.clients),
+            ops_per_client=args.ops or scale.ops_per_client)
         with obs.recording() as recorder:
-            result = run_point(args.index, args.workload, scale.num_keys,
-                               args.ops or scale.ops_per_client, config,
-                               chime_overrides=scale.chime_overrides()
-                               if family.accepts_overrides else None)
+            result = point.run()
     except WorkloadError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -289,61 +284,6 @@ def _cmd_trace(args) -> int:
             metadata={"index": args.index, "workload": args.workload,
                       "scale": scale.name, "seed": scale.seed})
         print(f"\n[trace: {len(recorder.spans)} spans -> {args.out}]")
-    return 0
-
-
-def _cmd_perf(args) -> int:
-    from repro.bench import perf
-
-    report = perf.run_suite(jobs=_knob_values(args).get("jobs"))
-    rows = []
-    for name, point in report["points"].items():
-        rows.append({"index": name, "wall_s": point["wall_s"],
-                     "events": point["events"],
-                     "events_per_sec": point["events_per_sec"],
-                     "ops_per_sec": point["ops_per_sec"]})
-    print(format_table(rows, title="repro perf (pinned suite)"))
-    sweep = report["sweep_fig12_mini"]
-    line = (f"[sweep: {sweep['points']} points, "
-            f"serial {sweep['serial_wall_s']}s")
-    if "parallel_wall_s" in sweep:
-        line += (f", parallel({sweep['jobs']} jobs) "
-                 f"{sweep['parallel_wall_s']}s, {sweep['speedup']}x")
-    print(line + f"; chaos {report['chaos']['wall_s']}s "
-                 f"{'OK' if report['chaos']['ok'] else 'FAILED'}]")
-    depth_sweep = report.get("depth_sweep", {})
-    parts = [f"depth={p['depth']}: {p['sim_throughput_mops']} Mops"
-             for p in depth_sweep.values() if isinstance(p, dict)]
-    if parts:
-        print(f"[depth sweep (chime, YCSB-C, "
-              f"{depth_sweep.get('clients', '?')} clients): "
-              f"{'; '.join(parts)}]")
-
-    if args.check:
-        baseline = perf.load_baseline(args.baseline)
-        if baseline is None:
-            print(f"no readable baseline at {args.baseline}",
-                  file=sys.stderr)
-            return 2
-        ok, problems = perf.check_report(report, baseline,
-                                         args.tolerance)
-        for problem in problems:
-            print(f"perf check: {problem}", file=sys.stderr)
-        print(f"[perf check vs {args.baseline}: "
-              f"{'OK' if ok else 'FAILED'} "
-              f"(tolerance {args.tolerance})]")
-        if args.out:
-            perf.write_report(report, args.out)
-            print(f"[wrote fresh report to {args.out}]")
-        return 0 if ok else 1
-
-    # Preserve the recorded pre-optimization reference block, if the
-    # committed baseline carries one.
-    existing = perf.load_baseline(args.baseline)
-    if existing and "reference_before" in existing:
-        report["reference_before"] = existing["reference_before"]
-    perf.write_report(report, args.baseline)
-    print(f"[wrote {args.baseline}]")
     return 0
 
 
@@ -453,12 +393,7 @@ CAMPAIGN_DB = "campaigns.sqlite"
 
 
 def _campaign_scale(args) -> Scale:
-    """Resolve --scale (presets + the pinned 'perf' point) + overrides."""
-    if args.scale == "perf":
-        from repro.bench.perf import PERF_SCALE
-        scale = PERF_SCALE
-    else:
-        scale = PRESETS[args.scale]
+    """Resolve --scale + the dataset-size overrides."""
     # Cells pin every knob they carry; the rebalancer has no cell
     # field, so it alone reaches campaign points from the environment
     # (and re-keys them, see repro.xpmt.spec.relevant_env).
@@ -467,7 +402,7 @@ def _campaign_scale(args) -> Scale:
         overrides["num_keys"] = args.num_keys
     if getattr(args, "ops", None):
         overrides["ops_per_client"] = args.ops
-    return dataclasses.replace(scale, **overrides)
+    return dataclasses.replace(PRESETS[args.scale], **overrides)
 
 
 def _campaign_plan(args):
@@ -565,11 +500,9 @@ def _cmd_campaign(args) -> int:
             campaign_id = _campaign_id_or_latest(store, args.id, "--id")
             if campaign_id is None:
                 return 2
-            baseline = "" if args.no_baseline else args.baseline
             document, verdict = build_report(
-                store, campaign_id, baseline_path=baseline,
-                alpha=args.alpha, min_drop=args.min_drop,
-                baseline_tolerance=args.baseline_tolerance)
+                store, campaign_id, alpha=args.alpha,
+                min_drop=args.min_drop)
         with open(args.out, "w") as sink:
             sink.write(document)
         for problem in verdict["problems"]:
@@ -657,22 +590,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     env="depth sync_mode num_mns num_shards cache_mode "
                         "rebalance placement")
 
-    perf_parser = sub.add_parser(
-        "perf", help="run the pinned simulator performance suite")
-    perf_parser.add_argument("--check", action="store_true",
-                             help="compare against the committed baseline "
-                                  "instead of rewriting it")
-    perf_parser.add_argument("--tolerance", type=float, default=0.5,
-                             help="allowed relative events/sec regression "
-                                  "for --check (default: 0.5)")
-    perf_parser.add_argument("--baseline", default="BENCH_perf.json",
-                             metavar="PATH",
-                             help="baseline file (default: BENCH_perf.json)")
-    _add_knob_flags(perf_parser, "jobs", env="jobs")
-    perf_parser.add_argument("--out", default=None, metavar="PATH",
-                             help="with --check: also write the fresh "
-                                  "report here (for CI artifacts)")
-
     chaos_parser = sub.add_parser(
         "chaos", help="run a seeded fault-injection campaign against CHIME")
     chaos_parser.add_argument("--index", default=None,
@@ -728,10 +645,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     _db_arg(crun)
     crun.add_argument("--name", default="", help="campaign id (default: "
                                                  "derived from the matrix)")
-    crun.add_argument("--scale", default="quick",
-                      choices=sorted(PRESETS) + ["perf"],
-                      help="scaling preset; 'perf' pins the BENCH_perf "
-                           "operating point (default: quick)")
+    crun.add_argument("--scale", default="quick", choices=sorted(PRESETS),
+                      help="scaling preset (default: quick)")
     crun.add_argument("--indexes", default="chime", metavar="A,B",
                       help="comma-separated index families "
                            "(default: chime)")
@@ -770,20 +685,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                                                   "(default: the only one)")
     creport.add_argument("--out", default="campaign-report.html",
                          metavar="PATH")
-    creport.add_argument("--baseline", default="BENCH_perf.json",
-                         metavar="PATH",
-                         help="perf baseline to check comparable cells "
-                              "against (default: BENCH_perf.json)")
-    creport.add_argument("--no-baseline", action="store_true",
-                         help="skip the BENCH_perf.json comparison")
     creport.add_argument("--alpha", type=float, default=0.05,
                          help="Mann-Whitney significance level")
     creport.add_argument("--min-drop", type=float, default=0.05,
                          help="relative mean drop below which a cell is "
                               "never flagged")
-    creport.add_argument("--baseline-tolerance", type=float, default=0.25,
-                         help="allowed relative shortfall vs the perf "
-                              "baseline")
 
     cdiff = campaign_sub.add_parser(
         "diff", help="compare two stored commits cell by cell")
@@ -807,7 +713,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         except BrokenPipeError:  # e.g. `python -m repro list | head`
             pass
         return 0
-    handler = {"trace": _cmd_trace, "chaos": _cmd_chaos, "perf": _cmd_perf,
+    handler = {"trace": _cmd_trace, "chaos": _cmd_chaos,
                "campaign": _cmd_campaign, "run": _cmd_run}[args.command]
     try:
         return handler(args)

@@ -40,14 +40,6 @@ class IndexError_(ReproError):
     """Base class for index-level failures (name avoids shadowing builtins)."""
 
 
-class KeyNotFoundError(IndexError_):
-    """A search/update/delete addressed a key that is not in the index."""
-
-
-class DuplicateKeyError(IndexError_):
-    """An insert addressed a key that is already present."""
-
-
 class HashTableFullError(IndexError_):
     """A hopscotch insertion found no empty entry and no feasible hop."""
 

@@ -11,7 +11,6 @@ codec, and variable-length items use indirect blocks (§4.5).
 from __future__ import annotations
 
 import struct
-from typing import Tuple
 
 from repro.errors import LayoutError
 
@@ -96,9 +95,3 @@ def fingerprint8(key: int) -> int:
     """A 1-byte fingerprint (SMART-style leaf checks)."""
     mixed = (key * 0xFF51AFD7ED558CCD) & 0xFFFFFFFFFFFFFFFF
     return (mixed >> 56) & 0xFF
-
-
-def split_u64(word: int, low_bits: int) -> Tuple[int, int]:
-    """Split *word* into (high, low) at *low_bits*."""
-    mask = (1 << low_bits) - 1
-    return word >> low_bits, word & mask

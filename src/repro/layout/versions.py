@@ -252,12 +252,6 @@ class StripedSpan:
         positions = line_version_positions(self.base, len(self.data))
         return [(pos, self.data[pos - self.base]) for pos in positions]
 
-    def get_version_at_raw(self, raw_off: int) -> int:
-        return self.data[self._raw_index(raw_off)]
-
-    def set_version_at_raw(self, raw_off: int, byte: int) -> None:
-        self.data[self._raw_index(raw_off)] = byte & 0xFF
-
     def set_all_versions(self, nv: int, ev: int = 0) -> None:
         """Set every line version byte in the span (node-write semantics).
 

@@ -39,10 +39,6 @@ class BumpAllocator:
         """Bytes handed out so far (including the reserved prefix)."""
         return self._next
 
-    @property
-    def bytes_free(self) -> int:
-        return self.region_size - self._next
-
     def alloc(self, size: int, align: int = CACHE_LINE) -> int:
         """Reserve *size* bytes; returns a global address.
 
@@ -155,8 +151,3 @@ class ChunkAllocator:
         addr = self._chunk_addr + self._chunk_used
         self._chunk_used += aligned
         return addr
-
-    def alloc_now(self, size: int, bump: BumpAllocator) -> int:
-        """Host-side allocation used by bulk loading (off the data path)."""
-        aligned = (size + CACHE_LINE - 1) & ~(CACHE_LINE - 1)
-        return bump.alloc(aligned)

@@ -49,7 +49,7 @@ class IndexFamily:
     factory: Callable[..., object] = field(repr=False, default=None)
     description: str = ""
     #: Leaf items are stored discretely (no bulk-ordered leaves); the
-    #: memory-overhead accounting differs for these (ex ``KV_DISCRETE``).
+    #: memory-overhead accounting differs for these.
     kv_discrete: bool = False
     #: ``client(ctx).scan(key, count)`` exists (YCSB-E runnable).
     supports_scan: bool = True

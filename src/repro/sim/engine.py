@@ -607,10 +607,6 @@ class Engine:
         """Create a reusable scheduled callback (see :class:`Wakeup`)."""
         return Wakeup(fire)
 
-    def schedule_wakeup(self, when: float, wakeup: Wakeup) -> None:
-        """Schedule *wakeup* to fire at absolute time *when*."""
-        self._schedule_at(when, wakeup)  # type: ignore[arg-type]
-
     # -- scheduling ---------------------------------------------------------
 
     def _schedule_at(self, when: float, event: Event) -> None:

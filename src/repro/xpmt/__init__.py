@@ -9,8 +9,7 @@ A fuzzbench-style layer over the figure sweeps:
   :mod:`repro.bench.parallel` (stored points are skipped, never redone);
 * :mod:`repro.xpmt.stats` — replicate mean/CI and Mann-Whitney checks;
 * :mod:`repro.xpmt.report` — static HTML reports with SVG sparklines
-  and the regression verdict against the stored trajectory and the
-  ``BENCH_perf.json`` baseline;
+  and the regression verdict against the stored trajectory;
 * :mod:`repro.xpmt.record` — the ``record_table`` fixture's JSONL and
   store routing.
 

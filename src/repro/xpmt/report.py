@@ -1,4 +1,4 @@
-"""Zero-dependency static HTML campaign reports + regression verdicts.
+"""Zero-dependency static HTML campaign reports + the regression verdict.
 
 The report is one self-contained HTML document: a summary table with an
 inline SVG sparkline per cell (mean throughput across the stored commit
@@ -6,14 +6,9 @@ trajectory) and a per-cell breakdown of every commit's replicate
 statistics.  No timestamps are embedded, so the same stored points
 always render byte-identical HTML — the resume tests rely on that.
 
-The verdict diffs the campaign's newest commit against the previous one
-in the stored trajectory (Mann-Whitney over the seed replicates) and,
-where a cell is directly comparable, against the pinned
-``BENCH_perf.json`` baseline.  A cell is baseline-comparable only when
-it was measured under the perf suite's own operating point (scale
-``perf``, YCSB-C, the suite's client count, depth 1): at any other
-scale the absolute numbers mean something else, and pretending
-otherwise would manufacture false regressions.
+There is one verdict: the campaign's newest commit diffed against the
+previous one in the stored trajectory (Mann-Whitney over the seed
+replicates).
 """
 
 from __future__ import annotations
@@ -24,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.xpmt import stats
+from repro.xpmt.spec import cell_label
 from repro.xpmt.store import CampaignStore
 
 __all__ = [
@@ -43,10 +39,6 @@ DEFAULT_MIN_DROP = 0.05
 
 #: Mann-Whitney significance level for trajectory regressions.
 DEFAULT_ALPHA = 0.05
-
-#: Allowed relative shortfall against the BENCH_perf.json baseline
-#: (wide: baseline seeds differ from campaign seeds).
-DEFAULT_BASELINE_TOLERANCE = 0.25
 
 
 @dataclass
@@ -73,29 +65,6 @@ class CellSeries:
         return self.commit_order[-2] if len(self.commit_order) >= 2 else None
 
 
-def _cell_label(spec: Dict) -> str:
-    cell = spec.get("cell", {})
-    label = f"{cell.get('index', '?')}/{cell.get('workload', '?')} c{cell.get('clients', '?')}"
-    if cell.get("depth", 1) != 1:
-        label += f" d{cell['depth']}"
-    if cell.get("value_size", 8) != 8:
-        label += f" v{cell['value_size']}"
-    if cell.get("span") is not None:
-        label += f" s{cell['span']}"
-    if cell.get("neighborhood") is not None:
-        label += f" h{cell['neighborhood']}"
-    if cell.get("sync_mode", "optimistic") != "optimistic":
-        label += f" {cell['sync_mode']}"
-    if cell.get("num_mns", 1) != 1:
-        label += f" m{cell['num_mns']}"
-    if cell.get("cache_mode", "shared") != "shared":
-        label += f" {cell['cache_mode']}"
-    scale = spec.get("scale", {}).get("name")
-    if scale:
-        label += f" [{scale}]"
-    return label
-
-
 AUX_METRICS = ("p50_us", "p99_us", "rtts_per_op")
 
 
@@ -117,7 +86,7 @@ def collect_cells(store: CampaignStore, campaign_id: str) -> List[CellSeries]:
         series = CellSeries(
             spec_hash=spec_hash,
             spec=points[0].spec,
-            label=_cell_label(points[0].spec),
+            label=cell_label(points[0].spec),
         )
         aux_sums: Dict[str, Dict[str, List[float]]] = {}
         for point in points:
@@ -140,29 +109,12 @@ def collect_cells(store: CampaignStore, campaign_id: str) -> List[CellSeries]:
 # -- verdict -----------------------------------------------------------------
 
 
-def _baseline_comparable(spec: Dict, baseline: Dict) -> Optional[float]:
-    """The baseline sim throughput for *spec*, or None if incomparable."""
-    cell = spec.get("cell", {})
-    scale = spec.get("scale", {})
-    base_scale = baseline.get("scale", {})
-    point = baseline.get("points", {}).get(cell.get("index"))
-    if point is None or "sim_throughput_mops" not in point:
-        return None
-    if scale.get("name") != "perf" or cell.get("workload") != "C":
-        return None
-    if cell.get("clients") != base_scale.get("clients") or cell.get("depth", 1) != 1:
-        return None
-    return float(point["sim_throughput_mops"])
-
-
 def regression_verdict(
     cells: Sequence[CellSeries],
-    baseline: Optional[Dict] = None,
     alpha: float = DEFAULT_ALPHA,
     min_drop: float = DEFAULT_MIN_DROP,
-    baseline_tolerance: float = DEFAULT_BASELINE_TOLERANCE,
 ) -> Dict:
-    """Pass/fail verdict over trajectory diffs and the perf baseline."""
+    """Pass/fail verdict over each cell's head-vs-previous-commit diff."""
     problems: List[str] = []
     warnings: List[str] = []
     checks: List[Dict] = []
@@ -184,20 +136,6 @@ def regression_verdict(
                     f"{cell.label}: {comparison['rel_change'] * 100:+.1f}% vs "
                     f"{base[:12]} but not significant (p={comparison['p']:.3f})"
                 )
-        if baseline is not None and head is not None:
-            base_value = _baseline_comparable(cell.spec, baseline)
-            if base_value is not None and base_value > 0:
-                head_mean = stats.summarize(cell.values(head))["mean"]
-                ratio = head_mean / base_value
-                check["baseline"] = {"baseline_mops": base_value, "ratio": ratio}
-                if ratio < 1.0 - baseline_tolerance:
-                    problems.append(
-                        f"{cell.label}: {head_mean:.4f} Mops is "
-                        f"{(1.0 - ratio) * 100:.1f}% below the BENCH_perf.json "
-                        f"baseline ({base_value:.4f} Mops)"
-                    )
-            else:
-                check["baseline"] = None
         checks.append(check)
     return {"ok": not problems, "problems": problems, "warnings": warnings, "checks": checks}
 
@@ -275,7 +213,6 @@ def render_html(
     campaign_id: str,
     cells: Sequence[CellSeries],
     verdict: Dict,
-    baseline_path: str = "",
 ) -> str:
     """The full static report document."""
     trajectory_by_hash = {c["spec_hash"]: c for c in verdict["checks"]}
@@ -291,14 +228,12 @@ def render_html(
         parts.append(f"<p class='fail'>&#10007; {html.escape(problem)}</p>")
     for warning in verdict["warnings"]:
         parts.append(f"<p class='warn'>&#9888; {html.escape(warning)}</p>")
-    if baseline_path:
-        parts.append(f"<p>Baseline: <code>{html.escape(baseline_path)}</code></p>")
 
     parts.append("<h2>Cells</h2><table>")
     parts.append(
         "<tr><th class='l'>cell</th><th>seeds</th><th>commits</th>"
         "<th>head mean (Mops)</th><th>&plusmn;95% CI</th><th>&Delta; vs prev</th>"
-        "<th>p</th><th>baseline ratio</th><th class='l'>trend</th></tr>"
+        "<th>p</th><th class='l'>trend</th></tr>"
     )
     for cell in cells:
         head = cell.head_commit()
@@ -311,14 +246,12 @@ def render_html(
             p_text = _fmt(trajectory["p"], 3)
         else:
             delta, p_text = "-", "-"
-        baseline_check = check.get("baseline")
-        base_text = _fmt(baseline_check["ratio"], 3) if baseline_check else "-"
         means = [stats.summarize(cell.values(c))["mean"] for c in cell.commit_order]
         parts.append(
             f"<tr><td class='l'>{html.escape(cell.label)}</td>"
             f"<td>{summary['n']}</td><td>{len(cell.commit_order)}</td>"
             f"<td>{_fmt(summary['mean'])}</td><td>{_fmt(summary['ci95'])}</td>"
-            f"<td>{delta}</td><td>{p_text}</td><td>{base_text}</td>"
+            f"<td>{delta}</td><td>{p_text}</td>"
             f"<td class='l'>{sparkline_svg(means)}</td></tr>"
         )
     parts.append("</table>")
@@ -352,32 +285,13 @@ def render_html(
     return "\n".join(parts)
 
 
-def load_baseline(path: str) -> Optional[Dict]:
-    """The BENCH_perf.json document, or None when absent/unreadable."""
-    try:
-        with open(path) as source:
-            return json.load(source)
-    except (OSError, ValueError):
-        return None
-
-
 def build_report(
     store: CampaignStore,
     campaign_id: str,
-    baseline_path: str = "",
     alpha: float = DEFAULT_ALPHA,
     min_drop: float = DEFAULT_MIN_DROP,
-    baseline_tolerance: float = DEFAULT_BASELINE_TOLERANCE,
 ) -> Tuple[str, Dict]:
     """Collect, judge, and render one campaign: ``(html, verdict)``."""
     cells = collect_cells(store, campaign_id)
-    baseline = load_baseline(baseline_path) if baseline_path else None
-    verdict = regression_verdict(
-        cells,
-        baseline=baseline,
-        alpha=alpha,
-        min_drop=min_drop,
-        baseline_tolerance=baseline_tolerance,
-    )
-    document = render_html(campaign_id, cells, verdict, baseline_path=baseline_path)
-    return document, verdict
+    verdict = regression_verdict(cells, alpha=alpha, min_drop=min_drop)
+    return render_html(campaign_id, cells, verdict), verdict

@@ -2,7 +2,7 @@
 
 Layered on :mod:`repro.bench.parallel`: a campaign's missing points
 (those without a ``(commit, seed, spec_hash)`` row in the store) are
-materialized as :class:`~repro.bench.parallel.PointSpec` instances and
+materialized as :class:`~repro.bench.runner.PointSpec` instances and
 fanned out through :func:`~repro.bench.parallel.run_sweep`, so a
 campaign parallelizes exactly like the figure sweeps do.  Stored points
 are never re-executed and never overwritten — interrupt a campaign at
@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.bench.parallel import PointSpec, run_sweep
+from repro.bench.parallel import run_sweep
+from repro.bench.runner import PointSpec
 from repro.obs.campaign import campaign_scope
 from repro.xpmt.spec import CampaignPlan, CellSpec, current_commit
 from repro.xpmt.store import CampaignStore
@@ -70,18 +71,15 @@ def build_point_spec(plan: CampaignPlan, cell: CellSpec, seed: int) -> PointSpec
                                   cache_mode=cell.cache_mode,
                                   pipeline_depth=cell.depth,
                                   placement=cell.placement)
-    return PointSpec(
-        index_name=cell.index,
-        workload_name=cell.workload,
-        num_keys=scale.num_keys,
-        ops_per_client=scale.ops_per_client,
-        cluster_config=config,
+    return scale.point(
+        cell.index,
+        cell.workload,
+        config,
+        overrides=dict(plan.chime_overrides),
         value_size=cell.value_size,
         span=cell.span,
         neighborhood=cell.neighborhood,
         theta=cell.theta,
-        chime_overrides=plan.cell_overrides(cell),
-        key_space=scale.key_space,
     )
 
 

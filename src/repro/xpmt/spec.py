@@ -2,7 +2,7 @@
 
 A campaign is a cross-product of *cells* (index family x workload x
 client count x pipeline depth, plus the per-point knobs a
-:class:`~repro.bench.parallel.PointSpec` accepts) and *seeds*.  Each
+:class:`~repro.bench.runner.PointSpec` accepts) and *seeds*.  Each
 (cell, seed) pair is one sweep point, persisted in the campaign store
 keyed by ``(commit, seed, spec_hash)``.
 
@@ -30,6 +30,7 @@ from repro.config import KNOBS, KNOWN_ENV_VARS, env_value, repro_environ
 __all__ = [
     "CellSpec",
     "CampaignPlan",
+    "cell_label",
     "current_commit",
     "relevant_env",
     "spec_hash",
@@ -99,25 +100,8 @@ class CellSpec:
     placement: str = "auto"
 
     def label(self) -> str:
-        """Compact human label used by reports and status tables."""
-        text = f"{self.index}/{self.workload} c{self.clients}"
-        if self.depth != 1:
-            text += f" d{self.depth}"
-        if self.value_size != 8:
-            text += f" v{self.value_size}"
-        if self.span is not None:
-            text += f" s{self.span}"
-        if self.neighborhood is not None:
-            text += f" h{self.neighborhood}"
-        if self.sync_mode != "optimistic":
-            text += f" {self.sync_mode}"
-        if self.num_mns != 1:
-            text += f" m{self.num_mns}"
-        if self.cache_mode != "shared":
-            text += f" {self.cache_mode}"
-        if self.placement != "auto":
-            text += f" p:{self.placement}"
-        return text
+        """Compact human label (see :func:`cell_label`)."""
+        return cell_label({"cell": _cell_payload(self)})
 
 
 #: The cell fields of the v1 payload: always hashed, even at default.
@@ -136,6 +120,38 @@ def _cell_payload(cell: CellSpec) -> Dict:
     return {f.name: getattr(cell, f.name) for f in fields(cell)
             if f.name in _V1_CELL_FIELDS
             or getattr(cell, f.name) != f.default}
+
+
+def cell_label(spec: Dict) -> str:
+    """Compact human label of a stored spec payload: the cell's fields
+    that differ from their defaults, then the scale name if recorded.
+
+    Works on the payload dict because that is all a report has; every
+    field that re-keys a cell must show here, or two distinct cells
+    print alike.
+    """
+    cell = spec.get("cell", {})
+    text = f"{cell.get('index', '?')}/{cell.get('workload', '?')} c{cell.get('clients', '?')}"
+    if cell.get("depth", 1) != 1:
+        text += f" d{cell['depth']}"
+    if cell.get("value_size", 8) != 8:
+        text += f" v{cell['value_size']}"
+    if cell.get("span") is not None:
+        text += f" s{cell['span']}"
+    if cell.get("neighborhood") is not None:
+        text += f" h{cell['neighborhood']}"
+    if cell.get("sync_mode", "optimistic") != "optimistic":
+        text += f" {cell['sync_mode']}"
+    if cell.get("num_mns", 1) != 1:
+        text += f" m{cell['num_mns']}"
+    if cell.get("cache_mode", "shared") != "shared":
+        text += f" {cell['cache_mode']}"
+    if cell.get("placement", "auto") != "auto":
+        text += f" p:{cell['placement']}"
+    scale = spec.get("scale", {}).get("name")
+    if scale:
+        text += f" [{scale}]"
+    return text
 
 
 def _scale_payload(scale: Scale) -> Dict:
@@ -207,13 +223,7 @@ class CampaignPlan:
 
     def cell_overrides(self, cell: CellSpec) -> Optional[Dict]:
         """The CHIME overrides the runner applies to *cell*'s points."""
-        from repro.registry import get_family
-
-        if not get_family(cell.index).accepts_overrides:
-            return None
-        overrides = dict(self.scale.chime_overrides())
-        overrides.update(dict(self.chime_overrides))
-        return overrides
+        return self.scale.chime_overrides(cell.index, **dict(self.chime_overrides))
 
     def targets(self) -> List[Tuple[CellSpec, int, str, Dict]]:
         """Every (cell, seed, spec_hash, payload) point, in plan order."""

@@ -53,6 +53,21 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --partitions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,complaint", [
+        (["perf"], "invalid choice: 'perf'"),
+        (["campaign", "report", "--baseline", "x"],
+         "unrecognized arguments: --baseline"),
+        (["campaign", "run", "--scale", "perf"], "invalid choice: 'perf'")],
+        ids=["repro-perf", "report-baseline", "scale-perf"])
+    def test_second_perf_instrument_is_gone(self, argv, complaint, capsys):
+        # perfbench/run.py is the one perf instrument; `repro perf`, the
+        # campaign report's baseline verdict and the scale preset
+        # that fed it must fail loudly, not run something else.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert complaint in capsys.readouterr().err
+
     def test_main_leaves_the_environment_as_it_found_it(self, capsys):
         # Flags used to reach the run by being written into os.environ,
         # where they stayed and re-configured every later test.

@@ -4,15 +4,14 @@ A knob is a ``Scale``/``ClusterConfig`` field.  Only the process edge
 reads ``REPRO_*`` — ``current_scale()`` and the CLI — so precedence is
 default < environment < flag < explicit ``cluster_config(...)``
 argument, bad values raise a :class:`ConfigError` naming the variable
-or flag, and anything built from a literal ``Scale`` (``repro perf``,
-campaigns, perfbench) cannot see ambient knobs at all.
+or flag, and anything built from a literal ``Scale`` (the pinned
+tier-1 points, campaigns, perfbench) cannot see ambient knobs at all.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.bench import perf
 from repro.bench.runner import prepare_point, run_workload
 from repro.bench.scale import PRESETS, QUICK, Scale, current_scale
 from repro.config import (
@@ -154,36 +153,28 @@ class TestClusterConfigValidates:
 
 
 class TestPinnedSuitesIgnoreAmbientKnobs:
-    @staticmethod
-    def _perf_configs(monkeypatch):
-        """The ClusterConfigs ``repro perf``'s points would run under."""
-        seen = []
+    def test_literal_scale_points(self, clean_env):
+        pinned = Scale(name="pinned", num_keys=8000, ops_per_client=200,
+                       client_sweep=[], clients=16, nic_scale=32.0,
+                       seed=1234)
 
-        class Captured(Exception):
-            pass
+        def points():
+            return [
+                pinned.point("chime", "C"),
+                pinned.point("chime", "C", pinned.cluster_config(
+                    clients=4, pipeline_depth=4)),
+                pinned.point("chime", "A", pinned.cluster_config(
+                    clients=24, num_mns=4, num_shards=4)),
+                pinned.point("flexkv", "C", pinned.cluster_config(
+                    cache_bytes=2048), theta=0.0)]
 
-        def capture(config):
-            seen.append(config)
-            raise Captured
-
-        monkeypatch.setattr(perf, "Cluster", capture)
-        for kwargs in (dict(index_name="chime"),
-                       dict(index_name="chime", depth=4, clients=4),
-                       dict(index_name="chime", clients=24, num_mns=4),
-                       dict(index_name="flexkv", theta=0.0, cache_bytes=2048)):
-            with pytest.raises(Captured):
-                perf._perf_point(**kwargs)
-        return seen
-
-    def test_perf_suite(self, clean_env):
-        clean = (perf._sweep_specs(), self._perf_configs(clean_env))
+        clean = points()
         for name, value in AMBIENT.items():
             clean_env.setenv(name, value)
-        assert (perf._sweep_specs(), self._perf_configs(clean_env)) == clean
-        for spec in clean[0]:
-            assert spec.cluster_config.sync_mode == "optimistic"
-            assert spec.cluster_config.pipeline_depth == 1
-            assert spec.cluster_config.num_shards == 0
+        assert points() == clean
+        config = clean[0].cluster_config
+        assert (config.sync_mode, config.pipeline_depth, config.num_shards,
+                config.placement) == ("optimistic", 1, 0, "auto")
 
     def test_campaign_points(self, clean_env):
         tiny = Scale(name="tiny", num_keys=600, ops_per_client=20,

@@ -7,25 +7,29 @@ for every ``family_names()`` entry on YCSB A and D (and E where the
 family scans), plus CHIME under the non-default knobs that reach its
 lock path (pipeline depth, lock leases, the pessimistic ticket queue) —
 so a refactor of the shared client plumbing that moves *any* family's
-simulated events fails here, not only the four ``repro perf`` covers.
-
-It also pins the event counts of ``BENCH_perf.json``'s ``points`` and
-``placement`` sections, which otherwise only CI's ``repro perf --check``
-enforces.
+simulated events fails here.
 
 ``GOLDEN`` was recorded at commit 28828c4 with :func:`_observe`; rows are
 only ever *added* (a family, a knob, a configuration that used to fail).  An intentional protocol change
 re-records the affected rows in the same commit and says so.
+
+The second half pins what the deleted ``repro perf --check`` enforced:
+the event counts of twelve YCSB-C points at the :data:`PINNED` scale,
+and the four simulated properties those points exist to show.  Every
+point is built the way perfbench builds its own — a literal ``Scale``,
+``PointSpec.prepare`` and ``run_workload`` — so ambient ``REPRO_*``
+knobs cannot reach it.  Wall-clock speed is perfbench's job.
 """
 
+import collections
 import dataclasses
-import json
-import pathlib
+import functools
 
 import pytest
 
-from repro.bench import perf
 from repro.baselines.flexkv import FlexKVIndex
+from repro.bench.runner import run_workload
+from repro.bench.scale import Scale
 from repro.registry import family_names, get_family
 from tests.test_event_queue import _golden_run
 
@@ -145,36 +149,76 @@ def test_golden_table_has_no_stale_rows():
     assert set(GOLDEN) == set(_rows())
 
 
-# -- BENCH_perf.json event fingerprints ------------------------------------
+# -- pinned YCSB-C points ---------------------------------------------------
 
-_BASELINE = json.loads(
-    (pathlib.Path(__file__).resolve().parent.parent / perf.BENCH_FILE)
-    .read_text())
+#: Heavier NIC scaling than the ``quick`` preset: one MN NIC saturates
+#: around 16 clients, so each point simulates a saturated regime.
+PINNED = Scale(name="pinned", num_keys=8000, ops_per_client=200,
+               client_sweep=[], clients=16, nic_scale=32.0, seed=1234)
+
+
+Observed = collections.namedtuple("Observed", "events mops notes")
+
+
+@functools.lru_cache(maxsize=None)
+def _pinned_point(index_name, theta=0.99, **config_fields):
+    """One YCSB-C run at PINNED: engine events, simulated Mops and the
+    result notes; *config_fields* go to ``Scale.cluster_config``."""
+    spec = PINNED.point(index_name, "C",
+                        PINNED.cluster_config(**config_fields), theta=theta)
+    cluster, index, context = spec.prepare()
+    before = cluster.engine.events_processed
+    result = run_workload(cluster, index, "C", spec.ops_per_client, context)
+    return Observed(cluster.engine.events_processed - before,
+                    result.throughput_mops, result.notes)
 
 
 @pytest.mark.parametrize("index_name,events", [
     ("chime", 27339), ("rolex", 57447), ("sherman", 26579),
     ("smart", 45686)])
 def test_perf_point_event_count(index_name, events):
-    assert index_name in perf.PERF_INDEXES
-    assert _BASELINE["points"][index_name]["events"] == events
-    assert perf._perf_point(index_name)["events"] == events
+    assert _pinned_point(index_name).events == events
 
 
 @pytest.mark.parametrize("index_name,events", [
     ("chime", 30437), ("outback", 25632)])
 def test_perf_placement_event_count(index_name, events):
-    assert index_name in perf.PLACEMENT_INDEXES
-    assert _BASELINE["placement"][index_name]["events"] == events
-    assert perf._perf_point(index_name, theta=0.0)["events"] == events
+    assert _pinned_point(index_name, theta=0.0).events == events
+
+
+def test_outback_beats_chime_on_uniform_reads():
+    # Outback's claim: one-RTT hash routing beats a cached tree
+    # traversal on uniform read-only YCSB-C (3.7357 vs 1.7785 Mops).
+    assert (_pinned_point("outback", theta=0.0).mops
+            > _pinned_point("chime", theta=0.0).mops)
 
 
 def test_perf_flexkv_constrained_event_count():
-    footprint = FlexKVIndex.directory_bytes(perf.PERF_SCALE.num_keys,
-                                            perf.PERF_SCALE.num_mns)
-    point = perf._perf_point(
-        "flexkv", theta=0.0,
-        cache_bytes=max(1024, footprint // perf.PLACEMENT_CACHE_DIVISOR))
-    baseline = _BASELINE["placement"]["flexkv_constrained"]
-    assert point["events"] == baseline["events"] == 25760
-    assert point["switches"] == baseline["switches"] == 4
+    # A CN cache of a tenth of the directory footprint must push
+    # partitions to MN-side execution (FlexKV's cache-pressure policy).
+    footprint = FlexKVIndex.directory_bytes(PINNED.num_keys, PINNED.num_mns)
+    point = _pinned_point(
+        "flexkv", theta=0.0, cache_bytes=max(1024, footprint // 10))
+    assert point.events == 25760
+    assert point.notes["placement.switches"] == 4
+    assert point.notes["placement.switches"] >= 1  # the property, if re-pinned
+
+
+def test_shard_sweep_mops_rise_with_mns():
+    # DEX's claim: past the one-NIC wall (24 clients here) every added
+    # MN brings its own NIC, so aggregate Mops rise with each shard
+    # (2.4974 -> 4.4234 -> 6.1413).
+    points = [_pinned_point("chime", clients=24, num_mns=mns, num_shards=mns)
+              for mns in (1, 2, 4)]
+    assert [point.events for point in points] == [39551, 39405, 39329]
+    assert points[0].mops < points[1].mops < points[2].mops
+
+
+def test_depth_sweep_hides_verb_latency():
+    # With NIC headroom (4 clients) four op coroutines per client hide
+    # verb latency: 1.0224 -> 1.8542 Mops.  At the saturated 16-client
+    # point depth cannot help, which is why the sweep runs below it.
+    shallow, deep = (_pinned_point("chime", clients=4, pipeline_depth=depth)
+                     for depth in (1, 4))
+    assert (shallow.events, deep.events) == (7423, 7238)
+    assert deep.mops > shallow.mops

@@ -6,15 +6,15 @@ run real (small) fig12- and fig18a-style points both ways and compare
 full summary rows.
 """
 
+import dataclasses
 import os
 
 import pytest
 
+from repro.bench import experiments, parallel
 from repro.bench.parallel import (
     PointSpec,
-    derive_seed,
     resolve_jobs,
-    run_spec,
     run_sweep,
     sweep_rows,
 )
@@ -51,20 +51,6 @@ def _fig18a_specs():
     ]
 
 
-class TestDeriveSeed:
-    def test_stable(self):
-        assert derive_seed(42, "chime", 8) == derive_seed(42, "chime", 8)
-
-    def test_distinct_components(self):
-        seeds = {derive_seed(42, name, clients)
-                 for name in ("chime", "sherman", "rolex")
-                 for clients in (8, 16)}
-        assert len(seeds) == 6
-
-    def test_base_seed_matters(self):
-        assert derive_seed(1, "x") != derive_seed(2, "x")
-
-
 class TestResolveJobs:
     """Worker count: flag > ``REPRO_JOBS`` > cores - 1.  The variable is
     read where a ``Scale`` is built; ``resolve_jobs`` sees only fields."""
@@ -99,12 +85,6 @@ class TestResolveJobs:
 
 
 class TestPointSpec:
-    def test_with_extra_appends(self):
-        spec = _fig18a_specs()[0]
-        spec2 = spec.with_extra(step="baseline")
-        assert spec2.extra == (("theta", 0.0), ("step", "baseline"))
-        assert spec.extra == (("theta", 0.0),)  # original untouched
-
     def test_spec_is_picklable(self):
         import pickle
         for spec in _fig12_specs():
@@ -118,7 +98,7 @@ class TestRunSweep:
     def test_serial_matches_single_spec(self):
         spec = _fig12_specs()[0]
         assert run_sweep([spec], jobs=1)[0].summary() == \
-            run_spec(spec).summary()
+            spec.run().summary()
 
     def test_fig12_serial_parallel_identical(self):
         specs = _fig12_specs()
@@ -138,3 +118,22 @@ class TestRunSweep:
         rows = sweep_rows(_fig18a_specs()[:1], jobs=1)
         assert rows[0]["theta"] == 0.0
         assert rows[0]["index"]  # base summary fields still present
+
+    def test_jobs_reaches_every_figure(self, monkeypatch):
+        # ablation-rdwc and figplacement used to loop over run_point
+        # serially, so --jobs / REPRO_JOBS silently did nothing for them.
+        swept = []
+        real_run_sweep = parallel.run_sweep
+
+        def spy(specs, jobs=None):
+            swept.append((len(list(specs)), jobs))
+            return real_run_sweep(specs, jobs)
+
+        monkeypatch.setattr(parallel, "run_sweep", spy)
+        monkeypatch.setattr(experiments, "run_sweep", spy)
+        for figure in (experiments.ablation_rdwc, experiments.figplacement):
+            serial, fanned = (
+                figure(dataclasses.replace(TEST_SCALE, jobs=jobs))
+                for jobs in (1, 2))
+            assert serial == fanned and len(serial) == 4
+        assert swept == [(4, 1), (4, 2)] * 2

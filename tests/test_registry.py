@@ -61,11 +61,6 @@ class TestRegistryTable:
         assert set(registry.kv_discrete_names()) == {
             "smart", "smart-opt", "smart-rcu", "outback", "flexkv"}
 
-    def test_runner_kv_discrete_backcompat(self):
-        from repro.bench.runner import KV_DISCRETE
-        assert KV_DISCRETE == {
-            "smart", "smart-opt", "smart-rcu", "outback", "flexkv"}
-
 
 class TestCapabilityFlags:
     def test_chime_supports_chaos_and_overrides(self):

@@ -32,7 +32,8 @@ from repro.registry import build_index, get_family
 TINY = Scale(name="tiny", num_keys=900, ops_per_client=30,
              client_sweep=[4], clients=4, nic_scale=8.0, seed=11)
 
-#: Every index family the perf suite pins, golden-tested below.
+#: One index per family (as the pinned YCSB-C points of
+#: ``tests/test_golden_families.py``), golden-tested below.
 GOLDEN_FAMILIES = ("chime", "sherman", "rolex", "smart")
 
 

@@ -312,29 +312,17 @@ class TestVerdict:
             assert verdict["ok"]
             assert not verdict["warnings"]
 
-    def test_baseline_comparison(self, tmp_path):
-        perf_like = dataclasses.replace(TINY, name="perf")
-        cell = CellSpec(index="chime", workload="C", clients=4)
-        baseline = {
-            "scale": {"clients": 4},
-            "points": {"chime": {"sim_throughput_mops": 10.0}},
-        }
+    def test_cells_differing_only_in_placement_are_told_apart(self, tmp_path):
+        # The report's labeller used to lack the p:<placement> suffix, so
+        # `campaign report` / `campaign diff` printed these two alike.
         with CampaignStore(str(tmp_path / "c.sqlite")) as store:
-            fabricate_trajectory(store, [("aaa", [5.0, 5.0])], cell=cell, scale=perf_like)
-            verdict = regression_verdict(collect_cells(store, "fab"), baseline=baseline)
-            assert not verdict["ok"]
-            assert "below the BENCH_perf.json baseline" in verdict["problems"][0]
-
-    def test_incomparable_cell_skips_baseline(self, tmp_path):
-        baseline = {
-            "scale": {"clients": 2},
-            "points": {"chime": {"sim_throughput_mops": 10.0}},
-        }
-        with CampaignStore(str(tmp_path / "c.sqlite")) as store:
-            fabricate_trajectory(store, [("aaa", [0.001, 0.001])])  # scale "tiny"
-            verdict = regression_verdict(collect_cells(store, "fab"), baseline=baseline)
-            assert verdict["ok"]
-            assert verdict["checks"][0]["baseline"] is None
+            for placement in ("cn", "mn"):
+                cell = CellSpec(index="flexkv", workload="C", clients=2, placement=placement)
+                fabricate_trajectory(store, [("aaa", [1.0, 1.1]), ("bbb", [1.2, 1.3])], cell=cell)
+            cells = collect_cells(store, "fab")
+            rows = diff_cells(cells, "aaa", "bbb")
+        assert [c.label for c in cells] == ["flexkv/C c2 p:cn [tiny]", "flexkv/C c2 p:mn [tiny]"]
+        assert [r["cell"] for r in rows] == [c.label for c in cells]
 
     def test_report_html_is_self_contained(self, tmp_path):
         with CampaignStore(str(tmp_path / "c.sqlite")) as store:
