@@ -33,14 +33,15 @@ SEED = 11
 
 
 def _golden_run(index_name: str, workload: str, monkeypatch,
-                heap_oracle: bool, **cluster_fields):
+                heap_oracle: bool, chime_overrides=None, **cluster_fields):
     """One fully seeded run; returns observables.
 
     The production path (``Cluster`` -> ``Engine()``) runs untouched;
     with *heap_oracle* the ``Engine`` that ``Cluster`` constructs is
     swapped for one draining a :class:`HeapQueue`.  *cluster_fields*
-    override :class:`ClusterConfig` defaults (``tests/
-    test_golden_families.py`` pins non-default knobs with the same recipe).
+    override :class:`ClusterConfig` defaults and *chime_overrides*
+    :class:`ChimeConfig` ones (``tests/test_golden_families.py`` pins
+    non-default knobs with the same recipe).
     """
     config = ClusterConfig(num_cns=2, clients_per_cn=2, seed=SEED,
                            **cluster_fields)
@@ -51,7 +52,7 @@ def _golden_run(index_name: str, workload: str, monkeypatch,
         cluster = Cluster(config)
     assert type(cluster.engine._queue) is (
         HeapQueue if heap_oracle else CalendarQueue)
-    index = build_index(index_name, cluster)
+    index = build_index(index_name, cluster, chime_overrides=chime_overrides)
     pairs = dataset(NUM_KEYS, key_space=0, seed=SEED)
     spec = WORKLOADS[workload]
     context = WorkloadContext(spec, [k for k, _ in pairs], seed=SEED,

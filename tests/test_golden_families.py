@@ -5,9 +5,12 @@ summarised exactly by ``(events_processed, ops_completed,
 traffic_totals(), repr(engine.now))``.  The table below pins that tuple
 for every ``family_names()`` entry on YCSB A and D (and E where the
 family scans), plus CHIME under the non-default knobs that reach its
-lock path (pipeline depth, lock leases, the pessimistic ticket queue) —
-so a refactor of the shared client plumbing that moves *any* family's
-simulated events fails here.
+lock path (pipeline depth, lock leases, the pessimistic ticket queue) and
+under the ``ChimeConfig`` layouts its lock-free leaf reads must survive
+(dedicated header READ, fence-key replicas, narrow and wrapping
+neighbourhoods, a small span, entries straddling cache lines, no
+speculation) — so a refactor of the shared client plumbing that moves
+*any* family's simulated events fails here.
 
 ``GOLDEN`` was recorded at commit 28828c4 with :func:`_observe`; rows are
 only ever *added* (a family, a knob, a configuration that used to fail).  An intentional protocol change
@@ -30,13 +33,18 @@ import pytest
 from repro.baselines.flexkv import FlexKVIndex
 from repro.bench.runner import run_workload
 from repro.bench.scale import Scale
+from repro.config import ChimeConfig
 from repro.registry import family_names, get_family
 from tests.test_event_queue import _golden_run
 
 
-def _observe(index_name, workload, monkeypatch, **cluster_fields):
+def _observe(index_name, workload, monkeypatch, **knobs):
+    """*knobs* naming a ``ChimeConfig`` field configure the index, the
+    rest the cluster (the two configs share no field name)."""
+    chime = {name: knobs.pop(name) for name in list(knobs)
+             if name in ChimeConfig.__dataclass_fields__}
     run = _golden_run(index_name, workload, monkeypatch, heap_oracle=False,
-                      **cluster_fields)
+                      chime_overrides=chime or None, **knobs)
     return (run["events"], run["ops"],
             dataclasses.astuple(run["traffic"]), repr(run["now"]))
 
@@ -121,7 +129,49 @@ GOLDEN = {
         (2540, 120, (302, 412, 187, 165, 60, 0, 138228, 1824, 12), '0.0002883942000000009'),
     ('sherman', 'A', (('sync_mode', 'pessimistic'),)):
         (2856, 120, (353, 457, 194, 159, 104, 0, 141808, 1776, 23), '0.0003433783680445866'),
+    # The CHIME_LAYOUTS rows, recorded at cb475a0 (before the compiled
+    # read shapes replaced the per-entry checks on lock-free reads).
+    ('chime', 'A', (('metadata_replication', False),)):
+        (2572, 120, (316, 384, 203, 110, 71, 0, 16923, 1492, 16), '0.00028640292000000093'),
+    ('chime', 'D', (('metadata_replication', False),)):
+        (1787, 120, (200, 223, 211, 8, 4, 0, 16497, 130, 0), '0.0001722890400000005'),
+    ('chime', 'A', (('sibling_validation', False),)):
+        (2014, 120, (246, 314, 134, 110, 70, 0, 18092, 1500, 15), '0.00022549857333333431'),
+    ('chime', 'D', (('sibling_validation', False),)):
+        (1185, 120, (126, 147, 134, 8, 5, 0, 17962, 129, 1), '0.00010630181333333338'),
+    ('chime', 'A', (('neighborhood', 2),)):
+        (1917, 120, (238, 296, 123, 108, 65, 0, 8806, 1469, 11), '0.0002560426666666678'),
+    ('chime', 'D', (('neighborhood', 2),)):
+        (1153, 120, (126, 139, 126, 8, 5, 0, 7953, 111, 1), '0.00010602844000000004'),
+    ('chime', 'A', (('neighborhood', 16),)):
+        (2038, 120, (246, 320, 140, 110, 70, 0, 27762, 1506, 15), '0.0002257870133333344'),
+    ('chime', 'D', (('neighborhood', 16),)):
+        (1221, 120, (126, 156, 143, 8, 5, 0, 27992, 129, 1), '0.00010658914666666675'),
+    ('chime', 'A', (('span', 16),)):
+        (2070, 120, (239, 330, 162, 108, 60, 0, 15294, 1471, 6), '0.00022161805333333434'),
+    ('chime', 'D', (('span', 16),)):
+        (1318, 120, (132, 174, 161, 8, 5, 0, 15705, 109, 1), '0.00011526493333333339'),
+    ('chime', 'A', (('value_size', 64),)):
+        (2158, 120, (246, 314, 134, 110, 70, 0, 51498, 4637, 15), '0.00022626020000000085'),
+    ('chime', 'D', (('value_size', 64),)):
+        (1202, 120, (127, 148, 134, 8, 6, 0, 53466, 412, 2), '0.00011056446666666666'),
+    ('chime', 'A', (('speculative_read', False),)):
+        (2026, 120, (246, 317, 137, 110, 70, 0, 23783, 1500, 15), '0.0002255795866666677'),
+    ('chime', 'D', (('speculative_read', False),)):
+        (1217, 120, (126, 155, 142, 8, 5, 0, 22663, 127, 1), '0.0001063314266666667'),
 }
+
+
+#: Leaf layouts and read paths the default ``ChimeConfig`` does not reach.
+CHIME_LAYOUTS = (
+    ("metadata_replication", False),  # dedicated header READ (Fig. 15)
+    ("sibling_validation", False),    # 26-byte fence-key replicas (Fig. 16)
+    ("neighborhood", 2),              # Fig. 18f, narrow end
+    ("neighborhood", 16),             # ... wide end: 15 of 64 homes wrap
+    ("span", 16),
+    ("value_size", 64),               # entries straddle two cache lines
+    ("speculative_read", False),
+)
 
 
 def _rows():
@@ -135,6 +185,9 @@ def _rows():
     yield "chime", "A", (("sync_mode", "pessimistic"),)
     yield "sherman", "A", (("lock_leases", True),)
     yield "sherman", "A", (("sync_mode", "pessimistic"),)
+    for knob in CHIME_LAYOUTS:
+        for workload in ("A", "D"):  # D reads fresh inserts: the sibling chase
+            yield "chime", workload, (knob,)
 
 
 @pytest.mark.parametrize("index_name,workload,knobs", list(_rows()),
