@@ -49,7 +49,8 @@ class MarlinClient(ShermanClient):
         *same* entry, or the entry moved) retries from traversal.
         """
         layout = self.layout
-        retry = self.retry.start(f"update({key})", self.engine, self.ctx.rng)
+        retry = self.retry.start("update({})", self.engine, self.ctx.rng,
+                                 key)
         while retry.check():
             ref = yield from self._locate_leaf(key)
             leaf_addr, view = yield from self._leaf_for(ref, key)

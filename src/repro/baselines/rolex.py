@@ -178,8 +178,8 @@ class RolexClient(FamilyClientBase):
     def _reread_torn(self, addr: int) -> Generator:
         """Back off and re-READ a leaf until it is consistent."""
         layout = self.layout
-        retry = self.retry.start(f"leaf read {addr:#x}", self.engine,
-                                 self.ctx.rng)
+        retry = self.retry.start("leaf read {:#x}", self.engine,
+                                 self.ctx.rng, addr)
         while retry.check():
             self.ops.stats.retries += 1
             yield from retry.backoff()

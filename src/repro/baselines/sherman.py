@@ -321,8 +321,8 @@ class ShermanClient(BTreeClientBase):
 
     def _read_leaf(self, addr: int) -> Generator:
         layout = self.layout
-        retry = self.retry.start(f"leaf read {addr:#x}", self.engine,
-                                 self.ctx.rng)
+        retry = self.retry.start("leaf read {:#x}", self.engine,
+                                 self.ctx.rng, addr)
         while retry.check():
             raw = yield from self.ops.read(addr, layout.raw_size)
             view = ShermanLeafView(layout, StripedSpan(raw, 0))
@@ -354,7 +354,8 @@ class ShermanClient(BTreeClientBase):
     # -------------------------------------------------------------- search
 
     def _search(self, key: int) -> Generator:
-        retry = self.retry.start(f"search({key})", self.engine, self.ctx.rng)
+        retry = self.retry.start("search({})", self.engine, self.ctx.rng,
+                                 key)
         while retry.check():
             ref = yield from self._locate_leaf(key)
             leaf_addr, view = yield from self._leaf_for(ref, key)
@@ -389,7 +390,8 @@ class ShermanClient(BTreeClientBase):
         data write and the unlock ride one doorbell batch.
         """
         layout = self.layout
-        retry = self.retry.start(f"{op}({key})", self.engine, self.ctx.rng)
+        retry = self.retry.start("{}({})", self.engine, self.ctx.rng, op,
+                                 key)
         while retry.check():
             ref = yield from self._locate_leaf(key)
             lock_addr = ref.leaf_addr + layout.lock_offset

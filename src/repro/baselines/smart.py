@@ -413,7 +413,8 @@ class SmartClient(FamilyClientBase):
 
     def _upsert(self, key: int, value: int, must_exist: bool) -> Generator:
         key_bytes = encode_key(key)
-        retry = self.retry.start(f"upsert({key})", self.engine, self.ctx.rng)
+        retry = self.retry.start("upsert({})", self.engine, self.ctx.rng,
+                                 key)
         while retry.check():
             outcome = yield from self._upsert_pass(key, key_bytes, value,
                                                    must_exist)
@@ -545,10 +546,10 @@ class SmartClient(FamilyClientBase):
     def _seal_node(self, node: RadixNode) -> Generator:
         """Atomically seal every slot of *node*; returns the node as it
         stood once fully sealed (the authoritative copy source)."""
-        what = f"seal node {node.addr:#x}"
         for index in range(len(node.slots)):
             current = node.slots[index]
-            retry = self.retry.start(what, self.engine, self.ctx.rng)
+            retry = self.retry.start("seal node {:#x}", self.engine,
+                                     self.ctx.rng, node.addr)
             # A set seal bit: another structural op already sealed it.
             while not current & SEAL_BIT and retry.check():
                 target = (current | SEAL_BIT) if current & _OCCUPIED \
@@ -670,7 +671,8 @@ class SmartClient(FamilyClientBase):
 
     def _delete(self, key: int) -> Generator:
         key_bytes = encode_key(key)
-        retry = self.retry.start(f"delete({key})", self.engine, self.ctx.rng)
+        retry = self.retry.start("delete({})", self.engine, self.ctx.rng,
+                                 key)
         while retry.check():
             addr, node_type = self.index.root_addr, self.index.root_type
             while True:

@@ -545,7 +545,9 @@ def _cmd_campaign(args) -> int:
     return 1 if regressed else 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command-line surface (``tests/test_cli.py`` parses
+    every README example through it without running anything)."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate CHIME (SOSP '24) evaluation figures on "
@@ -700,7 +702,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     cdiff.add_argument("--head", default="", metavar="COMMIT",
                        help="head commit (default: newest stored)")
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
 
     for name in unknown_env_vars():
         print(f"warning: unrecognized environment variable {name} "

@@ -376,8 +376,8 @@ class BTreeClientBase(FamilyClientBase):
             # The handoff raced (lease stolen / lock bit held by a
             # mixed-mode writer): keep the inherited ticket and poll.
 
-        retry = self.retry.start(f"queue {lock_addr:#x}", engine,
-                                 self.ctx.rng)
+        retry = self.retry.start("queue {:#x}", engine, self.ctx.rng,
+                                 lock_addr)
         if my_ticket is None:
             # Register intent before the FAA (ticket -1 = in flight): a
             # CN crash parking this lane at the FAA itself must still
@@ -561,8 +561,8 @@ class BTreeClientBase(FamilyClientBase):
         then reconciles the node before the caller proceeds.
         """
         lease_addr = lock_addr + LOCK_LEASE_OFFSET
-        retry = self.retry.start(f"lease {lock_addr:#x}", self.engine,
-                                 self.ctx.rng)
+        retry = self.retry.start("lease {:#x}", self.engine, self.ctx.rng,
+                                 lock_addr)
         while retry.check():
             line = yield from self.ops.read(lock_addr, LOCK_LEASE_OFFSET + 8)
             word = decode_u64(line, 0)
@@ -694,8 +694,8 @@ class BTreeClientBase(FamilyClientBase):
     def _read_internal(self, addr: int, use_cache_budget: bool = True) -> Generator:
         """READ + optimistically validate + parse an internal node."""
         layout = self.index.internal_layout
-        retry = self.retry.start(f"internal read {addr:#x}", self.engine,
-                                 self.ctx.rng)
+        retry = self.retry.start("internal read {:#x}", self.engine,
+                                 self.ctx.rng, addr)
         while retry.check():
             try:
                 raw = yield from self.ops.read(addr, layout.raw_size)
@@ -745,8 +745,8 @@ class BTreeClientBase(FamilyClientBase):
 
     def _locate_leaf(self, key: int) -> Generator:
         """Descend to the leaf covering *key*, preferring cached nodes."""
-        retry = self.retry.start(f"traversal key={key}", self.engine,
-                                 self.ctx.rng)
+        retry = self.retry.start("traversal key={}", self.engine,
+                                 self.ctx.rng, key)
         while retry.check():
             addr = self.index.root_addr
             if addr == NULL_ADDR:

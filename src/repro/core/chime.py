@@ -61,7 +61,6 @@ from repro.core.node_layout import (
 )
 from repro.core.nodes import LeafNodeView
 from repro.core.sync import (
-    check_entry_evs,
     check_nv_uniform,
     collect_leaf_nv,
     reconstruct_bitmaps,
@@ -176,17 +175,6 @@ class ChimeIndex(BTreeIndexBase):
 
     def home_of(self, key: int) -> int:
         return default_hash(key, self.config.span)
-
-    def covered_replica_block(self, home: int) -> int:
-        """Which metadata replica a neighborhood read of *home* carries."""
-        layout = self.leaf_layout
-        if not layout.replicated:
-            return 0
-        if home % layout.neighborhood == 0:
-            return home // layout.neighborhood
-        if home + layout.neighborhood > layout.span:
-            return 0  # wrap-around reads include block 0's replica
-        return home // layout.neighborhood + 1
 
     # -- bulk load (host-side, off the simulated data path) --------------------------
 
@@ -320,7 +308,8 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
     # ---------------------------------------------------------------- search
 
     def _search(self, key: int) -> Generator:
-        retry = self.retry.start(f"search({key})", self.engine, self.ctx.rng)
+        retry = self.retry.start("search({})", self.engine, self.ctx.rng,
+                                 key)
         while retry.check():
             try:
                 ref = yield from self._phase("traverse",
@@ -355,16 +344,16 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
                 if value is not None:
                     return OpResult(_DONE, found=True, value=value)
         for _hop in range(MAX_CHASE):
-            view = yield from self._read_neighborhood_checked(leaf_addr, home)
-            sibling, valid = self._replica_info(view, home)
+            read = yield from self._read_neighborhood_checked(leaf_addr, home)
+            sibling = read.sibling
             mismatch = expected is not None and sibling != expected
             if from_cache and mismatch and ref.parent is not None:
                 self.ctx.cache.invalidate(ref.parent.addr)
-            position = self._find_in_neighborhood(view, home, key)
-            if position is not None:
-                entry = view.entry(position)
+            hit = read.find(key)
+            if hit is not None:
+                position, value = hit
                 self.hotspots.record_access(leaf_addr, position, key)
-                return OpResult(_DONE, found=True, value=entry.value)
+                return OpResult(_DONE, found=True, value=value)
             # Not found: half-split validation (§4.2.3).
             if from_cache and mismatch:
                 return OpResult(_RETRAVERSE)
@@ -378,23 +367,20 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         return OpResult(_DONE, found=False)
 
     def _speculative_read(self, leaf_addr: int, record, key: int) -> Generator:
-        layout = self.layout
-        segment = (layout.entry_offset(record.key_index), layout.entry_size)
-        view = yield from self._fetch_leaf(leaf_addr, [segment])
+        shape = self.layout.entry_shape(record.key_index)
+        raw = yield from self._fetch_shape(leaf_addr, shape)
         try:
-            check_nv_uniform(collect_leaf_nv(view, [record.key_index]))
-            check_entry_evs(view, [record.key_index])
+            hit = shape.decode(raw).find(key)
         except TornReadError:
             self.ops.stats.retries += 1  # torn speculation: fall back
             return None
-        entry = view.entry(record.key_index)
-        if entry.occupied and entry.key == key:
+        if hit is not None:
             self.hotspots.correct_speculations += 1
             self.hotspots.record_access(leaf_addr, record.key_index, key)
             if BUS.active:
                 BUS.emit("speculative.correct", self.engine.now,
                          leaf_addr=leaf_addr)
-            return entry.value
+            return hit[1]
         self.hotspots.wrong_speculations += 1
         if BUS.active:
             BUS.emit("speculative.wrong", self.engine.now,
@@ -404,7 +390,8 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
     # ---------------------------------------------------------------- update / delete
 
     def _update(self, key: int, value: int) -> Generator:
-        retry = self.retry.start(f"update({key})", self.engine, self.ctx.rng)
+        retry = self.retry.start("update({})", self.engine, self.ctx.rng,
+                                 key)
         while retry.check():
             try:
                 ref = yield from self._phase("traverse",
@@ -420,7 +407,8 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
             return result.found
 
     def _delete(self, key: int) -> Generator:
-        retry = self.retry.start(f"delete({key})", self.engine, self.ctx.rng)
+        retry = self.retry.start("delete({})", self.engine, self.ctx.rng,
+                                 key)
         while retry.check():
             try:
                 ref = yield from self._phase("traverse",
@@ -479,7 +467,8 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         view, position, _spec_hit = yield from self._locate_entry_locked(
             leaf_addr, home, key, allow_speculative=not delete)
         if position is None:
-            sibling, _valid = self._replica_info(view, home)
+            sibling = view.replica_sibling(
+                layout.neighborhood_replica_block(home))
             mismatch = expected is not None and sibling != expected
             yield from self._unlock_remote(guard.lock_addr,
                                            guard.release_word())
@@ -561,7 +550,8 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
     # ---------------------------------------------------------------- insert
 
     def _insert(self, key: int, value: int) -> Generator:
-        retry = self.retry.start(f"insert({key})", self.engine, self.ctx.rng)
+        retry = self.retry.start("insert({})", self.engine, self.ctx.rng,
+                                 key)
         while retry.check():
             try:
                 ref = yield from self._phase("traverse",
@@ -913,7 +903,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         left_items = [(k, v) for k, v in items if k <= split_key]
         right_items = [(k, v) for k, v in items if k > split_key]
         pivot = split_key + 1
-        old_sibling = self._replica_sibling_any(full_view)
+        old_sibling = full_view.replica_sibling(0)
         new_addr = yield from self._alloc(layout.total_size)
         # New (right) node first: not reachable until A points at it.
         right_view, right_word = self._compose_leaf(right_items,
@@ -977,13 +967,10 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         word = pack_lock_word(False, view.argmax_key(), vacancy)
         return view, word
 
-    def _replica_sibling_any(self, full_view: LeafNodeView) -> int:
-        return full_view.replica_sibling(0)
-
     # ---------------------------------------------------------------- scan
 
     def _scan(self, key: int, count: int) -> Generator:
-        retry = self.retry.start(f"scan({key})", self.engine, self.ctx.rng)
+        retry = self.retry.start("scan({})", self.engine, self.ctx.rng, key)
         while retry.check():
             try:
                 result = yield from self._scan_once(key, count)
@@ -1031,8 +1018,8 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         views: List[LeafNodeView] = []
         for addr, data in zip(addrs, payloads):
             view = LeafNodeView(layout, StripedSpan(data, 0))
-            retry = self.retry.start(f"scan leaf {addr:#x}", self.engine,
-                                     self.ctx.rng)
+            retry = self.retry.start("scan leaf {:#x}", self.engine,
+                                     self.ctx.rng, addr)
             while retry.check():
                 try:
                     nv_values = collect_leaf_nv(view, range(layout.span))
@@ -1047,10 +1034,6 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         return views
 
     # ---------------------------------------------------------------- shared plumbing
-
-    def _replica_info(self, view: LeafNodeView, home: int) -> Tuple[int, bool]:
-        block = self.index.covered_replica_block(home)
-        return view.replica_sibling(block), view.replica_valid(block)
 
     def _range_replica_block(self, first: int, last: int) -> int:
         """The replica carried by a :meth:`LeafLayout.range_segments` read."""

@@ -269,8 +269,8 @@ class FamilyClientBase(SpanInstrumentedOps):
         """
         swap_mask = (FULL_MASK if zero_rest else LOCK_BIT) if piggyback \
             else LOCK_BIT
-        retry = self.retry.start(f"lock {lock_addr:#x}", self.engine,
-                                 self.ctx.rng)
+        retry = self.retry.start("lock {:#x}", self.engine, self.ctx.rng,
+                                 lock_addr)
         while retry.check():
             old, swapped = yield from self.ops.masked_cas(
                 lock_addr, compare=0, swap=LOCK_BIT,

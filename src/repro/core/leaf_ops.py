@@ -12,20 +12,54 @@ from __future__ import annotations
 
 from typing import Generator, Optional, Sequence, Tuple
 
+from repro.core.node_layout import ReadShape
 from repro.core.nodes import LeafNodeView
-from repro.core.sync import (
-    check_entry_evs,
-    check_hopscotch_bitmap,
-    check_nv_uniform,
-    collect_leaf_nv,
-)
 from repro.errors import FaultInjectedError, TornReadError
 from repro.layout import StripedSpan
 from repro.layout.versions import SpanSet, raw_span
 
 
 class HopscotchLeafOpsMixin:
-    """Leaf fetch + three-level-check primitives."""
+    """Leaf fetch + three-level-check primitives.
+
+    Lock-free reads (a neighbourhood, one speculative entry) go through
+    the layout's compiled :class:`~repro.core.node_layout.ReadShape` and
+    yield a read-only decoded result; reads under the leaf lock fetch a
+    mutable :class:`LeafNodeView` that the writer edits and writes back.
+    """
+
+    # -- lock-free reads ----------------------------------------------------------
+
+    def _fetch_shape(self, leaf_addr: int, shape: ReadShape) -> Generator:
+        """Issue a shape's READs — one round trip per round, a single
+        READ or a doorbell batch; returns the payloads concatenated."""
+        parts = []
+        for requests in shape.rounds:
+            if len(requests) == 1:
+                (raw_off, raw_len), = requests
+                data = yield from self.ops.read(leaf_addr + raw_off, raw_len)
+                parts.append(data)
+            else:
+                parts += yield from self.ops.read_batch(
+                    [(leaf_addr + raw_off, raw_len)
+                     for raw_off, raw_len in requests])
+        return parts[0] if len(parts) == 1 else b"".join(parts)
+
+    def _read_neighborhood_checked(self, leaf_addr: int,
+                                   home: int) -> Generator:
+        """Neighborhood read + the three-level optimistic checks."""
+        shape = self.layout.neighborhood_shape(home)
+        retry = self.retry.start("neighborhood {} @ leaf {:#x}", self.engine,
+                                 self.ctx.rng, home, leaf_addr)
+        while retry.check():
+            try:
+                raw = yield from self._fetch_shape(leaf_addr, shape)
+                return shape.decode(raw, self.home_of)
+            except (TornReadError, FaultInjectedError):
+                self.ops.stats.retries += 1
+                yield from retry.backoff()
+
+    # -- reads under the leaf lock --------------------------------------------------
 
     def _fetch_leaf(self, leaf_addr: int,
                     segments: Sequence[Tuple[int, int]]) -> Generator:
@@ -45,8 +79,8 @@ class HopscotchLeafOpsMixin:
                  for raw_off, data in zip(raw_offs, payloads)]
         return LeafNodeView(self.layout, SpanSet(spans))
 
-    def _fetch_neighborhood_view(self, leaf_addr: int, home: int,
-                                 extra_view=None) -> Generator:
+    def _fetch_neighborhood_view(self, leaf_addr: int,
+                                 home: int) -> Generator:
         """Neighborhood read; a dedicated header READ precedes it when
         metadata replication is disabled (the §3.2.2 extra access)."""
         layout = self.layout
@@ -68,27 +102,6 @@ class HopscotchLeafOpsMixin:
         view = yield from self._fetch_leaf(
             leaf_addr, layout.neighborhood_segments(home))
         return view
-
-    def _read_neighborhood_checked(self, leaf_addr: int,
-                                   home: int) -> Generator:
-        """Neighborhood read + the three-level optimistic checks."""
-        layout = self.layout
-        indices = [(home + o) % layout.span
-                   for o in range(layout.neighborhood)]
-        retry = self.retry.start(
-            f"neighborhood {home} @ leaf {leaf_addr:#x}", self.engine,
-            self.ctx.rng)
-        while retry.check():
-            try:
-                view = yield from self._fetch_neighborhood_view(leaf_addr,
-                                                                home)
-                check_nv_uniform(collect_leaf_nv(view, indices))
-                check_entry_evs(view, indices)
-                check_hopscotch_bitmap(view, home, self.home_of)
-                return view
-            except (TornReadError, FaultInjectedError):
-                self.ops.stats.retries += 1
-                yield from retry.backoff()
 
     def _find_in_neighborhood(self, view: LeafNodeView, home: int,
                               key: int) -> Optional[int]:

@@ -132,14 +132,6 @@ class LearnedChimeIndex(FamilyIndexBase):
                  len(self.leaf_addrs) - 1)
         return list(range(lo, hi + 1))
 
-    def covered_block(self, home: int) -> int:
-        """Which metadata replica a neighborhood read of *home* carries."""
-        if home % self.neighborhood == 0:
-            return home // self.neighborhood
-        if home + self.neighborhood > self.span:
-            return 0
-        return home // self.neighborhood + 1
-
     def cache_bytes_needed(self) -> int:
         model_bytes = self.model.cache_bytes if self.model else 0
         return model_bytes + LEAF_ADDR_BYTES * len(self.leaf_addrs)
@@ -174,33 +166,31 @@ class LearnedChimeClient(FamilyClientBase, HopscotchLeafOpsMixin):
         cost of CHIME-Learned, §5.3) in a single doorbell batch."""
         home = self.home_of(key)
         candidates = self.index.candidate_leaves(key)
-        segments = self.layout.neighborhood_segments(home)
         covering: Optional[int] = None
-        retry = self.retry.start(f"search({key})", self.engine, self.ctx.rng)
+        retry = self.retry.start("search({})", self.engine, self.ctx.rng,
+                                 key)
         while retry.attempt < self.retry.max_attempts and retry.check():
-            views = []
+            reads = []
             for leaf_index in candidates:
                 leaf_addr = self.index.leaf_addrs[leaf_index]
-                view = yield from self._read_neighborhood_checked(leaf_addr,
+                read = yield from self._read_neighborhood_checked(leaf_addr,
                                                                   home)
-                views.append((leaf_addr, view))
-            for leaf_addr, view in views:
-                position = self._find_in_neighborhood(view, home, key)
-                if position is not None:
-                    return view.entry(position).value
-                block = self.index.covered_block(home)
-                low, high = view.replica_fences(block)
+                reads.append((leaf_addr, read))
+            for leaf_addr, read in reads:
+                hit = read.find(key)
+                if hit is not None:
+                    return hit[1]
+                low, high = read.fences
                 if low <= key < high:
                     covering = leaf_addr
-                    synonym = view.replica_sibling(block)
+                    synonym = read.sibling
                     while synonym != NULL_ADDR:
-                        syn_view = yield from self._read_neighborhood_checked(
+                        chained = yield from self._read_neighborhood_checked(
                             synonym, home)
-                        position = self._find_in_neighborhood(syn_view, home,
-                                                              key)
-                        if position is not None:
-                            return syn_view.entry(position).value
-                        synonym = syn_view.replica_sibling(block)
+                        hit = chained.find(key)
+                        if hit is not None:
+                            return hit[1]
+                        synonym = chained.sibling
             if covering is not None or not candidates:
                 return None
             yield from retry.backoff()
@@ -221,11 +211,10 @@ class LearnedChimeClient(FamilyClientBase, HopscotchLeafOpsMixin):
         """The candidate leaf whose fences cover *key* (fence replicas
         ride along with a neighborhood read)."""
         home = self.home_of(key)
-        block = self.index.covered_block(home)
         for leaf_index in self.index.candidate_leaves(key):
             leaf_addr = self.index.leaf_addrs[leaf_index]
-            view = yield from self._read_neighborhood_checked(leaf_addr, home)
-            low, high = view.replica_fences(block)
+            read = yield from self._read_neighborhood_checked(leaf_addr, home)
+            low, high = read.fences
             if low <= key < high:
                 return leaf_addr
         return None
@@ -262,7 +251,7 @@ class LearnedChimeClient(FamilyClientBase, HopscotchLeafOpsMixin):
         """
         layout = self.layout
         home = self.home_of(key)
-        block = self.index.covered_block(home)
+        block = layout.neighborhood_replica_block(home)
         chain_addr = base_addr
         tail_addr = base_addr
         tail_view = None

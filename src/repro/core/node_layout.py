@@ -31,11 +31,13 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.errors import LayoutError
+from repro.errors import LayoutError, TornReadError
 from repro.layout import versions
+from repro.layout.codec import decode_value
 from repro.memory.region import CACHE_LINE
+from repro.obs.bus import BUS
 
 #: Lock-word field widths.
 LOCK_BIT = 0x1
@@ -221,7 +223,8 @@ class InternalLayout:
 def _image_struct(byte_order: str, code: str, field_off: int,
                   entry_offsets: Sequence[int],
                   logical_size: int) -> struct.Struct:
-    """One field of every entry, unpacked from a whole logical payload.
+    """One field of every entry, unpacked from a de-striped payload (a
+    whole leaf, or the concatenated segments of a partial read).
 
     Everything between the fields (replicas, version and bitmap bytes,
     the other fields) is ``x`` padding, so the struct spans exactly
@@ -234,6 +237,202 @@ def _image_struct(byte_order: str, code: str, field_off: int,
         pos = off + field_off + struct.calcsize(byte_order + code)
     parts.append(f"{logical_size - pos}x")
     return struct.Struct(byte_order + "".join(parts))
+
+
+def _tuple_getter(indices: Sequence[int]) -> Callable:
+    """``itemgetter(*indices)`` that returns a tuple for one index too
+    (the stock one returns a scalar)."""
+    if len(indices) == 1:
+        index, = indices
+        return lambda data: (data[index],)
+    return itemgetter(*indices)
+
+
+_BITMAP = struct.Struct("<H")
+_REPLICA = struct.Struct("<BQ")  # [valid:1][sibling:8]
+_FENCES = struct.Struct(">QQ")
+
+
+def _torn(level: int, message: str) -> TornReadError:
+    """A failed check of §4.1's level *level*, announced on the bus."""
+    if BUS.active:
+        BUS.emit("sync.torn", level=level)
+    return TornReadError(message)
+
+
+class DecodedNeighborhood:
+    """What a lock-free partial leaf read yields once its checks passed:
+    read-only, decoded from the de-striped payload on demand.
+
+    ``sibling`` / ``valid`` come from the metadata replica the read
+    carried; a speculative single-entry read carries none (both None).
+    """
+
+    __slots__ = ("sibling", "valid", "_shape", "_payload", "_keys")
+
+    def __init__(self, shape: "ReadShape", payload: bytearray,
+                 keys: Tuple[int, ...], valid: Optional[bool],
+                 sibling: Optional[int]) -> None:
+        self.sibling = sibling
+        self.valid = valid
+        self._shape = shape
+        self._payload = payload
+        self._keys = keys
+
+    @property
+    def fences(self) -> Tuple[int, int]:
+        """(fence_low, fence_high) of the carried replica."""
+        fences_at = self._shape._fences_at
+        if fences_at is None:
+            raise LayoutError("read carries no fence keys")
+        return _FENCES.unpack_from(self._payload, fences_at)
+
+    def find(self, key: int) -> Optional[Tuple[int, int]]:
+        """(entry position, value) of *key*, or None.
+
+        *key* must be a real key (>= 1) and, for a neighbourhood, hash
+        to its home: the bitmap check has then already proved that an
+        entry holding it is one the home bitmap flags.
+        """
+        try:
+            offset = self._keys.index(key)
+        except ValueError:
+            return None
+        if not key:
+            return None  # key 0 marks an empty entry, never a match
+        shape = self._shape
+        return shape.positions[offset], decode_value(
+            self._payload, shape._value_at[offset], shape._value_size)
+
+
+class ReadShape:
+    """One lock-free partial leaf read, compiled: what to fetch and how
+    to validate and decode it in a fixed handful of C calls.
+
+    A shape is built once per fetched-segment pattern of a layout — the
+    neighbourhood of one home, or one speculatively read entry — from
+    the layout's own offset tables.  ``rounds`` are the raw ``(offset,
+    length)`` READs relative to the leaf address, one round trip each (a
+    round of several requests is a doorbell batch).  :meth:`decode` takes
+    the payloads concatenated in that order and runs the three-level
+    check of §4.1 — NV, EV, hopscotch bitmap, in that order — before
+    anything is decoded ("de-stripe, then unpack", as for whole images).
+    """
+
+    __slots__ = ("rounds", "raw_len", "positions", "_home", "_versions",
+                 "_ev_entry", "_ev_line", "_strips", "_keys", "_bitmap_at",
+                 "_replica_at", "_fences_at", "_value_at", "_value_size")
+
+    def __init__(self, layout: "LeafLayout",
+                 rounds: Sequence[Sequence[Tuple[int, int]]],
+                 entries: Sequence[int], home: Optional[int] = None,
+                 replica_block: Optional[int] = None) -> None:
+        """*rounds* hold logical segments, *entries* the fully fetched
+        entry indices in payload order; a neighbourhood shape also names
+        its *home* (first of *entries*) and the replica it carries."""
+        segments = [segment for group in rounds for segment in group]
+        self.rounds = tuple(tuple(versions.raw_span(off, length)
+                                  for off, length in group)
+                            for group in rounds)
+        raw_spans = [span for group in self.rounds for span in group]
+        self.raw_len = sum(length for _off, length in raw_spans)
+        payload_len = sum(length for _off, length in segments)
+
+        def index_in(spans, offset: int) -> int:
+            """Index of *offset* in the concatenation of *spans*."""
+            base = 0
+            for start, length in spans:
+                if start <= offset < start + length:
+                    return base + offset - start
+                base += length
+            raise LayoutError(f"offset {offset} is not fetched by {spans}")
+
+        # Every version byte fetched: the line bytes of each segment,
+        # then each entry's own; EV pairs index into that sequence.
+        ev_ranges = [layout._entry_ev_ranges[index] for index in entries]
+        version_raws = [pos for off, length in raw_spans
+                        for pos in versions.line_version_positions(off, length)]
+        version_raws += [raw_off for raw_off, _first, _end in ev_ranges]
+        slot = {raw: number for number, raw in enumerate(version_raws)}
+        self._versions = _tuple_getter(
+            [index_in(raw_spans, raw) for raw in version_raws])
+        pairs = [(slot[raw_off], slot[line])
+                 for raw_off, first, end in ev_ranges
+                 for line in range(first, end, versions.LINE)]
+        self._ev_entry = self._ev_line = None
+        if pairs:
+            self._ev_entry = _tuple_getter([entry for entry, _line in pairs])
+            self._ev_line = _tuple_getter([line for _entry, line in pairs])
+        # Strided deletes, last segment first so indices stay valid.
+        strips = []
+        base = self.raw_len
+        for off, length in reversed(raw_spans):
+            base -= length
+            strip = versions.destripe_slice(off, length, at=base)
+            if strip.start < strip.stop:
+                strips.append(strip)
+        self._strips = tuple(strips)
+
+        entry_at = [index_in(segments, layout._entry_offsets[index])
+                    for index in entries]
+        self.positions = tuple(entries)
+        self._keys = _image_struct(">", "Q", layout.ENTRY_OFF_KEY, entry_at,
+                                   payload_len)
+        self._value_at = tuple(at + layout.entry_off_value for at in entry_at)
+        self._value_size = layout.value_size
+        self._home = home
+        self._bitmap_at = self._replica_at = self._fences_at = None
+        if home is not None:
+            self._bitmap_at = entry_at[0] + layout.ENTRY_OFF_BITMAP
+            self._replica_at = index_in(
+                segments, layout.replica_offset(replica_block))
+            if layout.fence_keys:
+                self._fences_at = (self._replica_at
+                                   + layout.replica_off_fence_low)
+
+    def decode(self, raw: bytes, hash_home: Optional[Callable] = None
+               ) -> DecodedNeighborhood:
+        """Check and decode the fetched bytes; raises
+        :class:`TornReadError` on a torn state and :class:`LayoutError`
+        when *raw* is not exactly the bytes this shape fetches."""
+        if len(raw) != self.raw_len:
+            raise LayoutError(
+                f"read shape expects {self.raw_len} raw bytes, got {len(raw)}")
+        version_bytes = bytes(self._versions(raw))
+        nvs = set(version_bytes.translate(versions.NV_OF_BYTE))
+        if len(nvs) > 1:
+            raise _torn(1, f"node-level versions disagree: {sorted(nvs)}")
+        if self._ev_entry is not None:
+            evs = version_bytes.translate(versions.EV_OF_BYTE)
+            if self._ev_entry(evs) != self._ev_line(evs):
+                raise _torn(2, "entry-level versions disagree within an "
+                            f"entry of {self.positions}")
+        payload = bytearray(raw)
+        for strip in self._strips:
+            del payload[strip]
+        keys = self._keys.unpack(payload)
+        if self._home is None:  # one speculative entry: no bitmap, no replica
+            return DecodedNeighborhood(self, payload, keys, None, None)
+        self._check_bitmap(payload, keys, hash_home)
+        valid, sibling = _REPLICA.unpack_from(payload, self._replica_at)
+        return DecodedNeighborhood(self, payload, keys, bool(valid), sibling)
+
+    def _check_bitmap(self, payload: bytearray, keys: Tuple[int, ...],
+                      hash_home: Callable) -> None:
+        """Level 3: the stored home bitmap must equal the one the
+        fetched keys imply, else the read interleaved with a hop."""
+        home = self._home
+        stored, = _BITMAP.unpack_from(payload, self._bitmap_at)
+        actual = 0
+        bit = 1
+        for key in keys:
+            if key and hash_home(key) == home:
+                actual |= bit
+            bit <<= 1
+        if stored != actual:
+            raise _torn(3, f"hopscotch bitmap of home {home} is "
+                        f"{stored:#06x}, keys say {actual:#06x} "
+                        "(in-flight hop)")
 
 
 @dataclass(frozen=True)
@@ -320,11 +519,12 @@ class LeafLayout:
             "<", value_code, self.entry_off_value, offsets, logical_size))
         set_attr(self, "_image_bitmaps", _image_struct(
             "<", "H", self.ENTRY_OFF_BITMAP, offsets, logical_size))
-        version_raws = [raw_off for raw_off, _first, _end in ev_ranges]
-        # ``itemgetter`` of one index returns a scalar, not a 1-tuple.
-        set_attr(self, "_image_entry_versions",
-                 itemgetter(*version_raws) if self.span > 1
-                 else lambda data, _raw=version_raws[0]: (data[_raw],))
+        set_attr(self, "_image_entry_versions", _tuple_getter(
+            [raw_off for raw_off, _first, _end in ev_ranges]))
+        # Read shapes, compiled on first use: one per neighbourhood home
+        # and one per speculatively read entry (at most 2 * span).
+        set_attr(self, "_neighborhood_shapes", {})
+        set_attr(self, "_entry_shapes", {})
 
     # -- positions --------------------------------------------------------------
 
@@ -392,6 +592,42 @@ class LeafLayout:
             head_stop = self.entry_offset(end - self.span - 1) + self.entry_size
             segments.append((0, head_stop))
         return segments
+
+    def neighborhood_replica_block(self, home: int) -> int:
+        """Which metadata replica :meth:`neighborhood_segments` carries
+        (the single header when unreplicated)."""
+        if not self.replicated:
+            return 0
+        if home % self.neighborhood == 0:
+            return home // self.neighborhood
+        if home + self.neighborhood > self.span:
+            return 0  # wrap-around reads include block 0's replica
+        return home // self.neighborhood + 1
+
+    def neighborhood_shape(self, home: int) -> ReadShape:
+        """The compiled read of *home*'s neighbourhood: the segments of
+        :meth:`neighborhood_segments`, preceded by a dedicated header
+        READ when metadata is not replicated (the §3.2.2 extra access)."""
+        shape = self._neighborhood_shapes.get(home)
+        if shape is None:
+            rounds = [self.neighborhood_segments(home)]
+            if not self.replicated:
+                rounds.insert(0, [(0, self.replica_size)])
+            entries = [(home + offset) % self.span
+                       for offset in range(self.neighborhood)]
+            shape = self._neighborhood_shapes[home] = ReadShape(
+                self, rounds, entries, home,
+                self.neighborhood_replica_block(home))
+        return shape
+
+    def entry_shape(self, index: int) -> ReadShape:
+        """The compiled speculative read of entry *index* alone (§4.3)."""
+        shape = self._entry_shapes.get(index)
+        if shape is None:
+            segment = (self.entry_offset(index), self.entry_size)
+            shape = self._entry_shapes[index] = ReadShape(
+                self, [[segment]], [index])
+        return shape
 
     def _entry_segments(self, home: int, count: int) -> List[Tuple[int, int]]:
         segments = []

@@ -48,8 +48,9 @@ PAYLOAD_PER_LINE = LINE - 1
 
 _NIBBLE = 0xF
 
-#: ``bytes.translate`` table mapping a version byte to its NV nibble.
+#: ``bytes.translate`` tables mapping a version byte to its NV / EV nibble.
 NV_OF_BYTE = bytes(byte >> 4 for byte in range(256))
+EV_OF_BYTE = bytes(byte & _NIBBLE for byte in range(256))
 
 
 def pack_version(nv: int, ev: int) -> int:
@@ -110,6 +111,14 @@ def line_version_positions(raw_off: int, raw_len: int) -> List[int]:
     """Raw offsets of the line version bytes inside raw [off, off+len)."""
     first = ((raw_off + LINE - 1) // LINE) * LINE
     return list(range(first, raw_off + raw_len, LINE))
+
+
+def destripe_slice(raw_off: int, raw_len: int, at: int = 0) -> slice:
+    """Where the line version bytes of raw span [off, off+len) sit in a
+    buffer holding that span from index *at* on: ``del buffer[slice]``
+    leaves the span's payload bytes (de-striping in one strided delete).
+    """
+    return slice(at + -raw_off % LINE, at + raw_len, LINE)
 
 
 class StripedSpan:
@@ -190,7 +199,7 @@ class StripedSpan:
                 f"span [{base}, {base + len(self.data)}) does not hold the "
                 f"whole {logical_size}-byte payload")
         payload = self.data[:end]
-        del payload[-base % LINE::LINE]
+        del payload[destripe_slice(base, end)]
         return payload
 
     def payload_byte(self, logical_off: int) -> int:

@@ -55,9 +55,12 @@ class RetryPolicy:
             value *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return max(value, 0.0)
 
-    def start(self, what: str, engine: Engine, rng=None) -> "RetryState":
-        """Begin one bounded attempt sequence for the step named *what*."""
-        return RetryState(self, what, engine, rng)
+    def start(self, what: str, engine: Engine, rng=None,
+              *args) -> "RetryState":
+        """Begin one bounded attempt sequence for the step named
+        ``what.format(*args)`` — formatted only if the budget runs out,
+        so the label costs a started sequence nothing."""
+        return RetryState(self, what, engine, rng, args)
 
     def scaled(self, **overrides) -> "RetryPolicy":
         """A copy with fields replaced (convenience for sweeps)."""
@@ -71,12 +74,14 @@ DEFAULT_RETRY_POLICY = RetryPolicy()
 class RetryState:
     """Progress of one attempt sequence under a :class:`RetryPolicy`."""
 
-    __slots__ = ("policy", "what", "engine", "rng", "attempt", "started")
+    __slots__ = ("policy", "what", "args", "engine", "rng", "attempt",
+                 "started")
 
     def __init__(self, policy: RetryPolicy, what: str, engine: Engine,
-                 rng=None) -> None:
+                 rng=None, args: tuple = ()) -> None:
         self.policy = policy
         self.what = what
+        self.args = args
         self.engine = engine
         self.rng = rng
         self.attempt = 0
@@ -91,12 +96,14 @@ class RetryState:
         policy = self.policy
         if self.attempt >= policy.max_attempts:
             raise RetryExhaustedError(
-                f"{self.what}: gave up after {self.attempt} attempts")
+                f"{self.what.format(*self.args)}: gave up after "
+                f"{self.attempt} attempts")
         if policy.deadline is not None and \
                 self.engine.now - self.started >= policy.deadline:
             raise OperationTimeoutError(
-                f"{self.what}: deadline of {policy.deadline * 1e6:.1f}us "
-                f"exceeded after {self.attempt} attempts")
+                f"{self.what.format(*self.args)}: deadline of "
+                f"{policy.deadline * 1e6:.1f}us exceeded after "
+                f"{self.attempt} attempts")
         self.attempt += 1
         return True
 

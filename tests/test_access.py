@@ -484,6 +484,26 @@ class TestFamilyPlumbingWrittenOnce:
                 # _restore_unlock's job (leases, tickets, delegation).
                 assert not re.search(r"lock_addr,\s*encode_u64\(0\)", text), path
 
+    def test_per_entry_sync_checks_are_only_the_oracle(self):
+        """Lock-free reads validate through the layout's compiled read
+        shapes; the per-entry checks of ``core/sync.py`` stay as the
+        reference the property tests compare those against, so nothing
+        else under ``src/repro`` may call them."""
+        package = pathlib.Path(repro.__file__).parent
+        oracle = {"check_entry_evs", "check_hopscotch_bitmap",
+                  "reconstruct_bitmap"}
+        callers = []
+        for path in sorted(package.rglob("*.py")):
+            if path == package / "core" / "sync.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id",
+                                   getattr(node.func, "attr", None))
+                    if name in oracle:
+                        callers.append((path.name, name))
+        assert not callers, callers
+
 
 # ---------------------------------------------------------------------------
 # Campaign spec: placement pinning keeps old hashes stable

@@ -1,6 +1,9 @@
 """Tests for the figure-regeneration CLI and the ablation experiments."""
 
 import os
+import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -10,14 +13,40 @@ from repro.bench.experiments import (
     ablation_rdwc,
     ablation_write_amplification,
 )
-from repro.cli import EXPERIMENTS, main, run_experiment
+from repro.cli import EXPERIMENTS, build_parser, main, run_experiment
 from repro.config import unknown_env_vars
 
 TINY = Scale(name="tiny", num_keys=3000, ops_per_client=50,
              client_sweep=[4], clients=6, nic_scale=32.0)
 
 
+def readme_commands():
+    """Every ``python -m repro ...`` line inside README's bash blocks, as
+    an argv (continuation lines joined, comments and ``VAR=`` prefixes
+    dropped)."""
+    readme = pathlib.Path(__file__).parent.parent / "README.md"
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", readme.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if "repro" in words and words[words.index("repro") - 1] == "-m":
+                commands.append(words[words.index("repro") + 1:])
+    return commands
+
+
 class TestCli:
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_readme_example_parses(self, argv):
+        # Parsed, not run: a removed flag, subcommand or figure must not
+        # survive in the README (``run fig18a --sync-mode pessimistic``
+        # did, long after fig18a gained an optimistic-only family).
+        args = build_parser().parse_args(argv)
+        if args.command == "run" and args.figure is not None:
+            assert args.figure == "all" or args.figure in EXPERIMENTS
+
+    def test_readme_has_examples(self):
+        assert len(readme_commands()) > 30
+
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out

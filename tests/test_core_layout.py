@@ -1,7 +1,9 @@
 """Unit tests for CHIME node layouts, lock words, and node views."""
 
+import functools
 import hashlib
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +21,20 @@ from repro.core.node_layout import (
     pack_lock_word,
     unpack_lock_word,
 )
+from repro.core.leaf_ops import HopscotchLeafOpsMixin
 from repro.core.nodes import InternalNodeView, LeafNodeView
-from repro.core.sync import collect_leaf_nv
-from repro.errors import LayoutError
+from repro.core.sync import (
+    check_entry_evs,
+    check_hopscotch_bitmap,
+    check_nv_uniform,
+    collect_leaf_nv,
+)
+from repro.errors import HashTableFullError, LayoutError, TornReadError
+from repro.hashing.hopscotch import HopscotchTable, default_hash
 from repro.layout import MAX_KEY, StripedSpan
 from repro.layout.versions import LINE, SpanSet, raw_span
 from repro.memory.region import CACHE_LINE
+from repro.obs import BUS
 
 
 class TestLockWord:
@@ -414,6 +424,222 @@ class TestLeafImageCodec:
         late = LeafNodeView(layout, StripedSpan(raw[LINE:], base=LINE))
         with pytest.raises(LayoutError):
             late.items()
+
+
+def hopscotch_leaf_image(layout, seed):
+    """A raw leaf image a reader may find at rest: keys placed by
+    hopscotch hashing with truthful bitmaps, one NV everywhere, and EVs
+    bumped a random number of times per entry.  Returns (raw, keys)."""
+    rng = random.Random(seed)
+    table = HopscotchTable(layout.span, layout.neighborhood)
+    for _ in range(int(layout.span * 0.7)):
+        try:
+            table.insert(rng.randrange(1, MAX_KEY), 0)
+        except HashTableFullError:
+            break
+    view = LeafNodeView.blank(
+        layout, sibling=rng.getrandbits(48), nv=rng.randrange(16),
+        fence_low=rng.getrandbits(32), fence_high=rng.getrandbits(63))
+    value_bits = 8 * min(layout.value_size, 8)
+    for pos in range(layout.span):
+        key, bitmap = table._keys[pos], table.bitmap(pos)
+        for _ in range(rng.randrange(3)):
+            view.bump_entry_ev(pos)
+        if key is not None:
+            view.write_entry(pos, key, rng.getrandbits(value_bits),
+                             bitmap=bitmap, bump_ev=False)
+        elif bitmap:
+            view.set_entry_bitmap(pos, bitmap, bump_ev=False)
+    return bytes(view.span.data), [k for k in table._keys if k is not None]
+
+
+def torn_level(check):
+    """(result, level): *check*'s result and None, or None and the level
+    of the one ``sync.torn`` event it emitted before raising."""
+    levels = []
+    watch = BUS.subscribe(lambda event: levels.append(event.data["level"]),
+                          kinds=["sync.torn"])
+    try:
+        return check(), None
+    except TornReadError:
+        level, = levels
+        return None, level
+    finally:
+        watch.unsubscribe()
+
+
+class TestReadShape:
+    """The compiled read shapes against the per-entry checks of
+    ``repro.core.sync`` and the ``LeafNodeView`` accessors."""
+
+    @staticmethod
+    def fetched(shape, raw):
+        """The payloads *shape* fetches out of leaf image *raw*."""
+        return [raw[off:off + length]
+                for group in shape.rounds for off, length in group]
+
+    @staticmethod
+    def oracle_neighborhood(layout, shape, payloads, home, hash_home, key):
+        """(sibling, valid, fences, (position, value)) through a view
+        over the same bytes, checked entry by entry."""
+        spans = [StripedSpan(data, base=off) for data, (off, _length)
+                 in zip(payloads, [r for g in shape.rounds for r in g])]
+        view = LeafNodeView(layout, SpanSet(spans))
+        indices = [(home + o) % layout.span
+                   for o in range(layout.neighborhood)]
+        check_nv_uniform(collect_leaf_nv(view, indices))
+        check_entry_evs(view, indices)
+        check_hopscotch_bitmap(view, home, hash_home)
+        position = HopscotchLeafOpsMixin._find_in_neighborhood(
+            types.SimpleNamespace(layout=layout), view, home, key)
+        block = layout.neighborhood_replica_block(home)
+        return (view.replica_sibling(block), view.replica_valid(block),
+                view.replica_fences(block) if layout.fence_keys else None,
+                position if position is None
+                else (position, view.entry(position).value))
+
+    @staticmethod
+    def shape_neighborhood(layout, shape, payloads, hash_home, key):
+        read = shape.decode(b"".join(payloads), hash_home)
+        return (read.sibling, read.valid,
+                read.fences if layout.fence_keys else None, read.find(key))
+
+    @staticmethod
+    def oracle_entry(layout, shape, payloads, index, key):
+        (off, _length), = shape.rounds[0]
+        view = LeafNodeView(layout, StripedSpan(payloads[0], base=off))
+        check_nv_uniform(collect_leaf_nv(view, [index]))
+        check_entry_evs(view, [index])
+        entry = view.entry(index)
+        if entry.occupied and entry.key == key:
+            return index, entry.value
+        return None
+
+    layouts = dict(span=st.sampled_from([8, 16, 64]),
+                   neighborhood=st.sampled_from([4, 8]),
+                   value_size=st.sampled_from([4, 8, 32, 253]),
+                   replicated=st.booleans(), fence_keys=st.booleans(),
+                   seed=st.integers(0, 2**32))
+
+    @settings(max_examples=40, deadline=None)
+    @given(**layouts)
+    def test_shape_equals_per_entry_oracle(self, span, neighborhood,
+                                           value_size, replicated,
+                                           fence_keys, seed):
+        layout = LeafLayout(span=span, neighborhood=neighborhood,
+                            value_size=value_size, replicated=replicated,
+                            fence_keys=fence_keys)
+        raw, keys = hopscotch_leaf_image(layout, seed)
+        hash_home = functools.partial(default_hash, capacity=span)
+        homes = {}
+        for key in keys:
+            homes.setdefault(hash_home(key), key)
+        for home in range(span):  # wrap-around homes included
+            shape = layout.neighborhood_shape(home)
+            assert layout.neighborhood_shape(home) is shape  # memoised
+            segments = layout.neighborhood_segments(home)
+            if not replicated:  # the dedicated header READ goes first
+                assert shape.rounds[0] == (raw_span(0, layout.replica_size),)
+            assert shape.rounds[-1] == tuple(raw_span(off, length)
+                                             for off, length in segments)
+            payloads = self.fetched(shape, raw)
+            absent = (seed + home) % MAX_KEY + 1
+            for key in (homes.get(home, absent), absent):
+                assert self.shape_neighborhood(
+                    layout, shape, payloads, hash_home, key
+                ) == self.oracle_neighborhood(
+                    layout, shape, payloads, home, hash_home, key)
+        view = LeafNodeView(layout, StripedSpan(raw))
+        for index in range(span):  # every speculative entry read
+            shape = layout.entry_shape(index)
+            assert shape.rounds == ((raw_span(layout.entry_offset(index),
+                                              layout.entry_size),),)
+            payloads = self.fetched(shape, raw)
+            read = shape.decode(payloads[0])
+            assert (read.sibling, read.valid) == (None, None)
+            for key in (view.entry_key(index), 0, seed % MAX_KEY + 1):
+                assert read.find(key) == self.oracle_entry(
+                    layout, shape, payloads, index, key)
+
+    @settings(max_examples=40, deadline=None)
+    @given(home=st.integers(0, 63), **layouts)
+    def test_torn_bytes_fail_at_the_oracles_level(self, home, span,
+                                                  neighborhood, value_size,
+                                                  replicated, fence_keys,
+                                                  seed):
+        layout = LeafLayout(span=span, neighborhood=neighborhood,
+                            value_size=value_size, replicated=replicated,
+                            fence_keys=fence_keys)
+        home %= span
+        raw, _keys = hopscotch_leaf_image(layout, seed)
+        hash_home = functools.partial(default_hash, capacity=span)
+        shape = layout.neighborhood_shape(home)
+        requests = [r for group in shape.rounds for r in group]
+
+        def outcomes(image):
+            payloads = self.fetched(shape, image)
+            return (torn_level(lambda: self.shape_neighborhood(
+                        layout, shape, payloads, hash_home, 1)),
+                    torn_level(lambda: self.oracle_neighborhood(
+                        layout, shape, payloads, home, hash_home, 1)))
+
+        def flipped(raw_off, mask):
+            image = bytearray(raw)
+            image[raw_off] ^= mask
+            return bytes(image)
+
+        got, expected = outcomes(raw)
+        assert got == expected and got[1] is None
+        # Every fetched version byte: the line bytes inside the fetched
+        # segments and the version byte of each neighbourhood entry.
+        version_bytes = [pos for off, length in requests
+                         for pos in range(off, off + length) if pos % LINE == 0]
+        version_bytes += [layout._entry_ev_ranges[(home + o) % span][0]
+                          for o in range(neighborhood)]
+        for raw_off in version_bytes:
+            got, expected = outcomes(flipped(raw_off, 0x10))  # NV nibble
+            assert got == expected and got[1] == 1
+            # EV nibble: torn (level 2) iff an entry spans this byte and
+            # another version byte; shape and oracle must agree which.
+            got, expected = outcomes(flipped(raw_off, 0x01))
+            assert got == expected and got[1] in (None, 2)
+        straddling = [r for r in (layout._entry_ev_ranges[(home + o) % span]
+                                  for o in range(neighborhood))
+                      if r[1] < r[2]]
+        for entry_byte, line_byte, _end in straddling:
+            for raw_off in (entry_byte, line_byte):
+                assert outcomes(flipped(raw_off, 0x01))[0][1] == 2
+        # The stored home bitmap (first payload byte after the home
+        # entry's version byte; never a line byte for these layouts).
+        bitmap_at = raw_span(layout.entry_offset(home) + 1, 1)[0]
+        got, expected = outcomes(flipped(bitmap_at, 0x01))
+        assert got == expected and got[1] == 3
+
+    def test_short_payload_raises_instead_of_shifting(self):
+        layout = LeafLayout(span=64, neighborhood=8)
+        raw, _keys = hopscotch_leaf_image(layout, seed=5)
+        hash_home = functools.partial(default_hash, capacity=64)
+        for shape in (layout.neighborhood_shape(3),    # one segment
+                      layout.neighborhood_shape(60),   # wrap-around: two
+                      layout.entry_shape(9)):
+            data = b"".join(self.fetched(shape, raw))
+            shape.decode(data, hash_home)
+            for bad in (data[:-1], data[1:], data + b"\0"):
+                with pytest.raises(LayoutError):
+                    shape.decode(bad, hash_home)
+
+    def test_memo_is_bounded_by_twice_the_span(self):
+        layout = LeafLayout(span=16, neighborhood=8)
+        for _ in range(3):
+            for index in range(16):
+                layout.neighborhood_shape(index)
+                layout.entry_shape(index)
+        assert len(layout._neighborhood_shapes) == 16
+        assert len(layout._entry_shapes) == 16
+        with pytest.raises(LayoutError):
+            layout.entry_shape(16)
+        with pytest.raises(LayoutError):
+            layout.neighborhood_shape(-1)
 
 
 class TestBulkLoadImage:

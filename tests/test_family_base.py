@@ -15,11 +15,12 @@ from repro.baselines.smart import SEAL_BIT, decode_node, node_size, unpack_slot
 from repro.bench.runner import run_point
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
-from repro.errors import RetryExhaustedError
+from repro.errors import OperationTimeoutError, RetryExhaustedError
 from repro.layout import decode_u64, encode_key, encode_u64
 from repro.obs import BUS
 from repro.registry import build_index, families
 from repro.retry import RetryPolicy
+from repro.sim import Engine
 
 #: Lease cells pin a lease comfortably above any lock tenure.  The
 #: 200 us default is too short for Marlin at depth 4: every lane's first
@@ -120,6 +121,45 @@ def test_smart_sealed_slot_exhausts_with_typed_error():
     client = index.client(next(iter(cluster.clients())))
     with pytest.raises(RetryExhaustedError, match=r"upsert\(200\).* 3 "):
         _run(cluster, client.update(200, 7))
+
+
+def test_torn_neighborhood_exhausts_with_typed_error():
+    cluster, index = _built("chime")
+    layout = index.leaf_layout
+    for addr in _leaf_addrs(index):  # odd entries get another NV: every
+        for entry in range(1, layout.span, 2):  # neighbourhood reads torn
+            at = addr + layout._entry_ev_ranges[entry][0]
+            byte, = index._host_read(at, 1)
+            index._host_write(at, bytes([byte ^ 0x10]))
+    client = index.client(next(iter(cluster.clients())))
+    with pytest.raises(RetryExhaustedError, match=(
+            r"^neighborhood \d+ @ leaf 0x[0-9a-f]+: gave up after 3 attempts$")):
+        _run(cluster, client.search(200))
+
+
+@pytest.mark.parametrize("what,args,label", [
+    ("op", (), "op"),
+    ("search({})", (200,), "search(200)"),
+    ("lock {:#x}", (0x1F40,), "lock 0x1f40"),
+    ("{}({})", ("update", 200), "update(200)"),
+    ("neighborhood {} @ leaf {:#x}", (3, 0x1F40),
+     "neighborhood 3 @ leaf 0x1f40"),
+])
+def test_retry_label_is_formatted_only_when_raised(what, args, label):
+    """``start`` carries the format and its arguments; the message a
+    spent budget raises is what the eager f-string used to produce."""
+    engine = Engine()
+    state = TIGHT.start(what, engine, None, *args)
+    assert state.what is what and state.args == args
+    assert state.check() and state.check() and state.check()
+    with pytest.raises(RetryExhaustedError) as raised:
+        state.check()
+    assert str(raised.value) == f"{label}: gave up after 3 attempts"
+    overdue = RetryPolicy(deadline=0.0).start(what, engine, None, *args)
+    with pytest.raises(OperationTimeoutError) as raised:
+        overdue.check()
+    assert str(raised.value) == (
+        f"{label}: deadline of 0.0us exceeded after 0 attempts")
 
 
 def test_sherman_bulk_load_bounded_like_chime():

@@ -12,8 +12,11 @@ from repro.baselines import ShermanIndex
 from repro.cluster import Cluster
 from repro.config import ChimeConfig, ClusterConfig
 from repro.core import ChimeIndex
+from repro.core.chime import ChimeClient
+from repro.core.node_layout import ReadShape
 from repro.core.nodes import LeafNodeView
 from repro.memory.region import CACHE_LINE
+from repro.obs import BUS
 from repro.rdma.nic import NicSpec
 
 #: Slow + fat-window NIC: multi-microsecond transfer windows per node.
@@ -64,6 +67,105 @@ class TestChimeUnderTearing:
                 for i, c in enumerate(clients)]
         drive(cluster, *gens)
         assert not wrong, wrong[:5]
+
+    def _ambushed_readers_vs_hop_writers(self, monkeypatch):
+        """The campaign above plus an ambush reader; returns how often
+        the bitmap check (level 3) fired.
+
+        Free-running readers never sample a hop between its entry
+        writes (the campaign above trips only NV checks), so the bitmap
+        check would go unexercised.  The ambusher makes the race
+        certain: the moment the first write of a hop lands in a leaf it
+        searches the keys that hop is moving, so its READs are served
+        between the hop's later entry writes — when a moved key is in
+        neither its old nor its new entry, and every entry is whole (NV
+        and EV see nothing).
+        """
+        cluster = slow_cluster(clients=9)
+        index = ChimeIndex(cluster, ChimeConfig(bulk_load_factor=0.85))
+        index.bulk_load([(k, k * 10) for k in range(10, 4001, 10)])
+        clients = [index.client(ctx) for ctx in cluster.clients()]
+        ambusher = clients.pop()
+        raw_size = index.leaf_layout.raw_size
+        wrong = []
+        hops = []  # (leaf address, keys it moves) of hops not yet landed
+        torn_bitmaps = []
+        ambushing = []
+
+        def check(key, value):  # loaded keys hold key * 10, inserted ones key
+            if value != (key * 10 if key % 10 == 0 else key):
+                wrong.append((key, value))
+
+        apply_plan = ChimeClient._apply_plan
+
+        def spying_apply_plan(client, view, plan, *args):
+            moved = [view.entry(src).key for src, _dst in plan.moves]
+            if moved:  # announced just before, by hopscotch.displacement
+                hops[-1] = (hops[-1][0], moved)
+            return apply_plan(client, view, plan, *args)
+
+        monkeypatch.setattr(ChimeClient, "_apply_plan", spying_apply_plan)
+
+        def ambush(keys):
+            for _ in range(4):  # spread over the hop's landing window
+                for key in keys:
+                    value = yield from ambusher.search(key)
+                    check(key, value)
+            ambushing.clear()
+
+        mn = cluster.mns[0]
+        original_write = mn.mem_write
+
+        def ambushing_write(addr, data):
+            original_write(addr, data)
+            if hops and not ambushing:
+                leaf_addr, keys = hops[-1]
+                if leaf_addr <= addr < leaf_addr + raw_size:
+                    del hops[:]
+                    ambushing.append(cluster.engine.process(ambush(keys)))
+
+        mn.mem_write = ambushing_write
+
+        def writer(client, lane):
+            for i in range(150):
+                key = 10 * (i * 4 + lane) + lane % 9 + 1  # never % 10 == 0
+                yield from client.insert(key, key)
+
+        def reader(client, seed):
+            rng = random.Random(seed)
+            for _ in range(250):
+                key = rng.randrange(1, 401) * 10
+                value = yield from client.search(key)
+                check(key, value)
+
+        watches = [
+            BUS.subscribe(lambda event: event.data["moves"] and hops.append(
+                (event.data["leaf_addr"], [])),
+                kinds=["hopscotch.displacement"]),
+            BUS.subscribe(lambda event: event.data["level"] == 3
+                          and torn_bitmaps.append(event), kinds=["sync.torn"]),
+        ]
+        try:
+            drive(cluster, *[writer(c, i) if i % 2 == 0 else reader(c, i)
+                             for i, c in enumerate(clients)])
+        finally:
+            for watch in watches:
+                watch.unsubscribe()
+        assert not wrong, wrong[:5]
+        return len(torn_bitmaps)
+
+    def test_ambushed_readers_vs_hop_writers(self, monkeypatch):
+        # Clean, and not vacuously: the read shape's level 3 fired.
+        assert self._ambushed_readers_vs_hop_writers(monkeypatch) > 0
+
+    def test_readers_need_the_bitmap_check(self, monkeypatch):
+        """Plant a bug: the read shape's bitmap check passes anything —
+        loaded keys caught mid-hop then read as absent, so the campaign
+        must fail."""
+        monkeypatch.setattr(ReadShape, "_check_bitmap",
+                            lambda self, payload, keys, hash_home: None)
+        with pytest.raises(AssertionError):
+            self._ambushed_readers_vs_hop_writers(monkeypatch)
 
     def test_fat_entry_updates_force_detected_tearing(self):
         """A surgically timed reader samples a 512-byte entry while its
