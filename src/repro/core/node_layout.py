@@ -491,10 +491,10 @@ class LeafLayout:
             offsets = tuple(replica_size + index * entry_size
                             for index in range(self.span))
         set_attr(self, "_entry_offsets", offsets)
-        # Per-entry raw coordinates for the EV consistency check, which
-        # runs for every entry of every fetched neighborhood: the entry's
-        # raw offset (its leading version byte) and the [first, end) raw
-        # range of line version bytes covered by its span.
+        # Per-entry raw coordinates of the version bytes (read shapes and
+        # the image codec compile from these): the entry's raw offset
+        # (its leading version byte) and the [first, end) raw range of
+        # line version bytes covered by its span.
         ppl = versions.PAYLOAD_PER_LINE
         line_size = versions.LINE
         ev_ranges = []

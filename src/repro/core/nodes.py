@@ -333,23 +333,9 @@ class LeafNodeView:
     def entry_evs(self, index: int) -> List[int]:
         """All EV nibbles within one entry's span (for consistency checks)."""
         layout = self.layout
-        span = self.span
-        raw_off, first, end = layout._entry_ev_ranges[index]
-        if type(span) is StripedSpan:
-            # Contiguous image covering the entry: read the nibbles
-            # straight out of the buffer via the precomputed raw
-            # coordinates (this check runs for every entry of every
-            # fetched neighborhood).
-            base = span.base
-            data = span.data
-            if raw_off >= base and end <= base + len(data):
-                values = [data[raw_off - base] & 0xF]
-                values.extend([data[pos - base] & 0xF
-                               for pos in range(first, end, LINE)])
-                return values
         off = layout._entry_offsets[index]
-        values = [span.payload_byte(off) & 0xF]
-        values.extend(span.entry_ev_nibbles(off, layout.entry_size))
+        values = [self.span.payload_byte(off) & 0xF]
+        values.extend(self.span.entry_ev_nibbles(off, layout.entry_size))
         return values
 
     def entry_nv(self, index: int) -> int:

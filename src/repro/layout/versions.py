@@ -199,7 +199,7 @@ class StripedSpan:
                 f"span [{base}, {base + len(self.data)}) does not hold the "
                 f"whole {logical_size}-byte payload")
         payload = self.data[:end]
-        del payload[destripe_slice(base, end)]
+        del payload[-base % LINE::LINE]  # destripe_slice(base, end), inline
         return payload
 
     def payload_byte(self, logical_off: int) -> int:
