@@ -9,8 +9,9 @@ lock path (pipeline depth, lock leases, the pessimistic ticket queue) and
 under the ``ChimeConfig`` layouts its lock-free leaf reads must survive
 (dedicated header READ, fence-key replicas, narrow and wrapping
 neighbourhoods, a small span, entries straddling cache lines, no
-speculation) — so a refactor of the shared client plumbing that moves
-*any* family's simulated events fails here.
+speculation), and the verb-layer paths nothing else configures
+(:data:`VERB_PATHS`) — so a refactor of the shared client plumbing or
+of the verb layer that moves *any* family's simulated events fails here.
 
 ``GOLDEN`` was recorded at commit 28828c4 with :func:`_observe`; rows are
 only ever *added* (a family, a knob, a configuration that used to fail).  An intentional protocol change
@@ -34,6 +35,7 @@ from repro.baselines.flexkv import FlexKVIndex
 from repro.bench.runner import run_workload
 from repro.bench.scale import Scale
 from repro.config import ChimeConfig
+from repro.rdma import NicSpec
 from repro.registry import family_names, get_family
 from tests.test_event_queue import _golden_run
 
@@ -159,6 +161,22 @@ GOLDEN = {
         (2026, 120, (246, 317, 137, 110, 70, 0, 23783, 1500, 15), '0.0002255795866666677'),
     ('chime', 'D', (('speculative_read', False),)):
         (1217, 120, (126, 155, 142, 8, 5, 0, 22663, 127, 1), '0.0001063314266666667'),
+    # The VERB_PATHS rows, recorded at 366387e (before verb timelines
+    # replaced the coroutine verb bodies).
+    ('chime', 'A', (('cn_nic', NicSpec()),)):
+        (2998, 120, (246, 314, 134, 110, 70, 0, 16954, 1500, 15), '0.00022697534666666825'),
+    ('chime', 'E', (('cn_nic', NicSpec()),)):
+        (2443, 120, (150, 325, 290, 18, 17, 0, 353331, 262, 8), '0.00015501826666666738'),
+    ('chime', 'A', (('mn_nic', NicSpec(lanes=2)),)):
+        (2010, 120, (246, 313, 133, 110, 70, 0, 16809, 1500, 15), '0.00022516858666666765'),
+    ('chime', 'E', (('num_mns', 2),)):
+        (1837, 120, (148, 325, 292, 18, 15, 0, 353369, 262, 6), '0.0001451062000000003'),
+    ('smart', 'A', (('num_mns', 2),)):
+        (2621, 120, (339, 339, 285, 54, 0, 0, 210768, 432, 0), '0.0003254292666666671'),
+    ('chime', 'A', (('torn_writes', False), ('value_size', 64))):
+        (2014, 120, (246, 314, 134, 110, 70, 0, 51498, 4637, 15), '0.00022626020000000085'),
+    ('flexkv', 'A', (('placement', 'mn'),)):
+        (968, 120, (120, 0, 0, 0, 0, 120, 0, 0, 0), '0.0009630166666666647'),
 }
 
 
@@ -171,6 +189,20 @@ CHIME_LAYOUTS = (
     ("span", 16),
     ("value_size", 64),               # entries straddle two cache lines
     ("speculative_read", False),
+)
+
+#: Verb paths no other row, experiment or CLI flag reaches: CN-side NIC
+#: hops, multi-lane MN NICs, doorbell batches and atomics spanning the
+#: MNs of a legacy striped pool, multi-chunk WRITEs landing unchunked,
+#: RPCs charging a plan-derived service time to the MN CPU.
+VERB_PATHS = (
+    ("chime", "A", (("cn_nic", NicSpec()),)),
+    ("chime", "E", (("cn_nic", NicSpec()),)),
+    ("chime", "A", (("mn_nic", NicSpec(lanes=2)),)),
+    ("chime", "E", (("num_mns", 2),)),
+    ("smart", "A", (("num_mns", 2),)),
+    ("chime", "A", (("torn_writes", False), ("value_size", 64))),
+    ("flexkv", "A", (("placement", "mn"),)),
 )
 
 
@@ -188,11 +220,23 @@ def _rows():
     for knob in CHIME_LAYOUTS:
         for workload in ("A", "D"):  # D reads fresh inserts: the sibling chase
             yield "chime", workload, (knob,)
+    yield from VERB_PATHS
+
+
+def _knob_id(value):
+    """``NicSpec(lanes=2)``, not the full repr: non-default fields only."""
+    if not dataclasses.is_dataclass(value):
+        return str(value)
+    fields = ",".join(f"{f.name}={getattr(value, f.name)}"
+                      for f in dataclasses.fields(value)
+                      if getattr(value, f.name) != f.default)
+    return f"{type(value).__name__}({fields})"
 
 
 @pytest.mark.parametrize("index_name,workload,knobs", list(_rows()),
                          ids=lambda v: v if isinstance(v, str) else
-                         ",".join(f"{k}={x}" for k, x in v) or "default")
+                         ",".join(f"{k}={_knob_id(x)}" for k, x in v)
+                         or "default")
 def test_family_fingerprint(index_name, workload, knobs, monkeypatch):
     observed = _observe(index_name, workload, monkeypatch, **dict(knobs))
     assert observed == GOLDEN[(index_name, workload, knobs)]
