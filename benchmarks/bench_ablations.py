@@ -5,8 +5,8 @@ calls out, each isolated.
   workloads a dedicated vacancy READ;
 * RDWC — why skew helps instead of hurting (Fig. 18a's mechanism);
 * the CN-local lock table — remote CAS spinning vs local serialization;
-* torn writes — the three-level synchronization's retries only exist
-  because tearing does;
+* torn writes — what chunked WRITE landing changes once an entry
+  straddles a cache line (64-byte values);
 * update write amplification — §4.5's 1.02x version-byte overhead claim.
 """
 
@@ -67,12 +67,14 @@ def test_ablation_local_lock_table(benchmark, record_table):
 def test_ablation_torn_writes(benchmark, record_table):
     rows = run_once(benchmark, ablation_torn_writes, current_scale())
     record_table("ablation_torn_writes", rows,
-                 ["torn_writes", "throughput_mops", "retries"],
-                 "Ablation: torn-write modelling (sync checks' reason)")
+                 ["torn_writes", "throughput_mops", "p99_us", "retries"],
+                 "Ablation: torn-write modelling (64-byte values)")
     benchmark.extra_info["rows"] = rows
     by_flag = {r["torn_writes"]: r for r in rows}
-    # The workloads complete correctly either way; tearing only shows up
-    # as (bounded) retry noise.
+    # The flag must reach the run: at the default 8-byte value no WRITE
+    # spans two cache lines and both rows used to be byte-identical.
+    assert by_flag[True] != {**by_flag[False], "torn_writes": True}
+    # The workloads complete correctly either way, at a bounded cost.
     assert by_flag[True]["throughput_mops"] > \
         0.5 * by_flag[False]["throughput_mops"]
 

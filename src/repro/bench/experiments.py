@@ -783,12 +783,20 @@ def ablation_local_lock_table(scale: Optional[Scale] = None) -> List[Dict]:
 
 
 def ablation_torn_writes(scale: Optional[Scale] = None) -> List[Dict]:
-    """The three-level synchronization pays retries only when tearing is
-    possible; with atomic writes the checks never fire."""
+    """What landing WRITEs cache line by cache line changes.
+
+    Run with 64-byte values, so an entry straddles a line and its WRITE
+    is split: at the default 8-byte value no WRITE exceeds a line and
+    the flag cannot reach the run.  Chunk slices let queued READs through
+    between landings and torn reads are retried, so throughput and tail
+    latency move (a little, either way); ``retries`` also counts
+    lock-CAS retries and does not rise with tearing here.
+    """
     scale = scale or current_scale()
     specs = [
         scale.point("chime", "A",
                     scale.cluster_config().scaled(torn_writes=torn),
+                    overrides={"value_size": 64},
                     extra=(("torn_writes", torn),))
         for torn in (False, True)
     ]

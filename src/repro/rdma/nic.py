@@ -70,7 +70,7 @@ class NicSpec:
 
 
 class Nic:
-    """One simulated NIC: an rx queue, a tx queue, and traffic counters."""
+    """One simulated NIC: an rx queue and a tx queue."""
 
     def __init__(self, engine: Engine, spec: NicSpec, name: str = "") -> None:
         self.engine = engine
@@ -78,33 +78,25 @@ class Nic:
         self.name = name
         self.rx = QueueServer(engine, slots=spec.lanes, name=f"{name}.rx")
         self.tx = QueueServer(engine, slots=spec.lanes, name=f"{name}.tx")
-        self.bytes_in = 0
-        self.bytes_out = 0
-        self.messages_in = 0
-        self.messages_out = 0
 
-    def receive(self, payload_bytes: int, on_start=None):
-        """Queue an inbound message; returns its completion event."""
-        self.bytes_in += payload_bytes + WIRE_OVERHEAD
-        self.messages_in += 1
+    def receive(self, payload_bytes: int, done=None):
+        """Queue an inbound message; returns its completion event (the
+        caller's *done*, if given: see :meth:`QueueServer.request`)."""
         if BUS.active:
             BUS.emit("nic.queue", self.engine.now, nic=self.name,
                      direction="rx",
                      depth=self.rx.queue_length + self.rx.in_service,
                      bytes=payload_bytes)
-        return self.rx.request(self.spec.service_time(payload_bytes),
-                               on_start=on_start)
+        return self.rx.request(self.spec.service_time(payload_bytes), done)
 
-    def send(self, payload_bytes: int):
+    def send(self, payload_bytes: int, done=None):
         """Queue an outbound message; returns its completion event."""
-        self.bytes_out += payload_bytes + WIRE_OVERHEAD
-        self.messages_out += 1
         if BUS.active:
             BUS.emit("nic.queue", self.engine.now, nic=self.name,
                      direction="tx",
                      depth=self.tx.queue_length + self.tx.in_service,
                      bytes=payload_bytes)
-        return self.tx.request(self.spec.service_time(payload_bytes))
+        return self.tx.request(self.spec.service_time(payload_bytes), done)
 
     def utilization(self, elapsed: float) -> float:
         """Per-lane utilization of the busier direction over *elapsed*.

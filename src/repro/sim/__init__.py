@@ -14,6 +14,7 @@ from repro.sim.engine import (
     HeapQueue,
     Interrupted,
     Process,
+    Timeline,
     Timeout,
     Wakeup,
 )
@@ -31,6 +32,7 @@ __all__ = [
     "Process",
     "QueueServer",
     "Store",
+    "Timeline",
     "Timeout",
     "Wakeup",
 ]

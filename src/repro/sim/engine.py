@@ -19,7 +19,9 @@ amortized insert; only the current tick is kept heap-ordered.  Bucket
 width resizes automatically from the observed event density, and sparse
 far-future events simply become singleton buckets — the structure
 degenerates gracefully into a plain heap of tick indexes, which is its
-far-future fallback.
+far-future fallback.  Whatever is scheduled for the *current* instant
+skips the heap altogether: it joins the queue's FIFO *same-instant lane*
+(see :class:`CalendarQueue`).
 
 :class:`HeapQueue`, the original single binary heap, is not selectable at
 run time; it is the reference the golden tests hand to
@@ -29,9 +31,11 @@ byte-identical event sequence.
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heapify, heappop, heappush
 from math import inf
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import (Any, Callable, Deque, Generator, Iterable, List, Optional,
+                    Tuple)
 
 from repro.errors import SimulationError
 
@@ -92,11 +96,7 @@ class Event:
             raise SimulationError("event triggered twice")
         self._triggered = True
         self._value = value
-        # Inlined Engine._queue_callbacks — this is the hottest call in
-        # the simulator (every completion, resume, and chained event).
-        engine = self.engine
-        engine._sequence = sequence = engine._sequence + 1
-        engine._push((engine._now, sequence, self))
+        self.engine._push_now(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -107,9 +107,7 @@ class Event:
             raise SimulationError("Event.fail() requires an exception")
         self._triggered = True
         self._exception = exception
-        engine = self.engine
-        engine._sequence = sequence = engine._sequence + 1
-        engine._push((engine._now, sequence, self))
+        self.engine._push_now(self)
         return self
 
 
@@ -123,17 +121,22 @@ class Timeout(Event):
     def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        # Flattened Event.__init__ + Engine._schedule_at: one Timeout per
-        # NIC latency hop makes this the hottest constructor in the
-        # simulator.  A non-negative delay can never schedule in the past.
+        # Flattened Event.__init__ + scheduling.  A non-negative delay can
+        # never schedule in the past; one that rounds to *now* (zero
+        # included) is a same-instant entry like any other.
         self.engine = engine
         self.callbacks = []
         self._value = value
         self._exception = None
         self._triggered = False
         self._cancelled = False
-        engine._sequence = sequence = engine._sequence + 1
-        engine._push((engine._now + delay, sequence, self))
+        now = engine._now
+        when = now + delay
+        if when > now:
+            engine._sequence = sequence = engine._sequence + 1
+            engine._push((when, sequence, self))
+        else:
+            engine._push_now(self)
 
     def cancel(self) -> None:
         """Tombstone the timer: it will never fire.
@@ -177,6 +180,68 @@ class Wakeup:
 
     def __init__(self, fire: Callable[[], None]) -> None:
         self.fire = fire
+
+
+class Timeline(Event):
+    """An event that walks several queue positions before it triggers.
+
+    Where a coroutine would yield one event per step of a fixed
+    itinerary, a timeline *is* each of those events in turn: the hot loop
+    calls :meth:`fire` at every position, as for a :class:`Wakeup`, and
+    the subclass decides there which comes next — :meth:`_after` for a
+    latency hop, itself as the ``done`` of a queue request, or
+    ``engine._push_now(self)`` for one more same-instant position.  Every
+    position is processed and counted like the event it stands for; only
+    :meth:`_finish` walks the callback list (DESIGN.md §13).
+    """
+
+    __slots__ = ("_cancelled",)
+
+    _fires_by_time = True
+    _wakeup = True
+
+    def __init__(self, engine: "Engine") -> None:
+        Event.__init__(self, engine)
+        self._cancelled = False
+
+    def fire(self) -> None:
+        """Act at the current position (subclasses implement this)."""
+        raise NotImplementedError
+
+    def succeed(self, value: Any = None) -> "Timeline":
+        """The completion of a request this timeline is the ``done`` of:
+        take the same-instant position the completion event would."""
+        self.engine._push_now(self)
+        return self
+
+    def cancel(self) -> None:
+        """Tombstone, as :meth:`Timeout.cancel`: positions still to come
+        are discarded uncounted (subclasses may keep some)."""
+        self._cancelled = True
+
+    def _after(self, delay: float) -> None:
+        """Take the position a ``Timeout(delay)`` would."""
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay: {delay}")
+        engine = self.engine
+        now = engine._now
+        when = now + delay
+        if when > now:
+            engine._sequence = sequence = engine._sequence + 1
+            engine._push((when, sequence, self))
+        else:
+            engine._push_now(self)
+
+    def _finish(self, value: Any = None,
+                exception: Optional[BaseException] = None) -> None:
+        """Trigger at the current position and resume the waiters now."""
+        self._triggered = True
+        self._value = value
+        self._exception = exception
+        callbacks = self.callbacks
+        self.callbacks = []
+        for callback in callbacks:
+            callback(self)
 
 
 class AllOf(Event):
@@ -306,10 +371,10 @@ class Process(Event):
                     waiting.callbacks.remove(self._resume)
                 except ValueError:
                     pass
-                if not waiting.callbacks and waiting._fires_by_time and \
-                        not waiting._wakeup:
+                if not waiting.callbacks and waiting._fires_by_time:
                     # An abandoned timer nobody else waits on: tombstone
-                    # it so the queue drops it instead of firing it.
+                    # it so the queue drops it instead of firing it (a
+                    # timeline stops at its next resume position).
                     waiting.cancel()  # type: ignore[attr-defined]
             # Clear the stale target so a late ``_resume_waiting``
             # callback (scheduled before the interrupt for an
@@ -390,6 +455,9 @@ class HeapQueue:
 
     #: No future ticks, ever: ``Engine.run`` stops when ``_current`` drains.
     _ticks = ()
+    #: No same-instant lane either: the oracle orders entries for the
+    #: current instant by ``(time, seq)`` like any other.
+    _lane = ()
 
     def __init__(self) -> None:
         self._current: List[Entry] = []
@@ -420,10 +488,17 @@ class CalendarQueue:
     target band and the queue rebuilds itself with a wider (too sparse —
     pops were paying tick-advance overhead) or narrower (too dense — the
     current-tick heap was doing all the work) width.
+
+    Entries for the *current instant* never enter the heap: the engine
+    appends the bare event to ``_lane``, a FIFO it drains only once the
+    heap holds nothing at ``now``.  That is ``(time, seq)`` order — heap
+    entries for ``now`` were pushed earlier, so they carry the smaller
+    sequence numbers — without a tuple, a sequence number or a heap
+    operation per same-instant completion.
     """
 
     __slots__ = ("_width", "_inv_width", "_day", "_current", "_days",
-                 "_ticks", "_count", "_adv_days", "_adv_entries")
+                 "_ticks", "_lane", "_count", "_adv_days", "_adv_entries")
 
     #: Initial tick width in seconds.  RDMA service times and latencies
     #: sit in the nanosecond-to-microsecond range, so start there and
@@ -446,12 +521,13 @@ class CalendarQueue:
         self._current: List[Entry] = []    # heap: entries with tick <= _day
         self._days: dict = {}         # tick -> unordered future bucket
         self._ticks: List[int] = []   # heap of keys of _days
-        self._count = 0
+        self._lane: Deque[Event] = deque()  # same-instant FIFO
+        self._count = 0               # entries in _current and _days
         self._adv_days = 0
         self._adv_entries = 0
 
     def __len__(self) -> int:
-        return self._count
+        return self._count + len(self._lane)
 
     @property
     def width(self) -> float:
@@ -563,6 +639,10 @@ class Engine:
         self._now = 0.0
         self._queue = CalendarQueue() if queue is None else queue
         self._push = self._queue.push  # bound once: schedule hot path
+        # Scheduling for the current instant: an append to the queue's
+        # lane, or (the lane-less oracle) an ordinary ``(now, seq)`` entry.
+        self._push_now: Callable[[Event], None] = getattr(
+            self._queue._lane, "append", self._queue_callbacks)
         self._sequence = 0
         self._pending_crash: Optional[BaseException] = None
         #: Observability hook: when set, called as ``hook(now, processed,
@@ -603,18 +683,7 @@ class Engine:
         """Event that fires when the first of *events* triggers."""
         return AnyOf(self, events)
 
-    def wakeup(self, fire: Callable[[], None]) -> Wakeup:
-        """Create a reusable scheduled callback (see :class:`Wakeup`)."""
-        return Wakeup(fire)
-
     # -- scheduling ---------------------------------------------------------
-
-    def _schedule_at(self, when: float, event: Event) -> None:
-        if when < self._now:
-            raise SimulationError(
-                f"cannot schedule event in the past ({when} < {self._now})")
-        self._sequence += 1
-        self._push((when, self._sequence, event))
 
     def _queue_callbacks(self, event: Event) -> None:
         # Callbacks run when the queue entry is popped.  Events triggered
@@ -636,6 +705,9 @@ class Engine:
         """
         queue = self._queue
         bound = inf if until is None else until
+        now = self._now
+        if now > bound:
+            return now  # everything pending is at or after now
         # The queue's pop is inlined into the loop (the current tick's
         # heap is mutated in place, so one binding survives tick
         # advances).  Saves a Python method call per processed event on
@@ -645,6 +717,7 @@ class Engine:
         # locally too — they are configured before a run, never from
         # inside one.
         current = queue._current
+        lane = queue._lane
         processed = self.events_processed
         interval = self.trace_interval
         trace_hook = self.trace_hook
@@ -655,17 +728,22 @@ class Engine:
                 if self._pending_crash is not None:
                     exc, self._pending_crash = self._pending_crash, None
                     raise exc
-                if not current:
-                    if not queue._ticks:
+                if lane and not (current and current[0][0] <= now):
+                    # The heap holds nothing at this instant any more:
+                    # same-instant entries go in the order scheduled.
+                    event = lane.popleft()
+                else:
+                    if not current:
+                        if not queue._ticks:
+                            break
+                        queue._advance()
+                    entry = current[0]
+                    if entry[0] > bound:
                         break
-                    queue._advance()
-                entry = current[0]
-                if entry[0] > bound:
-                    break
-                heappop(current)
-                queue._count -= 1
-                event = entry[2]
-                self._now = entry[0]
+                    heappop(current)
+                    queue._count -= 1
+                    event = entry[2]
+                    self._now = now = entry[0]
                 if event._fires_by_time:
                     if event._cancelled:
                         continue  # tombstoned timer: discard, do not count

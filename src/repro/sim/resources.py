@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Any, Deque, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine, Event, Wakeup
@@ -69,30 +69,27 @@ class _Slot:
     def fire(self) -> None:
         # Completion order mirrors the legacy ``_finish``: statistics,
         # then the done event, then (maybe) the next request — so the
-        # engine sequence numbers of the done-push and the next
-        # completion-push are unchanged.
+        # done entry precedes the next completion's in the queue.
         server = self.server
-        server._busy -= 1
         server.served += 1
         server.busy_time += self.service_time
-        done = self.done
-        self.done = None
-        done.succeed(server.engine.now)
-        waiting = server._waiting
-        if waiting and server._busy < server.slots:
-            service_time, next_done, on_start = waiting.popleft()
+        engine = server.engine
+        now = engine._now
+        self.done.succeed(now)
+        if server._waiting:
             # Back-to-back chain: restart this same slot in place.
-            server._busy += 1
-            now = server.engine._now
-            if on_start is not None:
-                on_start(now, service_time)
-            self.done = next_done
+            service_time, self.done = server._waiting.popleft()
             self.service_time = service_time
             self.start_time = now
-            engine = server.engine
-            engine._sequence = sequence = engine._sequence + 1
-            engine._push((now + service_time, sequence, self.wakeup))
+            when = now + service_time
+            if when > now:
+                engine._sequence = sequence = engine._sequence + 1
+                engine._push((when, sequence, self.wakeup))
+            else:  # zero service: done at this instant, in FIFO order
+                engine._push_now(self.wakeup)
         else:
+            self.done = None
+            server._busy -= 1
             server._idle.append(self)
 
 
@@ -113,7 +110,7 @@ class QueueServer:
         self.slots = slots
         self.name = name
         self._busy = 0
-        self._waiting: Deque[Tuple[float, Event, Optional[Callable[[float, float], None]]]] = deque()
+        self._waiting: Deque[Tuple[float, Event]] = deque()
         self._idle: List[_Slot] = []
         self._lanes: List[_Slot] = []
         self.served = 0
@@ -130,41 +127,39 @@ class QueueServer:
         return self._busy
 
     def request(self, service_time: float,
-                on_start: Optional[Callable[[float, float], None]] = None) -> Event:
+                done: Optional[Event] = None) -> Event:
         """Submit work needing *service_time* seconds; returns a completion event.
 
-        If *on_start* is given it is called as ``on_start(start_time,
-        service_time)`` the moment the request enters service — used by the
-        RDMA layer to spread a WRITE's payload application across its
-        transfer window (torn-write modelling).
+        The completion is ``done.succeed(now)`` on a fresh :class:`Event`,
+        or on the caller's own *done* — a
+        :class:`~repro.sim.engine.Timeline` passes itself, so the
+        completion becomes one of its positions.
         """
         if service_time < 0:
             raise SimulationError(f"negative service time: {service_time}")
-        done = Event(self.engine)
+        if done is None:
+            done = Event(self.engine)
         if self._busy < self.slots:
+            self._busy += 1
             idle = self._idle
             if idle:
                 slot = idle.pop()
             else:
                 slot = _Slot(self)
                 self._lanes.append(slot)
-            self._start_on(slot, service_time, done, on_start)
+            engine = self.engine
+            slot.done = done
+            slot.service_time = service_time
+            slot.start_time = now = engine._now
+            when = now + service_time
+            if when > now:
+                engine._sequence = sequence = engine._sequence + 1
+                engine._push((when, sequence, slot.wakeup))
+            else:
+                engine._push_now(slot.wakeup)
         else:
-            self._waiting.append((service_time, done, on_start))
+            self._waiting.append((service_time, done))
         return done
-
-    def _start_on(self, slot: _Slot, service_time: float, done: Event,
-                  on_start: Optional[Callable[[float, float], None]]) -> None:
-        self._busy += 1
-        engine = self.engine
-        now = engine._now
-        if on_start is not None:
-            on_start(now, service_time)
-        slot.done = done
-        slot.service_time = service_time
-        slot.start_time = now
-        engine._sequence = sequence = engine._sequence + 1
-        engine._push((now + service_time, sequence, slot.wakeup))
 
     def busy_time_until(self, now: float) -> float:
         """Completed busy time plus the in-flight portion as of *now*.

@@ -504,6 +504,34 @@ class TestFamilyPlumbingWrittenOnce:
                         callers.append((path.name, name))
         assert not callers, callers
 
+    def test_verbs_have_no_coroutine_body(self):
+        """A verb's fabric-side life is one timeline: nothing in
+        ``rdma/verbs.py`` may allocate a per-hop ``Timeout`` / ``AllOf``
+        or delegate to a ``_…_group`` / ``_atomic`` generator — the
+        coroutine bodies are gone, not bypassed."""
+        source = pathlib.Path(repro.__file__).parent / "rdma" / "verbs.py"
+        tree = ast.parse(source.read_text())
+        banned = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+                if name in {"timeout", "all_of", "any_of", "Timeout", "AllOf"}:
+                    banned.append(name)
+            elif isinstance(node, ast.FunctionDef):
+                if node.name.endswith("_group") or node.name == "_atomic":
+                    banned.append(node.name)
+                if node.name in {"read", "read_batch", "write", "write_batch",
+                                 "cas", "masked_cas", "faa", "rpc"}:
+                    # injector gates aside, a verb yields exactly once.
+                    yields = [n for n in ast.walk(node)
+                              if isinstance(n, ast.Yield)]
+                    assert len(yields) == 1, node.name
+                    assert isinstance(yields[0].value, ast.Call), node.name
+            elif isinstance(node, ast.YieldFrom):
+                target = ast.unparse(node.value)
+                assert target.startswith("self.injector."), target
+        assert not banned, banned
+
 
 # ---------------------------------------------------------------------------
 # Campaign spec: placement pinning keeps old hashes stable

@@ -1,9 +1,12 @@
 """Unit tests for the discrete-event simulation engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Engine, Interrupted
+from repro.sim import Engine, HeapQueue, Interrupted, Timeline
+from repro.sim.resources import QueueServer
 
 
 def test_timeout_advances_clock():
@@ -261,3 +264,133 @@ def test_deterministic_interleaving_repeatable():
         return order
 
     assert run_once() == run_once()
+
+
+# -- the same-instant lane against the (time, seq) oracle -------------------
+#
+# Random programs whose delays come from a tiny integer grid, so most of
+# what they schedule ties with something else: zero-delay timeouts,
+# succeed/fail chains, all_of/any_of, zero-service queue slices, a
+# timeline walking its positions, interrupts — and run(until=) cut-offs
+# that land on those crowded instants.  The production engine (calendar
+# queue + lane) must process exactly what the heap oracle does.
+
+DELAYS = st.sampled_from([0.0, 0.0, 1.0, 2.0])
+SLOTS = 3  # shared events, processes and cut-offs all index modulo this
+
+
+class _Walk(Timeline):
+    """Latency hop -> queue slice -> one more same-instant position."""
+
+    __slots__ = ("hops", "server")
+
+    def __init__(self, engine, server, hops):
+        Timeline.__init__(self, engine)
+        self.server = server
+        self.hops = list(hops)
+        self._after(self.hops.pop())
+
+    def fire(self):
+        if len(self.hops) > 1:
+            self.server.request(self.hops.pop(), done=self)
+        elif self.hops:
+            self.hops.pop()
+            self.engine._push_now(self)
+        else:
+            self._finish("walked")
+
+
+INSTRUCTIONS = st.one_of(
+    st.tuples(st.just("sleep"), DELAYS),
+    st.tuples(st.sampled_from(["succeed", "fail", "wait", "interrupt"]),
+              st.integers(0, SLOTS - 1)),
+    st.tuples(st.sampled_from(["all_of", "any_of"]),
+              st.lists(DELAYS, min_size=1, max_size=3)),
+    st.tuples(st.just("serve"), DELAYS),
+    st.tuples(st.just("walk"), st.tuples(DELAYS, DELAYS, DELAYS)),
+)
+PROGRAMS = st.lists(st.lists(INSTRUCTIONS, min_size=1, max_size=6),
+                    min_size=1, max_size=SLOTS + 1)
+CUTOFFS = st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 5.0]), max_size=3)
+
+
+def _execute(engine, program, cutoffs):
+    """Run *program* on *engine*; what was observable after each run()."""
+    engine.event_log = []
+    shared = [engine.event() for _ in range(SLOTS)]
+    server = QueueServer(engine, slots=1)
+    processes = []
+    trace = []
+
+    def body(tag, instructions):
+        for step, (kind, arg) in enumerate(instructions):
+            try:
+                if kind == "sleep":
+                    yield engine.timeout(arg)
+                elif kind == "succeed" and not shared[arg].triggered:
+                    shared[arg].succeed(tag)
+                elif kind == "fail" and not shared[arg].triggered:
+                    shared[arg].fail(ValueError(tag))
+                elif kind == "wait":
+                    yield shared[arg]
+                elif kind == "interrupt":
+                    processes[arg % len(processes)].interrupt(tag)
+                elif kind == "all_of":
+                    yield engine.all_of([engine.timeout(d) for d in arg])
+                elif kind == "any_of":
+                    yield engine.any_of([engine.timeout(d) for d in arg])
+                elif kind == "serve":
+                    yield server.request(arg)
+                elif kind == "walk":
+                    yield _Walk(engine, server, arg)
+            except (ValueError, Interrupted) as exc:
+                trace.append((tag, step, type(exc).__name__, engine.now))
+            trace.append((tag, step, engine.now))
+
+    for tag, instructions in enumerate(program):
+        processes.append(engine.process(body(tag, instructions)))
+    observed = []
+    for until in [*sorted(cutoffs), None]:
+        engine.run(until=until)
+        observed.append((engine.now, engine.events_processed,
+                         list(engine.event_log), list(trace)))
+    return observed
+
+
+@given(PROGRAMS, CUTOFFS)
+@settings(max_examples=300, deadline=None)
+def test_lane_matches_heap_oracle_on_random_programs(program, cutoffs):
+    assert (_execute(Engine(), program, cutoffs)
+            == _execute(Engine(queue=HeapQueue()), program, cutoffs))
+
+
+def test_cutoff_on_an_instant_with_lane_entries_pending():
+    # Everything scheduled *for* the cut-off instant runs before run()
+    # returns; what it schedules for later does not.
+    engine = Engine()
+    log = []
+
+    def chain():
+        yield engine.timeout(1.0)
+        for hop in range(3):
+            yield engine.timeout(0.0)  # same-instant lane entries
+            log.append((hop, engine.now))
+        yield engine.timeout(1.0)
+        log.append(("late", engine.now))
+
+    engine.process(chain())
+    assert engine.run(until=1.0) == 1.0
+    assert log == [(0, 1.0), (1, 1.0), (2, 1.0)]
+    engine.run()
+    assert log[-1] == ("late", 2.0)
+
+
+def test_trace_hook_queue_length_counts_lane_entries():
+    engine = Engine()
+    seen = []
+    engine.trace_interval = 1
+    engine.trace_hook = lambda now, processed, queued: seen.append(queued)
+    for _ in range(3):
+        engine.event().succeed()  # three same-instant entries, no heap entry
+    engine.run()
+    assert seen == [2, 1, 0]
