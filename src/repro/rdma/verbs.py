@@ -223,7 +223,8 @@ class _Write(_Verb):
             self._return()  # no tx slice: the ack leaves at once
         else:
             self._state = _RECEIVED
-            landing[0].nic.rx.request(landing[3], self)
+            mn, _addr, _chunk, service = landing
+            mn.nic.rx.request(service, self)
 
 
 class _Atomic(_Verb):

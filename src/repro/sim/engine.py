@@ -187,9 +187,9 @@ class Timeline(Event):
 
     Where a coroutine would yield one event per step of a fixed
     itinerary, a timeline *is* each of those events in turn: the hot loop
-    calls :meth:`fire` at every position, as for a :class:`Wakeup`, and
-    the subclass decides there which comes next — :meth:`_after` for a
-    latency hop, itself as the ``done`` of a queue request, or
+    calls the subclass's ``fire()`` at every position, as for a
+    :class:`Wakeup`, and ``fire`` decides which comes next — :meth:`_after`
+    for a latency hop, itself as the ``done`` of a queue request, or
     ``engine._push_now(self)`` for one more same-instant position.  Every
     position is processed and counted like the event it stands for; only
     :meth:`_finish` walks the callback list (DESIGN.md §13).
@@ -203,10 +203,6 @@ class Timeline(Event):
     def __init__(self, engine: "Engine") -> None:
         Event.__init__(self, engine)
         self._cancelled = False
-
-    def fire(self) -> None:
-        """Act at the current position (subclasses implement this)."""
-        raise NotImplementedError
 
     def succeed(self, value: Any = None) -> "Timeline":
         """The completion of a request this timeline is the ``done`` of:
@@ -457,7 +453,7 @@ class HeapQueue:
     _ticks = ()
     #: No same-instant lane either: the oracle orders entries for the
     #: current instant by ``(time, seq)`` like any other.
-    _lane = ()
+    _lane = None
 
     def __init__(self) -> None:
         self._current: List[Entry] = []
@@ -641,8 +637,9 @@ class Engine:
         self._push = self._queue.push  # bound once: schedule hot path
         # Scheduling for the current instant: an append to the queue's
         # lane, or (the lane-less oracle) an ordinary ``(now, seq)`` entry.
-        self._push_now: Callable[[Event], None] = getattr(
-            self._queue._lane, "append", self._queue_callbacks)
+        lane = self._queue._lane
+        self._push_now: Callable[[Event], None] = (
+            self._queue_callbacks if lane is None else lane.append)
         self._sequence = 0
         self._pending_crash: Optional[BaseException] = None
         #: Observability hook: when set, called as ``hook(now, processed,

@@ -53,7 +53,7 @@ class _Slot:
     at the next completion time.  A back-to-back chain of completions
     therefore costs zero allocations — no per-request Timeout, no
     callback list, no closure — while producing exactly the same queue
-    entries (same times, same sequence numbers) as the historical
+    entries (same times, same order) as the historical
     Timeout-per-request implementation.
     """
 

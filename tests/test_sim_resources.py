@@ -167,3 +167,29 @@ def test_lock_release_when_free_is_error():
     lock = Lock(engine)
     with pytest.raises(SimulationError):
         lock.release()
+
+
+def test_request_completes_a_caller_supplied_done():
+    engine = Engine()
+    server = QueueServer(engine, slots=1)
+    done = engine.event()
+    assert server.request(2.0, done=done) is done
+    engine.run()
+    assert done.triggered and done.value == 2.0
+
+
+def test_zero_service_requests_complete_now_in_fifo_order():
+    engine = Engine()
+    server = QueueServer(engine, slots=1)
+    order = []
+
+    def client(tag):
+        yield engine.timeout(1.0)
+        yield server.request(0.0)
+        order.append((tag, engine.now))
+
+    for tag in range(3):
+        engine.process(client(tag))
+    engine.run()
+    assert order == [(0, 1.0), (1, 1.0), (2, 1.0)]
+    assert server.served == 3 and server.busy_time == 0.0
