@@ -447,7 +447,7 @@ class HeapQueue:
     loop never asks it to advance.
     """
 
-    __slots__ = ("_current", "_count")
+    __slots__ = ("_current",)
 
     #: No future ticks, ever: ``Engine.run`` stops when ``_current`` drains.
     _ticks = ()
@@ -457,14 +457,12 @@ class HeapQueue:
 
     def __init__(self) -> None:
         self._current: List[Entry] = []
-        self._count = 0
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._current)
 
     def push(self, entry: Entry) -> None:
         heappush(self._current, entry)
-        self._count += 1
 
 
 class CalendarQueue:
@@ -494,7 +492,7 @@ class CalendarQueue:
     """
 
     __slots__ = ("_width", "_inv_width", "_day", "_current", "_days",
-                 "_ticks", "_lane", "_count", "_adv_days", "_adv_entries")
+                 "_ticks", "_lane", "_adv_days", "_adv_entries")
 
     #: Initial tick width in seconds.  RDMA service times and latencies
     #: sit in the nanosecond-to-microsecond range, so start there and
@@ -518,12 +516,14 @@ class CalendarQueue:
         self._days: dict = {}         # tick -> unordered future bucket
         self._ticks: List[int] = []   # heap of keys of _days
         self._lane: Deque[Event] = deque()  # same-instant FIFO
-        self._count = 0               # entries in _current and _days
         self._adv_days = 0
         self._adv_entries = 0
 
     def __len__(self) -> int:
-        return self._count + len(self._lane)
+        # Counted on demand (the trace hook, tests): the hot push and pop
+        # paths keep no running total.
+        return (len(self._current) + len(self._lane)
+                + sum(map(len, self._days.values())))
 
     @property
     def width(self) -> float:
@@ -541,7 +541,6 @@ class CalendarQueue:
                 heappush(self._ticks, tick)
             else:
                 bucket.append(entry)
-        self._count += 1
 
     def pop_due(self, bound: float) -> Optional[Entry]:
         """Pop and return the next entry with ``time <= bound``, if any."""
@@ -555,7 +554,6 @@ class CalendarQueue:
         if entry[0] > bound:
             return None
         heappop(current)
-        self._count -= 1
         return entry
 
     def _advance(self) -> None:
@@ -738,7 +736,6 @@ class Engine:
                     if entry[0] > bound:
                         break
                     heappop(current)
-                    queue._count -= 1
                     event = entry[2]
                     self._now = now = entry[0]
                 if event._fires_by_time:
