@@ -52,7 +52,11 @@ from repro.core.btree_base import (
     TraversalError,
 )
 from repro.core.hotspot import HotspotBuffer
-from repro.core.leaf_ops import HopscotchLeafOpsMixin
+from repro.core.leaf_ops import (
+    HopscotchLeafOpsMixin,
+    place_items,
+    slot_columns,
+)
 from repro.core.node_layout import (
     LeafLayout,
     VacancyBitmap,
@@ -72,7 +76,12 @@ from repro.errors import (
     LayoutError,
     TornReadError,
 )
-from repro.hashing.hopscotch import HopscotchTable, default_hash, distance, plan_insert
+from repro.hashing.hopscotch import (
+    default_hash,
+    distance,
+    place_fresh,
+    plan_insert,
+)
 from repro.layout import (
     MAX_KEY,
     StripedSpan,
@@ -187,35 +196,27 @@ class ChimeIndex(BTreeIndexBase):
         config = self.config
         layout = self.leaf_layout
         pairs = self._checked_pairs(pairs)
-        target = max(1, int(config.span * config.bulk_load_factor))
+        span, neighborhood = config.span, config.neighborhood
+        target = max(1, int(span * config.bulk_load_factor))
         # Each key is placed once, while chunking.  A closed chunk keeps
-        # only its items plus the table's slot and bitmap vectors — not
-        # the table — until every leaf address is known (leaves are
-        # allocated before any indirect block).
+        # only its items plus its slot and bitmap vectors, packed, until
+        # every leaf address is known (leaves are allocated before any
+        # indirect block).  A slot is the item's index in the chunk + 1.
         leaves: List[Tuple[List[Tuple[int, int]], array, array]] = []
-        table = HopscotchTable(config.span, config.neighborhood)
         current: List[Tuple[int, int]] = []
-
-        def close_chunk() -> None:
-            slots = array("H", [0 if slot is None else slot + 1
-                                for slot in table._values])
-            leaves.append((current, slots, array("H", table._bitmaps)))
-
+        slots, homes, bitmaps = [0] * span, [0] * span, [0] * span
         for pair in pairs:
-            fits = len(current) < target
-            if fits:
-                try:
-                    # The table's "value" is the item's index in the chunk.
-                    table.insert(pair[0], len(current))
-                except HashTableFullError:  # raised before any mutation
-                    fits = False
-            if not fits:
-                close_chunk()
-                table = HopscotchTable(config.span, config.neighborhood)
+            home = default_hash(pair[0], span)
+            if len(current) >= target or not place_fresh(
+                    slots, homes, bitmaps, home, neighborhood,
+                    len(current) + 1):
+                leaves.append((current, array("H", slots),
+                               array("H", bitmaps)))
                 current = []
-                table.insert(pair[0], 0)
+                slots, homes, bitmaps = [0] * span, [0] * span, [0] * span
+                place_fresh(slots, homes, bitmaps, home, neighborhood, 1)
             current.append(pair)
-        close_chunk()
+        leaves.append((current, array("H", slots), array("H", bitmaps)))
         addrs = [self._host_alloc(layout.total_size) for _ in leaves]
         # Fence boundaries: first key of each chunk.
         bounds = ([0] + [chunk[0][0] for chunk, _s, _b in leaves[1:]]
@@ -237,25 +238,16 @@ class ChimeIndex(BTreeIndexBase):
         """Compose + write one bulk-loaded leaf: position ``pos`` holds
         ``chunk[slots[pos] - 1]`` (slot 0 = empty)."""
         layout = self.leaf_layout
-        view = LeafNodeView.blank(layout, sibling=sibling,
-                                  fence_low=fence_low, fence_high=fence_high)
-        occupied = [False] * layout.span
-        for pos, (slot, bitmap) in enumerate(zip(slots, bitmaps)):
-            if slot:
-                key, value = chunk[slot - 1]
-                stored = value
-                if self.config.indirect_values:
-                    stored = self._host_alloc_block(key, value)
-                view.write_entry(pos, key, stored, bitmap=bitmap, bump_ev=False)
-                occupied[pos] = True
-            elif bitmap:
-                view.set_entry_bitmap(pos, bitmap, bump_ev=False)
-        self._host_write(addr, bytes(view.span.data))
-        vacancy = self.vacancy_map.compose(occupied)
-        argmax = view.argmax_key()
-        lock_line = (encode_u64(pack_lock_word(False, argmax, vacancy))
-                     + encode_key(fence_low) + encode_key(fence_high))
-        self._host_write(addr + layout.lock_offset, lock_line)
+        keys, values = slot_columns(chunk, slots)
+        if self.config.indirect_values:
+            values = [self._host_alloc_block(key, value) if key else 0
+                      for key, value in zip(keys, values)]
+        self._host_write(addr, layout.encode_image(
+            keys, values, bitmaps, sibling, fence_low, fence_high))
+        self._host_write(
+            addr + layout.lock_offset,
+            encode_u64(self.vacancy_map.lock_word(keys))
+            + encode_key(fence_low) + encode_key(fence_high))
 
     # -- host-side verification helpers -----------------------------------------------
 
@@ -906,13 +898,13 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         old_sibling = full_view.replica_sibling(0)
         new_addr = yield from self._alloc(layout.total_size)
         # New (right) node first: not reachable until A points at it.
-        right_view, right_word = self._compose_leaf(right_items,
-                                                    sibling=old_sibling,
-                                                    fence_low=pivot,
-                                                    fence_high=fence_high,
-                                                    nv=0)
+        right_image, right_word = self._compose_leaf(right_items,
+                                                     sibling=old_sibling,
+                                                     fence_low=pivot,
+                                                     fence_high=fence_high,
+                                                     nv=0)
         yield from self.ops.write_batch([
-            (new_addr, bytes(right_view.span.data)),
+            (new_addr, right_image),
             (new_addr + layout.lock_offset,
              encode_u64(right_word) + encode_key(pivot)
              + encode_key(fence_high)),
@@ -920,11 +912,11 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         # Rewrite A: remaining items, sibling -> new node, NV bumped,
         # unlock + fences batched behind the node write.
         old_nv = full_view.span.nv_nibbles()[0]
-        left_view, left_word = self._compose_leaf(left_items,
-                                                  sibling=new_addr,
-                                                  fence_low=fence_low,
-                                                  fence_high=pivot,
-                                                  nv=bump_nibble(old_nv))
+        left_image, left_word = self._compose_leaf(left_items,
+                                                   sibling=new_addr,
+                                                   fence_low=fence_low,
+                                                   fence_high=pivot,
+                                                   nv=bump_nibble(old_nv))
         # The unlocking lock-line write also refreshes the fence keys; with
         # leases on, _unlock_writes appends the lease-clearing write (and
         # raises instead if our lease already expired mid-split).
@@ -933,7 +925,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
                      + encode_key(pivot))
         guard.held = False  # the batched lock-line write below releases it
         yield from self.ops.write_batch(
-            [(leaf_addr, bytes(left_view.span.data))] + unlock)
+            [(leaf_addr, left_image)] + unlock)
         for pos in range(layout.span):
             self.hotspots.invalidate(leaf_addr, pos)
         parent_hint = ref.parent if ref.parent is not None else None
@@ -943,29 +935,17 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
 
     def _compose_leaf(self, items: Sequence[Tuple[int, int]], sibling: int,
                       fence_low: int, fence_high: int,
-                      nv: int) -> Tuple[LeafNodeView, int]:
+                      nv: int) -> Tuple[bytes, int]:
         """Build a full leaf image + its unlocked lock word locally."""
-        layout = self.layout
-        table = HopscotchTable(layout.span, layout.neighborhood)
-        for key, value in items:
-            table.insert(key, value)  # post-split load ~50%: must fit
-        view = LeafNodeView.blank(layout, sibling=sibling,
-                                  fence_low=fence_low, fence_high=fence_high)
-        view.set_all_nv(nv)
-        view.set_all_replicas(sibling, fence_low, fence_high)
-        occupied = [False] * layout.span
-        for pos in range(layout.span):
-            key = table._keys[pos]
-            bitmap = table.bitmap(pos)
-            if key is not None:
-                view.write_entry(pos, key, table._values[pos], bitmap=bitmap,
-                                 bump_ev=False)
-                occupied[pos] = True
-            elif bitmap:
-                view.set_entry_bitmap(pos, bitmap, bump_ev=False)
-        vacancy = self.index.vacancy_map.compose(occupied)
-        word = pack_lock_word(False, view.argmax_key(), vacancy)
-        return view, word
+        keys, values, bitmaps, spilled = place_items(
+            items, self.layout, self.home_of)
+        if spilled:  # post-split load ~50%: must fit
+            raise HashTableFullError(
+                f"no feasible hop sequence for key {spilled[0][0]} in a "
+                f"split half of {len(items)} items")
+        image = self.layout.encode_image(keys, values, bitmaps, sibling,
+                                         fence_low, fence_high, nv)
+        return image, self.index.vacancy_map.lock_word(keys)
 
     # ---------------------------------------------------------------- scan
 

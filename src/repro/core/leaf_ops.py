@@ -10,13 +10,38 @@ adds ``self.layout`` (a :class:`~repro.core.node_layout.LeafLayout`) and
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Sequence, Tuple
+from typing import Callable, Generator, List, Optional, Sequence, Tuple
 
-from repro.core.node_layout import ReadShape
+from repro.core.node_layout import LeafLayout, ReadShape
 from repro.core.nodes import LeafNodeView
 from repro.errors import FaultInjectedError, TornReadError
+from repro.hashing.hopscotch import place_fresh
 from repro.layout import StripedSpan
 from repro.layout.versions import SpanSet, raw_span
+
+
+def slot_columns(items: Sequence[Tuple[int, int]],
+                 slots: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """Position-ordered key and value vectors of a leaf whose position
+    ``pos`` holds ``items[slots[pos] - 1]`` (slot 0: an empty entry,
+    key 0 and value 0) — what :meth:`LeafLayout.encode_image` takes."""
+    keys, values = zip((0, 0), *items)
+    return [keys[slot] for slot in slots], [values[slot] for slot in slots]
+
+
+def place_items(items: Sequence[Tuple[int, int]], layout: LeafLayout,
+                home_of: Callable[[int], int]):
+    """Hopscotch-place fresh (key, value) *items* into an empty leaf, in
+    order: ``(keys, values, bitmaps, spilled)`` — the leaf's
+    position-ordered vectors, and the items that did not fit."""
+    span = layout.span
+    slots, homes, bitmaps = [0] * span, [0] * span, [0] * span
+    spilled = [
+        item for number, item in enumerate(items, 1)
+        if not place_fresh(slots, homes, bitmaps, home_of(item[0]),
+                           layout.neighborhood, number)]
+    keys, values = slot_columns(items, slots)
+    return keys, values, bitmaps, spilled
 
 
 class HopscotchLeafOpsMixin:

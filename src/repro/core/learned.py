@@ -26,19 +26,10 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.compute import ClientContext
 from repro.core.chime import LockGuard
 from repro.core.family import FamilyClientBase, FamilyIndexBase
-from repro.core.leaf_ops import HopscotchLeafOpsMixin
-from repro.core.node_layout import (
-    LeafLayout,
-    VacancyBitmap,
-    pack_lock_word,
-)
+from repro.core.leaf_ops import HopscotchLeafOpsMixin, place_items
+from repro.core.node_layout import LeafLayout, VacancyBitmap
 from repro.core.nodes import LeafNodeView
-from repro.hashing.hopscotch import (
-    HopscotchTable,
-    default_hash,
-    distance,
-    plan_insert,
-)
+from repro.hashing.hopscotch import default_hash, distance, plan_insert
 from repro.layout import MAX_KEY, StripedSpan, encode_key, encode_u64
 from repro.layout.versions import bump_nibble
 from repro.memory import NULL_ADDR
@@ -99,29 +90,21 @@ class LearnedChimeIndex(FamilyIndexBase):
 
     def _host_write_leaf(self, addr: int, items: Sequence[Tuple[int, int]],
                          fence_low: int, fence_high: int) -> None:
+        """Compose + write one leaf; the items hopscotch cannot place in
+        a model-sized chunk go to a synonym leaf chained from the
+        sibling pointer (what an insert does at run time)."""
         layout = self.leaf_layout
-        table = HopscotchTable(self.span, self.neighborhood)
-        for key, value in items:
-            table.insert(key, value)
-        view = LeafNodeView.blank(layout, sibling=NULL_ADDR,
-                                  fence_low=fence_low,
-                                  fence_high=fence_high)
-        occupied = [False] * self.span
-        for pos in range(self.span):
-            key = table._keys[pos]
-            bitmap = table.bitmap(pos)
-            if key is not None:
-                view.write_entry(pos, key, table._values[pos],
-                                 bitmap=bitmap, bump_ev=False)
-                occupied[pos] = True
-            elif bitmap:
-                view.set_entry_bitmap(pos, bitmap, bump_ev=False)
-        self._host_write(addr, bytes(view.span.data))
-        word = pack_lock_word(False, view.argmax_key(),
-                              self.vacancy_map.compose(occupied))
+        keys, values, bitmaps, spilled = place_items(items, layout,
+                                                     self.home_of)
+        synonym = NULL_ADDR
+        if spilled:
+            synonym = self._host_alloc(layout.total_size)
+            self._host_write_leaf(synonym, spilled, fence_low, fence_high)
+        self._host_write(addr, layout.encode_image(
+            keys, values, bitmaps, synonym, fence_low, fence_high))
         self._host_write(addr + layout.lock_offset,
-                         encode_u64(word) + encode_key(fence_low)
-                         + encode_key(fence_high))
+                         encode_u64(self.vacancy_map.lock_word(keys))
+                         + encode_key(fence_low) + encode_key(fence_high))
 
     # -- prediction / accounting ---------------------------------------------------
 
@@ -366,38 +349,22 @@ class LearnedChimeClient(FamilyClientBase, HopscotchLeafOpsMixin):
         layout = self.layout
         low, high = tail_view.replica_fences(0)
         new_addr = yield from self._alloc(layout.total_size)
-        table_view = LeafNodeView.blank(layout, sibling=NULL_ADDR,
-                                        fence_low=low, fence_high=high)
-        home = self.home_of(key)
-        table_view.write_entry(home, key, value, bitmap=1, bump_ev=False)
-        occupied = [False] * layout.span
-        occupied[home] = True
-        word = pack_lock_word(False, home,
-                              self.index.vacancy_map.compose(occupied))
+        keys, values, bitmaps, _none = place_items([(key, value)], layout,
+                                                   self.home_of)
         yield from self.ops.write_batch([
-            (new_addr, bytes(table_view.span.data)),
+            (new_addr, layout.encode_image(keys, values, bitmaps, NULL_ADDR,
+                                           low, high)),
             (new_addr + layout.lock_offset,
-             encode_u64(word) + encode_key(low) + encode_key(high)),
+             encode_u64(self.index.vacancy_map.lock_word(keys))
+             + encode_key(low) + encode_key(high)),
         ])
         # Publish the synonym in every replica of the tail via a full
-        # node write (NV bumped), batched with the unlock.  The image is
-        # rebuilt on a blank full-region span: a fetched span's raw base
-        # is 1 (the first line version byte is owned by the region), so
-        # its bytes must never be written back at raw offset 0.
+        # node write (NV bumped, EVs reset), batched with the unlock.
         old_nv = tail_view.span.nv_nibbles()[0]
-        rebuilt = LeafNodeView.blank(layout, sibling=new_addr,
-                                     fence_low=low, fence_high=high)
-        rebuilt.set_all_nv(bump_nibble(old_nv))
-        rebuilt.set_all_replicas(new_addr, low, high)
-        bitmaps = list(tail_view.bitmaps())
-        for pos, key, value in tail_view.items():
-            rebuilt.write_entry(pos, key, value, bitmap=bitmaps[pos],
-                                bump_ev=False)
-            bitmaps[pos] = 0
-        for pos, bitmap in enumerate(bitmaps):
-            if bitmap:  # an empty entry that is still some keys' home
-                rebuilt.set_entry_bitmap(pos, bitmap, bump_ev=False)
+        rebuilt = layout.encode_image(
+            tail_view.keys(), tail_view.values(), tail_view.bitmaps(),
+            new_addr, low, high, nv=bump_nibble(old_nv))
         yield from self.ops.write_batch(
-            [(tail_addr, bytes(rebuilt.span.data))]
+            [(tail_addr, rebuilt)]
             + self._unlock_writes(guard.lock_addr, guard.release_word()))
         return True

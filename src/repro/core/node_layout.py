@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, List, Optional, Sequence, Tuple
+from itertools import compress
+from operator import itemgetter, not_
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import LayoutError, TornReadError
 from repro.layout import versions
@@ -138,7 +139,14 @@ class VacancyBitmap:
 
     def __init__(self, span: int, bits: int = VACANCY_BITS) -> None:
         self.span = span
-        self.bits = min(bits, span)
+        self.bits = bits = min(bits, span)
+        # Both directions of the entry <-> bit map, computed once: bit b
+        # covers entries [ceil(b * span / bits), ceil((b + 1) * span / bits)).
+        self._coverage = tuple(
+            range(-(-bit * span // bits), -(-(bit + 1) * span // bits))
+            for bit in range(bits))
+        self._entry_mask = tuple(1 << self.bit_of(entry)
+                                 for entry in range(span))
 
     def bit_of(self, entry: int) -> int:
         """Which vacancy bit covers *entry*."""
@@ -146,19 +154,22 @@ class VacancyBitmap:
 
     def coverage(self, bit: int) -> range:
         """The entry range covered by *bit*."""
-        start = -(-bit * self.span // self.bits)  # ceil division
-        end = -(-(bit + 1) * self.span // self.bits)
-        return range(start, min(end, self.span))
+        return self._coverage[bit]
 
-    def compose(self, occupied: List[bool]) -> int:
-        """Build the bitmap from a per-entry occupancy list."""
+    def compose(self, occupied: Sequence) -> int:
+        """Build the bitmap from a per-entry occupancy sequence (any
+        truth values: a leaf's position-ordered keys will do)."""
         if len(occupied) != self.span:
             raise LayoutError("occupancy list length != span")
-        bitmap = 0
-        for bit in range(self.bits):
-            if all(occupied[e] for e in self.coverage(bit)):
-                bitmap |= 1 << bit
-        return bitmap
+        vacant = 0  # the bits covering at least one empty entry
+        for mask in compress(self._entry_mask, map(not_, occupied)):
+            vacant |= mask
+        return ~vacant & ((1 << self.bits) - 1)
+
+    def lock_word(self, keys: Sequence[int]) -> int:
+        """The unlocked lock word of a leaf holding position-ordered
+        *keys* (0 = empty): argmax of the keys plus their vacancy bitmap."""
+        return pack_lock_word(False, keys.index(max(keys)), self.compose(keys))
 
     def first_maybe_empty(self, bitmap: int, home: int) -> int:
         """First entry position (circular from *home*) that may be empty.
@@ -169,7 +180,7 @@ class VacancyBitmap:
         for step in range(self.bits):
             bit = (start_bit + step) % self.bits
             if not (bitmap & (1 << bit)):
-                coverage = self.coverage(bit)
+                coverage = self._coverage[bit]
                 if step == 0 and home in coverage:
                     # The empty slot could be before `home` inside this
                     # bit's coverage; a probe must still start at `home`.
@@ -220,21 +231,21 @@ class InternalLayout:
     OFF_COUNT = 3
 
 
-def _image_struct(byte_order: str, code: str, field_off: int,
-                  entry_offsets: Sequence[int],
+def _image_struct(byte_order: str, fields: Iterable[Tuple[int, str]],
                   logical_size: int) -> struct.Struct:
-    """One field of every entry, unpacked from a de-striped payload (a
-    whole leaf, or the concatenated segments of a partial read).
+    """The ``(offset, code)`` *fields*, in offset order, of a de-striped
+    payload (a whole leaf, or the concatenated segments of a partial
+    read).
 
-    Everything between the fields (replicas, version and bitmap bytes,
-    the other fields) is ``x`` padding, so the struct spans exactly
+    Everything between the fields is ``x`` padding — skipped by a
+    decoder, zero-filled by an encoder — so the struct spans exactly
     *logical_size* bytes and a payload of any other length is rejected.
     """
     parts = []
     pos = 0
-    for off in entry_offsets:
-        parts.append(f"{off + field_off - pos}x{code}")
-        pos = off + field_off + struct.calcsize(byte_order + code)
+    for off, code in fields:
+        parts.append(f"{off - pos}x{code}")
+        pos = off + struct.calcsize(byte_order + code)
     parts.append(f"{logical_size - pos}x")
     return struct.Struct(byte_order + "".join(parts))
 
@@ -376,8 +387,9 @@ class ReadShape:
         entry_at = [index_in(segments, layout._entry_offsets[index])
                     for index in entries]
         self.positions = tuple(entries)
-        self._keys = _image_struct(">", "Q", layout.ENTRY_OFF_KEY, entry_at,
-                                   payload_len)
+        self._keys = _image_struct(
+            ">", [(at + layout.ENTRY_OFF_KEY, "Q") for at in entry_at],
+            payload_len)
         self._value_at = tuple(at + layout.entry_off_value for at in entry_at)
         self._value_size = layout.value_size
         self._home = home
@@ -507,20 +519,50 @@ class LeafLayout:
             first_line = ((raw_off + line_size - 1) // line_size) * line_size
             ev_ranges.append((raw_off, first_line, raw_end))
         set_attr(self, "_entry_ev_ranges", tuple(ev_ranges))
-        # Image codec: whole-leaf decoders over the de-striped payload
-        # (keys big-endian, values and bitmaps little-endian — the field
-        # codecs of ``repro.layout.codec``; an inline value narrower
-        # than a word comes out as its raw bytes), plus a getter of every
-        # entry version byte straight from a raw image fetched at base 0.
+        # Image codec, decoding half: one struct per field over the
+        # de-striped payload of a whole leaf (keys big-endian, values
+        # and bitmaps little-endian — the field codecs of
+        # ``repro.layout.codec``; an inline value narrower than a word
+        # is its raw bytes), plus a getter of every entry version byte
+        # straight from a raw image fetched at base 0.
         value_code = "Q" if self.value_size >= 8 else f"{self.value_size}s"
         set_attr(self, "_image_keys", _image_struct(
-            ">", "Q", self.ENTRY_OFF_KEY, offsets, logical_size))
+            ">", [(off + self.ENTRY_OFF_KEY, "Q") for off in offsets],
+            logical_size))
         set_attr(self, "_image_values", _image_struct(
-            "<", value_code, self.entry_off_value, offsets, logical_size))
+            "<", [(off + self.entry_off_value, value_code)
+                  for off in offsets], logical_size))
         set_attr(self, "_image_bitmaps", _image_struct(
-            "<", "H", self.ENTRY_OFF_BITMAP, offsets, logical_size))
+            "<", [(off + self.ENTRY_OFF_BITMAP, "H") for off in offsets],
+            logical_size))
         set_attr(self, "_image_entry_versions", _tuple_getter(
             [raw_off for raw_off, _first, _end in ev_ranges]))
+        # Encoding half (:meth:`encode_image`): every field of the leaf
+        # in two structs, one per byte order, whose pad bytes pack as
+        # zeros so the two payloads merge with one OR.  Each struct's
+        # arguments are gathered, in offset order, from a flat source
+        # vector: [valid, sibling, version byte, *bitmaps, *values] and
+        # [fence_low, fence_high, *keys].
+        span = self.span
+        replicas = [self.replica_offset(block) for block in range(num_blocks)]
+        little = [(at, "BQ", (0, 1)) for at in replicas]
+        little += [(off, "BH", (2, 3 + index))
+                   for index, off in enumerate(offsets)]
+        little += [(off + self.entry_off_value, value_code,
+                    (3 + span + index,)) for index, off in enumerate(offsets)]
+        big = [(off + self.ENTRY_OFF_KEY, "Q", (2 + index,))
+               for index, off in enumerate(offsets)]
+        if self.fence_keys:
+            big += [(at + self.replica_off_fence_low, "QQ", (0, 1))
+                    for at in replicas]
+        for name, byte_order, fields in (("_encode_little", "<", little),
+                                         ("_encode_big", ">", big)):
+            fields.sort()
+            set_attr(self, name, _image_struct(
+                byte_order, [field[:2] for field in fields], logical_size))
+            set_attr(self, name + "_args", _tuple_getter(
+                [source for field in fields for source in field[2]]))
+        set_attr(self, "_line_chunks", versions.line_chunks(logical_size))
         # Read shapes, compiled on first use: one per neighbourhood home
         # and one per speculatively read entry (at most 2 * span).
         set_attr(self, "_neighborhood_shapes", {})
@@ -542,6 +584,42 @@ class LeafLayout:
         if 0 <= index < self.span:
             return self._entry_offsets[index]
         raise LayoutError(f"leaf entry index {index} out of range")
+
+    # -- whole-leaf composition -----------------------------------------------------
+
+    def encode_image(self, keys: Sequence[int], values: Sequence[int],
+                     bitmaps: Sequence[int], sibling: int = 0,
+                     fence_low: int = 0, fence_high: int = 0,
+                     nv: int = 0) -> bytes:
+        """The raw striped image of a freshly written leaf.
+
+        *keys* (0 = empty entry), *values* and hopscotch *bitmaps* are
+        in entry-position order; every replica says valid and carries
+        *sibling* (and the fence keys, in that format), and every line
+        and entry version byte is (*nv*, EV 0) — node-write semantics.
+        The per-entry composition of :meth:`LeafNodeView.compose
+        <repro.core.nodes.LeafNodeView.compose>` is its test oracle.
+        """
+        span = self.span
+        if not len(keys) == len(values) == len(bitmaps) == span:
+            raise LayoutError(
+                f"a leaf image takes {span} keys, values and bitmaps, got "
+                f"{len(keys)}, {len(values)} and {len(bitmaps)}")
+        version = versions.pack_version(nv, 0)
+        size = self.value_size
+        try:
+            if size < 8:
+                values = [value.to_bytes(size, "little") for value in values]
+            little = self._encode_little.pack(*self._encode_little_args(
+                [1, sibling, version, *bitmaps, *values]))
+            big = self._encode_big.pack(*self._encode_big_args(
+                [fence_low, fence_high, *keys]))
+        except (struct.error, OverflowError) as error:
+            raise LayoutError(f"field does not fit the leaf layout "
+                              f"(value_size {size}): {error}") from None
+        payload = int.from_bytes(little, "little") | int.from_bytes(big, "little")
+        return versions.stripe(payload.to_bytes(self.logical_size, "little"),
+                               self._line_chunks, version)
 
     # Entry field offsets (relative to entry start).
     ENTRY_OFF_VERSION = 0

@@ -214,6 +214,19 @@ class LeafNodeView:
             sp.write_logical(layout.entry_offset(index), bytes([byte]))
         return view
 
+    @classmethod
+    def compose(cls, layout: LeafLayout, keys: Sequence[int],
+                values: Sequence[int], bitmaps: Sequence[int],
+                sibling: int = NULL_ADDR, fence_low: int = 0,
+                fence_high: int = 0, nv: int = 0) -> "LeafNodeView":
+        """A whole leaf written entry by entry from position-ordered
+        vectors: the reference :meth:`LeafLayout.encode_image` is held
+        to byte for byte (production composes through the encoder)."""
+        view = cls.blank(layout, sibling, fence_low, fence_high, nv)
+        for pos, (key, value, bitmap) in enumerate(zip(keys, values, bitmaps)):
+            view.write_entry(pos, key, value, bitmap=bitmap, bump_ev=False)
+        return view
+
     def write_replica(self, block: int, sibling: int,
                       fence_low: int = 0, fence_high: int = 0) -> None:
         layout = self.layout
@@ -372,6 +385,10 @@ class LeafNodeView:
     def bitmaps(self) -> Sequence[int]:
         """The stored hopscotch bitmap of every entry in position order."""
         return self._column(self.layout._image_bitmaps, self.entry_bitmap)
+
+    def values(self) -> Sequence[int]:
+        """The value of every entry in position order."""
+        return self._keys_values()[1]
 
     def _keys_values(self) -> Tuple[Sequence[int], Sequence[int]]:
         layout = self.layout

@@ -9,6 +9,7 @@ from repro.hashing.hopscotch import (
     default_hash,
     distance,
     find_first_empty,
+    place_fresh,
     plan_insert,
 )
 from repro.hashing.loadfactor import (
@@ -32,5 +33,6 @@ __all__ = [
     "figure_3d_schemes",
     "find_first_empty",
     "measure_max_load_factor",
+    "place_fresh",
     "plan_insert",
 ]

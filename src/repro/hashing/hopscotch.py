@@ -102,6 +102,45 @@ def plan_insert(home: int, empty: int, capacity: int, neighborhood: int,
     return plan
 
 
+def place_fresh(slots: List[int], homes: List[int], bitmaps: List[int],
+                home: int, neighborhood: int, token: int) -> bool:
+    """Place a key known to be absent exactly where
+    :meth:`HopscotchTable.insert` would put it.
+
+    The table is three flat, position-ordered lists the caller owns:
+    *slots* (0 = empty, else the caller's non-zero token for the stored
+    key), *homes* (the home entry of the key at each occupied position)
+    and the hopscotch *bitmaps*.  *home* is the new key's home entry.
+    Returns False, with nothing mutated, when the key does not fit —
+    where the reference table raises
+    :class:`~repro.errors.HashTableFullError`.
+    """
+    capacity = len(slots)
+    try:  # linear probe, circular from home
+        empty = slots.index(0, home)
+    except ValueError:
+        try:
+            empty = slots.index(0, 0, home)
+        except ValueError:
+            return False
+    if (empty - home) % capacity >= neighborhood:
+        plan = plan_insert(home, empty, capacity, neighborhood,
+                           lambda pos: homes[pos] if slots[pos] else None)
+        if plan is None:
+            return False
+        for src, dst in plan.moves:
+            moved_home = homes[dst] = homes[src]
+            slots[dst] = slots[src]
+            slots[src] = 0
+            bitmaps[moved_home] ^= ((1 << ((src - moved_home) % capacity))
+                                    | (1 << ((dst - moved_home) % capacity)))
+        empty = plan.target
+    slots[empty] = token
+    homes[empty] = home
+    bitmaps[home] |= 1 << ((empty - home) % capacity)
+    return True
+
+
 class HopscotchTable:
     """A local hopscotch hash table (reference model + experiments)."""
 

@@ -36,6 +36,7 @@ address the striped image.  ``raw_of`` maps between them.
 
 from __future__ import annotations
 
+import struct
 from typing import Iterator, List, Tuple
 
 from repro.errors import LayoutError
@@ -119,6 +120,23 @@ def destripe_slice(raw_off: int, raw_len: int, at: int = 0) -> slice:
     leaves the span's payload bytes (de-striping in one strided delete).
     """
     return slice(at + -raw_off % LINE, at + raw_len, LINE)
+
+
+def line_chunks(logical_size: int) -> struct.Struct:
+    """Cuts a *logical_size*-byte payload into the chunks its cache
+    lines carry, for :func:`stripe`; a payload of any other length does
+    not unpack."""
+    full, rest = divmod(logical_size, PAYLOAD_PER_LINE)
+    return struct.Struct(f"{PAYLOAD_PER_LINE}s" * full
+                         + (f"{rest}s" if rest else ""))
+
+
+def stripe(payload: bytes, chunks: struct.Struct, version_byte: int) -> bytes:
+    """The raw image of a whole region holding *payload*: *version_byte*
+    at the head of every line — the inverse of
+    :meth:`StripedSpan.image_payload`, in one split and one join."""
+    byte = bytes((version_byte,))
+    return byte + byte.join(chunks.unpack(payload))
 
 
 class StripedSpan:

@@ -66,17 +66,13 @@ class EventBus:
     def __init__(self) -> None:
         self._subs: List[Subscription] = []
         self._clock: Optional[Callable[[], float]] = None
+        #: True when at least one subscriber is attached (kept by
+        #: :meth:`subscribe` / :meth:`unsubscribe`).  Instrumentation
+        #: sites check it before building event payloads, so a quiet bus
+        #: costs one attribute read per site.
+        self.active = False
 
     # -- state ---------------------------------------------------------------
-
-    @property
-    def active(self) -> bool:
-        """True when at least one subscriber is attached.
-
-        Instrumentation sites check this before building event payloads,
-        so a quiet bus costs one attribute read per site.
-        """
-        return bool(self._subs)
 
     def set_clock(self, clock: Optional[Callable[[], float]]) -> None:
         """Install the fallback clock used for ``time=None`` emits."""
@@ -91,6 +87,7 @@ class EventBus:
         sub = Subscription(self, callback,
                            frozenset(kinds) if kinds is not None else None)
         self._subs.append(sub)
+        self.active = True
         return sub
 
     def unsubscribe(self, sub: Subscription) -> None:
@@ -99,6 +96,7 @@ class EventBus:
             self._subs.remove(sub)
         except ValueError:
             pass
+        self.active = bool(self._subs)
 
     # -- emission ------------------------------------------------------------
 

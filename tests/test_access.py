@@ -504,6 +504,31 @@ class TestFamilyPlumbingWrittenOnce:
                         callers.append((path.name, name))
         assert not callers, callers
 
+    def test_per_entry_leaf_composition_is_only_the_oracle(self):
+        """Whole leaves are composed by ``LeafLayout.encode_image``; the
+        per-entry way — a blank view, then ``write_entry`` /
+        ``set_entry_bitmap`` with the EV bump off — stays in
+        ``core/nodes.py`` as the reference the property tests hold the
+        encoder to, so nothing else under ``src/repro`` may spell it."""
+        package = pathlib.Path(repro.__file__).parent
+        callers = []
+        for path in sorted(package.rglob("*.py")):
+            if path == package / "core" / "nodes.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "attr", None)
+                unbumped = any(
+                    keyword.arg == "bump_ev"
+                    and getattr(keyword.value, "value", None) is False
+                    for keyword in node.keywords)
+                if (name in {"write_entry", "set_entry_bitmap"} and unbumped
+                        or name == "blank" and getattr(
+                            node.func.value, "id", None) == "LeafNodeView"):
+                    callers.append((path.name, name, node.lineno))
+        assert not callers, callers
+
     def test_verbs_have_no_coroutine_body(self):
         """A verb's fabric-side life is one timeline: nothing in
         ``rdma/verbs.py`` may allocate a per-hop ``Timeout`` / ``AllOf``

@@ -426,6 +426,112 @@ class TestLeafImageCodec:
             late.items()
 
 
+class TestLeafImageEncoder:
+    """``LeafLayout.encode_image`` against the per-entry composition of
+    ``LeafNodeView.compose`` (a blank view, then one ``write_entry`` per
+    position), and the lock word that goes with the image."""
+
+    @staticmethod
+    def _per_bit_vacancy(span, occupied):
+        """The vacancy bitmap from its definition, one bit at a time: bit
+        b covers entries [ceil(b * span / bits), ceil((b + 1) * span /
+        bits)) and is set when all of them are occupied."""
+        bits = min(VACANCY_BITS, span)
+        bitmap = 0
+        for bit in range(bits):
+            cover = range(-(-bit * span // bits),
+                          min(-(-(bit + 1) * span // bits), span))
+            if all(occupied[entry] for entry in cover):
+                bitmap |= 1 << bit
+        return bitmap
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.sampled_from([(1, 1), (5, 5), (8, 1), (16, 2), (16, 16),
+                                  (63, 7), (64, 8), (64, 16), (128, 8)]),
+           value_size=st.integers(1, 64), replicated=st.booleans(),
+           fence_keys=st.booleans(), nv=st.integers(0, 15),
+           seed=st.integers(0, 2**32))
+    def test_image_equals_per_entry_oracle(self, shape, value_size,
+                                           replicated, fence_keys, nv, seed):
+        span, neighborhood = shape
+        layout = LeafLayout(span=span, neighborhood=neighborhood,
+                            value_size=value_size, replicated=replicated,
+                            fence_keys=fence_keys)
+        rng = random.Random(seed)
+        load = rng.choice([0.0, rng.random(), 1.0])
+        keys = [rng.randrange(1, MAX_KEY + 1) if rng.random() < load else 0
+                for _ in range(span)]
+        value_bits = 8 * min(value_size, 8)
+        values = [rng.getrandbits(value_bits) if key else 0 for key in keys]
+        bitmaps = [rng.getrandbits(16) for _ in range(span)]
+        meta = (rng.getrandbits(64), rng.getrandbits(64), rng.getrandbits(64))
+        image = layout.encode_image(keys, values, bitmaps, *meta, nv=nv)
+        reference = LeafNodeView.compose(layout, keys, values, bitmaps,
+                                         *meta, nv=nv)
+        assert image == bytes(reference.span.data)
+        assert len(image) == layout.raw_size
+        # Decoding what was encoded is the identity, vectors in any
+        # sequence type.
+        view = LeafNodeView(layout, StripedSpan(image))
+        assert list(view.keys()) == keys
+        assert list(view.values()) == values
+        assert list(view.bitmaps()) == bitmaps
+        assert set(view.image_nv()) == {nv}
+        assert layout.encode_image(tuple(keys), tuple(values),
+                                   tuple(bitmaps), *meta, nv=nv) == image
+        # The lock word that accompanies the image.
+        vmap = VacancyBitmap(span)
+        locked, argmax, vacancy = unpack_lock_word(vmap.lock_word(keys))
+        assert not locked
+        assert argmax == keys.index(max(keys)) == view.argmax_key()
+        assert vacancy == self._per_bit_vacancy(span, [bool(k) for k in keys])
+        assert vacancy == vmap.compose(view.occupancy())
+        for bit in range(vmap.bits):
+            assert [vmap.bit_of(entry) for entry in vmap.coverage(bit)] == (
+                [bit] * len(vmap.coverage(bit)))
+
+    @pytest.mark.parametrize("vector", [0, 1, 2])
+    @pytest.mark.parametrize("length", [0, 63, 65])
+    def test_vector_of_the_wrong_length_raises(self, vector, length):
+        layout = LeafLayout(span=64, neighborhood=8)
+        vectors = [[0] * 64, [0] * 64, [0] * 64]
+        vectors[vector] = [0] * length
+        with pytest.raises(LayoutError):
+            layout.encode_image(*vectors)
+
+    @pytest.mark.parametrize("value_size,value", [
+        (1, 256), (3, 1 << 24), (7, 1 << 56), (8, 1 << 64), (64, 1 << 64),
+        (8, -1), (4, -1)])
+    def test_value_that_does_not_fit_raises(self, value_size, value):
+        layout = LeafLayout(span=8, neighborhood=4, value_size=value_size)
+        vectors = ([7] + [0] * 7, [value] + [0] * 7, [1] + [0] * 7)
+        with pytest.raises(LayoutError):
+            layout.encode_image(*vectors)
+        # The widest value that does fit is accepted.
+        vectors[1][0] = (1 << 8 * min(value_size, 8)) - 1
+        view = LeafNodeView(layout, StripedSpan(layout.encode_image(*vectors)))
+        assert view.items() == [(0, 7, vectors[1][0])]
+
+    @pytest.mark.parametrize("field,value", [
+        ("keys", MAX_KEY + 1), ("keys", -1), ("bitmaps", 1 << 16),
+        ("sibling", 1 << 64), ("fence_low", MAX_KEY + 1),
+        ("fence_high", -1)])
+    def test_field_that_does_not_fit_raises(self, field, value):
+        layout = LeafLayout(span=8, neighborhood=4, fence_keys=True)
+        fields = dict(keys=[0] * 8, values=[0] * 8, bitmaps=[0] * 8,
+                      sibling=0, fence_low=0, fence_high=0, nv=0)
+        if field in ("keys", "bitmaps"):
+            fields[field][3] = value
+        else:
+            fields[field] = value
+        with pytest.raises(LayoutError):
+            layout.encode_image(**fields)
+
+    def test_vacancy_compose_rejects_wrong_length(self):
+        with pytest.raises(LayoutError):
+            VacancyBitmap(16).compose([True] * 15)
+
+
 def hopscotch_leaf_image(layout, seed):
     """A raw leaf image a reader may find at rest: keys placed by
     hopscotch hashing with truthful bitmaps, one NV everywhere, and EVs

@@ -15,7 +15,9 @@ from repro.hashing import (
     distance,
     figure_3d_schemes,
     find_first_empty,
+    default_hash,
     measure_max_load_factor,
+    place_fresh,
     plan_insert,
 )
 
@@ -170,6 +172,71 @@ class TestHopscotchTable:
         for key, value in model.items():
             assert table.lookup(key) == value
         assert table.size == len(model)
+
+
+class TestPlaceFresh:
+    """``place_fresh`` over flat lists lands every key exactly where the
+    reference table's ``insert`` does, and says "does not fit" on the
+    same key without having touched anything."""
+
+    @staticmethod
+    def _keys(rng, kind, count, capacity):
+        if kind == "dense":
+            first = rng.randrange(1, 1 << 40)
+            return list(range(first, first + count))
+        if kind == "sparse":
+            return rng.sample(range(1, 1 << 62), count)
+        # Adversarial: (nearly) every key hashes to one home entry.
+        home = rng.randrange(capacity)
+        keys, key = [], rng.randrange(1, 1 << 30)
+        while len(keys) < count:
+            if default_hash(key, capacity) == home or rng.random() < 0.05:
+                keys.append(key)
+            key += 1
+        return keys
+
+    @settings(max_examples=300, deadline=None)
+    @given(capacity=st.sampled_from([1, 2, 5, 16, 64, 100]),
+           neighborhood=st.integers(1, 16),
+           kind=st.sampled_from(["dense", "sparse", "same-home"]),
+           fill=st.floats(0.05, 1.1), seed=st.integers(0, 2**32))
+    def test_matches_reference_table(self, capacity, neighborhood, kind,
+                                     fill, seed):
+        neighborhood = min(neighborhood, capacity)
+        rng = random.Random(seed)
+        keys = self._keys(rng, kind, max(1, int(capacity * fill)), capacity)
+        table = HopscotchTable(capacity, neighborhood)
+        slots, homes, bitmaps = ([0] * capacity, [0] * capacity,
+                                 [0] * capacity)
+        refused = 0
+        for token, key in enumerate(keys, 1):
+            before = (list(slots), list(homes), list(bitmaps))
+            try:
+                table.insert(key, token)
+                fits = True
+            except HashTableFullError:
+                fits = False
+            assert place_fresh(slots, homes, bitmaps,
+                               default_hash(key, capacity), neighborhood,
+                               token) is fits
+            if not fits:
+                refused += 1
+                assert (slots, homes, bitmaps) == before
+            assert slots == [token or 0 for token in table._values]
+            assert bitmaps == table._bitmaps
+            assert all(homes[pos] == table.home_of_pos(pos)
+                       for pos in range(capacity) if slots[pos])
+        table.check_invariants()
+        assert table.size == len(keys) - refused
+
+    def test_same_home_keys_fill_exactly_one_neighbourhood(self):
+        capacity, neighborhood = 64, 4
+        slots, homes, bitmaps = [0] * 64, [0] * 64, [0] * 64
+        placed = [place_fresh(slots, homes, bitmaps, 62, neighborhood, token)
+                  for token in range(1, 7)]
+        assert placed == [True] * 4 + [False] * 2
+        assert slots[62:] + slots[:2] == [1, 2, 3, 4]  # wraps around
+        assert bitmaps[62] == 0b1111 and sum(bitmaps) == 0b1111
 
 
 class TestBucketSchemes:

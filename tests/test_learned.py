@@ -1,5 +1,7 @@
 """Integration tests for CHIME-Learned (model-routed hopscotch leaves)."""
 
+import pytest
+
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.core import LearnedChimeIndex
@@ -127,3 +129,37 @@ class TestLearnedChime:
     def test_model_error_bound_holds(self):
         _cluster, index, pairs = make_index()
         index.model.verify([k for k, _ in pairs])
+
+    @pytest.mark.parametrize("neighborhood", [2, 4])
+    def test_narrow_neighbourhood_bulk_load_spills_to_synonyms(
+            self, neighborhood):
+        """Hopscotch cannot place a model-sized chunk of 44 keys at H = 2
+        or 4 (bulk load used to die with a bare ``HashTableFullError``);
+        what does not fit is loaded into synonym leaves chained from the
+        base leaf, where searches, updates and inserts find it."""
+        cluster = Cluster(ClusterConfig(num_cns=1, clients_per_cn=1))
+        index = LearnedChimeIndex(cluster, neighborhood=neighborhood)
+        pairs = [(k, k * 10) for k in range(1, 3001)]
+        index.bulk_load(pairs)
+        assert index.collect_items() == pairs
+        base = len(index.leaf_addrs) * index.leaf_layout.total_size
+        assert cluster.mns[0].allocator.bytes_used > base  # synonyms exist
+        client = index.client(cluster.cns[0].clients[0])
+
+        def read_back():
+            values = []
+            for key, _value in pairs:
+                values.append((yield from client.search(key)))
+            return values
+
+        values, = drive(cluster, read_back())
+        assert values == [value for _key, value in pairs]
+
+        def write():
+            updated = yield from client.update(213, 7)  # used not to load
+            inserted = yield from client.insert(5_000_000, 8)
+            return (updated, inserted,
+                    (yield from client.search(213)),
+                    (yield from client.search(5_000_000)))
+
+        assert drive(cluster, write()) == [(True, True, 7, 8)]

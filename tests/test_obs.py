@@ -30,6 +30,19 @@ class TestEventBus:
         assert not bus.active
         bus.emit("anything", 1.0, payload=1)  # silently dropped
 
+    def test_active_is_a_plain_attribute_kept_by_subscriptions(self):
+        bus = EventBus()
+        assert "active" in vars(bus) and not hasattr(EventBus, "active")
+        first = bus.subscribe(lambda e: None)
+        second = bus.subscribe(lambda e: None)
+        assert bus.active is True
+        first.unsubscribe()
+        assert bus.active is True  # one subscriber left
+        second.unsubscribe()
+        assert bus.active is False
+        bus.unsubscribe(second)  # already detached: stays consistent
+        assert bus.active is False
+
     def test_delivery_in_subscription_order(self):
         bus = EventBus()
         order = []
