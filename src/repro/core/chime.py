@@ -1045,8 +1045,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
             if stored != truth[home]:
                 view.set_entry_bitmap(home, truth[home])
                 modified.add(home)
-        vacancy = self.index.vacancy_map.compose(view.occupancy())
-        word = pack_lock_word(False, view.argmax_key(), vacancy)
+        word = self.index.vacancy_map.lock_word(view.keys())
         writes = self._entry_writes(leaf_addr, view, modified) if modified \
             else []
         writes.append((leaf_addr + layout.lock_offset, encode_u64(word)))

@@ -6,6 +6,10 @@ logic.  It is mixed into a :class:`~repro.core.family.FamilyClientBase`
 (which provides ``ops``, ``engine``, ``retry`` and ``ctx``); the client
 adds ``self.layout`` (a :class:`~repro.core.node_layout.LeafLayout`) and
 ``self.home_of(key)``.
+
+Both also fill whole leaves the same way — bulk load, split halves,
+synonym leaves: :func:`place_items` / :func:`slot_columns` turn items
+into the position-ordered vectors ``LeafLayout.encode_image`` takes.
 """
 
 from __future__ import annotations

@@ -250,6 +250,23 @@ def _image_struct(byte_order: str, fields: Iterable[Tuple[int, str]],
     return struct.Struct(byte_order + "".join(parts))
 
 
+def _image_packer(byte_order: str,
+                  fields: Iterable[Tuple[int, str, Tuple[int, ...]]],
+                  logical_size: int) -> Callable[[Sequence], int]:
+    """The encoder twin of :func:`_image_struct`: packs ``(offset, code,
+    sources)`` *fields* — *sources* index the arguments of *code* in a
+    flat source vector — into a whole de-striped payload, returned as a
+    little-endian integer.  Pad bytes pack as zeros, so packers of
+    disjoint fields (one per byte order) merge with one OR."""
+    fields = sorted(fields)
+    layout = _image_struct(byte_order, [field[:2] for field in fields],
+                           logical_size)
+    gather = _tuple_getter([source for field in fields
+                            for source in field[2]])
+    return lambda source: int.from_bytes(layout.pack(*gather(source)),
+                                         "little")
+
+
 def _tuple_getter(indices: Sequence[int]) -> Callable:
     """``itemgetter(*indices)`` that returns a tuple for one index too
     (the stock one returns a scalar)."""
@@ -538,30 +555,22 @@ class LeafLayout:
         set_attr(self, "_image_entry_versions", _tuple_getter(
             [raw_off for raw_off, _first, _end in ev_ranges]))
         # Encoding half (:meth:`encode_image`): every field of the leaf
-        # in two structs, one per byte order, whose pad bytes pack as
-        # zeros so the two payloads merge with one OR.  Each struct's
-        # arguments are gathered, in offset order, from a flat source
-        # vector: [valid, sibling, version byte, *bitmaps, *values] and
-        # [fence_low, fence_high, *keys].
+        # in two packers, one per byte order, each fed from a flat
+        # source vector — [valid, sibling, version byte, *bitmaps,
+        # *values] and [fence_low, fence_high, *keys].
         span = self.span
         replicas = [self.replica_offset(block) for block in range(num_blocks)]
-        little = [(at, "BQ", (0, 1)) for at in replicas]
-        little += [(off, "BH", (2, 3 + index))
-                   for index, off in enumerate(offsets)]
-        little += [(off + self.entry_off_value, value_code,
-                    (3 + span + index,)) for index, off in enumerate(offsets)]
-        big = [(off + self.ENTRY_OFF_KEY, "Q", (2 + index,))
-               for index, off in enumerate(offsets)]
-        if self.fence_keys:
-            big += [(at + self.replica_off_fence_low, "QQ", (0, 1))
-                    for at in replicas]
-        for name, byte_order, fields in (("_encode_little", "<", little),
-                                         ("_encode_big", ">", big)):
-            fields.sort()
-            set_attr(self, name, _image_struct(
-                byte_order, [field[:2] for field in fields], logical_size))
-            set_attr(self, name + "_args", _tuple_getter(
-                [source for field in fields for source in field[2]]))
+        entries = list(enumerate(offsets))
+        set_attr(self, "_pack_little", _image_packer(
+            "<", [(at, "BQ", (0, 1)) for at in replicas]
+            + [(off, "BH", (2, 3 + index)) for index, off in entries]
+            + [(off + self.entry_off_value, value_code, (3 + span + index,))
+               for index, off in entries], logical_size))
+        set_attr(self, "_pack_big", _image_packer(
+            ">", [(at + self.replica_off_fence_low, "QQ", (0, 1))
+                  for at in replicas if self.fence_keys]
+            + [(off + self.ENTRY_OFF_KEY, "Q", (2 + index,))
+               for index, off in entries], logical_size))
         set_attr(self, "_line_chunks", versions.line_chunks(logical_size))
         # Read shapes, compiled on first use: one per neighbourhood home
         # and one per speculatively read entry (at most 2 * span).
@@ -610,14 +619,12 @@ class LeafLayout:
         try:
             if size < 8:
                 values = [value.to_bytes(size, "little") for value in values]
-            little = self._encode_little.pack(*self._encode_little_args(
-                [1, sibling, version, *bitmaps, *values]))
-            big = self._encode_big.pack(*self._encode_big_args(
-                [fence_low, fence_high, *keys]))
+            payload = (
+                self._pack_little([1, sibling, version, *bitmaps, *values])
+                | self._pack_big([fence_low, fence_high, *keys]))
         except (struct.error, OverflowError) as error:
             raise LayoutError(f"field does not fit the leaf layout "
                               f"(value_size {size}): {error}") from None
-        payload = int.from_bytes(little, "little") | int.from_bytes(big, "little")
         return versions.stripe(payload.to_bytes(self.logical_size, "little"),
                                self._line_chunks, version)
 

@@ -3,8 +3,10 @@
 A *view* wraps a :class:`~repro.layout.versions.StripedSpan` (full node or
 partial fetch) plus its layout, and exposes field-level accessors.  Views
 are used on both sides of the wire: clients parse fetched spans and
-compose write-back payloads through them; bulk loading composes whole
-images host-side.
+compose write-back payloads through them.  Whole leaf images (bulk
+load, split halves, synonym leaves) are not composed here but by
+:meth:`~repro.core.node_layout.LeafLayout.encode_image`;
+:meth:`LeafNodeView.compose` is the entry-by-entry reference for it.
 """
 
 from __future__ import annotations
@@ -239,21 +241,6 @@ class LeafNodeView:
                                     encode_key(fence_low))
             self.span.write_logical(off + layout.replica_off_fence_high,
                                     encode_key(fence_high))
-
-    def set_all_replicas(self, sibling: int, fence_low: int = 0,
-                         fence_high: int = 0, valid: bool = True) -> None:
-        layout = self.layout
-        for block in range(layout.num_blocks):
-            off = layout.replica_offset(block)
-            self.span.write_logical(off + layout.REPLICA_OFF_VALID,
-                                    bytes([1 if valid else 0]))
-            self.span.write_logical(off + layout.REPLICA_OFF_SIBLING,
-                                    encode_u64(sibling))
-            if layout.fence_keys:
-                self.span.write_logical(off + layout.replica_off_fence_low,
-                                        encode_key(fence_low))
-                self.span.write_logical(off + layout.replica_off_fence_high,
-                                        encode_key(fence_high))
 
     # -- replica access ------------------------------------------------------------
 

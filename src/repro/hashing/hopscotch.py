@@ -1,13 +1,17 @@
 """Hopscotch hashing (Herlihy, Shavit, Tzafrir — DISC '08).
 
-Two layers live here:
+Three layers live here:
 
 * **pure planning functions** — given entry occupancy/home information,
   compute where a key lands and which hops must occur.  CHIME's leaf
   logic (``repro.core.leaf``) runs these over *fetched* hop ranges, so the
   planner must not assume it can see the whole table.
+* :func:`place_fresh` — placement of a key known to be absent, over
+  flat lists: what bulk load, leaf splits and synonym leaves fill their
+  tables with (no "already present?" probe, no per-table object).
 * :class:`HopscotchTable` — a complete local table used as a reference
-  model in tests and by the Figure 3d load-factor experiments.
+  model in tests (:func:`place_fresh` is held to it) and by the Figure
+  3d load-factor experiments.
 
 Terminology (paper §2.3): a key's *home entry* is its hash slot; the
 *neighborhood* is the ``H`` consecutive entries starting at the home; the
