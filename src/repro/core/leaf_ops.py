@@ -34,7 +34,9 @@ def slot_columns(items: Sequence[Tuple[int, int]],
 
 
 def place_items(items: Sequence[Tuple[int, int]], layout: LeafLayout,
-                home_of: Callable[[int], int]):
+                home_of: Callable[[int], int]
+                ) -> Tuple[List[int], List[int], List[int],
+                           List[Tuple[int, int]]]:
     """Hopscotch-place fresh (key, value) *items* into an empty leaf, in
     order: ``(keys, values, bitmaps, spilled)`` — the leaf's
     position-ordered vectors, and the items that did not fit."""

@@ -37,7 +37,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 from repro.errors import LayoutError, TornReadError
 from repro.layout import versions
 from repro.layout.codec import decode_value
-from repro.memory.region import CACHE_LINE
+from repro.memory.region import CACHE_LINE, NULL_ADDR
 from repro.obs.bus import BUS
 
 #: Lock-word field widths.
@@ -597,7 +597,7 @@ class LeafLayout:
     # -- whole-leaf composition -----------------------------------------------------
 
     def encode_image(self, keys: Sequence[int], values: Sequence[int],
-                     bitmaps: Sequence[int], sibling: int = 0,
+                     bitmaps: Sequence[int], sibling: int = NULL_ADDR,
                      fence_low: int = 0, fence_high: int = 0,
                      nv: int = 0) -> bytes:
         """The raw striped image of a freshly written leaf.
