@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from operator import itemgetter, not_
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -232,10 +232,10 @@ class InternalLayout:
 
 
 def _image_struct(byte_order: str, fields: Iterable[Tuple[int, str]],
-                  logical_size: int) -> struct.Struct:
-    """The ``(offset, code)`` *fields*, in offset order, of a de-striped
-    payload (a whole leaf, or the concatenated segments of a partial
-    read).
+                  logical_size: int, field_off: int = 0) -> struct.Struct:
+    """The ``(offset, code)`` *fields*, in offset order and each
+    *field_off* further on, of a de-striped payload (a whole leaf, or
+    the concatenated segments of a partial read).
 
     Everything between the fields is ``x`` padding — skipped by a
     decoder, zero-filled by an encoder — so the struct spans exactly
@@ -244,8 +244,8 @@ def _image_struct(byte_order: str, fields: Iterable[Tuple[int, str]],
     parts = []
     pos = 0
     for off, code in fields:
-        parts.append(f"{off - pos}x{code}")
-        pos = off + struct.calcsize(byte_order + code)
+        parts.append(f"{off + field_off - pos}x{code}")
+        pos = off + field_off + struct.calcsize(byte_order + code)
     parts.append(f"{logical_size - pos}x")
     return struct.Struct(byte_order + "".join(parts))
 
@@ -404,9 +404,8 @@ class ReadShape:
         entry_at = [index_in(segments, layout._entry_offsets[index])
                     for index in entries]
         self.positions = tuple(entries)
-        self._keys = _image_struct(
-            ">", [(at + layout.ENTRY_OFF_KEY, "Q") for at in entry_at],
-            payload_len)
+        self._keys = _image_struct(">", zip(entry_at, repeat("Q")),
+                                   payload_len, layout.ENTRY_OFF_KEY)
         self._value_at = tuple(at + layout.entry_off_value for at in entry_at)
         self._value_size = layout.value_size
         self._home = home
@@ -544,14 +543,13 @@ class LeafLayout:
         # straight from a raw image fetched at base 0.
         value_code = "Q" if self.value_size >= 8 else f"{self.value_size}s"
         set_attr(self, "_image_keys", _image_struct(
-            ">", [(off + self.ENTRY_OFF_KEY, "Q") for off in offsets],
-            logical_size))
+            ">", zip(offsets, repeat("Q")), logical_size, self.ENTRY_OFF_KEY))
         set_attr(self, "_image_values", _image_struct(
-            "<", [(off + self.entry_off_value, value_code)
-                  for off in offsets], logical_size))
+            "<", zip(offsets, repeat(value_code)), logical_size,
+            self.entry_off_value))
         set_attr(self, "_image_bitmaps", _image_struct(
-            "<", [(off + self.ENTRY_OFF_BITMAP, "H") for off in offsets],
-            logical_size))
+            "<", zip(offsets, repeat("H")), logical_size,
+            self.ENTRY_OFF_BITMAP))
         set_attr(self, "_image_entry_versions", _tuple_getter(
             [raw_off for raw_off, _first, _end in ev_ranges]))
         # Encoding half (:meth:`encode_image`): every field of the leaf
