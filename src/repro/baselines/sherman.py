@@ -29,6 +29,7 @@ from repro.core.btree_base import (
     MAX_CHASE,
     TraversalError,
 )
+from repro.errors import TornReadError
 from repro.layout import (
     MAX_KEY,
     StripedSpan,
@@ -390,6 +391,11 @@ class ShermanClient(BTreeClientBase):
         data write and the unlock ride one doorbell batch.
         """
         layout = self.layout
+        stored = value
+        if op != "delete" and self.config.indirect_values:
+            # Before the lock, not under it: an allocation RPC can queue
+            # on the MN CPU for most of a lock lease.
+            stored = yield from self._write_block(key, value)
         retry = self.retry.start("{}({})", self.engine, self.ctx.rng, op,
                                  key)
         while retry.check():
@@ -409,9 +415,6 @@ class ShermanClient(BTreeClientBase):
                         # retry from the top (rare).
                         continue
                     return False
-                stored = value
-                if op != "delete" and self.config.indirect_values:
-                    stored = yield from self._write_block(key, value)
                 split = None
                 if op == "update":
                     view.write_entry_value(index, key, stored)
@@ -475,35 +478,9 @@ class ShermanClient(BTreeClientBase):
 
     # -------------------------------------------------------------- scan
 
-    def _scan(self, key: int, count: int) -> Generator:
-        layout = self.layout
-        ref = yield from self._locate_leaf(key)
-        candidates = [ref.leaf_addr]
-        if ref.parent is not None:
-            candidates.extend(
-                ref.parent.children[ref.parent_index + 1:ref.parent.count])
-        per_leaf = max(1, int(layout.span * 0.5))
-        needed = min(len(candidates), count // per_leaf + 2)
-        requests = [(addr, layout.raw_size) for addr in candidates[:needed]]
-        payloads = yield from self.ops.read_batch(requests)
-        results: List[Tuple[int, int]] = []
-        last_view = None
-        for addr, data in zip(candidates[:needed], payloads):
-            view = ShermanLeafView(layout, StripedSpan(data, 0))
-            if not view.is_consistent():
-                view = yield from self._read_leaf(addr)
-            last_view = view
-            results.extend((k, v) for k, v in view.items() if k >= key)
-        results.sort()
-        next_addr = last_view.sibling if last_view is not None else NULL_ADDR
-        guard = 0
-        while len(results) < count and next_addr != NULL_ADDR and guard < 1024:
-            guard += 1
-            view = yield from self._read_leaf(next_addr)
-            results.extend((k, v) for k, v in view.items() if k >= key)
-            results.sort()
-            next_addr = view.sibling
-        results = results[:count]
-        if self.config.indirect_values:
-            results = yield from self._resolve_indirect(results)
-        return results
+    def _scan_leaf(self, raw: bytes, key: int):
+        """One leaf of :meth:`BTreeClientBase._scan_once`'s batch."""
+        view = ShermanLeafView(self.layout, StripedSpan(raw, 0))
+        if not view.is_consistent():
+            raise TornReadError("leaf node-level versions disagree")
+        return [pair for pair in view.items() if pair[0] >= key], view.sibling

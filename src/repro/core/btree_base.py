@@ -55,6 +55,7 @@ from repro.errors import (
     OperationTimeoutError,
     QueueWaitTimeoutError,
     RetryExhaustedError,
+    TornReadError,
 )
 from repro.layout import MAX_KEY, StripedSpan, decode_u64, encode_u64
 from repro.obs.bus import BUS
@@ -226,6 +227,9 @@ class BTreeClientBase(FamilyClientBase):
         #: in optimistic mode) and the queue tickets this client holds.
         self._sync = index.sync_state
         self._held_tickets: Dict[int, int] = {}
+        #: Running mean of keys per leaf as this client's scans find them
+        #: (sizes a scan's first batch), seeded with a bulk-loaded leaf's.
+        self._leaf_keys = index.config.bulk_load_factor * index.config.span
 
     # -- remote locks --------------------------------------------------------------
 
@@ -783,6 +787,90 @@ class BTreeClientBase(FamilyClientBase):
             addr = child
         raise TraversalError(f"descent exceeded {MAX_CHASE} levels "
                              "(corrupt level pointers?)")
+
+    # -- range scan ---------------------------------------------------------------------------
+
+    def _scan(self, key: int, count: int) -> Generator:
+        retry = self.retry.start("scan({})", self.engine, self.ctx.rng, key)
+        while retry.check():
+            try:
+                result = yield from self._scan_once(key, count)
+            except FaultInjectedError:
+                self.ops.stats.retries += 1
+                yield from retry.backoff()
+                continue
+            return result
+
+    def _scan_once(self, key: int, count: int) -> Generator:
+        """Candidate leaves from the (possibly cached) parent in one
+        doorbell batch (§4.4), then the sibling chain for the tail."""
+        ref = yield from self._phase("traverse", self._locate_leaf(key))
+        addrs = self._scan_batch(ref, key, count)
+        results: List[Tuple[int, int]] = []
+        first = True
+        while True:  # the chain ends: the last leaf's sibling is null
+            leaves = yield from self._phase(
+                "leaf_read", self._read_scan_leaves(addrs, key))
+            for index, (pairs, sibling) in enumerate(leaves):
+                results.extend(pairs)
+                if not first:  # past the first leaf every key is >= *key*
+                    self._leaf_keys += (len(pairs) - self._leaf_keys) / 16
+                first = False
+                if index + 1 < len(addrs) and sibling != addrs[index + 1]:
+                    # The parent predates a split of this leaf: its next
+                    # child is not the next leaf.  Follow the chain.
+                    self.ctx.cache.invalidate(ref.parent.addr)
+                    break
+            if len(results) >= count or sibling == NULL_ADDR:
+                break
+            addrs = [sibling]
+        results.sort()
+        del results[count:]
+        if self.config.indirect_values:
+            results = yield from self._resolve_indirect(results)
+        return results
+
+    def _scan_batch(self, ref: LeafRef, key: int, count: int) -> List[int]:
+        """The scan's first batch: the leaf holding *key*, then further
+        children of the parent while the pairs expected so far — the
+        share of the first leaf's pivot range at or above *key*, then
+        this client's mean keys per leaf for each — fall short of
+        *count*."""
+        parent, index = ref.parent, ref.parent_index
+        addrs = [ref.leaf_addr]
+        if parent is None or index + 1 >= parent.count:
+            return addrs
+        low, high = parent.pivots[index], parent.pivots[index + 1]
+        expected = self._leaf_keys * (high - max(key, low)) / (high - low)
+        for child in parent.children[index + 1:parent.count]:
+            if expected >= count:
+                break
+            addrs.append(child)
+            expected += self._leaf_keys
+        return addrs
+
+    def _read_scan_leaves(self, addrs: List[int], key: int) -> Generator:
+        """Whole-leaf READs of *addrs* in one batch, each decoded by the
+        family's ``_scan_leaf(raw, key) -> (pairs >= key, sibling)`` and
+        re-read alone while that finds it torn."""
+        size = self.layout.raw_size
+        payloads = yield from self.ops.read_batch(
+            [(addr, size) for addr in addrs])
+        leaves = []
+        for addr, raw in zip(addrs, payloads):
+            retry = None
+            while True:
+                try:
+                    leaves.append(self._scan_leaf(raw, key))
+                    break
+                except TornReadError:
+                    retry = retry or self.retry.start(
+                        "scan leaf {:#x}", self.engine, self.ctx.rng, addr)
+                    retry.check()
+                    self.ops.stats.retries += 1
+                    yield from retry.backoff()
+                    raw = yield from self.ops.read(addr, size)
+        return leaves
 
     # -- split up-propagation --------------------------------------------------------------
 

@@ -49,7 +49,6 @@ from repro.core.btree_base import (
     BTreeIndexBase,
     LeafRef,
     MAX_CHASE,
-    TraversalError,
 )
 from repro.core.hotspot import HotspotBuffer
 from repro.core.leaf_ops import (
@@ -64,11 +63,7 @@ from repro.core.node_layout import (
     unpack_lock_word,
 )
 from repro.core.nodes import LeafNodeView
-from repro.core.sync import (
-    check_nv_uniform,
-    collect_leaf_nv,
-    reconstruct_bitmaps,
-)
+from repro.core.sync import reconstruct_bitmaps
 from repro.errors import (
     FaultInjectedError,
     HashTableFullError,
@@ -349,14 +344,28 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
             # Not found: half-split validation (§4.2.3).
             if from_cache and mismatch:
                 return OpResult(_RETRAVERSE)
-            if sibling != NULL_ADDR and (mismatch or expected is None):
-                if expected is None and _hop >= 1:
-                    break  # bounded chase when no reference pointer exists
-                leaf_addr = sibling
-                from_cache = False
-                continue
-            break
-        return OpResult(_DONE, found=False)
+            chase = sibling != NULL_ADDR and (mismatch or expected is None)
+            if chase and expected is None and _hop:
+                chase = yield from self._past_fence(ref, leaf_addr, key)
+            if not chase:
+                return OpResult(_DONE, found=False)
+            leaf_addr = sibling
+            from_cache = False
+        return OpResult(_RETRAVERSE)  # MAX_CHASE leaves on: start afresh
+
+    def _past_fence(self, ref: LeafRef, leaf_addr: int,
+                    key: int) -> Generator:
+        """A miss in a leaf reached past its parent's *last* child, where
+        no next-child pointer exists to hold the sibling against: the
+        leaf's own high fence key (lock line) says whether *key* can
+        only be further right — one small READ, on this branch alone.
+        If it is, the cached parent predates a split and is dropped."""
+        data = yield from self.ops.read(
+            leaf_addr + self.layout.lock_offset + LOCKLINE_FENCE_HIGH, 8)
+        past = key >= decode_key(data)
+        if past and ref.from_cache and ref.parent is not None:
+            self.ctx.cache.invalidate(ref.parent.addr)
+        return past
 
     def _speculative_read(self, leaf_addr: int, record, key: int) -> Generator:
         shape = self.layout.entry_shape(record.key_index)
@@ -382,32 +391,26 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
     # ---------------------------------------------------------------- update / delete
 
     def _update(self, key: int, value: int) -> Generator:
-        retry = self.retry.start("update({})", self.engine, self.ctx.rng,
-                                 key)
-        while retry.check():
-            try:
-                ref = yield from self._phase("traverse",
-                                             self._locate_leaf(key))
-                result = yield from self._phase(
-                    "leaf_write",
-                    self._write_entry_op(ref, key, value, delete=False))
-            except FaultInjectedError:
-                self.ops.stats.retries += 1
-                continue
-            if result.status == _RETRAVERSE:
-                continue
-            return result.found
+        return self._write_entry("update({})", key, value, delete=False)
 
     def _delete(self, key: int) -> Generator:
-        retry = self.retry.start("delete({})", self.engine, self.ctx.rng,
-                                 key)
+        return self._write_entry("delete({})", key, 0, delete=True)
+
+    def _write_entry(self, what: str, key: int, value: int,
+                     delete: bool) -> Generator:
+        """Shared update/delete flow: lock, locate entry, write, unlock."""
+        home = self.index.home_of(key)
+        retry = self.retry.start(what, self.engine, self.ctx.rng, key)
         while retry.check():
             try:
                 ref = yield from self._phase("traverse",
                                              self._locate_leaf(key))
                 result = yield from self._phase(
-                    "leaf_write",
-                    self._write_entry_op(ref, key, 0, delete=True))
+                    "leaf_write", self._locked_chase(
+                        ref, lambda guard, leaf_addr, from_cache, hop:
+                        self._write_entry_locked(
+                            guard, ref, leaf_addr, home, key, value, delete,
+                            from_cache, hop)))
             except FaultInjectedError:
                 self.ops.stats.retries += 1
                 continue
@@ -415,24 +418,22 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
                 continue
             return result.found
 
-    def _write_entry_op(self, ref: LeafRef, key: int, value: int,
-                        delete: bool) -> Generator:
-        """Shared update/delete flow: lock, locate entry, write, unlock."""
-        layout = self.layout
-        home = self.index.home_of(key)
+    def _locked_chase(self, ref: LeafRef, locked) -> Generator:
+        """Lock the leaf *ref* names and run ``locked(guard, leaf_addr,
+        from_cache, hop)`` under the lock, again on the sibling each
+        time it answers ``"chase"``; whatever else it answers is the
+        result.  Every path of *locked* releases the remote lock (the
+        guard says whether an exception still has to)."""
         leaf_addr = ref.leaf_addr
-        expected = ref.expected_next
         from_cache = ref.from_cache
-        for _hop in range(MAX_CHASE):
-            lock_addr = leaf_addr + layout.lock_offset
+        for hop in range(MAX_CHASE):
+            lock_addr = leaf_addr + self.layout.lock_offset
             old_word = yield from self._phase("lock", self._lock(
                 lock_addr, piggyback=not self.config.cxl_atomics,
                 repair=lambda addr=leaf_addr: self._repair_leaf(addr)))
             guard = LockGuard(lock_addr, old_word)
             try:
-                result = yield from self._write_entry_locked(
-                    guard, ref, leaf_addr, home, key, value, delete,
-                    expected, from_cache, _hop)
+                result = yield from locked(guard, leaf_addr, from_cache, hop)
             except GeneratorExit:
                 # A parked (crashed) client being reclaimed must not
                 # yield restore verbs — its node is dead.
@@ -444,32 +445,33 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
                 raise
             finally:
                 self._release_local(lock_addr)
-            if result.status == "chase":
-                leaf_addr = result.value
-                from_cache = False
-                continue
-            return result
-        return OpResult(_DONE, found=False)
+            if result.status != "chase":
+                return result
+            leaf_addr = result.value
+            from_cache = False
+        return OpResult(_RETRAVERSE)  # MAX_CHASE leaves on: start afresh
 
     def _write_entry_locked(self, guard: LockGuard, ref: LeafRef,
                             leaf_addr: int, home: int, key: int, value: int,
-                            delete: bool, expected: Optional[int],
-                            from_cache: bool, hop: int) -> Generator:
+                            delete: bool, from_cache: bool,
+                            hop: int) -> Generator:
         layout = self.layout
+        expected = ref.expected_next
         view, position, _spec_hit = yield from self._locate_entry_locked(
             leaf_addr, home, key, allow_speculative=not delete)
         if position is None:
             sibling = view.replica_sibling(
                 layout.neighborhood_replica_block(home))
             mismatch = expected is not None and sibling != expected
+            chase = sibling != NULL_ADDR and (mismatch or expected is None)
+            if chase and expected is None and hop:
+                chase = yield from self._past_fence(ref, leaf_addr, key)
             yield from self._unlock_remote(guard.lock_addr,
                                            guard.release_word())
             if from_cache and mismatch and ref.parent is not None:
                 self.ctx.cache.invalidate(ref.parent.addr)
                 return OpResult(_RETRAVERSE)
-            if sibling != NULL_ADDR and (mismatch or expected is None):
-                if expected is None and hop >= 1:
-                    return OpResult(_DONE, found=False)
+            if chase:
                 return OpResult("chase", value=sibling)
             return OpResult(_DONE, found=False)
         writes: List[Tuple[int, bytes]] = []
@@ -535,13 +537,13 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
     def _recompute_argmax(self, leaf_addr: int) -> Generator:
         """Full-node read to re-locate the maximum key (rare: deletes of
         the current maximum)."""
-        view = yield from self._fetch_leaf(leaf_addr,
-                                           [self.layout.full_span()])
+        view = yield from self._fetch_whole(leaf_addr)
         return view.argmax_key()
 
     # ---------------------------------------------------------------- insert
 
     def _insert(self, key: int, value: int) -> Generator:
+        home = self.index.home_of(key)
         retry = self.retry.start("insert({})", self.engine, self.ctx.rng,
                                  key)
         while retry.check():
@@ -549,7 +551,11 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
                 ref = yield from self._phase("traverse",
                                              self._locate_leaf(key))
                 result = yield from self._phase(
-                    "leaf_write", self._insert_leaf(ref, key, value))
+                    "leaf_write", self._locked_chase(
+                        ref, lambda guard, leaf_addr, from_cache, _hop:
+                        self._insert_locked(
+                            guard, ref, leaf_addr, home, key, value,
+                            from_cache)))
             except FaultInjectedError:
                 self.ops.stats.retries += 1
                 yield from self._sleep_phase("retry_backoff",
@@ -560,44 +566,8 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
             yield from self._sleep_phase("retry_backoff",
                                          retry.next_delay(cap=4))
 
-    def _insert_leaf(self, ref: LeafRef, key: int, value: int) -> Generator:
-        layout = self.layout
-        config = self.config
-        home = self.index.home_of(key)
-        leaf_addr = ref.leaf_addr
-        expected = ref.expected_next
-        from_cache = ref.from_cache
-        for _hop in range(MAX_CHASE):
-            lock_addr = leaf_addr + layout.lock_offset
-            old_word = yield from self._phase("lock", self._lock(
-                lock_addr, piggyback=not self.config.cxl_atomics,
-                repair=lambda addr=leaf_addr: self._repair_leaf(addr)))
-            guard = LockGuard(lock_addr, old_word)
-            try:
-                outcome = yield from self._insert_locked(
-                    guard, ref, leaf_addr, home, key, value,
-                    expected, from_cache)
-            except GeneratorExit:
-                # A parked (crashed) client being reclaimed must not
-                # yield restore verbs — its node is dead.
-                raise
-            except BaseException:
-                if guard.held:
-                    yield from self._restore_unlock(lock_addr,
-                                                    guard.release_word())
-                raise
-            finally:
-                self._release_local(lock_addr)
-            if outcome.status == "chase":
-                leaf_addr = outcome.value
-                from_cache = False
-                continue
-            return outcome
-        raise TraversalError(f"insert({key}) chased too many siblings")
-
     def _insert_locked(self, guard: LockGuard, ref: LeafRef, leaf_addr: int,
                        home: int, key: int, value: int,
-                       expected: Optional[int],
                        from_cache: bool) -> Generator:
         """The core insert flow, owning the remote lock.
 
@@ -608,6 +578,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         layout = self.layout
         config = self.config
         vmap = self.index.vacancy_map
+        expected = ref.expected_next
         lock_addr = guard.lock_addr
         argmax, vacancy = guard.argmax, guard.vacancy
         # Decide the read range from the piggybacked vacancy bitmap.
@@ -657,7 +628,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         empty = self._first_empty(view, home, last)
         if empty is None and not full_read:
             # The coarse bitmap lied for this window; fetch the rest.
-            view = yield from self._extend_to_full(leaf_addr, view)
+            view = yield from self._fetch_whole(leaf_addr)
             full_read = True
             last = (home - 1) % layout.span
             empty = self._first_empty(view, home, last)
@@ -671,7 +642,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         plan = plan_insert(home, empty, layout.span, layout.neighborhood,
                            home_of)
         if plan is not None and self._plan_needs_extension(plan, home, empty):
-            view = yield from self._extend_to_full(leaf_addr, view)
+            view = yield from self._fetch_whole(leaf_addr)
             full_read = True
         if plan is None:
             result = yield from self._phase("split", self._split_leaf(
@@ -792,36 +763,6 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         reach = distance(home, empty, span)
         return any(distance(home, pos, span) > reach for pos in plan.touched)
 
-    def _extend_to_full(self, leaf_addr: int, _old_view) -> Generator:
-        """Fetch the entire leaf (extension reads share one code path)."""
-        view = yield from self._fetch_leaf(leaf_addr,
-                                           [self.layout.full_span()])
-        return view
-
-    def _apply_plan(self, view: LeafNodeView, plan, home: int, key: int,
-                    stored_value: int) -> set:
-        """Execute hop moves + placement on the local buffer; returns the
-        set of modified entry positions."""
-        layout = self.layout
-        span = layout.span
-        modified = set()
-        for src, dst in plan.moves:
-            entry = view.entry(src)
-            src_home = self.index.home_of(entry.key)
-            view.write_entry(dst, entry.key, entry.value)
-            view.clear_entry(src)
-            bitmap = view.entry(src_home).bitmap
-            bitmap &= ~(1 << distance(src_home, src, span))
-            bitmap |= 1 << distance(src_home, dst, span)
-            view.set_entry_bitmap(src_home, bitmap)
-            modified.update((src, dst, src_home))
-        view.write_entry(plan.target, key, stored_value)
-        home_bitmap = view.entry(home).bitmap
-        home_bitmap |= 1 << distance(home, plan.target, span)
-        view.set_entry_bitmap(home, home_bitmap)
-        modified.update((plan.target, home))
-        return modified
-
     def _update_vacancy(self, view: LeafNodeView, vacancy: int, target: int,
                         full_read: bool, home: int, last: int) -> int:
         """Set the bit covering *target* only when its whole coverage is
@@ -885,8 +826,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         layout = self.layout
         lock_addr = guard.lock_addr
         if full_view is None:
-            full_view = yield from self._fetch_leaf(leaf_addr,
-                                                    [layout.full_span()])
+            full_view = yield from self._fetch_whole(leaf_addr)
         items = sorted(full_view.pairs())
         if not items:
             raise IndexError_("split of an empty leaf")
@@ -949,69 +889,13 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
 
     # ---------------------------------------------------------------- scan
 
-    def _scan(self, key: int, count: int) -> Generator:
-        retry = self.retry.start("scan({})", self.engine, self.ctx.rng, key)
-        while retry.check():
-            try:
-                result = yield from self._scan_once(key, count)
-            except FaultInjectedError:
-                self.ops.stats.retries += 1
-                yield from retry.backoff()
-                continue
-            return result
-
-    def _scan_once(self, key: int, count: int) -> Generator:
-        layout = self.layout
-        ref = yield from self._phase("traverse", self._locate_leaf(key))
-        # Candidate leaves from the (possibly cached) parent: batched
-        # parallel READs (§4.4), then sibling chasing for the tail.
-        candidates = [ref.leaf_addr]
-        if ref.parent is not None:
-            candidates.extend(
-                ref.parent.children[ref.parent_index + 1:ref.parent.count])
-        per_leaf = max(1, int(layout.span * 0.5))
-        needed = min(len(candidates), count // per_leaf + 2)
-        views = yield from self._phase(
-            "leaf_read", self._read_leaves_batch(candidates[:needed]))
-        results: List[Tuple[int, int]] = []
-        for view in views:
-            results.extend(view.pairs(key))
-        next_addr = views[-1].replica_sibling(0)
-        guard = 0
-        while len(results) < count and next_addr != NULL_ADDR and guard < 1024:
-            guard += 1
-            views = yield from self._phase(
-                "leaf_read", self._read_leaves_batch([next_addr]))
-            results.extend(views[0].pairs(key))
-            next_addr = views[0].replica_sibling(0)
-        results.sort()
-        results = results[:count]
-        if self.config.indirect_values:
-            results = yield from self._resolve_indirect(results)
-        return results
-
-    def _read_leaves_batch(self, addrs: Sequence[int]) -> Generator:
-        """Parallel full-leaf READs with per-leaf consistency retries."""
-        layout = self.layout
-        requests = [(addr, layout.raw_size) for addr in addrs]
-        payloads = yield from self.ops.read_batch(requests)
-        views: List[LeafNodeView] = []
-        for addr, data in zip(addrs, payloads):
-            view = LeafNodeView(layout, StripedSpan(data, 0))
-            retry = self.retry.start("scan leaf {:#x}", self.engine,
-                                     self.ctx.rng, addr)
-            while retry.check():
-                try:
-                    nv_values = collect_leaf_nv(view, range(layout.span))
-                    check_nv_uniform(nv_values)
-                    break
-                except TornReadError:
-                    self.ops.stats.retries += 1
-                    yield from retry.backoff()
-                    data = yield from self.ops.read(addr, layout.raw_size)
-                    view = LeafNodeView(layout, StripedSpan(data, 0))
-            views.append(view)
-        return views
+    def _scan_leaf(self, raw: bytes, key: int):
+        """One leaf of :meth:`BTreeClientBase._scan_once`'s batch, through
+        the whole-leaf shape: NV, EV and bitmap checks, then the pairs."""
+        read = self.layout.full_shape().decode(
+            memoryview(raw)[1:],  # the shape starts at the first payload byte
+            self.home_of)
+        return read.pairs(key), read.sibling
 
     # ---------------------------------------------------------------- shared plumbing
 
@@ -1038,7 +922,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         fresh lock word so the stealer proceeds with repaired metadata.
         """
         layout = self.layout
-        view = yield from self._fetch_leaf(leaf_addr, [layout.full_span()])
+        view = yield from self._fetch_whole(leaf_addr)
         modified = set()
         truth = reconstruct_bitmaps(view, self.index.home_of)
         for home, stored in enumerate(view.bitmaps()):

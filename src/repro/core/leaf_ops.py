@@ -19,7 +19,7 @@ from typing import Callable, Generator, List, Optional, Sequence, Tuple
 from repro.core.node_layout import LeafLayout, ReadShape
 from repro.core.nodes import LeafNodeView
 from repro.errors import FaultInjectedError, TornReadError
-from repro.hashing.hopscotch import place_fresh
+from repro.hashing.hopscotch import distance, place_fresh
 from repro.layout import StripedSpan
 from repro.layout.versions import SpanSet, raw_span
 
@@ -110,6 +110,10 @@ class HopscotchLeafOpsMixin:
                  for raw_off, data in zip(raw_offs, payloads)]
         return LeafNodeView(self.layout, SpanSet(spans))
 
+    def _fetch_whole(self, leaf_addr: int) -> Generator:
+        """READ the entire leaf (splits, repairs, extended hop ranges)."""
+        return self._fetch_leaf(leaf_addr, [self.layout.full_span()])
+
     def _fetch_neighborhood_view(self, leaf_addr: int,
                                  home: int) -> Generator:
         """Neighborhood read; a dedicated header READ precedes it when
@@ -146,3 +150,27 @@ class HopscotchLeafOpsMixin:
                 if view.entry_key(pos) == key:
                     return pos
         return None
+
+    def _apply_plan(self, view: LeafNodeView, plan, home: int, key: int,
+                    stored_value: int) -> set:
+        """Execute hop moves + placement on the local buffer; returns the
+        set of modified entry positions."""
+        layout = self.layout
+        span = layout.span
+        modified = set()
+        for src, dst in plan.moves:
+            entry = view.entry(src)
+            src_home = self.home_of(entry.key)
+            view.write_entry(dst, entry.key, entry.value)
+            view.clear_entry(src)
+            bitmap = view.entry(src_home).bitmap
+            bitmap &= ~(1 << distance(src_home, src, span))
+            bitmap |= 1 << distance(src_home, dst, span)
+            view.set_entry_bitmap(src_home, bitmap)
+            modified.update((src, dst, src_home))
+        view.write_entry(plan.target, key, stored_value)
+        home_bitmap = view.entry(home).bitmap
+        home_bitmap |= 1 << distance(home, plan.target, span)
+        view.set_entry_bitmap(home, home_bitmap)
+        modified.update((plan.target, home))
+        return modified

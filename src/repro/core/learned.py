@@ -146,38 +146,30 @@ class LearnedChimeClient(FamilyClientBase, HopscotchLeafOpsMixin):
 
     def _search(self, key: int) -> Generator:
         """Fetch one neighborhood from *each* candidate leaf (the defining
-        cost of CHIME-Learned, §5.3) in a single doorbell batch."""
+        cost of CHIME-Learned, §5.3), then the covering leaf's synonym
+        chain.  One pass answers: leaves never split here, so fences
+        never move and a key no candidate covers is simply absent."""
         home = self.home_of(key)
-        candidates = self.index.candidate_leaves(key)
-        covering: Optional[int] = None
-        retry = self.retry.start("search({})", self.engine, self.ctx.rng,
-                                 key)
-        while retry.attempt < self.retry.max_attempts and retry.check():
-            reads = []
-            for leaf_index in candidates:
-                leaf_addr = self.index.leaf_addrs[leaf_index]
-                read = yield from self._read_neighborhood_checked(leaf_addr,
-                                                                  home)
-                reads.append((leaf_addr, read))
-            for leaf_addr, read in reads:
-                hit = read.find(key)
-                if hit is not None:
-                    return hit[1]
-                low, high = read.fences
-                if low <= key < high:
-                    covering = leaf_addr
-                    synonym = read.sibling
-                    while synonym != NULL_ADDR:
-                        chained = yield from self._read_neighborhood_checked(
-                            synonym, home)
-                        hit = chained.find(key)
-                        if hit is not None:
-                            return hit[1]
-                        synonym = chained.sibling
-            if covering is not None or not candidates:
-                return None
-            yield from retry.backoff()
-        return None  # no candidate's fences ever covered the key: a miss
+        reads = []
+        for leaf_index in self.index.candidate_leaves(key):
+            leaf_addr = self.index.leaf_addrs[leaf_index]
+            read = yield from self._read_neighborhood_checked(leaf_addr, home)
+            reads.append(read)
+        for read in reads:
+            hit = read.find(key)
+            if hit is not None:
+                return hit[1]
+            low, high = read.fences
+            if low <= key < high:
+                synonym = read.sibling
+                while synonym != NULL_ADDR:
+                    chained = yield from self._read_neighborhood_checked(
+                        synonym, home)
+                    hit = chained.find(key)
+                    if hit is not None:
+                        return hit[1]
+                    synonym = chained.sibling
+        return None
 
     # ---------------------------------------------------------------- writes
 
@@ -240,8 +232,7 @@ class LearnedChimeClient(FamilyClientBase, HopscotchLeafOpsMixin):
         tail_view = None
         spacious: Optional[int] = None
         while chain_addr != NULL_ADDR:
-            view = yield from self._fetch_leaf(chain_addr,
-                                               [layout.full_span()])
+            view = yield from self._fetch_whole(chain_addr)
             position = self._find_in_neighborhood(view, home, key)
             if position is not None:
                 result = yield from self._modify_entry(
@@ -258,7 +249,7 @@ class LearnedChimeClient(FamilyClientBase, HopscotchLeafOpsMixin):
             return False
         target = spacious if spacious is not None else None
         if target is not None:
-            view = yield from self._fetch_leaf(target, [layout.full_span()])
+            view = yield from self._fetch_whole(target)
             done = yield from self._hop_insert(guard, base_addr, target,
                                                view, home, key, value)
             if done:
@@ -317,22 +308,7 @@ class LearnedChimeClient(FamilyClientBase, HopscotchLeafOpsMixin):
                            home_of_pos)
         if plan is None:
             return False
-        modified = set()
-        for src, dst in plan.moves:
-            entry = view.entry(src)
-            src_home = self.home_of(entry.key)
-            view.write_entry(dst, entry.key, entry.value)
-            view.clear_entry(src)
-            bitmap = view.entry(src_home).bitmap
-            bitmap &= ~(1 << distance(src_home, src, layout.span))
-            bitmap |= 1 << distance(src_home, dst, layout.span)
-            view.set_entry_bitmap(src_home, bitmap)
-            modified.update((src, dst, src_home))
-        view.write_entry(plan.target, key, value)
-        view.set_entry_bitmap(
-            home, view.entry(home).bitmap
-            | (1 << distance(home, plan.target, layout.span)))
-        modified.update((plan.target, home))
+        modified = self._apply_plan(view, plan, home, key, value)
         writes: List[Tuple[int, bytes]] = []
         for pos in sorted(modified):
             off = layout.entry_offset(pos)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import itemgetter, not_
+from operator import itemgetter, lshift, not_
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import LayoutError, TornReadError
@@ -277,6 +277,8 @@ def _tuple_getter(indices: Sequence[int]) -> Callable:
 
 
 _BITMAP = struct.Struct("<H")
+#: 1 << position, for every entry position a leaf can have.
+_POSITION_BIT = tuple(1 << position for position in range(1 << ARGMAX_BITS))
 _REPLICA = struct.Struct("<BQ")  # [valid:1][sibling:8]
 _FENCES = struct.Struct(">QQ")
 
@@ -289,7 +291,7 @@ def _torn(level: int, message: str) -> TornReadError:
 
 
 class DecodedNeighborhood:
-    """What a lock-free partial leaf read yields once its checks passed:
+    """What a lock-free leaf read yields once its checks passed:
     read-only, decoded from the de-striped payload on demand.
 
     ``sibling`` / ``valid`` come from the metadata replica the read
@@ -332,32 +334,43 @@ class DecodedNeighborhood:
         return shape.positions[offset], decode_value(
             self._payload, shape._value_at[offset], shape._value_size)
 
+    def pairs(self, start: int = 1) -> List[Tuple[int, int]]:
+        """(key, value) of the occupied entries of a whole-leaf read
+        with key >= *start*, in position order (what a scan consumes)."""
+        start = max(start, 1)  # key 0 marks an empty entry
+        values = self._shape._layout.image_values(self._payload)
+        return [(key, value) for key, value in zip(self._keys, values)
+                if key >= start]
+
 
 class ReadShape:
-    """One lock-free partial leaf read, compiled: what to fetch and how
-    to validate and decode it in a fixed handful of C calls.
+    """One lock-free leaf read, compiled: what to fetch and how to
+    validate and decode it in a fixed handful of C calls.
 
     A shape is built once per fetched-segment pattern of a layout — the
-    neighbourhood of one home, or one speculatively read entry — from
-    the layout's own offset tables.  ``rounds`` are the raw ``(offset,
-    length)`` READs relative to the leaf address, one round trip each (a
-    round of several requests is a doorbell batch).  :meth:`decode` takes
-    the payloads concatenated in that order and runs the three-level
-    check of §4.1 — NV, EV, hopscotch bitmap, in that order — before
-    anything is decoded ("de-stripe, then unpack", as for whole images).
+    neighbourhood of one home, one speculatively read entry, or the
+    whole leaf (a scan) — from the layout's own offset tables.
+    ``rounds`` are the raw ``(offset, length)`` READs relative to the
+    leaf address, one round trip each (a round of several requests is a
+    doorbell batch).  :meth:`decode` takes the payloads concatenated in
+    that order and runs the three-level check of §4.1 — NV, EV,
+    hopscotch bitmap, in that order — before anything is decoded
+    ("de-stripe, then unpack", as for whole images).
     """
 
     __slots__ = ("rounds", "raw_len", "positions", "_home", "_versions",
                  "_ev_entry", "_ev_line", "_strips", "_keys", "_bitmap_at",
-                 "_replica_at", "_fences_at", "_value_at", "_value_size")
+                 "_replica_at", "_fences_at", "_value_at", "_value_size",
+                 "_layout")
 
     def __init__(self, layout: "LeafLayout",
                  rounds: Sequence[Sequence[Tuple[int, int]]],
                  entries: Sequence[int], home: Optional[int] = None,
                  replica_block: Optional[int] = None) -> None:
         """*rounds* hold logical segments, *entries* the fully fetched
-        entry indices in payload order; a neighbourhood shape also names
-        its *home* (first of *entries*) and the replica it carries."""
+        entry indices in payload order; a neighbourhood shape names its
+        *home* (first of *entries*) and the replica it carries, the
+        whole-leaf shape a replica and no home."""
         segments = [segment for group in rounds for segment in group]
         self.rounds = tuple(tuple(versions.raw_span(off, length)
                                   for off, length in group)
@@ -409,9 +422,11 @@ class ReadShape:
         self._value_at = tuple(at + layout.entry_off_value for at in entry_at)
         self._value_size = layout.value_size
         self._home = home
+        self._layout = layout
         self._bitmap_at = self._replica_at = self._fences_at = None
         if home is not None:
             self._bitmap_at = entry_at[0] + layout.ENTRY_OFF_BITMAP
+        if replica_block is not None:
             self._replica_at = index_in(
                 segments, layout.replica_offset(replica_block))
             if layout.fence_keys:
@@ -439,9 +454,12 @@ class ReadShape:
         for strip in self._strips:
             del payload[strip]
         keys = self._keys.unpack(payload)
-        if self._home is None:  # one speculative entry: no bitmap, no replica
+        if self._replica_at is None:  # one speculative entry: no bitmap
             return DecodedNeighborhood(self, payload, keys, None, None)
-        self._check_bitmap(payload, keys, hash_home)
+        if self._home is None:
+            self._check_image_bitmaps(payload, keys, hash_home)
+        else:
+            self._check_bitmap(payload, keys, hash_home)
         valid, sibling = _REPLICA.unpack_from(payload, self._replica_at)
         return DecodedNeighborhood(self, payload, keys, bool(valid), sibling)
 
@@ -461,6 +479,36 @@ class ReadShape:
             raise _torn(3, f"hopscotch bitmap of home {home} is "
                         f"{stored:#06x}, keys say {actual:#06x} "
                         "(in-flight hop)")
+
+    def _check_image_bitmaps(self, payload: bytearray, keys: Tuple[int, ...],
+                             hash_home: Callable) -> None:
+        """Level 3 over a whole leaf, hashing next to nothing: the
+        stored bitmaps must flag exactly the occupied entries, each
+        once, and no key may sit in two.  A hop lands entry by entry in
+        position order, so a flag can vouch unseen for another home's
+        key only where it wraps past the table's end (that entry is
+        written *before* its home's): only keys under such flags are
+        hashed.  The oracle hashes every key of every neighbourhood."""
+        layout = self._layout
+        span = layout.span
+        bitmaps = layout._image_bitmaps.unpack(payload)
+        flagged = sum(map(lshift, bitmaps, range(span)))
+        wrapped = flagged >> span
+        flagged = (flagged & ((1 << span) - 1)) + wrapped
+        flags = int.from_bytes(layout._pack_bitmaps(*bitmaps), "little")
+        occupied = flagged.bit_count()
+        if (flagged != sum(compress(_POSITION_BIT, keys))
+                or flags.bit_count() != occupied
+                or len(set(keys)) != occupied + (occupied < span)):
+            raise _torn(3, "hopscotch bitmaps and occupied entries of the "
+                        "leaf disagree (in-flight hop)")
+        for pos in range(wrapped.bit_length()):
+            if wrapped >> pos & 1:  # the one flag on entry *pos* wrapped
+                home = hash_home(keys[pos])
+                if home <= pos or not bitmaps[home] >> (span + pos - home) & 1:
+                    raise _torn(3, f"entry {pos} is flagged past the table's "
+                                f"end, but not by its key's home {home} "
+                                "(in-flight hop)")
 
 
 @dataclass(frozen=True)
@@ -552,6 +600,7 @@ class LeafLayout:
             self.ENTRY_OFF_BITMAP))
         set_attr(self, "_image_entry_versions", _tuple_getter(
             [raw_off for raw_off, _first, _end in ev_ranges]))
+        set_attr(self, "_pack_bitmaps", struct.Struct(f"<{self.span}H").pack)
         # Encoding half (:meth:`encode_image`): every field of the leaf
         # in two packers, one per byte order, each fed from a flat
         # source vector — [valid, sibling, version byte, *bitmaps,
@@ -571,7 +620,8 @@ class LeafLayout:
                for index, off in entries], logical_size))
         set_attr(self, "_line_chunks", versions.line_chunks(logical_size))
         # Read shapes, compiled on first use: one per neighbourhood home
-        # and one per speculatively read entry (at most 2 * span).
+        # (and, under None, the whole leaf's) and one per speculatively
+        # read entry — at most 2 * span + 1.
         set_attr(self, "_neighborhood_shapes", {})
         set_attr(self, "_entry_shapes", {})
 
@@ -625,6 +675,14 @@ class LeafLayout:
                               f"(value_size {size}): {error}") from None
         return versions.stripe(payload.to_bytes(self.logical_size, "little"),
                                self._line_chunks, version)
+
+    def image_values(self, payload: bytearray) -> Sequence[int]:
+        """The value of every entry in position order, from the
+        de-striped payload of a whole leaf."""
+        values = self._image_values.unpack(payload)
+        if self.value_size < 8:
+            values = [int.from_bytes(raw, "little") for raw in values]
+        return values
 
     # Entry field offsets (relative to entry start).
     ENTRY_OFF_VERSION = 0
@@ -710,6 +768,15 @@ class LeafLayout:
             segment = (self.entry_offset(index), self.entry_size)
             shape = self._entry_shapes[index] = ReadShape(
                 self, [[segment]], [index])
+        return shape
+
+    def full_shape(self) -> ReadShape:
+        """The compiled lock-free read of the whole leaf (a scan, §4.4),
+        from its first payload byte like a locked full-leaf fetch."""
+        shape = self._neighborhood_shapes.get(None)  # no home: all of them
+        if shape is None:
+            shape = self._neighborhood_shapes[None] = ReadShape(
+                self, [[self.full_span()]], range(self.span), replica_block=0)
         return shape
 
     def _entry_segments(self, home: int, count: int) -> List[Tuple[int, int]]:

@@ -384,10 +384,7 @@ class LeafNodeView:
             entries = [self.entry(i) for i in range(layout.span)]
             return ([entry.key for entry in entries],
                     [entry.value for entry in entries])
-        values = layout._image_values.unpack(payload)
-        if layout.value_size < 8:
-            values = [int.from_bytes(raw, "little") for raw in values]
-        return layout._image_keys.unpack(payload), values
+        return layout._image_keys.unpack(payload), layout.image_values(payload)
 
     def occupancy(self) -> List[bool]:
         """Per-entry occupancy of a full-node image."""

@@ -483,41 +483,28 @@ class ShardedClient:
 
     # -- op interface --------------------------------------------------------
 
-    def search(self, key: int) -> Generator:
+    def _routed(self, op: str, key: int, *args) -> Generator:
+        """Sub-client operation *op* on the shard owning *key*, counted
+        in flight for the migrator."""
         sub, shard = yield from self._enter(key)
         self.index.in_flight[shard] += 1
         try:
-            result = yield from sub.search(key)
+            result = yield from getattr(sub, op)(key, *args)
         finally:
             self.index.in_flight[shard] -= 1
         return result
+
+    def search(self, key: int) -> Generator:
+        return self._routed("search", key)
 
     def insert(self, key: int, value: int) -> Generator:
-        sub, shard = yield from self._enter(key)
-        self.index.in_flight[shard] += 1
-        try:
-            result = yield from sub.insert(key, value)
-        finally:
-            self.index.in_flight[shard] -= 1
-        return result
+        return self._routed("insert", key, value)
 
     def update(self, key: int, value: int) -> Generator:
-        sub, shard = yield from self._enter(key)
-        self.index.in_flight[shard] += 1
-        try:
-            result = yield from sub.update(key, value)
-        finally:
-            self.index.in_flight[shard] -= 1
-        return result
+        return self._routed("update", key, value)
 
     def delete(self, key: int) -> Generator:
-        sub, shard = yield from self._enter(key)
-        self.index.in_flight[shard] += 1
-        try:
-            result = yield from sub.delete(key)
-        finally:
-            self.index.in_flight[shard] -= 1
-        return result
+        return self._routed("delete", key)
 
     def scan(self, key: int, count: int) -> Generator:
         """Range scan, fanned out across shards and merged in key order.
@@ -533,12 +520,7 @@ class ShardedClient:
             self._refresh()
         first = smap.shard_of(key)
         if index.num_shards == 1 or first == index.num_shards - 1:
-            sub, shard = yield from self._enter(key)
-            index.in_flight[shard] += 1
-            try:
-                result = yield from sub.scan(key, count)
-            finally:
-                index.in_flight[shard] -= 1
+            result = yield from self._routed("scan", key, count)
             return result
         engine = index.cluster.engine
         procs = []

@@ -15,16 +15,15 @@ lock-free reader does with a fetched span:
 A failed check raises :class:`~repro.errors.TornReadError`; operations
 catch it and retry with backoff.
 
-Production reads do not come through the per-entry functions here: a
-lock-free neighbourhood or speculative-entry read runs the same three
-checks through its compiled :class:`~repro.core.node_layout.ReadShape`,
-and a scan's whole-leaf image through the layout's image codec
-(:func:`collect_leaf_nv`'s first branch + :func:`check_nv_uniform`).
-:func:`check_entry_evs`, :func:`check_hopscotch_bitmap`,
-:func:`reconstruct_bitmap` and the per-entry branch of
-:func:`collect_leaf_nv` are the reference implementations the property
-tests hold those compiled paths to (``tests/test_core_layout.py``); an
-AST test keeps the rest of ``src/repro`` from calling them.
+Production reads do not come through the functions here: a lock-free
+read — a neighbourhood, one speculative entry, a scan's whole leaf —
+runs the same three checks through its compiled
+:class:`~repro.core.node_layout.ReadShape`.  :func:`check_nv_uniform`,
+:func:`collect_leaf_nv`, :func:`check_entry_evs`,
+:func:`check_hopscotch_bitmap` and :func:`reconstruct_bitmap` are the
+reference implementations the property tests hold the shapes to
+(``tests/test_core_layout.py``, ``tests/test_scan.py``); an AST test
+keeps the rest of ``src/repro`` from calling them.
 """
 
 from __future__ import annotations
@@ -120,9 +119,8 @@ def collect_leaf_nv(view: LeafNodeView, indices: Sequence[int]) -> List[int]:
     """NV nibbles visible in a leaf view: line bytes + the version bytes
     of the given (fully fetched) entries.
 
-    A whole-leaf image read from raw offset 0 (scans) answers through the
-    layout's image codec; partial and segmented views go entry by entry
-    (the oracle for read shapes — no production read takes that branch).
+    A whole-leaf image read from raw offset 0 answers through the
+    layout's image codec; partial and segmented views go entry by entry.
     """
     span = view.span
     if (type(span) is StripedSpan and span.base == 0

@@ -491,7 +491,8 @@ class TestFamilyPlumbingWrittenOnce:
         else under ``src/repro`` may call them."""
         package = pathlib.Path(repro.__file__).parent
         oracle = {"check_entry_evs", "check_hopscotch_bitmap",
-                  "reconstruct_bitmap"}
+                  "reconstruct_bitmap", "check_nv_uniform",
+                  "collect_leaf_nv", "image_nv"}
         callers = []
         for path in sorted(package.rglob("*.py")):
             if path == package / "core" / "sync.py":

@@ -721,6 +721,131 @@ class TestReadShape:
         got, expected = outcomes(flipped(bitmap_at, 0x01))
         assert got == expected and got[1] == 3
 
+    @staticmethod
+    def oracle_whole(layout, shape, payloads, hash_home, start):
+        """(sibling, valid, fences, pairs >= start) through a view over
+        the same bytes: every entry checked on its own, every home's
+        bitmap rebuilt by hashing its neighbourhood's keys."""
+        (off, _length), = shape.rounds[0]
+        view = LeafNodeView(layout, StripedSpan(payloads[0], base=off))
+        every = range(layout.span)
+        check_nv_uniform(collect_leaf_nv(view, every))
+        check_entry_evs(view, every)
+        for home in every:
+            check_hopscotch_bitmap(view, home, hash_home)
+        return (view.replica_sibling(0), view.replica_valid(0),
+                view.replica_fences(0) if layout.fence_keys else None,
+                view.pairs(start))
+
+    @staticmethod
+    def shape_whole(layout, shape, payloads, hash_home, start):
+        read = shape.decode(payloads[0], hash_home)
+        return (read.sibling, read.valid,
+                read.fences if layout.fence_keys else None, read.pairs(start))
+
+    @settings(max_examples=40, deadline=None)
+    @given(**layouts)
+    def test_whole_leaf_shape_equals_per_entry_oracle(
+            self, span, neighborhood, value_size, replicated, fence_keys,
+            seed):
+        layout = LeafLayout(span=span, neighborhood=neighborhood,
+                            value_size=value_size, replicated=replicated,
+                            fence_keys=fence_keys)
+        raw, keys = hopscotch_leaf_image(layout, seed)
+        hash_home = functools.partial(default_hash, capacity=span)
+        shape = layout.full_shape()
+        assert layout.full_shape() is shape  # memoised
+        assert shape.rounds == ((raw_span(0, layout.logical_size),),)
+
+        def outcomes(image, start=1):
+            payloads = self.fetched(shape, image)
+            return (torn_level(lambda: self.shape_whole(
+                        layout, shape, payloads, hash_home, start)),
+                    torn_level(lambda: self.oracle_whole(
+                        layout, shape, payloads, hash_home, start)))
+
+        def flipped(raw_off, mask):
+            image = bytearray(raw)
+            image[raw_off] ^= mask
+            return bytes(image)
+
+        for start in [0, 1, seed % MAX_KEY + 1] + keys[:2]:
+            got, expected = outcomes(raw, start)
+            assert got == expected and got[1] is None
+        (off, length), = shape.rounds[0]
+        version_bytes = [pos for pos in range(off, off + length)
+                         if pos % LINE == 0]
+        version_bytes += [entry for entry, _f, _e in layout._entry_ev_ranges]
+        for raw_off in version_bytes:
+            got, expected = outcomes(flipped(raw_off, 0x10))  # NV nibble
+            assert got == expected and got[1] == 1
+            got, expected = outcomes(flipped(raw_off, 0x01))  # EV nibble
+            assert got == expected and got[1] in (None, 2)
+        for entry_byte, line_byte, end in layout._entry_ev_ranges:
+            if line_byte < end:  # the entry straddles a line
+                for raw_off in (entry_byte, line_byte):
+                    assert outcomes(flipped(raw_off, 0x01))[0][1] == 2
+        for home in range(span):  # a flag more or less in any bitmap
+            bitmap_at = raw_span(layout.entry_offset(home) + 1, 1)[0]
+            got, expected = outcomes(flipped(bitmap_at, 0x01))
+            assert got == expected and got[1] == 3
+
+    @pytest.mark.parametrize("span,neighborhood", [
+        (64, 8), (64, 16), (16, 4), (16, 8), (16, 16), (8, 4)])
+    def test_whole_leaf_bitmap_rule_equals_the_hashed_oracle_mid_hop(
+            self, span, neighborhood):
+        """An insert's entry writes land in position order.  After
+        every strict prefix of them (each entry whole: levels 1 and 2
+        see nothing) the whole-leaf rule — flags = occupied entries,
+        each once, no key twice, wrapped flags hashed — must say what
+        hashing every key of every neighbourhood says.  Never agreeing
+        by accident: a hop chain that wraps past the table's end leaves
+        a key under another home's flag with every count right."""
+        layout = LeafLayout(span=span, neighborhood=neighborhood)
+        hash_home = functools.partial(default_hash, capacity=span)
+        shape = layout.full_shape()
+        rng = random.Random(span * 100 + neighborhood)
+        caught = wrapped = 0
+
+        def state(table):
+            return ([key or 0 for key in table._keys], list(table._bitmaps))
+
+        def level(keys, bitmaps, check):
+            image = layout.encode_image(keys, [0] * span, bitmaps)
+            payloads = self.fetched(shape, image)
+            return torn_level(lambda: check(layout, shape, payloads,
+                                            hash_home, 1) and None)[1]
+
+        for _table in range(60):
+            table = HopscotchTable(span, neighborhood)
+            for _insert in range(span):
+                old_keys, old_bitmaps = state(table)
+                try:
+                    table.insert(rng.randrange(1, 1 << 40), 0)
+                except HashTableFullError:
+                    break
+                new_keys, new_bitmaps = state(table)
+                written = [pos for pos in range(span)
+                           if (old_keys[pos], old_bitmaps[pos])
+                           != (new_keys[pos], new_bitmaps[pos])]
+                for landed in range(1, len(written)):
+                    keys, bitmaps = list(old_keys), list(old_bitmaps)
+                    for pos in written[:landed]:
+                        keys[pos], bitmaps[pos] = new_keys[pos], new_bitmaps[pos]
+                    expected = level(keys, bitmaps, self.oracle_whole)
+                    assert level(keys, bitmaps, self.shape_whole) == expected
+                    assert expected == 3  # no prefix is a resting state
+                    caught += 1
+                    # The flag-count rule alone would have passed it:
+                    flags = [0] * span
+                    for home, bitmap in enumerate(bitmaps):
+                        for offset in range(neighborhood):
+                            if bitmap >> offset & 1:
+                                flags[(home + offset) % span] += 1
+                    wrapped += flags == [int(bool(key)) for key in keys]
+        assert caught > 200
+        assert wrapped or neighborhood == span  # no hop when every entry is near
+
     def test_short_payload_raises_instead_of_shifting(self):
         layout = LeafLayout(span=64, neighborhood=8)
         raw, _keys = hopscotch_leaf_image(layout, seed=5)

@@ -22,12 +22,9 @@ from repro.registry import build_index, families
 from repro.retry import RetryPolicy
 from repro.sim import Engine
 
-#: Lease cells pin a lease comfortably above any lock tenure.  The
-#: 200 us default is too short for Marlin at depth 4: every lane's first
-#: allocation is a chunk RPC, 64 lanes queue on the MN's 5 us/request
-#: CPU, and a locked fallback update waiting ~195 us in that queue
-#: overruns its lease — ``LockLeaseExpiredError`` ("raise
-#: ClusterConfig.lease_duration") doing its job, not a protocol fault.
+#: Lease cells pin a lease comfortably above any lock tenure (the
+#: 200 us default is held to in ``test_marlin_depth_4_fits_the_default_
+#: lease``).
 LEASE = 2e-3
 
 _CELLS = [(family.name, mode, leases, depth)
@@ -50,6 +47,18 @@ def test_contended_point_completes(index_name, mode, leases, depth):
     result = _contended(index_name, mode, leases, depth,
                         clients_per_cn=4, keys=200, ops=30)
     assert result.ops_completed == 2 * 4 * 30
+
+
+def test_marlin_depth_4_fits_the_default_lease():
+    """Every lane's first allocation is a chunk RPC and 64 lanes queue
+    on the MN's 5 us/request CPU.  Marlin used to write its value block
+    *under* the leaf lock, so a locked fallback update waiting ~195 us
+    in that queue overran the 200 us lease (``LockLeaseExpiredError``);
+    it allocates before locking now."""
+    config = ClusterConfig(num_cns=2, clients_per_cn=8, seed=7,
+                           pipeline_depth=4, lock_leases=True)
+    result = run_point("marlin", "A", 400, 60, config, theta=0.99)
+    assert result.ops_completed == 2 * 8 * 60
 
 
 def test_sherman_leases_cost_one_extra_write_not_an_expiry_wait():

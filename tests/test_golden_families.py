@@ -15,7 +15,11 @@ of the verb layer that moves *any* family's simulated events fails here.
 
 ``GOLDEN`` was recorded at commit 28828c4 with :func:`_observe`; rows are
 only ever *added* (a family, a knob, a configuration that used to fail).  An intentional protocol change
-re-records the affected rows in the same commit and says so.
+re-records the affected rows in the same commit and says so: ISSUE 21
+(scans sized from the parent's pivots and checked at all three levels;
+Marlin allocates before locking) re-recorded seven — the six ``E`` rows
+of chime, chime-indirect, sherman and marlin, and ``marlin D`` — listed
+before -> after in CHANGES.md.
 
 The second half pins what the deleted ``repro perf --check`` enforced:
 the event counts of twelve YCSB-C points at the :data:`PINNED` scale,
@@ -35,6 +39,8 @@ from repro.baselines.flexkv import FlexKVIndex
 from repro.bench.runner import run_workload
 from repro.bench.scale import Scale
 from repro.config import ChimeConfig
+from repro.core.btree_base import BTreeClientBase
+from repro.core.chime import ChimeClient
 from repro.rdma import NicSpec
 from repro.registry import family_names, get_family
 from tests.test_event_queue import _golden_run
@@ -58,25 +64,25 @@ GOLDEN = {
     ('chime', 'D', ()):
         (1185, 120, (126, 147, 134, 8, 5, 0, 16718, 127, 1), '0.00010627070666666671'),
     ('chime', 'E', ()):
-        (1832, 120, (148, 324, 291, 18, 15, 0, 353350, 262, 6), '0.00014887630666666704'),
+        (1604, 120, (148, 267, 234, 18, 15, 0, 278281, 262, 6), '0.00014703101333333365'),
     ('chime-indirect', 'A', ()):
         (2811, 120, (374, 437, 195, 162, 80, 4, 17927, 2337, 26), '0.0003755146000000001'),
     ('chime-indirect', 'D', ()):
         (2143, 120, (248, 266, 246, 12, 8, 3, 18514, 191, 4), '0.00021260917333333423'),
     ('chime-indirect', 'E', ()):
-        (37822, 120, (4650, 4822, 4786, 27, 9, 4, 425270, 406, 0), '0.003896928693333453'),
+        (37594, 120, (4650, 4765, 4729, 27, 9, 4, 350201, 406, 0), '0.0038943903733334533'),
     ('sherman', 'A', ()):
         (1972, 120, (247, 302, 121, 110, 71, 0, 137218, 1384, 16), '0.00022139194666666762'),
     ('sherman', 'D', ()):
         (1260, 120, (127, 131, 117, 8, 6, 0, 132681, 4568, 2), '0.00011216746666666675'),
     ('sherman', 'E', ()):
-        (2078, 120, (148, 309, 276, 18, 15, 0, 312988, 10278, 6), '0.00014811886666666718'),
+        (1850, 120, (148, 252, 219, 18, 15, 0, 248350, 10278, 6), '0.0001467895733333338'),
     ('marlin', 'A', ()):
         (2276, 120, (312, 311, 189, 64, 58, 4, 145014, 1006, 4), '0.0002944190400000008'),
     ('marlin', 'D', ()):
-        (2211, 120, (248, 249, 229, 12, 8, 3, 135591, 4632, 4), '0.00021512061333333452'),
+        (2199, 120, (246, 247, 230, 12, 5, 3, 136725, 4632, 2), '0.00020448812000000083'),
     ('marlin', 'E', ()):
-        (38068, 120, (4650, 4807, 4771, 27, 9, 4, 384908, 10422, 0), '0.003895814826666786'),
+        (37832, 120, (4649, 4749, 4713, 27, 9, 4, 319135, 10422, 0), '0.003893523506666782'),
     ('smart', 'A', ()):
         (2612, 120, (338, 338, 284, 54, 0, 0, 210752, 432, 0), '0.0003254292666666671'),
     ('smart', 'D', ()):
@@ -166,11 +172,11 @@ GOLDEN = {
     ('chime', 'A', (('cn_nic', NicSpec()),)):
         (2998, 120, (246, 314, 134, 110, 70, 0, 16954, 1500, 15), '0.00022697534666666825'),
     ('chime', 'E', (('cn_nic', NicSpec()),)):
-        (2443, 120, (150, 325, 290, 18, 17, 0, 353331, 262, 8), '0.00015501826666666738'),
+        (2215, 120, (150, 268, 233, 18, 17, 0, 278262, 262, 8), '0.00015218640000000066'),
     ('chime', 'A', (('mn_nic', NicSpec(lanes=2)),)):
         (2010, 120, (246, 313, 133, 110, 70, 0, 16809, 1500, 15), '0.00022516858666666765'),
     ('chime', 'E', (('num_mns', 2),)):
-        (1837, 120, (148, 325, 292, 18, 15, 0, 353369, 262, 6), '0.0001451062000000003'),
+        (1615, 120, (150, 268, 233, 18, 17, 0, 278262, 262, 8), '0.0001439541733333336'),
     ('smart', 'A', (('num_mns', 2),)):
         (2621, 120, (339, 339, 285, 54, 0, 0, 210768, 432, 0), '0.0003254292666666671'),
     ('chime', 'A', (('torn_writes', False), ('value_size', 64))):
@@ -319,3 +325,35 @@ def test_depth_sweep_hides_verb_latency():
                      for depth in (1, 4))
     assert (shallow.events, deep.events) == (7423, 7238)
     assert deep.mops > shallow.mops
+
+
+def test_scans_read_the_leaves_they_need(monkeypatch):
+    # YCSB-E at PINNED.  A scan's first batch is sized from the cached
+    # parent's pivots and the client's running mean of keys per leaf:
+    # ~2.2 leaves hold a scan's answer (<= 100 pairs, 44 to a
+    # bulk-loaded leaf) and 2.15 are fetched — the constant guess
+    # ``count // (span // 2) + 2`` fetched 3.07 — without paying for it
+    # in sibling chases: 3,076 round trips for 3,011 scans, where the
+    # guess took 3,069.
+    counts = collections.Counter()
+    decode, scan = ChimeClient._scan_leaf, BTreeClientBase.scan
+
+    def counted_leaf(client, raw, key):
+        counts["leaves"] += 1
+        return decode(client, raw, key)
+
+    def counted_scan(client, key, count):
+        before = client.ops.stats.rtts
+        result = yield from scan(client, key, count)
+        counts["scans"] += 1
+        counts["rtts"] += client.ops.stats.rtts - before
+        return result
+
+    monkeypatch.setattr(ChimeClient, "_scan_leaf", counted_leaf)
+    monkeypatch.setattr(BTreeClientBase, "scan", counted_scan)
+    spec = PINNED.point("chime", "E", PINNED.cluster_config())
+    cluster, index, context = spec.prepare()
+    run_workload(cluster, index, "E", spec.ops_per_client, context)
+    assert counts["scans"] == 3011
+    assert counts["leaves"] <= 2.5 * counts["scans"]
+    assert counts["rtts"] <= 1.10 * 3069

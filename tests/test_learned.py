@@ -5,6 +5,8 @@ import pytest
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.core import LearnedChimeIndex
+from repro.core.nodes import LeafNodeView
+from repro.layout import StripedSpan
 
 
 def make_index(num_keys=2000, future=()):
@@ -129,6 +131,25 @@ class TestLearnedChime:
     def test_model_error_bound_holds(self):
         _cluster, index, pairs = make_index()
         index.model.verify([k for k, _ in pairs])
+
+    def test_key_no_candidate_covers_is_absent_in_one_pass(self):
+        """Across a gap in the key space the model sends an untrained
+        key to a leaf whose fences do not cover it.  Fences never move
+        here, so that is an answer — it used to cost the whole retry
+        budget (256 neighbourhood reads) to say ``None``."""
+        cluster = Cluster(ClusterConfig(num_cns=1, clients_per_cn=1))
+        index = LearnedChimeIndex(cluster)
+        index.bulk_load([(k, k) for k in [*range(1, 3001),
+                                          *range(10**9, 10**9 + 200)]])
+        client = index.client(cluster.cns[0].clients[0])
+        key = 5 * 10**8
+        leaf, = index.candidate_leaves(key)
+        low, _high = LeafNodeView(index.leaf_layout, StripedSpan(
+            index._host_read(index.leaf_addrs[leaf],
+                             index.leaf_layout.raw_size))).replica_fences(0)
+        assert key < low  # the one candidate does not cover the key
+        assert drive(cluster, client.search(key)) == [None]
+        assert client.ops.stats.rtts == 1
 
     @pytest.mark.parametrize("neighborhood", [2, 4])
     def test_narrow_neighbourhood_bulk_load_spills_to_synonyms(

@@ -13,8 +13,9 @@ from repro.cluster import Cluster
 from repro.config import ChimeConfig, ClusterConfig
 from repro.core import ChimeIndex
 from repro.core.chime import ChimeClient
-from repro.core.node_layout import ReadShape
+from repro.core.node_layout import LeafLayout, ReadShape
 from repro.core.nodes import LeafNodeView
+from repro.layout import StripedSpan, versions
 from repro.memory.region import CACHE_LINE
 from repro.obs import BUS
 from repro.rdma.nic import NicSpec
@@ -341,17 +342,236 @@ class TestChimeUnderTearing:
         self._scanners_vs_hop_writers()
 
     def test_scanners_need_the_leaf_nv_kernel(self, monkeypatch):
-        """Plant a bug: the whole-leaf NV kernel reports no nibbles, so a
-        half-landed node write looks uniform — the campaign must fail.
+        """Plant a bug: the whole-leaf shape checks nothing, so a
+        half-landed node write is decoded as it lies — the campaign must
+        fail.
 
-        (Dropping *only* the entry-byte nibbles cannot fail a race:
-        writes land in line-aligned chunks, so the line bytes alone
-        expose every tear.  That bug is caught by the codec-vs-accessor
-        property in ``test_core_layout.py`` instead.)
+        (Blinding level 1 alone cannot fail it any more: a node write
+        resets every EV and re-places every key, so the halves of a torn
+        one also disagree at levels 2 and 3 — on six pinned splits, all
+        21 landings each.  ``TestPinnedScans`` plants those two levels'
+        bugs one at a time.)
         """
-        monkeypatch.setattr(LeafNodeView, "image_nv", lambda self: [])
+        monkeypatch.setattr(versions, "NV_OF_BYTE", bytes(256))
+        monkeypatch.setattr(versions, "EV_OF_BYTE", bytes(256))
+        monkeypatch.setattr(ReadShape, "_check_image_bitmaps",
+                            lambda self, payload, keys, hash_home: None)
         with pytest.raises(AssertionError):
             self._scanners_vs_hop_writers()
+
+
+class TestPinnedScans:
+    """A scan's whole-leaf READ served *between* two landings of one
+    write batch — pinned there, because free-running scanners never
+    arrive between the two chunks of a 19-byte entry WRITE or between
+    two entry WRITEs of one hop (the campaigns above trip NV only).
+
+    The writer runs alone and the leaf's raw image is recorded after
+    every chunk that lands in it; each image is then served to a scan
+    as its first READ of that leaf (a re-read gets live memory).  An
+    RDMA READ racing a WRITE may return exactly such an image."""
+
+    OLD, NEW = 0x1111111111111111, 0xEEEEEEEEEEEEEEEE
+
+    @staticmethod
+    def _landings(cluster, index, op):
+        """Run *op*; ``(leaf address, raw leaf image)`` after each
+        chunk landing inside a leaf that existed before it ran."""
+        mn = cluster.mns[0]
+        size = index.leaf_layout.raw_size
+        leaves = index.leaf_addrs()
+        images = []
+
+        def recording_write(addr, data):
+            type(mn).mem_write(mn, addr, data)
+            for leaf in leaves:
+                if leaf <= addr < leaf + size:
+                    images.append((leaf, mn.mem_read(leaf, size)))
+
+        mn.mem_write = recording_write
+        try:
+            drive(cluster, op)
+        finally:
+            del mn.mem_write
+        return images
+
+    @staticmethod
+    def _pinned_scan(cluster, index, scanner, leaf, image, start, count):
+        """``scanner.scan(start, count)`` whose first READ of *leaf*
+        returns *image*."""
+        mn = cluster.mns[0]
+        size = index.leaf_layout.raw_size
+        pending = [image]
+
+        def pinned_read(addr, length):
+            if pending and (addr, length) == (leaf, size):
+                return pending.pop()
+            return type(mn).mem_read(mn, addr, length)
+
+        out = []
+
+        def scan():
+            out.append((yield from scanner.scan(start, count)))
+
+        mn.mem_read = pinned_read
+        try:
+            drive(cluster, scan())
+        finally:
+            del mn.mem_read
+        assert not pending, "the scan never read the pinned leaf"
+        return out[0]
+
+    @staticmethod
+    def _torn_levels():
+        levels = []
+        watch = BUS.subscribe(lambda event: levels.append(event.data["level"]),
+                              kinds=["sync.torn"])
+        return levels, watch
+
+    def _scan_between_the_chunks_of_an_entry_write(self):
+        """Update a key whose value word straddles two cache lines and
+        scan at every landing; returns the torn levels seen.
+
+        (``value_size=64``: the simulated NIC lands a WRITE of up to 64
+        bytes whole, so the default 19-byte entry cannot tear.)"""
+        cluster = slow_cluster(clients=2)
+        index = ChimeIndex(cluster, ChimeConfig(value_size=64))
+        index.bulk_load([(k, self.OLD) for k in range(1, 401)])
+        layout = index.leaf_layout
+        ppl = CACHE_LINE - 1  # payload bytes per line
+        writer, scanner = (index.client(ctx) for ctx in cluster.clients())
+        leaf = index.leaf_addrs()[2]
+        view = LeafNodeView(layout, StripedSpan(
+            index._host_read(leaf, layout.raw_size)))
+        key = next(
+            key for pos, key, _value in view.items()
+            if (layout.entry_offset(pos) + layout.entry_off_value) // ppl
+            != (layout.entry_offset(pos) + layout.entry_off_value + 7) // ppl)
+        start = min(k for k, _v in view.pairs())
+        images = self._landings(cluster, index, writer.update(key, self.NEW))
+        assert len(images) >= 2  # one entry WRITE, landing in chunks
+        levels, watch = self._torn_levels()
+        try:
+            for image_leaf, image in images:
+                pairs = self._pinned_scan(cluster, index, scanner, image_leaf,
+                                          image, start, 30)
+                assert [k for k, _v in pairs] == list(range(start, start + 30))
+                assert all(v == (self.NEW if k == key else self.OLD)
+                           for k, v in pairs), dict(pairs)[key]
+        finally:
+            watch.unsubscribe()
+        return levels
+
+    def test_scan_between_the_chunks_of_an_entry_write(self):
+        # The value is whole, and not vacuously: level 2 (EV) fired.
+        assert 2 in self._scan_between_the_chunks_of_an_entry_write()
+
+    def test_pinned_scans_need_the_ev_check(self, monkeypatch):
+        """Plant a bug: the whole-leaf shape drops its EV pairs, so the
+        half-landed entry reads as whole and a value nobody wrote
+        escapes."""
+        real = LeafLayout.full_shape
+
+        def without_ev_pairs(layout):
+            shape = real(layout)
+            shape._ev_entry = None
+            return shape
+
+        monkeypatch.setattr(LeafLayout, "full_shape", without_ev_pairs)
+        with pytest.raises(AssertionError):
+            self._scan_between_the_chunks_of_an_entry_write()
+
+    def _scan_between_the_writes_of_a_hop(self, hops_wanted=4):
+        """Insert between loaded keys until *hops_wanted* inserts have
+        displaced entries, scanning at every landing of each; returns
+        the torn levels seen."""
+        cluster = slow_cluster(clients=2)
+        index = ChimeIndex(cluster, ChimeConfig(bulk_load_factor=0.85))
+        index.bulk_load([(k, k * 10) for k in range(10, 4001, 10)])
+        writer, scanner = (index.client(ctx) for ctx in cluster.clients())
+        moves = []
+        watches = [BUS.subscribe(
+            lambda event: moves.append(event.data["moves"]),
+            kinds=["hopscotch.displacement"])]
+        levels, watch = self._torn_levels()
+        watches.append(watch)
+        hops = 0
+        try:
+            for key in range(11, 4000, 10):
+                del moves[:]
+                images = self._landings(cluster, index,
+                                        writer.insert(key, key))
+                if not any(moves) or len({leaf for leaf, _i in images}) != 1:
+                    continue  # no displacement, or a split
+                hops += 1
+                truth = index.collect_items()
+                start = truth[max(0, [k for k, _v in truth].index(key) - 40)][0]
+                expected = [pair for pair in truth if pair[0] >= start][:90]
+                for leaf, image in images:
+                    assert self._pinned_scan(cluster, index, scanner, leaf,
+                                             image, start, 90) == expected
+                if hops == hops_wanted:
+                    break
+        finally:
+            for watch in watches:
+                watch.unsubscribe()
+        assert hops == hops_wanted
+        return levels
+
+    def test_scan_between_the_writes_of_a_hop(self):
+        # No key twice, none missing, and level 3 (bitmaps) fired.
+        assert 3 in self._scan_between_the_writes_of_a_hop()
+
+    def test_pinned_scans_need_the_bitmap_check(self, monkeypatch):
+        """Plant a bug: the whole-leaf shape's bitmap rule passes
+        anything — a key caught mid-hop then shows twice or not at all."""
+        monkeypatch.setattr(ReadShape, "_check_image_bitmaps",
+                            lambda self, payload, keys, hash_home: None)
+        with pytest.raises(AssertionError):
+            self._scan_between_the_writes_of_a_hop()
+
+
+class TestStaleCachedParent:
+    def test_reads_every_committed_insert(self):
+        """ROADMAP 1(a): sequential inserts split the rightmost leaf
+        over and over; a client on another CN, whose cached parent
+        predates all of it and has no next-child pointer for its last
+        child, must still read, update and scan every committed key."""
+        cluster = Cluster(ClusterConfig(num_cns=2, clients_per_cn=1,
+                                        cache_bytes=1 << 22, seed=5))
+        index = ChimeIndex(cluster)
+        loaded = 2000
+        index.bulk_load([(k, k) for k in range(1, loaded + 1)])
+        writer, reader = (index.client(ctx) for ctx in cluster.clients())
+        leaves = len(index.leaf_addrs())
+        out = {}
+
+        def run(name, client_op, keys):
+            def ops():
+                out[name] = []
+                for key in keys:
+                    out[name].append((yield from client_op(key)))
+            drive(cluster, ops())
+            return out[name]
+
+        def grow(keys):  # the reader's CN caches the parent, then it ages
+            assert run("warm", reader.search, [loaded]) == [loaded]
+            run("insert", lambda key: writer.insert(key, key), keys)
+
+        first = range(loaded + 1, loaded + 301)
+        grow(first)
+        assert len(index.leaf_addrs()) >= leaves + 5  # split repeatedly
+        assert run("search", reader.search, first) == list(first)
+        cluster.cns[1].cache.clear()
+        second = range(first[-1] + 1, first[-1] + 301)
+        grow(second)
+        assert run("update", lambda key: reader.update(key, key + 1),
+                   second[-3:]) == [True] * 3
+        cluster.cns[1].cache.clear()
+        third = range(second[-1] + 1, second[-1] + 301)
+        grow(third)
+        pairs, = run("scan", lambda key: reader.scan(key, 1000), [loaded - 4])
+        assert [k for k, _v in pairs] == list(range(loaded - 4, third[-1] + 1))
 
 
 class TestShermanUnderTearing:
