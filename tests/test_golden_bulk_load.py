@@ -22,6 +22,16 @@ Recorded at 973d87f with :func:`_digest`, while leaves were still
 composed entry by entry through ``LeafNodeView``; a loader refactor that
 moves one byte, or allocates in another order, fails here.  Rows are
 only ever added.
+
+ISSUE 22 added, at 4956f95 (every loader below still per key: one
+``alloc`` + one ``mem_write`` per KV block, one ``write_logical`` per
+sorted-leaf field), the :data:`BASELINES` — SMART and its variants,
+Sherman, Marlin, ROLEX, ``rolex-indirect``, FlexKV — each on 1 MN, on 2
+striped MNs (the ``_host_rr`` interleave of nodes and blocks), at
+``value_size`` 3 and 64 and on a x16-sparse key space, plus after-run
+rows for the sorted-leaf images ``ShermanLeafView.compose`` builds on
+the data path: Sherman / Marlin insert runs that split leaves, a
+Sherman run of deletes and upserts, ROLEX synonym appends.
 """
 
 import hashlib
@@ -31,6 +41,7 @@ import pytest
 from repro.bench.runner import PointSpec, run_workload
 from repro.cluster.cluster import Cluster
 from repro.config import ClusterConfig
+from repro.baselines.rolex import RolexConfig, RolexIndex
 from repro.core.learned import LearnedChimeIndex
 from repro.core.varkey import VarKeyChimeIndex
 from repro.memory.region import make_addr
@@ -53,10 +64,12 @@ def _digest(cluster) -> str:
     return sha.hexdigest()
 
 
-def _loaded(index_name, key_space=0, chime_overrides=None, **cluster_fields):
+def _loaded(index_name, key_space=0, chime_overrides=None, value_size=8,
+            **cluster_fields):
     cluster = Cluster(ClusterConfig(num_cns=1, clients_per_cn=1, seed=SEED,
                                     **cluster_fields))
-    index = build_index(index_name, cluster, chime_overrides=chime_overrides)
+    index = build_index(index_name, cluster, value_size=value_size,
+                        chime_overrides=chime_overrides)
     pairs = dataset(NUM_KEYS, key_space=key_space, seed=SEED)
     if index.registry_family.model_routed:
         index.bulk_load(pairs, future_keys=range(NUM_KEYS + 1, NUM_KEYS + 65))
@@ -80,10 +93,10 @@ def _loaded_varkey():
     return cluster
 
 
-def _after_splits(**point_fields):
+def _after_splits(index_name="chime", **point_fields):
     """An all-insert run over a small tree: 1 200 inserts into 1 500
     loaded keys split most leaves, some more than once."""
-    spec = PointSpec("chime", "LOAD", 1500, 300,
+    spec = PointSpec(index_name, "LOAD", 1500, 300,
                      ClusterConfig(num_cns=2, clients_per_cn=2, seed=SEED),
                      **point_fields)
     cluster, index, context = spec.prepare()
@@ -116,6 +129,58 @@ def _after_synonym_appends():
     return cluster
 
 
+def _run_ops(cluster, index, ops):
+    """Drive ``(method, *args)`` *ops* through one client, in order."""
+    client = index.client(cluster.cns[0].clients[0])
+
+    def body():
+        for method, *args in ops:
+            yield from getattr(client, method)(*args)
+
+    cluster.engine.process(body())
+    cluster.run()
+
+
+def _sherman_after_rewrites():
+    """Deletes and upserts rewrite whole leaves without splitting them
+    (item counts 0..span through ``compose``, at bumped NVs)."""
+    cluster = Cluster(ClusterConfig(num_cns=1, clients_per_cn=1, seed=SEED))
+    index = build_index("sherman", cluster, value_size=20)
+    pairs = [(key, key * 7) for key in range(10, 3000, 10)]
+    index.bulk_load(pairs)
+    gone = [key for key, _ in pairs[:60]]  # empties the first leaf
+    fresh = [key + 3 for key, _ in pairs[100:140]]
+    _run_ops(cluster, index,
+             [("delete", key) for key in gone]
+             + [("insert", key, key + 1) for key in fresh]
+             + [("insert", key, key + 2) for key, _ in pairs[200:210]])
+    expected = dict(pairs[60:])
+    expected.update((key, key + 1) for key in fresh)
+    expected.update((key, key + 2) for key, _ in pairs[200:210])
+    assert index.collect_items() == sorted(expected.items())
+    return cluster
+
+
+def _rolex_after_synonym_appends(indirect=False):
+    cluster = Cluster(ClusterConfig(num_cns=1, clients_per_cn=1, seed=SEED))
+    index = RolexIndex(cluster, RolexConfig(indirect_values=indirect))
+    pairs = [(key, key * 7) for key in range(10, 4000, 10)]
+    index.bulk_load(pairs)
+    used = cluster.mns[0].allocator.bytes_used
+    fresh = [key for key in range(1001, 1400) if key % 10]
+    _run_ops(cluster, index, [("insert", key, key + 1) for key in fresh])
+    assert max(index.synonym_chain_lengths()) > 1
+    assert cluster.mns[0].allocator.bytes_used > used
+    assert index.collect_items() == sorted(
+        pairs + [(key, key + 1) for key in fresh])
+    return cluster
+
+
+#: Families whose loaders ISSUE 22 rewrote (FlexKV rides along as the
+#: per-key loader it left alone).
+BASELINES = ("smart", "smart-opt", "smart-rcu", "sherman", "marlin", "rolex",
+             "rolex-indirect", "flexkv")
+
 #: row -> how to build its loaded cluster.
 ROWS = {
     "chime": lambda: _loaded("chime"),
@@ -139,6 +204,23 @@ ROWS = {
         chime_overrides={"neighborhood": 2}),
     "chime value_size=64 after splits": lambda: _after_splits(value_size=64),
     "chime-learned after synonym appends": _after_synonym_appends,
+    **{f"{name}{label}": (lambda name=name, fields=fields: _loaded(
+        name, **fields))
+       for name in BASELINES
+       for label, fields in (("", {}),
+                             (" 2 MNs striped", {"num_mns": 2}),
+                             (" value_size=3", {"value_size": 3}),
+                             (" value_size=64", {"value_size": 64}),
+                             (" sparse x16", {"key_space": 16 * NUM_KEYS}))},
+    "smart sparse": lambda: _loaded("smart", key_space=1 << 40),
+    "sherman after splits": lambda: _after_splits("sherman"),
+    "sherman value_size=64 after splits": lambda: _after_splits(
+        "sherman", value_size=64),
+    "marlin after splits": lambda: _after_splits("marlin"),
+    "sherman after deletes and upserts": _sherman_after_rewrites,
+    "rolex after synonym appends": _rolex_after_synonym_appends,
+    "rolex-indirect after synonym appends": lambda:
+        _rolex_after_synonym_appends(indirect=True),
 }
 
 GOLDEN = {
@@ -182,6 +264,100 @@ GOLDEN = {
         'b450784855836b7d753049cc7c9ede2bbfa567d6dbfaf31f2a8b42f7e9abdc3d',
     'chime-learned after synonym appends':
         'dcfb8c8d93130304b983f454e30a4ee95ad3b926f9d714dc921888e306b26af4',
+    'smart':
+        '8c5af5e4894c80a3c8ed03d23c448806218ba84ef30003ad25cce045713f04b7',
+    'smart 2 MNs striped':
+        'fc89524819c75f6dbf2264357167d2a88bbfc9d6e21a204e1a4f2ebe74c9ea92',
+    'smart value_size=3':
+        '8c5af5e4894c80a3c8ed03d23c448806218ba84ef30003ad25cce045713f04b7',
+    'smart value_size=64':
+        '97ccaf2510a8956dc11636bdaceb91cefd739f363f74c87e91f8d10423df00f2',
+    'smart sparse x16':
+        '8e2b445ad5e8382811e18664648c0233e15d75132fafc98e079f251c3816dcbf',
+    'smart-opt':
+        '8c5af5e4894c80a3c8ed03d23c448806218ba84ef30003ad25cce045713f04b7',
+    'smart-opt 2 MNs striped':
+        'fc89524819c75f6dbf2264357167d2a88bbfc9d6e21a204e1a4f2ebe74c9ea92',
+    'smart-opt value_size=3':
+        '8c5af5e4894c80a3c8ed03d23c448806218ba84ef30003ad25cce045713f04b7',
+    'smart-opt value_size=64':
+        '97ccaf2510a8956dc11636bdaceb91cefd739f363f74c87e91f8d10423df00f2',
+    'smart-opt sparse x16':
+        '8e2b445ad5e8382811e18664648c0233e15d75132fafc98e079f251c3816dcbf',
+    'smart-rcu':
+        '8c5af5e4894c80a3c8ed03d23c448806218ba84ef30003ad25cce045713f04b7',
+    'smart-rcu 2 MNs striped':
+        'fc89524819c75f6dbf2264357167d2a88bbfc9d6e21a204e1a4f2ebe74c9ea92',
+    'smart-rcu value_size=3':
+        '8c5af5e4894c80a3c8ed03d23c448806218ba84ef30003ad25cce045713f04b7',
+    'smart-rcu value_size=64':
+        '97ccaf2510a8956dc11636bdaceb91cefd739f363f74c87e91f8d10423df00f2',
+    'smart-rcu sparse x16':
+        '8e2b445ad5e8382811e18664648c0233e15d75132fafc98e079f251c3816dcbf',
+    'sherman':
+        'e361355f5e8ae745aa08a913877ae2316f503f1aaf2a5da097e665b147f3fc02',
+    'sherman 2 MNs striped':
+        '90b3e680c00d394e07a0da74db38515deaba8db8d8c50e6526c3d937e9d005be',
+    'sherman value_size=3':
+        '128a3c6cbd8fc5622d4f3bb6780cd8d4cac201d063c305ba1f61634ef5f7452f',
+    'sherman value_size=64':
+        'be6c196e878c03b3f11383a04338468a9ee492772ed27fc233262c1882094ed0',
+    'sherman sparse x16':
+        '0e2c28703fd576ec5f75f1e1cbbfe0028af8fcd74d0cb8dc93322a0fed6d607e',
+    'marlin':
+        '6f11f1eb43cb53cff08aabc6b03d795cca6aa27c9fce7aeda92ba487cb69161c',
+    'marlin 2 MNs striped':
+        'edd2f03154bfc7077aa265bc5fbec56020b568217266d84109d117bcd0f2582e',
+    'marlin value_size=3':
+        '6f11f1eb43cb53cff08aabc6b03d795cca6aa27c9fce7aeda92ba487cb69161c',
+    'marlin value_size=64':
+        'af87b5c6f95a1f041496ccccd16194734f8f78c9e18b00ea95ac6daaa42cfd28',
+    'marlin sparse x16':
+        '357a3f0fe21ca6541727cf54fe99d3779fe10b4fdd0e1a99714de8eefc95f76a',
+    'rolex':
+        'f73dadc8ae834f84bae841617825c47f9d37601d8cf2a2ff826d97bc1532e300',
+    'rolex 2 MNs striped':
+        '8ea11ee1ec2cd0250737c5af95e93ece2c24f8c33ebac97a9e3d3a6f38271058',
+    'rolex value_size=3':
+        '6f55bfbb50bced5ddf3e4c96afe61645862efcbf76c3061871f98bd8d7acc4c3',
+    'rolex value_size=64':
+        'f706ce3b0c7dd6e3df8056a43265cdb9cda28bb1b96eb97dd4efc9c217f340d4',
+    'rolex sparse x16':
+        '826597a86943891f3c1667271361a2797a8f890203cec338c1ea950d27f43ef9',
+    'rolex-indirect':
+        'ddb87e42414fb3e6de8baa082453c3fc46edb71a06d77bf3a0eb7c601e9ec244',
+    'rolex-indirect 2 MNs striped':
+        '5c8b98c777e67f79961603d46d1ceeb28df4c35efa93a66b4c4389c2e7a91cf5',
+    'rolex-indirect value_size=3':
+        '7c75dd2e4195ed43576048179f05be3b0d2bad6554c2592507e84c32cc1f681b',
+    'rolex-indirect value_size=64':
+        '7c84997607f9f95584e7abe82f49698c18ac436c04d2d39f0a68efd0145b6370',
+    'rolex-indirect sparse x16':
+        'eb14476e261f76bc6223196960bbf57e7fc194f9501f20267f8b3d50e63f46f4',
+    'flexkv':
+        'a1afadead1e1202aff3d4437a910a0a9d21590b3fdbe1503677b214a4a65b333',
+    'flexkv 2 MNs striped':
+        'a56fbb1dd10faa0219d4688b7caf7aa8262706f3db956e4d1dfa58daeb7852b8',
+    'flexkv value_size=3':
+        '1e18ecb3d11e5f1487f52967293e4999916fbfe0d8be41a24019aedd0a14ca60',
+    'flexkv value_size=64':
+        '2b918f252561329bf8cdf8c967fea015822b92b2354756e8c98e6a704788e930',
+    'flexkv sparse x16':
+        'd06affe21f860b3c4eef8771d94259e682ac89b667299d72f5d5d65c634ece7e',
+    'smart sparse':
+        '6e31185baf4c161e038ea2e20d3f1642042ebcc30586047ca5d4bdb0e5d6b905',
+    'sherman after splits':
+        '0fd345444c7c4992da41b7123921fed3b75d7579c886f15a12c4955a9b4b4088',
+    'sherman value_size=64 after splits':
+        '5d729555c91ad12a859cc9323642f23f9f3a1aa9e6aa3908dc5e21f25bbed30d',
+    'marlin after splits':
+        'fa628112638c53cdc2acaad1b3e2590c5d81548b4cb42dcf7fe31d0acd9274e6',
+    'sherman after deletes and upserts':
+        '8cc54aa81dfd93e7937d262ffba079ea3360bf8f873dd3b96def01b88ef7e548',
+    'rolex after synonym appends':
+        '774731a690a51f54af4978814bfd565c9ef19fb67aa323701a3520480a2bce22',
+    'rolex-indirect after synonym appends':
+        '0881e2e18aea449da9ac522746f33e4a7b9e675c720e27d789b032e830c3bcf0',
 }
 
 
