@@ -88,13 +88,11 @@ class RolexIndex(FamilyIndexBase):
                            for _ in key_chunks]
         bounds = [0] + [c[0] for c in key_chunks[1:]] + [MAX_KEY]
         for index, chunk in enumerate(key_chunks):
-            items = []
-            for key in chunk:
-                if key in loaded_values:
-                    value = loaded_values[key]
-                    if config.indirect_values:
-                        value = self._host_alloc_block(key, value)
-                    items.append((key, value))
+            keys = [key for key in chunk if key in loaded_values]
+            values = [loaded_values[key] for key in keys]
+            if config.indirect_values:
+                values = self._host_alloc_blocks(keys, values)
+            items = list(zip(keys, values))
             view = ShermanLeafView.compose(
                 layout, items, NULL_ADDR, bounds[index], bounds[index + 1],
                 nv=0)

@@ -29,7 +29,7 @@ from repro.core.btree_base import (
     MAX_CHASE,
     TraversalError,
 )
-from repro.errors import TornReadError
+from repro.errors import LayoutError, TornReadError
 from repro.layout import (
     MAX_KEY,
     StripedSpan,
@@ -38,13 +38,13 @@ from repro.layout import (
     decode_u64,
     decode_value,
     encode_key,
-    encode_u16,
     encode_u64,
     encode_value,
     pack_version,
     unpack_version,
 )
 from repro.layout import versions
+from repro.layout.image import ImageEncoder, packer_values
 from repro.layout.versions import LINE, bump_nibble, raw_size
 from repro.memory import NULL_ADDR
 from repro.memory.region import CACHE_LINE
@@ -100,6 +100,21 @@ class ShermanLeafLayout:
             for index in range(span))
         self.entry_version_raw_offsets = tuple(
             versions.raw_of(off) for off in self.entry_version_offsets)
+        # Image encoder (:meth:`ShermanLeafView.compose`): every field
+        # of the leaf from two flat source vectors, one per byte order —
+        # [version byte, valid, count, sibling, *values] and [fence_low,
+        # fence_high, *keys].
+        value_code = "Q" if value_size >= 8 else f"{value_size}s"
+        entries = list(enumerate(self.entry_version_offsets))
+        self.encoder = ImageEncoder(
+            [(self.OFF_VERSION, "BBH", (0, 1, 2)),
+             (self.off_sibling, "Q", (3,))]
+            + [(off, "B", (0,)) for _index, off in entries]
+            + [(off + 1 + key_size, value_code, (4 + index,))
+               for index, off in entries],
+            [(self.off_fence_low, "Q", (0,)), (self.off_fence_high, "Q", (1,))]
+            + [(off + 1, "Q", (2 + index,)) for index, off in entries],
+            self.logical_size)
 
     def entry_offset(self, index: int) -> int:
         return self.header_size + index * self.entry_size
@@ -116,25 +131,24 @@ class ShermanLeafView:
     def compose(cls, layout: ShermanLeafLayout,
                 items: Sequence[Tuple[int, int]], sibling: int,
                 fence_low: int, fence_high: int, nv: int) -> "ShermanLeafView":
-        view = cls(layout, StripedSpan.blank(layout.logical_size))
-        sp = view.span
-        sp.set_all_versions(nv, 0)
-        byte = pack_version(nv, 0)
-        sp.write_logical(layout.OFF_VERSION, bytes([byte]))
-        sp.write_logical(layout.OFF_VALID, b"\x01")
-        sp.write_logical(layout.OFF_COUNT, encode_u16(len(items)))
-        sp.write_logical(layout.off_fence_low, encode_key(fence_low))
-        sp.write_logical(layout.off_fence_high, encode_key(fence_high))
-        sp.write_logical(layout.off_sibling, encode_u64(sibling))
-        for index in range(layout.span):
-            off = layout.entry_offset(index)
-            sp.write_logical(off, bytes([byte]))
-            if index < len(items):
-                key, value = items[index]
-                sp.write_logical(off + 1, encode_key(key))
-                sp.write_logical(off + 1 + layout.key_size,
-                                 encode_value(value, layout.value_size))
-        return view
+        """A freshly written leaf holding the sorted *items*: every line,
+        header and entry version byte is (*nv*, EV 0) — node-write
+        semantics — and entries past the last item are empty.  Composed
+        by the layout's compiled encoder; the field-by-field way is its
+        oracle (``tests/oracles.py``, ``compose_sorted_leaf``)."""
+        spare = layout.span - len(items)
+        if spare < 0:
+            raise LayoutError(
+                f"{len(items)} items do not fit a leaf of span {layout.span}")
+        version = pack_version(nv, 0)
+        keys = [key for key, _value in items]
+        values = [value for _key, value in items]
+        keys += [0] * spare
+        values += [0] * spare
+        return cls(layout, StripedSpan(layout.encoder.encode(
+            [version, 1, len(items), sibling,
+             *packer_values(values, layout.value_size)],
+            [fence_low, fence_high, *keys], version), 0))
 
     # -- field access ---------------------------------------------------------
 
@@ -280,12 +294,11 @@ class ShermanIndex(BTreeIndexBase):
         bounds = [0] + [c[0][0] for c in chunks[1:]] + [MAX_KEY]
         level1 = []
         for index, chunk in enumerate(chunks):
-            stored = []
-            for key, value in chunk:
-                if config.indirect_values:
-                    stored.append((key, self._host_alloc_block(key, value)))
-                else:
-                    stored.append((key, value))
+            stored = chunk
+            if config.indirect_values:
+                keys = [key for key, _value in chunk]
+                stored = list(zip(keys, self._host_alloc_blocks(
+                    keys, [value for _key, value in chunk])))
             sibling = addrs[index + 1] if index + 1 < len(addrs) else NULL_ADDR
             view = ShermanLeafView.compose(layout, stored, sibling,
                                            bounds[index], bounds[index + 1],

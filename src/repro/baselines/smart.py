@@ -23,16 +23,17 @@ combiner, as the CHIME paper applies it to every index.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Generator, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import ClientContext
 from repro.core.family import FamilyClientBase, FamilyIndexBase
 from repro.errors import IndexError_, LayoutError
 from repro.layout import decode_key, decode_value, encode_key, encode_value
-from repro.memory import NULL_ADDR, addr_mn
-from repro.memory.region import addr_offset, make_addr
+from repro.memory import NULL_ADDR
+from repro.memory.region import OFFSET_BITS, make_addr
 
 #: Slot word format: [63]=occupied, [62]=leaf, [59..61]=node type,
 #: [56]=seal, [48..55]=partial key byte, [0..47]=compressed address.
@@ -46,20 +47,22 @@ _PARTIAL_SHIFT = 48
 _PARTIAL_MASK = 0xFF << _PARTIAL_SHIFT
 _ADDR_MASK = (1 << 48) - 1
 _COMPRESSED_OFFSET_BITS = 40
+_COMPRESSED_OFFSET_MASK = (1 << _COMPRESSED_OFFSET_BITS) - 1
+#: Global-address bits a slot has no room for: the high byte of the MN
+#: id and the high byte of the 48-bit offset.
+_UNCOMPRESSIBLE = 0xFF << 56 | 0xFF << _COMPRESSED_OFFSET_BITS
 
 
 def _compress_addr(addr: int) -> int:
-    mn_id = addr_mn(addr)
-    offset = addr_offset(addr)
-    if mn_id >= (1 << 8) or offset >= (1 << _COMPRESSED_OFFSET_BITS):
+    if addr & _UNCOMPRESSIBLE:
         raise LayoutError(f"address {addr:#x} does not fit in a slot")
-    return (mn_id << _COMPRESSED_OFFSET_BITS) | offset
+    return (addr >> OFFSET_BITS << _COMPRESSED_OFFSET_BITS
+            | addr & _COMPRESSED_OFFSET_MASK)
 
 
 def _expand_addr(compressed: int) -> int:
-    mn_id = compressed >> _COMPRESSED_OFFSET_BITS
-    offset = compressed & ((1 << _COMPRESSED_OFFSET_BITS) - 1)
-    return make_addr(mn_id, offset)
+    return make_addr(compressed >> _COMPRESSED_OFFSET_BITS,
+                     compressed & _COMPRESSED_OFFSET_MASK)
 
 #: Node type codes and their slot counts.
 NODE4, NODE16, NODE48, NODE256 = 0, 1, 2, 3
@@ -78,8 +81,6 @@ EMPTY_SEALED = _OCCUPIED | SEAL_BIT | _TYPE_MASK
 
 #: Node header: [type:1][depth:1][prefix_len:1][pad:1][prefix:8] + pad.
 HEADER_SIZE = 16
-
-_U64 = struct.Struct("<Q")
 
 #: One pre-compiled struct per node type: unpacks the full slot array in
 #: a single call (decode_node sits on every pointer chase).
@@ -165,8 +166,7 @@ def encode_node(node: RadixNode) -> bytes:
     out[1] = node.depth
     out[2] = len(node.prefix)
     out[4:4 + len(node.prefix)] = node.prefix
-    for index, word in enumerate(node.slots):
-        _U64.pack_into(out, HEADER_SIZE + 8 * index, word)
+    _SLOT_STRUCTS[node.node_type].pack_into(out, HEADER_SIZE, *node.slots)
     return bytes(out)
 
 
@@ -212,62 +212,78 @@ class SmartIndex(FamilyIndexBase):
 
     def bulk_load(self, pairs: Sequence[Tuple[int, int]]) -> None:
         pairs = self._checked_pairs(pairs)
-        items = [(encode_key(k), k, v) for k, v in pairs]
-        root = RadixNode(NULL_ADDR, NODE256, 0, b"",
-                         [0] * SLOT_COUNTS[NODE256])
-        root.addr = self._host_alloc(node_size(NODE256))
-        self._internal_bytes += node_size(NODE256)
-        self._internal_count += 1
-        groups: Dict[int, list] = {}
-        for key_bytes, key, value in items:
-            groups.setdefault(key_bytes[0], []).append((key_bytes, key, value))
-        for partial, group in groups.items():
-            word = self._build(group, depth=1)
-            root.slots[partial] = self._with_partial(word, partial)
-        self._host_write(root.addr, encode_node(root))
-        self.root_addr = root.addr
+        keys = [key for key, _ in pairs]
+        values = [value for _, value in pairs]
+        self.root_addr = self._host_alloc(node_size(NODE256))
         self.root_type = NODE256
+        children = self._build_children(keys, values, 0, len(keys), 0)
+        self._write_node(self.root_addr, NODE256, 0, b"", children)
         self.loaded_items = len(pairs)
 
-    def _with_partial(self, word: int, partial: int) -> int:
-        return (word & ~_PARTIAL_MASK) | (partial << _PARTIAL_SHIFT)
+    def _build_children(self, keys: List[int], values: List[int], lo: int,
+                        hi: int, depth: int) -> List[int]:
+        """Build, in key order, what hangs off a node branching on key
+        byte *depth* over ``keys[lo:hi]`` (sorted, sharing bytes [0,
+        depth)); returns the node's slot words in partial-byte order.
 
-    def _build(self, group: list, depth: int) -> int:
-        """Build the subtree for keys sharing bytes [0, depth); returns a
-        slot word (partial byte unset — the caller sets it)."""
-        if len(group) == 1:
-            _key_bytes, key, value = group[0]
-            return pack_slot(0, self._host_alloc_block(key, value),
-                             leaf=True)
-        # Longest common prefix from `depth`.
-        first = group[0][0]
-        last = group[-1][0]
-        prefix_len = 0
-        while depth + prefix_len < 8 and \
-                first[depth + prefix_len] == last[depth + prefix_len]:
-            prefix_len += 1
-        prefix = first[depth:depth + prefix_len]
-        branch_depth = depth + prefix_len
-        children: Dict[int, list] = {}
-        for item in group:
-            children.setdefault(item[0][branch_depth], []).append(item)
+        A child is the run of keys sharing byte *depth* (its end found
+        by bisection).  Consecutive single-key children are leaves: one
+        block run, their slot words computed from its addresses.
+        """
+        shift = 8 * (7 - depth)
+        words: List[int] = []
+        leaves = lo  # keys[leaves:pos] are leaves not yet written
+        pos = lo
+        while pos < hi:
+            top = keys[pos] >> shift
+            if pos + 1 < hi and keys[pos + 1] >> shift == top:
+                words += self._leaf_words(keys, values, leaves, pos, shift)
+                end = bisect_left(keys, (top + 1) << shift, pos + 2, hi)
+                words.append(self._build_node(keys, values, pos, end,
+                                              depth + 1, top & 0xFF))
+                pos = leaves = end
+            else:
+                pos += 1
+        words += self._leaf_words(keys, values, leaves, hi, shift)
+        return words
+
+    def _leaf_words(self, keys: List[int], values: List[int], lo: int,
+                    hi: int, shift: int) -> List[int]:
+        if lo == hi:
+            return []
+        run = keys[lo:hi]
+        addrs = self._host_alloc_blocks(run, values[lo:hi])
+        return [_OCCUPIED | _LEAF | (key >> shift & 0xFF) << _PARTIAL_SHIFT
+                | _compress_addr(addr) for key, addr in zip(run, addrs)]
+
+    def _build_node(self, keys: List[int], values: List[int], lo: int,
+                    hi: int, depth: int, partial: int) -> int:
+        """Build the subtree of ``keys[lo:hi]`` (two keys or more,
+        sharing bytes [0, depth)); returns the slot word its parent
+        files it under *partial* with."""
+        # Path compression: the bytes from *depth* on that all keys share.
+        branch_depth = (64 - (keys[lo] ^ keys[hi - 1]).bit_length()) // 8
+        prefix = encode_key(keys[lo])[depth:branch_depth]
+        children = self._build_children(keys, values, lo, hi, branch_depth)
         node_type = NODE4
         while SLOT_COUNTS[node_type] < len(children):
             node_type = _UPGRADE[node_type]
+        addr = self._host_alloc(node_size(node_type))
+        self._write_node(addr, node_type, depth, prefix, children)
+        return pack_slot(partial, addr, leaf=False, node_type=node_type)
+
+    def _write_node(self, addr: int, node_type: int, depth: int,
+                    prefix: bytes, children: List[int]) -> None:
         slots = [0] * SLOT_COUNTS[node_type]
-        node = RadixNode(NULL_ADDR, node_type, depth, prefix, slots)
-        for index, (partial, child_group) in enumerate(sorted(children.items())):
-            word = self._with_partial(
-                self._build(child_group, branch_depth + 1), partial)
-            if node_type == NODE256:
-                node.slots[partial] = word
-            else:
-                node.slots[index] = word
-        node.addr = self._host_alloc(node.size)
-        self._internal_bytes += node.size
+        if node_type == NODE256:
+            for word in children:
+                slots[(word & _PARTIAL_MASK) >> _PARTIAL_SHIFT] = word
+        else:
+            slots[:len(children)] = children
+        self._internal_bytes += node_size(node_type)
         self._internal_count += 1
-        self._host_write(node.addr, encode_node(node))
-        return pack_slot(0, node.addr, leaf=False, node_type=node_type)
+        self._host_write(addr, encode_node(
+            RadixNode(addr, node_type, depth, prefix, slots)))
 
     # -- host-side inspection -------------------------------------------------------------
 

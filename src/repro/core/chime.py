@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
@@ -235,8 +236,9 @@ class ChimeIndex(BTreeIndexBase):
         layout = self.leaf_layout
         keys, values = slot_columns(chunk, slots)
         if self.config.indirect_values:
-            values = [self._host_alloc_block(key, value) if key else 0
-                      for key, value in zip(keys, values)]
+            blocks = iter(self._host_alloc_blocks(
+                list(compress(keys, keys)), list(compress(values, keys))))
+            values = [next(blocks) if key else 0 for key in keys]
         self._host_write(addr, layout.encode_image(
             keys, values, bitmaps, sibling, fence_low, fence_high))
         self._host_write(

@@ -22,13 +22,14 @@ pairing with leases, ticket queues and delegation for the tree families.
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, Generator, List, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import ClientContext
 from repro.core.access import family_plans
 from repro.core.node_layout import FULL_MASK, LOCK_BIT
-from repro.errors import IndexError_, TornReadError
+from repro.errors import IndexError_, LayoutError, TornReadError
 from repro.layout import (
     decode_key,
     decode_u64,
@@ -88,16 +89,50 @@ class FamilyIndexBase:
     def _host_read(self, addr: int, length: int) -> bytes:
         return self.cluster.mns[addr_mn(addr)].mem_read(addr, length)
 
-    def _host_alloc_block(self, key: int, value: int) -> int:
-        """Allocate + fill a ``[key: 8][value]`` block (indirect values,
-        KV-discrete leaves)."""
-        size = self.config.value_size
-        addr = self._host_alloc(8 + size)
-        self._host_write(addr, encode_key(key) + encode_value(value, size))
-        return addr
+    def _host_alloc_blocks(self, keys: Sequence[int],
+                           values: Sequence[int]) -> List[int]:
+        """Allocate + fill a run of ``[key: 8][value]`` blocks (indirect
+        values, KV-discrete leaves); returns their addresses.
+
+        Block *i* gets the address the *i*-th of as many ``_host_alloc(8
+        + value_size)`` calls would have handed out: round-robin over
+        the MNs from ``_host_rr`` on, each MN's blocks one cache-line
+        stride apart.  An MN's share of the run is therefore one
+        allocation and one image — keys and values each packed once and
+        laid in with a strided assignment — landed by one write.
+        """
+        size = 8 + self.config.value_size
+        stride = -(-size // CACHE_LINE) * CACHE_LINE
+        mn_ids = sorted(self.cluster.mns)
+        lanes = len(mn_ids)
+        addrs = [0] * len(keys)
+        for lane in range(min(lanes, len(keys))):
+            lane_keys = keys[lane::lanes]
+            lane_values = values[lane::lanes]
+            count = len(lane_keys)
+            try:
+                packed = (struct.pack(f">{count}Q", *lane_keys),
+                          struct.pack(f"<{count}Q", *lane_values))
+            except struct.error as error:
+                raise LayoutError(f"block field out of range: {error}") from None
+            if size < 16 and max(lane_values) >> 8 * (size - 8):
+                raise LayoutError(
+                    f"a value does not fit in {size - 8} bytes")
+            image = bytearray(stride * count)
+            words = memoryview(image).cast("Q")
+            words[0::stride // 8] = memoryview(packed[0]).cast("Q")
+            words[1::stride // 8] = memoryview(packed[1]).cast("Q")
+            words.release()
+            del image[stride * (count - 1) + size:]
+            mn = self.cluster.mns[mn_ids[(self._host_rr + lane) % lanes]]
+            base = mn.allocator.alloc(len(image), align=CACHE_LINE)
+            mn.mem_write(base, image)
+            addrs[lane::lanes] = range(base, base + stride * count, stride)
+        self._host_rr += len(keys)
+        return addrs
 
     def _host_read_block(self, addr: int) -> Tuple[int, int]:
-        """``(key, value)`` of a block written by :meth:`_host_alloc_block`."""
+        """``(key, value)`` of a block written by :meth:`_host_alloc_blocks`."""
         size = self.config.value_size
         data = self._host_read(addr, 8 + size)
         return decode_key(data), decode_value(data, 8, size=size)

@@ -31,12 +31,18 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import itemgetter, lshift, not_
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from operator import lshift, not_
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import LayoutError, TornReadError
 from repro.layout import versions
 from repro.layout.codec import decode_value
+from repro.layout.image import (
+    ImageEncoder,
+    image_struct,
+    packer_values,
+    tuple_getter,
+)
 from repro.memory.region import CACHE_LINE, NULL_ADDR
 from repro.obs.bus import BUS
 
@@ -231,51 +237,6 @@ class InternalLayout:
     OFF_COUNT = 3
 
 
-def _image_struct(byte_order: str, fields: Iterable[Tuple[int, str]],
-                  logical_size: int, field_off: int = 0) -> struct.Struct:
-    """The ``(offset, code)`` *fields*, in offset order and each
-    *field_off* further on, of a de-striped payload (a whole leaf, or
-    the concatenated segments of a partial read).
-
-    Everything between the fields is ``x`` padding — skipped by a
-    decoder, zero-filled by an encoder — so the struct spans exactly
-    *logical_size* bytes and a payload of any other length is rejected.
-    """
-    parts = []
-    pos = 0
-    for off, code in fields:
-        parts.append(f"{off + field_off - pos}x{code}")
-        pos = off + field_off + struct.calcsize(byte_order + code)
-    parts.append(f"{logical_size - pos}x")
-    return struct.Struct(byte_order + "".join(parts))
-
-
-def _image_packer(byte_order: str,
-                  fields: Iterable[Tuple[int, str, Tuple[int, ...]]],
-                  logical_size: int) -> Callable[[Sequence], int]:
-    """The encoder twin of :func:`_image_struct`: packs ``(offset, code,
-    sources)`` *fields* — *sources* index the arguments of *code* in a
-    flat source vector — into a whole de-striped payload, returned as a
-    little-endian integer.  Pad bytes pack as zeros, so packers of
-    disjoint fields (one per byte order) merge with one OR."""
-    fields = sorted(fields)
-    layout = _image_struct(byte_order, [field[:2] for field in fields],
-                           logical_size)
-    gather = _tuple_getter([source for field in fields
-                            for source in field[2]])
-    return lambda source: int.from_bytes(layout.pack(*gather(source)),
-                                         "little")
-
-
-def _tuple_getter(indices: Sequence[int]) -> Callable:
-    """``itemgetter(*indices)`` that returns a tuple for one index too
-    (the stock one returns a scalar)."""
-    if len(indices) == 1:
-        index, = indices
-        return lambda data: (data[index],)
-    return itemgetter(*indices)
-
-
 _BITMAP = struct.Struct("<H")
 #: 1 << position, for every entry position a leaf can have.
 _POSITION_BIT = tuple(1 << position for position in range(1 << ARGMAX_BITS))
@@ -395,15 +356,15 @@ class ReadShape:
                         for pos in versions.line_version_positions(off, length)]
         version_raws += [raw_off for raw_off, _first, _end in ev_ranges]
         slot = {raw: number for number, raw in enumerate(version_raws)}
-        self._versions = _tuple_getter(
+        self._versions = tuple_getter(
             [index_in(raw_spans, raw) for raw in version_raws])
         pairs = [(slot[raw_off], slot[line])
                  for raw_off, first, end in ev_ranges
                  for line in range(first, end, versions.LINE)]
         self._ev_entry = self._ev_line = None
         if pairs:
-            self._ev_entry = _tuple_getter([entry for entry, _line in pairs])
-            self._ev_line = _tuple_getter([line for _entry, line in pairs])
+            self._ev_entry = tuple_getter([entry for entry, _line in pairs])
+            self._ev_line = tuple_getter([line for _entry, line in pairs])
         # Strided deletes, last segment first so indices stay valid.
         strips = []
         base = self.raw_len
@@ -417,7 +378,7 @@ class ReadShape:
         entry_at = [index_in(segments, layout._entry_offsets[index])
                     for index in entries]
         self.positions = tuple(entries)
-        self._keys = _image_struct(">", zip(entry_at, repeat("Q")),
+        self._keys = image_struct(">", zip(entry_at, repeat("Q")),
                                    payload_len, layout.ENTRY_OFF_KEY)
         self._value_at = tuple(at + layout.entry_off_value for at in entry_at)
         self._value_size = layout.value_size
@@ -590,35 +551,33 @@ class LeafLayout:
         # is its raw bytes), plus a getter of every entry version byte
         # straight from a raw image fetched at base 0.
         value_code = "Q" if self.value_size >= 8 else f"{self.value_size}s"
-        set_attr(self, "_image_keys", _image_struct(
+        set_attr(self, "_image_keys", image_struct(
             ">", zip(offsets, repeat("Q")), logical_size, self.ENTRY_OFF_KEY))
-        set_attr(self, "_image_values", _image_struct(
+        set_attr(self, "_image_values", image_struct(
             "<", zip(offsets, repeat(value_code)), logical_size,
             self.entry_off_value))
-        set_attr(self, "_image_bitmaps", _image_struct(
+        set_attr(self, "_image_bitmaps", image_struct(
             "<", zip(offsets, repeat("H")), logical_size,
             self.ENTRY_OFF_BITMAP))
-        set_attr(self, "_image_entry_versions", _tuple_getter(
+        set_attr(self, "_image_entry_versions", tuple_getter(
             [raw_off for raw_off, _first, _end in ev_ranges]))
         set_attr(self, "_pack_bitmaps", struct.Struct(f"<{self.span}H").pack)
         # Encoding half (:meth:`encode_image`): every field of the leaf
-        # in two packers, one per byte order, each fed from a flat
-        # source vector — [valid, sibling, version byte, *bitmaps,
-        # *values] and [fence_low, fence_high, *keys].
+        # from two flat source vectors, one per byte order — [valid,
+        # sibling, version byte, *bitmaps, *values] and [fence_low,
+        # fence_high, *keys].
         span = self.span
         replicas = [self.replica_offset(block) for block in range(num_blocks)]
         entries = list(enumerate(offsets))
-        set_attr(self, "_pack_little", _image_packer(
-            "<", [(at, "BQ", (0, 1)) for at in replicas]
+        set_attr(self, "_encoder", ImageEncoder(
+            [(at, "BQ", (0, 1)) for at in replicas]
             + [(off, "BH", (2, 3 + index)) for index, off in entries]
             + [(off + self.entry_off_value, value_code, (3 + span + index,))
-               for index, off in entries], logical_size))
-        set_attr(self, "_pack_big", _image_packer(
-            ">", [(at + self.replica_off_fence_low, "QQ", (0, 1))
-                  for at in replicas if self.fence_keys]
+               for index, off in entries],
+            [(at + self.replica_off_fence_low, "QQ", (0, 1))
+             for at in replicas if self.fence_keys]
             + [(off + self.ENTRY_OFF_KEY, "Q", (2 + index,))
                for index, off in entries], logical_size))
-        set_attr(self, "_line_chunks", versions.line_chunks(logical_size))
         # Read shapes, compiled on first use: one per neighbourhood home
         # (and, under None, the whole leaf's) and one per speculatively
         # read entry — at most 2 * span + 1.
@@ -654,8 +613,8 @@ class LeafLayout:
         in entry-position order; every replica says valid and carries
         *sibling* (and the fence keys, in that format), and every line
         and entry version byte is (*nv*, EV 0) — node-write semantics.
-        The per-entry composition of :meth:`LeafNodeView.compose
-        <repro.core.nodes.LeafNodeView.compose>` is its test oracle.
+        The per-entry composition of ``tests/oracles.py``
+        (``compose_leaf``) is its test oracle.
         """
         span = self.span
         if not len(keys) == len(values) == len(bitmaps) == span:
@@ -663,18 +622,10 @@ class LeafLayout:
                 f"a leaf image takes {span} keys, values and bitmaps, got "
                 f"{len(keys)}, {len(values)} and {len(bitmaps)}")
         version = versions.pack_version(nv, 0)
-        size = self.value_size
-        try:
-            if size < 8:
-                values = [value.to_bytes(size, "little") for value in values]
-            payload = (
-                self._pack_little([1, sibling, version, *bitmaps, *values])
-                | self._pack_big([fence_low, fence_high, *keys]))
-        except (struct.error, OverflowError) as error:
-            raise LayoutError(f"field does not fit the leaf layout "
-                              f"(value_size {size}): {error}") from None
-        return versions.stripe(payload.to_bytes(self.logical_size, "little"),
-                               self._line_chunks, version)
+        values = packer_values(values, self.value_size)
+        return self._encoder.encode(
+            [1, sibling, version, *bitmaps, *values],
+            [fence_low, fence_high, *keys], version)
 
     def image_values(self, payload: bytearray) -> Sequence[int]:
         """The value of every entry in position order, from the

@@ -447,7 +447,7 @@ class TestKnownEnvVars:
 class TestFamilyPlumbingWrittenOnce:
     #: Helpers every family used to re-spell; each has exactly one home.
     SINGLE_HOME = ("_alloc", "_host_alloc", "_host_write", "_host_read",
-                   "_host_alloc_block", "_host_read_block", "_read_block",
+                   "_host_alloc_blocks", "_host_read_block", "_read_block",
                    "_write_block", "_build_internal_levels", "_lock_spin",
                    "remote_memory_bytes")
     #: (class, method) pairs allowed beside the single home, with reason.
