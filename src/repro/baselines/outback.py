@@ -1,9 +1,10 @@
 """Outback-style hash-routed KV: one-RTT point lookups via CN-side MPH.
 
 Outback (PAPERS.md) replaces CN-side structure traversal with a compact
-minimal-perfect-hash table kept on the compute side: every bulk-loaded
-key maps to a distinct slot of a value array striped across the memory
-nodes, so a point lookup computes its target address locally (the
+perfect-hash table kept on the compute side: every bulk-loaded key
+maps to a distinct slot of a value array striped across the memory
+nodes (``mph.num_slots`` of them: the keys plus the spare slots the
+hash is built with), so a point lookup computes its target address locally (the
 ``hash`` placement of :mod:`repro.core.access`) and issues exactly one
 READ.  Keys outside the MPH domain — inserted after the bulk load —
 live in MN-resident overflow buckets: new-key inserts go through an
@@ -100,7 +101,7 @@ class OutbackIndex(FamilyIndexBase):
         keys = [k for k, _ in pairs]
         self.mph = MinimalPerfectHash(keys, seed=self.config.mph_seed)
         num_mns = len(self.mn_ids)
-        per_mn = (len(pairs) + num_mns - 1) // num_mns
+        per_mn = (self.mph.num_slots + num_mns - 1) // num_mns
         headroom = int(len(pairs) * self.config.overflow_headroom)
         self.overflow_buckets = max(
             16, headroom // max(1, self.config.overflow_slots * num_mns)

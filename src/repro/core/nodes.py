@@ -5,8 +5,8 @@ partial fetch) plus its layout, and exposes field-level accessors.  Views
 are used on both sides of the wire: clients parse fetched spans and
 compose write-back payloads through them.  Whole leaf images (bulk
 load, split halves, synonym leaves) are not composed here but by
-:meth:`~repro.core.node_layout.LeafLayout.encode_image`;
-:meth:`LeafNodeView.compose` is the entry-by-entry reference for it.
+:meth:`~repro.core.node_layout.LeafLayout.encode_image` (its
+entry-by-entry reference is ``tests/oracles.py``'s ``compose_leaf``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from itertools import compress, count
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.node_layout import InternalLayout, LeafLayout
-from repro.errors import LayoutError
 from repro.layout import (
     StripedSpan,
     decode_key,
@@ -30,7 +29,7 @@ from repro.layout import (
     pack_version,
     unpack_version,
 )
-from repro.layout.versions import LINE, NV_OF_BYTE, bump_nibble
+from repro.layout.versions import bump_nibble
 from repro.memory.region import NULL_ADDR
 
 
@@ -216,19 +215,6 @@ class LeafNodeView:
             sp.write_logical(layout.entry_offset(index), bytes([byte]))
         return view
 
-    @classmethod
-    def compose(cls, layout: LeafLayout, keys: Sequence[int],
-                values: Sequence[int], bitmaps: Sequence[int],
-                sibling: int = NULL_ADDR, fence_low: int = 0,
-                fence_high: int = 0, nv: int = 0) -> "LeafNodeView":
-        """A whole leaf written entry by entry from position-ordered
-        vectors: the reference :meth:`LeafLayout.encode_image` is held
-        to byte for byte (production composes through the encoder)."""
-        view = cls.blank(layout, sibling, fence_low, fence_high, nv)
-        for pos, (key, value, bitmap) in enumerate(zip(keys, values, bitmaps)):
-            view.write_entry(pos, key, value, bitmap=bitmap, bump_ev=False)
-        return view
-
     def write_replica(self, block: int, sibling: int,
                       fence_low: int = 0, fence_high: int = 0) -> None:
         layout = self.layout
@@ -407,19 +393,6 @@ class LeafNodeView:
         """Entry index holding the maximum key (0 when node is empty)."""
         keys = self.keys()
         return keys.index(max(keys))
-
-    def image_nv(self) -> List[int]:
-        """Every NV nibble of a whole-leaf image fetched at raw offset 0:
-        the line version bytes, then each entry's version byte."""
-        layout = self.layout
-        span = self.span
-        if (type(span) is not StripedSpan or span.base
-                or len(span.data) < layout.raw_size):
-            raise LayoutError("view does not hold a whole raw leaf image")
-        data = span.data
-        versions = data[0:layout.raw_size:LINE]
-        versions += bytes(layout._image_entry_versions(data))
-        return list(versions.translate(NV_OF_BYTE))
 
     def set_all_nv(self, nv: int) -> None:
         """Node-write semantics: bump every NV nibble, reset every EV."""

@@ -1,10 +1,10 @@
-"""Minimal perfect hashing for Outback-style one-RTT routing.
+"""Perfect hashing for Outback-style one-RTT routing.
 
-Outback (PAPERS.md) keeps a compact minimal-perfect-hash table on the
-compute side: for the bulk-loaded key set, every key maps to a distinct
-slot in a value array of exactly ``len(keys)`` entries, so a point
-lookup computes its target address locally and reaches the value in a
-single READ.  This module implements the classic hash-and-displace (CHD)
+Outback (PAPERS.md) keeps a compact perfect-hash table on the compute
+side: for the bulk-loaded key set, every key maps to a distinct slot in
+a value array of ``len(keys) / LOAD_FACTOR`` entries — minimal but for
+a twentieth of spare slots — so a point lookup computes its target
+address locally and reaches the value in a single READ.  This module implements the classic hash-and-displace (CHD)
 construction: keys are grouped into buckets, buckets are seeded largest
 first, and each bucket searches for a displacement salt under which all
 of its keys land in still-free slots.  Everything is deterministic in
@@ -17,26 +17,23 @@ and readers verify it after the READ (Outback's own membership story).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List
 
 from repro.errors import SimulationError
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-#: Displacement salts per bucket tried before giving up; with ~4 keys
-#: per bucket the expected search depth is tiny.  Displacement values at
-#: or above this bound encode a direct slot assignment instead
-#: (``slot = displacement - _MAX_DISPLACEMENT``), the guaranteed
-#: fallback for single-key buckets placing into a nearly full table.
+#: Displacement salts tried per bucket.  A salt is stored in 16 bits
+#: (:attr:`MinimalPerfectHash.routing_bytes`), which bounds it; at
+#: :data:`LOAD_FACTOR` even the last single-key bucket misses all of
+#: them with probability 0.95 ** 9999.
 _MAX_DISPLACEMENT = 10_000
 
-#: Whole-table rebuilds under derived seeds before declaring the key
-#: set degenerate.  A multi-key tail bucket can legitimately exhaust
-#: its displacement search when only a handful of slots remain free
-#: (the probability all of its keys land exactly on free slots shrinks
-#: with the square of the occupancy); re-seeding re-buckets every key,
-#: so a fresh attempt is independent.
-_MAX_SEED_ATTEMPTS = 16
+#: Keys per slot of the table.  Outback keeps spare slots so the tail
+#: buckets — placed last, into whatever is still free — find a salt in
+#: a handful of tries; at 1.0 a two-key tail bucket needs both keys to
+#: land on the last free slots, burns every salt and fails the build.
+LOAD_FACTOR = 0.95
 
 
 def _mix(key: int, salt: int) -> int:
@@ -48,11 +45,13 @@ def _mix(key: int, salt: int) -> int:
 
 
 class MinimalPerfectHash:
-    """A CHD minimal perfect hash over a fixed integer key set.
+    """A CHD perfect hash over a fixed integer key set.
 
-    ``slot_of(key)`` is a bijection from the construction keys onto
-    ``range(len(keys))``.  Keys outside the set get an arbitrary (but
-    deterministic) slot — callers must verify the key stored there.
+    ``slot_of(key)`` is an injection from the construction keys into
+    ``range(num_slots)``, ``num_slots`` being ``len(keys) /
+    LOAD_FACTOR`` rounded up: minimal but for the spare slots.  Keys
+    outside the set get an arbitrary (but deterministic) slot — callers
+    must verify the key stored there.
     """
 
     def __init__(self, keys: Iterable[int], seed: int = 0,
@@ -61,22 +60,9 @@ class MinimalPerfectHash:
         if len(set(keys)) != len(keys):
             raise SimulationError("MPH construction requires unique keys")
         self.seed = seed
-        self.num_slots = len(keys)
+        self.num_slots = -int(-len(keys) // LOAD_FACTOR)
         self.num_buckets = max(1, len(keys) // max(1, keys_per_bucket))
         self._displacements: List[int] = [0] * self.num_buckets
-        if keys:
-            for attempt in range(_MAX_SEED_ATTEMPTS):
-                self.seed = seed + attempt
-                self._displacements = [0] * self.num_buckets
-                if self._build(keys):
-                    return
-            raise SimulationError(
-                f"MPH construction failed for {len(keys)} keys after "
-                f"{_MAX_SEED_ATTEMPTS} seed attempts (degenerate key set?)"
-            )
-
-    def _build(self, keys: Sequence[int]) -> bool:
-        """One construction attempt under ``self.seed``; False on failure."""
         buckets: Dict[int, List[int]] = {}
         for key in keys:
             buckets.setdefault(self._bucket_of(key), []).append(key)
@@ -86,26 +72,22 @@ class MinimalPerfectHash:
             buckets.items(), key=lambda kv: (-len(kv[1]), kv[0])
         ):
             for displacement in range(1, _MAX_DISPLACEMENT):
-                slots = [
-                    _mix(key, self.seed + displacement) % self.num_slots
-                    for key in members
-                ]
-                if len(set(slots)) == len(slots) and not any(
-                    taken[slot] for slot in slots
-                ):
+                slots: List[int] = []
+                for key in members:
+                    slot = _mix(key, self.seed + displacement) % self.num_slots
+                    if taken[slot] or slot in slots:
+                        break  # most salts fail on their first key
+                    slots.append(slot)
+                else:
                     for slot in slots:
                         taken[slot] = True
                     self._displacements[bucket] = displacement
                     break
             else:
-                if len(members) == 1:
-                    # A lone key can always take a free slot directly.
-                    slot = taken.index(False)
-                    taken[slot] = True
-                    self._displacements[bucket] = _MAX_DISPLACEMENT + slot
-                    continue
-                return False
-        return True
+                raise SimulationError(
+                    f"MPH construction failed: no displacement places the "
+                    f"{len(members)} keys of bucket {bucket} "
+                    f"(degenerate key set?)")
 
     def _bucket_of(self, key: int) -> int:
         return _mix(key, self.seed) % self.num_buckets
@@ -113,8 +95,6 @@ class MinimalPerfectHash:
     def slot_of(self, key: int) -> int:
         """The routed slot for *key* (verify the key after reading it)."""
         displacement = self._displacements[self._bucket_of(key)]
-        if displacement >= _MAX_DISPLACEMENT:
-            return displacement - _MAX_DISPLACEMENT
         return _mix(key, self.seed + displacement) % self.num_slots
 
     def __len__(self) -> int:
@@ -126,7 +106,7 @@ class MinimalPerfectHash:
         return 2 * self.num_buckets
 
     def check_perfect(self, keys: Iterable[int]) -> None:
-        """Assert the bijection property over *keys* (tests/invariants)."""
+        """Assert that no two of *keys* share a slot (tests/invariants)."""
         seen = set()
         for key in keys:
             slot = self.slot_of(key)

@@ -11,7 +11,6 @@ from repro.sim.engine import (
     CalendarQueue,
     Engine,
     Event,
-    HeapQueue,
     Interrupted,
     Process,
     Timeline,
@@ -26,7 +25,6 @@ __all__ = [
     "CalendarQueue",
     "Engine",
     "Event",
-    "HeapQueue",
     "Interrupted",
     "Lock",
     "Process",

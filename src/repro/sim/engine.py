@@ -23,9 +23,9 @@ far-future fallback.  Whatever is scheduled for the *current* instant
 skips the heap altogether: it joins the queue's FIFO *same-instant lane*
 (see :class:`CalendarQueue`).
 
-:class:`HeapQueue`, the original single binary heap, is not selectable at
-run time; it is the reference the golden tests hand to
-``Engine(queue=HeapQueue())`` to assert the calendar queue produces a
+The original single binary heap is not in this package: it is
+``tests/oracles.py``'s ``HeapQueue``, the reference the golden tests
+hand to ``Engine(queue=...)`` to assert the calendar queue produces a
 byte-identical event sequence.
 """
 
@@ -436,35 +436,6 @@ class Interrupted(Exception):
         self.cause = cause
 
 
-class HeapQueue:
-    """The original event queue: one binary heap of ``(time, seq, event)``.
-
-    Kept as the reference implementation — golden tests hand one to
-    ``Engine(queue=HeapQueue())`` and assert the calendar queue
-    reproduces its pop order byte-for-byte.  It presents the surface
-    :meth:`Engine.run` drains as a degenerate calendar: every entry lives
-    in the current tick's heap and no future tick ever exists, so the
-    loop never asks it to advance.
-    """
-
-    __slots__ = ("_current",)
-
-    #: No future ticks, ever: ``Engine.run`` stops when ``_current`` drains.
-    _ticks = ()
-    #: No same-instant lane either: the oracle orders entries for the
-    #: current instant by ``(time, seq)`` like any other.
-    _lane = None
-
-    def __init__(self) -> None:
-        self._current: List[Entry] = []
-
-    def __len__(self) -> int:
-        return len(self._current)
-
-    def push(self, entry: Entry) -> None:
-        heappush(self._current, entry)
-
-
 class CalendarQueue:
     """A bucketed calendar queue ordered by ``(time, seq)``.
 
@@ -625,11 +596,13 @@ class Engine:
 
     *queue* is the scheduling structure to drain; the default (and the
     only one production code uses) is a fresh :class:`CalendarQueue`.
-    Tests pass a :class:`HeapQueue` as the reference to compare against.
+    Tests pass their one-heap oracle (anything with the calendar's
+    ``push`` / ``_current`` / ``_ticks`` / ``_lane`` surface; a ``_lane``
+    of None orders same-instant entries by ``(time, seq)`` in the heap)
+    as the reference to compare against.
     """
 
-    def __init__(self,
-                 queue: Optional[CalendarQueue | HeapQueue] = None) -> None:
+    def __init__(self, queue: Optional[CalendarQueue] = None) -> None:
         self._now = 0.0
         self._queue = CalendarQueue() if queue is None else queue
         self._push = self._queue.push  # bound once: schedule hot path

@@ -35,6 +35,8 @@ from repro.core.access import (
 from repro.errors import ConfigError, SimulationError
 from repro.faults.invariants import check_index_invariants
 from repro.hashing.mph import MinimalPerfectHash
+from repro.workloads.ycsb import dataset
+from tests import oracles
 
 
 def make_cluster(**overrides):
@@ -219,7 +221,11 @@ class TestMinimalPerfectHash:
         keys = list(range(1, 3001))
         mph = MinimalPerfectHash(keys, seed=5)
         slots = {mph.slot_of(k) for k in keys}
-        assert slots == set(range(len(keys)))
+        # One slot per key, inside a table minimal but for its spare
+        # slots (a twentieth of it).
+        assert len(slots) == len(keys)
+        assert slots <= set(range(mph.num_slots))
+        assert mph.num_slots == len(mph) == 3158  # ceil(3000 / 0.95)
         mph.check_perfect(keys)
 
     def test_deterministic_in_keys_and_seed(self):
@@ -237,13 +243,34 @@ class TestMinimalPerfectHash:
         assert len(mph) == 0
 
     def test_tight_tables_still_build(self):
-        # Small keys_per_bucket makes many 1-key tail buckets; the
-        # direct-slot fallback and seed retry must keep construction
-        # deterministic and total across sizes.
-        for n in (100, 1000, 10_000):
+        # Many 1- and 2-key tail buckets place last, into the spare
+        # slots: construction must stay total across sizes, from a
+        # table with a single spare slot up.
+        for n in (1, 2, 19, 100, 1000, 10_000):
             keys = list(range(1, n + 1))
             mph = MinimalPerfectHash(keys, seed=0)
             mph.check_perfect(keys)
+
+    @pytest.mark.parametrize("num_keys", [1_000, 40_000, 100_000])
+    @pytest.mark.parametrize("key_set", ["ycsb", "sequential", "sparse"])
+    def test_builds_in_one_pass_at_every_scale(self, key_set, num_keys):
+        """``default``'s 40 000 YCSB keys took 11 whole-table rebuilds at
+        load factor 1.0; with spare slots one pass places every bucket
+        under the seed it was given, with salts that fit the 16 bits
+        ``routing_bytes`` charges for them."""
+        keys = {
+            "ycsb": lambda: [key for key, _ in dataset(num_keys)],
+            "sequential": lambda: list(range(10**12, 10**12 + 8 * num_keys,
+                                             8)),
+            "sparse": lambda: [key for key, _ in dataset(
+                num_keys, key_space=16 * num_keys, seed=7)],
+        }[key_set]()
+        mph = MinimalPerfectHash(keys, seed=17)
+        mph.check_perfect(keys)
+        assert mph.seed == 17
+        assert max(mph._displacements) < 1 << 16
+        assert all(0 <= mph.slot_of(key) < mph.num_slots
+                   for key in keys[::97])
 
     def test_routing_bytes_tracks_buckets(self):
         mph = MinimalPerfectHash(list(range(1, 401)), keys_per_bucket=4)
@@ -485,37 +512,40 @@ class TestFamilyPlumbingWrittenOnce:
                 assert not re.search(r"lock_addr,\s*encode_u64\(0\)", text), path
 
     def test_per_entry_sync_checks_are_only_the_oracle(self):
-        """Lock-free reads validate through the layout's compiled read
-        shapes; the per-entry checks of ``core/sync.py`` stay as the
-        reference the property tests compare those against, so nothing
-        else under ``src/repro`` may call them."""
+        """Reference implementations — the per-entry sync checks, the
+        field-by-field leaf compositions, the one-heap event queue, the
+        per-key loaders — live in ``tests/oracles.py``, where the
+        property tests hold the compiled paths to them: no module under
+        ``src/repro`` may define, import or call one of their names."""
         package = pathlib.Path(repro.__file__).parent
-        oracle = {"check_entry_evs", "check_hopscotch_bitmap",
-                  "reconstruct_bitmap", "check_nv_uniform",
-                  "collect_leaf_nv", "image_nv"}
-        callers = []
+        oracle = set(oracles.__all__)
+        offenders = []
         for path in sorted(package.rglob("*.py")):
-            if path == package / "core" / "sync.py":
-                continue
             for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Call):
-                    name = getattr(node.func, "id",
-                                   getattr(node.func, "attr", None))
-                    if name in oracle:
-                        callers.append((path.name, name))
-        assert not callers, callers
+                names = []
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [a.name for a in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.Call):
+                    names = [getattr(node.func, "id",
+                                     getattr(node.func, "attr", ""))]
+                offenders += [(path.name, node.lineno, name)
+                              for name in names
+                              if name in oracle or name.startswith("tests")]
+        assert not offenders, offenders
 
     def test_per_entry_leaf_composition_is_only_the_oracle(self):
-        """Whole leaves are composed by ``LeafLayout.encode_image``; the
-        per-entry way — a blank view, then ``write_entry`` /
-        ``set_entry_bitmap`` with the EV bump off — stays in
-        ``core/nodes.py`` as the reference the property tests hold the
-        encoder to, so nothing else under ``src/repro`` may spell it."""
+        """Whole leaves are composed by ``LeafLayout.encode_image`` and
+        ``ShermanLeafView.compose``'s encoder; the per-entry way — a
+        blank view, then ``write_entry`` / ``set_entry_bitmap`` with the
+        EV bump off — is ``tests/oracles.py``'s, so nothing under
+        ``src/repro`` may spell it."""
         package = pathlib.Path(repro.__file__).parent
         callers = []
         for path in sorted(package.rglob("*.py")):
-            if path == package / "core" / "nodes.py":
-                continue
             for node in ast.walk(ast.parse(path.read_text())):
                 if not isinstance(node, ast.Call):
                     continue

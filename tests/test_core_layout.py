@@ -23,18 +23,20 @@ from repro.core.node_layout import (
 )
 from repro.core.leaf_ops import HopscotchLeafOpsMixin
 from repro.core.nodes import InternalNodeView, LeafNodeView
-from repro.core.sync import (
-    check_entry_evs,
-    check_hopscotch_bitmap,
-    check_nv_uniform,
-    collect_leaf_nv,
-)
 from repro.errors import HashTableFullError, LayoutError, TornReadError
 from repro.hashing.hopscotch import HopscotchTable, default_hash
 from repro.layout import MAX_KEY, StripedSpan
 from repro.layout.versions import LINE, SpanSet, raw_span
 from repro.memory.region import CACHE_LINE
 from repro.obs import BUS
+from tests.oracles import (
+    check_entry_evs,
+    check_hopscotch_bitmap,
+    check_nv_uniform,
+    collect_leaf_nv,
+    compose_leaf,
+    image_nv,
+)
 
 
 class TestLockWord:
@@ -392,7 +394,7 @@ class TestLeafImageCodec:
             assert list(candidate.bitmaps()) == [e.bitmap for e in entries]
 
         check_decodes(view)
-        assert view.image_nv() == nv
+        assert image_nv(view) == nv
         assert collect_leaf_nv(view, range(span)) == nv
         # A locked full-leaf fetch starts at the first payload byte.
         check_decodes(LeafNodeView(layout, StripedSpan(raw[1:], base=1)))
@@ -416,7 +418,7 @@ class TestLeafImageCodec:
         view = LeafNodeView(layout, StripedSpan(raw[:-cut]))
         for decode in (view.items, view.pairs, view.occupancy,
                        view.argmax_key, view.keys, view.bitmaps,
-                       view.image_nv,
+                       lambda: image_nv(view),
                        lambda: collect_leaf_nv(view, range(64))):
             with pytest.raises(LayoutError):
                 decode()
@@ -428,8 +430,8 @@ class TestLeafImageCodec:
 
 class TestLeafImageEncoder:
     """``LeafLayout.encode_image`` against the per-entry composition of
-    ``LeafNodeView.compose`` (a blank view, then one ``write_entry`` per
-    position), and the lock word that goes with the image."""
+    ``tests.oracles.compose_leaf`` (a blank view, then one ``write_entry``
+    per position), and the lock word that goes with the image."""
 
     @staticmethod
     def _per_bit_vacancy(span, occupied):
@@ -466,8 +468,7 @@ class TestLeafImageEncoder:
         bitmaps = [rng.getrandbits(16) for _ in range(span)]
         meta = (rng.getrandbits(64), rng.getrandbits(64), rng.getrandbits(64))
         image = layout.encode_image(keys, values, bitmaps, *meta, nv=nv)
-        reference = LeafNodeView.compose(layout, keys, values, bitmaps,
-                                         *meta, nv=nv)
+        reference = compose_leaf(layout, keys, values, bitmaps, *meta, nv=nv)
         assert image == bytes(reference.span.data)
         assert len(image) == layout.raw_size
         # Decoding what was encoded is the identity, vectors in any
@@ -476,7 +477,7 @@ class TestLeafImageEncoder:
         assert list(view.keys()) == keys
         assert list(view.values()) == values
         assert list(view.bitmaps()) == bitmaps
-        assert set(view.image_nv()) == {nv}
+        assert set(image_nv(view)) == {nv}
         assert layout.encode_image(tuple(keys), tuple(values),
                                    tuple(bitmaps), *meta, nv=nv) == image
         # The lock word that accompanies the image.

@@ -4,7 +4,7 @@ The load-bearing guarantee of the queue swap: the calendar queue and
 the legacy binary heap produce **byte-identical event sequences** — not
 just equal counts — for every registry family.  The golden tests run
 identically seeded clusters on the production calendar queue and on the
-:class:`~repro.sim.engine.HeapQueue` oracle (injected by object) with the
+:class:`~tests.oracles.HeapQueue` oracle (injected by object) with the
 engine's ``event_log`` enabled and compare the full ``(time, type)``
 sequences, plus every observable metric.
 
@@ -24,8 +24,9 @@ from repro.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.registry import family_names, get_family
 from repro.sched import launch_clients
-from repro.sim import CalendarQueue, Engine, HeapQueue, Interrupted
+from repro.sim import CalendarQueue, Engine, Interrupted
 from repro.workloads.ycsb import WORKLOADS, WorkloadContext, dataset
+from tests.oracles import HeapQueue
 
 NUM_KEYS = 300
 OPS = 30

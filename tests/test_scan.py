@@ -20,17 +20,17 @@ from repro.baselines.sherman import ShermanLeafView
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.core.nodes import LeafNodeView
-from repro.core.sync import (
-    check_entry_evs,
-    check_hopscotch_bitmap,
-    check_nv_uniform,
-    collect_leaf_nv,
-)
 from repro.errors import TornReadError
 from repro.layout import StripedSpan
 from repro.memory import NULL_ADDR
 from repro.registry import build_index
 from repro.workloads.ycsb import dataset
+from tests.oracles import (
+    check_entry_evs,
+    check_hopscotch_bitmap,
+    check_nv_uniform,
+    collect_leaf_nv,
+)
 
 FAMILIES = ("chime", "chime-indirect", "sherman", "marlin")
 

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Engine, HeapQueue, Interrupted, Timeline
+from repro.sim import Engine, Interrupted, Timeline
+from tests.oracles import HeapQueue
 from repro.sim.resources import QueueServer
 
 

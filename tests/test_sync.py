@@ -4,16 +4,16 @@ import pytest
 
 from repro.core.node_layout import LeafLayout
 from repro.core.nodes import LeafNodeView
-from repro.core.sync import (
-    backoff_delay,
+from repro.core.sync import backoff_delay
+from repro.errors import TornReadError
+from repro.hashing.hopscotch import default_hash
+from tests.oracles import (
     check_entry_evs,
     check_hopscotch_bitmap,
     check_nv_uniform,
     collect_leaf_nv,
     reconstruct_bitmap,
 )
-from repro.errors import TornReadError
-from repro.hashing.hopscotch import default_hash
 
 
 def make_view(span=16, neighborhood=8):
