@@ -1,10 +1,10 @@
 """Outback-style hash-routed KV: one-RTT point lookups via CN-side MPH.
 
 Outback (PAPERS.md) replaces CN-side structure traversal with a compact
-perfect-hash table kept on the compute side: every bulk-loaded key
-maps to a distinct slot of a value array striped across the memory
-nodes (``mph.num_slots`` of them: the keys plus the spare slots the
-hash is built with), so a point lookup computes its target address locally (the
+perfect-hash table kept on the compute side: every bulk-loaded key maps
+to a distinct slot of a value array striped across the memory nodes
+(``mph.num_slots`` slots: the keys plus the spare slots the hash is
+built with), so a point lookup computes its target address locally (the
 ``hash`` placement of :mod:`repro.core.access`) and issues exactly one
 READ.  Keys outside the MPH domain — inserted after the bulk load —
 live in MN-resident overflow buckets: new-key inserts go through an

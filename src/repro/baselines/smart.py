@@ -253,8 +253,8 @@ class SmartIndex(FamilyIndexBase):
             return []
         run = keys[lo:hi]
         addrs = self._host_alloc_blocks(run, values[lo:hi])
-        return [_OCCUPIED | _LEAF | (key >> shift & 0xFF) << _PARTIAL_SHIFT
-                | _compress_addr(addr) for key, addr in zip(run, addrs)]
+        return [pack_slot(key >> shift & 0xFF, addr, leaf=True)
+                for key, addr in zip(run, addrs)]
 
     def _build_node(self, keys: List[int], values: List[int], lo: int,
                     hi: int, depth: int, partial: int) -> int:

@@ -111,8 +111,8 @@ class FamilyIndexBase:
             lane_values = values[lane::lanes]
             count = len(lane_keys)
             try:
-                packed = (struct.pack(f">{count}Q", *lane_keys),
-                          struct.pack(f"<{count}Q", *lane_values))
+                key_words = struct.pack(f">{count}Q", *lane_keys)
+                value_words = struct.pack(f"<{count}Q", *lane_values)
             except struct.error as error:
                 raise LayoutError(f"block field out of range: {error}") from None
             if size < 16 and max(lane_values) >> 8 * (size - 8):
@@ -120,8 +120,8 @@ class FamilyIndexBase:
                     f"a value does not fit in {size - 8} bytes")
             image = bytearray(stride * count)
             words = memoryview(image).cast("Q")
-            words[0::stride // 8] = memoryview(packed[0]).cast("Q")
-            words[1::stride // 8] = memoryview(packed[1]).cast("Q")
+            words[0::stride // 8] = memoryview(key_words).cast("Q")
+            words[1::stride // 8] = memoryview(value_words).cast("Q")
             words.release()
             del image[stride * (count - 1) + size:]
             mn = self.cluster.mns[mn_ids[(self._host_rr + lane) % lanes]]

@@ -4,7 +4,8 @@ Outback (PAPERS.md) keeps a compact perfect-hash table on the compute
 side: for the bulk-loaded key set, every key maps to a distinct slot in
 a value array of ``len(keys) / LOAD_FACTOR`` entries — minimal but for
 a twentieth of spare slots — so a point lookup computes its target
-address locally and reaches the value in a single READ.  This module implements the classic hash-and-displace (CHD)
+address locally and reaches the value in a single READ.  This module
+implements the classic hash-and-displace (CHD)
 construction: keys are grouped into buckets, buckets are seeded largest
 first, and each bucket searches for a displacement salt under which all
 of its keys land in still-free slots.  Everything is deterministic in
