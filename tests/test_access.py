@@ -35,6 +35,7 @@ from repro.core.access import (
 from repro.errors import ConfigError, SimulationError
 from repro.faults.invariants import check_index_invariants
 from repro.hashing.mph import MinimalPerfectHash
+from repro.rdma.trace import QpTracer
 from repro.workloads.ycsb import dataset
 from tests import oracles
 
@@ -209,6 +210,85 @@ class TestCapabilityFlagConsistency:
         plans = family_plans(family.family)
         if family.one_rtt_point and "search" in plans:
             assert plans["search"].min_rtts == 1, family.name
+
+
+# ---------------------------------------------------------------------------
+# Fast paths, by observation (the paper's Table 1, for every family)
+# ---------------------------------------------------------------------------
+
+
+#: family -> (search, update, insert), each ``(round trips, verbs)`` as
+#: one client issues them on a warm cache.  An ``rpc`` in the middle of
+#: a write is the chunk allocator's first refill.
+FAST_PATHS = {
+    "chime": ((1, "read"),
+              (3, "masked_cas read write_batch"),
+              (3, "masked_cas read_batch write_batch")),
+    "chime-indirect": ((2, "read read"),
+                       (5, "masked_cas read rpc write write_batch"),
+                       (4, "masked_cas read_batch write write_batch")),
+    "sherman": ((1, "read"),
+                (3, "masked_cas read write_batch"),
+                (3, "masked_cas read write_batch")),
+    "marlin": ((2, "read read"),
+               (4, "read rpc write cas"),
+               (4, "write masked_cas read write_batch")),
+    "smart": ((1, "read"),
+              (5, "read read read read write"),
+              (6, "read read read rpc write cas")),
+    "smart-opt": ((1, "read"),
+                  (5, "read read read read write"),
+                  (6, "read read read rpc write cas")),
+    "smart-rcu": ((1, "read"),
+                  (7, "read read read read rpc write cas"),
+                  (5, "read read read write cas")),
+    "rolex": ((1, "read_batch"),
+              (4, "read_batch masked_cas read_batch write_batch"),
+              (4, "read_batch masked_cas read_batch write_batch")),
+    "rolex-indirect": ((2, "read_batch read"),
+                       (6, "read_batch masked_cas read_batch rpc write "
+                           "write_batch"),
+                       (5, "read_batch masked_cas read_batch write "
+                           "write_batch")),
+    "chime-learned": ((2, "read read"),
+                      (5, "read read masked_cas read write_batch"),
+                      (5, "read_batch masked_cas read read write_batch")),
+    "outback": ((1, "read"), (2, "read write"), (2, "read rpc")),
+    "flexkv": ((1, "read"), (2, "read write"), (4, "read read cas write")),
+}
+
+
+@pytest.mark.parametrize("name", registry.family_names())
+class TestFastPathsByObservation:
+    """What each family's point operations cost is read off the queue
+    pair, not declared: 2 000 bulk-loaded keys, two searches to warm the
+    cache, then one search, one update and one fresh-key insert, each
+    under its own :class:`QpTracer`."""
+
+    def test_point_ops_issue_the_pinned_verbs(self, name):
+        cluster = make_cluster(clients_per_cn=1)
+        index = registry.build_index(name, cluster)
+        index.bulk_load([(key * 10, key * 7) for key in range(1, 2001)])
+        client = index.client(cluster.cns[0].clients[0])
+        observed = []
+
+        def traced(operation):
+            with QpTracer(client.qp) as tracer:
+                yield from operation
+            observed.append((tracer.summary()["round_trips"],
+                             " ".join(r.kind for r in tracer.records)))
+
+        def body():
+            yield from client.search(5000)
+            yield from client.search(5000)
+            yield from traced(client.search(5000))
+            yield from traced(client.update(5000, 1))
+            yield from traced(client.insert(5005, 2))
+
+        drive(cluster, body())
+        assert tuple(observed) == FAST_PATHS[name]
+        if registry.get_family(name).one_rtt_point:
+            assert observed[0][0] == 1
 
 
 # ---------------------------------------------------------------------------
