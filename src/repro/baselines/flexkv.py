@@ -3,9 +3,7 @@
 FlexKV (PAPERS.md) observes that CN-side index replicas only pay off
 while their routing metadata fits the CN memory budget; under pressure
 it moves whole partitions to MN-side execution, where the weak MN CPU
-walks the structure and the CN pays a single RPC per operation.  This
-module lands that design on the access layer of
-:mod:`repro.core.access`:
+walks the structure and the CN pays a single RPC per operation:
 
 * The structure is a hash-partitioned bucket array.  Each partition
   lives on its home MN (round-robin) as ``buckets x slots`` fixed slots
@@ -16,15 +14,15 @@ module lands that design on the access layer of
   policy.  Bucket accesses are ordinary one-sided verbs (slot claims go
   through CAS), so fault injection, spans, and pipelining behave
   exactly as for the tree families.
-* **MN placement**: the whole operation collapses to one RPC
-  (``PlanExecutor.offload``) whose service time derives from the
-  traversal plan via :class:`repro.sim.resources.OffloadCostModel`; the
-  handler runs host-side against the same region bytes the one-sided
-  path touches, so both placements see one source of truth.
-* The :class:`~repro.core.access.CachePressurePlacement` policy flips a
-  partition CN→MN once directory misses accumulate, emitting
-  ``placement.switch`` obs events; ``ClusterConfig.placement`` forces a
-  static ``cn`` or ``mn`` placement instead (``auto`` is the policy).
+* **MN placement**: the whole operation collapses to one RPC whose
+  service time charges the MN CPU for the structure accesses the CN
+  would have issued as verbs (:data:`MN_TOUCHES`); the handler runs
+  host-side against the same region bytes the one-sided path touches,
+  so both placements see one source of truth.
+* The :class:`CachePressurePlacement` policy flips a partition CN→MN
+  once directory misses accumulate, emitting ``placement.switch`` obs
+  events; ``ClusterConfig.placement`` pins every partition to ``cn`` or
+  ``mn`` instead (``auto`` is the policy).
 """
 
 from __future__ import annotations
@@ -34,12 +32,6 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import ClientContext
-from repro.core.access import (
-    PLACEMENT_CN,
-    PLACEMENT_MN,
-    CachePressurePlacement,
-    StaticPlacement,
-)
 from repro.core.family import FamilyClientBase, FamilyIndexBase
 from repro.errors import SimulationError
 from repro.hashing.mph import _mix
@@ -51,8 +43,84 @@ from repro.layout import (
     encode_value,
 )
 from repro.memory.region import CACHE_LINE
+from repro.obs.bus import BUS
 
-__all__ = ["FlexKVClient", "FlexKVConfig", "FlexKVIndex"]
+__all__ = [
+    "CachePressurePlacement",
+    "FlexKVClient",
+    "FlexKVConfig",
+    "FlexKVIndex",
+    "PLACEMENT_CN",
+    "PLACEMENT_MN",
+]
+
+#: Where a partition's operations run.
+PLACEMENT_CN = "cn"  # CN-side traversal over one-sided verbs
+PLACEMENT_MN = "mn"  # MN-side offload: one RPC, the MN CPU walks the buckets
+
+#: MN-side service time of an offloaded operation, seconds: RPC dispatch
+#: plus handler set-up on the weak MN core, then one local-memory touch
+#: per structure access the CN-side path issues as a verb (directory
+#: READ, bucket READ, then a probe chase / the slot CAS and value WRITE
+#: / the slot WRITE).
+MN_DISPATCH_S = 5e-6
+MN_TOUCH_S = 1e-6
+MN_TOUCHES = {"search": 3, "insert": 4, "update": 3}
+
+
+class CachePressurePlacement:
+    """Per-partition CN-vs-MN placement driven by routing-cache misses.
+
+    CN-side execution of a partition's operations needs that
+    partition's routing metadata resident in the CN cache; every miss
+    costs an extra directory READ before the operation proper.  When a
+    CN-placed partition takes *threshold* misses with no hit between
+    them, the policy concludes the metadata does not fit under the
+    current cache budget and flips the partition to MN-side offload,
+    emitting a ``placement.switch`` obs event.  It never flips back, so
+    constrained-cache runs converge one way.  With no *threshold* every
+    partition stays at *start* (``ClusterConfig.placement`` = ``cn`` or
+    ``mn``).
+    """
+
+    def __init__(
+        self, start: str = PLACEMENT_CN, threshold: Optional[int] = None
+    ) -> None:
+        if start not in (PLACEMENT_CN, PLACEMENT_MN):
+            raise ValueError(f"unknown placement {start!r}")
+        self.start = start
+        self.threshold = threshold
+        self.switches = 0
+        self._placement: Dict[int, str] = {}
+        self._misses: Dict[int, int] = {}
+
+    def placement_for(self, partition: int) -> str:
+        return self._placement.get(partition, self.start)
+
+    def note_hit(self, partition: int) -> None:
+        self._misses[partition] = 0
+
+    def note_miss(self, partition: int, engine=None) -> None:
+        threshold = self.threshold
+        if threshold is None or self.placement_for(partition) != PLACEMENT_CN:
+            return
+        misses = self._misses[partition] = self._misses.get(partition, 0) + 1
+        if misses < threshold:
+            return
+        self._placement[partition] = PLACEMENT_MN
+        self.switches += 1
+        if BUS.active:
+            BUS.emit(
+                "placement.switch",
+                engine.now if engine is not None else 0.0,
+                partition=partition,
+                source=PLACEMENT_CN,
+                target=PLACEMENT_MN,
+            )
+
+    def table(self) -> Dict[int, str]:
+        """Partitions the policy has switched, partition -> placement."""
+        return dict(sorted(self._placement.items()))
 
 
 @dataclass(frozen=True)
@@ -76,8 +144,6 @@ class FlexKVConfig:
 class FlexKVIndex(FamilyIndexBase):
     """Host-side state: partition homes, bucket arrays, placement policy."""
 
-    access_family = "flexkv"
-
     def __init__(self, cluster: Cluster,
                  config: Optional[FlexKVConfig] = None) -> None:
         super().__init__(cluster, config or FlexKVConfig())
@@ -86,12 +152,10 @@ class FlexKVIndex(FamilyIndexBase):
         mode = cluster.config.placement
         if mode == "auto":
             self.placement = CachePressurePlacement(
-                self.partitions, threshold=self.config.switch_threshold
+                threshold=self.config.switch_threshold
             )
         else:
-            self.placement = StaticPlacement(
-                PLACEMENT_CN if mode == "cn" else PLACEMENT_MN
-            )
+            self.placement = CachePressurePlacement(start=mode)
         #: Per-partition bucket-array base address and its directory
         #: (routing metadata) address; filled by :meth:`bulk_load`.
         self.part_base: Dict[int, int] = {}
@@ -297,7 +361,7 @@ class FlexKVClient(FamilyClientBase):
         # no matter how roomy the cache is.
         cache.put(meta_addr, ("flexkv-dir", partition), index.meta_bytes)
         index.placement.note_miss(partition, self.engine)
-        yield from self.ops.read(meta_addr, 64)
+        yield from self.qp.read(meta_addr, 64)
 
     # -- operations ----------------------------------------------------------
 
@@ -321,10 +385,10 @@ class FlexKVClient(FamilyClientBase):
         index = self.index
         partition = index.partition_of(key)
         if index.placement.placement_for(partition) == PLACEMENT_MN:
-            reply = yield from self.ops.offload(
+            reply = yield from self.qp.rpc(
                 index.home_mn(partition),
                 ("flexkv", kind, key, value),
-                self.plans[kind],
+                service_time=MN_DISPATCH_S + MN_TOUCH_S * MN_TOUCHES[kind],
             )
             return reply
         yield from self._ensure_directory(partition)
@@ -362,7 +426,7 @@ class FlexKVClient(FamilyClientBase):
         index = self.index
         for probe in range(index.config.probe_limit):
             bucket_addr = index.bucket_addr(partition, key, probe)
-            data = yield from self.ops.read(bucket_addr, index.bucket_bytes)
+            data = yield from self.qp.read(bucket_addr, index.bucket_bytes)
             offset, empty = self._find(data, key)
             if offset is not None:
                 value = decode_value(
@@ -381,7 +445,7 @@ class FlexKVClient(FamilyClientBase):
         found, _empty, _current = yield from self._locate(partition, key)
         if found is None:
             return False
-        yield from self.ops.write(
+        yield from self.qp.write(
             found + 8, encode_value(value, self.index.config.value_size)
         )
         return True
@@ -391,7 +455,7 @@ class FlexKVClient(FamilyClientBase):
         for _attempt in range(self._CLAIM_ATTEMPTS):
             found, empty, _current = yield from self._locate(partition, key)
             if found is not None:
-                yield from self.ops.write(
+                yield from self.qp.write(
                     found + 8, encode_value(value, value_size)
                 )
                 return
@@ -405,9 +469,9 @@ class FlexKVClient(FamilyClientBase):
             # bytes are the key's BE encoding (an empty key field is
             # all-zero bytes, hence expected 0 either way).
             key_word = decode_u64(encode_key(key))
-            _old, swapped = yield from self.ops.cas(empty, 0, key_word)
+            _old, swapped = yield from self.qp.cas(empty, 0, key_word)
             if swapped:
-                yield from self.ops.write(
+                yield from self.qp.write(
                     empty + 8, encode_value(value, value_size)
                 )
                 return

@@ -71,9 +71,9 @@ class MarlinClient(ShermanClient):
                 result = yield from super()._update(key, value)
                 return result
             new_block = yield from self._write_block(key, value)
-            _old, swapped = yield from self.ops.cas(leaf_addr + raw_start,
+            _old, swapped = yield from self.qp.cas(leaf_addr + raw_start,
                                                    old_block, new_block)
             if swapped:
                 return True
-            self.ops.stats.retries += 1
+            self.qp.stats.retries += 1
             yield from retry.backoff()

@@ -5,13 +5,13 @@ perfect-hash table kept on the compute side: every bulk-loaded key maps
 to a distinct slot of a value array striped across the memory nodes
 (``mph.num_slots`` slots: the keys plus the spare slots the hash is
 built with), so a point lookup computes its target address locally (the
-``hash`` placement of :mod:`repro.core.access`) and issues exactly one
-READ.  Keys outside the MPH domain — inserted after the bulk load —
-live in MN-resident overflow buckets: new-key inserts go through an
-RPC to the bucket's home MN (the weak CPU places the entry), and
-readers fall back to a one-sided bucket READ after a failed slot
-verify.  There is no range structure at all, so scans are unsupported;
-that is the cost of the one-RTT economy.
+registry's ``hash`` placement) and issues exactly one READ.  Keys
+outside the MPH domain — inserted after the bulk load — live in
+MN-resident overflow buckets: new-key inserts go through an RPC to the
+bucket's home MN (the weak CPU places the entry), and readers fall back
+to a one-sided bucket READ after a failed slot verify.  There is no
+range structure at all, so scans are unsupported; that is the cost of
+the one-RTT economy.
 
 Slot layout: ``[key u64 | value]``; key 0 marks an empty overflow slot
 (bulk-load keys are required to be >= 1, as in SMART).
@@ -47,8 +47,6 @@ class OutbackConfig:
 
 class OutbackIndex(FamilyIndexBase):
     """Host-side state: the MPH routing table and the slot-array layout."""
-
-    access_family = "outback"
 
     def __init__(self, cluster: Cluster,
                  config: Optional[OutbackConfig] = None) -> None:
@@ -202,7 +200,7 @@ class OutbackClient(FamilyClientBase):
 
     def _search(self, key: int) -> Generator:
         index = self.index
-        slot_data = yield from self.ops.read(
+        slot_data = yield from self.qp.read(
             index.slot_addr(index.mph.slot_of(key)), index.slot_size
         )
         if decode_key(slot_data) == key:
@@ -214,7 +212,7 @@ class OutbackClient(FamilyClientBase):
         """Find *key* in its overflow bucket; ``(slot_addr, value)`` or None."""
         index = self.index
         _mn_id, bucket_addr = index.overflow_addr(key)
-        bucket = yield from self.ops.read(bucket_addr, index.bucket_bytes)
+        bucket = yield from self.qp.read(bucket_addr, index.bucket_bytes)
         slot_size = index.slot_size
         for i in range(index.config.overflow_slots):
             offset = i * slot_size
@@ -234,13 +232,13 @@ class OutbackClient(FamilyClientBase):
     def _insert(self, key: int, value: int) -> Generator:
         index = self.index
         slot_addr = index.slot_addr(index.mph.slot_of(key))
-        slot_data = yield from self.ops.read(slot_addr, index.slot_size)
+        slot_data = yield from self.qp.read(slot_addr, index.slot_size)
         if decode_key(slot_data) == key:
-            yield from self.ops.write(slot_addr, self._encode(key, value))
+            yield from self.qp.write(slot_addr, self._encode(key, value))
             return
         # Not an MPH-domain key: the home MN places it in its overflow
         # bucket (cross-client visible through one-sided bucket reads).
-        yield from self.ops.rpc(
+        yield from self.qp.rpc(
             index.overflow_home(key), ("outback_insert", key, value)
         )
 
@@ -252,14 +250,14 @@ class OutbackClient(FamilyClientBase):
     def _update(self, key: int, value: int) -> Generator:
         index = self.index
         slot_addr = index.slot_addr(index.mph.slot_of(key))
-        slot_data = yield from self.ops.read(slot_addr, index.slot_size)
+        slot_data = yield from self.qp.read(slot_addr, index.slot_size)
         if decode_key(slot_data) == key:
-            yield from self.ops.write(slot_addr, self._encode(key, value))
+            yield from self.qp.write(slot_addr, self._encode(key, value))
             return True
         found = yield from self._overflow_probe(key)
         if found is None:
             return False
-        yield from self.ops.write(found[0], self._encode(key, value))
+        yield from self.qp.write(found[0], self._encode(key, value))
         return True
 
     def _encode(self, key: int, value: int) -> bytes:

@@ -49,8 +49,6 @@ class RolexConfig:
 class RolexIndex(FamilyIndexBase):
     """Host-side state of one ROLEX index."""
 
-    access_family = "rolex"
-
     def __init__(self, cluster: Cluster,
                  config: Optional[RolexConfig] = None) -> None:
         super().__init__(cluster, config or RolexConfig())
@@ -164,7 +162,7 @@ class RolexClient(FamilyClientBase):
         """Batched whole-leaf READs with per-leaf consistency retries."""
         layout = self.layout
         requests = [(addr, layout.raw_size) for addr in addrs]
-        payloads = yield from self.ops.read_batch(requests)
+        payloads = yield from self.qp.read_batch(requests)
         views = []
         for addr, data in zip(addrs, payloads):
             view = ShermanLeafView(layout, StripedSpan(data, 0))
@@ -179,9 +177,9 @@ class RolexClient(FamilyClientBase):
         retry = self.retry.start("leaf read {:#x}", self.engine,
                                  self.ctx.rng, addr)
         while retry.check():
-            self.ops.stats.retries += 1
+            self.qp.stats.retries += 1
             yield from retry.backoff()
-            data = yield from self.ops.read(addr, layout.raw_size)
+            data = yield from self.qp.read(addr, layout.raw_size)
             view = ShermanLeafView(layout, StripedSpan(data, 0))
             if view.is_consistent():
                 return view
@@ -281,7 +279,7 @@ class RolexClient(FamilyClientBase):
                     stored = yield from self._write_block(key, value)
                 view.write_entry_value(position, key, stored)
                 raw_off, raw_bytes = view.entry_sub_span(position)
-                yield from self.ops.write_batch(
+                yield from self.qp.write_batch(
                     [(chain_addr + raw_off, raw_bytes)]
                     + self._unlock_writes(lock_addr))
                 return True
@@ -308,7 +306,7 @@ class RolexClient(FamilyClientBase):
         new_view = ShermanLeafView.compose(
             layout, [(key, stored)], NULL_ADDR, tail_view.fence_low,
             tail_view.fence_high, nv=0)
-        yield from self.ops.write_batch([
+        yield from self.qp.write_batch([
             (new_addr, bytes(new_view.span.data)),
             (new_addr + layout.lock_offset, encode_u64(0)),
         ])
@@ -317,7 +315,7 @@ class RolexClient(FamilyClientBase):
         rewritten = ShermanLeafView.compose(
             layout, tail_items, new_addr, tail_view.fence_low,
             tail_view.fence_high, nv=bump_nibble(tail_view.nv))
-        yield from self.ops.write_batch(
+        yield from self.qp.write_batch(
             [(tail_addr, bytes(rewritten.span.data))]
             + self._unlock_writes(lock_addr))
         return True
@@ -329,7 +327,7 @@ class RolexClient(FamilyClientBase):
         new_view = ShermanLeafView.compose(
             layout, items, view.sibling, view.fence_low, view.fence_high,
             nv=bump_nibble(view.nv))
-        yield from self.ops.write_batch(
+        yield from self.qp.write_batch(
             [(table_addr, bytes(new_view.span.data))]
             + self._unlock_writes(lock_addr))
         return True

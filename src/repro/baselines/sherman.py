@@ -267,8 +267,6 @@ class ShermanLeafView:
 class ShermanIndex(BTreeIndexBase):
     """Host-side state of a Sherman tree."""
 
-    access_family = "sherman"
-
     def __init__(self, cluster: Cluster,
                  config: Optional[ShermanConfig] = None) -> None:
         super().__init__(cluster, config or ShermanConfig())
@@ -338,11 +336,11 @@ class ShermanClient(BTreeClientBase):
         retry = self.retry.start("leaf read {:#x}", self.engine,
                                  self.ctx.rng, addr)
         while retry.check():
-            raw = yield from self.ops.read(addr, layout.raw_size)
+            raw = yield from self.qp.read(addr, layout.raw_size)
             view = ShermanLeafView(layout, StripedSpan(raw, 0))
             if view.is_consistent():
                 return view
-            self.ops.stats.retries += 1
+            self.qp.stats.retries += 1
             yield from retry.backoff()
 
     def _leaf_for(self, ref: LeafRef, key: int) -> Generator:
@@ -452,7 +450,7 @@ class ShermanClient(BTreeClientBase):
                     writes = [(leaf_addr, bytes(new_view.span.data))]
                 writes.extend(self._unlock_writes(lock_addr))
                 held = False
-                yield from self.ops.write_batch(writes)
+                yield from self.qp.write_batch(writes)
                 if split is None:
                     return True
                 yield from self._propagate_split(ref.parent, 1, leaf_addr,
@@ -480,7 +478,7 @@ class ShermanClient(BTreeClientBase):
         new_addr = yield from self._alloc(layout.total_size)
         right_view = ShermanLeafView.compose(
             layout, items[mid:], view.sibling, pivot, view.fence_high, nv=0)
-        yield from self.ops.write_batch([
+        yield from self.qp.write_batch([
             (new_addr, bytes(right_view.span.data)),
             (new_addr + layout.lock_offset, encode_u64(0)),
         ])

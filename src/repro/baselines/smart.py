@@ -191,8 +191,6 @@ class SmartConfig:
 class SmartIndex(FamilyIndexBase):
     """Host-side state of one SMART tree."""
 
-    access_family = "smart"
-
     def __init__(self, cluster: Cluster,
                  config: Optional[SmartConfig] = None) -> None:
         super().__init__(cluster, config or SmartConfig())
@@ -349,7 +347,7 @@ class SmartClient(FamilyClientBase):
 
     def _read_node(self, addr: int, node_type: int,
                    cacheable: bool = True) -> Generator:
-        data = yield from self.ops.read(addr, node_size(node_type))
+        data = yield from self.qp.read(addr, node_size(node_type))
         node = decode_node(addr, data)
         if cacheable:
             self.ctx.cache.put(addr, node, node.size)
@@ -365,7 +363,7 @@ class SmartClient(FamilyClientBase):
         return node, False
 
     def _read_leaf(self, addr: int) -> Generator:
-        data = yield from self.ops.read(addr, self.index.leaf_size)
+        data = yield from self.qp.read(addr, self.index.leaf_size)
         return (decode_key(data),
                 decode_value(data, 8, size=self.config.value_size))
 
@@ -503,7 +501,7 @@ class SmartClient(FamilyClientBase):
             return done
         leaf_addr = yield from self._write_block(key, value)
         word = pack_slot(partial, leaf_addr, leaf=True)
-        _old, swapped = yield from self.ops.cas(
+        _old, swapped = yield from self.qp.cas(
             self._slot_addr(node, free), 0, word)
         if swapped:
             self.ctx.cache.invalidate(node.addr)
@@ -513,7 +511,7 @@ class SmartClient(FamilyClientBase):
                      leaf_addr: int, key: int, value: int) -> Generator:
         """Update an existing key: in place, or out-of-place (RCU)."""
         if not self.config.rcu_updates:
-            yield from self.ops.write(
+            yield from self.qp.write(
                 leaf_addr + 8, encode_value(value, self.config.value_size))
             return True
         if word & SEAL_BIT:
@@ -521,7 +519,7 @@ class SmartClient(FamilyClientBase):
         new_leaf = yield from self._write_block(key, value)
         _occ, partial, _a, _l, _t = unpack_slot(word)
         new_word = pack_slot(partial, new_leaf, leaf=True)
-        _old, swapped = yield from self.ops.cas(
+        _old, swapped = yield from self.qp.cas(
             self._slot_addr(node, slot), word, new_word)
         if swapped:
             self.ctx.cache.invalidate(node.addr)
@@ -549,11 +547,11 @@ class SmartClient(FamilyClientBase):
         branch = RadixNode(NULL_ADDR, NODE4, depth,
                            existing[depth:divergence], slots)
         branch.addr = yield from self._alloc(branch.size)
-        yield from self.ops.write(branch.addr, encode_node(branch))
+        yield from self.qp.write(branch.addr, encode_node(branch))
         _occ, partial, _a, _l, _t = unpack_slot(word)
         new_word = pack_slot(partial, branch.addr, leaf=False,
                              node_type=NODE4)
-        _old, swapped = yield from self.ops.cas(
+        _old, swapped = yield from self.qp.cas(
             self._slot_addr(node, slot), word, new_word)
         if swapped:
             self.ctx.cache.invalidate(node.addr)
@@ -570,22 +568,22 @@ class SmartClient(FamilyClientBase):
             while not current & SEAL_BIT and retry.check():
                 target = (current | SEAL_BIT) if current & _OCCUPIED \
                     else EMPTY_SEALED
-                old, swapped = yield from self.ops.cas(
+                old, swapped = yield from self.qp.cas(
                     self._slot_addr(node, index), current, target)
                 if swapped:
                     break
                 current = old  # lost to a concurrent install; retry
-        data = yield from self.ops.read(node.addr, node.size)
+        data = yield from self.qp.read(node.addr, node.size)
         return decode_node(node.addr, data)
 
     def _unseal_node(self, node: RadixNode) -> Generator:
         """Undo sealing after a failed structural change."""
         for index, word in enumerate(node.slots):
             if word == EMPTY_SEALED:
-                yield from self.ops.cas(self._slot_addr(node, index),
+                yield from self.qp.cas(self._slot_addr(node, index),
                                        EMPTY_SEALED, 0)
             elif word & SEAL_BIT:
-                yield from self.ops.cas(self._slot_addr(node, index), word,
+                yield from self.qp.cas(self._slot_addr(node, index), word,
                                        word & ~SEAL_BIT)
 
     def _upgrade_node(self, node: RadixNode, parent_info, partial: int,
@@ -622,11 +620,11 @@ class SmartClient(FamilyClientBase):
         bigger = RadixNode(NULL_ADDR, new_type, node.depth, node.prefix,
                            slots)
         bigger.addr = yield from self._alloc(bigger.size)
-        yield from self.ops.write(bigger.addr, encode_node(bigger))
+        yield from self.qp.write(bigger.addr, encode_node(bigger))
         _occ, parent_partial, _a, _l, _t = unpack_slot(parent_word)
         new_parent_word = pack_slot(parent_partial, bigger.addr, leaf=False,
                                     node_type=new_type)
-        _old, swapped = yield from self.ops.cas(
+        _old, swapped = yield from self.qp.cas(
             self._slot_addr(parent, parent_slot), parent_word,
             new_parent_word)
         if swapped:
@@ -660,7 +658,7 @@ class SmartClient(FamilyClientBase):
         copy = RadixNode(NULL_ADDR, sealed.node_type, branch_depth + 1,
                          full_prefix[divergence + 1:], copy_slots)
         copy.addr = yield from self._alloc(copy.size)
-        yield from self.ops.write(copy.addr, encode_node(copy))
+        yield from self.qp.write(copy.addr, encode_node(copy))
         leaf_addr = yield from self._write_block(key, value)
         slots = [0] * SLOT_COUNTS[NODE4]
         slots[0] = pack_slot(full_prefix[divergence], copy.addr, leaf=False,
@@ -669,11 +667,11 @@ class SmartClient(FamilyClientBase):
         branch = RadixNode(NULL_ADDR, NODE4, node.depth,
                            full_prefix[:divergence], slots)
         branch.addr = yield from self._alloc(branch.size)
-        yield from self.ops.write(branch.addr, encode_node(branch))
+        yield from self.qp.write(branch.addr, encode_node(branch))
         _occ, parent_partial, _a, _l, _t = unpack_slot(parent_word)
         new_parent_word = pack_slot(parent_partial, branch.addr, leaf=False,
                                     node_type=NODE4)
-        _old, swapped = yield from self.ops.cas(
+        _old, swapped = yield from self.qp.cas(
             self._slot_addr(parent, parent_slot), parent_word,
             new_parent_word)
         if swapped:
@@ -709,7 +707,7 @@ class SmartClient(FamilyClientBase):
                 leaf_key, _value = yield from self._read_leaf(child)
                 if leaf_key != key:
                     return False
-                _old, swapped = yield from self.ops.cas(
+                _old, swapped = yield from self.qp.cas(
                     self._slot_addr(node, slot), word, 0)
                 if swapped:
                     self.ctx.cache.invalidate(node.addr)
@@ -733,7 +731,7 @@ class SmartClient(FamilyClientBase):
             batch = leaf_words[start:start + 32]
             requests = [(unpack_slot(w)[2], self.index.leaf_size)
                         for w in batch]
-            payloads = yield from self.ops.read_batch(requests)
+            payloads = yield from self.qp.read_batch(requests)
             for data in payloads:
                 item_key = decode_key(data)
                 if item_key >= key:

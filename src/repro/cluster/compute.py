@@ -74,14 +74,6 @@ class ClientContext:
                          torn_writes=cn.config.torn_writes)
         self.qp.owner = f"cn{cn.cn_id}/c{client_id}"
         self.qp.cn_id = cn.cn_id
-        # The plan executor: index hot paths issue verbs through this
-        # (CN placement binds 1:1 to the qp, so event streams are
-        # identical to direct qp calls; MN placement offloads plans).
-        # Imported here, not at module scope, to avoid a core<->cluster
-        # import cycle (core/__init__ pulls in btree_base -> cluster).
-        from repro.core.access import PlanExecutor
-
-        self.ops = PlanExecutor(self.qp)
         # Cluster-unique, non-zero 12-bit lease owner id (0 = unowned).
         self.lease_owner = (
             cn.cn_id * cn.config.clients_per_cn + client_id + 1) & 0xFFF

@@ -108,8 +108,6 @@ class LeafRef:
 class BTreeIndexBase(FamilyIndexBase):
     """Host-side state shared by all clients of one tree index."""
 
-    access_family = "chime"
-
     def __init__(self, cluster: Cluster, config) -> None:
         super().__init__(cluster, config)
         self.internal_layout = InternalLayout(config.span, config.key_size)
@@ -340,7 +338,7 @@ class BTreeClientBase(FamilyClientBase):
         """
         sync = self._sync
         engine = self.engine
-        qp = self.ops
+        qp = self.qp
         cn_id = self.ctx.cn.cn_id
         owner_name = self.ctx.name
         ticket_addr = lock_addr + LOCK_TICKET_OFFSET
@@ -568,14 +566,14 @@ class BTreeClientBase(FamilyClientBase):
         retry = self.retry.start("lease {:#x}", self.engine, self.ctx.rng,
                                  lock_addr)
         while retry.check():
-            line = yield from self.ops.read(lock_addr, LOCK_LEASE_OFFSET + 8)
+            line = yield from self.qp.read(lock_addr, LOCK_LEASE_OFFSET + 8)
             word = decode_u64(line, 0)
             lease = decode_u64(line, LOCK_LEASE_OFFSET)
             owner, epoch, expiry_us = unpack_lease(lease)
             now_us = sim_us(self.engine.now)
             stealing = owner != 0
             if stealing and now_us < expiry_us:
-                self.ops.stats.retries += 1
+                self.qp.stats.retries += 1
                 if BUS.active:
                     BUS.emit("lock.cas_fail", self.engine.now, addr=lock_addr,
                              attempt=retry.attempt - 1)
@@ -584,10 +582,10 @@ class BTreeClientBase(FamilyClientBase):
             new_expiry = lease_expiry_us(self.engine.now,
                                          self._lease_duration)
             new_lease = pack_lease(self._lease_owner, epoch + 1, new_expiry)
-            _old, swapped = yield from self.ops.cas(lease_addr, lease,
+            _old, swapped = yield from self.qp.cas(lease_addr, lease,
                                                    new_lease)
             if not swapped:
-                self.ops.stats.retries += 1
+                self.qp.stats.retries += 1
                 yield from retry.backoff()
                 continue
             self._held_leases[lock_addr] = ((epoch + 1) & 0xFFFFF, new_expiry)
@@ -683,12 +681,12 @@ class BTreeClientBase(FamilyClientBase):
             held = self._held_leases.pop(lock_addr, None)
             if held is None or sim_us(self.engine.now) >= held[1]:
                 return
-            yield from self.ops.write_batch([
+            yield from self.qp.write_batch([
                 (lock_addr, encode_u64(word)),
                 (lock_addr + LOCK_LEASE_OFFSET,
                  encode_u64(pack_lease(0, held[0], 0)))] + serving_writes)
         elif serving_writes:
-            yield from self.ops.write_batch(
+            yield from self.qp.write_batch(
                 [(lock_addr, encode_u64(word))] + serving_writes)
         else:
             yield from super()._restore_unlock(lock_addr, word)
@@ -702,9 +700,9 @@ class BTreeClientBase(FamilyClientBase):
                                  self.ctx.rng, addr)
         while retry.check():
             try:
-                raw = yield from self.ops.read(addr, layout.raw_size)
+                raw = yield from self.qp.read(addr, layout.raw_size)
             except FaultInjectedError:
-                self.ops.stats.retries += 1
+                self.qp.stats.retries += 1
                 yield from retry.backoff()
                 continue
             view = InternalNodeView(layout, StripedSpan(raw, 0))
@@ -713,7 +711,7 @@ class BTreeClientBase(FamilyClientBase):
                 if use_cache_budget:
                     self.ctx.cache.put(addr, parsed, layout.total_size)
                 return parsed
-            self.ops.stats.retries += 1
+            self.qp.stats.retries += 1
             yield from retry.backoff()
 
     def _read_internal_covering(self, addr: int, key: int) -> Generator:
@@ -740,7 +738,7 @@ class BTreeClientBase(FamilyClientBase):
         writes = [(addr, bytes(view.span.data))]
         if unlock:
             writes.extend(self._unlock_writes(addr + layout.lock_offset))
-        yield from self.ops.write_batch(writes)
+        yield from self.qp.write_batch(writes)
         parsed = view.parse(addr)
         self.ctx.cache.put(addr, parsed, layout.total_size)
         return parsed
@@ -796,7 +794,7 @@ class BTreeClientBase(FamilyClientBase):
             try:
                 result = yield from self._scan_once(key, count)
             except FaultInjectedError:
-                self.ops.stats.retries += 1
+                self.qp.stats.retries += 1
                 yield from retry.backoff()
                 continue
             return result
@@ -854,7 +852,7 @@ class BTreeClientBase(FamilyClientBase):
         family's ``_scan_leaf(raw, key) -> (pairs >= key, sibling)`` and
         re-read alone while that finds it torn."""
         size = self.layout.raw_size
-        payloads = yield from self.ops.read_batch(
+        payloads = yield from self.qp.read_batch(
             [(addr, size) for addr in addrs])
         leaves = []
         for addr, raw in zip(addrs, payloads):
@@ -867,9 +865,9 @@ class BTreeClientBase(FamilyClientBase):
                     retry = retry or self.retry.start(
                         "scan leaf {:#x}", self.engine, self.ctx.rng, addr)
                     retry.check()
-                    self.ops.stats.retries += 1
+                    self.qp.stats.retries += 1
                     yield from retry.backoff()
-                    raw = yield from self.ops.read(addr, size)
+                    raw = yield from self.qp.read(addr, size)
         return leaves
 
     # -- split up-propagation --------------------------------------------------------------
@@ -942,7 +940,7 @@ class BTreeClientBase(FamilyClientBase):
             parsed.sibling, right_entries, nv=0)
         # New node first (with a free lock line), then the old node whose
         # sibling pointer publishes it, then unlock — one ordered batch.
-        yield from self.ops.write_batch([
+        yield from self.qp.write_batch([
             (new_node_addr, bytes(right_view.span.data)),
             (new_node_addr + layout.lock_offset, encode_u64(0)),
         ])
@@ -965,11 +963,11 @@ class BTreeClientBase(FamilyClientBase):
         entries = [(fence_low, old_root), (split_key, new_addr)]
         view = InternalNodeView.compose(layout, level, fence_low,
                                         MAX_KEY, NULL_ADDR, entries, nv=0)
-        yield from self.ops.write_batch([
+        yield from self.qp.write_batch([
             (root_addr, bytes(view.span.data)),
             (root_addr + layout.lock_offset, encode_u64(0)),
         ])
-        old, swapped = yield from self.ops.cas(self.index.root_ptr_addr,
+        old, swapped = yield from self.qp.cas(self.index.root_ptr_addr,
                                               old_root, root_addr)
         if swapped:
             self.index.root_addr = root_addr

@@ -306,7 +306,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
                 result = yield from self._phase("leaf_read",
                                                 self._search_leaf(ref, key))
             except FaultInjectedError:
-                self.ops.stats.retries += 1
+                self.qp.stats.retries += 1
                 continue
             if result.status == _RETRAVERSE:
                 continue
@@ -362,7 +362,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         leaf's own high fence key (lock line) says whether *key* can
         only be further right — one small READ, on this branch alone.
         If it is, the cached parent predates a split and is dropped."""
-        data = yield from self.ops.read(
+        data = yield from self.qp.read(
             leaf_addr + self.layout.lock_offset + LOCKLINE_FENCE_HIGH, 8)
         past = key >= decode_key(data)
         if past and ref.from_cache and ref.parent is not None:
@@ -375,7 +375,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         try:
             hit = shape.decode(raw).find(key)
         except TornReadError:
-            self.ops.stats.retries += 1  # torn speculation: fall back
+            self.qp.stats.retries += 1  # torn speculation: fall back
             return None
         if hit is not None:
             self.hotspots.correct_speculations += 1
@@ -414,7 +414,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
                             guard, ref, leaf_addr, home, key, value, delete,
                             from_cache, hop)))
             except FaultInjectedError:
-                self.ops.stats.retries += 1
+                self.qp.stats.retries += 1
                 continue
             if result.status == _RETRAVERSE:
                 continue
@@ -498,7 +498,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
             self.hotspots.record_access(leaf_addr, position, key)
         writes.extend(self._unlock_writes(
             guard.lock_addr, guard.release_word(argmax, vacancy)))
-        yield from self.ops.write_batch(writes)
+        yield from self.qp.write_batch(writes)
         return OpResult(_DONE, found=True)
 
     def _locate_entry_locked(self, leaf_addr: int, home: int, key: int,
@@ -559,7 +559,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
                             guard, ref, leaf_addr, home, key, value,
                             from_cache)))
             except FaultInjectedError:
-                self.ops.stats.retries += 1
+                self.qp.stats.retries += 1
                 yield from self._sleep_phase("retry_backoff",
                                              retry.next_delay(cap=4))
                 continue
@@ -669,7 +669,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         writes = self._entry_writes(leaf_addr, view, modified)
         writes.extend(self._unlock_writes(
             lock_addr, guard.release_word(argmax, vacancy)))
-        yield from self.ops.write_batch(writes)
+        yield from self.qp.write_batch(writes)
         self.hotspots.record_access(leaf_addr, plan.target, key)
         return OpResult(_DONE, found=True)
 
@@ -694,7 +694,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         writes = self._entry_writes(leaf_addr, view, {position})
         writes.extend(self._unlock_writes(
             guard.lock_addr, guard.release_word(argmax, vacancy)))
-        yield from self.ops.write_batch(writes)
+        yield from self.qp.write_batch(writes)
         return OpResult(_DONE, found=True)
 
     def _insert_read(self, leaf_addr: int, home: int, last: int,
@@ -714,7 +714,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
             requests.append((leaf_addr + raw_off, raw_len))
         fence_addr = leaf_addr + layout.lock_offset + LOCKLINE_FENCE_LOW
         requests.append((fence_addr, LOCKLINE_FENCES_LEN))
-        payloads = yield from self.ops.read_batch(requests)
+        payloads = yield from self.qp.read_batch(requests)
         spans = []
         for (off, length), data in zip(segments, payloads[:-1]):
             raw_off, _raw_len = raw_span(off, length)
@@ -845,7 +845,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
                                                      fence_low=pivot,
                                                      fence_high=fence_high,
                                                      nv=0)
-        yield from self.ops.write_batch([
+        yield from self.qp.write_batch([
             (new_addr, right_image),
             (new_addr + layout.lock_offset,
              encode_u64(right_word) + encode_key(pivot)
@@ -866,7 +866,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         unlock[0] = (lock_addr, encode_u64(left_word) + encode_key(fence_low)
                      + encode_key(pivot))
         guard.held = False  # the batched lock-line write below releases it
-        yield from self.ops.write_batch(
+        yield from self.qp.write_batch(
             [(leaf_addr, left_image)] + unlock)
         for pos in range(layout.span):
             self.hotspots.invalidate(leaf_addr, pos)
@@ -935,7 +935,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         writes = self._entry_writes(leaf_addr, view, modified) if modified \
             else []
         writes.append((leaf_addr + layout.lock_offset, encode_u64(word)))
-        yield from self.ops.write_batch(writes)
+        yield from self.qp.write_batch(writes)
         for pos in range(layout.span):
             self.hotspots.invalidate(leaf_addr, pos)
         if BUS.active:

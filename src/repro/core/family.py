@@ -15,8 +15,8 @@ the 8-byte lock word of §4.2.1 and retries is written here once:
   table, masked-CAS spin, unlock write, exception-path restore).
 
 A family supplies its leaf view and those five generators (fewer when it
-has no such operation — calling the missing one is an
-``AttributeError``).  :mod:`repro.core.btree_base` extends the lock
+has no such operation — a ``delete`` it lacks is a typed
+``WorkloadError``).  :mod:`repro.core.btree_base` extends the lock
 pairing with leases, ticket queues and delegation for the tree families.
 """
 
@@ -27,9 +27,8 @@ from typing import Dict, Generator, List, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import ClientContext
-from repro.core.access import family_plans
 from repro.core.node_layout import FULL_MASK, LOCK_BIT
-from repro.errors import IndexError_, LayoutError, TornReadError
+from repro.errors import IndexError_, LayoutError, TornReadError, WorkloadError
 from repro.layout import (
     decode_key,
     decode_u64,
@@ -47,10 +46,6 @@ from repro.retry import DEFAULT_RETRY_POLICY
 
 class FamilyIndexBase:
     """Host-side state and bulk-load helpers shared by every index."""
-
-    #: Structural family key into :data:`repro.core.access.PLAN_TABLES`
-    #: (families without a plan table get an empty one).
-    access_family = ""
 
     def __init__(self, cluster: Cluster, config=None) -> None:
         self.cluster = cluster
@@ -155,12 +150,8 @@ class FamilyClientBase(SpanInstrumentedOps):
         self.index = index
         self.ctx = ctx
         self.qp = ctx.qp
-        #: Plan executor: all hot-path verbs go through this so the
-        #: access layer (placement, offload) is swappable per family.
-        self.ops = ctx.ops
         self.engine = ctx.engine
         self.config = index.config
-        self.plans = family_plans(index.access_family)
         self.retry = index.retry_policy
         self._allocators: Dict[int, ChunkAllocator] = {}
         self._alloc_rr = ctx.client_id  # stagger MN choice across clients
@@ -194,6 +185,11 @@ class FamilyClientBase(SpanInstrumentedOps):
         """Delete a key; returns False when absent."""
         return self._op("delete", self._delete(key))
 
+    def _delete(self, key: int) -> Generator:
+        """The hook of a family that has no delete (Outback, FlexKV)."""
+        raise WorkloadError(
+            f"{type(self.index).__name__} does not support delete")
+
     def _scan_op(self, key: int, count: int) -> Generator:
         """Up to *count* (key, value) pairs with keys >= *key*, ascending.
 
@@ -225,7 +221,7 @@ class FamilyClientBase(SpanInstrumentedOps):
     def _read_block(self, block_addr: int, key: int) -> Generator:
         """READ a ``[key][value]`` block and verify it is *key*'s."""
         size = self.config.value_size
-        data = yield from self.ops.read(block_addr, 8 + size)
+        data = yield from self.qp.read(block_addr, 8 + size)
         stored_key = decode_key(data)
         if stored_key != key:
             raise TornReadError(
@@ -236,7 +232,7 @@ class FamilyClientBase(SpanInstrumentedOps):
         """Allocate + WRITE a fresh ``[key][value]`` block (out-of-place)."""
         size = self.config.value_size
         addr = yield from self._alloc(8 + size)
-        yield from self.ops.write(
+        yield from self.qp.write(
             addr, encode_key(key) + encode_value(value, size))
         return addr
 
@@ -307,16 +303,16 @@ class FamilyClientBase(SpanInstrumentedOps):
         retry = self.retry.start("lock {:#x}", self.engine, self.ctx.rng,
                                  lock_addr)
         while retry.check():
-            old, swapped = yield from self.ops.masked_cas(
+            old, swapped = yield from self.qp.masked_cas(
                 lock_addr, compare=0, swap=LOCK_BIT,
                 compare_mask=LOCK_BIT, swap_mask=swap_mask)
             if swapped:
                 self._note_optimistic(lock_addr, retry.attempt - 1)
                 if not piggyback:
-                    data = yield from self.ops.read(lock_addr, 8)
+                    data = yield from self.qp.read(lock_addr, 8)
                     return decode_u64(data) & ~LOCK_BIT
                 return old
-            self.ops.stats.retries += 1
+            self.qp.stats.retries += 1
             if BUS.active:
                 BUS.emit("lock.cas_fail", self.engine.now, addr=lock_addr,
                          attempt=retry.attempt - 1)
@@ -339,13 +335,13 @@ class FamilyClientBase(SpanInstrumentedOps):
         """Release the remote lock with a standalone write (no batch)."""
         writes = self._unlock_writes(lock_addr, word)
         if len(writes) == 1:
-            yield from self.ops.write(writes[0][0], writes[0][1])
+            yield from self.qp.write(writes[0][0], writes[0][1])
         else:
-            yield from self.ops.write_batch(writes)
+            yield from self.qp.write_batch(writes)
 
     def _restore_unlock(self, lock_addr: int, word: int = 0) -> Generator:
         """Best-effort unlock on an exception path; never raises."""
-        yield from self.ops.write(lock_addr, encode_u64(word))
+        yield from self.qp.write(lock_addr, encode_u64(word))
 
     def _release_local(self, lock_addr: int) -> None:
         local = self.ctx.cn.local_lock(lock_addr)

@@ -3,7 +3,7 @@
 Both CHIME (B+-tree routing) and CHIME-Learned (model routing, §5.3) read
 and validate hopscotch leaf nodes the same way; this mixin hosts that
 logic.  It is mixed into a :class:`~repro.core.family.FamilyClientBase`
-(which provides ``ops``, ``engine``, ``retry`` and ``ctx``); the client
+(which provides ``qp``, ``engine``, ``retry`` and ``ctx``); the client
 adds ``self.layout`` (a :class:`~repro.core.node_layout.LeafLayout`) and
 ``self.home_of(key)``.
 
@@ -68,10 +68,10 @@ class HopscotchLeafOpsMixin:
         for requests in shape.rounds:
             if len(requests) == 1:
                 (raw_off, raw_len), = requests
-                data = yield from self.ops.read(leaf_addr + raw_off, raw_len)
+                data = yield from self.qp.read(leaf_addr + raw_off, raw_len)
                 parts.append(data)
             else:
-                parts += yield from self.ops.read_batch(
+                parts += yield from self.qp.read_batch(
                     [(leaf_addr + raw_off, raw_len)
                      for raw_off, raw_len in requests])
         return parts[0] if len(parts) == 1 else b"".join(parts)
@@ -87,7 +87,7 @@ class HopscotchLeafOpsMixin:
                 raw = yield from self._fetch_shape(leaf_addr, shape)
                 return shape.decode(raw, self.home_of)
             except (TornReadError, FaultInjectedError):
-                self.ops.stats.retries += 1
+                self.qp.stats.retries += 1
                 yield from retry.backoff()
 
     # -- reads under the leaf lock --------------------------------------------------
@@ -102,10 +102,10 @@ class HopscotchLeafOpsMixin:
             raw_offs.append(raw_off)
             requests.append((leaf_addr + raw_off, raw_len))
         if len(requests) == 1:
-            data = yield from self.ops.read(*requests[0])
+            data = yield from self.qp.read(*requests[0])
             span = StripedSpan(data, base=raw_offs[0])
             return LeafNodeView(self.layout, span)
-        payloads = yield from self.ops.read_batch(requests)
+        payloads = yield from self.qp.read_batch(requests)
         spans = [StripedSpan(data, base=raw_off)
                  for raw_off, data in zip(raw_offs, payloads)]
         return LeafNodeView(self.layout, SpanSet(spans))

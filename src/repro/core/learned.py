@@ -41,8 +41,6 @@ LEAF_ADDR_BYTES = 8
 class LearnedChimeIndex(FamilyIndexBase):
     """Host-side state: PLA model + flat array of hopscotch leaves."""
 
-    access_family = "chime-learned"
-
     def __init__(self, cluster: Cluster, span: int = 64,
                  neighborhood: int = 8, error: int = 16,
                  value_size: int = 8,
@@ -282,7 +280,7 @@ class LearnedChimeClient(FamilyClientBase, HopscotchLeafOpsMixin):
             writes.append((leaf_addr + raw_off, raw_bytes))
         writes.extend(self._unlock_writes(guard.lock_addr,
                                           guard.release_word()))
-        yield from self.ops.write_batch(writes)
+        yield from self.qp.write_batch(writes)
         return True
 
     def _hop_insert(self, guard: LockGuard, base_addr: int, leaf_addr: int,
@@ -316,7 +314,7 @@ class LearnedChimeClient(FamilyClientBase, HopscotchLeafOpsMixin):
             writes.append((leaf_addr + raw_off, raw_bytes))
         writes.extend(self._unlock_writes(guard.lock_addr,
                                           guard.release_word()))
-        yield from self.ops.write_batch(writes)
+        yield from self.qp.write_batch(writes)
         return True
 
     def _append_synonym(self, guard: LockGuard, base_addr: int,
@@ -327,7 +325,7 @@ class LearnedChimeClient(FamilyClientBase, HopscotchLeafOpsMixin):
         new_addr = yield from self._alloc(layout.total_size)
         keys, values, bitmaps, _none = place_items([(key, value)], layout,
                                                    self.home_of)
-        yield from self.ops.write_batch([
+        yield from self.qp.write_batch([
             (new_addr, layout.encode_image(keys, values, bitmaps, NULL_ADDR,
                                            low, high)),
             (new_addr + layout.lock_offset,
@@ -340,7 +338,7 @@ class LearnedChimeClient(FamilyClientBase, HopscotchLeafOpsMixin):
         rebuilt = layout.encode_image(
             tail_view.keys(), tail_view.values(), tail_view.bitmaps(),
             new_addr, low, high, nv=bump_nibble(old_nv))
-        yield from self.ops.write_batch(
+        yield from self.qp.write_batch(
             [(tail_addr, rebuilt)]
             + self._unlock_writes(guard.lock_addr, guard.release_word()))
         return True

@@ -188,12 +188,12 @@ class VarKeyChimeClient(ChimeClient):
 
     def _read_chain_block(self, addr: int) -> Generator:
         """(next_ptr, key, value) of one block; 1 READ for short blocks."""
-        data = yield from self.ops.read(addr,
+        data = yield from self.qp.read(addr,
                                        BLOCK_HEADER + FIRST_READ_PAYLOAD)
         next_ptr, key_len, value_len = decode_block_header(data)
         need = key_len + value_len
         if need > FIRST_READ_PAYLOAD:
-            rest = yield from self.ops.read(
+            rest = yield from self.qp.read(
                 addr + BLOCK_HEADER + FIRST_READ_PAYLOAD,
                 need - FIRST_READ_PAYLOAD)
             payload = data[BLOCK_HEADER:] + rest
@@ -219,7 +219,7 @@ class VarKeyChimeClient(ChimeClient):
                            value: bytes) -> Generator:
         data = encode_block(next_ptr, key, value)
         addr = yield from self._alloc(len(data))
-        yield from self.ops.write(addr, data)
+        yield from self.qp.write(addr, data)
         return addr
 
     # ---------------------------------------------------------------- hooks
@@ -290,5 +290,5 @@ class VarKeyChimeClient(ChimeClient):
             writes.extend(self._entry_writes(leaf_addr, view, positions))
         writes.extend(self._unlock_writes(
             guard.lock_addr, guard.release_word(argmax, vacancy)))
-        yield from self.ops.write_batch(writes)
+        yield from self.qp.write_batch(writes)
         return OpResult(_DONE, found=True)

@@ -46,7 +46,7 @@ class MemoryNode:
         MN-offloading families (FlexKV placement, Outback overflow
         inserts) register their handlers here at index-build time; the
         handler runs host-side against this node's region while the verb
-        layer charges the MN CPU for the plan-derived service time.
+        layer charges the MN CPU for the caller's service time.
         """
         self.rpc_handlers[kind] = handler
 

@@ -445,8 +445,8 @@ class RdmaQp:
         """Two-sided RPC to a memory node's weak CPU.
 
         *service_time* overrides the MN's fixed per-request cost —
-        offloaded traversal plans pass their plan-derived cost here so an
-        MN-side index walk charges the weak core proportionally to the
+        FlexKV's offloaded operations pass theirs here so an MN-side
+        index walk charges the weak core proportionally to the
         structure accesses it performs.
         """
         if self.injector is not None:

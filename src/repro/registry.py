@@ -78,15 +78,15 @@ class IndexFamily:
     #: (Outback-style hash routing; incompatible with range scans).
     one_rtt_point: bool = False
     #: Operations can execute MN-side as a single RPC against the MN CPU
-    #: (FlexKV-style offload; see ``PlanExecutor.offload``).
+    #: (FlexKV-style offload; see ``FlexKVClient._dispatch``).
     mn_offload: bool = False
     #: A placement policy may move partitions between CN-side and
     #: MN-side execution at runtime (emits ``placement.switch`` events).
     dynamic_placement: bool = False
-    #: Where the family's traversal plans execute by default: ``"cn"``
+    #: Where the family's operations execute by default: ``"cn"``
     #: (CN-side traversal over one-sided verbs), ``"mn"`` (offloaded to
     #: the MN CPU), or ``"hash"`` (CN-local hash routing, then one
-    #: READ/WRITE).  See :data:`repro.core.access.PLACEMENTS`.
+    #: READ/WRITE).
     default_placement: str = "cn"
 
 

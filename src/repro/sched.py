@@ -55,8 +55,6 @@ __all__ = [
     "client_lane",
     "execute_op",
     "launch_clients",
-    "parked_by_cn",
-    "placement_table",
     "shared_stream",
     "stranded_tickets",
 ]
@@ -237,17 +235,6 @@ def launch_clients(cluster, index, context: WorkloadContext,
     return run
 
 
-def parked_by_cn(run: ScheduledRun, cluster) -> Dict[int, int]:
-    """Parked-lane counts grouped by compute node id (diagnostics)."""
-    counts: Dict[int, int] = {}
-    clients = list(cluster.clients())
-    for lane in run.lanes:
-        if not lane.finished:
-            cn_id = clients[lane.client_index].cn.cn_id
-            counts[cn_id] = counts.get(cn_id, 0) + 1
-    return counts
-
-
 def stranded_tickets(index, dead_cns=()) -> List[Dict[str, int]]:
     """Queue tickets still outstanding after a run (chaos diagnostics).
 
@@ -264,19 +251,3 @@ def stranded_tickets(index, dead_cns=()) -> List[Dict[str, int]]:
     if state is None:
         return []
     return state.stranded(tuple(dead_cns))
-
-
-def placement_table(index) -> Dict[int, str]:
-    """Partitions a placement policy moved off their default (diagnostics).
-
-    Dynamic-placement indexes (FlexKV) expose ``placement``; the table
-    maps partition id to its current placement for every partition the
-    policy has switched, so runs can report where execution ended up
-    (e.g. which partitions went MN-side under cache pressure).  Empty
-    for indexes without a placement policy or with everything still at
-    the default.
-    """
-    policy = getattr(index, "placement", None)
-    if policy is None:
-        return {}
-    return dict(policy.table())

@@ -12,36 +12,10 @@ memory-node RPC handlers, and anything else that serializes work.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Deque, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine, Event, Wakeup
-
-
-@dataclass(frozen=True)
-class OffloadCostModel:
-    """MN-local service time for an index operation offloaded to the MN CPU.
-
-    When a traversal plan executes MN-side (FlexKV-style offload), the CN
-    issues a single RPC and the weak MN core walks the structure itself:
-    the fixed *base* covers RPC dispatch plus handler setup, and each
-    structure access the CN would otherwise have performed over the wire
-    becomes one *per_step* local-memory touch.  Derived from the plan
-    descriptor, so cost scales with the operation's real access count
-    while staying fully deterministic.
-    """
-
-    #: RPC dispatch + handler setup on the weak MN core, seconds.
-    base: float = 5e-6
-    #: One MN-local structure access (hash, probe, or slot touch), seconds.
-    per_step: float = 1e-6
-
-    def time_for(self, steps: int) -> float:
-        """Service time for a plan with *steps* structure accesses."""
-        if steps < 0:
-            raise SimulationError(f"negative offload step count: {steps}")
-        return self.base + self.per_step * steps
 
 
 class _Slot:

@@ -1,10 +1,11 @@
-"""Tests for the layered access path (:mod:`repro.core.access`).
+"""Tests for where an operation runs and what it costs on the wire.
 
-Covers the three layers the refactor introduced — traversal plans,
-placement policies, the plan executor — plus the registry capability
-flags that describe them, the MPH routing structure Outback builds on,
-and the functional contract of the two landed families (Outback,
-FlexKV) including the CAS endianness regression.
+Covers FlexKV's placement policy, the registry capability flags, every
+family's point operations as one client issues them on a warm cache
+(Table 1 by observation), the MPH routing structure Outback builds on,
+the functional contract of the two hash-table families (Outback,
+FlexKV) including the CAS endianness regression, and the AST guards
+that keep family plumbing written once.
 """
 
 import ast
@@ -15,24 +16,16 @@ import pytest
 
 import repro
 from repro import registry
-from repro.baselines.flexkv import FlexKVConfig, FlexKVIndex
+from repro.baselines.flexkv import (
+    PLACEMENT_CN,
+    PLACEMENT_MN,
+    CachePressurePlacement,
+    FlexKVIndex,
+)
 from repro.baselines.outback import OutbackIndex
 from repro.cluster import Cluster
 from repro.config import ClusterConfig, KNOWN_ENV_VARS, unknown_env_vars
-from repro.core.access import (
-    PLACEMENT_CN,
-    PLACEMENT_HASH,
-    PLACEMENT_MN,
-    PLACEMENTS,
-    PLAN_TABLES,
-    AccessStep,
-    CachePressurePlacement,
-    StaticPlacement,
-    TraversalPlan,
-    family_plans,
-    step,
-)
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, SimulationError, WorkloadError
 from repro.faults.invariants import check_index_invariants
 from repro.hashing.mph import MinimalPerfectHash
 from repro.rdma.trace import QpTracer
@@ -65,57 +58,19 @@ PAIRS = [(k, k * 10) for k in range(1, 1001)]
 
 
 # ---------------------------------------------------------------------------
-# Layer 1: traversal plans
-# ---------------------------------------------------------------------------
-
-
-class TestTraversalPlans:
-    def test_unknown_verb_rejected(self):
-        with pytest.raises(ValueError):
-            AccessStep("teleport", "wishful-thinking")
-
-    def test_min_rtts_excludes_local_and_optional(self):
-        plan = TraversalPlan("t", (
-            step("local", "route"),
-            step("read", "payload"),
-            step("read", "chase", optional=True),
-        ))
-        assert plan.min_rtts == 1
-        assert plan.verbs == ("local", "read", "read")
-
-    def test_offload_steps_excludes_only_local(self):
-        plan = TraversalPlan("t", (
-            step("local", "route"),
-            step("read", "payload"),
-            step("read", "chase", optional=True),
-        ))
-        assert plan.offload_steps == 2
-
-    def test_every_table_describes_the_point_ops(self):
-        for family, table in PLAN_TABLES.items():
-            for kind in ("search", "insert", "update"):
-                assert kind in table, (family, kind)
-                assert table[kind].steps, (family, kind)
-
-    def test_family_plans_unknown_family_is_empty(self):
-        assert family_plans("btree-9000") == {}
-
-    def test_outback_search_is_one_rtt(self):
-        assert family_plans("outback")["search"].min_rtts == 1
-
-
-# ---------------------------------------------------------------------------
-# Layer 2: placement policies
+# FlexKV's placement policy
 # ---------------------------------------------------------------------------
 
 
 class TestStaticPlacement:
+    """No threshold: every partition stays where the policy starts."""
+
     def test_rejects_unknown_placement(self):
         with pytest.raises(ValueError):
-            StaticPlacement("gpu")
+            CachePressurePlacement("gpu")
 
     def test_fixed_for_every_partition(self):
-        policy = StaticPlacement(PLACEMENT_MN)
+        policy = CachePressurePlacement(PLACEMENT_MN)
         assert policy.placement_for(0) == PLACEMENT_MN
         assert policy.placement_for(17) == PLACEMENT_MN
         policy.note_miss(0)
@@ -126,11 +81,11 @@ class TestStaticPlacement:
 
 class TestCachePressurePlacement:
     def test_defaults_to_cn(self):
-        policy = CachePressurePlacement(4, threshold=3)
+        policy = CachePressurePlacement(threshold=3)
         assert policy.placement_for(2) == PLACEMENT_CN
 
     def test_flips_after_threshold_consecutive_misses(self):
-        policy = CachePressurePlacement(4, threshold=3)
+        policy = CachePressurePlacement(threshold=3)
         for _ in range(2):
             policy.note_miss(1)
         assert policy.placement_for(1) == PLACEMENT_CN
@@ -140,7 +95,7 @@ class TestCachePressurePlacement:
         assert policy.table() == {1: PLACEMENT_MN}
 
     def test_hit_resets_the_miss_streak(self):
-        policy = CachePressurePlacement(4, threshold=3)
+        policy = CachePressurePlacement(threshold=3)
         policy.note_miss(0)
         policy.note_miss(0)
         policy.note_hit(0)
@@ -150,22 +105,13 @@ class TestCachePressurePlacement:
         assert policy.switches == 0
 
     def test_misses_are_per_partition(self):
-        policy = CachePressurePlacement(4, threshold=2)
+        policy = CachePressurePlacement(threshold=2)
         policy.note_miss(0)
         policy.note_miss(1)
         assert policy.switches == 0
         policy.note_miss(0)
         assert policy.placement_for(0) == PLACEMENT_MN
         assert policy.placement_for(1) == PLACEMENT_CN
-
-    def test_restore_after_hit_streak(self):
-        policy = CachePressurePlacement(2, threshold=1, restore_after=2)
-        policy.note_miss(0)
-        assert policy.placement_for(0) == PLACEMENT_MN
-        policy.note_hit(0)
-        policy.note_hit(0)
-        assert policy.placement_for(0) == PLACEMENT_CN
-        assert policy.switches == 2
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +128,7 @@ class TestCapabilityFlagConsistency:
         assert family.factory is not None
 
     def test_default_placement_is_known(self, family):
-        assert family.default_placement in PLACEMENTS
+        assert family.default_placement in ("cn", "mn", "hash")
 
     def test_one_rtt_point_excludes_scans(self, family):
         # A one-RTT hash-routed point lookup has no ordered structure
@@ -192,7 +138,7 @@ class TestCapabilityFlagConsistency:
 
     def test_one_rtt_point_is_hash_routed(self, family):
         if family.one_rtt_point:
-            assert family.default_placement == PLACEMENT_HASH, family.name
+            assert family.default_placement == "hash", family.name
 
     def test_dynamic_placement_requires_offload(self, family):
         # A placement policy can only flip CN->MN if the family has an
@@ -203,13 +149,6 @@ class TestCapabilityFlagConsistency:
     def test_model_routed_families_are_not_shardable(self, family):
         if family.model_routed:
             assert not family.shardable, family.name
-
-    def test_one_rtt_claim_matches_plan_table(self, family):
-        # The descriptor cannot lie: a family advertising one-RTT point
-        # lookups must publish a search plan whose fast path is 1 RTT.
-        plans = family_plans(family.family)
-        if family.one_rtt_point and "search" in plans:
-            assert plans["search"].min_rtts == 1, family.name
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +228,30 @@ class TestFastPathsByObservation:
         assert tuple(observed) == FAST_PATHS[name]
         if registry.get_family(name).one_rtt_point:
             assert observed[0][0] == 1
+
+
+@pytest.mark.parametrize("name", registry.family_names())
+def test_delete_is_a_bool_or_a_typed_error(name):
+    """A family without a delete (Outback, FlexKV) says so with a
+    ``WorkloadError`` naming its index and the operation, not with an
+    ``AttributeError`` for a missing hook."""
+    cluster = make_cluster(clients_per_cn=1)
+    index = registry.build_index(name, cluster)
+    index.bulk_load(PAIRS)
+    client = index.client(cluster.cns[0].clients[0])
+
+    def body():
+        try:
+            return (yield from client.delete(500))
+        except WorkloadError as error:
+            return error
+
+    outcome, = drive(cluster, body())
+    if isinstance(outcome, WorkloadError):
+        assert str(outcome) == (
+            f"{type(index).__name__} does not support delete")
+    else:
+        assert outcome is True
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +601,37 @@ class TestFamilyPlumbingWrittenOnce:
                             node.func.value, "id", None) == "LeafNodeView"):
                     callers.append((path.name, name, node.lineno))
         assert not callers, callers
+
+    def test_verbs_are_issued_on_the_queue_pair(self):
+        """A verb has one spelling, ``qp.<verb>``: no ``ops`` executor
+        between a client and its queue pair, no declared ``plans`` /
+        ``access_family`` beside the code that issues the verbs, and
+        none of the plan layer's names defined or imported."""
+        package = pathlib.Path(repro.__file__).parent
+        verbs = {"read", "read_batch", "write", "write_batch", "cas",
+                 "masked_cas", "faa", "rpc", "offload", "stats"}
+        declared = {"plans", "access_family"}
+        gone = {"TraversalPlan", "AccessStep", "PlanExecutor", "family_plans",
+                "OffloadCostModel"}
+        offenders = []
+        for path in sorted(package.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = []
+                if isinstance(node, ast.Attribute):
+                    through_ops = (node.attr in verbs
+                                   and getattr(node.value, "attr", "") == "ops")
+                    if through_ops or node.attr in declared:
+                        names = [ast.unparse(node)]
+                elif isinstance(node, ast.Name):  # a class-level assignment
+                    names = [node.id] if node.id == "access_family" else []
+                elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name] if node.name in gone else []
+                elif isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names
+                             if alias.name in gone
+                             or node.module == "repro.core.access"]
+                offenders += [(path.name, node.lineno, name) for name in names]
+        assert not offenders, offenders
 
     def test_verbs_have_no_coroutine_body(self):
         """A verb's fabric-side life is one timeline: nothing in

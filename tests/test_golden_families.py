@@ -343,10 +343,10 @@ def test_scans_read_the_leaves_they_need(monkeypatch):
         return decode(client, raw, key)
 
     def counted_scan(client, key, count):
-        before = client.ops.stats.rtts
+        before = client.qp.stats.rtts
         result = yield from scan(client, key, count)
         counts["scans"] += 1
-        counts["rtts"] += client.ops.stats.rtts - before
+        counts["rtts"] += client.qp.stats.rtts - before
         return result
 
     monkeypatch.setattr(ChimeClient, "_scan_leaf", counted_leaf)

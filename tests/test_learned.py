@@ -149,7 +149,7 @@ class TestLearnedChime:
                              index.leaf_layout.raw_size))).replica_fences(0)
         assert key < low  # the one candidate does not cover the key
         assert drive(cluster, client.search(key)) == [None]
-        assert client.ops.stats.rtts == 1
+        assert client.qp.stats.rtts == 1
 
     @pytest.mark.parametrize("neighborhood", [2, 4])
     def test_narrow_neighbourhood_bulk_load_spills_to_synonyms(

@@ -64,7 +64,7 @@ def oracle_scan(client, key, count):
     ref = yield from client._locate_leaf(key)
     addr, results = ref.leaf_addr, []
     while addr != NULL_ADDR and len(results) < count:
-        raw = yield from client.ops.read(addr, client.layout.raw_size)
+        raw = yield from client.qp.read(addr, client.layout.raw_size)
         try:
             pairs, addr = oracle_leaf(client, raw, key)
         except TornReadError:

@@ -336,7 +336,7 @@ class TestChimeUnderTearing:
         assert not problems, problems[:5]
         assert len(index.leaf_addrs()) > 3  # the writers did split leaves
         # Scan-only clients retry for one reason: a torn whole-leaf image.
-        assert sum(c.ops.stats.retries for c in scanners + [ambusher]) > 0
+        assert sum(c.qp.stats.retries for c in scanners + [ambusher]) > 0
 
     def test_scanners_vs_hop_writers(self):
         self._scanners_vs_hop_writers()
