@@ -156,42 +156,53 @@ class TestCapabilityFlagConsistency:
 # ---------------------------------------------------------------------------
 
 
-#: family -> (search, update, insert), each ``(round trips, verbs)`` as
-#: one client issues them on a warm cache.  An ``rpc`` in the middle of
-#: a write is the chunk allocator's first refill.
+#: family -> (search, update, insert, delete), each ``(round trips,
+#: verbs)`` as one client issues them on a warm cache; a family without
+#: a delete (Outback, FlexKV) has three columns.  An ``rpc`` in the
+#: middle of a write is the chunk allocator's first refill.
 FAST_PATHS = {
     "chime": ((1, "read"),
               (3, "masked_cas read write_batch"),
-              (3, "masked_cas read_batch write_batch")),
+              (3, "masked_cas read_batch write_batch"),
+              (3, "masked_cas read write_batch")),
     "chime-indirect": ((2, "read read"),
                        (5, "masked_cas read rpc write write_batch"),
-                       (4, "masked_cas read_batch write write_batch")),
+                       (4, "masked_cas read_batch write write_batch"),
+                       (3, "masked_cas read write_batch")),
     "sherman": ((1, "read"),
+                (3, "masked_cas read write_batch"),
                 (3, "masked_cas read write_batch"),
                 (3, "masked_cas read write_batch")),
     "marlin": ((2, "read read"),
                (4, "read rpc write cas"),
-               (4, "write masked_cas read write_batch")),
+               (4, "write masked_cas read write_batch"),
+               (3, "masked_cas read write_batch")),
     "smart": ((1, "read"),
               (5, "read read read read write"),
-              (6, "read read read rpc write cas")),
+              (6, "read read read rpc write cas"),
+              (5, "read read read read cas")),
     "smart-opt": ((1, "read"),
                   (5, "read read read read write"),
-                  (6, "read read read rpc write cas")),
+                  (6, "read read read rpc write cas"),
+                  (5, "read read read read cas")),
     "smart-rcu": ((1, "read"),
                   (7, "read read read read rpc write cas"),
-                  (5, "read read read write cas")),
+                  (5, "read read read write cas"),
+                  (5, "read read read read cas")),
     "rolex": ((1, "read_batch"),
+              (4, "read_batch masked_cas read_batch write_batch"),
               (4, "read_batch masked_cas read_batch write_batch"),
               (4, "read_batch masked_cas read_batch write_batch")),
     "rolex-indirect": ((2, "read_batch read"),
                        (6, "read_batch masked_cas read_batch rpc write "
                            "write_batch"),
                        (5, "read_batch masked_cas read_batch write "
-                           "write_batch")),
+                           "write_batch"),
+                       (4, "read_batch masked_cas read_batch write_batch")),
     "chime-learned": ((2, "read read"),
                       (5, "read read masked_cas read write_batch"),
-                      (5, "read_batch masked_cas read read write_batch")),
+                      (5, "read_batch masked_cas read read write_batch"),
+                      (5, "read read masked_cas read write_batch")),
     "outback": ((1, "read"), (2, "read write"), (2, "read rpc")),
     "flexkv": ((1, "read"), (2, "read write"), (4, "read read cas write")),
 }
@@ -201,8 +212,9 @@ FAST_PATHS = {
 class TestFastPathsByObservation:
     """What each family's point operations cost is read off the queue
     pair, not declared: 2 000 bulk-loaded keys, two searches to warm the
-    cache, then one search, one update and one fresh-key insert, each
-    under its own :class:`QpTracer`."""
+    cache, then one search, one update, one fresh-key insert and (where
+    the family has one) one delete, each under its own
+    :class:`QpTracer`."""
 
     def test_point_ops_issue_the_pinned_verbs(self, name):
         cluster = make_cluster(clients_per_cn=1)
@@ -223,6 +235,8 @@ class TestFastPathsByObservation:
             yield from traced(client.search(5000))
             yield from traced(client.update(5000, 1))
             yield from traced(client.insert(5005, 2))
+            if len(FAST_PATHS[name]) == 4:
+                yield from traced(client.delete(5000))
 
         drive(cluster, body())
         assert tuple(observed) == FAST_PATHS[name]

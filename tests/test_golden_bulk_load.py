@@ -32,6 +32,13 @@ striped MNs (the ``_host_rr`` interleave of nodes and blocks), at
 rows for the sorted-leaf images ``ShermanLeafView.compose`` builds on
 the data path: Sherman / Marlin insert runs that split leaves, a
 Sherman run of deletes and upserts, ROLEX synonym appends.
+
+ISSUE 24 added, at 7f84ee9 (internal nodes and sorted leaves still two
+layouts and two views, ROLEX's and CHIME-Learned's locked chain walks
+still two), what nothing pinned by bytes: ROLEX, ``rolex-indirect`` and
+CHIME-Learned after deletes and updates inside a synonym chain (YCSB
+has no deletes), and a span-8 CHIME tree whose root grows three times
+(the other split rows stop at one internal split).
 """
 
 import hashlib
@@ -93,18 +100,22 @@ def _loaded_varkey():
     return cluster
 
 
-def _after_splits(index_name="chime", **point_fields):
-    """An all-insert run over a small tree: 1 200 inserts into 1 500
-    loaded keys split most leaves, some more than once."""
-    spec = PointSpec(index_name, "LOAD", 1500, 300,
+def _after_splits(index_name="chime", num_keys=1500, levels_grown=0,
+                  **point_fields):
+    """An all-insert run over a small tree: 1 200 inserts into
+    *num_keys* loaded keys split most leaves, some more than once, and
+    grow the root at least *levels_grown* times."""
+    spec = PointSpec(index_name, "LOAD", num_keys, 300,
                      ClusterConfig(num_cns=2, clients_per_cn=2, seed=SEED),
                      **point_fields)
     cluster, index, context = spec.prepare()
     leaves = len(index.leaf_addrs())
+    level = index.root_level
     result = run_workload(cluster, index, "LOAD", spec.ops_per_client,
                           context)
     assert result.ops_completed == 1200
     assert len(index.leaf_addrs()) > 1.5 * leaves
+    assert index.root_level >= level + levels_grown
     return cluster
 
 
@@ -176,6 +187,37 @@ def _rolex_after_synonym_appends(indirect=False):
     return cluster
 
 
+def _after_chain_deletes_and_updates(make_index):
+    """Synonym appends, then what only a functional test ran inside a
+    chain: deletes and updates of keys in base and synonym tables, a
+    delete and an update of an absent key (the whole chain walked, then
+    unlocked), and inserts back into the first table with room."""
+    cluster = Cluster(ClusterConfig(num_cns=1, clients_per_cn=1, seed=SEED))
+    index = make_index(cluster)
+    pairs = [(key, key * 7) for key in range(10, 4000, 10)]
+    index.bulk_load(pairs)
+    used = cluster.mns[0].allocator.bytes_used
+    fresh = [key for key in range(1001, 1400) if key % 10]
+    loaded = [key for key, _ in pairs[100:140]]
+    gone = fresh[::3] + loaded[::2]
+    changed = fresh[1::3] + loaded[1::2]
+    _run_ops(cluster, index,
+             [("insert", key, key + 1) for key in fresh]
+             + [("delete", key) for key in gone]
+             + [("update", key, key + 2) for key in changed]
+             + [("delete", gone[0]), ("update", gone[1], 5)]
+             + [("insert", key, key + 3) for key in gone[:20]])
+    assert cluster.mns[0].allocator.bytes_used > used  # synonym tables
+    expected = dict(pairs)
+    expected.update((key, key + 1) for key in fresh)
+    for key in gone:
+        del expected[key]
+    expected.update((key, key + 2) for key in changed)
+    expected.update((key, key + 3) for key in gone[:20])
+    assert index.collect_items() == sorted(expected.items())
+    return cluster
+
+
 #: Families whose loaders ISSUE 22 rewrote (FlexKV rides along as the
 #: per-key loader it left alone).
 BASELINES = ("smart", "smart-opt", "smart-rcu", "sherman", "marlin", "rolex",
@@ -221,6 +263,15 @@ ROWS = {
     "rolex after synonym appends": _rolex_after_synonym_appends,
     "rolex-indirect after synonym appends": lambda:
         _rolex_after_synonym_appends(indirect=True),
+    "chime span=8 after splits": lambda: _after_splits(
+        num_keys=40, levels_grown=3, chime_overrides={"span": 8}),
+    "rolex after deletes and updates inside a synonym chain": lambda:
+        _after_chain_deletes_and_updates(RolexIndex),
+    "rolex-indirect after deletes and updates inside a synonym chain": lambda:
+        _after_chain_deletes_and_updates(lambda cluster: RolexIndex(
+            cluster, RolexConfig(indirect_values=True))),
+    "chime-learned after deletes and updates inside a synonym chain": lambda:
+        _after_chain_deletes_and_updates(LearnedChimeIndex),
 }
 
 GOLDEN = {
@@ -358,6 +409,14 @@ GOLDEN = {
         '774731a690a51f54af4978814bfd565c9ef19fb67aa323701a3520480a2bce22',
     'rolex-indirect after synonym appends':
         '0881e2e18aea449da9ac522746f33e4a7b9e675c720e27d789b032e830c3bcf0',
+    'chime span=8 after splits':
+        '1a9f7eaad9fd72e302818b9522817656e18aaf741361a26e9f195d90f842c047',
+    'rolex after deletes and updates inside a synonym chain':
+        '6ea833c3c31a238b741273928d5865d3bcf19337e3606e4a17c75abd4c0a70e6',
+    'rolex-indirect after deletes and updates inside a synonym chain':
+        '349cef08d6cdc6056a4879a613e39bf99c712e68a7fedc9d0b748983a31b3698',
+    'chime-learned after deletes and updates inside a synonym chain':
+        'f068877391da54ba7d22c485f50b14eae84ad329b95e32c44443a86e367125de',
 }
 
 
