@@ -2,16 +2,14 @@
 
 from repro.baselines.flexkv import FlexKVClient, FlexKVConfig, FlexKVIndex
 from repro.baselines.marlin import MarlinClient, MarlinIndex
+from repro.baselines.model_routed import (
+    ModelRoutedClientBase,
+    ModelRoutedIndexBase,
+)
 from repro.baselines.outback import OutbackClient, OutbackConfig, OutbackIndex
 from repro.baselines.pla import PlaModel, PlaSegment
 from repro.baselines.rolex import RolexClient, RolexConfig, RolexIndex
-from repro.baselines.sherman import (
-    ShermanClient,
-    ShermanConfig,
-    ShermanIndex,
-    ShermanLeafLayout,
-    ShermanLeafView,
-)
+from repro.baselines.sherman import ShermanClient, ShermanConfig, ShermanIndex
 from repro.baselines.smart import (
     SmartClient,
     SmartConfig,
@@ -24,6 +22,8 @@ __all__ = [
     "FlexKVIndex",
     "MarlinClient",
     "MarlinIndex",
+    "ModelRoutedClientBase",
+    "ModelRoutedIndexBase",
     "OutbackClient",
     "OutbackConfig",
     "OutbackIndex",
@@ -35,8 +35,6 @@ __all__ = [
     "ShermanClient",
     "ShermanConfig",
     "ShermanIndex",
-    "ShermanLeafLayout",
-    "ShermanLeafView",
     "SmartClient",
     "SmartConfig",
     "SmartIndex",

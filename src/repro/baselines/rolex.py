@@ -20,17 +20,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, List, Optional, Sequence, Tuple
 
-from repro.baselines.pla import PlaModel
-from repro.baselines.sherman import ShermanLeafLayout, ShermanLeafView
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import ClientContext
-from repro.core.family import FamilyClientBase, FamilyIndexBase
-from repro.layout import MAX_KEY, StripedSpan, encode_u64
+from repro.core.chime import LockGuard
+from repro.core.family import FamilyClientBase
+from repro.baselines.model_routed import (
+    ModelRoutedClientBase,
+    ModelRoutedIndexBase,
+)
+from repro.core.node_layout import SortedNodeLayout
+from repro.core.nodes import SortedNodeView
+from repro.layout import StripedSpan
 from repro.layout.versions import bump_nibble
 from repro.memory import NULL_ADDR
-
-#: Cached bytes per leaf-table address entry.
-LEAF_ADDR_BYTES = 8
 
 
 @dataclass(frozen=True)
@@ -46,111 +48,45 @@ class RolexConfig:
     bulk_load_factor: float = 0.75
 
 
-class RolexIndex(FamilyIndexBase):
+class RolexIndex(ModelRoutedIndexBase):
     """Host-side state of one ROLEX index."""
 
     def __init__(self, cluster: Cluster,
                  config: Optional[RolexConfig] = None) -> None:
-        super().__init__(cluster, config or RolexConfig())
-        entry_value = 8 if self.config.indirect_values \
-            else self.config.value_size
-        self.leaf_layout = ShermanLeafLayout(self.config.span,
-                                             self.config.key_size,
-                                             entry_value)
-        self.model: Optional[PlaModel] = None
-        self.leaf_addrs: List[int] = []
+        config = config or RolexConfig()
+        entry_value = 8 if config.indirect_values else config.value_size
+        super().__init__(
+            cluster, config,
+            SortedNodeLayout(config.span, config.key_size, entry_value),
+            config.error, config.bulk_load_factor)
 
     def client(self, ctx: ClientContext) -> "RolexClient":
         return RolexClient(self, ctx)
 
-    # -- bulk load -------------------------------------------------------------------
+    def _host_write_leaf(self, addr: int, items: Sequence[Tuple[int, int]],
+                         fence_low: int, fence_high: int) -> None:
+        view = SortedNodeView.compose(
+            self.leaf_layout, self._host_stored(items), NULL_ADDR, fence_low,
+            fence_high)
+        self._host_write(addr, bytes(view.span.data))
 
-    def bulk_load(self, pairs: Sequence[Tuple[int, int]],
-                  future_keys: Sequence[int] = ()) -> None:
-        """Load *pairs* and pre-train the model on their keys plus
-        *future_keys* (keys that workloads will insert later)."""
-        config = self.config
+    def _host_table(self, addr: int) -> Tuple[List[Tuple[int, int]], int]:
         layout = self.leaf_layout
-        pairs = self._checked_pairs(pairs)
-        loaded = {k for k, _ in pairs}
-        all_keys = sorted(loaded | set(future_keys))
-        self.model = PlaModel.train(all_keys, config.error)
-        per_leaf = max(1, int(config.span * config.bulk_load_factor))
-        # Partition the *trained* key space so predicted positions align
-        # with leaves; loaded pairs land in their partition, future keys
-        # reserve slack.
-        key_chunks = [all_keys[i:i + per_leaf]
-                      for i in range(0, len(all_keys), per_leaf)] or [[]]
-        loaded_values = dict(pairs)
-        self.leaf_addrs = [self._host_alloc(layout.total_size)
-                           for _ in key_chunks]
-        bounds = [0] + [c[0] for c in key_chunks[1:]] + [MAX_KEY]
-        for index, chunk in enumerate(key_chunks):
-            keys = [key for key in chunk if key in loaded_values]
-            values = [loaded_values[key] for key in keys]
-            if config.indirect_values:
-                values = self._host_alloc_blocks(keys, values)
-            items = list(zip(keys, values))
-            view = ShermanLeafView.compose(
-                layout, items, NULL_ADDR, bounds[index], bounds[index + 1],
-                nv=0)
-            self._host_write(self.leaf_addrs[index],
-                             bytes(view.span.data))
-        self.loaded_items = len(pairs)
-        self._items_per_leaf = per_leaf
-
-    # -- prediction ---------------------------------------------------------------------
-
-    def candidate_leaves(self, key: int) -> List[int]:
-        """Leaf indices covering the model's +-error window for *key*."""
-        window = self.model.position_range(key)
-        lo = window.start // self._items_per_leaf
-        hi = (window.stop - 1) // self._items_per_leaf
-        hi = min(hi, len(self.leaf_addrs) - 1)
-        return list(range(lo, hi + 1))
-
-    def cache_bytes_needed(self) -> int:
-        """CN-side cache: model segments + the leaf address table."""
-        model_bytes = self.model.cache_bytes if self.model else 0
-        return model_bytes + LEAF_ADDR_BYTES * len(self.leaf_addrs)
-
-    # -- host-side inspection --------------------------------------------------------------
-
-    def collect_items(self) -> List[Tuple[int, int]]:
-        layout = self.leaf_layout
-        out: List[Tuple[int, int]] = []
-        for addr in self.leaf_addrs:
-            chain = addr
-            while chain != NULL_ADDR:
-                raw = self._host_read(chain, layout.raw_size)
-                view = ShermanLeafView(layout, StripedSpan(raw, 0))
-                for key, value in view.items():
-                    if self.config.indirect_values:
-                        value = self._host_read_block(value)[1]
-                    out.append((key, value))
-                chain = view.sibling  # synonym pointer
-        out.sort()
-        return out
-
-    def synonym_chain_lengths(self) -> List[int]:
-        """Chain length per leaf (diagnostics for insert behaviour)."""
-        layout = self.leaf_layout
-        lengths = []
-        for addr in self.leaf_addrs:
-            length = 0
-            chain = addr
-            while chain != NULL_ADDR:
-                raw = self._host_read(chain, layout.raw_size)
-                chain = ShermanLeafView(layout, StripedSpan(raw, 0)).sibling
-                length += 1
-            lengths.append(length)
-        return lengths
+        view = SortedNodeView(layout, StripedSpan(
+            self._host_read(addr, layout.raw_size), 0))
+        items = view.items()
+        if self.config.indirect_values:
+            items = [(key, self._host_read_block(block)[1])
+                     for key, block in items]
+        return items, view.sibling  # the synonym pointer
 
 
-class RolexClient(FamilyClientBase):
+class RolexClient(ModelRoutedClientBase):
     """Per-client ROLEX operations."""
 
     scan = FamilyClientBase._scan_op
+    #: The lock word carries nothing but the lock bit.
+    zero_rest = False
 
     def __init__(self, index: RolexIndex, ctx: ClientContext) -> None:
         super().__init__(index, ctx)
@@ -161,30 +97,15 @@ class RolexClient(FamilyClientBase):
     def _read_leaf_batch(self, addrs: Sequence[int]) -> Generator:
         """Batched whole-leaf READs with per-leaf consistency retries."""
         layout = self.layout
-        requests = [(addr, layout.raw_size) for addr in addrs]
-        payloads = yield from self.qp.read_batch(requests)
+        payloads = yield from self.qp.read_batch(
+            [(addr, layout.raw_size) for addr in addrs])
         views = []
         for addr, data in zip(addrs, payloads):
-            view = ShermanLeafView(layout, StripedSpan(data, 0))
-            if not view.is_consistent():
-                view = yield from self._reread_torn(addr)
+            view = yield from self._read_sorted_node(addr, layout, raw=data)
             views.append(view)
         return views
 
-    def _reread_torn(self, addr: int) -> Generator:
-        """Back off and re-READ a leaf until it is consistent."""
-        layout = self.layout
-        retry = self.retry.start("leaf read {:#x}", self.engine,
-                                 self.ctx.rng, addr)
-        while retry.check():
-            self.qp.stats.retries += 1
-            yield from retry.backoff()
-            data = yield from self.qp.read(addr, layout.raw_size)
-            view = ShermanLeafView(layout, StripedSpan(data, 0))
-            if view.is_consistent():
-                return view
-
-    def _read_leaf(self, addr: int) -> Generator:
+    def _fetch_table(self, addr: int) -> Generator:
         views = yield from self._read_leaf_batch([addr])
         return views[0]
 
@@ -197,9 +118,13 @@ class RolexClient(FamilyClientBase):
         for leaf_index, view in zip(candidates, views):
             if view.fence_low <= key < view.fence_high:
                 return leaf_index, view
-        # The window missed (only possible for untrained keys): fall back
-        # to widening around the prediction.
+        # The window missed (only possible for untrained keys).
         return None, None
+
+    def _locate_base(self, key: int) -> Generator:
+        leaf_index, _view = yield from self._locate(key)
+        return None if leaf_index is None \
+            else self.index.leaf_addrs[leaf_index]
 
     # -------------------------------------------------------------- search
 
@@ -217,120 +142,74 @@ class RolexClient(FamilyClientBase):
             synonym = view.sibling
             if synonym == NULL_ADDR:
                 return None
-            view = yield from self._read_leaf(synonym)
+            view = yield from self._fetch_table(synonym)
 
     # -------------------------------------------------------------- writes
 
-    def _insert(self, key: int, value: int) -> Generator:
-        return self._modify(key, value, delete=False, upsert=True)
+    def _find(self, table: SortedNodeView, key: int) -> Optional[int]:
+        return table.find(key)
 
-    def _update(self, key: int, value: int) -> Generator:
-        return self._modify(key, value, delete=False, upsert=False)
+    def _has_room(self, table: SortedNodeView) -> bool:
+        return table.count < self.layout.span
 
-    def _delete(self, key: int) -> Generator:
-        return self._modify(key, 0, delete=True, upsert=False)
+    def _synonym_of(self, table: SortedNodeView) -> int:
+        return table.sibling
 
-    def _modify(self, key: int, value: int, delete: bool,
-                upsert: bool) -> Generator:
-        """Locked write on the leaf group covering *key*.
-
-        The base leaf's lock covers its whole synonym chain.
-        """
-        layout = self.layout
-        leaf_index, _view = yield from self._locate(key)
-        if leaf_index is None:
-            return False
-        base_addr = self.index.leaf_addrs[leaf_index]
-        lock_addr = base_addr + layout.lock_offset
-        yield from self._lock(lock_addr, zero_rest=False)
-        try:
-            result = yield from self._modify_locked(
-                base_addr, lock_addr, key, value, delete, upsert)
-            return result
-        except GeneratorExit:
-            raise  # reclaimed while parked: must not yield restore verbs
-        except BaseException:
-            yield from self._restore_unlock(lock_addr)
-            raise
-        finally:
-            self._release_local(lock_addr)
-
-    def _modify_locked(self, base_addr: int, lock_addr: int, key: int,
-                       value: int, delete: bool, upsert: bool) -> Generator:
-        """Owns the base-leaf lock; every path releases it."""
-        layout = self.layout
-        # Walk the chain: find the key, or the first table with space.
-        chain_addr = base_addr
-        spacious: Optional[Tuple[int, ShermanLeafView]] = None
-        tail_addr = base_addr
-        tail_view = None
-        while chain_addr != NULL_ADDR:
-            view = yield from self._read_leaf(chain_addr)
-            position = view.find(key)
-            if position is not None:
-                if delete:
-                    items = view.items()
-                    items.pop(position)
-                    result = yield from self._rewrite_table(
-                        chain_addr, lock_addr, view, items)
-                    return result
-                stored = value
-                if self.config.indirect_values:
-                    stored = yield from self._write_block(key, value)
-                view.write_entry_value(position, key, stored)
-                raw_off, raw_bytes = view.entry_sub_span(position)
-                yield from self.qp.write_batch(
-                    [(chain_addr + raw_off, raw_bytes)]
-                    + self._unlock_writes(lock_addr))
-                return True
-            if spacious is None and view.count < layout.span:
-                spacious = (chain_addr, view)
-            tail_addr, tail_view = chain_addr, view
-            chain_addr = view.sibling
-        if delete or not upsert:
-            yield from self._unlock_remote(lock_addr)
-            return False
-        stored = value
+    def _stored(self, key: int, value: int) -> Generator:
+        """What a leaf entry holds for *value*: the value, or the
+        address of the fresh block it is written to."""
         if self.config.indirect_values:
-            stored = yield from self._write_block(key, value)
-        if spacious is not None:
-            table_addr, view = spacious
-            items = view.items()
-            items.append((key, stored))
-            items.sort()
-            result = yield from self._rewrite_table(table_addr, lock_addr,
-                                                    view, items)
-            return result
-        # Whole group full: append a synonym table at the chain tail.
-        new_addr = yield from self._alloc(layout.total_size)
-        new_view = ShermanLeafView.compose(
-            layout, [(key, stored)], NULL_ADDR, tail_view.fence_low,
-            tail_view.fence_high, nv=0)
-        yield from self.qp.write_batch([
-            (new_addr, bytes(new_view.span.data)),
-            (new_addr + layout.lock_offset, encode_u64(0)),
-        ])
-        # Publish: tail.sibling -> new table, then unlock (ordered batch).
-        tail_items = tail_view.items()
-        rewritten = ShermanLeafView.compose(
-            layout, tail_items, new_addr, tail_view.fence_low,
-            tail_view.fence_high, nv=bump_nibble(tail_view.nv))
+            value = yield from self._write_block(key, value)
+        return value
+
+    def _modify_entry(self, guard: LockGuard, addr: int,
+                      table: SortedNodeView, position: int, key: int,
+                      value: int, delete: bool) -> Generator:
+        if delete:
+            items = table.items()
+            items.pop(position)
+            yield from self._rewrite_table(guard, addr, table, items,
+                                           table.sibling)
+            return
+        stored = yield from self._stored(key, value)
+        table.write_entry_value(position, key, stored)
+        raw_off, raw_bytes = table.entry_sub_span(position)
         yield from self.qp.write_batch(
-            [(tail_addr, bytes(rewritten.span.data))]
-            + self._unlock_writes(lock_addr))
+            [(addr + raw_off, raw_bytes)]
+            + self._unlock_writes(guard.lock_addr, guard.release_word()))
+
+    def _insert_into(self, guard: LockGuard, addr: int,
+                     table: SortedNodeView, key: int,
+                     value: int) -> Generator:
+        stored = yield from self._stored(key, value)
+        items = table.items()
+        items.append((key, stored))
+        items.sort()
+        yield from self._rewrite_table(guard, addr, table, items,
+                                       table.sibling)
         return True
 
-    def _rewrite_table(self, table_addr: int, lock_addr: int,
-                       view: ShermanLeafView,
-                       items: List[Tuple[int, int]]) -> Generator:
-        layout = self.layout
-        new_view = ShermanLeafView.compose(
-            layout, items, view.sibling, view.fence_low, view.fence_high,
-            nv=bump_nibble(view.nv))
+    def _append_synonym(self, guard: LockGuard, tail_addr: int,
+                        tail: SortedNodeView, key: int,
+                        value: int) -> Generator:
+        stored = yield from self._stored(key, value)
+        new_addr, _view = yield from self._write_fresh_node(
+            self.layout, [(key, stored)], NULL_ADDR, tail.fence_low,
+            tail.fence_high)
+        # Publish: tail.sibling -> new table, then unlock (ordered batch).
+        yield from self._rewrite_table(guard, tail_addr, tail, tail.items(),
+                                       new_addr)
+
+    def _rewrite_table(self, guard: LockGuard, addr: int,
+                       table: SortedNodeView, items: List[Tuple[int, int]],
+                       sibling: int) -> Generator:
+        """Node-write *table* holding *items*, batched with the unlock."""
+        new_view = SortedNodeView.compose(
+            self.layout, items, sibling, table.fence_low, table.fence_high,
+            nv=bump_nibble(table.nv))
         yield from self.qp.write_batch(
-            [(table_addr, bytes(new_view.span.data))]
-            + self._unlock_writes(lock_addr))
-        return True
+            [(addr, bytes(new_view.span.data))]
+            + self._unlock_writes(guard.lock_addr, guard.release_word()))
 
     # -------------------------------------------------------------- scan
 

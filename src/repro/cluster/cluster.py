@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List
 
 from repro.cluster.compute import ClientContext, ComputeNode
-from repro.cluster.shards import ShardMap, resolve_cache_mode
+from repro.cluster.shards import ShardMap
 from repro.config import ClusterConfig
 from repro.memory.allocator import PartitionedAllocator
 from repro.memory.node import MemoryNode
@@ -38,7 +38,6 @@ class Cluster:
         # historical single-pool behavior; >= 1 builds the shard map and
         # the shard-routing allocator facade the ShardedIndex uses.
         if config.num_shards:
-            resolve_cache_mode(config.cache_mode)
             self.shard_map = ShardMap(
                 config.num_shards, config.num_mns, num_cns=config.num_cns)
             self.partitioned_allocator = PartitionedAllocator(

@@ -35,27 +35,14 @@ from repro.layout import MAX_KEY
 from repro.obs.bus import BUS
 
 __all__ = [
-    "CACHE_MODES",
     "ShardCacheView",
     "ShardHeatTracker",
     "ShardMap",
-    "resolve_cache_mode",
 ]
 
-CACHE_SHARED = "shared"
+#: The ``ClusterConfig.cache_mode`` under which a CN's cache admits only
+#: nodes of the shards it owns.
 CACHE_PARTITIONED = "partitioned"
-CACHE_MODES = (CACHE_SHARED, CACHE_PARTITIONED)
-
-
-def resolve_cache_mode(mode: str) -> str:
-    """Validate a cache-mode name, returning it canonicalized."""
-    name = str(mode).strip().lower()
-    if name not in CACHE_MODES:
-        raise ValueError(
-            f"unknown cache mode {mode!r}; expected one of "
-            f"{', '.join(CACHE_MODES)}"
-        )
-    return name
 
 
 class ShardMap:

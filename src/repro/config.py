@@ -288,8 +288,6 @@ class ChimeConfig:
     neighborhood: int = 8
     key_size: int = 8
     value_size: int = 8
-    #: Replace sorted-array leaves with hopscotch leaf nodes.
-    hopscotch_leaf: bool = True
     #: Piggyback the vacancy bitmap on lock words via masked-CAS.
     vacancy_bitmap: bool = True
     #: Replicate leaf metadata every H entries (vs a dedicated header READ).
@@ -319,5 +317,3 @@ class ChimeConfig:
             raise ValueError("neighborhood must be in [1, 16] (2-byte bitmap)")
         if self.span < self.neighborhood:
             raise ValueError("span must be >= neighborhood")
-        if not self.hopscotch_leaf and self.vacancy_bitmap:
-            raise ValueError("vacancy bitmap requires hopscotch leaves")

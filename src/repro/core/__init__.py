@@ -12,13 +12,13 @@ from repro.core.hotspot import HotspotBuffer
 from repro.core.learned import LearnedChimeClient, LearnedChimeIndex
 from repro.core.varkey import VarKeyChimeClient, VarKeyChimeIndex
 from repro.core.node_layout import (
-    InternalLayout,
     LeafLayout,
+    SortedNodeLayout,
     VacancyBitmap,
     pack_lock_word,
     unpack_lock_word,
 )
-from repro.core.nodes import InternalNodeView, LeafNodeView, ParsedInternal
+from repro.core.nodes import LeafNodeView, ParsedInternal, SortedNodeView
 
 __all__ = [
     "BTreeClientBase",
@@ -28,14 +28,14 @@ __all__ = [
     "FamilyClientBase",
     "FamilyIndexBase",
     "HotspotBuffer",
-    "InternalLayout",
-    "InternalNodeView",
     "LeafLayout",
     "LearnedChimeClient",
     "LearnedChimeIndex",
     "LeafNodeView",
     "LeafRef",
     "ParsedInternal",
+    "SortedNodeLayout",
+    "SortedNodeView",
     "TraversalError",
     "VacancyBitmap",
     "VarKeyChimeClient",

@@ -38,12 +38,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.config import KNOBS
+
 __all__ = [
     "SYNC_OPTIMISTIC",
     "SYNC_PESSIMISTIC",
     "SYNC_ADAPTIVE",
     "SYNC_MODES",
-    "resolve_sync_mode",
     "AdaptivePolicy",
     "ContentionEstimator",
     "HandoffToken",
@@ -55,21 +56,6 @@ SYNC_OPTIMISTIC = "optimistic"
 SYNC_PESSIMISTIC = "pessimistic"
 SYNC_ADAPTIVE = "adaptive"
 SYNC_MODES = (SYNC_OPTIMISTIC, SYNC_PESSIMISTIC, SYNC_ADAPTIVE)
-
-
-def resolve_sync_mode(mode: str) -> str:
-    """Validate a sync-mode name, returning it canonicalized.
-
-    Raises ``ValueError`` for anything outside :data:`SYNC_MODES` so a
-    typo in ``--sync-mode`` or a config file fails loudly at index
-    construction instead of silently running optimistic.
-    """
-    name = str(mode).strip().lower()
-    if name not in SYNC_MODES:
-        raise ValueError(
-            f"unknown sync mode {mode!r}; expected one of {', '.join(SYNC_MODES)}"
-        )
-    return name
 
 
 @dataclass(frozen=True)
@@ -241,7 +227,7 @@ class SyncState:
     """
 
     def __init__(self, mode: str, policy: Optional[AdaptivePolicy] = None) -> None:
-        self.mode = resolve_sync_mode(mode)
+        self.mode = KNOBS["sync_mode"].check(mode, "SyncState mode")
         if self.mode == SYNC_OPTIMISTIC:
             raise ValueError("optimistic mode uses sync_state=None, not SyncState")
         self.policy = policy or AdaptivePolicy()

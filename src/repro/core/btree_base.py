@@ -19,6 +19,7 @@ come from :mod:`repro.core.family`.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Tuple
 
@@ -30,23 +31,22 @@ from repro.core.adaptive import (
     DelegationEntry,
     HandoffToken,
     SyncState,
-    resolve_sync_mode,
 )
 from repro.core.family import FamilyClientBase, FamilyIndexBase
 from repro.core.node_layout import (
     FULL_MASK,
-    InternalLayout,
     LOCK_BIT,
     LOCK_LEASE_OFFSET,
     LOCK_QUEUE_SPAN,
     LOCK_SERVING_OFFSET,
     LOCK_TICKET_OFFSET,
+    SortedNodeLayout,
     lease_expiry_us,
     pack_lease,
     sim_us,
     unpack_lease,
 )
-from repro.core.nodes import InternalNodeView, ParsedInternal
+from repro.core.nodes import ParsedInternal, SortedNodeView
 from repro.core.sync import backoff_delay
 from repro.errors import (
     FaultInjectedError,
@@ -110,7 +110,8 @@ class BTreeIndexBase(FamilyIndexBase):
 
     def __init__(self, cluster: Cluster, config) -> None:
         super().__init__(cluster, config)
-        self.internal_layout = InternalLayout(config.span, config.key_size)
+        self.internal_layout = SortedNodeLayout(config.span, config.key_size,
+                                                level_byte=True)
         #: Host-visible hints; the authoritative root pointer lives at
         #: ``root_ptr_addr`` (by default ``ROOT_PTR_OFFSET`` on MN 0 —
         #: note ``make_addr(0, 8) == 8``, so the legacy constant *is* a
@@ -126,38 +127,43 @@ class BTreeIndexBase(FamilyIndexBase):
         #: per-leaf mode estimator, stranded-ticket registry); None in
         #: the default optimistic mode, which is what keeps the
         #: historical lock paths event-sequence-identical.
-        mode = resolve_sync_mode(
-            getattr(cluster.config, "sync_mode", SYNC_OPTIMISTIC))
+        mode = cluster.config.sync_mode
         self.sync_state: Optional[SyncState] = (
             SyncState(mode) if mode != SYNC_OPTIMISTIC else None)
 
     # -- bulk load (host-side, off the simulated data path) -------------------
 
+    def _host_write_level(self, layout: SortedNodeLayout,
+                          entries: List[Tuple[int, int]], per_node: int,
+                          level: int = 0, stored=None) -> List[Tuple[int, int]]:
+        """Pack the sorted *entries* into nodes of at most *per_node*,
+        chained left to right by their sibling pointers; returns each
+        node's ``(fence_low, addr)`` — the entries of the level above.
+        *stored* maps a node's entries to what it holds of them."""
+        groups = [entries[i:i + per_node]
+                  for i in range(0, len(entries), per_node)] or [[]]
+        addrs = [self._host_alloc(layout.total_size) for _ in groups]
+        bounds = [0] + [group[0][0] for group in groups[1:]] + [MAX_KEY]
+        for index, group in enumerate(groups):
+            sibling = addrs[index + 1] if index + 1 < len(addrs) else NULL_ADDR
+            view = SortedNodeView.compose(
+                layout, stored(group) if stored else group, sibling,
+                bounds[index], bounds[index + 1], level=level)
+            self._host_write(addrs[index], bytes(view.span.data))
+        return list(zip(bounds, addrs))
+
     def _build_internal_levels(self, entries: List[Tuple[int, int]]) -> None:
         """Pack ``(fence_low, child)`` *entries* into full internal nodes,
         level by level, and install the root."""
         layout = self.internal_layout
-        level = 1
-        # Each pass shrinks the entry list by a factor of span; 64 levels
+        # Each level shrinks the entry list by a factor of span; 64 levels
         # bounds any realistic tree (span=1 would otherwise loop forever).
-        for _pass in range(64):
-            groups = [entries[i:i + layout.span]
-                      for i in range(0, len(entries), layout.span)]
-            addrs = [self._host_alloc(layout.total_size) for _ in groups]
-            bounds = [0] + [g[0][0] for g in groups[1:]] + [MAX_KEY]
-            next_entries: List[Tuple[int, int]] = []
-            for index, group in enumerate(groups):
-                sibling = addrs[index + 1] if index + 1 < len(addrs) else NULL_ADDR
-                view = InternalNodeView.compose(
-                    layout, level, bounds[index], bounds[index + 1],
-                    sibling, group, nv=0)
-                self._host_write(addrs[index], bytes(view.span.data))
-                next_entries.append((bounds[index], addrs[index]))
-            if len(groups) == 1:
-                self._set_root(addrs[0], level)
+        for level in range(1, 65):
+            entries = self._host_write_level(layout, entries, layout.span,
+                                             level)
+            if len(entries) == 1:
+                self._set_root(entries[0][1], level)
                 return
-            entries = next_entries
-            level += 1
         raise RetryExhaustedError(
             "bulk load built 64 internal levels without converging on a "
             "root (span too small for the dataset?)")
@@ -171,12 +177,16 @@ class BTreeIndexBase(FamilyIndexBase):
 
     # -- host-side tree inspection ---------------------------------------------
 
+    def _host_internal(self, addr: int) -> ParsedInternal:
+        layout = self.internal_layout
+        raw = self._host_read(addr, layout.raw_size)
+        return SortedNodeView(layout, StripedSpan(raw, 0)).parse(addr)
+
     def internal_nodes(self) -> List[Tuple[int, ParsedInternal]]:
         """Walk every internal node host-side (tests, cache accounting)."""
         out: List[Tuple[int, ParsedInternal]] = []
         if self.root_addr == NULL_ADDR:
             return out
-        layout = self.internal_layout
         frontier = [self.root_addr]
         seen = set()
         while frontier:
@@ -184,12 +194,29 @@ class BTreeIndexBase(FamilyIndexBase):
             if addr in seen or addr == NULL_ADDR:
                 continue
             seen.add(addr)
-            raw = self._host_read(addr, layout.raw_size)
-            parsed = InternalNodeView(layout, StripedSpan(raw, 0)).parse(addr)
+            parsed = self._host_internal(addr)
             out.append((addr, parsed))
             if parsed.level > 1:
                 frontier.extend(parsed.children[:parsed.count])
         return out
+
+    def leftmost_leaf(self) -> int:
+        """Host-side descent through ``children[0]`` to the leftmost
+        leaf (``NULL_ADDR`` without a root).
+
+        The sibling chain from there is the authoritative leaf set:
+        :meth:`leaf_addrs` relies on parent entries, which a half-split
+        (published only through sibling pointers) bypasses.
+        """
+        addr = self.root_addr
+        for _level in range(64):
+            if addr == NULL_ADDR:
+                break
+            parsed = self._host_internal(addr)
+            addr = parsed.children[0]
+            if parsed.level == 1:
+                return addr
+        return NULL_ADDR
 
     def leaf_addrs(self) -> List[int]:
         """Addresses of every leaf, in key order (host-side)."""
@@ -693,26 +720,13 @@ class BTreeClientBase(FamilyClientBase):
 
     # -- internal node IO --------------------------------------------------------------
 
-    def _read_internal(self, addr: int, use_cache_budget: bool = True) -> Generator:
+    def _read_internal(self, addr: int) -> Generator:
         """READ + optimistically validate + parse an internal node."""
         layout = self.index.internal_layout
-        retry = self.retry.start("internal read {:#x}", self.engine,
-                                 self.ctx.rng, addr)
-        while retry.check():
-            try:
-                raw = yield from self.qp.read(addr, layout.raw_size)
-            except FaultInjectedError:
-                self.qp.stats.retries += 1
-                yield from retry.backoff()
-                continue
-            view = InternalNodeView(layout, StripedSpan(raw, 0))
-            if view.is_consistent():
-                parsed = view.parse(addr)
-                if use_cache_budget:
-                    self.ctx.cache.put(addr, parsed, layout.total_size)
-                return parsed
-            self.qp.stats.retries += 1
-            yield from retry.backoff()
+        view = yield from self._read_sorted_node(addr, layout)
+        parsed = view.parse(addr)
+        self.ctx.cache.put(addr, parsed, layout.total_size)
+        return parsed
 
     def _read_internal_covering(self, addr: int, key: int) -> Generator:
         """Read an internal node, chasing siblings until it covers *key*."""
@@ -728,20 +742,16 @@ class BTreeClientBase(FamilyClientBase):
 
     def _write_internal(self, addr: int, level: int, fence_low: int,
                         fence_high: int, sibling: int,
-                        entries: List[Tuple[int, int]], nv: int,
-                        unlock: bool = True) -> Generator:
-        """Compose + WRITE a full internal node, optionally with the
-        unlocking write doorbell-batched behind it (one round trip)."""
+                        entries: List[Tuple[int, int]], nv: int) -> Generator:
+        """Compose + WRITE a full internal node, with the unlocking
+        write doorbell-batched behind it (one round trip)."""
         layout = self.index.internal_layout
-        view = InternalNodeView.compose(layout, level, fence_low, fence_high,
-                                        sibling, entries, nv=nv)
-        writes = [(addr, bytes(view.span.data))]
-        if unlock:
-            writes.extend(self._unlock_writes(addr + layout.lock_offset))
-        yield from self.qp.write_batch(writes)
-        parsed = view.parse(addr)
-        self.ctx.cache.put(addr, parsed, layout.total_size)
-        return parsed
+        view = SortedNodeView.compose(layout, entries, sibling, fence_low,
+                                      fence_high, nv=nv, level=level)
+        yield from self.qp.write_batch(
+            [(addr, bytes(view.span.data))]
+            + self._unlock_writes(addr + layout.lock_offset))
+        self.ctx.cache.put(addr, view.parse(addr), layout.total_size)
 
     # -- traversal ------------------------------------------------------------------------
 
@@ -919,54 +929,38 @@ class BTreeClientBase(FamilyClientBase):
         """With *addr* locked: add the entry, splitting the node if full."""
         layout = self.index.internal_layout
         entries = list(zip(parsed.pivots, parsed.children))
-        position = 0
-        while position < len(entries) and entries[position][0] <= split_key:
-            position += 1
-        entries.insert(position, (split_key, new_addr))
+        entries.insert(bisect_right(parsed.pivots, split_key),
+                       (split_key, new_addr))
         nv = bump_nibble(parsed.nv)
         if len(entries) <= layout.span:
             yield from self._write_internal(
                 addr, parsed.level, parsed.fence_low, parsed.fence_high,
-                parsed.sibling, entries, nv=nv, unlock=True)
+                parsed.sibling, entries, nv=nv)
             return
         # Split the internal node: right half moves to a new sibling.
         mid = len(entries) // 2
         up_key = entries[mid][0]
-        right_entries = entries[mid:]
-        left_entries = entries[:mid]
-        new_node_addr = yield from self._alloc(layout.total_size)
-        right_view = InternalNodeView.compose(
-            layout, parsed.level, up_key, parsed.fence_high,
-            parsed.sibling, right_entries, nv=0)
-        # New node first (with a free lock line), then the old node whose
-        # sibling pointer publishes it, then unlock — one ordered batch.
-        yield from self.qp.write_batch([
-            (new_node_addr, bytes(right_view.span.data)),
-            (new_node_addr + layout.lock_offset, encode_u64(0)),
-        ])
+        # New node first, then the old node whose sibling pointer
+        # publishes it, batched with the unlock.
+        new_node_addr, right_view = yield from self._write_fresh_node(
+            layout, entries[mid:], parsed.sibling, up_key, parsed.fence_high,
+            level=parsed.level)
         self.ctx.cache.put(new_node_addr, right_view.parse(new_node_addr),
                            layout.total_size)
         yield from self._write_internal(
             addr, parsed.level, parsed.fence_low, up_key,
-            new_node_addr, left_entries, nv=nv, unlock=True)
+            new_node_addr, entries[:mid], nv=nv)
         yield from self._propagate_split(None, level + 1, addr, up_key,
                                          new_node_addr)
-        return
 
     def _grow_root(self, old_root: int, split_key: int, new_addr: int,
                    level: int) -> Generator:
         """Allocate a new root pointing at the two halves and CAS the
         global root pointer (§4.4 Step 3)."""
         layout = self.index.internal_layout
-        fence_low = 0
-        root_addr = yield from self._alloc(layout.total_size)
-        entries = [(fence_low, old_root), (split_key, new_addr)]
-        view = InternalNodeView.compose(layout, level, fence_low,
-                                        MAX_KEY, NULL_ADDR, entries, nv=0)
-        yield from self.qp.write_batch([
-            (root_addr, bytes(view.span.data)),
-            (root_addr + layout.lock_offset, encode_u64(0)),
-        ])
+        root_addr, view = yield from self._write_fresh_node(
+            layout, [(0, old_root), (split_key, new_addr)], NULL_ADDR, 0,
+            MAX_KEY, level=level)
         old, swapped = yield from self.qp.cas(self.index.root_ptr_addr,
                                               old_root, root_addr)
         if swapped:

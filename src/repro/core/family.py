@@ -23,13 +23,21 @@ pairing with leases, ticket queues and delegation for the tree families.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Generator, List, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import ClientContext
-from repro.core.node_layout import FULL_MASK, LOCK_BIT
-from repro.errors import IndexError_, LayoutError, TornReadError, WorkloadError
+from repro.core.node_layout import FULL_MASK, LOCK_BIT, SortedNodeLayout
+from repro.core.nodes import SortedNodeView
+from repro.errors import (
+    FaultInjectedError,
+    IndexError_,
+    LayoutError,
+    TornReadError,
+    WorkloadError,
+)
 from repro.layout import (
+    StripedSpan,
     decode_key,
     decode_u64,
     decode_value,
@@ -125,6 +133,16 @@ class FamilyIndexBase:
             addrs[lane::lanes] = range(base, base + stride * count, stride)
         self._host_rr += len(keys)
         return addrs
+
+    def _host_stored(self, items: Sequence[Tuple[int, int]]
+                     ) -> Sequence[Tuple[int, int]]:
+        """What a leaf holds of *items*: themselves, or — with indirect
+        values — each key with the address of its value's fresh block."""
+        if not self.config.indirect_values:
+            return items
+        keys = [key for key, _value in items]
+        return list(zip(keys, self._host_alloc_blocks(
+            keys, [value for _key, value in items])))
 
     def _host_read_block(self, addr: int) -> Tuple[int, int]:
         """``(key, value)`` of a block written by :meth:`_host_alloc_blocks`."""
@@ -244,6 +262,46 @@ class FamilyClientBase(SpanInstrumentedOps):
                                            self._read_block(block, key))
             resolved.append((key, value))
         return resolved
+
+    # -- sorted-array nodes (internal levels, sorted leaves) ------------------
+
+    def _read_sorted_node(self, addr: int, layout: SortedNodeLayout,
+                          raw: Optional[bytes] = None) -> Generator:
+        """READ the node at *addr* until it is NV-consistent; returns
+        its view.  *raw* is an image already fetched (one of a batch):
+        it is re-read only if torn.  A verb an injected fault failed is
+        retried like a torn image."""
+        retry = self.retry.start("node read {:#x}", self.engine,
+                                 self.ctx.rng, addr)
+        while retry.check():
+            if raw is None:
+                try:
+                    raw = yield from self.qp.read(addr, layout.raw_size)
+                except FaultInjectedError:
+                    pass
+            if raw is not None:
+                view = SortedNodeView(layout, StripedSpan(raw, 0))
+                if view.is_consistent():
+                    return view
+                raw = None
+            self.qp.stats.retries += 1
+            yield from retry.backoff()
+
+    def _write_fresh_node(self, layout: SortedNodeLayout,
+                          items: Sequence[Tuple[int, int]], sibling: int,
+                          fence_low: int, fence_high: int,
+                          level: int = 0) -> Generator:
+        """Allocate a node and WRITE it holding *items*, with a free lock
+        line behind it (one batch); returns ``(addr, view)``.  Nothing
+        points at it yet — the caller publishes it."""
+        addr = yield from self._alloc(layout.total_size)
+        view = SortedNodeView.compose(layout, items, sibling, fence_low,
+                                      fence_high, level=level)
+        yield from self.qp.write_batch([
+            (addr, bytes(view.span.data)),
+            (addr + layout.lock_offset, encode_u64(0)),
+        ])
+        return addr, view
 
     # -- remote locks ---------------------------------------------------------
 

@@ -21,70 +21,43 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional, Sequence, Tuple
 
-from repro.baselines.pla import PlaModel
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import ClientContext
 from repro.core.chime import LockGuard
-from repro.core.family import FamilyClientBase, FamilyIndexBase
 from repro.core.leaf_ops import HopscotchLeafOpsMixin, place_items
+from repro.baselines.model_routed import (
+    ModelRoutedClientBase,
+    ModelRoutedIndexBase,
+)
 from repro.core.node_layout import LeafLayout, VacancyBitmap
 from repro.core.nodes import LeafNodeView
 from repro.hashing.hopscotch import default_hash, distance, plan_insert
-from repro.layout import MAX_KEY, StripedSpan, encode_key, encode_u64
+from repro.layout import StripedSpan, encode_key, encode_u64
 from repro.layout.versions import bump_nibble
 from repro.memory import NULL_ADDR
 
-#: Cached bytes per leaf address (like ROLEX's leaf table).
-LEAF_ADDR_BYTES = 8
 
-
-class LearnedChimeIndex(FamilyIndexBase):
+class LearnedChimeIndex(ModelRoutedIndexBase):
     """Host-side state: PLA model + flat array of hopscotch leaves."""
 
     def __init__(self, cluster: Cluster, span: int = 64,
                  neighborhood: int = 8, error: int = 16,
                  value_size: int = 8,
                  bulk_load_factor: float = 0.7) -> None:
-        super().__init__(cluster)
+        super().__init__(
+            cluster, None,
+            LeafLayout(span=span, neighborhood=neighborhood,
+                       value_size=value_size, replicated=True,
+                       fence_keys=True),
+            error, bulk_load_factor)
         self.span = span
-        self.neighborhood = neighborhood
-        self.error = error
-        self.value_size = value_size
-        self.bulk_load_factor = bulk_load_factor
-        self.leaf_layout = LeafLayout(span=span, neighborhood=neighborhood,
-                                      value_size=value_size,
-                                      replicated=True, fence_keys=True)
         self.vacancy_map = VacancyBitmap(span)
-        self.model: Optional[PlaModel] = None
-        self.leaf_addrs: List[int] = []
-        self._items_per_leaf = 1
 
     def client(self, ctx: ClientContext) -> "LearnedChimeClient":
         return LearnedChimeClient(self, ctx)
 
     def home_of(self, key: int) -> int:
         return default_hash(key, self.span)
-
-    # -- bulk load ------------------------------------------------------------------
-
-    def bulk_load(self, pairs: Sequence[Tuple[int, int]],
-                  future_keys: Sequence[int] = ()) -> None:
-        pairs = self._checked_pairs(pairs)
-        loaded = dict(pairs)
-        all_keys = sorted(set(loaded) | set(future_keys))
-        self.model = PlaModel.train(all_keys, self.error)
-        per_leaf = max(1, int(self.span * self.bulk_load_factor))
-        self._items_per_leaf = per_leaf
-        chunks = [all_keys[i:i + per_leaf]
-                  for i in range(0, len(all_keys), per_leaf)] or [[]]
-        self.leaf_addrs = [self._host_alloc(self.leaf_layout.total_size)
-                           for _ in chunks]
-        bounds = [0] + [c[0] for c in chunks[1:]] + [MAX_KEY]
-        for index, chunk in enumerate(chunks):
-            items = [(key, loaded[key]) for key in chunk if key in loaded]
-            self._host_write_leaf(self.leaf_addrs[index], items,
-                                  bounds[index], bounds[index + 1])
-        self.loaded_items = len(pairs)
 
     def _host_write_leaf(self, addr: int, items: Sequence[Tuple[int, int]],
                          fence_low: int, fence_high: int) -> None:
@@ -104,35 +77,14 @@ class LearnedChimeIndex(FamilyIndexBase):
                          encode_u64(self.vacancy_map.lock_word(keys))
                          + encode_key(fence_low) + encode_key(fence_high))
 
-    # -- prediction / accounting ---------------------------------------------------
-
-    def candidate_leaves(self, key: int) -> List[int]:
-        window = self.model.position_range(key)
-        lo = window.start // self._items_per_leaf
-        hi = min((window.stop - 1) // self._items_per_leaf,
-                 len(self.leaf_addrs) - 1)
-        return list(range(lo, hi + 1))
-
-    def cache_bytes_needed(self) -> int:
-        model_bytes = self.model.cache_bytes if self.model else 0
-        return model_bytes + LEAF_ADDR_BYTES * len(self.leaf_addrs)
-
-    def collect_items(self) -> List[Tuple[int, int]]:
+    def _host_table(self, addr: int) -> Tuple[List[Tuple[int, int]], int]:
         layout = self.leaf_layout
-        out: List[Tuple[int, int]] = []
-        for addr in self.leaf_addrs:
-            chain = addr
-            while chain != NULL_ADDR:
-                raw = self._host_read(chain, layout.raw_size)
-                view = LeafNodeView(layout, StripedSpan(raw, 0))
-                for _pos, key, value in view.items():
-                    out.append((key, value))
-                chain = view.replica_sibling(0)  # synonym pointer
-        out.sort()
-        return out
+        view = LeafNodeView(layout, StripedSpan(
+            self._host_read(addr, layout.raw_size), 0))
+        return view.pairs(), view.replica_sibling(0)  # the synonym pointer
 
 
-class LearnedChimeClient(FamilyClientBase, HopscotchLeafOpsMixin):
+class LearnedChimeClient(ModelRoutedClientBase, HopscotchLeafOpsMixin):
     """Point operations routed by the model onto hopscotch leaves."""
 
     def __init__(self, index: LearnedChimeIndex, ctx: ClientContext) -> None:
@@ -171,16 +123,7 @@ class LearnedChimeClient(FamilyClientBase, HopscotchLeafOpsMixin):
 
     # ---------------------------------------------------------------- writes
 
-    def _insert(self, key: int, value: int) -> Generator:
-        return self._locked_write(key, value, delete=False, upsert=True)
-
-    def _update(self, key: int, value: int) -> Generator:
-        return self._locked_write(key, value, delete=False, upsert=False)
-
-    def _delete(self, key: int) -> Generator:
-        return self._locked_write(key, 0, delete=True, upsert=False)
-
-    def _locate_base_leaf(self, key: int) -> Generator:
+    def _locate_base(self, key: int) -> Generator:
         """The candidate leaf whose fences cover *key* (fence replicas
         ride along with a neighborhood read)."""
         home = self.home_of(key)
@@ -192,102 +135,56 @@ class LearnedChimeClient(FamilyClientBase, HopscotchLeafOpsMixin):
                 return leaf_addr
         return None
 
-    def _locked_write(self, key: int, value: int, delete: bool,
-                      upsert: bool) -> Generator:
-        base_addr = yield from self._locate_base_leaf(key)
-        if base_addr is None:
-            return False
-        layout = self.layout
-        lock_addr = base_addr + layout.lock_offset
-        old_word = yield from self._lock(lock_addr)
-        guard = LockGuard(lock_addr, old_word)
-        try:
-            result = yield from self._write_chain(guard, base_addr, key,
-                                                  value, delete, upsert)
-            return result
-        except GeneratorExit:
-            raise  # reclaimed while parked: must not yield restore verbs
-        except BaseException:
-            if guard.held:
-                yield from self._restore_unlock(lock_addr,
-                                                guard.release_word())
-            raise
-        finally:
-            self._release_local(lock_addr)
+    # Synonym leaves' own lock words only carry their vacancy metadata;
+    # the base leaf's lock covers the whole chain.
 
-    def _write_chain(self, guard: LockGuard, base_addr: int, key: int,
-                     value: int, delete: bool, upsert: bool) -> Generator:
-        """Walk base + synonym chain under the base lock.
+    _fetch_table = HopscotchLeafOpsMixin._fetch_whole
 
-        The base leaf's lock covers the whole chain; synonym leaves' own
-        lock words only carry their vacancy metadata.
-        """
-        layout = self.layout
-        home = self.home_of(key)
-        block = layout.neighborhood_replica_block(home)
-        chain_addr = base_addr
-        tail_addr = base_addr
-        tail_view = None
-        spacious: Optional[int] = None
-        while chain_addr != NULL_ADDR:
-            view = yield from self._fetch_whole(chain_addr)
-            position = self._find_in_neighborhood(view, home, key)
-            if position is not None:
-                result = yield from self._modify_entry(
-                    guard, base_addr, chain_addr, view, position, home, key,
-                    value, delete)
-                return result
-            if spacious is None and not all(view.occupancy()):
-                spacious = chain_addr
-            tail_addr, tail_view = chain_addr, view
-            chain_addr = view.replica_sibling(block)
-        if delete or not upsert:
-            yield from self._unlock_remote(guard.lock_addr,
-                                           guard.release_word())
-            return False
-        target = spacious if spacious is not None else None
-        if target is not None:
-            view = yield from self._fetch_whole(target)
-            done = yield from self._hop_insert(guard, base_addr, target,
-                                               view, home, key, value)
-            if done:
-                return True
-        # Chain full (or hop infeasible): append a fresh synonym leaf.
-        result = yield from self._append_synonym(guard, base_addr, tail_addr,
-                                                 tail_view, block, key, value)
-        return result
+    def _find(self, table: LeafNodeView, key: int) -> Optional[int]:
+        return self._find_in_neighborhood(table, self.home_of(key), key)
 
-    def _modify_entry(self, guard: LockGuard, base_addr: int,
-                      leaf_addr: int, view: LeafNodeView, position: int,
-                      home: int, key: int, value: int,
-                      delete: bool) -> Generator:
+    def _has_room(self, table: LeafNodeView) -> bool:
+        return not all(table.occupancy())
+
+    def _synonym_of(self, table: LeafNodeView) -> int:
+        return table.replica_sibling(0)
+
+    def _per_entry_writes(self, leaf_addr: int, view: LeafNodeView,
+                      positions) -> List[Tuple[int, bytes]]:
+        """One WRITE per entry of *positions*, as edited in *view*."""
         layout = self.layout
-        writes: List[Tuple[int, bytes]] = []
+        writes = []
+        for pos in positions:
+            raw_off, raw_bytes = view.span.sub_span(layout.entry_offset(pos),
+                                                    layout.entry_size)
+            writes.append((leaf_addr + raw_off, raw_bytes))
+        return writes
+
+    def _modify_entry(self, guard: LockGuard, leaf_addr: int,
+                      view: LeafNodeView, position: int, key: int,
+                      value: int, delete: bool) -> Generator:
+        positions = [position]
         if delete:
+            home = self.home_of(key)
             view.clear_entry(position)
-            offset = distance(home, position, layout.span)
+            offset = distance(home, position, self.layout.span)
             view.set_entry_bitmap(home,
                                   view.entry(home).bitmap & ~(1 << offset))
-            for pos in {position, home}:
-                off = layout.entry_offset(pos)
-                raw_off, raw_bytes = view.span.sub_span(off,
-                                                        layout.entry_size)
-                writes.append((leaf_addr + raw_off, raw_bytes))
+            positions = {position, home}
         else:
             view.write_entry(position, key, value)
-            off = layout.entry_offset(position)
-            raw_off, raw_bytes = view.span.sub_span(off, layout.entry_size)
-            writes.append((leaf_addr + raw_off, raw_bytes))
-        writes.extend(self._unlock_writes(guard.lock_addr,
-                                          guard.release_word()))
-        yield from self.qp.write_batch(writes)
-        return True
+        yield from self.qp.write_batch(
+            self._per_entry_writes(leaf_addr, view, positions)
+            + self._unlock_writes(guard.lock_addr, guard.release_word()))
 
-    def _hop_insert(self, guard: LockGuard, base_addr: int, leaf_addr: int,
-                    view: LeafNodeView, home: int, key: int,
-                    value: int) -> Generator:
-        """Hopscotch insertion into a fully fetched leaf image."""
+    def _insert_into(self, guard: LockGuard, leaf_addr: int,
+                     _walked: LeafNodeView, key: int,
+                     value: int) -> Generator:
+        """Hopscotch insertion into the leaf, fetched afresh; False when
+        no hop sequence frees an entry of the key's neighbourhood."""
         layout = self.layout
+        view = yield from self._fetch_whole(leaf_addr)
+        home = self.home_of(key)
         occupancy = view.occupancy()
         empty = None
         for step in range(layout.span):
@@ -307,19 +204,14 @@ class LearnedChimeClient(FamilyClientBase, HopscotchLeafOpsMixin):
         if plan is None:
             return False
         modified = self._apply_plan(view, plan, home, key, value)
-        writes: List[Tuple[int, bytes]] = []
-        for pos in sorted(modified):
-            off = layout.entry_offset(pos)
-            raw_off, raw_bytes = view.span.sub_span(off, layout.entry_size)
-            writes.append((leaf_addr + raw_off, raw_bytes))
-        writes.extend(self._unlock_writes(guard.lock_addr,
-                                          guard.release_word()))
-        yield from self.qp.write_batch(writes)
+        yield from self.qp.write_batch(
+            self._per_entry_writes(leaf_addr, view, sorted(modified))
+            + self._unlock_writes(guard.lock_addr, guard.release_word()))
         return True
 
-    def _append_synonym(self, guard: LockGuard, base_addr: int,
-                        tail_addr: int, tail_view: LeafNodeView, block: int,
-                        key: int, value: int) -> Generator:
+    def _append_synonym(self, guard: LockGuard, tail_addr: int,
+                        tail_view: LeafNodeView, key: int,
+                        value: int) -> Generator:
         layout = self.layout
         low, high = tail_view.replica_fences(0)
         new_addr = yield from self._alloc(layout.total_size)
@@ -341,4 +233,3 @@ class LearnedChimeClient(FamilyClientBase, HopscotchLeafOpsMixin):
         yield from self.qp.write_batch(
             [(tail_addr, rebuilt)]
             + self._unlock_writes(guard.lock_addr, guard.release_word()))
-        return True

@@ -1,4 +1,4 @@
-"""Byte layouts of CHIME's internal and hopscotch leaf nodes.
+"""Byte layouts of sorted-array nodes and CHIME's hopscotch leaf nodes.
 
 All offsets here are *logical* (payload) coordinates of a striped region
 (see :mod:`repro.layout.versions`); the raw on-MN image interleaves
@@ -42,6 +42,7 @@ from repro.layout.image import (
     image_struct,
     packer_values,
     tuple_getter,
+    unpack_values,
 )
 from repro.memory.region import CACHE_LINE, NULL_ADDR
 from repro.obs.bus import BUS
@@ -196,45 +197,87 @@ class VacancyBitmap:
 
 
 @dataclass(frozen=True)
-class InternalLayout:
-    """Logical layout of an internal node.
+class SortedNodeLayout:
+    """Logical layout of a sorted-array node: every internal level of a
+    tree, and the sorted leaves of Sherman, Marlin and ROLEX.
 
-    Header: ``[version:1][level:1][valid:1][count:2][fence_low:k]
-    [fence_high:k][sibling:8]``; entries: ``[version:1][pivot:k][child:8]``.
+    Header: ``[version:1][level:1?][valid:1][count:2][fence_low:k]
+    [fence_high:k][sibling:8]``; entry: ``[version:1][key:k][value:v]``.
+    An internal node is the sorted leaf plus the level byte
+    (``level_byte``); its entries are ``(pivot, child)`` — a child
+    pointer is an 8-byte value.
     """
 
     span: int
     key_size: int = 8
+    value_size: int = 8
+    level_byte: bool = False
 
-    # Sizes are precomputed once in ``__post_init__`` — layouts are
-    # immutable and these land on every simulated byte access.
+    OFF_VERSION = 0
+    OFF_LEVEL = 1
+
+    # Sizes, offsets and the image codec are precomputed once in
+    # ``__post_init__`` — layouts are immutable and these land on every
+    # simulated node access.
     def __post_init__(self) -> None:
         set_attr = object.__setattr__
-        header_size = 1 + 1 + 1 + 2 + 2 * self.key_size + 8
-        entry_size = 1 + self.key_size + 8
+        off_valid = 2 if self.level_byte else 1
+        off_fence_low = off_valid + 3
+        off_sibling = off_fence_low + 2 * self.key_size
+        header_size = off_sibling + 8
+        entry_size = 1 + self.key_size + self.value_size
         logical_size = header_size + self.span * entry_size
         raw = versions.raw_size(logical_size)
         padded = -(-raw // CACHE_LINE) * CACHE_LINE
+        set_attr(self, "off_valid", off_valid)
+        set_attr(self, "off_count", off_valid + 1)
+        set_attr(self, "off_fence_low", off_fence_low)
+        set_attr(self, "off_fence_high", off_fence_low + self.key_size)
+        set_attr(self, "off_sibling", off_sibling)
         set_attr(self, "header_size", header_size)
         set_attr(self, "entry_size", entry_size)
         set_attr(self, "logical_size", logical_size)
         set_attr(self, "raw_size", raw)
         set_attr(self, "total_size", padded + CACHE_LINE)
         set_attr(self, "lock_offset", padded)
-        set_attr(self, "off_fence_low", 5)
-        set_attr(self, "off_fence_high", 5 + self.key_size)
-        set_attr(self, "off_sibling", 5 + 2 * self.key_size)
+        # Logical offset of every entry (its leading version byte), and
+        # the matching raw offsets of a whole image fetched at base 0:
+        # the consistency check reads all of them on every node fetch.
+        offsets = tuple(header_size + index * entry_size
+                        for index in range(self.span))
+        set_attr(self, "_entry_offsets", offsets)
+        set_attr(self, "entry_version_raw_offsets",
+                 tuple(versions.raw_of(off) for off in offsets))
+        # Image codec over the de-striped payload of a whole node.
+        # Decoding: one struct per column (keys big-endian, values
+        # little-endian; an inline value narrower than a word is its raw
+        # bytes).  Encoding
+        # (:meth:`SortedNodeView.compose`): every field from two flat
+        # source vectors, one per byte order — [version byte, level,
+        # valid, count, sibling, *values] and [fence_low, fence_high,
+        # *keys].
+        value_code = "Q" if self.value_size >= 8 else f"{self.value_size}s"
+        header_code = "BBBH" if self.level_byte else "BBH"
+        header_sources = (0, 1, 2, 3) if self.level_byte else (0, 2, 3)
+        off_value = 1 + self.key_size
+        set_attr(self, "_image_keys", image_struct(
+            ">", zip(offsets, repeat("Q")), logical_size, 1))
+        set_attr(self, "_image_values", image_struct(
+            "<", zip(offsets, repeat(value_code)), logical_size, off_value))
+        entries = list(enumerate(offsets))
+        set_attr(self, "_encoder", ImageEncoder(
+            [(0, header_code, header_sources), (off_sibling, "Q", (4,))]
+            + [(off, "B", (0,)) for _index, off in entries]
+            + [(off + off_value, value_code, (5 + index,))
+               for index, off in entries],
+            [(off_fence_low, "QQ", (0, 1))]
+            + [(off + 1, "Q", (2 + index,)) for index, off in entries],
+            logical_size))
 
     def entry_offset(self, index: int) -> int:
-        if not 0 <= index < self.span:
-            raise LayoutError(f"internal entry index {index} out of range")
-        return self.header_size + index * self.entry_size
-
-    # Header field offsets (logical).
-    OFF_VERSION = 0
-    OFF_LEVEL = 1
-    OFF_VALID = 2
-    OFF_COUNT = 3
+        if 0 <= index < self.span:
+            return self._entry_offsets[index]
+        raise LayoutError(f"node entry index {index} out of range")
 
 
 _BITMAP = struct.Struct("<H")
@@ -630,10 +673,7 @@ class LeafLayout:
     def image_values(self, payload: bytearray) -> Sequence[int]:
         """The value of every entry in position order, from the
         de-striped payload of a whole leaf."""
-        values = self._image_values.unpack(payload)
-        if self.value_size < 8:
-            values = [int.from_bytes(raw, "little") for raw in values]
-        return values
+        return unpack_values(self._image_values, payload, self.value_size)
 
     # Entry field offsets (relative to entry start).
     ENTRY_OFF_VERSION = 0

@@ -11,11 +11,13 @@ entry-by-entry reference is ``tests/oracles.py``'s ``compose_leaf``).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress, count
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.node_layout import InternalLayout, LeafLayout
+from repro.core.node_layout import LeafLayout, SortedNodeLayout
+from repro.errors import LayoutError
 from repro.layout import (
     StripedSpan,
     decode_key,
@@ -29,7 +31,8 @@ from repro.layout import (
     pack_version,
     unpack_version,
 )
-from repro.layout.versions import bump_nibble
+from repro.layout.image import packer_values, unpack_values
+from repro.layout.versions import LINE, bump_nibble
 from repro.memory.region import NULL_ADDR
 
 
@@ -52,17 +55,10 @@ class ParsedInternal:
     def find_child(self, key: int) -> Tuple[int, int]:
         """(entry index, child address) whose pivot range covers *key*.
 
-        Entries are sorted; returns the last entry with pivot <= key.
+        Entries are sorted; returns the last entry with pivot <= key
+        (the first, for a key below every pivot).
         """
-        lo, hi = 0, self.count - 1
-        pos = 0
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            if self.pivots[mid] <= key:
-                pos = mid
-                lo = mid + 1
-            else:
-                hi = mid - 1
+        pos = max(bisect_right(self.pivots, key, 0, self.count) - 1, 0)
         return pos, self.children[pos]
 
     def next_child(self, index: int) -> Optional[int]:
@@ -75,54 +71,57 @@ class ParsedInternal:
         return self.fence_low <= key < self.fence_high
 
 
-class InternalNodeView:
-    """Accessor over an internal node's striped image."""
+class SortedNodeView:
+    """Accessor over a sorted-array node's striped image: an internal
+    node, or a sorted leaf of Sherman, Marlin or ROLEX."""
 
-    def __init__(self, layout: InternalLayout, span: StripedSpan) -> None:
+    def __init__(self, layout: SortedNodeLayout, span: StripedSpan) -> None:
         self.layout = layout
         self.span = span
 
     # -- composition ------------------------------------------------------------
 
     @classmethod
-    def compose(cls, layout: InternalLayout, level: int, fence_low: int,
-                fence_high: int, sibling: int,
-                entries: List[Tuple[int, int]], nv: int = 0,
-                valid: bool = True) -> "InternalNodeView":
-        """Build a fresh full-node image with uniform versions."""
-        view = cls(layout, StripedSpan.blank(layout.logical_size))
-        sp = view.span
-        byte = pack_version(nv, 0)
-        sp.set_all_versions(nv, 0)
-        sp.write_logical(layout.OFF_VERSION, bytes([byte]))
-        sp.write_logical(layout.OFF_LEVEL, bytes([level]))
-        sp.write_logical(layout.OFF_VALID, bytes([1 if valid else 0]))
-        sp.write_logical(layout.OFF_COUNT, encode_u16(len(entries)))
-        sp.write_logical(layout.off_fence_low, encode_key(fence_low))
-        sp.write_logical(layout.off_fence_high, encode_key(fence_high))
-        sp.write_logical(layout.off_sibling, encode_u64(sibling))
-        for index in range(layout.span):
-            off = layout.entry_offset(index)
-            sp.write_logical(off, bytes([byte]))
-            if index < len(entries):
-                pivot, child = entries[index]
-                sp.write_logical(off + 1, encode_key(pivot))
-                sp.write_logical(off + 1 + layout.key_size, encode_u64(child))
-        return view
+    def compose(cls, layout: SortedNodeLayout,
+                items: Sequence[Tuple[int, int]], sibling: int,
+                fence_low: int, fence_high: int, nv: int = 0,
+                level: int = 0) -> "SortedNodeView":
+        """A freshly written node holding the sorted *items*: every line,
+        header and entry version byte is (*nv*, EV 0) — node-write
+        semantics — and entries past the last item are empty.  *level*
+        lands only in a layout with a level byte.  Composed by the
+        layout's compiled encoder; the field-by-field way is its oracle
+        (``tests/oracles.py``, ``compose_sorted_leaf``)."""
+        spare = layout.span - len(items)
+        if spare < 0:
+            raise LayoutError(
+                f"{len(items)} items do not fit a node of span {layout.span}")
+        version = pack_version(nv, 0)
+        keys = [key for key, _value in items]
+        values = [value for _key, value in items]
+        keys += [0] * spare
+        values += [0] * spare
+        return cls(layout, StripedSpan(layout._encoder.encode(
+            [version, level, 1, len(items), sibling,
+             *packer_values(values, layout.value_size)],
+            [fence_low, fence_high, *keys], version), 0))
 
     # -- field access -------------------------------------------------------------
 
     @property
     def level(self) -> int:
-        return self.span.read_logical(self.layout.OFF_LEVEL, 1)[0]
+        """0 for a leaf: a layout without a level byte stores none."""
+        layout = self.layout
+        return self.span.payload_byte(layout.OFF_LEVEL) \
+            if layout.level_byte else 0
 
     @property
     def valid(self) -> bool:
-        return bool(self.span.read_logical(self.layout.OFF_VALID, 1)[0])
+        return bool(self.span.payload_byte(self.layout.off_valid))
 
     @property
     def count(self) -> int:
-        return decode_u16(self.span.read_logical(self.layout.OFF_COUNT, 2))
+        return decode_u16(self.span.read_logical(self.layout.off_count, 2))
 
     @property
     def fence_low(self) -> int:
@@ -138,42 +137,103 @@ class InternalNodeView:
     def sibling(self) -> int:
         return decode_u64(self.span.read_logical(self.layout.off_sibling, 8))
 
+    @property
+    def nv(self) -> int:
+        return self.span.payload_byte(self.layout.OFF_VERSION) >> 4
+
     def entry(self, index: int) -> Tuple[int, int]:
-        off = self.layout.entry_offset(index)
-        pivot = decode_key(self.span.read_logical(off + 1, self.layout.key_size))
-        child = decode_u64(self.span.read_logical(
-            off + 1 + self.layout.key_size, 8))
-        return pivot, child
+        layout = self.layout
+        data = self.span.read_logical(layout.entry_offset(index) + 1,
+                                      layout.key_size + layout.value_size)
+        return (decode_key(data),
+                decode_value(data, layout.key_size, size=layout.value_size))
+
+    def entry_key(self, index: int) -> int:
+        """Just the key of one entry — skips the value decode."""
+        return decode_key(self.span.read_logical(
+            self.layout.entry_offset(index) + 1, self.layout.key_size))
+
+    def find(self, key: int) -> Optional[int]:
+        """Binary search the sorted entries; returns the index or None."""
+        held = self.count
+        index = bisect_left(range(held), key, key=self.entry_key)
+        if index < held and self.entry_key(index) == key:
+            return index
+        return None
+
+    def write_entry_value(self, index: int, key: int, value: int) -> None:
+        """Fine-grained entry update: payload + EV bump in lockstep."""
+        layout = self.layout
+        off = layout.entry_offset(index)
+        nv, ev = unpack_version(self.span.payload_byte(off))
+        self.span.write_logical(off, bytes([pack_version(nv,
+                                                         bump_nibble(ev))]))
+        self.span.bump_entry_versions(off, layout.entry_size)
+        self.span.write_logical(off + 1, encode_key(key) + encode_value(
+            value, layout.value_size))
+
+    def entry_sub_span(self, index: int) -> Tuple[int, bytes]:
+        return self.span.sub_span(self.layout.entry_offset(index),
+                                  self.layout.entry_size)
+
+    # -- whole-node decode ---------------------------------------------------------
+    #
+    # Views wrap whole-node images (nodes are read whole), so every
+    # entry is decoded from one de-striped payload by the layout's
+    # column structs; ``entry`` is the per-entry reference.
+
+    def _columns(self) -> Tuple[Sequence[int], Sequence[int]]:
+        """The keys and the values of the held entries, in key order."""
+        layout = self.layout
+        count = self.count
+        payload = self.span.image_payload(layout.logical_size)
+        return (layout._image_keys.unpack(payload)[:count],
+                unpack_values(layout._image_values, payload,
+                              layout.value_size)[:count])
+
+    def items(self) -> List[Tuple[int, int]]:
+        """The (key, value) of every held entry, in key order."""
+        return list(zip(*self._columns()))
+
+    def parse(self, addr: int) -> ParsedInternal:
+        """The node decoded as an internal one: its entries are
+        ``(pivot, child)``."""
+        pivots, children = self._columns()
+        return ParsedInternal(
+            addr=addr, level=self.level, valid=self.valid,
+            count=len(pivots), fence_low=self.fence_low,
+            fence_high=self.fence_high, sibling=self.sibling,
+            pivots=list(pivots), children=list(children), nv=self.nv)
 
     # -- consistency ---------------------------------------------------------------
 
     def nv_values(self) -> List[int]:
         """Every NV nibble in the image (line bytes + header + entries)."""
-        values = list(self.span.nv_nibbles())
-        header_byte = self.span.read_logical(self.layout.OFF_VERSION, 1)[0]
-        values.append(unpack_version(header_byte)[0])
-        for index in range(self.layout.span):
-            byte = self.span.read_logical(self.layout.entry_offset(index), 1)[0]
-            values.append(unpack_version(byte)[0])
+        layout = self.layout
+        payload = self.span.read_logical(0, layout.logical_size)
+        values = self.span.nv_nibbles()
+        values.append(payload[layout.OFF_VERSION] >> 4)
+        values.extend([payload[off] >> 4 for off in layout._entry_offsets])
         return values
 
     def is_consistent(self) -> bool:
-        return len(set(self.nv_values())) <= 1
-
-    def parse(self, addr: int) -> ParsedInternal:
-        count = self.count
-        pivots: List[int] = []
-        children: List[int] = []
-        for index in range(count):
-            pivot, child = self.entry(index)
-            pivots.append(pivot)
-            children.append(child)
-        header_byte = self.span.read_logical(self.layout.OFF_VERSION, 1)[0]
-        return ParsedInternal(
-            addr=addr, level=self.level, valid=self.valid, count=count,
-            fence_low=self.fence_low, fence_high=self.fence_high,
-            sibling=self.sibling, pivots=pivots, children=children,
-            nv=unpack_version(header_byte)[0])
+        span = self.span
+        if span.base != 0:
+            return len(set(self.nv_values())) <= 1
+        # Full-image fast path: scan NV nibbles straight off the raw
+        # buffer — no payload extraction, no intermediate lists.  Runs
+        # once per fetched node, over every line and entry version byte.
+        data = span.data
+        first = data[0] >> 4
+        for pos in range(LINE, len(data), LINE):
+            if data[pos] >> 4 != first:
+                return False
+        if data[1] >> 4 != first:  # header version byte (raw offset 1)
+            return False
+        for pos in self.layout.entry_version_raw_offsets:
+            if data[pos] >> 4 != first:
+                return False
+        return True
 
 
 @dataclass(slots=True)

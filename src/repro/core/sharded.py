@@ -39,7 +39,6 @@ from repro.cluster.shards import (
     ShardCacheView,
     ShardHeatTracker,
     partition_pairs,
-    resolve_cache_mode,
 )
 from repro.layout import StripedSpan
 from repro.memory import NULL_ADDR, addr_mn
@@ -116,9 +115,7 @@ class ShardedIndex:
         self.shard_map = cluster.shard_map
         self.allocator = cluster.partitioned_allocator
         self.num_shards = self.shard_map.num_shards
-        self.cache_mode = resolve_cache_mode(
-            getattr(cluster.config, "cache_mode", "shared")
-        )
+        self.cache_mode = cluster.config.cache_mode
         self._build_kwargs = dict(
             value_size=value_size,
             span=span,
@@ -256,18 +253,9 @@ class ShardedIndex:
     def _leaf_chain(self, sub) -> List[int]:
         """Host-side leaf addresses of a B-link-tree sub-index, left to
         right along the sibling chain (parents can lag a half-split)."""
-        from repro.core.nodes import InternalNodeView, LeafNodeView
+        from repro.core.nodes import LeafNodeView
 
-        layout = sub.internal_layout
-        addr = sub.root_addr
-        if addr == NULL_ADDR:
-            return []
-        for _ in range(64):
-            raw = sub._host_read(addr, layout.raw_size)
-            parsed = InternalNodeView(layout, StripedSpan(raw, 0)).parse(addr)
-            addr = parsed.children[0]
-            if parsed.level == 1:
-                break
+        addr = sub.leftmost_leaf()
         leaves: List[int] = []
         leaf_layout = sub.leaf_layout
         guard = 0

@@ -30,7 +30,7 @@ from repro.core.node_layout import (
     unpack_lease,
     unpack_lock_word,
 )
-from repro.core.nodes import InternalNodeView, LeafNodeView
+from repro.core.nodes import LeafNodeView
 from repro.core.sync import reconstruct_bitmaps
 from repro.layout import MAX_KEY, StripedSpan, decode_key, decode_u64
 from repro.memory import NULL_ADDR
@@ -66,27 +66,6 @@ class InvariantReport:
         }
 
 
-def _leftmost_leaf(index) -> int:
-    """Host-side descent through ``children[0]`` to the leftmost leaf.
-
-    ``leaf_addrs()`` is not used: it relies on parent entries, which a
-    half-split (published only through sibling pointers) bypasses.  The
-    sibling chain from the leftmost leaf is the authoritative leaf set.
-    """
-    layout = index.internal_layout
-    addr = index.root_addr
-    if addr == NULL_ADDR:
-        return NULL_ADDR
-    for _level in range(64):
-        raw = index._host_read(addr, layout.raw_size)
-        parsed = InternalNodeView(layout, StripedSpan(raw, 0)).parse(addr)
-        child = parsed.children[0]
-        if parsed.level == 1:
-            return child
-        addr = child
-    return NULL_ADDR
-
-
 def check_tree_invariants(index,
                           expected_keys: Optional[Iterable[int]] = None,
                           dead_cns: Iterable[int] = ()
@@ -109,7 +88,7 @@ def check_tree_invariants(index,
     now_us = sim_us(engine.now)
     leases_on = index.cluster.config.lock_leases
     any_dead = bool(set(dead_cns))
-    addr = _leftmost_leaf(index)
+    addr = index.leftmost_leaf()
     if addr == NULL_ADDR:
         report.violations.append("tree has no leaves (no root?)")
         return report

@@ -3,10 +3,10 @@
 A node layout knows the logical offset of every field it holds; the
 helpers here turn such an offset table into one :mod:`struct` format
 over the whole payload, so a leaf is decoded, or composed, in a handful
-of C calls instead of one Python call per field.  Both leaf families
-compile from them: the hopscotch leaves of :mod:`repro.core.node_layout`
-(decoders, read shapes and the image encoder) and the sorted leaves of
-:mod:`repro.baselines.sherman` (the image encoder).
+of C calls instead of one Python call per field.  Both node shapes of
+:mod:`repro.core.node_layout` compile from them: the hopscotch leaves
+(decoders, read shapes and the image encoder) and the sorted-array
+nodes (column decoders and the image encoder).
 """
 
 from __future__ import annotations
@@ -75,6 +75,16 @@ def packer_values(values: Sequence[int], size: int) -> Sequence:
     except OverflowError:
         raise LayoutError(
             f"a value does not fit in {size} bytes") from None
+
+
+def unpack_values(codec: struct.Struct, payload: bytes,
+                  size: int) -> Sequence[int]:
+    """The decoder twin of :func:`packer_values`: the value column
+    *codec* unpacks from *payload*, each value an integer."""
+    values = codec.unpack(payload)
+    if size < 8:
+        values = [int.from_bytes(raw, "little") for raw in values]
+    return values
 
 
 class ImageEncoder:

@@ -131,7 +131,7 @@ def build_index(name: str, cluster,
                 chime_overrides: Optional[dict] = None):
     """Instantiate an index by its paper legend name."""
     family = get_family(name)
-    sync_mode = getattr(cluster.config, "sync_mode", "optimistic")
+    sync_mode = cluster.config.sync_mode
     if sync_mode not in family.sync_modes:
         supported = ", ".join(family.sync_modes)
         raise WorkloadError(

@@ -224,8 +224,7 @@ def launch_clients(cluster, index, context: WorkloadContext,
                             run.latencies, run.completed),
                 name=f"lane-{lane_ctx.name}")
             run.lanes.append(handle)
-    if (getattr(cluster.config, "rebalance_shards", False)
-            and hasattr(index, "rebalancer")):
+    if cluster.config.rebalance_shards and hasattr(index, "rebalancer"):
         # Hot-shard rebalancer rides alongside the workload; it stops
         # once every lane finished so the engine heap can drain.
         lanes = run.lanes

@@ -14,9 +14,10 @@ imports or calls a name in :data:`__all__`):
   :func:`check_hopscotch_bitmap` — §4.1's three reader-side checks,
   entry by entry (:class:`repro.core.node_layout.ReadShape` runs them
   compiled).
-* :func:`compose_leaf` / :func:`compose_sorted_leaf` — a hopscotch / a
-  sorted leaf written field by field (``LeafLayout.encode_image`` /
-  ``ShermanLeafView.compose`` go through an ``ImageEncoder``).
+* :func:`compose_leaf` / :func:`compose_sorted_leaf` — a hopscotch leaf
+  / a sorted-array node (leaf or internal) written field by field
+  (``LeafLayout.encode_image`` / ``SortedNodeView.compose`` go through
+  an ``ImageEncoder``).
 * :func:`alloc_blocks_per_key` — one ``alloc`` + one write per KV block
   (``FamilyIndexBase._host_alloc_blocks`` lays a run).
 * :func:`smart_bulk_load_per_key` — SMART's recursive bulk load over
@@ -27,7 +28,6 @@ imports or calls a name in :data:`__all__`):
 from heapq import heappush
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.baselines.sherman import ShermanLeafLayout, ShermanLeafView
 from repro.baselines.smart import (
     _PARTIAL_MASK,
     _PARTIAL_SHIFT,
@@ -42,8 +42,8 @@ from repro.baselines.smart import (
     pack_slot,
 )
 from repro.core.family import FamilyIndexBase
-from repro.core.node_layout import LeafLayout
-from repro.core.nodes import LeafNodeView
+from repro.core.node_layout import LeafLayout, SortedNodeLayout
+from repro.core.nodes import LeafNodeView, SortedNodeView
 from repro.errors import LayoutError, TornReadError
 from repro.layout import (
     StripedSpan,
@@ -199,30 +199,35 @@ def compose_leaf(layout: LeafLayout, keys: Sequence[int],
     return view
 
 
-def compose_sorted_leaf(layout: ShermanLeafLayout,
+def compose_sorted_leaf(layout: SortedNodeLayout,
                         items: Sequence[Tuple[int, int]], sibling: int,
-                        fence_low: int, fence_high: int,
-                        nv: int) -> ShermanLeafView:
-    """A whole sorted leaf written field by field: the reference
-    :meth:`ShermanLeafView.compose` is held to byte for byte."""
-    view = ShermanLeafView(layout, StripedSpan.blank(layout.logical_size))
+                        fence_low: int, fence_high: int, nv: int,
+                        level: int = 0) -> SortedNodeView:
+    """A whole sorted-array node written field by field, at offsets
+    counted here from the format — ``[version][level?][valid][count:2]
+    [fence_low][fence_high][sibling:8]``, then ``[version][key][value]``
+    per entry — not read off the layout: the reference
+    :meth:`SortedNodeView.compose` is held to byte for byte."""
+    view = SortedNodeView(layout, StripedSpan.blank(layout.logical_size))
     sp = view.span
     sp.set_all_versions(nv, 0)
-    byte = pack_version(nv, 0)
-    sp.write_logical(layout.OFF_VERSION, bytes([byte]))
-    sp.write_logical(layout.OFF_VALID, b"\x01")
-    sp.write_logical(layout.OFF_COUNT, encode_u16(len(items)))
-    sp.write_logical(layout.off_fence_low, encode_key(fence_low))
-    sp.write_logical(layout.off_fence_high, encode_key(fence_high))
-    sp.write_logical(layout.off_sibling, encode_u64(sibling))
+    byte = bytes([pack_version(nv, 0)])
+    header = [byte, bytes([level]) if layout.level_byte else b"", b"\x01",
+              encode_u16(len(items)), encode_key(fence_low),
+              encode_key(fence_high), encode_u64(sibling)]
+    off = 0
+    for field in header:
+        if field:
+            sp.write_logical(off, field)
+        off += len(field)
     for index in range(layout.span):
-        off = layout.entry_offset(index)
-        sp.write_logical(off, bytes([byte]))
+        sp.write_logical(off, byte)
         if index < len(items):
             key, value = items[index]
             sp.write_logical(off + 1, encode_key(key))
             sp.write_logical(off + 1 + layout.key_size,
                              encode_value(value, layout.value_size))
+        off += 1 + layout.key_size + layout.value_size
     return view
 
 

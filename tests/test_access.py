@@ -532,7 +532,15 @@ class TestFamilyPlumbingWrittenOnce:
     SINGLE_HOME = ("_alloc", "_host_alloc", "_host_write", "_host_read",
                    "_host_alloc_blocks", "_host_read_block", "_read_block",
                    "_write_block", "_build_internal_levels", "_lock_spin",
-                   "remote_memory_bytes")
+                   "remote_memory_bytes",
+                   # The sorted-array node and the model-routed leaf
+                   # group (ISSUE 24): whole-node IO, the level writer,
+                   # the children[0] descent; the candidate window and
+                   # the locked chain walk.
+                   "_read_sorted_node", "_write_fresh_node",
+                   "_host_write_level", "_host_stored", "leftmost_leaf",
+                   "candidate_leaves", "synonym_chain_lengths",
+                   "_write_group", "_write_chain")
     #: (class, method) pairs allowed beside the single home, with reason.
     ALLOWED = {
         # Sums its per-shard sub-indexes instead of the cluster's MNs.
@@ -595,7 +603,7 @@ class TestFamilyPlumbingWrittenOnce:
 
     def test_per_entry_leaf_composition_is_only_the_oracle(self):
         """Whole leaves are composed by ``LeafLayout.encode_image`` and
-        ``ShermanLeafView.compose``'s encoder; the per-entry way — a
+        ``SortedNodeView.compose``'s encoder; the per-entry way — a
         blank view, then ``write_entry`` / ``set_entry_bitmap`` with the
         EV bump off — is ``tests/oracles.py``'s, so nothing under
         ``src/repro`` may spell it."""
@@ -620,13 +628,16 @@ class TestFamilyPlumbingWrittenOnce:
         """A verb has one spelling, ``qp.<verb>``: no ``ops`` executor
         between a client and its queue pair, no declared ``plans`` /
         ``access_family`` beside the code that issues the verbs, and
-        none of the plan layer's names defined or imported."""
+        none of the plan layer's names defined or imported — nor those
+        of the per-family node classes ``SortedNodeLayout`` /
+        ``SortedNodeView`` replaced."""
         package = pathlib.Path(repro.__file__).parent
         verbs = {"read", "read_batch", "write", "write_batch", "cas",
                  "masked_cas", "faa", "rpc", "offload", "stats"}
         declared = {"plans", "access_family"}
         gone = {"TraversalPlan", "AccessStep", "PlanExecutor", "family_plans",
-                "OffloadCostModel"}
+                "OffloadCostModel", "InternalLayout", "InternalNodeView",
+                "ShermanLeafLayout", "ShermanLeafView"}
         offenders = []
         for path in sorted(package.rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):

@@ -10,7 +10,7 @@ import pytest
 from repro import obs
 from repro.bench.runner import run_point
 from repro.cluster import Cluster
-from repro.config import ChimeConfig, ClusterConfig
+from repro.config import KNOBS, ChimeConfig, ClusterConfig
 from repro.core import ChimeIndex
 from repro.core.adaptive import (
     HANDOFF_CHAIN_LIMIT,
@@ -19,21 +19,26 @@ from repro.core.adaptive import (
     DelegationEntry,
     HandoffToken,
     SyncState,
-    resolve_sync_mode,
 )
 from repro.core.node_layout import LOCK_SERVING_OFFSET, LOCK_TICKET_OFFSET
-from repro.errors import QueueWaitTimeoutError
+from repro.errors import ConfigError, QueueWaitTimeoutError
 from repro.layout import encode_u64
 from repro.retry import RetryPolicy
 
 
 class TestResolveMode:
+    """A sync mode is validated once, by the knob table: spelled freely
+    on a command line, exactly in a config field or a bare string."""
+
     def test_canonicalizes(self):
-        assert resolve_sync_mode(" Pessimistic ") == "pessimistic"
+        knob = KNOBS["sync_mode"]
+        assert knob.parse(" Pessimistic ", "--sync-mode") == "pessimistic"
 
     def test_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown sync mode"):
-            resolve_sync_mode("eventual")
+        for build in (lambda: ClusterConfig(sync_mode="eventual"),
+                      lambda: SyncState("eventual")):
+            with pytest.raises(ConfigError, match="must be one of optimistic"):
+                build()
 
     def test_optimistic_mode_uses_no_sync_state(self):
         with pytest.raises(ValueError):

@@ -7,9 +7,11 @@ did — same addresses, same bytes, same allocator state:
 * ``FamilyIndexBase._host_alloc_blocks`` against one ``alloc`` + one
   write per block, over any MN count, value width, run length and
   starting ``_host_rr``, with other allocations between the runs;
-* ``ShermanLeafView.compose`` (the compiled encoder) against the
-  field-by-field composition, and what it wrote decodes to what it was
-  given;
+* ``SortedNodeView.compose`` (the compiled encoder) against the
+  field-by-field composition, with and without the level byte, and what
+  it wrote decodes — whole (``items`` / ``parse``) and entry by entry —
+  to what it was given; the raw consistency scan against ``nv_values``
+  on images torn at a random line;
 * ``SmartIndex.bulk_load`` (index ranges of the sorted keys) against the
   recursive build over ``(key bytes, key, value)`` tuples, on key sets
   made to hit path compression: keys sharing 7-byte prefixes, keys
@@ -22,11 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.sherman import ShermanLeafLayout, ShermanLeafView
 from repro.baselines.smart import SmartConfig, SmartIndex
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.core.family import FamilyIndexBase
+from repro.core.node_layout import SortedNodeLayout
+from repro.core.nodes import SortedNodeView
 from repro.errors import LayoutError
 from repro.layout import MAX_KEY, StripedSpan
 from tests.oracles import (
@@ -100,48 +103,84 @@ def test_a_block_run_rejects_what_does_not_fit(keys, values, value_size):
         index._host_alloc_blocks(keys, values)
 
 
-# -- sorted-leaf images -------------------------------------------------------
+# -- sorted-node images -------------------------------------------------------
 
 @st.composite
-def sorted_leaves(draw):
+def sorted_nodes(draw):
+    """A sorted leaf (any value width) or an internal node (the level
+    byte; a child pointer is an 8-byte value)."""
     span = draw(st.sampled_from([1, 2, 5, 16, 64]))
-    value_size = draw(st.integers(1, 64))
+    level_byte = draw(st.booleans())
+    value_size = 8 if level_byte else draw(st.integers(1, 64))
     keys = sorted(draw(st.sets(KEYS, max_size=span)))
     items = list(zip(keys, _values(draw, len(keys), value_size)))
-    return (ShermanLeafLayout(span, 8, value_size), items, draw(U64),
-            draw(U64), draw(U64), draw(st.integers(0, 15)))
+    level = draw(st.integers(1, 255)) if level_byte else 0
+    return (SortedNodeLayout(span, 8, value_size, level_byte), items,
+            draw(U64), draw(U64), draw(U64), draw(st.integers(0, 15)), level)
 
 
 @settings(max_examples=150, deadline=None)
-@given(sorted_leaves())
+@given(sorted_nodes())
 def test_compiled_sorted_leaf_is_the_field_by_field_one(case):
-    layout, items, sibling, fence_low, fence_high, nv = case
-    view = ShermanLeafView.compose(layout, items, sibling, fence_low,
-                                   fence_high, nv)
+    layout, items, sibling, fence_low, fence_high, nv, level = case
+    view = SortedNodeView.compose(layout, items, sibling, fence_low,
+                                  fence_high, nv, level)
     oracle = compose_sorted_leaf(layout, items, sibling, fence_low,
-                                 fence_high, nv)
+                                 fence_high, nv, level)
     assert bytes(view.span.data) == bytes(oracle.span.data)
     assert len(view.span.data) == layout.raw_size
     # decode . encode = identity, through a fresh view of the raw bytes.
-    decoded = ShermanLeafView(layout, StripedSpan(bytes(view.span.data), 0))
+    decoded = SortedNodeView(layout, StripedSpan(bytes(view.span.data), 0))
     assert decoded.is_consistent()
     assert decoded.items() == items
     assert (decoded.count, decoded.sibling, decoded.fence_low,
-            decoded.fence_high, decoded.nv) == (
-        len(items), sibling, fence_low, fence_high, nv)
+            decoded.fence_high, decoded.nv, decoded.level, decoded.valid) == (
+        len(items), sibling, fence_low, fence_high, nv, level, True)
     assert all(decoded.find(key) == position
                for position, (key, _value) in enumerate(items))
 
 
+@settings(max_examples=150, deadline=None)
+@given(sorted_nodes(), st.data())
+def test_whole_node_decode_is_the_per_entry_one(case, data):
+    """``items`` / ``parse`` decode columns of the whole payload, the raw
+    ``is_consistent`` scans version bytes in place: both are held to the
+    per-entry accessors, on intact images and on images whose tail —
+    from a random cache line on — is an older node write."""
+    layout, items, sibling, fence_low, fence_high, nv, level = case
+    raw = SortedNodeView.compose(layout, items, sibling, fence_low,
+                                 fence_high, nv, level).span.data
+    older = sorted(data.draw(st.sets(KEYS, max_size=layout.span)))
+    stale = SortedNodeView.compose(
+        layout, [(key, 0) for key in older], 0, 0, MAX_KEY,
+        data.draw(st.integers(0, 15))).span.data
+    lines = range(0, len(raw) + 1, 64)
+    cut = data.draw(st.sampled_from(lines))
+    view = SortedNodeView(layout, StripedSpan(raw[:cut] + stale[cut:], 0))
+    assert view.is_consistent() == (len(set(view.nv_values())) <= 1)
+    entries = [view.entry(index) for index in range(view.count)]
+    assert view.items() == entries
+    parsed = view.parse(0x40)
+    assert list(zip(parsed.pivots, parsed.children)) == entries
+    assert (parsed.addr, parsed.level, parsed.valid, parsed.count,
+            parsed.fence_low, parsed.fence_high, parsed.sibling,
+            parsed.nv) == (
+        0x40, view.level, view.valid, view.count, view.fence_low,
+        view.fence_high, view.sibling, view.nv)
+    # A view not based at the image's first byte has no raw fast path.
+    shifted = SortedNodeView(layout, StripedSpan(view.span.data[1:], 1))
+    assert shifted.is_consistent() == view.is_consistent()
+
+
 def test_a_sorted_leaf_rejects_what_does_not_fit():
-    layout = ShermanLeafLayout(4, 8, 3)
+    layout = SortedNodeLayout(4, 8, 3)
     with pytest.raises(LayoutError):  # more items than entries
-        ShermanLeafView.compose(layout, [(k, 0) for k in range(1, 6)],
-                                0, 0, MAX_KEY, 0)
+        SortedNodeView.compose(layout, [(k, 0) for k in range(1, 6)],
+                               0, 0, MAX_KEY, 0)
     with pytest.raises(LayoutError):  # a value wider than its field
-        ShermanLeafView.compose(layout, [(1, 1 << 24)], 0, 0, MAX_KEY, 0)
+        SortedNodeView.compose(layout, [(1, 1 << 24)], 0, 0, MAX_KEY, 0)
     with pytest.raises(LayoutError):  # a sibling wider than a word
-        ShermanLeafView.compose(layout, [(1, 1)], 1 << 64, 0, MAX_KEY, 0)
+        SortedNodeView.compose(layout, [(1, 1)], 1 << 64, 0, MAX_KEY, 0)
 
 
 # -- SMART over key ranges ----------------------------------------------------

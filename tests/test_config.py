@@ -8,15 +8,19 @@ or flag, and anything built from a literal ``Scale`` (the pinned
 tier-1 points, campaigns, perfbench) cannot see ambient knobs at all.
 """
 
+import ast
 import dataclasses
+import pathlib
 
 import pytest
 
+import repro
 from repro.bench.runner import prepare_point, run_workload
 from repro.bench.scale import PRESETS, QUICK, Scale, current_scale
 from repro.config import (
     KNOBS,
     KNOWN_ENV_VARS,
+    ChimeConfig,
     ClusterConfig,
     env_value,
     scale_fields,
@@ -150,6 +154,21 @@ class TestClusterConfigValidates:
         assert "sched.depth" not in run(depth=1).notes
         with pytest.raises(ConfigError):
             run(depth=0)
+
+
+@pytest.mark.parametrize("config", [ChimeConfig, ClusterConfig])
+def test_every_config_field_is_read_somewhere(config):
+    """A field nothing reads is a switch that silently does nothing
+    (``ChimeConfig.hopscotch_leaf`` built hopscotch leaves either way):
+    each must appear as an attribute access under ``src/repro`` outside
+    ``config.py`` — a string ``getattr`` does not count."""
+    source = pathlib.Path(repro.__file__).parent
+    read = {node.attr
+            for path in source.rglob("*.py") if path.name != "config.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)}
+    unread = {field.name for field in dataclasses.fields(config)} - read
+    assert not unread
 
 
 class TestPinnedSuitesIgnoreAmbientKnobs:

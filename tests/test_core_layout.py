@@ -14,15 +14,15 @@ from repro.config import ChimeConfig, ClusterConfig
 from repro.core import ChimeIndex
 from repro.core.node_layout import (
     ARGMAX_BITS,
-    InternalLayout,
     LeafLayout,
+    SortedNodeLayout,
     VACANCY_BITS,
     VacancyBitmap,
     pack_lock_word,
     unpack_lock_word,
 )
 from repro.core.leaf_ops import HopscotchLeafOpsMixin
-from repro.core.nodes import InternalNodeView, LeafNodeView
+from repro.core.nodes import LeafNodeView, SortedNodeView
 from repro.errors import HashTableFullError, LayoutError, TornReadError
 from repro.hashing.hopscotch import HopscotchTable, default_hash
 from repro.layout import MAX_KEY, StripedSpan
@@ -112,22 +112,28 @@ class TestVacancyBitmap:
         assert vmap.first_maybe_empty(bitmap, home=4) == 4
 
 
+def internal_layout(span):
+    """The sorted-array node as every internal level has it: 8-byte
+    child pointers for values, plus the level byte."""
+    return SortedNodeLayout(span, level_byte=True)
+
+
 class TestInternalLayout:
     def test_sizes_consistent(self):
-        layout = InternalLayout(span=64)
+        layout = internal_layout(span=64)
         assert layout.logical_size == layout.header_size + 64 * layout.entry_size
         assert layout.total_size % CACHE_LINE == 0
         assert layout.lock_offset == layout.total_size - CACHE_LINE
         assert layout.lock_offset >= layout.raw_size
 
     def test_entry_offsets_disjoint(self):
-        layout = InternalLayout(span=8)
+        layout = internal_layout(span=8)
         offsets = [layout.entry_offset(i) for i in range(8)]
         for a, b in zip(offsets, offsets[1:]):
             assert b - a == layout.entry_size
 
     def test_bad_entry_index(self):
-        layout = InternalLayout(span=8)
+        layout = internal_layout(span=8)
         with pytest.raises(LayoutError):
             layout.entry_offset(8)
 
@@ -207,11 +213,11 @@ class TestLeafLayout:
 
 class TestInternalNodeView:
     def test_compose_parse_roundtrip(self):
-        layout = InternalLayout(span=8)
+        layout = internal_layout(span=8)
         entries = [(10, 0x100), (20, 0x200), (30, 0x300)]
-        view = InternalNodeView.compose(layout, level=2, fence_low=10,
-                                        fence_high=100, sibling=0x999,
-                                        entries=entries, nv=5)
+        view = SortedNodeView.compose(layout, entries, sibling=0x999,
+                                      fence_low=10, fence_high=100, nv=5,
+                                      level=2)
         parsed = view.parse(addr=0xABC)
         assert parsed.level == 2
         assert parsed.count == 3
@@ -222,9 +228,9 @@ class TestInternalNodeView:
         assert view.is_consistent()
 
     def test_find_child_binary_search(self):
-        layout = InternalLayout(span=8)
+        layout = internal_layout(span=8)
         entries = [(0, 0xA), (10, 0xB), (20, 0xC)]
-        view = InternalNodeView.compose(layout, 1, 0, MAX_KEY, 0, entries)
+        view = SortedNodeView.compose(layout, entries, 0, 0, MAX_KEY, level=1)
         parsed = view.parse(0)
         assert parsed.find_child(5) == (0, 0xA)
         assert parsed.find_child(10) == (1, 0xB)
@@ -232,23 +238,23 @@ class TestInternalNodeView:
         assert parsed.find_child(10**9) == (2, 0xC)
 
     def test_next_child(self):
-        layout = InternalLayout(span=8)
+        layout = internal_layout(span=8)
         entries = [(0, 0xA), (10, 0xB)]
-        parsed = InternalNodeView.compose(layout, 1, 0, MAX_KEY, 0,
-                                          entries).parse(0)
+        parsed = SortedNodeView.compose(layout, entries, 0, 0, MAX_KEY,
+                                        level=1).parse(0)
         assert parsed.next_child(0) == 0xB
         assert parsed.next_child(1) is None
 
     def test_inconsistent_after_partial_overwrite(self):
-        layout = InternalLayout(span=8)
-        view_a = InternalNodeView.compose(layout, 1, 0, MAX_KEY, 0,
-                                          [(0, 1)], nv=1)
-        view_b = InternalNodeView.compose(layout, 1, 0, MAX_KEY, 0,
-                                          [(0, 1)], nv=2)
+        layout = internal_layout(span=8)
+        view_a = SortedNodeView.compose(layout, [(0, 1)], 0, 0, MAX_KEY,
+                                        nv=1, level=1)
+        view_b = SortedNodeView.compose(layout, [(0, 1)], 0, 0, MAX_KEY,
+                                        nv=2, level=1)
         torn = bytearray(view_a.span.data)
         torn[:64] = view_b.span.data[:64]
         from repro.layout import StripedSpan
-        observed = InternalNodeView(layout, StripedSpan(bytes(torn), 0))
+        observed = SortedNodeView(layout, StripedSpan(bytes(torn), 0))
         assert not observed.is_consistent()
 
 

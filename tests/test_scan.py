@@ -16,10 +16,9 @@ import random
 
 import pytest
 
-from repro.baselines.sherman import ShermanLeafView
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
-from repro.core.nodes import LeafNodeView
+from repro.core.nodes import LeafNodeView, SortedNodeView
 from repro.errors import TornReadError
 from repro.layout import StripedSpan
 from repro.memory import NULL_ADDR
@@ -51,7 +50,7 @@ def oracle_leaf(client, raw, key):
         return ([(entry.key, entry.value) for entry in entries
                  if entry.occupied and entry.key >= key],
                 view.replica_sibling(0))
-    view = ShermanLeafView(layout, span)
+    view = SortedNodeView(layout, span)
     if len(set(view.nv_values())) > 1:
         raise TornReadError("torn sorted-array leaf")
     return ([view.entry(index) for index in range(view.count)

@@ -20,10 +20,9 @@ from repro.cluster.shards import (
     ShardHeatTracker,
     ShardMap,
     partition_pairs,
-    resolve_cache_mode,
 )
-from repro.config import ClusterConfig
-from repro.errors import WorkloadError
+from repro.config import KNOBS, ClusterConfig
+from repro.errors import ConfigError, WorkloadError
 from repro.faults import ChaosConfig, run_chaos
 from repro.layout import MAX_KEY
 from repro.memory import PartitionedAllocator, make_addr
@@ -124,10 +123,12 @@ class TestShardMap:
             ShardMap(0, 1)
 
     def test_cache_mode_validation(self):
-        assert resolve_cache_mode("Shared ") == "shared"
-        assert resolve_cache_mode("partitioned") == "partitioned"
-        with pytest.raises(ValueError):
-            resolve_cache_mode("exclusive")
+        knob = KNOBS["cache_mode"]
+        assert knob.parse("Shared ", "--cache-mode") == "shared"
+        assert ClusterConfig(cache_mode="partitioned").cache_mode == \
+            "partitioned"
+        with pytest.raises(ConfigError, match="ClusterConfig.cache_mode"):
+            ClusterConfig(cache_mode="exclusive", num_shards=2)
 
 
 class TestHeatTracker:
