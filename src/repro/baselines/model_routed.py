@@ -6,14 +6,9 @@ leaves, and the one whose fences cover the key heads a **leaf group** —
 a base leaf plus the chain of synonym tables hung off its sibling
 pointer, all guarded by the base leaf's lock.  Models are pre-trained
 on loaded ∪ future keys (§5.1 fn. 3), so leaves never split and fences
-never move.
-
-Written here once: training and chunking the trained key list into
-groups, the candidate window, cache accounting, the host-side chain
-walk, and the locked write — lock, walk the chain (key found → modify;
-else remember the first table with room, and the tail), then insert
-into the roomy table or append a synonym.  A family supplies how a
-table is fetched, searched and tested for room, and the three writes.
+never move.  Training, chunking, the candidate window, cache accounting,
+the host-side chain walk and the locked write are written here once; a
+family supplies how a table is laid out, fetched and written.
 """
 
 from __future__ import annotations
@@ -22,6 +17,7 @@ from typing import Generator, List, Optional, Sequence, Tuple
 
 from repro.baselines.pla import PlaModel
 from repro.cluster.cluster import Cluster
+from repro.cluster.compute import ClientContext
 from repro.core.chime import LockGuard
 from repro.core.family import FamilyClientBase, FamilyIndexBase
 from repro.layout import MAX_KEY
@@ -113,13 +109,15 @@ class ModelRoutedIndexBase(FamilyIndexBase):
 
 
 class ModelRoutedClientBase(FamilyClientBase):
-    """The locked write on a leaf group, over per-family table hooks:
+    """The locked write on a leaf group — lock, walk the chain (key
+    found: modify; else remember the first table with room, and the
+    tail), then insert into the roomy table or append a synonym — over
+    per-family hooks:
 
     * ``_locate_base(key)`` — address of the candidate leaf whose fences
       cover *key*, or None;
-    * ``_fetch_table(addr)``, ``_find(table, key)``, ``_has_room(table)``,
-      ``_synonym_of(table)`` — read one table of the chain under the
-      lock and look at it;
+    * ``_probe(addr, key)`` — read one table of the chain under the lock:
+      ``(table, position of key or None, has room, synonym address)``;
     * ``_modify_entry(guard, addr, table, position, key, value, delete)``,
       ``_insert_into(guard, addr, table, key, value) -> bool`` (False:
       the table turned out not to take the key) and
@@ -130,6 +128,11 @@ class ModelRoutedClientBase(FamilyClientBase):
     #: Whether the lock CAS zeroes the rest of the lock word (its holder
     #: rewrites the metadata there at unlock) or leaves it alone.
     zero_rest = True
+
+    def __init__(self, index: ModelRoutedIndexBase,
+                 ctx: ClientContext) -> None:
+        super().__init__(index, ctx)
+        self.layout = index.leaf_layout
 
     def _insert(self, key: int, value: int) -> Generator:
         return self._write_group(key, value, delete=False, upsert=True)
@@ -171,16 +174,16 @@ class ModelRoutedClientBase(FamilyClientBase):
         chain_addr = base_addr
         roomy = None
         while chain_addr != NULL_ADDR:
-            table = yield from self._fetch_table(chain_addr)
-            position = self._find(table, key)
+            table, position, room, synonym = yield from self._probe(
+                chain_addr, key)
             if position is not None:
                 yield from self._modify_entry(guard, chain_addr, table,
                                               position, key, value, delete)
                 return True
-            if roomy is None and self._has_room(table):
+            if roomy is None and room:
                 roomy = (chain_addr, table)
             tail_addr, tail = chain_addr, table
-            chain_addr = self._synonym_of(table)
+            chain_addr = synonym
         if delete or not upsert:
             yield from self._unlock_remote(guard.lock_addr,
                                            guard.release_word())

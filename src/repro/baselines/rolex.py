@@ -88,10 +88,6 @@ class RolexClient(ModelRoutedClientBase):
     #: The lock word carries nothing but the lock bit.
     zero_rest = False
 
-    def __init__(self, index: RolexIndex, ctx: ClientContext) -> None:
-        super().__init__(index, ctx)
-        self.layout = index.leaf_layout
-
     # -------------------------------------------------------------- plumbing
 
     def _read_leaf_batch(self, addrs: Sequence[int]) -> Generator:
@@ -146,14 +142,10 @@ class RolexClient(ModelRoutedClientBase):
 
     # -------------------------------------------------------------- writes
 
-    def _find(self, table: SortedNodeView, key: int) -> Optional[int]:
-        return table.find(key)
-
-    def _has_room(self, table: SortedNodeView) -> bool:
-        return table.count < self.layout.span
-
-    def _synonym_of(self, table: SortedNodeView) -> int:
-        return table.sibling
+    def _probe(self, addr: int, key: int) -> Generator:
+        table = yield from self._fetch_table(addr)
+        return (table, table.find(key), table.count < self.layout.span,
+                table.sibling)
 
     def _stored(self, key: int, value: int) -> Generator:
         """What a leaf entry holds for *value*: the value, or the
@@ -172,8 +164,7 @@ class RolexClient(ModelRoutedClientBase):
                                            table.sibling)
             return
         stored = yield from self._stored(key, value)
-        table.write_entry_value(position, key, stored)
-        raw_off, raw_bytes = table.entry_sub_span(position)
+        raw_off, raw_bytes = table.write_entry_value(position, key, stored)
         yield from self.qp.write_batch(
             [(addr + raw_off, raw_bytes)]
             + self._unlock_writes(guard.lock_addr, guard.release_word()))

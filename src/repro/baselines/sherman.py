@@ -96,10 +96,6 @@ class ShermanIndex(BTreeIndexBase):
 class ShermanClient(BTreeClientBase):
     """Per-client Sherman operations."""
 
-    def __init__(self, index: ShermanIndex, ctx: ClientContext) -> None:
-        super().__init__(index, ctx)
-        self.layout = index.leaf_layout
-
     # -------------------------------------------------------------- leaf IO
 
     def _leaf_for(self, ref: LeafRef, key: int) -> Generator:
@@ -187,8 +183,8 @@ class ShermanClient(BTreeClientBase):
                     return False
                 split = None
                 if op == "update":
-                    view.write_entry_value(index, key, stored)
-                    raw_off, raw_bytes = view.entry_sub_span(index)
+                    raw_off, raw_bytes = view.write_entry_value(
+                        index, key, stored)
                     writes = [(leaf_addr + raw_off, raw_bytes)]
                 else:
                     items = view.items()
@@ -199,13 +195,13 @@ class ShermanClient(BTreeClientBase):
                     else:
                         items.append((key, stored))
                         items.sort()
-                    if len(items) > layout.span:
-                        split, new_view = yield from self._split_right_half(
-                            view, items)
-                    else:
-                        new_view = SortedNodeView.compose(
-                            layout, items, view.sibling, view.fence_low,
-                            view.fence_high, nv=bump_nibble(view.nv))
+                    # The left half publishes a new right sibling.
+                    fitted = yield from self._split_if_full(
+                        layout, items, view.sibling, view.fence_high)
+                    items, sibling, fence_high, split = fitted
+                    new_view = SortedNodeView.compose(
+                        layout, items, sibling, view.fence_low, fence_high,
+                        nv=bump_nibble(view.nv))
                     writes = [(leaf_addr, bytes(new_view.span.data))]
                 writes.extend(self._unlock_writes(lock_addr))
                 held = False
@@ -213,7 +209,7 @@ class ShermanClient(BTreeClientBase):
                 if split is None:
                     return True
                 yield from self._propagate_split(ref.parent, 1, leaf_addr,
-                                                 *split)
+                                                 *split[:2])
                 # ... and retry the insert after the split.
             except GeneratorExit:
                 # A parked (crashed) client being reclaimed must not
@@ -225,21 +221,6 @@ class ShermanClient(BTreeClientBase):
                 raise
             finally:
                 self._release_local(lock_addr)
-
-    def _split_right_half(self, view: SortedNodeView,
-                          items: List[Tuple[int, int]]) -> Generator:
-        """With the overfull leaf locked: write the new right sibling;
-        returns ``((pivot, new_addr), left_view)`` — the caller publishes
-        the left half (sibling -> new node) batched with its unlock."""
-        layout = self.layout
-        mid = len(items) // 2
-        pivot = items[mid][0]
-        new_addr, _right = yield from self._write_fresh_node(
-            layout, items[mid:], view.sibling, pivot, view.fence_high)
-        left_view = SortedNodeView.compose(
-            layout, items[:mid], new_addr, view.fence_low, pivot,
-            nv=bump_nibble(view.nv))
-        return (pivot, new_addr), left_view
 
     # -------------------------------------------------------------- scan
 

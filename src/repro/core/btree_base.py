@@ -202,12 +202,9 @@ class BTreeIndexBase(FamilyIndexBase):
 
     def leftmost_leaf(self) -> int:
         """Host-side descent through ``children[0]`` to the leftmost
-        leaf (``NULL_ADDR`` without a root).
-
-        The sibling chain from there is the authoritative leaf set:
-        :meth:`leaf_addrs` relies on parent entries, which a half-split
-        (published only through sibling pointers) bypasses.
-        """
+        leaf (``NULL_ADDR`` without a root).  The sibling chain from
+        there is the authoritative leaf set: :meth:`leaf_addrs` relies
+        on parent entries, which a half-split bypasses."""
         addr = self.root_addr
         for _level in range(64):
             if addr == NULL_ADDR:
@@ -242,6 +239,7 @@ class BTreeClientBase(FamilyClientBase):
 
     def __init__(self, index: BTreeIndexBase, ctx: ClientContext) -> None:
         super().__init__(index, ctx)
+        self.layout = index.leaf_layout
         cluster_cfg = index.cluster.config
         self._leases_on = cluster_cfg.lock_leases
         self._lease_duration = cluster_cfg.lease_duration
@@ -740,19 +738,6 @@ class BTreeClientBase(FamilyClientBase):
             return None  # stale path (key below fences): restart from root
         raise TraversalError(f"sibling chase exceeded {MAX_CHASE} hops")
 
-    def _write_internal(self, addr: int, level: int, fence_low: int,
-                        fence_high: int, sibling: int,
-                        entries: List[Tuple[int, int]], nv: int) -> Generator:
-        """Compose + WRITE a full internal node, with the unlocking
-        write doorbell-batched behind it (one round trip)."""
-        layout = self.index.internal_layout
-        view = SortedNodeView.compose(layout, entries, sibling, fence_low,
-                                      fence_high, nv=nv, level=level)
-        yield from self.qp.write_batch(
-            [(addr, bytes(view.span.data))]
-            + self._unlock_writes(addr + layout.lock_offset))
-        self.ctx.cache.put(addr, view.parse(addr), layout.total_size)
-
     # -- traversal ------------------------------------------------------------------------
 
     def _locate_leaf(self, key: int) -> Generator:
@@ -923,6 +908,22 @@ class BTreeClientBase(FamilyClientBase):
                 self._release_local(lock_addr)
         raise TraversalError(f"parent chase exceeded {MAX_CHASE} hops")
 
+    def _split_if_full(self, layout: SortedNodeLayout,
+                       items: List[Tuple[int, int]], sibling: int,
+                       fence_high: int, level: int = 0) -> Generator:
+        """With a node locked that is to hold the sorted *items*: when
+        they overflow it, first WRITE their right half to a fresh
+        sibling.  Returns ``(items, sibling, fence_high, split)`` — what
+        the node itself now holds, and ``(pivot, new_addr, right view)``
+        for the caller to propagate, or None."""
+        if len(items) <= layout.span:
+            return items, sibling, fence_high, None
+        mid = len(items) // 2
+        pivot = items[mid][0]
+        new_addr, right = yield from self._write_fresh_node(
+            layout, items[mid:], sibling, pivot, fence_high, level)
+        return items[:mid], new_addr, pivot, (pivot, new_addr, right)
+
     def _insert_into_internal(self, addr: int, parsed: ParsedInternal,
                               split_key: int, new_addr: int,
                               level: int) -> Generator:
@@ -931,27 +932,24 @@ class BTreeClientBase(FamilyClientBase):
         entries = list(zip(parsed.pivots, parsed.children))
         entries.insert(bisect_right(parsed.pivots, split_key),
                        (split_key, new_addr))
-        nv = bump_nibble(parsed.nv)
-        if len(entries) <= layout.span:
-            yield from self._write_internal(
-                addr, parsed.level, parsed.fence_low, parsed.fence_high,
-                parsed.sibling, entries, nv=nv)
-            return
-        # Split the internal node: right half moves to a new sibling.
-        mid = len(entries) // 2
-        up_key = entries[mid][0]
-        # New node first, then the old node whose sibling pointer
-        # publishes it, batched with the unlock.
-        new_node_addr, right_view = yield from self._write_fresh_node(
-            layout, entries[mid:], parsed.sibling, up_key, parsed.fence_high,
-            level=parsed.level)
-        self.ctx.cache.put(new_node_addr, right_view.parse(new_node_addr),
-                           layout.total_size)
-        yield from self._write_internal(
-            addr, parsed.level, parsed.fence_low, up_key,
-            new_node_addr, entries[:mid], nv=nv)
-        yield from self._propagate_split(None, level + 1, addr, up_key,
-                                         new_node_addr)
+        entries, sibling, fence_high, split = yield from self._split_if_full(
+            layout, entries, parsed.sibling, parsed.fence_high, parsed.level)
+        if split is not None:
+            up_key, new_node_addr, right = split
+            self.ctx.cache.put(new_node_addr, right.parse(new_node_addr),
+                               layout.total_size)
+        # The node itself — its sibling pointer publishes a new right
+        # half — with the unlock batched behind it (one round trip).
+        view = SortedNodeView.compose(
+            layout, entries, sibling, parsed.fence_low, fence_high,
+            nv=bump_nibble(parsed.nv), level=parsed.level)
+        yield from self.qp.write_batch(
+            [(addr, bytes(view.span.data))]
+            + self._unlock_writes(addr + layout.lock_offset))
+        self.ctx.cache.put(addr, view.parse(addr), layout.total_size)
+        if split is not None:
+            yield from self._propagate_split(None, level + 1, addr, up_key,
+                                             new_node_addr)
 
     def _grow_root(self, old_root: int, split_key: int, new_addr: int,
                    level: int) -> Generator:

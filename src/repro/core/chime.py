@@ -75,6 +75,7 @@ from repro.errors import (
 from repro.hashing.hopscotch import (
     default_hash,
     distance,
+    find_first_empty,
     place_fresh,
     plan_insert,
 )
@@ -290,7 +291,6 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
 
     def __init__(self, index: ChimeIndex, ctx: ClientContext) -> None:
         super().__init__(index, ctx)
-        self.layout = index.leaf_layout
         self.home_of = index.home_of
         self.hotspots = index.hotspot_buffer(ctx.cn.cn_id)
 
@@ -479,10 +479,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         writes: List[Tuple[int, bytes]] = []
         argmax, vacancy = guard.argmax, guard.vacancy
         if delete:
-            view.clear_entry(position)
-            offset = distance(home, position, layout.span)
-            home_bitmap = view.entry(home).bitmap & ~(1 << offset)
-            view.set_entry_bitmap(home, home_bitmap)
+            self._remove_entry(view, home, position)
             writes.extend(self._entry_writes(leaf_addr, view,
                                              {position, home}))
             vacancy &= ~(1 << self.index.vacancy_map.bit_of(position))
@@ -744,20 +741,8 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
     def _first_empty(self, view: LeafNodeView, home: int,
                      last: int) -> Optional[int]:
         span = self.layout.span
-        count = distance(home, last, span) + 1
-        for step in range(count):
-            pos = (home + step) % span
-            if not view.entry(pos).occupied:
-                return pos
-        return None
-
-    def _make_home_of(self, view: LeafNodeView):
-        def home_of(pos: int) -> Optional[int]:
-            entry = view.entry(pos)
-            if not entry.occupied:
-                return None
-            return self.index.home_of(entry.key)
-        return home_of
+        return find_first_empty(lambda pos: view.entry(pos).occupied, home,
+                                span, distance(home, last, span) + 1)
 
     def _plan_needs_extension(self, plan, home: int, empty: int) -> bool:
         """True when a hop's bitmap update lands outside [home, empty]."""

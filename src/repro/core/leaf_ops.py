@@ -151,6 +151,24 @@ class HopscotchLeafOpsMixin:
                     return pos
         return None
 
+    def _remove_entry(self, view: LeafNodeView, home: int,
+                      position: int) -> None:
+        """Empty the entry at *position* and clear its bit in the
+        bitmap of its key's *home*, on the local buffer."""
+        view.clear_entry(position)
+        offset = distance(home, position, self.layout.span)
+        view.set_entry_bitmap(home, view.entry(home).bitmap & ~(1 << offset))
+
+    def _make_home_of(self, view: LeafNodeView):
+        """``plan_insert``'s view of the leaf: the home of the key at a
+        position, None for an empty one."""
+        def home_of(pos: int) -> Optional[int]:
+            entry = view.entry(pos)
+            if not entry.occupied:
+                return None
+            return self.home_of(entry.key)
+        return home_of
+
     def _apply_plan(self, view: LeafNodeView, plan, home: int, key: int,
                     stored_value: int) -> set:
         """Execute hop moves + placement on the local buffer; returns the

@@ -19,19 +19,23 @@ paper evaluates CHIME-Learned on point workloads only.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Sequence, Tuple
+from typing import Generator, List, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import ClientContext
-from repro.core.chime import LockGuard
-from repro.core.leaf_ops import HopscotchLeafOpsMixin, place_items
 from repro.baselines.model_routed import (
     ModelRoutedClientBase,
     ModelRoutedIndexBase,
 )
+from repro.core.chime import LockGuard
+from repro.core.leaf_ops import HopscotchLeafOpsMixin, place_items
 from repro.core.node_layout import LeafLayout, VacancyBitmap
 from repro.core.nodes import LeafNodeView
-from repro.hashing.hopscotch import default_hash, distance, plan_insert
+from repro.hashing.hopscotch import (
+    default_hash,
+    find_first_empty,
+    plan_insert,
+)
 from repro.layout import StripedSpan, encode_key, encode_u64
 from repro.layout.versions import bump_nibble
 from repro.memory import NULL_ADDR
@@ -89,7 +93,6 @@ class LearnedChimeClient(ModelRoutedClientBase, HopscotchLeafOpsMixin):
 
     def __init__(self, index: LearnedChimeIndex, ctx: ClientContext) -> None:
         super().__init__(index, ctx)
-        self.layout = index.leaf_layout
         self.home_of = index.home_of
 
     # ---------------------------------------------------------------- search
@@ -138,27 +141,24 @@ class LearnedChimeClient(ModelRoutedClientBase, HopscotchLeafOpsMixin):
     # Synonym leaves' own lock words only carry their vacancy metadata;
     # the base leaf's lock covers the whole chain.
 
-    _fetch_table = HopscotchLeafOpsMixin._fetch_whole
+    def _probe(self, addr: int, key: int) -> Generator:
+        view = yield from self._fetch_whole(addr)
+        return (view, self._find_in_neighborhood(view, self.home_of(key), key),
+                not all(view.occupancy()), view.replica_sibling(0))
 
-    def _find(self, table: LeafNodeView, key: int) -> Optional[int]:
-        return self._find_in_neighborhood(table, self.home_of(key), key)
-
-    def _has_room(self, table: LeafNodeView) -> bool:
-        return not all(table.occupancy())
-
-    def _synonym_of(self, table: LeafNodeView) -> int:
-        return table.replica_sibling(0)
-
-    def _per_entry_writes(self, leaf_addr: int, view: LeafNodeView,
-                      positions) -> List[Tuple[int, bytes]]:
-        """One WRITE per entry of *positions*, as edited in *view*."""
+    def _write_entries(self, guard: LockGuard, leaf_addr: int,
+                       view: LeafNodeView, positions) -> Generator:
+        """WRITE each entry of *positions* as edited in *view* (one
+        WRITE per entry), with the unlock batched behind them."""
         layout = self.layout
         writes = []
         for pos in positions:
             raw_off, raw_bytes = view.span.sub_span(layout.entry_offset(pos),
                                                     layout.entry_size)
             writes.append((leaf_addr + raw_off, raw_bytes))
-        return writes
+        yield from self.qp.write_batch(
+            writes + self._unlock_writes(guard.lock_addr,
+                                         guard.release_word()))
 
     def _modify_entry(self, guard: LockGuard, leaf_addr: int,
                       view: LeafNodeView, position: int, key: int,
@@ -166,16 +166,11 @@ class LearnedChimeClient(ModelRoutedClientBase, HopscotchLeafOpsMixin):
         positions = [position]
         if delete:
             home = self.home_of(key)
-            view.clear_entry(position)
-            offset = distance(home, position, self.layout.span)
-            view.set_entry_bitmap(home,
-                                  view.entry(home).bitmap & ~(1 << offset))
+            self._remove_entry(view, home, position)
             positions = {position, home}
         else:
             view.write_entry(position, key, value)
-        yield from self.qp.write_batch(
-            self._per_entry_writes(leaf_addr, view, positions)
-            + self._unlock_writes(guard.lock_addr, guard.release_word()))
+        yield from self._write_entries(guard, leaf_addr, view, positions)
 
     def _insert_into(self, guard: LockGuard, leaf_addr: int,
                      _walked: LeafNodeView, key: int,
@@ -185,28 +180,16 @@ class LearnedChimeClient(ModelRoutedClientBase, HopscotchLeafOpsMixin):
         layout = self.layout
         view = yield from self._fetch_whole(leaf_addr)
         home = self.home_of(key)
-        occupancy = view.occupancy()
-        empty = None
-        for step in range(layout.span):
-            pos = (home + step) % layout.span
-            if not occupancy[pos]:
-                empty = pos
-                break
-        if empty is None:
-            return False
-
-        def home_of_pos(pos: int) -> Optional[int]:
-            entry = view.entry(pos)
-            return self.home_of(entry.key) if entry.occupied else None
-
-        plan = plan_insert(home, empty, layout.span, layout.neighborhood,
-                           home_of_pos)
+        empty = find_first_empty(view.occupancy().__getitem__, home,
+                                 layout.span)
+        plan = None if empty is None else plan_insert(
+            home, empty, layout.span, layout.neighborhood,
+            self._make_home_of(view))
         if plan is None:
             return False
         modified = self._apply_plan(view, plan, home, key, value)
-        yield from self.qp.write_batch(
-            self._per_entry_writes(leaf_addr, view, sorted(modified))
-            + self._unlock_writes(guard.lock_addr, guard.release_word()))
+        yield from self._write_entries(guard, leaf_addr, view,
+                                       sorted(modified))
         return True
 
     def _append_synonym(self, guard: LockGuard, tail_addr: int,

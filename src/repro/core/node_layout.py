@@ -221,41 +221,36 @@ class SortedNodeLayout:
     # simulated node access.
     def __post_init__(self) -> None:
         set_attr = object.__setattr__
-        off_valid = 2 if self.level_byte else 1
-        off_fence_low = off_valid + 3
-        off_sibling = off_fence_low + 2 * self.key_size
-        header_size = off_sibling + 8
-        entry_size = 1 + self.key_size + self.value_size
-        logical_size = header_size + self.span * entry_size
-        raw = versions.raw_size(logical_size)
-        padded = -(-raw // CACHE_LINE) * CACHE_LINE
-        set_attr(self, "off_valid", off_valid)
-        set_attr(self, "off_count", off_valid + 1)
-        set_attr(self, "off_fence_low", off_fence_low)
-        set_attr(self, "off_fence_high", off_fence_low + self.key_size)
-        set_attr(self, "off_sibling", off_sibling)
-        set_attr(self, "header_size", header_size)
-        set_attr(self, "entry_size", entry_size)
+        set_attr(self, "off_valid", 2 if self.level_byte else 1)
+        set_attr(self, "off_count", self.off_valid + 1)
+        set_attr(self, "off_fence_low", self.off_valid + 3)
+        set_attr(self, "off_fence_high", self.off_fence_low + self.key_size)
+        set_attr(self, "off_sibling", self.off_fence_high + self.key_size)
+        set_attr(self, "header_size", self.off_sibling + 8)
+        set_attr(self, "entry_size", 1 + self.key_size + self.value_size)
+        logical_size = self.header_size + self.span * self.entry_size
         set_attr(self, "logical_size", logical_size)
-        set_attr(self, "raw_size", raw)
+        set_attr(self, "raw_size", versions.raw_size(logical_size))
+        padded = -(-self.raw_size // CACHE_LINE) * CACHE_LINE
         set_attr(self, "total_size", padded + CACHE_LINE)
         set_attr(self, "lock_offset", padded)
         # Logical offset of every entry (its leading version byte), and
-        # the matching raw offsets of a whole image fetched at base 0:
-        # the consistency check reads all of them on every node fetch.
-        offsets = tuple(header_size + index * entry_size
+        # a getter of every version byte — each line's, the header's,
+        # each entry's — of a raw image fetched at base 0.
+        offsets = tuple(self.header_size + index * self.entry_size
                         for index in range(self.span))
         set_attr(self, "_entry_offsets", offsets)
-        set_attr(self, "entry_version_raw_offsets",
-                 tuple(versions.raw_of(off) for off in offsets))
-        # Image codec over the de-striped payload of a whole node.
-        # Decoding: one struct per column (keys big-endian, values
-        # little-endian; an inline value narrower than a word is its raw
-        # bytes).  Encoding
-        # (:meth:`SortedNodeView.compose`): every field from two flat
-        # source vectors, one per byte order — [version byte, level,
-        # valid, count, sibling, *values] and [fence_low, fence_high,
-        # *keys].
+        set_attr(self, "_image_versions", tuple_getter(
+            [*range(0, self.raw_size, versions.LINE),
+             versions.raw_of(self.OFF_VERSION),
+             *map(versions.raw_of, offsets)]))
+        # Image codec over the de-striped payload of a whole node: one
+        # decoding struct per column (keys big-endian, values
+        # little-endian; a value narrower than a word is its raw bytes),
+        # and an encoder (:meth:`SortedNodeView.compose`) of every field
+        # from two flat source vectors, one per byte order — [version
+        # byte, level, valid, count, sibling, *values] and [fence_low,
+        # fence_high, *keys].
         value_code = "Q" if self.value_size >= 8 else f"{self.value_size}s"
         header_code = "BBBH" if self.level_byte else "BBH"
         header_sources = (0, 1, 2, 3) if self.level_byte else (0, 2, 3)
@@ -266,11 +261,11 @@ class SortedNodeLayout:
             "<", zip(offsets, repeat(value_code)), logical_size, off_value))
         entries = list(enumerate(offsets))
         set_attr(self, "_encoder", ImageEncoder(
-            [(0, header_code, header_sources), (off_sibling, "Q", (4,))]
+            [(0, header_code, header_sources), (self.off_sibling, "Q", (4,))]
             + [(off, "B", (0,)) for _index, off in entries]
             + [(off + off_value, value_code, (5 + index,))
                for index, off in entries],
-            [(off_fence_low, "QQ", (0, 1))]
+            [(self.off_fence_low, "QQ", (0, 1))]
             + [(off + 1, "Q", (2 + index,)) for index, off in entries],
             logical_size))
 

@@ -32,7 +32,7 @@ from repro.layout import (
     unpack_version,
 )
 from repro.layout.image import packer_values, unpack_values
-from repro.layout.versions import LINE, bump_nibble
+from repro.layout.versions import NV_OF_BYTE, bump_nibble
 from repro.memory.region import NULL_ADDR
 
 
@@ -148,21 +148,18 @@ class SortedNodeView:
         return (decode_key(data),
                 decode_value(data, layout.key_size, size=layout.value_size))
 
-    def entry_key(self, index: int) -> int:
-        """Just the key of one entry — skips the value decode."""
-        return decode_key(self.span.read_logical(
-            self.layout.entry_offset(index) + 1, self.layout.key_size))
-
     def find(self, key: int) -> Optional[int]:
-        """Binary search the sorted entries; returns the index or None."""
-        held = self.count
-        index = bisect_left(range(held), key, key=self.entry_key)
-        if index < held and self.entry_key(index) == key:
+        """Binary search the sorted keys; returns the index or None."""
+        keys = self._keys(self.span.image_payload(self.layout.logical_size))
+        index = bisect_left(keys, key)
+        if index < len(keys) and keys[index] == key:
             return index
         return None
 
-    def write_entry_value(self, index: int, key: int, value: int) -> None:
-        """Fine-grained entry update: payload + EV bump in lockstep."""
+    def write_entry_value(self, index: int, key: int,
+                          value: int) -> Tuple[int, bytes]:
+        """Fine-grained entry update: payload + EV bump in lockstep;
+        returns the raw (offset, bytes) that write the entry back."""
         layout = self.layout
         off = layout.entry_offset(index)
         nv, ev = unpack_version(self.span.payload_byte(off))
@@ -171,10 +168,7 @@ class SortedNodeView:
         self.span.bump_entry_versions(off, layout.entry_size)
         self.span.write_logical(off + 1, encode_key(key) + encode_value(
             value, layout.value_size))
-
-    def entry_sub_span(self, index: int) -> Tuple[int, bytes]:
-        return self.span.sub_span(self.layout.entry_offset(index),
-                                  self.layout.entry_size)
+        return self.span.sub_span(off, layout.entry_size)
 
     # -- whole-node decode ---------------------------------------------------------
     #
@@ -182,14 +176,16 @@ class SortedNodeView:
     # entry is decoded from one de-striped payload by the layout's
     # column structs; ``entry`` is the per-entry reference.
 
+    def _keys(self, payload: bytearray) -> Sequence[int]:
+        return self.layout._image_keys.unpack(payload)[:self.count]
+
     def _columns(self) -> Tuple[Sequence[int], Sequence[int]]:
         """The keys and the values of the held entries, in key order."""
         layout = self.layout
-        count = self.count
         payload = self.span.image_payload(layout.logical_size)
-        return (layout._image_keys.unpack(payload)[:count],
-                unpack_values(layout._image_values, payload,
-                              layout.value_size)[:count])
+        keys = self._keys(payload)
+        return keys, unpack_values(layout._image_values, payload,
+                                   layout.value_size)[:len(keys)]
 
     def items(self) -> List[Tuple[int, int]]:
         """The (key, value) of every held entry, in key order."""
@@ -220,20 +216,10 @@ class SortedNodeView:
         span = self.span
         if span.base != 0:
             return len(set(self.nv_values())) <= 1
-        # Full-image fast path: scan NV nibbles straight off the raw
-        # buffer — no payload extraction, no intermediate lists.  Runs
-        # once per fetched node, over every line and entry version byte.
-        data = span.data
-        first = data[0] >> 4
-        for pos in range(LINE, len(data), LINE):
-            if data[pos] >> 4 != first:
-                return False
-        if data[1] >> 4 != first:  # header version byte (raw offset 1)
-            return False
-        for pos in self.layout.entry_version_raw_offsets:
-            if data[pos] >> 4 != first:
-                return False
-        return True
+        # Whole-image fast path, once per fetched node: every version
+        # byte picked off the raw buffer and mapped to its NV in C.
+        version_bytes = bytes(self.layout._image_versions(span.data))
+        return len(set(version_bytes.translate(NV_OF_BYTE))) <= 1
 
 
 @dataclass(slots=True)

@@ -27,7 +27,6 @@ from repro.config import ChimeConfig
 from repro.core.chime import ChimeClient, ChimeIndex, LockGuard, OpResult, _DONE
 from repro.core.nodes import LeafNodeView
 from repro.errors import IndexError_
-from repro.hashing.hopscotch import distance
 from repro.layout import decode_u16, encode_u16, encode_u64, decode_u64
 from repro.memory import NULL_ADDR
 
@@ -277,10 +276,7 @@ class VarKeyChimeClient(ChimeClient):
             if new_head == NULL_ADDR:
                 # Chain empty: clear the entry and its home bitmap bit.
                 home = self.home_of(key)
-                view.clear_entry(position)
-                offset = distance(home, position, self.layout.span)
-                home_bitmap = view.entry(home).bitmap & ~(1 << offset)
-                view.set_entry_bitmap(home, home_bitmap)
+                self._remove_entry(view, home, position)
                 positions = {position, home}
                 vacancy &= ~(1 << self.index.vacancy_map.bit_of(position))
                 self.hotspots.invalidate(leaf_addr, position)

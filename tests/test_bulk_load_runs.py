@@ -138,6 +138,10 @@ def test_compiled_sorted_leaf_is_the_field_by_field_one(case):
         len(items), sibling, fence_low, fence_high, nv, level, True)
     assert all(decoded.find(key) == position
                for position, (key, _value) in enumerate(items))
+    held = {key for key, _value in items}
+    assert all(decoded.find(key) is None
+               for key in (0, fence_low, fence_high, MAX_KEY)
+               if key not in held)
 
 
 @settings(max_examples=150, deadline=None)

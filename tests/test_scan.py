@@ -54,7 +54,7 @@ def oracle_leaf(client, raw, key):
     if len(set(view.nv_values())) > 1:
         raise TornReadError("torn sorted-array leaf")
     return ([view.entry(index) for index in range(view.count)
-             if view.entry_key(index) >= key], view.sibling)
+             if view.entry(index)[0] >= key], view.sibling)
 
 
 def oracle_scan(client, key, count):
