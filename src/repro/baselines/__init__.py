@@ -2,10 +2,7 @@
 
 from repro.baselines.flexkv import FlexKVClient, FlexKVConfig, FlexKVIndex
 from repro.baselines.marlin import MarlinClient, MarlinIndex
-from repro.baselines.model_routed import (
-    ModelRoutedClientBase,
-    ModelRoutedIndexBase,
-)
+from repro.baselines.model_routed import ModelRoutedClientBase, ModelRoutedIndexBase
 from repro.baselines.outback import OutbackClient, OutbackConfig, OutbackIndex
 from repro.baselines.pla import PlaModel, PlaSegment
 from repro.baselines.rolex import RolexClient, RolexConfig, RolexIndex

@@ -35,8 +35,9 @@ class ModelRoutedIndexBase(FamilyIndexBase):
     synonym address)``.
     """
 
-    def __init__(self, cluster: Cluster, config, leaf_layout, error: int,
-                 bulk_load_factor: float) -> None:
+    def __init__(
+        self, cluster: Cluster, config, leaf_layout, error: int, bulk_load_factor: float
+    ) -> None:
         super().__init__(cluster, config)
         self.leaf_layout = leaf_layout
         self.error = error
@@ -48,8 +49,7 @@ class ModelRoutedIndexBase(FamilyIndexBase):
 
     # -- bulk load ------------------------------------------------------------------
 
-    def bulk_load(self, pairs: Sequence[Tuple[int, int]],
-                  future_keys: Sequence[int] = ()) -> None:
+    def bulk_load(self, pairs: Sequence[Tuple[int, int]], future_keys: Sequence[int] = ()) -> None:
         """Load *pairs* and pre-train the model on their keys plus
         *future_keys* (keys that workloads will insert later)."""
         pairs = self._checked_pairs(pairs)
@@ -60,15 +60,12 @@ class ModelRoutedIndexBase(FamilyIndexBase):
         # Partition the *trained* key space so predicted positions align
         # with leaves; loaded pairs land in their partition, future keys
         # reserve slack.
-        chunks = [all_keys[i:i + per_leaf]
-                  for i in range(0, len(all_keys), per_leaf)] or [[]]
-        self.leaf_addrs = [self._host_alloc(self.leaf_layout.total_size)
-                           for _ in chunks]
+        chunks = [all_keys[i : i + per_leaf] for i in range(0, len(all_keys), per_leaf)] or [[]]
+        self.leaf_addrs = [self._host_alloc(self.leaf_layout.total_size) for _ in chunks]
         bounds = [0] + [chunk[0] for chunk in chunks[1:]] + [MAX_KEY]
         for index, chunk in enumerate(chunks):
             items = [(key, loaded[key]) for key in chunk if key in loaded]
-            self._host_write_leaf(self.leaf_addrs[index], items,
-                                  bounds[index], bounds[index + 1])
+            self._host_write_leaf(self.leaf_addrs[index], items, bounds[index], bounds[index + 1])
         self.loaded_items = len(pairs)
 
     # -- prediction / accounting ---------------------------------------------------
@@ -77,8 +74,7 @@ class ModelRoutedIndexBase(FamilyIndexBase):
         """Leaf indices covering the model's +-error window for *key*."""
         window = self.model.position_range(key)
         lo = window.start // self._items_per_leaf
-        hi = min((window.stop - 1) // self._items_per_leaf,
-                 len(self.leaf_addrs) - 1)
+        hi = min((window.stop - 1) // self._items_per_leaf, len(self.leaf_addrs) - 1)
         return list(range(lo, hi + 1))
 
     def cache_bytes_needed(self) -> int:
@@ -100,8 +96,7 @@ class ModelRoutedIndexBase(FamilyIndexBase):
         return chains
 
     def collect_items(self) -> List[Tuple[int, int]]:
-        return sorted(pair for chain in self._host_chains()
-                      for pairs in chain for pair in pairs)
+        return sorted(pair for chain in self._host_chains() for pairs in chain for pair in pairs)
 
     def synonym_chain_lengths(self) -> List[int]:
         """Chain length per leaf (diagnostics for insert behaviour)."""
@@ -129,8 +124,7 @@ class ModelRoutedClientBase(FamilyClientBase):
     #: rewrites the metadata there at unlock) or leaves it alone.
     zero_rest = True
 
-    def __init__(self, index: ModelRoutedIndexBase,
-                 ctx: ClientContext) -> None:
+    def __init__(self, index: ModelRoutedIndexBase, ctx: ClientContext) -> None:
         super().__init__(index, ctx)
         self.layout = index.leaf_layout
 
@@ -143,8 +137,7 @@ class ModelRoutedClientBase(FamilyClientBase):
     def _delete(self, key: int) -> Generator:
         return self._write_group(key, 0, delete=True, upsert=False)
 
-    def _write_group(self, key: int, value: int, delete: bool,
-                     upsert: bool) -> Generator:
+    def _write_group(self, key: int, value: int, delete: bool, upsert: bool) -> Generator:
         """Locked write on the leaf group covering *key*; the base
         leaf's lock covers its whole synonym chain."""
         base_addr = yield from self._locate_base(key)
@@ -154,39 +147,37 @@ class ModelRoutedClientBase(FamilyClientBase):
         old_word = yield from self._lock(lock_addr, zero_rest=self.zero_rest)
         guard = LockGuard(lock_addr, old_word)
         try:
-            result = yield from self._write_chain(guard, base_addr, key,
-                                                  value, delete, upsert)
+            result = yield from self._write_chain(guard, base_addr, key, value, delete, upsert)
             return result
         except GeneratorExit:
             raise  # reclaimed while parked: must not yield restore verbs
         except BaseException:
             if guard.held:
-                yield from self._restore_unlock(lock_addr,
-                                                guard.release_word())
+                yield from self._restore_unlock(lock_addr, guard.release_word())
             raise
         finally:
             self._release_local(lock_addr)
 
-    def _write_chain(self, guard: LockGuard, base_addr: int, key: int,
-                     value: int, delete: bool, upsert: bool) -> Generator:
+    def _write_chain(
+        self, guard: LockGuard, base_addr: int, key: int, value: int, delete: bool, upsert: bool
+    ) -> Generator:
         """Walk base + synonym chain under the base lock: find the key,
         or the first table with room and the tail."""
         chain_addr = base_addr
         roomy = None
         while chain_addr != NULL_ADDR:
-            table, position, room, synonym = yield from self._probe(
-                chain_addr, key)
+            table, position, room, synonym = yield from self._probe(chain_addr, key)
             if position is not None:
-                yield from self._modify_entry(guard, chain_addr, table,
-                                              position, key, value, delete)
+                yield from self._modify_entry(
+                    guard, chain_addr, table, position, key, value, delete
+                )
                 return True
             if roomy is None and room:
                 roomy = (chain_addr, table)
             tail_addr, tail = chain_addr, table
             chain_addr = synonym
         if delete or not upsert:
-            yield from self._unlock_remote(guard.lock_addr,
-                                           guard.release_word())
+            yield from self._unlock_remote(guard.lock_addr, guard.release_word())
             return False
         if roomy is not None:
             done = yield from self._insert_into(guard, *roomy, key, value)

@@ -57,10 +57,9 @@ class ShermanIndex(BTreeIndexBase):
     def __init__(self, cluster: Cluster,
                  config: Optional[ShermanConfig] = None) -> None:
         super().__init__(cluster, config or ShermanConfig())
-        entry_value = 8 if self.config.indirect_values \
-            else self.config.value_size
-        self.leaf_layout = SortedNodeLayout(self.config.span,
-                                            self.config.key_size,
+        config = self.config
+        entry_value = 8 if config.indirect_values else config.value_size
+        self.leaf_layout = SortedNodeLayout(config.span, config.key_size,
                                             entry_value)
 
     def client(self, ctx: ClientContext) -> "ShermanClient":

@@ -7,9 +7,10 @@ this module hosts everything above the leaf level:
 * internal-node reads with optimistic version checks and sibling chasing,
 * the per-CN internal-node cache and cached traversal,
 * remote lock acquisition (masked-CAS) backed by the CN-local lock table,
-* node splits of internal nodes and split-key up-propagation,
+* the split of an overfull sorted-array node (any level, sorted leaves
+  included) and split-key up-propagation,
 * root growth via a remote CAS on the global root pointer,
-* host-side construction of the internal levels for bulk loading.
+* host-side construction of sorted-array levels for bulk loading.
 
 Leaf formats and leaf operations are index-specific and live in
 subclasses (:mod:`repro.core.chime`, :mod:`repro.baselines.sherman`);
@@ -911,11 +912,10 @@ class BTreeClientBase(FamilyClientBase):
     def _split_if_full(self, layout: SortedNodeLayout,
                        items: List[Tuple[int, int]], sibling: int,
                        fence_high: int, level: int = 0) -> Generator:
-        """With a node locked that is to hold the sorted *items*: when
-        they overflow it, first WRITE their right half to a fresh
-        sibling.  Returns ``(items, sibling, fence_high, split)`` — what
-        the node itself now holds, and ``(pivot, new_addr, right view)``
-        for the caller to propagate, or None."""
+        """With a locked node about to hold the sorted *items*: if they
+        overflow it, first WRITE their right half to a fresh sibling.
+        Returns ``(items, sibling, fence_high, split)`` — what the node
+        now holds, and ``(pivot, new_addr, right view)`` or None."""
         if len(items) <= layout.span:
             return items, sibling, fence_high, None
         mid = len(items) // 2

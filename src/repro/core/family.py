@@ -11,8 +11,9 @@ the 8-byte lock word of §4.2.1 and retries is written here once:
 * :class:`FamilyClientBase` — per client: the constructor fields, the
   chunked allocator, the public operations as template methods over
   per-family ``_search/_insert/_update/_delete/_scan`` generators, the
-  indirect-block helpers, and the plain lock pairing (CN-local lock
-  table, masked-CAS spin, unlock write, exception-path restore).
+  indirect-block helpers, whole sorted-array-node reads and writes, and
+  the plain lock pairing (CN-local lock table, masked-CAS spin, unlock
+  write, exception-path restore).
 
 A family supplies its leaf view and those five generators (fewer when it
 has no such operation — a ``delete`` it lacks is a typed
@@ -267,10 +268,9 @@ class FamilyClientBase(SpanInstrumentedOps):
 
     def _read_sorted_node(self, addr: int, layout: SortedNodeLayout,
                           raw: Optional[bytes] = None) -> Generator:
-        """READ the node at *addr* until it is NV-consistent; returns
-        its view.  *raw* is an image already fetched (one of a batch):
-        it is re-read only if torn.  A verb an injected fault failed is
-        retried like a torn image."""
+        """READ the node at *addr* until it is NV-consistent (a verb an
+        injected fault failed counts as torn); returns its view.  *raw*
+        is an image already fetched in a batch, re-read only if torn."""
         retry = self.retry.start("node read {:#x}", self.engine,
                                  self.ctx.rng, addr)
         while retry.check():
@@ -291,9 +291,8 @@ class FamilyClientBase(SpanInstrumentedOps):
                           items: Sequence[Tuple[int, int]], sibling: int,
                           fence_low: int, fence_high: int,
                           level: int = 0) -> Generator:
-        """Allocate a node and WRITE it holding *items*, with a free lock
-        line behind it (one batch); returns ``(addr, view)``.  Nothing
-        points at it yet — the caller publishes it."""
+        """Allocate a node and WRITE it holding *items*, a free lock line
+        behind it (one batch); the caller publishes ``(addr, view)``."""
         addr = yield from self._alloc(layout.total_size)
         view = SortedNodeView.compose(layout, items, sibling, fence_low,
                                       fence_high, level=level)

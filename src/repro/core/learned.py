@@ -54,14 +54,13 @@ class LearnedChimeIndex(ModelRoutedIndexBase):
                        value_size=value_size, replicated=True,
                        fence_keys=True),
             error, bulk_load_factor)
-        self.span = span
         self.vacancy_map = VacancyBitmap(span)
 
     def client(self, ctx: ClientContext) -> "LearnedChimeClient":
         return LearnedChimeClient(self, ctx)
 
     def home_of(self, key: int) -> int:
-        return default_hash(key, self.span)
+        return default_hash(key, self.leaf_layout.span)
 
     def _host_write_leaf(self, addr: int, items: Sequence[Tuple[int, int]],
                          fence_low: int, fence_high: int) -> None:

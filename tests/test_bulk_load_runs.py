@@ -133,8 +133,9 @@ def test_compiled_sorted_leaf_is_the_field_by_field_one(case):
     decoded = SortedNodeView(layout, StripedSpan(bytes(view.span.data), 0))
     assert decoded.is_consistent()
     assert decoded.items() == items
+    parsed = decoded.parse(0)
     assert (decoded.count, decoded.sibling, decoded.fence_low,
-            decoded.fence_high, decoded.nv, decoded.level, decoded.valid) == (
+            decoded.fence_high, decoded.nv, parsed.level, parsed.valid) == (
         len(items), sibling, fence_low, fence_high, nv, level, True)
     assert all(decoded.find(key) == position
                for position, (key, _value) in enumerate(items))
@@ -166,11 +167,10 @@ def test_whole_node_decode_is_the_per_entry_one(case, data):
     assert view.items() == entries
     parsed = view.parse(0x40)
     assert list(zip(parsed.pivots, parsed.children)) == entries
-    assert (parsed.addr, parsed.level, parsed.valid, parsed.count,
-            parsed.fence_low, parsed.fence_high, parsed.sibling,
-            parsed.nv) == (
-        0x40, view.level, view.valid, view.count, view.fence_low,
-        view.fence_high, view.sibling, view.nv)
+    assert (parsed.addr, parsed.count, parsed.fence_low, parsed.fence_high,
+            parsed.sibling, parsed.nv) == (
+        0x40, view.count, view.fence_low, view.fence_high, view.sibling,
+        view.nv)
     # A view not based at the image's first byte has no raw fast path.
     shifted = SortedNodeView(layout, StripedSpan(view.span.data[1:], 1))
     assert shifted.is_consistent() == view.is_consistent()
