@@ -22,7 +22,6 @@ VALUE_SIZE = 8
 MAX_KEY = (1 << 64) - 1
 
 _U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _KEY = struct.Struct(">Q")
 
@@ -64,14 +63,6 @@ def encode_u16(value: int) -> bytes:
 
 def decode_u16(data: bytes, offset: int = 0) -> int:
     return _U16.unpack_from(data, offset)[0]
-
-
-def encode_u32(value: int) -> bytes:
-    return _U32.pack(value & 0xFFFFFFFF)
-
-
-def decode_u32(data: bytes, offset: int = 0) -> int:
-    return _U32.unpack_from(data, offset)[0]
 
 
 def encode_u64(value: int) -> bytes:

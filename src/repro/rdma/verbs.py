@@ -50,7 +50,7 @@ ATOMIC_PENALTY = 2.0
 #: latency hop (``_OUT`` at the MN, ``_BACK`` at the CN) or a completed
 #: queue slice (CN NIC ``_SEND`` / ``_RECV``; MN rx ``_RECEIVED``, CPU
 #: ``_SERVED``, tx ``_SENT``).  From ``_SEND`` up a kind's ``_step`` acts.
-_DEAD, _BACK, _RECV, _SEND, _OUT, _RECEIVED, _SERVED, _SENT = range(-1, 7)
+_BACK, _RECV, _SEND, _OUT, _RECEIVED, _SERVED, _SENT = range(7)
 
 
 class _Verb(Timeline):
@@ -62,7 +62,7 @@ class _Verb(Timeline):
     ``_result`` → response propagation → CN-NIC rx slice → the waiter
     resumes with the result.  :meth:`fire` acts where the coroutine body
     this replaces was resumed: what a step raises is thrown into the
-    waiter there, and a verb whose waiter was interrupted stops there.
+    waiter there.
     """
 
     __slots__ = ("qp", "_state", "_pending", "_latency", "_result", "_reply")
@@ -73,7 +73,7 @@ class _Verb(Timeline):
         self.engine = qp.engine
         self.callbacks = []
         self._value = self._exception = None
-        self._triggered = self._cancelled = False
+        self._triggered = False
         self.qp = qp
         self._pending = 0
         self._result = None
@@ -92,12 +92,6 @@ class _Verb(Timeline):
     def _return(self) -> None:
         self._state = _BACK
         self._after(self._latency)
-
-    def cancel(self) -> None:
-        if self._state == _OUT or self._state == _BACK:
-            self._cancelled = True  # a latency hop: tombstoned like a Timeout
-        else:
-            self._state = _DEAD  # requested slices still take their positions
 
     def fire(self) -> None:
         if self._pending:
@@ -118,7 +112,7 @@ class _Verb(Timeline):
         elif state == _BACK and self.qp._cn_nic is not None:
             self._state = _RECV
             self.qp._cn_nic.receive(self._reply, self)
-        elif state != _DEAD:
+        else:
             self._finish(self._result)
 
 

@@ -7,29 +7,22 @@ expressed as events on the :class:`~repro.sim.engine.Engine`.
 
 from repro.sim.engine import (
     AllOf,
-    AnyOf,
-    CalendarQueue,
     Engine,
     Event,
-    Interrupted,
     Process,
     Timeline,
     Timeout,
     Wakeup,
 )
-from repro.sim.resources import Lock, QueueServer, Store
+from repro.sim.resources import Lock, QueueServer
 
 __all__ = [
     "AllOf",
-    "AnyOf",
-    "CalendarQueue",
     "Engine",
     "Event",
-    "Interrupted",
     "Lock",
     "Process",
     "QueueServer",
-    "Store",
     "Timeline",
     "Timeout",
     "Wakeup",

@@ -6,13 +6,13 @@ queue, waits for a free slot, occupies it for its service time, and its
 completion event then fires.  This models NIC processing pipelines,
 memory-node RPC handlers, and anything else that serializes work.
 
-:class:`Store` is a small producer/consumer mailbox used for RPC channels.
+:class:`Lock` serializes host-side critical sections inside one CN.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine, Event, Wakeup
@@ -151,36 +151,6 @@ class QueueServer:
                 if elapsed > 0.0:
                     total += elapsed
         return total
-
-
-class Store:
-    """An unbounded FIFO mailbox connecting producer and consumer processes."""
-
-    def __init__(self, engine: Engine, name: str = "") -> None:
-        self.engine = engine
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Deposit *item*; wakes the oldest waiting getter, if any."""
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event that fires with the next available item."""
-        event = self.engine.event()
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
 
 
 class Lock:

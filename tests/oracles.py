@@ -7,8 +7,9 @@ source-line budget nothing and no production module can reach for them
 (``tests/test_access.py`` checks that no ``src/`` module defines,
 imports or calls a name in :data:`__all__`):
 
-* :class:`HeapQueue` — the original one-heap event queue
-  (:class:`repro.sim.engine.CalendarQueue` must pop in its order).
+* :class:`HeapQueue` — the original one-heap event queue, with no
+  same-instant lane (:class:`repro.sim.engine.Engine`'s heap + lane must
+  pop in its order).
 * :func:`check_nv_uniform`, :func:`collect_leaf_nv`, :func:`image_nv`,
   :func:`check_entry_evs`, :func:`reconstruct_bitmap`,
   :func:`check_hopscotch_bitmap` — §4.1's three reader-side checks,
@@ -25,7 +26,6 @@ imports or calls a name in :data:`__all__`):
   over index ranges of the sorted keys).
 """
 
-from heapq import heappush
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.baselines.smart import (
@@ -74,32 +74,23 @@ __all__ = [
 
 
 class HeapQueue:
-    """The original event queue: one binary heap of ``(time, seq, event)``.
+    """The original event queue: one binary heap of ``(time, seq, event)``
+    and nothing else.
 
     Kept as the reference implementation — golden tests hand one to
-    ``Engine(queue=HeapQueue())`` and assert the calendar queue
-    reproduces its pop order byte-for-byte.  It presents the surface
-    :meth:`Engine.run` drains as a degenerate calendar: every entry lives
-    in the current tick's heap and no future tick ever exists, so the
-    loop never asks it to advance.
+    ``Engine(queue=HeapQueue())`` and assert the production engine
+    reproduces its pop order byte-for-byte.  The engine drains its
+    ``_heap`` exactly as it drains its own; what the oracle lacks is the
+    same-instant lane, so it orders entries for the current instant by
+    ``(time, seq)`` like any other.
     """
 
-    __slots__ = ("_current",)
+    __slots__ = ("_heap",)
 
-    #: No future ticks, ever: ``Engine.run`` stops when ``_current`` drains.
-    _ticks = ()
-    #: No same-instant lane either: the oracle orders entries for the
-    #: current instant by ``(time, seq)`` like any other.
     _lane = None
 
     def __init__(self) -> None:
-        self._current: List[Entry] = []
-
-    def __len__(self) -> int:
-        return len(self._current)
-
-    def push(self, entry: Entry) -> None:
-        heappush(self._current, entry)
+        self._heap: List[Entry] = []
 
 
 # -- the three reader-side checks of §4.1, entry by entry ---------------------

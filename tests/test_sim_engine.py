@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Engine, Interrupted, Timeline
+from repro.sim import Engine, Timeline
 from tests.oracles import HeapQueue
 from repro.sim.resources import QueueServer
 
@@ -135,21 +135,6 @@ def test_all_of_empty_triggers_immediately():
     assert results == [(0.0, [])]
 
 
-def test_any_of_returns_first():
-    engine = Engine()
-    results = []
-
-    def proc():
-        events = [engine.timeout(3.0, value="slow"),
-                  engine.timeout(1.0, value="fast")]
-        index, value = yield engine.any_of(events)
-        results.append((engine.now, index, value))
-
-    engine.process(proc())
-    engine.run()
-    assert results == [(1.0, 1, "fast")]
-
-
 def test_uncaught_process_exception_propagates():
     engine = Engine()
 
@@ -212,27 +197,6 @@ def test_run_until_with_empty_heap_advances_clock():
     assert engine.now == 10.0
 
 
-def test_interrupt_wakes_sleeping_process():
-    engine = Engine()
-    log = []
-
-    def sleeper():
-        try:
-            yield engine.timeout(100.0)
-            log.append("slept")
-        except Interrupted as interrupt:
-            log.append(("interrupted", engine.now, interrupt.cause))
-
-    def interrupter(target):
-        yield engine.timeout(2.0)
-        target.interrupt()
-
-    target = engine.process(sleeper())
-    engine.process(interrupter(target))
-    engine.run()
-    assert log == [("interrupted", 2.0, None)]
-
-
 def test_yield_non_event_fails_process():
     engine = Engine()
 
@@ -246,6 +210,20 @@ def test_yield_non_event_fails_process():
 
     engine.process(waiter())
     engine.run()
+
+
+def test_yield_non_event_with_no_waiter_raises_from_run():
+    # Like any uncaught exception: nobody waits on the process, so the
+    # failure surfaces from run() instead of sitting on the process.
+    engine = Engine()
+
+    def bad():
+        yield 5
+
+    proc = engine.process(bad())
+    with pytest.raises(SimulationError, match="yielded 5"):
+        engine.run()
+    assert not proc.is_alive
 
 
 def test_deterministic_interleaving_repeatable():
@@ -271,13 +249,13 @@ def test_deterministic_interleaving_repeatable():
 #
 # Random programs whose delays come from a tiny integer grid, so most of
 # what they schedule ties with something else: zero-delay timeouts,
-# succeed/fail chains, all_of/any_of, zero-service queue slices, a
-# timeline walking its positions, interrupts — and run(until=) cut-offs
-# that land on those crowded instants.  The production engine (calendar
-# queue + lane) must process exactly what the heap oracle does.
+# succeed/fail chains, all_of, zero-service queue slices, a timeline
+# walking its positions — and run(until=) cut-offs that land on those
+# crowded instants.  The production engine (heap + lane) must process
+# exactly what the lane-less heap oracle does.
 
 DELAYS = st.sampled_from([0.0, 0.0, 1.0, 2.0])
-SLOTS = 3  # shared events, processes and cut-offs all index modulo this
+SLOTS = 3  # shared events; a program runs up to SLOTS + 1 processes
 
 
 class _Walk(Timeline):
@@ -303,10 +281,9 @@ class _Walk(Timeline):
 
 INSTRUCTIONS = st.one_of(
     st.tuples(st.just("sleep"), DELAYS),
-    st.tuples(st.sampled_from(["succeed", "fail", "wait", "interrupt"]),
+    st.tuples(st.sampled_from(["succeed", "fail", "wait"]),
               st.integers(0, SLOTS - 1)),
-    st.tuples(st.sampled_from(["all_of", "any_of"]),
-              st.lists(DELAYS, min_size=1, max_size=3)),
+    st.tuples(st.just("all_of"), st.lists(DELAYS, min_size=1, max_size=3)),
     st.tuples(st.just("serve"), DELAYS),
     st.tuples(st.just("walk"), st.tuples(DELAYS, DELAYS, DELAYS)),
 )
@@ -320,7 +297,6 @@ def _execute(engine, program, cutoffs):
     engine.event_log = []
     shared = [engine.event() for _ in range(SLOTS)]
     server = QueueServer(engine, slots=1)
-    processes = []
     trace = []
 
     def body(tag, instructions):
@@ -334,22 +310,18 @@ def _execute(engine, program, cutoffs):
                     shared[arg].fail(ValueError(tag))
                 elif kind == "wait":
                     yield shared[arg]
-                elif kind == "interrupt":
-                    processes[arg % len(processes)].interrupt(tag)
                 elif kind == "all_of":
                     yield engine.all_of([engine.timeout(d) for d in arg])
-                elif kind == "any_of":
-                    yield engine.any_of([engine.timeout(d) for d in arg])
                 elif kind == "serve":
                     yield server.request(arg)
                 elif kind == "walk":
                     yield _Walk(engine, server, arg)
-            except (ValueError, Interrupted) as exc:
+            except ValueError as exc:
                 trace.append((tag, step, type(exc).__name__, engine.now))
             trace.append((tag, step, engine.now))
 
     for tag, instructions in enumerate(program):
-        processes.append(engine.process(body(tag, instructions)))
+        engine.process(body(tag, instructions))
     observed = []
     for until in [*sorted(cutoffs), None]:
         engine.run(until=until)

@@ -1,10 +1,10 @@
-"""Unit tests for QueueServer, Store, and Lock."""
+"""Unit tests for QueueServer and Lock."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Engine
-from repro.sim.resources import Lock, QueueServer, Store
+from repro.sim.resources import Lock, QueueServer
 
 
 def test_queue_server_serializes_requests():
@@ -88,57 +88,6 @@ def test_queue_server_zero_service_time():
     engine.process(client())
     engine.run()
     assert done == [0.0]
-
-
-def test_store_put_then_get():
-    engine = Engine()
-    store = Store(engine)
-    got = []
-
-    def consumer():
-        item = yield store.get()
-        got.append(item)
-
-    store.put("x")
-    engine.process(consumer())
-    engine.run()
-    assert got == ["x"]
-
-
-def test_store_get_blocks_until_put():
-    engine = Engine()
-    store = Store(engine)
-    got = []
-
-    def consumer():
-        item = yield store.get()
-        got.append((item, engine.now))
-
-    def producer():
-        yield engine.timeout(3.0)
-        store.put("late")
-
-    engine.process(consumer())
-    engine.process(producer())
-    engine.run()
-    assert got == [("late", 3.0)]
-
-
-def test_store_fifo_across_consumers():
-    engine = Engine()
-    store = Store(engine)
-    got = []
-
-    def consumer(tag):
-        item = yield store.get()
-        got.append((tag, item))
-
-    engine.process(consumer("first"))
-    engine.process(consumer("second"))
-    store.put(1)
-    store.put(2)
-    engine.run()
-    assert got == [("first", 1), ("second", 2)]
 
 
 def test_lock_mutual_exclusion():
