@@ -272,6 +272,57 @@ class TestShardedPinned:
                 body_digest) == SHARDED_LOGS["sharded-chaos"]
 
 
+#: Lock shapes the rows above do not reach: run id -> (family,
+#: ClusterConfig fields, ChimeConfig overrides, events_processed,
+#: SHA-256 of the event log), all YCSB-A.  The ticket queue and the
+#: adaptive switch over four shards on four MNs at depth 2, with and
+#: without leases; the adaptive switch with CXL atomics (the lock
+#: word's rest comes from a READ after the lock-bit CAS, 7 leaves flip
+#: pessimistic); Sherman's queue with leases at 8 clients per CN (78
+#: delegation handoffs).  Recorded before every lock-word family took
+#: one lock path.
+_SHARDED_LOCKS = dict(num_mns=4, num_shards=4, pipeline_depth=2)
+LOCK_SHAPES = {
+    "sharded-pessimistic": (
+        "chime", dict(_SHARDED_LOCKS, sync_mode="pessimistic"), None,
+        2793, "d08d3a3af2e68a545e1fdbb8ca1691dd"
+              "5784b7ef99f3426a5e478638a2545766"),
+    "sharded-pessimistic-leases": (
+        "chime", dict(_SHARDED_LOCKS, sync_mode="pessimistic",
+                      lock_leases=True), None,
+        2879, "c57bdb63b2bf907290946210d31e059f"
+              "c8c4c53192da1e724766b035581c6e23"),
+    "sharded-adaptive": (
+        "chime", dict(_SHARDED_LOCKS, sync_mode="adaptive"), None,
+        2017, "8e7a712c2af150331f997af219d68be4"
+              "28791c436d5f8eca1b132c755dc574d3"),
+    "sharded-adaptive-leases": (
+        "chime", dict(_SHARDED_LOCKS, sync_mode="adaptive",
+                      lock_leases=True), None,
+        2667, "e1b44f9eb9346c9d7f3283cf385a400e"
+              "19fd8041dbd8cf96749d3097276a4b4e"),
+    "adaptive-cxl": (
+        "chime", dict(sync_mode="adaptive", clients_per_cn=8,
+                      pipeline_depth=4), {"cxl_atomics": True},
+        9840, "138452cdbb539f48851e2163d0796555"
+              "e40847982ca5957162fc6aad043551b8"),
+    "sherman-pessimistic-leases": (
+        "sherman", dict(sync_mode="pessimistic", lock_leases=True,
+                        clients_per_cn=8), None,
+        10077, "86e4b99992c208bf830bcb7b28d05c80"
+               "aae75922fd0fd7c211605743e099d551"),
+}
+
+
+class TestLockShapesPinned:
+    @pytest.mark.parametrize("shape", sorted(LOCK_SHAPES))
+    def test_lock_shape_is_pinned(self, shape, monkeypatch):
+        index_name, fields, overrides, events, digest = LOCK_SHAPES[shape]
+        run = _golden_run(index_name, "A", monkeypatch, heap_oracle=False,
+                          chime_overrides=overrides, **fields)
+        assert (run["events"], _log_digest(run["log"])) == (events, digest)
+
+
 #: What the one-heap engine deleted: the calendar queue, the interrupt
 #: and first-of paths, timer tombstones, and the unused mailbox.
 DELETED = {"CalendarQueue", "AnyOf", "Interrupted", "Store", "interrupt",
