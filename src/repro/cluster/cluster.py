@@ -23,6 +23,9 @@ class Cluster:
     """
 
     def __init__(self, config: ClusterConfig) -> None:
+        # Imported here: repro.core imports this module.
+        from repro.core.adaptive import SyncState
+
         self.config = config
         self.engine = Engine()
         self.mns: Dict[int, MemoryNode] = {
@@ -44,6 +47,9 @@ class Cluster:
         else:
             self.shard_map = None
             self.partitioned_allocator = None
+        #: The lock line's synchronization state — sync mode, per-leaf
+        #: switch, queue-ticket registry — shared by every index client.
+        self.sync_state = SyncState(config.sync_mode)
         # Timestamp source for bus emitters without an engine reference
         # (cache, sync checks).  Last constructed cluster wins, which is
         # right for the one-cluster-at-a-time experiment flow.

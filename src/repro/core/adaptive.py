@@ -22,23 +22,24 @@ decides, per leaf, which of the two to use:
   serving-advance and passes a :class:`HandoffToken` in CN memory; the
   recipient revalidates with a single CAS instead of FAA + polling.
 
-* **Per-leaf policy** (:class:`ContentionEstimator`): a decaying
-  CAS-failure-rate estimator fed by the same observations that back the
-  ``lock.cas_fail`` bus events flips an individual lock between the two
-  modes at configurable up/down thresholds, with a minimum dwell time so
-  it does not flap.
+* **Per-leaf policy** (:class:`SyncState`): decaying per-leaf
+  estimates of CAS failures per optimistic acquisition and queue depth
+  per pessimistic one flip an individual lock between the two modes at
+  configurable up/down thresholds, with a minimum dwell time so it does
+  not flap.
 
-:class:`SyncState` ties these together per index.  When the configured
-mode is ``optimistic`` the index keeps ``sync_state = None`` and every
-hot path is byte-identical to the historical behavior.
+One :class:`SyncState` per cluster, in every mode, carries the policy
+and the queue-ticket registry; the lock path that consults it is
+:meth:`repro.core.family.FamilyClientBase._lock`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import KNOBS
+from repro.obs.bus import BUS
 
 __all__ = [
     "SYNC_OPTIMISTIC",
@@ -46,7 +47,6 @@ __all__ = [
     "SYNC_ADAPTIVE",
     "SYNC_MODES",
     "AdaptivePolicy",
-    "ContentionEstimator",
     "HandoffToken",
     "DelegationEntry",
     "SyncState",
@@ -62,14 +62,14 @@ SYNC_MODES = (SYNC_OPTIMISTIC, SYNC_PESSIMISTIC, SYNC_ADAPTIVE)
 class AdaptivePolicy:
     """Tuning knobs for the per-leaf optimistic<->pessimistic switch.
 
-    The estimator keeps two EWMAs per lock address: ``fail_ewma``, the
+    :class:`SyncState` keeps two EWMAs per lock address: ``fail_ewma``, the
     CAS failures observed per optimistic acquisition, and ``depth_ewma``,
     the queue depth (remote distance + same-CN waiters) observed per
     pessimistic acquisition.  A leaf goes pessimistic when its failure
     rate crosses ``up_threshold`` and falls back to optimistic when the
     observed queue depth decays below ``down_threshold``.  ``min_dwell``
     (simulated seconds) is hysteresis: a leaf that just switched holds
-    its mode at least that long regardless of the estimators.
+    its mode at least that long regardless of the estimates.
     """
 
     alpha: float = 0.25
@@ -80,88 +80,12 @@ class AdaptivePolicy:
 
 @dataclass
 class _LeafState:
-    """Per-lock-address contention record inside the estimator."""
+    """Per-lock-address contention record of an adaptive :class:`SyncState`."""
 
     mode: str = SYNC_OPTIMISTIC
     fail_ewma: float = 0.0
     depth_ewma: float = 0.0
     last_switch: float = 0.0
-
-
-class ContentionEstimator:
-    """Decaying per-leaf contention estimator driving mode switches.
-
-    Only instantiated for ``adaptive`` mode; the fixed modes need no
-    per-leaf state.  All methods are plain function calls (no simulation
-    yields, no RNG) so feeding the estimator from the lock hot paths
-    cannot perturb event sequences.
-    """
-
-    def __init__(self, policy: AdaptivePolicy) -> None:
-        self.policy = policy
-        self._leaves: Dict[int, _LeafState] = {}
-        self.switches_up = 0
-        self.switches_down = 0
-
-    def mode_of(self, lock_addr: int) -> str:
-        state = self._leaves.get(lock_addr)
-        return SYNC_OPTIMISTIC if state is None else state.mode
-
-    def note_optimistic(self, lock_addr: int, failures: int, now: float) -> Optional[str]:
-        """Record one optimistic acquisition that needed ``failures`` CAS retries.
-
-        Returns the new mode if this observation flipped the leaf, else None.
-        """
-        pol = self.policy
-        state = self._leaves.get(lock_addr)
-        if state is None:
-            if failures == 0:
-                return None  # quiet leaf: skip allocating state for it
-            state = self._leaves[lock_addr] = _LeafState(last_switch=now)
-        state.fail_ewma += pol.alpha * (failures - state.fail_ewma)
-        if (
-            state.mode == SYNC_OPTIMISTIC
-            and state.fail_ewma >= pol.up_threshold
-            and now - state.last_switch >= pol.min_dwell
-        ):
-            state.mode = SYNC_PESSIMISTIC
-            state.last_switch = now
-            # Seed the depth estimate above the down threshold so the leaf
-            # does not bounce straight back before observing a real queue.
-            state.depth_ewma = max(state.fail_ewma, pol.down_threshold * 2.0)
-            self.switches_up += 1
-            return SYNC_PESSIMISTIC
-        return None
-
-    def note_queue(self, lock_addr: int, depth: int, now: float,
-                   others_queued: bool = False) -> Optional[str]:
-        """Record one pessimistic acquisition that saw ``depth`` waiters ahead.
-
-        *others_queued* vetoes the down-switch: flipping a leaf back to
-        optimistic while other clients still hold queue tickets strands
-        them against a CAS storm with no FIFO priority (the queue head
-        has no edge over fresh optimistic acquirers), so only an
-        effectively-lone waiter may flip the leaf back.
-
-        Returns the new mode if this observation flipped the leaf, else None.
-        """
-        pol = self.policy
-        state = self._leaves.get(lock_addr)
-        if state is None:
-            return None
-        state.depth_ewma += pol.alpha * (depth - state.depth_ewma)
-        if (
-            state.mode == SYNC_PESSIMISTIC
-            and not others_queued
-            and state.depth_ewma <= pol.down_threshold
-            and now - state.last_switch >= pol.min_dwell
-        ):
-            state.mode = SYNC_OPTIMISTIC
-            state.last_switch = now
-            state.fail_ewma = 0.0
-            self.switches_down += 1
-            return SYNC_OPTIMISTIC
-        return None
 
 
 @dataclass
@@ -215,49 +139,97 @@ class DelegationEntry:
         return token
 
 
-class SyncState:
-    """Per-index synchronization mode state.
 
-    Holds the configured mode, the adaptive estimator (when the mode is
-    ``adaptive``), and the registry of in-flight queue tickets used by
-    the chaos harness to report tickets stranded by crashed compute
-    nodes.  Indexes running the default optimistic mode carry
-    ``sync_state = None`` instead of an instance, which is what keeps
-    the default hot paths event-sequence-identical.
+
+class SyncState:
+    """A cluster's lock-line synchronization state, in every sync mode.
+
+    Holds the configured mode; in ``adaptive`` mode, the per-leaf
+    contention estimate that flips an individual lock address between
+    the two modes (and emits ``sync.mode_switch`` when it does); and the
+    registry of in-flight queue tickets the chaos harness reports
+    tickets stranded by crashed compute nodes from.  Lock addresses are
+    global, so every index of the cluster — every shard's sub-tree
+    included — shares the one instance.  All methods are plain calls
+    (no simulation yields, no RNG), so feeding the estimate from the
+    lock paths cannot perturb event sequences.
     """
 
     def __init__(self, mode: str, policy: Optional[AdaptivePolicy] = None) -> None:
         self.mode = KNOBS["sync_mode"].check(mode, "SyncState mode")
-        if self.mode == SYNC_OPTIMISTIC:
-            raise ValueError("optimistic mode uses sync_state=None, not SyncState")
         self.policy = policy or AdaptivePolicy()
-        self.estimator = (
-            ContentionEstimator(self.policy) if self.mode == SYNC_ADAPTIVE else None
-        )
+        self._leaves: Dict[int, _LeafState] = {}
         # (cn_id, client name, lock_addr) -> outstanding queue ticket.
         self.pending: Dict[Tuple[int, str, int], int] = {}
         self.wait_timeouts = 0
 
     def is_pessimistic(self, lock_addr: int) -> bool:
-        if self.estimator is None:
-            return True  # fixed pessimistic mode
-        return self.estimator.mode_of(lock_addr) == SYNC_PESSIMISTIC
+        if self.mode != SYNC_ADAPTIVE:
+            return self.mode == SYNC_PESSIMISTIC
+        state = self._leaves.get(lock_addr)
+        return state is not None and state.mode == SYNC_PESSIMISTIC
 
-    # -- estimator feeding (no-ops outside adaptive mode) -----------------
+    # -- the per-leaf estimate (adaptive mode only) -------------------------
 
     def note_optimistic(self, lock_addr: int, failures: int, now: float) -> Optional[str]:
-        if self.estimator is None:
+        """Record one optimistic acquisition that needed ``failures`` CAS retries.
+
+        Returns the new mode if this observation flipped the leaf, else None.
+        """
+        if self.mode != SYNC_ADAPTIVE:
             return None
-        return self.estimator.note_optimistic(lock_addr, failures, now)
+        pol = self.policy
+        state = self._leaves.get(lock_addr)
+        if state is None:
+            if failures == 0:
+                return None  # quiet leaf: skip allocating state for it
+            state = self._leaves[lock_addr] = _LeafState(last_switch=now)
+        state.fail_ewma += pol.alpha * (failures - state.fail_ewma)
+        if (
+            state.mode == SYNC_OPTIMISTIC
+            and state.fail_ewma >= pol.up_threshold
+            and now - state.last_switch >= pol.min_dwell
+        ):
+            # Seed the depth estimate above the down threshold so the leaf
+            # does not bounce straight back before observing a real queue.
+            state.depth_ewma = max(state.fail_ewma, pol.down_threshold * 2.0)
+            return self._switch(lock_addr, state, SYNC_PESSIMISTIC, now)
+        return None
 
     def note_queue(self, lock_addr: int, depth: int, now: float) -> Optional[str]:
-        if self.estimator is None:
+        """Record one pessimistic acquisition that saw ``depth`` waiters ahead.
+
+        A leaf never flips back to optimistic while clients other than
+        the caller (whose own ticket is registered) hold queue tickets
+        for it: they would face a CAS storm with no FIFO priority (the
+        queue head has no edge over fresh optimistic acquirers), so only
+        an effectively-lone waiter may flip the leaf back.
+
+        Returns the new mode if this observation flipped the leaf, else None.
+        """
+        pol = self.policy
+        state = self._leaves.get(lock_addr)
+        if state is None:
             return None
-        # The caller has its own ticket registered; anyone else pending
-        # on this address would be stranded by a down-switch.
-        others = sum(1 for key in self.pending if key[2] == lock_addr)
-        return self.estimator.note_queue(lock_addr, depth, now,
-                                         others_queued=others > 1)
+        state.depth_ewma += pol.alpha * (depth - state.depth_ewma)
+        if (
+            state.mode == SYNC_PESSIMISTIC
+            and state.depth_ewma <= pol.down_threshold
+            and now - state.last_switch >= pol.min_dwell
+            and sum(1 for key in self.pending if key[2] == lock_addr) <= 1
+        ):
+            state.fail_ewma = 0.0
+            return self._switch(lock_addr, state, SYNC_OPTIMISTIC, now)
+        return None
+
+    @staticmethod
+    def _switch(lock_addr: int, state: _LeafState, mode: str, now: float) -> str:
+        state.mode = mode
+        state.last_switch = now
+        if BUS.active:
+            direction = "up" if mode == SYNC_PESSIMISTIC else "down"
+            BUS.emit("sync.mode_switch", now, addr=lock_addr, mode=mode, direction=direction)
+        return mode
 
     # -- ticket registry (chaos / stranded-ticket reporting) ---------------
 
@@ -271,13 +243,17 @@ class SyncState:
         self.pending.pop((cn_id, owner, lock_addr), None)
         self.wait_timeouts += 1
 
-    def stranded(self, dead_cns: Tuple[int, ...] = ()) -> List[Dict[str, int]]:
+    def stranded(self, dead_cns: Sequence[int] = ()) -> List[Dict[str, int]]:
         """Outstanding tickets, flagged with whether their CN is dead.
 
+        A CN crash parks its lanes at their next verb — lanes waiting in
+        a remote ticket queue included — and survivors drain their
+        tickets by CAS-advancing the serving word (``queue.drop``).
         After a chaos run every surviving client has either acquired or
         abandoned its ticket, so anything left here belongs to a parked
         lane — a crashed CN's waiter whose ticket the survivors must
         have dropped (lease mode) or that strands the queue (reported).
+        Empty in optimistic mode, which takes no tickets.
         """
         dead = set(dead_cns)
         return [

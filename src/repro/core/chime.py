@@ -9,7 +9,7 @@ paper's three techniques:
   (under ``sync_mode`` pessimistic/adaptive, writers instead acquire
   the leaf through the CIDER-style ticket queue of
   :mod:`repro.core.adaptive`; the lock/unlock call sites here are
-  mode-agnostic — :meth:`BTreeClientBase._lock` and
+  mode-agnostic — :meth:`FamilyClientBase._lock` and
   ``_unlock_writes`` route to the queued path internally);
 * access-aggregated metadata management — the vacancy bitmap and
   ``argmax_keys`` ride in the 8-byte lock word (acquired via masked-CAS,
@@ -900,7 +900,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         """Reconcile a leaf orphaned by a crashed lock holder.
 
         Runs right after this client steals the leaf's expired lease
-        (see :meth:`BTreeClientBase._lock_leased`), before the stolen
+        (see :meth:`FamilyClientBase._lock_leased`), before the stolen
         metadata is trusted.  A crash cannot tear entry payloads — data
         and unlock ride one ordered write batch, so an interrupted op
         either fully landed or left the leaf untouched — but the

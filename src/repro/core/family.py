@@ -12,28 +12,53 @@ the 8-byte lock word of §4.2.1 and retries is written here once:
   chunked allocator, the public operations as template methods over
   per-family ``_search/_insert/_update/_delete/_scan`` generators, the
   indirect-block helpers, whole sorted-array-node reads and writes, and
-  the plain lock pairing (CN-local lock table, masked-CAS spin, unlock
-  write, exception-path restore).
+  the one lock path every family with a lock word takes, in every sync
+  mode: the CN-local lock table and delegation, the ticket queue of
+  :mod:`repro.core.adaptive`, leases, the lock-bit spin, and the
+  release and exception-path restore.
 
 A family supplies its leaf view and those five generators (fewer when it
 has no such operation — a ``delete`` it lacks is a typed
-``WorkloadError``).  :mod:`repro.core.btree_base` extends the lock
-pairing with leases, ticket queues and delegation for the tree families.
+``WorkloadError``).
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import ClientContext
-from repro.core.node_layout import FULL_MASK, LOCK_BIT, SortedNodeLayout
+from repro.core.adaptive import (
+    HANDOFF_CHAIN_LIMIT,
+    DelegationEntry,
+    HandoffToken,
+)
+from repro.core.node_layout import (
+    FULL_MASK,
+    LEASE_EPOCH_MASK,
+    LOCK_BIT,
+    LOCK_LEASE_OFFSET,
+    LOCK_QUEUE_SPAN,
+    LOCK_SERVING_OFFSET,
+    LOCK_TICKET_OFFSET,
+    SortedNodeLayout,
+    lease_expiry_us,
+    pack_lease,
+    sim_us,
+    unpack_lease,
+)
 from repro.core.nodes import SortedNodeView
+from repro.core.sync import backoff_delay
 from repro.errors import (
     FaultInjectedError,
     IndexError_,
     LayoutError,
+    LockLeaseExpiredError,
+    OperationTimeoutError,
+    QueueWaitTimeoutError,
+    RetryExhaustedError,
     TornReadError,
     WorkloadError,
 )
@@ -51,6 +76,19 @@ from repro.memory.region import CACHE_LINE
 from repro.obs.bus import BUS
 from repro.obs.spans import SpanInstrumentedOps
 from repro.retry import DEFAULT_RETRY_POLICY
+
+#: Jitter fraction for queued-waiter poll backoff (drawn from the
+#: client's seeded rng, so runs stay reproducible): without it,
+#: equal-distance waiters on different CNs poll in lockstep convoys.
+QUEUE_POLL_JITTER = 0.25
+
+#: Estimated lock tenure (lease CAS + payload write + unlock doorbell,
+#: ~3 verbs) used to scale queue-poll sleeps with distance-from-head.
+QUEUE_POLL_TENURE = 2e-6
+
+#: Cap on the tenure multiple, bounding the worst-case poll interval
+#: (and thus how stale a deep waiter's view of ``serving`` can get).
+QUEUE_POLL_HORIZON = 32
 
 
 class FamilyIndexBase:
@@ -174,6 +212,16 @@ class FamilyClientBase(SpanInstrumentedOps):
         self.retry = index.retry_policy
         self._allocators: Dict[int, ChunkAllocator] = {}
         self._alloc_rr = ctx.client_id  # stagger MN choice across clients
+        cluster = index.cluster
+        #: The lock line (see :meth:`_lock`): the cluster's sync state,
+        #: this client's lease id, and the leases (lock_addr -> (epoch,
+        #: expiry_us)) and queue tickets it holds.
+        self._sync = cluster.sync_state
+        self._leases_on = cluster.config.lock_leases
+        self._lease_duration = cluster.config.lease_duration
+        self._lease_owner = ctx.lease_owner
+        self._held_leases: Dict[int, Tuple[int, int]] = {}
+        self._held_tickets: Dict[int, int] = {}
 
     # -- public operations (templates) ---------------------------------------
 
@@ -302,18 +350,30 @@ class FamilyClientBase(SpanInstrumentedOps):
         ])
         return addr, view
 
-    # -- remote locks ---------------------------------------------------------
+
+    # -- the lock line ----------------------------------------------------------
 
     def _lock(self, lock_addr: int, zero_rest: bool = True,
               piggyback: bool = True, repair=None) -> Generator:
         """Acquire the remote lock at *lock_addr*; returns the old word.
 
-        Serializes same-CN attempts through the local lock table first
-        (Sherman's optimization), then acquires remotely
-        (:meth:`_remote_acquire`).  The CN-local shadow lock stays held
-        until :meth:`_release_local`; it is released here on any failure.
-        *repair* is forwarded to lease-aware acquires (see
-        :class:`~repro.core.btree_base.BTreeClientBase`).
+        Same-CN attempts serialize through the CN-local lock table first
+        (Sherman's optimization).  While blocked there a waiter is
+        counted in the CN's delegation entry for the address, so a
+        releasing holder knows to park a :class:`HandoffToken` instead
+        of advancing the remote queue; the woken waiter claims the token
+        even if the leaf flipped back to optimistic meanwhile — an
+        orphaned token would strand the remote serving word.  Then the
+        remote half: a token, or a leaf the cluster's
+        :class:`~repro.core.adaptive.SyncState` holds pessimistic, takes
+        the ticket queue (:meth:`_lock_queued`); otherwise lease-based
+        locks (``ClusterConfig.lock_leases``) take the lease word
+        (:meth:`_lock_leased`) and plain ones spin on the lock bit
+        (:meth:`_lock_spin`).  *repair* is a nullary generator callback
+        run after stealing an orphaned lease, before the caller proceeds
+        (leaf callers pass their repair routine).  The CN-local lock
+        stays held until :meth:`_release_local`; it is released here on
+        any failure.
 
         Callers pair it as CHIME does: ``_lock``; ``try`` the locked body,
         which releases through :meth:`_unlock_writes` (batched behind its
@@ -321,27 +381,48 @@ class FamilyClientBase(SpanInstrumentedOps):
         (re-raising ``GeneratorExit`` untouched) :meth:`_restore_unlock`
         if still held; ``finally`` :meth:`_release_local`.
         """
-        local = self.ctx.cn.local_lock(lock_addr)
+        sync = self._sync
+        cn = self.ctx.cn
+        local = cn.local_lock(lock_addr)
+        entry: Optional[DelegationEntry] = None
         if local is not None:
-            yield local.acquire()
+            entry = cn.delegation.get(lock_addr)
+            if entry is None and sync.is_pessimistic(lock_addr):
+                entry = cn.delegation[lock_addr] = DelegationEntry()
+            if entry is not None:
+                entry.waiting += 1
+                try:
+                    yield local.acquire()
+                finally:
+                    entry.waiting -= 1
+            else:
+                yield local.acquire()
+                # The entry may have been created while we slept on the
+                # local lock (the leaf flipped pessimistic meanwhile);
+                # re-fetch, or a token parked for us is never claimed
+                # and the remote serving word strands.
+                entry = cn.delegation.get(lock_addr)
         try:
-            old = yield from self._remote_acquire(lock_addr, zero_rest,
-                                                  piggyback, repair)
+            token = entry.take_token() if entry is not None else None
+            if token is not None or sync.is_pessimistic(lock_addr):
+                old = yield from self._lock_queued(
+                    lock_addr, zero_rest, piggyback, repair, token,
+                    entry.waiting if entry is not None else 0)
+            elif self._leases_on:
+                old = yield from self._lock_leased(lock_addr, repair)
+            else:
+                old = yield from self._lock_spin(lock_addr, zero_rest,
+                                                 piggyback)
         except BaseException:
             if local is not None:
                 local.release()
             raise
         return old
 
-    def _remote_acquire(self, lock_addr: int, zero_rest: bool,
-                        piggyback: bool, repair) -> Generator:
-        """The remote half of :meth:`_lock` (a plain function choosing
-        the generator, so the choice costs no frame)."""
-        return self._lock_spin(lock_addr, zero_rest, piggyback)
-
-    def _lock_spin(self, lock_addr: int, zero_rest: bool,
-                   piggyback: bool) -> Generator:
-        """The classic lock-bit masked-CAS spin (no leases).
+    def _cas_lock_bit(self, lock_addr: int, zero_rest: bool,
+                      piggyback: bool, won: Callable[[], object]) -> Generator:
+        """One masked CAS setting the lock bit; returns the old word, or
+        None when the bit was already set.
 
         The compare mask covers only the lock bit, so the returned old
         word carries the rest of the lock word for free (vacancy-bitmap
@@ -350,24 +431,71 @@ class FamilyClientBase(SpanInstrumentedOps):
         leaves them in place.  With ``piggyback=False`` (the CXL-atomics
         model, §4.5) the CAS only toggles the lock bit and the rest of
         the word is fetched with a dedicated READ — the extra round trip
-        the paper predicts for CXL deployments.
+        the paper predicts for CXL deployments.  *won* runs as soon as
+        the CAS wins, before that READ (the estimator reads sim time).
+        """
+        old, swapped = yield from self.qp.masked_cas(
+            lock_addr, compare=0, swap=LOCK_BIT, compare_mask=LOCK_BIT,
+            swap_mask=FULL_MASK if zero_rest and piggyback else LOCK_BIT)
+        if not swapped:
+            return None
+        won()
+        if not piggyback:
+            data = yield from self.qp.read(lock_addr, 8)
+            return decode_u64(data) & ~LOCK_BIT
+        return old
+
+    def _take_lease(self, lock_addr: int, word: int, lease: int,
+                    won: Callable[[], object], steal: bool = False,
+                    repair=None) -> Generator:
+        """Stamp this client's lease over *lease* — a full-word CAS that
+        bumps the epoch — and run *won*; returns *word* without the lock
+        bit, or None when the CAS lost.
+
+        With *steal*, *lease* is an orphaned one (owner != 0, expired):
+        the steal is reported and *repair* then reconciles the node, the
+        word it returns replacing *word*.
+        """
+        owner, epoch, expired_us = unpack_lease(lease)
+        expiry_us = lease_expiry_us(self.engine.now, self._lease_duration)
+        _old, swapped = yield from self.qp.cas(
+            lock_addr + LOCK_LEASE_OFFSET, lease,
+            pack_lease(self._lease_owner, epoch + 1, expiry_us))
+        if not swapped:
+            return None
+        self._held_leases[lock_addr] = ((epoch + 1) & LEASE_EPOCH_MASK,
+                                        expiry_us)
+        won()
+        if steal:
+            if BUS.active:
+                BUS.emit("lock.lease_expired", self.engine.now,
+                         addr=lock_addr, owner=owner, epoch=epoch,
+                         expired_us=expired_us)
+                BUS.emit("lock.steal", self.engine.now, addr=lock_addr,
+                         victim=owner, thief=self._lease_owner,
+                         epoch=epoch + 1)
+            if repair is not None:
+                repaired = yield from repair()
+                if repaired is not None:
+                    word = repaired
+        return word & ~LOCK_BIT
+
+    def _lock_spin(self, lock_addr: int, zero_rest: bool,
+                   piggyback: bool) -> Generator:
+        """The classic lock-bit spin (no leases): :meth:`_cas_lock_bit`
+        until it wins, each win fed to the adaptive estimate.
 
         Bounded by the index :class:`~repro.retry.RetryPolicy`;
         exhaustion raises :class:`~repro.errors.RetryExhaustedError`.
         """
-        swap_mask = (FULL_MASK if zero_rest else LOCK_BIT) if piggyback \
-            else LOCK_BIT
         retry = self.retry.start("lock {:#x}", self.engine, self.ctx.rng,
                                  lock_addr)
         while retry.check():
-            old, swapped = yield from self.qp.masked_cas(
-                lock_addr, compare=0, swap=LOCK_BIT,
-                compare_mask=LOCK_BIT, swap_mask=swap_mask)
-            if swapped:
-                self._note_optimistic(lock_addr, retry.attempt - 1)
-                if not piggyback:
-                    data = yield from self.qp.read(lock_addr, 8)
-                    return decode_u64(data) & ~LOCK_BIT
+            old = yield from self._cas_lock_bit(
+                lock_addr, zero_rest, piggyback,
+                lambda: self._sync.note_optimistic(
+                    lock_addr, retry.attempt - 1, self.engine.now))
+            if old is not None:
                 return old
             self.qp.stats.retries += 1
             if BUS.active:
@@ -375,30 +503,291 @@ class FamilyClientBase(SpanInstrumentedOps):
                          attempt=retry.attempt - 1)
             yield from retry.backoff()
 
-    def _note_optimistic(self, lock_addr: int, failures: int) -> None:
-        """An open-spin acquire succeeded after *failures* lost CASes
-        (the adaptive sync estimator of the tree families listens)."""
+    def _lock_leased(self, lock_addr: int, repair=None) -> Generator:
+        """Lease-based acquire: READ the lock line, CAS the lease word.
 
-    def _unlock_writes(self, lock_addr: int,
-                       word: int = 0) -> List[Tuple[int, bytes]]:
-        """The (addr, payload) writes that release the lock at *lock_addr*.
+        The full-word CAS on the lease makes the piggybacked metadata
+        read race-free without touching the lock word: the epoch bumps
+        on every acquisition and survives unlock, so any intervening
+        acquire/release changes the lease word and fails our CAS — and
+        the metadata word only changes under the lease.
+
+        An orphaned lease (owner != 0, expiry in the past — its holder's
+        CN crashed mid-operation) is stolen by the same CAS; *repair*
+        then reconciles the node before the caller proceeds.
+        """
+        retry = self.retry.start("lease {:#x}", self.engine, self.ctx.rng,
+                                 lock_addr)
+        while retry.check():
+            line = yield from self.qp.read(lock_addr, LOCK_LEASE_OFFSET + 8)
+            lease = decode_u64(line, LOCK_LEASE_OFFSET)
+            owner, _epoch, expiry_us = unpack_lease(lease)
+            if owner and sim_us(self.engine.now) < expiry_us:
+                self.qp.stats.retries += 1
+                if BUS.active:
+                    BUS.emit("lock.cas_fail", self.engine.now, addr=lock_addr,
+                             attempt=retry.attempt - 1)
+                yield from retry.backoff()
+                continue
+            old = yield from self._take_lease(
+                lock_addr, decode_u64(line, 0), lease,
+                lambda: self._sync.note_optimistic(
+                    lock_addr, retry.attempt - 1, self.engine.now),
+                steal=owner != 0, repair=repair)
+            if old is not None:
+                return old
+            self.qp.stats.retries += 1
+            yield from retry.backoff()
+
+    def _lock_queued(self, lock_addr: int, zero_rest: bool, piggyback: bool,
+                     repair, token: Optional[HandoffToken],
+                     local_waiting: int) -> Generator:
+        """CIDER-style pessimistic acquire: FIFO ticket queue on the lock line.
+
+        One FAA on the next-ticket word claims a queue position; the
+        waiter then polls the 48-byte lock line (metadata word, lease,
+        dispenser, now-serving in one READ) with distance-proportional
+        jittered backoff until the serving word reaches its ticket.  The
+        winner takes ownership by stamping the lease word
+        (:meth:`_take_lease`, as :meth:`_lock_leased` does, so steal /
+        repair / overrun recovery compose unchanged), or, with leases
+        off, by :meth:`_cas_lock_bit` (which keeps mutual exclusion
+        against mixed-mode optimistic writers in adaptive runs).
+
+        Recovery: a waiter that watches the serving word stall a full
+        lease duration with no live lease CASes it forward, dropping the
+        dead waiter's ticket (``queue.drop``); a winner whose lease CAS
+        finds an expired foreign lease steals it and runs *repair* — the
+        crashed-holder path.  A waiter whose own ticket was dropped
+        (serving passed it while it was parked) re-enqueues with a fresh
+        FAA.  The whole wait is bounded by the retry policy; exhaustion
+        raises :class:`~repro.errors.QueueWaitTimeoutError` and abandons
+        the ticket for survivors to drop.
+
+        A delegation *token* short-circuits all of the above: the ticket
+        is adopted from the releasing same-CN holder and revalidated
+        with a single CAS; on a race (mixed-mode interference) the
+        waiter keeps the inherited ticket and falls into the poll loop.
+        """
+        sync = self._sync
+        engine = self.engine
+        qp = self.qp
+        cn_id = self.ctx.cn.cn_id
+        owner_name = self.ctx.name
+        ticket_addr = lock_addr + LOCK_TICKET_OFFSET
+        serving_addr = lock_addr + LOCK_SERVING_OFFSET
+
+        my_ticket: Optional[int] = None
+        if token is not None:
+            my_ticket = token.ticket
+            sync.register(cn_id, owner_name, lock_addr, my_ticket)
+            sync.note_queue(lock_addr, local_waiting + 1, engine.now)
+            won = partial(self._take_ticket, lock_addr, my_ticket, True)
+            if self._leases_on:
+                old = yield from self._take_lease(lock_addr, token.word,
+                                                  token.lease, won)
+            else:
+                old = yield from self._cas_lock_bit(lock_addr, zero_rest,
+                                                    piggyback, won)
+            if old is not None:
+                return old
+            # The handoff raced (lease stolen / lock bit held by a
+            # mixed-mode writer): keep the inherited ticket and poll.
+
+        retry = self.retry.start("queue {:#x}", engine, self.ctx.rng,
+                                 lock_addr)
+        if my_ticket is None:
+            # Register intent before the FAA (ticket -1 = in flight): a
+            # CN crash parking this lane at the FAA itself must still
+            # show up in the stranded-ticket registry.
+            sync.register(cn_id, owner_name, lock_addr, -1)
+            my_ticket = yield from qp.faa(ticket_addr, 1)
+            sync.register(cn_id, owner_name, lock_addr, my_ticket)
+        enqueue_seen = token is not None
+        last_serving: Optional[int] = None
+        stall_since = engine.now
+        while True:
+            try:
+                retry.check()
+            except (RetryExhaustedError, OperationTimeoutError) as exc:
+                sync.abandon(cn_id, owner_name, lock_addr)
+                if BUS.active:
+                    BUS.emit("queue.wait_timeout", engine.now,
+                             addr=lock_addr, ticket=my_ticket,
+                             attempts=retry.attempt)
+                raise QueueWaitTimeoutError(
+                    f"queue {lock_addr:#x}: ticket {my_ticket} never "
+                    f"served ({exc})") from exc
+            line = yield from qp.read(lock_addr, LOCK_QUEUE_SPAN)
+            lease = decode_u64(line, LOCK_LEASE_OFFSET)
+            serving = decode_u64(line, LOCK_SERVING_OFFSET)
+            if serving != last_serving:
+                last_serving = serving
+                stall_since = engine.now
+            if not enqueue_seen:
+                enqueue_seen = True
+                depth = max(my_ticket - serving, 0) + local_waiting
+                sync.note_queue(lock_addr, depth, engine.now)
+                if BUS.active:
+                    BUS.emit("queue.enqueue", engine.now, addr=lock_addr,
+                             ticket=my_ticket, depth=depth)
+            if serving > my_ticket:
+                # Survivors dropped our ticket as dead while we were
+                # backing off; rejoin the queue with a fresh FAA.
+                my_ticket = yield from qp.faa(ticket_addr, 1)
+                sync.register(cn_id, owner_name, lock_addr, my_ticket)
+                continue
+            if serving == my_ticket:
+                won = partial(self._take_ticket, lock_addr, my_ticket, False)
+                if self._leases_on:
+                    owner, _epoch, expiry_us = unpack_lease(lease)
+                    if not owner or sim_us(engine.now) >= expiry_us:
+                        old = yield from self._take_lease(
+                            lock_addr, decode_u64(line, 0), lease, won,
+                            steal=owner != 0, repair=repair)
+                        if old is not None:
+                            return old
+                    # A live lease at our turn (a mixed-mode optimistic
+                    # holder, in adaptive runs) or a lost CAS: wait.
+                    qp.stats.retries += 1
+                    yield from self._queue_backoff(retry, 0)
+                    continue
+                old = yield from self._cas_lock_bit(lock_addr, zero_rest,
+                                                    piggyback, won)
+                if old is not None:
+                    return old
+                # A mixed-mode optimistic writer holds the bit.
+                qp.stats.retries += 1
+                if BUS.active:
+                    BUS.emit("lock.cas_fail", engine.now, addr=lock_addr,
+                             attempt=retry.attempt - 1)
+                yield from self._queue_backoff(retry, 0)
+                continue
+            distance = my_ticket - serving
+            if (self._leases_on
+                    and engine.now - stall_since >= self._lease_duration):
+                owner, _epoch, expiry_us = unpack_lease(lease)
+                if owner == 0 or sim_us(engine.now) >= expiry_us:
+                    # The waiter being served died before stamping a
+                    # live lease (CN crash while queued): drop it.
+                    _old, swapped = yield from qp.cas(
+                        serving_addr, serving, (serving + 1) & FULL_MASK)
+                    if swapped and BUS.active:
+                        BUS.emit("queue.drop", engine.now, addr=lock_addr,
+                                 ticket=serving, by=owner_name)
+                    stall_since = engine.now
+                    continue
+            qp.stats.retries += 1
+            yield from self._queue_backoff(retry, distance)
+
+    def _queue_backoff(self, retry, distance: int) -> Generator:
+        """Sleep between queue polls.
+
+        A waiter *distance* tickets from the head expects ~*distance*
+        lock tenures before its turn, so it sleeps roughly that long
+        between polls: deep queues impose near-zero poll load on the MN
+        NIC, which is the ticket queue's whole advantage over a CAS spin
+        under skew (the spinners' atomics congest the NIC rx queue that
+        every holder's data path also needs).  The next-in-line waiter
+        escalates like the optimistic spin instead, keeping the handoff
+        gap tight while still backing off on a stall.  Delays are
+        jittered from the client's seeded rng so equal-distance waiters
+        on different CNs do not poll in lockstep.
+        """
+        if distance > 1:
+            tenures = min(distance - 1, QUEUE_POLL_HORIZON)
+            delay = QUEUE_POLL_TENURE * tenures
+            delay *= 1.0 + QUEUE_POLL_JITTER * (
+                2.0 * self.ctx.rng.random() - 1.0)
+        else:
+            delay = backoff_delay(retry.attempt - 1, rng=self.ctx.rng,
+                                  jitter=QUEUE_POLL_JITTER)
+        yield self.engine.timeout(delay)
+
+    def _take_ticket(self, lock_addr: int, ticket: int,
+                     handoff: bool) -> None:
+        """Record winning the queue at *lock_addr* with *ticket*."""
+        self._held_tickets[lock_addr] = ticket
+        self._sync.acquired(self.ctx.cn.cn_id, self.ctx.name, lock_addr)
+        entry = self.ctx.cn.delegation.get(lock_addr)
+        if handoff:
+            if BUS.active:
+                BUS.emit("queue.handoff", self.engine.now, addr=lock_addr,
+                         ticket=ticket,
+                         handoffs=entry.handoffs if entry else 0)
+        elif entry is not None:
+            entry.chain = 0
+
+    def _unlock_writes(self, lock_addr: int, word: int = 0,
+                       restoring: bool = False
+                       ) -> Optional[List[Tuple[int, bytes]]]:
+        """The (addr, payload) writes that release the lock at
+        *lock_addr*, leaving *word* as its metadata.
 
         Callers append these to their data write batch so the unlock
-        rides the same doorbell.
-        """
-        return [(lock_addr, encode_u64(word))]
+        rides the same doorbell.  With leases on, the batch also clears
+        the lease (owner and expiry zeroed, epoch preserved); releasing
+        a queued acquisition appends the serving-advance write, so the
+        FIFO handoff to the next ticket costs no extra round trip.  If
+        same-CN waiters are blocked on the local lock table, neither is
+        written: a :class:`HandoffToken` is parked in the CN delegation
+        table instead (at most :data:`HANDOFF_CHAIN_LIMIT` times in a
+        row), and the recipient revalidates with one CAS.
 
-    def _unlock_remote(self, lock_addr: int, word: int = 0) -> Generator:
+        A lease that expired (or was never recorded) means a survivor
+        may own the node by now, and writing anything would corrupt it:
+        an ordinary release raises
+        :class:`~repro.errors.LockLeaseExpiredError`.  A *restoring*
+        release (:meth:`_restore_unlock`) returns None instead, leaving
+        the lease — and a held ticket with it — for survivors to steal
+        and drop, and parks no token: local waiters re-enqueue remotely.
+        """
+        writes = [(lock_addr, encode_u64(word))]
+        ticket = self._held_tickets.pop(lock_addr, None)
+        lease = 0
+        if self._leases_on:
+            epoch, expiry_us = self._held_leases.pop(lock_addr, (0, 0))
+            if sim_us(self.engine.now) >= expiry_us:
+                if restoring:
+                    return None
+                if BUS.active:
+                    BUS.emit("lock.lease_overrun", self.engine.now,
+                             addr=lock_addr, owner=self._lease_owner,
+                             expired_us=expiry_us)
+                raise LockLeaseExpiredError(
+                    f"lease on {lock_addr:#x} expired at {expiry_us}us, "
+                    f"now {sim_us(self.engine.now)}us: unlock abandoned "
+                    f"(raise ClusterConfig.lease_duration)")
+            lease = pack_lease(self._lease_owner, epoch, expiry_us)
+        if ticket is not None and not restoring:
+            entry = self.ctx.cn.delegation.get(lock_addr)
+            if (entry is not None and entry.waiting > 0
+                    and entry.chain < HANDOFF_CHAIN_LIMIT):
+                entry.token = HandoffToken(ticket, word, lease)
+                return writes
+        if self._leases_on:
+            writes.append((lock_addr + LOCK_LEASE_OFFSET,
+                           encode_u64(pack_lease(0, epoch, 0))))
+        if ticket is not None:
+            writes.append((lock_addr + LOCK_SERVING_OFFSET,
+                           encode_u64((ticket + 1) & FULL_MASK)))
+        return writes
+
+    def _unlock_remote(self, lock_addr: int, word: int = 0,
+                       restoring: bool = False) -> Generator:
         """Release the remote lock with a standalone write (no batch)."""
-        writes = self._unlock_writes(lock_addr, word)
+        writes = self._unlock_writes(lock_addr, word, restoring)
+        if writes is None:
+            return
         if len(writes) == 1:
-            yield from self.qp.write(writes[0][0], writes[0][1])
+            yield from self.qp.write(*writes[0])
         else:
             yield from self.qp.write_batch(writes)
 
     def _restore_unlock(self, lock_addr: int, word: int = 0) -> Generator:
-        """Best-effort unlock on an exception path; never raises."""
-        yield from self.qp.write(lock_addr, encode_u64(word))
+        """Best-effort unlock on an exception path; never raises (a
+        restoring :meth:`_unlock_writes`)."""
+        return self._unlock_remote(lock_addr, word, restoring=True)
 
     def _release_local(self, lock_addr: int) -> None:
         local = self.ctx.cn.local_lock(lock_addr)

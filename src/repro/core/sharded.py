@@ -51,19 +51,6 @@ class _ShardClusterView:
         return getattr(self._cluster, attr)
 
 
-class _MergedSyncState:
-    """Stranded-ticket reporting across every sub-index (chaos)."""
-
-    def __init__(self, states) -> None:
-        self._states = states
-
-    def stranded(self, dead_cns) -> List[Dict]:
-        out: List[Dict] = []
-        for state in self._states:
-            out.extend(state.stranded(dead_cns))
-        return out
-
-
 class ShardedIndex:
     """One registry family instantiated as per-shard sub-trees."""
 
@@ -104,14 +91,6 @@ class ShardedIndex:
     def shards(self) -> List[Tuple[int, object]]:
         """(shard, sub-index) pairs, in key order."""
         return list(enumerate(self._subs))
-
-    @property
-    def sync_state(self):
-        states = [
-            s for s in (getattr(sub, "sync_state", None) for sub in self._subs)
-            if s is not None
-        ]
-        return _MergedSyncState(states) if states else None
 
     # -- index interface -----------------------------------------------------
 

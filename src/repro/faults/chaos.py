@@ -39,7 +39,7 @@ from repro.faults.plan import FaultPlan
 from repro.obs import recording
 from repro.registry import build_index, get_family
 from repro.retry import DEFAULT_RETRY_POLICY
-from repro.sched import LaneContext, stranded_tickets
+from repro.sched import LaneContext
 from repro.workloads.ycsb import dataset
 
 __all__ = ["ChaosConfig", "ChaosResult", "build_plan", "run_chaos"]
@@ -119,7 +119,7 @@ class ChaosResult:
     #: Coroutines parked at a verb by their CN's death, per qp owner.
     parked: Dict[str, int] = field(default_factory=dict)
     #: Queue tickets left outstanding by parked waiters (pessimistic/
-    #: adaptive sync only; see :func:`repro.sched.stranded_tickets`).
+    #: adaptive sync only; see :meth:`repro.core.adaptive.SyncState.stranded`).
     stranded_tickets: List[Dict] = field(default_factory=list)
 
     @property
@@ -278,7 +278,7 @@ def run_chaos(cfg: ChaosConfig) -> ChaosResult:
         dead = sorted(injector.dead_cns)
         invariants = check_index_invariants(index, expected_keys=expected,
                                             dead_cns=dead)
-        stranded = stranded_tickets(index, dead)
+        stranded = cluster.sync_state.stranded(dead)
         metrics = rec.notes()
     errors.sort(key=lambda e: e["client"])
     return ChaosResult(

@@ -30,6 +30,7 @@ from repro.core.node_layout import (
     unpack_lease,
     unpack_lock_word,
 )
+from repro.core.chime import LOCKLINE_FENCE_HIGH, LOCKLINE_FENCE_LOW
 from repro.core.nodes import LeafNodeView
 from repro.core.sync import reconstruct_bitmaps
 from repro.layout import MAX_KEY, StripedSpan, decode_key, decode_u64
@@ -37,10 +38,6 @@ from repro.memory import NULL_ADDR
 
 __all__ = ["InvariantReport", "check_index_invariants",
            "check_kv_invariants", "check_tree_invariants"]
-
-#: Lock-line offsets of the leaf fence keys (mirrors repro.core.chime).
-_FENCE_LOW_OFF = 8
-_FENCE_HIGH_OFF = 16
 
 
 @dataclass
@@ -106,8 +103,8 @@ def check_tree_invariants(index,
         view = LeafNodeView(layout, StripedSpan(raw, 0))
         line = index._host_read(addr + layout.lock_offset, LOCK_QUEUE_SPAN)
         locked, argmax, vacancy = unpack_lock_word(decode_u64(line, 0))
-        fence_low = decode_key(line, _FENCE_LOW_OFF)
-        fence_high = decode_key(line, _FENCE_HIGH_OFF)
+        fence_low = decode_key(line, LOCKLINE_FENCE_LOW)
+        fence_high = decode_key(line, LOCKLINE_FENCE_HIGH)
         owner, _epoch, expiry_us = unpack_lease(
             decode_u64(line, LOCK_LEASE_OFFSET))
         next_ticket = decode_u64(line, LOCK_TICKET_OFFSET)

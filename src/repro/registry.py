@@ -70,9 +70,11 @@ class IndexFamily:
     shardable: bool = True
     #: Run with an uncapped CN cache (the SMART-Opt methodology).
     unlimited_cache: bool = False
-    #: ``ClusterConfig.sync_mode`` values the family's lock paths honour
-    #: (families built on the shared B-link-tree machinery support the
-    #: CIDER-style pessimistic queue and the per-leaf adaptive switch).
+    #: ``ClusterConfig.sync_mode`` values the family declares.  Every
+    #: lock-word family takes the one lock path of
+    #: :class:`repro.core.family.FamilyClientBase`; the trees declare its
+    #: CIDER-style queue and per-leaf adaptive switch, the model-routed
+    #: families only the optimistic spin (the others are unmeasured there).
     sync_modes: Tuple[str, ...] = ("optimistic",)
     #: Point lookups reach the value in one READ on the fast path
     #: (Outback-style hash routing; incompatible with range scans).
@@ -235,8 +237,7 @@ def _flexkv_factory(cluster, *, value_size, span, neighborhood, overrides):
 # The built-in families (every legend entry of the paper's figures)
 # --------------------------------------------------------------------------
 
-#: Sync modes available to families built on the shared B-link-tree lock
-#: machinery (:mod:`repro.core.btree_base`).
+#: Sync modes the tree families declare.
 _BTREE_SYNC_MODES = ("optimistic", "pessimistic", "adaptive")
 
 register(IndexFamily(

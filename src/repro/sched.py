@@ -36,7 +36,7 @@ the caller of ``run_workload`` passes one explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, Iterator, List, Tuple
+from typing import Generator, Iterator, List, Tuple
 
 from repro.errors import WorkloadError
 from repro.workloads.ycsb import (
@@ -56,7 +56,6 @@ __all__ = [
     "execute_op",
     "launch_clients",
     "shared_stream",
-    "stranded_tickets",
 ]
 
 class LaneContext:
@@ -226,20 +225,3 @@ def launch_clients(cluster, index, context: WorkloadContext,
             run.lanes.append(handle)
     return run
 
-
-def stranded_tickets(index, dead_cns=()) -> List[Dict[str, int]]:
-    """Queue tickets still outstanding after a run (chaos diagnostics).
-
-    With pessimistic/adaptive sync, a CN crash parks its lanes at their
-    next verb — including lanes waiting in a remote ticket queue.  Their
-    tickets stay claimed on the MN; survivors drain them by CAS-advancing
-    the serving word past every dead ticket (``queue.drop`` events), and
-    this helper reports what the parked lanes left behind so the chaos
-    harness can assert the drain happened.  Each entry carries the lane's
-    CN, owner name, lock address, ticket number, and whether its CN is in
-    *dead_cns*.  Empty for optimistic-mode indexes (no ``sync_state``).
-    """
-    state = getattr(index, "sync_state", None)
-    if state is None:
-        return []
-    return state.stranded(tuple(dead_cns))

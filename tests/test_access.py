@@ -540,7 +540,11 @@ class TestFamilyPlumbingWrittenOnce:
                    "_read_sorted_node", "_write_fresh_node",
                    "_host_write_level", "_host_stored", "leftmost_leaf",
                    "candidate_leaves", "synonym_chain_lengths",
-                   "_write_group", "_write_chain")
+                   "_write_group", "_write_chain",
+                   # One lock path for every lock-word family, in every
+                   # sync mode: acquire, queue, lease, release.
+                   "_lock", "_lock_leased", "_lock_queued",
+                   "_unlock_writes", "_unlock_remote", "_restore_unlock")
     #: (class, method) pairs allowed beside the single home, with reason.
     ALLOWED = {
         # Sums its per-shard sub-indexes instead of the cluster's MNs.

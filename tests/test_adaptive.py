@@ -1,11 +1,16 @@
 """Contention-adaptive synchronization (repro.core.adaptive).
 
-Unit tests for the per-leaf estimator / delegation primitives, plus
-integration runs exercising the pessimistic ticket queue and the
-adaptive auto-switch on a live CHIME tree.
+Unit tests for the per-leaf estimate of :class:`SyncState` and the
+delegation primitives, plus integration runs exercising the pessimistic
+ticket queue and the adaptive auto-switch on a live CHIME tree.
 """
 
+import ast
+import pathlib
+
 import pytest
+
+import repro
 
 from repro import obs
 from repro.bench.runner import run_point
@@ -15,7 +20,6 @@ from repro.core import ChimeIndex
 from repro.core.adaptive import (
     HANDOFF_CHAIN_LIMIT,
     AdaptivePolicy,
-    ContentionEstimator,
     DelegationEntry,
     HandoffToken,
     SyncState,
@@ -40,71 +44,81 @@ class TestResolveMode:
             with pytest.raises(ConfigError, match="must be one of optimistic"):
                 build()
 
-    def test_optimistic_mode_uses_no_sync_state(self):
-        with pytest.raises(ValueError):
-            SyncState("optimistic")
-
 
 class TestContentionEstimator:
-    def _estimator(self, **overrides):
-        return ContentionEstimator(AdaptivePolicy(**overrides))
+    """The per-leaf switch of an adaptive :class:`SyncState`."""
+
+    def _state(self, **overrides):
+        return SyncState("adaptive", AdaptivePolicy(**overrides))
 
     def test_quiet_leaf_allocates_no_state(self):
-        est = self._estimator()
-        assert est.note_optimistic(0x100, failures=0, now=0.0) is None
-        assert est.mode_of(0x100) == "optimistic"
-        assert not est._leaves
+        state = self._state()
+        assert state.note_optimistic(0x100, failures=0, now=0.0) is None
+        assert not state.is_pessimistic(0x100)
+        assert not state._leaves
 
     def test_up_switch_after_sustained_cas_failures(self):
-        est = self._estimator(min_dwell=0.0)
-        switched = None
-        for i in range(10):
-            switched = switched or est.note_optimistic(
-                0x100, failures=3, now=i * 1e-6)
+        state = self._state(min_dwell=0.0)
+        with obs.recording() as rec:
+            switched = None
+            for i in range(10):
+                switched = switched or state.note_optimistic(
+                    0x100, failures=3, now=i * 1e-6)
         assert switched == "pessimistic"
-        assert est.mode_of(0x100) == "pessimistic"
-        assert est.switches_up == 1
+        assert state.is_pessimistic(0x100)
+        assert rec.notes().get("obs.sync.mode_switch.up") == 1
 
     def test_min_dwell_blocks_immediate_switch(self):
-        est = self._estimator(min_dwell=100e-6)
+        state = self._state(min_dwell=100e-6)
         for i in range(10):
-            assert est.note_optimistic(0x100, failures=5,
-                                       now=i * 1e-6) is None
+            assert state.note_optimistic(0x100, failures=5,
+                                         now=i * 1e-6) is None
         # past the dwell the accumulated EWMA flips it at once
-        assert est.note_optimistic(0x100, failures=5,
-                                   now=200e-6) == "pessimistic"
+        assert state.note_optimistic(0x100, failures=5,
+                                     now=200e-6) == "pessimistic"
 
     def test_down_switch_when_queue_drains(self):
-        est = self._estimator(min_dwell=0.0)
+        state = self._state(min_dwell=0.0)
         for i in range(10):
-            est.note_optimistic(0x100, failures=5, now=i * 1e-6)
-        assert est.mode_of(0x100) == "pessimistic"
-        switched = None
-        for i in range(40):
-            switched = switched or est.note_queue(
-                0x100, depth=0, now=100e-6 + i * 1e-6)
+            state.note_optimistic(0x100, failures=5, now=i * 1e-6)
+        assert state.is_pessimistic(0x100)
+        with obs.recording() as rec:
+            switched = None
+            for i in range(40):
+                switched = switched or state.note_queue(
+                    0x100, depth=0, now=100e-6 + i * 1e-6)
         assert switched == "optimistic"
-        assert est.switches_down == 1
+        assert rec.notes().get("obs.sync.mode_switch.down") == 1
         # the failure estimate was reset: no instant re-flip
-        assert est.note_optimistic(0x100, failures=0, now=1.0) is None
+        assert state.note_optimistic(0x100, failures=0, now=1.0) is None
 
     def test_others_queued_vetoes_down_switch(self):
         """A leaf never flips back while other clients hold tickets:
         they would face a fresh CAS storm with no FIFO priority."""
-        est = self._estimator(min_dwell=0.0)
+        state = self._state(min_dwell=0.0)
         for i in range(10):
-            est.note_optimistic(0x100, failures=5, now=i * 1e-6)
+            state.note_optimistic(0x100, failures=5, now=i * 1e-6)
+        state.register(0, "cn0/c0", 0x100, 1)
+        state.register(1, "cn1/c0", 0x100, 2)
         for i in range(60):
-            assert est.note_queue(0x100, depth=0, now=100e-6 + i * 1e-6,
-                                  others_queued=True) is None
-        assert est.mode_of(0x100) == "pessimistic"
+            assert state.note_queue(0x100, depth=0,
+                                    now=100e-6 + i * 1e-6) is None
+        assert state.is_pessimistic(0x100)
         # the lone-waiter observation is what flips it
-        assert est.note_queue(0x100, depth=0, now=1.0,
-                              others_queued=False) == "optimistic"
+        state.acquired(1, "cn1/c0", 0x100)
+        assert state.note_queue(0x100, depth=0, now=1.0) == "optimistic"
 
     def test_unknown_leaf_queue_observation_is_ignored(self):
-        est = self._estimator()
-        assert est.note_queue(0x200, depth=4, now=0.0) is None
+        assert self._state().note_queue(0x200, depth=4, now=0.0) is None
+
+    @pytest.mark.parametrize("mode", ["optimistic", "pessimistic"])
+    def test_fixed_modes_never_switch(self, mode):
+        state = SyncState(mode, AdaptivePolicy(min_dwell=0.0))
+        for i in range(10):
+            assert state.note_optimistic(0x100, failures=5,
+                                         now=i * 1e-6) is None
+        assert state.is_pessimistic(0x100) == (mode == "pessimistic")
+        assert not state._leaves
 
 
 class TestDelegation:
@@ -222,7 +236,7 @@ class TestPessimisticRuns:
         cluster.run()
         assert len(errors) == 1
         assert "never served" in str(errors[0])
-        assert index.sync_state.wait_timeouts == 1
+        assert cluster.sync_state.wait_timeouts == 1
 
     def test_stalled_queue_drains_dead_tickets_with_leases(self):
         """Same planted gap with leases on: the waiter watches the
@@ -279,11 +293,6 @@ class TestAdaptiveRuns:
 
 
 class TestOptimisticDefaultUnchanged:
-    def test_default_mode_keeps_sync_state_none(self):
-        cluster = Cluster(ClusterConfig(num_cns=1, clients_per_cn=1))
-        index = ChimeIndex(cluster, ChimeConfig())
-        assert index.sync_state is None
-
     def test_default_run_emits_no_queue_events(self):
         config = ClusterConfig(num_cns=2, clients_per_cn=4,
                                cache_bytes=1 << 22, region_bytes=1 << 26)
@@ -293,3 +302,39 @@ class TestOptimisticDefaultUnchanged:
         notes = rec.notes()
         assert notes.get("obs.queue.enqueue", 0) == 0
         assert notes.get("obs.sync.mode_switch", 0) == 0
+
+
+#: What one lock path deleted: the second lock pairing (the tree base's
+#: override of the family base's), the estimator class folded into
+#: SyncState with its hooks and test-only counters, the sharded index's
+#: merged sync state, and the invariant checker's copy of the lock-line
+#: fence offsets.
+DELETED = {
+    "ContentionEstimator", "_lock_adaptive", "_remote_acquire",
+    "_note_optimistic", "_note_queue", "_MergedSyncState", "switches_up",
+    "switches_down", "_FENCE_LOW_OFF", "_FENCE_HIGH_OFF",
+}
+
+
+def test_no_module_reaches_for_the_deleted_lock_names():
+    """No ``src/repro`` module defines, imports or touches a name of
+    the deleted second lock path."""
+    used = []
+    package = pathlib.Path(repro.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Constant):
+                names = [node.value]
+            else:
+                continue
+            used.extend((path.name, node.lineno, name) for name in names
+                        if isinstance(name, str) and name in DELETED)
+    assert not used

@@ -4,6 +4,7 @@
   every sync mode it declares, with and without lock leases, at depth 1
   and 4 (at 28828c4 Sherman and Marlin did not: their unlocks bypassed
   the lease- and ticket-aware release);
+* every family with a lock word steals an orphaned lease;
 * exhausting a retry budget is a typed ``RetryExhaustedError`` in every
   family, and every family honours ``index.retry_policy``.
 """
@@ -15,6 +16,7 @@ from repro.baselines.smart import SEAL_BIT, decode_node, node_size, unpack_slot
 from repro.bench.runner import run_point
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
+from repro.core.node_layout import LOCK_LEASE_OFFSET, pack_lease
 from repro.errors import OperationTimeoutError, RetryExhaustedError
 from repro.layout import decode_u64, encode_key, encode_u64
 from repro.obs import BUS
@@ -112,6 +114,46 @@ def test_held_leaf_lock_exhausts_with_typed_error(index_name):
     finally:
         watch.unsubscribe()
     assert len(failed) == 3  # the shared spin reports each lost CAS
+
+
+#: Every family with a leaf lock word.
+LOCK_WORD_FAMILIES = ["chime", "chime-indirect", "chime-learned", "marlin",
+                      "rolex", "rolex-indirect", "sherman"]
+
+
+@pytest.mark.parametrize("index_name", LOCK_WORD_FAMILIES)
+def test_orphaned_lease_is_stolen_in_every_lock_word_family(index_name):
+    """Every leaf locked by a holder whose lease ran out: with leases
+    on, an upsert of a loaded key (a locked write in every family;
+    Marlin's update is a lock-free pointer CAS) steals that one leaf's
+    lease and completes.  ROLEX, ROLEX-Indirect and CHIME-Learned used
+    to lock through a plain pairing that ignored ``lock_leases`` and
+    spun on the lock bit until the budget ran out."""
+    cluster = Cluster(ClusterConfig(num_cns=1, clients_per_cn=1,
+                                    lock_leases=True))
+    index = build_index(index_name, cluster)
+    index.bulk_load([(k, k) for k in KEYS])
+    index.retry_policy = TIGHT
+    orphan = encode_u64(pack_lease(owner=99, epoch=5, expiry_us=0))
+    for addr in _leaf_addrs(index):
+        lock_addr = addr + index.leaf_layout.lock_offset
+        word = decode_u64(index._host_read(lock_addr, 8))
+        index._host_write(lock_addr, encode_u64(word | 1))
+        index._host_write(lock_addr + LOCK_LEASE_OFFSET, orphan)
+    client = index.client(next(iter(cluster.clients())))
+    steals, found = [], []
+
+    def upsert_then_search():
+        found.append((yield from client.insert(200, 7)))
+        found.append((yield from client.search(200)))
+
+    watch = BUS.subscribe(steals.append, kinds=("lock.steal",))
+    try:
+        _run(cluster, upsert_then_search())
+    finally:
+        watch.unsubscribe()
+    assert found == [True, 7]
+    assert len(steals) == 1
 
 
 def test_smart_sealed_slot_exhausts_with_typed_error():
