@@ -331,9 +331,9 @@ class FlexKVIndex(FamilyIndexBase):
 class FlexKVClient(FamilyClientBase):
     """Per-client FlexKV operations under the partition's placement.
 
-    The operations below replace the base templates: the placement
-    dispatch decides per partition where an operation runs, and RDWC is
-    not applied.
+    The placement dispatch decides per partition where an operation
+    runs; ``search`` and ``update`` replace the base templates, so RDWC
+    is not applied (``insert`` is the base template, which has none).
     """
 
     #: Bucket re-reads after a lost slot-claim CAS before giving up.
@@ -370,9 +370,9 @@ class FlexKVClient(FamilyClientBase):
         result = yield from self._op("search", self._dispatch("search", key))
         return result
 
-    def insert(self, key: int, value: int) -> Generator:
+    def _insert(self, key: int, value: int) -> Generator:
         """Upsert into the key's bucket (CAS slot claim CN-side)."""
-        yield from self._op("insert", self._dispatch("insert", key, value))
+        return self._dispatch("insert", key, value)
 
     def update(self, key: int, value: int) -> Generator:
         """In-place value write; returns True when the key existed."""
@@ -458,7 +458,7 @@ class FlexKVClient(FamilyClientBase):
                 yield from self.qp.write(
                     found + 8, encode_value(value, value_size)
                 )
-                return
+                return True
             if empty is None:
                 raise SimulationError(
                     "flexkv bucket full "
@@ -474,6 +474,6 @@ class FlexKVClient(FamilyClientBase):
                 yield from self.qp.write(
                     empty + 8, encode_value(value, value_size)
                 )
-                return
+                return True
             # Lost the slot race: re-walk the chain and try again.
         raise SimulationError("flexkv slot-claim CAS starved")

@@ -6,9 +6,11 @@ leaves, and the one whose fences cover the key heads a **leaf group** —
 a base leaf plus the chain of synonym tables hung off its sibling
 pointer, all guarded by the base leaf's lock.  Models are pre-trained
 on loaded ∪ future keys (§5.1 fn. 3), so leaves never split and fences
-never move.  Training, chunking, the candidate window, cache accounting,
-the host-side chain walk and the locked write are written here once; a
-family supplies how a table is laid out, fetched and written.
+never move — which lets a key the model never saw be found by walking
+the fences from the window.  Training, chunking, the candidate window,
+the fence walk, cache accounting, the host-side chain walk and the
+locked write are written here once; a family supplies how a table is
+laid out, fetched and written.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from typing import Generator, List, Optional, Sequence, Tuple
 from repro.baselines.pla import PlaModel
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import ClientContext
-from repro.core.chime import LockGuard
-from repro.core.family import FamilyClientBase, FamilyIndexBase
+from repro.core.btree_base import TraversalError
+from repro.core.family import FamilyClientBase, FamilyIndexBase, LockGuard
 from repro.layout import MAX_KEY
 from repro.memory import NULL_ADDR
 
@@ -104,20 +106,20 @@ class ModelRoutedIndexBase(FamilyIndexBase):
 
 
 class ModelRoutedClientBase(FamilyClientBase):
-    """The locked write on a leaf group — lock, walk the chain (key
-    found: modify; else remember the first table with room, and the
-    tail), then insert into the roomy table or append a synonym — over
-    per-family hooks:
+    """The fence walk to a key's leaf group, and the locked write on it —
+    lock, walk the chain (key found: modify; else remember the first
+    table with room, and the tail), then insert into the roomy table or
+    append a synonym — over per-family hooks:
 
-    * ``_locate_base(key)`` — address of the candidate leaf whose fences
-      cover *key*, or None;
+    * ``_read_fenced(addr, key)`` — read one base leaf; the read's
+      ``fences`` are its ``(fence_low, fence_high)``;
     * ``_probe(addr, key)`` — read one table of the chain under the lock:
       ``(table, position of key or None, has room, synonym address)``;
     * ``_modify_entry(guard, addr, table, position, key, value, delete)``,
       ``_insert_into(guard, addr, table, key, value) -> bool`` (False:
       the table turned out not to take the key) and
       ``_append_synonym(guard, tail_addr, tail, key, value)`` — the
-      three writes, each batching ``guard``'s unlock behind its last.
+      three writes, each releasing ``guard``'s lock behind its last.
     """
 
     #: Whether the lock CAS zeroes the rest of the lock word (its holder
@@ -137,26 +139,44 @@ class ModelRoutedClientBase(FamilyClientBase):
     def _delete(self, key: int) -> Generator:
         return self._write_group(key, 0, delete=True, upsert=False)
 
+    def _locate(self, key: int) -> Generator:
+        """``(leaf index, read)`` of the leaf group covering *key*: the
+        walk, reading the window a leaf at a time (ROLEX batches it)."""
+        return self._covering(key)
+
+    def _covering(self, key: int, fetched: Sequence = ()) -> Generator:
+        """``(leaf index, read)`` of the leaf whose fences cover *key*:
+        from the model's first candidate (*fetched* holds the window's
+        reads already taken, ``_read_fenced`` reads any other leaf), each
+        leaf that misses points the way — right while *key* is at or past
+        its high fence, left otherwise — so an untrained key the window
+        missed is found one read per leaf.  Fences never move, so the
+        walk ends; more steps than leaves is a :class:`TraversalError`.
+        """
+        addrs = self.index.leaf_addrs
+        leaf_index = first = self.index.candidate_leaves(key)[0]
+        for _step in range(len(addrs)):
+            if 0 <= leaf_index - first < len(fetched):
+                read = fetched[leaf_index - first]
+            else:
+                read = yield from self._read_fenced(addrs[leaf_index], key)
+            low, high = read.fences
+            if low <= key < high:
+                return leaf_index, read
+            leaf_index += 1 if key >= high else -1
+        raise TraversalError(f"no leaf's fences cover key {key}")
+
     def _write_group(self, key: int, value: int, delete: bool, upsert: bool) -> Generator:
         """Locked write on the leaf group covering *key*; the base
         leaf's lock covers its whole synonym chain."""
-        base_addr = yield from self._locate_base(key)
-        if base_addr is None:
-            return False
-        lock_addr = base_addr + self.layout.lock_offset
-        old_word = yield from self._lock(lock_addr, zero_rest=self.zero_rest)
-        guard = LockGuard(lock_addr, old_word)
-        try:
-            result = yield from self._write_chain(guard, base_addr, key, value, delete, upsert)
-            return result
-        except GeneratorExit:
-            raise  # reclaimed while parked: must not yield restore verbs
-        except BaseException:
-            if guard.held:
-                yield from self._restore_unlock(lock_addr, guard.release_word())
-            raise
-        finally:
-            self._release_local(lock_addr)
+        leaf_index, _read = yield from self._locate(key)
+        base_addr = self.index.leaf_addrs[leaf_index]
+        result = yield from self._locked(
+            base_addr + self.layout.lock_offset,
+            lambda guard: self._write_chain(guard, base_addr, key, value, delete, upsert),
+            zero_rest=self.zero_rest,
+        )
+        return result
 
     def _write_chain(
         self, guard: LockGuard, base_addr: int, key: int, value: int, delete: bool, upsert: bool
@@ -177,7 +197,7 @@ class ModelRoutedClientBase(FamilyClientBase):
             tail_addr, tail = chain_addr, table
             chain_addr = synonym
         if delete or not upsert:
-            yield from self._unlock_remote(guard.lock_addr, guard.release_word())
+            yield from self._release(guard)
             return False
         if roomy is not None:
             done = yield from self._insert_into(guard, *roomy, key, value)

@@ -187,8 +187,8 @@ class OutbackIndex(FamilyIndexBase):
 class OutbackClient(FamilyClientBase):
     """Per-client Outback operations (hash placement: MPH, then one verb).
 
-    The operations below replace the base templates: RDWC is not
-    applied to the one-RTT paths.
+    ``search`` and ``update`` replace the base templates: RDWC is not
+    applied to the one-RTT paths (``insert`` is the base template).
     """
 
     # -- point lookups (the one-RTT fast path) -------------------------------
@@ -225,22 +225,20 @@ class OutbackClient(FamilyClientBase):
 
     # -- writes --------------------------------------------------------------
 
-    def insert(self, key: int, value: int) -> Generator:
-        """Upsert: in-place for MPH-domain keys, RPC for new keys."""
-        yield from self._op("insert", self._insert(key, value))
-
     def _insert(self, key: int, value: int) -> Generator:
+        """Upsert: in-place for MPH-domain keys, RPC for new keys."""
         index = self.index
         slot_addr = index.slot_addr(index.mph.slot_of(key))
         slot_data = yield from self.qp.read(slot_addr, index.slot_size)
         if decode_key(slot_data) == key:
             yield from self.qp.write(slot_addr, self._encode(key, value))
-            return
+            return True
         # Not an MPH-domain key: the home MN places it in its overflow
         # bucket (cross-client visible through one-sided bucket reads).
         yield from self.qp.rpc(
             index.overflow_home(key), ("outback_insert", key, value)
         )
+        return True
 
     def update(self, key: int, value: int) -> Generator:
         """Read-verify-write; returns True when the key existed."""

@@ -22,8 +22,7 @@ from typing import Generator, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import ClientContext
-from repro.core.chime import LockGuard
-from repro.core.family import FamilyClientBase
+from repro.core.family import FamilyClientBase, LockGuard
 from repro.baselines.model_routed import (
     ModelRoutedClientBase,
     ModelRoutedIndexBase,
@@ -101,33 +100,24 @@ class RolexClient(ModelRoutedClientBase):
             views.append(view)
         return views
 
-    def _fetch_table(self, addr: int) -> Generator:
+    def _read_fenced(self, addr: int, _key: int = 0) -> Generator:
+        """One leaf table (a base leaf or a synonym)."""
         views = yield from self._read_leaf_batch([addr])
         return views[0]
 
     def _locate(self, key: int) -> Generator:
-        """Fetch the model's candidate leaves; returns (leaf_index, views)
-        where leaf_index is the candidate whose fences cover *key*."""
-        candidates = self.index.candidate_leaves(key)
-        addrs = [self.index.leaf_addrs[i] for i in candidates]
-        views = yield from self._read_leaf_batch(addrs)
-        for leaf_index, view in zip(candidates, views):
-            if view.fence_low <= key < view.fence_high:
-                return leaf_index, view
-        # The window missed (only possible for untrained keys).
-        return None, None
-
-    def _locate_base(self, key: int) -> Generator:
-        leaf_index, _view = yield from self._locate(key)
-        return None if leaf_index is None \
-            else self.index.leaf_addrs[leaf_index]
+        """The model's candidate leaves in one batched READ, then the
+        fence walk: ``(leaf index, view)`` of the one covering *key*."""
+        views = yield from self._read_leaf_batch(
+            [self.index.leaf_addrs[i]
+             for i in self.index.candidate_leaves(key)])
+        located = yield from self._covering(key, views)
+        return located
 
     # -------------------------------------------------------------- search
 
     def _search(self, key: int) -> Generator:
-        leaf_index, view = yield from self._locate(key)
-        if view is None:
-            return None
+        _leaf_index, view = yield from self._locate(key)
         while True:
             position = view.find(key)
             if position is not None:
@@ -138,21 +128,14 @@ class RolexClient(ModelRoutedClientBase):
             synonym = view.sibling
             if synonym == NULL_ADDR:
                 return None
-            view = yield from self._fetch_table(synonym)
+            view = yield from self._read_fenced(synonym)
 
     # -------------------------------------------------------------- writes
 
     def _probe(self, addr: int, key: int) -> Generator:
-        table = yield from self._fetch_table(addr)
+        table = yield from self._read_fenced(addr)
         return (table, table.find(key), table.count < self.layout.span,
                 table.sibling)
-
-    def _stored(self, key: int, value: int) -> Generator:
-        """What a leaf entry holds for *value*: the value, or the
-        address of the fresh block it is written to."""
-        if self.config.indirect_values:
-            value = yield from self._write_block(key, value)
-        return value
 
     def _modify_entry(self, guard: LockGuard, addr: int,
                       table: SortedNodeView, position: int, key: int,
@@ -165,9 +148,7 @@ class RolexClient(ModelRoutedClientBase):
             return
         stored = yield from self._stored(key, value)
         raw_off, raw_bytes = table.write_entry_value(position, key, stored)
-        yield from self.qp.write_batch(
-            [(addr + raw_off, raw_bytes)]
-            + self._unlock_writes(guard.lock_addr, guard.release_word()))
+        yield from self._release(guard, [(addr + raw_off, raw_bytes)])
 
     def _insert_into(self, guard: LockGuard, addr: int,
                      table: SortedNodeView, key: int,
@@ -198,9 +179,7 @@ class RolexClient(ModelRoutedClientBase):
         new_view = SortedNodeView.compose(
             self.layout, items, sibling, table.fence_low, table.fence_high,
             nv=bump_nibble(table.nv))
-        yield from self.qp.write_batch(
-            [(addr, bytes(new_view.span.data))]
-            + self._unlock_writes(guard.lock_addr, guard.release_word()))
+        yield from self._release(guard, [(addr, bytes(new_view.span.data))])
 
     # -------------------------------------------------------------- scan
 
@@ -208,8 +187,6 @@ class RolexClient(ModelRoutedClientBase):
         """Read consecutive leaf tables (plus synonym chains) in key
         order; ROLEX's small span makes this its best workload (§5.2)."""
         leaf_index, first_view = yield from self._locate(key)
-        if first_view is None:
-            return []
         results: List[Tuple[int, int]] = []
         per_leaf = max(1, self.index._items_per_leaf)
         cursor = leaf_index

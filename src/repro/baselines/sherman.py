@@ -29,6 +29,7 @@ from repro.core.btree_base import (
     MAX_CHASE,
     TraversalError,
 )
+from repro.core.family import LockGuard
 from repro.core.node_layout import SortedNodeLayout
 from repro.core.nodes import SortedNodeView
 from repro.errors import TornReadError
@@ -155,7 +156,6 @@ class ShermanClient(BTreeClientBase):
         rewrite the node (NV bump), splitting it first when full.  The
         data write and the unlock ride one doorbell batch.
         """
-        layout = self.layout
         stored = value
         if op != "delete" and self.config.indirect_values:
             # Before the lock, not under it: an allocation RPC can queue
@@ -165,61 +165,49 @@ class ShermanClient(BTreeClientBase):
                                  key)
         while retry.check():
             ref = yield from self._locate_leaf(key)
-            lock_addr = ref.leaf_addr + layout.lock_offset
-            yield from self._lock(lock_addr, zero_rest=False)
-            held = True
-            try:
-                leaf_addr, view = yield from self._leaf_for(ref, key)
-                moved = view is None or leaf_addr != ref.leaf_addr
-                index = None if moved else view.find(key)
-                if moved or (index is None and op != "insert"):
-                    held = False
-                    yield from self._unlock_remote(lock_addr)
-                    if moved:
-                        # Routed elsewhere while locking this node:
-                        # retry from the top (rare).
-                        continue
-                    return False
-                split = None
-                if op == "update":
-                    raw_off, raw_bytes = view.write_entry_value(
-                        index, key, stored)
-                    writes = [(leaf_addr + raw_off, raw_bytes)]
-                else:
-                    items = view.items()
-                    if op == "delete":
-                        items.pop(index)
-                    elif index is not None:
-                        items[index] = (key, stored)
-                    else:
-                        items.append((key, stored))
-                        items.sort()
-                    # The left half publishes a new right sibling.
-                    fitted = yield from self._split_if_full(
-                        layout, items, view.sibling, view.fence_high)
-                    items, sibling, fence_high, split = fitted
-                    new_view = SortedNodeView.compose(
-                        layout, items, sibling, view.fence_low, fence_high,
-                        nv=bump_nibble(view.nv))
-                    writes = [(leaf_addr, bytes(new_view.span.data))]
-                writes.extend(self._unlock_writes(lock_addr))
-                held = False
-                yield from self.qp.write_batch(writes)
-                if split is None:
-                    return True
-                yield from self._propagate_split(ref.parent, 1, leaf_addr,
-                                                 *split[:2])
-                # ... and retry the insert after the split.
-            except GeneratorExit:
-                # A parked (crashed) client being reclaimed must not
-                # yield restore verbs — its node is dead.
-                raise
-            except BaseException:
-                if held:
-                    yield from self._restore_unlock(lock_addr)
-                raise
-            finally:
-                self._release_local(lock_addr)
+            done = yield from self._locked(
+                ref.leaf_addr + self.layout.lock_offset, self._write_locked,
+                ref, key, stored, op, zero_rest=False)
+            if done is not None:
+                return done
+
+    def _write_locked(self, guard: LockGuard, ref: LeafRef, key: int,
+                      stored: int, op: str) -> Generator:
+        """:meth:`_write_leaf` under the leaf lock: True / False, or None
+        to retry from the top (routed elsewhere, or split first)."""
+        layout = self.layout
+        leaf_addr, view = yield from self._leaf_for(ref, key)
+        moved = view is None or leaf_addr != ref.leaf_addr
+        index = None if moved else view.find(key)
+        if moved or (index is None and op != "insert"):
+            yield from self._release(guard)
+            # Routed elsewhere while locking this node (rare): retry.
+            return None if moved else False
+        split = None
+        if op == "update":
+            raw_off, raw_bytes = view.write_entry_value(index, key, stored)
+            writes = [(leaf_addr + raw_off, raw_bytes)]
+        else:
+            items = view.items()
+            if op == "delete":
+                items.pop(index)
+            elif index is not None:
+                items[index] = (key, stored)
+            else:
+                items.append((key, stored))
+                items.sort()
+            # The left half publishes a new right sibling.
+            items, sibling, fence_high, split = yield from self._split_if_full(
+                layout, items, view.sibling, view.fence_high)
+            new_view = SortedNodeView.compose(
+                layout, items, sibling, view.fence_low, fence_high,
+                nv=bump_nibble(view.nv))
+            writes = [(leaf_addr, bytes(new_view.span.data))]
+        yield from self._release(guard, writes)
+        if split is None:
+            return True
+        yield from self._propagate_split(ref.parent, 1, leaf_addr, *split[:2])
+        return None  # ... and retry the insert after the split
 
     # -------------------------------------------------------------- scan
 

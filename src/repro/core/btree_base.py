@@ -25,7 +25,7 @@ from typing import Generator, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import ClientContext
-from repro.core.family import FamilyClientBase, FamilyIndexBase
+from repro.core.family import FamilyClientBase, FamilyIndexBase, LockGuard
 from repro.core.node_layout import SortedNodeLayout
 from repro.core.nodes import ParsedInternal, SortedNodeView
 from repro.errors import (
@@ -357,7 +357,8 @@ class BTreeClientBase(FamilyClientBase):
         """Insert ``(split_key -> new_addr)`` into the parent level.
 
         *level* is the level the new entry belongs to (1 for leaf splits).
-        Follows the paper's Step 1-3 (§4.4): lock parent, insert or split
+        Follows the paper's Step 1-3 (§4.4): lock parent (one
+        :meth:`_locked` section per parent on the chase), insert or split
         recursively, grow the root when the split node was the root.
         """
         if old_addr == self.index.root_addr:
@@ -372,24 +373,13 @@ class BTreeClientBase(FamilyClientBase):
                 raise TraversalError("no parent found for split propagation")
             parent_addr = parent.addr
         for _hop in range(MAX_CHASE):
-            lock_addr = parent_addr + layout.lock_offset
-            yield from self._lock(lock_addr, zero_rest=False)
-            try:
-                parsed = yield from self._read_internal(parent_addr)
-                if not parsed.covers(split_key):
-                    # The parent itself split concurrently; chase.
-                    yield from self._unlock_remote(lock_addr)
-                    next_addr = parsed.sibling
-                    if next_addr == NULL_ADDR:
-                        raise TraversalError(
-                            "split key fell off the parent chain")
-                    parent_addr = next_addr
-                    continue
-                yield from self._insert_into_internal(
-                    parent_addr, parsed, split_key, new_addr, level)
+            parent_addr = yield from self._locked(
+                parent_addr + layout.lock_offset, self._insert_into_internal,
+                parent_addr, split_key, new_addr, level, zero_rest=False)
+            if parent_addr is None:
                 return
-            finally:
-                self._release_local(lock_addr)
+            if parent_addr == NULL_ADDR:
+                raise TraversalError("split key fell off the parent chain")
         raise TraversalError(f"parent chase exceeded {MAX_CHASE} hops")
 
     def _split_if_full(self, layout: SortedNodeLayout,
@@ -407,11 +397,17 @@ class BTreeClientBase(FamilyClientBase):
             layout, items[mid:], sibling, pivot, fence_high, level)
         return items[:mid], new_addr, pivot, (pivot, new_addr, right)
 
-    def _insert_into_internal(self, addr: int, parsed: ParsedInternal,
+    def _insert_into_internal(self, guard: LockGuard, addr: int,
                               split_key: int, new_addr: int,
                               level: int) -> Generator:
-        """With *addr* locked: add the entry, splitting the node if full."""
+        """With *addr* locked: add the entry, splitting the node if full;
+        None, or the sibling to chase when the node no longer covers
+        *split_key* (it split concurrently)."""
         layout = self.index.internal_layout
+        parsed = yield from self._read_internal(addr)
+        if not parsed.covers(split_key):
+            yield from self._release(guard)
+            return parsed.sibling
         entries = list(zip(parsed.pivots, parsed.children))
         entries.insert(bisect_right(parsed.pivots, split_key),
                        (split_key, new_addr))
@@ -426,9 +422,7 @@ class BTreeClientBase(FamilyClientBase):
         view = SortedNodeView.compose(
             layout, entries, sibling, parsed.fence_low, fence_high,
             nv=bump_nibble(parsed.nv), level=parsed.level)
-        yield from self.qp.write_batch(
-            [(addr, bytes(view.span.data))]
-            + self._unlock_writes(addr + layout.lock_offset))
+        yield from self._release(guard, [(addr, bytes(view.span.data))])
         self.ctx.cache.put(addr, view.parse(addr), layout.total_size)
         if split is not None:
             yield from self._propagate_split(None, level + 1, addr, up_key,

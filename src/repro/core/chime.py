@@ -8,9 +8,9 @@ paper's three techniques:
   bitmap checks of :mod:`repro.core.sync` and retry on torn states
   (under ``sync_mode`` pessimistic/adaptive, writers instead acquire
   the leaf through the CIDER-style ticket queue of
-  :mod:`repro.core.adaptive`; the lock/unlock call sites here are
-  mode-agnostic — :meth:`FamilyClientBase._lock` and
-  ``_unlock_writes`` route to the queued path internally);
+  :mod:`repro.core.adaptive`; the locked sections here are
+  mode-agnostic — :meth:`FamilyClientBase._locked` and ``_release``
+  route to the queued path internally);
 * access-aggregated metadata management — the vacancy bitmap and
   ``argmax_keys`` ride in the 8-byte lock word (acquired via masked-CAS,
   rewritten by the combined unlocking WRITE), and leaf metadata is
@@ -51,6 +51,7 @@ from repro.core.btree_base import (
     LeafRef,
     MAX_CHASE,
 )
+from repro.core.family import LockGuard
 from repro.core.hotspot import HotspotBuffer
 from repro.core.leaf_ops import (
     HopscotchLeafOpsMixin,
@@ -60,7 +61,6 @@ from repro.core.leaf_ops import (
 from repro.core.node_layout import (
     LeafLayout,
     VacancyBitmap,
-    pack_lock_word,
     unpack_lock_word,
 )
 from repro.core.nodes import LeafNodeView
@@ -106,32 +106,6 @@ class OpResult:
     status: str
     found: bool = False
     value: Optional[int] = None
-
-
-class LockGuard:
-    """Tracks whether the remote leaf lock is still held.
-
-    Unlocks are usually *batched behind data writes*; this guard exists so
-    exception paths only issue a restoring unlock when no path already
-    released the lock (a double unlock would overwrite the piggybacked
-    vacancy/argmax metadata written by the real release).
-    """
-
-    __slots__ = ("lock_addr", "argmax", "vacancy", "held")
-
-    def __init__(self, lock_addr: int, old_word: int) -> None:
-        self.lock_addr = lock_addr
-        _locked, self.argmax, self.vacancy = unpack_lock_word(old_word)
-        self.held = True
-
-    def release_word(self, argmax: Optional[int] = None,
-                     vacancy: Optional[int] = None) -> int:
-        """The unlock word to batch behind a data write; marks released."""
-        self.held = False
-        return pack_lock_word(
-            False,
-            self.argmax if argmax is None else argmax,
-            self.vacancy if vacancy is None else vacancy)
 
 
 class ChimeIndex(BTreeIndexBase):
@@ -390,63 +364,56 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
                      leaf_addr=leaf_addr)
         return None
 
-    # ---------------------------------------------------------------- update / delete
+    # ---------------------------------------------------------------- writes
 
     def _update(self, key: int, value: int) -> Generator:
-        return self._write_entry("update({})", key, value, delete=False)
+        return self._leaf_write("update({})", self._write_entry_locked, key,
+                                value, False)
 
     def _delete(self, key: int) -> Generator:
-        return self._write_entry("delete({})", key, 0, delete=True)
+        return self._leaf_write("delete({})", self._write_entry_locked, key,
+                                0, True)
 
-    def _write_entry(self, what: str, key: int, value: int,
-                     delete: bool) -> Generator:
-        """Shared update/delete flow: lock, locate entry, write, unlock."""
-        home = self.index.home_of(key)
+    def _insert(self, key: int, value: int) -> Generator:
+        return self._leaf_write("insert({})", self._insert_locked, key,
+                                value, backoff=True)
+
+    def _leaf_write(self, what: str, locked, key: int, *args,
+                    backoff: bool = False) -> Generator:
+        """One write: traverse to *key*'s leaf and run ``locked(guard,
+        ref, leaf_addr, from_cache, hop, key, *args)`` under its lock
+        (:meth:`_locked_chase`) until that answers done; a lost verb or
+        a re-traversal is retried under the retry policy (an insert
+        backs off in between)."""
         retry = self.retry.start(what, self.engine, self.ctx.rng, key)
         while retry.check():
             try:
                 ref = yield from self._phase("traverse",
                                              self._locate_leaf(key))
                 result = yield from self._phase(
-                    "leaf_write", self._locked_chase(
-                        ref, lambda guard, leaf_addr, from_cache, hop:
-                        self._write_entry_locked(
-                            guard, ref, leaf_addr, home, key, value, delete,
-                            from_cache, hop)))
+                    "leaf_write", self._locked_chase(ref, locked, key, *args))
             except FaultInjectedError:
                 self.qp.stats.retries += 1
-                continue
-            if result.status == _RETRAVERSE:
-                continue
-            return result.found
+                result = OpResult(_RETRY)
+            if result.status == _DONE:
+                return result.found
+            if backoff:
+                yield from self._sleep_phase("retry_backoff",
+                                             retry.next_delay(cap=4))
 
-    def _locked_chase(self, ref: LeafRef, locked) -> Generator:
-        """Lock the leaf *ref* names and run ``locked(guard, leaf_addr,
-        from_cache, hop)`` under the lock, again on the sibling each
-        time it answers ``"chase"``; whatever else it answers is the
-        result.  Every path of *locked* releases the remote lock (the
-        guard says whether an exception still has to)."""
+    def _locked_chase(self, ref: LeafRef, locked, *args) -> Generator:
+        """Run ``locked(guard, ref, leaf_addr, from_cache, hop, *args)``
+        under the lock of the leaf *ref* names (:meth:`_locked`), again
+        on the sibling each time it answers ``"chase"``; whatever else
+        it answers is the result."""
         leaf_addr = ref.leaf_addr
         from_cache = ref.from_cache
         for hop in range(MAX_CHASE):
-            lock_addr = leaf_addr + self.layout.lock_offset
-            old_word = yield from self._phase("lock", self._lock(
-                lock_addr, piggyback=not self.config.cxl_atomics,
-                repair=lambda addr=leaf_addr: self._repair_leaf(addr)))
-            guard = LockGuard(lock_addr, old_word)
-            try:
-                result = yield from locked(guard, leaf_addr, from_cache, hop)
-            except GeneratorExit:
-                # A parked (crashed) client being reclaimed must not
-                # yield restore verbs — its node is dead.
-                raise
-            except BaseException:
-                if guard.held:
-                    yield from self._restore_unlock(lock_addr,
-                                                    guard.release_word())
-                raise
-            finally:
-                self._release_local(lock_addr)
+            result = yield from self._locked(
+                leaf_addr + self.layout.lock_offset, locked, ref, leaf_addr,
+                from_cache, hop, *args, phase="lock",
+                piggyback=not self.config.cxl_atomics,
+                repair=lambda addr=leaf_addr: self._repair_leaf(addr))
             if result.status != "chase":
                 return result
             leaf_addr = result.value
@@ -454,10 +421,11 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         return OpResult(_RETRAVERSE)  # MAX_CHASE leaves on: start afresh
 
     def _write_entry_locked(self, guard: LockGuard, ref: LeafRef,
-                            leaf_addr: int, home: int, key: int, value: int,
-                            delete: bool, from_cache: bool,
-                            hop: int) -> Generator:
+                            leaf_addr: int, from_cache: bool, hop: int,
+                            key: int, value: int, delete: bool) -> Generator:
+        """Update / delete under the leaf lock: locate the entry, write."""
         layout = self.layout
+        home = self.home_of(key)
         expected = ref.expected_next
         view, position, _spec_hit = yield from self._locate_entry_locked(
             leaf_addr, home, key, allow_speculative=not delete)
@@ -468,34 +436,27 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
             chase = sibling != NULL_ADDR and (mismatch or expected is None)
             if chase and expected is None and hop:
                 chase = yield from self._past_fence(ref, leaf_addr, key)
-            yield from self._unlock_remote(guard.lock_addr,
-                                           guard.release_word())
+            yield from self._release(guard)
             if from_cache and mismatch and ref.parent is not None:
                 self.ctx.cache.invalidate(ref.parent.addr)
                 return OpResult(_RETRAVERSE)
             if chase:
                 return OpResult("chase", value=sibling)
             return OpResult(_DONE, found=False)
-        writes: List[Tuple[int, bytes]] = []
         argmax, vacancy = guard.argmax, guard.vacancy
         if delete:
             self._remove_entry(view, home, position)
-            writes.extend(self._entry_writes(leaf_addr, view,
-                                             {position, home}))
+            writes = self._entry_writes(leaf_addr, view, {position, home})
             vacancy &= ~(1 << self.index.vacancy_map.bit_of(position))
             if position == argmax:
                 argmax = yield from self._recompute_argmax(leaf_addr)
             self.hotspots.invalidate(leaf_addr, position)
         else:
-            stored = value
-            if self.config.indirect_values:
-                stored = yield from self._write_block(key, value)
+            stored = yield from self._stored(key, value)
             view.write_entry(position, key, stored)
-            writes.extend(self._entry_writes(leaf_addr, view, {position}))
+            writes = self._entry_writes(leaf_addr, view, {position})
             self.hotspots.record_access(leaf_addr, position, key)
-        writes.extend(self._unlock_writes(
-            guard.lock_addr, guard.release_word(argmax, vacancy)))
-        yield from self.qp.write_batch(writes)
+        yield from self._release(guard, writes, argmax, vacancy)
         return OpResult(_DONE, found=True)
 
     def _locate_entry_locked(self, leaf_addr: int, home: int, key: int,
@@ -541,44 +502,19 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
 
     # ---------------------------------------------------------------- insert
 
-    def _insert(self, key: int, value: int) -> Generator:
-        home = self.index.home_of(key)
-        retry = self.retry.start("insert({})", self.engine, self.ctx.rng,
-                                 key)
-        while retry.check():
-            try:
-                ref = yield from self._phase("traverse",
-                                             self._locate_leaf(key))
-                result = yield from self._phase(
-                    "leaf_write", self._locked_chase(
-                        ref, lambda guard, leaf_addr, from_cache, _hop:
-                        self._insert_locked(
-                            guard, ref, leaf_addr, home, key, value,
-                            from_cache)))
-            except FaultInjectedError:
-                self.qp.stats.retries += 1
-                yield from self._sleep_phase("retry_backoff",
-                                             retry.next_delay(cap=4))
-                continue
-            if result.status == _DONE:
-                return result.found
-            yield from self._sleep_phase("retry_backoff",
-                                         retry.next_delay(cap=4))
-
     def _insert_locked(self, guard: LockGuard, ref: LeafRef, leaf_addr: int,
-                       home: int, key: int, value: int,
-                       from_cache: bool) -> Generator:
+                       _from_cache: bool, _hop: int, key: int,
+                       value: int) -> Generator:
         """The core insert flow, owning the remote lock.
 
-        Every return path below releases the remote lock, either batched
-        with the data write or via an explicit unlock write (tracked by
-        *guard* so exception cleanup never double-releases).
+        Every return path below releases the remote lock through
+        :meth:`_release`, batched with the data write or alone.
         """
         layout = self.layout
         config = self.config
         vmap = self.index.vacancy_map
+        home = self.home_of(key)
         expected = ref.expected_next
-        lock_addr = guard.lock_addr
         argmax, vacancy = guard.argmax, guard.vacancy
         # Decide the read range from the piggybacked vacancy bitmap.
         full_read = not config.vacancy_bitmap
@@ -605,14 +541,12 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
             self.ctx.cache.invalidate(ref.parent.addr)
         # Routing: the paper's argmax mechanism for detected half-splits;
         # the lock-line fence keys for the unknown-reference case.
-        if mismatch and max_entry is not None and key > max_entry:
-            yield from self._unlock_remote(lock_addr, guard.release_word())
-            return OpResult("chase", value=sibling)
-        if key >= fence_high and sibling != NULL_ADDR:
-            yield from self._unlock_remote(lock_addr, guard.release_word())
+        if (mismatch and max_entry is not None and key > max_entry
+                or key >= fence_high and sibling != NULL_ADDR):
+            yield from self._release(guard)
             return OpResult("chase", value=sibling)
         if key < fence_low:
-            yield from self._unlock_remote(lock_addr, guard.release_word())
+            yield from self._release(guard)
             return OpResult(_RETRAVERSE)
         # Duplicate check within the neighborhood (upsert semantics; the
         # variable-length-key subclass overrides the handler to chain
@@ -652,7 +586,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
             BUS.emit("hopscotch.displacement", self.engine.now,
                      moves=len(plan.moves), leaf_addr=leaf_addr)
         # Apply the plan to the local buffer.
-        stored = yield from self._stored_value_for_insert(key, value)
+        stored = yield from self._stored(key, value)
         modified = self._apply_plan(view, plan, home, key, stored)
         # Metadata maintenance: vacancy (conservative) + argmax.
         vacancy = self._update_vacancy(view, vacancy, plan.target, full_read,
@@ -663,35 +597,22 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
             argmax = self._track_argmax_moves(argmax, plan.moves)
         for src, _dst in plan.moves:
             self.hotspots.invalidate(leaf_addr, src)
-        writes = self._entry_writes(leaf_addr, view, modified)
-        writes.extend(self._unlock_writes(
-            lock_addr, guard.release_word(argmax, vacancy)))
-        yield from self.qp.write_batch(writes)
+        yield from self._release(
+            guard, self._entry_writes(leaf_addr, view, modified), argmax,
+            vacancy)
         self.hotspots.record_access(leaf_addr, plan.target, key)
         return OpResult(_DONE, found=True)
-
-    def _stored_value_for_insert(self, key: int, value: int) -> Generator:
-        """The 8-byte payload a fresh insert stores in the leaf entry
-        (the indirect-value block pointer when indirection is on; the
-        variable-length-key subclass stores a chain head instead)."""
-        if self.config.indirect_values:
-            stored = yield from self._write_block(key, value)
-            return stored
-        return value
 
     def _handle_duplicate(self, guard: LockGuard, view: LeafNodeView,
                           leaf_addr: int, position: int, key: int,
                           value: int, argmax: int,
                           vacancy: int) -> Generator:
         """Insert hit an existing key: overwrite it (upsert)."""
-        stored = value
-        if self.config.indirect_values:
-            stored = yield from self._write_block(key, value)
+        stored = yield from self._stored(key, value)
         view.write_entry(position, key, stored)
-        writes = self._entry_writes(leaf_addr, view, {position})
-        writes.extend(self._unlock_writes(
-            guard.lock_addr, guard.release_word(argmax, vacancy)))
-        yield from self.qp.write_batch(writes)
+        yield from self._release(
+            guard, self._entry_writes(leaf_addr, view, {position}), argmax,
+            vacancy)
         return OpResult(_DONE, found=True)
 
     def _insert_read(self, leaf_addr: int, home: int, last: int,
@@ -811,7 +732,6 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
                     fence_high: int) -> Generator:
         """Split the locked leaf; returns RETRY so the insert re-runs."""
         layout = self.layout
-        lock_addr = guard.lock_addr
         if full_view is None:
             full_view = yield from self._fetch_whole(leaf_addr)
         items = sorted(full_view.pairs())
@@ -844,19 +764,15 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
                                                    fence_low=fence_low,
                                                    fence_high=pivot,
                                                    nv=bump_nibble(old_nv))
-        # The unlocking lock-line write also refreshes the fence keys; with
-        # leases on, _unlock_writes appends the lease-clearing write (and
+        # The unlocking lock-line write also refreshes the fence keys (and
         # raises instead if our lease already expired mid-split).
-        unlock = self._unlock_writes(lock_addr, left_word)
-        unlock[0] = (lock_addr, encode_u64(left_word) + encode_key(fence_low)
-                     + encode_key(pivot))
-        guard.held = False  # the batched lock-line write below releases it
-        yield from self.qp.write_batch(
-            [(leaf_addr, left_image)] + unlock)
+        _bit, argmax, vacancy = unpack_lock_word(left_word)
+        yield from self._release(guard, [(leaf_addr, left_image)], argmax,
+                                 vacancy, encode_key(fence_low)
+                                 + encode_key(pivot))
         for pos in range(layout.span):
             self.hotspots.invalidate(leaf_addr, pos)
-        parent_hint = ref.parent if ref.parent is not None else None
-        yield from self._propagate_split(parent_hint, 1, leaf_addr, pivot,
+        yield from self._propagate_split(ref.parent, 1, leaf_addr, pivot,
                                          new_addr)
         return OpResult(_RETRY)
 

@@ -14,8 +14,9 @@ the 8-byte lock word of §4.2.1 and retries is written here once:
   indirect-block helpers, whole sorted-array-node reads and writes, and
   the one lock path every family with a lock word takes, in every sync
   mode: the CN-local lock table and delegation, the ticket queue of
-  :mod:`repro.core.adaptive`, leases, the lock-bit spin, and the
-  release and exception-path restore.
+  :mod:`repro.core.adaptive`, leases, the lock-bit spin, and the one
+  locked section (:meth:`FamilyClientBase._locked`) whose releasing
+  batch gives the lock up only once it has landed.
 
 A family supplies its leaf view and those five generators (fewer when it
 has no such operation — a ``delete`` it lacks is a typed
@@ -46,8 +47,10 @@ from repro.core.node_layout import (
     SortedNodeLayout,
     lease_expiry_us,
     pack_lease,
+    pack_lock_word,
     sim_us,
     unpack_lease,
+    unpack_lock_word,
 )
 from repro.core.nodes import SortedNodeView
 from repro.core.sync import backoff_delay
@@ -89,6 +92,32 @@ QUEUE_POLL_TENURE = 2e-6
 #: Cap on the tenure multiple, bounding the worst-case poll interval
 #: (and thus how stale a deep waiter's view of ``serving`` can get).
 QUEUE_POLL_HORIZON = 32
+
+
+class LockGuard:
+    """A held remote lock and the metadata its lock word carried.
+
+    ``held`` drops only once a releasing batch has landed
+    (:meth:`FamilyClientBase._release`), so an exception with it still
+    set makes :meth:`FamilyClientBase._locked` restore the lock, and
+    never after a release — a double unlock would overwrite the
+    piggybacked vacancy/argmax metadata the real release wrote.
+    """
+
+    __slots__ = ("lock_addr", "argmax", "vacancy", "held")
+
+    def __init__(self, lock_addr: int, old_word: int) -> None:
+        self.lock_addr = lock_addr
+        _locked, self.argmax, self.vacancy = unpack_lock_word(old_word)
+        self.held = True
+
+    def release_word(self, argmax: Optional[int] = None,
+                     vacancy: Optional[int] = None) -> int:
+        """The unlocked word: the metadata as locked, or as rewritten."""
+        return pack_lock_word(
+            False,
+            self.argmax if argmax is None else argmax,
+            self.vacancy if vacancy is None else vacancy)
 
 
 class FamilyIndexBase:
@@ -303,6 +332,14 @@ class FamilyClientBase(SpanInstrumentedOps):
             addr, encode_key(key) + encode_value(value, size))
         return addr
 
+    def _stored(self, key: int, value: int) -> Generator:
+        """What a leaf entry holds for *value*: the value, or the address
+        of the fresh block it is written to (variable-length keys: a
+        chain head)."""
+        if self.config.indirect_values:
+            value = yield from self._write_block(key, value)
+        return value
+
     def _resolve_indirect(self, results: Sequence[Tuple[int, int]]) -> Generator:
         """Scan tail: dereference ``(key, block pointer)`` results."""
         resolved = []
@@ -372,14 +409,8 @@ class FamilyClientBase(SpanInstrumentedOps):
         (:meth:`_lock_spin`).  *repair* is a nullary generator callback
         run after stealing an orphaned lease, before the caller proceeds
         (leaf callers pass their repair routine).  The CN-local lock
-        stays held until :meth:`_release_local`; it is released here on
-        any failure.
-
-        Callers pair it as CHIME does: ``_lock``; ``try`` the locked body,
-        which releases through :meth:`_unlock_writes` (batched behind its
-        data write) or :meth:`_unlock_remote`; ``except BaseException``
-        (re-raising ``GeneratorExit`` untouched) :meth:`_restore_unlock`
-        if still held; ``finally`` :meth:`_release_local`.
+        stays held until :meth:`_locked`, the only caller, releases it;
+        it is released here on any failure.
         """
         sync = self._sync
         cn = self.ctx.cn
@@ -413,7 +444,9 @@ class FamilyClientBase(SpanInstrumentedOps):
             else:
                 old = yield from self._lock_spin(lock_addr, zero_rest,
                                                  piggyback)
-        except BaseException:
+        except BaseException:  # a steal's repair failed: its lease expires
+            self._held_leases.pop(lock_addr, None)
+            self._held_tickets.pop(lock_addr, None)
             if local is not None:
                 local.release()
             raise
@@ -432,7 +465,8 @@ class FamilyClientBase(SpanInstrumentedOps):
         model, §4.5) the CAS only toggles the lock bit and the rest of
         the word is fetched with a dedicated READ — the extra round trip
         the paper predicts for CXL deployments.  *won* runs as soon as
-        the CAS wins, before that READ (the estimator reads sim time).
+        the CAS wins, before that READ (the estimator reads sim time);
+        the lock is held by then, so a lost READ is re-issued.
         """
         old, swapped = yield from self.qp.masked_cas(
             lock_addr, compare=0, swap=LOCK_BIT, compare_mask=LOCK_BIT,
@@ -441,7 +475,8 @@ class FamilyClientBase(SpanInstrumentedOps):
             return None
         won()
         if not piggyback:
-            data = yield from self.qp.read(lock_addr, 8)
+            data = yield from self._until_landed("lock word read",
+                                                 self.qp.read, lock_addr, 8)
             return decode_u64(data) & ~LOCK_BIT
         return old
 
@@ -562,12 +597,15 @@ class FamilyClientBase(SpanInstrumentedOps):
         (serving passed it while it was parked) re-enqueues with a fresh
         FAA.  The whole wait is bounded by the retry policy; exhaustion
         raises :class:`~repro.errors.QueueWaitTimeoutError` and abandons
-        the ticket for survivors to drop.
+        the ticket for survivors to drop.  A verb the fabric loses here
+        (FAA, poll READ, turn CAS, drop CAS) had no effect and is issued
+        again in place: a claimed ticket is never abandoned for a loss.
 
         A delegation *token* short-circuits all of the above: the ticket
         is adopted from the releasing same-CN holder and revalidated
-        with a single CAS; on a race (mixed-mode interference) the
-        waiter keeps the inherited ticket and falls into the poll loop.
+        with a single CAS; on a race (mixed-mode interference) or a lost
+        CAS the waiter keeps the inherited ticket and falls into the
+        poll loop.
         """
         sync = self._sync
         engine = self.engine
@@ -583,16 +621,19 @@ class FamilyClientBase(SpanInstrumentedOps):
             sync.register(cn_id, owner_name, lock_addr, my_ticket)
             sync.note_queue(lock_addr, local_waiting + 1, engine.now)
             won = partial(self._take_ticket, lock_addr, my_ticket, True)
-            if self._leases_on:
-                old = yield from self._take_lease(lock_addr, token.word,
-                                                  token.lease, won)
-            else:
-                old = yield from self._cas_lock_bit(lock_addr, zero_rest,
-                                                    piggyback, won)
+            try:
+                if self._leases_on:
+                    old = yield from self._take_lease(lock_addr, token.word,
+                                                      token.lease, won)
+                else:
+                    old = yield from self._cas_lock_bit(lock_addr, zero_rest,
+                                                        piggyback, won)
+            except FaultInjectedError:
+                old = None
             if old is not None:
                 return old
             # The handoff raced (lease stolen / lock bit held by a
-            # mixed-mode writer): keep the inherited ticket and poll.
+            # mixed-mode writer) or was lost: keep the ticket and poll.
 
         retry = self.retry.start("queue {:#x}", engine, self.ctx.rng,
                                  lock_addr)
@@ -601,7 +642,8 @@ class FamilyClientBase(SpanInstrumentedOps):
             # CN crash parking this lane at the FAA itself must still
             # show up in the stranded-ticket registry.
             sync.register(cn_id, owner_name, lock_addr, -1)
-            my_ticket = yield from qp.faa(ticket_addr, 1)
+            my_ticket = yield from self._until_landed("ticket FAA", qp.faa,
+                                                      ticket_addr, 1)
             sync.register(cn_id, owner_name, lock_addr, my_ticket)
         enqueue_seen = token is not None
         last_serving: Optional[int] = None
@@ -618,7 +660,10 @@ class FamilyClientBase(SpanInstrumentedOps):
                 raise QueueWaitTimeoutError(
                     f"queue {lock_addr:#x}: ticket {my_ticket} never "
                     f"served ({exc})") from exc
-            line = yield from qp.read(lock_addr, LOCK_QUEUE_SPAN)
+            try:
+                line = yield from qp.read(lock_addr, LOCK_QUEUE_SPAN)
+            except FaultInjectedError:
+                continue
             lease = decode_u64(line, LOCK_LEASE_OFFSET)
             serving = decode_u64(line, LOCK_SERVING_OFFSET)
             if serving != last_serving:
@@ -634,31 +679,33 @@ class FamilyClientBase(SpanInstrumentedOps):
             if serving > my_ticket:
                 # Survivors dropped our ticket as dead while we were
                 # backing off; rejoin the queue with a fresh FAA.
-                my_ticket = yield from qp.faa(ticket_addr, 1)
+                my_ticket = yield from self._until_landed(
+                    "ticket FAA", qp.faa, ticket_addr, 1)
                 sync.register(cn_id, owner_name, lock_addr, my_ticket)
                 continue
             if serving == my_ticket:
                 won = partial(self._take_ticket, lock_addr, my_ticket, False)
-                if self._leases_on:
-                    owner, _epoch, expiry_us = unpack_lease(lease)
-                    if not owner or sim_us(engine.now) >= expiry_us:
+                owner, _epoch, expiry_us = unpack_lease(lease)
+                try:
+                    if not self._leases_on:
+                        old = yield from self._cas_lock_bit(
+                            lock_addr, zero_rest, piggyback, won)
+                    elif not owner or sim_us(engine.now) >= expiry_us:
                         old = yield from self._take_lease(
                             lock_addr, decode_u64(line, 0), lease, won,
                             steal=owner != 0, repair=repair)
-                        if old is not None:
-                            return old
-                    # A live lease at our turn (a mixed-mode optimistic
-                    # holder, in adaptive runs) or a lost CAS: wait.
-                    qp.stats.retries += 1
-                    yield from self._queue_backoff(retry, 0)
-                    continue
-                old = yield from self._cas_lock_bit(lock_addr, zero_rest,
-                                                    piggyback, won)
+                    else:
+                        old = None
+                except FaultInjectedError:
+                    if lock_addr in self._held_tickets:
+                        raise  # lost after the turn was taken (repair)
+                    continue  # the CAS itself was lost: nothing changed
                 if old is not None:
                     return old
-                # A mixed-mode optimistic writer holds the bit.
+                # A mixed-mode optimistic holder (live lease or lock bit,
+                # in adaptive runs) or a lost race: wait.
                 qp.stats.retries += 1
-                if BUS.active:
+                if BUS.active and not self._leases_on:
                     BUS.emit("lock.cas_fail", engine.now, addr=lock_addr,
                              attempt=retry.attempt - 1)
                 yield from self._queue_backoff(retry, 0)
@@ -670,8 +717,11 @@ class FamilyClientBase(SpanInstrumentedOps):
                 if owner == 0 or sim_us(engine.now) >= expiry_us:
                     # The waiter being served died before stamping a
                     # live lease (CN crash while queued): drop it.
-                    _old, swapped = yield from qp.cas(
-                        serving_addr, serving, (serving + 1) & FULL_MASK)
+                    try:
+                        _old, swapped = yield from qp.cas(
+                            serving_addr, serving, (serving + 1) & FULL_MASK)
+                    except FaultInjectedError:
+                        continue
                     if swapped and BUS.active:
                         BUS.emit("queue.drop", engine.now, addr=lock_addr,
                                  ticket=serving, by=owner_name)
@@ -718,38 +768,94 @@ class FamilyClientBase(SpanInstrumentedOps):
         elif entry is not None:
             entry.chain = 0
 
-    def _unlock_writes(self, lock_addr: int, word: int = 0,
-                       restoring: bool = False
-                       ) -> Optional[List[Tuple[int, bytes]]]:
-        """The (addr, payload) writes that release the lock at
-        *lock_addr*, leaving *word* as its metadata.
+    def _locked(self, lock_addr: int, body, *args,
+                phase: Optional[str] = None, **lock_args) -> Generator:
+        """The one locked section: take the lock at *lock_addr*
+        (:meth:`_lock` with *lock_args*, in a *phase* span if named) and
+        return what ``body(guard, *args)`` returns, every path of which
+        releases through :meth:`_release`.  If *body* raises with the
+        lock still held (a lost releasing batch included), the lock is
+        restored first — unless a parked (crashed) client is being
+        reclaimed (``GeneratorExit``).  The CN-local lock is released on
+        every path.
+        """
+        acquire = self._lock(lock_addr, **lock_args)
+        old_word = yield from (self._phase(phase, acquire) if phase
+                               else acquire)
+        guard = LockGuard(lock_addr, old_word)
+        try:
+            return (yield from body(guard, *args))
+        except GeneratorExit:
+            raise
+        except BaseException:
+            if guard.held:
+                yield from self._release(guard, restoring=True)
+            raise
+        finally:
+            local = self.ctx.cn.local_lock(lock_addr)
+            if local is not None:
+                local.release()
 
-        Callers append these to their data write batch so the unlock
-        rides the same doorbell.  With leases on, the batch also clears
+    def _release(self, guard: LockGuard, writes: Sequence = (),
+                 argmax: Optional[int] = None, vacancy: Optional[int] = None,
+                 fences: bytes = b"", restoring: bool = False) -> Generator:
+        """The one releasing write: *writes* and the unlock of *guard*'s
+        lock (:meth:`_unlock_writes`: ``release_word(argmax, vacancy)``,
+        then *fences* on the lock line) in one batch.  Only once it has
+        landed is the lock given up — the guard, the held lease and
+        ticket dropped, a handoff token parked; a lost batch leaves them
+        for :meth:`_locked` to restore.  A *restoring* release (no data,
+        no token) is re-issued while lost: each loss left nothing.
+        """
+        lock_addr = guard.lock_addr
+        unlock, token = self._unlock_writes(
+            lock_addr, guard.release_word(argmax, vacancy), restoring, fences)
+        if unlock:
+            batch = [*writes, *unlock]
+            send = (partial(self.qp.write, *batch[0]) if len(batch) == 1
+                    else partial(self.qp.write_batch, batch))
+            yield from (self._until_landed("restore", send) if restoring
+                        else send())
+        guard.held = False
+        self._held_leases.pop(lock_addr, None)
+        self._held_tickets.pop(lock_addr, None)
+        if token is not None:
+            self.ctx.cn.delegation[lock_addr].token = token
+
+    def _unlock_writes(self, lock_addr: int, word: int, restoring: bool,
+                       fences: bytes) -> Tuple[List[Tuple[int, bytes]],
+                                               Optional[HandoffToken]]:
+        """The (addr, payload) writes that release the lock at
+        *lock_addr*, leaving *word* (then *fences*) as its metadata, and
+        the :class:`HandoffToken` to park once they land (or None);
+        builds them and changes no state.
+
+        :meth:`_release` sends them behind the data writes, so the
+        unlock rides the same doorbell.  With leases on, they also clear
         the lease (owner and expiry zeroed, epoch preserved); releasing
         a queued acquisition appends the serving-advance write, so the
         FIFO handoff to the next ticket costs no extra round trip.  If
         same-CN waiters are blocked on the local lock table, neither is
-        written: a :class:`HandoffToken` is parked in the CN delegation
-        table instead (at most :data:`HANDOFF_CHAIN_LIMIT` times in a
-        row), and the recipient revalidates with one CAS.
+        written: a token for the CN delegation table is returned instead
+        (at most :data:`HANDOFF_CHAIN_LIMIT` times in a row), and the
+        recipient revalidates with one CAS.
 
         A lease that expired (or was never recorded) means a survivor
         may own the node by now, and writing anything would corrupt it:
         an ordinary release raises
         :class:`~repro.errors.LockLeaseExpiredError`.  A *restoring*
-        release (:meth:`_restore_unlock`) returns None instead, leaving
-        the lease — and a held ticket with it — for survivors to steal
-        and drop, and parks no token: local waiters re-enqueue remotely.
+        release returns no writes instead, leaving the lease — and a
+        held ticket with it — for survivors to steal and drop, and no
+        token: local waiters re-enqueue remotely.
         """
-        writes = [(lock_addr, encode_u64(word))]
-        ticket = self._held_tickets.pop(lock_addr, None)
+        writes = [(lock_addr, encode_u64(word) + fences)]
+        ticket = self._held_tickets.get(lock_addr)
         lease = 0
         if self._leases_on:
-            epoch, expiry_us = self._held_leases.pop(lock_addr, (0, 0))
+            epoch, expiry_us = self._held_leases.get(lock_addr, (0, 0))
             if sim_us(self.engine.now) >= expiry_us:
                 if restoring:
-                    return None
+                    return [], None
                 if BUS.active:
                     BUS.emit("lock.lease_overrun", self.engine.now,
                              addr=lock_addr, owner=self._lease_owner,
@@ -763,33 +869,21 @@ class FamilyClientBase(SpanInstrumentedOps):
             entry = self.ctx.cn.delegation.get(lock_addr)
             if (entry is not None and entry.waiting > 0
                     and entry.chain < HANDOFF_CHAIN_LIMIT):
-                entry.token = HandoffToken(ticket, word, lease)
-                return writes
+                return writes, HandoffToken(ticket, word, lease)
         if self._leases_on:
             writes.append((lock_addr + LOCK_LEASE_OFFSET,
                            encode_u64(pack_lease(0, epoch, 0))))
         if ticket is not None:
             writes.append((lock_addr + LOCK_SERVING_OFFSET,
                            encode_u64((ticket + 1) & FULL_MASK)))
-        return writes
+        return writes, None
 
-    def _unlock_remote(self, lock_addr: int, word: int = 0,
-                       restoring: bool = False) -> Generator:
-        """Release the remote lock with a standalone write (no batch)."""
-        writes = self._unlock_writes(lock_addr, word, restoring)
-        if writes is None:
-            return
-        if len(writes) == 1:
-            yield from self.qp.write(*writes[0])
-        else:
-            yield from self.qp.write_batch(writes)
-
-    def _restore_unlock(self, lock_addr: int, word: int = 0) -> Generator:
-        """Best-effort unlock on an exception path; never raises (a
-        restoring :meth:`_unlock_writes`)."""
-        return self._unlock_remote(lock_addr, word, restoring=True)
-
-    def _release_local(self, lock_addr: int) -> None:
-        local = self.ctx.cn.local_lock(lock_addr)
-        if local is not None:
-            local.release()
+    def _until_landed(self, what: str, verb, *args) -> Generator:
+        """``verb(*args)``, issued again under the retry policy each time
+        the fabric loses it (a lost verb had no effect)."""
+        retry = self.retry.start(what, self.engine, self.ctx.rng)
+        while True:
+            try:
+                return (yield from verb(*args))
+            except FaultInjectedError:
+                retry.check()

@@ -27,7 +27,7 @@ from repro.baselines.model_routed import (
     ModelRoutedClientBase,
     ModelRoutedIndexBase,
 )
-from repro.core.chime import LockGuard
+from repro.core.family import LockGuard
 from repro.core.leaf_ops import HopscotchLeafOpsMixin, place_items
 from repro.core.node_layout import LeafLayout, VacancyBitmap
 from repro.core.nodes import LeafNodeView
@@ -98,44 +98,30 @@ class LearnedChimeClient(ModelRoutedClientBase, HopscotchLeafOpsMixin):
 
     def _search(self, key: int) -> Generator:
         """Fetch one neighborhood from *each* candidate leaf (the defining
-        cost of CHIME-Learned, §5.3), then the covering leaf's synonym
-        chain.  One pass answers: leaves never split here, so fences
-        never move and a key no candidate covers is simply absent."""
+        cost of CHIME-Learned, §5.3), then walk to the leaf whose fences
+        cover *key* (:meth:`_covering`; the window itself, for a trained
+        key) and along its synonym chain."""
         home = self.home_of(key)
         reads = []
         for leaf_index in self.index.candidate_leaves(key):
             leaf_addr = self.index.leaf_addrs[leaf_index]
             read = yield from self._read_neighborhood_checked(leaf_addr, home)
             reads.append(read)
-        for read in reads:
+        _leaf_index, read = yield from self._covering(key, reads)
+        while True:
             hit = read.find(key)
             if hit is not None:
                 return hit[1]
-            low, high = read.fences
-            if low <= key < high:
-                synonym = read.sibling
-                while synonym != NULL_ADDR:
-                    chained = yield from self._read_neighborhood_checked(
-                        synonym, home)
-                    hit = chained.find(key)
-                    if hit is not None:
-                        return hit[1]
-                    synonym = chained.sibling
-        return None
+            if read.sibling == NULL_ADDR:
+                return None
+            read = yield from self._read_neighborhood_checked(read.sibling,
+                                                              home)
 
     # ---------------------------------------------------------------- writes
 
-    def _locate_base(self, key: int) -> Generator:
-        """The candidate leaf whose fences cover *key* (fence replicas
-        ride along with a neighborhood read)."""
-        home = self.home_of(key)
-        for leaf_index in self.index.candidate_leaves(key):
-            leaf_addr = self.index.leaf_addrs[leaf_index]
-            read = yield from self._read_neighborhood_checked(leaf_addr, home)
-            low, high = read.fences
-            if low <= key < high:
-                return leaf_addr
-        return None
+    def _read_fenced(self, addr: int, key: int) -> Generator:
+        """One neighborhood READ: the fence replicas ride along."""
+        return self._read_neighborhood_checked(addr, self.home_of(key))
 
     # Synonym leaves' own lock words only carry their vacancy metadata;
     # the base leaf's lock covers the whole chain.
@@ -155,9 +141,7 @@ class LearnedChimeClient(ModelRoutedClientBase, HopscotchLeafOpsMixin):
             raw_off, raw_bytes = view.span.sub_span(layout.entry_offset(pos),
                                                     layout.entry_size)
             writes.append((leaf_addr + raw_off, raw_bytes))
-        yield from self.qp.write_batch(
-            writes + self._unlock_writes(guard.lock_addr,
-                                         guard.release_word()))
+        yield from self._release(guard, writes)
 
     def _modify_entry(self, guard: LockGuard, leaf_addr: int,
                       view: LeafNodeView, position: int, key: int,
@@ -212,6 +196,4 @@ class LearnedChimeClient(ModelRoutedClientBase, HopscotchLeafOpsMixin):
         rebuilt = layout.encode_image(
             tail_view.keys(), tail_view.values(), tail_view.bitmaps(),
             new_addr, low, high, nv=bump_nibble(old_nv))
-        yield from self.qp.write_batch(
-            [(tail_addr, rebuilt)]
-            + self._unlock_writes(guard.lock_addr, guard.release_word()))
+        yield from self._release(guard, [(tail_addr, rebuilt)])

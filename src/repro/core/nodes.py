@@ -130,6 +130,10 @@ class SortedNodeView:
         return decode_key(self.span.read_logical(layout.off_fence_high, layout.key_size))
 
     @property
+    def fences(self) -> Tuple[int, int]:
+        return self.fence_low, self.fence_high
+
+    @property
     def sibling(self) -> int:
         return decode_u64(self.span.read_logical(self.layout.off_sibling, 8))
 

@@ -24,7 +24,8 @@ from typing import Generator, List, Optional, Sequence, Tuple
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import ClientContext
 from repro.config import ChimeConfig
-from repro.core.chime import ChimeClient, ChimeIndex, LockGuard, OpResult, _DONE
+from repro.core.chime import ChimeClient, ChimeIndex, OpResult, _DONE
+from repro.core.family import LockGuard
 from repro.core.nodes import LeafNodeView
 from repro.errors import IndexError_
 from repro.layout import decode_u16, encode_u16, encode_u64, decode_u64
@@ -223,10 +224,11 @@ class VarKeyChimeClient(ChimeClient):
 
     # ---------------------------------------------------------------- hooks
 
-    def _stored_value_for_insert(self, fp: int, value: int) -> Generator:
-        """A brand-new fingerprint stores a one-block chain head."""
+    def _stored(self, fp: int, value: int) -> Generator:
+        """A brand-new fingerprint stores a one-block chain head (an
+        existing one is :meth:`_handle_duplicate`'s)."""
         if self._pending_key is None:
-            result = yield from super()._stored_value_for_insert(fp, value)
+            result = yield from super()._stored(fp, value)
             return result
         if self._pending_value is None:
             raise _AbortInsert()  # delete found no fingerprint entry
@@ -266,8 +268,7 @@ class VarKeyChimeClient(ChimeClient):
             else:
                 writes.append((prev, encode_u64(replacement)))
         elif deleting:
-            yield from self._unlock_remote(guard.lock_addr,
-                                           guard.release_word())
+            yield from self._release(guard)
             return OpResult(_DONE, found=False)
         else:
             new_head = yield from self._write_chain_block(
@@ -284,7 +285,5 @@ class VarKeyChimeClient(ChimeClient):
                 view.write_entry(position, key, new_head)
                 positions = {position}
             writes.extend(self._entry_writes(leaf_addr, view, positions))
-        writes.extend(self._unlock_writes(
-            guard.lock_addr, guard.release_word(argmax, vacancy)))
-        yield from self.qp.write_batch(writes)
+        yield from self._release(guard, writes, argmax, vacancy)
         return OpResult(_DONE, found=True)

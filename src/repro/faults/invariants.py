@@ -5,8 +5,9 @@ simulated data path) after a run — possibly one that included injected
 faults and CN crashes — and verifies the structural invariants the index
 must uphold no matter what failed:
 
-* no leaf lock bit left set, and no lease held (an unexpired foreign
-  lease or an expired orphan both mean recovery failed);
+* no lock bit left set on a leaf or an internal node, no lease held
+  (an unexpired foreign lease or an expired orphan both mean recovery
+  failed), and no queue ticket left unserved;
 * every hopscotch home bitmap agrees with the entries actually stored
   in its neighborhood;
 * fence keys are ordered and chain exactly across the leaf level;
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.node_layout import (
+    LOCK_BIT,
     LOCK_LEASE_OFFSET,
     LOCK_QUEUE_SPAN,
     LOCK_SERVING_OFFSET,
@@ -81,10 +83,47 @@ def check_tree_invariants(index,
     """
     report = InvariantReport()
     layout = index.leaf_layout
-    engine = index.cluster.engine
-    now_us = sim_us(engine.now)
+    now_us = sim_us(index.cluster.engine.now)
     leases_on = index.cluster.config.lock_leases
     any_dead = bool(set(dead_cns))
+
+    def audit_lock_line(node: str, line: bytes) -> None:
+        owner, _epoch, expiry_us = unpack_lease(
+            decode_u64(line, LOCK_LEASE_OFFSET))
+        next_ticket = decode_u64(line, LOCK_TICKET_OFFSET)
+        serving = decode_u64(line, LOCK_SERVING_OFFSET)
+        if decode_u64(line, 0) & LOCK_BIT:
+            report.violations.append(
+                f"{node}: lock bit still set after the run")
+        if owner != 0:
+            if now_us >= expiry_us:
+                report.violations.append(
+                    f"{node}: orphaned lease (owner {owner}, "
+                    f"expired {expiry_us}us <= now {now_us}us, never "
+                    f"stolen)")
+            elif leases_on:
+                report.violations.append(
+                    f"{node}: lease still held by owner {owner} "
+                    f"after the run")
+        # Ticket-queue state (pessimistic/adaptive sync; both words are
+        # zero on lines the queue never touched).
+        if serving > next_ticket:
+            report.violations.append(
+                f"{node}: queue serving {serving} ran past the "
+                f"dispenser {next_ticket} (over-drained)")
+        elif serving < next_ticket:
+            message = (
+                f"{node}: {next_ticket - serving} unserved queue "
+                f"ticket(s) at rest (serving {serving}, next {next_ticket})")
+            if any_dead:
+                report.warnings.append(
+                    message + " — attributable to crashed-CN waiters")
+            else:
+                report.violations.append(message)
+
+    for addr, _parsed in index.internal_nodes():
+        audit_lock_line(f"internal node {addr:#x}", index._host_read(
+            addr + index.internal_layout.lock_offset, LOCK_QUEUE_SPAN))
     addr = index.leftmost_leaf()
     if addr == NULL_ADDR:
         report.violations.append("tree has no leaves (no root?)")
@@ -102,41 +141,10 @@ def check_tree_invariants(index,
         raw = index._host_read(addr, layout.raw_size)
         view = LeafNodeView(layout, StripedSpan(raw, 0))
         line = index._host_read(addr + layout.lock_offset, LOCK_QUEUE_SPAN)
-        locked, argmax, vacancy = unpack_lock_word(decode_u64(line, 0))
+        audit_lock_line(f"leaf {addr:#x}", line)
+        _locked, argmax, vacancy = unpack_lock_word(decode_u64(line, 0))
         fence_low = decode_key(line, LOCKLINE_FENCE_LOW)
         fence_high = decode_key(line, LOCKLINE_FENCE_HIGH)
-        owner, _epoch, expiry_us = unpack_lease(
-            decode_u64(line, LOCK_LEASE_OFFSET))
-        next_ticket = decode_u64(line, LOCK_TICKET_OFFSET)
-        serving = decode_u64(line, LOCK_SERVING_OFFSET)
-        if locked:
-            report.violations.append(
-                f"leaf {addr:#x}: lock bit still set after the run")
-        if owner != 0:
-            if now_us >= expiry_us:
-                report.violations.append(
-                    f"leaf {addr:#x}: orphaned lease (owner {owner}, "
-                    f"expired {expiry_us}us <= now {now_us}us, never "
-                    f"stolen)")
-            elif leases_on:
-                report.violations.append(
-                    f"leaf {addr:#x}: lease still held by owner {owner} "
-                    f"after the run")
-        # Ticket-queue state (pessimistic/adaptive sync; both words are
-        # zero on leaves the queue never touched).
-        if serving > next_ticket:
-            report.violations.append(
-                f"leaf {addr:#x}: queue serving {serving} ran past the "
-                f"dispenser {next_ticket} (over-drained)")
-        elif serving < next_ticket:
-            message = (
-                f"leaf {addr:#x}: {next_ticket - serving} unserved queue "
-                f"ticket(s) at rest (serving {serving}, next {next_ticket})")
-            if any_dead:
-                report.warnings.append(
-                    message + " — attributable to crashed-CN waiters")
-            else:
-                report.violations.append(message)
         # Fence ordering + chaining.
         if fence_low >= fence_high:
             report.violations.append(

@@ -542,9 +542,11 @@ class TestFamilyPlumbingWrittenOnce:
                    "candidate_leaves", "synonym_chain_lengths",
                    "_write_group", "_write_chain",
                    # One lock path for every lock-word family, in every
-                   # sync mode: acquire, queue, lease, release.
+                   # sync mode: acquire, queue, lease, release — and one
+                   # locked section around it (ISSUE 28), plus the
+                   # model-routed fence walk.
                    "_lock", "_lock_leased", "_lock_queued",
-                   "_unlock_writes", "_unlock_remote", "_restore_unlock")
+                   "_unlock_writes", "_locked", "_release", "_covering")
     #: (class, method) pairs allowed beside the single home, with reason.
     ALLOWED = {
         # Sums its per-shard sub-indexes instead of the cluster's MNs.
@@ -575,9 +577,41 @@ class TestFamilyPlumbingWrittenOnce:
             assert "range(MAX_RETRIES)" not in text, path
             assert 'getattr(self, "retry"' not in text, path
             if path not in base:
-                # Releasing a lock is _unlock_writes/_unlock_remote/
-                # _restore_unlock's job (leases, tickets, delegation).
+                # Releasing a lock is _release's job (leases, tickets,
+                # delegation).
                 assert not re.search(r"lock_addr,\s*encode_u64\(0\)", text), path
+
+    def test_one_locked_section(self):
+        """``LockGuard`` is defined in ``core/family.py`` alone, and so is
+        every unlock: no other module builds one (``release_word(`` /
+        ``_unlock_writes(``) or drops a guard (assigns ``.held``) —
+        ``_release`` does, once its batch has landed.  No baseline
+        imports ``repro.core.chime``."""
+        package = pathlib.Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(package.rglob("*.py")):
+            if path == package / "core" / "family.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef):
+                    names = [node.name] if node.name == "LockGuard" else []
+                elif isinstance(node, ast.Call):
+                    names = [getattr(node.func, "attr", "")]
+                    names = [n for n in names
+                             if n in {"release_word", "_unlock_writes"}]
+                elif isinstance(node, (ast.Assign, ast.AugAssign,
+                                       ast.AnnAssign)):
+                    targets = getattr(node, "targets", None) or [node.target]
+                    names = [ast.unparse(target) for target in targets
+                             if getattr(target, "attr", "") == "held"]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module] if (
+                        node.module == "repro.core.chime"
+                        and path.parent.name == "baselines") else []
+                else:
+                    names = []
+                offenders += [(path.name, node.lineno, name) for name in names]
+        assert not offenders, offenders
 
     def test_per_entry_sync_checks_are_only_the_oracle(self):
         """Reference implementations — the per-entry sync checks, the

@@ -6,7 +6,10 @@
   the lease- and ticket-aware release);
 * every family with a lock word steals an orphaned lease;
 * exhausting a retry budget is a typed ``RetryExhaustedError`` in every
-  family, and every family honours ``index.retry_policy``.
+  family, and every family honours ``index.retry_policy``;
+* a releasing batch lost on the wire gives back everything the lock
+  line held — lock bit, lease, queue ticket — in every lock-word family
+  × sync mode × leases cell, and in split propagation.
 """
 
 import pytest
@@ -15,12 +18,26 @@ from repro.baselines import ShermanConfig, ShermanIndex
 from repro.baselines.smart import SEAL_BIT, decode_node, node_size, unpack_slot
 from repro.bench.runner import run_point
 from repro.cluster import Cluster
-from repro.config import ClusterConfig
-from repro.core.node_layout import LOCK_LEASE_OFFSET, pack_lease
-from repro.errors import OperationTimeoutError, RetryExhaustedError
+from repro.config import ChimeConfig, ClusterConfig
+from repro.core import ChimeIndex
+from repro.core.node_layout import (
+    LOCK_BIT,
+    LOCK_LEASE_OFFSET,
+    LOCK_QUEUE_SPAN,
+    LOCK_SERVING_OFFSET,
+    LOCK_TICKET_OFFSET,
+    pack_lease,
+    unpack_lease,
+)
+from repro.errors import (
+    FaultInjectedError,
+    OperationTimeoutError,
+    RetryExhaustedError,
+)
+from repro.faults import FaultPlan, check_tree_invariants
 from repro.layout import decode_u64, encode_key, encode_u64
 from repro.obs import BUS
-from repro.registry import build_index, families
+from repro.registry import build_index, families, get_family
 from repro.retry import RetryPolicy
 from repro.sim import Engine
 
@@ -154,6 +171,125 @@ def test_orphaned_lease_is_stolen_in_every_lock_word_family(index_name):
         watch.unsubscribe()
     assert found == [True, 7]
     assert len(steals) == 1
+
+
+# -- a lost releasing batch ----------------------------------------------
+
+_LOCK_CELLS = [(name, mode, leases)
+               for name in LOCK_WORD_FAMILIES
+               for mode in get_family(name).sync_modes
+               for leases in (False, True)]
+
+
+def _unclean_lock_lines(index):
+    """Every leaf and internal-node lock line still holding a lock bit,
+    a lease or an unserved queue ticket."""
+    addrs = [addr + index.leaf_layout.lock_offset
+             for addr in _leaf_addrs(index)]
+    if hasattr(index, "internal_nodes"):
+        addrs += [addr + index.internal_layout.lock_offset
+                  for addr, _parsed in index.internal_nodes()]
+    unclean = []
+    for addr in addrs:
+        line = index._host_read(addr, LOCK_QUEUE_SPAN)
+        owner, _epoch, _expiry = unpack_lease(
+            decode_u64(line, LOCK_LEASE_OFFSET))
+        if (decode_u64(line, 0) & LOCK_BIT or owner
+                or decode_u64(line, LOCK_SERVING_OFFSET)
+                != decode_u64(line, LOCK_TICKET_OFFSET)):
+            unclean.append(hex(addr))
+    return unclean
+
+
+@pytest.mark.parametrize("index_name,mode,leases", _LOCK_CELLS)
+def test_lost_releasing_batch_gives_the_lock_back(index_name, mode, leases):
+    """The first releasing batch (data + unlock) is lost on the wire.
+    The lock it would have released is restored, so an insert and an
+    update on the same leaf complete right after, with no lease to wait
+    out and steal; nothing is left locked, leased or queued.  Releases
+    used to mark the lock released when they *built* the batch, so the
+    loss wedged the leaf in every leases-off cell (and left a lease to
+    steal in every other)."""
+    cluster = Cluster(ClusterConfig(num_cns=1, clients_per_cn=1,
+                                    sync_mode=mode, lock_leases=leases))
+    index = build_index(index_name, cluster)
+    pairs = [(key, key) for key in range(2, 401, 2)]
+    if get_family(index_name).model_routed:
+        index.bulk_load(pairs, future_keys=KEYS)
+    else:
+        index.bulk_load(pairs)
+    injector = cluster.install_faults(
+        FaultPlan(seed=1).drop(1.0, kinds=("write_batch",), max_count=1))
+    client = index.client(next(iter(cluster.clients())))
+    done = []
+
+    def writes():
+        for op, key, value in (("insert", 201, 7), ("insert", 203, 8),
+                               ("update", 202, 9)):
+            try:
+                done.append((yield from getattr(client, op)(key, value)))
+            except FaultInjectedError:  # surfaced once, nothing landed
+                done.append((yield from getattr(client, op)(key, value)))
+
+    steals = []
+    watch = BUS.subscribe(steals.append, kinds=("lock.steal",))
+    try:
+        _run(cluster, writes())
+    finally:
+        watch.unsubscribe()
+    assert injector.counters == {"fault.loss": 1}
+    assert done == [True, True, True]
+    assert steals == []
+    assert _unclean_lock_lines(index) == []
+    items = dict(index.collect_items())
+    assert (items[201], items[203], items[202]) == (7, 8, 9)
+
+
+def _split_run(lose_at=None):
+    """CHIME at span 16: odd keys inserted into the first leaves split
+    them again and again, each split propagating into the root.  With
+    *lose_at*, the first write batch issued from then on is lost.
+    Returns the cluster, the index, the injector (or None) and the issue
+    times of the root's releasing batches."""
+    cluster = Cluster(ClusterConfig(num_cns=1, clients_per_cn=1))
+    index = ChimeIndex(cluster, ChimeConfig(span=16))
+    index.bulk_load([(key, key) for key in range(2, 200, 2)])
+    injector = None if lose_at is None else cluster.install_faults(
+        FaultPlan(seed=1).drop(1.0, kinds=("write_batch",), start=lose_at,
+                               max_count=1))
+    client = index.client(next(iter(cluster.clients())))
+    root = index.root_addr
+    released = []
+
+    def note(event):
+        if event.data["kind"] == "write_batch" and event.data["addr"] == root:
+            released.append(event.time)
+
+    def inserts():
+        for key in range(1, 62, 2):
+            assert (yield from client.insert(key, key)) is True
+
+    watch = BUS.subscribe(note, kinds=("verb",))
+    try:
+        _run(cluster, inserts())
+    finally:
+        watch.unsubscribe()
+    return cluster, index, injector, released
+
+
+def test_lost_parent_release_in_split_propagation_is_restored():
+    """Split propagation locks the parent: losing the parent's releasing
+    batch restores its lock, so the next split into that parent
+    completes.  ``_propagate_split`` used to have no restore at all, and
+    that next split died with ``RetryExhaustedError: lock 0x4240``."""
+    _cluster, _index, _injector, clean = _split_run()
+    assert len(clean) >= 3  # the root takes several splits' entries
+    _cluster, index, injector, released = _split_run(lose_at=clean[0])
+    assert injector.counters == {"fault.loss": 1}
+    assert released and released[0] > clean[0]  # a later split landed
+    keys = [*range(2, 200, 2), *range(1, 62, 2)]
+    report = check_tree_invariants(index, expected_keys=keys)
+    assert report.ok, report.violations
 
 
 def test_smart_sealed_slot_exhausts_with_typed_error():

@@ -135,8 +135,12 @@ class TestLearnedChime:
     def test_key_no_candidate_covers_is_absent_in_one_pass(self):
         """Across a gap in the key space the model sends an untrained
         key to a leaf whose fences do not cover it.  Fences never move
-        here, so that is an answer — it used to cost the whole retry
-        budget (256 neighbourhood reads) to say ``None``."""
+        here, so they point the way: one pass steps left, one
+        neighbourhood READ per leaf, to the leaf that covers the key,
+        which answers — and which an insert of the key lands in.  The
+        window alone used to answer ``None`` and lose the insert
+        (before that, the search spent the whole retry budget, 256
+        neighbourhood reads, to say so)."""
         cluster = Cluster(ClusterConfig(num_cns=1, clients_per_cn=1))
         index = LearnedChimeIndex(cluster)
         index.bulk_load([(k, k) for k in [*range(1, 3001),
@@ -144,12 +148,16 @@ class TestLearnedChime:
         client = index.client(cluster.cns[0].clients[0])
         key = 5 * 10**8
         leaf, = index.candidate_leaves(key)
-        low, _high = LeafNodeView(index.leaf_layout, StripedSpan(
-            index._host_read(index.leaf_addrs[leaf],
-                             index.leaf_layout.raw_size))).replica_fences(0)
-        assert key < low  # the one candidate does not cover the key
+        fences = [LeafNodeView(index.leaf_layout, StripedSpan(
+            index._host_read(addr, index.leaf_layout.raw_size), 0)
+        ).replica_fences(0) for addr in index.leaf_addrs]
+        covering, = [i for i, (low, high) in enumerate(fences)
+                     if low <= key < high]
+        assert covering < leaf  # the one candidate does not cover the key
         assert drive(cluster, client.search(key)) == [None]
-        assert client.qp.stats.rtts == 1
+        assert client.qp.stats.rtts == 1 + leaf - covering
+        assert drive(cluster, client.insert(key, 7)) == [True]
+        assert drive(cluster, client.search(key)) == [7]
 
     @pytest.mark.parametrize("neighborhood", [2, 4])
     def test_narrow_neighbourhood_bulk_load_spills_to_synonyms(

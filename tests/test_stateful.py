@@ -1,7 +1,9 @@
-"""Stateful models: every lock-word family against a dict.
+"""Stateful models: every family that takes writes against a dict.
 
-A hypothesis :class:`RuleBasedStateMachine` per family × declared sync
-mode × lock leases on/off.  Each step runs one concurrent batch of
+A hypothesis :class:`RuleBasedStateMachine` per lock-word family ×
+declared sync mode × lock leases on/off, and one per family without a
+lock word (SMART's three variants, Outback, FlexKV).  Each step runs one
+concurrent batch of
 search / insert / update / delete on *distinct* keys, spread over eight
 clients on two CNs, so every answer is exact — yet distinct keys still
 share leaves, so leaf locks contend (and queue, and hand off) inside a
@@ -9,11 +11,12 @@ batch.  After each batch the index's items must equal the model's, and a
 CHIME tree must also pass :func:`~repro.faults.check_index_invariants`.
 
 The model-routed families (ROLEX, CHIME-Learned) route inserts through
-a model trained on every key the machine can draw.  Two known defects
-are pinned as strict xfails instead: an *untrained* key falling between
-the loaded runs of a model-routed family is lost, and Marlin's
-lock-free update loses to a concurrent insert into its leaf (the
-shrunk example the model found).
+a model trained on every key the machine can draw; an *untrained* key
+falling between the loaded runs is checked on its own.  Known defects
+are pinned as strict xfails instead: Marlin's lock-free update loses to
+a concurrent insert into its leaf (the shrunk example the model found),
+and a FlexKV reader can see the slot an insert claimed before its value
+lands.
 """
 
 import pytest
@@ -40,16 +43,21 @@ _CELLS = [(name, mode, leases)
           for mode in get_family(name).sync_modes
           for leases in (False, True)]
 
+#: Families that take writes without a lock word.
+LOCKLESS_FAMILIES = ["smart", "smart-opt", "smart-rcu", "outback", "flexkv"]
+
 _KINDS = ("search", "insert", "update", "delete")
+
+#: The rule a family's machine leaves out.  Marlin's update is a
+#: lock-free CAS on the entry's value pointer, not a lock-word path, and
+#: a concurrent node rewrite loses it (pinned below); Outback and FlexKV
+#: have no delete.
+_LEFT_OUT = {"marlin": "update", "outback": "delete", "flexkv": "delete"}
 
 
 def _machine(index_name: str, mode: str, leases: bool):
     family = get_family(index_name)
-    # Marlin's update is a lock-free CAS on the entry's value pointer,
-    # not a lock-word path, and a concurrent node rewrite loses it
-    # (pinned below).
-    kinds = [kind for kind in _KINDS
-             if kind != "update" or index_name != "marlin"]
+    kinds = [kind for kind in _KINDS if kind != _LEFT_OUT.get(index_name)]
     ops = st.tuples(st.sampled_from(kinds), st.integers(1, KEYS),
                     st.integers(1, 1 << 20))
 
@@ -110,20 +118,32 @@ def _machine(index_name: str, mode: str, leases: bool):
     return LockWordModel
 
 
+_SETTINGS = settings(max_examples=6, stateful_step_count=5, deadline=None,
+                     derandomize=True, database=None,
+                     suppress_health_check=list(HealthCheck))
+
+
 @pytest.mark.parametrize("index_name,mode,leases", _CELLS)
 def test_lock_word_family_matches_a_dict(index_name, mode, leases):
     run_state_machine_as_test(
         _machine(index_name, mode, leases),
-        settings=settings(max_examples=6, stateful_step_count=5,
-                          deadline=None, derandomize=True, database=None,
-                          suppress_health_check=list(HealthCheck)))
+        settings=_SETTINGS)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "an untrained key the model routes to a leaf whose fences do not "
-    "cover it is reported absent and lost (ROADMAP item 3(c))"))
+@pytest.mark.parametrize("index_name", LOCKLESS_FAMILIES)
+def test_lockless_family_matches_a_dict(index_name):
+    """Outback and FlexKV ``insert`` used to return None (and take key
+    0) through their own copies of the template."""
+    run_state_machine_as_test(
+        _machine(index_name, "optimistic", False),
+        settings=_SETTINGS)
+
+
 @pytest.mark.parametrize("index_name", ["rolex", "chime-learned"])
 def test_untrained_key_between_loaded_runs_is_inserted(index_name):
+    """The model's window misses a key it was never trained on; the
+    fence walk steps from it to the leaf that covers the key (it used to
+    be reported absent and lost)."""
     cluster = Cluster(ClusterConfig(num_cns=1, clients_per_cn=1))
     index = build_index(index_name, cluster)
     keys = [*range(1, 2001), *range(10**6, 10**6 + 2001)]
@@ -149,3 +169,31 @@ def test_marlin_update_survives_a_concurrent_insert_into_its_leaf():
     model.concurrent_batch([("search", 1, 1)])
     model.concurrent_batch([("insert", 1, 1), ("update", 2, 1)])
     model.items_match_the_model()
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FlexKV's CN-side insert CASes the key into an empty slot, then "
+    "WRITEs the value: a search between the two reads the claimed "
+    "slot's zero value, which nobody wrote (ROADMAP item 1)"))
+def test_flexkv_search_never_reads_an_unwritten_value():
+    cluster = Cluster(ClusterConfig(num_cns=2, clients_per_cn=1,
+                                    placement="cn"))
+    index = build_index("flexkv", cluster)
+    index.bulk_load([(key, key) for key in range(2, 400, 2)])
+    writer, reader = (index.client(ctx) for ctx in cluster.clients())
+    engine = cluster.engine
+    seen = []
+
+    def insert():
+        yield engine.timeout(5e-6)
+        yield from writer.insert(101, 4242)
+
+    def search():
+        while 4242 not in seen:
+            seen.append((yield from reader.search(101)))
+            yield engine.timeout(0.05e-6)
+
+    engine.process(insert())
+    engine.process(search())
+    cluster.run()
+    assert set(seen) == {None, 4242}
