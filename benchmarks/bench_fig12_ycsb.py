@@ -76,7 +76,9 @@ def test_fig12_scan_workload(benchmark, record_table):
                  "Figure 12 (E): scan workload")
     benchmark.extra_info["rows"] = rows
     peaks = peak_by_index(rows)
-    # Paper: ROLEX scans best (smallest span); SMART scans worst
-    # (per-item reads saturate IOPS).
+    # Paper and measured: ROLEX scans best (small leaves; the model's
+    # window and the leaves after it arrive in one batch); SMART scans
+    # worst (per-item reads saturate IOPS).
+    assert peaks["rolex"] > max(peaks["sherman"], peaks["chime"])
     assert peaks["rolex"] > peaks["smart"]
     assert peaks["chime"] > peaks["smart"]

@@ -8,13 +8,15 @@ pointer, all guarded by the base leaf's lock.  Models are pre-trained
 on loaded ∪ future keys (§5.1 fn. 3), so leaves never split and fences
 never move — which lets a key the model never saw be found by walking
 the fences from the window.  Training, chunking, the candidate window,
-the fence walk, cache accounting, the host-side chain walk and the
-locked write are written here once; a family supplies how a table is
-laid out, fetched and written.
+the fence walk, cache accounting, the host-side chain walk, the scan
+and the locked write are written here once; a family supplies how a
+table is laid out, fetched and written, and its leaf format
+(:mod:`repro.core.leaf_ops`) how a scan decodes one.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Generator, List, Optional, Sequence, Tuple
 
 from repro.baselines.pla import PlaModel
@@ -106,10 +108,10 @@ class ModelRoutedIndexBase(FamilyIndexBase):
 
 
 class ModelRoutedClientBase(FamilyClientBase):
-    """The fence walk to a key's leaf group, and the locked write on it —
-    lock, walk the chain (key found: modify; else remember the first
-    table with room, and the tail), then insert into the roomy table or
-    append a synonym — over per-family hooks:
+    """The fence walk to a key's leaf group, the scan from it, and the
+    locked write on it — lock, walk the chain (key found: modify; else
+    remember the first table with room, and the tail), then insert into
+    the roomy table or append a synonym — over per-family hooks:
 
     * ``_read_fenced(addr, key)`` — read one base leaf; the read's
       ``fences`` are its ``(fence_low, fence_high)``;
@@ -122,6 +124,7 @@ class ModelRoutedClientBase(FamilyClientBase):
       three writes, each releasing ``guard``'s lock behind its last.
     """
 
+    scan = FamilyClientBase._scan_op
     #: Whether the lock CAS zeroes the rest of the lock word (its holder
     #: rewrites the metadata there at unlock) or leaves it alone.
     zero_rest = True
@@ -129,6 +132,7 @@ class ModelRoutedClientBase(FamilyClientBase):
     def __init__(self, index: ModelRoutedIndexBase, ctx: ClientContext) -> None:
         super().__init__(index, ctx)
         self.layout = index.leaf_layout
+        self._leaf_keys = index._items_per_leaf  # the scans' batch rule
 
     def _insert(self, key: int, value: int) -> Generator:
         return self._write_group(key, value, delete=False, upsert=True)
@@ -206,3 +210,39 @@ class ModelRoutedClientBase(FamilyClientBase):
         # Whole group full: append a synonym table at the chain tail.
         yield from self._append_synonym(guard, tail_addr, tail, key, value)
         return True
+
+    def _scan_once(self, key: int, count: int) -> Generator:
+        """The model's window and the leaves the batch rule adds after it
+        in one batch, the fence walk picking the covering leaf out of it;
+        then further leaves beside the synonyms of every table read."""
+        index, addrs = self.index, self.index.leaf_addrs
+        window = index.candidate_leaves(key)
+        first, cursor = window[0], window[-1] + 1
+        ahead = cursor - index.model.predict(key) / index._items_per_leaf
+        batch = addrs[first:cursor] + self._more_leaves(
+            self._leaf_keys * ahead, count, islice(addrs, cursor, None))
+        leaves = yield from self._phase(
+            "leaf_read", self._read_scan_leaves(batch, key))
+        leaf_index, _read = yield from self._covering(
+            key, [read for _pairs, read in leaves])
+        cursor = first + len(batch)
+        if first <= leaf_index < cursor:
+            leaves = leaves[leaf_index - first:]  # none >= *key* left of it
+        else:  # an untrained key the window missed: go on from its leaf
+            leaves, cursor = [], leaf_index
+        whole, results = leaves[1:], []  # base leaves past the first
+        while True:
+            for pairs, _read in leaves:
+                results.extend(pairs)
+            for pairs, _read in whole:
+                self._note_leaf_keys(len(pairs))
+            bases = self._more_leaves(len(results), count,
+                                      islice(addrs, cursor, None))
+            batch = bases + [read.sibling for _pairs, read in leaves
+                             if read.sibling != NULL_ADDR]
+            if not batch:
+                return results
+            cursor += len(bases)
+            leaves = yield from self._phase(
+                "leaf_read", self._read_scan_leaves(batch, key))
+            whole = leaves[:len(bases)]

@@ -22,13 +22,15 @@ from typing import Generator, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import ClientContext
-from repro.core.family import FamilyClientBase, LockGuard
+from repro.core.family import LockGuard
+from repro.core.leaf_ops import SortedLeafOpsMixin
 from repro.baselines.model_routed import (
     ModelRoutedClientBase,
     ModelRoutedIndexBase,
 )
 from repro.core.node_layout import SortedNodeLayout
 from repro.core.nodes import SortedNodeView
+from repro.errors import FaultInjectedError
 from repro.layout import StripedSpan
 from repro.layout.versions import bump_nibble
 from repro.memory import NULL_ADDR
@@ -80,20 +82,23 @@ class RolexIndex(ModelRoutedIndexBase):
         return items, view.sibling  # the synonym pointer
 
 
-class RolexClient(ModelRoutedClientBase):
+class RolexClient(ModelRoutedClientBase, SortedLeafOpsMixin):
     """Per-client ROLEX operations."""
 
-    scan = FamilyClientBase._scan_op
     #: The lock word carries nothing but the lock bit.
     zero_rest = False
 
     # -------------------------------------------------------------- plumbing
 
     def _read_leaf_batch(self, addrs: Sequence[int]) -> Generator:
-        """Batched whole-leaf READs with per-leaf consistency retries."""
+        """Batched whole-leaf READs with per-leaf consistency retries; a
+        lost batch hands every leaf to its own re-read."""
         layout = self.layout
-        payloads = yield from self.qp.read_batch(
-            [(addr, layout.raw_size) for addr in addrs])
+        try:
+            payloads = yield from self.qp.read_batch(
+                [(addr, layout.raw_size) for addr in addrs])
+        except FaultInjectedError:
+            payloads = [None] * len(addrs)
         views = []
         for addr, data in zip(addrs, payloads):
             view = yield from self._read_sorted_node(addr, layout, raw=data)
@@ -111,8 +116,7 @@ class RolexClient(ModelRoutedClientBase):
         views = yield from self._read_leaf_batch(
             [self.index.leaf_addrs[i]
              for i in self.index.candidate_leaves(key)])
-        located = yield from self._covering(key, views)
-        return located
+        return (yield from self._covering(key, views))
 
     # -------------------------------------------------------------- search
 
@@ -180,36 +184,3 @@ class RolexClient(ModelRoutedClientBase):
             self.layout, items, sibling, table.fence_low, table.fence_high,
             nv=bump_nibble(table.nv))
         yield from self._release(guard, [(addr, bytes(new_view.span.data))])
-
-    # -------------------------------------------------------------- scan
-
-    def _scan(self, key: int, count: int) -> Generator:
-        """Read consecutive leaf tables (plus synonym chains) in key
-        order; ROLEX's small span makes this its best workload (§5.2)."""
-        leaf_index, first_view = yield from self._locate(key)
-        results: List[Tuple[int, int]] = []
-        per_leaf = max(1, self.index._items_per_leaf)
-        cursor = leaf_index
-        views = [first_view]
-        pending = [first_view.sibling] if first_view.sibling != NULL_ADDR \
-            else []
-        while True:
-            for view in views:
-                results.extend((k, v) for k, v in view.items() if k >= key)
-            if pending:
-                views = yield from self._read_leaf_batch(pending)
-                pending = [v.sibling for v in views
-                           if v.sibling != NULL_ADDR]
-                continue
-            if len(results) >= count or cursor + 1 >= len(self.index.leaf_addrs):
-                break
-            take = max(1, (count - len(results)) // per_leaf + 1)
-            nxt = self.index.leaf_addrs[cursor + 1:cursor + 1 + take]
-            cursor += len(nxt)
-            views = yield from self._read_leaf_batch(nxt)
-            pending = [v.sibling for v in views if v.sibling != NULL_ADDR]
-        results.sort()
-        results = results[:count]
-        if self.config.indirect_values:
-            results = yield from self._resolve_indirect(results)
-        return results

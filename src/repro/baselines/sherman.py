@@ -30,9 +30,9 @@ from repro.core.btree_base import (
     TraversalError,
 )
 from repro.core.family import LockGuard
+from repro.core.leaf_ops import SortedLeafOpsMixin
 from repro.core.node_layout import SortedNodeLayout
 from repro.core.nodes import SortedNodeView
-from repro.errors import TornReadError
 from repro.layout import StripedSpan
 from repro.layout.versions import bump_nibble
 from repro.memory import NULL_ADDR
@@ -93,7 +93,7 @@ class ShermanIndex(BTreeIndexBase):
         return out
 
 
-class ShermanClient(BTreeClientBase):
+class ShermanClient(BTreeClientBase, SortedLeafOpsMixin):
     """Per-client Sherman operations."""
 
     # -------------------------------------------------------------- leaf IO
@@ -208,12 +208,3 @@ class ShermanClient(BTreeClientBase):
             return True
         yield from self._propagate_split(ref.parent, 1, leaf_addr, *split[:2])
         return None  # ... and retry the insert after the split
-
-    # -------------------------------------------------------------- scan
-
-    def _scan_leaf(self, raw: bytes, key: int):
-        """One leaf of :meth:`BTreeClientBase._scan_once`'s batch."""
-        view = SortedNodeView(self.layout, StripedSpan(raw, 0))
-        if not view.is_consistent():
-            raise TornReadError("leaf node-level versions disagree")
-        return [pair for pair in view.items() if pair[0] >= key], view.sibling

@@ -28,12 +28,7 @@ from repro.cluster.compute import ClientContext
 from repro.core.family import FamilyClientBase, FamilyIndexBase, LockGuard
 from repro.core.node_layout import SortedNodeLayout
 from repro.core.nodes import ParsedInternal, SortedNodeView
-from repro.errors import (
-    FaultInjectedError,
-    IndexError_,
-    RetryExhaustedError,
-    TornReadError,
-)
+from repro.errors import IndexError_, RetryExhaustedError
 from repro.layout import MAX_KEY, StripedSpan
 from repro.layout.versions import bump_nibble
 from repro.memory import NULL_ADDR, addr_mn, addr_offset
@@ -267,17 +262,6 @@ class BTreeClientBase(FamilyClientBase):
 
     # -- range scan ---------------------------------------------------------------------------
 
-    def _scan(self, key: int, count: int) -> Generator:
-        retry = self.retry.start("scan({})", self.engine, self.ctx.rng, key)
-        while retry.check():
-            try:
-                result = yield from self._scan_once(key, count)
-            except FaultInjectedError:
-                self.qp.stats.retries += 1
-                yield from retry.backoff()
-                continue
-            return result
-
     def _scan_once(self, key: int, count: int) -> Generator:
         """Candidate leaves from the (possibly cached) parent in one
         doorbell batch (§4.4), then the sibling chain for the tail."""
@@ -288,10 +272,11 @@ class BTreeClientBase(FamilyClientBase):
         while True:  # the chain ends: the last leaf's sibling is null
             leaves = yield from self._phase(
                 "leaf_read", self._read_scan_leaves(addrs, key))
-            for index, (pairs, sibling) in enumerate(leaves):
+            for index, (pairs, read) in enumerate(leaves):
                 results.extend(pairs)
+                sibling = read.sibling
                 if not first:  # past the first leaf every key is >= *key*
-                    self._leaf_keys += (len(pairs) - self._leaf_keys) / 16
+                    self._note_leaf_keys(len(pairs))
                 first = False
                 if index + 1 < len(addrs) and sibling != addrs[index + 1]:
                     # The parent predates a split of this leaf: its next
@@ -299,55 +284,20 @@ class BTreeClientBase(FamilyClientBase):
                     self.ctx.cache.invalidate(ref.parent.addr)
                     break
             if len(results) >= count or sibling == NULL_ADDR:
-                break
+                return results
             addrs = [sibling]
-        results.sort()
-        del results[count:]
-        if self.config.indirect_values:
-            results = yield from self._resolve_indirect(results)
-        return results
 
     def _scan_batch(self, ref: LeafRef, key: int, count: int) -> List[int]:
-        """The scan's first batch: the leaf holding *key*, then further
-        children of the parent while the pairs expected so far — the
-        share of the first leaf's pivot range at or above *key*, then
-        this client's mean keys per leaf for each — fall short of
-        *count*."""
+        """The scan's first batch: the leaf holding *key*, then children
+        of the parent by :meth:`_more_leaves`, the first leaf expected to
+        hold the share of its pivot range at or above *key*."""
         parent, index = ref.parent, ref.parent_index
-        addrs = [ref.leaf_addr]
         if parent is None or index + 1 >= parent.count:
-            return addrs
+            return [ref.leaf_addr]
         low, high = parent.pivots[index], parent.pivots[index + 1]
-        expected = self._leaf_keys * (high - max(key, low)) / (high - low)
-        for child in parent.children[index + 1:parent.count]:
-            if expected >= count:
-                break
-            addrs.append(child)
-            expected += self._leaf_keys
-        return addrs
-
-    def _read_scan_leaves(self, addrs: List[int], key: int) -> Generator:
-        """Whole-leaf READs of *addrs* in one batch, each decoded by the
-        family's ``_scan_leaf(raw, key) -> (pairs >= key, sibling)`` and
-        re-read alone while that finds it torn."""
-        size = self.layout.raw_size
-        payloads = yield from self.qp.read_batch(
-            [(addr, size) for addr in addrs])
-        leaves = []
-        for addr, raw in zip(addrs, payloads):
-            retry = None
-            while True:
-                try:
-                    leaves.append(self._scan_leaf(raw, key))
-                    break
-                except TornReadError:
-                    retry = retry or self.retry.start(
-                        "scan leaf {:#x}", self.engine, self.ctx.rng, addr)
-                    retry.check()
-                    self.qp.stats.retries += 1
-                    yield from retry.backoff()
-                    raw = yield from self.qp.read(addr, size)
-        return leaves
+        return [ref.leaf_addr] + self._more_leaves(
+            self._leaf_keys * (high - max(key, low)) / (high - low), count,
+            parent.children[index + 1:parent.count])
 
     # -- split up-propagation --------------------------------------------------------------
 

@@ -53,11 +53,7 @@ from repro.core.btree_base import (
 )
 from repro.core.family import LockGuard
 from repro.core.hotspot import HotspotBuffer
-from repro.core.leaf_ops import (
-    HopscotchLeafOpsMixin,
-    place_items,
-    slot_columns,
-)
+from repro.core.leaf_ops import HopscotchLeafOpsMixin, slot_columns
 from repro.core.node_layout import (
     LeafLayout,
     VacancyBitmap,
@@ -67,9 +63,7 @@ from repro.core.nodes import LeafNodeView
 from repro.core.sync import reconstruct_bitmaps
 from repro.errors import (
     FaultInjectedError,
-    HashTableFullError,
     IndexError_,
-    LayoutError,
     TornReadError,
 )
 from repro.hashing.hopscotch import (
@@ -255,11 +249,11 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
     """One client's view of a CHIME tree: the §4.4 operations.
 
     The public operations are the family-base templates (RDWC, *op
-    span*) over the ``_search/_insert/_update/_delete/_scan`` generators
-    below, whose remote-access stages run in *phase spans* (traverse →
-    leaf read → speculative read → lock → write-back → split → retry
-    backoff), so a trace recording shows exactly where each operation's
-    round trips go.  With no bus subscriber the wrappers pass generators
+    span*) over the ``_search/_insert/_update/_delete`` generators below
+    and the shared scan, whose remote-access stages run in *phase spans*
+    (traverse → leaf read → speculative read → lock → write-back → split
+    → retry backoff), so a trace shows where each operation's round
+    trips go.  With no bus subscriber the wrappers pass generators
     through untouched.
     """
 
@@ -692,39 +686,6 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
                 argmax = dst
         return argmax
 
-    def _entry_writes(self, leaf_addr: int, view: LeafNodeView,
-                      positions: set) -> List[Tuple[int, bytes]]:
-        """Write-back payloads: one raw sub-span per modified entry, with
-        adjacent entries coalesced into single WRITEs."""
-        layout = self.layout
-        ordered = sorted(positions)
-        groups: List[List[int]] = []
-        for pos in ordered:
-            if groups and pos == groups[-1][-1] + 1:
-                groups[-1].append(pos)
-            else:
-                groups.append([pos])
-        writes: List[Tuple[int, bytes]] = []
-        for group in groups:
-            start_off = layout.entry_offset(group[0])
-            end_off = layout.entry_offset(group[-1]) + layout.entry_size
-            try:
-                # Entries within one block are contiguous; crossing a
-                # replica boundary keeps the replica bytes in between
-                # (harmlessly rewritten with the same content we fetched).
-                raw_off, raw_bytes = view.span.sub_span(start_off,
-                                                        end_off - start_off)
-                writes.append((leaf_addr + raw_off, raw_bytes))
-            except LayoutError:
-                # The group straddles two fetched segments (wrap-around
-                # reads): fall back to one write per entry.
-                for pos in group:
-                    off = layout.entry_offset(pos)
-                    raw_off, raw_bytes = view.span.sub_span(
-                        off, layout.entry_size)
-                    writes.append((leaf_addr + raw_off, raw_bytes))
-        return writes
-
     # ---------------------------------------------------------------- split
 
     def _split_leaf(self, guard: LockGuard, ref: LeafRef, leaf_addr: int,
@@ -742,20 +703,9 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         left_items = [(k, v) for k, v in items if k <= split_key]
         right_items = [(k, v) for k, v in items if k > split_key]
         pivot = split_key + 1
-        old_sibling = full_view.replica_sibling(0)
-        new_addr = yield from self._alloc(layout.total_size)
         # New (right) node first: not reachable until A points at it.
-        right_image, right_word = self._compose_leaf(right_items,
-                                                     sibling=old_sibling,
-                                                     fence_low=pivot,
-                                                     fence_high=fence_high,
-                                                     nv=0)
-        yield from self.qp.write_batch([
-            (new_addr, right_image),
-            (new_addr + layout.lock_offset,
-             encode_u64(right_word) + encode_key(pivot)
-             + encode_key(fence_high)),
-        ])
+        new_addr = yield from self._write_fresh_leaf(
+            right_items, full_view.replica_sibling(0), pivot, fence_high)
         # Rewrite A: remaining items, sibling -> new node, NV bumped,
         # unlock + fences batched behind the node write.
         old_nv = full_view.span.nv_nibbles()[0]
@@ -775,30 +725,6 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         yield from self._propagate_split(ref.parent, 1, leaf_addr, pivot,
                                          new_addr)
         return OpResult(_RETRY)
-
-    def _compose_leaf(self, items: Sequence[Tuple[int, int]], sibling: int,
-                      fence_low: int, fence_high: int,
-                      nv: int) -> Tuple[bytes, int]:
-        """Build a full leaf image + its unlocked lock word locally."""
-        keys, values, bitmaps, spilled = place_items(
-            items, self.layout, self.home_of)
-        if spilled:  # post-split load ~50%: must fit
-            raise HashTableFullError(
-                f"no feasible hop sequence for key {spilled[0][0]} in a "
-                f"split half of {len(items)} items")
-        image = self.layout.encode_image(keys, values, bitmaps, sibling,
-                                         fence_low, fence_high, nv)
-        return image, self.index.vacancy_map.lock_word(keys)
-
-    # ---------------------------------------------------------------- scan
-
-    def _scan_leaf(self, raw: bytes, key: int):
-        """One leaf of :meth:`BTreeClientBase._scan_once`'s batch, through
-        the whole-leaf shape: NV, EV and bitmap checks, then the pairs."""
-        read = self.layout.full_shape().decode(
-            memoryview(raw)[1:],  # the shape starts at the first payload byte
-            self.home_of)
-        return read.pairs(key), read.sibling
 
     # ---------------------------------------------------------------- shared plumbing
 

@@ -10,24 +10,26 @@ the 8-byte lock word of §4.2.1 and retries is written here once:
   bulk-load input check, memory accounting, the index-wide retry policy.
 * :class:`FamilyClientBase` — per client: the constructor fields, the
   chunked allocator, the public operations as template methods over
-  per-family ``_search/_insert/_update/_delete/_scan`` generators, the
-  indirect-block helpers, whole sorted-array-node reads and writes, and
-  the one lock path every family with a lock word takes, in every sync
-  mode: the CN-local lock table and delegation, the ticket queue of
-  :mod:`repro.core.adaptive`, leases, the lock-bit spin, and the one
-  locked section (:meth:`FamilyClientBase._locked`) whose releasing
-  batch gives the lock up only once it has landed.
+  per-family ``_search/_insert/_update/_delete`` generators, the scan
+  around a routing's ``_scan_once``, the indirect-block helpers, whole
+  sorted-array-node reads and writes, and the one lock path every family
+  with a lock word takes, in every sync mode: the CN-local lock table
+  and delegation, the ticket queue of :mod:`repro.core.adaptive`,
+  leases, the lock-bit spin, and the one locked section
+  (:meth:`FamilyClientBase._locked`) whose releasing batch gives the
+  lock up only once it has landed.
 
-A family supplies its leaf view and those five generators (fewer when it
+A family supplies its leaf view and those four generators (fewer when it
 has no such operation — a ``delete`` it lacks is a typed
-``WorkloadError``).
+``WorkloadError``); one routed by neither a tree nor a model, ``_scan``.
 """
 
 from __future__ import annotations
 
 import struct
 from functools import partial
-from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Generator, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import ClientContext
@@ -348,6 +350,64 @@ class FamilyClientBase(SpanInstrumentedOps):
                                            self._read_block(block, key))
             resolved.append((key, value))
         return resolved
+
+    # -- range scans (the B-link tree and the model-routed leaf group) --------
+
+    def _scan(self, key: int, count: int) -> Generator:
+        """The pairs >= *key* ``_scan_once(key, count)`` read, sorted, cut
+        to *count*, values resolved — run again whole if a verb is lost."""
+        retry = self.retry.start("scan({})", self.engine, self.ctx.rng, key)
+        while retry.check():
+            try:
+                results = yield from self._scan_once(key, count)
+                results.sort()
+                del results[count:]
+                if self.config is not None and self.config.indirect_values:
+                    results = yield from self._resolve_indirect(results)
+                return results
+            except FaultInjectedError:
+                self.qp.stats.retries += 1
+                yield from retry.backoff()
+
+    def _more_leaves(self, expected: float, count: int,
+                     candidates: Iterable[int]) -> List[int]:
+        """The one batch rule: leaves of *candidates* while the pairs
+        expected — *expected*, then the running mean of keys per leaf
+        ``_leaf_keys`` for each leaf taken — fall short of *count*."""
+        taken = []
+        for addr in candidates:
+            if expected >= count:
+                break
+            taken.append(addr)
+            expected += self._leaf_keys
+        return taken
+
+    def _note_leaf_keys(self, keys: int) -> None:
+        """Fold a leaf read whole into :meth:`_more_leaves`' mean."""
+        self._leaf_keys += (keys - self._leaf_keys) / 16
+
+    def _read_scan_leaves(self, addrs: List[int], key: int) -> Generator:
+        """Whole-leaf READs of *addrs* in one batch, each decoded by the
+        leaf format's ``_scan_leaf(raw, key) -> (pairs >= key, read)``
+        and re-read alone while that finds it torn."""
+        size = self.layout.raw_size
+        payloads = yield from self.qp.read_batch(
+            [(addr, size) for addr in addrs])
+        leaves = []
+        for addr, raw in zip(addrs, payloads):
+            retry = None
+            while True:
+                try:
+                    leaves.append(self._scan_leaf(raw, key))
+                    break
+                except TornReadError:
+                    retry = retry or self.retry.start(
+                        "scan leaf {:#x}", self.engine, self.ctx.rng, addr)
+                    retry.check()
+                    self.qp.stats.retries += 1
+                    yield from retry.backoff()
+                    raw = yield from self.qp.read(addr, size)
+        return leaves
 
     # -- sorted-array nodes (internal levels, sorted leaves) ------------------
 

@@ -1,15 +1,12 @@
-"""Shared hopscotch-leaf I/O for index clients.
+"""Leaf I/O per leaf *format*, whatever routes a client to the leaf.
 
-Both CHIME (B+-tree routing) and CHIME-Learned (model routing, §5.3) read
-and validate hopscotch leaf nodes the same way; this mixin hosts that
-logic.  It is mixed into a :class:`~repro.core.family.FamilyClientBase`
-(which provides ``qp``, ``engine``, ``retry`` and ``ctx``); the client
-adds ``self.layout`` (a :class:`~repro.core.node_layout.LeafLayout`) and
-``self.home_of(key)``.
-
-Both also fill whole leaves the same way — bulk load, split halves,
-synonym leaves: :func:`place_items` / :func:`slot_columns` turn items
-into the position-ordered vectors ``LeafLayout.encode_image`` takes.
+The hopscotch leaf serves CHIME and CHIME-Learned (§5.3), the sorted
+array Sherman, Marlin and ROLEX, each format's code in one mixin for a
+:class:`~repro.core.family.FamilyClientBase` whose ``self.layout`` is
+the format's.  Each supplies the scan decoder ``_scan_leaf(raw, key) ->
+(pairs >= key, checked read with sibling and fences)``; a routing base
+has none to shadow it.  :func:`place_items` / :func:`slot_columns` fill
+whole hopscotch leaves (bulk load, split halves, synonym leaves).
 """
 
 from __future__ import annotations
@@ -17,10 +14,11 @@ from __future__ import annotations
 from typing import Callable, Generator, List, Optional, Sequence, Tuple
 
 from repro.core.node_layout import LeafLayout, ReadShape
-from repro.core.nodes import LeafNodeView
-from repro.errors import FaultInjectedError, TornReadError
+from repro.core.nodes import LeafNodeView, SortedNodeView
+from repro.errors import (FaultInjectedError, HashTableFullError,
+                          LayoutError, TornReadError)
 from repro.hashing.hopscotch import distance, place_fresh
-from repro.layout import StripedSpan
+from repro.layout import StripedSpan, encode_key, encode_u64
 from repro.layout.versions import SpanSet, raw_span
 
 
@@ -50,14 +48,35 @@ def place_items(items: Sequence[Tuple[int, int]], layout: LeafLayout,
     return keys, values, bitmaps, spilled
 
 
-class HopscotchLeafOpsMixin:
-    """Leaf fetch + three-level-check primitives.
+class SortedLeafOpsMixin:
+    """The sorted-array leaf (Sherman's leaves, ROLEX's tables)."""
 
-    Lock-free reads (a neighbourhood, one speculative entry) go through
-    the layout's compiled :class:`~repro.core.node_layout.ReadShape` and
-    yield a read-only decoded result; reads under the leaf lock fetch a
+    def _scan_leaf(self, raw: bytes, key: int):
+        """One whole leaf of a scan batch: the node-level check, then
+        the pairs >= *key* and the view."""
+        view = SortedNodeView(self.layout, StripedSpan(raw, 0))
+        if not view.is_consistent():
+            raise TornReadError("leaf node-level versions disagree")
+        return [pair for pair in view.items() if pair[0] >= key], view
+
+
+class HopscotchLeafOpsMixin:
+    """Leaf fetch + three-level-check primitives, and the write-back.
+
+    Lock-free reads (a neighbourhood, one speculative entry, a scan's
+    leaf) go through the layout's compiled :class:`ReadShape` and yield
+    a read-only decoded result; reads under the leaf lock fetch a
     mutable :class:`LeafNodeView` that the writer edits and writes back.
+    The client adds ``self.home_of(key)``.
     """
+
+    def _scan_leaf(self, raw: bytes, key: int):
+        """One whole leaf of a scan batch, through the whole-leaf shape:
+        NV, EV and bitmap checks, then the pairs >= *key* and the read."""
+        read = self.layout.full_shape().decode(
+            memoryview(raw)[1:],  # the shape starts at the first payload byte
+            self.home_of)
+        return read.pairs(key), read
 
     # -- lock-free reads ----------------------------------------------------------
 
@@ -192,3 +211,64 @@ class HopscotchLeafOpsMixin:
         view.set_entry_bitmap(home, home_bitmap)
         modified.update((plan.target, home))
         return modified
+
+    def _compose_leaf(self, items: Sequence[Tuple[int, int]], sibling: int,
+                      fence_low: int, fence_high: int,
+                      nv: int = 0) -> Tuple[bytes, int]:
+        """Build a full leaf image + its unlocked lock word locally."""
+        keys, values, bitmaps, spilled = place_items(
+            items, self.layout, self.home_of)
+        if spilled:  # post-split load ~50%: must fit
+            raise HashTableFullError(
+                f"no feasible hop sequence for key {spilled[0][0]} in a "
+                f"split half of {len(items)} items")
+        image = self.layout.encode_image(keys, values, bitmaps, sibling,
+                                         fence_low, fence_high, nv)
+        return image, self.index.vacancy_map.lock_word(keys)
+
+    def _write_fresh_leaf(self, items: Sequence[Tuple[int, int]], sibling: int,
+                          fence_low: int, fence_high: int) -> Generator:
+        """Allocate a leaf and WRITE it holding *items*, its lock line
+        (vacancy word, fence keys) behind it in one batch; returns the
+        address for the caller to publish."""
+        layout = self.layout
+        addr = yield from self._alloc(layout.total_size)
+        image, word = self._compose_leaf(items, sibling, fence_low, fence_high)
+        yield from self.qp.write_batch([
+            (addr, image),
+            (addr + layout.lock_offset,
+             encode_u64(word) + encode_key(fence_low) + encode_key(fence_high)),
+        ])
+        return addr
+
+    def _entry_writes(self, leaf_addr: int, view: LeafNodeView,
+                      positions: set) -> List[Tuple[int, bytes]]:
+        """Write-back payloads: one raw sub-span per modified entry, with
+        adjacent entries coalesced into single WRITEs."""
+        layout = self.layout
+        groups: List[List[int]] = []
+        for pos in sorted(positions):
+            if groups and pos == groups[-1][-1] + 1:
+                groups[-1].append(pos)
+            else:
+                groups.append([pos])
+        writes: List[Tuple[int, bytes]] = []
+        for group in groups:
+            start_off = layout.entry_offset(group[0])
+            end_off = layout.entry_offset(group[-1]) + layout.entry_size
+            try:
+                # Entries within one block are contiguous; crossing a
+                # replica boundary keeps the replica bytes in between
+                # (harmlessly rewritten with the same content we fetched).
+                raw_off, raw_bytes = view.span.sub_span(start_off,
+                                                        end_off - start_off)
+                writes.append((leaf_addr + raw_off, raw_bytes))
+            except LayoutError:
+                # The group straddles two fetched segments (wrap-around
+                # reads): fall back to one write per entry.
+                for pos in group:
+                    off = layout.entry_offset(pos)
+                    raw_off, raw_bytes = view.span.sub_span(
+                        off, layout.entry_size)
+                    writes.append((leaf_addr + raw_off, raw_bytes))
+        return writes

@@ -13,8 +13,9 @@ Implementation notes: leaves use the fence-key replica layout (the model
 gives no parent to validate siblings against); keys that overflow their
 leaf go to chained synonym leaves via the replica sibling pointer, with
 the chain guarded by the base leaf's lock (as in our ROLEX); the model is
-pre-trained like ROLEX's (§5.1 fn. 3).  Scans are not implemented — the
-paper evaluates CHIME-Learned on point workloads only.
+pre-trained like ROLEX's (§5.1 fn. 3).  Scans are the model-routed
+group's walk over CHIME's scan decoder, and entry write-backs CHIME's
+coalescing ones (:mod:`repro.core.leaf_ops`): no scan code lives here.
 """
 
 from __future__ import annotations
@@ -131,29 +132,18 @@ class LearnedChimeClient(ModelRoutedClientBase, HopscotchLeafOpsMixin):
         return (view, self._find_in_neighborhood(view, self.home_of(key), key),
                 not all(view.occupancy()), view.replica_sibling(0))
 
-    def _write_entries(self, guard: LockGuard, leaf_addr: int,
-                       view: LeafNodeView, positions) -> Generator:
-        """WRITE each entry of *positions* as edited in *view* (one
-        WRITE per entry), with the unlock batched behind them."""
-        layout = self.layout
-        writes = []
-        for pos in positions:
-            raw_off, raw_bytes = view.span.sub_span(layout.entry_offset(pos),
-                                                    layout.entry_size)
-            writes.append((leaf_addr + raw_off, raw_bytes))
-        yield from self._release(guard, writes)
-
     def _modify_entry(self, guard: LockGuard, leaf_addr: int,
                       view: LeafNodeView, position: int, key: int,
                       value: int, delete: bool) -> Generator:
-        positions = [position]
+        positions = {position}
         if delete:
             home = self.home_of(key)
             self._remove_entry(view, home, position)
-            positions = {position, home}
+            positions.add(home)
         else:
             view.write_entry(position, key, value)
-        yield from self._write_entries(guard, leaf_addr, view, positions)
+        yield from self._release(
+            guard, self._entry_writes(leaf_addr, view, positions))
 
     def _insert_into(self, guard: LockGuard, leaf_addr: int,
                      _walked: LeafNodeView, key: int,
@@ -171,29 +161,20 @@ class LearnedChimeClient(ModelRoutedClientBase, HopscotchLeafOpsMixin):
         if plan is None:
             return False
         modified = self._apply_plan(view, plan, home, key, value)
-        yield from self._write_entries(guard, leaf_addr, view,
-                                       sorted(modified))
+        yield from self._release(
+            guard, self._entry_writes(leaf_addr, view, modified))
         return True
 
     def _append_synonym(self, guard: LockGuard, tail_addr: int,
                         tail_view: LeafNodeView, key: int,
                         value: int) -> Generator:
-        layout = self.layout
         low, high = tail_view.replica_fences(0)
-        new_addr = yield from self._alloc(layout.total_size)
-        keys, values, bitmaps, _none = place_items([(key, value)], layout,
-                                                   self.home_of)
-        yield from self.qp.write_batch([
-            (new_addr, layout.encode_image(keys, values, bitmaps, NULL_ADDR,
-                                           low, high)),
-            (new_addr + layout.lock_offset,
-             encode_u64(self.index.vacancy_map.lock_word(keys))
-             + encode_key(low) + encode_key(high)),
-        ])
+        new_addr = yield from self._write_fresh_leaf([(key, value)], NULL_ADDR,
+                                                     low, high)
         # Publish the synonym in every replica of the tail via a full
         # node write (NV bumped, EVs reset), batched with the unlock.
         old_nv = tail_view.span.nv_nibbles()[0]
-        rebuilt = layout.encode_image(
+        rebuilt = self.layout.encode_image(
             tail_view.keys(), tail_view.values(), tail_view.bitmaps(),
             new_addr, low, high, nv=bump_nibble(old_nv))
         yield from self._release(guard, [(tail_addr, rebuilt)])

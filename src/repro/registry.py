@@ -284,7 +284,7 @@ register(IndexFamily(
     name="chime-learned", family="chime-learned",
     factory=_learned_factory,
     description="CHIME leaves under a learned (PLA) internal structure",
-    supports_scan=False, model_routed=True, shardable=False))
+    model_routed=True, shardable=False))
 register(IndexFamily(
     name="outback", family="outback", factory=_outback_factory,
     description="Outback-style MPH routing: one-RTT point lookups",

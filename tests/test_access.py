@@ -546,7 +546,10 @@ class TestFamilyPlumbingWrittenOnce:
                    # locked section around it (ISSUE 28), plus the
                    # model-routed fence walk.
                    "_lock", "_lock_leased", "_lock_queued",
-                   "_unlock_writes", "_locked", "_release", "_covering")
+                   "_unlock_writes", "_locked", "_release", "_covering",
+                   # One scan batch reader and batch rule for the tree
+                   # and the group, one hopscotch write-back.
+                   "_read_scan_leaves", "_more_leaves", "_entry_writes")
     #: (class, method) pairs allowed beside the single home, with reason.
     ALLOWED = {
         # Sums its per-shard sub-indexes instead of the cluster's MNs.

@@ -17,6 +17,8 @@ from repro.baselines import (
 )
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
+from repro.faults import FaultPlan
+from repro.registry import build_index
 
 
 def make_cluster(**overrides):
@@ -355,6 +357,33 @@ class TestRolexSpecifics:
         values, = drive(cluster, gen())
         assert values == keys
         assert max(index.synonym_chain_lengths()) > 1
+
+    @pytest.mark.parametrize("op", ["search", "insert", "scan"])
+    @pytest.mark.parametrize("name", ["rolex", "rolex-indirect"])
+    def test_one_lost_batched_read_is_read_again(self, name, op):
+        """The fabric loses the op's first doorbell-batched READ: each
+        leaf it asked for is read again alone (a scan runs again whole),
+        and the op answers as if nothing was lost.  The loss used to
+        escape the op as a ``FaultInjectedError``."""
+        cluster = make_cluster(clients_per_cn=1)
+        index = build_index(name, cluster)
+        index.bulk_load(PAIRS, future_keys=range(900_000, 901_000))
+        injector = cluster.install_faults(FaultPlan(seed=1).drop(
+            1.0, kinds=["read_batch"], max_count=1))
+        client = index.client(cluster.cns[0].clients[0])
+
+        def insert_then_search():
+            assert (yield from client.insert(900_500, 7)) is True
+            return (yield from client.search(900_500))
+
+        gen, expected = {
+            "search": (client.search(100), 1000),
+            "insert": (insert_then_search(), 7),
+            "scan": (client.scan(100, 20),
+                     [(key, key * 10) for key in range(100, 120)]),
+        }[op]
+        assert drive(cluster, gen) == [expected]
+        assert injector.counters == {"fault.loss": 1}
 
 
 class TestMarlinSpecifics:

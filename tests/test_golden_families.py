@@ -19,7 +19,10 @@ re-records the affected rows in the same commit and says so: ISSUE 21
 (scans sized from the parent's pivots and checked at all three levels;
 Marlin allocates before locking) re-recorded seven — the six ``E`` rows
 of chime, chime-indirect, sherman and marlin, and ``marlin D`` — listed
-before -> after in CHANGES.md.
+before -> after in CHANGES.md.  The shared model-routed scan and
+CHIME-Learned's coalesced hop write-back re-recorded ``rolex E``,
+``rolex-indirect E`` and ``chime-learned D`` the same way, and added
+``chime-learned E``.
 
 The second half pins what the deleted ``repro perf --check`` enforced:
 the event counts of twelve YCSB-C points at the :data:`PINNED` scale,
@@ -106,17 +109,19 @@ GOLDEN = {
     ('rolex', 'D', ()):
         (2433, 120, (129, 448, 434, 8, 6, 0, 132370, 1252, 2), '0.00011610773333333387'),
     ('rolex', 'E', ()):
-        (5249, 120, (290, 1017, 988, 18, 11, 0, 301340, 2817, 2), '0.00025442366666666955'),
+        (4802, 120, (169, 1026, 996, 18, 12, 0, 303780, 2817, 3), '0.00016278973333333608'),
     ('rolex-indirect', 'A', ()):
         (4208, 120, (410, 746, 516, 162, 68, 4, 139751, 2225, 14), '0.0003963837333333329'),
     ('rolex-indirect', 'D', ()):
         (3375, 120, (249, 565, 545, 12, 8, 3, 134146, 1316, 4), '0.00021895206666666827'),
     ('rolex-indirect', 'E', ()):
-        (41250, 120, (4794, 5517, 5481, 27, 9, 4, 373228, 2961, 0), '0.004009363066666751'),
+        (40786, 120, (4672, 5523, 5487, 27, 9, 4, 374769, 2961, 0), '0.003904269160000101'),
     ('chime-learned', 'A', ()):
         (2827, 120, (342, 420, 243, 110, 67, 0, 109354, 1500, 12), '0.0003058514000000004'),
     ('chime-learned', 'D', ()):
-        (2018, 120, (222, 259, 245, 9, 5, 0, 48626, 129, 1), '0.0001855354000000004'),
+        (2016, 120, (222, 258, 245, 8, 5, 0, 48626, 129, 1), '0.00018552706666666706'),
+    ('chime-learned', 'E', ()):
+        (2199, 120, (177, 387, 351, 18, 18, 0, 495215, 266, 9), '0.00017403860000000053'),
     ('outback', 'A', ()):
         (1196, 120, (177, 177, 120, 57, 0, 0, 1920, 912, 0), '0.00014773333333333358'),
     ('outback', 'D', ()):

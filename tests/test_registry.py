@@ -68,11 +68,13 @@ class TestCapabilityFlags:
         assert family.supports_chaos
         assert family.accepts_overrides
 
-    def test_learned_has_no_scan(self):
-        assert not registry.get_family("chime-learned").supports_scan
+    def test_learned_scans(self):
+        """CHIME-Learned's leaves are CHIME's, and the model-routed group
+        scans them: the family no longer opts out of scans."""
+        assert registry.get_family("chime-learned").supports_scan
         index = registry.build_index("chime-learned", _cluster())
         ctx = next(iter(_cluster().clients()))
-        assert not hasattr(index.client(ctx), "scan")
+        assert hasattr(index.client(ctx), "scan")
 
     def test_scan_flag_matches_client_surface(self):
         cluster = _cluster()

@@ -1,14 +1,18 @@
-"""The shared B+-tree-family scan (``BTreeClientBase._scan_once``) against
-the loop it replaced, kept here as the oracle.
+"""The shared scan against the loops it replaced, kept here as oracles.
 
-The oracle reads leaves as the per-family loops used to — one whole leaf
-per READ, decoded through the per-entry accessors, CHIME leaves checked
-with every per-entry oracle of :mod:`repro.core.sync` (NV, EV, and the
-*hashed* hopscotch bitmap of all homes) — and routes by the sibling
-chain alone, which no stale cached parent can mislead.  (The old loops
-also fetched a first batch from the parent, sized ``count // (span // 2)
-+ 2``, without checking that batch against the chain: a parent that
-predated a split skipped the new leaf.  The shared loop validates it;
+``FamilyClientBase._scan`` runs the routing's ``_scan_once``: the B-link
+tree's (``BTreeClientBase``) or the model-routed leaf group's
+(``ModelRoutedClientBase``), each decoding whole leaves by its leaf
+format.  The oracle reads leaves as the per-family loops used to — one
+whole leaf per READ, decoded through the per-entry accessors, CHIME
+leaves checked with every per-entry oracle of :mod:`repro.core.sync`
+(NV, EV, and the *hashed* hopscotch bitmap of all homes) — and routes a
+tree scan by the sibling chain alone, which no stale cached parent can
+mislead, and a group scan along ``leaf_addrs`` and each synonym chain,
+one table at a time.  (The old tree loops also fetched a first batch from
+the parent, sized ``count // (span // 2) + 2``, without checking that
+batch against the chain: a parent that predated a split skipped the new
+leaf.  The shared loop validates it;
 ``test_a_stale_parent_cannot_skip_a_split_off_leaf`` is that case.)
 """
 
@@ -31,7 +35,8 @@ from tests.oracles import (
     collect_leaf_nv,
 )
 
-FAMILIES = ("chime", "chime-indirect", "sherman", "marlin")
+TREES = ("chime", "chime-indirect", "sherman", "marlin")
+FAMILIES = TREES + ("rolex", "rolex-indirect", "chime-learned")
 
 
 def oracle_leaf(client, raw, key):
@@ -57,23 +62,52 @@ def oracle_leaf(client, raw, key):
              if view.entry(index)[0] >= key], view.sibling)
 
 
-def oracle_scan(client, key, count):
-    """Up to *count* pairs from *key* on, one leaf at a time along the
-    sibling chain."""
-    ref = yield from client._locate_leaf(key)
-    addr, results = ref.leaf_addr, []
-    while addr != NULL_ADDR and len(results) < count:
+def oracle_table(client, addr, key):
+    """:func:`oracle_leaf` of the leaf at *addr*, read until not torn."""
+    while True:
         raw = yield from client.qp.read(addr, client.layout.raw_size)
         try:
-            pairs, addr = oracle_leaf(client, raw, key)
+            return oracle_leaf(client, raw, key)
         except TornReadError:
             continue
-        results.extend(pairs)
+
+
+def oracle_scan(client, key, count):
+    """Up to *count* pairs from *key* on, one leaf at a time: along the
+    sibling chain, or along ``leaf_addrs`` and each synonym chain."""
+    results = []
+    if is_model_routed(client.index):
+        leaf_index, _read = yield from client._locate(key)
+        for base in client.index.leaf_addrs[leaf_index:]:
+            if len(results) >= count:
+                break
+            addr = base
+            while addr != NULL_ADDR:
+                pairs, addr = yield from oracle_table(client, addr, key)
+                results.extend(pairs)
+    else:
+        ref = yield from client._locate_leaf(key)
+        addr = ref.leaf_addr
+        while addr != NULL_ADDR and len(results) < count:
+            pairs, addr = yield from oracle_table(client, addr, key)
+            results.extend(pairs)
     results.sort()
     del results[count:]
-    if client.config.indirect_values:
+    if client.index.registry_family.indirect_values:
         results = yield from client._resolve_indirect(results)
     return results
+
+
+def is_model_routed(index):
+    return isinstance(index.leaf_addrs, list)
+
+
+def tables(index):
+    """Leaves, and with model routing their synonym tables: what the
+    writers grow."""
+    if is_model_routed(index):
+        return sum(index.synonym_chain_lengths())
+    return len(index.leaf_addrs())
 
 
 def drive(cluster, *gens):
@@ -102,7 +136,7 @@ def test_shared_scan_equals_the_whole_leaf_oracle(family, key_space_factor):
     written = {k: {v} for k, v in pairs}
     clients = [index.client(ctx) for ctx in cluster.clients()]
     writers, scanners = clients[:3], clients[3:]
-    leaves = len(index.leaf_addrs())
+    leaves = tables(index)
     problems = []
 
     def check(start, count, result):
@@ -143,7 +177,7 @@ def test_shared_scan_equals_the_whole_leaf_oracle(family, key_space_factor):
     drive(cluster, *[writer(c, i) for i, c in enumerate(writers)],
           *[scanner(c, i) for i, c in enumerate(scanners)])
     assert not problems, problems[:3]
-    assert len(index.leaf_addrs()) > leaves + 2  # the writers split leaves
+    assert tables(index) > leaves + 1  # split leaves, chained synonyms
 
     truth = index.collect_items()
     rng = random.Random(family)
@@ -165,7 +199,7 @@ def test_shared_scan_equals_the_whole_leaf_oracle(family, key_space_factor):
         assert shared == oracle == expected
 
 
-@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("family", TREES)
 def test_a_stale_parent_cannot_skip_a_split_off_leaf(family):
     """A leaf in the *middle* of a cached parent splits: the parent's
     next child is no longer the next leaf, and a first batch taken from
@@ -224,3 +258,24 @@ def test_first_batch_is_sized_from_the_parent_pivots():
     ref = refs[first]
     assert client._scan_batch(ref, first, 10**6) == [ref.leaf_addr] + list(
         ref.parent.children[ref.parent_index + 1:ref.parent.count])
+
+
+@pytest.mark.parametrize("family", ["rolex", "chime-learned"])
+def test_a_scan_from_a_key_the_model_never_saw(family):
+    """The model's window misses the leaf covering an untrained start
+    key: the fence walk finds that leaf and the scan goes on from it
+    (the first batch, read for the window, is left behind)."""
+    cluster = Cluster(ClusterConfig(num_cns=1, clients_per_cn=1))
+    index = build_index(family, cluster)
+    keys = [*range(1, 2001), *range(10**6, 10**6 + 2001)]
+    index.bulk_load([(key, key) for key in keys])
+    client = index.client(next(iter(cluster.clients())))
+    start, out = 500_000, []
+
+    def scan():
+        leaf_index, _read = yield from client._covering(start)
+        out.append(leaf_index in index.candidate_leaves(start))
+        out.append((yield from client.scan(start, 30)))
+
+    drive(cluster, scan())
+    assert out == [False, [(key, key) for key in keys if key >= start][:30]]

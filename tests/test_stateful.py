@@ -9,6 +9,8 @@ clients on two CNs, so every answer is exact — yet distinct keys still
 share leaves, so leaf locks contend (and queue, and hand off) inside a
 batch.  After each batch the index's items must equal the model's, and a
 CHIME tree must also pass :func:`~repro.faults.check_index_invariants`.
+A family that scans also takes quiescent scans between batches, each
+equal to the model's pairs from its key on, cut to its count.
 
 The model-routed families (ROLEX, CHIME-Learned) route inserts through
 a model trained on every key the machine can draw; an *untrained* key
@@ -106,6 +108,19 @@ def _machine(index_name: str, mode: str, leases: bool):
                 self.cluster.engine.process(lane(client, batch[number::lanes]))
             self.cluster.run()
             assert answers == expected
+
+        if family.supports_scan:
+            @rule(key=st.integers(1, KEYS), count=st.integers(1, 40))
+            def quiescent_scan(self, key, count) -> None:
+                out = []
+
+                def scan():
+                    out.append((yield from self.clients[-1].scan(key, count)))
+
+                self.cluster.engine.process(scan())
+                self.cluster.run()
+                assert out == [[pair for pair in sorted(self.model.items())
+                                if pair[0] >= key][:count]]
 
         @invariant()
         def items_match_the_model(self) -> None:
