@@ -77,8 +77,8 @@ def test_fig12_scan_workload(benchmark, record_table):
     benchmark.extra_info["rows"] = rows
     peaks = peak_by_index(rows)
     # Paper and measured: ROLEX scans best (small leaves; the model's
-    # window and the leaves after it arrive in one batch); SMART scans
-    # worst (per-item reads saturate IOPS).
+    # window arrives in one batch and already holds the key's leaf);
+    # SMART scans worst (per-item reads saturate IOPS).
     assert peaks["rolex"] > max(peaks["sherman"], peaks["chime"])
     assert peaks["rolex"] > peaks["smart"]
     assert peaks["chime"] > peaks["smart"]

@@ -212,25 +212,24 @@ class ModelRoutedClientBase(FamilyClientBase):
         return True
 
     def _scan_once(self, key: int, count: int) -> Generator:
-        """The model's window and the leaves the batch rule adds after it
-        in one batch, the fence walk picking the covering leaf out of it;
-        then further leaves beside the synonyms of every table read."""
-        index, addrs = self.index, self.index.leaf_addrs
-        window = index.candidate_leaves(key)
+        """The model's window in one batch, the fence walk picking the
+        covering leaf out of it; then further leaves by the batch rule
+        beside the synonyms of every table read."""
+        addrs = self.index.leaf_addrs
+        window = self.index.candidate_leaves(key)
         first, cursor = window[0], window[-1] + 1
-        ahead = cursor - index.model.predict(key) / index._items_per_leaf
-        batch = addrs[first:cursor] + self._more_leaves(
-            self._leaf_keys * ahead, count, islice(addrs, cursor, None))
         leaves = yield from self._phase(
-            "leaf_read", self._read_scan_leaves(batch, key))
+            "leaf_read", self._read_scan_leaves(addrs[first:cursor], key))
         leaf_index, _read = yield from self._covering(
             key, [read for _pairs, read in leaves])
-        cursor = first + len(batch)
         if first <= leaf_index < cursor:
             leaves = leaves[leaf_index - first:]  # none >= *key* left of it
-        else:  # an untrained key the window missed: go on from its leaf
-            leaves, cursor = [], leaf_index
-        whole, results = leaves[1:], []  # base leaves past the first
+        else:  # an untrained key the window missed: its leaf, read whole
+            leaves = yield from self._phase(
+                "leaf_read", self._read_scan_leaves([addrs[leaf_index]], key))
+            cursor = leaf_index + 1
+        # Base leaves past the first hold only keys >= *key*: whole ones.
+        whole, results = leaves[1:], []
         while True:
             for pairs, _read in leaves:
                 results.extend(pairs)

@@ -109,19 +109,19 @@ GOLDEN = {
     ('rolex', 'D', ()):
         (2433, 120, (129, 448, 434, 8, 6, 0, 132370, 1252, 2), '0.00011610773333333387'),
     ('rolex', 'E', ()):
-        (4802, 120, (169, 1026, 996, 18, 12, 0, 303780, 2817, 3), '0.00016278973333333608'),
+        (4859, 120, (255, 955, 924, 18, 13, 0, 281820, 2817, 4), '0.00022487213333333627'),
     ('rolex-indirect', 'A', ()):
         (4208, 120, (410, 746, 516, 162, 68, 4, 139751, 2225, 14), '0.0003963837333333329'),
     ('rolex-indirect', 'D', ()):
         (3375, 120, (249, 565, 545, 12, 8, 3, 134146, 1316, 4), '0.00021895206666666827'),
     ('rolex-indirect', 'E', ()):
-        (40786, 120, (4672, 5523, 5487, 27, 9, 4, 374769, 2961, 0), '0.003904269160000101'),
+        (40850, 120, (4758, 5453, 5417, 27, 9, 4, 353419, 2961, 0), '0.003978662706666759'),
     ('chime-learned', 'A', ()):
         (2827, 120, (342, 420, 243, 110, 67, 0, 109354, 1500, 12), '0.0003058514000000004'),
     ('chime-learned', 'D', ()):
         (2016, 120, (222, 258, 245, 8, 5, 0, 48626, 129, 1), '0.00018552706666666706'),
     ('chime-learned', 'E', ()):
-        (2199, 120, (177, 387, 351, 18, 18, 0, 495215, 266, 9), '0.00017403860000000053'),
+        (2359, 120, (242, 360, 333, 18, 9, 0, 469169, 266, 0), '0.00023314649333333425'),
     ('outback', 'A', ()):
         (1196, 120, (177, 177, 120, 57, 0, 0, 1920, 912, 0), '0.00014773333333333358'),
     ('outback', 'D', ()):
