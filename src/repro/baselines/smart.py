@@ -25,7 +25,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Sequence, Tuple
+from typing import Generator, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import ClientContext
@@ -196,8 +196,6 @@ class SmartIndex(FamilyIndexBase):
         super().__init__(cluster, config or SmartConfig())
         self.root_addr = NULL_ADDR
         self.root_type = NODE256
-        self._internal_bytes = 0
-        self._internal_count = 0
 
     def client(self, ctx: ClientContext) -> "SmartClient":
         return SmartClient(self, ctx)
@@ -278,64 +276,39 @@ class SmartIndex(FamilyIndexBase):
                 slots[(word & _PARTIAL_MASK) >> _PARTIAL_SHIFT] = word
         else:
             slots[:len(children)] = children
-        self._internal_bytes += node_size(node_type)
-        self._internal_count += 1
         self._host_write(addr, encode_node(
             RadixNode(addr, node_type, depth, prefix, slots)))
 
     # -- host-side inspection -------------------------------------------------------------
 
-    def collect_items(self) -> List[Tuple[int, int]]:
-        out: List[Tuple[int, int]] = []
-
-        def walk(addr: int, node_type: int) -> None:
+    def _host_nodes(self) -> Iterator[Tuple[int, RadixNode]]:
+        """``(level, node)`` for every node, the root at level 1 (none
+        when nothing is loaded)."""
+        stack = ([] if self.root_addr == NULL_ADDR
+                 else [(1, self.root_addr, self.root_type)])
+        while stack:
+            level, addr, node_type = stack.pop()
             node = decode_node(addr, self._host_read(addr,
                                                      node_size(node_type)))
+            yield level, node
             for _partial, word in node.occupied_slots():
                 _occ, _p, child, is_leaf, child_type = unpack_slot(word)
-                if is_leaf:
-                    out.append(self._host_read_block(child))
-                else:
-                    walk(child, child_type)
+                if not is_leaf:
+                    stack.append((level + 1, child, child_type))
 
-        if self.root_addr != NULL_ADDR:
-            walk(self.root_addr, self.root_type)
-        out.sort()
-        return out
+    def collect_items(self) -> List[Tuple[int, int]]:
+        return sorted(self._host_read_block(unpack_slot(word)[2])
+                      for _level, node in self._host_nodes()
+                      for _partial, word in node.occupied_slots()
+                      if word & _LEAF)
 
     def cache_bytes_needed(self) -> int:
         """Bytes to cache every pointer-bearing node (the paper's
         cache-consumption metric for SMART)."""
-        total = 0
-
-        def walk(addr: int, node_type: int) -> None:
-            nonlocal total
-            total += node_size(node_type)
-            node = decode_node(addr, self._host_read(addr,
-                                                     node_size(node_type)))
-            for _partial, word in node.occupied_slots():
-                _occ, _p, child, is_leaf, child_type = unpack_slot(word)
-                if not is_leaf:
-                    walk(child, child_type)
-
-        if self.root_addr != NULL_ADDR:
-            walk(self.root_addr, self.root_type)
-        return total
+        return sum(node.size for _level, node in self._host_nodes())
 
     def height(self) -> int:
-        def walk(addr: int, node_type: int) -> int:
-            node = decode_node(addr, self._host_read(addr,
-                                                     node_size(node_type)))
-            best = 1
-            for _partial, word in node.occupied_slots():
-                _occ, _p, child, is_leaf, child_type = unpack_slot(word)
-                if not is_leaf:
-                    best = max(best, 1 + walk(child, child_type))
-            return best
-
-        if self.root_addr == NULL_ADDR:
-            return 0
-        return walk(self.root_addr, self.root_type)
+        return max((level for level, _node in self._host_nodes()), default=0)
 
 
 class SmartClient(FamilyClientBase):
@@ -345,77 +318,107 @@ class SmartClient(FamilyClientBase):
 
     # -------------------------------------------------------------- plumbing
 
-    def _read_node(self, addr: int, node_type: int,
-                   cacheable: bool = True) -> Generator:
+    def _read_node(self, addr: int, node_type: int) -> Generator:
         data = yield from self.qp.read(addr, node_size(node_type))
         node = decode_node(addr, data)
-        if cacheable:
-            self.ctx.cache.put(addr, node, node.size)
+        self.ctx.cache.put(addr, node, node.size)
         return node
-
-    def _get_node(self, addr: int, node_type: int,
-                  use_cache: bool) -> Generator:
-        if use_cache:
-            cached = self.ctx.cache.get(addr)
-            if cached is not None:
-                return cached, True
-        node = yield from self._read_node(addr, node_type)
-        return node, False
 
     def _read_leaf(self, addr: int) -> Generator:
         data = yield from self.qp.read(addr, self.index.leaf_size)
         return (decode_key(data),
                 decode_value(data, 8, size=self.config.value_size))
 
+    def _descend(self, key_bytes: bytes, use_cache: bool) -> Generator:
+        """The one root-to-leaf walk: each node on *key_bytes*' path —
+        from the cache with *use_cache*, else READ — until the key
+        leaves the tree.
+
+        Returns ``(node, slot, at, stale)``: *slot* indexes *node*'s
+        leaf slot for the key's byte, or is None when that byte has no
+        slot or the key diverges inside *node*'s prefix; ``at = (parent,
+        slot)`` is the slot pointing at *node* (``(None, None)`` at the
+        root); *stale* lists the walked nodes when a cached one was among
+        them — the route may be out of date — and is empty otherwise.
+        """
+        cache = self.ctx.cache
+        addr, node_type = self.index.root_addr, self.index.root_type
+        parent = parent_slot = None
+        path: List[int] = []
+        cached = False
+        while True:
+            node = cache.get(addr) if use_cache else None
+            if node is None:
+                node = yield from self._read_node(addr, node_type)
+            else:
+                cached = True
+            path.append(addr)
+            depth = node.depth + len(node.prefix)
+            if node.prefix and key_bytes[node.depth:depth] != node.prefix:
+                slot = None
+                break
+            slot = node.slot_index_for(key_bytes[depth])
+            if slot is None:
+                break
+            word = node.slots[slot]
+            if word & _LEAF:
+                break
+            parent, parent_slot = node, slot
+            addr = _expand_addr(word & _ADDR_MASK)
+            node_type = (word & _TYPE_MASK) >> _TYPE_SHIFT
+        return node, slot, (parent, parent_slot), path if cached else ()
+
+    def _slot_addr(self, node: RadixNode, slot: int) -> int:
+        return node.addr + HEADER_SIZE + 8 * slot
+
+    def _cas_slot(self, node: RadixNode, slot: int, old: int, new: int,
+                  *stale: int) -> Generator:
+        """CAS *node*'s *slot* from *old* to *new*; once it swaps, *node*
+        and the *stale* addresses leave the cache."""
+        _old, swapped = yield from self.qp.cas(self._slot_addr(node, slot),
+                                               old, new)
+        if swapped:
+            self.ctx.cache.invalidate(node.addr)
+            for addr in stale:
+                self.ctx.cache.invalidate(addr)
+        return swapped
+
+    def _publish(self, new_node: RadixNode, at: Tuple[RadixNode, int],
+                 sealed: Optional[RadixNode] = None) -> Generator:
+        """Allocate and WRITE *new_node*, then CAS it into the slot ``at
+        = (node, slot)`` under that slot's partial key byte.  *sealed* is
+        the node a structural change replaces: dropped from the cache
+        once the CAS swaps, unsealed when it loses."""
+        new_node.addr = yield from self._alloc(new_node.size)
+        yield from self.qp.write(new_node.addr, encode_node(new_node))
+        node, slot = at
+        word = node.slots[slot]
+        new_word = pack_slot(unpack_slot(word)[1], new_node.addr, leaf=False,
+                             node_type=new_node.node_type)
+        stale = () if sealed is None else (sealed.addr,)
+        swapped = yield from self._cas_slot(node, slot, word, new_word, *stale)
+        if not swapped and sealed is not None:
+            yield from self._unseal_node(sealed)
+        return swapped
+
     # -------------------------------------------------------------- search
 
     def _search(self, key: int) -> Generator:
-        # First pass may use cached nodes; a second pass (after a stale
-        # hit) bypasses the cache entirely.
-        result = yield from self._search_pass(key, use_cache=True)
-        if result is not _STALE:
-            return result
-        result = yield from self._search_pass(key, use_cache=False)
-        assert result is not _STALE
-        return result
-
-    def _search_pass(self, key: int, use_cache: bool) -> Generator:
+        # A miss through cached nodes may be stale: drop the route and
+        # walk again, bypassing the cache.
         key_bytes = encode_key(key)
-        addr, node_type = self.index.root_addr, self.index.root_type
-        depth = 0
-        path: List[int] = []
-        used_cache = False
-        while True:
-            node, from_cache = yield from self._get_node(addr, node_type,
-                                                         use_cache)
-            used_cache = used_cache or from_cache
-            path.append(addr)
-            depth = node.depth + len(node.prefix)
-            if node.prefix and \
-                    key_bytes[node.depth:depth] != node.prefix:
-                return self._stale_or_none(used_cache, path)
-            if depth >= 8:
-                return self._stale_or_none(used_cache, path)
-            slot = node.slot_index_for(key_bytes[depth])
-            if slot is None:
-                return self._stale_or_none(used_cache, path)
-            word = node.slots[slot]
-            _occ, _partial, child, is_leaf, child_type = unpack_slot(word)
-            if is_leaf:
-                leaf_key, value = yield from self._read_leaf(child)
-                if leaf_key != key:
-                    return self._stale_or_none(used_cache, path)
-                return value
-            addr, node_type = child, child_type
-            depth += 1
-
-    def _stale_or_none(self, used_cache: bool, path: List[int]):
-        """A miss through cached nodes may be stale: invalidate + retry."""
-        if used_cache:
-            for addr in path:
+        for use_cache in (True, False):
+            node, slot, _at, stale = yield from self._descend(key_bytes,
+                                                              use_cache)
+            if slot is not None:
+                leaf_key, value = yield from self._read_leaf(
+                    _expand_addr(node.slots[slot] & _ADDR_MASK))
+                if leaf_key == key:
+                    return value
+            if not stale:
+                return None
+            for addr in stale:
                 self.ctx.cache.invalidate(addr)
-            return _STALE
-        return None
 
     # -------------------------------------------------------------- insert / update
 
@@ -445,93 +448,66 @@ class SmartClient(FamilyClientBase):
         already disconnected, and a CAS into a disconnected node silently
         loses the write.  This is conservative relative to the real SMART
         (whose write path revalidates cached routes); noted in DESIGN.md.
-        The descent tracks the parent slot so structural changes (node
+        The descent returns the parent slot so structural changes (node
         upgrades, prefix expansions) can re-point it without a search.
         """
-        addr, node_type = self.index.root_addr, self.index.root_type
-        parent_info = None  # (parent_node, slot_index, slot_word)
-        while True:
-            node = yield from self._read_node(addr, node_type)
-            depth = node.depth + len(node.prefix)
-            if node.prefix and key_bytes[node.depth:depth] != node.prefix:
-                if must_exist:
-                    return False
-                done = yield from self._expand_prefix(node, parent_info,
-                                                      key_bytes, key, value)
-                return True if done else _RETRY
-            partial = key_bytes[depth]
-            slot = node.slot_index_for(partial)
-            if slot is None:
-                if must_exist:
-                    return False
-                done = yield from self._install_leaf(node, parent_info,
-                                                     partial, key, value)
-                return True if done else _RETRY
-            word = node.slots[slot]
-            _occ, _p, child, is_leaf, child_type = unpack_slot(word)
-            if not is_leaf:
-                parent_info = (node, slot, word)
-                addr, node_type = child, child_type
-                continue
-            if word & SEAL_BIT:
-                return _RETRY  # a structural change is replacing this node
-            leaf_key, _old = yield from self._read_leaf(child)
-            if leaf_key == key:
-                done = yield from self._write_value(node, slot, word, child,
-                                                    key, value)
-                return True if done else _RETRY
+        node, slot, at, _stale = yield from self._descend(key_bytes, False)
+        if slot is None:
             if must_exist:
                 return False
-            done = yield from self._split_leaf_edge(node, slot, word, child,
-                                                    leaf_key, key, value)
+            depth = node.depth + len(node.prefix)
+            if key_bytes[node.depth:depth] != node.prefix:
+                done = yield from self._expand_prefix(node, at, key_bytes,
+                                                      key, value)
+            else:
+                done = yield from self._install_leaf(node, at, key_bytes[depth],
+                                                     key, value)
             return True if done else _RETRY
+        word = node.slots[slot]
+        if word & SEAL_BIT:
+            return _RETRY  # a structural change is replacing this node
+        leaf_addr = _expand_addr(word & _ADDR_MASK)
+        leaf_key, _old = yield from self._read_leaf(leaf_addr)
+        if leaf_key == key:
+            done = yield from self._write_value(node, slot, leaf_addr, key,
+                                                value)
+        elif must_exist:
+            return False
+        else:
+            done = yield from self._split_leaf_edge(node, slot, leaf_addr,
+                                                    leaf_key, key, value)
+        return True if done else _RETRY
 
-    def _slot_addr(self, node: RadixNode, slot: int) -> int:
-        return node.addr + HEADER_SIZE + 8 * slot
-
-    def _install_leaf(self, node: RadixNode, parent_info, partial: int,
-                      key: int, value: int) -> Generator:
+    def _install_leaf(self, node: RadixNode, at, partial: int, key: int,
+                      value: int) -> Generator:
         """CAS a fresh leaf into a free slot (upgrading a full node)."""
         if node.has_seal():
             return False  # a structural change is replacing this node
         free = node.free_slot_index(partial)
         if free is None:
-            done = yield from self._upgrade_node(node, parent_info, partial,
-                                                 key, value)
-            return done
+            return (yield from self._upgrade_node(node, at, partial, key,
+                                                  value))
         leaf_addr = yield from self._write_block(key, value)
-        word = pack_slot(partial, leaf_addr, leaf=True)
-        _old, swapped = yield from self.qp.cas(
-            self._slot_addr(node, free), 0, word)
-        if swapped:
-            self.ctx.cache.invalidate(node.addr)
-        return swapped
+        return (yield from self._cas_slot(
+            node, free, 0, pack_slot(partial, leaf_addr, leaf=True)))
 
-    def _write_value(self, node: RadixNode, slot: int, word: int,
-                     leaf_addr: int, key: int, value: int) -> Generator:
+    def _write_value(self, node: RadixNode, slot: int, leaf_addr: int,
+                     key: int, value: int) -> Generator:
         """Update an existing key: in place, or out-of-place (RCU)."""
         if not self.config.rcu_updates:
             yield from self.qp.write(
                 leaf_addr + 8, encode_value(value, self.config.value_size))
             return True
-        if word & SEAL_BIT:
-            return False
         new_leaf = yield from self._write_block(key, value)
-        _occ, partial, _a, _l, _t = unpack_slot(word)
-        new_word = pack_slot(partial, new_leaf, leaf=True)
-        _old, swapped = yield from self.qp.cas(
-            self._slot_addr(node, slot), word, new_word)
-        if swapped:
-            self.ctx.cache.invalidate(node.addr)
-        return swapped
+        word = node.slots[slot]
+        return (yield from self._cas_slot(
+            node, slot, word,
+            pack_slot(unpack_slot(word)[1], new_leaf, leaf=True)))
 
-    def _split_leaf_edge(self, node: RadixNode, slot: int, word: int,
-                         leaf_addr: int, leaf_key: int, key: int,
-                         value: int) -> Generator:
+    def _split_leaf_edge(self, node: RadixNode, slot: int, leaf_addr: int,
+                         leaf_key: int, key: int, value: int) -> Generator:
         """Two keys collide on one slot: insert a Node4 at the divergence
         byte holding both leaves, then CAS the slot leaf -> node."""
-        if word & SEAL_BIT:
-            return False
         existing = encode_key(leaf_key)
         mine = encode_key(key)
         depth = node.depth + len(node.prefix) + 1
@@ -546,16 +522,7 @@ class SmartClient(FamilyClientBase):
         slots[1] = pack_slot(mine[divergence], new_leaf, leaf=True)
         branch = RadixNode(NULL_ADDR, NODE4, depth,
                            existing[depth:divergence], slots)
-        branch.addr = yield from self._alloc(branch.size)
-        yield from self.qp.write(branch.addr, encode_node(branch))
-        _occ, partial, _a, _l, _t = unpack_slot(word)
-        new_word = pack_slot(partial, branch.addr, leaf=False,
-                             node_type=NODE4)
-        _old, swapped = yield from self.qp.cas(
-            self._slot_addr(node, slot), word, new_word)
-        if swapped:
-            self.ctx.cache.invalidate(node.addr)
-        return swapped
+        return (yield from self._publish(branch, (node, slot)))
 
     def _seal_node(self, node: RadixNode) -> Generator:
         """Atomically seal every slot of *node*; returns the node as it
@@ -586,15 +553,14 @@ class SmartClient(FamilyClientBase):
                 yield from self.qp.cas(self._slot_addr(node, index), word,
                                        word & ~SEAL_BIT)
 
-    def _upgrade_node(self, node: RadixNode, parent_info, partial: int,
-                      key: int, value: int) -> Generator:
+    def _upgrade_node(self, node: RadixNode, at, partial: int, key: int,
+                      value: int) -> Generator:
         """Node full: seal it, copy its slots into the next size plus the
         new leaf, then CAS the parent slot to the new node."""
         if node.node_type not in _UPGRADE:
             raise IndexError_("Node256 cannot be full for a new partial")
-        if parent_info is None:
+        if at[0] is None:
             raise IndexError_("the Node256 root is never upgraded")
-        parent, parent_slot, parent_word = parent_info
         sealed = yield from self._seal_node(node)
         if sealed.slot_index_for(partial) is not None or \
                 sealed.free_slot_index(partial) is not None:
@@ -619,29 +585,15 @@ class SmartClient(FamilyClientBase):
             slots[len(occupied)] = leaf_word
         bigger = RadixNode(NULL_ADDR, new_type, node.depth, node.prefix,
                            slots)
-        bigger.addr = yield from self._alloc(bigger.size)
-        yield from self.qp.write(bigger.addr, encode_node(bigger))
-        _occ, parent_partial, _a, _l, _t = unpack_slot(parent_word)
-        new_parent_word = pack_slot(parent_partial, bigger.addr, leaf=False,
-                                    node_type=new_type)
-        _old, swapped = yield from self.qp.cas(
-            self._slot_addr(parent, parent_slot), parent_word,
-            new_parent_word)
-        if swapped:
-            self.ctx.cache.invalidate(parent.addr)
-            self.ctx.cache.invalidate(node.addr)
-        else:
-            yield from self._unseal_node(sealed)
-        return swapped
+        return (yield from self._publish(bigger, at, sealed))
 
-    def _expand_prefix(self, node: RadixNode, parent_info, key_bytes: bytes,
+    def _expand_prefix(self, node: RadixNode, at, key_bytes: bytes,
                        key: int, value: int) -> Generator:
         """The key diverges inside *node*'s compressed prefix: create a
         Node4 branching at the divergence, holding the new leaf and a
         re-prefixed copy of *node*."""
-        if parent_info is None:
+        if at[0] is None:
             raise IndexError_("the root has no prefix to expand")
-        parent, parent_slot, parent_word = parent_info
         sealed = yield from self._seal_node(node)
         full_prefix = sealed.prefix
         divergence = 0
@@ -666,20 +618,7 @@ class SmartClient(FamilyClientBase):
         slots[1] = pack_slot(key_bytes[branch_depth], leaf_addr, leaf=True)
         branch = RadixNode(NULL_ADDR, NODE4, node.depth,
                            full_prefix[:divergence], slots)
-        branch.addr = yield from self._alloc(branch.size)
-        yield from self.qp.write(branch.addr, encode_node(branch))
-        _occ, parent_partial, _a, _l, _t = unpack_slot(parent_word)
-        new_parent_word = pack_slot(parent_partial, branch.addr, leaf=False,
-                                    node_type=NODE4)
-        _old, swapped = yield from self.qp.cas(
-            self._slot_addr(parent, parent_slot), parent_word,
-            new_parent_word)
-        if swapped:
-            self.ctx.cache.invalidate(parent.addr)
-            self.ctx.cache.invalidate(node.addr)
-        else:
-            yield from self._unseal_node(sealed)
-        return swapped
+        return (yield from self._publish(branch, at, sealed))
 
     # -------------------------------------------------------------- delete
 
@@ -688,39 +627,26 @@ class SmartClient(FamilyClientBase):
         retry = self.retry.start("delete({})", self.engine, self.ctx.rng,
                                  key)
         while retry.check():
-            addr, node_type = self.index.root_addr, self.index.root_type
-            while True:
-                node = yield from self._read_node(addr, node_type)
-                depth = node.depth + len(node.prefix)
-                if node.prefix and key_bytes[node.depth:depth] != node.prefix:
-                    return False
-                slot = node.slot_index_for(key_bytes[depth])
-                if slot is None:
-                    return False
-                word = node.slots[slot]
-                _occ, _p, child, is_leaf, child_type = unpack_slot(word)
-                if not is_leaf:
-                    addr, node_type = child, child_type
-                    continue
-                if word & SEAL_BIT:
-                    break  # node being replaced: back off and retry
-                leaf_key, _value = yield from self._read_leaf(child)
+            node, slot, _at, _stale = yield from self._descend(key_bytes,
+                                                               False)
+            if slot is None:
+                return False
+            word = node.slots[slot]
+            if not word & SEAL_BIT:  # else its node is being replaced
+                leaf_key, _value = yield from self._read_leaf(
+                    _expand_addr(word & _ADDR_MASK))
                 if leaf_key != key:
                     return False
-                _old, swapped = yield from self.qp.cas(
-                    self._slot_addr(node, slot), word, 0)
-                if swapped:
-                    self.ctx.cache.invalidate(node.addr)
+                if (yield from self._cas_slot(node, slot, word, 0)):
                     return True
-                break  # lost a race: retry from the root
-            yield from retry.backoff()
+            yield from retry.backoff()  # sealed, or lost a race
 
     # -------------------------------------------------------------- scan
 
-    def _scan(self, key: int, count: int) -> Generator:
-        """Ordered scan via in-order traversal; each item is a dedicated
-        leaf READ (batched per node), which is why KV-discrete indexes
-        saturate the MN NIC's IOPS on YCSB E (§5.2)."""
+    def _scan_once(self, key: int, count: int) -> Generator:
+        """The pairs >= *key* of the leaves an in-order walk collects;
+        each item is a dedicated leaf READ (batched per 32), which is why
+        KV-discrete indexes saturate the MN NIC's IOPS on YCSB E (§5.2)."""
         key_bytes = encode_key(key)
         leaf_words: List[int] = []
         yield from self._collect_leaves(self.index.root_addr,
@@ -738,8 +664,7 @@ class SmartClient(FamilyClientBase):
                     results.append((item_key,
                                     decode_value(data, 8,
                                                  size=self.config.value_size)))
-        results.sort()
-        return results[:count]
+        return results
 
     def _collect_leaves(self, addr: int, node_type: int, key_bytes: bytes,
                         out: List[int], count: int, tight: bool) -> Generator:
@@ -753,8 +678,9 @@ class SmartClient(FamilyClientBase):
         """
         if len(out) >= count + 8:
             return
-        node, _from_cache = yield from self._get_node(addr, node_type,
-                                                      use_cache=True)
+        node = self.ctx.cache.get(addr)
+        if node is None:
+            node = yield from self._read_node(addr, node_type)
         depth = node.depth + len(node.prefix)
         if tight and node.prefix:
             window = key_bytes[node.depth:depth]
@@ -779,4 +705,3 @@ class SmartClient(FamilyClientBase):
 
 
 _RETRY = object()
-_STALE = object()

@@ -21,7 +21,7 @@ the 8-byte lock word of §4.2.1 and retries is written here once:
 
 A family supplies its leaf view and those four generators (fewer when it
 has no such operation — a ``delete`` it lacks is a typed
-``WorkloadError``); one routed by neither a tree nor a model, ``_scan``.
+``WorkloadError``), and, if it scans, ``_scan_once``.
 """
 
 from __future__ import annotations
@@ -351,7 +351,7 @@ class FamilyClientBase(SpanInstrumentedOps):
             resolved.append((key, value))
         return resolved
 
-    # -- range scans (the B-link tree and the model-routed leaf group) --------
+    # -- range scans (every scanning family: tree, leaf group, radix tree) ----
 
     def _scan(self, key: int, count: int) -> Generator:
         """The pairs >= *key* ``_scan_once(key, count)`` read, sorted, cut
@@ -362,7 +362,7 @@ class FamilyClientBase(SpanInstrumentedOps):
                 results = yield from self._scan_once(key, count)
                 results.sort()
                 del results[count:]
-                if self.config is not None and self.config.indirect_values:
+                if getattr(self.config, "indirect_values", False):
                     results = yield from self._resolve_indirect(results)
                 return results
             except FaultInjectedError:

@@ -274,8 +274,6 @@ def smart_bulk_load_per_key(index: SmartIndex,
             word = with_partial(build(child_group, branch_depth + 1), partial)
             node.slots[partial if node_type == NODE256 else slot] = word
         node.addr = index._host_alloc(node.size)
-        index._internal_bytes += node.size
-        index._internal_count += 1
         index._host_write(node.addr, encode_node(node))
         return pack_slot(0, node.addr, leaf=False, node_type=node_type)
 
@@ -283,8 +281,6 @@ def smart_bulk_load_per_key(index: SmartIndex,
     items = [(encode_key(k), k, v) for k, v in pairs]
     root = RadixNode(NULL_ADDR, NODE256, 0, b"", [0] * SLOT_COUNTS[NODE256])
     root.addr = index._host_alloc(node_size(NODE256))
-    index._internal_bytes += node_size(NODE256)
-    index._internal_count += 1
     groups: Dict[int, list] = {}
     for key_bytes, key, value in items:
         groups.setdefault(key_bytes[0], []).append((key_bytes, key, value))

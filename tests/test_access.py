@@ -548,8 +548,10 @@ class TestFamilyPlumbingWrittenOnce:
                    "_lock", "_lock_leased", "_lock_queued",
                    "_unlock_writes", "_locked", "_release", "_covering",
                    # One scan batch reader and batch rule for the tree
-                   # and the group, one hopscotch write-back.
-                   "_read_scan_leaves", "_more_leaves", "_entry_writes")
+                   # and the group, one hopscotch write-back; one scan
+                   # contract for every scanning family, SMART included.
+                   "_read_scan_leaves", "_more_leaves", "_entry_writes",
+                   "_scan")
     #: (class, method) pairs allowed beside the single home, with reason.
     ALLOWED = {
         # Sums its per-shard sub-indexes instead of the cluster's MNs.

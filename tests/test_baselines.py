@@ -287,6 +287,21 @@ class TestSmartSpecifics:
         for key in keys:
             assert items[key] == key
 
+    @pytest.mark.parametrize("name", ["smart", "smart-opt", "smart-rcu"])
+    def test_a_scan_survives_a_lost_verb(self, name):
+        """The fabric loses the scan's batched leaf READ: the scan runs
+        again whole and answers as if nothing was lost.  The loss used
+        to escape the scan as a ``FaultInjectedError``."""
+        cluster = make_cluster(clients_per_cn=1)
+        index = build_index(name, cluster)
+        index.bulk_load(PAIRS)
+        injector = cluster.install_faults(FaultPlan(seed=1).drop(
+            1.0, kinds=["read_batch"], max_count=1))
+        client = index.client(cluster.cns[0].clients[0])
+        assert drive(cluster, client.scan(100, 20)) == [
+            [(key, key * 10) for key in range(100, 120)]]
+        assert injector.counters == {"fault.loss": 1}
+
 
 class TestPlaModel:
     def test_error_bound_on_uniform_keys(self):

@@ -213,9 +213,8 @@ def radix_key_sets(draw):
 
 def _observed(index):
     return (_digest(index.cluster), index.root_addr, index.root_type,
-            index._internal_count, index._internal_bytes, index._host_rr,
-            index.loaded_items, index.height(), index.cache_bytes_needed(),
-            index.collect_items())
+            index._host_rr, index.loaded_items, index.height(),
+            index.cache_bytes_needed(), index.collect_items())
 
 
 @settings(max_examples=60, deadline=None)
