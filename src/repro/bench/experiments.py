@@ -538,19 +538,26 @@ def fig17_speculative(scale: Optional[Scale] = None,
 # Figure 18 — sensitivity sweeps
 # --------------------------------------------------------------------------
 
+def _knob_sweep(scale: Optional[Scale], indexes: Sequence[str], knob: str,
+                values: Sequence, seed: Optional[int],
+                workload: str = "C") -> List[Dict]:
+    """*workload* for each index at each value of one point field *knob*."""
+    scale = scale or current_scale()
+    specs = [
+        scale.point(index_name, workload, scale.cluster_config(seed=seed),
+                    extra=((knob, value),), **{knob: value})
+        for index_name in indexes
+        for value in values
+    ]
+    return sweep_rows(specs, jobs=scale.jobs)
+
+
 def fig18a_skewness(scale: Optional[Scale] = None,
                     thetas: Sequence[float] = (0.5, 0.7, 0.9, 0.99),
                     indexes: Sequence[str] = ("chime", "sherman", "rolex",
                                               "smart"),
                     seed: Optional[int] = None) -> List[Dict]:
-    scale = scale or current_scale()
-    specs = [
-        scale.point(index_name, "A", scale.cluster_config(seed=seed),
-                    theta=theta, extra=(("theta", theta),))
-        for index_name in indexes
-        for theta in thetas
-    ]
-    return sweep_rows(specs, jobs=scale.jobs)
+    return _knob_sweep(scale, indexes, "theta", thetas, seed, workload="A")
 
 
 def skew_sync_sweep(scale: Optional[Scale] = None,
@@ -622,53 +629,26 @@ def fig18c_inline_value_size(scale: Optional[Scale] = None,
                              indexes: Sequence[str] = ("chime", "sherman",
                                                        "rolex", "smart"),
                              seed: Optional[int] = None) -> List[Dict]:
-    scale = scale or current_scale()
-    specs = [
-        scale.point(index_name, "C", scale.cluster_config(seed=seed),
-                    value_size=size, extra=(("value_size", size),))
-        for index_name in indexes
-        for size in sizes
-    ]
-    return sweep_rows(specs, jobs=scale.jobs)
+    return _knob_sweep(scale, indexes, "value_size", sizes, seed)
 
 
 def fig18d_indirect_value_size(scale: Optional[Scale] = None,
                                sizes: Sequence[int] = (8, 64, 256, 512),
                                seed: Optional[int] = None) -> List[Dict]:
-    scale = scale or current_scale()
-    specs = [
-        scale.point(index_name, "C", scale.cluster_config(seed=seed),
-                    value_size=size, extra=(("value_size", size),))
-        for index_name in INDIRECT_INDEXES
-        for size in sizes
-    ]
-    return sweep_rows(specs, jobs=scale.jobs)
+    return _knob_sweep(scale, INDIRECT_INDEXES, "value_size", sizes, seed)
 
 
 def fig18e_span_size(scale: Optional[Scale] = None,
                      spans: Sequence[int] = (16, 64, 128, 256),
                      seed: Optional[int] = None) -> List[Dict]:
-    scale = scale or current_scale()
-    specs = [
-        scale.point(index_name, "C", scale.cluster_config(seed=seed),
-                    span=span, extra=(("span", span),))
-        for index_name in ("chime", "sherman", "rolex")
-        for span in spans
-    ]
-    return sweep_rows(specs, jobs=scale.jobs)
+    return _knob_sweep(scale, ("chime", "sherman", "rolex"), "span", spans,
+                       seed)
 
 
 def fig18f_neighborhood_size(scale: Optional[Scale] = None,
                              neighborhoods: Sequence[int] = (2, 4, 8, 16),
                              seed: Optional[int] = None) -> List[Dict]:
-    scale = scale or current_scale()
-    specs = [
-        scale.point("chime", "C", scale.cluster_config(seed=seed),
-                    neighborhood=neighborhood,
-                    extra=(("neighborhood", neighborhood),))
-        for neighborhood in neighborhoods
-    ]
-    return sweep_rows(specs, jobs=scale.jobs)
+    return _knob_sweep(scale, ("chime",), "neighborhood", neighborhoods, seed)
 
 
 # --------------------------------------------------------------------------

@@ -345,18 +345,11 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         except TornReadError:
             self.qp.stats.retries += 1  # torn speculation: fall back
             return None
-        if hit is not None:
-            self.hotspots.correct_speculations += 1
-            self.hotspots.record_access(leaf_addr, record.key_index, key)
-            if BUS.active:
-                BUS.emit("speculative.correct", self.engine.now,
-                         leaf_addr=leaf_addr)
-            return hit[1]
-        self.hotspots.wrong_speculations += 1
-        if BUS.active:
-            BUS.emit("speculative.wrong", self.engine.now,
-                     leaf_addr=leaf_addr)
-        return None
+        self.hotspots.speculated(hit is not None, self.engine.now, leaf_addr)
+        if hit is None:
+            return None
+        self.hotspots.record_access(leaf_addr, record.key_index, key)
+        return hit[1]
 
     # ---------------------------------------------------------------- writes
 
@@ -474,16 +467,10 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
                            layout.entry_size)
                 view = yield from self._fetch_leaf(leaf_addr, [segment])
                 entry = view.entry(record.key_index)
-                if entry.occupied and entry.key == key:
-                    self.hotspots.correct_speculations += 1
-                    if BUS.active:
-                        BUS.emit("speculative.correct", self.engine.now,
-                                 leaf_addr=leaf_addr)
+                hit = entry.occupied and entry.key == key
+                self.hotspots.speculated(hit, self.engine.now, leaf_addr)
+                if hit:
                     return view, record.key_index, True
-                self.hotspots.wrong_speculations += 1
-                if BUS.active:
-                    BUS.emit("speculative.wrong", self.engine.now,
-                             leaf_addr=leaf_addr)
         view = yield from self._fetch_neighborhood_view(leaf_addr, home)
         position = self._find_in_neighborhood(view, home, key)
         return view, position, False

@@ -1,6 +1,6 @@
 """The hotness-aware speculative read mechanism (paper §4.3).
 
-Each CN hosts one :class:`HotspotBuffer`: a byte-budgeted LFU cache of
+Each CN hosts one :class:`HotspotBuffer`: a byte-budgeted exact-LFU cache of
 *hotspot descriptors* — precise (leaf address, entry index) locations of
 frequently read KV entries, guarded by a 2-byte key fingerprint.  Before a
 neighborhood read, the client consults the buffer; a hit lets it READ one
@@ -21,7 +21,7 @@ from repro.obs.bus import BUS
 ENTRY_BYTES = 16
 
 
-@dataclass
+@dataclass(slots=True)
 class HotspotRecord:
     """One descriptor in the buffer."""
 
@@ -32,11 +32,22 @@ class HotspotRecord:
 
 
 class HotspotBuffer:
-    """LFU-evicting buffer of hotspot descriptors, shared per CN."""
+    """Exact-LFU buffer of hotspot descriptors, shared per CN.
+
+    Records are filed in one insertion-ordered bucket per counter value,
+    and the non-empty counters form an ascending circular chain through
+    the sentinel 0, so ``_higher[0]`` is the least counter.  The victim
+    is the front of that bucket: the least used record and, on a tie,
+    the one that has held its counter longest.  Recording, invalidating
+    and evicting are O(1).
+    """
 
     def __init__(self, capacity_bytes: int) -> None:
         self.capacity = max(capacity_bytes // ENTRY_BYTES, 0)
         self._records: Dict[Tuple[int, int], HotspotRecord] = {}
+        self._buckets: Dict[int, Dict[Tuple[int, int], HotspotRecord]] = {}
+        self._higher: Dict[int, int] = {0: 0}
+        self._lower: Dict[int, int] = {0: 0}
         self.hits = 0
         self.lookups = 0
         self.correct_speculations = 0
@@ -64,27 +75,33 @@ class HotspotBuffer:
         if self.capacity == 0:
             return
         fingerprint = fingerprint16(key)
-        record = self._records.get((leaf_addr, key_index))
-        if record is not None:
-            if record.fingerprint == fingerprint:
-                record.counter += 1
-            else:
-                record.fingerprint = fingerprint
-                record.counter = 1
+        slot = (leaf_addr, key_index)
+        record = self._records.get(slot)
+        if record is None:
+            if len(self._records) >= self.capacity:
+                self.invalidate(*next(iter(self._buckets[self._higher[0]])))
+            record = self._records[slot] = HotspotRecord(
+                leaf_addr, key_index, fingerprint)
+        elif record.fingerprint == fingerprint:
+            count = record.counter
+            self._file(slot, record, count + 1, self._unfile(slot, count))
             return
-        if len(self._records) >= self.capacity:
-            self._evict_lfu()
-        self._records[(leaf_addr, key_index)] = HotspotRecord(
-            leaf_addr, key_index, fingerprint)
+        else:
+            record.fingerprint = fingerprint
+            self._unfile(slot, record.counter)
+        self._file(slot, record, 1, 0)
 
     def invalidate(self, leaf_addr: int, key_index: int) -> None:
         """Drop a descriptor known to be stale (e.g. after a node split)."""
-        self._records.pop((leaf_addr, key_index), None)
+        record = self._records.pop((leaf_addr, key_index), None)
+        if record is not None:
+            self._unfile((leaf_addr, key_index), record.counter)
 
     def lookup(self, leaf_addr: int, home: int, neighborhood: int,
                span: int, key: int) -> Optional[HotspotRecord]:
         """Find the hottest credible descriptor for *key* in its
-        neighborhood; None means do a normal neighborhood read."""
+        neighborhood (the first in neighborhood order on a tie); None
+        means do a normal neighborhood read."""
         self.lookups += 1
         fingerprint = fingerprint16(key)
         best: Optional[HotspotRecord] = None
@@ -102,17 +119,37 @@ class HotspotBuffer:
                      leaf_addr=leaf_addr, home=home)
         return best
 
-    #: Eviction samples this many candidates (approximate LFU, O(1)-ish;
-    #: exact LFU would scan the whole buffer on every eviction).
-    _EVICTION_SAMPLE = 16
+    def speculated(self, correct: bool, now: float, leaf_addr: int) -> None:
+        """Count one speculative read's outcome (§4.3)."""
+        if correct:
+            self.correct_speculations += 1
+        else:
+            self.wrong_speculations += 1
+        if BUS.active:
+            BUS.emit("speculative.correct" if correct else "speculative.wrong",
+                     now, leaf_addr=leaf_addr)
 
-    def _evict_lfu(self) -> None:
-        victim_key = None
-        victim_count = None
-        for sampled, key in enumerate(self._records):
-            counter = self._records[key].counter
-            if victim_count is None or counter < victim_count:
-                victim_key, victim_count = key, counter
-            if sampled + 1 >= self._EVICTION_SAMPLE:
-                break
-        del self._records[victim_key]
+    def _unfile(self, slot: Tuple[int, int], count: int) -> int:
+        """Take *slot* out of counter *count*'s bucket; returns the
+        greatest counter at or below *count* that still has a bucket."""
+        bucket = self._buckets[count]
+        del bucket[slot]
+        if bucket:
+            return count
+        del self._buckets[count]
+        lower, higher = self._lower.pop(count), self._higher.pop(count)
+        self._higher[lower], self._lower[higher] = higher, lower
+        return lower
+
+    def _file(self, slot: Tuple[int, int], record: HotspotRecord, count: int,
+              below: int) -> None:
+        """File *record* at the back of counter *count*'s bucket; a new
+        bucket joins the chain just above counter *below*."""
+        record.counter = count
+        bucket = self._buckets.get(count)
+        if bucket is None:
+            bucket = self._buckets[count] = {}
+            higher = self._higher[below]
+            self._higher[below], self._lower[count] = count, below
+            self._higher[count], self._lower[higher] = higher, count
+        bucket[slot] = record

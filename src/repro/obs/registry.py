@@ -154,6 +154,13 @@ _DISPLACEMENT_BUCKETS = (0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)
 #: NIC queue depths (requests waiting + in service) at arrival.
 _QUEUE_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
+#: Event kinds folded into a counter of the same name, and nothing else.
+_COUNTED = frozenset((
+    "cache.hit", "cache.miss", "cache.evict", "cache.invalidate", "lock.cas_fail",
+    "lock.steal", "lock.lease_expired", "lock.repair", "lock.lease_overrun",
+    "queue.handoff", "queue.drop", "queue.wait_timeout", "hotspot.hit", "hotspot.miss",
+    "speculative.correct", "speculative.wrong"))
+
 
 class MetricsCollector:
     """Folds bus events into a :class:`Registry`.
@@ -185,19 +192,13 @@ class MetricsCollector:
         if kind == "verb":
             registry.counter(f"verb.{data['kind']}").inc()
             registry.counter("verb.bytes").inc(data.get("size", 0))
-        elif kind in ("cache.hit", "cache.miss", "cache.evict",
-                      "cache.invalidate"):
+        elif kind in _COUNTED or kind.startswith("fault."):
             registry.counter(kind).inc()
         elif kind == "nic.queue":
             registry.histogram(f"nic.{data['direction']}.depth",
                                _QUEUE_BUCKETS).observe(data["depth"])
         elif kind == "sync.torn":
             registry.counter(f"sync.torn_l{data['level']}").inc()
-        elif kind == "lock.cas_fail":
-            registry.counter(kind).inc()
-        elif kind in ("lock.steal", "lock.lease_expired", "lock.repair",
-                      "lock.lease_overrun"):
-            registry.counter(kind).inc()
         elif kind == "sync.mode_switch":
             registry.counter(kind).inc()
             registry.counter(f"{kind}.{data['direction']}").inc()
@@ -208,16 +209,9 @@ class MetricsCollector:
             registry.counter(kind).inc()
             registry.histogram("queue.depth", _QUEUE_BUCKETS).observe(
                 data["depth"])
-        elif kind in ("queue.handoff", "queue.drop", "queue.wait_timeout"):
-            registry.counter(kind).inc()
-        elif kind.startswith("fault."):
-            registry.counter(kind).inc()
         elif kind == "hopscotch.displacement":
             registry.histogram(kind, _DISPLACEMENT_BUCKETS).observe(
                 data["moves"])
-        elif kind in ("hotspot.hit", "hotspot.miss",
-                      "speculative.correct", "speculative.wrong"):
-            registry.counter(kind).inc()
         elif kind == "sim.tick":
             registry.gauge("sim.events").set(data["events"])
             registry.histogram("sim.heap", _QUEUE_BUCKETS).observe(

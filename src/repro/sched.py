@@ -58,29 +58,28 @@ __all__ = [
     "shared_stream",
 ]
 
+#: What a lane shares with its client core; nothing rebinds these after launch.
+_SHARED = ("cn", "client_id", "engine", "qp", "lease_owner", "rng", "cache", "combiner")
+
+
 class LaneContext:
     """A per-coroutine view of one :class:`ClientContext`.
 
     Lanes share everything the underlying client core owns — the queue
-    pair, the RNG stream, the CN's cache/combiner/lock table — but
-    expose a lane-tagged ``name`` so observability spans and error
-    reports from overlapping operations stay distinguishable.  Lane 0
-    uses the raw context (no proxy), keeping ``depth=1`` byte-identical
-    to the pre-scheduler runner.
+    pair, the RNG stream, the CN's cache/combiner/lock table — bound
+    once here, but carry a lane-tagged ``name`` so observability spans
+    and error reports from overlapping operations stay distinguishable.
+    Lane 0 uses the raw context, keeping ``depth=1`` byte-identical to
+    the pre-scheduler runner.
     """
 
-    __slots__ = ("_ctx", "lane")
+    __slots__ = _SHARED + ("lane", "name")
 
     def __init__(self, ctx, lane: int) -> None:
-        self._ctx = ctx
+        for attr in _SHARED:
+            setattr(self, attr, getattr(ctx, attr))
         self.lane = lane
-
-    @property
-    def name(self) -> str:
-        return f"{self._ctx.name}~{self.lane}"
-
-    def __getattr__(self, attr):
-        return getattr(self._ctx, attr)
+        self.name = f"{ctx.name}~{lane}"
 
     def __repr__(self) -> str:
         return f"LaneContext({self.name})"

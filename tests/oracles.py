@@ -24,9 +24,12 @@ imports or calls a name in :data:`__all__`):
 * :func:`smart_bulk_load_per_key` — SMART's recursive bulk load over
   ``(key bytes, key, value)`` tuples (``SmartIndex.bulk_load`` recurses
   over index ranges of the sorted keys).
+* :class:`ExactLfuOracle` — the hotspot buffer's exact LFU as a scan of
+  every record per eviction (``HotspotBuffer`` files records in
+  per-counter buckets and evicts in O(1)).
 """
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.baselines.smart import (
     _PARTIAL_MASK,
@@ -42,6 +45,7 @@ from repro.baselines.smart import (
     pack_slot,
 )
 from repro.core.family import FamilyIndexBase
+from repro.core.hotspot import ENTRY_BYTES
 from repro.core.node_layout import LeafLayout, SortedNodeLayout
 from repro.core.nodes import LeafNodeView, SortedNodeView
 from repro.errors import LayoutError, TornReadError
@@ -53,12 +57,14 @@ from repro.layout import (
     encode_value,
     pack_version,
 )
+from repro.layout.codec import fingerprint16
 from repro.layout.versions import LINE, NV_OF_BYTE
 from repro.memory.region import NULL_ADDR
 from repro.obs.bus import BUS
 from repro.sim.engine import Entry
 
 __all__ = [
+    "ExactLfuOracle",
     "HeapQueue",
     "alloc_blocks_per_key",
     "check_entry_evs",
@@ -91,6 +97,56 @@ class HeapQueue:
 
     def __init__(self) -> None:
         self._heap: List[Entry] = []
+
+
+class ExactLfuOracle:
+    """The hotspot buffer's eviction rule, by brute force.
+
+    ``records`` maps ``(leaf address, entry index)`` to ``[fingerprint,
+    counter, tick]``, where *tick* is when the record reached its
+    counter.  The victim is the least ``(counter, tick)``: the least used
+    record and, on a tie, the one that has held its counter longest.
+    """
+
+    def __init__(self, capacity_bytes: int) -> None:
+        self.capacity = capacity_bytes // ENTRY_BYTES
+        self.records: Dict[Tuple[int, int], List[int]] = {}
+        self.tick = 0
+
+    def record_access(self, leaf_addr: int, key_index: int, key: int):
+        """Count, refresh or insert; returns the evicted slot, if any."""
+        if not self.capacity:
+            return None
+        self.tick += 1
+        fingerprint = fingerprint16(key)
+        slot, victim = (leaf_addr, key_index), None
+        record = self.records.get(slot)
+        if record is not None and record[0] == fingerprint:
+            record[1:] = [record[1] + 1, self.tick]
+            return None
+        if record is None and len(self.records) >= self.capacity:
+            victim = min(self.records, key=lambda s: self.records[s][1:])
+            del self.records[victim]
+        self.records[slot] = [fingerprint, 1, self.tick]
+        return victim
+
+    def invalidate(self, leaf_addr: int, key_index: int) -> None:
+        self.records.pop((leaf_addr, key_index), None)
+
+    def lookup(self, leaf_addr: int, home: int, neighborhood: int, span: int,
+               key: int) -> Optional[Tuple[int, int]]:
+        """``(entry index, counter)`` of the hottest matching record in
+        the neighbourhood, the first in neighbourhood order on a tie."""
+        found = []
+        for offset in range(neighborhood):
+            index = (home + offset) % span
+            record = self.records.get((leaf_addr, index))
+            if record is not None and record[0] == fingerprint16(key):
+                found.append((record[1], -offset, index))
+        if not found:
+            return None
+        counter, _, index = max(found)
+        return index, counter
 
 
 # -- the three reader-side checks of §4.1, entry by entry ---------------------

@@ -180,6 +180,16 @@ class TestLaneContext:
         assert lane.cn is ctx.cn
         assert lane.client_id == ctx.client_id
 
+    def test_lane_exposes_the_same_objects_as_its_context(self):
+        cluster = Cluster(ClusterConfig(num_cns=1, clients_per_cn=1,
+                                        seed=SEED))
+        ctx = next(iter(cluster.clients()))
+        lane = LaneContext(ctx, 1)
+        for attr in ("cn", "client_id", "engine", "qp", "lease_owner",
+                     "rng", "cache", "combiner"):
+            assert getattr(lane, attr) is getattr(ctx, attr), attr
+        assert lane.lane == 1 and lane.name == f"{ctx.name}~1"
+
 
 class TestChaosAtDepth:
     def test_cn_crash_at_depth4_parks_all_lanes_and_tree_survives(self):
