@@ -17,7 +17,7 @@ table is laid out, fetched and written, and its leaf format
 from __future__ import annotations
 
 from itertools import islice
-from typing import Generator, List, Optional, Sequence, Tuple
+from typing import Generator, Iterator, List, Optional, Sequence, Tuple
 
 from repro.baselines.pla import PlaModel
 from repro.cluster.cluster import Cluster
@@ -101,6 +101,14 @@ class ModelRoutedIndexBase(FamilyIndexBase):
 
     def collect_items(self) -> List[Tuple[int, int]]:
         return sorted(pair for chain in self._host_chains() for pairs in chain for pair in pairs)
+
+    def lock_lines(self) -> Iterator[Tuple[str, int]]:
+        """Every table's line along every chain: a base leaf's lock
+        guards its chain, and a synonym's is never taken."""
+        for addr in self.leaf_addrs:
+            while addr != NULL_ADDR:
+                yield f"leaf {addr:#x}", addr + self.leaf_layout.lock_offset
+                _pairs, addr = self._host_table(addr)
 
     def synonym_chain_lengths(self) -> List[int]:
         """Chain length per leaf (diagnostics for insert behaviour)."""

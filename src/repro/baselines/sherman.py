@@ -33,7 +33,6 @@ from repro.core.family import LockGuard
 from repro.core.leaf_ops import SortedLeafOpsMixin
 from repro.core.node_layout import SortedNodeLayout
 from repro.core.nodes import SortedNodeView
-from repro.layout import StripedSpan
 from repro.layout.versions import bump_nibble
 from repro.memory import NULL_ADDR
 
@@ -80,11 +79,8 @@ class ShermanIndex(BTreeIndexBase):
     # -- host-side inspection --------------------------------------------------------
 
     def collect_items(self) -> List[Tuple[int, int]]:
-        layout = self.leaf_layout
         out: List[Tuple[int, int]] = []
-        for addr in self.leaf_addrs():
-            raw = self._host_read(addr, layout.raw_size)
-            view = SortedNodeView(layout, StripedSpan(raw, 0))
+        for _addr, view in self.leaf_chain():
             for key, value in view.items():
                 if self.config.indirect_values:
                     value = self._host_read_block(value)[1]

@@ -302,6 +302,12 @@ class SmartIndex(FamilyIndexBase):
                       for _partial, word in node.occupied_slots()
                       if word & _LEAF)
 
+    def sealed_slots(self) -> Iterator[str]:
+        for _level, node in self._host_nodes():
+            for index, word in enumerate(node.slots):
+                if word & SEAL_BIT:
+                    yield f"node {node.addr:#x} slot {index}"
+
     def cache_bytes_needed(self) -> int:
         """Bytes to cache every pointer-bearing node (the paper's
         cache-consumption metric for SMART)."""

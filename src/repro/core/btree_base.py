@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Tuple
+from typing import Generator, Iterator, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import ClientContext
@@ -65,6 +65,9 @@ class LeafRef:
 
 class BTreeIndexBase(FamilyIndexBase):
     """Host-side state shared by all clients of one tree index."""
+
+    #: The leaf format's view over ``leaf_layout`` (CHIME's differs).
+    leaf_view = SortedNodeView
 
     def __init__(self, cluster: Cluster, config) -> None:
         super().__init__(cluster, config)
@@ -173,6 +176,27 @@ class BTreeIndexBase(FamilyIndexBase):
             if parsed.level == 1:
                 addrs.extend(parsed.children[:parsed.count])
         return addrs
+
+    def leaf_chain(self) -> Iterator[Tuple[int, object]]:
+        """``(addr, leaf_view)`` of every leaf from :meth:`leftmost_leaf`
+        along the sibling chain — :meth:`leaf_addrs` misses a half-split
+        whose parent entry was never written (a lost verb ended its
+        propagation)."""
+        layout = self.leaf_layout
+        addr, seen = self.leftmost_leaf(), set()
+        while addr != NULL_ADDR and addr not in seen:
+            seen.add(addr)
+            view = self.leaf_view(layout, StripedSpan(
+                self._host_read(addr, layout.raw_size), 0))
+            yield addr, view
+            addr = view.sibling
+
+    def lock_lines(self) -> Iterator[Tuple[str, int]]:
+        for addr, _parsed in self.internal_nodes():
+            yield (f"internal node {addr:#x}",
+                   addr + self.internal_layout.lock_offset)
+        for addr, _view in self.leaf_chain():
+            yield f"leaf {addr:#x}", addr + self.leaf_layout.lock_offset
 
     def cache_bytes_needed(self) -> int:
         """Bytes required to cache the full internal structure on one CN."""

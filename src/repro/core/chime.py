@@ -105,6 +105,8 @@ class OpResult:
 class ChimeIndex(BTreeIndexBase):
     """Host-side state of one CHIME tree."""
 
+    leaf_view = LeafNodeView
+
     def __init__(self, cluster: Cluster, config: Optional[ChimeConfig] = None) -> None:
         super().__init__(cluster, config or ChimeConfig())
         if self.config.retry is not None:
@@ -219,11 +221,8 @@ class ChimeIndex(BTreeIndexBase):
 
     def collect_items(self) -> List[Tuple[int, int]]:
         """All (key, value) pairs, key-ordered, read host-side (tests)."""
-        layout = self.leaf_layout
         out: List[Tuple[int, int]] = []
-        for addr in self.leaf_addrs():
-            raw = self._host_read(addr, layout.raw_size)
-            view = LeafNodeView(layout, StripedSpan(raw, 0))
+        for _addr, view in self.leaf_chain():
             for key, value in view.pairs():
                 if self.config.indirect_values:
                     value = self._host_read_block(value)[1]

@@ -224,6 +224,18 @@ class FamilyIndexBase:
         """Memory-pool bytes consumed (nodes + blocks)."""
         return sum(mn.allocator.bytes_used for mn in self.cluster.mns.values())
 
+    # -- what a client may claim (the invariant audit's view) ------------------
+
+    def lock_lines(self) -> Iterable[Tuple[str, int]]:
+        """``(node, address)`` of every lock line a client may take,
+        host-side; a family without a lock word has none."""
+        return ()
+
+    def sealed_slots(self) -> Iterable[str]:
+        """Every slot a structural change has sealed, host-side; only
+        SMART seals."""
+        return ()
+
 
 class FamilyClientBase(SpanInstrumentedOps):
     """One client's handle on an index: plumbing every family shares.

@@ -294,6 +294,11 @@ class LeafNodeView:
         return decode_u64(self.span.read_logical(
             off + self.layout.REPLICA_OFF_SIBLING, 8))
 
+    @property
+    def sibling(self) -> int:
+        """The sibling pointer, as the first replica carries it."""
+        return self.replica_sibling(0)
+
     def replica_fences(self, block: int) -> Tuple[int, int]:
         layout = self.layout
         off = layout.replica_offset(block)

@@ -24,7 +24,7 @@ load has placed them, no shard moves (DESIGN.md §14).
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, Iterator, List, Optional, Tuple
 
 from repro.cluster.shards import partition_pairs
 from repro.errors import ConfigError
@@ -125,6 +125,16 @@ class ShardedIndex:
         for sub in self._subs:
             items.extend(sub.collect_items())
         return items
+
+    def lock_lines(self) -> Iterator[Tuple[str, int]]:
+        for shard, sub in self.shards():
+            for node, addr in sub.lock_lines():
+                yield f"shard {shard}: {node}", addr
+
+    def sealed_slots(self) -> Iterator[str]:
+        for shard, sub in self.shards():
+            for slot in sub.sealed_slots():
+                yield f"shard {shard}: {slot}"
 
     def remote_memory_bytes(self) -> int:
         return sum(

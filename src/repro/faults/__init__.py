@@ -8,13 +8,13 @@ Three pieces:
   every verb (installed via
   :meth:`repro.cluster.cluster.Cluster.install_faults`);
 * :mod:`repro.faults.invariants` / :mod:`repro.faults.chaos` — the
-  whole-tree invariant checker and the seeded chaos harness built on it
+  whole-index invariant checker and the seeded chaos harness built on it
   (also exposed as the ``chaos`` CLI subcommand).
 """
 
 from repro.faults.chaos import ChaosConfig, ChaosResult, build_plan, run_chaos
 from repro.faults.injector import FaultInjector
-from repro.faults.invariants import InvariantReport, check_tree_invariants
+from repro.faults.invariants import InvariantReport, check_index_invariants
 from repro.faults.plan import (
     CrashFault,
     DelayFault,
@@ -26,6 +26,6 @@ from repro.faults.plan import (
 __all__ = [
     "FaultPlan", "LossFault", "DelayFault", "MnOutage", "CrashFault",
     "FaultInjector",
-    "InvariantReport", "check_tree_invariants",
+    "InvariantReport", "check_index_invariants",
     "ChaosConfig", "ChaosResult", "build_plan", "run_chaos",
 ]

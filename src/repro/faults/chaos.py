@@ -7,7 +7,7 @@ index family (CHIME by default; any registry family with
 :class:`ChaosConfig` (by default: crash one client's CN between its
 lock-acquiring CAS and the unlocking WRITE), drives a mixed workload
 from every client, and then verifies the tree with
-:func:`~repro.faults.invariants.check_tree_invariants`.
+:func:`~repro.faults.invariants.check_index_invariants`.
 
 Everything — workload choices, fault draws, simulated time — is seeded,
 so a config maps to exactly one :class:`ChaosResult`; running twice and

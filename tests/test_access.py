@@ -389,8 +389,8 @@ class TestKvFamilies:
             assert items[key] == key + 1
 
     def test_kv_invariants_dispatch(self, index_cls):
-        # No internal_layout -> the KV checker runs (no duplicate slots,
-        # all committed keys present).
+        # No lock line to audit: no duplicate slots, all committed keys
+        # present.
         cluster = make_cluster()
         index = build_kv(index_cls, cluster)
         report = check_index_invariants(

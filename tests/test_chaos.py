@@ -9,7 +9,19 @@ import json
 
 import pytest
 
-from repro.faults import ChaosConfig, check_tree_invariants, run_chaos
+from repro.baselines.smart import HEADER_SIZE, SEAL_BIT, decode_node, node_size
+from repro.cluster import Cluster
+from repro.config import ClusterConfig
+from repro.core.node_layout import (
+    LOCK_BIT,
+    LOCK_LEASE_OFFSET,
+    LOCK_TICKET_OFFSET,
+    pack_lease,
+)
+from repro.faults import ChaosConfig, check_index_invariants, run_chaos
+from repro.layout import decode_u64, encode_u64
+from repro.registry import build_index, get_family
+from tests.test_family_base import LOCK_WORD_FAMILIES
 
 pytestmark = pytest.mark.chaos
 
@@ -145,12 +157,12 @@ class TestInvariantChecker:
         cluster = Cluster(ClusterConfig(num_cns=1, clients_per_cn=1))
         index = ChimeIndex(cluster, ChimeConfig())
         index.bulk_load([(k, k) for k in range(1, 200)])
-        assert check_tree_invariants(index).ok
+        assert check_index_invariants(index).ok
         addr = index.leaf_addrs()[0]
         lock_addr = addr + index.leaf_layout.lock_offset
         word = int.from_bytes(index._host_read(lock_addr, 8), "little")
         index._host_write(lock_addr, encode_u64(word | LOCK_BIT))
-        report = check_tree_invariants(index)
+        report = check_index_invariants(index)
         assert not report.ok
         assert any("lock bit" in v for v in report.violations)
 
@@ -168,7 +180,7 @@ class TestInvariantChecker:
         index.bulk_load([(k, k) for k in range(1, 200)])
         root_lock = index.root_addr + index.internal_layout.lock_offset
         index._host_write(root_lock, encode_u64(LOCK_BIT))
-        report = check_tree_invariants(index)
+        report = check_index_invariants(index)
         assert report.violations == [
             f"internal node {index.root_addr:#x}: lock bit still set "
             f"after the run"]
@@ -181,6 +193,69 @@ class TestInvariantChecker:
         cluster = Cluster(ClusterConfig(num_cns=1, clients_per_cn=1))
         index = ChimeIndex(cluster, ChimeConfig())
         index.bulk_load([(k, k) for k in range(1, 100)])
-        report = check_tree_invariants(index, expected_keys={1, 50, 5000})
+        report = check_index_invariants(index, expected_keys={1, 50, 5000})
         assert any("5000" in v and "unreadable" in v
                    for v in report.violations)
+
+
+#: What a planted claim writes on a lock line (offset, word; None: the
+#: line's own word with the lock bit set), and how its violation starts.
+_PLANTED = {
+    "lock": (0, None, "lock bit still set after the run"),
+    "lease": (LOCK_LEASE_OFFSET, pack_lease(owner=99, epoch=5, expiry_us=0),
+              "orphaned lease (owner 99, expired 0us <= now "),
+    "ticket": (LOCK_TICKET_OFFSET, 1,
+               "1 unserved queue ticket(s) at rest (serving 0, next 1)"),
+}
+
+
+def _loaded(index_name):
+    """A bulk-loaded *index_name* whose last lock line is its rightmost
+    leaf — for the model-routed families, a synonym table hung off the
+    last leaf by inserts past every loaded key."""
+    cluster = Cluster(ClusterConfig(num_cns=1, clients_per_cn=1))
+    index = build_index(index_name, cluster)
+    pairs = [(key, key) for key in range(1, 400)]
+    if not get_family(index_name).model_routed:
+        index.bulk_load(pairs)
+        return index
+    index.bulk_load(pairs, future_keys=range(1, 400))
+    client = index.client(next(iter(cluster.clients())))
+
+    def overflow():
+        for key in range(10_000, 10_080):
+            yield from client.insert(key, key)
+
+    cluster.engine.process(overflow())
+    cluster.run()
+    assert max(index.synonym_chain_lengths()) > 1
+    return index
+
+
+class TestPlantedClaims:
+    """The audit reports a claim left at rest on any family's lock line,
+    and a seal on a SMART slot."""
+
+    @pytest.mark.parametrize("claim", sorted(_PLANTED))
+    @pytest.mark.parametrize("index_name", LOCK_WORD_FAMILIES)
+    def test_a_planted_claim_is_reported(self, index_name, claim):
+        index = _loaded(index_name)
+        assert check_index_invariants(index).ok
+        node, addr = list(index.lock_lines())[-1]
+        offset, word, message = _PLANTED[claim]
+        if word is None:
+            word = decode_u64(index._host_read(addr, 8)) | LOCK_BIT
+        index._host_write(addr + offset, encode_u64(word))
+        violations = check_index_invariants(index).violations
+        assert len(violations) == 1
+        assert violations[0].startswith(f"{node}: {message}"), violations
+
+    def test_a_planted_seal_is_reported(self):
+        index = _loaded("smart")
+        node = decode_node(index.root_addr, index._host_read(
+            index.root_addr, node_size(index.root_type)))
+        slot = next(i for i, word in enumerate(node.slots) if word)
+        index._host_write(node.addr + HEADER_SIZE + 8 * slot,
+                          encode_u64(node.slots[slot] | SEAL_BIT))
+        assert check_index_invariants(index).violations == [
+            f"node {node.addr:#x} slot {slot}: still sealed after the run"]

@@ -34,7 +34,7 @@ from repro.errors import (
     OperationTimeoutError,
     RetryExhaustedError,
 )
-from repro.faults import FaultPlan, check_tree_invariants
+from repro.faults import FaultPlan, check_index_invariants
 from repro.layout import decode_u64, encode_key, encode_u64
 from repro.obs import BUS
 from repro.registry import build_index, families, get_family
@@ -288,7 +288,7 @@ def test_lost_parent_release_in_split_propagation_is_restored():
     assert injector.counters == {"fault.loss": 1}
     assert released and released[0] > clean[0]  # a later split landed
     keys = [*range(2, 200, 2), *range(1, 62, 2)]
-    report = check_tree_invariants(index, expected_keys=keys)
+    report = check_index_invariants(index, expected_keys=keys)
     assert report.ok, report.violations
 
 

@@ -7,8 +7,8 @@ concurrent batch of
 search / insert / update / delete on *distinct* keys, spread over eight
 clients on two CNs, so every answer is exact — yet distinct keys still
 share leaves, so leaf locks contend (and queue, and hand off) inside a
-batch.  After each batch the index's items must equal the model's, and a
-CHIME tree must also pass :func:`~repro.faults.check_index_invariants`.
+batch.  After each batch the index's items must equal the model's, and
+the index must pass :func:`~repro.faults.check_index_invariants`.
 A family that scans also takes quiescent scans between batches, each
 equal to the model's pairs from its key on, cut to its count.
 
@@ -112,6 +112,8 @@ def _machine(index_name: str, mode: str, leases: bool):
         if family.supports_scan:
             @rule(key=st.integers(1, KEYS), count=st.integers(1, 40))
             def quiescent_scan(self, key, count) -> None:
+                if family.family == "smart":  # its stale scan is pinned below
+                    self.clients[-1].ctx.cache.clear()
                 out = []
 
                 def scan():
@@ -125,10 +127,9 @@ def _machine(index_name: str, mode: str, leases: bool):
         @invariant()
         def items_match_the_model(self) -> None:
             assert self.index.collect_items() == sorted(self.model.items())
-            if family.family == "chime":
-                report = check_index_invariants(
-                    self.index, expected_keys=self.model)
-                assert report.ok, report.violations
+            report = check_index_invariants(self.index,
+                                            expected_keys=self.model)
+            assert report.ok, report.violations
 
     return LockWordModel
 
@@ -184,6 +185,26 @@ def test_marlin_update_survives_a_concurrent_insert_into_its_leaf():
     model.concurrent_batch([("search", 1, 1)])
     model.concurrent_batch([("insert", 1, 1), ("update", 2, 1)])
     model.items_match_the_model()
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a SMART scan walks the radix nodes its CN cached; an install by "
+    "another CN's client invalidates only that CN's copy, so the scan "
+    "misses the key (its search re-walks uncached, its scan does not)"))
+def test_smart_scan_sees_a_key_another_cn_installed():
+    model = _machine("smart", "optimistic", False)()
+    scanner = model.clients[-1]  # on the CN the inserting client is not
+    out = []
+
+    def scan():
+        out.append((yield from scanner.scan(1, 1)))
+
+    for batch in ([], [("insert", 1, 1)]):
+        if batch:
+            model.concurrent_batch(batch)
+        model.cluster.engine.process(scan())
+        model.cluster.run()
+    assert out == [[(2, 14)], [(1, 1)]]
 
 
 @pytest.mark.xfail(strict=True, reason=(
