@@ -332,9 +332,11 @@ class FlexKVClient(FamilyClientBase):
     """Per-client FlexKV operations under the partition's placement.
 
     The placement dispatch decides per partition where an operation
-    runs; ``search`` and ``update`` replace the base templates, so RDWC
-    is not applied (``insert`` is the base template, which has none).
+    runs.
     """
+
+    #: RDWC is not applied: an MN-placed operation is one RPC.
+    rdwc = False
 
     #: Bucket re-reads after a lost slot-claim CAS before giving up.
     _CLAIM_ATTEMPTS = 4
@@ -365,21 +367,16 @@ class FlexKVClient(FamilyClientBase):
 
     # -- operations ----------------------------------------------------------
 
-    def search(self, key: int) -> Generator:
-        """Point lookup; returns the value or None."""
-        result = yield from self._op("search", self._dispatch("search", key))
-        return result
+    def _search(self, key: int) -> Generator:
+        return self._dispatch("search", key)
 
     def _insert(self, key: int, value: int) -> Generator:
         """Upsert into the key's bucket (CAS slot claim CN-side)."""
         return self._dispatch("insert", key, value)
 
-    def update(self, key: int, value: int) -> Generator:
-        """In-place value write; returns True when the key existed."""
-        result = yield from self._op(
-            "update", self._dispatch("update", key, value)
-        )
-        return result
+    def _update(self, key: int, value: int) -> Generator:
+        """In-place value write; True when the key existed."""
+        return self._dispatch("update", key, value)
 
     def _dispatch(self, kind: str, key: int, value: int = 0) -> Generator:
         index = self.index

@@ -9,7 +9,8 @@ registry's ``hash`` placement) and issues exactly one READ.  Keys
 outside the MPH domain — inserted after the bulk load — live in
 MN-resident overflow buckets: new-key inserts go through an RPC to the
 bucket's home MN (the weak CPU places the entry), and readers fall back
-to a one-sided bucket READ after a failed slot verify.  There is no
+to a one-sided bucket READ after a failed slot verify (and on to the
+next bucket while the one read is full).  There is no
 range structure at all, so scans are unsupported; that is the cost of
 the one-RTT economy.
 
@@ -86,11 +87,20 @@ class OutbackIndex(FamilyIndexBase):
     def overflow_home(self, key: int) -> int:
         return self.mn_ids[default_hash(key, len(self.mn_ids))]
 
-    def overflow_addr(self, key: int) -> Tuple[int, int]:
-        """``(mn_id, bucket_addr)`` of *key*'s overflow bucket."""
+    def overflow_addr(self, key: int, probe: int = 0) -> Tuple[int, int]:
+        """``(mn_id, bucket_addr)`` of *key*'s overflow bucket, or with
+        *probe* the one that many after it: a full bucket spills into
+        the next (linear probing; with no deletes a key lives in the
+        first bucket of its sequence that was not full)."""
         mn_id = self.overflow_home(key)
-        bucket = default_hash(key * 31 + 7, self.overflow_buckets)
+        first = default_hash(key * 31 + 7, self.overflow_buckets)
+        bucket = (first + probe) % self.overflow_buckets
         return mn_id, self.overflow_base[mn_id] + bucket * self.bucket_bytes
+
+    def bucket_keys(self, bucket: bytes) -> List[int]:
+        """The key in each slot of an overflow *bucket* image (0: empty)."""
+        step = self.slot_size
+        return [decode_key(bucket, at) for at in range(0, len(bucket), step)]
 
     # -- bulk load -----------------------------------------------------------
 
@@ -133,28 +143,20 @@ class OutbackIndex(FamilyIndexBase):
         overflow key overwrites its value in place).
         """
         _, key, value = request
-        _mn_id, bucket_addr = self.overflow_addr(key)
-        slot_size = self.slot_size
         value_size = self.config.value_size
-        empty_at = -1
-        for i in range(self.config.overflow_slots):
-            addr = bucket_addr + i * slot_size
-            stored = decode_key(self._host_read(addr, 8))
-            if stored == key:
-                empty_at = i
-                break
-            if stored == 0 and empty_at < 0:
-                empty_at = i
-        if empty_at < 0:
-            raise SimulationError(
-                f"outback overflow bucket full at {bucket_addr:#x} "
-                f"(raise OutbackConfig.overflow_headroom)"
-            )
-        self._host_write(
-            bucket_addr + empty_at * slot_size,
-            encode_key(key) + encode_value(value, value_size),
+        for probe in range(self.overflow_buckets):
+            _mn_id, bucket_addr = self.overflow_addr(key, probe)
+            bucket = self._host_read(bucket_addr, self.bucket_bytes)
+            keys = self.bucket_keys(bucket)
+            if key in keys or 0 in keys:
+                at = keys.index(key if key in keys else 0) * self.slot_size
+                entry = encode_key(key) + encode_value(value, value_size)
+                self._host_write(bucket_addr + at, entry)
+                return True
+        raise SimulationError(
+            "outback overflow buckets all full "
+            "(raise OutbackConfig.overflow_headroom)"
         )
-        return True
 
     # -- host-side inspection ------------------------------------------------
 
@@ -185,18 +187,12 @@ class OutbackIndex(FamilyIndexBase):
 
 
 class OutbackClient(FamilyClientBase):
-    """Per-client Outback operations (hash placement: MPH, then one verb).
+    """Per-client Outback operations (hash placement: MPH, then one verb)."""
 
-    ``search`` and ``update`` replace the base templates: RDWC is not
-    applied to the one-RTT paths (``insert`` is the base template).
-    """
+    #: RDWC is not applied to the one-RTT paths.
+    rdwc = False
 
     # -- point lookups (the one-RTT fast path) -------------------------------
-
-    def search(self, key: int) -> Generator:
-        """Point lookup; returns the value or None."""
-        result = yield from self._op("search", self._search(key))
-        return result
 
     def _search(self, key: int) -> Generator:
         index = self.index
@@ -209,18 +205,21 @@ class OutbackClient(FamilyClientBase):
         return found[1] if found is not None else None
 
     def _overflow_probe(self, key: int) -> Generator:
-        """Find *key* in its overflow bucket; ``(slot_addr, value)`` or None."""
+        """Find *key* in its overflow buckets, one READ each, reading on
+        while a bucket is full without it; ``(slot_addr, value)`` or None."""
         index = self.index
-        _mn_id, bucket_addr = index.overflow_addr(key)
-        bucket = yield from self.qp.read(bucket_addr, index.bucket_bytes)
-        slot_size = index.slot_size
-        for i in range(index.config.overflow_slots):
-            offset = i * slot_size
-            if decode_key(bucket, offset) == key:
+        for probe in range(index.overflow_buckets):
+            _mn_id, bucket_addr = index.overflow_addr(key, probe)
+            bucket = yield from self.qp.read(bucket_addr, index.bucket_bytes)
+            keys = index.bucket_keys(bucket)
+            if key in keys:
+                offset = keys.index(key) * index.slot_size
                 value = decode_value(
                     bucket, offset + 8, size=index.config.value_size
                 )
                 return bucket_addr + offset, value
+            if 0 in keys:
+                return None
         return None
 
     # -- writes --------------------------------------------------------------
@@ -240,12 +239,8 @@ class OutbackClient(FamilyClientBase):
         )
         return True
 
-    def update(self, key: int, value: int) -> Generator:
-        """Read-verify-write; returns True when the key existed."""
-        result = yield from self._op("update", self._update(key, value))
-        return result
-
     def _update(self, key: int, value: int) -> Generator:
+        """Read-verify-write; returns True when the key existed."""
         index = self.index
         slot_addr = index.slot_addr(index.mph.slot_of(key))
         slot_data = yield from self.qp.read(slot_addr, index.slot_size)

@@ -30,7 +30,6 @@ from repro.baselines.model_routed import (
 )
 from repro.core.node_layout import SortedNodeLayout
 from repro.core.nodes import SortedNodeView
-from repro.errors import FaultInjectedError
 from repro.layout import StripedSpan
 from repro.layout.versions import bump_nibble
 from repro.memory import NULL_ADDR
@@ -91,14 +90,10 @@ class RolexClient(ModelRoutedClientBase, SortedLeafOpsMixin):
     # -------------------------------------------------------------- plumbing
 
     def _read_leaf_batch(self, addrs: Sequence[int]) -> Generator:
-        """Batched whole-leaf READs with per-leaf consistency retries; a
-        lost batch hands every leaf to its own re-read."""
+        """Batched whole-leaf READs with per-leaf consistency retries."""
         layout = self.layout
-        try:
-            payloads = yield from self.qp.read_batch(
-                [(addr, layout.raw_size) for addr in addrs])
-        except FaultInjectedError:
-            payloads = [None] * len(addrs)
+        payloads = yield from self.qp.read_batch(
+            [(addr, layout.raw_size) for addr in addrs])
         views = []
         for addr, data in zip(addrs, payloads):
             view = yield from self._read_sorted_node(addr, layout, raw=data)

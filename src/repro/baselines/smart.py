@@ -390,22 +390,17 @@ class SmartClient(FamilyClientBase):
         return swapped
 
     def _publish(self, new_node: RadixNode, at: Tuple[RadixNode, int],
-                 sealed: Optional[RadixNode] = None) -> Generator:
+                 *stale: int) -> Generator:
         """Allocate and WRITE *new_node*, then CAS it into the slot ``at
-        = (node, slot)`` under that slot's partial key byte.  *sealed* is
-        the node a structural change replaces: dropped from the cache
-        once the CAS swaps, unsealed when it loses."""
+        = (node, slot)`` under that slot's partial key byte; True once
+        it swapped (the *stale* addresses then leave the cache)."""
         new_node.addr = yield from self._alloc(new_node.size)
         yield from self.qp.write(new_node.addr, encode_node(new_node))
         node, slot = at
         word = node.slots[slot]
         new_word = pack_slot(unpack_slot(word)[1], new_node.addr, leaf=False,
                              node_type=new_node.node_type)
-        stale = () if sealed is None else (sealed.addr,)
-        swapped = yield from self._cas_slot(node, slot, word, new_word, *stale)
-        if not swapped and sealed is not None:
-            yield from self._unseal_node(sealed)
-        return swapped
+        return (yield from self._cas_slot(node, slot, word, new_word, *stale))
 
     # -------------------------------------------------------------- search
 
@@ -530,34 +525,51 @@ class SmartClient(FamilyClientBase):
                            existing[depth:divergence], slots)
         return (yield from self._publish(branch, (node, slot)))
 
-    def _seal_node(self, node: RadixNode) -> Generator:
-        """Atomically seal every slot of *node*; returns the node as it
-        stood once fully sealed (the authoritative copy source)."""
-        for index in range(len(node.slots)):
-            current = node.slots[index]
-            retry = self.retry.start("seal node {:#x}", self.engine,
-                                     self.ctx.rng, node.addr)
-            # A set seal bit: another structural op already sealed it.
-            while not current & SEAL_BIT and retry.check():
-                target = (current | SEAL_BIT) if current & _OCCUPIED \
-                    else EMPTY_SEALED
-                old, swapped = yield from self.qp.cas(
-                    self._slot_addr(node, index), current, target)
-                if swapped:
-                    break
-                current = old  # lost to a concurrent install; retry
-        data = yield from self.qp.read(node.addr, node.size)
-        return decode_node(node.addr, data)
+    def _sealed(self, node: RadixNode, change, *args) -> Generator:
+        """The one sealed section: atomically seal every slot of *node*,
+        re-read it, and return what ``change(sealed, *args)`` returns
+        given that authoritative copy — True once its publish swapped.
+        On False the seals are given back; on anything raised (a lost
+        verb included, part-way through sealing too) the seals this
+        client set, as :meth:`_locked` restores a lock — unless a parked
+        (crashed) client is being reclaimed (``GeneratorExit``)."""
+        mine = []
+        try:
+            for index in range(len(node.slots)):
+                current = node.slots[index]
+                retry = self.retry.start("seal node {:#x}", self.engine,
+                                         self.ctx.rng, node.addr)
+                # A set seal bit: another structural op already sealed it.
+                while not current & SEAL_BIT and retry.check():
+                    target = (current | SEAL_BIT) if current & _OCCUPIED \
+                        else EMPTY_SEALED
+                    old, swapped = yield from self.qp.cas(
+                        self._slot_addr(node, index), current, target)
+                    if swapped:
+                        mine.append((index, target))
+                        break
+                    current = old  # lost to a concurrent install; retry
+            data = yield from self.qp.read(node.addr, node.size)
+            sealed = decode_node(node.addr, data)
+            done = yield from change(sealed, *args)
+        except GeneratorExit:
+            raise
+        except BaseException:
+            yield from self._unseal(node, mine)
+            raise
+        if not done:
+            yield from self._unseal(node, [
+                (index, word) for index, word in enumerate(sealed.slots)
+                if word & SEAL_BIT])
+        return done
 
-    def _unseal_node(self, node: RadixNode) -> Generator:
-        """Undo sealing after a failed structural change."""
-        for index, word in enumerate(node.slots):
-            if word == EMPTY_SEALED:
-                yield from self.qp.cas(self._slot_addr(node, index),
-                                       EMPTY_SEALED, 0)
-            elif word & SEAL_BIT:
-                yield from self.qp.cas(self._slot_addr(node, index), word,
-                                       word & ~SEAL_BIT)
+    def _unseal(self, node: RadixNode, slots) -> Generator:
+        """CAS each ``(slot, sealed word)`` of *slots* back, re-issued
+        while lost."""
+        for index, word in slots:
+            yield from self._until_landed(
+                "unseal", self.qp.cas, self._slot_addr(node, index), word,
+                0 if word == EMPTY_SEALED else word & ~SEAL_BIT)
 
     def _upgrade_node(self, node: RadixNode, at, partial: int, key: int,
                       value: int) -> Generator:
@@ -567,14 +579,17 @@ class SmartClient(FamilyClientBase):
             raise IndexError_("Node256 cannot be full for a new partial")
         if at[0] is None:
             raise IndexError_("the Node256 root is never upgraded")
-        sealed = yield from self._seal_node(node)
+        return (yield from self._sealed(node, self._upgrade_sealed, at,
+                                        partial, key, value))
+
+    def _upgrade_sealed(self, sealed: RadixNode, at, partial: int, key: int,
+                        value: int) -> Generator:
         if sealed.slot_index_for(partial) is not None or \
                 sealed.free_slot_index(partial) is not None:
             # The picture changed while sealing (an install landed or a
             # slot was deleted): back off and retry the whole insert.
-            yield from self._unseal_node(sealed)
             return False
-        new_type = _UPGRADE[node.node_type]
+        new_type = _UPGRADE[sealed.node_type]
         slots = [0] * SLOT_COUNTS[new_type]
         occupied = sealed.occupied_slots()
         if new_type == NODE256:
@@ -589,9 +604,9 @@ class SmartClient(FamilyClientBase):
             slots[partial] = leaf_word
         else:
             slots[len(occupied)] = leaf_word
-        bigger = RadixNode(NULL_ADDR, new_type, node.depth, node.prefix,
+        bigger = RadixNode(NULL_ADDR, new_type, sealed.depth, sealed.prefix,
                            slots)
-        return (yield from self._publish(bigger, at, sealed))
+        return (yield from self._publish(bigger, at, sealed.addr))
 
     def _expand_prefix(self, node: RadixNode, at, key_bytes: bytes,
                        key: int, value: int) -> Generator:
@@ -600,16 +615,19 @@ class SmartClient(FamilyClientBase):
         re-prefixed copy of *node*."""
         if at[0] is None:
             raise IndexError_("the root has no prefix to expand")
-        sealed = yield from self._seal_node(node)
+        return (yield from self._sealed(node, self._expand_sealed, at,
+                                        key_bytes, key, value))
+
+    def _expand_sealed(self, sealed: RadixNode, at, key_bytes: bytes,
+                       key: int, value: int) -> Generator:
         full_prefix = sealed.prefix
         divergence = 0
         while divergence < len(full_prefix) and \
-                key_bytes[node.depth + divergence] == full_prefix[divergence]:
+                key_bytes[sealed.depth + divergence] == full_prefix[divergence]:
             divergence += 1
         if divergence >= len(full_prefix):
-            yield from self._unseal_node(sealed)
             return False  # prefix changed under us: retry
-        branch_depth = node.depth + divergence
+        branch_depth = sealed.depth + divergence
         # Re-prefixed copy of the old node (out-of-place; old node leaks).
         copy_slots = [0 if w == EMPTY_SEALED else (w & ~SEAL_BIT)
                       for w in sealed.slots]
@@ -622,9 +640,9 @@ class SmartClient(FamilyClientBase):
         slots[0] = pack_slot(full_prefix[divergence], copy.addr, leaf=False,
                              node_type=copy.node_type)
         slots[1] = pack_slot(key_bytes[branch_depth], leaf_addr, leaf=True)
-        branch = RadixNode(NULL_ADDR, NODE4, node.depth,
+        branch = RadixNode(NULL_ADDR, NODE4, sealed.depth,
                            full_prefix[:divergence], slots)
-        return (yield from self._publish(branch, at, sealed))
+        return (yield from self._publish(branch, at, sealed.addr))
 
     # -------------------------------------------------------------- delete
 

@@ -174,7 +174,7 @@ def _list_indexes() -> None:
     from repro.registry import families
     rows = [{"index": f.name, "family": f.family,
              "kv_discrete": f.kv_discrete, "scan": f.supports_scan,
-             "chaos": f.supports_chaos, "indirect": f.indirect_values,
+             "indirect": f.indirect_values,
              "model_routed": f.model_routed,
              "one_rtt": f.one_rtt_point, "offload": f.mn_offload,
              "dyn_place": f.dynamic_placement,
@@ -315,6 +315,7 @@ def _parse_crash(spec: str):
 
 
 def _cmd_chaos(args) -> int:
+    from repro.errors import WorkloadError
     from repro.faults import ChaosConfig, run_chaos
 
     overrides: dict = {"seed": args.seed, "lock_leases": not args.no_leases}
@@ -361,8 +362,11 @@ def _cmd_chaos(args) -> int:
             return 2
     if outages:
         overrides["mn_outages"] = tuple(outages)
-    cfg = ChaosConfig(**overrides)
-    result = run_chaos(cfg)
+    try:
+        result = run_chaos(ChaosConfig(**overrides))
+    except WorkloadError as exc:  # an unknown family, an undeclared mode
+        print(str(exc), file=sys.stderr)
+        return 2
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     ok = result.invariants.ok and not result.errors
     print(f"[chaos: {'OK' if ok else 'FAILED'} — "
@@ -576,11 +580,11 @@ def build_parser() -> argparse.ArgumentParser:
                     env="depth sync_mode num_mns num_shards placement")
 
     chaos_parser = sub.add_parser(
-        "chaos", help="run a seeded fault-injection campaign against CHIME")
+        "chaos",
+        help="run a seeded fault-injection campaign against any index family")
     chaos_parser.add_argument("--index", default=None,
                               help="index family under test (default: "
-                                   "chime; any registry family with "
-                                   "supports_chaos)")
+                                   "chime; any registry family)")
     chaos_parser.add_argument("--seed", type=int, default=7,
                               help="campaign seed (workload + fault draws)")
     chaos_parser.add_argument("--crash", default=None, metavar="SPEC",

@@ -61,11 +61,7 @@ from repro.core.node_layout import (
 )
 from repro.core.nodes import LeafNodeView
 from repro.core.sync import reconstruct_bitmaps
-from repro.errors import (
-    FaultInjectedError,
-    IndexError_,
-    TornReadError,
-)
+from repro.errors import IndexError_, TornReadError
 from repro.hashing.hopscotch import (
     default_hash,
     distance,
@@ -232,16 +228,9 @@ class ChimeIndex(BTreeIndexBase):
 
     def average_leaf_load(self) -> float:
         """Mean leaf occupancy (memory-efficiency metric, Fig. 19)."""
-        layout = self.leaf_layout
-        addrs = self.leaf_addrs()
-        if not addrs:
-            return 0.0
-        total = 0
-        for addr in addrs:
-            raw = self._host_read(addr, layout.raw_size)
-            view = LeafNodeView(layout, StripedSpan(raw, 0))
-            total += sum(view.occupancy())
-        return total / (len(addrs) * layout.span)
+        loads = [sum(view.occupancy()) for _addr, view in self.leaf_chain()]
+        return sum(loads) / (len(loads) * self.leaf_layout.span) if loads \
+            else 0.0
 
 
 class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
@@ -267,14 +256,9 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         retry = self.retry.start("search({})", self.engine, self.ctx.rng,
                                  key)
         while retry.check():
-            try:
-                ref = yield from self._phase("traverse",
-                                             self._locate_leaf(key))
-                result = yield from self._phase("leaf_read",
-                                                self._search_leaf(ref, key))
-            except FaultInjectedError:
-                self.qp.stats.retries += 1
-                continue
+            ref = yield from self._phase("traverse", self._locate_leaf(key))
+            result = yield from self._phase("leaf_read",
+                                            self._search_leaf(ref, key))
             if result.status == _RETRAVERSE:
                 continue
             if result.found and self.config.indirect_values:
@@ -368,19 +352,14 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
                     backoff: bool = False) -> Generator:
         """One write: traverse to *key*'s leaf and run ``locked(guard,
         ref, leaf_addr, from_cache, hop, key, *args)`` under its lock
-        (:meth:`_locked_chase`) until that answers done; a lost verb or
-        a re-traversal is retried under the retry policy (an insert
-        backs off in between)."""
+        (:meth:`_locked_chase`) until that answers done; a re-traversal
+        is retried under the retry policy (an insert backs off in
+        between)."""
         retry = self.retry.start(what, self.engine, self.ctx.rng, key)
         while retry.check():
-            try:
-                ref = yield from self._phase("traverse",
-                                             self._locate_leaf(key))
-                result = yield from self._phase(
-                    "leaf_write", self._locked_chase(ref, locked, key, *args))
-            except FaultInjectedError:
-                self.qp.stats.retries += 1
-                result = OpResult(_RETRY)
+            ref = yield from self._phase("traverse", self._locate_leaf(key))
+            result = yield from self._phase(
+                "leaf_write", self._locked_chase(ref, locked, key, *args))
             if result.status == _DONE:
                 return result.found
             if backoff:

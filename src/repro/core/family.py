@@ -10,8 +10,9 @@ the 8-byte lock word of §4.2.1 and retries is written here once:
   bulk-load input check, memory accounting, the index-wide retry policy.
 * :class:`FamilyClientBase` — per client: the constructor fields, the
   chunked allocator, the public operations as template methods over
-  per-family ``_search/_insert/_update/_delete`` generators, the scan
-  around a routing's ``_scan_once``, the indirect-block helpers, whole
+  per-family ``_search/_insert/_update/_delete`` generators (each run
+  again whole when a verb it issued is lost), the scan around a
+  routing's ``_scan_once``, the indirect-block helpers, whole
   sorted-array-node reads and writes, and the one lock path every family
   with a lock word takes, in every sync mode: the CN-local lock table
   and delegation, the ticket queue of :mod:`repro.core.adaptive`,
@@ -227,13 +228,11 @@ class FamilyIndexBase:
     # -- what a client may claim (the invariant audit's view) ------------------
 
     def lock_lines(self) -> Iterable[Tuple[str, int]]:
-        """``(node, address)`` of every lock line a client may take,
-        host-side; a family without a lock word has none."""
+        """``(node, address)`` of every lock line a client may take."""
         return ()
 
     def sealed_slots(self) -> Iterable[str]:
-        """Every slot a structural change has sealed, host-side; only
-        SMART seals."""
+        """Every slot a structural change has sealed (SMART's)."""
         return ()
 
 
@@ -268,32 +267,37 @@ class FamilyClientBase(SpanInstrumentedOps):
 
     # -- public operations (templates) ---------------------------------------
 
+    #: Read delegation and write combining (RDWC) apply to ``search`` and
+    #: ``update``; the one-verb point paths of Outback and FlexKV skip it.
+    rdwc = True
+
     def search(self, key: int) -> Generator:
         """Point lookup; returns the value or None."""
         combiner = self.ctx.combiner
-        if combiner.enabled:
+        if combiner.enabled and self.rdwc:
             return self._op("search", combiner.read(
-                ("s", id(self.index), key), lambda: self._search(key)))
-        return self._op("search", self._search(key))
+                ("s", id(self.index), key),
+                lambda: self._landed(self._search, key)))
+        return self._op("search", self._landed(self._search, key))
 
     def insert(self, key: int, value: int) -> Generator:
         """Insert (or overwrite) a key."""
         if key < 1:
             raise IndexError_("keys must be >= 1")
-        return self._op("insert", self._insert(key, value))
+        return self._op("insert", self._landed(self._insert, key, value))
 
     def update(self, key: int, value: int) -> Generator:
         """Update an existing key; returns False when absent."""
         combiner = self.ctx.combiner
-        if combiner.enabled:
+        if combiner.enabled and self.rdwc:
             return self._op("update", combiner.write(
                 ("u", id(self.index), key), value,
-                lambda v: self._update(key, v)))
-        return self._op("update", self._update(key, value))
+                lambda v: self._landed(self._update, key, v)))
+        return self._op("update", self._landed(self._update, key, value))
 
     def delete(self, key: int) -> Generator:
         """Delete a key; returns False when absent."""
-        return self._op("delete", self._delete(key))
+        return self._op("delete", self._landed(self._delete, key))
 
     def _delete(self, key: int) -> Generator:
         """The hook of a family that has no delete (Outback, FlexKV)."""
@@ -308,7 +312,17 @@ class FamilyClientBase(SpanInstrumentedOps):
         registry's ``supports_scan`` flag is checked against the client
         surface).
         """
-        return self._op("scan", self._scan(key, count))
+        return self._op("scan", self._landed(self._scan, key, count))
+
+    def _landed(self, op, *args) -> Generator:
+        """``op(*args)``, an op's generator, run again from the start
+        each time a verb it issued is lost (:meth:`_until_landed`): a
+        lost verb had no effect, and an op's last remote effect is its
+        commit verb.  With no fault plan installed the generator is
+        handed back untouched, as :meth:`_op` does with no subscriber."""
+        if self.qp.injector is None:
+            return op(*args)
+        return self._until_landed(op.__name__, op, *args)
 
     # -- allocation (on the data path) ---------------------------------------
 
@@ -367,19 +381,13 @@ class FamilyClientBase(SpanInstrumentedOps):
 
     def _scan(self, key: int, count: int) -> Generator:
         """The pairs >= *key* ``_scan_once(key, count)`` read, sorted, cut
-        to *count*, values resolved — run again whole if a verb is lost."""
-        retry = self.retry.start("scan({})", self.engine, self.ctx.rng, key)
-        while retry.check():
-            try:
-                results = yield from self._scan_once(key, count)
-                results.sort()
-                del results[count:]
-                if getattr(self.config, "indirect_values", False):
-                    results = yield from self._resolve_indirect(results)
-                return results
-            except FaultInjectedError:
-                self.qp.stats.retries += 1
-                yield from retry.backoff()
+        to *count*, values resolved."""
+        results = yield from self._scan_once(key, count)
+        results.sort()
+        del results[count:]
+        if getattr(self.config, "indirect_values", False):
+            results = yield from self._resolve_indirect(results)
+        return results
 
     def _more_leaves(self, expected: float, count: int,
                      candidates: Iterable[int]) -> List[int]:
@@ -951,8 +959,9 @@ class FamilyClientBase(SpanInstrumentedOps):
         return writes, None
 
     def _until_landed(self, what: str, verb, *args) -> Generator:
-        """``verb(*args)``, issued again under the retry policy each time
-        the fabric loses it (a lost verb had no effect)."""
+        """``verb(*args)`` — one verb, or a whole op — issued again under
+        the retry policy each time the fabric loses a verb (a lost verb
+        had no effect)."""
         retry = self.retry.start(what, self.engine, self.ctx.rng)
         while True:
             try:

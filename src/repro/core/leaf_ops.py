@@ -15,8 +15,7 @@ from typing import Callable, Generator, List, Optional, Sequence, Tuple
 
 from repro.core.node_layout import LeafLayout, ReadShape
 from repro.core.nodes import LeafNodeView, SortedNodeView
-from repro.errors import (FaultInjectedError, HashTableFullError,
-                          LayoutError, TornReadError)
+from repro.errors import HashTableFullError, LayoutError, TornReadError
 from repro.hashing.hopscotch import distance, place_fresh
 from repro.layout import StripedSpan, encode_key, encode_u64
 from repro.layout.versions import SpanSet, raw_span
@@ -105,7 +104,7 @@ class HopscotchLeafOpsMixin:
             try:
                 raw = yield from self._fetch_shape(leaf_addr, shape)
                 return shape.decode(raw, self.home_of)
-            except (TornReadError, FaultInjectedError):
+            except TornReadError:
                 self.qp.stats.retries += 1
                 yield from retry.backoff()
 

@@ -1,12 +1,12 @@
-"""The chaos harness: seeded fault campaigns against a live CHIME tree.
+"""The chaos harness: seeded fault campaigns against a live index.
 
 :func:`run_chaos` builds a small cluster, bulk-loads the configured
-index family (CHIME by default; any registry family with
-``supports_chaos``), installs a
+index family (CHIME by default; any registry family), installs a
 :class:`~repro.faults.plan.FaultPlan` derived from a
-:class:`ChaosConfig` (by default: crash one client's CN between its
-lock-acquiring CAS and the unlocking WRITE), drives a mixed workload
-from every client, and then verifies the tree with
+:class:`ChaosConfig` (by default: crash one client's CN right before its
+first write verb — for a lock-word family, between the lock-acquiring
+CAS and the unlocking WRITE), drives a mixed workload from every
+client, and then audits the index with
 :func:`~repro.faults.invariants.check_index_invariants`.
 
 Everything — workload choices, fault draws, simulated time — is seeded,
@@ -33,11 +33,11 @@ from typing import Dict, Generator, List, Optional, Tuple
 from repro.cluster.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.core.node_layout import sim_us
-from repro.errors import ReproError, WorkloadError
+from repro.errors import ReproError
 from repro.faults.invariants import InvariantReport, check_index_invariants
 from repro.faults.plan import FaultPlan
 from repro.obs import recording
-from repro.registry import build_index, get_family
+from repro.registry import build_index
 from repro.retry import DEFAULT_RETRY_POLICY
 from repro.sched import LaneContext
 from repro.workloads.ycsb import dataset
@@ -50,11 +50,7 @@ class ChaosConfig:
     """One chaos campaign, fully determined by its fields."""
 
     seed: int = 7
-    #: Registry legend name of the index under test.  Any family with
-    #: ``supports_chaos`` runs: the tree families get the full lock /
-    #: lease / fence audit, hash-structured KV families (outback,
-    #: flexkv) the generic committed-key audit (see
-    #: :func:`~repro.faults.invariants.check_index_invariants`).
+    #: Registry legend name of the index under test; any family runs.
     index: str = "chime"
     num_cns: int = 2
     num_mns: int = 1
@@ -241,17 +237,12 @@ def run_chaos(cfg: ChaosConfig) -> ChaosResult:
         num_shards=cfg.num_shards, seed=cfg.seed)
     retry = DEFAULT_RETRY_POLICY.scaled(max_attempts=cfg.max_attempts,
                                         deadline=cfg.deadline)
-    family = get_family(cfg.index)
-    if not family.supports_chaos:
-        raise WorkloadError(
-            f"index family {cfg.index!r} does not support the chaos "
-            f"harness (supports_chaos=False)")
     with recording() as rec:
         cluster = Cluster(cluster_config)
         # Registry construction: the chime path builds the exact
         # ChimeConfig the historical inline dispatch built (sharded
         # clusters route through ShardedIndex identically), so existing
-        # campaigns stay byte-identical; non-tree families simply ignore
+        # campaigns stay byte-identical; other families simply ignore
         # the span/retry knobs their factories don't take.
         index = build_index(cfg.index, cluster, span=cfg.span,
                             chime_overrides={"retry": retry})

@@ -22,7 +22,7 @@ operations self-correct) are reported as warnings, not violations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.node_layout import (
@@ -36,9 +36,8 @@ from repro.core.node_layout import (
     unpack_lock_word,
 )
 from repro.core.chime import LOCKLINE_FENCE_HIGH, LOCKLINE_FENCE_LOW, ChimeIndex
-from repro.core.nodes import LeafNodeView
 from repro.core.sync import reconstruct_bitmaps
-from repro.layout import MAX_KEY, StripedSpan, decode_key, decode_u64
+from repro.layout import MAX_KEY, decode_key, decode_u64
 from repro.memory import NULL_ADDR, addr_mn
 
 __all__ = ["InvariantReport", "check_index_invariants"]
@@ -59,13 +58,7 @@ class InvariantReport:
         return not self.violations
 
     def to_dict(self) -> Dict:
-        return {
-            "ok": self.ok,
-            "violations": list(self.violations),
-            "warnings": list(self.warnings),
-            "leaves": self.leaves,
-            "keys": self.keys,
-        }
+        return {"ok": self.ok, **asdict(self)}
 
 
 def check_index_invariants(index,
@@ -161,29 +154,18 @@ def _lock_line_audit(index, report: InvariantReport, dead_cns: Iterable[int]):
 
 def _walk_chime(index: ChimeIndex, report: InvariantReport,
                 audit_lock_line) -> None:
-    """CHIME's lock lines, each leaf's audited as the walk reaches it,
-    and on top, along the leaf chain: fence order and chaining to
+    """CHIME's lock lines, each leaf's audited as the walk along the
+    leaf chain reaches it, and on top: fence order and chaining to
     ``MAX_KEY``, every entry within its fences, every home bitmap equal
     to its reconstruction, and the piggybacked metadata (warnings)."""
     for addr, _parsed in index.internal_nodes():
         audit_lock_line(f"internal node {addr:#x}", index._host_read(
             addr + index.internal_layout.lock_offset, LOCK_QUEUE_SPAN))
-    layout = index.leaf_layout
-    addr = index.leftmost_leaf()
-    if addr == NULL_ADDR:
-        report.violations.append("tree has no leaves (no root?)")
-    seen = set()
-    prev_fence_high: Optional[int] = None
-    while addr != NULL_ADDR:
-        if addr in seen:
-            report.violations.append(
-                f"leaf {addr:#x}: sibling chain cycles")
-            break
-        seen.add(addr)
+    prev_fence_high = view = None
+    for addr, view in index.leaf_chain():
         report.leaves += 1
-        raw = index._host_read(addr, layout.raw_size)
-        view = LeafNodeView(layout, StripedSpan(raw, 0))
-        line = index._host_read(addr + layout.lock_offset, LOCK_QUEUE_SPAN)
+        line = index._host_read(addr + index.leaf_layout.lock_offset,
+                                LOCK_QUEUE_SPAN)
         audit_lock_line(f"leaf {addr:#x}", line)
         _locked, argmax, vacancy = unpack_lock_word(decode_u64(line, 0))
         fence_low = decode_key(line, LOCKLINE_FENCE_LOW)
@@ -218,8 +200,11 @@ def _walk_chime(index: ChimeIndex, report: InvariantReport,
             report.warnings.append(
                 f"leaf {addr:#x}: stale argmax {argmax} "
                 f"(true {view.argmax_key()})")
-        addr = view.replica_sibling(0)
+    if view is None:
+        report.violations.append("tree has no leaves (no root?)")
+    elif view.sibling != NULL_ADDR:  # the chain came back to a leaf
+        report.violations.append(
+            f"leaf {view.sibling:#x}: sibling chain cycles")
     if prev_fence_high is not None and prev_fence_high != MAX_KEY:
         report.violations.append(
             f"rightmost leaf fence_high {prev_fence_high} != MAX_KEY")
-

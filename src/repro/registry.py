@@ -53,7 +53,8 @@ class IndexFamily:
     kv_discrete: bool = False
     #: ``client(ctx).scan(key, count)`` exists (YCSB-E runnable).
     supports_scan: bool = True
-    #: The chaos harness can drive it (lease-aware lock repair paths).
+    #: Read only by perfbench, which audits these families' invariants;
+    #: the chaos harness drives every family.
     supports_chaos: bool = False
     #: Values live in indirect blocks (variable-length KV variants).
     indirect_values: bool = False

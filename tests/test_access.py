@@ -370,8 +370,6 @@ class TestKvFamilies:
         assert out == {"hit": 4000, "miss": None, "ins": 11, "upd": 99}
 
     def test_concurrent_disjoint_inserts(self, index_cls):
-        # 120 new keys stays within outback's 4-slot overflow buckets at
-        # the default 0.5 headroom (overflow has no probe chain).
         cluster = make_cluster(num_cns=2, clients_per_cn=4)
         index = build_kv(index_cls, cluster)
         clients = [index.client(ctx) for ctx in cluster.clients()]
@@ -397,6 +395,33 @@ class TestKvFamilies:
             index, expected_keys=[k for k, _ in PAIRS])
         assert report.ok, report.violations
         assert report.keys == len(PAIRS)
+
+
+def test_outback_full_overflow_bucket_spills_into_the_next():
+    # Six new keys share one four-slot overflow bucket; the fifth insert
+    # used to raise SimulationError.  A seventh, never inserted, is
+    # looked for past the full bucket and found absent.
+    cluster = make_cluster(clients_per_cn=1)
+    index = OutbackIndex(cluster)
+    index.bulk_load(PAIRS[:20])
+    first = index.overflow_addr(900_000)
+    *keys, absent = [key for key in range(900_000, 1_000_000)
+                     if index.overflow_addr(key) == first][:7]
+    client = index.client(cluster.cns[0].clients[0])
+    found = []
+
+    def gen():
+        for key in keys:
+            yield from client.insert(key, key)
+        for key in keys:
+            yield from client.update(key, key + 1)
+            found.append((yield from client.search(key)))
+        found.append((yield from client.search(absent)))
+
+    drive(cluster, gen())
+    assert found == [*(key + 1 for key in keys), None]
+    assert index.collect_items() == sorted(
+        [*PAIRS[:20], *((key, key + 1) for key in keys)])
 
 
 class TestFlexKvEndianness:
@@ -551,7 +576,10 @@ class TestFamilyPlumbingWrittenOnce:
                    # and the group, one hopscotch write-back; one scan
                    # contract for every scanning family, SMART included.
                    "_read_scan_leaves", "_more_leaves", "_entry_writes",
-                   "_scan")
+                   "_scan",
+                   # One lost-verb rule: an op whose verb is lost runs
+                   # again whole.
+                   "_landed")
     #: (class, method) pairs allowed beside the single home, with reason.
     ALLOWED = {
         # Sums its per-shard sub-indexes instead of the cluster's MNs.
@@ -572,6 +600,31 @@ class TestFamilyPlumbingWrittenOnce:
                                 and (node.name, item.name) not in self.ALLOWED):
                             homes[item.name].append(node.name)
         assert all(len(classes) == 1 for classes in homes.values()), homes
+
+    #: The only places a lost verb is issued again in place: each holds
+    #: a lock, a lease or a ticket (``_read_sorted_node``: a node read
+    #: under a lock, its lock-free readers included).  Every other loss
+    #: re-runs its op whole (``FamilyClientBase._landed``).
+    LOSS_CATCHERS = {("core/family.py", "_until_landed"),
+                     ("core/family.py", "_lock_queued"),
+                     ("core/family.py", "_read_sorted_node")}
+
+    def test_a_lost_verb_is_caught_only_where_a_claim_is_held(self):
+        package = pathlib.Path(repro.__file__).parent
+        catchers = set()
+        for path in sorted(package.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            for function in ast.walk(tree):
+                if not isinstance(function, (ast.FunctionDef,
+                                             ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(function):
+                    if (isinstance(node, ast.ExceptHandler)
+                            and node.type is not None
+                            and "FaultInjectedError" in ast.unparse(node.type)):
+                        catchers.add((path.relative_to(package).as_posix(),
+                                      function.name))
+        assert catchers == self.LOSS_CATCHERS
 
     def test_one_retry_idiom_and_no_raw_unlock(self):
         package = pathlib.Path(repro.__file__).parent

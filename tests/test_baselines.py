@@ -376,10 +376,9 @@ class TestRolexSpecifics:
     @pytest.mark.parametrize("op", ["search", "insert", "scan"])
     @pytest.mark.parametrize("name", ["rolex", "rolex-indirect"])
     def test_one_lost_batched_read_is_read_again(self, name, op):
-        """The fabric loses the op's first doorbell-batched READ: each
-        leaf it asked for is read again alone (a scan runs again whole),
-        and the op answers as if nothing was lost.  The loss used to
-        escape the op as a ``FaultInjectedError``."""
+        """The fabric loses the op's first doorbell-batched READ: the op
+        runs again whole and answers as if nothing was lost.  The loss
+        used to escape the op as a ``FaultInjectedError``."""
         cluster = make_cluster(clients_per_cn=1)
         index = build_index(name, cluster)
         index.bulk_load(PAIRS, future_keys=range(900_000, 901_000))

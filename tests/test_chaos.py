@@ -20,7 +20,7 @@ from repro.core.node_layout import (
 )
 from repro.faults import ChaosConfig, check_index_invariants, run_chaos
 from repro.layout import decode_u64, encode_u64
-from repro.registry import build_index, get_family
+from repro.registry import build_index, families, get_family
 from tests.test_family_base import LOCK_WORD_FAMILIES
 
 pytestmark = pytest.mark.chaos
@@ -80,6 +80,34 @@ class TestCrashRecovery:
             CANONICAL, loss_probability=0.02, delay_probability=0.05,
             mn_outages=((0, 100e-6, 200e-6),))
         result = run_chaos(cfg)
+        assert result.fault_counters.get("fault.loss", 0) > 0
+        assert result.errors == []
+        assert result.invariants.ok, result.invariants.violations
+
+
+#: Every family × every sync mode it declares.
+_FAMILY_MODES = [(family.name, mode) for family in families()
+                 for mode in family.sync_modes]
+
+
+class TestEveryFamily:
+    """One seed of the CI campaigns over every family × declared mode:
+    a crash with leases on, and a lossy fabric with leases off.  The
+    harness used to refuse 9 of the 12 families."""
+
+    @pytest.mark.parametrize("index_name,mode", _FAMILY_MODES)
+    def test_crash_with_leases_recovers(self, index_name, mode):
+        result = run_chaos(dataclasses.replace(
+            CANONICAL, index=index_name, sync_mode=mode))
+        assert result.dead_cns == [0]
+        assert result.errors == []
+        assert result.invariants.ok, result.invariants.violations
+
+    @pytest.mark.parametrize("index_name,mode", _FAMILY_MODES)
+    def test_lossy_fabric_without_leases_stays_clean(self, index_name, mode):
+        result = run_chaos(dataclasses.replace(
+            CANONICAL, index=index_name, sync_mode=mode, crash_owner="",
+            lock_leases=False, loss_probability=0.02))
         assert result.fault_counters.get("fault.loss", 0) > 0
         assert result.errors == []
         assert result.invariants.ok, result.invariants.violations

@@ -104,6 +104,23 @@ class TestCli:
         assert "ClusterConfig.num_shards" in err and "bulk-loaded keys" in err
 
     @pytest.mark.parametrize("argv,complaint", [
+        (["--index", "nope"], "unknown index name 'nope'"),
+        (["--index", "rolex", "--sync-mode", "pessimistic"],
+         "does not support sync mode 'pessimistic'")],
+        ids=["unknown-index", "undeclared-mode"])
+    def test_chaos_refuses_a_bad_family_in_one_line(self, argv, complaint,
+                                                    capsys):
+        # Both used to die with a WorkloadError traceback and exit 1.
+        assert main(["chaos", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and complaint in err
+
+    def test_list_indexes_has_no_chaos_column(self, capsys):
+        # Every family runs the chaos harness; the column said otherwise.
+        assert main(["run", "--list-indexes"]) == 0
+        assert "chaos" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,complaint", [
         (["perf"], "invalid choice: 'perf'"),
         (["campaign", "report", "--baseline", "x"],
          "unrecognized arguments: --baseline"),
