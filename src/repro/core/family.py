@@ -959,12 +959,14 @@ class FamilyClientBase(SpanInstrumentedOps):
         return writes, None
 
     def _until_landed(self, what: str, verb, *args) -> Generator:
-        """``verb(*args)`` — one verb, or a whole op — issued again under
-        the retry policy each time the fabric loses a verb (a lost verb
-        had no effect)."""
+        """``verb(*args)`` — one verb, or a whole op — issued again, each
+        time counted and backed off under the retry policy, when the
+        fabric loses a verb (a lost verb had no effect)."""
         retry = self.retry.start(what, self.engine, self.ctx.rng)
         while True:
             try:
                 return (yield from verb(*args))
             except FaultInjectedError:
                 retry.check()
+                self.qp.stats.retries += 1
+                yield from retry.backoff()

@@ -83,12 +83,11 @@ def check_index_invariants(index,
     """
     report = InvariantReport()
     audit_lock_line = _lock_line_audit(index, report, dead_cns)
+    for node, addr in index.lock_lines():
+        audit_lock_line(node, index.cluster.mns[addr_mn(addr)].mem_read(
+            addr, LOCK_QUEUE_SPAN))
     if isinstance(index, ChimeIndex):
-        _walk_chime(index, report, audit_lock_line)
-    else:
-        for node, addr in index.lock_lines():
-            audit_lock_line(node, index.cluster.mns[addr_mn(addr)].mem_read(
-                addr, LOCK_QUEUE_SPAN))
+        _walk_chime(index, report)
     for slot in index.sealed_slots():
         report.violations.append(f"{slot}: still sealed after the run")
     present = set()
@@ -152,21 +151,16 @@ def _lock_line_audit(index, report: InvariantReport, dead_cns: Iterable[int]):
     return audit
 
 
-def _walk_chime(index: ChimeIndex, report: InvariantReport,
-                audit_lock_line) -> None:
-    """CHIME's lock lines, each leaf's audited as the walk along the
-    leaf chain reaches it, and on top: fence order and chaining to
-    ``MAX_KEY``, every entry within its fences, every home bitmap equal
-    to its reconstruction, and the piggybacked metadata (warnings)."""
-    for addr, _parsed in index.internal_nodes():
-        audit_lock_line(f"internal node {addr:#x}", index._host_read(
-            addr + index.internal_layout.lock_offset, LOCK_QUEUE_SPAN))
+def _walk_chime(index: ChimeIndex, report: InvariantReport) -> None:
+    """The walk along a CHIME tree's leaf chain: fence order and
+    chaining to ``MAX_KEY``, every entry within its fences, every home
+    bitmap equal to its reconstruction, and the piggybacked metadata
+    (warnings)."""
     prev_fence_high = view = None
     for addr, view in index.leaf_chain():
         report.leaves += 1
         line = index._host_read(addr + index.leaf_layout.lock_offset,
                                 LOCK_QUEUE_SPAN)
-        audit_lock_line(f"leaf {addr:#x}", line)
         _locked, argmax, vacancy = unpack_lock_word(decode_u64(line, 0))
         fence_low = decode_key(line, LOCKLINE_FENCE_LOW)
         fence_high = decode_key(line, LOCKLINE_FENCE_HIGH)
