@@ -39,6 +39,11 @@ still two), what nothing pinned by bytes: ROLEX, ``rolex-indirect`` and
 CHIME-Learned after deletes and updates inside a synonym chain (YCSB
 has no deletes), and a span-8 CHIME tree whose root grows three times
 (the other split rows stop at one internal split).
+
+``chime neighborhood=16 after splits`` was added at 43682c7, while every
+hopscotch bitmap was still a 16-bit word: H = 16 keeps two-byte bitmaps,
+so its split halves must not move when narrower neighbourhoods shrink
+theirs.
 """
 
 import hashlib
@@ -244,6 +249,8 @@ ROWS = {
     "chime after splits": _after_splits,
     "chime neighborhood=2 after splits": lambda: _after_splits(
         chime_overrides={"neighborhood": 2}),
+    "chime neighborhood=16 after splits": lambda: _after_splits(
+        chime_overrides={"neighborhood": 16}),
     "chime value_size=64 after splits": lambda: _after_splits(value_size=64),
     "chime-learned after synonym appends": _after_synonym_appends,
     **{f"{name}{label}": (lambda name=name, fields=fields: _loaded(
@@ -311,6 +318,8 @@ GOLDEN = {
         '07d668e0d7683683fc341d2295278ec31f227681e828b7804347d0bb7c3ee132',
     'chime neighborhood=2 after splits':
         '72b323e432f429f8ee45a3a40385c0dd1602c0eb2367861ba017c5dd526364fa',
+    'chime neighborhood=16 after splits':
+        'bfb7986ff437d086be86688eba72a672b6df8da87c672f197eb72a4d30ee6075',
     'chime value_size=64 after splits':
         'b450784855836b7d753049cc7c9ede2bbfa567d6dbfaf31f2a8b42f7e9abdc3d',
     'chime-learned after synonym appends':
