@@ -19,6 +19,7 @@ from repro.bench.scale import Scale, current_scale
 from repro.cluster.cluster import Cluster
 from repro.config import ChimeConfig
 from repro.core import ChimeIndex
+from repro.core.node_layout import LeafLayout
 from repro.hashing import HopscotchTable, figure_3d_schemes, measure_max_load_factor
 from repro.memory import MemoryNode, make_addr
 from repro.rdma.verbs import RdmaQp
@@ -172,9 +173,10 @@ def _raw_read_throughput(reads_per_op: Sequence[int], clients: int,
 def fig4_micro(scale: Optional[Scale] = None) -> List[Dict]:
     scale = scale or current_scale()
     clients = scale.clients
-    entry = 19          # 8 B key + 8 B value + bitmap + version
-    hop_range = 8 * entry
-    node = 64 * entry
+    # Entry and replica sizes of the leaf the index would read (span 64).
+    layout = LeafLayout(span=64, neighborhood=8)
+    hop_range = 8 * layout.entry_size
+    node = 64 * layout.entry_size
     rows: List[Dict] = []
     # (a) vacancy bitmap: ideal (hop range) vs +bitmap access vs full node.
     rows.append({"panel": "4a", "case": "ideal-hop-range",
@@ -185,15 +187,16 @@ def fig4_micro(scale: Optional[Scale] = None) -> List[Dict]:
     rows.append({"panel": "4a", "case": "entire-leaf",
                  "mops": _raw_read_throughput([node], clients, scale)})
     # (b) leaf metadata: neighborhood alone vs +dedicated metadata READ.
-    neighborhood = 8 * entry
+    replica = layout.replica_size
     rows.append({"panel": "4b", "case": "replicated-metadata",
-                 "mops": _raw_read_throughput([neighborhood + 10], clients,
+                 "mops": _raw_read_throughput([hop_range + replica], clients,
                                               scale)})
     rows.append({"panel": "4b", "case": "dedicated-metadata-access",
-                 "mops": _raw_read_throughput([10, neighborhood], clients,
+                 "mops": _raw_read_throughput([replica, hop_range], clients,
                                               scale)})
     # (c) neighborhood size: reading H entries, H in 1..16.
     for h in (1, 2, 4, 8, 16):
+        entry = LeafLayout(span=64, neighborhood=h).entry_size
         rows.append({"panel": "4c", "case": f"H={h}",
                      "mops": _raw_read_throughput([h * entry], clients,
                                                   scale)})
@@ -496,7 +499,6 @@ def fig15_factor_analysis(scale: Optional[Scale] = None,
 # --------------------------------------------------------------------------
 
 def fig16_sibling_validation() -> List[Dict]:
-    from repro.core.node_layout import LeafLayout
     rows: List[Dict] = []
     for key_size in (8, 16, 32, 64, 128, 256):
         fenced = LeafLayout(span=64, neighborhood=8, key_size=key_size,

@@ -307,6 +307,6 @@ class ChimeConfig:
 
     def __post_init__(self) -> None:
         if self.neighborhood < 1 or self.neighborhood > 16:
-            raise ValueError("neighborhood must be in [1, 16] (2-byte bitmap)")
+            raise ValueError("neighborhood must be in [1, 16] (a bitmap of at most 2 bytes)")
         if self.span < self.neighborhood:
             raise ValueError("span must be >= neighborhood")

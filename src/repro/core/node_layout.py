@@ -15,9 +15,12 @@ Leaf layout with metadata replication (paper Figure 10)::
     block 1: [replica][entry H] ... [entry 2H-1]
     ...
 
-where a replica is ``[valid:1][sibling:8][spare:1]`` (10 bytes) in
-sibling-validation mode, or additionally carries both fence keys when
-replicated fence keys are used instead (the Figure 16 comparison).
+where an entry is ``[version:1][bitmap:⌈H/8⌉][key:k][value:v]`` (the
+hopscotch bitmap holds one bit per neighbourhood slot, §4.1: one byte up
+to H = 8, two up to the H = 16 limit) and a replica is
+``[valid:1][sibling:8][spare:1]`` (10 bytes) in sibling-validation mode,
+or additionally carries both fence keys when replicated fence keys are
+used instead (the Figure 16 comparison).
 
 The lock word packs (paper §4.2.1/§4.2.3)::
 
@@ -275,7 +278,6 @@ class SortedNodeLayout:
         raise LayoutError(f"node entry index {index} out of range")
 
 
-_BITMAP = struct.Struct("<H")
 #: 1 << position, for every entry position a leaf can have.
 _POSITION_BIT = tuple(1 << position for position in range(1 << ARGMAX_BITS))
 _REPLICA = struct.Struct("<BQ")  # [valid:1][sibling:8]
@@ -417,7 +419,7 @@ class ReadShape:
                     for index in entries]
         self.positions = tuple(entries)
         self._keys = image_struct(">", zip(entry_at, repeat("Q")),
-                                   payload_len, layout.ENTRY_OFF_KEY)
+                                   payload_len, layout.entry_off_key)
         self._value_at = tuple(at + layout.entry_off_value for at in entry_at)
         self._value_size = layout.value_size
         self._home = home
@@ -467,7 +469,7 @@ class ReadShape:
         """Level 3: the stored home bitmap must equal the one the
         fetched keys imply, else the read interleaved with a hop."""
         home = self._home
-        stored, = _BITMAP.unpack_from(payload, self._bitmap_at)
+        stored, = self._layout.bitmap_codec.unpack_from(payload, self._bitmap_at)
         actual = 0
         bit = 1
         for key in keys:
@@ -539,7 +541,11 @@ class LeafLayout:
         replica_size = 1 + 8 + 1  # valid + sibling + spare
         if self.fence_keys:
             replica_size += 2 * self.key_size
-        entry_size = 1 + 2 + self.key_size + self.value_size
+        # An entry: the version byte, one bitmap bit per neighbourhood
+        # slot in ⌈H/8⌉ bytes (H <= 16: ChimeConfig), the key, the value.
+        bitmap_size = -(-self.neighborhood // 8)
+        entry_off_key = self.ENTRY_OFF_BITMAP + bitmap_size
+        entry_size = entry_off_key + self.key_size + self.value_size
         num_blocks = self.span // self.neighborhood if self.replicated else 1
         block_size = replica_size + self.neighborhood * entry_size
         if self.replicated:
@@ -556,7 +562,11 @@ class LeafLayout:
         set_attr(self, "raw_size", raw)
         set_attr(self, "total_size", padded + CACHE_LINE)
         set_attr(self, "lock_offset", padded)
-        set_attr(self, "entry_off_value", 3 + self.key_size)
+        set_attr(self, "bitmap_size", bitmap_size)
+        set_attr(self, "entry_off_key", entry_off_key)
+        set_attr(self, "entry_off_value", entry_off_key + self.key_size)
+        bitmap_code = {1: "B", 2: "H"}[bitmap_size]
+        set_attr(self, "bitmap_codec", struct.Struct("<" + bitmap_code))
         if self.replicated:
             offsets = tuple(
                 (index // self.neighborhood) * block_size + replica_size
@@ -590,16 +600,16 @@ class LeafLayout:
         # straight from a raw image fetched at base 0.
         value_code = "Q" if self.value_size >= 8 else f"{self.value_size}s"
         set_attr(self, "_image_keys", image_struct(
-            ">", zip(offsets, repeat("Q")), logical_size, self.ENTRY_OFF_KEY))
+            ">", zip(offsets, repeat("Q")), logical_size, entry_off_key))
         set_attr(self, "_image_values", image_struct(
             "<", zip(offsets, repeat(value_code)), logical_size,
             self.entry_off_value))
         set_attr(self, "_image_bitmaps", image_struct(
-            "<", zip(offsets, repeat("H")), logical_size,
+            "<", zip(offsets, repeat(bitmap_code)), logical_size,
             self.ENTRY_OFF_BITMAP))
         set_attr(self, "_image_entry_versions", tuple_getter(
             [raw_off for raw_off, _first, _end in ev_ranges]))
-        set_attr(self, "_pack_bitmaps", struct.Struct(f"<{self.span}H").pack)
+        set_attr(self, "_pack_bitmaps", struct.Struct(f"<{self.span}{bitmap_code}").pack)
         # Encoding half (:meth:`encode_image`): every field of the leaf
         # from two flat source vectors, one per byte order — [valid,
         # sibling, version byte, *bitmaps, *values] and [fence_low,
@@ -609,12 +619,12 @@ class LeafLayout:
         entries = list(enumerate(offsets))
         set_attr(self, "_encoder", ImageEncoder(
             [(at, "BQ", (0, 1)) for at in replicas]
-            + [(off, "BH", (2, 3 + index)) for index, off in entries]
+            + [(off, "B" + bitmap_code, (2, 3 + index)) for index, off in entries]
             + [(off + self.entry_off_value, value_code, (3 + span + index,))
                for index, off in entries],
             [(at + self.replica_off_fence_low, "QQ", (0, 1))
              for at in replicas if self.fence_keys]
-            + [(off + self.ENTRY_OFF_KEY, "Q", (2 + index,))
+            + [(off + entry_off_key, "Q", (2 + index,))
                for index, off in entries], logical_size))
         # Read shapes, compiled on first use: one per neighbourhood home
         # (and, under None, the whole leaf's) and one per speculatively
@@ -670,10 +680,9 @@ class LeafLayout:
         de-striped payload of a whole leaf."""
         return unpack_values(self._image_values, payload, self.value_size)
 
-    # Entry field offsets (relative to entry start).
-    ENTRY_OFF_VERSION = 0
+    # The bitmap's offset in an entry, behind its version byte; the key
+    # and value offsets (``entry_off_key`` / ``entry_off_value``) depend on H.
     ENTRY_OFF_BITMAP = 1
-    ENTRY_OFF_KEY = 3
 
     # Replica field offsets (relative to replica start).
     REPLICA_OFF_VALID = 0
@@ -696,29 +705,20 @@ class LeafLayout:
         *home* plus a replica (encompassed or adjacent, §4.2.2).
 
         One segment normally; two when the neighborhood wraps around the
-        end of the table (read with doorbell batching, §4.4).
+        end of the table (read with doorbell batching, §4.4).  Unreplicated,
+        the segments hold entries only: the header needs its own access.
         """
-        if not self.replicated:
-            # Entries only; the header needs its own dedicated access.
-            return self._entry_segments(home, self.neighborhood)
-        segments: List[Tuple[int, int]] = []
         end = home + self.neighborhood
-        if end <= self.span:
-            if home % self.neighborhood == 0:
-                start = self.replica_offset(self.block_of(home))
-            else:
-                start = self.entry_offset(home)
-            stop = self.entry_offset(end - 1) + self.entry_size
-            segments.append((start, stop - start))
-        else:
-            # Wrap-around: tail segment + head segment (head starts at
-            # replica 0, so a replica is always covered).
-            start = self.entry_offset(home)
-            stop = self.entry_offset(self.span - 1) + self.entry_size
-            segments.append((start, stop - start))
-            head_stop = self.entry_offset(end - self.span - 1) + self.entry_size
-            segments.append((0, head_stop))
-        return segments
+        start = self.entry_offset(home)
+        if end > self.span:
+            # Wrap-around: the tail, then the head — from replica 0 when
+            # replicated, so a replica is always covered.
+            head = 0 if self.replicated else self.entry_offset(0)
+            stop = self.entry_offset(end - self.span - 1) + self.entry_size
+            return [(start, self.logical_size - start), (head, stop - head)]
+        if self.replicated and home % self.neighborhood == 0:
+            start = self.replica_offset(self.block_of(home))
+        return [(start, self.entry_offset(end - 1) + self.entry_size - start)]
 
     def neighborhood_replica_block(self, home: int) -> int:
         """Which metadata replica :meth:`neighborhood_segments` carries
@@ -764,23 +764,6 @@ class LeafLayout:
             shape = self._neighborhood_shapes[None] = ReadShape(
                 self, [[self.full_span()]], range(self.span), replica_block=0)
         return shape
-
-    def _entry_segments(self, home: int, count: int) -> List[Tuple[int, int]]:
-        segments = []
-        end = home + count
-        if end <= self.span:
-            start = self.entry_offset(home)
-            stop = self.entry_offset(end - 1) + self.entry_size
-            segments.append((start, stop - start))
-        else:
-            start = self.entry_offset(home)
-            stop = self.entry_offset(self.span - 1) + self.entry_size
-            segments.append((start, stop - start))
-            stop2 = self.entry_offset(end - self.span - 1) + self.entry_size
-            segments.append((self.entry_offset(0) if not self.replicated else 0,
-                             stop2 - (self.entry_offset(0)
-                                      if not self.replicated else 0)))
-        return segments
 
     def range_segments(self, first: int, last: int) -> List[Tuple[int, int]]:
         """Logical segments covering entries [first..last] (circular) plus

@@ -25,7 +25,6 @@ from repro.layout import (
     decode_u64,
     decode_value,
     encode_key,
-    encode_u16,
     encode_u64,
     encode_value,
     pack_version,
@@ -321,21 +320,26 @@ class LeafNodeView:
                      layout: LeafLayout) -> LeafEntry:
         # Positional construction — keyword passing measurably slows the
         # hottest parse in the simulator.
-        return LeafEntry(index, data[0], decode_u16(data, 1),
-                         decode_key(data, 3),
-                         decode_value(data, 3 + layout.key_size,
+        return LeafEntry(index, data[0],
+                         layout.bitmap_codec.unpack_from(
+                             data, layout.ENTRY_OFF_BITMAP)[0],
+                         decode_key(data, layout.entry_off_key),
+                         decode_value(data, layout.entry_off_value,
                                       size=layout.value_size))
 
     def entry_key(self, index: int) -> int:
         """Just the key of one entry (0 means empty) — no LeafEntry parse."""
         layout = self.layout
         return decode_key(self.span.read_logical(
-            layout._entry_offsets[index] + 3, layout.key_size))
+            layout._entry_offsets[index] + layout.entry_off_key,
+            layout.key_size))
 
     def entry_bitmap(self, index: int) -> int:
-        """Just the hopscotch bitmap word of one entry."""
-        return decode_u16(self.span.read_logical(
-            self.layout._entry_offsets[index] + 1, 2))
+        """Just the hopscotch bitmap of one entry."""
+        layout = self.layout
+        return layout.bitmap_codec.unpack(self.span.read_logical(
+            layout._entry_offsets[index] + layout.ENTRY_OFF_BITMAP,
+            layout.bitmap_size))[0]
 
     def write_entry(self, index: int, key: int, value: int,
                     bitmap: Optional[int] = None,
@@ -347,9 +351,9 @@ class LeafNodeView:
             bitmap = self.entry(index).bitmap
         if bump_ev:
             self.bump_entry_ev(index)
-        payload = (encode_u16(bitmap) + encode_key(key)
+        payload = (layout.bitmap_codec.pack(bitmap) + encode_key(key)
                    + encode_value(value, layout.value_size))
-        self.span.write_logical(off + 1, payload)
+        self.span.write_logical(off + layout.ENTRY_OFF_BITMAP, payload)
 
     def clear_entry(self, index: int, bump_ev: bool = True) -> None:
         """Empty the entry (key 0), preserving its hopscotch bitmap."""
@@ -363,7 +367,7 @@ class LeafNodeView:
         if bump_ev:
             self.bump_entry_ev(index)
         self.span.write_logical(off + layout.ENTRY_OFF_BITMAP,
-                                encode_u16(bitmap))
+                                layout.bitmap_codec.pack(bitmap))
 
     def bump_entry_ev(self, index: int) -> None:
         """Increment every EV nibble inside the entry's span (version byte

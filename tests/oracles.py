@@ -238,11 +238,16 @@ def compose_leaf(layout: LeafLayout, keys: Sequence[int],
                  sibling: int = NULL_ADDR, fence_low: int = 0,
                  fence_high: int = 0, nv: int = 0) -> LeafNodeView:
     """A whole hopscotch leaf written entry by entry from
-    position-ordered vectors: the reference
+    position-ordered vectors, each entry's fields behind its version
+    byte counted here from the format — ``[bitmap][key][value]``, the
+    bitmap ``layout.bitmap_size`` bytes (the one width read off the
+    layout) — not from the layout's offsets: the reference
     :meth:`LeafLayout.encode_image` is held to byte for byte."""
     view = LeafNodeView.blank(layout, sibling, fence_low, fence_high, nv)
     for pos, (key, value, bitmap) in enumerate(zip(keys, values, bitmaps)):
-        view.write_entry(pos, key, value, bitmap=bitmap, bump_ev=False)
+        fields = (bitmap.to_bytes(layout.bitmap_size, "little")
+                  + encode_key(key) + encode_value(value, layout.value_size))
+        view.span.write_logical(layout.entry_offset(pos) + 1, fields)
     return view
 
 

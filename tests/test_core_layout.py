@@ -210,6 +210,29 @@ class TestLeafLayout:
         segments = layout.range_segments(9, 20)
         assert segments[0][0] == layout.replica_offset(1)
 
+    @pytest.mark.parametrize(
+        "neighborhood,entry,leaf,memory,neighborhood_reads,entry_reads", [
+            # One-byte bitmaps: 16-bit ones made these 19, 1,317, 1,408,
+            # {164, 165} and {19, 20}.
+            (8, 18, 1252, 1344, {156, 157}, {18, 19}),
+            # Two-byte bitmaps, as before.
+            (16, 19, 1276, 1344, {318, 319}, {19, 20}),
+        ], ids=["H=8", "H=16"])
+    def test_wire_sizes_at_span_64(self, neighborhood, entry, leaf, memory,
+                                   neighborhood_reads, entry_reads):
+        """Raw bytes on the wire per read shape, and per leaf in MN
+        memory: a change to the entry format fails here by name."""
+        layout = LeafLayout(span=64, neighborhood=neighborhood)
+        assert layout.entry_size == entry
+        assert layout.raw_size == leaf
+        # A scan reads the whole leaf from its first payload byte.
+        assert layout.full_shape().raw_len == leaf - 1
+        assert layout.total_size == memory
+        assert {layout.neighborhood_shape(home).raw_len
+                for home in range(64)} == neighborhood_reads
+        assert {layout.entry_shape(index).raw_len
+                for index in range(64)} == entry_reads
+
 
 class TestInternalNodeView:
     def test_compose_parse_roundtrip(self):
@@ -341,10 +364,11 @@ def random_leaf_image(layout, seed, torn):
         if rng.random() < 0.6:
             view.write_entry(index, rng.randrange(1, MAX_KEY),
                              rng.getrandbits(value_bits),
-                             bitmap=rng.getrandbits(16),
+                             bitmap=rng.getrandbits(layout.neighborhood),
                              bump_ev=rng.random() < 0.5)
         elif rng.random() < 0.3:
-            view.set_entry_bitmap(index, rng.getrandbits(16), bump_ev=False)
+            view.set_entry_bitmap(index, rng.getrandbits(layout.neighborhood),
+                                  bump_ev=False)
     if torn:
         data = view.span.data
         for pos in range(0, len(data), LINE):
@@ -471,7 +495,7 @@ class TestLeafImageEncoder:
                 for _ in range(span)]
         value_bits = 8 * min(value_size, 8)
         values = [rng.getrandbits(value_bits) if key else 0 for key in keys]
-        bitmaps = [rng.getrandbits(16) for _ in range(span)]
+        bitmaps = [rng.getrandbits(neighborhood) for _ in range(span)]
         meta = (rng.getrandbits(64), rng.getrandbits(64), rng.getrandbits(64))
         image = layout.encode_image(keys, values, bitmaps, *meta, nv=nv)
         reference = compose_leaf(layout, keys, values, bitmaps, *meta, nv=nv)
@@ -496,6 +520,47 @@ class TestLeafImageEncoder:
         for bit in range(vmap.bits):
             assert [vmap.bit_of(entry) for entry in vmap.coverage(bit)] == (
                 [bit] * len(vmap.coverage(bit)))
+
+    @pytest.mark.parametrize("replicated", [True, False])
+    @pytest.mark.parametrize("neighborhood", range(1, 17),
+                             ids=lambda h: f"H={h}-{-(-h // 8)}B-bitmap")
+    def test_every_neighborhood_equals_per_entry_oracle(self, neighborhood,
+                                                        replicated):
+        """Every H a ``ChimeConfig`` admits, across the bitmap's width
+        boundary (one byte through H = 8, two from H = 9): the encoder,
+        the per-entry writes and the oracle compose one image, and the
+        column decoders and entry accessors read back what went in."""
+        span = 4 * neighborhood
+        layout = LeafLayout(span=span, neighborhood=neighborhood,
+                            replicated=replicated)
+        assert layout.bitmap_size == (1 if neighborhood <= 8 else 2)
+        assert layout.entry_off_key == 1 + layout.bitmap_size
+        rng = random.Random(neighborhood)
+        keys = [rng.randrange(1, MAX_KEY + 1) if rng.random() < 0.7 else 0
+                for _ in range(span)]
+        values = [rng.getrandbits(64) if key else 0 for key in keys]
+        bitmaps = [rng.getrandbits(neighborhood) for _ in range(span)]
+        bitmaps[0] = (1 << neighborhood) - 1  # every flag of an H-bit bitmap
+        image = layout.encode_image(keys, values, bitmaps, 7, nv=3)
+        assert image == bytes(compose_leaf(layout, keys, values, bitmaps, 7,
+                                           nv=3).span.data)
+        written = LeafNodeView.blank(layout, 7, nv=3)
+        for pos in range(span):
+            written.write_entry(pos, keys[pos], values[pos],
+                                bitmap=bitmaps[pos], bump_ev=False)
+        assert bytes(written.span.data) == image
+        view = LeafNodeView(layout, StripedSpan(image))
+        assert list(view.bitmaps()) == bitmaps
+        assert list(view.keys()) == keys and list(view.values()) == values
+        assert [(entry.bitmap, entry.key, entry.value) for entry in
+                map(view.entry, range(span))] == list(zip(bitmaps, keys,
+                                                          values))
+        assert [view.entry_bitmap(pos) for pos in range(span)] == bitmaps
+        assert [view.entry_key(pos) for pos in range(span)] == keys
+        # A bitmap one byte wider than the entry holds does not fit.
+        bitmaps[1] = 1 << 8 * layout.bitmap_size
+        with pytest.raises(LayoutError):
+            layout.encode_image(keys, values, bitmaps, 7, nv=3)
 
     @pytest.mark.parametrize("vector", [0, 1, 2])
     @pytest.mark.parametrize("length", [0, 63, 65])
@@ -882,13 +947,14 @@ class TestReadShape:
 
 class TestBulkLoadImage:
     """Bulk load places every key once; the MN image it writes is pinned
-    to the bytes the two-pass loader produced."""
+    to the bytes the two-pass loader produced (re-recorded when hopscotch
+    bitmaps shrank to ⌈H/8⌉ bytes)."""
 
     PINNED = {
-        False: "fae896540e2782c90ddd35e724f675d4"
-               "b75d062e016ed57eab64ab8054f39531",
-        True: "fb8a4e3704ca60b885a3fa0b57ef232e"
-              "3be2f8443c795495acd477709ab2d591",
+        False: "5176697c7e8702930b285826e19bb424"
+               "5e46597e46cb4d21878821905dab55d8",
+        True: "0a69415e87a5e68f8c69161877284777"
+              "0f1b072fe5973a86e7ca553efce6d0ed",
     }
 
     @pytest.mark.parametrize("indirect", [False, True])

@@ -136,14 +136,17 @@ CONFIGS = {
 #: Recorded on the calendar-queue engine, before the one-heap engine
 #: replaced it; an equal oracle alone cannot catch a change to the
 #: loop both engines share.  ``chime-learned`` was re-recorded when the
-#: family began to scan: it runs YCSB A since, not C.
+#: family began to scan: it runs YCSB A since, not C.  The chime,
+#: chime-indirect and chime-learned rows and every CONFIGS row were
+#: re-recorded when hopscotch bitmaps shrank to ⌈H/8⌉ bytes (fewer bytes
+#: per leaf READ move every NIC completion time; event counts hold).
 EVENT_LOGS = {
-    "chime": (2014, "6bae17812deb15f76e38d20521f3a1b5"
-                    "ab758852fe08bdd142b566bcc48d2fc8"),
-    "chime-indirect": (2811, "08537d60889ace405a481490ff80f12a"
-                             "a8c498ff0fc4807c6b0a2260bf2f010d"),
-    "chime-learned": (2827, "1964478a864c21f6b47a956b2f416548"
-                            "167cca9656800ba2c75ff40c41b08648"),
+    "chime": (2014, "6bcb8f2321c4ac7064f397ebb96656f7"
+                    "017c49dc8ca57fc28bd904784fddca41"),
+    "chime-indirect": (2811, "c5e1d39aa93c01c76fe1a9e1de1d5069"
+                             "6fa115e00693322706847eb39f6395c8"),
+    "chime-learned": (2827, "82780fedbd3030f233702ac22bf1a1ab"
+                            "102c6d19af93270fcc12171835943d46"),
     "flexkv": (1032, "90564ec343c7fd3ae8015cfff14228d5"
                      "0d90ee215a77af450b09f7ca0269701a"),
     "marlin": (2276, "230edcebc9b99bafe2cac142ef26707e"
@@ -162,16 +165,16 @@ EVENT_LOGS = {
                         "88c7517efc3e74dbc7e26835cb4d0968"),
     "smart-rcu": (3338, "da755cd58563eda9c3ac08ff4b950045"
                         "7791fe7a1d1d8b91beebdad3e19ba326"),
-    "adaptive": (7945, "f289295335c855f23dfa1bba2b938d7c"
-                       "9dce4dbb2b68adebc308d2219e148c03"),
-    "cn-nic": (2998, "200a4a50e565f8986f0687e415f1c888"
-                     "43eb88a4a19dba70b71c62aeb41fdc18"),
-    "leases-crash": (1778, "dc04dc611b8843b2bc418adc0055ad2f"
-                           "dba8d9d84853a890d9397d689dc1d424"),
-    "pessimistic": (2834, "31bc7a2ccab149a0cd71fff960b148bc"
-                          "9f28ae0a0ff23b5b742d741df6d3dc85"),
-    "write-scaleout": (2136, "675458f42b8f1be596b261e347a2bdde"
-                             "3ef4bb447e4dc8c0ffcb0577e59d5719"),
+    "adaptive": (7945, "24a8f440b4942a1fcd1c58f489c8e6ab"
+                       "1e49b65d4647ce9128beec9797d98279"),
+    "cn-nic": (2998, "a0259092e653fa495897c9c5f8071038"
+                     "c507f0d8a835d9088826a12d79ee049b"),
+    "leases-crash": (1778, "7eb3955e24b5aa4c0fb9c986005f2d8e"
+                           "0e83ff75896b7e318e8446805f12baac"),
+    "pessimistic": (2834, "481dee68bd43873ad03dc63130d8c87c"
+                          "574cd86a7ea337ccd308909695c0ca32"),
+    "write-scaleout": (2136, "25407c462a5c23ad1443849609e0d599"
+                             "94f62fa99a7cc3c020c1f7062d047459"),
 }
 
 
@@ -215,14 +218,15 @@ class TestEventLogsPinned:
 #: log digest, SHA-256 of ``ChaosResult.to_dict()`` minus ``config``).
 #: Recorded before shards became static (no migration, no rebalancer,
 #: one cache mode); ``sharded-chaos`` re-recorded when a re-issue after
-#: a lost verb began to count a retry and back off (8205 -> 8204 events).
+#: a lost verb began to count a retry and back off (8205 -> 8204 events),
+#: and both when hopscotch bitmaps shrank to ⌈H/8⌉ bytes (8204 -> 8203).
 SHARDED_LOGS = {
-    "sharded-scan": (3731, "b508ce0c24a37ed11634affba577cb12"
-                           "c5a123faa16310ee4db8b73d00d8d3ff"),
-    "sharded-chaos": (8204, "28cf4c38b9225e8a2bd52a04d9d9f9c0"
-                            "2c8f63fb7587146e67c32a4f3eb075ea",
-                      "fbb67559415cf9a80bc9cbbfa544c85b"
-                      "7a0794b4516fcd50a77fb4a5d98c1c48"),
+    "sharded-scan": (3731, "1a9460d30a0d87955175eba6e24e5f83"
+                           "7a204c01d8cba81170dd4650815b8b11"),
+    "sharded-chaos": (8203, "6d5c1a18c0e9deaa595d8e7b83551889"
+                            "6b2f204aa34923c66b68d520d81ad8c0",
+                      "01bef1553e28a0851cab4e0f123e7091"
+                      "d75f3166cbaa2fe3d6c847bdceec59db"),
 }
 
 SHARDED_SCAN = dict(num_mns=4, num_shards=4, pipeline_depth=2)
@@ -282,32 +286,34 @@ class TestShardedPinned:
 #: word's rest comes from a READ after the lock-bit CAS, 7 leaves flip
 #: pessimistic); Sherman's queue with leases at 8 clients per CN (78
 #: delegation handoffs).  Recorded before every lock-word family took
-#: one lock path.
+#: one lock path; the chime rows re-recorded when hopscotch bitmaps
+#: shrank to ⌈H/8⌉ bytes (sharded-adaptive 2017 -> 2016 events,
+#: adaptive-cxl 9840 -> 9802).
 _SHARDED_LOCKS = dict(num_mns=4, num_shards=4, pipeline_depth=2)
 LOCK_SHAPES = {
     "sharded-pessimistic": (
         "chime", dict(_SHARDED_LOCKS, sync_mode="pessimistic"), None,
-        2793, "d08d3a3af2e68a545e1fdbb8ca1691dd"
-              "5784b7ef99f3426a5e478638a2545766"),
+        2793, "59ff517d7d659507445a0955099e2f14"
+              "728485717f764a48883aeaa123ca3084"),
     "sharded-pessimistic-leases": (
         "chime", dict(_SHARDED_LOCKS, sync_mode="pessimistic",
                       lock_leases=True), None,
-        2879, "c57bdb63b2bf907290946210d31e059f"
-              "c8c4c53192da1e724766b035581c6e23"),
+        2879, "e686cbcfb246c9b4fe1fec2ece3b7f4b"
+              "77cf1fe29416159958b253de47040128"),
     "sharded-adaptive": (
         "chime", dict(_SHARDED_LOCKS, sync_mode="adaptive"), None,
-        2017, "8e7a712c2af150331f997af219d68be4"
-              "28791c436d5f8eca1b132c755dc574d3"),
+        2016, "3bb8865a16b1f160e812256abe9aae76"
+              "151145508a9f1e336ce41b21f96e6781"),
     "sharded-adaptive-leases": (
         "chime", dict(_SHARDED_LOCKS, sync_mode="adaptive",
                       lock_leases=True), None,
-        2667, "e1b44f9eb9346c9d7f3283cf385a400e"
-              "19fd8041dbd8cf96749d3097276a4b4e"),
+        2667, "2c9098c8abfd5fcf11e5f52474b0cb75"
+              "13698729a23578d2c35224d2ca1d8c80"),
     "adaptive-cxl": (
         "chime", dict(sync_mode="adaptive", clients_per_cn=8,
                       pipeline_depth=4), {"cxl_atomics": True},
-        9840, "138452cdbb539f48851e2163d0796555"
-              "e40847982ca5957162fc6aad043551b8"),
+        9802, "0054e018e41228ea2e3f38407c0d7af7"
+              "8289d875edde9ed4e4984cded22ee864"),
     "sherman-pessimistic-leases": (
         "sherman", dict(sync_mode="pessimistic", lock_leases=True,
                         clients_per_cn=8), None,

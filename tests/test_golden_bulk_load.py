@@ -43,7 +43,9 @@ has no deletes), and a span-8 CHIME tree whose root grows three times
 ``chime neighborhood=16 after splits`` was added at 43682c7, while every
 hopscotch bitmap was still a 16-bit word: H = 16 keeps two-byte bitmaps,
 so its split halves must not move when narrower neighbourhoods shrink
-theirs.
+theirs.  Storing each bitmap in ⌈H/8⌉ bytes re-recorded every
+hopscotch-leaf row at H <= 8 (``varkey`` included); the two
+``neighborhood=16`` rows and every baseline row hold.
 """
 
 import hashlib
@@ -283,47 +285,47 @@ ROWS = {
 
 GOLDEN = {
     'chime':
-        '694a8c5b233a1f45aae5c93fb6be57ab1cab3c1628bd90c4c87c682fb5bff456',
+        'f7aa3e22ca4dbd0d713d5800f428a5a6f77e4128c4386fe356f73d258a48befb',
     'chime sparse':
-        '0fd5d76c655b75e2b5eb05f48ed671584bb16404c1d7235e566ba6eb9438c1a8',
+        '3622352c4bb34de24bf04fb6e7c7f30c380d61d4aab67c2b32104c6023367b40',
     'chime metadata_replication=False':
-        '93a9c64e5fb33a65e0d125b019a870d3e88bf2983b066aa66e372030ede4acfd',
+        '19c35532c6e86b9e4754817e0c47907217138bea22ccab9abdd00b096ce51f09',
     'chime sibling_validation=False':
-        '6c6a0318bd02a735eeb85d947bfb37060421168d288aae51a1d05fffd40100bc',
+        '11fab1cc75408ac1e55318cd25d3018c40e73f73b22ebd372768609a7e1d7c44',
     'chime neighborhood=2':
-        'd6ddaf21ca9a065aa74ec42d67a36b4796383de21469cc80e886dc5e22ad6d7e',
+        '21d61bf592b3616df77190995af7daedaefa27264fd0e4ca7726078b0a26aed1',
     'chime neighborhood=16':
         'e265ba07c47299c8a2c7996f6956a0926a9d0cb3dfc0bdaf160703c6453db287',
     'chime span=16':
-        '7fe39a39977d6b26314705c1f1cd8c3b44e613480cb0436af662dbc157317c06',
+        '220da1e2d6caa64780b5e842d000497cb3a2d57253e33484156bdd9994a36d8c',
     'chime value_size=64':
-        'ec5ba154dad42a751826274a9dcf287dc999966c89f43e07a9029b66a7c1e434',
+        '2e8a8bf69cb3c98e28698ad450d9b61230cfa3d54b64e9829317c0c0c422ed94',
     'chime speculative_read=False':
-        '694a8c5b233a1f45aae5c93fb6be57ab1cab3c1628bd90c4c87c682fb5bff456',
+        'f7aa3e22ca4dbd0d713d5800f428a5a6f77e4128c4386fe356f73d258a48befb',
     'chime value_size=3':
-        '43bd0fdc63583392bb61fc1e3170f8e2e1003a010869d1e9d0919a9625cdf17b',
+        '978a37a6c0324d241e6f8d11a9a311c87b31f2b394501c31b048ea1cac45211c',
     'chime-indirect':
-        'ee2e027e1a80bb0a72b50379214fafbac99505625bdb3277f6a70664c34abcf8',
+        '1bdfc2b9726ee01b8e2b5cf6fb07c5b6a25ffa82ec023e3423b288ed893da03c',
     'chime-learned':
-        '43d856e23cac632e3a20b41d590d924f78a8a0698c3160cf64ac3b16525a1a2c',
+        'c474a48e6bbb1a600b486cb1954235f486ed2878233f4c61da6a24d22a34f661',
     'chime-learned sparse':
-        'fba29ef13b1c5a50c28b0e704d9531cf57a45f19789ebec9788ab1a6c5e11be9',
+        '0cb72afaeafffeb56992d02042d0a158b3f25665642c4474bc75be51d2bb1453',
     'varkey':
-        '6634cf7146422e3e60af7e7a85149f3dc94fb805b627d9dc887d221a667e223f',
+        '6ce614ea4a384f1762779b3c862fcac44d64360e3a853f3f6f7ced1eb307e065',
     'chime 4 MNs x 4 shards':
-        '98bb1bc2bd756454541b7322af8a2c4ce1e45226d1203dd9dbdf44fe7a5b94d4',
+        'e5af6f881b488dcc2bf3ea3eb5741b657778ce2ef5d7f3ef15b23780dd9c0c98',
     'chime 2 MNs striped':
-        'a67b2fd962d2f6e6152e7fc18e16e84d4f59b27cdeead3f49bf14c53ca49ae81',
+        '05e4554ec120eb5d60d5f7b064904970963ed57a4c783915bac702091fca6196',
     'chime after splits':
-        '07d668e0d7683683fc341d2295278ec31f227681e828b7804347d0bb7c3ee132',
+        '3700a590f5562bbf1d6e34f76b88af8937642965e4c34af59368c65eb178d4eb',
     'chime neighborhood=2 after splits':
-        '72b323e432f429f8ee45a3a40385c0dd1602c0eb2367861ba017c5dd526364fa',
+        '5454e71545fd7ca7f3ad38a41360a00dcf82e7f3e295e095577e70a22ca01781',
     'chime neighborhood=16 after splits':
         'bfb7986ff437d086be86688eba72a672b6df8da87c672f197eb72a4d30ee6075',
     'chime value_size=64 after splits':
-        'b450784855836b7d753049cc7c9ede2bbfa567d6dbfaf31f2a8b42f7e9abdc3d',
+        'e60d701ee54de3380017597c0813ede3b8107acac9f0417c24890a80a5621933',
     'chime-learned after synonym appends':
-        'dcfb8c8d93130304b983f454e30a4ee95ad3b926f9d714dc921888e306b26af4',
+        'ea33e85692b466c181ebb30193dad2888988db34bf91d4c0a804507403d70110',
     'smart':
         '8c5af5e4894c80a3c8ed03d23c448806218ba84ef30003ad25cce045713f04b7',
     'smart 2 MNs striped':
@@ -419,13 +421,13 @@ GOLDEN = {
     'rolex-indirect after synonym appends':
         '0881e2e18aea449da9ac522746f33e4a7b9e675c720e27d789b032e830c3bcf0',
     'chime span=8 after splits':
-        '1a9f7eaad9fd72e302818b9522817656e18aaf741361a26e9f195d90f842c047',
+        '1b6511331dbc6d2350f51251ec78296083ea30dacf48b521eb0ce4d88cd108ee',
     'rolex after deletes and updates inside a synonym chain':
         '6ea833c3c31a238b741273928d5865d3bcf19337e3606e4a17c75abd4c0a70e6',
     'rolex-indirect after deletes and updates inside a synonym chain':
         '349cef08d6cdc6056a4879a613e39bf99c712e68a7fedc9d0b748983a31b3698',
     'chime-learned after deletes and updates inside a synonym chain':
-        'f068877391da54ba7d22c485f50b14eae84ad329b95e32c44443a86e367125de',
+        'a63bab67d8fcb845ee45c8e7ca226544bb4afe3ca8e0a3c5990185b554378a53',
 }
 
 

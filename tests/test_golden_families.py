@@ -22,7 +22,11 @@ of chime, chime-indirect, sherman and marlin, and ``marlin D`` — listed
 before -> after in CHANGES.md.  The shared model-routed scan and
 CHIME-Learned's coalesced hop write-back re-recorded ``rolex E``,
 ``rolex-indirect E`` and ``chime-learned D`` the same way, and added
-``chime-learned E``.
+``chime-learned E``.  Storing each hopscotch bitmap in ⌈H/8⌉ bytes
+instead of a 16-bit word (one byte less per entry at H <= 8) re-recorded
+every chime, chime-indirect and chime-learned row but the two
+``neighborhood=16`` ones, which keep two-byte bitmaps and hold, and the
+event counts of :func:`test_shard_sweep_mops_rise_with_mns`.
 
 The second half pins what the deleted ``repro perf --check`` enforced:
 the event counts of twelve YCSB-C points at the :data:`PINNED` scale,
@@ -63,17 +67,17 @@ def _observe(index_name, workload, monkeypatch, **knobs):
 #: (family, workload, knobs) -> (events, ops, TrafficStats fields, now).
 GOLDEN = {
     ('chime', 'A', ()):
-        (2014, 120, (246, 314, 134, 110, 70, 0, 16954, 1500, 15), '0.0002254798400000011'),
+        (2014, 120, (246, 314, 134, 110, 70, 0, 16339, 1440, 15), '0.000225466080000001'),
     ('chime', 'D', ()):
-        (1185, 120, (126, 147, 134, 8, 5, 0, 16718, 127, 1), '0.00010627070666666671'),
+        (1185, 120, (126, 147, 134, 8, 5, 0, 16062, 125, 1), '0.0001062555866666667'),
     ('chime', 'E', ()):
-        (1604, 120, (148, 267, 234, 18, 15, 0, 278281, 262, 6), '0.00014703101333333365'),
+        (1604, 120, (148, 267, 234, 18, 15, 0, 264780, 256, 6), '0.00014670333333333338'),
     ('chime-indirect', 'A', ()):
-        (2811, 120, (374, 437, 195, 162, 80, 4, 17927, 2337, 26), '0.0003755146000000001'),
+        (2811, 120, (374, 437, 195, 162, 80, 4, 17313, 2278, 26), '0.0003755026800000002'),
     ('chime-indirect', 'D', ()):
-        (2143, 120, (248, 266, 246, 12, 8, 3, 18514, 191, 4), '0.00021260917333333423'),
+        (2143, 120, (248, 266, 246, 12, 8, 3, 17858, 189, 4), '0.00021259421333333424'),
     ('chime-indirect', 'E', ()):
-        (37594, 120, (4650, 4765, 4729, 27, 9, 4, 350201, 406, 0), '0.0038943903733334533'),
+        (37594, 120, (4650, 4765, 4729, 27, 9, 4, 336700, 400, 0), '0.0038940139733334555'),
     ('sherman', 'A', ()):
         (1972, 120, (247, 302, 121, 110, 71, 0, 137218, 1384, 16), '0.00022139194666666762'),
     ('sherman', 'D', ()):
@@ -117,11 +121,11 @@ GOLDEN = {
     ('rolex-indirect', 'E', ()):
         (40850, 120, (4758, 5453, 5417, 27, 9, 4, 353419, 2961, 0), '0.003978662706666759'),
     ('chime-learned', 'A', ()):
-        (2827, 120, (342, 420, 243, 110, 67, 0, 109354, 1500, 12), '0.0003058514000000004'),
+        (2827, 120, (342, 420, 243, 110, 67, 0, 104423, 1441, 12), '0.00030572596000000046'),
     ('chime-learned', 'D', ()):
-        (2016, 120, (222, 258, 245, 8, 5, 0, 48626, 129, 1), '0.00018552706666666706'),
+        (2016, 120, (222, 258, 245, 8, 5, 0, 46399, 122, 1), '0.00018546245333333385'),
     ('chime-learned', 'E', ()):
-        (2359, 120, (242, 360, 333, 18, 9, 0, 469169, 266, 0), '0.00023314649333333425'),
+        (2359, 120, (242, 360, 333, 18, 9, 0, 448093, 253, 0), '0.00023257233333333406'),
     ('outback', 'A', ()):
         (1196, 120, (177, 177, 120, 57, 0, 0, 1920, 912, 0), '0.00014773333333333358'),
     ('outback', 'D', ()):
@@ -131,11 +135,11 @@ GOLDEN = {
     ('flexkv', 'D', ()):
         (1104, 120, (140, 140, 132, 4, 4, 0, 8448, 32, 0), '0.00011165000000000003'),
     ('chime', 'A', (('pipeline_depth', 4),)):
-        (2105, 120, (258, 321, 138, 100, 83, 0, 29448, 1363, 33), '9.606429333333334e-05'),
+        (2105, 120, (258, 321, 138, 100, 83, 0, 28836, 1310, 33), '9.605885333333336e-05'),
     ('chime', 'A', (('lock_leases', True),)):
-        (2588, 120, (302, 424, 199, 165, 60, 0, 18934, 1940, 12), '0.00028571565333333424'),
+        (2588, 120, (302, 424, 199, 165, 60, 0, 18327, 1880, 12), '0.0002857038133333343'),
     ('chime', 'A', (('sync_mode', 'pessimistic'),)):
-        (2834, 120, (345, 460, 199, 158, 103, 0, 19948, 1884, 17), '0.000347030193009938'),
+        (2834, 120, (345, 460, 199, 158, 103, 0, 19339, 1824, 17), '0.0003470153930099381'),
     # Recorded after Sherman's unlocks were routed through the lease- and
     # ticket-aware release (at 28828c4 both configurations failed to finish).
     ('sherman', 'A', (('lock_leases', True),)):
@@ -145,47 +149,47 @@ GOLDEN = {
     # The CHIME_LAYOUTS rows, recorded at cb475a0 (before the compiled
     # read shapes replaced the per-entry checks on lock-free reads).
     ('chime', 'A', (('metadata_replication', False),)):
-        (2572, 120, (316, 384, 203, 110, 71, 0, 16923, 1492, 16), '0.00028640292000000093'),
+        (2572, 120, (316, 384, 203, 110, 71, 0, 16314, 1443, 16), '0.00028639062666666753'),
     ('chime', 'D', (('metadata_replication', False),)):
-        (1787, 120, (200, 223, 211, 8, 4, 0, 16497, 130, 0), '0.0001722890400000005'),
+        (1787, 120, (200, 223, 211, 8, 4, 0, 15848, 124, 0), '0.00017227496000000046'),
     ('chime', 'A', (('sibling_validation', False),)):
-        (2014, 120, (246, 314, 134, 110, 70, 0, 18092, 1500, 15), '0.00022549857333333431'),
+        (2014, 120, (246, 314, 134, 110, 70, 0, 17475, 1441, 15), '0.00022549228000000098'),
     ('chime', 'D', (('sibling_validation', False),)):
-        (1185, 120, (126, 147, 134, 8, 5, 0, 17962, 129, 1), '0.00010630181333333338'),
+        (1185, 120, (126, 147, 134, 8, 5, 0, 17308, 122, 1), '0.0001062871866666667'),
     ('chime', 'A', (('neighborhood', 2),)):
-        (1917, 120, (238, 296, 123, 108, 65, 0, 8806, 1469, 11), '0.0002560426666666678'),
+        (1917, 120, (238, 296, 123, 108, 65, 0, 8635, 1428, 11), '0.0002560426666666678'),
     ('chime', 'D', (('neighborhood', 2),)):
-        (1153, 120, (126, 139, 126, 8, 5, 0, 7953, 111, 1), '0.00010602844000000004'),
+        (1153, 120, (126, 139, 126, 8, 5, 0, 7765, 105, 1), '0.00010602828000000004'),
     ('chime', 'A', (('neighborhood', 16),)):
         (2038, 120, (246, 320, 140, 110, 70, 0, 27762, 1506, 15), '0.0002257870133333344'),
     ('chime', 'D', (('neighborhood', 16),)):
         (1221, 120, (126, 156, 143, 8, 5, 0, 27992, 129, 1), '0.00010658914666666675'),
     ('chime', 'A', (('span', 16),)):
-        (2070, 120, (239, 330, 162, 108, 60, 0, 15294, 1471, 6), '0.00022161805333333434'),
+        (2070, 120, (239, 330, 162, 108, 60, 0, 14645, 1415, 6), '0.00022160661333333432'),
     ('chime', 'D', (('span', 16),)):
-        (1318, 120, (132, 174, 161, 8, 5, 0, 15705, 109, 1), '0.00011526493333333339'),
+        (1318, 120, (132, 174, 161, 8, 5, 0, 15016, 106, 1), '0.0001152513333333334'),
     ('chime', 'A', (('value_size', 64),)):
-        (2158, 120, (246, 314, 134, 110, 70, 0, 51498, 4637, 15), '0.00022626020000000085'),
+        (2134, 120, (246, 314, 134, 110, 70, 0, 50868, 4570, 15), '0.0002262438000000008'),
     ('chime', 'D', (('value_size', 64),)):
-        (1202, 120, (127, 148, 134, 8, 6, 0, 53466, 412, 2), '0.00011056446666666666'),
+        (1204, 120, (127, 148, 134, 8, 6, 0, 52796, 408, 2), '0.00011054710666666671'),
     ('chime', 'A', (('speculative_read', False),)):
-        (2026, 120, (246, 317, 137, 110, 70, 0, 23783, 1500, 15), '0.0002255795866666677'),
+        (2026, 120, (246, 317, 137, 110, 70, 0, 22834, 1440, 15), '0.00022555125333333423'),
     ('chime', 'D', (('speculative_read', False),)):
-        (1217, 120, (126, 155, 142, 8, 5, 0, 22663, 127, 1), '0.0001063314266666667'),
+        (1217, 120, (126, 155, 142, 8, 5, 0, 21713, 125, 1), '0.00010631190666666669'),
     # The VERB_PATHS rows, recorded at 366387e (before verb timelines
     # replaced the coroutine verb bodies).
     ('chime', 'A', (('cn_nic', NicSpec()),)):
-        (2998, 120, (246, 314, 134, 110, 70, 0, 16954, 1500, 15), '0.00022697534666666825'),
+        (2998, 120, (246, 314, 134, 110, 70, 0, 16339, 1440, 15), '0.00022694742666666808'),
     ('chime', 'E', (('cn_nic', NicSpec()),)):
-        (2215, 120, (150, 268, 233, 18, 17, 0, 278262, 262, 8), '0.00015218640000000066'),
+        (2215, 120, (150, 268, 233, 18, 17, 0, 264761, 256, 8), '0.00015148776000000017'),
     ('chime', 'A', (('mn_nic', NicSpec(lanes=2)),)):
-        (2010, 120, (246, 313, 133, 110, 70, 0, 16809, 1500, 15), '0.00022516858666666765'),
+        (2010, 120, (246, 313, 133, 110, 70, 0, 16201, 1440, 15), '0.0002251565866666676'),
     ('chime', 'E', (('num_mns', 2),)):
-        (1615, 120, (150, 268, 233, 18, 17, 0, 278262, 262, 8), '0.0001439541733333336'),
+        (1615, 120, (150, 268, 233, 18, 17, 0, 264761, 256, 8), '0.0001437724133333334'),
     ('smart', 'A', (('num_mns', 2),)):
         (2621, 120, (339, 339, 285, 54, 0, 0, 210768, 432, 0), '0.0003254292666666671'),
     ('chime', 'A', (('torn_writes', False), ('value_size', 64))):
-        (2014, 120, (246, 314, 134, 110, 70, 0, 51498, 4637, 15), '0.00022626020000000085'),
+        (2014, 120, (246, 314, 134, 110, 70, 0, 50868, 4570, 15), '0.00022624380000000076'),
     ('flexkv', 'A', (('placement', 'mn'),)):
         (968, 120, (120, 0, 0, 0, 0, 120, 0, 0, 0), '0.0009630166666666647'),
 }
@@ -315,10 +319,10 @@ def test_perf_flexkv_constrained_event_count():
 def test_shard_sweep_mops_rise_with_mns():
     # DEX's claim: past the one-NIC wall (24 clients here) every added
     # MN brings its own NIC, so aggregate Mops rise with each shard
-    # (2.5606 -> 4.5004 -> 6.1413).
+    # (2.6241 -> 4.5985 -> 6.2503).
     points = [_pinned_point("chime", clients=24, num_mns=mns, num_shards=mns)
               for mns in (1, 2, 4)]
-    assert [point.events for point in points] == [39463, 39378, 39329]
+    assert [point.events for point in points] == [39463, 39471, 39266]
     assert points[0].mops < points[1].mops < points[2].mops
 
 

@@ -37,8 +37,22 @@ class TestMetadataOverhead:
         assert small > large
 
     def test_larger_neighborhood_smaller_replica_share(self):
-        assert leaf_metadata_per_item(8, neighborhood=16) < \
-            leaf_metadata_per_item(8, neighborhood=8)
+        # One replica per block of H entries: its bytes per item fall as
+        # H grows.  (Total metadata per item does not: past H = 8 the
+        # bitmap takes a second byte, 3.56 -> 3.94 B from H = 8 to 16.)
+        def replica_per_item(neighborhood):
+            layout = LeafLayout(span=64, neighborhood=neighborhood)
+            return layout.replica_size * layout.num_blocks / layout.span
+
+        shares = [replica_per_item(h) for h in (1, 2, 4, 8, 16)]
+        assert all(a > b for a, b in zip(shares, shares[1:])), shares
+
+    def test_bitmap_takes_one_byte_per_item_per_eight_slots(self):
+        # An entry's hopscotch bitmap is H bits wide: ⌈H/8⌉ bytes.
+        for h in range(1, 17):
+            layout = LeafLayout(span=64, neighborhood=h, replicated=False)
+            assert layout.bitmap_size == (1 if h <= 8 else 2), h
+            assert layout.entry_size == 1 + layout.bitmap_size + 8 + 8, h
 
 
 class TestRemoteMemoryConsumption:

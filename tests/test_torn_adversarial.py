@@ -363,7 +363,7 @@ class TestChimeUnderTearing:
 class TestPinnedScans:
     """A scan's whole-leaf READ served *between* two landings of one
     write batch — pinned there, because free-running scanners never
-    arrive between the two chunks of a 19-byte entry WRITE or between
+    arrive between the two chunks of an 18-byte entry WRITE or between
     two entry WRITEs of one hop (the campaigns above trip NV only).
 
     The writer runs alone and the leaf's raw image is recorded after
@@ -433,7 +433,7 @@ class TestPinnedScans:
         scan at every landing; returns the torn levels seen.
 
         (``value_size=64``: the simulated NIC lands a WRITE of up to 64
-        bytes whole, so the default 19-byte entry cannot tear.)"""
+        bytes whole, so the default 18-byte entry cannot tear.)"""
         cluster = slow_cluster(clients=2)
         index = ChimeIndex(cluster, ChimeConfig(value_size=64))
         index.bulk_load([(k, self.OLD) for k in range(1, 401)])
