@@ -212,11 +212,8 @@ class TestLeafLayout:
 
     @pytest.mark.parametrize(
         "neighborhood,entry,leaf,memory,neighborhood_reads,entry_reads", [
-            # One-byte bitmaps: 16-bit ones made these 19, 1,317, 1,408,
-            # {164, 165} and {19, 20}.
-            (8, 18, 1252, 1344, {156, 157}, {18, 19}),
-            # Two-byte bitmaps, as before.
-            (16, 19, 1276, 1344, {318, 319}, {19, 20}),
+            (8, 18, 1252, 1344, {156, 157}, {18, 19}),  # one-byte bitmaps
+            (16, 19, 1276, 1344, {318, 319}, {19, 20}),  # two-byte bitmaps
         ], ids=["H=8", "H=16"])
     def test_wire_sizes_at_span_64(self, neighborhood, entry, leaf, memory,
                                    neighborhood_reads, entry_reads):
