@@ -192,6 +192,13 @@ GOLDEN = {
         (2014, 120, (246, 314, 134, 110, 70, 0, 50868, 4570, 15), '0.00022624380000000076'),
     ('flexkv', 'A', (('placement', 'mn'),)):
         (968, 120, (120, 0, 0, 0, 0, 120, 0, 0, 0), '0.0009630166666666647'),
+    # FlexKV with room for one partition directory of four: the policy
+    # flips partitions to MN-side mid-run (search / update RPCs on A,
+    # insert RPCs on D).
+    ('flexkv', 'A', (('cache_bytes', 512),)):
+        (1400, 120, (191, 136, 102, 34, 0, 55, 6528, 272, 0), '0.0004883916666666659'),
+    ('flexkv', 'D', (('cache_bytes', 512),)):
+        (1186, 120, (148, 79, 77, 1, 1, 69, 4928, 8, 0), '0.0005912249999999988'),
 }
 
 
@@ -218,6 +225,8 @@ VERB_PATHS = (
     ("smart", "A", (("num_mns", 2),)),
     ("chime", "A", (("torn_writes", False), ("value_size", 64))),
     ("flexkv", "A", (("placement", "mn"),)),
+    ("flexkv", "A", (("cache_bytes", 512),)),
+    ("flexkv", "D", (("cache_bytes", 512),)),
 )
 
 
