@@ -607,10 +607,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         if not layout.replicated:
             header = yield from self._fetch_leaf(leaf_addr,
                                                  [(0, layout.replica_size)])
-            extra = (header.span.spans if isinstance(header.span, SpanSet)
-                     else [header.span])
-            view.span.spans.extend(extra)
-            view.span.spans.sort(key=lambda s: s.base)
+            view = self._merge_header(view, header)
         return view, fence_low, fence_high, max_entry_key
 
     def _segment_entries(self, first: int, last: int) -> set:

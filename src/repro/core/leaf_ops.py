@@ -137,24 +137,26 @@ class HopscotchLeafOpsMixin:
         """Neighborhood read; a dedicated header READ precedes it when
         metadata replication is disabled (the §3.2.2 extra access)."""
         layout = self.layout
+        header = None
         if not layout.replicated:
             header = yield from self._fetch_leaf(leaf_addr,
                                                  [(0, layout.replica_size)])
-            view = yield from self._fetch_leaf(
-                leaf_addr, layout.neighborhood_segments(home))
-            header_spans = (header.span.spans
-                            if isinstance(header.span, SpanSet)
-                            else [header.span])
-            if isinstance(view.span, SpanSet):
-                view.span.spans.extend(header_spans)
-                view.span.spans.sort(key=lambda s: s.base)
-            else:
-                view = LeafNodeView(layout,
-                                    SpanSet([view.span] + header_spans))
-            return view
         view = yield from self._fetch_leaf(
             leaf_addr, layout.neighborhood_segments(home))
-        return view
+        return view if header is None else self._merge_header(view, header)
+
+    def _merge_header(self, view: LeafNodeView,
+                      header: LeafNodeView) -> LeafNodeView:
+        """*view* plus the one span of a dedicated header READ (the
+        §3.2.2 extra access when metadata is not replicated).  A
+        multi-segment view takes it in place, unchecked: a hop range
+        from entry 0 covers the header too, and its earlier bytes keep
+        serving both."""
+        if isinstance(view.span, SpanSet):
+            view.span.spans.append(header.span)
+            view.span.spans.sort(key=lambda s: s.base)
+            return view
+        return LeafNodeView(self.layout, SpanSet([view.span, header.span]))
 
     def _find_in_neighborhood(self, view: LeafNodeView, home: int,
                               key: int) -> Optional[int]:
