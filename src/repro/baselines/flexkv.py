@@ -8,10 +8,10 @@ walks the structure and the CN pays a single RPC per operation:
 * The structure is a hash-partitioned bucket array.  Each partition
   lives on its home MN (round-robin) as ``buckets x slots`` fixed slots
   of ``[key u64 | value]``; key 0 marks an empty slot.
-* **CN placement** (default): operations need the partition's routing
-  directory resident in the CN cache — a miss costs one extra directory
-  READ before the bucket access and is reported to the placement
-  policy.  Bucket accesses are ordinary one-sided verbs (slot claims go
+* **CN placement** (where every partition starts): operations need
+  the partition's routing directory resident in the CN cache — a miss
+  costs one extra directory READ before the bucket access and is
+  reported to the placement policy.  Bucket accesses are ordinary one-sided verbs (slot claims go
   through CAS), so fault injection, spans, and pipelining behave
   exactly as for the tree families.
 * **MN placement**: the whole operation collapses to one RPC whose
@@ -21,8 +21,8 @@ walks the structure and the CN pays a single RPC per operation:
   so both placements see one source of truth.
 * The :class:`CachePressurePlacement` policy flips a partition CN→MN
   once directory misses accumulate, emitting ``placement.switch`` obs
-  events; ``ClusterConfig.placement`` pins every partition to ``cn`` or
-  ``mn`` instead (``auto`` is the policy).
+  events.  Placement is measured, never configured: a CN cache below
+  :meth:`FlexKVIndex.directory_bytes` is what moves partitions MN-side.
 """
 
 from __future__ import annotations
@@ -78,34 +78,26 @@ class CachePressurePlacement:
     them, the policy concludes the metadata does not fit under the
     current cache budget and flips the partition to MN-side offload,
     emitting a ``placement.switch`` obs event.  It never flips back, so
-    constrained-cache runs converge one way.  With no *threshold* every
-    partition stays at *start* (``ClusterConfig.placement`` = ``cn`` or
-    ``mn``).
+    constrained-cache runs converge one way.
     """
 
-    def __init__(
-        self, start: str = PLACEMENT_CN, threshold: Optional[int] = None
-    ) -> None:
-        if start not in (PLACEMENT_CN, PLACEMENT_MN):
-            raise ValueError(f"unknown placement {start!r}")
-        self.start = start
+    def __init__(self, threshold: int) -> None:
         self.threshold = threshold
         self.switches = 0
         self._placement: Dict[int, str] = {}
         self._misses: Dict[int, int] = {}
 
     def placement_for(self, partition: int) -> str:
-        return self._placement.get(partition, self.start)
+        return self._placement.get(partition, PLACEMENT_CN)
 
     def note_hit(self, partition: int) -> None:
         self._misses[partition] = 0
 
     def note_miss(self, partition: int, engine=None) -> None:
-        threshold = self.threshold
-        if threshold is None or self.placement_for(partition) != PLACEMENT_CN:
+        if self.placement_for(partition) != PLACEMENT_CN:
             return
         misses = self._misses[partition] = self._misses.get(partition, 0) + 1
-        if misses < threshold:
+        if misses < self.threshold:
             return
         self._placement[partition] = PLACEMENT_MN
         self.switches += 1
@@ -149,13 +141,7 @@ class FlexKVIndex(FamilyIndexBase):
         super().__init__(cluster, config or FlexKVConfig())
         self.mn_ids: List[int] = sorted(cluster.mns)
         self.partitions = self.config.partitions or 4 * len(self.mn_ids)
-        mode = cluster.config.placement
-        if mode == "auto":
-            self.placement = CachePressurePlacement(
-                threshold=self.config.switch_threshold
-            )
-        else:
-            self.placement = CachePressurePlacement(start=mode)
+        self.placement = CachePressurePlacement(self.config.switch_threshold)
         #: Per-partition bucket-array base address and its directory
         #: (routing metadata) address; filled by :meth:`bulk_load`.
         self.part_base: Dict[int, int] = {}

@@ -113,7 +113,7 @@ class PointSpec:
     """One picklable measurement point: everything that decides its
     result, plus ``extra`` row fields a sweep merges into its summary row.
 
-    Every run-level knob (depth, placement, sync mode, sharding) is a
+    Every run-level knob (depth, sync mode, sharding) is a
     field of ``cluster_config``, so a point never depends on the
     environment of the process that runs it.
     :meth:`repro.bench.scale.Scale.point` fills the size fields, the

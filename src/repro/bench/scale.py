@@ -19,6 +19,7 @@ EXPERIMENTS.md records which preset produced the committed numbers.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 from typing import List, Optional
 
@@ -31,6 +32,7 @@ from repro.config import (
     PAPER_HOTSPOT_BYTES,
     env_value,
     scale_fields,
+    unknown_env_warnings,
 )
 from repro.rdma.nic import NicSpec
 from repro.registry import get_family
@@ -62,7 +64,6 @@ class Scale:
     #: 0 = the legacy striped pool (multi-MN figures like fig3c rely on
     #: striping); the CLI defaults to one shard per MN instead.
     num_shards: int = 0
-    placement: str = "auto"
     #: Sweep worker processes (None = cores - 1); never affects results.
     jobs: Optional[int] = None
 
@@ -94,7 +95,7 @@ class Scale:
 
         *overrides* are :class:`ClusterConfig` fields (``num_mns``,
         ``seed``, ``sync_mode``, ``num_shards``, ``pipeline_depth``,
-        ``placement``, ...).
+        ...).
         Precedence is explicit argument > this scale's field; None
         means "not given".  Nothing here reads the environment: ambient
         ``REPRO_*`` values enter only where a ``Scale`` is built
@@ -111,7 +112,6 @@ class Scale:
             sync_mode=self.sync_mode,
             pipeline_depth=self.depth,
             num_shards=self.num_shards,
-            placement=self.placement,
             seed=self.seed,
         )
         fields.update((name, value) for name, value in overrides.items()
@@ -173,7 +173,10 @@ def current_scale() -> Scale:
     This is how ambient configuration reaches the ``pytest benchmarks/``
     harness and ``scale=None`` experiment calls — e.g. ``REPRO_SEED``
     lets campaign replicates rerun the committed suites under an
-    explicit seed.  Bad values raise :class:`~repro.errors.ConfigError`.
+    explicit seed.  Bad values raise :class:`~repro.errors.ConfigError`;
+    a ``REPRO_*`` name no knob owns is warned about, as the CLI does.
     """
+    for message in unknown_env_warnings():
+        warnings.warn(message, stacklevel=2)
     name = env_value("scale") or KNOBS["scale"].default
     return replace(PRESETS[name], **scale_fields())

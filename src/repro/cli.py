@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.bench import PRESETS, Scale
 from repro.bench.report import format_table
 from repro.bench import experiments as exp
-from repro.config import KNOBS, Knob, scale_fields, unknown_env_vars
+from repro.config import KNOBS, Knob, scale_fields, unknown_env_warnings
 from repro.errors import ConfigError
 
 #: Figure name -> (experiment callable, wants_scale).
@@ -173,11 +173,8 @@ def _knob_values(args) -> dict:
 def _list_indexes() -> None:
     from repro.registry import families
     rows = [{"index": f.name, "family": f.family,
-             "kv_discrete": f.kv_discrete, "scan": f.supports_scan,
-             "indirect": f.indirect_values,
+             "scan": f.supports_scan, "indirect": f.indirect_values,
              "model_routed": f.model_routed,
-             "one_rtt": f.one_rtt_point, "offload": f.mn_offload,
-             "dyn_place": f.dynamic_placement,
              "placement": f.default_placement,
              "description": f.description}
             for f in families()]
@@ -409,9 +406,7 @@ def _campaign_plan(args):
         CellSpec(index, workload, count, depth=args.depth,
                  value_size=args.value_size, theta=args.theta,
                  span=args.span, neighborhood=args.neighborhood,
-                 sync_mode=args.sync_mode,
-                 num_mns=args.num_mns,
-                 placement=args.placement)
+                 sync_mode=args.sync_mode, num_mns=args.num_mns)
         for index in indexes
         for workload in workloads
         for count in clients)
@@ -562,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "Chrome trace-event JSON file")
     _add_knob_flags(run_parser, "scale seed jobs depth sync_mode num_mns "
                                 "num_shards",
-                    env="jobs depth sync_mode num_mns num_shards placement")
+                    env="jobs depth sync_mode num_mns num_shards")
 
     trace_parser = sub.add_parser(
         "trace", help="trace one workload point (spans + metrics)")
@@ -577,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument("--out", default=None, metavar="PATH",
                               help="write Chrome trace-event JSON here")
     _add_knob_flags(trace_parser, "scale seed depth sync_mode",
-                    env="depth sync_mode num_mns num_shards placement")
+                    env="depth sync_mode num_mns num_shards")
 
     chaos_parser = sub.add_parser(
         "chaos",
@@ -652,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="override the preset's dataset size")
     crun.add_argument("--ops", type=int, default=None,
                       help="override the preset's ops per client")
-    _add_knob_flags(crun, "depth sync_mode num_mns placement jobs",
+    _add_knob_flags(crun, "depth sync_mode num_mns jobs",
                     env="jobs", pinned=True)
     crun.add_argument("--limit", type=int, default=None, metavar="K",
                       help="execute at most K missing points this "
@@ -690,9 +685,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
-    for name in unknown_env_vars():
-        print(f"warning: unrecognized environment variable {name} "
-              f"(no REPRO_* knob by that name; typo?)", file=sys.stderr)
+    for message in unknown_env_warnings():
+        print(f"warning: {message}", file=sys.stderr)
 
     if args.command == "list":
         try:

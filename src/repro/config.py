@@ -102,9 +102,6 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
     Knob("num_shards", "REPRO_SHARDS", "--shards", int, 0,
          "key-space shards (0 = the legacy striped pool)",
          "one per MN when there are several, else 0", minimum=0),
-    Knob("placement", "REPRO_PLACEMENT", "--placement", str, "auto",
-         "index placement, read by placement-aware families (flexkv); "
-         "auto = the cache-pressure policy", choices=("cn", "mn", "auto")),
     Knob("campaign_db", "REPRO_CAMPAIGN_DB", None, str, "",
          "campaign store that figure tables are also written to",
          scale_field=False),
@@ -117,7 +114,8 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
 )}
 
 #: Every ``REPRO_*`` name some layer honours; anything else with that
-#: prefix is a typo the CLI warns about (:func:`unknown_env_vars`).
+#: prefix is a typo (or a deleted knob) the CLI and ``current_scale()``
+#: warn about (:func:`unknown_env_warnings`).
 KNOWN_ENV_VARS = frozenset(knob.env for knob in KNOBS.values())
 
 
@@ -165,8 +163,8 @@ def scale_fields(flags: Optional[Mapping[str, Any]] = None,
 def unknown_env_vars(environ: Optional[Mapping[str, str]] = None) -> List[str]:
     """``REPRO_*`` names present in *environ* but known to no layer.
 
-    The CLI warns about these at startup; a typoed knob otherwise
-    silently falls back to its default.
+    A typoed or deleted knob otherwise silently falls back to its
+    default.
     """
     if environ is None:
         environ = repro_environ()
@@ -175,6 +173,14 @@ def unknown_env_vars(environ: Optional[Mapping[str, str]] = None) -> List[str]:
         for key in environ
         if key.startswith("REPRO_") and key not in KNOWN_ENV_VARS
     )
+
+
+def unknown_env_warnings() -> List[str]:
+    """One warning per :func:`unknown_env_vars` name, as both process
+    edges (the CLI and ``current_scale()``) report it."""
+    return [f"unrecognized environment variable {name} "
+            f"(no REPRO_* knob by that name; typo?)"
+            for name in unknown_env_vars()]
 
 #: The paper's per-CN cache budget (100 MB) and hotspot buffer (30 MB).
 PAPER_CACHE_BYTES = 100 * 1024 * 1024
@@ -237,16 +243,12 @@ class ClusterConfig:
     #: any shard's nodes) is the only mode; the field stays so callers
     #: that pin it keep working, and any other value is refused.
     cache_mode: str = "shared"
-    #: Where placement-aware families (flexkv) run index logic: a static
-    #: ``cn`` or ``mn``, or ``auto`` for the cache-pressure policy.
-    placement: str = "auto"
     #: RNG seed for client workload streams.
     seed: int = 42
 
     def __post_init__(self) -> None:
         for name, attr in (("depth", "pipeline_depth"),
-                           ("sync_mode", "sync_mode"),
-                           ("placement", "placement")):
+                           ("sync_mode", "sync_mode")):
             KNOBS[name].check(getattr(self, attr), f"ClusterConfig.{attr}")
         if self.cache_mode != "shared":
             raise ConfigError(

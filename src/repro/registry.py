@@ -26,7 +26,6 @@ __all__ = [
     "families",
     "family_names",
     "get_family",
-    "kv_discrete_names",
     "register",
 ]
 
@@ -48,9 +47,6 @@ class IndexFamily:
     family: str
     factory: Callable[..., object] = field(repr=False, default=None)
     description: str = ""
-    #: Leaf items are stored discretely (no bulk-ordered leaves); the
-    #: memory-overhead accounting differs for these.
-    kv_discrete: bool = False
     #: ``client(ctx).scan(key, count)`` exists (YCSB-E runnable).
     supports_scan: bool = True
     #: Read only by perfbench, which audits these families' invariants;
@@ -77,15 +73,6 @@ class IndexFamily:
     #: CIDER-style queue and per-leaf adaptive switch, the model-routed
     #: families only the optimistic spin (the others are unmeasured there).
     sync_modes: Tuple[str, ...] = ("optimistic",)
-    #: Point lookups reach the value in one READ on the fast path
-    #: (Outback-style hash routing; incompatible with range scans).
-    one_rtt_point: bool = False
-    #: Operations can execute MN-side as a single RPC against the MN CPU
-    #: (FlexKV-style offload; see ``FlexKVClient._dispatch``).
-    mn_offload: bool = False
-    #: A placement policy may move partitions between CN-side and
-    #: MN-side execution at runtime (emits ``placement.switch`` events).
-    dynamic_placement: bool = False
     #: Where the family's operations execute by default: ``"cn"``
     #: (CN-side traversal over one-sided verbs), ``"mn"`` (offloaded to
     #: the MN CPU), or ``"hash"`` (CN-local hash routing, then one
@@ -120,11 +107,6 @@ def families() -> List[IndexFamily]:
 def family_names() -> List[str]:
     """Registered legend names, in registration order."""
     return list(_REGISTRY)
-
-
-def kv_discrete_names() -> Tuple[str, ...]:
-    """Legend names whose leaves store items discretely."""
-    return tuple(f.name for f in _REGISTRY.values() if f.kv_discrete)
 
 
 def build_index(name: str, cluster,
@@ -262,16 +244,14 @@ register(IndexFamily(
     indirect_values=True, sync_modes=_BTREE_SYNC_MODES))
 register(IndexFamily(
     name="smart", family="smart", factory=_smart_factory(rcu=False),
-    description="SMART adaptive radix tree baseline (OSDI '23)",
-    kv_discrete=True))
+    description="SMART adaptive radix tree baseline (OSDI '23)"))
 register(IndexFamily(
     name="smart-opt", family="smart", factory=_smart_factory(rcu=False),
     description="SMART with an unlimited CN cache (paper methodology)",
-    kv_discrete=True, unlimited_cache=True))
+    unlimited_cache=True))
 register(IndexFamily(
     name="smart-rcu", family="smart", factory=_smart_factory(rcu=True),
-    description="SMART with RCU out-of-place updates (variable-length KV)",
-    kv_discrete=True))
+    description="SMART with RCU out-of-place updates (variable-length KV)"))
 register(IndexFamily(
     name="rolex", family="rolex", factory=_rolex_factory(indirect=False),
     description="ROLEX learned index baseline (FAST '23)",
@@ -289,10 +269,9 @@ register(IndexFamily(
 register(IndexFamily(
     name="outback", family="outback", factory=_outback_factory,
     description="Outback-style MPH routing: one-RTT point lookups",
-    kv_discrete=True, supports_scan=False, supports_chaos=True,
-    shardable=False, one_rtt_point=True, default_placement="hash"))
+    supports_scan=False, supports_chaos=True, shardable=False,
+    default_placement="hash"))
 register(IndexFamily(
     name="flexkv", family="flexkv", factory=_flexkv_factory,
     description="FlexKV-style partitioned KV, dynamic CN/MN placement",
-    kv_discrete=True, supports_scan=False, supports_chaos=True,
-    shardable=False, mn_offload=True, dynamic_placement=True))
+    supports_scan=False, supports_chaos=True, shardable=False))

@@ -70,7 +70,6 @@ def build_point_spec(plan: CampaignPlan, cell: CellSpec, seed: int) -> PointSpec
         num_mns=cell.num_mns,
         num_shards=cell.num_mns if cell.num_mns > 1 else 0,
         pipeline_depth=cell.depth,
-        placement=cell.placement,
     )
     return scale.point(
         cell.index,

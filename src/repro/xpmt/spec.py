@@ -93,9 +93,6 @@ class CellSpec:
     #: Memory nodes; > 1 shards the key space one shard per MN (see
     #: :mod:`repro.cluster.shards`).
     num_mns: int = 1
-    #: Index placement mode ("cn", "mn", or "auto"); only placement-
-    #: aware families (flexkv) read it (``ClusterConfig.placement``).
-    placement: str = "auto"
 
     def label(self) -> str:
         """Compact human label (see :func:`cell_label`)."""
@@ -142,8 +139,6 @@ def cell_label(spec: Dict) -> str:
         text += f" {cell['sync_mode']}"
     if cell.get("num_mns", 1) != 1:
         text += f" m{cell['num_mns']}"
-    if cell.get("placement", "auto") != "auto":
-        text += f" p:{cell['placement']}"
     scale = spec.get("scale", {}).get("name")
     if scale:
         text += f" [{scale}]"

@@ -25,7 +25,7 @@ from repro.baselines.flexkv import (
 from repro.baselines.outback import OutbackIndex
 from repro.cluster import Cluster
 from repro.config import ClusterConfig, KNOWN_ENV_VARS, unknown_env_vars
-from repro.errors import ConfigError, SimulationError, WorkloadError
+from repro.errors import SimulationError, WorkloadError
 from repro.faults.invariants import check_index_invariants
 from repro.hashing.mph import MinimalPerfectHash
 from repro.rdma.trace import QpTracer
@@ -60,23 +60,6 @@ PAIRS = [(k, k * 10) for k in range(1, 1001)]
 # ---------------------------------------------------------------------------
 # FlexKV's placement policy
 # ---------------------------------------------------------------------------
-
-
-class TestStaticPlacement:
-    """No threshold: every partition stays where the policy starts."""
-
-    def test_rejects_unknown_placement(self):
-        with pytest.raises(ValueError):
-            CachePressurePlacement("gpu")
-
-    def test_fixed_for_every_partition(self):
-        policy = CachePressurePlacement(PLACEMENT_MN)
-        assert policy.placement_for(0) == PLACEMENT_MN
-        assert policy.placement_for(17) == PLACEMENT_MN
-        policy.note_miss(0)
-        policy.note_miss(0)
-        assert policy.switches == 0
-        assert policy.table() == {}
 
 
 class TestCachePressurePlacement:
@@ -129,22 +112,6 @@ class TestCapabilityFlagConsistency:
 
     def test_default_placement_is_known(self, family):
         assert family.default_placement in ("cn", "mn", "hash")
-
-    def test_one_rtt_point_excludes_scans(self, family):
-        # A one-RTT hash-routed point lookup has no ordered structure
-        # to range-scan over.
-        if family.one_rtt_point:
-            assert not family.supports_scan, family.name
-
-    def test_one_rtt_point_is_hash_routed(self, family):
-        if family.one_rtt_point:
-            assert family.default_placement == "hash", family.name
-
-    def test_dynamic_placement_requires_offload(self, family):
-        # A placement policy can only flip CN->MN if the family has an
-        # MN-side execution path to flip to.
-        if family.dynamic_placement:
-            assert family.mn_offload, family.name
 
     def test_model_routed_families_are_not_shardable(self, family):
         if family.model_routed:
@@ -240,8 +207,6 @@ class TestFastPathsByObservation:
 
         drive(cluster, body())
         assert tuple(observed) == FAST_PATHS[name]
-        if registry.get_family(name).one_rtt_point:
-            assert observed[0][0] == 1
 
 
 @pytest.mark.parametrize("name", registry.family_names())
@@ -448,22 +413,33 @@ class TestFlexKvEndianness:
 
 
 class TestFlexKvPlacement:
-    def test_static_mn_placement_uses_rpc_only(self):
-        cluster = make_cluster(placement="mn")
+    def test_flipped_partition_uses_rpc_only(self):
+        # A CN cache smaller than one partition directory (1,496 B here)
+        # misses on every CN-side op; switch_threshold misses flip the
+        # partition, and from then on each of its ops is one RPC.
+        cluster = make_cluster(cache_bytes=1024)
         index = build_kv(FlexKVIndex, cluster)
         client = index.client(cluster.cns[0].clients[0])
+        partition = index.partition_of(123)
+        fresh = next(key for key in range(900_000, 901_000)
+                     if index.partition_of(key) == partition)
         out = {}
 
         def gen():
+            for _ in range(index.config.switch_threshold):
+                yield from client.search(123)
+            out["flipped"] = index.placement.table()
+            before = client.qp.stats.snapshot()
             out["hit"] = yield from client.search(123)
-            yield from client.insert(900_100, 9)
-            out["ins"] = yield from client.search(900_100)
+            yield from client.insert(fresh, 9)
+            out["ins"] = yield from client.search(fresh)
+            out["delta"] = client.qp.stats.delta(before)
 
         drive(cluster, gen())
-        assert out == {"hit": 1230, "ins": 9}
-        stats = cluster.cns[0].clients[0].qp.stats
-        assert stats.rpcs == 3
-        assert stats.reads == 0
+        assert out["flipped"] == {partition: PLACEMENT_MN}
+        assert (out["hit"], out["ins"]) == (1230, 9)
+        assert (out["delta"].rpcs, out["delta"].verbs) == (3, 0)
+        assert out["delta"].reads == 0
 
     def test_constrained_cache_flips_partitions(self):
         # A CN cache far below the directory footprint must drive the
@@ -480,12 +456,6 @@ class TestFlexKvPlacement:
 
         drive(cluster, *[worker(c, i * 37) for i, c in enumerate(clients)])
         assert index.placement_switches >= 1
-
-    def test_resolve_placement_validates(self):
-        assert ClusterConfig().placement == "auto"
-        assert ClusterConfig(placement="cn").placement == "cn"
-        with pytest.raises(ConfigError, match="ClusterConfig.placement"):
-            ClusterConfig(placement="gpu")
 
     def test_directory_bytes_matches_bulk_load(self):
         cluster = make_cluster()
@@ -530,18 +500,20 @@ class TestKnownEnvVars:
         config_text = (package / "config.py").read_text()
         literals = set(re.findall(r'"(REPRO_[A-Z_]+)"', config_text))
         assert literals == KNOWN_ENV_VARS
-        assert len(KNOWN_ENV_VARS) == 11
+        assert len(KNOWN_ENV_VARS) == 10
         assert not re.search(r"os\.environ(\[|\.(setdefault|pop|update))",
                              config_text)
 
     def test_unknown_env_vars_flags_typos_only(self):
         environ = {
-            "REPRO_PLACEMENT": "mn",
+            "REPRO_DEPTH": "4",
             "REPRO_DETPH": "4",
             "PATH": "/usr/bin",
             "REPRO_BOGUS": "x",
+            "REPRO_PLACEMENT": "mn",
         }
-        assert unknown_env_vars(environ) == ["REPRO_BOGUS", "REPRO_DETPH"]
+        assert unknown_env_vars(environ) == [
+            "REPRO_BOGUS", "REPRO_DETPH", "REPRO_PLACEMENT"]
 
     def test_all_known_names_have_repro_prefix(self):
         assert all(name.startswith("REPRO_") for name in KNOWN_ENV_VARS)
@@ -782,22 +754,3 @@ class TestFamilyPlumbingWrittenOnce:
                 assert target.startswith("self.injector."), target
         assert not banned, banned
 
-
-# ---------------------------------------------------------------------------
-# Campaign spec: placement pinning keeps old hashes stable
-# ---------------------------------------------------------------------------
-
-
-class TestCellSpecPlacement:
-    def test_default_placement_leaves_hash_unchanged(self):
-        from repro.xpmt.spec import _cell_payload, CellSpec
-
-        payload = _cell_payload(CellSpec("flexkv", "C", 8))
-        assert "placement" not in payload
-
-    def test_non_default_placement_rekeys_and_labels(self):
-        from repro.xpmt.spec import _cell_payload, CellSpec
-
-        cell = CellSpec("flexkv", "C", 8, placement="mn")
-        assert _cell_payload(cell)["placement"] == "mn"
-        assert "p:mn" in cell.label()

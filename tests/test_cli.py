@@ -15,6 +15,7 @@ from repro.bench.experiments import (
 )
 from repro.cli import EXPERIMENTS, build_parser, main, run_experiment
 from repro.config import unknown_env_vars
+from repro.registry import families, family_names
 
 TINY = Scale(name="tiny", num_keys=3000, ops_per_client=50,
              client_sweep=[4], clients=6, nic_scale=32.0)
@@ -120,6 +121,28 @@ class TestCli:
         assert main(["run", "--list-indexes"]) == 0
         assert "chaos" not in capsys.readouterr().out
 
+    def test_list_indexes_names_every_family_and_its_placement(self, capsys):
+        assert main(["run", "--list-indexes"]) == 0
+        rows = capsys.readouterr().out.splitlines()[3:]
+        assert [row.split()[0] for row in rows] == family_names()
+        placements = {row.split()[0]: row.split()[5] for row in rows}
+        assert placements == {family.name: family.default_placement
+                              for family in families()}
+
+    def test_placement_knob_is_gone_not_ignored(self, monkeypatch, capsys):
+        # Placement is measured (FlexKV's cache-pressure policy), never
+        # configured: the campaign flag is an argparse error, and the
+        # variable draws the typo warning from every command.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "run", "--placement", "mn"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --placement" in capsys.readouterr().err
+        monkeypatch.setenv("REPRO_PLACEMENT", "mn")
+        for argv in (["list"], ["run", "fig16"], ["run", "--list-indexes"]):
+            assert main(argv) == 0
+            assert ("warning: unrecognized environment variable "
+                    "REPRO_PLACEMENT") in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv,complaint", [
         (["perf"], "invalid choice: 'perf'"),
         (["campaign", "report", "--baseline", "x"],
@@ -154,16 +177,13 @@ class TestCli:
     def test_run_flags_travel_as_scale_fields(self, monkeypatch, capsys):
         for name in ("REPRO_NUM_MNS", "REPRO_SHARDS", "REPRO_DEPTH"):
             monkeypatch.delenv(name, raising=False)
-        # placement has no run flag; run reads it from its variable.
-        monkeypatch.setenv("REPRO_PLACEMENT", "mn")
         scale = self._captured_scale(monkeypatch, [
             "--depth", "4", "--sync-mode", "pessimistic", "--num-mns", "2",
             "--shards", "2", "--jobs", "1", "--seed", "9"])
         assert scale.jobs == 1
         config = scale.cluster_config()
         assert (config.pipeline_depth, config.sync_mode, config.num_mns,
-                config.num_shards, config.placement, config.seed) == (
-                    4, "pessimistic", 2, 2, "mn", 9)
+                config.num_shards, config.seed) == (4, "pessimistic", 2, 2, 9)
         # --num-mns alone means "scale out": one shard per MN, unless a
         # shard count is given by flag or variable.
         alone = self._captured_scale(monkeypatch, ["--num-mns", "2"])
@@ -195,7 +215,7 @@ class TestCli:
     def test_removed_env_knobs_get_the_typo_warning(self):
         stale = {"REPRO_PARTITIONS": "2", "REPRO_PARTITION_WINDOW": "64",
                  "REPRO_SIM_QUEUE": "heap", "REPRO_CACHE_MODE": "partitioned",
-                 "REPRO_REBALANCE": "1"}
+                 "REPRO_REBALANCE": "1", "REPRO_PLACEMENT": "mn"}
         assert unknown_env_vars(stale) == sorted(stale)
 
 

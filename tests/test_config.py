@@ -40,7 +40,6 @@ CASES = {
     "sync_mode": (" Pessimistic ", "pessimistic", "adaptive", ["bogus"]),
     "num_mns": ("2", 2, 3, ["two", "0"]),
     "num_shards": ("2", 2, 3, ["x", "-1"]),
-    "placement": ("mn", "mn", "cn", ["gpu"]),
     "campaign_db": ("c.sqlite", "c.sqlite", None, []),
     "campaign_id": ("nightly", "nightly", None, []),
     "commit": ("feedface", "feedface", None, []),
@@ -51,8 +50,7 @@ CONFIG_FIELD = {"depth": "pipeline_depth", "jobs": None}
 
 #: Every result-affecting ambient knob, set to a non-default value.
 AMBIENT = {"REPRO_SYNC_MODE": "pessimistic", "REPRO_SHARDS": "2",
-           "REPRO_NUM_MNS": "2", "REPRO_DEPTH": "4",
-           "REPRO_PLACEMENT": "cn"}
+           "REPRO_NUM_MNS": "2", "REPRO_DEPTH": "4"}
 
 
 @pytest.fixture
@@ -111,6 +109,13 @@ class TestKnobTable:
         with pytest.raises(ConfigError, match=knob.flag):
             knob.parse(bad, knob.flag)
 
+    def test_unknown_names_are_warned_about_not_ignored(self, clean_env):
+        # current_scale() is the library's process edge: a deleted knob
+        # (or a typo) must not silently do nothing there either.
+        clean_env.setenv("REPRO_PLACEMENT", "mn")
+        with pytest.warns(UserWarning, match="REPRO_PLACEMENT"):
+            assert current_scale() == PRESETS["default"]
+
     def test_config_error_is_typed_both_ways(self):
         assert issubclass(ConfigError, ReproError)
         assert issubclass(ConfigError, ValueError)
@@ -119,8 +124,7 @@ class TestKnobTable:
 class TestClusterConfigValidates:
     @pytest.mark.parametrize("field,bad", [
         ("pipeline_depth", 0), ("sync_mode", "bogus"),
-        ("cache_mode", "wat"), ("cache_mode", "partitioned"),
-        ("placement", "gpu")])
+        ("cache_mode", "wat"), ("cache_mode", "partitioned")])
     def test_hand_built_config_cannot_carry_a_typo(self, field, bad):
         with pytest.raises(ConfigError, match=f"ClusterConfig.{field}"):
             ClusterConfig(**{field: bad})
@@ -184,8 +188,8 @@ class TestPinnedSuitesIgnoreAmbientKnobs:
             clean_env.setenv(name, value)
         assert points() == clean
         config = clean[0].cluster_config
-        assert (config.sync_mode, config.pipeline_depth, config.num_shards,
-                config.placement) == ("optimistic", 1, 0, "auto")
+        assert (config.sync_mode, config.pipeline_depth,
+                config.num_shards) == ("optimistic", 1, 0)
 
     def test_campaign_points(self, clean_env):
         tiny = Scale(name="tiny", num_keys=600, ops_per_client=20,
@@ -196,7 +200,6 @@ class TestPinnedSuitesIgnoreAmbientKnobs:
         for name, value in AMBIENT.items():
             clean_env.setenv(name, value)
         assert build_point_spec(plan, cell, 7) == clean
-        assert clean.cluster_config.placement == "auto"
         # Every knob is pinned by the cell or cannot change a result,
         # so none re-keys stored points.
         assert relevant_env() == {}

@@ -26,7 +26,11 @@ CHIME-Learned's coalesced hop write-back re-recorded ``rolex E``,
 instead of a 16-bit word (one byte less per entry at H <= 8) re-recorded
 every chime, chime-indirect and chime-learned row but the two
 ``neighborhood=16`` ones, which keep two-byte bitmaps and hold, and the
-event counts of :func:`test_shard_sweep_mops_rise_with_mns`.
+event counts of :func:`test_shard_sweep_mops_rise_with_mns`.  Deleting
+the static placement knob deleted the one row that can no longer be
+built, ``flexkv A placement=mn``; the ``cache_bytes=512`` FlexKV rows,
+recorded before that deletion, reach the MN-side RPCs through the
+cache-pressure policy instead.
 
 The second half pins what the deleted ``repro perf --check`` enforced:
 the event counts of twelve YCSB-C points at the :data:`PINNED` scale,
@@ -190,8 +194,6 @@ GOLDEN = {
         (2621, 120, (339, 339, 285, 54, 0, 0, 210768, 432, 0), '0.0003254292666666671'),
     ('chime', 'A', (('torn_writes', False), ('value_size', 64))):
         (2014, 120, (246, 314, 134, 110, 70, 0, 50868, 4570, 15), '0.00022624380000000076'),
-    ('flexkv', 'A', (('placement', 'mn'),)):
-        (968, 120, (120, 0, 0, 0, 0, 120, 0, 0, 0), '0.0009630166666666647'),
     # FlexKV with room for one partition directory of four: the policy
     # flips partitions to MN-side mid-run (search / update RPCs on A,
     # insert RPCs on D).
@@ -216,7 +218,8 @@ CHIME_LAYOUTS = (
 #: Verb paths no other row, experiment or CLI flag reaches: CN-side NIC
 #: hops, multi-lane MN NICs, doorbell batches and atomics spanning the
 #: MNs of a legacy striped pool, multi-chunk WRITEs landing unchunked,
-#: RPCs charging a plan-derived service time to the MN CPU.
+#: RPCs charging a plan-derived service time to the MN CPU (FlexKV
+#: partitions the cache-pressure policy flips MN-side mid-run).
 VERB_PATHS = (
     ("chime", "A", (("cn_nic", NicSpec()),)),
     ("chime", "E", (("cn_nic", NicSpec()),)),
@@ -224,7 +227,6 @@ VERB_PATHS = (
     ("chime", "E", (("num_mns", 2),)),
     ("smart", "A", (("num_mns", 2),)),
     ("chime", "A", (("torn_writes", False), ("value_size", 64))),
-    ("flexkv", "A", (("placement", "mn"),)),
     ("flexkv", "A", (("cache_bytes", 512),)),
     ("flexkv", "D", (("cache_bytes", 512),)),
 )

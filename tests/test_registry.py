@@ -57,10 +57,6 @@ class TestRegistryTable:
         assert "btree-9000" in str(err.value)
         assert "chime" in str(err.value)  # names the alternatives
 
-    def test_kv_discrete_names(self):
-        assert set(registry.kv_discrete_names()) == {
-            "smart", "smart-opt", "smart-rcu", "outback", "flexkv"}
-
 
 class TestCapabilityFlags:
     def test_chime_supports_chaos_and_overrides(self):

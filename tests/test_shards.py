@@ -240,7 +240,7 @@ class TestSpecHashStability:
         assert "num_mns" not in pre["cell"]
         post = spec_payload(
             CellSpec(index="chime", workload="C", clients=4,
-                     num_mns=1, placement="auto"), TINY)
+                     num_mns=1), TINY)
         assert spec_hash(pre) == spec_hash(post)
 
     def test_non_default_sharding_rekeys(self):

@@ -2,7 +2,9 @@
 
 A hypothesis :class:`RuleBasedStateMachine` per lock-word family ×
 declared sync mode × lock leases on/off, and one per family without a
-lock word (SMART's three variants, Outback, FlexKV).  Each step runs one
+lock word (SMART's three variants, Outback, FlexKV — the last also
+with a CN cache below its directory footprint, so partitions flip to
+MN-side execution mid-run).  Each step runs one
 concurrent batch of
 search / insert / update / delete on *distinct* keys, spread over eight
 clients on two CNs, so every answer is exact — yet distinct keys still
@@ -60,7 +62,7 @@ _KINDS = ("search", "insert", "update", "delete")
 _LEFT_OUT = {"marlin": "update", "outback": "delete", "flexkv": "delete"}
 
 
-def _machine(index_name: str, mode: str, leases: bool):
+def _machine(index_name: str, mode: str, leases: bool, **cluster_fields):
     family = get_family(index_name)
     kinds = [kind for kind in _KINDS if kind != _LEFT_OUT.get(index_name)]
     ops = st.tuples(st.sampled_from(kinds), st.integers(1, KEYS),
@@ -71,7 +73,7 @@ def _machine(index_name: str, mode: str, leases: bool):
             super().__init__()
             self.cluster = Cluster(ClusterConfig(
                 num_cns=2, clients_per_cn=4, sync_mode=mode,
-                lock_leases=leases, seed=3))
+                lock_leases=leases, seed=3, **cluster_fields))
             self.index = build_index(index_name, self.cluster)
             pairs = [(key, key * 7) for key in range(2, KEYS + 1, 2)]
             if family.model_routed:
@@ -174,6 +176,21 @@ def test_lockless_family_matches_a_dict(index_name):
         settings=_SETTINGS)
 
 
+def test_flexkv_matches_a_dict_across_placement_flips():
+    """Room for one partition directory of four (120 B each here): the
+    cache-pressure policy flips partitions CN -> MN mid-run, while ops
+    of the same batch are in flight on both paths, and every answer and
+    the end state still match the dict."""
+    switches = []
+
+    class Flipping(_machine("flexkv", "optimistic", False, cache_bytes=128)):
+        def teardown(self) -> None:
+            switches.append(self.index.placement_switches)
+
+    run_state_machine_as_test(Flipping, settings=_SETTINGS)
+    assert sum(switches) >= 1, switches
+
+
 @pytest.mark.parametrize("index_name", ["rolex", "chime-learned"])
 def test_untrained_key_between_loaded_runs_is_inserted(index_name):
     """The model's window misses a key it was never trained on; the
@@ -253,8 +270,7 @@ def test_smart_search_misses_a_key_another_cn_deleted():
     "WRITEs the value: a search between the two reads the claimed "
     "slot's zero value, which nobody wrote (ROADMAP item 1)"))
 def test_flexkv_search_never_reads_an_unwritten_value():
-    cluster = Cluster(ClusterConfig(num_cns=2, clients_per_cn=1,
-                                    placement="cn"))
+    cluster = Cluster(ClusterConfig(num_cns=2, clients_per_cn=1))
     index = build_index("flexkv", cluster)
     index.bulk_load([(key, key) for key in range(2, 400, 2)])
     writer, reader = (index.client(ctx) for ctx in cluster.clients())

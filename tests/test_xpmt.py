@@ -312,16 +312,21 @@ class TestVerdict:
             assert verdict["ok"]
             assert not verdict["warnings"]
 
-    def test_cells_differing_only_in_placement_are_told_apart(self, tmp_path):
-        # The report's labeller used to lack the p:<placement> suffix, so
-        # `campaign report` / `campaign diff` printed these two alike.
+    def test_cells_differing_only_in_a_later_field_are_told_apart(self, tmp_path):
+        # Fields added after the v1 payload re-key a cell only off their
+        # default, so the report's labeller must print them, or
+        # `campaign report` / `campaign diff` print distinct cells alike.
         with CampaignStore(str(tmp_path / "c.sqlite")) as store:
-            for placement in ("cn", "mn"):
-                cell = CellSpec(index="flexkv", workload="C", clients=2, placement=placement)
+            for knobs in ({}, {"sync_mode": "pessimistic"}, {"num_mns": 2}):
+                cell = CellSpec(index="chime", workload="C", clients=2, **knobs)
                 fabricate_trajectory(store, [("aaa", [1.0, 1.1]), ("bbb", [1.2, 1.3])], cell=cell)
             cells = collect_cells(store, "fab")
             rows = diff_cells(cells, "aaa", "bbb")
-        assert [c.label for c in cells] == ["flexkv/C c2 p:cn [tiny]", "flexkv/C c2 p:mn [tiny]"]
+        assert sorted(c.label for c in cells) == [
+            "chime/C c2 [tiny]",
+            "chime/C c2 m2 [tiny]",
+            "chime/C c2 pessimistic [tiny]",
+        ]
         assert [r["cell"] for r in rows] == [c.label for c in cells]
 
     def test_report_html_is_self_contained(self, tmp_path):
