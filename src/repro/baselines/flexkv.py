@@ -11,9 +11,9 @@ walks the structure and the CN pays a single RPC per operation:
 * **CN placement** (where every partition starts): operations need
   the partition's routing directory resident in the CN cache — a miss
   costs one extra directory READ before the bucket access and is
-  reported to the placement policy.  Bucket accesses are ordinary one-sided verbs (slot claims go
-  through CAS), so fault injection, spans, and pipelining behave
-  exactly as for the tree families.
+  reported to the placement policy.  Bucket accesses are ordinary
+  one-sided verbs (slot claims go through CAS), so fault injection,
+  spans, and pipelining behave exactly as for the tree families.
 * **MN placement**: the whole operation collapses to one RPC whose
   service time charges the MN CPU for the structure accesses the CN
   would have issued as verbs (:data:`MN_TOUCHES`); the handler runs

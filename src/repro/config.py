@@ -182,6 +182,7 @@ def unknown_env_warnings() -> List[str]:
             f"(no REPRO_* knob by that name; typo?)"
             for name in unknown_env_vars()]
 
+
 #: The paper's per-CN cache budget (100 MB) and hotspot buffer (30 MB).
 PAPER_CACHE_BYTES = 100 * 1024 * 1024
 PAPER_HOTSPOT_BYTES = 30 * 1024 * 1024

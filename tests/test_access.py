@@ -438,8 +438,8 @@ class TestFlexKvPlacement:
         drive(cluster, gen())
         assert out["flipped"] == {partition: PLACEMENT_MN}
         assert (out["hit"], out["ins"]) == (1230, 9)
-        assert (out["delta"].rpcs, out["delta"].verbs) == (3, 0)
-        assert out["delta"].reads == 0
+        delta = out["delta"]
+        assert (delta.rpcs, delta.reads, delta.verbs) == (3, 0, 0)
 
     def test_constrained_cache_flips_partitions(self):
         # A CN cache far below the directory footprint must drive the
