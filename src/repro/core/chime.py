@@ -462,7 +462,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
     # ---------------------------------------------------------------- insert
 
     def _insert_locked(self, guard: LockGuard, ref: LeafRef, leaf_addr: int,
-                       _from_cache: bool, _hop: int, key: int,
+                       from_cache: bool, _hop: int, key: int,
                        value: int) -> Generator:
         """The core insert flow, owning the remote lock.
 
@@ -496,12 +496,14 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
             leaf_addr, home, last, argmax)
         sibling = view.replica_sibling(self._range_replica_block(home, last))
         mismatch = expected is not None and sibling != expected
-        if mismatch and ref.parent is not None:
+        past = key >= fence_high and sibling != NULL_ADDR
+        # A cached parent that routed *key* here predates a split: drop it
+        # (past a last child, only the fence keys can tell).
+        if ref.parent is not None and (mismatch or past and from_cache):
             self.ctx.cache.invalidate(ref.parent.addr)
         # Routing: the paper's argmax mechanism for detected half-splits;
         # the lock-line fence keys for the unknown-reference case.
-        if (mismatch and max_entry is not None and key > max_entry
-                or key >= fence_high and sibling != NULL_ADDR):
+        if mismatch and max_entry is not None and key > max_entry or past:
             yield from self._release(guard)
             return OpResult("chase", value=sibling)
         if key < fence_low:
