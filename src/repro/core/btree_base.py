@@ -291,11 +291,16 @@ class BTreeClientBase(FamilyClientBase):
         doorbell batch (§4.4), then the sibling chain for the tail."""
         ref = yield from self._phase("traverse", self._locate_leaf(key))
         addrs = self._scan_batch(ref, key, count)
+        parent, at = ref.parent, ref.parent_index
+        head = () if parent is None else self._first_leaf_read(
+            key, parent.pivots[at + 1] if at + 1 < parent.count
+            else parent.fence_high)  # the first leaf holds keys below it
         results: List[Tuple[int, int]] = []
         first = True
         while True:  # the chain ends: the last leaf's sibling is null
             leaves = yield from self._phase(
-                "leaf_read", self._read_scan_leaves(addrs, key))
+                "leaf_read", self._read_scan_leaves(addrs, key, head))
+            head = ()
             for index, (pairs, read) in enumerate(leaves):
                 results.extend(pairs)
                 sibling = read.sibling

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -117,6 +118,8 @@ class ChimeIndex(BTreeIndexBase):
             fence_keys=not self.config.sibling_validation,
         )
         self.vacancy_map = VacancyBitmap(self.config.span)
+        #: A key's home entry in a leaf (shared with clients).
+        self.home_of = partial(default_hash, capacity=self.config.span)
         self._hotspots: Dict[int, HotspotBuffer] = {}
 
     # -- clients -----------------------------------------------------------------
@@ -142,11 +145,6 @@ class ChimeIndex(BTreeIndexBase):
             correct += buffer.correct_speculations
             wrong += buffer.wrong_speculations
         return lookups, hits, correct, wrong
-
-    # -- helpers shared with clients ------------------------------------------------
-
-    def home_of(self, key: int) -> int:
-        return default_hash(key, self.config.span)
 
     # -- bulk load (host-side, off the simulated data path) --------------------------
 

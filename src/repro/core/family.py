@@ -406,19 +406,28 @@ class FamilyClientBase(SpanInstrumentedOps):
         """Fold a leaf read whole into :meth:`_more_leaves`' mean."""
         self._leaf_keys += (keys - self._leaf_keys) / 16
 
-    def _read_scan_leaves(self, addrs: List[int], key: int) -> Generator:
-        """Whole-leaf READs of *addrs* in one batch, each decoded by the
-        leaf format's ``_scan_leaf(raw, key) -> (pairs >= key, read)``
-        and re-read alone while that finds it torn."""
+    def _read_scan_leaves(self, addrs: List[int], key: int,
+                          first: tuple = ()) -> Generator:
+        """Whole-leaf READs of *addrs* in one batch — the first leaf's
+        through ``first = (shape, homes)`` of ``_first_leaf_read``, if
+        given — each decoded by the leaf format's ``_scan_leaf(raw, key,
+        *first) -> (pairs >= key, read)`` and re-read alone while that
+        finds it torn."""
         size = self.layout.raw_size
-        payloads = yield from self.qp.read_batch(
-            [(addr, size) for addr in addrs])
+        requests = [(addr, size) for addr in addrs]
+        if first:
+            parts = [(addrs[0] + off, length)
+                     for off, length in first[0].rounds[0]]
+            requests[:1] = parts
+        payloads = yield from self.qp.read_batch(requests)
+        if first:
+            payloads[:len(parts)] = [b"".join(payloads[:len(parts)])]
         leaves = []
         for addr, raw in zip(addrs, payloads):
             retry = None
             while True:
                 try:
-                    leaves.append(self._scan_leaf(raw, key))
+                    leaves.append(self._scan_leaf(raw, key, *first))
                     break
                 except TornReadError:
                     retry = retry or self.retry.start(
@@ -426,7 +435,9 @@ class FamilyClientBase(SpanInstrumentedOps):
                     retry.check()
                     self.qp.stats.retries += 1
                     yield from retry.backoff()
-                    raw = yield from self.qp.read(addr, size)
+                    raw = yield from (self._fetch_shape(addr, first[0])
+                                      if first else self.qp.read(addr, size))
+            first = ()
         return leaves
 
     # -- sorted-array nodes (internal levels, sorted leaves) ------------------

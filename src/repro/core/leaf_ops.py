@@ -3,10 +3,12 @@
 The hopscotch leaf serves CHIME and CHIME-Learned (§5.3), the sorted
 array Sherman, Marlin and ROLEX, each format's code in one mixin for a
 :class:`~repro.core.family.FamilyClientBase` whose ``self.layout`` is
-the format's.  Each supplies the scan decoder ``_scan_leaf(raw, key) ->
-(pairs >= key, checked read with sibling and fences)``; a routing base
-has none to shadow it.  :func:`place_items` / :func:`slot_columns` fill
-whole hopscotch leaves (bulk load, split halves, synonym leaves).
+the format's.  Each supplies ``_first_leaf_read(key, high)`` (how a
+scan's first leaf is read) and the scan decoder ``_scan_leaf(raw, key,
+*first) -> (pairs >= key, checked read with sibling and fences)``; a
+routing base has none to shadow them.  :func:`place_items` /
+:func:`slot_columns` fill whole hopscotch leaves (bulk load, split
+halves, synonym leaves).
 """
 
 from __future__ import annotations
@@ -58,6 +60,9 @@ class SortedLeafOpsMixin:
             raise TornReadError("leaf node-level versions disagree")
         return [pair for pair in view.items() if pair[0] >= key], view
 
+    def _first_leaf_read(self, key: int, high: int) -> tuple:
+        return ()  # a sorted leaf is read whole
+
 
 class HopscotchLeafOpsMixin:
     """Leaf fetch + three-level-check primitives, and the write-back.
@@ -69,13 +74,20 @@ class HopscotchLeafOpsMixin:
     The client adds ``self.home_of(key)``.
     """
 
-    def _scan_leaf(self, raw: bytes, key: int):
-        """One whole leaf of a scan batch, through the whole-leaf shape:
+    def _scan_leaf(self, raw: bytes, key: int,
+                   shape: Optional[ReadShape] = None, homes=None):
+        """One leaf of a scan batch, through *shape* checking the bitmaps
+        of *homes* (:meth:`_first_leaf_read`) or the whole-leaf shape:
         NV, EV and bitmap checks, then the pairs >= *key* and the read."""
-        read = self.layout.full_shape().decode(
-            memoryview(raw)[1:],  # the shape starts at the first payload byte
-            self.home_of)
+        if shape is None:  # the shape starts at the first payload byte
+            shape, raw = self.layout.full_shape(), memoryview(raw)[1:]
+        read = shape.decode(raw, self.home_of, homes)
         return read.pairs(key), read
+
+    def _first_leaf_read(self, key: int, high: int) -> tuple:
+        """``(shape, homes)`` of :meth:`LeafLayout.first_leaf_read`, or
+        () to read the scan's first leaf whole."""
+        return self.layout.first_leaf_read(key, high, self.home_of) or ()
 
     # -- lock-free reads ----------------------------------------------------------
 

@@ -20,6 +20,7 @@ coalescing ones (:mod:`repro.core.leaf_ops`): no scan code lives here.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Generator, List, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
@@ -56,12 +57,10 @@ class LearnedChimeIndex(ModelRoutedIndexBase):
                        fence_keys=True),
             error, bulk_load_factor)
         self.vacancy_map = VacancyBitmap(span)
+        self.home_of = partial(default_hash, capacity=span)
 
     def client(self, ctx: ClientContext) -> "LearnedChimeClient":
         return LearnedChimeClient(self, ctx)
-
-    def home_of(self, key: int) -> int:
-        return default_hash(key, self.leaf_layout.span)
 
     def _host_write_leaf(self, addr: int, items: Sequence[Tuple[int, int]],
                          fence_low: int, fence_high: int) -> None:

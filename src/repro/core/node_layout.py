@@ -34,12 +34,12 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import lshift, not_
+from functools import reduce
+from operator import lshift, not_, or_
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import LayoutError, TornReadError
 from repro.layout import versions
-from repro.layout.codec import decode_value
 from repro.layout.image import (
     ImageEncoder,
     image_struct,
@@ -278,6 +278,8 @@ class SortedNodeLayout:
         raise LayoutError(f"node entry index {index} out of range")
 
 
+#: Block-run read shapes one layout keeps (a scan's first leaf, §4.4).
+MAX_BLOCK_SHAPES = 64
 #: 1 << position, for every entry position a leaf can have.
 _POSITION_BIT = tuple(1 << position for position in range(1 << ARGMAX_BITS))
 _REPLICA = struct.Struct("<BQ")  # [valid:1][sibling:8]
@@ -322,8 +324,8 @@ class DecodedNeighborhood:
         """(entry position, value) of *key*, or None.
 
         *key* must be a real key (>= 1) and, for a neighbourhood, hash
-        to its home: the bitmap check has then already proved that an
-        entry holding it is one the home bitmap flags.
+        to a checked home: the bitmap check has then already proved that
+        an entry holding it is one the home bitmap flags.
         """
         try:
             offset = self._keys.index(key)
@@ -332,14 +334,15 @@ class DecodedNeighborhood:
         if not key:
             return None  # key 0 marks an empty entry, never a match
         shape = self._shape
-        return shape.positions[offset], decode_value(
-            self._payload, shape._value_at[offset], shape._value_size)
+        return shape.positions[offset], unpack_values(
+            shape._values, self._payload, shape._value_size)[offset]
 
     def pairs(self, start: int = 1) -> List[Tuple[int, int]]:
-        """(key, value) of the occupied entries of a whole-leaf read
-        with key >= *start*, in position order (what a scan consumes)."""
+        """(key, value) of the occupied entries read with key >=
+        *start*, in position order (what a scan consumes)."""
         start = max(start, 1)  # key 0 marks an empty entry
-        values = self._shape._layout.image_values(self._payload)
+        shape = self._shape
+        values = unpack_values(shape._values, self._payload, shape._value_size)
         return [(key, value) for key, value in zip(self._keys, values)
                 if key >= start]
 
@@ -349,8 +352,9 @@ class ReadShape:
     validate and decode it in a fixed handful of C calls.
 
     A shape is built once per fetched-segment pattern of a layout — the
-    neighbourhood of one home, one speculatively read entry, or the
-    whole leaf (a scan) — from the layout's own offset tables.
+    neighbourhood of one home, one speculatively read entry, the whole
+    leaf, or the blocks of a scan's first leaf — from the layout's own
+    offset tables.
     ``rounds`` are the raw ``(offset, length)`` READs relative to the
     leaf address, one round trip each (a round of several requests is a
     doorbell batch).  :meth:`decode` takes the payloads concatenated in
@@ -359,9 +363,9 @@ class ReadShape:
     ("de-stripe, then unpack", as for whole images).
     """
 
-    __slots__ = ("rounds", "raw_len", "positions", "_home", "_versions",
+    __slots__ = ("rounds", "raw_len", "positions", "_homes", "_versions",
                  "_ev_entry", "_ev_line", "_strips", "_keys", "_bitmap_at",
-                 "_replica_at", "_fences_at", "_value_at", "_value_size",
+                 "_replica_at", "_fences_at", "_values", "_value_size",
                  "_layout")
 
     def __init__(self, layout: "LeafLayout",
@@ -371,7 +375,8 @@ class ReadShape:
         """*rounds* hold logical segments, *entries* the fully fetched
         entry indices in payload order; a neighbourhood shape names its
         *home* (first of *entries*) and the replica it carries, the
-        whole-leaf shape a replica and no home."""
+        whole-leaf and block-run shapes a replica and no home (a
+        block-run read is told its homes at :meth:`decode`)."""
         segments = [segment for group in rounds for segment in group]
         self.rounds = tuple(tuple(versions.raw_span(off, length)
                                   for off, length in group)
@@ -420,13 +425,14 @@ class ReadShape:
         self.positions = tuple(entries)
         self._keys = image_struct(">", zip(entry_at, repeat("Q")),
                                    payload_len, layout.entry_off_key)
-        self._value_at = tuple(at + layout.entry_off_value for at in entry_at)
+        self._values = image_struct("<", zip(entry_at, repeat(
+            layout._value_code)), payload_len, layout.entry_off_value)
         self._value_size = layout.value_size
-        self._home = home
+        self._homes = None if home is None else (home,)
         self._layout = layout
-        self._bitmap_at = self._replica_at = self._fences_at = None
-        if home is not None:
-            self._bitmap_at = entry_at[0] + layout.ENTRY_OFF_BITMAP
+        self._bitmap_at = {position: at + layout.ENTRY_OFF_BITMAP
+                           for position, at in zip(entries, entry_at)}
+        self._replica_at = self._fences_at = None
         if replica_block is not None:
             self._replica_at = index_in(
                 segments, layout.replica_offset(replica_block))
@@ -434,11 +440,13 @@ class ReadShape:
                 self._fences_at = (self._replica_at
                                    + layout.replica_off_fence_low)
 
-    def decode(self, raw: bytes, hash_home: Optional[Callable] = None
-               ) -> DecodedNeighborhood:
-        """Check and decode the fetched bytes; raises
-        :class:`TornReadError` on a torn state and :class:`LayoutError`
-        when *raw* is not exactly the bytes this shape fetches."""
+    def decode(self, raw: bytes, hash_home: Optional[Callable] = None,
+               homes: Optional[Sequence[int]] = None) -> DecodedNeighborhood:
+        """Check and decode the fetched bytes, level 3 over the bitmaps
+        of *homes* (by default the shape's own home; with neither, the
+        whole leaf's); raises :class:`TornReadError` on a torn state and
+        :class:`LayoutError` when *raw* is not exactly the bytes this
+        shape fetches."""
         if len(raw) != self.raw_len:
             raise LayoutError(
                 f"read shape expects {self.raw_len} raw bytes, got {len(raw)}")
@@ -457,29 +465,35 @@ class ReadShape:
         keys = self._keys.unpack(payload)
         if self._replica_at is None:  # one speculative entry: no bitmap
             return DecodedNeighborhood(self, payload, keys, None, None)
-        if self._home is None:
+        homes = self._homes if homes is None else homes
+        if homes is None:
             self._check_image_bitmaps(payload, keys, hash_home)
         else:
-            self._check_bitmap(payload, keys, hash_home)
+            self._check_bitmap(payload, keys, hash_home, homes)
         valid, sibling = _REPLICA.unpack_from(payload, self._replica_at)
         return DecodedNeighborhood(self, payload, keys, bool(valid), sibling)
 
     def _check_bitmap(self, payload: bytearray, keys: Tuple[int, ...],
-                      hash_home: Callable) -> None:
-        """Level 3: the stored home bitmap must equal the one the
-        fetched keys imply, else the read interleaved with a hop."""
-        home = self._home
-        stored, = self._layout.bitmap_codec.unpack_from(payload, self._bitmap_at)
-        actual = 0
-        bit = 1
-        for key in keys:
-            if key and hash_home(key) == home:
-                actual |= bit
-            bit <<= 1
-        if stored != actual:
-            raise _torn(3, f"hopscotch bitmap of home {home} is "
-                        f"{stored:#06x}, keys say {actual:#06x} "
-                        "(in-flight hop)")
+                      hash_home: Callable, homes: Sequence[int]) -> None:
+        """Level 3: each home's stored bitmap must equal the one the
+        fetched keys hashed to it imply (its whole neighbourhood is
+        fetched), else the read interleaved with a hop."""
+        layout = self._layout
+        span, reach = layout.span, layout.neighborhood
+        actual = dict.fromkeys(homes, 0)
+        for position, key in zip(self.positions, keys):
+            if key:
+                home = hash_home(key)
+                offset = (position - home) % span
+                if offset < reach and home in actual:
+                    actual[home] |= 1 << offset
+        unpack = layout.bitmap_codec.unpack_from
+        for home, bits in actual.items():
+            stored, = unpack(payload, self._bitmap_at[home])
+            if stored != bits:
+                raise _torn(3, f"hopscotch bitmap of home {home} is "
+                            f"{stored:#06x}, keys say {bits:#06x} "
+                            "(in-flight hop)")
 
     def _check_image_bitmaps(self, payload: bytearray, keys: Tuple[int, ...],
                              hash_home: Callable) -> None:
@@ -599,6 +613,7 @@ class LeafLayout:
         # is its raw bytes), plus a getter of every entry version byte
         # straight from a raw image fetched at base 0.
         value_code = "Q" if self.value_size >= 8 else f"{self.value_size}s"
+        set_attr(self, "_value_code", value_code)
         set_attr(self, "_image_keys", image_struct(
             ">", zip(offsets, repeat("Q")), logical_size, entry_off_key))
         set_attr(self, "_image_values", image_struct(
@@ -628,9 +643,15 @@ class LeafLayout:
                for index, off in entries], logical_size))
         # Read shapes, compiled on first use: one per neighbourhood home
         # (and, under None, the whole leaf's) and one per speculatively
-        # read entry — at most 2 * span + 1.
+        # read entry — at most 2 * span + 1 — and the last
+        # ``MAX_BLOCK_SHAPES`` block runs of scans' first leaves.
         set_attr(self, "_neighborhood_shapes", {})
         set_attr(self, "_entry_shapes", {})
+        set_attr(self, "_block_shapes", {})
+        set_attr(self, "_whole_from", {})  # high -> start (first_leaf_read)
+        set_attr(self, "_home_blocks", tuple(  # blocks each neighbourhood spans
+            1 << home // self.neighborhood | 1 << (home + self.neighborhood - 1)
+            % span // self.neighborhood for home in range(span)))
 
     # -- positions --------------------------------------------------------------
 
@@ -674,11 +695,6 @@ class LeafLayout:
         return self._encoder.encode(
             [1, sibling, version, *bitmaps, *values],
             [fence_low, fence_high, *keys], version)
-
-    def image_values(self, payload: bytearray) -> Sequence[int]:
-        """The value of every entry in position order, from the
-        de-striped payload of a whole leaf."""
-        return unpack_values(self._image_values, payload, self.value_size)
 
     # The bitmap's offset in an entry, behind its version byte; the key
     # and value offsets (``entry_off_key`` / ``entry_off_value``) depend on H.
@@ -764,6 +780,52 @@ class LeafLayout:
             shape = self._neighborhood_shapes[None] = ReadShape(
                 self, [[self.full_span()]], range(self.span), replica_block=0)
         return shape
+
+    def first_leaf_read(self, key: int, high: int, home_of: Callable
+                        ) -> Optional[Tuple[ReadShape, set]]:
+        """``(shape, homes)`` of a scan's first leaf, which can hold no
+        key outside the candidates [*key*, *high*) (§4.4): the compiled
+        read of the blocks (replica + H entries) holding the
+        neighbourhoods of the candidates' homes — any key there is within
+        H of its home — each run of adjacent blocks one READ of one
+        doorbell batch.  None — read the leaf whole — from ``span``
+        candidates on or once their blocks are all of them, which hashing
+        from *high* down finds once per *high*."""
+        if not self.replicated:
+            return None
+        home_blocks, every = self._home_blocks, (1 << self.num_blocks) - 1
+        floor = self._whole_from.get(high)
+        if floor is None:  # the last start whose candidates span it all
+            floor, blocks = high - self.span, 0
+            for start in range(high - 1, floor, -1):
+                blocks |= home_blocks[home_of(start)]
+                if blocks == every:
+                    floor = start
+                    break
+            self._whole_from[high] = floor
+        if key <= floor:
+            return None
+        homes = set(map(home_of, range(key, high)))
+        blocks = reduce(or_, map(home_blocks.__getitem__, homes))
+        shapes = self._block_shapes
+        shape = shapes.pop(blocks, None)  # re-filed last: most recent
+        if shape is None:
+            if len(shapes) == MAX_BLOCK_SHAPES:
+                del shapes[next(iter(shapes))]  # the least recently used
+            chosen = [block for block in range(self.num_blocks)
+                      if blocks >> block & 1]
+            size, reach = self.block_size, self.neighborhood
+            runs = []  # [offset, length] per run of adjacent blocks
+            for block in chosen:
+                if runs and sum(runs[-1]) == block * size:
+                    runs[-1][1] += size
+                else:
+                    runs.append([block * size, size])
+            entries = [entry for block in chosen
+                       for entry in range(block * reach, (block + 1) * reach)]
+            shape = ReadShape(self, [runs], entries, replica_block=chosen[0])
+        shapes[blocks] = shape
+        return shape, homes
 
     def range_segments(self, first: int, last: int) -> List[Tuple[int, int]]:
         """Logical segments covering entries [first..last] (circular) plus

@@ -219,10 +219,12 @@ class TestEventLogsPinned:
 #: Recorded before shards became static (no migration, no rebalancer,
 #: one cache mode); ``sharded-chaos`` re-recorded when a re-issue after
 #: a lost verb began to count a retry and back off (8205 -> 8204 events),
-#: and both when hopscotch bitmaps shrank to ⌈H/8⌉ bytes (8204 -> 8203).
+#: and both when hopscotch bitmaps shrank to ⌈H/8⌉ bytes (8204 -> 8203);
+#: ``sharded-scan`` again when a scan's first leaf began to read only the
+#: blocks its candidate keys can live in (3731 -> 3783).
 SHARDED_LOGS = {
-    "sharded-scan": (3731, "1a9460d30a0d87955175eba6e24e5f83"
-                           "7a204c01d8cba81170dd4650815b8b11"),
+    "sharded-scan": (3783, "bfec6c936f4155ebaf2a4c2be0a2f962"
+                           "778b99050e556b71151c74513cf00b8c"),
     "sharded-chaos": (8203, "6d5c1a18c0e9deaa595d8e7b83551889"
                             "6b2f204aa34923c66b68d520d81ad8c0",
                       "01bef1553e28a0851cab4e0f123e7091"

@@ -22,6 +22,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
+from repro.core.leaf_ops import HopscotchLeafOpsMixin
 from repro.core.nodes import LeafNodeView, SortedNodeView
 from repro.errors import TornReadError
 from repro.layout import StripedSpan
@@ -118,12 +119,24 @@ def drive(cluster, *gens):
 
 @pytest.mark.parametrize("key_space_factor", [1, 16], ids=["dense", "sparse"])
 @pytest.mark.parametrize("family", FAMILIES)
-def test_shared_scan_equals_the_whole_leaf_oracle(family, key_space_factor):
+def test_shared_scan_equals_the_whole_leaf_oracle(family, key_space_factor,
+                                                  monkeypatch):
     """Scanners race inserting / updating writers (hops, node rewrites,
     splits); every result is ordered, holds only written values and
     skips no loaded key.  Once the writers are done, each client — its
     CN's cached parents as stale as the run left them — scans the same
-    pairs as the oracle, which are the tree's."""
+    pairs as the oracle, which are the tree's.  A CHIME tree reads a
+    scan's first leaf only in the blocks its candidate keys can live in
+    (§4.4) — on dense keys, often; the oracle reads every leaf whole."""
+    first_leaf_read = HopscotchLeafOpsMixin._first_leaf_read
+    partial = []
+
+    def counted(client, key, high):
+        head = first_leaf_read(client, key, high)
+        partial.extend(head[:1])
+        return head
+
+    monkeypatch.setattr(HopscotchLeafOpsMixin, "_first_leaf_read", counted)
     num_keys = 1500
     cluster = Cluster(ClusterConfig(num_cns=3, clients_per_cn=2, seed=9,
                                     cache_bytes=1 << 22, rdwc=False))
@@ -200,6 +213,10 @@ def test_shared_scan_equals_the_whole_leaf_oracle(family, key_space_factor):
     assert len(results) == len(clients) * len(probes)
     for shared, oracle, expected in results:
         assert shared == oracle == expected
+    if family in ("chime", "chime-indirect") and key_space_factor == 1:
+        assert len(partial) > 0  # partial first leaves really happened
+    elif family not in ("chime", "chime-indirect"):
+        assert not partial  # whole leaves: no known high, or sorted
 
 
 @pytest.mark.parametrize("family", TREES)
@@ -290,3 +307,55 @@ def test_a_scan_from_a_key_the_model_never_saw(family, monkeypatch):
     after = index.leaf_addrs[leaf_index + 1:]
     assert noted and noted == [len(index._host_table(addr)[0])
                                for addr in after[:len(noted)]]
+
+
+def test_a_first_leaf_reads_the_blocks_of_its_candidate_homes():
+    """Every start key of a bulk-loaded leaf's pivot range [low, high),
+    dense (44 keys) and sparse (44 keys x 100): the scan's first leaf
+    can hold only the candidates [start, high), so its read covers the
+    neighbourhood of every candidate's home, carries a replica and
+    answers what the whole leaf answers; from ``span`` candidates on it
+    is the whole leaf."""
+    cluster = Cluster(ClusterConfig(num_cns=1, clients_per_cn=1))
+    index = build_index("chime", cluster)
+    index.bulk_load([(k, k) for k in range(1, 2001)]
+                    + [(k, k) for k in range(10**6, 10**6 + 440_000, 100)])
+    client = index.client(next(iter(cluster.clients())))
+    layout, home_of = client.layout, client.home_of
+    span, reach = layout.span, layout.neighborhood
+    every_block = set(range(layout.num_blocks))
+    parent = next(node for _addr, node in index.internal_nodes()
+                  if node.level == 1)
+    wire = {"dense": [], "sparse": []}
+    for kind, at in (("dense", 10), ("sparse", parent.count - 10)):
+        leaf, low, high = (parent.children[at], parent.pivots[at],
+                           parent.pivots[at + 1])
+        whole = layout.full_shape().decode(
+            index._host_read(leaf, layout.raw_size)[1:], home_of)
+        for start in range(low, high):
+            head = client._first_leaf_read(start, high)
+            homes = set(map(home_of, range(start, high)))
+            blocks = {home // reach for home in homes} | {
+                (home + reach - 1) % span // reach for home in homes}
+            if high - start >= span or blocks == every_block:
+                assert head == ()
+                continue
+            shape, got = head
+            assert got == homes
+            assert {(home + offset) % span for home in homes
+                    for offset in range(reach)} <= set(shape.positions)
+            assert shape._replica_at is not None
+            raw = b"".join(index._host_read(leaf + off, length)
+                           for off, length in shape.rounds[0])
+            read = shape.decode(raw, home_of, homes)
+            assert read.pairs(start) == whole.pairs(start)
+            assert read.sibling == whole.sibling
+            wire[kind].append(shape.raw_len)
+    assert len(layout._block_shapes) <= 64
+    # Pinned: the raw bytes of each partial read, by start key (a whole
+    # leaf's READ is 1,252 bytes, one block 156 or 157).  The dense
+    # leaf's 44 candidates touch every block until 11 starts from its end.
+    assert wire == {
+        "dense": [1094, 1094, 938, 938, 938, 782, 782, 625, 625, 625, 312],
+        "sparse": [1095, 938, 938, 782, 782, 782, 782, 782, 625, 625, 625,
+                   313]}

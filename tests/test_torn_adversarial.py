@@ -12,10 +12,11 @@ from repro.baselines import ShermanIndex
 from repro.cluster import Cluster
 from repro.config import ChimeConfig, ClusterConfig
 from repro.core import ChimeIndex
-from repro.core.chime import ChimeClient
+from repro.core.chime import LOCKLINE_FENCE_HIGH, ChimeClient
 from repro.core.node_layout import LeafLayout, ReadShape
 from repro.core.nodes import LeafNodeView
-from repro.layout import StripedSpan, versions
+from repro.errors import TornReadError
+from repro.layout import StripedSpan, decode_key, versions
 from repro.memory.region import CACHE_LINE
 from repro.obs import BUS
 from repro.rdma.nic import NicSpec
@@ -70,8 +71,9 @@ class TestChimeUnderTearing:
         assert not wrong, wrong[:5]
 
     def _ambushed_readers_vs_hop_writers(self, monkeypatch):
-        """The campaign above plus an ambush reader; returns how often
-        the bitmap check (level 3) fired.
+        """The campaign above plus an ambush reader and an ambush
+        scanner; returns how often the bitmap check (level 3) fired, and
+        how often it failed a scan's partial first-leaf read.
 
         Free-running readers never sample a hop between its entry
         writes (the campaign above trips only NV checks), so the bitmap
@@ -80,18 +82,26 @@ class TestChimeUnderTearing:
         searches the keys that hop is moving, so its READs are served
         between the hop's later entry writes — when a moved key is in
         neither its old nor its new entry, and every entry is whole (NV
-        and EV see nothing).
+        and EV see nothing).  At the same moment the scanner starts a
+        scan a few keys below the leaf's high fence: the leaf is the
+        scan's first, read only in the blocks of its few candidates'
+        homes (§4.4), and a hop in flight inside one of their
+        neighbourhoods must fail level 3 and be re-read, never returned.
         """
-        cluster = slow_cluster(clients=9)
+        cluster = slow_cluster(clients=10)
         index = ChimeIndex(cluster, ChimeConfig(bulk_load_factor=0.85))
-        index.bulk_load([(k, k * 10) for k in range(10, 4001, 10)])
+        loaded = range(10, 4001, 10)
+        index.bulk_load([(k, k * 10) for k in loaded])
         clients = [index.client(ctx) for ctx in cluster.clients()]
-        ambusher = clients.pop()
-        raw_size = index.leaf_layout.raw_size
+        scanner, ambusher = clients.pop(), clients.pop()
+        layout = index.leaf_layout
+        raw_size = layout.raw_size
         wrong = []
         hops = []  # (leaf address, keys it moves) of hops not yet landed
         torn_bitmaps = []
+        torn_partial = []  # level 3 failed a partial first-leaf read
         ambushing = []
+        scanning = []
 
         def check(key, value):  # loaded keys hold key * 10, inserted ones key
             if value != (key * 10 if key % 10 == 0 else key):
@@ -106,6 +116,18 @@ class TestChimeUnderTearing:
             return apply_plan(client, view, plan, *args)
 
         monkeypatch.setattr(ChimeClient, "_apply_plan", spying_apply_plan)
+        scan_leaf = ChimeClient._scan_leaf
+
+        def spying_scan_leaf(client, raw, key, *first):
+            seen = len(torn_bitmaps)
+            try:
+                return scan_leaf(client, raw, key, *first)
+            except TornReadError:
+                if first and len(torn_bitmaps) > seen:
+                    torn_partial.append(key)
+                raise
+
+        monkeypatch.setattr(ChimeClient, "_scan_leaf", spying_scan_leaf)
 
         def ambush(keys):
             for _ in range(4):  # spread over the hop's landing window
@@ -113,6 +135,24 @@ class TestChimeUnderTearing:
                     value = yield from ambusher.search(key)
                     check(key, value)
             ambushing.clear()
+
+        def scan_ambush(leaf_addr, keys):
+            # A few candidates below the leaf's high fence, down to one
+            # hashed to the home of a key the hop moves if there is one.
+            high = decode_key(mn.mem_read(
+                leaf_addr + layout.lock_offset + LOCKLINE_FENCE_HIGH, 8))
+            moved = set(map(index.home_of, keys))
+            start = next((key for key in range(high - 1, high - 6, -1)
+                          if index.home_of(key) in moved), high - 3)
+            for _ in range(3):
+                pairs = yield from scanner.scan(start, 8)
+                keys = [k for k, _v in pairs]
+                for key, value in pairs:
+                    check(key, value)
+                if keys != sorted(set(keys)) or keys and any(
+                        k not in keys for k in loaded if start <= k <= keys[-1]):
+                    wrong.append(("scan", start, keys))
+            scanning.clear()
 
         mn = cluster.mns[0]
         original_write = mn.mem_write
@@ -124,6 +164,9 @@ class TestChimeUnderTearing:
                 if leaf_addr <= addr < leaf_addr + raw_size:
                     del hops[:]
                     ambushing.append(cluster.engine.process(ambush(keys)))
+                    if not scanning:
+                        scanning.append(cluster.engine.process(
+                            scan_ambush(leaf_addr, keys)))
 
         mn.mem_write = ambushing_write
 
@@ -153,18 +196,21 @@ class TestChimeUnderTearing:
             for watch in watches:
                 watch.unsubscribe()
         assert not wrong, wrong[:5]
-        return len(torn_bitmaps)
+        return len(torn_bitmaps), len(torn_partial)
 
     def test_ambushed_readers_vs_hop_writers(self, monkeypatch):
-        # Clean, and not vacuously: the read shape's level 3 fired.
-        assert self._ambushed_readers_vs_hop_writers(monkeypatch) > 0
+        # Clean, and not vacuously: the read shapes' level 3 fired, also
+        # on scans' partial first-leaf reads.
+        torn, torn_partial = self._ambushed_readers_vs_hop_writers(
+            monkeypatch)
+        assert torn > 0 and torn_partial > 0
 
     def test_readers_need_the_bitmap_check(self, monkeypatch):
         """Plant a bug: the read shape's bitmap check passes anything —
         loaded keys caught mid-hop then read as absent, so the campaign
         must fail."""
         monkeypatch.setattr(ReadShape, "_check_bitmap",
-                            lambda self, payload, keys, hash_home: None)
+                            lambda self, payload, keys, hash_home, homes: None)
         with pytest.raises(AssertionError):
             self._ambushed_readers_vs_hop_writers(monkeypatch)
 
