@@ -379,18 +379,6 @@ class LeafNodeView:
         self.span.write_logical(off, bytes([pack_version(nv, bump_nibble(ev))]))
         self.span.bump_entry_versions(off, layout.entry_size)
 
-    def entry_evs(self, index: int) -> List[int]:
-        """All EV nibbles within one entry's span (for consistency checks)."""
-        layout = self.layout
-        off = layout._entry_offsets[index]
-        values = [self.span.payload_byte(off) & 0xF]
-        values.extend(self.span.entry_ev_nibbles(off, layout.entry_size))
-        return values
-
-    def entry_nv(self, index: int) -> int:
-        off = self.layout.entry_offset(index)
-        return (self.span.payload_byte(off) >> 4) & 0xF
-
     # -- whole-node helpers -------------------------------------------------------------
     #
     # A view over one contiguous span decodes through the layout's
@@ -433,7 +421,8 @@ class LeafNodeView:
             entries = [self.entry(i) for i in range(layout.span)]
             return ([entry.key for entry in entries],
                     [entry.value for entry in entries])
-        return layout._image_keys.unpack(payload), layout.image_values(payload)
+        return layout._image_keys.unpack(payload), unpack_values(
+            layout._image_values, payload, layout.value_size)
 
     def occupancy(self) -> List[bool]:
         """Per-entry occupancy of a full-node image."""

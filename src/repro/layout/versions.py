@@ -37,7 +37,7 @@ address the striped image.  ``raw_of`` maps between them.
 from __future__ import annotations
 
 import struct
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from repro.errors import LayoutError
 
@@ -270,10 +270,6 @@ class StripedSpan:
 
     # -- version access --------------------------------------------------------
 
-    def _version_positions_in(self, raw_off: int, raw_len: int) -> Iterator[int]:
-        for pos in line_version_positions(raw_off, raw_len):
-            yield pos
-
     def line_versions(self) -> List[Tuple[int, int]]:
         """All (raw_offset, version_byte) line positions inside this span."""
         positions = line_version_positions(self.base, len(self.data))
@@ -297,7 +293,7 @@ class StripedSpan:
         caller's job (it knows the entry layout).
         """
         span_off, span_len = raw_span(logical_off, logical_len)
-        for pos in self._version_positions_in(span_off, span_len):
+        for pos in line_version_positions(span_off, span_len):
             index = self._raw_index(pos)
             nv, ev = unpack_version(self.data[index])
             self.data[index] = pack_version(nv, bump_nibble(ev))
@@ -306,7 +302,7 @@ class StripedSpan:
                                 nv: int, ev: int) -> None:
         """Force the line version bytes inside one entry's span."""
         span_off, span_len = raw_span(logical_off, logical_len)
-        for pos in self._version_positions_in(span_off, span_len):
+        for pos in line_version_positions(span_off, span_len):
             self.data[self._raw_index(pos)] = pack_version(nv, ev)
 
     def sub_span(self, logical_off: int, logical_len: int) -> Tuple[int, bytes]:
@@ -322,20 +318,6 @@ class StripedSpan:
         first = ((base + LINE - 1) // LINE) * LINE
         return [(data[pos - base] >> 4) & _NIBBLE
                 for pos in range(first, base + len(data), LINE)]
-
-    def entry_ev_nibbles(self, logical_off: int, logical_len: int) -> List[int]:
-        """EV nibbles of the line version bytes inside one entry's span."""
-        span_off, span_len = raw_span(logical_off, logical_len)
-        data = self.data
-        base = self.base
-        first = ((span_off + LINE - 1) // LINE) * LINE
-        end = span_off + span_len
-        if span_off < base or end > base + len(data):
-            raise LayoutError(
-                f"raw range [{span_off}, {end}) outside span "
-                f"[{base}, {base + len(data)})")
-        return [data[pos - base] & _NIBBLE
-                for pos in range(first, end, LINE)]
 
 
 class SpanSet:
@@ -381,10 +363,6 @@ class SpanSet:
 
     def bump_entry_versions(self, logical_off: int, logical_len: int) -> None:
         self._route(logical_off, logical_len).bump_entry_versions(
-            logical_off, logical_len)
-
-    def entry_ev_nibbles(self, logical_off: int, logical_len: int) -> List[int]:
-        return self._route(logical_off, logical_len).entry_ev_nibbles(
             logical_off, logical_len)
 
     def nv_nibbles(self) -> List[int]:

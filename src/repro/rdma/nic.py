@@ -97,18 +97,3 @@ class Nic:
                      depth=self.tx.queue_length + self.tx.in_service,
                      bytes=payload_bytes)
         return self.tx.request(self.spec.service_time(payload_bytes), done)
-
-    def utilization(self, elapsed: float) -> float:
-        """Per-lane utilization of the busier direction over *elapsed*.
-
-        Busy time is pro-rated for requests still in service at the
-        cutoff (see :meth:`QueueServer.busy_time_until`) and normalized
-        by ``spec.lanes``, so a multi-lane NIC saturating every lane
-        reports 1.0 — never more.
-        """
-        if elapsed <= 0:
-            return 0.0
-        now = self.engine.now
-        busy = max(self.rx.busy_time_until(now), self.tx.busy_time_until(now))
-        util = busy / (elapsed * self.spec.lanes)
-        return util if util < 1.0 else 1.0

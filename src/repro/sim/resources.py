@@ -167,10 +167,6 @@ class Lock:
         self._locked = False
         self._waiters: Deque[Event] = deque()
 
-    @property
-    def locked(self) -> bool:
-        return self._locked
-
     def acquire(self) -> Event:
         """Return an event that fires once the caller holds the lock."""
         event = self.engine.event()

@@ -119,12 +119,6 @@ class CampaignStore:
             for row in rows
         ]
 
-    def campaign(self, campaign_id: str) -> Optional[Dict]:
-        for row in self.campaigns():
-            if row["id"] == campaign_id:
-                return row
-        return None
-
     # -- points -------------------------------------------------------------
 
     def has_point(self, commit: str, seed: int, spec_hash: str) -> bool:

@@ -14,7 +14,8 @@ imports or calls a name in :data:`__all__`):
   :func:`check_entry_evs`, :func:`reconstruct_bitmap`,
   :func:`check_hopscotch_bitmap` — §4.1's three reader-side checks,
   entry by entry (:class:`repro.core.node_layout.ReadShape` runs them
-  compiled).
+  compiled), over one entry's version nibbles read byte by byte
+  (:func:`entry_nv`, :func:`entry_evs`).
 * :func:`compose_leaf` / :func:`compose_sorted_leaf` — a hopscotch leaf
   / a sorted-array node (leaf or internal) written field by field
   (``LeafLayout.encode_image`` / ``SortedNodeView.compose`` go through
@@ -58,7 +59,13 @@ from repro.layout import (
     pack_version,
 )
 from repro.layout.codec import fingerprint16
-from repro.layout.versions import LINE, NV_OF_BYTE
+from repro.layout.versions import (
+    LINE,
+    NV_OF_BYTE,
+    SpanSet,
+    line_version_positions,
+    raw_span,
+)
 from repro.memory.region import NULL_ADDR
 from repro.obs.bus import BUS
 from repro.sim.engine import Entry
@@ -73,6 +80,8 @@ __all__ = [
     "collect_leaf_nv",
     "compose_leaf",
     "compose_sorted_leaf",
+    "entry_evs",
+    "entry_nv",
     "image_nv",
     "reconstruct_bitmap",
     "smart_bulk_load_per_key",
@@ -160,10 +169,29 @@ def check_nv_uniform(nv_values: Iterable[int]) -> None:
         raise TornReadError(f"node-level versions disagree: {sorted(values)}")
 
 
+def entry_nv(view: LeafNodeView, index: int) -> int:
+    """The NV nibble of one entry's own version byte."""
+    return view.span.payload_byte(view.layout.entry_offset(index)) >> 4
+
+
+def entry_evs(view: LeafNodeView, index: int) -> List[int]:
+    """Every EV nibble within one entry's span: its own version byte's,
+    then each line version byte's the entry covers."""
+    layout = view.layout
+    off = layout.entry_offset(index)
+    raw_off, raw_len = raw_span(off, layout.entry_size)
+    span = view.span
+    if isinstance(span, SpanSet):
+        span = span._span_for(raw_off, raw_len)
+    return [span.payload_byte(off) & 0xF] + [
+        span.data[pos - span.base] & 0xF
+        for pos in line_version_positions(raw_off, raw_len)]
+
+
 def check_entry_evs(view: LeafNodeView, indices: Sequence[int]) -> None:
     """Level 2: EV nibbles within each fetched entry must match."""
     for index in indices:
-        evs = view.entry_evs(index)
+        evs = entry_evs(view, index)
         first = evs[0]
         for ev in evs:
             if ev != first:
@@ -213,7 +241,7 @@ def collect_leaf_nv(view: LeafNodeView, indices: Sequence[int]) -> List[int]:
         return image_nv(view)
     values = list(span.nv_nibbles())
     for index in indices:
-        values.append(view.entry_nv(index))
+        values.append(entry_nv(view, index))
     return values
 
 

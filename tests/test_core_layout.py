@@ -35,6 +35,8 @@ from tests.oracles import (
     check_nv_uniform,
     collect_leaf_nv,
     compose_leaf,
+    entry_evs,
+    entry_nv,
     image_nv,
 )
 
@@ -303,7 +305,7 @@ class TestLeafNodeView:
         view = LeafNodeView.blank(layout)
         view.write_entry(5, 1, 2)
         view.write_entry(5, 3, 4)
-        evs = set(view.entry_evs(5))
+        evs = set(entry_evs(view, 5))
         assert evs == {2}  # two writes, all EV positions in lockstep
 
     def test_clear_entry_keeps_bitmap(self):
@@ -320,9 +322,9 @@ class TestLeafNodeView:
         view = LeafNodeView.blank(layout)
         view.write_entry(3, 9, 9)
         view.set_all_nv(7)
-        assert set(view.entry_evs(3)) == {0}
+        assert set(entry_evs(view, 3)) == {0}
         assert set(view.span.nv_nibbles()) == {7}
-        assert view.entry_nv(3) == 7
+        assert entry_nv(view, 3) == 7
 
     def test_items_and_occupancy(self):
         layout = LeafLayout(span=16, neighborhood=8)
@@ -384,7 +386,7 @@ def oracle(view):
     for e in entries:
         if e.occupied and e.key > best:
             argmax, best = e.index, e.key
-    nv = view.span.nv_nibbles() + [view.entry_nv(i)
+    nv = view.span.nv_nibbles() + [entry_nv(view, i)
                                    for i in range(view.layout.span)]
     return entries, items, argmax, nv
 

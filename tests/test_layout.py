@@ -171,7 +171,9 @@ class TestStripedSpan:
         span = StripedSpan.blank(10 * PAYLOAD_PER_LINE)
         span.set_all_versions(nv=2, ev=5)
         span.bump_entry_versions(100, 80)
-        assert set(span.entry_ev_nibbles(100, 80)) == {6}
+        raw_off, raw_len = raw_span(100, 80)
+        lines = line_version_positions(raw_off, raw_len)  # inside the entry
+        assert lines and {span.data[pos] & 0xF for pos in lines} == {6}
 
     def test_partial_span_view(self):
         full = StripedSpan.blank(1000)
