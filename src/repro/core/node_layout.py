@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import compress, repeat
 from functools import reduce
+from itertools import compress, repeat
 from operator import lshift, not_, or_
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -484,9 +484,8 @@ class ReadShape:
         for position, key in zip(self.positions, keys):
             if key:
                 home = hash_home(key)
-                offset = (position - home) % span
-                if offset < reach and home in actual:
-                    actual[home] |= 1 << offset
+                if home in actual and (position - home) % span < reach:
+                    actual[home] |= 1 << (position - home) % span
         unpack = layout.bitmap_codec.unpack_from
         for home, bits in actual.items():
             stored, = unpack(payload, self._bitmap_at[home])
@@ -648,7 +647,7 @@ class LeafLayout:
         set_attr(self, "_neighborhood_shapes", {})
         set_attr(self, "_entry_shapes", {})
         set_attr(self, "_block_shapes", {})
-        set_attr(self, "_whole_from", {})  # high -> start (first_leaf_read)
+        set_attr(self, "_whole_from", {})  # high -> start; one per leaf range
         set_attr(self, "_home_blocks", tuple(  # blocks each neighbourhood spans
             1 << home // self.neighborhood | 1 << (home + self.neighborhood - 1)
             % span // self.neighborhood for home in range(span)))
