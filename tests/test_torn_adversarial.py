@@ -146,12 +146,12 @@ class TestChimeUnderTearing:
                           if index.home_of(key) in moved), high - 3)
             for _ in range(3):
                 pairs = yield from scanner.scan(start, 8)
-                keys = [k for k, _v in pairs]
+                got = [k for k, _v in pairs]
                 for key, value in pairs:
                     check(key, value)
-                if keys != sorted(set(keys)) or keys and any(
-                        k not in keys for k in loaded if start <= k <= keys[-1]):
-                    wrong.append(("scan", start, keys))
+                if got != sorted(set(got)) or got and any(
+                        k not in got for k in loaded if start <= k <= got[-1]):
+                    wrong.append(("scan", start, got))
             scanning.clear()
 
         mn = cluster.mns[0]
