@@ -580,23 +580,19 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         lock-line fence keys, and the argmax entry (when outside the
         range) — one round trip."""
         layout = self.layout
-        segments = list(layout.range_segments(home, last))
-        covered = layout.entries_covered_by_range(home, last)
-        argmax_extra = argmax not in covered
-        if argmax_extra:
-            segments.append((layout.entry_offset(argmax), layout.entry_size))
-        requests = []
-        for off, length in segments:
-            raw_off, raw_len = raw_span(off, length)
-            requests.append((leaf_addr + raw_off, raw_len))
+        segments = layout.range_segments(home, last)
+        at, size = layout.entry_offset(argmax), layout.entry_size
+        if not any(off <= at and at + size <= off + length
+                   for off, length in segments):  # not read with the range
+            segments.append((at, size))
+        raws = [raw_span(off, length) for off, length in segments]
         fence_addr = leaf_addr + layout.lock_offset + LOCKLINE_FENCE_LOW
-        requests.append((fence_addr, LOCKLINE_FENCES_LEN))
-        payloads = yield from self.qp.read_batch(requests)
-        spans = []
-        for (off, length), data in zip(segments, payloads[:-1]):
-            raw_off, _raw_len = raw_span(off, length)
-            spans.append(StripedSpan(data, base=raw_off))
-        view = LeafNodeView(layout, SpanSet(spans))
+        payloads = yield from self.qp.read_batch(
+            [(leaf_addr + raw_off, raw_len) for raw_off, raw_len in raws]
+            + [(fence_addr, LOCKLINE_FENCES_LEN)])
+        view = LeafNodeView(layout, SpanSet([
+            StripedSpan(data, base=raw_off)
+            for (raw_off, _raw_len), data in zip(raws, payloads)]))
         fences = payloads[-1]
         fence_low = decode_key(fences, 0)
         fence_high = decode_key(fences, 8)

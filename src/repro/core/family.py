@@ -409,19 +409,16 @@ class FamilyClientBase(SpanInstrumentedOps):
     def _read_scan_leaves(self, addrs: List[int], key: int,
                           first: tuple = ()) -> Generator:
         """Whole-leaf READs of *addrs* in one batch — the first leaf's
-        through ``first = (shape, homes)`` of ``_first_leaf_read``, if
-        given — each decoded by the leaf format's ``_scan_leaf(raw, key,
+        through ``first = (read,)`` of ``_first_leaf_read``, if given —
+        each decoded by the leaf format's ``_scan_leaf(raw, key,
         *first) -> (pairs >= key, read)`` and re-read alone while that
         finds it torn."""
         size = self.layout.raw_size
-        requests = [(addr, size) for addr in addrs]
-        if first:
-            parts = [(addrs[0] + off, length)
-                     for off, length in first[0].rounds[0]]
-            requests[:1] = parts
-        payloads = yield from self.qp.read_batch(requests)
-        if first:
-            payloads[:len(parts)] = [b"".join(payloads[:len(parts)])]
+        parts = first[0].rounds[0] if first else [(0, size)]
+        payloads = yield from self.qp.read_batch(
+            [(addrs[0] + off, length) for off, length in parts]
+            + [(addr, size) for addr in addrs[1:]])
+        payloads[:len(parts)] = [b"".join(payloads[:len(parts)])]
         leaves = []
         for addr, raw in zip(addrs, payloads):
             retry = None

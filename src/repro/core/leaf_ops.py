@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Generator, List, Optional, Sequence, Tuple
 
-from repro.core.node_layout import LeafLayout, ReadShape
+from repro.core.node_layout import FirstLeafRead, LeafLayout, ReadShape
 from repro.core.nodes import LeafNodeView, SortedNodeView
 from repro.errors import HashTableFullError, LayoutError, TornReadError
 from repro.hashing.hopscotch import distance, place_fresh
@@ -75,19 +75,22 @@ class HopscotchLeafOpsMixin:
     """
 
     def _scan_leaf(self, raw: bytes, key: int,
-                   shape: Optional[ReadShape] = None, homes=None):
-        """One leaf of a scan batch, through *shape* checking the bitmaps
-        of *homes* (:meth:`_first_leaf_read`) or the whole-leaf shape:
-        NV, EV and bitmap checks, then the pairs >= *key* and the read."""
-        if shape is None:  # the shape starts at the first payload byte
-            shape, raw = self.layout.full_shape(), memoryview(raw)[1:]
-        read = shape.decode(raw, self.home_of, homes)
+                   first: Optional[FirstLeafRead] = None):
+        """One leaf of a scan batch, read whole or as *first*
+        (:meth:`_first_leaf_read`): NV, EV and bitmap checks, then the
+        pairs >= *key* and the read."""
+        if first is None:  # the shape starts at the first payload byte
+            read = self.layout.full_shape().decode(memoryview(raw)[1:],
+                                                   self.home_of)
+        else:
+            read = first.decode(raw, self.home_of)
         return read.pairs(key), read
 
     def _first_leaf_read(self, key: int, high: int) -> tuple:
-        """``(shape, homes)`` of :meth:`LeafLayout.first_leaf_read`, or
-        () to read the scan's first leaf whole."""
-        return self.layout.first_leaf_read(key, high, self.home_of) or ()
+        """``(read,)`` of :meth:`LeafLayout.first_leaf_read`, or () to
+        read the scan's first leaf whole."""
+        first = self.layout.first_leaf_read(key, high, self.home_of)
+        return () if first is None else (first,)
 
     # -- lock-free reads ----------------------------------------------------------
 
@@ -125,24 +128,20 @@ class HopscotchLeafOpsMixin:
     def _fetch_leaf(self, leaf_addr: int,
                     segments: Sequence[Tuple[int, int]]) -> Generator:
         """READ logical segments of a leaf; single READ or doorbell batch."""
-        requests = []
-        raw_offs = []
-        for off, length in segments:
-            raw_off, raw_len = raw_span(off, length)
-            raw_offs.append(raw_off)
-            requests.append((leaf_addr + raw_off, raw_len))
-        if len(requests) == 1:
-            data = yield from self.qp.read(*requests[0])
-            span = StripedSpan(data, base=raw_offs[0])
-            return LeafNodeView(self.layout, span)
-        payloads = yield from self.qp.read_batch(requests)
-        spans = [StripedSpan(data, base=raw_off)
-                 for raw_off, data in zip(raw_offs, payloads)]
-        return LeafNodeView(self.layout, SpanSet(spans))
+        raws = [raw_span(off, length) for off, length in segments]
+        if len(raws) == 1:
+            (raw_off, raw_len), = raws
+            data = yield from self.qp.read(leaf_addr + raw_off, raw_len)
+            return LeafNodeView(self.layout, StripedSpan(data, base=raw_off))
+        payloads = yield from self.qp.read_batch(
+            [(leaf_addr + raw_off, raw_len) for raw_off, raw_len in raws])
+        return LeafNodeView(self.layout, SpanSet([
+            StripedSpan(data, base=raw_off)
+            for (raw_off, _raw_len), data in zip(raws, payloads)]))
 
     def _fetch_whole(self, leaf_addr: int) -> Generator:
         """READ the entire leaf (splits, repairs, extended hop ranges)."""
-        return self._fetch_leaf(leaf_addr, [self.layout.full_span()])
+        return self._fetch_leaf(leaf_addr, [(0, self.layout.logical_size)])
 
     def _fetch_neighborhood_view(self, leaf_addr: int,
                                  home: int) -> Generator:

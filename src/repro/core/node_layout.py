@@ -32,6 +32,7 @@ The lock word packs (paper §4.2.1/§4.2.3)::
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, repeat
@@ -49,6 +50,7 @@ from repro.layout.image import (
 )
 from repro.memory.region import CACHE_LINE, NULL_ADDR
 from repro.obs.bus import BUS
+from repro.rdma.nic import WIRE_OVERHEAD
 
 #: Lock-word field widths.
 LOCK_BIT = 0x1
@@ -278,8 +280,9 @@ class SortedNodeLayout:
         raise LayoutError(f"node entry index {index} out of range")
 
 
-#: Block-run read shapes one layout keeps (a scan's first leaf, §4.4).
-MAX_BLOCK_SHAPES = 64
+#: Raw gap under which two runs of a scan's first leaf are one READ: a
+#: READ costs the MN's egress ``WIRE_OVERHEAD`` bytes on top of its data.
+MERGE_GAP = WIRE_OVERHEAD
 #: 1 << position, for every entry position a leaf can have.
 _POSITION_BIT = tuple(1 << position for position in range(1 << ARGMAX_BITS))
 _REPLICA = struct.Struct("<BQ")  # [valid:1][sibling:8]
@@ -298,27 +301,30 @@ class DecodedNeighborhood:
     read-only, decoded from the de-striped payload on demand.
 
     ``sibling`` / ``valid`` come from the metadata replica the read
-    carried; a speculative single-entry read carries none (both None).
+    carried, at payload offset *replica_at*; a speculative single-entry
+    read carries none (both None, and no fences).
     """
 
-    __slots__ = ("sibling", "valid", "_shape", "_payload", "_keys")
+    __slots__ = ("sibling", "valid", "_shape", "_payload", "_keys",
+                 "_replica_at")
 
     def __init__(self, shape: "ReadShape", payload: bytearray,
-                 keys: Tuple[int, ...], valid: Optional[bool],
-                 sibling: Optional[int]) -> None:
-        self.sibling = sibling
-        self.valid = valid
-        self._shape = shape
-        self._payload = payload
-        self._keys = keys
+                 keys: Tuple[int, ...],
+                 replica_at: Optional[int] = None) -> None:
+        self.sibling = self.valid = None
+        if replica_at is not None:
+            valid, self.sibling = _REPLICA.unpack_from(payload, replica_at)
+            self.valid = bool(valid)
+        self._shape, self._payload, self._keys = shape, payload, keys
+        self._replica_at = replica_at
 
     @property
     def fences(self) -> Tuple[int, int]:
         """(fence_low, fence_high) of the carried replica."""
-        fences_at = self._shape._fences_at
-        if fences_at is None:
+        if self._replica_at is None or not self._shape._layout.fence_keys:
             raise LayoutError("read carries no fence keys")
-        return _FENCES.unpack_from(self._payload, fences_at)
+        return _FENCES.unpack_from(self._payload, self._replica_at
+                                   + self._shape._layout.replica_off_fence_low)
 
     def find(self, key: int) -> Optional[Tuple[int, int]]:
         """(entry position, value) of *key*, or None.
@@ -352,9 +358,9 @@ class ReadShape:
     validate and decode it in a fixed handful of C calls.
 
     A shape is built once per fetched-segment pattern of a layout — the
-    neighbourhood of one home, one speculatively read entry, the whole
-    leaf, or the blocks of a scan's first leaf — from the layout's own
-    offset tables.
+    neighbourhood of one home, one speculatively read entry, or the
+    whole leaf — from the layout's own offset tables: at most
+    ``2 * span + 1`` of them.
     ``rounds`` are the raw ``(offset, length)`` READs relative to the
     leaf address, one round trip each (a round of several requests is a
     doorbell batch).  :meth:`decode` takes the payloads concatenated in
@@ -365,8 +371,7 @@ class ReadShape:
 
     __slots__ = ("rounds", "raw_len", "positions", "_homes", "_versions",
                  "_ev_entry", "_ev_line", "_strips", "_keys", "_bitmap_at",
-                 "_replica_at", "_fences_at", "_values", "_value_size",
-                 "_layout")
+                 "_replica_at", "_values", "_value_size", "_layout")
 
     def __init__(self, layout: "LeafLayout",
                  rounds: Sequence[Sequence[Tuple[int, int]]],
@@ -375,8 +380,7 @@ class ReadShape:
         """*rounds* hold logical segments, *entries* the fully fetched
         entry indices in payload order; a neighbourhood shape names its
         *home* (first of *entries*) and the replica it carries, the
-        whole-leaf and block-run shapes a replica and no home (a
-        block-run read is told its homes at :meth:`decode`)."""
+        whole-leaf shape a replica and no home."""
         segments = [segment for group in rounds for segment in group]
         self.rounds = tuple(tuple(versions.raw_span(off, length)
                                   for off, length in group)
@@ -432,21 +436,18 @@ class ReadShape:
         self._layout = layout
         self._bitmap_at = {position: at + layout.ENTRY_OFF_BITMAP
                            for position, at in zip(entries, entry_at)}
-        self._replica_at = self._fences_at = None
-        if replica_block is not None:
-            self._replica_at = index_in(
-                segments, layout.replica_offset(replica_block))
-            if layout.fence_keys:
-                self._fences_at = (self._replica_at
-                                   + layout.replica_off_fence_low)
+        self._replica_at = None if replica_block is None else index_in(
+            segments, layout.replica_offset(replica_block))
 
     def decode(self, raw: bytes, hash_home: Optional[Callable] = None,
-               homes: Optional[Sequence[int]] = None) -> DecodedNeighborhood:
+               homes: Optional[Sequence[int]] = None,
+               replica_at: Optional[int] = None) -> DecodedNeighborhood:
         """Check and decode the fetched bytes, level 3 over the bitmaps
         of *homes* (by default the shape's own home; with neither, the
-        whole leaf's); raises :class:`TornReadError` on a torn state and
-        :class:`LayoutError` when *raw* is not exactly the bytes this
-        shape fetches."""
+        whole leaf's), the metadata from the replica at payload offset
+        *replica_at* (by default the shape's); raises
+        :class:`TornReadError` on a torn state and :class:`LayoutError`
+        when *raw* is not exactly the bytes this shape fetches."""
         if len(raw) != self.raw_len:
             raise LayoutError(
                 f"read shape expects {self.raw_len} raw bytes, got {len(raw)}")
@@ -464,14 +465,14 @@ class ReadShape:
             del payload[strip]
         keys = self._keys.unpack(payload)
         if self._replica_at is None:  # one speculative entry: no bitmap
-            return DecodedNeighborhood(self, payload, keys, None, None)
+            return DecodedNeighborhood(self, payload, keys)
         homes = self._homes if homes is None else homes
         if homes is None:
             self._check_image_bitmaps(payload, keys, hash_home)
         else:
             self._check_bitmap(payload, keys, hash_home, homes)
-        valid, sibling = _REPLICA.unpack_from(payload, self._replica_at)
-        return DecodedNeighborhood(self, payload, keys, bool(valid), sibling)
+        return DecodedNeighborhood(self, payload, keys, self._replica_at
+                                   if replica_at is None else replica_at)
 
     def _check_bitmap(self, payload: bytearray, keys: Tuple[int, ...],
                       hash_home: Callable, homes: Sequence[int]) -> None:
@@ -523,6 +524,62 @@ class ReadShape:
                     raise _torn(3, f"entry {pos} is flagged past the table's "
                                 f"end, but not by its key's home {home} "
                                 "(in-flight hop)")
+
+
+class FirstLeafRead:
+    """A scan's first leaf read in the neighbourhoods ``[h, h + H)`` of
+    its candidates' *homes* and one replica (§4.4), a READ per run of
+    entries (``MERGE_GAP`` apart) in the scan's doorbell batch.  Nothing
+    is compiled per read: :meth:`decode` checks the fetched bytes placed
+    in a leaf image through the whole leaf's shape, where every version
+    byte not fetched copies a fetched one (NV and EV see only fetched
+    bytes) and every other byte not fetched is zero: an empty entry.
+    """
+
+    __slots__ = ("rounds", "raw_len", "homes", "_layout", "_version_at",
+                 "_replica_at")
+
+    def __init__(self, layout: "LeafLayout", homes: set, entries: int) -> None:
+        """*entries*: bit *i* set for every entry *i* to fetch."""
+        ranges, reach = layout._entry_ev_ranges, layout.neighborhood
+        runs = []  # [first entry, last entry, raw start, raw end] per READ
+        while entries:
+            lowest = entries & -entries
+            first = lowest.bit_length() - 1
+            last = (entries & ~(entries + lowest)).bit_length() - 1
+            entries &= entries + lowest
+            if runs and ranges[first][0] - runs[-1][3] < MERGE_GAP:
+                runs[-1][1], runs[-1][3] = last, ranges[last][2]
+            else:
+                runs.append([first, last, ranges[first][0], ranges[last][2]])
+        for run in runs:  # a replica between two entries of a run
+            block = run[0] // reach + 1
+            if block * reach <= run[1]:
+                break
+        else:  # else the one in front of a run opening its block
+            run = next(run for run in runs if run[0] % reach == 0)
+            block = run[0] // reach
+            run[2] = versions.raw_of(block * layout.block_size)
+        self.rounds = (tuple((start, end - start)
+                             for _first, _last, start, end in runs),)
+        self.raw_len = sum(end - start for _first, _last, start, end in runs)
+        self.homes, self._layout = homes, layout
+        self._version_at = ranges[runs[0][0]][0] - runs[0][2]
+        self._replica_at = block * layout.block_size
+
+    def decode(self, raw: bytes, hash_home: Callable) -> DecodedNeighborhood:
+        """The whole leaf's checks and decode over the fetched bytes,
+        level 3 over the candidate homes (raw bytes of another length
+        raise :class:`LayoutError` there)."""
+        layout, at = self._layout, self._version_at
+        image = bytearray(layout._version_mask.replace(b"\x01",
+                                                       raw[at:at + 1]))
+        at = 0
+        for off, length in self.rounds[0]:  # the image starts at raw 1
+            image[off - 1:off - 1 + length] = raw[at:at + length]
+            at += length
+        return layout.full_shape().decode(image, hash_home, self.homes,
+                                          self._replica_at)
 
 
 @dataclass(frozen=True)
@@ -642,12 +699,20 @@ class LeafLayout:
                for index, off in entries], logical_size))
         # Read shapes, compiled on first use: one per neighbourhood home
         # (and, under None, the whole leaf's) and one per speculatively
-        # read entry — at most 2 * span + 1 — and the last
-        # ``MAX_BLOCK_SHAPES`` block runs of scans' first leaves.
+        # read entry — at most 2 * span + 1.  A scan's first leaf is
+        # decoded through the whole leaf's from an image laid over this
+        # mask of its version bytes (:class:`FirstLeafRead`).
         set_attr(self, "_neighborhood_shapes", {})
         set_attr(self, "_entry_shapes", {})
-        set_attr(self, "_block_shapes", {})
-        set_attr(self, "_whole_from", {})  # high -> start; one per leaf range
+        mask = bytearray(raw)
+        for pos in (*range(0, raw, versions.LINE), *next(zip(*ev_ranges))):
+            mask[pos] = 1
+        set_attr(self, "_version_mask", bytes(mask[1:]))
+        set_attr(self, "_suffixes", {})  # high -> homes below it
+        ones = (1 << self.neighborhood) - 1
+        set_attr(self, "_home_entries", tuple(  # each neighbourhood's entries
+            (ones << home | ones >> span - home) & ((1 << span) - 1)
+            for home in range(span)))
         set_attr(self, "_home_blocks", tuple(  # blocks each neighbourhood spans
             1 << home // self.neighborhood | 1 << (home + self.neighborhood - 1)
             % span // self.neighborhood for home in range(span)))
@@ -777,54 +842,35 @@ class LeafLayout:
         shape = self._neighborhood_shapes.get(None)  # no home: all of them
         if shape is None:
             shape = self._neighborhood_shapes[None] = ReadShape(
-                self, [[self.full_span()]], range(self.span), replica_block=0)
+                self, [[(0, self.logical_size)]], range(self.span),
+                replica_block=0)
         return shape
 
     def first_leaf_read(self, key: int, high: int, home_of: Callable
-                        ) -> Optional[Tuple[ReadShape, set]]:
-        """``(shape, homes)`` of a scan's first leaf, which can hold no
-        key outside the candidates [*key*, *high*) (§4.4): the compiled
-        read of the blocks (replica + H entries) holding the
-        neighbourhoods of the candidates' homes — any key there is within
-        H of its home — each run of adjacent blocks one READ of one
-        doorbell batch.  None — read the leaf whole — from ``span``
-        candidates on or once their blocks are all of them, which hashing
-        from *high* down finds once per *high*."""
+                        ) -> Optional["FirstLeafRead"]:
+        """A scan's first leaf, which can hold no key outside the
+        candidates [*key*, *high*) (§4.4), read in the neighbourhoods of
+        the candidates' homes; None — read it whole — from ``span``
+        candidates on, once those reach into every block, or with no
+        replicas.  The homes are a slice of *high*'s suffix, hashed
+        once per leaf range."""
         if not self.replicated:
             return None
-        home_blocks, every = self._home_blocks, (1 << self.num_blocks) - 1
-        floor = self._whole_from.get(high)
-        if floor is None:  # the last start whose candidates span it all
-            floor, blocks = high - self.span, 0
-            for start in range(high - 1, floor, -1):
-                blocks |= home_blocks[home_of(start)]
+        suffix = self._suffixes.get(high)
+        if suffix is None:  # homes of high - 1, ... while a block is left
+            every, blocks = (1 << self.num_blocks) - 1, 0
+            suffix = self._suffixes[high] = array("H")
+            for start in range(high - 1, max(high - self.span, 0), -1):
+                home = home_of(start)
+                blocks |= self._home_blocks[home]
                 if blocks == every:
-                    floor = start
                     break
-            self._whole_from[high] = floor
-        if key <= floor:
+                suffix.append(home)
+        if not 0 < high - key <= len(suffix):
             return None
-        homes = set(map(home_of, range(key, high)))
-        blocks = reduce(or_, map(home_blocks.__getitem__, homes))
-        shapes = self._block_shapes
-        shape = shapes.pop(blocks, None)  # re-filed last: most recent
-        if shape is None:
-            if len(shapes) == MAX_BLOCK_SHAPES:
-                del shapes[next(iter(shapes))]  # the least recently used
-            chosen = [block for block in range(self.num_blocks)
-                      if blocks >> block & 1]
-            size, reach = self.block_size, self.neighborhood
-            runs = []  # [offset, length] per run of adjacent blocks
-            for block in chosen:
-                if runs and sum(runs[-1]) == block * size:
-                    runs[-1][1] += size
-                else:
-                    runs.append([block * size, size])
-            entries = [entry for block in chosen
-                       for entry in range(block * reach, (block + 1) * reach)]
-            shape = ReadShape(self, [runs], entries, replica_block=chosen[0])
-        shapes[blocks] = shape
-        return shape, homes
+        homes = set(suffix[:high - key])
+        return FirstLeafRead(self, homes, reduce(
+            or_, map(self._home_entries.__getitem__, homes)))
 
     def range_segments(self, first: int, last: int) -> List[Tuple[int, int]]:
         """Logical segments covering entries [first..last] (circular) plus
@@ -847,21 +893,3 @@ class LeafLayout:
         stop = self.entry_offset(self.span - 1) + self.entry_size
         head_stop = self.entry_offset(last) + self.entry_size
         return [(start, stop - start), (0, head_stop)]
-
-    def entries_covered_by_range(self, first: int, last: int) -> set:
-        """Entry indices whose bytes :meth:`range_segments` fully fetches.
-
-        A non-wrapped segment starts at the replica of *first*'s block, so
-        it also covers the entries between the block start and *first*.
-        """
-        if first <= last:
-            start_entry = (self.block_of(first) * self.neighborhood
-                           if self.replicated else first)
-            return set(range(start_entry, last + 1))
-        # Wrapped: the tail segment starts at *first* itself (the head
-        # segment carries block 0's replica).
-        return set(range(first, self.span)) | set(range(0, last + 1))
-
-    def full_span(self) -> Tuple[int, int]:
-        """The whole logical payload as one segment."""
-        return (0, self.logical_size)

@@ -138,7 +138,7 @@ class SortedNodeView:
 
     @property
     def nv(self) -> int:
-        return self.span.payload_byte(self.layout.OFF_VERSION) >> 4
+        return self.span.read_logical(self.layout.OFF_VERSION, 1)[0] >> 4
 
     def entry(self, index: int) -> Tuple[int, int]:
         layout = self.layout
@@ -160,7 +160,7 @@ class SortedNodeView:
         returns the raw (offset, bytes) that write the entry back."""
         layout = self.layout
         off = layout.entry_offset(index)
-        nv, ev = unpack_version(self.span.payload_byte(off))
+        nv, ev = unpack_version(self.span.read_logical(off, 1)[0])
         self.span.write_logical(off, bytes([pack_version(nv, bump_nibble(ev))]))
         self.span.bump_entry_versions(off, layout.entry_size)
         self.span.write_logical(off + 1, encode_key(key) + encode_value(value, layout.value_size))
@@ -194,8 +194,8 @@ class SortedNodeView:
         pivots, children = self._columns()
         return ParsedInternal(
             addr=addr,
-            level=self.span.payload_byte(layout.OFF_LEVEL) if layout.level_byte else 0,
-            valid=bool(self.span.payload_byte(layout.off_valid)),
+            level=self.span.read_logical(layout.OFF_LEVEL, 1)[0] if layout.level_byte else 0,
+            valid=bool(self.span.read_logical(layout.off_valid, 1)[0]),
             count=len(pivots),
             fence_low=self.fence_low,
             fence_high=self.fence_high,
@@ -445,11 +445,3 @@ class LeafNodeView:
         """Entry index holding the maximum key (0 when node is empty)."""
         keys = self.keys()
         return keys.index(max(keys))
-
-    def set_all_nv(self, nv: int) -> None:
-        """Node-write semantics: bump every NV nibble, reset every EV."""
-        self.span.set_all_versions(nv, 0)
-        byte = pack_version(nv, 0)
-        for index in range(self.layout.span):
-            self.span.write_logical(self.layout.entry_offset(index),
-                                    bytes([byte]))

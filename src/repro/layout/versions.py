@@ -160,12 +160,15 @@ class StripedSpan:
 
     # -- payload access ------------------------------------------------------
 
+    def _outside(self, index: int) -> LayoutError:
+        """The error for raw byte *index* of ``data``, outside the span."""
+        return LayoutError(f"raw offset {index + self.base} outside span "
+                           f"[{self.base}, {self.base + len(self.data)})")
+
     def _raw_index(self, raw_off: int) -> int:
         index = raw_off - self.base
         if index < 0 or index >= len(self.data):
-            raise LayoutError(
-                f"raw offset {raw_off} outside span "
-                f"[{self.base}, {self.base + len(self.data)})")
+            raise self._outside(index)
         return index
 
     def read_logical(self, logical_off: int, length: int) -> bytes:
@@ -176,9 +179,7 @@ class StripedSpan:
         within = logical_off - line * PAYLOAD_PER_LINE
         start = line * LINE + 1 + within - self.base
         if start < 0 or start >= size:
-            raise LayoutError(
-                f"raw offset {start + self.base} outside span "
-                f"[{self.base}, {self.base + size})")
+            raise self._outside(start)
         take = PAYLOAD_PER_LINE - within
         if length <= take:
             # Fast path: the whole read lives inside one cache line.
@@ -190,9 +191,7 @@ class StripedSpan:
         start += take + 1  # skip the next line's version byte
         while remaining > 0:
             if start >= size:
-                raise LayoutError(
-                    f"raw offset {start + self.base} outside span "
-                    f"[{self.base}, {self.base + size})")
+                raise self._outside(start)
             take = PAYLOAD_PER_LINE if remaining > PAYLOAD_PER_LINE \
                 else remaining
             parts.append(data[start:start + take])
@@ -220,17 +219,6 @@ class StripedSpan:
         del payload[-base % LINE::LINE]  # destripe_slice(base, end), inline
         return payload
 
-    def payload_byte(self, logical_off: int) -> int:
-        """The single payload byte at *logical_off* (no bytes allocation)."""
-        line = logical_off // PAYLOAD_PER_LINE
-        index = line * LINE + 1 + (logical_off - line * PAYLOAD_PER_LINE) \
-            - self.base
-        if index < 0 or index >= len(self.data):
-            raise LayoutError(
-                f"raw offset {index + self.base} outside span "
-                f"[{self.base}, {self.base + len(self.data)})")
-        return self.data[index]
-
     def write_logical(self, logical_off: int, payload: bytes) -> None:
         """Store *payload* at *logical_off*, leaving version bytes alone."""
         data = self.data
@@ -240,9 +228,7 @@ class StripedSpan:
         within = logical_off - line * PAYLOAD_PER_LINE
         start = line * LINE + 1 + within - self.base
         if start < 0 or start >= size:
-            raise LayoutError(
-                f"raw offset {start + self.base} outside span "
-                f"[{self.base}, {self.base + size})")
+            raise self._outside(start)
         take = PAYLOAD_PER_LINE - within
         if total <= take:
             # Fast path: the whole write lives inside one cache line.
@@ -257,9 +243,7 @@ class StripedSpan:
         start += take + 1  # skip the next line's version byte
         while written < total:
             if start >= size:
-                raise LayoutError(
-                    f"raw offset {start + self.base} outside span "
-                    f"[{self.base}, {self.base + size})")
+                raise self._outside(start)
             take = PAYLOAD_PER_LINE if total - written > PAYLOAD_PER_LINE \
                 else total - written
             if start + take > size:
@@ -354,9 +338,6 @@ class SpanSet:
 
     def read_logical(self, logical_off: int, length: int) -> bytes:
         return self._route(logical_off, length).read_logical(logical_off, length)
-
-    def payload_byte(self, logical_off: int) -> int:
-        return self._route(logical_off, 1).payload_byte(logical_off)
 
     def write_logical(self, logical_off: int, payload: bytes) -> None:
         self._route(logical_off, len(payload)).write_logical(logical_off, payload)

@@ -15,7 +15,8 @@ imports or calls a name in :data:`__all__`):
   :func:`check_hopscotch_bitmap` — §4.1's three reader-side checks,
   entry by entry (:class:`repro.core.node_layout.ReadShape` runs them
   compiled), over one entry's version nibbles read byte by byte
-  (:func:`entry_nv`, :func:`entry_evs`).
+  (:func:`entry_nv`, :func:`entry_evs`), and :func:`set_all_nv`, a node
+  write's versions on a local leaf view.
 * :func:`compose_leaf` / :func:`compose_sorted_leaf` — a hopscotch leaf
   / a sorted-array node (leaf or internal) written field by field
   (``LeafLayout.encode_image`` / ``SortedNodeView.compose`` go through
@@ -84,6 +85,7 @@ __all__ = [
     "entry_nv",
     "image_nv",
     "reconstruct_bitmap",
+    "set_all_nv",
     "smart_bulk_load_per_key",
 ]
 
@@ -171,7 +173,7 @@ def check_nv_uniform(nv_values: Iterable[int]) -> None:
 
 def entry_nv(view: LeafNodeView, index: int) -> int:
     """The NV nibble of one entry's own version byte."""
-    return view.span.payload_byte(view.layout.entry_offset(index)) >> 4
+    return view.span.read_logical(view.layout.entry_offset(index), 1)[0] >> 4
 
 
 def entry_evs(view: LeafNodeView, index: int) -> List[int]:
@@ -183,7 +185,7 @@ def entry_evs(view: LeafNodeView, index: int) -> List[int]:
     span = view.span
     if isinstance(span, SpanSet):
         span = span._span_for(raw_off, raw_len)
-    return [span.payload_byte(off) & 0xF] + [
+    return [span.read_logical(off, 1)[0] & 0xF] + [
         span.data[pos - span.base] & 0xF
         for pos in line_version_positions(raw_off, raw_len)]
 
@@ -226,6 +228,15 @@ def check_hopscotch_bitmap(view: LeafNodeView, home: int, hash_home) -> None:
         raise TornReadError(
             f"hopscotch bitmap of home {home} is {stored:#06x}, keys say "
             f"{actual:#06x} (in-flight hop)")
+
+
+def set_all_nv(view: LeafNodeView, nv: int) -> None:
+    """Node-write semantics on a local leaf view: every NV nibble *nv*,
+    every EV reset."""
+    view.span.set_all_versions(nv, 0)
+    byte = bytes([pack_version(nv, 0)])
+    for index in range(view.layout.span):
+        view.span.write_logical(view.layout.entry_offset(index), byte)
 
 
 def collect_leaf_nv(view: LeafNodeView, indices: Sequence[int]) -> List[int]:

@@ -317,15 +317,6 @@ class TestLeafNodeView:
         assert not entry.occupied
         assert entry.bitmap == 0b11
 
-    def test_set_all_nv_resets_evs(self):
-        layout = LeafLayout(span=16, neighborhood=8)
-        view = LeafNodeView.blank(layout)
-        view.write_entry(3, 9, 9)
-        view.set_all_nv(7)
-        assert set(entry_evs(view, 3)) == {0}
-        assert set(view.span.nv_nibbles()) == {7}
-        assert entry_nv(view, 3) == 7
-
     def test_items_and_occupancy(self):
         layout = LeafLayout(span=16, neighborhood=8)
         view = LeafNodeView.blank(layout)

@@ -221,10 +221,11 @@ class TestEventLogsPinned:
 #: a lost verb began to count a retry and back off (8205 -> 8204 events),
 #: and both when hopscotch bitmaps shrank to ⌈H/8⌉ bytes (8204 -> 8203);
 #: ``sharded-scan`` again when a scan's first leaf began to read only the
-#: blocks its candidate keys can live in (3731 -> 3783).
+#: blocks its candidate keys can live in (3731 -> 3783), and only the
+#: entries of those candidates' neighbourhoods (3783 -> 3843).
 SHARDED_LOGS = {
-    "sharded-scan": (3783, "bfec6c936f4155ebaf2a4c2be0a2f962"
-                           "778b99050e556b71151c74513cf00b8c"),
+    "sharded-scan": (3843, "f41c6672ee988d2fdcd1993f0dae38a0"
+                           "ab64aec79657ef7252c7560ad61a206d"),
     "sharded-chaos": (8203, "6d5c1a18c0e9deaa595d8e7b83551889"
                             "6b2f204aa34923c66b68d520d81ad8c0",
                       "01bef1553e28a0851cab4e0f123e7091"

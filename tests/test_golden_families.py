@@ -32,7 +32,8 @@ built, ``flexkv A placement=mn``; the ``cache_bytes=512`` FlexKV rows,
 recorded before that deletion, reach the MN-side RPCs through the
 cache-pressure policy instead.  Reading only the blocks a scan's first
 leaf can hold keys in (§4.4 entry exclusion) re-recorded the four chime
-and chime-indirect ``E`` rows.
+and chime-indirect ``E`` rows, and reading only the entries of the
+candidates' neighbourhoods in those blocks re-recorded them again.
 
 The second half pins what the deleted ``repro perf --check`` enforced:
 the event counts of twelve YCSB-C points at the :data:`PINNED` scale,
@@ -77,13 +78,13 @@ GOLDEN = {
     ('chime', 'D', ()):
         (1185, 120, (126, 147, 134, 8, 5, 0, 16062, 125, 1), '0.0001062555866666667'),
     ('chime', 'E', ()):
-        (1704, 120, (148, 292, 259, 18, 15, 0, 256466, 256, 6), '0.00014663540000000005'),
+        (1796, 120, (148, 315, 282, 18, 15, 0, 245138, 256, 6), '0.00014696701333333337'),
     ('chime-indirect', 'A', ()):
         (2811, 120, (374, 437, 195, 162, 80, 4, 17313, 2278, 26), '0.0003755026800000002'),
     ('chime-indirect', 'D', ()):
         (2143, 120, (248, 266, 246, 12, 8, 3, 17858, 189, 4), '0.00021259421333333424'),
     ('chime-indirect', 'E', ()):
-        (37694, 120, (4650, 4790, 4754, 27, 9, 4, 328386, 400, 0), '0.0038939159466667883'),
+        (37786, 120, (4650, 4813, 4777, 27, 9, 4, 317058, 400, 0), '0.003893651653333454'),
     ('sherman', 'A', ()):
         (1972, 120, (247, 302, 121, 110, 71, 0, 137218, 1384, 16), '0.00022139194666666762'),
     ('sherman', 'D', ()):
@@ -187,11 +188,11 @@ GOLDEN = {
     ('chime', 'A', (('cn_nic', NicSpec()),)):
         (2998, 120, (246, 314, 134, 110, 70, 0, 16339, 1440, 15), '0.00022694742666666808'),
     ('chime', 'E', (('cn_nic', NicSpec()),)):
-        (2315, 120, (150, 293, 258, 18, 17, 0, 256447, 256, 8), '0.0001511824933333335'),
+        (2407, 120, (150, 316, 281, 18, 17, 0, 245119, 256, 8), '0.00015073294666666692'),
     ('chime', 'A', (('mn_nic', NicSpec(lanes=2)),)):
         (2010, 120, (246, 313, 133, 110, 70, 0, 16201, 1440, 15), '0.0002251565866666676'),
     ('chime', 'E', (('num_mns', 2),)):
-        (1715, 120, (150, 293, 258, 18, 17, 0, 256447, 256, 8), '0.00014379216000000007'),
+        (1807, 120, (150, 316, 281, 18, 17, 0, 245119, 256, 8), '0.0001437985333333334'),
     ('smart', 'A', (('num_mns', 2),)):
         (2621, 120, (339, 339, 285, 54, 0, 0, 210768, 432, 0), '0.0003254292666666671'),
     ('chime', 'A', (('torn_writes', False), ('value_size', 64))):

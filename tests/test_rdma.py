@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.node_layout import MERGE_GAP
 from repro.errors import MemoryAccessError
 from repro.memory import MemoryNode, ChunkAllocator, addr_mn, make_addr
 from repro.rdma import Nic, NicSpec, RdmaQp, WIRE_OVERHEAD
@@ -45,6 +46,27 @@ class TestNicModel:
         crossover = 12.5e9 / 100e6 - WIRE_OVERHEAD  # 85 bytes
         assert spec.service_time(int(crossover) - 10) == pytest.approx(1e-8)
         assert spec.service_time(int(crossover) + 50) > 1e-8
+
+    def test_merge_gap_is_one_reads_fixed_cost_at_the_mn(self):
+        """A scan's first leaf fetches two runs of entries as one READ
+        when the gap between them is under ``MERGE_GAP`` raw bytes
+        (§4.4).  Measured on the MN's egress, the bottleneck of a
+        scan-heavy run: splitting one READ in two at a gap of *g* bytes
+        saves *g* bytes of transfer and costs one message's fixed
+        overhead, so the two break even at ``MERGE_GAP``."""
+        def egress(requests):
+            engine, mns, qp = make_fabric()
+            run(engine, qp.read_batch([(make_addr(0, off), length)
+                                       for off, length in requests]))
+            return mns[0].nic.tx.busy_time_until(engine.now)
+
+        bandwidth = NicSpec().bandwidth
+        a, b = 157, 156  # two neighbourhoods' READs at H = 8
+        for gap in (0, 1, MERGE_GAP - 1, MERGE_GAP, MERGE_GAP + 1, 200):
+            split = egress([(0, a), (a + gap, b)])
+            merged = egress([(0, a + gap + b)])
+            assert (split - merged) * bandwidth == pytest.approx(
+                MERGE_GAP - gap)
 
 
 class TestReadWrite:

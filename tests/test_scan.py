@@ -17,15 +17,22 @@ leaf.  The shared loop validates it;
 """
 
 import random
+from functools import partial
+from operator import or_
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
-from repro.core.leaf_ops import HopscotchLeafOpsMixin
+from repro.core.leaf_ops import HopscotchLeafOpsMixin, place_items
+from repro.core.node_layout import MERGE_GAP, LeafLayout
 from repro.core.nodes import LeafNodeView, SortedNodeView
 from repro.errors import TornReadError
+from repro.hashing import default_hash
 from repro.layout import StripedSpan
+from repro.layout.versions import raw_span
 from repro.memory import NULL_ADDR
 from repro.registry import build_index
 from repro.workloads.ycsb import dataset
@@ -126,7 +133,7 @@ def test_shared_scan_equals_the_whole_leaf_oracle(family, key_space_factor,
     skips no loaded key.  Once the writers are done, each client — its
     CN's cached parents as stale as the run left them — scans the same
     pairs as the oracle, which are the tree's.  A CHIME tree reads a
-    scan's first leaf only in the blocks its candidate keys can live in
+    scan's first leaf only in the entries its candidate keys can live in
     (§4.4) — on dense keys, often; the oracle reads every leaf whole."""
     first_leaf_read = HopscotchLeafOpsMixin._first_leaf_read
     partial = []
@@ -309,53 +316,135 @@ def test_a_scan_from_a_key_the_model_never_saw(family, monkeypatch):
                                for addr in after[:len(noted)]]
 
 
-def test_a_first_leaf_reads_the_blocks_of_its_candidate_homes():
+def neighbourhood(layout, home):
+    """(entries, blocks) of *home*'s neighbourhood: bit *i* set for each
+    entry *i* in it, bit *b* for each block *b* it reaches into."""
+    entries = [(home + offset) % layout.span
+               for offset in range(layout.neighborhood)]
+    return (sum(1 << entry for entry in entries),
+            sum(1 << block for block in
+                {entry // layout.neighborhood for entry in entries}))
+
+
+def check_first_leaf(layout, image, home_of, start, high, whole, homes,
+                     entries, blocks):
+    """The first-leaf read of candidates [*start*, *high*) out of the
+    raw leaf *image*, whose whole-leaf decode is *whole*: the leaf whole
+    (None) from ``span`` candidates on or once their *homes*'
+    neighbourhoods — the *entries* and *blocks* bits — reach into every
+    block; else every entry of *entries* and one replica, in READs at
+    least ``MERGE_GAP`` raw bytes apart, answering what the whole leaf
+    answers.  Returns the read's raw length, or None."""
+    read = layout.first_leaf_read(start, high, home_of)
+    if (high - start >= layout.span
+            or blocks == (1 << layout.num_blocks) - 1):
+        assert read is None
+        return None
+    assert read.homes == homes
+    requests = read.rounds[0]
+
+    def fetched(offset, length):
+        raw_off, raw_len = raw_span(offset, length)
+        return any(off <= raw_off and raw_off + raw_len <= off + size
+                   for off, size in requests)
+
+    assert all(fetched(layout.entry_offset(entry), layout.entry_size)
+               for entry in range(layout.span) if entries >> entry & 1)
+    assert read._replica_at % layout.block_size == 0
+    assert fetched(read._replica_at, layout.replica_size)
+    assert all(after - (off + size) >= MERGE_GAP for (off, size), (after, _)
+               in zip(requests, requests[1:]))
+    raw = b"".join(image[off:off + size] for off, size in requests)
+    assert len(raw) == read.raw_len
+    got = read.decode(raw, home_of)
+    assert got.pairs(start) == whole.pairs(start)
+    assert got.sibling == whole.sibling
+    return read.raw_len
+
+
+def test_a_first_leaf_reads_the_entries_of_its_candidate_homes():
     """Every start key of a bulk-loaded leaf's pivot range [low, high),
     dense (44 keys) and sparse (44 keys x 100): the scan's first leaf
     can hold only the candidates [start, high), so its read covers the
     neighbourhood of every candidate's home, carries a replica and
     answers what the whole leaf answers; from ``span`` candidates on it
-    is the whole leaf."""
+    is the whole leaf.  The homes accumulate from *high* down, one hash
+    per start."""
     cluster = Cluster(ClusterConfig(num_cns=1, clients_per_cn=1))
     index = build_index("chime", cluster)
     index.bulk_load([(k, k) for k in range(1, 2001)]
                     + [(k, k) for k in range(10**6, 10**6 + 440_000, 100)])
     client = index.client(next(iter(cluster.clients())))
     layout, home_of = client.layout, client.home_of
-    span, reach = layout.span, layout.neighborhood
-    every_block = set(range(layout.num_blocks))
     parent = next(node for _addr, node in index.internal_nodes()
                   if node.level == 1)
     wire = {"dense": [], "sparse": []}
     for kind, at in (("dense", 10), ("sparse", parent.count - 10)):
         leaf, low, high = (parent.children[at], parent.pivots[at],
                            parent.pivots[at + 1])
-        whole = layout.full_shape().decode(
-            index._host_read(leaf, layout.raw_size)[1:], home_of)
-        for start in range(low, high):
-            head = client._first_leaf_read(start, high)
-            homes = set(map(home_of, range(start, high)))
-            blocks = {home // reach for home in homes} | {
-                (home + reach - 1) % span // reach for home in homes}
-            if high - start >= span or blocks == every_block:
-                assert head == ()
-                continue
-            shape, got = head
-            assert got == homes
-            assert {(home + offset) % span for home in homes
-                    for offset in range(reach)} <= set(shape.positions)
-            assert shape._replica_at is not None
-            raw = b"".join(index._host_read(leaf + off, length)
-                           for off, length in shape.rounds[0])
-            read = shape.decode(raw, home_of, homes)
-            assert read.pairs(start) == whole.pairs(start)
-            assert read.sibling == whole.sibling
-            wire[kind].append(shape.raw_len)
-    assert len(layout._block_shapes) <= 64
+        image = index._host_read(leaf, layout.raw_size)
+        whole = layout.full_shape().decode(image[1:], home_of)
+        homes, entries, blocks = set(), 0, 0
+        for start in range(high - 1, low - 1, -1):
+            home = home_of(start)
+            homes.add(home)
+            entries, blocks = map(or_, (entries, blocks),
+                                  neighbourhood(layout, home))
+            raw_len = check_first_leaf(layout, image, home_of, start, high,
+                                       whole, homes, entries, blocks)
+            if raw_len is not None:
+                wire[kind].insert(0, raw_len)
+    assert client._first_leaf_read(high - 1, high)[0].homes == {
+        home_of(high - 1)}
     # Pinned: the raw bytes of each partial read, by start key (a whole
-    # leaf's READ is 1,252 bytes, one block 156 or 157).  The dense
-    # leaf's 44 candidates touch every block until 11 starts from its end.
+    # leaf's READ is 1,252 bytes, one neighbourhood 156 or 157).  The
+    # dense leaf's candidates reach into every block until 11 starts
+    # from its end, the sparse leaf's until 12.
     assert wire == {
-        "dense": [1094, 1094, 938, 938, 938, 782, 782, 625, 625, 625, 312],
-        "sparse": [1095, 938, 938, 782, 782, 782, 782, 782, 625, 625, 625,
-                   313]}
+        "dense": [936, 881, 761, 688, 688, 605, 532, 376, 340, 303, 156],
+        "sparse": [881, 725, 725, 660, 660, 660, 587, 587, 431, 394, 303,
+                   157]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(neighborhood=st.sampled_from([2, 8, 16]),
+       blocks=st.sampled_from([2, 4]), fence_keys=st.booleans(),
+       width=st.integers(1, 96), load=st.floats(0.1, 0.9),
+       seed=st.integers(0, 2**32))
+def test_a_first_leaf_read_equals_the_whole_leaf(neighborhood, blocks,
+                                                 fence_keys, width, load,
+                                                 seed):
+    """Random leaves of keys in [low, high), 1- and 2-byte bitmaps, with
+    or without fence keys, the last candidate's neighbourhood wrapping
+    past the table's end: at every start the first-leaf read answers
+    what the whole leaf answers (:func:`check_first_leaf`), and a layout
+    without replicas reads the leaf whole."""
+    rng = random.Random(seed)
+    layouts = [LeafLayout(span=neighborhood * blocks,
+                          neighborhood=neighborhood, fence_keys=fence_keys,
+                          replicated=replicated)
+               for replicated in (True, False)]
+    span = layouts[0].span
+    home_of = partial(default_hash, capacity=span)
+    low = rng.randrange(1, 10**9)
+    high = low + width
+    while home_of(high - 1) + neighborhood <= span:
+        high += 1
+    items = [(key, rng.randrange(1, 2**63)) for key in rng.sample(
+        range(low, high), min(high - low, int(span * load) + 1))]
+    for layout in layouts:
+        keys, values, bitmaps, _spilled = place_items(items, layout, home_of)
+        image = layout.encode_image(keys, values, bitmaps,
+                                    rng.randrange(1, 2**48), low, high,
+                                    rng.randrange(16))
+        whole = layout.full_shape().decode(image[1:], home_of)
+        homes, entries, blocks = set(), 0, 0
+        for start in range(high - 1, low - 1, -1):
+            if not layout.replicated:
+                assert layout.first_leaf_read(start, high, home_of) is None
+                continue
+            homes.add(home_of(start))
+            entries, blocks = map(or_, (entries, blocks),
+                                  neighbourhood(layout, home_of(start)))
+            check_first_leaf(layout, image, home_of, start, high, whole,
+                             homes, entries, blocks)

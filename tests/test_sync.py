@@ -13,6 +13,7 @@ from tests.oracles import (
     check_nv_uniform,
     collect_leaf_nv,
     reconstruct_bitmap,
+    set_all_nv,
 )
 
 
@@ -37,7 +38,7 @@ class TestNvCheck:
 
     def test_collect_leaf_nv_covers_lines_and_entries(self):
         layout, view = make_view()
-        view.set_all_nv(5)
+        set_all_nv(view, 5)
         values = collect_leaf_nv(view, range(layout.span))
         assert set(values) == {5}
         assert len(values) > layout.span  # line bytes + entry bytes

@@ -84,8 +84,8 @@ class TestChimeUnderTearing:
         neither its old nor its new entry, and every entry is whole (NV
         and EV see nothing).  At the same moment the scanner starts a
         scan a few keys below the leaf's high fence: the leaf is the
-        scan's first, read only in the blocks of its few candidates'
-        homes (§4.4), and a hop in flight inside one of their
+        scan's first, read only in the neighbourhoods of its few
+        candidates' homes (§4.4), and a hop in flight inside one of their
         neighbourhoods must fail level 3 and be re-read, never returned.
         """
         cluster = slow_cluster(clients=10)
