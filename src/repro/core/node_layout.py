@@ -321,7 +321,7 @@ class DecodedNeighborhood:
     @property
     def fences(self) -> Tuple[int, int]:
         """(fence_low, fence_high) of the carried replica."""
-        if self._replica_at is None or not self._shape._layout.fence_keys:
+        if self._replica_at is None:  # a layout without them raises below
             raise LayoutError("read carries no fence keys")
         return _FENCES.unpack_from(self._payload, self._replica_at
                                    + self._shape._layout.replica_off_fence_low)
