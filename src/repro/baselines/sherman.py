@@ -95,23 +95,18 @@ class ShermanClient(BTreeClientBase, SortedLeafOpsMixin):
     # -------------------------------------------------------------- leaf IO
 
     def _leaf_for(self, ref: LeafRef, key: int) -> Generator:
-        """Fetch the leaf, applying cache and half-split validation."""
+        """Fetch the leaf, chasing siblings while *key* is past its fences."""
         leaf_addr = ref.leaf_addr
-        from_cache = ref.from_cache
         for _hop in range(MAX_CHASE):
             view = yield from self._read_sorted_node(leaf_addr, self.layout)
-            if view.fence_low <= key < view.fence_high:
+            if not self._stale_route(ref, key, view.sibling, view.fences):
                 return leaf_addr, view
+            self._drop_stale(ref.trusted, True)
             if key < view.fence_low:
-                if from_cache and ref.parent is not None:
-                    self.ctx.cache.invalidate(ref.parent.addr)
                 return None, None  # stale route: retraverse
             if view.sibling == NULL_ADDR:
                 return leaf_addr, view
-            if from_cache and ref.parent is not None:
-                self.ctx.cache.invalidate(ref.parent.addr)
             leaf_addr = view.sibling
-            from_cache = False
         raise TraversalError("leaf sibling chase exceeded bound")
 
     # -------------------------------------------------------------- search

@@ -340,11 +340,11 @@ class SmartClient(FamilyClientBase):
         from the cache with *use_cache*, else READ — until the key
         leaves the tree.
 
-        Returns ``(node, slot, at, stale)``: *slot* indexes *node*'s
+        Returns ``(node, slot, at, trusted)``: *slot* indexes *node*'s
         leaf slot for the key's byte, or is None when that byte has no
         slot or the key diverges inside *node*'s prefix; ``at = (parent,
         slot)`` is the slot pointing at *node* (``(None, None)`` at the
-        root); *stale* lists the walked nodes when a cached one was among
+        root); *trusted* lists the walked nodes when a cached one was among
         them — the route may be out of date — and is empty otherwise.
         """
         cache = self.ctx.cache
@@ -354,10 +354,9 @@ class SmartClient(FamilyClientBase):
         cached = False
         while True:
             node = cache.get(addr) if use_cache else None
+            cached |= node is not None
             if node is None:
                 node = yield from self._read_node(addr, node_type)
-            else:
-                cached = True
             path.append(addr)
             depth = node.depth + len(node.prefix)
             if node.prefix and key_bytes[node.depth:depth] != node.prefix:
@@ -372,7 +371,7 @@ class SmartClient(FamilyClientBase):
             parent, parent_slot = node, slot
             addr = _expand_addr(word & _ADDR_MASK)
             node_type = (word & _TYPE_MASK) >> _TYPE_SHIFT
-        return node, slot, (parent, parent_slot), path if cached else ()
+        return node, slot, (parent, parent_slot), path if cached else []
 
     def _slot_addr(self, node: RadixNode, slot: int) -> int:
         return node.addr + HEADER_SIZE + 8 * slot
@@ -384,9 +383,20 @@ class SmartClient(FamilyClientBase):
         _old, swapped = yield from self.qp.cas(self._slot_addr(node, slot),
                                                old, new)
         if swapped:
-            self.ctx.cache.invalidate(node.addr)
-            for addr in stale:
+            for addr in (node.addr, *stale):
                 self.ctx.cache.invalidate(addr)
+        return swapped
+
+    def _unlink(self, node: RadixNode, slot: int, new: int) -> Generator:
+        """CAS *node*'s leaf *slot* to *new* (delete: 0; RCU: a fresh leaf);
+        once it swaps, WRITE the tombstone key 0 over the unlinked leaf for
+        stale cached routes to read, re-issued alone while lost."""
+        word = node.slots[slot]
+        swapped = yield from self._cas_slot(node, slot, word, new)
+        if swapped:
+            yield from self._until_landed(
+                "tombstone", self.qp.write, _expand_addr(word & _ADDR_MASK),
+                encode_key(0))
         return swapped
 
     def _publish(self, new_node: RadixNode, at: Tuple[RadixNode, int],
@@ -405,21 +415,24 @@ class SmartClient(FamilyClientBase):
     # -------------------------------------------------------------- search
 
     def _search(self, key: int) -> Generator:
-        # A miss through cached nodes may be stale: drop the route and
-        # walk again, bypassing the cache.
+        # A miss through cached nodes may be stale; a tombstone (key 0) is
+        # stale on any route.  Either walks again uncached.
         key_bytes = encode_key(key)
-        for use_cache in (True, False):
-            node, slot, _at, stale = yield from self._descend(key_bytes,
-                                                              use_cache)
+        retry = self.retry.start("search({})", self.engine, self.ctx.rng,
+                                 key)
+        use_cache = True
+        while retry.check():
+            node, slot, _at, trusted = yield from self._descend(key_bytes,
+                                                                use_cache)
+            leaf_key = None
             if slot is not None:
                 leaf_key, value = yield from self._read_leaf(
                     _expand_addr(node.slots[slot] & _ADDR_MASK))
                 if leaf_key == key:
                     return value
-            if not stale:
+            if not self._drop_stale(trusted, True) and leaf_key != 0:
                 return None
-            for addr in stale:
-                self.ctx.cache.invalidate(addr)
+            use_cache = False
 
     # -------------------------------------------------------------- insert / update
 
@@ -469,6 +482,8 @@ class SmartClient(FamilyClientBase):
             return _RETRY  # a structural change is replacing this node
         leaf_addr = _expand_addr(word & _ADDR_MASK)
         leaf_key, _old = yield from self._read_leaf(leaf_addr)
+        if leaf_key == 0:
+            return _RETRY  # a tombstone: unlinked since the walk read it
         if leaf_key == key:
             done = yield from self._write_value(node, slot, leaf_addr, key,
                                                 value)
@@ -500,10 +515,8 @@ class SmartClient(FamilyClientBase):
                 leaf_addr + 8, encode_value(value, self.config.value_size))
             return True
         new_leaf = yield from self._write_block(key, value)
-        word = node.slots[slot]
-        return (yield from self._cas_slot(
-            node, slot, word,
-            pack_slot(unpack_slot(word)[1], new_leaf, leaf=True)))
+        return (yield from self._unlink(node, slot, pack_slot(
+            unpack_slot(node.slots[slot])[1], new_leaf, leaf=True)))
 
     def _split_leaf_edge(self, node: RadixNode, slot: int, leaf_addr: int,
                          leaf_key: int, key: int, value: int) -> Generator:
@@ -659,9 +672,9 @@ class SmartClient(FamilyClientBase):
             if not word & SEAL_BIT:  # else its node is being replaced
                 leaf_key, _value = yield from self._read_leaf(
                     _expand_addr(word & _ADDR_MASK))
-                if leaf_key != key:
+                if leaf_key not in (key, 0):  # 0: a tombstone, walk again
                     return False
-                if (yield from self._cas_slot(node, slot, word, 0)):
+                if leaf_key and (yield from self._unlink(node, slot, 0)):
                     return True
             yield from retry.backoff()  # sealed, or lost a race
 

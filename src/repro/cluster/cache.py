@@ -35,9 +35,6 @@ class IndexCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, addr: int) -> bool:
-        return addr in self._entries
-
     def get(self, addr: int) -> Optional[Any]:
         """Look up the cached image of the node at *addr* (LRU-touching)."""
         entry = self._entries.get(addr)
@@ -51,11 +48,6 @@ class IndexCache:
         if BUS.active:
             BUS.emit("cache.hit", addr=addr)
         return entry[0]
-
-    def peek(self, addr: int) -> Optional[Any]:
-        """Look up without touching LRU order or hit/miss counters."""
-        entry = self._entries.get(addr)
-        return entry[0] if entry is not None else None
 
     def put(self, addr: int, node: Any, nbytes: int) -> None:
         """Insert/replace the cached node, evicting LRU entries to fit.

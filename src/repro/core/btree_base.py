@@ -49,18 +49,9 @@ class LeafRef:
     """Where traversal landed: a leaf address plus validation context."""
 
     leaf_addr: int
-    parent: Optional[ParsedInternal]
+    parent: ParsedInternal
     parent_index: int
-    from_cache: bool
-
-    @property
-    def expected_next(self) -> Optional[int]:
-        """The cached parent's next child pointer (sibling-based
-        validation reference, §4.2.3); None when the leaf is the parent's
-        last child and the reference is unknowable."""
-        if self.parent is None:
-            return None
-        return self.parent.next_child(self.parent_index)
+    trusted: List[int]  #: the parent's address, if it came from the cache
 
 
 class BTreeIndexBase(FamilyIndexBase):
@@ -266,11 +257,10 @@ class BTreeClientBase(FamilyClientBase):
         for _depth in range(MAX_CHASE):
             cached = self.ctx.cache.get(addr)
             if cached is not None and cached.valid and cached.covers(key):
-                parsed = cached
-                node_from_cache = True
+                parsed, trusted = cached, [addr]
             else:
                 parsed = yield from self._read_internal_covering(addr, key)
-                node_from_cache = False
+                trusted = []
                 if parsed is None:
                     return None
             if parsed.level == target_level:
@@ -279,10 +269,22 @@ class BTreeClientBase(FamilyClientBase):
                 return None  # stale hints routed us below the target
             index, child = parsed.find_child(key)
             if parsed.level == 1 and target_level == 0:
-                return LeafRef(child, parsed, index, node_from_cache)
+                return LeafRef(child, parsed, index, trusted)
             addr = child
         raise TraversalError(f"descent exceeded {MAX_CHASE} levels "
                              "(corrupt level pointers?)")
+
+    def _stale_route(self, ref: LeafRef, key: int, sibling: int,
+                     fences: Optional[Tuple[int, int]] = None,
+                     nth: int = 0) -> bool:
+        """Whether a leaf read contradicts the route *ref* (§4.2.3): *key*
+        outside the *fences* ``(low, high)`` when it saw them, else a
+        *sibling* not the parent's next child after the leaf *ref* names
+        (or after the one *nth* children right of it: a scan's batch)."""
+        if fences is not None:
+            return not fences[0] <= key < fences[1]
+        expected = ref.parent.next_child(ref.parent_index + nth)
+        return expected is not None and sibling != expected
 
     # -- range scan ---------------------------------------------------------------------------
 
@@ -292,9 +294,9 @@ class BTreeClientBase(FamilyClientBase):
         ref = yield from self._phase("traverse", self._locate_leaf(key))
         addrs = self._scan_batch(ref, key, count)
         parent, at = ref.parent, ref.parent_index
-        head = () if parent is None else self._first_leaf_read(
-            key, parent.pivots[at + 1] if at + 1 < parent.count
-            else parent.fence_high)  # the first leaf holds keys below it
+        head = self._first_leaf_read(key, parent.pivots[at + 1]
+                                     if at + 1 < parent.count
+                                     else parent.fence_high)  # keys below it
         results: List[Tuple[int, int]] = []
         first = True
         while True:  # the chain ends: the last leaf's sibling is null
@@ -307,10 +309,11 @@ class BTreeClientBase(FamilyClientBase):
                 if not first:  # past the first leaf every key is >= *key*
                     self._note_leaf_keys(len(pairs))
                 first = False
-                if index + 1 < len(addrs) and sibling != addrs[index + 1]:
+                if index + 1 < len(addrs) and self._stale_route(
+                        ref, key, sibling, nth=index):
                     # The parent predates a split of this leaf: its next
                     # child is not the next leaf.  Follow the chain.
-                    self.ctx.cache.invalidate(ref.parent.addr)
+                    self._drop_stale(ref.trusted, True)
                     break
             if len(results) >= count or sibling == NULL_ADDR:
                 return results
@@ -321,7 +324,7 @@ class BTreeClientBase(FamilyClientBase):
         of the parent by :meth:`_more_leaves`, the first leaf expected to
         hold the share of its pivot range at or above *key*."""
         parent, index = ref.parent, ref.parent_index
-        if parent is None or index + 1 >= parent.count:
+        if index + 1 >= parent.count:
             return [ref.leaf_addr]
         low, high = parent.pivots[index], parent.pivots[index + 1]
         return [ref.leaf_addr] + self._more_leaves(

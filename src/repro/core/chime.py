@@ -269,8 +269,6 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         layout = self.layout
         home = self.index.home_of(key)
         leaf_addr = ref.leaf_addr
-        expected = ref.expected_next
-        from_cache = ref.from_cache
         # Speculative read (§4.3): one entry instead of a neighborhood.
         if self.config.speculative_read:
             record = self.hotspots.lookup(leaf_addr, home, layout.neighborhood,
@@ -284,38 +282,37 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         for _hop in range(MAX_CHASE):
             read = yield from self._read_neighborhood_checked(leaf_addr, home)
             sibling = read.sibling
-            mismatch = expected is not None and sibling != expected
-            if from_cache and mismatch and ref.parent is not None:
-                self.ctx.cache.invalidate(ref.parent.addr)
+            dropped = self._drop_stale(
+                ref.trusted, self._stale_route(ref, key, sibling))
             hit = read.find(key)
             if hit is not None:
                 position, value = hit
                 self.hotspots.record_access(leaf_addr, position, key)
                 return OpResult(_DONE, found=True, value=value)
             # Not found: half-split validation (§4.2.3).
-            if from_cache and mismatch:
+            if dropped:
                 return OpResult(_RETRAVERSE)
-            chase = sibling != NULL_ADDR and (mismatch or expected is None)
-            if chase and expected is None and _hop:
-                chase = yield from self._past_fence(ref, leaf_addr, key)
+            chase = yield from self._chase_to(ref, leaf_addr, key, sibling)
             if not chase:
                 return OpResult(_DONE, found=False)
             leaf_addr = sibling
-            from_cache = False
         return OpResult(_RETRAVERSE)  # MAX_CHASE leaves on: start afresh
 
-    def _past_fence(self, ref: LeafRef, leaf_addr: int,
-                    key: int) -> Generator:
-        """A miss in a leaf reached past its parent's *last* child, where
-        no next-child pointer exists to hold the sibling against: the
-        leaf's own high fence key (lock line) says whether *key* can
-        only be further right — one small READ, on this branch alone.
-        If it is, the cached parent predates a split and is dropped."""
+    def _chase_to(self, ref: LeafRef, leaf_addr: int, key: int,
+                  sibling: int) -> Generator:
+        """Whether a miss in the leaf at *leaf_addr* goes on to its
+        *sibling* (§4.2.3): while that is not the parent's next child;
+        past a *last* child, from the second leaf on, while the leaf's high
+        fence key (lock line: one small READ) says *key* is further right."""
+        expected = ref.parent.next_child(ref.parent_index)
+        if sibling in (NULL_ADDR, expected):
+            return False
+        if expected is not None or leaf_addr == ref.leaf_addr:
+            return True
         data = yield from self.qp.read(
             leaf_addr + self.layout.lock_offset + LOCKLINE_FENCE_HIGH, 8)
-        past = key >= decode_key(data)
-        if past and ref.from_cache and ref.parent is not None:
-            self.ctx.cache.invalidate(ref.parent.addr)
+        past = self._stale_route(ref, key, sibling, (0, decode_key(data)))
+        self._drop_stale(ref.trusted, past)
         return past
 
     def _speculative_read(self, leaf_addr: int, record, key: int) -> Generator:
@@ -349,10 +346,9 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
     def _leaf_write(self, what: str, locked, key: int, *args,
                     backoff: bool = False) -> Generator:
         """One write: traverse to *key*'s leaf and run ``locked(guard,
-        ref, leaf_addr, from_cache, hop, key, *args)`` under its lock
-        (:meth:`_locked_chase`) until that answers done; a re-traversal
-        is retried under the retry policy (an insert backs off in
-        between)."""
+        ref, leaf_addr, key, *args)`` under its lock (:meth:`_locked_chase`)
+        until that answers done; a re-traversal is retried under the retry
+        policy (an insert backs off in between)."""
         retry = self.retry.start(what, self.engine, self.ctx.rng, key)
         while retry.check():
             ref = yield from self._phase("traverse", self._locate_leaf(key))
@@ -365,43 +361,35 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
                                              retry.next_delay(cap=4))
 
     def _locked_chase(self, ref: LeafRef, locked, *args) -> Generator:
-        """Run ``locked(guard, ref, leaf_addr, from_cache, hop, *args)``
-        under the lock of the leaf *ref* names (:meth:`_locked`), again
-        on the sibling each time it answers ``"chase"``; whatever else
-        it answers is the result."""
+        """Run ``locked(guard, ref, leaf_addr, *args)`` under the lock of
+        the leaf *ref* names (:meth:`_locked`), again on the sibling each
+        time it answers ``"chase"``; whatever else it answers is the result."""
         leaf_addr = ref.leaf_addr
-        from_cache = ref.from_cache
-        for hop in range(MAX_CHASE):
+        for _hop in range(MAX_CHASE):
             result = yield from self._locked(
                 leaf_addr + self.layout.lock_offset, locked, ref, leaf_addr,
-                from_cache, hop, *args, phase="lock",
-                piggyback=not self.config.cxl_atomics,
+                *args, phase="lock", piggyback=not self.config.cxl_atomics,
                 repair=lambda addr=leaf_addr: self._repair_leaf(addr))
             if result.status != "chase":
                 return result
             leaf_addr = result.value
-            from_cache = False
         return OpResult(_RETRAVERSE)  # MAX_CHASE leaves on: start afresh
 
     def _write_entry_locked(self, guard: LockGuard, ref: LeafRef,
-                            leaf_addr: int, from_cache: bool, hop: int,
-                            key: int, value: int, delete: bool) -> Generator:
+                            leaf_addr: int, key: int, value: int,
+                            delete: bool) -> Generator:
         """Update / delete under the leaf lock: locate the entry, write."""
         layout = self.layout
         home = self.home_of(key)
-        expected = ref.expected_next
         view, position, _spec_hit = yield from self._locate_entry_locked(
             leaf_addr, home, key, allow_speculative=not delete)
         if position is None:
             sibling = view.replica_sibling(
                 layout.neighborhood_replica_block(home))
-            mismatch = expected is not None and sibling != expected
-            chase = sibling != NULL_ADDR and (mismatch or expected is None)
-            if chase and expected is None and hop:
-                chase = yield from self._past_fence(ref, leaf_addr, key)
+            chase = yield from self._chase_to(ref, leaf_addr, key, sibling)
             yield from self._release(guard)
-            if from_cache and mismatch and ref.parent is not None:
-                self.ctx.cache.invalidate(ref.parent.addr)
+            if self._drop_stale(ref.trusted,
+                                self._stale_route(ref, key, sibling)):
                 return OpResult(_RETRAVERSE)
             if chase:
                 return OpResult("chase", value=sibling)
@@ -460,8 +448,7 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
     # ---------------------------------------------------------------- insert
 
     def _insert_locked(self, guard: LockGuard, ref: LeafRef, leaf_addr: int,
-                       from_cache: bool, _hop: int, key: int,
-                       value: int) -> Generator:
+                       key: int, value: int) -> Generator:
         """The core insert flow, owning the remote lock.
 
         Every return path below releases the remote lock through
@@ -471,7 +458,6 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         config = self.config
         vmap = self.index.vacancy_map
         home = self.home_of(key)
-        expected = ref.expected_next
         argmax, vacancy = guard.argmax, guard.vacancy
         # Decide the read range from the piggybacked vacancy bitmap.
         full_read = not config.vacancy_bitmap
@@ -493,12 +479,10 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
         view, fence_low, fence_high, max_entry = yield from self._insert_read(
             leaf_addr, home, last, argmax)
         sibling = view.replica_sibling(self._range_replica_block(home, last))
-        mismatch = expected is not None and sibling != expected
+        mismatch = self._stale_route(ref, key, sibling)
         past = key >= fence_high and sibling != NULL_ADDR
-        # A cached parent that routed *key* here predates a split: drop it
-        # (past a last child, only the fence keys can tell).
-        if ref.parent is not None and (mismatch or past and from_cache):
-            self.ctx.cache.invalidate(ref.parent.addr)
+        self._drop_stale(ref.trusted, self._stale_route(
+            ref, key, sibling, (fence_low, fence_high)))
         # Routing: the paper's argmax mechanism for detected half-splits;
         # the lock-line fence keys for the unknown-reference case.
         if mismatch and max_entry is not None and key > max_entry or past:

@@ -324,6 +324,18 @@ class FamilyClientBase(SpanInstrumentedOps):
             return op(*args)
         return self._until_landed(op.__name__, op, *args)
 
+    def _drop_stale(self, trusted: List[int], stale: bool) -> bool:
+        """The one stale-route rule (DESIGN §4 "Stale routes"): the first
+        time a read contradicts a route (*stale*), the CN-cache entries
+        it *trusted* are dropped and forgotten (a later copy may be
+        fresh).  Returns whether it dropped."""
+        if not (stale and trusted):
+            return False
+        for addr in trusted:
+            self.ctx.cache.invalidate(addr)
+        trusted.clear()
+        return True
+
     # -- allocation (on the data path) ---------------------------------------
 
     def _alloc(self, size: int) -> Generator:

@@ -126,7 +126,9 @@ class TestCapabilityFlagConsistency:
 #: family -> (search, update, insert, delete), each ``(round trips,
 #: verbs)`` as one client issues them on a warm cache; a family without
 #: a delete (Outback, FlexKV) has three columns.  An ``rpc`` in the
-#: middle of a write is the chunk allocator's first refill.
+#: middle of a write is the chunk allocator's first refill; the ``write``
+#: after a SMART delete's or RCU update's ``cas`` is the tombstone over
+#: the leaf it unlinked.
 FAST_PATHS = {
     "chime": ((1, "read"),
               (3, "masked_cas read write_batch"),
@@ -147,15 +149,15 @@ FAST_PATHS = {
     "smart": ((1, "read"),
               (5, "read read read read write"),
               (6, "read read read rpc write cas"),
-              (5, "read read read read cas")),
+              (6, "read read read read cas write")),
     "smart-opt": ((1, "read"),
                   (5, "read read read read write"),
                   (6, "read read read rpc write cas"),
-                  (5, "read read read read cas")),
+                  (6, "read read read read cas write")),
     "smart-rcu": ((1, "read"),
-                  (7, "read read read read rpc write cas"),
+                  (8, "read read read read rpc write cas write"),
                   (5, "read read read write cas"),
-                  (5, "read read read read cas")),
+                  (6, "read read read read cas write")),
     "rolex": ((1, "read_batch"),
               (4, "read_batch masked_cas read_batch write_batch"),
               (4, "read_batch masked_cas read_batch write_batch"),

@@ -80,13 +80,6 @@ class TestIndexCache:
         cache.get(2)
         assert cache.hit_ratio == pytest.approx(0.5)
 
-    def test_peek_does_not_count(self):
-        cache = IndexCache(1000)
-        cache.put(1, "a", 10)
-        cache.peek(1)
-        cache.peek(2)
-        assert cache.hits == 0 and cache.misses == 0
-
 
 class TestRdwc:
     def test_read_delegation_shares_result(self):

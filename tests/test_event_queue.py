@@ -140,6 +140,8 @@ CONFIGS = {
 #: chime-indirect and chime-learned rows and every CONFIGS row were
 #: re-recorded when hopscotch bitmaps shrank to ⌈H/8⌉ bytes (fewer bytes
 #: per leaf READ move every NIC completion time; event counts hold).
+#: ``smart-rcu`` was re-recorded when an RCU update began to WRITE a
+#: tombstone over the leaf it replaced (3338 -> 3494 events).
 EVENT_LOGS = {
     "chime": (2014, "6bcb8f2321c4ac7064f397ebb96656f7"
                     "017c49dc8ca57fc28bd904784fddca41"),
@@ -163,8 +165,8 @@ EVENT_LOGS = {
                     "88c7517efc3e74dbc7e26835cb4d0968"),
     "smart-opt": (2612, "648dacd51cc8ab39c03f5aff6a066aaa"
                         "88c7517efc3e74dbc7e26835cb4d0968"),
-    "smart-rcu": (3338, "da755cd58563eda9c3ac08ff4b950045"
-                        "7791fe7a1d1d8b91beebdad3e19ba326"),
+    "smart-rcu": (3494, "d8ddfd4f192e84672d1a3a0ae984c3c7"
+                        "e91ccbe586576fca1d0e6fefc2bfaa5d"),
     "adaptive": (7945, "24a8f440b4942a1fcd1c58f489c8e6ab"
                        "1e49b65d4647ce9128beec9797d98279"),
     "cn-nic": (2998, "a0259092e653fa495897c9c5f8071038"

@@ -11,7 +11,9 @@
   line held — lock bit, lease, queue ticket — in every lock-word family
   × sync mode × leases cell, and in split propagation;
 * every op of every family answers as if nothing was lost when the
-  fabric loses a verb it issued, of every kind it issues.
+  fabric loses a verb it issued, of every kind it issues;
+* one stale-route rule decides when a route's cached parent leaves the
+  CN cache, and drops it once.
 """
 
 import functools
@@ -24,6 +26,7 @@ from repro.bench.runner import run_point
 from repro.cluster import Cluster
 from repro.config import ChimeConfig, ClusterConfig
 from repro.core import ChimeIndex
+from repro.core.btree_base import LeafRef
 from repro.core.node_layout import (
     LOCK_BIT,
     LOCK_LEASE_OFFSET,
@@ -454,3 +457,63 @@ def test_sherman_bulk_load_bounded_like_chime():
     index = ShermanIndex(cluster, ShermanConfig(span=1))
     with pytest.raises(RetryExhaustedError, match="64 internal levels"):
         index.bulk_load([(k, k) for k in range(1, 50)])
+
+
+#: The key every :func:`test_one_stale_route_rule` row routes.
+ROUTED = 1000
+
+#: row -> (the leaf's child index in its parent, -1 the last; the parent
+#: came from the cache; the leaf's sibling: "next" child, "moved" to
+#: another; the fences the read saw, or None; contradicted once before)
+#: and what the rule answers (stale, dropped, CN-cache invalidations).
+STALE_ROUTE_ROWS = {
+    "sibling is the next child": ((0, True, "next", None, False),
+                                  (False, False, 0)),
+    "sibling is not the next child": ((0, True, "moved", None, False),
+                                      (True, True, 1)),
+    "key at the high fence": ((0, True, "moved", (900, ROUTED), False),
+                              (True, True, 1)),
+    "key past the high fence": ((0, True, "next", (900, 950), False),
+                                (True, True, 1)),
+    "key below the low fence": ((0, True, "next", (1001, 1100), False),
+                                (True, True, 1)),
+    "key inside the fences read": ((0, True, "moved", (900, 1100), False),
+                                   (False, False, 0)),
+    "last child without fences": ((-1, True, "moved", None, False),
+                                  (False, False, 0)),
+    "fresh (uncached) parent": ((0, False, "moved", None, False),
+                                (True, False, 0)),
+    "second contradiction after a drop": ((0, True, "moved", None, True),
+                                          (True, False, 1)),
+}
+
+
+@pytest.mark.parametrize("row", STALE_ROUTE_ROWS)
+def test_one_stale_route_rule(row):
+    """``BTreeClientBase._stale_route`` turns what a leaf read saw into
+    a verdict; ``FamilyClientBase._drop_stale`` drops the parent a route
+    took from the cache the first time the verdict is stale, then
+    forgets it — a copy cached again since (by another client of the
+    CN, say) stays."""
+    (at, cached, sibling, fences, again), expected = STALE_ROUTE_ROWS[row]
+    cluster = Cluster(ClusterConfig(num_cns=1, clients_per_cn=1))
+    index = build_index("chime", cluster)
+    index.bulk_load([(k, k) for k in range(1, 2001)])
+    client = index.client(next(iter(cluster.clients())))
+    parent = index._host_internal(index.root_addr)
+    assert parent.level == 1
+    at %= parent.count
+    cache = client.ctx.cache
+    cache.put(parent.addr, parent, index.internal_layout.total_size)
+    ref = LeafRef(parent.children[at], parent, at,
+                  [parent.addr] if cached else [])
+    seen = parent.children[1] if at == 0 and sibling == "next" \
+        else parent.children[2]
+    verdicts = [client._stale_route(ref, ROUTED, seen, fences)
+                for _time in range(2 if again else 1)]
+    dropped = [client._drop_stale(ref.trusted, verdicts[0])]
+    if again:
+        cache.put(parent.addr, parent, index.internal_layout.total_size)
+        dropped.append(client._drop_stale(ref.trusted, verdicts[1]))
+    assert (verdicts[-1], dropped[-1], cache.invalidations) == expected
+    assert (cache.get(parent.addr) is None) == (dropped == [True])

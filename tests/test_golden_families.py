@@ -34,6 +34,9 @@ cache-pressure policy instead.  Reading only the blocks a scan's first
 leaf can hold keys in (§4.4 entry exclusion) re-recorded the four chime
 and chime-indirect ``E`` rows, and reading only the entries of the
 candidates' neighbourhoods in those blocks re-recorded them again.
+SMART's tombstone (a delete or RCU update WRITEs key 0 over the leaf it
+unlinked; a search that reads it walks again uncached) re-recorded
+``smart-rcu A``, the one row that deletes or updates out of place.
 
 The second half pins what the deleted ``repro perf --check`` enforced:
 the event counts of twelve YCSB-C points at the :data:`PINNED` scale,
@@ -110,7 +113,7 @@ GOLDEN = {
     ('smart-opt', 'E', ()):
         (23200, 120, (468, 5337, 5270, 10, 57, 4, 248608, 2208, 0), '0.00041581085333334454'),
     ('smart-rcu', 'A', ()):
-        (3338, 120, (444, 440, 326, 57, 57, 4, 269888, 912, 0), '0.00043644083999999975'),
+        (3494, 120, (490, 486, 320, 110, 56, 4, 260288, 1328, 0), '0.00048758602666666587'),
     ('smart-rcu', 'D', ()):
         (1725, 120, (209, 206, 147, 6, 53, 3, 34672, 2144, 0), '0.0002934327600000002'),
     ('smart-rcu', 'E', ()):

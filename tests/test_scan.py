@@ -226,33 +226,52 @@ def test_shared_scan_equals_the_whole_leaf_oracle(family, key_space_factor,
         assert not partial  # whole leaves: no known high, or sorted
 
 
+#: (op, args, answer) routed by a parent that predates the splits of
+#: :func:`test_a_stale_parent_cannot_skip_a_split_off_leaf`: 3399 and
+#: 3398 lie right of the split leaf's new high fence.
+STALE_ROUTES = [("scan", (2900, 300), None), ("search", (3399,), 3399),
+                ("update", (3399, 7), True), ("insert", (3398, 7), True)]
+
+
 @pytest.mark.parametrize("family", TREES)
 def test_a_stale_parent_cannot_skip_a_split_off_leaf(family):
     """A leaf in the *middle* of a cached parent splits: the parent's
     next child is no longer the next leaf, and a first batch taken from
-    it on trust (as the per-family loops took it) skips the new one."""
-    cluster = Cluster(ClusterConfig(num_cns=2, clients_per_cn=1, seed=3,
-                                    cache_bytes=1 << 22))
-    index = build_index(family, cluster)
-    loaded = list(range(10, 6001, 10))
-    index.bulk_load([(k, k) for k in loaded])
-    writer, reader = (index.client(ctx) for ctx in cluster.clients())
-    leaves = len(index.leaf_addrs())
-    out = []
+    it on trust (as the per-family loops took it) skips the new one.  A
+    search, update or insert of a key the splits moved right is routed
+    by the same stale parent.  Each answers as the tree does, and each
+    stale route drops the parent from its CN's cache exactly once
+    (DESIGN §4 "Stale routes")."""
+    for op, args, answer in STALE_ROUTES:
+        cluster = Cluster(ClusterConfig(num_cns=2, clients_per_cn=1, seed=3,
+                                        cache_bytes=1 << 22))
+        index = build_index(family, cluster)
+        index.bulk_load([(k, k) for k in range(10, 6001, 10)])
+        writer, reader = (index.client(ctx) for ctx in cluster.clients())
+        leaves = len(index.leaf_addrs())
+        out = []
 
-    def scan():
-        out.append((yield from reader.scan(2900, 300)))
+        def run(op, *args):
+            out.append((yield from getattr(reader, op)(*args)))
 
-    def split_the_middle():
-        for key in range(3001, 3400, 2):
-            yield from writer.insert(key, key)
+        def split_the_middle():
+            for key in range(3001, 3400, 2):
+                yield from writer.insert(key, key)
 
-    drive(cluster, scan())  # caches the parents on the reader's CN
-    drive(cluster, split_the_middle())
-    assert len(index.leaf_addrs()) > leaves
-    drive(cluster, scan())
-    truth = [pair for pair in index.collect_items() if pair[0] >= 2900][:300]
-    assert out[1] == truth and out[0] != truth
+        drive(cluster, run("scan", 2900, 300))  # caches the reader's parents
+        drive(cluster, split_the_middle())
+        assert len(index.leaf_addrs()) > leaves
+        dropped = reader.ctx.cache.invalidations
+        drive(cluster, run(op, *args))
+        assert reader.ctx.cache.invalidations == dropped + 1, op
+        items = index.collect_items()
+        if op == "scan":
+            truth = [pair for pair in items if pair[0] >= 2900][:300]
+            assert out[1] == truth and out[0] != truth
+        else:
+            assert out[1] == answer, op
+        if op in ("update", "insert"):
+            assert (args[0], 7) in items, op
 
 
 def test_first_batch_is_sized_from_the_parent_pivots():

@@ -20,10 +20,12 @@ falling between the loaded runs is checked on its own.  Known defects
 are pinned as strict xfails instead: Marlin's lock-free update loses to
 a concurrent insert into its leaf (the shrunk example the model found),
 a FlexKV reader can see the slot an insert claimed before its value
-lands, and a SMART scan or search on one CN can walk radix nodes its CN
-cached before the other CN's write.  The SMART machines therefore drop
-the scanner's cache before a scan that a write from the other CN
-reaches; every other scan runs over the warm cache.
+lands, and a SMART scan on one CN can walk radix nodes its CN cached
+before the other CN's install.  The SMART machines therefore drop the
+scanner's cache before a scan that a write from the other CN reaches;
+every other scan runs over the warm cache.  A SMART *search* over such
+nodes is exact: a delete or RCU update leaves a tombstone in the leaf it
+unlinked, and the search that reads it walks again uncached.
 """
 
 import pytest
@@ -227,7 +229,7 @@ def test_marlin_update_survives_a_concurrent_insert_into_its_leaf():
     "a SMART scan walks the radix nodes its CN cached; an install by "
     "another CN's client invalidates only that CN's copy, so the scan "
     "misses the key (its search re-walks uncached on a miss, its scan "
-    "has no miss to re-walk on; ROADMAP item 2(d))"))
+    "has no miss to re-walk on; ROADMAP item 3(c))"))
 def test_smart_scan_sees_a_key_another_cn_installed():
     model = _machine("smart", "optimistic", False)()
     scanner = model.clients[-1]  # on the CN the inserting client is not
@@ -244,31 +246,45 @@ def test_smart_scan_sees_a_key_another_cn_installed():
     assert out == [[(2, 14)], [(1, 1)]]
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "a SMART search trusts the leaf its CN's cached radix nodes lead "
-    "to while the leaf holds its key; a delete by another CN's client "
-    "clears the slot and invalidates only that CN's copy, so the search "
-    "still reads the unlinked leaf (ROADMAP item 2(d))"))
-def test_smart_search_misses_a_key_another_cn_deleted():
-    model = _machine("smart", "optimistic", False)()
-    reader = model.clients[-1]  # on the CN the deleting client is not
+def _search_around(index_name, write):
+    """Key 2's value as a client on one CN finds it before and after a
+    client on the other CN runs the batch *write* — the reader's CN
+    keeps the radix nodes its first search cached."""
+    model = _machine(index_name, "optimistic", False)()
+    reader = model.clients[-1]  # on the CN the writing client is not
     found = []
 
     def search():
         found.append((yield from reader.search(2)))
 
-    for batch in ([], [("delete", 2, 0)]):
+    for batch in ([], write):
         if batch:
             model.concurrent_batch(batch)
         model.cluster.engine.process(search())
         model.cluster.run()
-    assert found == [14, None]
+    return found, reader.ctx.cache.invalidations
+
+
+def test_smart_search_misses_a_key_another_cn_deleted():
+    """The delete leaves a tombstone in the unlinked leaf; the search
+    that reads it through its CN's stale nodes drops them and walks
+    again (it read the deleted value before)."""
+    found, invalidations = _search_around("smart", [("delete", 2, 0)])
+    assert found == [14, None] and invalidations > 0
+
+
+def test_smart_rcu_search_sees_another_cn_update():
+    """An RCU update CASes a fresh leaf into the slot and tombstones
+    the old one; a search on the other CN read the old leaf's value
+    through its cached nodes before."""
+    found, invalidations = _search_around("smart-rcu", [("update", 2, 99)])
+    assert found == [14, 99] and invalidations > 0
 
 
 @pytest.mark.xfail(strict=True, reason=(
     "FlexKV's CN-side insert CASes the key into an empty slot, then "
     "WRITEs the value: a search between the two reads the claimed "
-    "slot's zero value, which nobody wrote (ROADMAP item 1)"))
+    "slot's zero value, which nobody wrote (ROADMAP item 3(a))"))
 def test_flexkv_search_never_reads_an_unwritten_value():
     cluster = Cluster(ClusterConfig(num_cns=2, clients_per_cn=1))
     index = build_index("flexkv", cluster)
