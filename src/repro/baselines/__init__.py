@@ -1,7 +1,7 @@
 """Baseline DM range indexes the paper compares CHIME against."""
 
 from repro.baselines.flexkv import FlexKVClient, FlexKVConfig, FlexKVIndex
-from repro.baselines.marlin import MarlinClient, MarlinIndex
+from repro.baselines.marlin import MarlinIndex
 from repro.baselines.model_routed import ModelRoutedClientBase, ModelRoutedIndexBase
 from repro.baselines.outback import OutbackClient, OutbackConfig, OutbackIndex
 from repro.baselines.pla import PlaModel, PlaSegment
@@ -17,7 +17,6 @@ __all__ = [
     "FlexKVClient",
     "FlexKVConfig",
     "FlexKVIndex",
-    "MarlinClient",
     "MarlinIndex",
     "ModelRoutedClientBase",
     "ModelRoutedIndexBase",

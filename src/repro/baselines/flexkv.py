@@ -7,7 +7,9 @@ walks the structure and the CN pays a single RPC per operation:
 
 * The structure is a hash-partitioned bucket array.  Each partition
   lives on its home MN (round-robin) as ``buckets x slots`` fixed slots
-  of ``[key u64 | value]``; key 0 marks an empty slot.
+  of ``[key u64 | value]``; key 0 marks an empty slot, and value 0 a
+  slot an insert has claimed (CAS on the key) but not yet written, which
+  reads as absent everywhere — so a value of 0 is refused.
 * **CN placement** (where every partition starts): operations need
   the partition's routing directory resident in the CN cache — a miss
   costs one extra directory READ before the bucket access and is
@@ -33,7 +35,7 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import ClientContext
 from repro.core.family import FamilyClientBase, FamilyIndexBase
-from repro.errors import SimulationError
+from repro.errors import IndexError_, SimulationError
 from repro.hashing.mph import _mix
 from repro.layout import (
     decode_key,
@@ -270,12 +272,11 @@ class FlexKVIndex(FamilyIndexBase):
         completion), so the two placements never diverge.
         """
         _, kind, key, value = request
+        found, _empty = self._host_slot_of(key)
+        data = self._host_read(found, self.slot_size) if found is not None else None
+        current = data and decode_value(data, 8, size=self.config.value_size)
         if kind == "search":
-            found, _empty = self._host_slot_of(key)
-            if found is None:
-                return None
-            data = self._host_read(found, self.slot_size)
-            return decode_value(data, 8, size=self.config.value_size)
+            return current or None
         if kind == "insert":
             if not self._host_upsert(key, value):
                 raise SimulationError(
@@ -284,8 +285,7 @@ class FlexKVIndex(FamilyIndexBase):
                 )
             return True
         if kind == "update":
-            found, _empty = self._host_slot_of(key)
-            if found is None:
+            if not current:
                 return False
             self._host_write(
                 found + 8, encode_value(value, self.config.value_size)
@@ -306,10 +306,9 @@ class FlexKVIndex(FamilyIndexBase):
                     addr = base + bucket * self.bucket_bytes + i * slot_size
                     data = self._host_read(addr, slot_size)
                     key = decode_key(data)
-                    if key:
-                        out.append(
-                            (key, decode_value(data, 8, size=value_size))
-                        )
+                    value = decode_value(data, 8, size=value_size)
+                    if key and value:
+                        out.append((key, value))
         out.sort()
         return out
 
@@ -365,6 +364,8 @@ class FlexKVClient(FamilyClientBase):
         return self._dispatch("update", key, value)
 
     def _dispatch(self, kind: str, key: int, value: int = 0) -> Generator:
+        if kind != "search" and value == 0:
+            raise IndexError_("flexkv values must be >= 1 (0 marks a claimed, unwritten slot)")
         index = self.index
         partition = index.partition_of(key)
         if index.placement.placement_for(partition) == PLACEMENT_MN:
@@ -421,12 +422,12 @@ class FlexKVClient(FamilyClientBase):
         return None, None, None
 
     def _cn_search(self, partition: int, key: int) -> Generator:
-        found, _empty, value = yield from self._locate(partition, key)
-        return value if found is not None else None
+        _found, _empty, value = yield from self._locate(partition, key)
+        return value or None
 
     def _cn_update(self, partition: int, key: int, value: int) -> Generator:
-        found, _empty, _current = yield from self._locate(partition, key)
-        if found is None:
+        found, _empty, current = yield from self._locate(partition, key)
+        if not current:
             return False
         yield from self.qp.write(
             found + 8, encode_value(value, self.index.config.value_size)

@@ -365,12 +365,11 @@ def _cmd_chaos(args) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    ok = result.invariants.ok and not result.errors
-    print(f"[chaos: {'OK' if ok else 'FAILED'} — "
+    print(f"[chaos: {'OK' if result.ok else 'FAILED'} — "
           f"{len(result.invariants.violations)} violations, "
           f"{len(result.errors)} client errors, "
           f"dead CNs {result.dead_cns}]", file=sys.stderr)
-    return 0 if ok else 1
+    return 0 if result.ok else 1
 
 
 # --------------------------------------------------------------------------

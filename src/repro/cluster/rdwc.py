@@ -6,8 +6,11 @@ of the *same compute node*:
 * **read delegation** — one client becomes the delegate and performs the
   remote search; followers arriving while it is in flight simply wait for
   its result.
-* **write combining** — concurrent updates to one key are merged: the
-  last-arriving value wins and a single remote write is performed.
+* **write combining** — concurrent updates to one key share one remote
+  write: the first arrival leads and writes *its own* value; later
+  arrivals, absorbed while it is in flight, take its answer and write
+  nothing (each overlaps the leader, so ordering it first is a legal
+  history: the leader's value is the one that lands).
 
 The paper applies RDWC to every index "for fairness" (§5.1); it is why
 throughput *rises* with Zipfian skew in Figure 18a.
@@ -20,93 +23,51 @@ from typing import Any, Callable, Dict, Generator
 from repro.sim.engine import Engine, Event
 
 
-class _InFlight:
-    __slots__ = ("event", "followers")
-
-    def __init__(self, event: Event) -> None:
-        self.event = event
-        self.followers = 0
-
-
-class _PendingWrite:
-    __slots__ = ("event", "value", "followers")
-
-    def __init__(self, event: Event, value: Any) -> None:
-        self.event = event
-        self.value = value
-        self.followers = 0
-
-
 class RdwcCombiner:
     """Per-CN operation combiner."""
 
     def __init__(self, engine: Engine, enabled: bool = True) -> None:
         self.engine = engine
         self.enabled = enabled
-        self._reads: Dict[Any, _InFlight] = {}
-        self._writes: Dict[Any, _PendingWrite] = {}
+        #: The event each in-flight leader will fire, by key.
+        self._reads: Dict[Any, Event] = {}
+        self._writes: Dict[Any, Event] = {}
         self.delegated_reads = 0
         self.combined_writes = 0
 
-    # -- read delegation -----------------------------------------------------
-
     def read(self, key: Any, remote_read: Callable[[], Generator]) -> Generator:
-        """Run *remote_read* unless an identical read is already in flight.
-
-        *remote_read* must be a zero-argument callable returning the
-        generator that performs the remote operation and returns a value.
-        Exceptions from the delegate propagate to all followers.
-        """
-        if not self.enabled:
-            result = yield from remote_read()
-            return result
-        in_flight = self._reads.get(key)
-        if in_flight is not None:
-            in_flight.followers += 1
+        """Run ``remote_read()`` unless the same read is in flight: then
+        take its delegate's result (or exception)."""
+        if self.enabled and key in self._reads:
             self.delegated_reads += 1
-            result = yield in_flight.event
-            return result
-        record = _InFlight(self.engine.event())
-        self._reads[key] = record
-        try:
-            result = yield from remote_read()
-        except Exception as exc:
-            del self._reads[key]
-            record.event.fail(exc)
-            raise
-        del self._reads[key]
-        record.event.succeed(result)
-        return result
-
-    # -- write combining ------------------------------------------------------
+        return self._share(self._reads, key, remote_read)
 
     def write(self, key: Any, value: Any,
               remote_write: Callable[[Any], Generator]) -> Generator:
-        """Perform (or piggyback on) an update of *key* to *value*.
-
-        The first arrival becomes the leader and writes; later arrivals
-        overwrite the pending value (last write wins) and wait for the
-        leader.  The leader re-reads the pending value right before the
-        remote write, so combined values are actually applied.
-        """
-        if not self.enabled:
-            result = yield from remote_write(value)
-            return result
-        pending = self._writes.get(key)
-        if pending is not None:
-            pending.value = value
-            pending.followers += 1
+        """Run ``remote_write(value)`` unless an update of *key* is in
+        flight: then take its leader's answer, *value* never written."""
+        if self.enabled and key in self._writes:
             self.combined_writes += 1
-            result = yield pending.event
+        return self._share(self._writes, key, lambda: remote_write(value))
+
+    def _share(self, in_flight: Dict[Any, Event], key: Any,
+               remote: Callable[[], Generator]) -> Generator:
+        """Follow *key*'s leader in *in_flight*, or lead: run *remote* and
+        hand its result (or its exception) to every follower."""
+        if not self.enabled:
+            result = yield from remote()
             return result
-        record = _PendingWrite(self.engine.event(), value)
-        self._writes[key] = record
+        event = in_flight.get(key)
+        if event is not None:
+            result = yield event
+            return result
+        event = in_flight[key] = self.engine.event()
         try:
-            result = yield from remote_write(record.value)
+            result = yield from remote()
         except Exception as exc:
-            del self._writes[key]
-            record.event.fail(exc)
+            del in_flight[key]
+            event.fail(exc)
             raise
-        del self._writes[key]
-        record.event.succeed(result)
+        del in_flight[key]
+        event.succeed(result)
         return result

@@ -277,14 +277,14 @@ class FamilyClientBase(SpanInstrumentedOps):
         if combiner.enabled and self.rdwc:
             return self._op("search", combiner.read(
                 ("s", id(self.index), key),
-                lambda: self._landed(self._search, key)))
-        return self._op("search", self._landed(self._search, key))
+                lambda: self._landed(self._search, key)), key)
+        return self._op("search", self._landed(self._search, key), key)
 
     def insert(self, key: int, value: int) -> Generator:
         """Insert (or overwrite) a key."""
         if key < 1:
             raise IndexError_("keys must be >= 1")
-        return self._op("insert", self._landed(self._insert, key, value))
+        return self._op("insert", self._landed(self._insert, key, value), key, value)
 
     def update(self, key: int, value: int) -> Generator:
         """Update an existing key; returns False when absent."""
@@ -292,12 +292,12 @@ class FamilyClientBase(SpanInstrumentedOps):
         if combiner.enabled and self.rdwc:
             return self._op("update", combiner.write(
                 ("u", id(self.index), key), value,
-                lambda v: self._landed(self._update, key, v)))
-        return self._op("update", self._landed(self._update, key, value))
+                lambda v: self._landed(self._update, key, v)), key, value)
+        return self._op("update", self._landed(self._update, key, value), key, value)
 
     def delete(self, key: int) -> Generator:
         """Delete a key; returns False when absent."""
-        return self._op("delete", self._landed(self._delete, key))
+        return self._op("delete", self._landed(self._delete, key), key)
 
     def _delete(self, key: int) -> Generator:
         """The hook of a family that has no delete (Outback, FlexKV)."""
@@ -312,7 +312,7 @@ class FamilyClientBase(SpanInstrumentedOps):
         registry's ``supports_scan`` flag is checked against the client
         surface).
         """
-        return self._op("scan", self._landed(self._scan, key, count))
+        return self._op("scan", self._landed(self._scan, key, count), key, count)
 
     def _landed(self, op, *args) -> Generator:
         """``op(*args)``, an op's generator, run again from the start

@@ -7,9 +7,9 @@ Three pieces:
 * :mod:`repro.faults.injector` — the interpreter queue pairs consult on
   every verb (installed via
   :meth:`repro.cluster.cluster.Cluster.install_faults`);
-* :mod:`repro.faults.invariants` / :mod:`repro.faults.chaos` — the
-  whole-index invariant checker and the seeded chaos harness built on it
-  (also exposed as the ``chaos`` CLI subcommand).
+* :mod:`repro.faults.invariants` / :mod:`repro.faults.history` /
+  :mod:`repro.faults.chaos` — the whole-index audit, the history checker
+  and the seeded chaos harness built on them (the ``chaos`` subcommand).
 """
 
 from repro.faults.chaos import ChaosConfig, ChaosResult, build_plan, run_chaos

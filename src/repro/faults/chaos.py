@@ -7,7 +7,9 @@ index family (CHIME by default; any registry family), installs a
 first write verb — for a lock-word family, between the lock-acquiring
 CAS and the unlocking WRITE), drives a mixed workload from every
 client, and then audits the index with
-:func:`~repro.faults.invariants.check_index_invariants`.
+:func:`~repro.faults.invariants.check_index_invariants` and judges every
+answer the run gave, and its final state, with
+:func:`~repro.faults.history.check_history`.
 
 Everything — workload choices, fault draws, simulated time — is seeded,
 so a config maps to exactly one :class:`ChaosResult`; running twice and
@@ -34,6 +36,7 @@ from repro.cluster.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.core.node_layout import sim_us
 from repro.errors import ReproError
+from repro.faults.history import check_history, history
 from repro.faults.invariants import InvariantReport, check_index_invariants
 from repro.faults.plan import FaultPlan
 from repro.obs import recording
@@ -107,7 +110,6 @@ class ChaosResult:
     sim_time_us: int
     completed: Dict[str, int]
     errors: List[Dict]
-    inserted: int
     dead_cns: List[int]
     fault_counters: Dict[str, int]
     metrics: Dict[str, float]
@@ -123,19 +125,7 @@ class ChaosResult:
         return self.invariants.ok and not self.errors
 
     def to_dict(self) -> Dict:
-        return {
-            "config": self.config,
-            "sim_time_us": self.sim_time_us,
-            "completed": dict(sorted(self.completed.items())),
-            "errors": list(self.errors),
-            "inserted": self.inserted,
-            "dead_cns": list(self.dead_cns),
-            "fault_counters": dict(sorted(self.fault_counters.items())),
-            "metrics": dict(sorted(self.metrics.items())),
-            "invariants": self.invariants.to_dict(),
-            "parked": dict(sorted(self.parked.items())),
-            "stranded_tickets": list(self.stranded_tickets),
-        }
+        return {**asdict(self), "invariants": self.invariants.to_dict()}
 
 
 def build_plan(cfg: ChaosConfig) -> FaultPlan:
@@ -158,13 +148,10 @@ def _client_ops(cfg: ChaosConfig, client_index: int) -> List[Tuple[str, int]]:
 
     The mix is drawn from a per-client RNG seeded from (campaign seed,
     client index) only — no globals, no hashing — so the stream is
-    stable across runs and interpreter invocations.  The consumption
-    order (key first, then the mix draw) matches the historical inline
-    loop exactly, and the draws never depended on execution results, so
-    pre-materializing keeps every campaign byte-identical.  The first
-    op is always an insert, guaranteeing the default crash spec (die
-    before the first write verb) catches its victim holding a leaf
-    lock.
+    stable across runs and interpreter invocations; no draw depends on
+    an answer.  The first op is always an insert, guaranteeing the
+    default crash spec (die before the first write verb) catches its
+    victim holding a leaf lock.
     """
     rng = random.Random(cfg.seed * 1_000_003 + 7919 * client_index)
     ops: List[Tuple[str, int]] = []
@@ -184,17 +171,16 @@ def _client_ops(cfg: ChaosConfig, client_index: int) -> List[Tuple[str, int]]:
 
 
 def _chaos_lane(engine, client, lane_name: str, client_name: str, ops,
-                completed: Dict[str, int], inserted: List[int],
-                errors: List[Dict], halted: List[bool]) -> Generator:
+                completed: Dict[str, int], errors: List[Dict],
+                halted: List[bool]) -> Generator:
     """One chaos lane: pull ops from the client's shared iterator.
 
     All lanes of a client drain one iterator, so ops run exactly once
     regardless of depth.  A :class:`~repro.errors.ReproError` stops the
     *whole client* — the erroring lane raises the shared ``halted``
     flag and sibling lanes stop pulling — matching the historical
-    one-error-kills-the-client semantics at any depth.  Keys are
-    counted committed only after the insert returns; errors record the
-    lane name, so overlapping failures stay attributable.
+    one-error-kills-the-client semantics at any depth.  Errors record
+    the lane name, so overlapping failures stay attributable.
 
     Shard-routed clients expose ``outage_delay(key)``; the lane parks
     out an injected outage window on the key's home MN instead of
@@ -214,7 +200,6 @@ def _chaos_lane(engine, client, lane_name: str, client_name: str, ops,
                     yield engine.timeout(delay)
             if kind == "insert":
                 yield from client.insert(key, key * 7 + 1)
-                inserted.append(key)
             elif kind == "update":
                 yield from client.update(key, key * 11 + 1)
             else:
@@ -227,7 +212,7 @@ def _chaos_lane(engine, client, lane_name: str, client_name: str, ops,
 
 
 def run_chaos(cfg: ChaosConfig) -> ChaosResult:
-    """Run one chaos campaign and check the tree afterwards."""
+    """Run one chaos campaign, then check the index and the history."""
     cluster_config = ClusterConfig(
         num_cns=cfg.num_cns, num_mns=cfg.num_mns,
         clients_per_cn=cfg.clients_per_cn,
@@ -239,18 +224,13 @@ def run_chaos(cfg: ChaosConfig) -> ChaosResult:
                                         deadline=cfg.deadline)
     with recording() as rec:
         cluster = Cluster(cluster_config)
-        # Registry construction: the chime path builds the exact
-        # ChimeConfig the historical inline dispatch built (sharded
-        # clusters route through ShardedIndex identically), so existing
-        # campaigns stay byte-identical; other families simply ignore
-        # the span/retry knobs their factories don't take.
+        # Families whose factories take no span or retry knob ignore them.
         index = build_index(cfg.index, cluster, span=cfg.span,
                             chime_overrides={"retry": retry})
         pairs = dataset(cfg.initial_keys, key_space=cfg.key_space, seed=1)
         index.bulk_load(pairs)
         injector = cluster.install_faults(build_plan(cfg))
         completed: Dict[str, int] = {}
-        inserted: List[int] = []
         errors: List[Dict] = []
         for client_index, ctx in enumerate(cluster.clients()):
             name = ctx.name
@@ -262,13 +242,13 @@ def run_chaos(cfg: ChaosConfig) -> ChaosResult:
                 cluster.engine.process(
                     _chaos_lane(cluster.engine, index.client(lane_ctx),
                                 lane_ctx.name, name, ops, completed,
-                                inserted, errors, halted),
+                                errors, halted),
                     name=f"chaos-{lane_ctx.name}")
         cluster.run()
-        expected = set(k for k, _ in pairs) | set(inserted)
         dead = sorted(injector.dead_cns)
-        invariants = check_index_invariants(index, expected_keys=expected,
-                                            dead_cns=dead)
+        invariants = check_index_invariants(index, dead_cns=dead)
+        invariants.violations += check_history(
+            history(rec), pairs, index.collect_items())
         stranded = cluster.sync_state.stranded(dead)
         metrics = rec.notes()
     errors.sort(key=lambda e: e["client"])
@@ -277,7 +257,6 @@ def run_chaos(cfg: ChaosConfig) -> ChaosResult:
         sim_time_us=sim_us(cluster.engine.now),
         completed=completed,
         errors=errors,
-        inserted=len(set(inserted)),
         dead_cns=dead,
         fault_counters=dict(sorted(injector.counters.items())),
         metrics=metrics,

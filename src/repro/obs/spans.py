@@ -5,7 +5,7 @@ operation (``level="op"``) or one phase inside it (``level="phase"``):
 cache-backed traversal, leaf read, lock acquisition, write-back,
 speculative read, retry backoff, node split.  Spans are emitted on the
 event bus as ``kind="span"`` events when the interval closes, carrying
-its begin/end simulated times, the owning client, a per-client operation
+its begin/end simulated times, the owning client, a process-wide operation
 sequence number (so phases group under their operation), and the number
 of RDMA round trips the interval issued — the machine-readable form of
 the paper's Table 1 RTT accounting.
@@ -21,13 +21,16 @@ check per call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Tuple
+from itertools import count
+from typing import Any, Dict, Generator, List, Tuple
 
 from repro.obs.bus import BUS, EventBus, ObsEvent
 from repro.obs.campaign import active_campaign
 
 __all__ = ["Span", "OpTrace", "SpanStore", "SpanInstrumentedOps",
            "traced_span"]
+
+_OP_SEQ = count(1)
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,8 @@ class Span:
     #: Campaign id active while the span was recorded ("" outside any
     #: campaign scope); see :mod:`repro.obs.campaign`.
     campaign: str = ""
+    #: An op span's answer (its arguments ride on its ``invoke`` event).
+    result: Any = None
 
     @property
     def duration(self) -> float:
@@ -92,11 +97,13 @@ class SpanStore:
 
     def __init__(self) -> None:
         self.spans: List[Span] = []
+        #: ``(client, seq, name, args, begin)`` of every op invoked.
+        self.invoked: List[Tuple] = []
         self._sub = None
 
     def attach(self, bus: EventBus) -> None:
         if self._sub is None:
-            self._sub = bus.subscribe(self.on_event, kinds=("span",))
+            self._sub = bus.subscribe(self.on_event, kinds=("span", "invoke"))
 
     def detach(self) -> None:
         if self._sub is not None:
@@ -105,11 +112,15 @@ class SpanStore:
 
     def on_event(self, event: ObsEvent) -> None:
         data = event.data
+        if event.kind == "invoke":
+            self.invoked.append((data["client"], data["seq"], data["name"],
+                                 data["args"], event.time))
+            return
         self.spans.append(Span(
             client=data["client"], name=data["name"], seq=data["seq"],
             level=data["level"], begin=data["begin"], end=data["end"],
             rtts=data.get("rtts", 0), error=data.get("error", False),
-            campaign=active_campaign() or ""))
+            campaign=active_campaign() or "", result=data.get("result")))
 
     def ops(self) -> List[OpTrace]:
         """Group phase spans under their operation spans.
@@ -130,8 +141,11 @@ class SpanStore:
 
 
 def traced_span(bus: EventBus, client: str, seq: int, name: str, level: str,
-                engine, gen: Generator, qp=None) -> Generator:
+                engine, gen: Generator, qp=None, args: Tuple = ()) -> Generator:
     """Drive *gen* to completion, then emit its closed span.
+
+    An op span emits an ``invoke`` event with its *args* as it opens and
+    carries its result, so a recording holds the run's history.
 
     A span is emitted even when the wrapped generator raises (flagged
     ``error=True``) so retry storms stay visible in the timeline.
@@ -141,6 +155,8 @@ def traced_span(bus: EventBus, client: str, seq: int, name: str, level: str,
     and reclamation can happen while a *later* recording is active.
     """
     begin = engine.now
+    if level == "op":
+        bus.emit("invoke", begin, client=client, seq=seq, name=name, args=args)
     rtts_before = qp.stats.rtts if qp is not None else 0
     try:
         result = yield from gen
@@ -154,7 +170,8 @@ def traced_span(bus: EventBus, client: str, seq: int, name: str, level: str,
         raise
     bus.emit("span", engine.now, client=client, name=name, seq=seq,
              level=level, begin=begin, end=engine.now,
-             rtts=(qp.stats.rtts - rtts_before) if qp is not None else 0)
+             rtts=(qp.stats.rtts - rtts_before) if qp is not None else 0,
+             result=result if level == "op" else None)
     return result
 
 
@@ -167,16 +184,16 @@ class SpanInstrumentedOps:
     from it).
     """
 
-    #: Per-client operation sequence number (monotonic while tracing).
+    #: The current op's number, unique process-wide (sharded sub-clients share a name).
     _obs_seq = 0
 
-    def _op(self, name: str, gen: Generator) -> Generator:
-        """Wrap a whole operation; no-op passthrough when bus is quiet."""
+    def _op(self, name: str, gen: Generator, *args) -> Generator:
+        """Wrap a whole operation on *args*; no-op passthrough when bus is quiet."""
         if not BUS.active:
             return gen
-        self._obs_seq += 1
+        self._obs_seq = next(_OP_SEQ)
         return traced_span(BUS, self.ctx.name, self._obs_seq, name, "op",
-                           self.engine, gen, qp=self.qp)
+                           self.engine, gen, qp=self.qp, args=args)
 
     def _phase(self, name: str, gen: Generator) -> Generator:
         """Wrap one phase of the current operation."""

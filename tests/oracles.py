@@ -29,8 +29,14 @@ imports or calls a name in :data:`__all__`):
 * :class:`ExactLfuOracle` — the hotspot buffer's exact LFU as a scan of
   every record per eviction (``HotspotBuffer`` files records in
   per-counter buckets and evicts in O(1)).
+
+The concurrent campaigns' helpers live here too: :func:`drive_legal`
+runs op generators (:func:`writers_and_readers` builds the usual mix)
+under a recording, and :func:`assert_legal` holds every answer and the
+final state to :func:`repro.faults.history.check_history`.
 """
 
+import random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.baselines.smart import (
@@ -67,6 +73,8 @@ from repro.layout.versions import (
     line_version_positions,
     raw_span,
 )
+from repro import obs
+from repro.faults.history import check_history, history
 from repro.memory.region import NULL_ADDR
 from repro.obs.bus import BUS
 from repro.sim.engine import Entry
@@ -75,18 +83,22 @@ __all__ = [
     "ExactLfuOracle",
     "HeapQueue",
     "alloc_blocks_per_key",
+    "assert_legal",
     "check_entry_evs",
     "check_hopscotch_bitmap",
     "check_nv_uniform",
     "collect_leaf_nv",
     "compose_leaf",
     "compose_sorted_leaf",
+    "drive",
+    "drive_legal",
     "entry_evs",
     "entry_nv",
     "image_nv",
     "reconstruct_bitmap",
     "set_all_nv",
     "smart_bulk_load_per_key",
+    "writers_and_readers",
 ]
 
 
@@ -390,3 +402,44 @@ def smart_bulk_load_per_key(index: SmartIndex,
     index.root_addr = root.addr
     index.root_type = NODE256
     index.loaded_items = len(pairs)
+
+
+def drive(cluster, *gens):
+    """Run the op generators *gens* concurrently, to completion."""
+    for gen in gens:
+        def runner(g=gen):
+            yield from g
+        cluster.engine.process(runner())
+    cluster.run()
+
+
+def assert_legal(rec, loaded, index):
+    """Every answer *rec* holds, and what *index* holds, is legal for
+    the history over the *loaded* pairs."""
+    ops = history(rec)
+    assert ops, "no op was traced: were its generators made before the recording?"
+    violations = check_history(ops, loaded, index.collect_items())
+    assert not violations, violations[:5]
+
+
+def drive_legal(cluster, index, loaded, *gens):
+    """Drive *gens*, then :func:`assert_legal` what they did."""
+    with obs.recording() as rec:
+        drive(cluster, *gens)
+    assert_legal(rec, loaded, index)
+
+
+def writers_and_readers(clients, writes, write, reads, read_key):
+    """Even clients run ``write(client, lane, i)`` for i < *writes*, odd
+    ones search ``read_key(rng)`` *reads* times: the op generators."""
+    def writer(client, lane):
+        for i in range(writes):
+            yield from write(client, lane, i)
+
+    def reader(client, seed):
+        rng = random.Random(seed)
+        for _ in range(reads):
+            yield from client.search(read_key(rng))
+
+    return [writer(c, i) if i % 2 == 0 else reader(c, i)
+            for i, c in enumerate(clients)]

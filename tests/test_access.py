@@ -143,7 +143,7 @@ FAST_PATHS = {
                 (3, "masked_cas read write_batch"),
                 (3, "masked_cas read write_batch")),
     "marlin": ((2, "read read"),
-               (4, "read rpc write cas"),
+               (5, "rpc write masked_cas read write_batch"),
                (4, "write masked_cas read write_batch"),
                (3, "masked_cas read write_batch")),
     "smart": ((1, "read"),

@@ -19,6 +19,7 @@ from repro.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.faults import FaultPlan
 from repro.registry import build_index
+from tests.oracles import drive_legal, writers_and_readers
 
 
 def make_cluster(**overrides):
@@ -126,36 +127,17 @@ class TestFunctionalBattery:
             for key in chunk:
                 yield from client.insert(key, key + 1)
 
-        drive(cluster, *[worker(c, keys[i * per:(i + 1) * per])
-                         for i, c in enumerate(clients)])
-        items = dict(index.collect_items())
-        for key in keys:
-            assert items[key] == key + 1
+        drive_legal(cluster, index, PAIRS,
+                    *[worker(c, keys[i * per:(i + 1) * per])
+                      for i, c in enumerate(clients)])
 
     def test_concurrent_read_write_consistency(self, index_cls):
         cluster = make_cluster(num_cns=1, clients_per_cn=6)
         index = build(index_cls, cluster)
         clients = [index.client(ctx) for ctx in cluster.clients()]
-        bad = []
-
-        def writer(client, base):
-            for i in range(100):
-                yield from client.insert(900_000 + base * 500 + i, i)
-
-        def reader(client, seed):
-            rng = random.Random(seed)
-            for _ in range(200):
-                key = rng.randrange(1, 2001)
-                value = yield from client.search(key)
-                if value != key * 10:
-                    bad.append((key, value))
-
-        gens = []
-        for i, client in enumerate(clients):
-            gens.append(writer(client, i) if i % 2 == 0
-                        else reader(client, i))
-        drive(cluster, *gens)
-        assert not bad, bad[:5]
+        drive_legal(cluster, index, PAIRS, *writers_and_readers(
+            clients, 100, lambda c, lane, i: c.insert(900_000 + lane * 500 + i, i),
+            200, lambda rng: rng.randrange(1, 2001)))
 
     def test_cache_accounting_positive(self, index_cls):
         cluster = make_cluster()
@@ -406,17 +388,15 @@ class TestMarlinSpecifics:
                                local_lock_table=False)
         index = build(MarlinIndex, cluster)
         clients = [index.client(ctx) for ctx in cluster.clients()]
-        # Adjacent keys live in the same leaf; Marlin updates them
-        # concurrently without the node lock.
+        # Adjacent keys live in the same leaf; each update takes its
+        # lock, as Sherman's does.
         def worker(client, key):
             for i in range(10):
                 ok = yield from client.update(key, 1000 + i)
                 assert ok
 
-        drive(cluster, *[worker(c, 10 + i) for i, c in enumerate(clients)])
-        items = dict(index.collect_items())
-        for i in range(len(clients)):
-            assert items[10 + i] == 1009
+        drive_legal(cluster, index, PAIRS,
+                    *[worker(c, 10 + i) for i, c in enumerate(clients)])
 
     def test_values_are_indirect(self):
         cluster = make_cluster()

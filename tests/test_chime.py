@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.cluster import Cluster
 from repro.config import ChimeConfig, ClusterConfig
 from repro.core import ChimeIndex
+from tests.oracles import drive_legal, writers_and_readers
 
 
 def make_index(num_keys=2000, chime: ChimeConfig = None,
@@ -493,15 +494,12 @@ class TestConcurrency:
             for key in keys:
                 yield from client.insert(key, key + 1)
 
-        drive(cluster, *[worker(c, all_keys[i * per:(i + 1) * per])
-                         for i, c in enumerate(clients)])
-        items = dict(index.collect_items())
-        for key in all_keys:
-            assert items[key] == key + 1
-        assert len(items) == len(pairs) + len(all_keys)
+        drive_legal(cluster, index, pairs,
+                    *[worker(c, all_keys[i * per:(i + 1) * per])
+                      for i, c in enumerate(clients)])
 
     def test_concurrent_updates_same_key_converge(self):
-        cluster, index, _ = make_index(
+        cluster, index, pairs = make_index(
             200, cluster_config=ClusterConfig(
                 num_cns=2, clients_per_cn=4, cache_bytes=1 << 22,
                 region_bytes=1 << 25))
@@ -512,40 +510,20 @@ class TestConcurrency:
                 ok = yield from client.update(50, value)
                 assert ok
 
-        drive(cluster, *[worker(c, 1000 + i) for i, c in enumerate(clients)])
-        items = dict(index.collect_items())
-        assert items[50] in range(1000, 1000 + len(clients))
+        drive_legal(cluster, index, pairs,
+                    *[worker(c, 1000 + i) for i, c in enumerate(clients)])
 
     def test_readers_never_see_torn_state(self):
         """Lock-free readers racing hop-inserting writers always observe
         committed values — the three-level synchronization at work."""
-        cluster, index, _ = make_index(
+        cluster, index, pairs = make_index(
             400, cluster_config=ClusterConfig(
                 num_cns=1, clients_per_cn=8, cache_bytes=1 << 22,
                 region_bytes=1 << 25, seed=3))
         clients = [index.client(ctx) for ctx in cluster.clients()]
-        bad = []
-
-        def writer(client, base):
-            for i in range(150):
-                yield from client.insert(10_000 + base * 1000 + i, i)
-
-        def reader(client, seed):
-            rng = random.Random(seed)
-            for _ in range(300):
-                key = rng.randrange(1, 401)
-                value = yield from client.search(key)
-                if value != key * 10:
-                    bad.append((key, value))
-
-        gens = []
-        for i, client in enumerate(clients):
-            if i % 2 == 0:
-                gens.append(writer(client, i))
-            else:
-                gens.append(reader(client, i))
-        drive(cluster, *gens)
-        assert not bad, bad[:5]
+        drive_legal(cluster, index, pairs, *writers_and_readers(
+            clients, 150, lambda c, lane, i: c.insert(10_000 + lane * 1000 + i, i),
+            300, lambda rng: rng.randrange(1, 401)))
 
 
 class TestPropertyBased:

@@ -161,7 +161,9 @@ class TestRdwc:
         for value in ("v1", "v2", "v3"):
             engine.process(client(value))
         engine.run()
-        assert len(written) == 1  # one remote write for three updates
+        # One remote write for three updates: the leader's value; the
+        # absorbed followers' values are never written.
+        assert written == ["v1"]
         assert combiner.combined_writes == 2
 
     def test_disabled_combiner_passes_through(self):

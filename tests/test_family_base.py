@@ -144,8 +144,8 @@ LOCK_WORD_FAMILIES = ["chime", "chime-indirect", "chime-learned", "marlin",
 @pytest.mark.parametrize("index_name", LOCK_WORD_FAMILIES)
 def test_orphaned_lease_is_stolen_in_every_lock_word_family(index_name):
     """Every leaf locked by a holder whose lease ran out: with leases
-    on, an upsert of a loaded key (a locked write in every family;
-    Marlin's update is a lock-free pointer CAS) steals that one leaf's
+    on, an upsert of a loaded key (a locked write in every family)
+    steals that one leaf's
     lease and completes.  ROLEX, ROLEX-Indirect and CHIME-Learned used
     to lock through a plain pairing that ignored ``lock_leases`` and
     spun on the lock bit until the budget ran out."""

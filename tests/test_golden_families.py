@@ -37,6 +37,9 @@ candidates' neighbourhoods in those blocks re-recorded them again.
 SMART's tombstone (a delete or RCU update WRITEs key 0 over the leaf it
 unlinked; a search that reads it walks again uncached) re-recorded
 ``smart-rcu A``, the one row that deletes or updates out of place.
+Marlin's update taking the leaf lock (its lock-free pointer CAS lost
+updates to concurrent inserts) re-recorded ``marlin A``, the one Marlin
+row that updates.
 
 The second half pins what the deleted ``repro perf --check`` enforced:
 the event counts of twelve YCSB-C points at the :data:`PINNED` scale,
@@ -95,7 +98,7 @@ GOLDEN = {
     ('sherman', 'E', ()):
         (1850, 120, (148, 252, 219, 18, 15, 0, 248350, 10278, 6), '0.0001467895733333338'),
     ('marlin', 'A', ()):
-        (2276, 120, (312, 311, 189, 64, 58, 4, 145014, 1006, 4), '0.0002944190400000008'),
+        (2680, 120, (363, 414, 179, 165, 70, 4, 134790, 2264, 15), '0.00032431760000000055'),
     ('marlin', 'D', ()):
         (2199, 120, (246, 247, 230, 12, 5, 3, 136725, 4632, 2), '0.00020448812000000083'),
     ('marlin', 'E', ()):

@@ -41,6 +41,7 @@ from tests.oracles import (
     check_hopscotch_bitmap,
     check_nv_uniform,
     collect_leaf_nv,
+    drive_legal,
 )
 
 TREES = ("chime", "chime-indirect", "sherman", "marlin")
@@ -129,8 +130,7 @@ def drive(cluster, *gens):
 def test_shared_scan_equals_the_whole_leaf_oracle(family, key_space_factor,
                                                   monkeypatch):
     """Scanners race inserting / updating writers (hops, node rewrites,
-    splits); every result is ordered, holds only written values and
-    skips no loaded key.  Once the writers are done, each client — its
+    splits); every answer is legal for the history.  Once the writers are done, each client — its
     CN's cached parents as stale as the run left them — scans the same
     pairs as the oracle, which are the tree's.  A CHIME tree reads a
     scan's first leaf only in the entries its candidate keys can live in
@@ -153,26 +153,9 @@ def test_shared_scan_equals_the_whole_leaf_oracle(family, key_space_factor,
     index.bulk_load(pairs)
     loaded = [k for k, _v in pairs]
     top = loaded[-1]
-    written = {k: {v} for k, v in pairs}
     clients = [index.client(ctx) for ctx in cluster.clients()]
     writers, scanners = clients[:3], clients[3:]
     leaves = tables(index)
-    problems = []
-
-    def check(start, count, result):
-        keys = [k for k, _v in result]
-        if (len(result) > count or any(k < start for k in keys)
-                or any(a >= b for a, b in zip(keys, keys[1:]))):
-            problems.append(("order", start, count, keys))
-        problems.extend(("value", k, v) for k, v in result
-                        if v not in written.get(k, ()))
-        if keys:  # loaded keys are never deleted: none may be skipped
-            inside = [k for k in loaded if start <= k <= keys[-1]]
-            if len(keys) < count:  # ran off the end of the tree
-                inside = [k for k in loaded if k >= start]
-            if set(inside) - set(keys):
-                problems.append(("skipped", start, count,
-                                 sorted(set(inside) - set(keys))[:5]))
 
     def writer(client, lane):
         rng = random.Random(lane)
@@ -181,22 +164,19 @@ def test_shared_scan_equals_the_whole_leaf_oracle(family, key_space_factor,
                 key = top + 1 + i * len(writers) + lane
             else:  # anywhere (sparse: between loaded keys — hops)
                 key = rng.randrange(1, top)
-            written.setdefault(key, set()).add(key)
             yield from client.insert(key, key)
             hot = rng.choice(loaded)
-            written[hot].add(hot + lane + 1)
             yield from client.update(hot, hot + lane + 1)
 
     def scanner(client, seed):
         rng = random.Random(seed)
         for _ in range(60):
             start = rng.choice([1, rng.randrange(1, top + 50)])
-            count = rng.randrange(1, 121)
-            check(start, count, (yield from client.scan(start, count)))
+            yield from client.scan(start, rng.randrange(1, 121))
 
-    drive(cluster, *[writer(c, i) for i, c in enumerate(writers)],
-          *[scanner(c, i) for i, c in enumerate(scanners)])
-    assert not problems, problems[:3]
+    drive_legal(cluster, index, pairs,
+                *[writer(c, i) for i, c in enumerate(writers)],
+                *[scanner(c, i) for i, c in enumerate(scanners)])
     # The writers split leaves (the trees: 35 -> 39) and chain synonyms
     # (ROLEX: 125 -> 136; CHIME-Learned, whose 64-entry leaves keep
     # room, 35 -> 37).

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.baselines import ShermanIndex
 from repro.cluster import Cluster
 from repro.config import ChimeConfig, ClusterConfig
@@ -20,6 +21,7 @@ from repro.layout import StripedSpan, decode_key, versions
 from repro.memory.region import CACHE_LINE
 from repro.obs import BUS
 from repro.rdma.nic import NicSpec
+from tests.oracles import assert_legal, drive, drive_legal, writers_and_readers
 
 #: Slow + fat-window NIC: multi-microsecond transfer windows per node.
 SLOW_NIC = NicSpec(bandwidth=5e7, iops=2e6, latency=0.5e-6)
@@ -32,12 +34,13 @@ def slow_cluster(clients=8, seed=11):
         mn_nic=SLOW_NIC, seed=seed, rdwc=False))
 
 
-def drive(cluster, *gens):
-    for gen in gens:
-        def runner(g=gen):
-            yield from g
-        cluster.engine.process(runner())
-    cluster.run()
+def _between_tens(client, lane, i):
+    key = 10 * (i * 4 + lane) + lane % 9 + 1  # never % 10 == 0
+    return client.insert(key, key)
+
+
+def _a_loaded_ten(rng):
+    return rng.randrange(1, 401) * 10
 
 
 class TestChimeUnderTearing:
@@ -50,25 +53,8 @@ class TestChimeUnderTearing:
         pairs = [(k, k * 10) for k in range(10, 4001, 10)]
         index.bulk_load(pairs)
         clients = [index.client(ctx) for ctx in cluster.clients()]
-        wrong = []
-
-        def writer(client, lane):
-            for i in range(150):
-                key = 10 * (i * 4 + lane) + lane % 9 + 1  # never % 10 == 0
-                yield from client.insert(key, key)
-
-        def reader(client, seed):
-            rng = random.Random(seed)
-            for _ in range(250):
-                key = rng.randrange(1, 401) * 10
-                value = yield from client.search(key)
-                if value != key * 10:
-                    wrong.append((key, value))
-
-        gens = [writer(c, i) if i % 2 == 0 else reader(c, i)
-                for i, c in enumerate(clients)]
-        drive(cluster, *gens)
-        assert not wrong, wrong[:5]
+        drive_legal(cluster, index, pairs, *writers_and_readers(
+            clients, 150, _between_tens, 250, _a_loaded_ten))
 
     def _ambushed_readers_vs_hop_writers(self, monkeypatch):
         """The campaign above plus an ambush reader and an ambush
@@ -96,16 +82,11 @@ class TestChimeUnderTearing:
         scanner, ambusher = clients.pop(), clients.pop()
         layout = index.leaf_layout
         raw_size = layout.raw_size
-        wrong = []
         hops = []  # (leaf address, keys it moves) of hops not yet landed
         torn_bitmaps = []
         torn_partial = []  # level 3 failed a partial first-leaf read
         ambushing = []
         scanning = []
-
-        def check(key, value):  # loaded keys hold key * 10, inserted ones key
-            if value != (key * 10 if key % 10 == 0 else key):
-                wrong.append((key, value))
 
         apply_plan = ChimeClient._apply_plan
 
@@ -132,8 +113,7 @@ class TestChimeUnderTearing:
         def ambush(keys):
             for _ in range(4):  # spread over the hop's landing window
                 for key in keys:
-                    value = yield from ambusher.search(key)
-                    check(key, value)
+                    yield from ambusher.search(key)
             ambushing.clear()
 
         def scan_ambush(leaf_addr, keys):
@@ -145,13 +125,7 @@ class TestChimeUnderTearing:
             start = next((key for key in range(high - 1, high - 6, -1)
                           if index.home_of(key) in moved), high - 3)
             for _ in range(3):
-                pairs = yield from scanner.scan(start, 8)
-                got = [k for k, _v in pairs]
-                for key, value in pairs:
-                    check(key, value)
-                if got != sorted(set(got)) or got and any(
-                        k not in got for k in loaded if start <= k <= got[-1]):
-                    wrong.append(("scan", start, got))
+                yield from scanner.scan(start, 8)
             scanning.clear()
 
         mn = cluster.mns[0]
@@ -169,19 +143,6 @@ class TestChimeUnderTearing:
                             scan_ambush(leaf_addr, keys)))
 
         mn.mem_write = ambushing_write
-
-        def writer(client, lane):
-            for i in range(150):
-                key = 10 * (i * 4 + lane) + lane % 9 + 1  # never % 10 == 0
-                yield from client.insert(key, key)
-
-        def reader(client, seed):
-            rng = random.Random(seed)
-            for _ in range(250):
-                key = rng.randrange(1, 401) * 10
-                value = yield from client.search(key)
-                check(key, value)
-
         watches = [
             BUS.subscribe(lambda event: event.data["moves"] and hops.append(
                 (event.data["leaf_addr"], [])),
@@ -190,12 +151,12 @@ class TestChimeUnderTearing:
                           and torn_bitmaps.append(event), kinds=["sync.torn"]),
         ]
         try:
-            drive(cluster, *[writer(c, i) if i % 2 == 0 else reader(c, i)
-                             for i, c in enumerate(clients)])
+            drive_legal(cluster, index, [(k, k * 10) for k in loaded],
+                        *writers_and_readers(clients, 150, _between_tens,
+                                               250, _a_loaded_ten))
         finally:
             for watch in watches:
                 watch.unsubscribe()
-        assert not wrong, wrong[:5]
         return len(torn_bitmaps), len(torn_partial)
 
     def test_ambushed_readers_vs_hop_writers(self, monkeypatch):
@@ -280,38 +241,22 @@ class TestChimeUnderTearing:
         old or the new value of a key, never a torn hybrid."""
         cluster = slow_cluster(clients=8, seed=3)
         index = ChimeIndex(cluster)
-        valid = {1_000_000 + i for i in range(8)}
         pairs = sorted((k, 1_000_000) for k in range(1, 65))
         index.bulk_load(pairs)
         clients = [index.client(ctx) for ctx in cluster.clients()]
-        bad = []
-
-        def updater(client, lane):
-            for i in range(100):
-                yield from client.update((lane * 7) % 64 + 1,
-                                         1_000_000 + lane)
-
-        def reader(client, seed):
-            rng = random.Random(seed)
-            for _ in range(300):
-                key = rng.randrange(1, 65)
-                value = yield from client.search(key)
-                if value != 1_000_000 and value not in valid:
-                    bad.append((key, value))
-
-        gens = [updater(c, i) if i % 2 == 0 else reader(c, i)
-                for i, c in enumerate(clients)]
-        drive(cluster, *gens)
-        assert not bad, bad[:5]
+        drive_legal(cluster, index, pairs, *writers_and_readers(
+            clients, 100, lambda c, lane, i: c.update((lane * 7) % 64 + 1,
+                                                      1_000_000 + lane),
+            300, lambda rng: rng.randrange(1, 65)))
 
     #: Loaded keys sit at BASE, BASE + 10, ...; everything below BASE is
     #: free for writers to grow the leftmost leaf into.
     BASE = 100_000
 
     def _scanners_vs_hop_writers(self):
-        """Scanners racing inserting/updating writers; asserts that no
-        scan returns a value nobody wrote or keys out of order, and that
-        the scanners' whole-leaf NV check fired.
+        """Scanners racing inserting/updating writers; asserts that every
+        scan is legal for the history, and that the scanners' whole-leaf
+        NV check fired.
 
         Free-running scans are tx-bound and phase-lock with the writers'
         rx-side chunk landings, so they rarely sample a node write
@@ -327,16 +272,6 @@ class TestChimeUnderTearing:
         index.bulk_load([(k, k * 10) for k in loaded])
         clients = [index.client(ctx) for ctx in cluster.clients()]
         writers, scanners, ambusher = clients[:4], clients[4:8], clients[8]
-        written = {k: {k * 10} for k in loaded}
-        problems = []
-
-        def check(start, count, pairs):
-            keys = [k for k, _v in pairs]
-            if (len(pairs) > count or any(k < start for k in keys)
-                    or any(a >= b for a, b in zip(keys, keys[1:]))):
-                problems.append(("order", start, count, keys))
-            problems.extend(("value", k, v) for k, v in pairs
-                            if v not in written.get(k, ()))
 
         def writer(client, lane):
             rng = random.Random(lane)
@@ -345,10 +280,8 @@ class TestChimeUnderTearing:
                     key = base - 1 - (i * len(writers) + lane)
                 else:      # between loaded keys: hops inside their leaves
                     key = base + 10 * rng.randrange(loaded_count) + 1 + lane
-                written.setdefault(key, set()).add(key)
                 yield from client.insert(key, key)
                 hot = rng.choice(loaded)
-                written[hot].add(hot * 10 + lane + 1)
                 yield from client.update(hot, hot * 10 + lane + 1)
 
         def scanner(client, seed):
@@ -356,9 +289,7 @@ class TestChimeUnderTearing:
             for _ in range(150):
                 start = rng.choice(
                     [1, rng.randrange(base - 1000, base + 10 * loaded_count)])
-                count = rng.randrange(20, 121)
-                pairs = yield from client.scan(start, count)
-                check(start, count, pairs)
+                yield from client.scan(start, rng.randrange(20, 121))
 
         mn = cluster.mns[0]
         leftmost = index.leaf_addrs()[0]
@@ -366,8 +297,7 @@ class TestChimeUnderTearing:
         ambushing = []
 
         def ambush():
-            pairs = yield from ambusher.scan(1, 40)
-            check(1, 40, pairs)
+            yield from ambusher.scan(1, 40)
             ambushing.clear()
 
         def ambushing_write(addr, data):
@@ -377,9 +307,9 @@ class TestChimeUnderTearing:
                 ambushing.append(cluster.engine.process(ambush()))
 
         mn.mem_write = ambushing_write
-        drive(cluster, *[writer(c, i) for i, c in enumerate(writers)],
-              *[scanner(c, i) for i, c in enumerate(scanners)])
-        assert not problems, problems[:5]
+        drive_legal(cluster, index, [(k, k * 10) for k in loaded],
+                    *[writer(c, i) for i, c in enumerate(writers)],
+                    *[scanner(c, i) for i, c in enumerate(scanners)])
         assert len(index.leaf_addrs()) > 3  # the writers did split leaves
         # Scan-only clients retry for one reason: a torn whole-leaf image.
         assert sum(c.qp.stats.retries for c in scanners + [ambusher]) > 0
@@ -456,7 +386,8 @@ class TestPinnedScans:
 
         out = []
 
-        def scan():
+        def scan():  # invoked after the write answered, not with it
+            yield cluster.engine.timeout(1e-9)
             out.append((yield from scanner.scan(start, count)))
 
         mn.mem_read = pinned_read
@@ -482,7 +413,8 @@ class TestPinnedScans:
         bytes whole, so the default 18-byte entry cannot tear.)"""
         cluster = slow_cluster(clients=2)
         index = ChimeIndex(cluster, ChimeConfig(value_size=64))
-        index.bulk_load([(k, self.OLD) for k in range(1, 401)])
+        loaded = [(k, self.OLD) for k in range(1, 401)]
+        index.bulk_load(loaded)
         layout = index.leaf_layout
         ppl = CACHE_LINE - 1  # payload bytes per line
         writer, scanner = (index.client(ctx) for ctx in cluster.clients())
@@ -494,18 +426,18 @@ class TestPinnedScans:
             if (layout.entry_offset(pos) + layout.entry_off_value) // ppl
             != (layout.entry_offset(pos) + layout.entry_off_value + 7) // ppl)
         start = min(k for k, _v in view.pairs())
-        images = self._landings(cluster, index, writer.update(key, self.NEW))
-        assert len(images) >= 2  # one entry WRITE, landing in chunks
         levels, watch = self._torn_levels()
         try:
-            for image_leaf, image in images:
-                pairs = self._pinned_scan(cluster, index, scanner, image_leaf,
-                                          image, start, 30)
-                assert [k for k, _v in pairs] == list(range(start, start + 30))
-                assert all(v == (self.NEW if k == key else self.OLD)
-                           for k, v in pairs), dict(pairs)[key]
+            with obs.recording() as rec:
+                images = self._landings(cluster, index,
+                                        writer.update(key, self.NEW))
+                assert len(images) >= 2  # one entry WRITE, landing in chunks
+                for image_leaf, image in images:
+                    self._pinned_scan(cluster, index, scanner, image_leaf,
+                                      image, start, 30)
         finally:
             watch.unsubscribe()
+        assert_legal(rec, loaded, index)
         return levels
 
     def test_scan_between_the_chunks_of_an_entry_write(self):
@@ -533,7 +465,8 @@ class TestPinnedScans:
         the torn levels seen."""
         cluster = slow_cluster(clients=2)
         index = ChimeIndex(cluster, ChimeConfig(bulk_load_factor=0.85))
-        index.bulk_load([(k, k * 10) for k in range(10, 4001, 10)])
+        loaded = [(k, k * 10) for k in range(10, 4001, 10)]
+        index.bulk_load(loaded)
         writer, scanner = (index.client(ctx) for ctx in cluster.clients())
         moves = []
         watches = [BUS.subscribe(
@@ -543,25 +476,26 @@ class TestPinnedScans:
         watches.append(watch)
         hops = 0
         try:
-            for key in range(11, 4000, 10):
-                del moves[:]
-                images = self._landings(cluster, index,
-                                        writer.insert(key, key))
-                if not any(moves) or len({leaf for leaf, _i in images}) != 1:
-                    continue  # no displacement, or a split
-                hops += 1
-                truth = index.collect_items()
-                start = truth[max(0, [k for k, _v in truth].index(key) - 40)][0]
-                expected = [pair for pair in truth if pair[0] >= start][:90]
-                for leaf, image in images:
-                    assert self._pinned_scan(cluster, index, scanner, leaf,
-                                             image, start, 90) == expected
-                if hops == hops_wanted:
-                    break
+            with obs.recording() as rec:
+                for key in range(11, 4000, 10):
+                    del moves[:]
+                    images = self._landings(cluster, index,
+                                            writer.insert(key, key))
+                    if not any(moves) or len(dict(images)) != 1:
+                        continue  # no displacement, or a split
+                    hops += 1
+                    keys = [k for k, _v in index.collect_items()]
+                    start = keys[max(0, keys.index(key) - 40)]
+                    for leaf, image in images:
+                        self._pinned_scan(cluster, index, scanner, leaf,
+                                          image, start, 90)
+                    if hops == hops_wanted:
+                        break
         finally:
             for watch in watches:
                 watch.unsubscribe()
         assert hops == hops_wanted
+        assert_legal(rec, loaded, index)
         return levels
 
     def test_scan_between_the_writes_of_a_hop(self):
@@ -627,24 +561,9 @@ class TestShermanUnderTearing:
         pairs = [(k, k * 10) for k in range(1, 301)]
         index.bulk_load(pairs)
         clients = [index.client(ctx) for ctx in cluster.clients()]
-        wrong = []
-
-        def writer(client, lane):
-            for i in range(80):
-                yield from client.insert(10_000 + lane * 500 + i, i)
-
-        def reader(client, seed):
-            rng = random.Random(seed)
-            for _ in range(200):
-                key = rng.randrange(1, 301)
-                value = yield from client.search(key)
-                if value != key * 10:
-                    wrong.append((key, value))
-
-        gens = [writer(c, i) if i % 2 == 0 else reader(c, i)
-                for i, c in enumerate(clients)]
-        drive(cluster, *gens)
-        assert not wrong, wrong[:5]
+        drive_legal(cluster, index, pairs, *writers_and_readers(
+            clients, 80, lambda c, lane, i: c.insert(10_000 + lane * 500 + i, i),
+            200, lambda rng: rng.randrange(1, 301)))
 
 
 class TestDetectionIsLoadBearing:
