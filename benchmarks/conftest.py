@@ -5,13 +5,10 @@ round — the experiment itself is a full simulated cluster run), prints
 the figure's data table, and writes it under ``benchmarks/results/`` so
 EXPERIMENTS.md can reference committed numbers.
 
-Every table is dual-written: the human-readable ``results/<name>.txt``
-and a machine-readable ``results/<name>.jsonl`` twin (one row-dict per
-line).  When a campaign store is active (``REPRO_CAMPAIGN_DB`` points
-at a sqlite file, optionally with ``REPRO_CAMPAIGN_ID``), rows are also
-persisted into the store's ``figure_tables`` table keyed by the current
-commit and seed — so running this suite inside a campaign populates the
-perf database for free.
+A table is written once, as ``results/<name>.txt`` rendered by
+:func:`repro.bench.report.format_table`.  Multi-seed replicates of a
+point live in the campaign store's ``points`` table instead
+(``python -m repro campaign run``).
 
 Scale selection: set ``REPRO_SCALE`` to ``quick`` / ``default`` / ``full``
 (benchmarks default to ``quick`` so the whole suite completes in
@@ -34,15 +31,11 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 def record_table():
     """Returns a function that prints + persists one experiment table."""
     from repro.bench.report import format_table
-    from repro.bench.scale import current_scale
-    from repro.xpmt.record import record_rows
 
     def record(name, rows, columns=None, title=""):
         RESULTS_DIR.mkdir(exist_ok=True)
         text = format_table(rows, columns, title or name)
         (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-        record_rows(name, rows, str(RESULTS_DIR / f"{name}.jsonl"),
-                    seed=current_scale().seed)
         print("\n" + text)
         return rows
 

@@ -21,7 +21,7 @@ Usage::
     python -m repro chaos --loss 0.01 --delay 0.05 --outage 0:100us:300us
     python -m repro campaign run --indexes chime,sherman --seeds 3
     python -m repro campaign status
-    python -m repro campaign report --out campaign-report.html
+    python -m repro campaign report --out campaign-report.txt
     python -m repro campaign diff
 
 Figure names map to the experiment functions of
@@ -415,21 +415,26 @@ def _campaign_plan(args):
                         name=args.name or "")
 
 
-def _campaign_id_or_latest(store, requested: Optional[str],
-                           parser_hint: str) -> Optional[str]:
-    if requested:
-        return requested
-    campaigns = store.campaigns()
-    if not campaigns:
-        print(f"no campaigns in {store.path}; run "
-              f"'python -m repro campaign run' first", file=sys.stderr)
+def _stored_campaign(store, requested: str) -> Optional[str]:
+    """The campaign *requested* (default: the only one), or None after
+    saying why on stderr: none recorded, several to pick from, or no
+    point stored under that id."""
+    ids = [c["id"] for c in store.campaigns()]
+    if not requested:
+        if not ids:
+            print(f"no campaigns in {store.path}; run "
+                  f"'python -m repro campaign run' first", file=sys.stderr)
+            return None
+        if len(ids) > 1:
+            print(f"multiple campaigns in {store.path} ({', '.join(ids)}); "
+                  f"pick one with --id", file=sys.stderr)
+            return None
+        requested = ids[0]
+    if not store.point_count(campaign_id=requested):
+        print(f"campaign {requested} has no stored points in {store.path} "
+              f"(stored: {', '.join(ids) or 'none'})", file=sys.stderr)
         return None
-    if len(campaigns) > 1:
-        names = ", ".join(c["id"] for c in campaigns)
-        print(f"multiple campaigns in {store.path} ({names}); "
-              f"pick one with {parser_hint}", file=sys.stderr)
-        return None
-    return campaigns[0]["id"]
+    return requested
 
 
 def _cmd_campaign(args) -> int:
@@ -477,39 +482,22 @@ def _cmd_campaign(args) -> int:
                                        f"({total} stored points)"))
         return 0
 
-    if args.campaign_command == "report":
-        from repro.xpmt import build_report
-        with CampaignStore(args.db) as store:
-            campaign_id = _campaign_id_or_latest(store, args.id, "--id")
-            if campaign_id is None:
-                return 2
-            document, verdict = build_report(
-                store, campaign_id, alpha=args.alpha,
-                min_drop=args.min_drop)
-        with open(args.out, "w") as sink:
-            sink.write(document)
-        for problem in verdict["problems"]:
-            print(f"regression: {problem}", file=sys.stderr)
-        for warning in verdict["warnings"]:
-            print(f"warning: {warning}", file=sys.stderr)
-        status = "PASS" if verdict["ok"] else "FAIL"
-        print(f"[campaign {campaign_id}: {status} — "
-              f"{len(verdict['checks'])} cells, "
-              f"{len(verdict['problems'])} regressions, "
-              f"{len(verdict['warnings'])} warnings -> {args.out}]")
-        return 0 if verdict["ok"] else 1
-
-    # diff
-    from repro.xpmt import collect_cells, diff_cells
+    from repro.xpmt import build_report, collect_cells, diff_cells
     with CampaignStore(args.db) as store:
-        campaign_id = _campaign_id_or_latest(store, args.id, "--id")
+        campaign_id = _stored_campaign(store, args.id)
         if campaign_id is None:
             return 2
+        if args.campaign_command == "report":
+            text, verdict = build_report(store, campaign_id, alpha=args.alpha,
+                                         min_drop=args.min_drop)
+            print(text)
+            if args.out:
+                with open(args.out, "w") as sink:
+                    sink.write(text + "\n")
+            return 0 if verdict["ok"] else 1
         cells = collect_cells(store, campaign_id)
-    if not cells:
-        print(f"campaign {campaign_id} has no stored points",
-              file=sys.stderr)
-        return 2
+
+    # diff
     commits: List[str] = []
     for cell in cells:
         for commit in cell.commit_order:
@@ -521,6 +509,12 @@ def _cmd_campaign(args) -> int:
         print("only one commit stored; nothing to diff against "
               "(pass --base)", file=sys.stderr)
         return 2
+    for flag, commit in (("--base", base), ("--head", head)):
+        if commit not in commits:
+            print(f"{flag} {commit}: no point of campaign {campaign_id} is "
+                  f"stored at that commit (stored: {', '.join(commits)})",
+                  file=sys.stderr)
+            return 2
     rows = diff_cells(cells, base, head)
     print(format_table(rows, title=f"campaign {campaign_id}: "
                                    f"{base[:12]} -> {head[:12]}"))
@@ -657,12 +651,12 @@ def build_parser() -> argparse.ArgumentParser:
     _db_arg(cstatus)
 
     creport = campaign_sub.add_parser(
-        "report", help="render the static HTML report + verdict")
+        "report", help="print the campaign's tables + regression verdict")
     _db_arg(creport)
     creport.add_argument("--id", default="", help="campaign id "
                                                   "(default: the only one)")
-    creport.add_argument("--out", default="campaign-report.html",
-                         metavar="PATH")
+    creport.add_argument("--out", default="", metavar="PATH",
+                         help="also write the report text to PATH")
     creport.add_argument("--alpha", type=float, default=0.05,
                          help="Mann-Whitney significance level")
     creport.add_argument("--min-drop", type=float, default=0.05,

@@ -33,7 +33,7 @@ class Knob:
 
     ``name`` is the ``Scale`` field the knob sets and the argparse
     destination of its flag; rows with ``scale_field=False`` select a
-    preset or route results instead of configuring a run.
+    preset or key results instead of configuring a run.
     """
 
     name: str
@@ -102,12 +102,6 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
     Knob("num_shards", "REPRO_SHARDS", "--shards", int, 0,
          "key-space shards (0 = the legacy striped pool)",
          "one per MN when there are several, else 0", minimum=0),
-    Knob("campaign_db", "REPRO_CAMPAIGN_DB", None, str, "",
-         "campaign store that figure tables are also written to",
-         scale_field=False),
-    Knob("campaign_id", "REPRO_CAMPAIGN_ID", None, str, "",
-         "campaign id those figure tables are attributed to",
-         scale_field=False),
     Knob("commit", "REPRO_COMMIT", None, str, "",
          "commit hash results are keyed under (default: git HEAD)",
          scale_field=False),

@@ -32,7 +32,6 @@ from contextlib import AbstractContextManager
 from typing import Dict, List, Optional
 
 from repro.obs.bus import BUS, EventBus, ObsEvent, Subscription
-from repro.obs.campaign import active_campaign, campaign_scope
 from repro.obs.export import (
     chrome_trace_events,
     flame_summary,
@@ -61,7 +60,6 @@ __all__ = [
     "chrome_trace_events", "render_chrome_trace", "write_chrome_trace",
     "flame_summary",
     "Recording", "recording", "active_recording",
-    "active_campaign", "campaign_scope",
 ]
 
 #: Stack of live recordings (innermost last); see :func:`active_recording`.

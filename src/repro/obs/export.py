@@ -43,9 +43,7 @@ def chrome_trace_events(spans: Iterable[Span]) -> List[Dict]:
             "pid": 0,
             "tid": span.client,
             "args": {"seq": span.seq, "rtts": span.rtts,
-                     **({"error": True} if span.error else {}),
-                     **({"campaign": span.campaign}
-                        if span.campaign else {})},
+                     **({"error": True} if span.error else {})},
         })
     return events
 
@@ -53,15 +51,10 @@ def chrome_trace_events(spans: Iterable[Span]) -> List[Dict]:
 def render_chrome_trace(spans: Iterable[Span],
                         metadata: Dict = None) -> Dict:
     """The full trace document (``traceEvents`` + display hints)."""
-    spans = list(spans)
     document = {
         "traceEvents": chrome_trace_events(spans),
         "displayTimeUnit": "ms",
     }
-    campaigns = sorted({s.campaign for s in spans if s.campaign})
-    if campaigns:
-        metadata = dict(metadata or {})
-        metadata.setdefault("campaigns", campaigns)
     if metadata:
         document["otherData"] = dict(metadata)
     return document

@@ -25,7 +25,6 @@ from itertools import count
 from typing import Any, Dict, Generator, List, Tuple
 
 from repro.obs.bus import BUS, EventBus, ObsEvent
-from repro.obs.campaign import active_campaign
 
 __all__ = ["Span", "OpTrace", "SpanStore", "SpanInstrumentedOps",
            "traced_span"]
@@ -45,9 +44,6 @@ class Span:
     end: float
     rtts: int = 0
     error: bool = False
-    #: Campaign id active while the span was recorded ("" outside any
-    #: campaign scope); see :mod:`repro.obs.campaign`.
-    campaign: str = ""
     #: An op span's answer (its arguments ride on its ``invoke`` event).
     result: Any = None
 
@@ -120,7 +116,7 @@ class SpanStore:
             client=data["client"], name=data["name"], seq=data["seq"],
             level=data["level"], begin=data["begin"], end=data["end"],
             rtts=data.get("rtts", 0), error=data.get("error", False),
-            campaign=active_campaign() or "", result=data.get("result")))
+            result=data.get("result")))
 
     def ops(self) -> List[OpTrace]:
         """Group phase spans under their operation spans.

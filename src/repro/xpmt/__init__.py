@@ -8,10 +8,9 @@ A fuzzbench-style layer over the figure sweeps:
 * :mod:`repro.xpmt.runner` — the resumable multi-seed runner layered on
   :mod:`repro.bench.parallel` (stored points are skipped, never redone);
 * :mod:`repro.xpmt.stats` — replicate mean/CI and Mann-Whitney checks;
-* :mod:`repro.xpmt.report` — static HTML reports with SVG sparklines
-  and the regression verdict against the stored trajectory;
-* :mod:`repro.xpmt.record` — the ``record_table`` fixture's JSONL and
-  store routing.
+* :mod:`repro.xpmt.report` — the text report (through
+  :func:`repro.bench.report.format_table`) and the regression verdict
+  against the stored trajectory.
 
 Surfaced as ``python -m repro campaign run|status|report|diff``.
 """

@@ -1,10 +1,13 @@
-"""Zero-dependency static HTML campaign reports + the regression verdict.
+"""Campaign reports + the regression verdict.
 
-The report is one self-contained HTML document: a summary table with an
-inline SVG sparkline per cell (mean throughput across the stored commit
-trajectory) and a per-cell breakdown of every commit's replicate
-statistics.  No timestamps are embedded, so the same stored points
-always render byte-identical HTML — the resume tests rely on that.
+The report is plain text printed through
+:func:`repro.bench.report.format_table`, the renderer every figure table
+uses: the verdict lines, one row per cell (head-commit mean, its CI, the
+change against the previous commit and the per-commit means as the
+trend), then every commit's replicate statistics and each cell's spec
+payload.  No
+timestamps are printed, so the same stored points always render
+byte-identical text — the resume tests rely on that.
 
 There is one verdict: the campaign's newest commit diffed against the
 previous one in the stored trajectory (Mann-Whitney over the seed
@@ -13,11 +16,11 @@ replicates).
 
 from __future__ import annotations
 
-import html
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.bench.report import format_table
 from repro.xpmt import stats
 from repro.xpmt.spec import cell_label
 from repro.xpmt.store import CampaignStore
@@ -28,7 +31,7 @@ __all__ = [
     "collect_cells",
     "diff_cells",
     "regression_verdict",
-    "render_html",
+    "render_text",
 ]
 
 #: The metric regressions are judged on (higher is better).
@@ -165,124 +168,68 @@ def diff_cells(cells: Sequence[CellSeries], base: str, head: str) -> List[Dict]:
     return rows
 
 
-# -- HTML --------------------------------------------------------------------
-
-_CSS = """
-body { font-family: system-ui, sans-serif; margin: 2em; color: #1a1a1a; }
-h1 { font-size: 1.4em; } h2 { font-size: 1.1em; margin-top: 1.6em; }
-table { border-collapse: collapse; margin: 0.6em 0; }
-th, td { border: 1px solid #ccc; padding: 0.25em 0.6em; text-align: right; }
-th { background: #f2f2f2; } td.l, th.l { text-align: left; }
-.pass { color: #0a7d28; font-weight: bold; }
-.fail { color: #b01818; font-weight: bold; }
-.warn { color: #a06000; }
-svg polyline { fill: none; stroke: #2060c0; stroke-width: 1.5; }
-svg circle { fill: #b01818; }
-code { background: #f6f6f6; padding: 0 0.2em; }
-"""
+# -- text --------------------------------------------------------------------
 
 
-def sparkline_svg(values: Sequence[float], width: int = 140, height: int = 28) -> str:
-    """An inline SVG sparkline; the last point is marked with a dot."""
-    if not values:
-        return ""
-    pad = 3.0
-    lo, hi = min(values), max(values)
-    spread = (hi - lo) or 1.0
-    span_x = width - 2 * pad
-    step = span_x / (len(values) - 1) if len(values) > 1 else 0.0
-    coords = []
-    for i, value in enumerate(values):
-        x = pad + (step * i if len(values) > 1 else span_x / 2)
-        y = pad + (height - 2 * pad) * (1.0 - (value - lo) / spread)
-        coords.append((round(x, 1), round(y, 1)))
-    points = " ".join(f"{x},{y}" for x, y in coords)
-    last_x, last_y = coords[-1]
-    return (
-        f'<svg width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
-        f'<polyline points="{points}"/>'
-        f'<circle cx="{last_x}" cy="{last_y}" r="2"/></svg>'
-    )
+def _f4(value: float) -> str:
+    """Means and CIs at four decimals (``format_table`` prints three)."""
+    return f"{value:.4f}"
 
 
-def _fmt(value: float, digits: int = 4) -> str:
-    return f"{value:.{digits}f}"
-
-
-def render_html(
-    campaign_id: str,
-    cells: Sequence[CellSeries],
-    verdict: Dict,
-) -> str:
-    """The full static report document."""
-    trajectory_by_hash = {c["spec_hash"]: c for c in verdict["checks"]}
-    parts: List[str] = []
-    parts.append("<!doctype html><html><head><meta charset='utf-8'>")
-    parts.append(f"<title>campaign {html.escape(campaign_id)}</title>")
-    parts.append(f"<style>{_CSS}</style></head><body>")
-    parts.append(f"<h1>Campaign <code>{html.escape(campaign_id)}</code></h1>")
+def render_text(campaign_id: str, cells: Sequence[CellSeries], verdict: Dict) -> str:
+    """The report: verdict lines, then the cell, per-commit and spec tables."""
     status = "PASS" if verdict["ok"] else "FAIL"
-    css = "pass" if verdict["ok"] else "fail"
-    parts.append(f"<p>Regression verdict: <span class='{css}'>{status}</span></p>")
-    for problem in verdict["problems"]:
-        parts.append(f"<p class='fail'>&#10007; {html.escape(problem)}</p>")
-    for warning in verdict["warnings"]:
-        parts.append(f"<p class='warn'>&#9888; {html.escape(warning)}</p>")
-
-    parts.append("<h2>Cells</h2><table>")
-    parts.append(
-        "<tr><th class='l'>cell</th><th>seeds</th><th>commits</th>"
-        "<th>head mean (Mops)</th><th>&plusmn;95% CI</th><th>&Delta; vs prev</th>"
-        "<th>p</th><th class='l'>trend</th></tr>"
-    )
+    lines = [
+        f"campaign {campaign_id}: {status} — {len(verdict['checks'])} cells, "
+        f"{len(verdict['problems'])} regressions, {len(verdict['warnings'])} warnings"
+    ]
+    lines += [f"regression: {problem}" for problem in verdict["problems"]]
+    lines += [f"warning: {warning}" for warning in verdict["warnings"]]
+    trajectory_by_hash = {c["spec_hash"]: c.get("trajectory") for c in verdict["checks"]}
+    cell_rows, commit_rows, spec_rows = [], [], []
     for cell in cells:
-        head = cell.head_commit()
-        head_values = cell.values(head) if head else []
-        summary = stats.summarize(head_values)
-        check = trajectory_by_hash.get(cell.spec_hash, {})
-        trajectory = check.get("trajectory")
-        if trajectory:
-            delta = f"{trajectory['rel_change'] * 100:+.1f}%"
-            p_text = _fmt(trajectory["p"], 3)
-        else:
-            delta, p_text = "-", "-"
+        head = stats.summarize(cell.values(cell.head_commit()))
+        trajectory = trajectory_by_hash.get(cell.spec_hash)
         means = [stats.summarize(cell.values(c))["mean"] for c in cell.commit_order]
-        parts.append(
-            f"<tr><td class='l'>{html.escape(cell.label)}</td>"
-            f"<td>{summary['n']}</td><td>{len(cell.commit_order)}</td>"
-            f"<td>{_fmt(summary['mean'])}</td><td>{_fmt(summary['ci95'])}</td>"
-            f"<td>{delta}</td><td>{p_text}</td>"
-            f"<td class='l'>{sparkline_svg(means)}</td></tr>"
-        )
-    parts.append("</table>")
-
-    for cell in cells:
-        parts.append(f"<h2>{html.escape(cell.label)}</h2>")
-        parts.append(f"<p>spec <code>{cell.spec_hash}</code></p>")
-        parts.append(
-            "<table><tr><th class='l'>commit</th><th>n</th><th>mean</th>"
-            "<th>stdev</th><th>&plusmn;95% CI</th><th>p50 &micro;s</th>"
-            "<th>p99 &micro;s</th><th>rtts/op</th></tr>"
+        cell_rows.append(
+            {
+                "cell": cell.label,
+                "seeds": head["n"],
+                "commits": len(cell.commit_order),
+                "head_mean": _f4(head["mean"]),
+                "ci95": _f4(head["ci95"]),
+                "delta_vs_prev": f"{trajectory['rel_change'] * 100:+.1f}%" if trajectory else "-",
+                "p": trajectory["p"] if trajectory else "-",
+                "trend": " ".join(_f4(mean) for mean in means),
+            }
         )
         for commit in cell.commit_order:
             summary = stats.summarize(cell.values(commit))
             aux = cell.aux_by_commit.get(commit, {})
-            parts.append(
-                f"<tr><td class='l'><code>{html.escape(commit[:12])}</code></td>"
-                f"<td>{summary['n']}</td><td>{_fmt(summary['mean'])}</td>"
-                f"<td>{_fmt(summary['stdev'])}</td><td>{_fmt(summary['ci95'])}</td>"
-                f"<td>{_fmt(aux.get('p50_us', 0.0), 2)}</td>"
-                f"<td>{_fmt(aux.get('p99_us', 0.0), 2)}</td>"
-                f"<td>{_fmt(aux.get('rtts_per_op', 0.0), 2)}</td></tr>"
+            commit_rows.append(
+                {
+                    "cell": cell.label,
+                    "commit": commit[:12],
+                    "n": summary["n"],
+                    "mean": _f4(summary["mean"]),
+                    "stdev": _f4(summary["stdev"]),
+                    "ci95": _f4(summary["ci95"]),
+                    **{metric: aux.get(metric, 0.0) for metric in AUX_METRICS},
+                }
             )
-        parts.append("</table>")
-        parts.append(
-            "<details><summary>spec payload</summary><pre>"
-            f"{html.escape(json.dumps(cell.spec, indent=2, sort_keys=True))}"
-            "</pre></details>"
+        spec_rows.append(
+            {
+                "cell": cell.label,
+                "spec_hash": cell.spec_hash,
+                "spec": json.dumps(cell.spec, sort_keys=True),
+            }
         )
-    parts.append("</body></html>")
-    return "\n".join(parts)
+    tables = [
+        format_table(cell_rows, title=f"cells ({PRIMARY_METRIC}; trend = mean per commit)"),
+        format_table(commit_rows, title="per commit"),
+        format_table(spec_rows, title="specs"),
+    ]
+    return "\n".join(lines) + "\n\n" + "\n\n".join(tables)
 
 
 def build_report(
@@ -291,7 +238,7 @@ def build_report(
     alpha: float = DEFAULT_ALPHA,
     min_drop: float = DEFAULT_MIN_DROP,
 ) -> Tuple[str, Dict]:
-    """Collect, judge, and render one campaign: ``(html, verdict)``."""
+    """Collect, judge, and render one campaign: ``(text, verdict)``."""
     cells = collect_cells(store, campaign_id)
     verdict = regression_verdict(cells, alpha=alpha, min_drop=min_drop)
-    return render_html(campaign_id, cells, verdict), verdict
+    return render_text(campaign_id, cells, verdict), verdict

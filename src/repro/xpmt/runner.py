@@ -21,7 +21,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bench.parallel import run_sweep
 from repro.bench.runner import PointSpec
-from repro.obs.campaign import campaign_scope
 from repro.xpmt.spec import CampaignPlan, CellSpec, current_commit
 from repro.xpmt.store import CampaignStore
 
@@ -112,8 +111,7 @@ def run_campaign(
             f"{len(targets) - len(missing)} stored, running {len(to_run)}"
         )
     specs = [build_point_spec(plan, cell, seed) for cell, seed, _, _ in to_run]
-    with campaign_scope(campaign_id):
-        results = run_sweep(specs, jobs=jobs)
+    results = run_sweep(specs, jobs=jobs)
     executed_keys = []
     for (cell, seed, digest, payload), result in zip(to_run, results):
         store.put_point(

@@ -11,7 +11,7 @@ cell's own fields, the resolved scale preset (name *and* the concrete
 numbers, so an edited preset re-keys), the CHIME overrides the runner
 will apply, and any ``REPRO_*`` environment variable the runner does
 not pin.  Knobs whose values are first-class hash fields, or that cannot
-change a point's result (jobs, campaign routing), are excluded from the
+change a point's result (jobs, the commit key), are excluded from the
 environment section — including the raw environment too would alias
 identical runs apart.
 """

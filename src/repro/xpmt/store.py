@@ -5,12 +5,13 @@ Every sweep point ever executed is persisted keyed by
 incremental across reruns and across PRs: a resumed campaign skips
 stored points, and a later commit's campaign lays a new layer of the
 same spec hashes next to the old ones, forming the per-cell trajectory
-the report's sparklines and regression checks read.
+the report's trend and regression checks read.
 
-Two secondary tables ride along: ``campaigns`` (plan descriptions, so
-``status`` can report progress without re-deriving the matrix) and
-``figure_tables`` (rows routed from the ``record_table`` benchmark
-fixture, so the committed figure suites populate the store for free).
+One secondary table rides along: ``campaigns`` (plan descriptions, so
+``status`` can report progress without re-deriving the matrix).  The
+points table is the only result sink here; figure tables are text under
+``benchmarks/results/``.  A store written before that still opens: its
+old ``figure_tables`` table stays in the file, unread.
 """
 
 from __future__ import annotations
@@ -42,15 +43,6 @@ CREATE TABLE IF NOT EXISTS campaigns (
     commit_hash TEXT NOT NULL,
     spec_json TEXT NOT NULL,
     created_at REAL NOT NULL
-);
-CREATE TABLE IF NOT EXISTS figure_tables (
-    commit_hash TEXT NOT NULL,
-    name TEXT NOT NULL,
-    seed INTEGER NOT NULL,
-    campaign_id TEXT NOT NULL DEFAULT '',
-    rows_json TEXT NOT NULL,
-    created_at REAL NOT NULL,
-    PRIMARY KEY (commit_hash, name, seed)
 );
 """
 
@@ -199,7 +191,7 @@ class CampaignStore:
     def commit_order(self, spec_hashes: Optional[List[str]] = None) -> List[str]:
         """Commits holding points, ordered by when each first appeared.
 
-        This is the x-axis of the trajectory sparklines: commit hashes
+        This is the x-axis of every trajectory: commit hashes
         do not sort chronologically, their first insertion time does.
         """
         if spec_hashes:
@@ -228,48 +220,3 @@ class CampaignStore:
         where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
         row = self._conn.execute(f"SELECT COUNT(*) FROM points{where}", args).fetchone()
         return int(row[0])
-
-    # -- figure tables ------------------------------------------------------
-
-    def record_table(
-        self,
-        name: str,
-        rows: List[Dict],
-        commit: str,
-        seed: int,
-        campaign_id: str = "",
-    ) -> None:
-        """Store one figure table (latest write wins per commit/seed)."""
-        self._conn.execute(
-            "INSERT OR REPLACE INTO figure_tables"
-            " (commit_hash, name, seed, campaign_id, rows_json, created_at)"
-            " VALUES (?, ?, ?, ?, ?, ?)",
-            (commit, name, seed, campaign_id, json.dumps(rows, sort_keys=True), time.time()),
-        )
-        self._conn.commit()
-
-    def tables(self, name: Optional[str] = None, commit: Optional[str] = None) -> List[Dict]:
-        clauses, args = [], []
-        if name is not None:
-            clauses.append("name = ?")
-            args.append(name)
-        if commit is not None:
-            clauses.append("commit_hash = ?")
-            args.append(commit)
-        where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
-        rows = self._conn.execute(
-            "SELECT commit_hash, name, seed, campaign_id, rows_json, created_at"
-            f" FROM figure_tables{where} ORDER BY created_at",
-            args,
-        ).fetchall()
-        return [
-            {
-                "commit": row[0],
-                "name": row[1],
-                "seed": row[2],
-                "campaign_id": row[3],
-                "rows": json.loads(row[4]),
-                "created_at": row[5],
-            }
-            for row in rows
-        ]

@@ -502,7 +502,7 @@ class TestKnownEnvVars:
         config_text = (package / "config.py").read_text()
         literals = set(re.findall(r'"(REPRO_[A-Z_]+)"', config_text))
         assert literals == KNOWN_ENV_VARS
-        assert len(KNOWN_ENV_VARS) == 10
+        assert len(KNOWN_ENV_VARS) == 8
         assert not re.search(r"os\.environ(\[|\.(setdefault|pop|update))",
                              config_text)
 

@@ -215,7 +215,8 @@ class TestCli:
     def test_removed_env_knobs_get_the_typo_warning(self):
         stale = {"REPRO_PARTITIONS": "2", "REPRO_PARTITION_WINDOW": "64",
                  "REPRO_SIM_QUEUE": "heap", "REPRO_CACHE_MODE": "partitioned",
-                 "REPRO_REBALANCE": "1", "REPRO_PLACEMENT": "mn"}
+                 "REPRO_REBALANCE": "1", "REPRO_PLACEMENT": "mn",
+                 "REPRO_CAMPAIGN_DB": "c.sqlite", "REPRO_CAMPAIGN_ID": "nightly"}
         assert unknown_env_vars(stale) == sorted(stale)
 
 

@@ -40,8 +40,6 @@ CASES = {
     "sync_mode": (" Pessimistic ", "pessimistic", "adaptive", ["bogus"]),
     "num_mns": ("2", 2, 3, ["two", "0"]),
     "num_shards": ("2", 2, 3, ["x", "-1"]),
-    "campaign_db": ("c.sqlite", "c.sqlite", None, []),
-    "campaign_id": ("nightly", "nightly", None, []),
     "commit": ("feedface", "feedface", None, []),
 }
 

@@ -5,26 +5,22 @@ sqlite store's first-write-wins semantics, the resumable runner
 (interrupt mid-sweep, resume runs only the missing points, and the
 resumed report is byte-identical to an uninterrupted run's), the
 replicate statistics, the regression verdict over fabricated commit
-trajectories, and the ``record_table`` routing.
+trajectories, and the text report and its CLI exits.
 """
 
 import dataclasses
-import json
 
 import pytest
 
 from repro.bench.experiments import fig3b_limited_bandwidth
 from repro.bench.scale import Scale, current_scale
-from repro.obs import campaign_scope
-from repro.obs.spans import SpanStore
+from repro.cli import main
 from repro.xpmt import stats
-from repro.xpmt.record import record_rows
 from repro.xpmt.report import (
     build_report,
     collect_cells,
     diff_cells,
     regression_verdict,
-    sparkline_svg,
 )
 from repro.xpmt.runner import build_point_spec, campaign_status, run_campaign
 from repro.xpmt.spec import (
@@ -48,16 +44,18 @@ TINY = Scale(
 )
 
 
+@pytest.fixture
+def ticking_clock(monkeypatch):
+    """Store timestamps 1, 2, 3, ...: commits order by first insertion."""
+    from repro.xpmt import store as store_module
+
+    clock = iter(range(1, 1000))
+    monkeypatch.setattr(store_module.time, "time", lambda: float(next(clock)))
+
+
 def tiny_plan(name="t", seeds=(7, 8), index="chime"):
     cell = CellSpec(index=index, workload="C", clients=2)
     return CampaignPlan(scale=TINY, cells=(cell,), seeds=tuple(seeds), name=name)
-
-
-class FakeEvent:
-    def __init__(self, **data):
-        self.kind = "span"
-        self.time = 0.0
-        self.data = data
 
 
 class TestSpecHash:
@@ -156,19 +154,7 @@ class TestStore:
             (row,) = store.points()
             assert row.metrics["throughput_mops"] == 1.5
 
-    def test_figure_tables_latest_write_wins(self, tmp_path):
-        with CampaignStore(str(tmp_path / "c.sqlite")) as store:
-            store.record_table("fig12", [{"a": 1}], "c1", 7)
-            store.record_table("fig12", [{"a": 2}], "c1", 7, campaign_id="camp")
-            (table,) = store.tables(name="fig12")
-            assert table["rows"] == [{"a": 2}]
-            assert table["campaign_id"] == "camp"
-
-    def test_commit_order_follows_first_insertion(self, tmp_path, monkeypatch):
-        from repro.xpmt import store as store_module
-
-        clock = iter(range(1, 100))
-        monkeypatch.setattr(store_module.time, "time", lambda: float(next(clock)))
+    def test_commit_order_follows_first_insertion(self, tmp_path, ticking_clock):
         with CampaignStore(str(tmp_path / "c.sqlite")) as store:
             store.put_point("bbb", 1, "h1", {}, {})
             store.put_point("aaa", 1, "h1", {}, {})
@@ -237,12 +223,12 @@ class TestRunnerResume:
         with CampaignStore(str(tmp_path / "resumed.sqlite")) as store:
             run_campaign(store, plan, jobs=1, limit=1)
             run_campaign(store, plan, jobs=1)
-            resumed_html, resumed_verdict = build_report(store, plan.campaign_id)
+            resumed_text, resumed_verdict = build_report(store, plan.campaign_id)
         with CampaignStore(str(tmp_path / "fresh.sqlite")) as store:
             summary = run_campaign(store, plan, jobs=1)
             assert summary.executed == 2
-            fresh_html, fresh_verdict = build_report(store, plan.campaign_id)
-        assert resumed_html == fresh_html
+            fresh_text, fresh_verdict = build_report(store, plan.campaign_id)
+        assert resumed_text == fresh_text
         assert resumed_verdict["ok"] and fresh_verdict["ok"]
 
     def test_point_spec_pins_seed_and_depth(self):
@@ -275,11 +261,7 @@ def fabricate_trajectory(store, metrics_by_commit, cell=None, scale=TINY):
 
 
 class TestVerdict:
-    def test_regression_is_flagged(self, tmp_path, monkeypatch):
-        from repro.xpmt import store as store_module
-
-        clock = iter(range(1, 1000))
-        monkeypatch.setattr(store_module.time, "time", lambda: float(next(clock)))
+    def test_regression_is_flagged(self, tmp_path, ticking_clock):
         with CampaignStore(str(tmp_path / "c.sqlite")) as store:
             fabricate_trajectory(
                 store,
@@ -298,11 +280,7 @@ class TestVerdict:
             assert diff["verdict"] == "REGRESSED"
             assert diff["delta_pct"] == pytest.approx(-50.2, abs=0.5)
 
-    def test_improvement_passes(self, tmp_path, monkeypatch):
-        from repro.xpmt import store as store_module
-
-        clock = iter(range(1, 1000))
-        monkeypatch.setattr(store_module.time, "time", lambda: float(next(clock)))
+    def test_improvement_passes(self, tmp_path, ticking_clock):
         with CampaignStore(str(tmp_path / "c.sqlite")) as store:
             fabricate_trajectory(
                 store,
@@ -329,43 +307,47 @@ class TestVerdict:
         ]
         assert [r["cell"] for r in rows] == [c.label for c in cells]
 
-    def test_report_html_is_self_contained(self, tmp_path):
+    def test_report_html_is_self_contained(self, tmp_path, ticking_clock):
+        # The text report carries the verdict, each cell, each stored
+        # commit with its mean at four decimals, and the trend.
         with CampaignStore(str(tmp_path / "c.sqlite")) as store:
             fabricate_trajectory(store, [("aaa", [1.0, 1.1]), ("bbb", [1.2, 1.3])])
-            html, verdict = build_report(store, "fab")
+            text, verdict = build_report(store, "fab")
         assert verdict["ok"]
-        assert "<svg" in html
-        assert "chime/C c2" in html
-        assert "aaa"[:12] in html
+        assert text.startswith("campaign fab: PASS")
+        assert "chime/C c2" in text
+        for commit, mean in (("aaa", "1.0500"), ("bbb", "1.2500")):
+            (row,) = [line for line in text.splitlines() if f"  {commit}  " in line]
+            assert mean in row
+        assert "1.0500 1.2500" in text  # the trend: per-commit means
 
-    def test_sparkline_svg(self):
-        assert sparkline_svg([]) == ""
-        one = sparkline_svg([1.0])
-        assert "<circle" in one
-        flat = sparkline_svg([2.0, 2.0, 2.0])
-        assert "polyline" in flat
+    def test_cli_exits_2_on_an_unknown_id_or_commit(self, tmp_path, ticking_clock, capsys):
+        # A gate that passes on a typo does nothing: an id or a commit
+        # the store never saw is an error naming what it does hold.
+        db = str(tmp_path / "c.sqlite")
+        with CampaignStore(db) as store:
+            fabricate_trajectory(
+                store,
+                [("aaa", [10.0, 10.1, 10.2, 9.9, 10.05]), ("bbb", [5.0, 5.1, 4.9, 5.05, 4.95])],
+            )
+        assert main(["campaign", "diff", "--db", db]) == 1
+        assert main(["campaign", "report", "--db", db]) == 1
+        capsys.readouterr()
+        for argv in (["report", "--id", "nosuch"], ["diff", "--id", "nosuch"]):
+            assert main(["campaign", *argv, "--db", db]) == 2
+            err = capsys.readouterr().err
+            assert "nosuch" in err and "stored: fab" in err
+        for argv in (["--base", "aab", "--head", "bbb"], ["--base", "aaa", "--head", "bbx"]):
+            assert main(["campaign", "diff", "--db", db, *argv]) == 2
+            assert "stored: aaa, bbb" in capsys.readouterr().err
 
-
-class TestRecordRows:
-    def test_jsonl_only_without_store(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_CAMPAIGN_DB", raising=False)
-        path = tmp_path / "fig.jsonl"
-        record_rows("fig", [{"a": 1}, {"b": 2}], str(path), seed=7)
-        lines = path.read_text().splitlines()
-        assert [json.loads(line) for line in lines] == [{"a": 1}, {"b": 2}]
-
-    def test_routes_into_active_store(self, tmp_path, monkeypatch):
-        db = tmp_path / "c.sqlite"
-        monkeypatch.setenv("REPRO_CAMPAIGN_DB", str(db))
-        monkeypatch.setenv("REPRO_CAMPAIGN_ID", "nightly")
-        monkeypatch.setenv("REPRO_COMMIT", "c1")
-        record_rows("fig12", [{"a": 1}], str(tmp_path / "fig.jsonl"), seed=9)
-        with CampaignStore(str(db)) as store:
-            (table,) = store.tables(name="fig12")
-            assert table["commit"] == "c1"
-            assert table["seed"] == 9
-            assert table["campaign_id"] == "nightly"
-            assert table["rows"] == [{"a": 1}]
+    def test_report_out_writes_the_printed_text(self, tmp_path, capsys):
+        db = str(tmp_path / "c.sqlite")
+        with CampaignStore(db) as store:
+            fabricate_trajectory(store, [("aaa", [1.0, 1.1])])
+        out = tmp_path / "report.txt"
+        assert main(["campaign", "report", "--db", db, "--out", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out
 
 
 class TestSeedThreading:
@@ -383,13 +365,3 @@ class TestSeedThreading:
             dataclasses.replace(TINY, seed=123), indexes=("sherman",)
         )
         assert explicit == reseeded
-
-
-class TestCampaignScope:
-    def test_spans_are_stamped(self):
-        store = SpanStore()
-        event = dict(client="c", name="op", seq=1, level=0, begin=0.0, end=1.0)
-        with campaign_scope("camp-1"):
-            store.on_event(FakeEvent(**event))
-        store.on_event(FakeEvent(**event))
-        assert [span.campaign for span in store.spans] == ["camp-1", ""]
