@@ -8,7 +8,7 @@ Run:  python examples/hashing_loadfactor.py
 """
 
 from repro.bench import print_table
-from repro.hashing import figure_3d_schemes
+from repro.hashing.loadfactor import figure_3d_schemes
 
 
 def main() -> None:

@@ -5,7 +5,7 @@ Run:  python examples/quickstart.py
 
 from repro.cluster import Cluster
 from repro.config import ChimeConfig, ClusterConfig
-from repro.core import ChimeIndex
+from repro.core.chime import ChimeIndex
 
 
 def main() -> None:

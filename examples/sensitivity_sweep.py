@@ -8,7 +8,8 @@ Run:  python examples/sensitivity_sweep.py
 """
 
 from repro.bench import QUICK, print_table, run_point
-from repro.hashing import HopscotchTable, measure_max_load_factor
+from repro.hashing.hopscotch import HopscotchTable
+from repro.hashing.loadfactor import measure_max_load_factor
 
 
 def main() -> None:

@@ -9,7 +9,7 @@ Run:  python examples/variable_length_keys.py
 
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
-from repro.core import VarKeyChimeIndex
+from repro.core.varkey import VarKeyChimeIndex
 from repro.core.varkey import fingerprint_of
 
 

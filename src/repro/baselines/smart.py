@@ -25,6 +25,8 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Generator, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
@@ -249,7 +251,12 @@ class SmartIndex(FamilyIndexBase):
             return []
         run = keys[lo:hi]
         addrs = self._host_alloc_blocks(run, values[lo:hi])
-        return [pack_slot(key >> shift & 0xFF, addr, leaf=True)
+        if reduce(or_, addrs) & _UNCOMPRESSIBLE:  # one check for the run
+            list(map(_compress_addr, addrs))  # raises naming the first
+        # pack_slot(key >> shift & 0xFF, addr, leaf=True), inline.
+        return [_OCCUPIED | _LEAF | (key >> shift & 0xFF) << _PARTIAL_SHIFT
+                | addr >> OFFSET_BITS << _COMPRESSED_OFFSET_BITS
+                | addr & _COMPRESSED_OFFSET_MASK
                 for key, addr in zip(run, addrs)]
 
     def _build_node(self, keys: List[int], values: List[int], lo: int,

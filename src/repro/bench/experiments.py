@@ -18,9 +18,10 @@ from repro.registry import get_family
 from repro.bench.scale import Scale, current_scale
 from repro.cluster.cluster import Cluster
 from repro.config import ChimeConfig
-from repro.core import ChimeIndex
+from repro.core.chime import ChimeIndex
 from repro.core.node_layout import LeafLayout
-from repro.hashing import HopscotchTable, figure_3d_schemes, measure_max_load_factor
+from repro.hashing.hopscotch import HopscotchTable
+from repro.hashing.loadfactor import figure_3d_schemes, measure_max_load_factor
 from repro.memory import MemoryNode, make_addr
 from repro.rdma.verbs import RdmaQp
 from repro.sim.engine import Engine

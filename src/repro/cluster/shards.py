@@ -19,7 +19,7 @@ CN's cache once the bulk load has placed it (DESIGN.md §14 says why).
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import List, Sequence, Tuple
 
 from repro.layout import MAX_KEY
@@ -75,10 +75,10 @@ class ShardMap:
 def partition_pairs(
     pairs: Sequence[Tuple[int, int]], shard_map: ShardMap
 ) -> List[List[Tuple[int, int]]]:
-    """Split sorted (key, value) pairs into per-shard lists."""
-    buckets: List[List[Tuple[int, int]]] = [
-        [] for _ in range(shard_map.num_shards)
-    ]
-    for key, value in pairs:
-        buckets[shard_map.shard_of(key)].append((key, value))
-    return buckets
+    """Split sorted (key, value) pairs into per-shard lists: one slice
+    per shard, cut where its lower bound falls (what
+    :meth:`ShardMap.shard_of` of every key would say)."""
+    keys = [pair[0] for pair in pairs]
+    cuts = ([0] + [bisect_left(keys, bound) for bound in shard_map.bounds[1:-1]]
+            + [len(pairs)])
+    return [list(pairs[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]

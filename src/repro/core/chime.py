@@ -67,7 +67,7 @@ from repro.hashing.hopscotch import (
     default_hash,
     distance,
     find_first_empty,
-    place_fresh,
+    place_run,
     plan_insert,
 )
 from repro.layout import (
@@ -159,57 +159,52 @@ class ChimeIndex(BTreeIndexBase):
         pairs = self._checked_pairs(pairs)
         span, neighborhood = config.span, config.neighborhood
         target = max(1, int(span * config.bulk_load_factor))
-        # Each key is placed once, while chunking.  A closed chunk keeps
-        # only its items plus its slot and bitmap vectors, packed, until
-        # every leaf address is known (leaves are allocated before any
-        # indirect block).  A slot is the item's index in the chunk + 1.
-        leaves: List[Tuple[List[Tuple[int, int]], array, array]] = []
-        current: List[Tuple[int, int]] = []
-        slots, homes, bitmaps = [0] * span, [0] * span, [0] * span
-        for pair in pairs:
-            home = default_hash(pair[0], span)
-            if len(current) >= target or not place_fresh(
-                    slots, homes, bitmaps, home, neighborhood,
-                    len(current) + 1):
-                leaves.append((current, array("H", slots),
-                               array("H", bitmaps)))
-                current = []
-                slots, homes, bitmaps = [0] * span, [0] * span, [0] * span
-                place_fresh(slots, homes, bitmaps, home, neighborhood, 1)
-            current.append(pair)
-        leaves.append((current, array("H", slots), array("H", bitmaps)))
-        addrs = [self._host_alloc(layout.total_size) for _ in leaves]
-        # Fence boundaries: first key of each chunk.
-        bounds = ([0] + [chunk[0][0] for chunk, _s, _b in leaves[1:]]
-                  + [MAX_KEY])
-        level1_entries: List[Tuple[int, int]] = []
-        for index, (chunk, slots, bitmaps) in enumerate(leaves):
+        # Each leaf takes one run of keys: at most *target*, up to the
+        # first one it has no room for.  Until every leaf address is
+        # known (leaves are allocated before any indirect block), a leaf
+        # keeps only where its run starts plus its slot and bitmap
+        # vectors, packed.  A slot is the pair's index in the run + 1.
+        starts: List[int] = [0]
+        vectors: List[Tuple[array, array]] = []
+        while True:
+            start = starts[-1]
+            slots, homes, bitmaps = [0] * span, [0] * span, [0] * span
+            starts.append(start + place_run(
+                slots, homes, bitmaps,
+                [key for key, _value in pairs[start:start + target]],
+                neighborhood))
+            vectors.append((array("H", slots), array("H", bitmaps)))
+            if starts[-1] >= len(pairs):
+                break
+        # Every leaf image lands in its MN's share of one run.
+        addrs, runs = self._host_alloc_run(layout.total_size, len(vectors))
+        images = [bytearray(layout.total_size * len(addrs[share]))
+                  for _mn, _base, share in runs]
+        # Fence boundaries: first key of each leaf.
+        bounds = [0] + [pairs[start][0] for start in starts[1:-1]] + [MAX_KEY]
+        for index, (slots, bitmaps) in enumerate(vectors):
             sibling = addrs[index + 1] if index + 1 < len(addrs) else NULL_ADDR
             fence_low, fence_high = bounds[index], bounds[index + 1]
-            self._host_write_leaf(addrs[index], chunk, slots, bitmaps,
-                                  sibling, fence_low, fence_high)
-            level1_entries.append((fence_low, addrs[index]))
+            keys, values = slot_columns(
+                pairs[starts[index]:starts[index + 1]], slots)
+            if config.indirect_values:
+                blocks = iter(self._host_alloc_blocks(
+                    list(compress(keys, keys)), list(compress(values, keys))))
+                values = [next(blocks) if key else 0 for key in keys]
+            image = layout.encode_image(keys, values, bitmaps, sibling,
+                                        fence_low, fence_high)
+            lock_line = (encode_u64(self.vacancy_map.lock_word(keys))
+                         + encode_key(fence_low) + encode_key(fence_high))
+            at, lane = divmod(index, len(runs))
+            at *= layout.total_size
+            lane_image = images[lane]
+            lane_image[at:at + len(image)] = image
+            at += layout.lock_offset
+            lane_image[at:at + len(lock_line)] = lock_line
+        for (mn, base, _share), image in zip(runs, images):
+            mn.mem_write(base, image)
         self.loaded_items = len(pairs)
-        self._build_internal_levels(level1_entries)
-
-    def _host_write_leaf(self, addr: int, chunk: Sequence[Tuple[int, int]],
-                         slots: Sequence[int], bitmaps: Sequence[int],
-                         sibling: int, fence_low: int,
-                         fence_high: int) -> None:
-        """Compose + write one bulk-loaded leaf: position ``pos`` holds
-        ``chunk[slots[pos] - 1]`` (slot 0 = empty)."""
-        layout = self.leaf_layout
-        keys, values = slot_columns(chunk, slots)
-        if self.config.indirect_values:
-            blocks = iter(self._host_alloc_blocks(
-                list(compress(keys, keys)), list(compress(values, keys))))
-            values = [next(blocks) if key else 0 for key in keys]
-        self._host_write(addr, layout.encode_image(
-            keys, values, bitmaps, sibling, fence_low, fence_high))
-        self._host_write(
-            addr + layout.lock_offset,
-            encode_u64(self.vacancy_map.lock_word(keys))
-            + encode_key(fence_low) + encode_key(fence_high))
+        self._build_internal_levels(list(zip(bounds, addrs)))
 
     # -- host-side verification helpers -----------------------------------------------
 

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import struct
 from functools import partial
+from itertools import islice
+from operator import lt
 from typing import (Callable, Dict, Generator, Iterable, List, Optional,
                     Sequence, Tuple)
 
@@ -144,9 +146,9 @@ class FamilyIndexBase:
     def _checked_pairs(pairs: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
         """The bulk-load input as a list: sorted, unique, keys >= 1."""
         pairs = list(pairs)
-        for (a, _), (b, _) in zip(pairs, pairs[1:]):
-            if a >= b:
-                raise IndexError_("bulk_load requires sorted unique keys")
+        keys = [pair[0] for pair in pairs]
+        if not all(map(lt, keys, islice(keys, 1, None))):
+            raise IndexError_("bulk_load requires sorted unique keys")
         if pairs and pairs[0][0] < 1:
             raise IndexError_("keys must be >= 1 (0 marks empty entries)")
         return pairs
@@ -163,29 +165,48 @@ class FamilyIndexBase:
     def _host_read(self, addr: int, length: int) -> bytes:
         return self.cluster.mns[addr_mn(addr)].mem_read(addr, length)
 
+    def _host_alloc_run(self, size: int, count: int
+                        ) -> Tuple[List[int], List[Tuple[object, int, slice]]]:
+        """Allocate a run of *count* records of *size* bytes where as
+        many ``_host_alloc(size)`` calls would: round-robin over the MNs
+        from ``_host_rr`` on, each MN's records one cache-line stride
+        apart.  Returns the records' addresses and, per MN, ``(memory
+        node, base, share)``: its share of the run (a slice of the
+        records) is one allocation, landed by one image and one write.
+        """
+        stride = -(-size // CACHE_LINE) * CACHE_LINE
+        mn_ids = sorted(self.cluster.mns)
+        lanes = len(mn_ids)
+        addrs = [0] * count
+        runs = []
+        for lane in range(min(lanes, count)):
+            share = slice(lane, count, lanes)
+            held = len(range(lane, count, lanes))
+            mn = self.cluster.mns[mn_ids[(self._host_rr + lane) % lanes]]
+            base = mn.allocator.alloc(stride * (held - 1) + size,
+                                      align=CACHE_LINE)
+            addrs[share] = range(base, base + stride * held, stride)
+            runs.append((mn, base, share))
+        self._host_rr += count
+        return addrs, runs
+
     def _host_alloc_blocks(self, keys: Sequence[int],
                            values: Sequence[int]) -> List[int]:
         """Allocate + fill a run of ``[key: 8][value]`` blocks (indirect
         values, KV-discrete leaves); returns their addresses.
 
-        Block *i* gets the address the *i*-th of as many ``_host_alloc(8
-        + value_size)`` calls would have handed out: round-robin over
-        the MNs from ``_host_rr`` on, each MN's blocks one cache-line
-        stride apart.  An MN's share of the run is therefore one
-        allocation and one image — keys and values each packed once and
-        laid in with a strided assignment — landed by one write.
+        The blocks land as a :meth:`_host_alloc_run`: an MN's share is
+        one image — keys and values each packed once and laid in with a
+        strided assignment — and one write.
         """
         size = 8 + self.config.value_size
         stride = -(-size // CACHE_LINE) * CACHE_LINE
-        mn_ids = sorted(self.cluster.mns)
-        lanes = len(mn_ids)
-        addrs = [0] * len(keys)
-        for lane in range(min(lanes, len(keys))):
-            lane_keys = keys[lane::lanes]
-            lane_values = values[lane::lanes]
-            count = len(lane_keys)
+        addrs, runs = self._host_alloc_run(size, len(keys))
+        for mn, base, share in runs:
+            lane_values = values[share]
+            count = len(lane_values)
             try:
-                key_words = struct.pack(f">{count}Q", *lane_keys)
+                key_words = struct.pack(f">{count}Q", *keys[share])
                 value_words = struct.pack(f"<{count}Q", *lane_values)
             except struct.error as error:
                 raise LayoutError(f"block field out of range: {error}") from None
@@ -198,11 +219,7 @@ class FamilyIndexBase:
             words[1::stride // 8] = memoryview(value_words).cast("Q")
             words.release()
             del image[stride * (count - 1) + size:]
-            mn = self.cluster.mns[mn_ids[(self._host_rr + lane) % lanes]]
-            base = mn.allocator.alloc(len(image), align=CACHE_LINE)
             mn.mem_write(base, image)
-            addrs[lane::lanes] = range(base, base + stride * count, stride)
-        self._host_rr += len(keys)
         return addrs
 
     def _host_stored(self, items: Sequence[Tuple[int, int]]

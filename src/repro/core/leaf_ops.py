@@ -13,38 +13,45 @@ halves, synonym leaves).
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional, Sequence, Tuple
+from typing import Generator, List, Optional, Sequence, Tuple
 
 from repro.core.node_layout import FirstLeafRead, LeafLayout, ReadShape
 from repro.core.nodes import LeafNodeView, SortedNodeView
 from repro.errors import HashTableFullError, LayoutError, TornReadError
-from repro.hashing.hopscotch import distance, place_fresh
+from repro.hashing.hopscotch import distance, place_run
 from repro.layout import StripedSpan, encode_key, encode_u64
+from repro.layout.image import tuple_getter
 from repro.layout.versions import SpanSet, raw_span
 
 
 def slot_columns(items: Sequence[Tuple[int, int]],
-                 slots: Sequence[int]) -> Tuple[List[int], List[int]]:
+                 slots: Sequence[int]) -> Tuple[Sequence[int], Sequence[int]]:
     """Position-ordered key and value vectors of a leaf whose position
     ``pos`` holds ``items[slots[pos] - 1]`` (slot 0: an empty entry,
     key 0 and value 0) — what :meth:`LeafLayout.encode_image` takes."""
     keys, values = zip((0, 0), *items)
-    return [keys[slot] for slot in slots], [values[slot] for slot in slots]
+    gather = tuple_getter(slots)
+    return gather(keys), gather(values)
 
 
-def place_items(items: Sequence[Tuple[int, int]], layout: LeafLayout,
-                home_of: Callable[[int], int]
-                ) -> Tuple[List[int], List[int], List[int],
+def place_items(items: Sequence[Tuple[int, int]], layout: LeafLayout
+                ) -> Tuple[Sequence[int], Sequence[int], List[int],
                            List[Tuple[int, int]]]:
     """Hopscotch-place fresh (key, value) *items* into an empty leaf, in
     order: ``(keys, values, bitmaps, spilled)`` — the leaf's
-    position-ordered vectors, and the items that did not fit."""
+    position-ordered vectors, and the items that did not fit (each
+    skipped, the ones after it still placed)."""
     span = layout.span
     slots, homes, bitmaps = [0] * span, [0] * span, [0] * span
-    spilled = [
-        item for number, item in enumerate(items, 1)
-        if not place_fresh(slots, homes, bitmaps, home_of(item[0]),
-                           layout.neighborhood, number)]
+    keys = [key for key, _value in items]
+    spilled: List[Tuple[int, int]] = []
+    placed = 0
+    while placed < len(items):
+        placed += place_run(slots, homes, bitmaps, keys[placed:],
+                            layout.neighborhood, placed + 1)
+        if placed < len(items):
+            spilled.append(items[placed])
+            placed += 1
     keys, values = slot_columns(items, slots)
     return keys, values, bitmaps, spilled
 
@@ -228,8 +235,7 @@ class HopscotchLeafOpsMixin:
                       fence_low: int, fence_high: int,
                       nv: int = 0) -> Tuple[bytes, int]:
         """Build a full leaf image + its unlocked lock word locally."""
-        keys, values, bitmaps, spilled = place_items(
-            items, self.layout, self.home_of)
+        keys, values, bitmaps, spilled = place_items(items, self.layout)
         if spilled:  # post-split load ~50%: must fit
             raise HashTableFullError(
                 f"no feasible hop sequence for key {spilled[0][0]} in a "

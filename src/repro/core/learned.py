@@ -68,8 +68,7 @@ class LearnedChimeIndex(ModelRoutedIndexBase):
         a model-sized chunk go to a synonym leaf chained from the
         sibling pointer (what an insert does at run time)."""
         layout = self.leaf_layout
-        keys, values, bitmaps, spilled = place_items(items, layout,
-                                                     self.home_of)
+        keys, values, bitmaps, spilled = place_items(items, layout)
         synonym = NULL_ADDR
         if spilled:
             synonym = self._host_alloc(layout.total_size)

@@ -173,9 +173,8 @@ class VacancyBitmap:
         truth values: a leaf's position-ordered keys will do)."""
         if len(occupied) != self.span:
             raise LayoutError("occupancy list length != span")
-        vacant = 0  # the bits covering at least one empty entry
-        for mask in compress(self._entry_mask, map(not_, occupied)):
-            vacant |= mask
+        # The bits covering at least one empty entry, OR-ed at C speed.
+        vacant = reduce(or_, compress(self._entry_mask, map(not_, occupied)), 0)
         return ~vacant & ((1 << self.bits) - 1)
 
     def lock_word(self, keys: Sequence[int]) -> int:

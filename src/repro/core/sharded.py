@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Dict, Generator, Iterator, List, Optional, Tuple
 
 from repro.cluster.shards import partition_pairs
+from repro.core.family import FamilyIndexBase
 from repro.errors import ConfigError
 
 __all__ = ["ShardedClient", "ShardedIndex"]
@@ -102,14 +103,14 @@ class ShardedIndex:
         item count; every shard needs at least one item, so there may
         not be more shards than distinct keys.
         """
-        ordered = sorted(set(k for k, _ in pairs))
-        if len(ordered) < self.num_shards:
+        pairs = FamilyIndexBase._checked_pairs(pairs)
+        if len(pairs) < self.num_shards:
             raise ConfigError(
                 f"ClusterConfig.num_shards={self.num_shards} exceeds the "
-                f"{len(ordered)} bulk-loaded keys; every shard needs at "
+                f"{len(pairs)} bulk-loaded keys; every shard needs at "
                 f"least one"
             )
-        self.shard_map.rebuild_bounds(ordered)
+        self.shard_map.rebuild_bounds([key for key, _value in pairs])
         buckets = partition_pairs(pairs, self.shard_map)
         for sub, bucket in zip(self._subs, buckets):
             if future_keys is not None:

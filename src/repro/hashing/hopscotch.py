@@ -6,11 +6,12 @@ Three layers live here:
   compute where a key lands and which hops must occur.  CHIME's leaf
   logic (``repro.core.leaf``) runs these over *fetched* hop ranges, so the
   planner must not assume it can see the whole table.
-* :func:`place_fresh` — placement of a key known to be absent, over
-  flat lists: what bulk load, leaf splits and synonym leaves fill their
-  tables with (no "already present?" probe, no per-table object).
+* :func:`place_run` — placement of a run of keys known to be absent,
+  over flat lists: what bulk load, leaf splits and synonym leaves fill
+  their tables with (no "already present?" probe, no per-table object,
+  no Python call per key).
 * :class:`HopscotchTable` — a complete local table used as a reference
-  model in tests (:func:`place_fresh` is held to it) and by the Figure
+  model in tests (:func:`place_run` is held to it) and by the Figure
   3d load-factor experiments.
 
 Terminology (paper §2.3): a key's *home entry* is its hash slot; the
@@ -23,14 +24,19 @@ smallest entry range touched by an insertion's hop sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import HashTableFullError
 
 
+#: :func:`default_hash`'s multiplier (2**64 / golden ratio) and word mask.
+_GOLDEN = 0x9E3779B97F4A7C15
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
 def default_hash(key: int, capacity: int) -> int:
     """Fibonacci-style multiplicative hash onto [0, capacity)."""
-    mixed = (key * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    mixed = (key * _GOLDEN) & _MASK64
     mixed ^= mixed >> 29
     return mixed % capacity
 
@@ -106,43 +112,53 @@ def plan_insert(home: int, empty: int, capacity: int, neighborhood: int,
     return plan
 
 
-def place_fresh(slots: List[int], homes: List[int], bitmaps: List[int],
-                home: int, neighborhood: int, token: int) -> bool:
-    """Place a key known to be absent exactly where
-    :meth:`HopscotchTable.insert` would put it.
+def place_run(slots: List[int], homes: List[int], bitmaps: List[int],
+              keys: Sequence[int], neighborhood: int, first: int = 1) -> int:
+    """Place a run of fresh *keys*, in order, each exactly where
+    :meth:`HopscotchTable.insert` would put it, up to the first key that
+    does not fit; returns how many were placed.
 
     The table is three flat, position-ordered lists the caller owns:
-    *slots* (0 = empty, else the caller's non-zero token for the stored
-    key), *homes* (the home entry of the key at each occupied position)
-    and the hopscotch *bitmaps*.  *home* is the new key's home entry.
-    Returns False, with nothing mutated, when the key does not fit —
-    where the reference table raises
-    :class:`~repro.errors.HashTableFullError`.
+    *slots* (0 = empty, else the non-zero token of the stored key — key
+    ``i`` of the run gets ``first + i``), *homes* (the home entry of the
+    key at each occupied position) and the hopscotch *bitmaps*.  A key's
+    home is :func:`default_hash` onto ``len(slots)``, inlined into one
+    comprehension over the run.  The key that does not fit — where the
+    reference table raises :class:`~repro.errors.HashTableFullError` —
+    leaves the table as it was.
     """
     capacity = len(slots)
-    try:  # linear probe, circular from home
-        empty = slots.index(0, home)
-    except ValueError:
-        try:
-            empty = slots.index(0, 0, home)
-        except ValueError:
-            return False
-    if (empty - home) % capacity >= neighborhood:
-        plan = plan_insert(home, empty, capacity, neighborhood,
-                           lambda pos: homes[pos] if slots[pos] else None)
-        if plan is None:
-            return False
-        for src, dst in plan.moves:
-            moved_home = homes[dst] = homes[src]
-            slots[dst] = slots[src]
-            slots[src] = 0
-            bitmaps[moved_home] ^= ((1 << ((src - moved_home) % capacity))
-                                    | (1 << ((dst - moved_home) % capacity)))
-        empty = plan.target
-    slots[empty] = token
-    homes[empty] = home
-    bitmaps[home] |= 1 << ((empty - home) % capacity)
-    return True
+    token = first - 1
+    for home in [((mixed := key * _GOLDEN & _MASK64) ^ mixed >> 29) % capacity
+                 for key in keys]:
+        token += 1
+        empty = home
+        if slots[home]:  # linear probe, circular from home
+            try:
+                empty = slots.index(0, home)
+            except ValueError:
+                try:
+                    empty = slots.index(0, 0, home)
+                except ValueError:
+                    return token - first
+            if (empty - home) % capacity >= neighborhood:
+                plan = plan_insert(home, empty, capacity, neighborhood,
+                                   lambda pos: homes[pos] if slots[pos]
+                                   else None)
+                if plan is None:
+                    return token - first
+                for src, dst in plan.moves:
+                    moved_home = homes[dst] = homes[src]
+                    slots[dst] = slots[src]
+                    slots[src] = 0
+                    bitmaps[moved_home] ^= (
+                        (1 << ((src - moved_home) % capacity))
+                        | (1 << ((dst - moved_home) % capacity)))
+                empty = plan.target
+        slots[empty] = token
+        homes[empty] = home
+        bitmaps[home] |= 1 << ((empty - home) % capacity)
+    return len(keys)
 
 
 class HopscotchTable:

@@ -38,23 +38,6 @@ def image_struct(byte_order: str, fields: Iterable[Tuple[int, str]],
     return struct.Struct(byte_order + "".join(parts))
 
 
-def image_packer(byte_order: str,
-                 fields: Iterable[Tuple[int, str, Tuple[int, ...]]],
-                 logical_size: int) -> Callable[[Sequence], int]:
-    """The encoder twin of :func:`image_struct`: packs ``(offset, code,
-    sources)`` *fields* — *sources* index the arguments of *code* in a
-    flat source vector — into a whole de-striped payload, returned as a
-    little-endian integer.  Pad bytes pack as zeros, so packers of
-    disjoint fields (one per byte order) merge with one OR."""
-    fields = sorted(fields)
-    layout = image_struct(byte_order, [field[:2] for field in fields],
-                          logical_size)
-    gather = tuple_getter([source for field in fields
-                           for source in field[2]])
-    return lambda source: int.from_bytes(layout.pack(*gather(source)),
-                                         "little")
-
-
 def tuple_getter(indices: Sequence[int]) -> Callable:
     """``itemgetter(*indices)`` that returns a tuple for one index too
     (the stock one returns a scalar)."""
@@ -89,28 +72,47 @@ def unpack_values(codec: struct.Struct, payload: bytes,
 
 class ImageEncoder:
     """The raw striped image of a freshly written node, from two flat
-    source vectors — one per byte order — in about a dozen C calls: two
-    packers over the whole payload merged with one big-int OR (pad
-    bytes pack as zeros), then :func:`repro.layout.versions.stripe`."""
+    source vectors — one per byte order — in about ten C calls.  The
+    big-endian vector holds words only (keys, fence keys): one pack and
+    one unpack turn it into the little-endian words with the same bytes,
+    appended behind the little-endian vector; one gather and one packer
+    lay every field of the payload (pad bytes pack as zeros), then
+    :func:`repro.layout.versions.stripe`."""
 
-    __slots__ = ("_little", "_big", "_size", "_chunks")
+    __slots__ = ("_little", "_to_big", "_from_little", "_gather", "_layout",
+                 "_chunks")
 
     def __init__(self, little: Iterable[Tuple[int, str, Tuple[int, ...]]],
                  big: Iterable[Tuple[int, str, Tuple[int, ...]]],
                  logical_size: int) -> None:
-        self._little = image_packer("<", little, logical_size)
-        self._big = image_packer(">", big, logical_size)
-        self._size = logical_size
+        little, big = list(little), list(big)
+        if any(set(codes) != {"Q"} for _off, codes, _sources in big):
+            raise LayoutError("big-endian image fields must be words")
+        self._little = 1 + max(source for field in little
+                               for source in field[2])
+        words = 1 + max(source for field in big for source in field[2])
+        self._to_big = struct.Struct(f">{words}Q").pack
+        self._from_little = struct.Struct(f"<{words}Q").unpack
+        fields = sorted(little + [
+            (off, codes, tuple(self._little + source for source in sources))
+            for off, codes, sources in big])
+        self._layout = image_struct("<", [field[:2] for field in fields],
+                                    logical_size)
+        self._gather = tuple_getter([source for field in fields
+                                     for source in field[2]])
         self._chunks = versions.line_chunks(logical_size)
 
     def encode(self, little: Sequence, big: Sequence,
                version_byte: int) -> bytes:
         """Pack the *little*- and *big*-endian source vectors; every
         cache line opens with *version_byte* (node-write semantics)."""
+        if len(little) != self._little:
+            raise LayoutError(f"the little-endian source vector takes "
+                              f"{self._little} values, got {len(little)}")
         try:
-            payload = self._little(little) | self._big(big)
+            payload = self._layout.pack(*self._gather(
+                [*little, *self._from_little(self._to_big(*big))]))
         except struct.error as error:
             raise LayoutError(
                 f"field does not fit the node layout: {error}") from None
-        return versions.stripe(payload.to_bytes(self._size, "little"),
-                               self._chunks, version_byte)
+        return versions.stripe(payload, self._chunks, version_byte)

@@ -150,7 +150,7 @@ def build_index(name: str, cluster,
 def _chime_factory(indirect: bool):
     def build(cluster, *, value_size, span, neighborhood, overrides):
         from repro.config import ChimeConfig
-        from repro.core import ChimeIndex
+        from repro.core.chime import ChimeIndex
 
         kwargs = dict(value_size=value_size, indirect_values=indirect)
         if span is not None:
@@ -164,14 +164,15 @@ def _chime_factory(indirect: bool):
 
 
 def _sherman_factory(cluster, *, value_size, span, neighborhood, overrides):
-    from repro.baselines import ShermanConfig, ShermanIndex
+    from repro.baselines.sherman import ShermanConfig, ShermanIndex
 
     return ShermanIndex(cluster, ShermanConfig(
         span=span or 64, value_size=value_size))
 
 
 def _marlin_factory(cluster, *, value_size, span, neighborhood, overrides):
-    from repro.baselines import MarlinIndex, ShermanConfig
+    from repro.baselines.marlin import MarlinIndex
+    from repro.baselines.sherman import ShermanConfig
 
     return MarlinIndex(cluster, ShermanConfig(
         span=span or 64, value_size=value_size, indirect_values=True))
@@ -179,7 +180,7 @@ def _marlin_factory(cluster, *, value_size, span, neighborhood, overrides):
 
 def _smart_factory(rcu: bool):
     def build(cluster, *, value_size, span, neighborhood, overrides):
-        from repro.baselines import SmartConfig, SmartIndex
+        from repro.baselines.smart import SmartConfig, SmartIndex
 
         return SmartIndex(cluster, SmartConfig(value_size=value_size,
                                                rcu_updates=rcu))
@@ -188,7 +189,7 @@ def _smart_factory(rcu: bool):
 
 def _rolex_factory(indirect: bool):
     def build(cluster, *, value_size, span, neighborhood, overrides):
-        from repro.baselines import RolexConfig, RolexIndex
+        from repro.baselines.rolex import RolexConfig, RolexIndex
 
         return RolexIndex(cluster, RolexConfig(
             span=span or 16, error=span or 16, value_size=value_size,

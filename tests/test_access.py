@@ -9,8 +9,11 @@ that keep family plumbing written once.
 """
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -526,10 +529,55 @@ class TestKnownEnvVars:
 # ---------------------------------------------------------------------------
 
 
+class TestImportsStayWithinTheFamily:
+    """A point imports only its own family: ``repro.core``,
+    ``repro.baselines`` and ``repro.hashing`` re-export nothing, so
+    building one family (or starting the CLI) compiles no other."""
+
+    @staticmethod
+    def _loaded(*statements: str) -> set:
+        """The ``repro`` modules a fresh interpreter holds after
+        *statements*."""
+        script = "\n".join(statements + (
+            "import sys",
+            "print(*sorted(m for m in sys.modules if m.startswith('repro')))",
+        ))
+        src = pathlib.Path(repro.__file__).parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        return set(done.stdout.split())
+
+    def test_chime_loads_no_baseline_and_only_hopscotch(self):
+        loaded = self._loaded("import repro.core.chime")
+        assert "repro.core.chime" in loaded
+        assert not {m for m in loaded if m.startswith("repro.baselines.")}
+        assert {m for m in loaded if m.startswith("repro.hashing.")} == {
+            "repro.hashing.hopscotch"}
+
+    def test_smart_loads_no_other_baseline(self):
+        loaded = self._loaded("import repro.baselines.smart")
+        assert {m for m in loaded if m.startswith("repro.baselines.")} == {
+            "repro.baselines.smart"}
+
+    def test_cli_list_loads_no_baseline(self):
+        loaded = self._loaded(
+            "import contextlib, io, runpy, sys",
+            "sys.argv = ['repro', 'list']",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    try:",
+            "        runpy.run_module('repro', run_name='__main__')",
+            "    except SystemExit as done:",
+            "        assert not done.code, done.code",
+        )
+        assert "repro.cli" in loaded
+        assert not {m for m in loaded if m.startswith("repro.baselines.")}
+
+
 class TestFamilyPlumbingWrittenOnce:
     #: Helpers every family used to re-spell; each has exactly one home.
     SINGLE_HOME = ("_alloc", "_host_alloc", "_host_write", "_host_read",
-                   "_host_alloc_blocks", "_host_read_block", "_read_block",
+                   "_host_alloc_run", "_host_alloc_blocks", "_host_read_block", "_read_block",
                    "_write_block", "_build_internal_levels", "_lock_spin",
                    "remote_memory_bytes",
                    # The sorted-array node and the model-routed leaf

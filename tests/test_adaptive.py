@@ -16,7 +16,7 @@ from repro import obs
 from repro.bench.runner import run_point
 from repro.cluster import Cluster
 from repro.config import KNOBS, ChimeConfig, ClusterConfig
-from repro.core import ChimeIndex
+from repro.core.chime import ChimeIndex
 from repro.core.adaptive import (
     HANDOFF_CHAIN_LIMIT,
     AdaptivePolicy,

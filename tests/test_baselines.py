@@ -7,14 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import (
-    MarlinIndex,
-    PlaModel,
-    RolexIndex,
-    ShermanIndex,
-    SmartConfig,
-    SmartIndex,
-)
+from repro.baselines.marlin import MarlinIndex
+from repro.baselines.pla import PlaModel
+from repro.baselines.rolex import RolexIndex
+from repro.baselines.sherman import ShermanIndex
+from repro.baselines.smart import SmartConfig, SmartIndex
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.faults import FaultPlan
@@ -180,7 +177,7 @@ class TestReadAmplificationContrast:
         assert results["smart"] < results["rolex"] < results["sherman"]
 
     def test_chime_between_smart_and_sherman(self):
-        from repro.core import ChimeIndex
+        from repro.core.chime import ChimeIndex
         keys = list(range(100, 1100, 100))
         cluster = make_cluster(rdwc=False)
         chime = ChimeIndex(cluster)
@@ -195,7 +192,7 @@ class TestReadAmplificationContrast:
 class TestCacheConsumptionContrast:
     def test_smart_needs_far_more_cache(self):
         """Fig. 14: KV-discrete indexes cache an address per item."""
-        from repro.core import ChimeIndex
+        from repro.core.chime import ChimeIndex
         big_pairs = [(k, k) for k in range(1, 20_001)]
         cluster = make_cluster(region_bytes=1 << 26)
         smart = SmartIndex(cluster)

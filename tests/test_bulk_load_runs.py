@@ -30,8 +30,9 @@ from repro.config import ClusterConfig
 from repro.core.family import FamilyIndexBase
 from repro.core.node_layout import SortedNodeLayout
 from repro.core.nodes import SortedNodeView
-from repro.errors import LayoutError
+from repro.errors import IndexError_, LayoutError
 from repro.layout import MAX_KEY, StripedSpan
+from repro.registry import build_index
 from tests.oracles import (
     alloc_blocks_per_key,
     compose_sorted_leaf,
@@ -101,6 +102,28 @@ def test_a_block_run_rejects_what_does_not_fit(keys, values, value_size):
                             types.SimpleNamespace(value_size=value_size))
     with pytest.raises(LayoutError):
         index._host_alloc_blocks(keys, values)
+
+
+# -- the bulk-load input check -------------------------------------------------
+
+@pytest.mark.parametrize("pairs,message", [
+    ([(1, 0), (3, 0), (2, 0)], "sorted unique keys"),   # unsorted
+    ([(1, 0), (2, 0), (2, 5)], "sorted unique keys"),   # a duplicate key
+    ([(0, 0), (1, 0)], r"keys must be >= 1"),           # key 0 marks empty
+])
+def test_a_bulk_load_refuses_unsorted_duplicate_or_zero_keys(pairs, message):
+    with pytest.raises(IndexError_, match=message):
+        FamilyIndexBase._checked_pairs(pairs)
+    index = build_index("chime", _cluster(1))
+    with pytest.raises(IndexError_, match=message):
+        index.bulk_load(pairs)
+
+
+def test_a_bulk_load_takes_sorted_unique_keys_from_any_sequence():
+    pairs = ((1, 7), (2, 0), (MAX_KEY - 1, 3))
+    assert FamilyIndexBase._checked_pairs(pairs) == list(pairs)
+    assert FamilyIndexBase._checked_pairs(iter(pairs)) == list(pairs)
+    assert FamilyIndexBase._checked_pairs([]) == []
 
 
 # -- sorted-node images -------------------------------------------------------

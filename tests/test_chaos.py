@@ -178,7 +178,7 @@ class TestInvariantChecker:
     def test_checker_catches_a_planted_stuck_lock(self):
         from repro.cluster import Cluster
         from repro.config import ChimeConfig, ClusterConfig
-        from repro.core import ChimeIndex
+        from repro.core.chime import ChimeIndex
         from repro.core.node_layout import LOCK_BIT
         from repro.layout import encode_u64
 
@@ -199,7 +199,7 @@ class TestInvariantChecker:
         walk leaves only, so a leaked parent lock went unseen."""
         from repro.cluster import Cluster
         from repro.config import ChimeConfig, ClusterConfig
-        from repro.core import ChimeIndex
+        from repro.core.chime import ChimeIndex
         from repro.core.node_layout import LOCK_BIT
         from repro.layout import encode_u64
 
@@ -216,7 +216,7 @@ class TestInvariantChecker:
     def test_checker_catches_a_missing_committed_key(self):
         from repro.cluster import Cluster
         from repro.config import ChimeConfig, ClusterConfig
-        from repro.core import ChimeIndex
+        from repro.core.chime import ChimeIndex
 
         cluster = Cluster(ClusterConfig(num_cns=1, clients_per_cn=1))
         index = ChimeIndex(cluster, ChimeConfig())

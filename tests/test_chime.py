@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.config import ChimeConfig, ClusterConfig
-from repro.core import ChimeIndex
+from repro.core.chime import ChimeIndex
 from tests.oracles import drive_legal, writers_and_readers
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.config import ChimeConfig, ClusterConfig
-from repro.core import ChimeIndex
+from repro.core.chime import ChimeIndex
 from repro.core.node_layout import (
     ARGMAX_BITS,
     LeafLayout,

@@ -20,12 +20,12 @@ import functools
 
 import pytest
 
-from repro.baselines import ShermanConfig, ShermanIndex
+from repro.baselines.sherman import ShermanConfig, ShermanIndex
 from repro.baselines.smart import SEAL_BIT, decode_node, node_size, unpack_slot
 from repro.bench.runner import run_point
 from repro.cluster import Cluster
 from repro.config import ChimeConfig, ClusterConfig
-from repro.core import ChimeIndex
+from repro.core.chime import ChimeIndex
 from repro.core.btree_base import LeafRef
 from repro.core.node_layout import (
     LOCK_BIT,

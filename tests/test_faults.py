@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.config import ChimeConfig, ClusterConfig
-from repro.core import ChimeIndex
+from repro.core.chime import ChimeIndex
 from repro.core.node_layout import (
     lease_expiry_us,
     pack_lease,

@@ -7,19 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import HashTableFullError
-from repro.hashing import (
-    AssociativeTable,
-    FarmTable,
+from repro.hashing.associative import AssociativeTable
+from repro.hashing.farm import FarmTable
+from repro.hashing.hopscotch import (
     HopscotchTable,
-    RaceTable,
-    distance,
-    figure_3d_schemes,
-    find_first_empty,
     default_hash,
-    measure_max_load_factor,
-    place_fresh,
+    distance,
+    find_first_empty,
+    place_run,
     plan_insert,
 )
+from repro.hashing.loadfactor import figure_3d_schemes, measure_max_load_factor
+from repro.hashing.race import RaceTable
 
 
 class TestHopscotchPrimitives:
@@ -175,9 +174,10 @@ class TestHopscotchTable:
 
 
 class TestPlaceFresh:
-    """``place_fresh`` over flat lists lands every key exactly where the
+    """``place_run`` over flat lists lands every key exactly where the
     reference table's ``insert`` does, and says "does not fit" on the
-    same key without having touched anything."""
+    same key without having touched anything — one key per call, or a
+    whole run in one call, which stops at the first refusal."""
 
     @staticmethod
     def _keys(rng, kind, count, capacity):
@@ -208,6 +208,8 @@ class TestPlaceFresh:
         table = HopscotchTable(capacity, neighborhood)
         slots, homes, bitmaps = ([0] * capacity, [0] * capacity,
                                  [0] * capacity)
+        run = ([0] * capacity, [0] * capacity, [0] * capacity)
+        run_placed = place_run(*run, keys, neighborhood)
         refused = 0
         for token, key in enumerate(keys, 1):
             before = (list(slots), list(homes), list(bitmaps))
@@ -216,10 +218,12 @@ class TestPlaceFresh:
                 fits = True
             except HashTableFullError:
                 fits = False
-            assert place_fresh(slots, homes, bitmaps,
-                               default_hash(key, capacity), neighborhood,
-                               token) is fits
+            assert place_run(slots, homes, bitmaps, [key], neighborhood,
+                             token) == fits
             if not fits:
+                if not refused:  # the whole run stopped at this key
+                    assert run_placed == token - 1
+                    assert run == before
                 refused += 1
                 assert (slots, homes, bitmaps) == before
             assert slots == [token or 0 for token in table._values]
@@ -228,13 +232,21 @@ class TestPlaceFresh:
                        for pos in range(capacity) if slots[pos])
         table.check_invariants()
         assert table.size == len(keys) - refused
+        if not refused:
+            assert run_placed == len(keys)
+            assert run == (slots, homes, bitmaps)
 
     def test_same_home_keys_fill_exactly_one_neighbourhood(self):
         capacity, neighborhood = 64, 4
         slots, homes, bitmaps = [0] * 64, [0] * 64, [0] * 64
-        placed = [place_fresh(slots, homes, bitmaps, 62, neighborhood, token)
-                  for token in range(1, 7)]
-        assert placed == [True] * 4 + [False] * 2
+        keys, key = [], 1
+        while len(keys) < 6:  # six keys whose home entry is 62
+            if default_hash(key, capacity) == 62:
+                keys.append(key)
+            key += 1
+        assert place_run(slots, homes, bitmaps, keys, neighborhood) == 4
+        assert [place_run(slots, homes, bitmaps, [key], neighborhood, 5)
+                for key in keys[4:]] == [0, 0]
         assert slots[62:] + slots[:2] == [1, 2, 3, 4]  # wraps around
         assert bitmaps[62] == 0b1111 and sum(bitmaps) == 0b1111
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
-from repro.core import LearnedChimeIndex
+from repro.core.learned import LearnedChimeIndex
 from repro.core.nodes import LeafNodeView
 from repro.layout import StripedSpan
 

@@ -7,7 +7,7 @@ load-factor overhead (~1.1x at H=8, closable to ~1.002x at H=16).
 
 from repro.cluster import Cluster
 from repro.config import ChimeConfig, ClusterConfig
-from repro.core import ChimeIndex
+from repro.core.chime import ChimeIndex
 from repro.core.node_layout import LeafLayout
 from repro.layout.versions import raw_size
 

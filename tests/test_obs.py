@@ -9,7 +9,7 @@ from repro.bench.runner import run_point
 from repro.cli import main
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
-from repro.core import ChimeIndex
+from repro.core.chime import ChimeIndex
 from repro.registry import build_index, family_names
 from repro.obs import (
     BUS,

@@ -3,17 +3,15 @@
 import pytest
 
 from repro import registry
-from repro.baselines import (
-    FlexKVIndex,
-    MarlinIndex,
-    OutbackIndex,
-    RolexIndex,
-    ShermanIndex,
-    SmartIndex,
-)
+from repro.baselines.flexkv import FlexKVIndex
+from repro.baselines.marlin import MarlinIndex
+from repro.baselines.outback import OutbackIndex
+from repro.baselines.rolex import RolexIndex
+from repro.baselines.sherman import ShermanIndex
+from repro.baselines.smart import SmartIndex
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
-from repro.core import ChimeIndex
+from repro.core.chime import ChimeIndex
 from repro.core.learned import LearnedChimeIndex
 from repro.errors import WorkloadError
 

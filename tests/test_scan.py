@@ -30,7 +30,7 @@ from repro.core.leaf_ops import HopscotchLeafOpsMixin, place_items
 from repro.core.node_layout import MERGE_GAP, LeafLayout
 from repro.core.nodes import LeafNodeView, SortedNodeView
 from repro.errors import TornReadError
-from repro.hashing import default_hash
+from repro.hashing.hopscotch import default_hash
 from repro.layout import StripedSpan
 from repro.layout.versions import raw_span
 from repro.memory import NULL_ADDR
@@ -432,7 +432,7 @@ def test_a_first_leaf_read_equals_the_whole_leaf(neighborhood, blocks,
     items = [(key, rng.randrange(1, 2**63)) for key in rng.sample(
         range(low, high), min(high - low, int(span * load) + 1))]
     for layout in layouts:
-        keys, values, bitmaps, _spilled = place_items(items, layout, home_of)
+        keys, values, bitmaps, _spilled = place_items(items, layout)
         image = layout.encode_image(keys, values, bitmaps,
                                     rng.randrange(1, 2**48), low, high,
                                     rng.randrange(16))

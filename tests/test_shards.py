@@ -109,6 +109,44 @@ class TestShardMap:
         with pytest.raises(ValueError):
             ShardMap(0, 1)
 
+    @staticmethod
+    def _per_key(pairs, smap):
+        """The oracle: one ``shard_of`` call per key."""
+        buckets = [[] for _ in range(smap.num_shards)]
+        for key, value in pairs:
+            buckets[smap.shard_of(key)].append((key, value))
+        return buckets
+
+    @pytest.mark.parametrize("bounds,keys", [
+        # Keys equal to a bound open that bound's shard.
+        ([0, 10, 20, 30, MAX_KEY], [1, 9, 10, 19, 20, 29, 30, 31]),
+        # An empty shard (two equal bounds) and an empty middle range.
+        ([0, 10, 10, 40, MAX_KEY], [1, 10, 11, 39, 40]),
+        ([0, 10, 20, 30, MAX_KEY], [1, 2, 25, 26]),
+        # The last shard takes everything from its bound on, MAX_KEY too.
+        ([0, 5, 6, 7, MAX_KEY], [7, 8, MAX_KEY - 1, MAX_KEY]),
+        ([0, 5, 6, 7, MAX_KEY], []),
+    ])
+    def test_partition_matches_shard_of_per_key(self, bounds, keys):
+        smap = ShardMap(4, 2)
+        smap.bounds = bounds
+        pairs = [(key, key * 3) for key in keys]
+        assert partition_pairs(pairs, smap) == self._per_key(pairs, smap)
+
+    @settings(max_examples=50, deadline=None)
+    @given(keys=st.lists(st.integers(1, 200), unique=True, max_size=60),
+           shards=st.integers(1, 6),
+           cuts=st.lists(st.integers(0, 210), min_size=5, max_size=5))
+    def test_partition_matches_shard_of_on_any_bounds(self, keys, shards,
+                                                      cuts):
+        keys.sort()
+        pairs = [(key, -key) for key in keys]
+        smap = ShardMap(shards, 2)
+        smap.rebuild_bounds(keys)  # the quantile carve of a bulk load
+        assert partition_pairs(pairs, smap) == self._per_key(pairs, smap)
+        smap.bounds = [0] + sorted(cuts[:shards - 1]) + [MAX_KEY]
+        assert partition_pairs(pairs, smap) == self._per_key(pairs, smap)
+
 
 class TestPartitionedAllocator:
     def test_single_mn_root_slot_matches_legacy_offset(self):

@@ -9,11 +9,10 @@ import random
 import pytest
 
 from repro import obs
-from repro.baselines import ShermanIndex
+from repro.baselines.sherman import ShermanIndex
 from repro.cluster import Cluster
 from repro.config import ChimeConfig, ClusterConfig
-from repro.core import ChimeIndex
-from repro.core.chime import LOCKLINE_FENCE_HIGH, ChimeClient
+from repro.core.chime import LOCKLINE_FENCE_HIGH, ChimeClient, ChimeIndex
 from repro.core.node_layout import LeafLayout, ReadShape
 from repro.core.nodes import LeafNodeView
 from repro.errors import TornReadError

@@ -2,7 +2,7 @@
 
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
-from repro.core import ChimeIndex
+from repro.core.chime import ChimeIndex
 from repro.memory import make_addr
 from repro.rdma.trace import QpTracer
 
