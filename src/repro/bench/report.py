@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from collections import Counter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro.bench.metrics import percentile
 
 
 def format_table(rows: Sequence[Dict], columns: Optional[List[str]] = None,
@@ -35,6 +38,43 @@ def format_table(rows: Sequence[Dict], columns: Optional[List[str]] = None,
         lines.append("  ".join(cells[col].ljust(widths[col])
                                for col in columns))
     return "\n".join(lines)
+
+
+def trace_rows(traces) -> Tuple[List[Dict], List[Dict]]:
+    """``repro trace``'s breakdown of a recording's op records
+    (:meth:`repro.obs.Recording.ops`; pending ops are left out): a row
+    per op name — count, p50 / p99 us, RTTs and bytes per op, its
+    commonest verb sequence and that sequence's share — and a row per
+    phase of each op name — count, mean us and share of the op's time."""
+    by_name: Dict[str, List] = {}
+    for trace in traces:
+        if trace.op is not None:
+            by_name.setdefault(trace.name, []).append(trace)
+    op_rows, phase_rows = [], []
+    for name, group in sorted(by_name.items(), key=lambda item: -len(item[1])):
+        count = len(group)
+        latencies = sorted(trace.op.duration_us for trace in group)
+        verbs, times = Counter(" ".join(verb.kind for verb in trace.verbs)
+                               for trace in group).most_common(1)[0]
+        op_rows.append({
+            "op": name, "count": count,
+            "p50_us": percentile(latencies, 0.50),
+            "p99_us": percentile(latencies, 0.99),
+            "rtts_per_op": sum(len(trace.verbs) for trace in group) / count,
+            "bytes_per_op": sum(verb.size for trace in group
+                                for verb in trace.verbs) / count,
+            "verbs": verbs or "-", "verbs_share": times / count})
+        phases: Dict[str, List[float]] = {}
+        for trace in group:
+            for phase in trace.phases:
+                phases.setdefault(phase.name, []).append(phase.duration_us)
+        op_us = sum(latencies)
+        phase_rows += sorted(({"op": name, "phase": phase, "count": len(spent),
+                               "mean_us": sum(spent) / len(spent),
+                               "share": sum(spent) / op_us if op_us else 0.0}
+                              for phase, spent in phases.items()),
+                             key=lambda row: -row["share"])
+    return op_rows, phase_rows
 
 
 def print_table(rows: Sequence[Dict], columns: Optional[List[str]] = None,

@@ -30,7 +30,7 @@ Figure names map to the experiment functions of
 via :mod:`repro.obs` and writes them as Chrome trace-event JSON (open in
 ``chrome://tracing`` or https://ui.perfetto.dev).  The ``trace``
 subcommand runs a single workload point under full observability and
-prints the latency flame summary plus the metrics snapshot.
+prints a row per op name and per phase plus the metrics snapshot.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.bench import PRESETS, Scale
-from repro.bench.report import format_table
+from repro.bench.report import format_table, trace_rows
 from repro.bench import experiments as exp
 from repro.config import KNOBS, Knob, scale_fields, unknown_env_warnings
 from repro.errors import ConfigError
@@ -270,11 +270,18 @@ def _cmd_trace(args) -> int:
     except WorkloadError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    print(format_table([result.summary()],
+    summary = result.summary()
+    print(format_table([{name: value for name, value in summary.items()
+                         if not name.startswith("obs.")}],
                        title=f"{args.index} / YCSB-{args.workload} "
                              f"(scale={scale.name}, seed={scale.seed})"))
+    for title, rows in zip(("ops", "phases"), trace_rows(recorder.ops())):
+        print()
+        print(format_table(rows, title=title))
     print()
-    print(obs.flame_summary(recorder.spans))
+    print(format_table([{"name": name, "value": value}
+                        for name, value in summary.items() if name.startswith("obs.")],
+                       title="metrics"))
     if args.out:
         obs.write_chrome_trace(
             recorder.spans, args.out,

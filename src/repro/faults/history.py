@@ -28,10 +28,9 @@ class Op(NamedTuple):
 
 def history(recording) -> List[Op]:
     """Every op *recording* saw invoked, in invoke order, with its answer."""
-    answered = {(span.client, span.seq): (span.end, span.result)
-                for span in recording.spans if span.level == "op" and not span.error}
-    return [Op(client, name, args, begin, *answered.get((client, seq), ()))
-            for client, seq, name, args, begin in recording.store.invoked]
+    return [Op(t.client, t.name, t.args, t.begin,
+               *((t.op.end, t.op.result) if t.op and not t.op.error else ()))
+            for t in recording.ops()]
 
 
 def check_history(ops: Iterable[Op], loaded: Iterable[Tuple[int, Any]],

@@ -3,8 +3,8 @@
 A process-wide publish/subscribe channel for structured simulation
 events.  Instrumentation points across the simulator, RDMA, cluster, and
 index layers emit :class:`ObsEvent` records; subscribers (the metrics
-collector, the span store, :class:`~repro.rdma.trace.QpTracer`) receive
-them synchronously, in subscription order.
+collector and the span store) receive them synchronously, in
+subscription order.
 
 The bus is **off by default**: with no subscribers, :attr:`EventBus.active`
 is False and every instrumentation site guards its emit with it, so the
@@ -71,6 +71,10 @@ class EventBus:
         #: sites check it before building event payloads, so a quiet bus
         #: costs one attribute read per site.
         self.active = False
+        #: ``(client, seq)`` of the op whose generator is being resumed
+        #: (kept by :func:`~repro.obs.spans.traced_span`); every ``verb``
+        #: event carries it.
+        self.op = None
 
     # -- state ---------------------------------------------------------------
 

@@ -1,14 +1,17 @@
-"""Per-operation phase spans under simulated time.
+"""The recorder: one record per operation, with its phases and verbs.
 
 A *span* is one named interval of an index operation — the whole
 operation (``level="op"``) or one phase inside it (``level="phase"``):
 cache-backed traversal, leaf read, lock acquisition, write-back,
-speculative read, retry backoff, node split.  Spans are emitted on the
-event bus as ``kind="span"`` events when the interval closes, carrying
-its begin/end simulated times, the owning client, a process-wide operation
-sequence number (so phases group under their operation), and the number
-of RDMA round trips the interval issued — the machine-readable form of
-the paper's Table 1 RTT accounting.
+speculative read, retry backoff, node split.  A span emits an ``open``
+bus event (an op's carries its arguments) and a ``span`` event when it
+closes (an op's carries its result).  A :class:`Recording` builds one
+:class:`OpTrace` per op from them, with the verbs the op issued: a verb
+belongs to the op whose generator was being resumed when it was issued
+(:func:`traced_span` keeps ``bus.op``; every ``verb`` event carries it),
+not to the queue pair it went through, which pipelined lanes share.  A
+span's ``rtts`` counts its op's verbs issued between its open and close:
+the paper's Table 1 RTT accounting, machine readable.
 
 Index clients gain instrumentation through :class:`SpanInstrumentedOps`:
 ``yield from self._op("search", gen)`` wraps a whole operation,
@@ -20,14 +23,16 @@ check per call.
 
 from __future__ import annotations
 
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Any, Dict, Generator, List, Tuple
+from typing import Any, Dict, Generator, List, NamedTuple, Optional, Tuple
 
 from repro.obs.bus import BUS, EventBus, ObsEvent
+from repro.obs.registry import MetricsCollector
 
-__all__ = ["Span", "OpTrace", "SpanStore", "SpanInstrumentedOps",
-           "traced_span"]
+__all__ = ["Span", "Verb", "OpTrace", "Recording", "recording", "active_recording",
+           "SpanInstrumentedOps", "traced_span"]
 
 _OP_SEQ = count(1)
 
@@ -44,7 +49,7 @@ class Span:
     end: float
     rtts: int = 0
     error: bool = False
-    #: An op span's answer (its arguments ride on its ``invoke`` event).
+    #: An op span's answer (its arguments ride on its ``open`` event).
     result: Any = None
 
     @property
@@ -56,12 +61,32 @@ class Span:
         return self.duration * 1e6
 
 
+class Verb(NamedTuple):
+    """One verb an op issued: a doorbell batch of ``batch`` verbs is one."""
+
+    kind: str
+    addr: int
+    size: int
+    batch: int
+    time: float
+
+
 @dataclass
 class OpTrace:
-    """One operation span with its phase spans, rebuilt by the store."""
+    """One op as recorded: its arguments, its closed span (None while it
+    is pending: its CN crashed, or the recording ended first), its phase
+    spans and the verbs it issued, in issue order."""
 
-    op: Span
+    client: str
+    seq: int
+    name: str
+    args: Tuple
+    begin: float
+    op: Optional[Span] = None
     phases: List[Span] = field(default_factory=list)
+    verbs: List[Verb] = field(default_factory=list)
+    #: ``len(verbs)`` at the open of each span of this op still open.
+    _marks: List[int] = field(default_factory=list, repr=False)
 
     @property
     def phase_seconds(self) -> float:
@@ -88,60 +113,93 @@ class OpTrace:
         return self.phase_seconds / self.op.duration
 
 
-class SpanStore:
-    """Bus subscriber that records spans and rebuilds per-op trees."""
+#: Stack of live recordings (innermost last); see :func:`active_recording`.
+_ACTIVE: List["Recording"] = []
+
+
+class Recording(AbstractContextManager):
+    """One tracing session on :data:`BUS`: an :class:`OpTrace` per op
+    opened while it is active (:meth:`ops`), every closed span
+    (:attr:`spans`), and a :class:`~repro.obs.registry.MetricsCollector`
+    (:meth:`notes`)."""
 
     def __init__(self) -> None:
         self.spans: List[Span] = []
-        #: ``(client, seq, name, args, begin)`` of every op invoked.
-        self.invoked: List[Tuple] = []
+        self.collector = MetricsCollector()
+        self._traces: List[OpTrace] = []
+        self._open: Dict[Tuple[str, int], OpTrace] = {}
         self._sub = None
 
-    def attach(self, bus: EventBus) -> None:
-        if self._sub is None:
-            self._sub = bus.subscribe(self.on_event, kinds=("span", "invoke"))
-
-    def detach(self) -> None:
+    def __enter__(self) -> "Recording":
         if self._sub is not None:
-            self._sub.unsubscribe()
-            self._sub = None
+            raise RuntimeError("Recording already active")
+        self._sub = BUS.subscribe(self._on_event, kinds=("open", "span", "verb"))
+        self.collector.attach(BUS)
+        _ACTIVE.append(self)
+        return self
 
-    def on_event(self, event: ObsEvent) -> None:
-        data = event.data
-        if event.kind == "invoke":
-            self.invoked.append((data["client"], data["seq"], data["name"],
-                                 data["args"], event.time))
-            return
-        self.spans.append(Span(
-            client=data["client"], name=data["name"], seq=data["seq"],
-            level=data["level"], begin=data["begin"], end=data["end"],
-            rtts=data.get("rtts", 0), error=data.get("error", False),
-            result=data.get("result")))
+    def __exit__(self, *exc) -> None:
+        self._sub.unsubscribe()
+        self._sub = None
+        self.collector.detach()
+        _ACTIVE.remove(self)
 
     def ops(self) -> List[OpTrace]:
-        """Group phase spans under their operation spans.
+        """One record per op opened, in open order (pending ones too)."""
+        return self._traces
 
-        Keyed by ``(client, seq)``; phases arriving for an unknown op
-        (e.g. recording started mid-operation) are dropped.
-        """
-        by_key: Dict[Tuple[str, int], OpTrace] = {}
-        for span in self.spans:
-            if span.level == "op":
-                by_key[(span.client, span.seq)] = OpTrace(span)
-        for span in self.spans:
-            if span.level == "phase":
-                trace = by_key.get((span.client, span.seq))
-                if trace is not None:
-                    trace.phases.append(span)
-        return list(by_key.values())
+    def notes(self) -> Dict[str, float]:
+        """The metrics registry flattened for ``RunResult.notes``."""
+        return self.collector.registry.snapshot(prefix="obs.")
+
+    def _on_event(self, event: ObsEvent) -> None:
+        """File a verb under its op; open or close a span.  Spans of an op
+        opened before the recording began are dropped."""
+        data = event.data
+        if event.kind == "verb":
+            trace = self._open.get(data["op"])
+            if trace is not None:
+                trace.verbs.append(Verb(data["kind"], data["addr"], data["size"],
+                                        data["batch"], event.time))
+            return
+        key = (data["client"], data["seq"])
+        level = data["level"]
+        if event.kind == "open" and level == "op":
+            self._open[key] = OpTrace(*key, data["name"], data["args"], event.time)
+            self._traces.append(self._open[key])
+        trace = self._open.get(key)
+        if trace is None:
+            return
+        if event.kind == "open":
+            trace._marks.append(len(trace.verbs))
+            return
+        span = Span(client=key[0], name=data["name"], seq=key[1], level=level,
+                    begin=data["begin"], end=data["end"],
+                    rtts=len(trace.verbs) - trace._marks.pop(),
+                    error=data.get("error", False), result=data.get("result"))
+        self.spans.append(span)
+        if level == "op":
+            trace.op = span
+            del self._open[key]
+        else:
+            trace.phases.append(span)
+
+
+def recording() -> Recording:
+    """A fresh :class:`Recording`; use as a context manager."""
+    return Recording()
+
+
+def active_recording() -> Optional[Recording]:
+    """The innermost live recording, or None when nobody is tracing."""
+    return _ACTIVE[-1] if _ACTIVE else None
 
 
 def traced_span(bus: EventBus, client: str, seq: int, name: str, level: str,
-                engine, gen: Generator, qp=None, args: Tuple = ()) -> Generator:
-    """Drive *gen* to completion, then emit its closed span.
-
-    An op span emits an ``invoke`` event with its *args* as it opens and
-    carries its result, so a recording holds the run's history.
+                engine, gen: Generator, args: Tuple = ()) -> Generator:
+    """Drive *gen* to completion as ``yield from`` would, with ``bus.op``
+    set to ``(client, seq)`` while it runs; emit its span as it opens and
+    as it closes.
 
     A span is emitted even when the wrapped generator raises (flagged
     ``error=True``) so retry storms stay visible in the timeline.
@@ -150,23 +208,38 @@ def traced_span(bus: EventBus, client: str, seq: int, name: str, level: str,
     forever and it is being reclaimed), not that the operation errored —
     and reclamation can happen while a *later* recording is active.
     """
+    key = (client, seq)
     begin = engine.now
-    if level == "op":
-        bus.emit("invoke", begin, client=client, seq=seq, name=name, args=args)
-    rtts_before = qp.stats.rtts if qp is not None else 0
-    try:
-        result = yield from gen
-    except GeneratorExit:
-        raise
-    except BaseException:
-        bus.emit("span", engine.now, client=client, name=name, seq=seq,
-                 level=level, begin=begin, end=engine.now,
-                 rtts=(qp.stats.rtts - rtts_before) if qp is not None else 0,
-                 error=True)
-        raise
+    bus.emit("open", begin, client=client, seq=seq, name=name, level=level,
+             args=args)
+    sent = thrown = None
+    while True:
+        outer, bus.op = bus.op, key
+        try:
+            target = [gen.send(sent) if thrown is None else gen.throw(thrown)]
+        except StopIteration as stop:
+            result = stop.value
+            break
+        except GeneratorExit:
+            raise
+        except BaseException:
+            bus.emit("span", engine.now, client=client, name=name, seq=seq,
+                     level=level, begin=begin, end=engine.now, error=True)
+            raise
+        finally:
+            bus.op = outer
+        # Hold nothing while suspended, as ``yield from`` does: a parked op
+        # whose event nobody else holds is reclaimed at once, not later.
+        sent = thrown = None
+        try:
+            sent = yield target.pop()
+        except GeneratorExit:
+            gen.close()
+            raise
+        except BaseException as exc:  # noqa: BLE001 - thrown on into gen
+            thrown = exc
     bus.emit("span", engine.now, client=client, name=name, seq=seq,
              level=level, begin=begin, end=engine.now,
-             rtts=(qp.stats.rtts - rtts_before) if qp is not None else 0,
              result=result if level == "op" else None)
     return result
 
@@ -174,7 +247,7 @@ def traced_span(bus: EventBus, client: str, seq: int, name: str, level: str,
 class SpanInstrumentedOps:
     """Mixin giving index clients ``_op`` / ``_phase`` span wrappers.
 
-    Requires ``self.engine``, ``self.qp``, and ``self.ctx.name`` (all
+    Requires ``self.engine`` and ``self.ctx.name`` (both
     provided by :class:`~repro.core.family.FamilyClientBase`, the one
     class that mixes this in — every index family's client derives
     from it).
@@ -189,14 +262,14 @@ class SpanInstrumentedOps:
             return gen
         self._obs_seq = next(_OP_SEQ)
         return traced_span(BUS, self.ctx.name, self._obs_seq, name, "op",
-                           self.engine, gen, qp=self.qp, args=args)
+                           self.engine, gen, args)
 
     def _phase(self, name: str, gen: Generator) -> Generator:
         """Wrap one phase of the current operation."""
         if not BUS.active:
             return gen
         return traced_span(BUS, self.ctx.name, self._obs_seq, name, "phase",
-                           self.engine, gen, qp=self.qp)
+                           self.engine, gen)
 
     def _sleep_phase(self, name: str, delay: float) -> Generator:
         """A timeout wrapped as a phase (retry backoff visibility)."""

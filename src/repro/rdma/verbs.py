@@ -305,8 +305,9 @@ class RdmaQp:
 
     def _emit_verb(self, kind: str, addr: int, size: int,
                    batch: int = 1) -> None:
-        """Publish one verb issue on the observability bus."""
-        BUS.emit("verb", self.engine.now, qp=self, kind=kind, addr=addr,
+        """Publish one verb issue on the observability bus, naming the op
+        that issued it."""
+        BUS.emit("verb", self.engine.now, op=BUS.op, kind=kind, addr=addr,
                  size=size, batch=batch)
 
     # ------------------------------------------------------------------ READ

@@ -18,7 +18,7 @@ import sys
 import pytest
 
 import repro
-from repro import registry
+from repro import obs, registry
 from repro.baselines.flexkv import (
     PLACEMENT_CN,
     PLACEMENT_MN,
@@ -31,7 +31,6 @@ from repro.config import ClusterConfig, KNOWN_ENV_VARS, unknown_env_vars
 from repro.errors import SimulationError, WorkloadError
 from repro.faults.invariants import check_index_invariants
 from repro.hashing.mph import MinimalPerfectHash
-from repro.rdma.trace import QpTracer
 from repro.workloads.ycsb import dataset
 from tests import oracles
 
@@ -182,36 +181,31 @@ FAST_PATHS = {
 
 @pytest.mark.parametrize("name", registry.family_names())
 class TestFastPathsByObservation:
-    """What each family's point operations cost is read off the queue
-    pair, not declared: 2 000 bulk-loaded keys, two searches to warm the
+    """What each family's point operations cost is read off the recorded
+    ops, not declared: 2 000 bulk-loaded keys, two searches to warm the
     cache, then one search, one update, one fresh-key insert and (where
-    the family has one) one delete, each under its own
-    :class:`QpTracer`."""
+    the family has one) one delete, each the verbs its op record holds."""
 
     def test_point_ops_issue_the_pinned_verbs(self, name):
         cluster = make_cluster(clients_per_cn=1)
         index = registry.build_index(name, cluster)
         index.bulk_load([(key * 10, key * 7) for key in range(1, 2001)])
         client = index.client(cluster.cns[0].clients[0])
-        observed = []
-
-        def traced(operation):
-            with QpTracer(client.qp) as tracer:
-                yield from operation
-            observed.append((tracer.summary()["round_trips"],
-                             " ".join(r.kind for r in tracer.records)))
 
         def body():
             yield from client.search(5000)
             yield from client.search(5000)
-            yield from traced(client.search(5000))
-            yield from traced(client.update(5000, 1))
-            yield from traced(client.insert(5005, 2))
+            yield from client.search(5000)
+            yield from client.update(5000, 1)
+            yield from client.insert(5005, 2)
             if len(FAST_PATHS[name]) == 4:
-                yield from traced(client.delete(5000))
+                yield from client.delete(5000)
 
-        drive(cluster, body())
-        assert tuple(observed) == FAST_PATHS[name]
+        with obs.recording() as recording:
+            drive(cluster, body())
+        observed = tuple((len(trace.verbs), " ".join(verb.kind for verb in trace.verbs))
+                         for trace in recording.ops()[2:])
+        assert observed == FAST_PATHS[name]
 
 
 @pytest.mark.parametrize("name", registry.family_names())

@@ -39,6 +39,7 @@ from repro.core.node_layout import (
 from repro.errors import OperationTimeoutError, RetryExhaustedError
 from repro.faults import FaultPlan, check_index_invariants
 from repro.layout import decode_u64, encode_key, encode_u64
+from repro import obs
 from repro.obs import BUS
 from repro.registry import build_index, families, get_family
 from repro.retry import RetryPolicy
@@ -111,6 +112,11 @@ def _built(index_name):
 def _run(cluster, gen):
     cluster.engine.process(gen)
     cluster.run()
+
+
+def _verbs(recording):
+    """Every verb the recorded ops issued, op by op."""
+    return [verb for trace in recording.ops() for verb in trace.verbs]
 
 
 def _leaf_addrs(index):
@@ -259,21 +265,15 @@ def _split_run(lose_at=None):
                                max_count=1))
     client = index.client(next(iter(cluster.clients())))
     root = index.root_addr
-    released = []
-
-    def note(event):
-        if event.data["kind"] == "write_batch" and event.data["addr"] == root:
-            released.append(event.time)
 
     def inserts():
         for key in range(1, 62, 2):
             assert (yield from client.insert(key, key)) is True
 
-    watch = BUS.subscribe(note, kinds=("verb",))
-    try:
+    with obs.recording() as recording:
         _run(cluster, inserts())
-    finally:
-        watch.unsubscribe()
+    released = [verb.time for verb in _verbs(recording)
+                if verb.kind == "write_batch" and verb.addr == root]
     return cluster, index, injector, released
 
 
@@ -315,17 +315,14 @@ def _one_op(index_name, op, plan=None):
         index.bulk_load(pairs)
     injector = cluster.install_faults(plan) if plan is not None else None
     client = index.client(next(iter(cluster.clients())))
-    answer, kinds = [], []
+    answer = []
 
     def run():
         answer.append((yield from getattr(client, op)(*_OPS[op])))
 
-    watch = BUS.subscribe(lambda event: kinds.append(event.data["kind"]),
-                          kinds=("verb",))
-    try:
+    with obs.recording() as recording:
         _run(cluster, run())
-    finally:
-        watch.unsubscribe()
+    kinds = [verb.kind for verb in _verbs(recording)]
     return answer, index.collect_items(), kinds, injector
 
 
@@ -371,18 +368,14 @@ def test_a_lost_seal_gives_the_node_back():
         index.bulk_load(pairs)
         injector = cluster.install_faults(plan) if plan else None
         client = index.client(next(iter(cluster.clients())))
-        cas_times, done = [], []
+        done = []
 
         def run():
             done.append((yield from client.insert(0x0104, 4)))
 
-        watch = BUS.subscribe(
-            lambda event: event.data["kind"] == "cas"
-            and cas_times.append(event.time), kinds=("verb",))
-        try:
+        with obs.recording() as recording:
             _run(cluster, run())
-        finally:
-            watch.unsubscribe()
+        cas_times = [verb.time for verb in _verbs(recording) if verb.kind == "cas"]
         return index, injector, cas_times, done
 
     _index, _none, cas_times, _done = insert()

@@ -1,25 +1,29 @@
 """Tests for the observability subsystem (repro.obs)."""
 
 import json
+import re
 
 import pytest
 
 from repro import obs
+from repro.bench.report import trace_rows
 from repro.bench.runner import run_point
 from repro.cli import main
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.core.chime import ChimeIndex
+from repro.memory import make_addr
 from repro.registry import build_index, family_names
 from repro.obs import (
     BUS,
     EventBus,
     Histogram,
     MetricsCollector,
+    OpTrace,
     Registry,
     Span,
+    Verb,
     chrome_trace_events,
-    flame_summary,
     render_chrome_trace,
 )
 
@@ -243,12 +247,24 @@ class TestExport:
         assert len(parsed["traceEvents"]) == 3
 
     def test_flame_summary_orders_ops_first(self):
-        text = flame_summary(_spans_fixture())
-        lines = [l for l in text.splitlines()[2:] if l]
-        assert lines[0].startswith("op")
-        assert "search" in lines[0]
-        # longest phase first among phases
-        assert "leaf_read" in lines[1] and "traverse" in lines[2]
+        """``trace_rows``, which replaced the flame summary: a row per
+        answered op name (pending ops left out), then its phases, the
+        largest share of the op's time first."""
+        search, traverse, leaf_read = _spans_fixture()
+        traces = [
+            OpTrace("cn0-c0", 1, "search", (700,), search.begin, op=search,
+                    phases=[traverse, leaf_read],
+                    verbs=[Verb("read", 0x40, 64, 1, 3e-6),
+                           Verb("read", 0x80, 64, 1, 5e-6)]),
+            OpTrace("cn0-c0", 2, "update", (700, 1), 9e-6),
+        ]
+        op_rows, phase_rows = trace_rows(traces)
+        assert op_rows == [{"op": "search", "count": 1, "p50_us": pytest.approx(8.0),
+                            "p99_us": pytest.approx(8.0), "rtts_per_op": 2.0,
+                            "bytes_per_op": 128.0, "verbs": "read read",
+                            "verbs_share": 1.0}]
+        assert [(row["phase"], row["share"]) for row in phase_rows] == [
+            ("leaf_read", pytest.approx(0.75)), ("traverse", pytest.approx(0.25))]
 
 
 class TestSpans:
@@ -287,13 +303,46 @@ class TestSpans:
             assert trace.coverage > 0.5
 
     def test_op_rtts_match_qp_accounting(self):
-        recorder = self._run_searches()
-        total_op_rtts = sum(t.op.rtts for t in recorder.ops())
-        span_histogram_count = sum(
-            1 for s in recorder.spans if s.level == "op")
-        assert span_histogram_count == 3
-        # warm-cache searches: >= 1 leaf read each
-        assert total_op_rtts >= 3
+        """Every verb of a run is filed under the op that issued it, also
+        when four lanes share each client's queue pair, so no op counts
+        a sibling lane's verbs: the op spans' RTTs sum to the queue
+        pairs' round trips, and a phase's RTTs are its op's verbs issued
+        inside it."""
+        for depth in (1, 4):
+            config = ClusterConfig(num_cns=2, clients_per_cn=2, cache_bytes=1 << 22,
+                                   region_bytes=1 << 26, pipeline_depth=depth)
+            with obs.recording() as recorder:
+                result = run_point("chime", "A", num_keys=2000, ops_per_client=60,
+                                   cluster_config=config)
+            ops = recorder.ops()
+            assert len(ops) == result.ops_completed == 240
+            assert sum(trace.op.rtts for trace in ops) == result.traffic.rtts
+            assert all(trace.op.rtts == len(trace.verbs) for trace in ops)
+            phases = [(phase, trace) for trace in ops for phase in trace.phases]
+            assert sum(phase.rtts for phase, _trace in phases) > 0
+            for phase, trace in phases:
+                assert phase.rtts == sum(phase.begin <= verb.time < phase.end
+                                         for verb in trace.verbs)
+
+    def test_raw_verbs_are_counted_but_belong_to_no_op(self):
+        """Verbs issued outside any op (straight on a queue pair) are
+        counted by kind and bytes, and filed under no op record."""
+        cluster = Cluster(ClusterConfig(region_bytes=1 << 22))
+        qp = cluster.cns[0].clients[0].qp
+        addr = make_addr(0, 4096)
+
+        def gen():
+            yield from qp.write(addr, b"abc")
+            yield from qp.read(addr, 3)
+            yield from qp.cas(addr + 64, 0, 1)
+
+        cluster.engine.process(gen())
+        with obs.recording() as recorder:
+            cluster.run()
+        notes = recorder.notes()
+        assert [notes[f"obs.verb.{kind}"] for kind in ("write", "read", "cas")] == [1, 1, 1]
+        assert notes["obs.verb.bytes"] == 3 + 3 + 8
+        assert recorder.ops() == [] and not recorder.spans
 
     def test_bus_quiet_after_recording(self):
         self._run_searches()
@@ -377,6 +426,10 @@ class TestIntegration:
         # metrics snapshot landed in RunResult.notes
         assert result.notes.get("obs.verb.read", 0) > 0
         assert "obs.span.search.us.count" in result.notes
+        # the collector counts every verb the op records hold
+        assert sum(value for name, value in result.notes.items()
+                   if name.startswith("obs.verb.") and name != "obs.verb.bytes"
+                   ) == sum(len(trace.verbs) for trace in ops)
 
     def test_notes_empty_without_recording(self):
         config = ClusterConfig(num_cns=1, clients_per_cn=2,
@@ -404,6 +457,43 @@ class TestCliTrace:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].split(",")[0] == "scheme"
         assert len(lines) > 1
+
+
+def _tables(text):
+    """Each ``format_table`` block of *text*: title -> rows of cells."""
+    tables = {}
+    for block in text.split("\n\n"):
+        lines = block.strip("\n").splitlines()
+        if len(lines) > 2 and set(lines[2]) <= {"-", " "}:
+            header = lines[1].split()
+            tables[lines[0]] = [dict(zip(header, re.split(r"\s{2,}", line.strip())))
+                                for line in lines[3:]]
+    return tables
+
+
+class TestTraceSubcommand:
+    @pytest.mark.parametrize("depth", [1, 4])
+    def test_rows_per_op_name_with_the_recorded_verbs(self, depth, tmp_path, capsys):
+        """``repro trace`` prints the run row without the ``obs.*``
+        columns, a row per op name, its phases, and the notes as name /
+        value rows; the search row's RTTs per op is the recorded verbs
+        over the searches, also with four lanes per client."""
+        out = tmp_path / "trace.json"
+        assert main(["trace", "--workload", "C", "--clients", "4", "--ops", "60",
+                     "--depth", str(depth), "--out", str(out)]) == 0
+        tables = _tables(capsys.readouterr().out)
+        run, = tables["chime / YCSB-C (scale=quick, seed=42)"]
+        assert not any(name.startswith("obs.") for name in run)
+        search, = tables["ops"]
+        assert search["op"] == "search" and int(search["count"]) == 240
+        assert {row["op"] for row in tables["phases"]} == {"search"}
+        notes = {row["name"]: float(row["value"]) for row in tables["metrics"]}
+        verbs = sum(value for name, value in notes.items()
+                    if name.startswith("obs.verb.") and name != "obs.verb.bytes")
+        assert float(search["rtts_per_op"]) == pytest.approx(verbs / 240, abs=5e-4)
+        assert float(search["rtts_per_op"]) < 1.5
+        events = json.loads(out.read_text())["traceEvents"]
+        assert sum(event["cat"] == "op" for event in events) == 240
 
 
 class TestMetricsCache:
