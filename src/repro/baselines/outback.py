@@ -106,8 +106,7 @@ class OutbackIndex(FamilyIndexBase):
 
     def bulk_load(self, pairs: Sequence[Tuple[int, int]]) -> None:
         pairs = self._checked_pairs(pairs)
-        keys = [k for k, _ in pairs]
-        self.mph = MinimalPerfectHash(keys, seed=self.config.mph_seed)
+        self.mph = MinimalPerfectHash(pairs.key_column, seed=self.config.mph_seed)
         num_mns = len(self.mn_ids)
         per_mn = (self.mph.num_slots + num_mns - 1) // num_mns
         headroom = int(len(pairs) * self.config.overflow_headroom)

@@ -210,8 +210,7 @@ class SmartIndex(FamilyIndexBase):
 
     def bulk_load(self, pairs: Sequence[Tuple[int, int]]) -> None:
         pairs = self._checked_pairs(pairs)
-        keys = [key for key, _ in pairs]
-        values = [value for _, value in pairs]
+        keys, values = pairs.key_column, pairs.value_column
         self.root_addr = self._host_alloc(node_size(NODE256))
         self.root_type = NODE256
         children = self._build_children(keys, values, 0, len(keys), 0)

@@ -43,9 +43,10 @@ def format_table(rows: Sequence[Dict], columns: Optional[List[str]] = None,
 def trace_rows(traces) -> Tuple[List[Dict], List[Dict]]:
     """``repro trace``'s breakdown of a recording's op records
     (:meth:`repro.obs.Recording.ops`; pending ops are left out): a row
-    per op name — count, p50 / p99 us, RTTs and bytes per op, its
-    commonest verb sequence and that sequence's share — and a row per
-    phase of each op name — count, mean us and share of the op's time."""
+    per op name — count, p50 / p99 us of the ops past the warm-up (as
+    the run row's), RTTs and bytes per op, its commonest verb sequence
+    and that sequence's share — and a row per phase of each op name —
+    count, mean us and share of the op's time."""
     by_name: Dict[str, List] = {}
     for trace in traces:
         if trace.op is not None:
@@ -53,7 +54,8 @@ def trace_rows(traces) -> Tuple[List[Dict], List[Dict]]:
     op_rows, phase_rows = [], []
     for name, group in sorted(by_name.items(), key=lambda item: -len(item[1])):
         count = len(group)
-        latencies = sorted(trace.op.duration_us for trace in group)
+        latencies = sorted(trace.op.duration_us for trace in group
+                           if not trace.warmup)
         verbs, times = Counter(" ".join(verb.kind for verb in trace.verbs)
                                for trace in group).most_common(1)[0]
         op_rows.append({
@@ -68,7 +70,7 @@ def trace_rows(traces) -> Tuple[List[Dict], List[Dict]]:
         for trace in group:
             for phase in trace.phases:
                 phases.setdefault(phase.name, []).append(phase.duration_us)
-        op_us = sum(latencies)
+        op_us = sum(trace.op.duration_us for trace in group)
         phase_rows += sorted(({"op": name, "phase": phase, "count": len(spent),
                                "mean_us": sum(spent) / len(spent),
                                "share": sum(spent) / op_us if op_us else 0.0}

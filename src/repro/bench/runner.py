@@ -157,7 +157,7 @@ class PointSpec:
         pairs = dataset(self.num_keys, key_space=self.key_space,
                         seed=config.seed)
         spec = WORKLOADS[self.workload_name]
-        context = WorkloadContext(spec, [k for k, _ in pairs],
+        context = WorkloadContext(spec, pairs.key_column,
                                   seed=config.seed, theta=self.theta)
         context.expected_insert_budget = (
             int(spec.insert_fraction * self.ops_per_client

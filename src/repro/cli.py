@@ -398,7 +398,7 @@ def _campaign_scale(args) -> Scale:
 
 
 def _campaign_plan(args):
-    from repro.xpmt import CampaignPlan, CellSpec
+    from repro.xpmt.spec import CampaignPlan, CellSpec
 
     scale = _campaign_scale(args)
     indexes = [n.strip() for n in args.indexes.split(",") if n.strip()]
@@ -447,7 +447,7 @@ def _stored_campaign(store, requested: str) -> Optional[str]:
 def _cmd_campaign(args) -> int:
     from repro.registry import get_family
     from repro.workloads.ycsb import WORKLOADS
-    from repro.xpmt import CampaignStore
+    from repro.xpmt.store import CampaignStore
 
     if args.campaign_command == "run":
         try:
@@ -470,7 +470,7 @@ def _cmd_campaign(args) -> int:
             print("empty campaign matrix", file=sys.stderr)
             return 2
         with CampaignStore(args.db) as store:
-            from repro.xpmt import run_campaign
+            from repro.xpmt.runner import run_campaign
             summary = run_campaign(store, plan,
                                    jobs=_knob_values(args).get("jobs"),
                                    limit=args.limit, echo=print)
@@ -478,7 +478,7 @@ def _cmd_campaign(args) -> int:
         return 0
 
     if args.campaign_command == "status":
-        from repro.xpmt import campaign_status
+        from repro.xpmt.runner import campaign_status
         with CampaignStore(args.db) as store:
             rows = campaign_status(store)
             total = store.point_count()
@@ -489,7 +489,7 @@ def _cmd_campaign(args) -> int:
                                        f"({total} stored points)"))
         return 0
 
-    from repro.xpmt import build_report, collect_cells, diff_cells
+    from repro.xpmt.report import build_report, collect_cells, diff_cells
     with CampaignStore(args.db) as store:
         campaign_id = _stored_campaign(store, args.id)
         if campaign_id is None:

@@ -35,6 +35,7 @@ class ComputeNode:
         self.nic: Optional[Nic] = (
             Nic(engine, config.cn_nic, name=f"cn{cn_id}")
             if config.cn_nic is not None else None)
+        #: Live local locks only: held, or waited for.
         self._local_locks: Dict[int, Lock] = {}
         #: CN-local delegation table for pessimistic/adaptive sync:
         #: lock_addr -> :class:`repro.core.adaptive.DelegationEntry`.
@@ -60,6 +61,12 @@ class ComputeNode:
             lock = Lock(self.engine, name=f"cn{self.cn_id}.lock@{addr:#x}")
             self._local_locks[addr] = lock
         return lock
+
+    def release_local(self, addr: int, lock: Lock) -> None:
+        """Release *lock*, held at *addr*; a lock left free leaves the table."""
+        lock.release()
+        if not lock.locked:
+            del self._local_locks[addr]
 
 
 class ClientContext:

@@ -20,9 +20,10 @@ CN's cache once the bulk load has placed it (DESIGN.md §14 says why).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.layout import MAX_KEY
+from repro.pairs import Pairs
 
 __all__ = ["ShardMap"]
 
@@ -72,13 +73,11 @@ class ShardMap:
         self.bounds = bounds
 
 
-def partition_pairs(
-    pairs: Sequence[Tuple[int, int]], shard_map: ShardMap
-) -> List[List[Tuple[int, int]]]:
-    """Split sorted (key, value) pairs into per-shard lists: one slice
-    per shard, cut where its lower bound falls (what
+def partition_pairs(pairs: Iterable[Tuple[int, int]], shard_map: ShardMap) -> List[Pairs]:
+    """Split sorted (key, value) pairs into per-shard slices of their
+    columns, cut where each shard's lower bound falls (what
     :meth:`ShardMap.shard_of` of every key would say)."""
-    keys = [pair[0] for pair in pairs]
-    cuts = ([0] + [bisect_left(keys, bound) for bound in shard_map.bounds[1:-1]]
-            + [len(pairs)])
-    return [list(pairs[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    pairs = Pairs.of(pairs)
+    keys = pairs.key_column
+    cuts = [0] + [bisect_left(keys, bound) for bound in shard_map.bounds[1:-1]] + [len(pairs)]
+    return [pairs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]

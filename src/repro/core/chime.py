@@ -157,6 +157,7 @@ class ChimeIndex(BTreeIndexBase):
         config = self.config
         layout = self.leaf_layout
         pairs = self._checked_pairs(pairs)
+        keys, values = pairs.key_column, pairs.value_column
         span, neighborhood = config.span, config.neighborhood
         target = max(1, int(span * config.bulk_load_factor))
         # Each leaf takes one run of keys: at most *target*, up to the
@@ -170,8 +171,7 @@ class ChimeIndex(BTreeIndexBase):
             start = starts[-1]
             slots, homes, bitmaps = [0] * span, [0] * span, [0] * span
             starts.append(start + place_run(
-                slots, homes, bitmaps,
-                [key for key, _value in pairs[start:start + target]],
+                slots, homes, bitmaps, keys[start:start + target],
                 neighborhood))
             vectors.append((array("H", slots), array("H", bitmaps)))
             if starts[-1] >= len(pairs):
@@ -181,19 +181,20 @@ class ChimeIndex(BTreeIndexBase):
         images = [bytearray(layout.total_size * len(addrs[share]))
                   for _mn, _base, share in runs]
         # Fence boundaries: first key of each leaf.
-        bounds = [0] + [pairs[start][0] for start in starts[1:-1]] + [MAX_KEY]
+        bounds = [0] + [keys[start] for start in starts[1:-1]] + [MAX_KEY]
         for index, (slots, bitmaps) in enumerate(vectors):
             sibling = addrs[index + 1] if index + 1 < len(addrs) else NULL_ADDR
             fence_low, fence_high = bounds[index], bounds[index + 1]
-            keys, values = slot_columns(
-                pairs[starts[index]:starts[index + 1]], slots)
+            run = slice(starts[index], starts[index + 1])
+            leaf_keys, leaf_values = slot_columns(keys[run], values[run], slots)
             if config.indirect_values:
                 blocks = iter(self._host_alloc_blocks(
-                    list(compress(keys, keys)), list(compress(values, keys))))
-                values = [next(blocks) if key else 0 for key in keys]
-            image = layout.encode_image(keys, values, bitmaps, sibling,
+                    list(compress(leaf_keys, leaf_keys)),
+                    list(compress(leaf_values, leaf_keys))))
+                leaf_values = [next(blocks) if key else 0 for key in leaf_keys]
+            image = layout.encode_image(leaf_keys, leaf_values, bitmaps, sibling,
                                         fence_low, fence_high)
-            lock_line = (encode_u64(self.vacancy_map.lock_word(keys))
+            lock_line = (encode_u64(self.vacancy_map.lock_word(leaf_keys))
                          + encode_key(fence_low) + encode_key(fence_high))
             at, lane = divmod(index, len(runs))
             at *= layout.total_size

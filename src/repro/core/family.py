@@ -83,6 +83,7 @@ from repro.memory import ChunkAllocator, addr_mn
 from repro.memory.region import CACHE_LINE
 from repro.obs.bus import BUS
 from repro.obs.spans import SpanInstrumentedOps
+from repro.pairs import Pairs
 from repro.retry import DEFAULT_RETRY_POLICY
 
 #: Jitter fraction for queued-waiter poll backoff (drawn from the
@@ -143,13 +144,13 @@ class FamilyIndexBase:
     # -- host-side helpers (bulk load only; no simulated cost) ----------------
 
     @staticmethod
-    def _checked_pairs(pairs: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
-        """The bulk-load input as a list: sorted, unique, keys >= 1."""
-        pairs = list(pairs)
-        keys = [pair[0] for pair in pairs]
+    def _checked_pairs(pairs: Iterable[Tuple[int, int]]) -> Pairs:
+        """The bulk-load input as :class:`~repro.pairs.Pairs`: sorted, unique, keys >= 1."""
+        pairs = Pairs.of(pairs)
+        keys = pairs.key_column
         if not all(map(lt, keys, islice(keys, 1, None))):
             raise IndexError_("bulk_load requires sorted unique keys")
-        if pairs and pairs[0][0] < 1:
+        if keys and keys[0] < 1:
             raise IndexError_("keys must be >= 1 (0 marks empty entries)")
         return pairs
 
@@ -565,7 +566,7 @@ class FamilyClientBase(SpanInstrumentedOps):
             self._held_leases.pop(lock_addr, None)
             self._held_tickets.pop(lock_addr, None)
             if local is not None:
-                local.release()
+                cn.release_local(lock_addr, local)
             raise
         return old
 
@@ -899,6 +900,8 @@ class FamilyClientBase(SpanInstrumentedOps):
         acquire = self._lock(lock_addr, **lock_args)
         old_word = yield from (self._phase(phase, acquire) if phase
                                else acquire)
+        cn = self.ctx.cn
+        local = cn.local_lock(lock_addr)  # held, so the one acquired
         guard = LockGuard(lock_addr, old_word)
         try:
             return (yield from body(guard, *args))
@@ -909,9 +912,8 @@ class FamilyClientBase(SpanInstrumentedOps):
                 yield from self._release(guard, restoring=True)
             raise
         finally:
-            local = self.ctx.cn.local_lock(lock_addr)
             if local is not None:
-                local.release()
+                cn.release_local(lock_addr, local)
 
     def _release(self, guard: LockGuard, writes: Sequence = (),
                  argmax: Optional[int] = None, vacancy: Optional[int] = None,

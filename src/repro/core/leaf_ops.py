@@ -24,14 +24,14 @@ from repro.layout.image import tuple_getter
 from repro.layout.versions import SpanSet, raw_span
 
 
-def slot_columns(items: Sequence[Tuple[int, int]],
+def slot_columns(keys: Sequence[int], values: Sequence[int],
                  slots: Sequence[int]) -> Tuple[Sequence[int], Sequence[int]]:
     """Position-ordered key and value vectors of a leaf whose position
-    ``pos`` holds ``items[slots[pos] - 1]`` (slot 0: an empty entry,
-    key 0 and value 0) — what :meth:`LeafLayout.encode_image` takes."""
-    keys, values = zip((0, 0), *items)
+    ``pos`` holds item ``slots[pos] - 1`` of the *keys* / *values*
+    columns (slot 0: an empty entry, key 0 and value 0) — what
+    :meth:`LeafLayout.encode_image` takes."""
     gather = tuple_getter(slots)
-    return gather(keys), gather(values)
+    return gather((0, *keys)), gather((0, *values))
 
 
 def place_items(items: Sequence[Tuple[int, int]], layout: LeafLayout
@@ -52,7 +52,7 @@ def place_items(items: Sequence[Tuple[int, int]], layout: LeafLayout
         if placed < len(items):
             spilled.append(items[placed])
             placed += 1
-    keys, values = slot_columns(items, slots)
+    keys, values = slot_columns(keys, [value for _key, value in items], slots)
     return keys, values, bitmaps, spilled
 
 

@@ -110,7 +110,7 @@ class ShardedIndex:
                 f"{len(pairs)} bulk-loaded keys; every shard needs at "
                 f"least one"
             )
-        self.shard_map.rebuild_bounds([key for key, _value in pairs])
+        self.shard_map.rebuild_bounds(pairs.key_column)
         buckets = partition_pairs(pairs, self.shard_map)
         for sub, bucket in zip(self._subs, buckets):
             if future_keys is not None:

@@ -25,13 +25,13 @@ fully determines the run.
 from __future__ import annotations
 
 import random
-from typing import Dict, Generator, Optional, Set
+from typing import Dict, Generator, List, Optional, Set
 
 from repro.errors import FaultInjectedError
 from repro.faults.plan import FaultPlan
 from repro.memory.region import addr_mn
 from repro.obs.bus import BUS
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, Event
 
 __all__ = ["FaultInjector"]
 
@@ -56,6 +56,8 @@ class FaultInjector:
         self._loss_counts = [0] * len(plan.losses)
         self._crash_counts = [0] * len(plan.crashes)
         self._crashed = [False] * len(plan.crashes)
+        #: The events parked clients wait on (held: see :meth:`_park`).
+        self._parks: List[Event] = []
 
     # -- hooks called by RdmaQp ----------------------------------------------
 
@@ -143,12 +145,15 @@ class FaultInjector:
         Yielding an event that never triggers parks the process without
         raising — deliberately: a crash must not run ``except``/
         ``finally`` cleanup that would release locks a real dead node
-        could never release.  The simulation heap drains around parked
-        processes, so the run still terminates.
+        could never release.  The injector holds the event: unheld, the
+        process would be reclaimed at once, running its ``finally``
+        blocks.  The simulation heap drains around parked processes, so
+        the run still terminates.
         """
         self._count("fault.dead_cn_verb")
         self.parked[qp.owner] = self.parked.get(qp.owner, 0) + 1
         if BUS.active:
             BUS.emit("fault.dead_cn_verb", self.engine.now, owner=qp.owner,
                      verb=kind)
-        yield self.engine.event()
+        self._parks.append(self.engine.event())
+        yield self._parks[-1]

@@ -85,6 +85,8 @@ class OpTrace:
     op: Optional[Span] = None
     phases: List[Span] = field(default_factory=list)
     verbs: List[Verb] = field(default_factory=list)
+    #: Opened for a stream op inside the run's warm-up window.
+    warmup: bool = False
     #: ``len(verbs)`` at the open of each span of this op still open.
     _marks: List[int] = field(default_factory=list, repr=False)
 
@@ -128,12 +130,14 @@ class Recording(AbstractContextManager):
         self.collector = MetricsCollector()
         self._traces: List[OpTrace] = []
         self._open: Dict[Tuple[str, int], OpTrace] = {}
+        #: Per client name: whether its current stream op is a warm-up one.
+        self._warmup: Dict[str, bool] = {}
         self._sub = None
 
     def __enter__(self) -> "Recording":
         if self._sub is not None:
             raise RuntimeError("Recording already active")
-        self._sub = BUS.subscribe(self._on_event, kinds=("open", "span", "verb"))
+        self._sub = BUS.subscribe(self._on_event, kinds=("open", "span", "verb", "stream.op"))
         self.collector.attach(BUS)
         _ACTIVE.append(self)
         return self
@@ -162,10 +166,14 @@ class Recording(AbstractContextManager):
                 trace.verbs.append(Verb(data["kind"], data["addr"], data["size"],
                                         data["batch"], event.time))
             return
+        if event.kind == "stream.op":
+            self._warmup[data["client"]] = data["warmup"]
+            return
         key = (data["client"], data["seq"])
         level = data["level"]
         if event.kind == "open" and level == "op":
-            self._open[key] = OpTrace(*key, data["name"], data["args"], event.time)
+            self._open[key] = OpTrace(*key, data["name"], data["args"], event.time,
+                                      warmup=self._warmup.get(key[0], False))
             self._traces.append(self._open[key])
         trace = self._open.get(key)
         if trace is None:
@@ -228,8 +236,7 @@ def traced_span(bus: EventBus, client: str, seq: int, name: str, level: str,
             raise
         finally:
             bus.op = outer
-        # Hold nothing while suspended, as ``yield from`` does: a parked op
-        # whose event nobody else holds is reclaimed at once, not later.
+        # Hold nothing while suspended, as ``yield from`` does.
         sent = thrown = None
         try:
             sent = yield target.pop()

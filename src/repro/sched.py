@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Generator, Iterator, List, Tuple
 
 from repro.errors import WorkloadError
+from repro.obs.bus import BUS
 from repro.workloads.ycsb import (
     INSERT,
     READ_MODIFY_WRITE,
@@ -190,6 +191,9 @@ def client_lane(engine, client, ops: Iterator[Tuple[int, object]],
             delay = parker(op.key)
             if delay > 0.0:
                 yield engine.timeout(delay)
+        if BUS.active:  # a recording files the op's records as warm-up or not
+            BUS.emit("stream.op", engine.now, client=client.ctx.name,
+                     warmup=op_index < warmup)
         yield from execute_op(client, op, context)
         completed[0] += 1
         if op_index >= warmup:

@@ -164,14 +164,15 @@ class Lock:
     def __init__(self, engine: Engine, name: str = "") -> None:
         self.engine = engine
         self.name = name
-        self._locked = False
+        #: Whether someone holds the lock.
+        self.locked = False
         self._waiters: Deque[Event] = deque()
 
     def acquire(self) -> Event:
         """Return an event that fires once the caller holds the lock."""
         event = self.engine.event()
-        if not self._locked:
-            self._locked = True
+        if not self.locked:
+            self.locked = True
             event.succeed(None)
         else:
             self._waiters.append(event)
@@ -179,9 +180,9 @@ class Lock:
 
     def release(self) -> None:
         """Release the lock, handing it to the oldest waiter if present."""
-        if not self._locked:
+        if not self.locked:
             raise SimulationError(f"lock {self.name!r} released while free")
         if self._waiters:
             self._waiters.popleft().succeed(None)
         else:
-            self._locked = False
+            self.locked = False

@@ -1,59 +1,3 @@
-"""YCSB workload generation: distributions, datasets, op streams."""
-
-from repro.workloads.distributions import (
-    Latest,
-    ScrambledZipfian,
-    Uniform,
-    ZIPFIAN_CONSTANT,
-    Zipfian,
-    scramble,
-)
-from repro.workloads.ycsb import (
-    INSERT,
-    Op,
-    OpStream,
-    READ_MODIFY_WRITE,
-    SCAN,
-    SCAN_MAX,
-    SEARCH,
-    UPDATE,
-    WORKLOADS,
-    WorkloadContext,
-    WorkloadSpec,
-    YCSB_A,
-    YCSB_B,
-    YCSB_C,
-    YCSB_D,
-    YCSB_E,
-    YCSB_F,
-    YCSB_LOAD,
-    dataset,
-)
-
-__all__ = [
-    "INSERT",
-    "Latest",
-    "Op",
-    "OpStream",
-    "READ_MODIFY_WRITE",
-    "SCAN",
-    "SCAN_MAX",
-    "SEARCH",
-    "ScrambledZipfian",
-    "UPDATE",
-    "Uniform",
-    "WORKLOADS",
-    "WorkloadContext",
-    "WorkloadSpec",
-    "YCSB_A",
-    "YCSB_B",
-    "YCSB_C",
-    "YCSB_D",
-    "YCSB_E",
-    "YCSB_F",
-    "YCSB_LOAD",
-    "ZIPFIAN_CONSTANT",
-    "Zipfian",
-    "dataset",
-    "scramble",
-]
+"""YCSB workload generation: the key distributions
+(:mod:`repro.workloads.distributions`) and the datasets and op streams
+(:mod:`repro.workloads.ycsb`), each imported from its own module."""

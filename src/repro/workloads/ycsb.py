@@ -14,11 +14,15 @@ from __future__ import annotations
 
 import hashlib
 import random
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from functools import cached_property, lru_cache
+from itertools import repeat
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import WorkloadError
+from repro.pairs import MappedColumn, Pairs
 from repro.workloads.distributions import (
     Latest,
     ScrambledZipfian,
@@ -35,8 +39,7 @@ READ_MODIFY_WRITE = "rmw"
 SCAN_MAX = 100
 
 
-@dataclass(frozen=True)
-class Op:
+class Op(NamedTuple):
     """One workload operation."""
 
     kind: str
@@ -81,50 +84,43 @@ WORKLOADS = {spec.name: spec
                           YCSB_LOAD)}
 
 
-#: Memoized datasets, keyed (num_keys, key_space, seed).  Sweeps rebuild
-#: the same dataset for every point of a figure; generation (especially
-#: the sparse-key sampling path) is pure, so cache the pairs and hand
-#: each caller a fresh list.  Bounded: a sweep touches a handful of
-#: distinct shapes.
-_DATASET_CACHE: "OrderedDict[Tuple[int, int, int], Tuple[Tuple[int, int], ...]]" \
-    = OrderedDict()
-_DATASET_CACHE_LIMIT = 8
+def value_of(key: int) -> int:
+    """The value :func:`dataset` loads under *key*."""
+    return key * 31 % 1_000_003 + 1
 
 
-def dataset(num_keys: int, key_space: int = 0,
-            seed: int = 1) -> List[Tuple[int, int]]:
-    """A sorted, unique (key, value) dataset.
+@lru_cache(maxsize=8)
+def _sparse_keys(num_keys: int, key_space: int, seed: int) -> array:
+    """Memoized: a sweep samples the same sparse keys for every point."""
+    rng = random.Random(seed)
+    return array("q", sorted(rng.sample(range(1, key_space + 1), num_keys)))
 
-    With ``key_space == 0`` keys are dense (1..n); otherwise they are
-    sampled uniformly from [1, key_space] — sparse keys exercise radix
-    path compression and learned-model segmentation realistically.
+
+def dataset(num_keys: int, key_space: int = 0, seed: int = 1) -> Pairs:
+    """A sorted, unique (key, value) dataset as read-only columns.
+
+    With ``key_space == 0`` keys are dense (1..n, a ``range``); otherwise
+    they are sampled uniformly from [1, key_space] (an ``array('q')``) —
+    sparse keys exercise radix path compression and learned-model
+    segmentation realistically.  Values are :func:`value_of` the key.
     """
     if key_space and key_space < num_keys:
         raise WorkloadError("key_space smaller than num_keys")
-    cache_key = (num_keys, key_space, seed if key_space else 0)
-    cached = _DATASET_CACHE.get(cache_key)
-    if cached is not None:
-        _DATASET_CACHE.move_to_end(cache_key)
-        return list(cached)
-    if not key_space:
-        pairs = [(k, k * 31 % 1_000_003 + 1) for k in range(1, num_keys + 1)]
-    else:
-        rng = random.Random(seed)
-        keys = sorted(rng.sample(range(1, key_space + 1), num_keys))
-        pairs = [(k, k * 31 % 1_000_003 + 1) for k in keys]
-    _DATASET_CACHE[cache_key] = tuple(pairs)
-    while len(_DATASET_CACHE) > _DATASET_CACHE_LIMIT:
-        _DATASET_CACHE.popitem(last=False)
-    return pairs
+    keys = (_sparse_keys(num_keys, key_space, seed) if key_space
+            else range(1, num_keys + 1))
+    return Pairs(keys, MappedColumn(value_of, keys))
 
 
 #: Memoized op streams, keyed by everything an OpStream's output depends
 #: on.  Only insert-free, non-*latest* mixes are cacheable: those streams
 #: are pure functions of (spec, seed, theta, client, num_ops, keys),
 #: whereas D/E/LOAD consume the context's shared insert counter and read
-#: committed inserts, so their ops depend on run-time interleaving.
-_STREAM_CACHE: "OrderedDict[Tuple, Tuple[Op, ...]]" = OrderedDict()
+#: committed inserts, so their ops depend on run-time interleaving.  A
+#: stream is kept as four columns — kind codes, keys, values, scan
+#: counts — and its ops are built as it is iterated.
+_STREAM_CACHE: "OrderedDict[Tuple, Tuple[bytes, array, array, array]]" = OrderedDict()
 _STREAM_CACHE_LIMIT = 256
+_KINDS = (SEARCH, UPDATE, INSERT, SCAN, READ_MODIFY_WRITE)
 
 
 class WorkloadContext:
@@ -140,7 +136,8 @@ class WorkloadContext:
                  seed: int = 1, theta: float = ZIPFIAN_CONSTANT,
                  insert_base: Optional[int] = None) -> None:
         self.spec = spec
-        self.loaded_keys = list(loaded_keys)
+        #: Read, never copied: a dataset's key column stays one column.
+        self.loaded_keys = loaded_keys
         self.seed = seed
         self.theta = theta
         if insert_base is None:
@@ -152,7 +149,6 @@ class WorkloadContext:
         #: How many inserts the run is expected to perform (set by the
         #: runner; used to pre-train ROLEX on future keys).
         self.expected_insert_budget = 0
-        self._keys_digest_cache: Optional[bytes] = None
 
     def next_insert_key(self) -> int:
         key = self.insert_base + self._insert_counter
@@ -167,29 +163,28 @@ class WorkloadContext:
         ROLEX's model, mirroring the paper's methodology)."""
         return [self.insert_base + i for i in range(count)]
 
+    @cached_property
     def _keys_digest(self) -> bytes:
-        if self._keys_digest_cache is None:
-            digest = hashlib.sha1()
-            for key in self.loaded_keys:
-                digest.update(key.to_bytes(8, "little", signed=False))
-            self._keys_digest_cache = digest.digest()
-        return self._keys_digest_cache
+        return hashlib.sha1(array("Q", self.loaded_keys)).digest()
 
-    def stream(self, client_index: int,
-               num_ops: int) -> Union["OpStream", Tuple[Op, ...]]:
-        if self.spec.insert_fraction == 0 and not self.spec.latest:
-            cache_key = (self.spec, self.seed, self.theta, client_index,
-                         num_ops, self._keys_digest())
-            cached = _STREAM_CACHE.get(cache_key)
-            if cached is None:
-                cached = tuple(OpStream(self, client_index, num_ops))
-                _STREAM_CACHE[cache_key] = cached
-                while len(_STREAM_CACHE) > _STREAM_CACHE_LIMIT:
-                    _STREAM_CACHE.popitem(last=False)
-            else:
-                _STREAM_CACHE.move_to_end(cache_key)
-            return cached
-        return OpStream(self, client_index, num_ops)
+    def stream(self, client_index: int, num_ops: int) -> Iterable[Op]:
+        if self.spec.insert_fraction or self.spec.latest:
+            return OpStream(self, client_index, num_ops)
+        cache_key = (self.spec, self.seed, self.theta, client_index,
+                     num_ops, self._keys_digest)
+        columns = _STREAM_CACHE.get(cache_key)
+        if columns is None:
+            kinds, keys, values, scans = tuple(zip(
+                *OpStream(self, client_index, num_ops))) or ((),) * 4
+            columns = _STREAM_CACHE[cache_key] = (
+                bytes(map(_KINDS.index, kinds)), array("Q", keys),
+                array("Q", values), array("B", scans))
+            while len(_STREAM_CACHE) > _STREAM_CACHE_LIMIT:
+                _STREAM_CACHE.popitem(last=False)
+        else:
+            _STREAM_CACHE.move_to_end(cache_key)
+        ops = zip(map(_KINDS.__getitem__, columns[0]), *columns[1:])
+        return map(tuple.__new__, repeat(Op), ops)  # C speed: Op.__new__ is Python
 
 
 class OpStream:
@@ -212,40 +207,34 @@ class OpStream:
             self._popularity = Uniform(count, self.rng)
 
     def _pick_key(self) -> int:
-        context = self.context
+        loaded = self.context.loaded_keys
         if self.context.spec.latest:
-            population = len(context.loaded_keys) + \
-                len(context.committed_inserts)
+            committed = self.context.committed_inserts
+            population = len(loaded) + len(committed)
             if population == 0:
                 return 1
             self._popularity.grow(population)
             index = self._popularity.sample()
-            if index < len(context.loaded_keys):
-                return context.loaded_keys[index]
-            return context.committed_inserts[index
-                                             - len(context.loaded_keys)]
-        if not context.loaded_keys:
-            return 1
-        return context.loaded_keys[self._popularity.sample()
-                                   % len(context.loaded_keys)]
+            return loaded[index] if index < len(loaded) else committed[index - len(loaded)]
+        return loaded[self._popularity.sample() % len(loaded)] if loaded else 1
 
     def __iter__(self) -> Iterator[Op]:
-        spec = self.context.spec
-        for i in range(self.num_ops):
-            draw = self.rng.random()
-            if draw < spec.read_fraction:
+        spec, rng = self.context.spec, self.rng
+        # Cumulative cut points of the mix, summed in the order drawn.
+        read = spec.read_fraction
+        update = read + spec.update_fraction
+        insert = update + spec.insert_fraction
+        rmw = insert + spec.rmw_fraction
+        for _ in range(self.num_ops):
+            draw = rng.random()
+            if draw < read:
                 yield Op(SEARCH, self._pick_key())
-            elif draw < spec.read_fraction + spec.update_fraction:
-                yield Op(UPDATE, self._pick_key(),
-                         value=self.rng.randrange(1, 1 << 30))
-            elif draw < (spec.read_fraction + spec.update_fraction
-                         + spec.insert_fraction):
+            elif draw < update:
+                yield Op(UPDATE, self._pick_key(), rng.randrange(1, 1 << 30))
+            elif draw < insert:
                 key = self.context.next_insert_key()
-                yield Op(INSERT, key, value=key % 1_000_003 + 1)
-            elif draw < (spec.read_fraction + spec.update_fraction
-                         + spec.insert_fraction + spec.rmw_fraction):
-                yield Op(READ_MODIFY_WRITE, self._pick_key(),
-                         value=self.rng.randrange(1, 1 << 30))
+                yield Op(INSERT, key, key % 1_000_003 + 1)
+            elif draw < rmw:
+                yield Op(READ_MODIFY_WRITE, self._pick_key(), rng.randrange(1, 1 << 30))
             else:
-                yield Op(SCAN, self._pick_key(),
-                         scan_count=self.rng.randint(1, SCAN_MAX))
+                yield Op(SCAN, self._pick_key(), scan_count=rng.randint(1, SCAN_MAX))

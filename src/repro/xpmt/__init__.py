@@ -12,25 +12,6 @@ A fuzzbench-style layer over the figure sweeps:
   :func:`repro.bench.report.format_table`) and the regression verdict
   against the stored trajectory.
 
-Surfaced as ``python -m repro campaign run|status|report|diff``.
+Surfaced as ``python -m repro campaign run|status|report|diff``; this
+package re-exports nothing.
 """
-
-from repro.xpmt.report import build_report, collect_cells, diff_cells
-from repro.xpmt.runner import RunSummary, campaign_status, run_campaign
-from repro.xpmt.spec import CampaignPlan, CellSpec, current_commit, spec_hash
-from repro.xpmt.store import CampaignStore, PointRow
-
-__all__ = [
-    "CampaignPlan",
-    "CampaignStore",
-    "CellSpec",
-    "PointRow",
-    "RunSummary",
-    "build_report",
-    "campaign_status",
-    "collect_cells",
-    "current_commit",
-    "diff_cells",
-    "run_campaign",
-    "spec_hash",
-]

@@ -226,6 +226,29 @@ class TestCluster:
         assert cn0.local_lock(addr) is cn0.local_lock(addr)
         assert cn0.local_lock(addr) is not cn1.local_lock(addr)
 
+    def test_local_lock_leaves_the_table_once_free(self):
+        """The table keeps a lock only while it is held or waited for; a
+        release reaches the lock that was acquired."""
+        cluster = Cluster(ClusterConfig(num_cns=1, clients_per_cn=2))
+        cn = cluster.cns[0]
+        addr = make_addr(0, 4096)
+        lock = cn.local_lock(addr)
+        lock.acquire()
+        waiter = lock.acquire()
+        cn.release_local(addr, lock)  # handed to the waiter: still live
+        assert waiter.triggered and lock.locked and cn.local_lock(addr) is lock
+        cn.release_local(addr, lock)
+        assert not lock.locked and addr not in cn._local_locks
+
+    def test_a_write_run_leaves_no_local_lock_behind(self):
+        from repro.bench.runner import PointSpec, run_workload
+        config = ClusterConfig(num_cns=2, clients_per_cn=3, cache_bytes=1 << 22,
+                               region_bytes=1 << 26, pipeline_depth=2)
+        cluster, index, context = PointSpec("chime", "A", 2000, 80, config).prepare()
+        result = run_workload(cluster, index, "A", 80, context)
+        assert result.ops_completed == 480
+        assert [cn._local_locks for cn in cluster.cns] == [{}, {}]
+
     def test_local_lock_disabled(self):
         cluster = Cluster(ClusterConfig(local_lock_table=False))
         assert cluster.cns[0].local_lock(123) is None

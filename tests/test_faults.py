@@ -25,6 +25,7 @@ from repro.faults import FaultPlan
 from repro.memory import make_addr
 from repro.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.sim import Engine
+from repro.workloads.ycsb import dataset
 
 
 def drive(engine, gen):
@@ -242,6 +243,21 @@ class TestInjection:
         assert injector.counters["fault.crash"] == 1
         # Victim parks through the crash path, sibling through dead-CN.
         assert injector.counters["fault.dead_cn_verb"] == 2
+
+    def test_a_crashed_lane_keeps_its_cn_local_lock(self):
+        """A lane whose CN dies inside a locked section stays parked: the
+        injector holds what it waits on, so it is not reclaimed and its
+        ``finally`` blocks (which free the CN-local lock) never run."""
+        plan = FaultPlan(seed=1).crash("cn0/c0")  # before its first WRITE
+        cluster, injector = make_injected_cluster(plan)
+        index = ChimeIndex(cluster)
+        index.bulk_load(dataset(200))
+        client = index.client(next(cluster.clients()))
+        cluster.engine.process(client.update(100, 7))
+        cluster.run()
+        assert injector.dead_cns == {0}
+        lock, = cluster.cns[0]._local_locks.values()
+        assert lock.locked
 
     def test_crash_after_lets_the_verb_land(self):
         plan = FaultPlan(seed=1).crash("cn0/c0", kinds=("write",),

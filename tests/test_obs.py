@@ -324,6 +324,21 @@ class TestSpans:
                 assert phase.rtts == sum(phase.begin <= verb.time < phase.end
                                          for verb in trace.verbs)
 
+    @pytest.mark.parametrize("depth", [1, 4])
+    def test_op_rows_leave_out_the_warm_up_as_the_run_row_does(self, depth):
+        """On an all-search run the search row's p50 and p99 are the run
+        row's: both leave out each client's warm-up ops (with them, the
+        search p99 read 185.2 us against the run's 15.0 us)."""
+        config = ClusterConfig(num_cns=2, clients_per_cn=2, cache_bytes=1 << 22,
+                               region_bytes=1 << 26, pipeline_depth=depth)
+        with obs.recording() as recorder:
+            result = run_point("chime", "C", num_keys=2000, ops_per_client=60,
+                               cluster_config=config)
+        assert sum(trace.warmup for trace in recorder.ops()) == 4 * 6
+        (search,), _phases = trace_rows(recorder.ops())
+        assert search["count"] == result.ops_completed == 240
+        assert (search["p50_us"], search["p99_us"]) == (result.p50_us, result.p99_us)
+
     def test_raw_verbs_are_counted_but_belong_to_no_op(self):
         """Verbs issued outside any op (straight on a queue pair) are
         counted by kind and bytes, and filed under no op record."""

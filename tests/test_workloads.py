@@ -1,31 +1,41 @@
 """Unit tests for distributions and YCSB workload generation."""
 
 import random
+import tracemalloc
+from array import array
 from collections import Counter
 
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workloads import (
-    INSERT,
+from repro.faults.history import check_history
+from repro.workloads.distributions import (
     Latest,
+    ScrambledZipfian,
+    Uniform,
+    Zipfian,
+    scramble,
+)
+from repro.workloads.ycsb import (
+    INSERT,
+    READ_MODIFY_WRITE,
     SCAN,
     SCAN_MAX,
     SEARCH,
-    ScrambledZipfian,
     UPDATE,
-    Uniform,
     WORKLOADS,
+    OpStream,
     WorkloadContext,
     WorkloadSpec,
     YCSB_A,
     YCSB_C,
     YCSB_D,
     YCSB_E,
+    YCSB_F,
     YCSB_LOAD,
-    Zipfian,
+    _STREAM_CACHE,
     dataset,
-    scramble,
+    value_of,
 )
 
 
@@ -126,6 +136,41 @@ class TestDataset:
         with pytest.raises(WorkloadError):
             dataset(100, key_space=50)
 
+    @pytest.mark.parametrize("key_space", [0, 5_000])
+    def test_reads_as_the_list_of_pairs_it_replaced(self, key_space):
+        """``dict()``, ``list()``, iteration, indexing, slicing and ``==``
+        see the sorted (key, value) list ``dataset`` returned before its
+        pairs became columns, dense and sparse."""
+        pairs = dataset(1_000, key_space=key_space, seed=4)
+        if key_space:
+            keys = sorted(random.Random(4).sample(range(1, key_space + 1), 1_000))
+        else:
+            keys = range(1, 1_001)
+        old = [(key, key * 31 % 1_000_003 + 1) for key in keys]
+        assert list(pairs) == old and [*iter(pairs)] == old
+        assert dict(pairs) == dict(old)
+        assert len(pairs) == 1_000 and pairs[0] == old[0] and pairs[-1] == old[-1]
+        assert pairs[10:20] == old[10:20] and list(pairs[::-7]) == old[::-7]
+        assert pairs == old and old == pairs and pairs == tuple(old)
+        assert pairs != old[:-1] and pairs != [(0, 0)] * 1_000
+        assert pairs[5] in pairs and pairs.index(pairs[5]) == 5
+
+    def test_a_dense_dataset_allocates_no_pair(self):
+        tracemalloc.start()
+        try:
+            pairs = dataset(100_000)
+            allocated, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == 100_000 and allocated < 1 << 20
+
+    def test_the_history_checker_reads_it(self):
+        pairs = dataset(200, key_space=1_000, seed=2)
+        assert check_history([], pairs, pairs) == []
+        key, value = pairs[3]
+        assert check_history([], pairs, [*pairs[:3], (key, value + 1), *pairs[4:]])
+        assert value == value_of(key)
+
 
 class TestWorkloadSpecs:
     def test_fractions_validated(self):
@@ -163,7 +208,6 @@ class TestOpStreams:
         assert min(keys) > 1000  # above the loaded range
 
     def test_f_mixes_reads_and_rmw(self):
-        from repro.workloads import READ_MODIFY_WRITE, YCSB_F
         context = self.make_context(YCSB_F)
         ops = list(context.stream(0, 2000))
         rmw = sum(1 for op in ops if op.kind == READ_MODIFY_WRITE)
@@ -199,6 +243,21 @@ class TestOpStreams:
         ops_0 = [(op.kind, op.key) for op in context.stream(0, 200)]
         ops_1 = [(op.kind, op.key) for op in context.stream(1, 200)]
         assert ops_0 != ops_1
+
+    @pytest.mark.parametrize("spec", [YCSB_A, YCSB_C], ids=["A", "C"])
+    def test_a_memoized_stream_replays_the_ops_it_drew(self, spec):
+        """A memoized stream keeps columns, not ops, and builds the same
+        ops on every replay; a context over the same keys shares it."""
+        context = WorkloadContext(spec, dataset(1000).key_column, seed=6)
+        fresh = list(OpStream(context, 2, 300))
+        assert list(context.stream(2, 300)) == fresh
+        key = next(reversed(_STREAM_CACHE))
+        kinds, *numbers = columns = _STREAM_CACHE[key]
+        assert type(kinds) is bytes and {type(column) for column in numbers} == {array}
+        again = WorkloadContext(spec, list(range(1, 1001)), seed=6)
+        assert list(again.stream(2, 300)) == fresh
+        assert next(reversed(_STREAM_CACHE)) == key and _STREAM_CACHE[key] is columns
+        assert list(context.stream(2, 0)) == []
 
     def test_insert_keys_upto_matches_next_insert(self):
         context = self.make_context(YCSB_D)
