@@ -69,6 +69,19 @@ MN_DISPATCH_S = 5e-6
 MN_TOUCH_S = 1e-6
 MN_TOUCHES = {"search": 3, "insert": 4, "update": 3}
 
+#: Hash partitions per MN (placement is decided per partition).
+PARTITIONS_PER_MN = 4
+SLOTS_PER_BUCKET = 4
+#: Bucket-array slots per bulk-loaded item (insert headroom).
+CAPACITY_FACTOR = 3.0
+#: Consecutive buckets probed before declaring the table full (linear
+#: probing at bucket granularity absorbs hash skew; probing stops early
+#: at the first bucket with a free slot).
+PROBE_LIMIT = 8
+#: Directory misses on a CN-placed partition before the policy flips it
+#: to MN-side execution.
+SWITCH_THRESHOLD = 4
+
 
 class CachePressurePlacement:
     """Per-partition CN-vs-MN placement driven by routing-cache misses.
@@ -120,19 +133,6 @@ class CachePressurePlacement:
 @dataclass(frozen=True)
 class FlexKVConfig:
     value_size: int = 8
-    #: Hash partitions (placement is decided per partition); default
-    #: scales with the memory pool (4 per MN).
-    partitions: Optional[int] = None
-    slots_per_bucket: int = 4
-    #: Bucket-array slots per bulk-loaded item (insert headroom).
-    capacity_factor: float = 3.0
-    #: Consecutive buckets probed before declaring the table full
-    #: (linear probing at bucket granularity absorbs hash skew; probing
-    #: stops early at the first bucket with a free slot).
-    probe_limit: int = 8
-    #: Directory misses on a CN-placed partition before the policy
-    #: flips it to MN-side execution.
-    switch_threshold: int = 4
 
 
 class FlexKVIndex(FamilyIndexBase):
@@ -142,8 +142,8 @@ class FlexKVIndex(FamilyIndexBase):
                  config: Optional[FlexKVConfig] = None) -> None:
         super().__init__(cluster, config or FlexKVConfig())
         self.mn_ids: List[int] = sorted(cluster.mns)
-        self.partitions = self.config.partitions or 4 * len(self.mn_ids)
-        self.placement = CachePressurePlacement(self.config.switch_threshold)
+        self.partitions = PARTITIONS_PER_MN * len(self.mn_ids)
+        self.placement = CachePressurePlacement(SWITCH_THRESHOLD)
         #: Per-partition bucket-array base address and its directory
         #: (routing metadata) address; filled by :meth:`bulk_load`.
         self.part_base: Dict[int, int] = {}
@@ -159,7 +159,7 @@ class FlexKVIndex(FamilyIndexBase):
 
     @property
     def bucket_bytes(self) -> int:
-        return self.config.slots_per_bucket * self.slot_size
+        return SLOTS_PER_BUCKET * self.slot_size
 
     @property
     def meta_bytes(self) -> int:
@@ -172,25 +172,19 @@ class FlexKVIndex(FamilyIndexBase):
         return self.placement.switches
 
     @staticmethod
-    def _bucket_count(items_per_partition: int, config: FlexKVConfig) -> int:
-        return max(
-            8,
-            int(items_per_partition * config.capacity_factor)
-            // config.slots_per_bucket,
-        )
+    def _bucket_count(items_per_partition: int) -> int:
+        return max(8, int(items_per_partition * CAPACITY_FACTOR) // SLOTS_PER_BUCKET)
 
     @classmethod
-    def directory_bytes(cls, num_keys: int, num_mns: int,
-                        config: Optional[FlexKVConfig] = None) -> int:
+    def directory_bytes(cls, num_keys: int, num_mns: int) -> int:
         """Total CN-resident directory footprint for a *num_keys* load.
 
         Computable before any index exists — experiments use it to pick
         cache budgets relative to what a fully CN-placed FlexKV needs.
         """
-        config = config or FlexKVConfig()
-        partitions = config.partitions or 4 * num_mns
+        partitions = PARTITIONS_PER_MN * num_mns
         per_part = max(1, num_keys // partitions)
-        return partitions * 8 * cls._bucket_count(per_part, config)
+        return partitions * 8 * cls._bucket_count(per_part)
 
     # -- addressing (CN-local) ----------------------------------------------
 
@@ -209,7 +203,7 @@ class FlexKVIndex(FamilyIndexBase):
     def bulk_load(self, pairs: Sequence[Tuple[int, int]]) -> None:
         pairs = self._checked_pairs(pairs)
         per_part = max(1, len(pairs) // self.partitions)
-        self.buckets = self._bucket_count(per_part, self.config)
+        self.buckets = self._bucket_count(per_part)
         for part in range(self.partitions):
             mn = self.cluster.mns[self.home_mn(part)]
             self.part_base[part] = mn.allocator.alloc(
@@ -224,7 +218,7 @@ class FlexKVIndex(FamilyIndexBase):
             if not self._host_upsert(key, value):
                 raise SimulationError(
                     "flexkv bucket full during bulk load "
-                    "(raise FlexKVConfig.capacity_factor)"
+                    "(raise CAPACITY_FACTOR)"
                 )
         self.loaded_items = len(pairs)
 
@@ -239,10 +233,10 @@ class FlexKVIndex(FamilyIndexBase):
         """
         partition = self.partition_of(key)
         slot_size = self.slot_size
-        for probe in range(self.config.probe_limit):
+        for probe in range(PROBE_LIMIT):
             bucket_addr = self.bucket_addr(partition, key, probe)
             empty_addr = None
-            for i in range(self.config.slots_per_bucket):
+            for i in range(SLOTS_PER_BUCKET):
                 addr = bucket_addr + i * slot_size
                 stored = decode_key(self._host_read(addr, 8))
                 if stored == key:
@@ -279,10 +273,7 @@ class FlexKVIndex(FamilyIndexBase):
             return current or None
         if kind == "insert":
             if not self._host_upsert(key, value):
-                raise SimulationError(
-                    "flexkv bucket full "
-                    "(raise FlexKVConfig.capacity_factor)"
-                )
+                raise SimulationError("flexkv bucket full (raise CAPACITY_FACTOR)")
             return True
         if kind == "update":
             if not current:
@@ -302,7 +293,7 @@ class FlexKVIndex(FamilyIndexBase):
         for part in range(self.partitions):
             base = self.part_base[part]
             for bucket in range(self.buckets):
-                for i in range(self.config.slots_per_bucket):
+                for i in range(SLOTS_PER_BUCKET):
                     addr = base + bucket * self.bucket_bytes + i * slot_size
                     data = self._host_read(addr, slot_size)
                     key = decode_key(data)
@@ -390,7 +381,7 @@ class FlexKVClient(FamilyClientBase):
         """``(offset_of_key, first_empty_offset)`` within bucket bytes."""
         slot_size = self.index.slot_size
         empty = None
-        for i in range(self.index.config.slots_per_bucket):
+        for i in range(SLOTS_PER_BUCKET):
             offset = i * slot_size
             stored = decode_key(data, offset)
             if stored == key:
@@ -408,7 +399,7 @@ class FlexKVClient(FamilyClientBase):
         whole chain is full).
         """
         index = self.index
-        for probe in range(index.config.probe_limit):
+        for probe in range(PROBE_LIMIT):
             bucket_addr = index.bucket_addr(partition, key, probe)
             data = yield from self.qp.read(bucket_addr, index.bucket_bytes)
             offset, empty = self._find(data, key)
@@ -444,10 +435,7 @@ class FlexKVClient(FamilyClientBase):
                 )
                 return True
             if empty is None:
-                raise SimulationError(
-                    "flexkv bucket full "
-                    "(raise FlexKVConfig.capacity_factor)"
-                )
+                raise SimulationError("flexkv bucket full (raise CAPACITY_FACTOR)")
             # CAS operates on the little-endian u64 word at the slot;
             # keys are stored big-endian, so swap in the word whose LE
             # bytes are the key's BE encoding (an empty key field is

@@ -24,8 +24,7 @@ class MarlinIndex(ShermanIndex):
                  config: Optional[ShermanConfig] = None) -> None:
         base = config or ShermanConfig()
         if not base.indirect_values:
-            base = ShermanConfig(span=base.span, key_size=base.key_size,
-                                 value_size=base.value_size,
+            base = ShermanConfig(span=base.span, value_size=base.value_size,
                                  indirect_values=True,
                                  bulk_load_factor=base.bulk_load_factor)
         super().__init__(cluster, base)

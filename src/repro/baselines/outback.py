@@ -35,15 +35,17 @@ from repro.memory.region import CACHE_LINE
 __all__ = ["OutbackClient", "OutbackConfig", "OutbackIndex"]
 
 
+#: Salt for the MPH construction (all CNs build the same table).
+MPH_SEED = 17
+#: Slots per MN-resident overflow bucket.
+OVERFLOW_SLOTS = 4
+#: Overflow capacity as a fraction of the bulk-loaded key count.
+OVERFLOW_HEADROOM = 0.5
+
+
 @dataclass(frozen=True)
 class OutbackConfig:
     value_size: int = 8
-    #: Salt for the MPH construction (all CNs build the same table).
-    mph_seed: int = 17
-    #: Slots per MN-resident overflow bucket.
-    overflow_slots: int = 4
-    #: Overflow capacity as a fraction of the bulk-loaded key count.
-    overflow_headroom: float = 0.5
 
 
 class OutbackIndex(FamilyIndexBase):
@@ -69,7 +71,7 @@ class OutbackIndex(FamilyIndexBase):
 
     @property
     def bucket_bytes(self) -> int:
-        return self.config.overflow_slots * self.slot_size
+        return OVERFLOW_SLOTS * self.slot_size
 
     @property
     def routing_bytes(self) -> int:
@@ -106,13 +108,11 @@ class OutbackIndex(FamilyIndexBase):
 
     def bulk_load(self, pairs: Sequence[Tuple[int, int]]) -> None:
         pairs = self._checked_pairs(pairs)
-        self.mph = MinimalPerfectHash(pairs.key_column, seed=self.config.mph_seed)
+        self.mph = MinimalPerfectHash(pairs.key_column, seed=MPH_SEED)
         num_mns = len(self.mn_ids)
         per_mn = (self.mph.num_slots + num_mns - 1) // num_mns
-        headroom = int(len(pairs) * self.config.overflow_headroom)
-        self.overflow_buckets = max(
-            16, headroom // max(1, self.config.overflow_slots * num_mns)
-        )
+        headroom = int(len(pairs) * OVERFLOW_HEADROOM)
+        self.overflow_buckets = max(16, headroom // max(1, OVERFLOW_SLOTS * num_mns))
         for mn_id in self.mn_ids:
             mn = self.cluster.mns[mn_id]
             self.slot_base[mn_id] = mn.allocator.alloc(
@@ -152,10 +152,7 @@ class OutbackIndex(FamilyIndexBase):
                 entry = encode_key(key) + encode_value(value, value_size)
                 self._host_write(bucket_addr + at, entry)
                 return True
-        raise SimulationError(
-            "outback overflow buckets all full "
-            "(raise OutbackConfig.overflow_headroom)"
-        )
+        raise SimulationError("outback overflow buckets all full (raise OVERFLOW_HEADROOM)")
 
     # -- host-side inspection ------------------------------------------------
 
@@ -172,7 +169,7 @@ class OutbackIndex(FamilyIndexBase):
         for mn_id in self.mn_ids:
             base = self.overflow_base[mn_id]
             for bucket in range(self.overflow_buckets):
-                for i in range(self.config.overflow_slots):
+                for i in range(OVERFLOW_SLOTS):
                     addr = base + bucket * self.bucket_bytes \
                         + i * self.slot_size
                     data = self._host_read(addr, self.slot_size)

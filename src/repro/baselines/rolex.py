@@ -37,11 +37,13 @@ from repro.memory import NULL_ADDR
 
 @dataclass(frozen=True)
 class RolexConfig:
-    """ROLEX parameters (paper defaults: span 16, model error 16)."""
+    """ROLEX parameters (paper defaults: span 16, model error 16).
+
+    The model's error bound is the span: a lookup's ±error window then
+    covers about two leaves (§3.1).
+    """
 
     span: int = 16
-    error: int = 16
-    key_size: int = 8
     value_size: int = 8
     indirect_values: bool = False
     #: Reserved slack per leaf for pre-trained future inserts.
@@ -57,8 +59,8 @@ class RolexIndex(ModelRoutedIndexBase):
         entry_value = 8 if config.indirect_values else config.value_size
         super().__init__(
             cluster, config,
-            SortedNodeLayout(config.span, config.key_size, entry_value),
-            config.error, config.bulk_load_factor)
+            SortedNodeLayout(config.span, value_size=entry_value),
+            config.span, config.bulk_load_factor)
 
     def client(self, ctx: ClientContext) -> "RolexClient":
         return RolexClient(self, ctx)

@@ -42,7 +42,6 @@ class ShermanConfig:
     """Sherman parameters (paper default: span 64, 8 B keys/values)."""
 
     span: int = 64
-    key_size: int = 8
     value_size: int = 8
     #: Store an 8-byte pointer per entry with the value in an indirect
     #: block (the Marlin baseline layers on this).
@@ -59,8 +58,8 @@ class ShermanIndex(BTreeIndexBase):
         super().__init__(cluster, config or ShermanConfig())
         config = self.config
         entry_value = 8 if config.indirect_values else config.value_size
-        self.leaf_layout = SortedNodeLayout(config.span, config.key_size,
-                                            entry_value)
+        self.leaf_layout = SortedNodeLayout(config.span,
+                                            value_size=entry_value)
 
     def client(self, ctx: ClientContext) -> "ShermanClient":
         return ShermanClient(self, ctx)

@@ -183,7 +183,6 @@ def decode_node(addr: int, data: bytes) -> RadixNode:
 
 @dataclass(frozen=True)
 class SmartConfig:
-    key_size: int = 8
     value_size: int = 8
     #: Update leaves out-of-place (SMART-RCU, for variable-length items)
     #: instead of writing the value in place.

@@ -43,8 +43,8 @@ def format_table(rows: Sequence[Dict], columns: Optional[List[str]] = None,
 def trace_rows(traces) -> Tuple[List[Dict], List[Dict]]:
     """``repro trace``'s breakdown of a recording's op records
     (:meth:`repro.obs.Recording.ops`; pending ops are left out): a row
-    per op name — count, p50 / p99 us of the ops past the warm-up (as
-    the run row's), RTTs and bytes per op, its commonest verb sequence
+    per op name — count, p50 / p99 us of the ops past the warm-up,
+    rounded as the run row's (:meth:`RunResult.summary`), RTTs and bytes per op, its commonest verb sequence
     and that sequence's share — and a row per phase of each op name —
     count, mean us and share of the op's time."""
     by_name: Dict[str, List] = {}
@@ -60,8 +60,8 @@ def trace_rows(traces) -> Tuple[List[Dict], List[Dict]]:
                                for trace in group).most_common(1)[0]
         op_rows.append({
             "op": name, "count": count,
-            "p50_us": percentile(latencies, 0.50),
-            "p99_us": percentile(latencies, 0.99),
+            "p50_us": round(percentile(latencies, 0.50), 2),
+            "p99_us": round(percentile(latencies, 0.99), 2),
             "rtts_per_op": sum(len(trace.verbs) for trace in group) / count,
             "bytes_per_op": sum(verb.size for trace in group
                                 for verb in trace.verbs) / count,

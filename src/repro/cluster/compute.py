@@ -1,10 +1,9 @@
 """Compute nodes and client contexts.
 
 A :class:`ComputeNode` owns the per-CN shared state: the index cache, the
-RDWC combiner, the CN-local lock table, and (optionally) a modelled CN
-NIC.  Each of its :class:`ClientContext` objects represents one client
-core with its own queue pair and RNG stream; index client objects bind to
-a context.
+RDWC combiner and the CN-local lock table.  Each of its
+:class:`ClientContext` objects represents one client core with its own
+queue pair and RNG stream; index client objects bind to a context.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from repro.cluster.cache import IndexCache
 from repro.cluster.rdwc import RdwcCombiner
 from repro.config import ClusterConfig
 from repro.memory.node import MemoryNode
-from repro.rdma.nic import Nic
 from repro.rdma.verbs import RdmaQp
 from repro.sim.engine import Engine
 from repro.sim.resources import Lock
@@ -32,9 +30,6 @@ class ComputeNode:
         self.config = config
         self.cache = IndexCache(config.cache_bytes)
         self.combiner = RdwcCombiner(engine, enabled=config.rdwc)
-        self.nic: Optional[Nic] = (
-            Nic(engine, config.cn_nic, name=f"cn{cn_id}")
-            if config.cn_nic is not None else None)
         #: Live local locks only: held, or waited for.
         self._local_locks: Dict[int, Lock] = {}
         #: CN-local delegation table for pessimistic/adaptive sync:
@@ -77,8 +72,7 @@ class ClientContext:
         self.cn = cn
         self.client_id = client_id
         self.engine = cn.engine
-        self.qp = RdmaQp(cn.engine, mns, cn_nic=cn.nic,
-                         torn_writes=cn.config.torn_writes)
+        self.qp = RdmaQp(cn.engine, mns, torn_writes=cn.config.torn_writes)
         self.qp.owner = f"cn{cn.cn_id}/c{client_id}"
         self.qp.cn_id = cn.cn_id
         # Cluster-unique, non-zero 12-bit lease owner id (0 = unowned).

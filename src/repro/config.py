@@ -193,13 +193,9 @@ class ClusterConfig:
     cache_bytes: Optional[int] = 1 << 20
     #: Per-MN DRAM region size in bytes.
     region_bytes: int = 1 << 26
-    #: Per-client allocation chunk (the paper uses 16 MB on 64 GB MNs;
-    #: scaled down with the region so many clients fit).
-    alloc_chunk_bytes: int = 1 << 18
+    #: The MN NICs, the one modelled NIC (the bottleneck in every paper
+    #: experiment: 640 clients against one MN).
     mn_nic: NicSpec = field(default_factory=NicSpec)
-    #: None disables CN-side NIC modelling (MN NICs are the bottleneck in
-    #: every paper experiment: 640 clients against one MN).
-    cn_nic: Optional[NicSpec] = None
     #: Model torn (cache-line-granular) WRITE application.
     torn_writes: bool = True
     #: Enable read-delegation / write-combining on each CN.
@@ -276,14 +272,13 @@ class ChimeConfig:
 
     span: int = 64
     neighborhood: int = 8
-    key_size: int = 8
     value_size: int = 8
     #: Piggyback the vacancy bitmap on lock words via masked-CAS.
     vacancy_bitmap: bool = True
     #: Replicate leaf metadata every H entries (vs a dedicated header READ).
     metadata_replication: bool = True
     #: Reuse sibling pointers for cache/half-split validation instead of
-    #: replicating fence keys (saves 2*key_size bytes per replica).
+    #: replicating fence keys (saves two 8-byte keys per replica).
     sibling_validation: bool = True
     #: Enable the hotness-aware speculative read path.
     speculative_read: bool = True
@@ -298,8 +293,7 @@ class ChimeConfig:
     cxl_atomics: bool = False
     #: Target leaf fill fraction for bulk loading.
     bulk_load_factor: float = 0.7
-    #: Retry budget/backoff for client operations (None = the default
-    #: policy, which matches the historical constants exactly).
+    #: Retry budget for client operations (None = the default policy).
     retry: Optional[RetryPolicy] = None
 
     def __post_init__(self) -> None:

@@ -25,8 +25,8 @@ decides, per leaf, which of the two to use:
 * **Per-leaf policy** (:class:`SyncState`): decaying per-leaf
   estimates of CAS failures per optimistic acquisition and queue depth
   per pessimistic one flip an individual lock between the two modes at
-  configurable up/down thresholds, with a minimum dwell time so it does
-  not flap.
+  fixed up/down thresholds, with a minimum dwell time so it does not
+  flap.
 
 One :class:`SyncState` per cluster, in every mode, carries the policy
 and the queue-ticket registry; the lock path that consults it is
@@ -46,7 +46,6 @@ __all__ = [
     "SYNC_PESSIMISTIC",
     "SYNC_ADAPTIVE",
     "SYNC_MODES",
-    "AdaptivePolicy",
     "HandoffToken",
     "DelegationEntry",
     "SyncState",
@@ -58,24 +57,19 @@ SYNC_ADAPTIVE = "adaptive"
 SYNC_MODES = (SYNC_OPTIMISTIC, SYNC_PESSIMISTIC, SYNC_ADAPTIVE)
 
 
-@dataclass(frozen=True)
-class AdaptivePolicy:
-    """Tuning knobs for the per-leaf optimistic<->pessimistic switch.
-
-    :class:`SyncState` keeps two EWMAs per lock address: ``fail_ewma``, the
-    CAS failures observed per optimistic acquisition, and ``depth_ewma``,
-    the queue depth (remote distance + same-CN waiters) observed per
-    pessimistic acquisition.  A leaf goes pessimistic when its failure
-    rate crosses ``up_threshold`` and falls back to optimistic when the
-    observed queue depth decays below ``down_threshold``.  ``min_dwell``
-    (simulated seconds) is hysteresis: a leaf that just switched holds
-    its mode at least that long regardless of the estimates.
-    """
-
-    alpha: float = 0.25
-    up_threshold: float = 1.0
-    down_threshold: float = 0.5
-    min_dwell: float = 100e-6
+# The per-leaf optimistic<->pessimistic switch.  :class:`SyncState`
+# keeps two EWMAs per lock address: ``fail_ewma``, the CAS failures
+# observed per optimistic acquisition, and ``depth_ewma``, the queue
+# depth (remote distance + same-CN waiters) observed per pessimistic
+# acquisition.  A leaf goes pessimistic when its failure rate crosses
+# UP_THRESHOLD and falls back to optimistic when the observed queue
+# depth decays below DOWN_THRESHOLD.  MIN_DWELL (simulated seconds) is
+# hysteresis: a leaf that just switched holds its mode at least that
+# long regardless of the estimates.
+ALPHA = 0.25
+UP_THRESHOLD = 1.0
+DOWN_THRESHOLD = 0.5
+MIN_DWELL = 100e-6
 
 
 @dataclass
@@ -155,9 +149,8 @@ class SyncState:
     lock paths cannot perturb event sequences.
     """
 
-    def __init__(self, mode: str, policy: Optional[AdaptivePolicy] = None) -> None:
+    def __init__(self, mode: str) -> None:
         self.mode = KNOBS["sync_mode"].check(mode, "SyncState mode")
-        self.policy = policy or AdaptivePolicy()
         self._leaves: Dict[int, _LeafState] = {}
         # (cn_id, client name, lock_addr) -> outstanding queue ticket.
         self.pending: Dict[Tuple[int, str, int], int] = {}
@@ -178,21 +171,20 @@ class SyncState:
         """
         if self.mode != SYNC_ADAPTIVE:
             return None
-        pol = self.policy
         state = self._leaves.get(lock_addr)
         if state is None:
             if failures == 0:
                 return None  # quiet leaf: skip allocating state for it
             state = self._leaves[lock_addr] = _LeafState(last_switch=now)
-        state.fail_ewma += pol.alpha * (failures - state.fail_ewma)
+        state.fail_ewma += ALPHA * (failures - state.fail_ewma)
         if (
             state.mode == SYNC_OPTIMISTIC
-            and state.fail_ewma >= pol.up_threshold
-            and now - state.last_switch >= pol.min_dwell
+            and state.fail_ewma >= UP_THRESHOLD
+            and now - state.last_switch >= MIN_DWELL
         ):
             # Seed the depth estimate above the down threshold so the leaf
             # does not bounce straight back before observing a real queue.
-            state.depth_ewma = max(state.fail_ewma, pol.down_threshold * 2.0)
+            state.depth_ewma = max(state.fail_ewma, DOWN_THRESHOLD * 2.0)
             return self._switch(lock_addr, state, SYNC_PESSIMISTIC, now)
         return None
 
@@ -207,15 +199,14 @@ class SyncState:
 
         Returns the new mode if this observation flipped the leaf, else None.
         """
-        pol = self.policy
         state = self._leaves.get(lock_addr)
         if state is None:
             return None
-        state.depth_ewma += pol.alpha * (depth - state.depth_ewma)
+        state.depth_ewma += ALPHA * (depth - state.depth_ewma)
         if (
             state.mode == SYNC_PESSIMISTIC
-            and state.depth_ewma <= pol.down_threshold
-            and now - state.last_switch >= pol.min_dwell
+            and state.depth_ewma <= DOWN_THRESHOLD
+            and now - state.last_switch >= MIN_DWELL
             and sum(1 for key in self.pending if key[2] == lock_addr) <= 1
         ):
             state.fail_ewma = 0.0

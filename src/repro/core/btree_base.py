@@ -62,8 +62,7 @@ class BTreeIndexBase(FamilyIndexBase):
 
     def __init__(self, cluster: Cluster, config) -> None:
         super().__init__(cluster, config)
-        self.internal_layout = SortedNodeLayout(config.span, config.key_size,
-                                                level_byte=True)
+        self.internal_layout = SortedNodeLayout(config.span, level_byte=True)
         #: Host-visible hints; the authoritative root pointer lives at
         #: ``root_ptr_addr`` (by default ``ROOT_PTR_OFFSET`` on MN 0 —
         #: note ``make_addr(0, 8) == 8``, so the legacy constant *is* a

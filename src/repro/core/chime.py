@@ -5,7 +5,8 @@ B+-tree internal nodes (shared machinery in
 paper's three techniques:
 
 * three-level optimistic synchronization — readers run the NV / EV /
-  bitmap checks of :mod:`repro.core.sync` and retry on torn states
+  bitmap checks of their compiled
+  :class:`~repro.core.node_layout.ReadShape` and retry on torn states
   (under ``sync_mode`` pessimistic/adaptive, writers instead acquire
   the leaf through the CIDER-style ticket queue of
   :mod:`repro.core.adaptive`; the locked sections here are
@@ -60,8 +61,7 @@ from repro.core.node_layout import (
     VacancyBitmap,
     unpack_lock_word,
 )
-from repro.core.nodes import LeafNodeView
-from repro.core.sync import reconstruct_bitmaps
+from repro.core.nodes import LeafNodeView, reconstruct_bitmaps
 from repro.errors import IndexError_, TornReadError
 from repro.hashing.hopscotch import (
     default_hash,
@@ -112,7 +112,6 @@ class ChimeIndex(BTreeIndexBase):
         self.leaf_layout = LeafLayout(
             span=self.config.span,
             neighborhood=self.config.neighborhood,
-            key_size=self.config.key_size,
             value_size=entry_value_size,
             replicated=self.config.metadata_replication,
             fence_keys=not self.config.sibling_validation,

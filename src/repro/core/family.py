@@ -58,7 +58,6 @@ from repro.core.node_layout import (
     unpack_lock_word,
 )
 from repro.core.nodes import SortedNodeView
-from repro.core.sync import backoff_delay
 from repro.errors import (
     FaultInjectedError,
     IndexError_,
@@ -363,9 +362,7 @@ class FamilyClientBase(SpanInstrumentedOps):
         self._alloc_rr += 1
         allocator = self._allocators.get(mn_id)
         if allocator is None:
-            allocator = ChunkAllocator(
-                self.qp, mn_id,
-                chunk_size=self.index.cluster.config.alloc_chunk_bytes)
+            allocator = ChunkAllocator(self.qp, mn_id)
             self._allocators[mn_id] = allocator
         addr = yield from allocator.alloc(size)
         return addr
@@ -868,8 +865,7 @@ class FamilyClientBase(SpanInstrumentedOps):
             delay *= 1.0 + QUEUE_POLL_JITTER * (
                 2.0 * self.ctx.rng.random() - 1.0)
         else:
-            delay = backoff_delay(retry.attempt - 1, rng=self.ctx.rng,
-                                  jitter=QUEUE_POLL_JITTER)
+            delay = retry.next_delay(jitter=QUEUE_POLL_JITTER)
         yield self.engine.timeout(delay)
 
     def _take_ticket(self, lock_addr: int, ticket: int,

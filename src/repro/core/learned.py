@@ -42,20 +42,23 @@ from repro.layout import StripedSpan, encode_key, encode_u64
 from repro.layout.versions import bump_nibble
 from repro.memory import NULL_ADDR
 
+#: The PLA model's error bound (ROLEX's, §5.1).
+MODEL_ERROR = 16
+#: Target leaf fill fraction for bulk loading (CHIME's).
+BULK_LOAD_FACTOR = 0.7
+
 
 class LearnedChimeIndex(ModelRoutedIndexBase):
     """Host-side state: PLA model + flat array of hopscotch leaves."""
 
     def __init__(self, cluster: Cluster, span: int = 64,
-                 neighborhood: int = 8, error: int = 16,
-                 value_size: int = 8,
-                 bulk_load_factor: float = 0.7) -> None:
+                 neighborhood: int = 8, value_size: int = 8) -> None:
         super().__init__(
             cluster, None,
             LeafLayout(span=span, neighborhood=neighborhood,
                        value_size=value_size, replicated=True,
                        fence_keys=True),
-            error, bulk_load_factor)
+            MODEL_ERROR, BULK_LOAD_FACTOR)
         self.vacancy_map = VacancyBitmap(span)
         self.home_of = partial(default_hash, capacity=span)
 

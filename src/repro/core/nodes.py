@@ -445,3 +445,18 @@ class LeafNodeView:
         """Entry index holding the maximum key (0 when node is empty)."""
         keys = self.keys()
         return keys.index(max(keys))
+
+
+def reconstruct_bitmaps(view: LeafNodeView, hash_home) -> List[int]:
+    """status(keys) of every home entry at once, from a whole-leaf view
+    (what a lock holder repairs a leaf's hopscotch bitmaps to)."""
+    layout = view.layout
+    span = layout.span
+    bitmaps = [0] * span
+    for pos, key in enumerate(view.keys()):
+        if key:
+            home = hash_home(key)
+            offset = (pos - home) % span
+            if offset < layout.neighborhood:
+                bitmaps[home] |= 1 << offset
+    return bitmaps

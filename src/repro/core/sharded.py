@@ -15,9 +15,9 @@ is pure Python (no simulation yields), and the wrapped index is
 event-sequence identical to the legacy path — golden-verified per
 family by ``tests/test_shards.py``.
 
-:class:`ShardedClient` routes every op by key before execution, fans
-cross-shard range scans out as parallel engine processes merged in key
-order, and tells op lanes how long to park while a key's home MN is
+:class:`ShardedClient` routes every op by key before execution,
+continues a range scan that runs past its shard's upper bound into the
+next shard, and tells op lanes how long to park while a key's home MN is
 inside an injected outage window.  Shards are static: once the bulk
 load has placed them, no shard moves (DESIGN.md §14).
 """
@@ -206,33 +206,18 @@ class ShardedClient:
         return self._routed("delete", key)
 
     def scan(self, key: int, count: int) -> Generator:
-        """Range scan, fanned out across shards and merged in key order.
+        """Range scan: *key*'s shard, then, while the result is short,
+        each next shard from its lower bound for the remaining count.
 
-        Shards hold contiguous key ranges, so the per-shard results
-        concatenate in shard order already key-sorted.  The sub-scans
-        run as parallel engine processes (the same fan-out primitive
-        ``read_batch`` uses), overlapping their verb latency.
+        Shards hold contiguous key ranges, so each shard's pairs follow
+        the previous shard's in key order, and a scan that ends inside
+        its first shard touches no other shard's MN.
         """
-        index = self.index
-        smap = index.shard_map
-        first = smap.shard_of(key)
-        if first == index.num_shards - 1:
-            result = yield from self._routed("scan", key, count)
-            return result
-        engine = index.cluster.engine
-        procs = []
-        for shard in range(first, index.num_shards):
-            low = key if shard == first else smap.bounds[shard]
-            procs.append(
-                engine.process(
-                    self._sub_client(shard).scan(low, count),
-                    name=f"scan-s{shard}",
-                )
-            )
-        chunks = yield engine.all_of(procs)
-        merged: List[Tuple[int, int]] = []
-        for chunk in chunks:
-            merged.extend(chunk)
-            if len(merged) >= count:
-                break
-        return merged[:count]
+        smap = self.index.shard_map
+        shard = smap.shard_of(key)
+        result = yield from self._sub_client(shard).scan(key, count)
+        while len(result) < count and shard + 1 < self.index.num_shards:
+            shard += 1
+            more = yield from self._sub_client(shard).scan(smap.bounds[shard], count - len(result))
+            result = result + more
+        return result

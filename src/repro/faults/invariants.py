@@ -37,7 +37,7 @@ from repro.core.node_layout import (
     unpack_lock_word,
 )
 from repro.core.chime import LOCKLINE_FENCE_HIGH, LOCKLINE_FENCE_LOW, ChimeIndex
-from repro.core.sync import reconstruct_bitmaps
+from repro.core.nodes import reconstruct_bitmaps
 from repro.layout import MAX_KEY, decode_key, decode_u64
 from repro.memory import NULL_ADDR, addr_mn
 

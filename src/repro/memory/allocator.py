@@ -14,9 +14,9 @@ from typing import Dict, Generator, Optional
 from repro.errors import AllocationError
 from repro.memory.region import CACHE_LINE, make_addr
 
-#: Default chunk handed to a client per allocation RPC.  The paper uses
-#: 16 MB; scaled experiments may shrink it via configuration.
-DEFAULT_CHUNK_SIZE = 1 << 24
+#: Chunk handed to a client per allocation RPC.  The paper uses 16 MB on
+#: 64 GB MNs; scaled down with the simulated region so many clients fit.
+DEFAULT_CHUNK_SIZE = 1 << 18
 
 
 class BumpAllocator:

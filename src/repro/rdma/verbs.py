@@ -7,8 +7,8 @@ propagation latency position by position, performs the memory effect on
 the target :class:`~repro.memory.node.MemoryNode`, and resumes the
 issuing coroutine once, with the result.
 
-Timing model per verb (MN-side NIC is the modelled bottleneck, as in the
-paper's 10-CN / 1-MN setup; the CN NIC can optionally be modelled too):
+Timing model per verb (the MN-side NIC is the one modelled NIC: it is
+the bottleneck of the paper's 10-CN / 1-MN setup):
 
 * READ   — request latency → MN rx processing (IOPS charge) → *memory
   sampled here* → MN tx transfer (bandwidth charge for the data) →
@@ -34,7 +34,7 @@ from repro.memory.region import CACHE_LINE, addr_mn
 if TYPE_CHECKING:  # avoid a package-level import cycle with repro.memory.node
     from repro.memory.node import MemoryNode
 from repro.obs.bus import BUS
-from repro.rdma.nic import Nic, WIRE_OVERHEAD
+from repro.rdma.nic import WIRE_OVERHEAD
 from repro.rdma.ops import (
     ATOMIC_PAYLOAD,
     RPC_REQUEST_BYTES,
@@ -47,28 +47,26 @@ from repro.sim.engine import Engine, Timeline
 ATOMIC_PENALTY = 2.0
 
 #: Timeline states, named for the position being fired: the end of a
-#: latency hop (``_OUT`` at the MN, ``_BACK`` at the CN) or a completed
-#: queue slice (CN NIC ``_SEND`` / ``_RECV``; MN rx ``_RECEIVED``, CPU
+#: latency hop (``_OUT`` at the MN, ``_BACK`` at the CN), the issue
+#: (``_SEND``) or a completed MN queue slice (rx ``_RECEIVED``, CPU
 #: ``_SERVED``, tx ``_SENT``).  From ``_SEND`` up a kind's ``_step`` acts.
-_BACK, _RECV, _SEND, _OUT, _RECEIVED, _SERVED, _SENT = range(7)
+_BACK, _SEND, _OUT, _RECEIVED, _SERVED, _SENT = range(6)
 
 
 class _Verb(Timeline):
     """What every verb kind shares (DESIGN.md §13).
 
-    CN-NIC tx slice, if modelled → the kind's ``_step(state)``: ``_SEND``
-    resolves the target and leaves through :meth:`_go`, ``_OUT`` is the
-    arrival at the MN, the step that requests the tx slice(s) sets
-    ``_result`` → response propagation → CN-NIC rx slice → the waiter
-    resumes with the result.  :meth:`fire` acts where the coroutine body
-    this replaces was resumed: what a step raises is thrown into the
-    waiter there.
+    The kind's ``_step(state)``: ``_SEND`` resolves the target and
+    leaves through :meth:`_go`, ``_OUT`` is the arrival at the MN, the
+    step that requests the tx slice(s) sets ``_result`` → response
+    propagation → the waiter resumes with the result.  :meth:`fire`
+    acts where the coroutine body this replaces was resumed: what a
+    step raises is thrown into the waiter there.
     """
 
-    __slots__ = ("qp", "_state", "_pending", "_latency", "_result", "_reply")
+    __slots__ = ("qp", "_state", "_pending", "_latency", "_result")
 
-    def __init__(self, qp: "RdmaQp", request_bytes: int,
-                 reply_bytes: int = 0) -> None:
+    def __init__(self, qp: "RdmaQp") -> None:
         # Flattened Timeline.__init__: the simulator's hottest constructor.
         self.engine = qp.engine
         self.callbacks = []
@@ -77,12 +75,7 @@ class _Verb(Timeline):
         self.qp = qp
         self._pending = 0
         self._result = None
-        self._reply = reply_bytes
-        if qp._cn_nic is None:
-            self._step(_SEND)
-        else:
-            self._state = _SEND
-            qp._cn_nic.send(request_bytes, self)
+        self._step(_SEND)
 
     def _go(self, latency: float) -> None:
         self._state = _OUT
@@ -109,9 +102,6 @@ class _Verb(Timeline):
                 self._step(state)
             except Exception as exc:  # noqa: BLE001 - the waiter's to handle
                 self._finish(exception=exc)
-        elif state == _BACK and self.qp._cn_nic is not None:
-            self._state = _RECV
-            self.qp._cn_nic.receive(self._reply, self)
         else:
             self._finish(self._result)
 
@@ -124,7 +114,7 @@ class _Read(_Verb):
     def __init__(self, qp: "RdmaQp",
                  requests: Sequence[Tuple[int, int]]) -> None:
         self._requests = requests
-        _Verb.__init__(self, qp, 0)
+        _Verb.__init__(self, qp)
 
     def _step(self, state: int) -> None:
         if state == _SEND:
@@ -145,7 +135,6 @@ class _Read(_Verb):
             self._result = payloads = []
             for mn, (addr, length) in zip(self._targets, self._requests):
                 payloads.append(mn.mem_read(addr, length))
-                self._reply += length
                 stats.verbs += 1
                 stats.reads += 1
                 stats.bytes_read += length
@@ -177,7 +166,7 @@ class _Write(_Verb):
     def __init__(self, qp: "RdmaQp",
                  requests: Sequence[Tuple[int, bytes]]) -> None:
         self._requests = requests
-        _Verb.__init__(self, qp, sum(len(data) for _addr, data in requests))
+        _Verb.__init__(self, qp)
 
     def _plan(self):
         """Every ``(mn, address, chunk, service time)`` slice in landing
@@ -233,7 +222,7 @@ class _Atomic(_Verb):
         stats.atomics += 1
         self._mn = qp._mn(addr)
         self._effect = effect
-        _Verb.__init__(self, qp, ATOMIC_PAYLOAD, ATOMIC_PAYLOAD)
+        _Verb.__init__(self, qp)
 
     def _step(self, state: int) -> None:
         nic = self._mn.nic
@@ -259,7 +248,7 @@ class _Rpc(_Verb):
         self._mn = mn
         self._request = request
         self._service = service_time
-        _Verb.__init__(self, qp, RPC_REQUEST_BYTES, RPC_RESPONSE_BYTES)
+        _Verb.__init__(self, qp)
 
     def _step(self, state: int) -> None:
         mn = self._mn
@@ -281,10 +270,9 @@ class RdmaQp:
     """A client's queue pair into the memory pool."""
 
     def __init__(self, engine: Engine, mns: Dict[int, "MemoryNode"],
-                 cn_nic: Optional[Nic] = None, torn_writes: bool = True) -> None:
+                 torn_writes: bool = True) -> None:
         self.engine = engine
         self._mns = mns
-        self._cn_nic = cn_nic
         self._torn_writes = torn_writes
         self.stats = TrafficStats()
         #: Identity of the owning client (set by ClientContext); the

@@ -192,7 +192,7 @@ def _rolex_factory(indirect: bool):
         from repro.baselines.rolex import RolexConfig, RolexIndex
 
         return RolexIndex(cluster, RolexConfig(
-            span=span or 16, error=span or 16, value_size=value_size,
+            span=span or 16, value_size=value_size,
             indirect_values=indirect))
     return build
 

@@ -2,16 +2,15 @@
 
 Every retry loop in the client stack (remote lock acquisition,
 optimistic read validation, whole-operation retraversal) runs under a
-:class:`RetryPolicy`: a maximum attempt count, an optional deadline in
-simulated time, and a backoff curve (linear or exponential, optionally
-jittered from the client's seeded RNG).  Exhausting the budget raises a
-typed :class:`~repro.errors.RetryExhaustedError` /
+:class:`RetryPolicy`: a maximum attempt count and an optional deadline
+in simulated time.  Exhausting the budget raises a typed
+:class:`~repro.errors.RetryExhaustedError` /
 :class:`~repro.errors.OperationTimeoutError` instead of live-locking —
 the behaviour an orphaned remote lock would otherwise cause.
 
-The default policy reproduces the historical constants (256 attempts,
-0.2 us linear backoff capped at 16x the base) exactly, so enabling the
-layer changes no simulated timing.
+Between attempts every loop backs off on one linear curve,
+:data:`BASE_BACKOFF` × min(attempt + 1, :data:`LINEAR_CAP`); the queued
+lock's poll alone jitters it, from the client's seeded RNG.
 """
 
 from __future__ import annotations
@@ -22,38 +21,32 @@ from typing import Generator, Optional
 from repro.errors import OperationTimeoutError, RetryExhaustedError
 from repro.sim.engine import Engine
 
+#: Backoff before the first retry, in seconds.
+BASE_BACKOFF = 0.2e-6
+#: The backoff grows linearly up to this many times :data:`BASE_BACKOFF`.
+LINEAR_CAP = 16
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How often, how long, and how fast to retry a failing step."""
+    """How often and how long to retry a failing step."""
 
     #: Attempt budget; the (max_attempts + 1)-th check raises.
     max_attempts: int = 256
     #: Optional budget in simulated seconds from the first attempt.
     deadline: Optional[float] = None
-    #: Base backoff delay (seconds) between attempts.
-    base_backoff: float = 0.2e-6
-    #: Exponential (base * multiplier^attempt) instead of linear growth.
-    exponential: bool = False
-    multiplier: float = 2.0
-    #: Linear mode: delay grows as base * min(attempt + 1, linear_cap).
-    linear_cap: int = 16
-    #: Ceiling for exponential backoff delays (seconds).
-    max_backoff: float = 64e-6
-    #: Jitter fraction in [0, 1]: each delay is scaled by a factor drawn
-    #: uniformly from [1 - jitter, 1 + jitter] using the seeded RNG.
-    jitter: float = 0.0
 
-    def delay(self, attempt: int, rng=None) -> float:
-        """Backoff before retry number ``attempt`` (0-based)."""
-        if self.exponential:
-            value = min(self.base_backoff * self.multiplier ** attempt,
-                        self.max_backoff)
-        else:
-            value = self.base_backoff * min(attempt + 1, self.linear_cap)
-        if self.jitter and rng is not None:
-            value *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-        return max(value, 0.0)
+    @staticmethod
+    def delay(attempt: int, rng=None, jitter: float = 0.0) -> float:
+        """Backoff before retry number ``attempt`` (0-based).
+
+        With ``jitter`` > 0 and a seeded ``rng``, the delay is scaled by
+        a factor drawn uniformly from ``[1 - jitter, 1 + jitter]``.
+        """
+        value = BASE_BACKOFF * min(attempt + 1, LINEAR_CAP)
+        if jitter and rng is not None:
+            value *= 1.0 + jitter * (2.0 * rng.random() - 1.0)
+        return value
 
     def start(self, what: str, engine: Engine, rng=None,
               *args) -> "RetryState":
@@ -67,7 +60,7 @@ class RetryPolicy:
         return replace(self, **overrides)
 
 
-#: Mirrors the historical unbounded-loop constants; identical timing.
+#: 256 attempts and no deadline.
 DEFAULT_RETRY_POLICY = RetryPolicy()
 
 
@@ -107,16 +100,18 @@ class RetryState:
         self.attempt += 1
         return True
 
-    def next_delay(self, cap: Optional[int] = None) -> float:
+    def next_delay(self, cap: Optional[int] = None,
+                   jitter: float = 0.0) -> float:
         """The backoff after the current (just-checked) attempt failed.
 
         *cap* limits the effective attempt index (the insert path keeps
-        its backoff short because contention there is transient).
+        its backoff short because contention there is transient);
+        *jitter* scales it from the sequence's rng (the queue poll).
         """
         index = self.attempt - 1
         if cap is not None:
             index = min(index, cap)
-        return self.policy.delay(index, self.rng)
+        return self.policy.delay(index, self.rng, jitter)
 
     def backoff(self, cap: Optional[int] = None) -> Generator:
         """Sleep the backoff for the just-failed attempt (a process step)."""

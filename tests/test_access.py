@@ -22,6 +22,7 @@ from repro import obs, registry
 from repro.baselines.flexkv import (
     PLACEMENT_CN,
     PLACEMENT_MN,
+    SWITCH_THRESHOLD,
     CachePressurePlacement,
     FlexKVIndex,
 )
@@ -414,7 +415,7 @@ class TestFlexKvEndianness:
 class TestFlexKvPlacement:
     def test_flipped_partition_uses_rpc_only(self):
         # A CN cache smaller than one partition directory (1,496 B here)
-        # misses on every CN-side op; switch_threshold misses flip the
+        # misses on every CN-side op; SWITCH_THRESHOLD misses flip the
         # partition, and from then on each of its ops is one RPC.
         cluster = make_cluster(cache_bytes=1024)
         index = build_kv(FlexKVIndex, cluster)
@@ -425,7 +426,7 @@ class TestFlexKvPlacement:
         out = {}
 
         def gen():
-            for _ in range(index.config.switch_threshold):
+            for _ in range(SWITCH_THRESHOLD):
                 yield from client.search(123)
             out["flipped"] = index.placement.table()
             before = client.qp.stats.snapshot()
@@ -459,7 +460,7 @@ class TestFlexKvPlacement:
     def test_directory_bytes_matches_bulk_load(self):
         cluster = make_cluster()
         index = build_kv(FlexKVIndex, cluster)
-        expected = FlexKVIndex.directory_bytes(len(PAIRS), 1, index.config)
+        expected = FlexKVIndex.directory_bytes(len(PAIRS), 1)
         assert index.meta_bytes * index.partitions == expected
 
 

@@ -19,7 +19,7 @@ from repro.config import KNOBS, ChimeConfig, ClusterConfig
 from repro.core.chime import ChimeIndex
 from repro.core.adaptive import (
     HANDOFF_CHAIN_LIMIT,
-    AdaptivePolicy,
+    MIN_DWELL,
     DelegationEntry,
     HandoffToken,
     SyncState,
@@ -45,11 +45,23 @@ class TestResolveMode:
                 build()
 
 
+#: When a leaf heated by :func:`_heat` may switch back: the dwell after
+#: its up-switch has passed.
+COOLED = 10 * MIN_DWELL
+
+
+def _heat(state, failures=5, rounds=10):
+    """Feed leaf 0x100 CAS failures one ``MIN_DWELL`` apart, so an
+    adaptive state flips it at the first observation past the dwell."""
+    for i in range(rounds):
+        state.note_optimistic(0x100, failures=failures, now=i * MIN_DWELL)
+
+
 class TestContentionEstimator:
     """The per-leaf switch of an adaptive :class:`SyncState`."""
 
-    def _state(self, **overrides):
-        return SyncState("adaptive", AdaptivePolicy(**overrides))
+    def _state(self):
+        return SyncState("adaptive")
 
     def test_quiet_leaf_allocates_no_state(self):
         state = self._state()
@@ -58,35 +70,34 @@ class TestContentionEstimator:
         assert not state._leaves
 
     def test_up_switch_after_sustained_cas_failures(self):
-        state = self._state(min_dwell=0.0)
+        state = self._state()
         with obs.recording() as rec:
             switched = None
             for i in range(10):
                 switched = switched or state.note_optimistic(
-                    0x100, failures=3, now=i * 1e-6)
+                    0x100, failures=3, now=i * MIN_DWELL)
         assert switched == "pessimistic"
         assert state.is_pessimistic(0x100)
         assert rec.notes().get("obs.sync.mode_switch.up") == 1
 
     def test_min_dwell_blocks_immediate_switch(self):
-        state = self._state(min_dwell=100e-6)
+        state = self._state()
         for i in range(10):
             assert state.note_optimistic(0x100, failures=5,
-                                         now=i * 1e-6) is None
+                                         now=i * MIN_DWELL / 20) is None
         # past the dwell the accumulated EWMA flips it at once
         assert state.note_optimistic(0x100, failures=5,
-                                     now=200e-6) == "pessimistic"
+                                     now=2 * MIN_DWELL) == "pessimistic"
 
     def test_down_switch_when_queue_drains(self):
-        state = self._state(min_dwell=0.0)
-        for i in range(10):
-            state.note_optimistic(0x100, failures=5, now=i * 1e-6)
+        state = self._state()
+        _heat(state)
         assert state.is_pessimistic(0x100)
         with obs.recording() as rec:
             switched = None
             for i in range(40):
                 switched = switched or state.note_queue(
-                    0x100, depth=0, now=100e-6 + i * 1e-6)
+                    0x100, depth=0, now=COOLED + i * 1e-6)
         assert switched == "optimistic"
         assert rec.notes().get("obs.sync.mode_switch.down") == 1
         # the failure estimate was reset: no instant re-flip
@@ -95,14 +106,13 @@ class TestContentionEstimator:
     def test_others_queued_vetoes_down_switch(self):
         """A leaf never flips back while other clients hold tickets:
         they would face a fresh CAS storm with no FIFO priority."""
-        state = self._state(min_dwell=0.0)
-        for i in range(10):
-            state.note_optimistic(0x100, failures=5, now=i * 1e-6)
+        state = self._state()
+        _heat(state)
         state.register(0, "cn0/c0", 0x100, 1)
         state.register(1, "cn1/c0", 0x100, 2)
         for i in range(60):
             assert state.note_queue(0x100, depth=0,
-                                    now=100e-6 + i * 1e-6) is None
+                                    now=COOLED + i * 1e-6) is None
         assert state.is_pessimistic(0x100)
         # the lone-waiter observation is what flips it
         state.acquired(1, "cn1/c0", 0x100)
@@ -113,10 +123,10 @@ class TestContentionEstimator:
 
     @pytest.mark.parametrize("mode", ["optimistic", "pessimistic"])
     def test_fixed_modes_never_switch(self, mode):
-        state = SyncState(mode, AdaptivePolicy(min_dwell=0.0))
+        state = SyncState(mode)
         for i in range(10):
             assert state.note_optimistic(0x100, failures=5,
-                                         now=i * 1e-6) is None
+                                         now=i * MIN_DWELL) is None
         assert state.is_pessimistic(0x100) == (mode == "pessimistic")
         assert not state._leaves
 
@@ -150,15 +160,14 @@ class TestSyncState:
         assert state.wait_timeouts == 1
 
     def test_note_queue_sees_other_pending_tickets(self):
-        state = SyncState("adaptive", AdaptivePolicy(min_dwell=0.0))
-        for i in range(10):
-            state.note_optimistic(0x100, failures=5, now=i * 1e-6)
+        state = SyncState("adaptive")
+        _heat(state)
         assert state.is_pessimistic(0x100)
         # two clients pending on the same address: down-switch vetoed
         state.register(0, "cn0/c0", 0x100, 1)
         state.register(1, "cn1/c0", 0x100, 2)
         for i in range(60):
-            assert state.note_queue(0x100, 0, 100e-6 + i * 1e-6) is None
+            assert state.note_queue(0x100, 0, COOLED + i * 1e-6) is None
         assert state.is_pessimistic(0x100)
         # lone pending client: allowed
         state.acquired(1, "cn1/c0", 0x100)

@@ -638,7 +638,7 @@ def torn_level(check):
 
 class TestReadShape:
     """The compiled read shapes against the per-entry checks of
-    ``repro.core.sync`` and the ``LeafNodeView`` accessors."""
+    ``tests/oracles.py`` and the ``LeafNodeView`` accessors."""
 
     @staticmethod
     def fetched(shape, raw):

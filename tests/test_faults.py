@@ -23,7 +23,12 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan
 from repro.memory import make_addr
-from repro.retry import DEFAULT_RETRY_POLICY, RetryPolicy
+from repro.retry import (
+    BASE_BACKOFF,
+    DEFAULT_RETRY_POLICY,
+    LINEAR_CAP,
+    RetryPolicy,
+)
 from repro.sim import Engine
 from repro.workloads.ycsb import dataset
 
@@ -52,22 +57,24 @@ class TestRetryPolicy:
                 pytest.approx(expected)
 
     def test_linear_cap_applies(self):
-        policy = RetryPolicy(base_backoff=1e-6, linear_cap=4)
-        assert policy.delay(10) == pytest.approx(4e-6)
-
-    def test_exponential_backoff_caps_at_max(self):
-        policy = RetryPolicy(base_backoff=1e-6, exponential=True,
-                             multiplier=2.0, max_backoff=8e-6)
-        assert policy.delay(0) == pytest.approx(1e-6)
-        assert policy.delay(2) == pytest.approx(4e-6)
-        assert policy.delay(10) == pytest.approx(8e-6)
+        policy = DEFAULT_RETRY_POLICY
+        capped = BASE_BACKOFF * LINEAR_CAP
+        assert policy.delay(LINEAR_CAP - 2) < capped
+        assert policy.delay(LINEAR_CAP - 1) == pytest.approx(capped)
+        assert policy.delay(10 * LINEAR_CAP) == pytest.approx(capped)
 
     def test_jitter_is_seeded_and_bounded(self):
-        policy = RetryPolicy(base_backoff=1e-6, jitter=0.5)
-        values = [policy.delay(0, random.Random(7)) for _ in range(3)]
+        policy = DEFAULT_RETRY_POLICY
+        values = [policy.delay(0, random.Random(7), jitter=0.5)
+                  for _ in range(3)]
         assert values[0] == values[1] == values[2]
-        assert 0.5e-6 <= values[0] <= 1.5e-6
-        assert values[0] != pytest.approx(1e-6)
+        assert 0.5 * BASE_BACKOFF <= values[0] <= 1.5 * BASE_BACKOFF
+        assert values[0] != pytest.approx(BASE_BACKOFF)
+        # No rng, or no jitter: the bare curve, and no draw.
+        assert policy.delay(0, None, jitter=0.5) == BASE_BACKOFF
+        rng = random.Random(7)
+        assert policy.delay(0, rng) == BASE_BACKOFF
+        assert rng.random() == random.Random(7).random()
 
     def test_attempts_exhaust_with_typed_error(self):
         engine = Engine()
@@ -96,7 +103,7 @@ class TestRetryPolicy:
 
     def test_backoff_generator_matches_delay(self):
         engine = Engine()
-        policy = RetryPolicy(max_attempts=4, base_backoff=1e-6)
+        policy = RetryPolicy(max_attempts=4)
 
         def loop():
             state = policy.start("op", engine, None)
@@ -107,8 +114,8 @@ class TestRetryPolicy:
                     return engine.now
                 yield from state.backoff()
 
-        # Attempts 1..4 back off with delay(0..3) = 1,2,3,4 us.
-        assert drive(engine, loop()) == pytest.approx(10e-6)
+        # Attempts 1..4 back off with delay(0..3) = 1,2,3,4 x the base.
+        assert drive(engine, loop()) == pytest.approx(10 * BASE_BACKOFF)
 
 
 class TestLeaseWord:

@@ -191,10 +191,6 @@ GOLDEN = {
         (1217, 120, (126, 155, 142, 8, 5, 0, 21713, 125, 1), '0.00010631190666666669'),
     # The VERB_PATHS rows, recorded at 366387e (before verb timelines
     # replaced the coroutine verb bodies).
-    ('chime', 'A', (('cn_nic', NicSpec()),)):
-        (2998, 120, (246, 314, 134, 110, 70, 0, 16339, 1440, 15), '0.00022694742666666808'),
-    ('chime', 'E', (('cn_nic', NicSpec()),)):
-        (2407, 120, (150, 316, 281, 18, 17, 0, 245119, 256, 8), '0.00015073294666666692'),
     ('chime', 'A', (('mn_nic', NicSpec(lanes=2)),)):
         (2010, 120, (246, 313, 133, 110, 70, 0, 16201, 1440, 15), '0.0002251565866666676'),
     ('chime', 'E', (('num_mns', 2),)):
@@ -224,14 +220,12 @@ CHIME_LAYOUTS = (
     ("speculative_read", False),
 )
 
-#: Verb paths no other row, experiment or CLI flag reaches: CN-side NIC
-#: hops, multi-lane MN NICs, doorbell batches and atomics spanning the
+#: Verb paths no other row, experiment or CLI flag reaches: multi-lane
+#: MN NICs, doorbell batches and atomics spanning the
 #: MNs of a legacy striped pool, multi-chunk WRITEs landing unchunked,
 #: RPCs charging a plan-derived service time to the MN CPU (FlexKV
 #: partitions the cache-pressure policy flips MN-side mid-run).
 VERB_PATHS = (
-    ("chime", "A", (("cn_nic", NicSpec()),)),
-    ("chime", "E", (("cn_nic", NicSpec()),)),
     ("chime", "A", (("mn_nic", NicSpec(lanes=2)),)),
     ("chime", "E", (("num_mns", 2),)),
     ("smart", "A", (("num_mns", 2),)),

@@ -328,7 +328,8 @@ class TestSpans:
     def test_op_rows_leave_out_the_warm_up_as_the_run_row_does(self, depth):
         """On an all-search run the search row's p50 and p99 are the run
         row's: both leave out each client's warm-up ops (with them, the
-        search p99 read 185.2 us against the run's 15.0 us)."""
+        search p99 read 185.2 us against the run's 15.0 us), and both are
+        rounded alike."""
         config = ClusterConfig(num_cns=2, clients_per_cn=2, cache_bytes=1 << 22,
                                region_bytes=1 << 26, pipeline_depth=depth)
         with obs.recording() as recorder:
@@ -337,7 +338,9 @@ class TestSpans:
         assert sum(trace.warmup for trace in recorder.ops()) == 4 * 6
         (search,), _phases = trace_rows(recorder.ops())
         assert search["count"] == result.ops_completed == 240
-        assert (search["p50_us"], search["p99_us"]) == (result.p50_us, result.p99_us)
+        summary = result.summary()
+        assert (search["p50_us"], search["p99_us"]) == \
+            (summary["p50_us"], summary["p99_us"])
 
     def test_raw_verbs_are_counted_but_belong_to_no_op(self):
         """Verbs issued outside any op (straight on a queue pair) are
@@ -509,6 +512,18 @@ class TestTraceSubcommand:
         assert float(search["rtts_per_op"]) < 1.5
         events = json.loads(out.read_text())["traceEvents"]
         assert sum(event["cat"] == "op" for event in events) == 240
+
+    def test_run_and_search_rows_print_equal_percentiles_alike(self, capsys):
+        """An all-search run's p50 / p99 print as the same text in the
+        run row and the search row (the search row printed 12.116
+        against the run row's 12.120 when only the run row rounded)."""
+        assert main(["trace", "--index", "chime", "--workload", "C",
+                     "--clients", "8", "--ops", "200", "--depth", "4"]) == 0
+        tables = _tables(capsys.readouterr().out)
+        run, = tables["chime / YCSB-C (scale=quick, seed=42)"]
+        search, = tables["ops"]
+        assert (search["p50_us"], search["p99_us"]) == \
+            (run["p50_us"], run["p99_us"])
 
 
 class TestMetricsCache:

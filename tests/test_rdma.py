@@ -5,7 +5,7 @@ import pytest
 from repro.core.node_layout import MERGE_GAP
 from repro.errors import MemoryAccessError
 from repro.memory import MemoryNode, ChunkAllocator, addr_mn, make_addr
-from repro.rdma import Nic, NicSpec, RdmaQp, WIRE_OVERHEAD
+from repro.rdma import NicSpec, RdmaQp, WIRE_OVERHEAD
 from repro.rdma.verbs import _Read
 from repro.sim import Engine
 
@@ -327,25 +327,26 @@ ROUND_NIC = NicSpec(bandwidth=1e9, iops=1e6, latency=2e-6)
 LINE = make_addr(0, 4096)  # cache-line aligned
 
 
-def round_fabric(cn_nic=False):
+def round_fabric(torn_writes=True):
     engine = Engine()
     mns = {0: MemoryNode(engine, 0, 1 << 20, nic_spec=ROUND_NIC)}
-    cn = Nic(engine, ROUND_NIC, name="cn0") if cn_nic else None
-    return engine, mns[0], RdmaQp(engine, mns, cn_nic=cn)
+    return engine, mns[0], RdmaQp(engine, mns, torn_writes=torn_writes)
 
 
 class TestErrorsReachTheCaller:
     """What the memory effect raises is thrown into the issuing coroutine
-    at the position the effect occupies — never out of ``Engine.run``."""
+    at the position the effect occupies — never out of ``Engine.run`` —
+    whether a WRITE lands torn (cache line by cache line) or whole."""
 
     BAD = {"unknown MN": make_addr(7, 0),
            "out of range": make_addr(0, (1 << 20) - 4)}
 
-    @pytest.mark.parametrize("cn_nic", [False, True])
+    @pytest.mark.parametrize("whole_writes", [False, True])
     @pytest.mark.parametrize("where", sorted(BAD))
     @pytest.mark.parametrize("verb", ["read", "write", "cas"])
-    def test_memory_access_error_is_catchable(self, verb, where, cn_nic):
-        engine, mn, qp = round_fabric(cn_nic)
+    def test_memory_access_error_is_catchable(self, verb, where,
+                                              whole_writes):
+        engine, mn, qp = round_fabric(torn_writes=not whole_writes)
         addr = self.BAD[where]
         issue = {"read": lambda: qp.read(addr, 8),
                  "write": lambda: qp.write(addr, b"x" * 8),

@@ -6,7 +6,7 @@ import pytest
 
 from repro.memory import MemoryNode, make_addr
 from repro.memory.node import RPC_SERVICE_TIME
-from repro.rdma import Nic, NicSpec, RdmaQp, WIRE_OVERHEAD
+from repro.rdma import NicSpec, RdmaQp, WIRE_OVERHEAD
 from repro.rdma.ops import (ATOMIC_PAYLOAD, RPC_REQUEST_BYTES,
                             RPC_RESPONSE_BYTES)
 from repro.rdma.verbs import ATOMIC_PENALTY
@@ -151,54 +151,52 @@ A, B = make_addr(0, 4096), make_addr(0, 8192)
 
 
 def closed_form_cases(s):
-    """verb -> (issue(qp), MN-side service, CN-NIC service) for a NIC whose
-    message service time is ``s(payload_bytes)``."""
+    """verb -> (issue(qp), MN-side service) for a NIC whose message
+    service time is ``s(payload_bytes)``."""
     atomic = s(ATOMIC_PAYLOAD)
-    cas = (atomic * ATOMIC_PENALTY + atomic, 2 * atomic)
+    cas = atomic * ATOMIC_PENALTY + atomic
     rpc_wire = s(RPC_REQUEST_BYTES) + s(RPC_RESPONSE_BYTES)
     return {
-        "read": (lambda qp: qp.read(A, 2000),
-                 s(0) + s(2000), s(0) + s(2000)),
+        "read": (lambda qp: qp.read(A, 2000), s(0) + s(2000)),
         "read_batch": (lambda qp: qp.read_batch([(A, 2000), (B, 500)]),
-                       2 * s(0) + s(2000) + s(500), s(0) + s(2500)),
-        "write": (lambda qp: qp.write(A, b"x" * 2000),
-                  s(2000), s(2000) + s(0)),
+                       2 * s(0) + s(2000) + s(500)),
+        "write": (lambda qp: qp.write(A, b"x" * 2000), s(2000)),
         "write_batch": (lambda qp: qp.write_batch([(A, b"x" * 2000),
                                                    (B, b"y" * 8)]),
-                        s(2000) + s(8), s(2008) + s(0)),
-        "cas": (lambda qp: qp.cas(A, 0, 1), *cas),
-        "masked_cas": (lambda qp: qp.masked_cas(A, 0, 1, 1, 1), *cas),
-        "faa": (lambda qp: qp.faa(A, 1), *cas),
+                        s(2000) + s(8)),
+        "cas": (lambda qp: qp.cas(A, 0, 1), cas),
+        "masked_cas": (lambda qp: qp.masked_cas(A, 0, 1, 1, 1), cas),
+        "faa": (lambda qp: qp.faa(A, 1), cas),
         "rpc": (lambda qp: qp.rpc(0, ("alloc_chunk", 64)),
-                rpc_wire + RPC_SERVICE_TIME, rpc_wire),
+                rpc_wire + RPC_SERVICE_TIME),
         "rpc(service_time=)": (
             lambda qp: qp.rpc(0, ("alloc_chunk", 64), service_time=9e-6),
-            rpc_wire + 9e-6, rpc_wire),
+            rpc_wire + 9e-6),
     }
 
 
 class TestClosedFormLatency:
     """An unloaded verb takes two propagations plus its service slices —
-    per kind, with and without the CN NIC (every slice is serial on a
-    one-lane NIC, so a batch pays each verb's slice in turn)."""
+    per kind, whether a WRITE lands torn (cache line by cache line) or
+    whole: the chunks' slices sum to the unchunked one (every slice is
+    serial on a one-lane NIC, so a batch pays each verb's slice in
+    turn)."""
 
     SPEC = NicSpec(bandwidth=1e9, iops=1e6, latency=3e-6)
 
-    @pytest.mark.parametrize("cn_nic", [False, True])
+    @pytest.mark.parametrize("whole_writes", [False, True])
     @pytest.mark.parametrize("verb", sorted(closed_form_cases(lambda n: 0.0)))
-    def test_latency_is_two_hops_plus_service(self, verb, cn_nic):
+    def test_latency_is_two_hops_plus_service(self, verb, whole_writes):
         spec = self.SPEC
         engine = Engine()
         mn = MemoryNode(engine, 0, 1 << 20, nic_spec=spec)
-        cn = Nic(engine, spec, name="cn0") if cn_nic else None
-        qp = RdmaQp(engine, {0: mn}, cn_nic=cn)
-        issue, mn_service, cn_service = closed_form_cases(
-            spec.service_time)[verb]
+        qp = RdmaQp(engine, {0: mn}, torn_writes=not whole_writes)
+        issue, mn_service = closed_form_cases(spec.service_time)[verb]
 
         def client():
             yield from issue(qp)
 
         engine.process(client())
         engine.run()
-        expected = 2 * spec.latency + mn_service + cn_service * cn_nic
+        expected = 2 * spec.latency + mn_service
         assert engine.now == pytest.approx(expected, rel=1e-12)

@@ -5,7 +5,7 @@ tree's (``BTreeClientBase``) or the model-routed leaf group's
 (``ModelRoutedClientBase``), each decoding whole leaves by its leaf
 format.  The oracle reads leaves as the per-family loops used to — one
 whole leaf per READ, decoded through the per-entry accessors, CHIME
-leaves checked with every per-entry oracle of :mod:`repro.core.sync`
+leaves checked with every per-entry oracle of ``tests/oracles.py``
 (NV, EV, and the *hashed* hopscotch bitmap of all homes) — and routes a
 tree scan by the sibling chain alone, which no stale cached parent can
 mislead, and a group scan along ``leaf_addrs`` and each synonym chain,

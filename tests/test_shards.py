@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro import obs
 from repro.bench import Scale, run_point
 from repro.cluster import Cluster
 from repro.cluster.shards import ShardMap, partition_pairs
@@ -23,7 +24,7 @@ from repro.config import ClusterConfig
 from repro.errors import ConfigError, WorkloadError
 from repro.faults import ChaosConfig, run_chaos
 from repro.layout import MAX_KEY
-from repro.memory import make_addr
+from repro.memory import addr_mn, make_addr
 from repro.registry import build_index, get_family
 
 TINY = Scale(name="tiny", num_keys=900, ops_per_client=30,
@@ -219,6 +220,59 @@ class TestCrossShardScan:
         expected = [(k, v) for k, v in self.pairs if k >= key][:count]
         assert rows == expected
         assert rows == sorted(rows)
+
+
+class TestShardByShardScan:
+    """A scan continues shard by shard: it returns what one unsharded
+    index loaded with the same pairs returns, and a scan that ends
+    inside its first shard issues no verb to another shard's MN."""
+
+    #: Sparse keys, so a shard bound is not a key's neighbour + 1.
+    PAIRS = [(k * 7, k) for k in range(1, 1601)]
+
+    @classmethod
+    def setup_class(cls):
+        cls.sharded = cls._loaded(num_shards=4)
+        cls.flat = cls._loaded(num_shards=0)
+
+    @classmethod
+    def _loaded(cls, num_shards):
+        cluster = Cluster(sharded_config(num_shards=num_shards, num_mns=4))
+        index = build_index("chime", cluster)
+        index.bulk_load(cls.PAIRS)
+        return cluster, index.client(cluster.cns[0].clients[0])
+
+    @staticmethod
+    def scan(loaded, key, count):
+        cluster, client = loaded
+
+        def op():
+            return (yield from client.scan(key, count))
+        with obs.recording() as rec:
+            rows = drive(cluster, op())[0]
+        return rows, {addr_mn(verb.addr) for trace in rec.ops()
+                      for verb in trace.verbs}
+
+    @pytest.mark.parametrize("before,count", [
+        (1, 5), (3, 400), (1, 800), (20, 1600), (0, 2000)])
+    @pytest.mark.parametrize("shard", [1, 2, 3])
+    def test_crossing_scans_match_one_unsharded_index(self, shard, before,
+                                                      count):
+        bound = self.sharded[0].shard_map.bounds[shard]
+        key = bound - 7 * before
+        rows, _mns = self.scan(self.sharded, key, count)
+        expected, _flat_mns = self.scan(self.flat, key, count)
+        assert rows == expected
+        assert rows == [(k, v) for k, v in self.PAIRS if k >= key][:count]
+
+    @pytest.mark.parametrize("shard", [0, 1, 2, 3])
+    def test_a_scan_inside_one_shard_reads_only_its_mn(self, shard):
+        smap = self.sharded[0].shard_map
+        key = smap.bounds[shard] + 70
+        rows, mns = self.scan(self.sharded, key, 20)
+        assert rows == [(k, v) for k, v in self.PAIRS if k >= key][:20]
+        assert rows[-1][0] < smap.bounds[shard + 1]
+        assert mns == {smap.mn_of(shard)}
 
 
 class TestBulkLoad:

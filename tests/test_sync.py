@@ -1,12 +1,16 @@
 """Unit tests for the three-level optimistic synchronization checks."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.core.family import QUEUE_POLL_JITTER, FamilyClientBase
 from repro.core.node_layout import LeafLayout
 from repro.core.nodes import LeafNodeView
-from repro.core.sync import backoff_delay
 from repro.errors import TornReadError
 from repro.hashing.hopscotch import default_hash
+from repro.retry import BASE_BACKOFF, DEFAULT_RETRY_POLICY, LINEAR_CAP
+from repro.sim import Engine
 from tests.oracles import (
     check_entry_evs,
     check_hopscotch_bitmap,
@@ -109,41 +113,76 @@ class TestBitmapCheck:
 
 
 class TestBackoff:
+    """The retry curve as the queued lock's poll sleeps it: the one call
+    that jitters (a next-in-line waiter's poll)."""
+
     def test_grows_then_caps(self):
-        delays = [backoff_delay(i) for i in range(32)]
+        delays = queue_poll_delays(None, 32)
         assert delays[1] > delays[0]
         assert delays[31] == delays[16]
         assert all(d > 0 for d in delays)
 
     def test_legacy_constants_mirror_the_default_policy(self):
-        """The historical retry constants live only in repro.retry now;
-        their values are pinned — a change there silently re-times every
-        index family."""
-        from repro.retry import DEFAULT_RETRY_POLICY
+        """The historical retry constants live only in repro.retry; their
+        values are pinned — a change there silently re-times every index
+        family."""
         assert DEFAULT_RETRY_POLICY.max_attempts == 256
-        assert DEFAULT_RETRY_POLICY.base_backoff == 0.2e-6
-        assert DEFAULT_RETRY_POLICY.linear_cap == 16
-        assert backoff_delay(3) == DEFAULT_RETRY_POLICY.delay(3)
+        assert BASE_BACKOFF == 0.2e-6
+        assert LINEAR_CAP == 16
+        assert queue_poll_delays(None, 4)[3] == DEFAULT_RETRY_POLICY.delay(3)
 
     def test_no_rng_is_byte_identical_to_historical(self):
-        assert backoff_delay(5) == backoff_delay(5, rng=None, jitter=0.5)
+        assert queue_poll_delays(None, 20) == [
+            0.2e-6 * min(attempt + 1, 16) for attempt in range(20)]
 
     def test_jitter_is_bounded_and_reproducible(self):
         import random
-        base = backoff_delay(5)
-        first = [backoff_delay(5, rng=random.Random(7), jitter=0.25)
-                 for _ in range(1)]
-        second = [backoff_delay(5, rng=random.Random(7), jitter=0.25)
-                  for _ in range(1)]
-        assert first == second  # seeded rng -> reproducible
-        rng = random.Random(3)
-        for _ in range(100):
-            delay = backoff_delay(5, rng=rng, jitter=0.25)
-            assert 0.75 * base <= delay <= 1.25 * base
+        assert queue_poll_delays(random.Random(7), 20) == \
+            queue_poll_delays(random.Random(7), 20)
+        bare = queue_poll_delays(None, 100)
+        jittered = queue_poll_delays(random.Random(3), 100)
+        assert jittered != bare
+        for base, delay in zip(bare, jittered):
+            assert (1 - QUEUE_POLL_JITTER) * base <= delay <= \
+                (1 + QUEUE_POLL_JITTER) * base
 
     def test_retry_policy_jitter_matches(self):
         import random
-        from repro.retry import RetryPolicy
-        policy = RetryPolicy(jitter=0.25)
-        assert policy.delay(5, rng=random.Random(7)) == \
-            backoff_delay(5, rng=random.Random(7), jitter=0.25)
+        rng = random.Random(7)
+        assert queue_poll_delays(random.Random(7), 20) == [
+            DEFAULT_RETRY_POLICY.delay(attempt, rng, QUEUE_POLL_JITTER)
+            for attempt in range(20)]
+
+    def test_seeded_poll_is_the_historical_list(self):
+        """Frozen from the retired ``repro.core.sync.backoff_delay(attempt,
+        rng, jitter=0.25)``, one shared ``random.Random(7)``: the poll
+        draws the same one ``rng.random()`` per sleep and computes the
+        same float."""
+        import random
+        assert queue_poll_delays(random.Random(7), 20) == HISTORICAL_POLL
+
+
+#: ``backoff_delay(i, rng, jitter=0.25)`` for i in 0..19, rng = Random(7).
+HISTORICAL_POLL = [
+    1.8238327648331623e-07, 3.3016983478490036e-07, 6.452803419119562e-07,
+    6.289745146670171e-07, 1.0179410021533446e-06, 1.1194133501475512e-06,
+    1.0905992473422948e-06, 1.6059485865515362e-06, 1.3837460925977862e-06,
+    1.933645683662386e-06, 1.726840965932081e-06, 1.908855616012638e-06,
+    2.501874945885268e-06, 3.2575929745408535e-06, 2.4357029417244683e-06,
+    2.7571823433712233e-06, 3.403893155848943e-06, 3.916334307931209e-06,
+    3.3233647177879978e-06, 3.034688759441248e-06,
+]
+
+
+def queue_poll_delays(rng, attempts):
+    """What :meth:`FamilyClientBase._queue_backoff` sleeps, attempt by
+    attempt, for the next-in-line waiter of a queue sequence seeded with
+    *rng*."""
+    delays = []
+    poller = SimpleNamespace(engine=SimpleNamespace(timeout=delays.append),
+                             ctx=SimpleNamespace(rng=rng))
+    retry = DEFAULT_RETRY_POLICY.start("queue", Engine(), rng)
+    for _ in range(attempts):
+        retry.check()
+        next(FamilyClientBase._queue_backoff(poller, retry, 1))
+    return delays
