@@ -97,15 +97,13 @@ def fig3a_tradeoff(scale: Optional[Scale] = None) -> List[Dict]:
 
 def fig3b_limited_bandwidth(scale: Optional[Scale] = None,
                             indexes: Sequence[str] = ("chime", "sherman",
-                                                      "rolex", "smart"),
-                            seed: Optional[int] = None) -> List[Dict]:
+                                                      "rolex", "smart")) -> List[Dict]:
     """YCSB C, 1 MN (bandwidth-limited), ample cache: client sweep."""
     scale = scale or current_scale()
     specs = [
         scale.point(index_name, "C",
                     scale.cluster_config(clients=clients, num_mns=1,
-                                         cache_bytes=10 * scale.cache_bytes,
-                                         seed=seed))
+                                         cache_bytes=10 * scale.cache_bytes))
         for index_name in indexes
         for clients in scale.client_sweep
     ]
@@ -114,15 +112,13 @@ def fig3b_limited_bandwidth(scale: Optional[Scale] = None,
 
 def fig3c_limited_cache(scale: Optional[Scale] = None,
                         indexes: Sequence[str] = ("chime", "sherman",
-                                                  "rolex", "smart"),
-                        seed: Optional[int] = None) -> List[Dict]:
+                                                  "rolex", "smart")) -> List[Dict]:
     """YCSB C, several MNs (ample bandwidth), the scaled 100 MB cache."""
     scale = scale or current_scale()
     specs = [
         scale.point(index_name, "C",
                     scale.cluster_config(clients=clients, num_mns=8,
-                                         cache_bytes=scale.cache_bytes,
-                                         seed=seed),
+                                         cache_bytes=scale.cache_bytes),
                     unlimited_cache_for=())
         for index_name in indexes
         for clients in scale.client_sweep
@@ -262,13 +258,12 @@ def table1_rtts(scale: Optional[Scale] = None) -> List[Dict]:
 def fig12_ycsb(scale: Optional[Scale] = None,
                workloads: Sequence[str] = ("A", "B", "C", "D", "E", "LOAD"),
                indexes: Sequence[str] = MAIN_INDEXES,
-               client_sweep: Optional[Sequence[int]] = None,
-               seed: Optional[int] = None) -> List[Dict]:
+               client_sweep: Optional[Sequence[int]] = None) -> List[Dict]:
     scale = scale or current_scale()
     sweep = client_sweep or scale.client_sweep
     specs = [
         scale.point(index_name, workload,
-                    scale.cluster_config(clients=clients, seed=seed))
+                    scale.cluster_config(clients=clients))
         for workload in workloads
         for index_name in indexes
         # the paper skips ROLEX for LOAD (§5.1 fn. 3)
@@ -291,8 +286,7 @@ POINT_INDEXES = ("chime", "sherman", "outback", "flexkv")
 def fig12_point_families(scale: Optional[Scale] = None,
                          workloads: Sequence[str] = ("C", "A", "D", "F"),
                          indexes: Sequence[str] = POINT_INDEXES,
-                         client_sweep: Optional[Sequence[int]] = None,
-                         seed: Optional[int] = None) -> List[Dict]:
+                         client_sweep: Optional[Sequence[int]] = None) -> List[Dict]:
     """Fig-12-style comparison across execution placements.
 
     Same sweep shape as :func:`fig12_ycsb`, restricted to point
@@ -307,7 +301,7 @@ def fig12_point_families(scale: Optional[Scale] = None,
     sweep = client_sweep or scale.client_sweep
     specs = [
         scale.point(index_name, workload,
-                    scale.cluster_config(clients=clients, seed=seed),
+                    scale.cluster_config(clients=clients),
                     extra=(("placement",
                             get_family(index_name).default_placement),))
         for workload in workloads
@@ -318,8 +312,7 @@ def fig12_point_families(scale: Optional[Scale] = None,
 
 
 def figplacement(scale: Optional[Scale] = None,
-                 footprint_fractions: Sequence[float] = (4.0, 1.0, 0.5, 0.1),
-                 seed: Optional[int] = None) -> List[Dict]:
+                 footprint_fractions: Sequence[float] = (4.0, 1.0, 0.5, 0.1)) -> List[Dict]:
     """FlexKV dynamic placement under a shrinking CN cache budget.
 
     One YCSB-C run per cache budget, anchored to the FlexKV *directory
@@ -336,7 +329,7 @@ def figplacement(scale: Optional[Scale] = None,
     from repro.baselines.flexkv import FlexKVIndex
 
     scale = scale or current_scale()
-    base = scale.cluster_config(seed=seed)
+    base = scale.cluster_config()
     footprint = FlexKVIndex.directory_bytes(scale.num_keys, base.num_mns)
     specs = [
         scale.point("flexkv", "C", base.scaled(
@@ -362,8 +355,7 @@ def figplacement(scale: Optional[Scale] = None,
 def figshard_scaleout(scale: Optional[Scale] = None,
                       workloads: Sequence[str] = ("C", "A"),
                       mn_sweep: Sequence[int] = (1, 2, 4),
-                      client_sweep: Optional[Sequence[int]] = None,
-                      seed: Optional[int] = None) -> List[Dict]:
+                      client_sweep: Optional[Sequence[int]] = None) -> List[Dict]:
     """Aggregate throughput vs MN count under key-space sharding.
 
     Fig-12-style client sweep repeated per MN count, with the key space
@@ -378,7 +370,7 @@ def figshard_scaleout(scale: Optional[Scale] = None,
     sweep = client_sweep or scale.client_sweep
     specs = [
         scale.point("chime", workload,
-                    scale.cluster_config(clients=clients, seed=seed,
+                    scale.cluster_config(clients=clients,
                                          num_mns=num_mns,
                                          num_shards=num_mns),
                     extra=(("num_mns", num_mns),))
@@ -396,11 +388,10 @@ def figshard_scaleout(scale: Optional[Scale] = None,
 def fig13_variable_kv(scale: Optional[Scale] = None,
                       workloads: Sequence[str] = ("A", "C", "D", "E",
                                                   "LOAD"),
-                      value_size: int = 32,
-                      seed: Optional[int] = None) -> List[Dict]:
+                      value_size: int = 32) -> List[Dict]:
     scale = scale or current_scale()
     specs = [
-        scale.point(index_name, workload, scale.cluster_config(seed=seed),
+        scale.point(index_name, workload, scale.cluster_config(),
                     value_size=value_size)
         for workload in workloads
         for index_name in INDIRECT_INDEXES
@@ -463,8 +454,7 @@ FACTOR_STEPS = (
 
 
 def fig15b_learned_branch(scale: Optional[Scale] = None,
-                          workloads: Sequence[str] = ("C", "A"),
-                          seed: Optional[int] = None) -> List[Dict]:
+                          workloads: Sequence[str] = ("C", "A")) -> List[Dict]:
     """Figure 15b + §5.3: applying the hopscotch leaf to ROLEX.
 
     ROLEX -> CHIME-Learned (model routing over hopscotch leaves) ->
@@ -474,7 +464,7 @@ def fig15b_learned_branch(scale: Optional[Scale] = None,
     """
     scale = scale or current_scale()
     specs = [
-        scale.point(index_name, workload, scale.cluster_config(seed=seed))
+        scale.point(index_name, workload, scale.cluster_config())
         for workload in workloads
         for index_name in ("rolex", "chime-learned", "chime")
     ]
@@ -482,12 +472,11 @@ def fig15b_learned_branch(scale: Optional[Scale] = None,
 
 
 def fig15_factor_analysis(scale: Optional[Scale] = None,
-                          workloads: Sequence[str] = ("C", "LOAD", "A"),
-                          seed: Optional[int] = None) -> List[Dict]:
+                          workloads: Sequence[str] = ("C", "LOAD", "A")) -> List[Dict]:
     scale = scale or current_scale()
     specs = [
         scale.point("sherman" if step_name == "sherman" else "chime",
-                    workload, scale.cluster_config(seed=seed),
+                    workload, scale.cluster_config(),
                     overrides=overrides, extra=(("step", step_name),))
         for workload in workloads
         for step_name, overrides in FACTOR_STEPS
@@ -522,13 +511,12 @@ def fig16_sibling_validation() -> List[Dict]:
 # --------------------------------------------------------------------------
 
 def fig17_speculative(scale: Optional[Scale] = None,
-                      client_sweep: Optional[Sequence[int]] = None,
-                      seed: Optional[int] = None) -> List[Dict]:
+                      client_sweep: Optional[Sequence[int]] = None) -> List[Dict]:
     scale = scale or current_scale()
     sweep = client_sweep or scale.client_sweep
     specs = [
         scale.point("chime", "C",
-                    scale.cluster_config(clients=clients, seed=seed),
+                    scale.cluster_config(clients=clients),
                     overrides={"speculative_read": speculative},
                     extra=(("speculative_read", speculative),))
         for speculative in (False, True)
@@ -542,12 +530,12 @@ def fig17_speculative(scale: Optional[Scale] = None,
 # --------------------------------------------------------------------------
 
 def _knob_sweep(scale: Optional[Scale], indexes: Sequence[str], knob: str,
-                values: Sequence, seed: Optional[int],
+                values: Sequence,
                 workload: str = "C") -> List[Dict]:
     """*workload* for each index at each value of one point field *knob*."""
     scale = scale or current_scale()
     specs = [
-        scale.point(index_name, workload, scale.cluster_config(seed=seed),
+        scale.point(index_name, workload, scale.cluster_config(),
                     extra=((knob, value),), **{knob: value})
         for index_name in indexes
         for value in values
@@ -558,9 +546,8 @@ def _knob_sweep(scale: Optional[Scale], indexes: Sequence[str], knob: str,
 def fig18a_skewness(scale: Optional[Scale] = None,
                     thetas: Sequence[float] = (0.5, 0.7, 0.9, 0.99),
                     indexes: Sequence[str] = ("chime", "sherman", "rolex",
-                                              "smart"),
-                    seed: Optional[int] = None) -> List[Dict]:
-    return _knob_sweep(scale, indexes, "theta", thetas, seed, workload="A")
+                                              "smart")) -> List[Dict]:
+    return _knob_sweep(scale, indexes, "theta", thetas, workload="A")
 
 
 def skew_sync_sweep(scale: Optional[Scale] = None,
@@ -570,8 +557,7 @@ def skew_sync_sweep(scale: Optional[Scale] = None,
                     client_sweep: Sequence[int] = (8, 16, 32, 48, 96),
                     thetas: Sequence[float] = (0.6, 0.99),
                     num_keys: int = 400,
-                    num_cns: int = 4,
-                    seed: Optional[int] = None) -> List[Dict]:
+                    num_cns: int = 4) -> List[Dict]:
     """Sync-mode contention sweep: the optimistic/pessimistic crossover.
 
     Drives CHIME through write-heavy YCSB A on a deliberately dense
@@ -595,8 +581,7 @@ def skew_sync_sweep(scale: Optional[Scale] = None,
         scale.point("chime", "A",
                     replace(scale.cluster_config(clients=clients,
                                                  num_cns=num_cns,
-                                                 sync_mode=mode,
-                                                 seed=seed),
+                                                 sync_mode=mode),
                             lock_leases=True),
                     num_keys=num_keys, key_space=0, theta=theta,
                     extra=(("sync_mode", mode), ("theta", theta)))
@@ -610,14 +595,12 @@ def skew_sync_sweep(scale: Optional[Scale] = None,
 def fig18b_cache_size(scale: Optional[Scale] = None,
                       factors: Sequence[float] = (0.25, 1.0, 4.0, 16.0),
                       indexes: Sequence[str] = ("chime", "sherman", "rolex",
-                                                "smart"),
-                      seed: Optional[int] = None) -> List[Dict]:
+                                                "smart")) -> List[Dict]:
     scale = scale or current_scale()
     specs = [
         scale.point(index_name, "C",
                     scale.cluster_config(
-                        cache_bytes=int(scale.cache_bytes * factor),
-                        seed=seed),
+                        cache_bytes=int(scale.cache_bytes * factor)),
                     unlimited_cache_for=(),
                     extra=(("cache_budget",
                             int(scale.cache_bytes * factor)),))
@@ -630,28 +613,23 @@ def fig18b_cache_size(scale: Optional[Scale] = None,
 def fig18c_inline_value_size(scale: Optional[Scale] = None,
                              sizes: Sequence[int] = (8, 64, 256, 512),
                              indexes: Sequence[str] = ("chime", "sherman",
-                                                       "rolex", "smart"),
-                             seed: Optional[int] = None) -> List[Dict]:
-    return _knob_sweep(scale, indexes, "value_size", sizes, seed)
+                                                       "rolex", "smart")) -> List[Dict]:
+    return _knob_sweep(scale, indexes, "value_size", sizes)
 
 
 def fig18d_indirect_value_size(scale: Optional[Scale] = None,
-                               sizes: Sequence[int] = (8, 64, 256, 512),
-                               seed: Optional[int] = None) -> List[Dict]:
-    return _knob_sweep(scale, INDIRECT_INDEXES, "value_size", sizes, seed)
+                               sizes: Sequence[int] = (8, 64, 256, 512)) -> List[Dict]:
+    return _knob_sweep(scale, INDIRECT_INDEXES, "value_size", sizes)
 
 
 def fig18e_span_size(scale: Optional[Scale] = None,
-                     spans: Sequence[int] = (16, 64, 128, 256),
-                     seed: Optional[int] = None) -> List[Dict]:
-    return _knob_sweep(scale, ("chime", "sherman", "rolex"), "span", spans,
-                       seed)
+                     spans: Sequence[int] = (16, 64, 128, 256)) -> List[Dict]:
+    return _knob_sweep(scale, ("chime", "sherman", "rolex"), "span", spans)
 
 
 def fig18f_neighborhood_size(scale: Optional[Scale] = None,
-                             neighborhoods: Sequence[int] = (2, 4, 8, 16),
-                             seed: Optional[int] = None) -> List[Dict]:
-    return _knob_sweep(scale, ("chime",), "neighborhood", neighborhoods, seed)
+                             neighborhoods: Sequence[int] = (2, 4, 8, 16)) -> List[Dict]:
+    return _knob_sweep(scale, ("chime",), "neighborhood", neighborhoods)
 
 
 # --------------------------------------------------------------------------

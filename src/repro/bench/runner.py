@@ -48,12 +48,13 @@ def load_index(index, pairs, workload_name: str,
 def run_workload(cluster: Cluster, index, workload_name: str,
                  ops_per_client: int, context: WorkloadContext,
                  warmup_fraction: float = 0.1,
-                 max_sim_seconds: Optional[float] = None,
                  depth: Optional[int] = None) -> RunResult:
     """Drive every cluster client through its op stream; returns metrics.
 
     *depth* overrides the pipeline depth for this run; None means
     the cluster's :attr:`~repro.config.ClusterConfig.pipeline_depth`.
+    An op's :class:`~repro.errors.ReproError` stops its client; the
+    first one is raised once every other client has finished.
     """
     if depth is None:
         depth = cluster.config.pipeline_depth
@@ -67,10 +68,13 @@ def run_workload(cluster: Cluster, index, workload_name: str,
     switches_before = getattr(index, "placement_switches", None)
     start_time = cluster.engine.now
 
-    run = launch_clients(cluster, index, context, ops_per_client, warmup,
-                         depth=depth)
-    cluster.run(until=None if max_sim_seconds is None
-                else start_time + max_sim_seconds)
+    streams = [context.stream(client_index, ops_per_client)
+               for client_index in range(cluster.total_clients)]
+    run = launch_clients(cluster, index, streams, warmup, depth=depth,
+                         commit=context.commit_insert)
+    cluster.run()
+    if run.errors:
+        raise run.errors[0][1]
     elapsed = cluster.engine.now - start_time
     traffic = cluster.traffic_totals().delta(traffic_before)
     hits = sum(cn.cache.hits - before[0]

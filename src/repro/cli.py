@@ -571,7 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="ops per client (default: preset)")
     trace_parser.add_argument("--out", default=None, metavar="PATH",
                               help="write Chrome trace-event JSON here")
-    _add_knob_flags(trace_parser, "scale seed depth sync_mode",
+    _add_knob_flags(trace_parser, "scale seed depth sync_mode num_mns "
+                                  "num_shards",
                     env="depth sync_mode num_mns num_shards")
 
     chaos_parser = sub.add_parser(

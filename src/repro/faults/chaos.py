@@ -5,8 +5,11 @@ index family (CHIME by default; any registry family), installs a
 :class:`~repro.faults.plan.FaultPlan` derived from a
 :class:`ChaosConfig` (by default: crash one client's CN right before its
 first write verb — for a lock-word family, between the lock-acquiring
-CAS and the unlocking WRITE), drives a mixed workload from every
-client, and then audits the index with
+CAS and the unlocking WRITE), drives a pre-drawn mixed workload from
+every client through :func:`repro.sched.launch_clients` — the lanes
+every benchmark point runs on, where an op's
+:class:`~repro.errors.ReproError` stops its client — and then audits
+the index with
 :func:`~repro.faults.invariants.check_index_invariants` and judges every
 answer the run gave, and its final state, with
 :func:`~repro.faults.history.check_history`.
@@ -30,20 +33,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.core.node_layout import sim_us
-from repro.errors import ReproError
 from repro.faults.history import check_history, history
 from repro.faults.invariants import InvariantReport, check_index_invariants
 from repro.faults.plan import FaultPlan
 from repro.obs import recording
 from repro.registry import build_index
 from repro.retry import DEFAULT_RETRY_POLICY
-from repro.sched import LaneContext
-from repro.workloads.ycsb import dataset
+from repro.sched import launch_clients
+from repro.workloads.ycsb import INSERT, SEARCH, UPDATE, Op, dataset
 
 __all__ = ["ChaosConfig", "ChaosResult", "build_plan", "run_chaos"]
 
@@ -143,8 +145,8 @@ def build_plan(cfg: ChaosConfig) -> FaultPlan:
     return plan
 
 
-def _client_ops(cfg: ChaosConfig, client_index: int) -> List[Tuple[str, int]]:
-    """Pre-draw one client's op list as ``(kind, key)`` tuples.
+def _client_ops(cfg: ChaosConfig, client_index: int) -> List[Op]:
+    """Pre-draw one client's op list.
 
     The mix is drawn from a per-client RNG seeded from (campaign seed,
     client index) only — no globals, no hashing — so the stream is
@@ -154,61 +156,20 @@ def _client_ops(cfg: ChaosConfig, client_index: int) -> List[Tuple[str, int]]:
     victim holding a leaf lock.
     """
     rng = random.Random(cfg.seed * 1_000_003 + 7919 * client_index)
-    ops: List[Tuple[str, int]] = []
+    ops: List[Op] = []
     for op_index in range(cfg.ops_per_client):
         key = rng.randrange(1, cfg.key_space + 1)
         if op_index == 0:
-            ops.append(("insert", key))
+            ops.append(Op(INSERT, key, key * 7 + 1))
             continue
         draw = rng.random()
         if draw < cfg.insert_fraction:
-            ops.append(("insert", key))
+            ops.append(Op(INSERT, key, key * 7 + 1))
         elif draw < cfg.insert_fraction + cfg.update_fraction:
-            ops.append(("update", key))
+            ops.append(Op(UPDATE, key, key * 11 + 1))
         else:
-            ops.append(("search", key))
+            ops.append(Op(SEARCH, key))
     return ops
-
-
-def _chaos_lane(engine, client, lane_name: str, client_name: str, ops,
-                completed: Dict[str, int], errors: List[Dict],
-                halted: List[bool]) -> Generator:
-    """One chaos lane: pull ops from the client's shared iterator.
-
-    All lanes of a client drain one iterator, so ops run exactly once
-    regardless of depth.  A :class:`~repro.errors.ReproError` stops the
-    *whole client* — the erroring lane raises the shared ``halted``
-    flag and sibling lanes stop pulling — matching the historical
-    one-error-kills-the-client semantics at any depth.  Errors record
-    the lane name, so overlapping failures stay attributable.
-
-    Shard-routed clients expose ``outage_delay(key)``; the lane parks
-    out an injected outage window on the key's home MN instead of
-    burning its retry budget, while lanes on healthy shards keep
-    running (see :func:`repro.sched.client_lane`).
-    """
-    parker = getattr(client, "outage_delay", None)
-    try:
-        while not halted[0]:
-            try:
-                kind, key = next(ops)
-            except StopIteration:
-                return
-            if parker is not None:
-                delay = parker(key)
-                if delay > 0.0:
-                    yield engine.timeout(delay)
-            if kind == "insert":
-                yield from client.insert(key, key * 7 + 1)
-            elif kind == "update":
-                yield from client.update(key, key * 11 + 1)
-            else:
-                yield from client.search(key)
-            completed[client_name] += 1
-    except ReproError as exc:
-        halted[0] = True
-        errors.append({"client": lane_name, "error": type(exc).__name__,
-                       "detail": str(exc)[:120]})
 
 
 def run_chaos(cfg: ChaosConfig) -> ChaosResult:
@@ -230,20 +191,10 @@ def run_chaos(cfg: ChaosConfig) -> ChaosResult:
         pairs = dataset(cfg.initial_keys, key_space=cfg.key_space, seed=1)
         index.bulk_load(pairs)
         injector = cluster.install_faults(build_plan(cfg))
-        completed: Dict[str, int] = {}
-        errors: List[Dict] = []
-        for client_index, ctx in enumerate(cluster.clients()):
-            name = ctx.name
-            completed[name] = 0
-            ops = iter(_client_ops(cfg, client_index))
-            halted = [False]
-            for lane in range(cfg.pipeline_depth):
-                lane_ctx = ctx if lane == 0 else LaneContext(ctx, lane)
-                cluster.engine.process(
-                    _chaos_lane(cluster.engine, index.client(lane_ctx),
-                                lane_ctx.name, name, ops, completed,
-                                errors, halted),
-                    name=f"chaos-{lane_ctx.name}")
+        streams = [_client_ops(cfg, client_index)
+                   for client_index in range(cluster.total_clients)]
+        run = launch_clients(cluster, index, streams, warmup=0,
+                             depth=cfg.pipeline_depth)
         cluster.run()
         dead = sorted(injector.dead_cns)
         invariants = check_index_invariants(index, dead_cns=dead)
@@ -251,11 +202,13 @@ def run_chaos(cfg: ChaosConfig) -> ChaosResult:
             history(rec), pairs, index.collect_items())
         stranded = cluster.sync_state.stranded(dead)
         metrics = rec.notes()
-    errors.sort(key=lambda e: e["client"])
+    errors = [{"client": lane, "error": type(exc).__name__,
+               "detail": str(exc)[:120]}
+              for lane, exc in sorted(run.errors, key=lambda e: e[0])]
     return ChaosResult(
         config=asdict(cfg),
         sim_time_us=sim_us(cluster.engine.now),
-        completed=completed,
+        completed=run.completed,
         errors=errors,
         dead_cns=dead,
         fault_counters=dict(sorted(injector.counters.items())),

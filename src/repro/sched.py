@@ -1,23 +1,30 @@
-"""The pipelined op scheduler: DEX-style coroutine depth per client.
+"""The op scheduler: DEX-style coroutine lanes, the one client driver.
 
 Real DM clients hide one-sided RDMA latency by keeping several
 operations in flight per worker thread — DEX runs coroutine pools
 inside each thread, and Outback's round-trip economy only matters
-because every round trip stalls a coroutine, not a core.  The simulator
-historically drove each client through its op stream strictly serially,
-so simulated throughput understated what a real testbed overlaps for
-free.
+because every round trip stalls a coroutine, not a core.
 
-This module runs up to ``depth`` *lanes* (op coroutines) per
-:class:`~repro.cluster.compute.ClientContext`.  All lanes of one client
-pull from one shared, deterministic op stream and share the client's
-queue pair, RNG, CN cache, combiner, and hotspot buffer; each lane gets
-its **own index-client object**, so per-client mutable state held
-across yields (held leases, chunk allocators, the obs op sequence
-number) is automatically lane-private.  Lanes other than lane 0 wrap
-the context in a :class:`LaneContext`, whose ``name`` carries the lane
-id — observability spans from overlapping ops therefore group under
+:func:`launch_clients` is the only code that turns op streams into
+client coroutines: every ``run_workload`` point and every chaos
+campaign (:func:`repro.faults.chaos.run_chaos`) runs on it.  It takes
+one op iterable per :class:`~repro.cluster.compute.ClientContext` and
+runs up to ``depth`` *lanes* (op coroutines) per client.  All lanes of
+one client pull from that client's stream and share its queue pair,
+RNG, CN cache, combiner, and hotspot buffer; each lane gets its **own
+index-client object**, so per-client mutable state held across yields
+(held leases, chunk allocators, the obs op sequence number) is
+automatically lane-private.  Lanes other than lane 0 wrap the context
+in a :class:`LaneContext`, whose ``name`` carries the lane id —
+observability spans from overlapping ops therefore group under
 distinct per-coroutine ids.
+
+A :class:`~repro.errors.ReproError` raised by an op stops its client:
+the erring lane files ``(lane name, error)`` in
+:attr:`ScheduledRun.errors` and no lane of that client pulls another
+op, while every other client runs on.  The caller decides what an
+error means — ``run_workload`` re-raises the first once the engine has
+drained; chaos reports them all.
 
 Determinism contract:
 
@@ -28,35 +35,23 @@ Determinism contract:
 * ``depth>1`` interleaves lanes deterministically on the engine's
   ``(time, priority, sequence)`` order: the same seed gives byte
   identical results on every run.
-
-The depth is :attr:`~repro.config.ClusterConfig.pipeline_depth` unless
-the caller of ``run_workload`` passes one explicitly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Iterator, List, Tuple
+from typing import Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
-from repro.errors import WorkloadError
+from repro.errors import ReproError, WorkloadError
 from repro.obs.bus import BUS
-from repro.workloads.ycsb import (
-    INSERT,
-    READ_MODIFY_WRITE,
-    SCAN,
-    SEARCH,
-    UPDATE,
-    WorkloadContext,
-)
+from repro.workloads.ycsb import INSERT, READ_MODIFY_WRITE, SCAN, SEARCH, UPDATE
 
 __all__ = [
     "LaneContext",
-    "LaneHandle",
     "ScheduledRun",
     "client_lane",
     "execute_op",
     "launch_clients",
-    "shared_stream",
 ]
 
 #: What a lane shares with its client core; nothing rebinds these after launch.
@@ -87,52 +82,34 @@ class LaneContext:
 
 
 @dataclass
-class LaneHandle:
-    """Bookkeeping for one launched lane coroutine."""
-
-    name: str
-    client_index: int
-    lane: int
-    process: object = field(repr=False, default=None)
-
-    @property
-    def finished(self) -> bool:
-        """Whether the lane's generator ran to completion.
-
-        A lane that is still alive after the engine's heap drained was
-        parked forever (its CN crashed mid-operation) or cut off by a
-        ``max_sim_seconds`` bound.
-        """
-        process = self.process
-        return process is not None and not process.is_alive
-
-
-@dataclass
 class ScheduledRun:
-    """Everything :func:`launch_clients` wires up for one workload run."""
+    """Everything :func:`launch_clients` wires up for one run."""
 
-    depth: int
-    lanes: List[LaneHandle] = field(default_factory=list)
+    #: Every lane's process, client-major then lane-minor.
+    processes: List = field(default_factory=list)
     latencies: List[float] = field(default_factory=list)
-    #: Single-cell completed-op counter (a list so lane closures share it).
-    completed: List[int] = field(default_factory=lambda: [0])
+    #: Ops completed, per client name.
+    completed: Dict[str, int] = field(default_factory=dict)
+    #: ``(lane name, error)`` per op that raised a ReproError.
+    errors: List[Tuple[str, ReproError]] = field(default_factory=list)
 
     @property
     def ops_completed(self) -> int:
-        return self.completed[0]
+        return sum(self.completed.values())
 
     @property
     def lanes_parked(self) -> int:
-        """Lanes whose coroutine never finished (crashed CN / time bound)."""
-        return sum(1 for lane in self.lanes if not lane.finished)
+        """Lanes whose coroutine never finished: its CN crashed mid-op."""
+        return sum(1 for process in self.processes if process.is_alive)
 
 
-def execute_op(client, op, context: WorkloadContext) -> Generator:
+def execute_op(client, op, commit: Optional[Callable[[int], None]]
+               ) -> Generator:
     """Run one YCSB op against an index client.
 
-    The dispatch (and the commit-after-return rule for inserts) is
-    exactly the historical ``client_loop`` body; it lives here so the
-    serial and pipelined paths cannot drift apart.
+    The dispatch is the historical ``client_loop`` body, so ``depth=1``
+    stays event-sequence identical to it; an insert's key goes to
+    *commit*, if given, once the insert returns.
     """
     if op.kind == SEARCH:
         yield from client.search(op.key)
@@ -140,7 +117,8 @@ def execute_op(client, op, context: WorkloadContext) -> Generator:
         yield from client.update(op.key, op.value)
     elif op.kind == INSERT:
         yield from client.insert(op.key, op.value)
-        context.commit_insert(op.key)
+        if commit is not None:
+            commit(op.key)
     elif op.kind == SCAN:
         yield from client.scan(op.key, op.scan_count)
     elif op.kind == READ_MODIFY_WRITE:
@@ -151,37 +129,28 @@ def execute_op(client, op, context: WorkloadContext) -> Generator:
         raise WorkloadError(f"unknown op kind {op.kind}")
 
 
-def shared_stream(stream) -> Iterator[Tuple[int, object]]:
-    """One client's op stream as a shared ``(op_index, op)`` iterator.
-
-    Every lane of the client pulls from the same iterator, so ops are
-    dispensed exactly once and ``op_index`` preserves the stream
-    position regardless of which lane runs an op (warmup exclusion
-    stays per-op, not per-lane).
-    """
-    return iter(enumerate(iter(stream)))
-
-
-def client_lane(engine, client, ops: Iterator[Tuple[int, object]],
-                context: WorkloadContext, warmup: int,
-                latencies: List[float], completed: List[int]) -> Generator:
+def client_lane(engine, client, name: str, ops, halted: List[bool],
+                run: ScheduledRun, warmup: int,
+                commit: Optional[Callable[[int], None]]) -> Generator:
     """One lane coroutine: pull the next op, run it, record latency.
 
-    Latency spans the whole closed-loop op (including queueing on
-    shared NIC resources while sibling lanes are in flight) and is
-    recorded per-op at completion; ops whose stream position falls
-    inside the warmup window are excluded, as in the serial runner.
+    *ops* yields ``(op_index, op)`` and is shared by every lane of the
+    client *name*, so ops run exactly once at any depth and warm-up
+    exclusion stays per stream position.  Latency spans the whole
+    closed-loop op (including queueing on shared NIC resources while
+    sibling lanes are in flight) and is recorded at completion.  A
+    :class:`~repro.errors.ReproError` sets the client's *halted* cell,
+    so no lane of it pulls again, and is filed in ``run.errors``.
 
     Shard-routed clients expose ``outage_delay(key)`` — the seconds
     until the key's home MN leaves an injected outage window.  The lane
     parks for that long instead of burning retry budget against a dead
-    MN, while lanes routed to healthy shards keep running.  Legacy
-    clients have no such hook and the loop is unchanged (event-sequence
-    identity preserved: the hook is pure Python and returns 0.0 when no
-    injector is installed).
+    MN, while lanes routed to healthy shards keep running.  The hook is
+    pure Python and returns 0.0 when no injector is installed.
     """
     parker = getattr(client, "outage_delay", None)
-    while True:
+    completed, latencies = run.completed, run.latencies
+    while not halted[0]:
         try:
             op_index, op = next(ops)
         except StopIteration:
@@ -194,37 +163,42 @@ def client_lane(engine, client, ops: Iterator[Tuple[int, object]],
         if BUS.active:  # a recording files the op's records as warm-up or not
             BUS.emit("stream.op", engine.now, client=client.ctx.name,
                      warmup=op_index < warmup)
-        yield from execute_op(client, op, context)
-        completed[0] += 1
+        try:
+            yield from execute_op(client, op, commit)
+        except ReproError as exc:
+            halted[0] = True
+            run.errors.append((client.ctx.name, exc))
+            return
+        completed[name] += 1
         if op_index >= warmup:
             latencies.append((engine.now - begin) * 1e6)
 
 
-def launch_clients(cluster, index, context: WorkloadContext,
-                   ops_per_client: int, warmup: int,
-                   depth: int = 1) -> ScheduledRun:
-    """Start ``depth`` lanes per client context on the cluster engine.
+def launch_clients(cluster, index, streams: Iterable[Iterable], warmup: int,
+                   depth: int = 1,
+                   commit: Optional[Callable[[int], None]] = None
+                   ) -> ScheduledRun:
+    """Start ``depth`` lanes per client on the cluster engine.
 
-    Lane 0 of each client binds to the raw context; further lanes bind
-    to :class:`LaneContext` views.  Processes are created client-major
+    *streams* holds one op iterable per client, in
+    ``cluster.clients()`` order; ops at stream positions below *warmup*
+    record no latency, and *commit* is told each inserted key.  Lane 0
+    of each client binds to the raw context; further lanes bind to
+    :class:`LaneContext` views.  Processes are created client-major
     (client 0 lane 0, client 0 lane 1, ..., client 1 lane 0, ...) so
     the ``depth=1`` process creation order matches the historical
-    serial runner exactly.  Every lane records into the shared
-    ``run.latencies`` / ``run.completed`` pair.
+    serial runner exactly.
     """
-    run = ScheduledRun(depth=depth)
+    run = ScheduledRun()
     engine = cluster.engine
-    for client_index, ctx in enumerate(cluster.clients()):
-        ops = shared_stream(context.stream(client_index, ops_per_client))
+    for ctx, stream in zip(cluster.clients(), streams):
+        run.completed[ctx.name] = 0
+        ops = enumerate(stream)
+        halted = [False]
         for lane in range(depth):
             lane_ctx = ctx if lane == 0 else LaneContext(ctx, lane)
-            client = index.client(lane_ctx)
-            handle = LaneHandle(name=lane_ctx.name,
-                                client_index=client_index, lane=lane)
-            handle.process = engine.process(
-                client_lane(engine, client, ops, context, warmup,
-                            run.latencies, run.completed),
-                name=f"lane-{lane_ctx.name}")
-            run.lanes.append(handle)
+            run.processes.append(engine.process(
+                client_lane(engine, index.client(lane_ctx), ctx.name, ops,
+                            halted, run, warmup, commit),
+                name=f"lane-{lane_ctx.name}"))
     return run
-

@@ -197,6 +197,22 @@ class TestCli:
         assert self._captured_scale(monkeypatch, ["--depth", "2"]).depth == 2
         assert os.environ["REPRO_DEPTH"] == "3"
 
+    def test_trace_shard_flags_match_the_variables(self, monkeypatch,
+                                                   capsys):
+        for name in ("REPRO_NUM_MNS", "REPRO_SHARDS"):
+            monkeypatch.delenv(name, raising=False)
+        argv = ["trace", "--workload", "E", "--clients", "4", "--ops", "20"]
+        assert main(argv + ["--num-mns", "4", "--shards", "4"]) == 0
+        flags = capsys.readouterr().out
+        monkeypatch.setenv("REPRO_NUM_MNS", "4")
+        monkeypatch.setenv("REPRO_SHARDS", "4")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == flags
+        monkeypatch.delenv("REPRO_NUM_MNS")
+        monkeypatch.delenv("REPRO_SHARDS")
+        assert main(argv) == 0
+        assert capsys.readouterr().out != flags  # the shards took effect
+
     @pytest.mark.parametrize("flag,value", [("--depth", "0"), ("--jobs", "0"),
                                             ("--num-mns", "0"),
                                             ("--shards", "-1")])

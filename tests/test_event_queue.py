@@ -67,8 +67,11 @@ def _golden_run(index_name: str, workload: str, monkeypatch,
     load_index(index, pairs, workload, context)
     injector = None if faults is None else cluster.install_faults(faults)
     cluster.engine.event_log = log = []
-    run = launch_clients(cluster, index, context, OPS, OPS // 10,
-                         depth=config.pipeline_depth)
+    streams = [context.stream(client_index, OPS)
+               for client_index in range(cluster.total_clients)]
+    run = launch_clients(cluster, index, streams, OPS // 10,
+                         depth=config.pipeline_depth,
+                         commit=context.commit_insert)
     cluster.run()
     return {
         "log": log,

@@ -7,7 +7,9 @@ two identically seeded clusters for every index family; engine event
 counts, final simulated time, latency lists, and op counts must all
 match exactly.  ``depth>1`` must stay deterministic and actually hide
 latency (higher simulated throughput), and a CN crash at depth 4 must
-park every lane of the dead CN while the tree stays consistent.
+park every lane of the dead CN while the tree stays consistent.  An
+op's ReproError stops only its own client, is filed once, and
+``run_workload`` raises it after the engine has drained.
 """
 
 import json
@@ -17,6 +19,7 @@ import pytest
 from repro.bench.runner import build_index, load_index, run_workload
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
+from repro.errors import WorkloadError
 from repro.registry import family_names
 from repro.sched import LaneContext, launch_clients
 from repro.workloads.ycsb import (
@@ -26,6 +29,7 @@ from repro.workloads.ycsb import (
     SEARCH,
     UPDATE,
     WORKLOADS,
+    Op,
     WorkloadContext,
     dataset,
 )
@@ -86,8 +90,10 @@ def _legacy_run(cluster, index, context, ops_per_client: int, warmup: int):
 
 def _sched_run(cluster, index, context, ops_per_client: int, warmup: int,
                depth: int):
-    run = launch_clients(cluster, index, context, ops_per_client, warmup,
-                         depth=depth)
+    streams = [context.stream(client_index, ops_per_client)
+               for client_index in range(cluster.total_clients)]
+    run = launch_clients(cluster, index, streams, warmup, depth=depth,
+                         commit=context.commit_insert)
     cluster.run()
     return run
 
@@ -166,6 +172,66 @@ class TestDeeperDepths:
         lanes = {span.client for span in recorder.spans}
         assert any(name.endswith("~1") for name in lanes)
         assert any("~" not in name for name in lanes)  # lane 0 is raw
+
+
+#: Stream position of the poisoned op in client 0's stream.
+BAD_AT = 5
+
+
+def _poisoned_streams(cluster, context):
+    """Every client's stream as a list iterator; client 0's holds an op
+    of unknown kind at :data:`BAD_AT`, which ``execute_op`` rejects with
+    a :class:`WorkloadError` before it issues a verb."""
+    streams = []
+    for client_index in range(cluster.total_clients):
+        ops = list(context.stream(client_index, OPS))
+        if client_index == 0:
+            ops.insert(BAD_AT, Op(99, ops[BAD_AT].key, 0, 0))
+        streams.append(iter(ops))
+    return streams
+
+
+class TestLaneErrors:
+    """A ReproError stops its client, is filed once, and leaves every
+    other client to finish its stream."""
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_error_stops_only_its_client(self, depth):
+        cluster, index, context = _make("chime", "A")
+        streams = _poisoned_streams(cluster, context)
+        run = launch_clients(cluster, index, streams, OPS // 10,
+                             depth=depth, commit=context.commit_insert)
+        cluster.run()
+        names = [ctx.name for ctx in cluster.clients()]
+        assert len(run.errors) == 1
+        lane, error = run.errors[0]
+        assert lane.split("~")[0] == names[0]
+        assert isinstance(error, WorkloadError)
+        assert "unknown op kind 99" in str(error)
+        # The halted client's lanes pulled nothing after the bad op, and
+        # the ops in flight beside it finished.
+        assert len(list(streams[0])) == OPS - BAD_AT
+        assert run.completed[names[0]] == BAD_AT
+        for name, stream in zip(names[1:], streams[1:]):
+            assert next(stream, None) is None
+            assert run.completed[name] == OPS
+        assert run.ops_completed == BAD_AT + OPS * (len(names) - 1)
+        assert run.lanes_parked == 0
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_run_workload_raises_after_the_engine_drained(self, depth,
+                                                          monkeypatch):
+        cluster, index, context = _make("chime", "A")
+        streams = _poisoned_streams(cluster, context)
+        monkeypatch.setattr(context, "stream",
+                            lambda client_index, num_ops: streams[client_index])
+        with pytest.raises(WorkloadError, match="unknown op kind 99"):
+            run_workload(cluster, index, "A", OPS, context, depth=depth)
+        for stream in streams[1:]:
+            assert next(stream, None) is None
+        events = cluster.engine.events_processed
+        cluster.run()
+        assert cluster.engine.events_processed == events
 
 
 class TestLaneContext:

@@ -12,7 +12,6 @@ import dataclasses
 
 import pytest
 
-from repro.bench.experiments import fig3b_limited_bandwidth
 from repro.bench.scale import Scale, current_scale
 from repro.cli import main
 from repro.xpmt import stats
@@ -358,10 +357,3 @@ class TestSeedThreading:
         monkeypatch.setenv("REPRO_SEED", "not-a-seed")
         with pytest.raises(ValueError):
             current_scale()
-
-    def test_sweep_seed_kwarg_matches_reseeded_scale(self):
-        explicit = fig3b_limited_bandwidth(TINY, indexes=("sherman",), seed=123)
-        reseeded = fig3b_limited_bandwidth(
-            dataclasses.replace(TINY, seed=123), indexes=("sherman",)
-        )
-        assert explicit == reseeded
