@@ -1,9 +1,10 @@
 """Shared fixtures for the figure-reproduction benchmarks.
 
-Each benchmark runs its experiment exactly once (``pedantic`` with one
-round — the experiment itself is a full simulated cluster run), prints
-the figure's data table, and writes it under ``benchmarks/results/`` so
-EXPERIMENTS.md can reference committed numbers.
+Each benchmark runs one table of a figure record exactly once
+(``pedantic`` with one round — the figure itself is a full simulated
+cluster run), prints the table, and writes it under
+``benchmarks/results/`` so EXPERIMENTS.md can reference committed
+numbers.
 
 A table is written once, as ``results/<name>.txt`` rendered by
 :func:`repro.bench.report.format_table`.  Multi-seed replicates of a
@@ -41,8 +42,3 @@ def record_table():
 
     return record
 
-
-def run_once(benchmark, func, *args, **kwargs):
-    """Execute *func* exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(func, args=args, kwargs=kwargs,
-                              rounds=1, iterations=1, warmup_rounds=0)

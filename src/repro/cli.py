@@ -24,8 +24,9 @@ Usage::
     python -m repro campaign report --out campaign-report.txt
     python -m repro campaign diff
 
-Figure names map to the experiment functions of
-:mod:`repro.bench.experiments`; ``--scale`` picks a preset from
+Figure names are the records of :data:`repro.bench.figures.FIGURES`
+(the same records ``benchmarks/`` writes its tables from); ``--scale``
+picks a preset from
 :mod:`repro.bench.scale`.  ``--trace`` records per-operation phase spans
 via :mod:`repro.obs` and writes them as Chrome trace-event JSON (open in
 ``chrome://tracing`` or https://ui.perfetto.dev).  The ``trace``
@@ -42,54 +43,13 @@ import io
 import json
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.bench import PRESETS, Scale
 from repro.bench.report import format_table, trace_rows
-from repro.bench import experiments as exp
+from repro.bench.figures import FIGURES
 from repro.config import KNOBS, Knob, scale_fields, unknown_env_warnings
 from repro.errors import ConfigError
-
-#: Figure name -> (experiment callable, wants_scale).
-EXPERIMENTS: Dict[str, tuple] = {
-    "fig3a": (exp.fig3a_tradeoff, True),
-    "fig3b": (exp.fig3b_limited_bandwidth, True),
-    "fig3c": (exp.fig3c_limited_cache, True),
-    "fig3d": (exp.fig3d_hashing, False),
-    "fig4": (exp.fig4_micro, True),
-    "table1": (exp.table1_rtts, True),
-    "fig12": (exp.fig12_ycsb, True),
-    "figpoint": (exp.fig12_point_families, True),
-    "figplacement": (exp.figplacement, True),
-    "figshard": (exp.figshard_scaleout, True),
-    "fig13": (exp.fig13_variable_kv, True),
-    "fig14": (exp.fig14_cache_consumption, True),
-    "fig15": (exp.fig15_factor_analysis, True),
-    "fig15b": (exp.fig15b_learned_branch, True),
-    "fig16": (exp.fig16_sibling_validation, False),
-    "fig17": (exp.fig17_speculative, True),
-    "fig18a": (exp.fig18a_skewness, True),
-    "fig18b": (exp.fig18b_cache_size, True),
-    "fig18c": (exp.fig18c_inline_value_size, True),
-    "fig18d": (exp.fig18d_indirect_value_size, True),
-    "fig18e": (exp.fig18e_span_size, True),
-    "fig18f": (exp.fig18f_neighborhood_size, True),
-    "fig19a": (exp.fig19a_span_metrics, True),
-    "fig19b": (exp.fig19b_neighborhood_load_factor, False),
-    "fig19c": (exp.fig19c_hotspot_buffer, True),
-    "ablation-cxl": (exp.ablation_cxl_atomics, True),
-    "ablation-rdwc": (exp.ablation_rdwc, True),
-    "ablation-locks": (exp.ablation_local_lock_table, True),
-    "ablation-torn": (exp.ablation_torn_writes, True),
-    "ablation-write-amp": (exp.ablation_write_amplification, True),
-    "skew-sync": (exp.skew_sync_sweep, True),
-}
-
-
-def run_experiment(name: str, scale: Scale) -> List[dict]:
-    func, wants_scale = EXPERIMENTS[name]
-    return func(scale) if wants_scale else func()
-
 
 def format_rows(rows: Sequence[dict], fmt: str, title: str = "") -> str:
     """Render experiment rows as a table, CSV, or JSON document."""
@@ -206,8 +166,8 @@ def _cmd_run(args) -> int:
         print("a figure name (or 'all') is required; "
               "try 'python -m repro list'", file=sys.stderr)
         return 2
-    names = list(EXPERIMENTS) if args.figure == "all" else [args.figure]
-    unknown = [n for n in names if n not in EXPERIMENTS]
+    names = list(FIGURES) if args.figure == "all" else [args.figure]
+    unknown = [n for n in names if n not in FIGURES]
     if unknown:
         print(f"unknown figure(s): {', '.join(unknown)}; "
               f"try 'python -m repro list'", file=sys.stderr)
@@ -227,7 +187,7 @@ def _cmd_run(args) -> int:
     try:
         for name in names:
             started = time.time()
-            rows = run_experiment(name, scale)
+            rows = FIGURES[name].rows(scale)
             rendered = format_rows(rows, args.format,
                                    title=f"{name} (scale={scale.name})")
             print(rendered)
@@ -691,7 +651,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "list":
         try:
-            for name in EXPERIMENTS:
+            for name in FIGURES:
                 print(name)
         except BrokenPipeError:  # e.g. `python -m repro list | head`
             pass

@@ -153,3 +153,39 @@ class TestPaperShapes:
         rolex = run_point("rolex", "C", TINY.num_keys, 60, config)
         # span 16 leaves of ~17 B entries: 2 tables ~ 900-1100 B/op.
         assert 600 < rolex.read_bytes_per_op < 1600
+
+
+class TestFigureRecords:
+    """``repro run`` and ``benchmarks/`` read one table of records."""
+
+    def test_tables_are_the_committed_results(self):
+        from pathlib import Path
+
+        from repro.bench.figures import FIGURES
+
+        names = [table.name for figure in FIGURES.values()
+                 for table in figure.tables]
+        results = Path(__file__).parent.parent / "benchmarks" / "results"
+        assert len(names) == len(set(names)) == 30
+        assert set(names) == {path.stem for path in results.glob("*.txt")}
+
+    def test_a_claim_states_its_bound(self):
+        from repro.bench.figures import beats
+
+        claim = beats("index", "chime", "sherman", 1.5, workload="C")
+        assert claim.name == "C: chime > 1.5 × sherman"
+        rows = [{"workload": "C", "index": "chime", "throughput_mops": 3.0},
+                {"workload": "C", "index": "sherman", "throughput_mops": 1.0},
+                {"workload": "C", "index": "sherman", "throughput_mops": 2.0},
+                {"workload": "A", "index": "sherman", "throughput_mops": 9.0}]
+        assert not claim.holds(rows)  # peaks: 3.0 against 1.5 × 2.0
+        rows[2]["throughput_mops"] = 1.9
+        assert claim.holds(rows)
+
+    def test_rows_are_computed_once_per_scale_and_axes(self):
+        from repro.bench.figures import FIGURES
+
+        ablation = FIGURES["ablation-write-amp"]
+        rows = ablation.rows(TINY, value_sizes=(8,))
+        assert ablation.rows(TINY, value_sizes=(8,)) is rows
+        assert [row["value_size"] for row in rows] == [8]

@@ -1,4 +1,4 @@
-"""Tests for the figure-regeneration CLI and the ablation experiments."""
+"""Tests for the figure-regeneration CLI and the ablation figures."""
 
 import os
 import pathlib
@@ -8,12 +8,8 @@ import shlex
 import pytest
 
 from repro.bench import Scale
-from repro.bench.experiments import (
-    ablation_cxl_atomics,
-    ablation_rdwc,
-    ablation_write_amplification,
-)
-from repro.cli import EXPERIMENTS, build_parser, main, run_experiment
+from repro.bench.figures import FIGURES, Figure
+from repro.cli import build_parser, main
 from repro.config import unknown_env_vars
 from repro.registry import families, family_names
 
@@ -43,7 +39,7 @@ class TestCli:
         # did, long after fig18a gained an optimistic-only family).
         args = build_parser().parse_args(argv)
         if args.command == "run" and args.figure is not None:
-            assert args.figure == "all" or args.figure in EXPERIMENTS
+            assert args.figure == "all" or args.figure in FIGURES
 
     def test_readme_has_examples(self):
         assert len(readme_commands()) > 30
@@ -67,11 +63,13 @@ class TestCli:
         assert "max_load_factor" in out_file.read_text()
 
     def test_every_registered_name_is_callable(self):
-        for name, (func, _wants_scale) in EXPERIMENTS.items():
-            assert callable(func), name
+        # A figure is a grid of points or a probe that returns rows.
+        for name, figure in FIGURES.items():
+            assert figure.name == name
+            assert callable(figure.grid) != callable(figure.probe), name
 
     def test_run_experiment_dispatch(self):
-        rows = run_experiment("fig3d", TINY)
+        rows = FIGURES["fig3d"].rows(TINY)
         assert rows and "max_load_factor" in rows[0]
 
     @pytest.mark.parametrize("argv", [["run", "fig3d"], ["chaos"]])
@@ -169,8 +167,8 @@ class TestCli:
 
     def _captured_scale(self, monkeypatch, argv):
         seen = []
-        monkeypatch.setattr("repro.cli.run_experiment",
-                            lambda name, scale: seen.append(scale) or [])
+        monkeypatch.setattr(Figure, "rows",
+                            lambda figure, scale: seen.append(scale) or [])
         assert main(["run", "fig19b"] + argv) == 0
         return seen[0]
 
@@ -238,7 +236,7 @@ class TestCli:
 
 class TestAblations:
     def test_cxl_costs_inserts_only(self):
-        rows = ablation_cxl_atomics(TINY, workloads=("C", "LOAD"))
+        rows = FIGURES["ablation-cxl"].rows(TINY, workloads=("C", "LOAD"))
         by_key = {(r["workload"], r["mode"]): r for r in rows}
         assert by_key[("LOAD", "cxl-atomics")]["rtts_per_op"] > \
             by_key[("LOAD", "rdma-masked-cas")]["rtts_per_op"]
@@ -247,12 +245,12 @@ class TestAblations:
                           ["throughput_mops"], rel=0.05)
 
     def test_rdwc_helps_under_skew(self):
-        rows = ablation_rdwc(TINY, thetas=(0.99,))
+        rows = FIGURES["ablation-rdwc"].rows(TINY, thetas=(0.99,))
         by_flag = {r["rdwc"]: r["throughput_mops"] for r in rows}
         assert by_flag[True] >= by_flag[False]
 
     def test_write_amplification_near_paper_claim(self):
-        rows = ablation_write_amplification(TINY, value_sizes=(8, 253))
+        rows = FIGURES["ablation-write-amp"].rows(TINY, value_sizes=(8, 253))
         for row in rows:
             # §4.5: 1 version byte per 63 payload bytes + 1 per entry.
             assert 1.0 <= row["amplification_vs_entry"] <= 1.05

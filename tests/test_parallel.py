@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from repro.bench import experiments, parallel
+from repro.bench import figures, parallel
 from repro.bench.parallel import (
     PointSpec,
     resolve_jobs,
@@ -130,10 +130,11 @@ class TestRunSweep:
             return real_run_sweep(specs, jobs)
 
         monkeypatch.setattr(parallel, "run_sweep", spy)
-        monkeypatch.setattr(experiments, "run_sweep", spy)
-        for figure in (experiments.ablation_rdwc, experiments.figplacement):
+        monkeypatch.setattr(figures, "run_sweep", spy)
+        for name in ("ablation-rdwc", "figplacement"):
             serial, fanned = (
-                figure(dataclasses.replace(TEST_SCALE, jobs=jobs))
+                figures.FIGURES[name].rows(
+                    dataclasses.replace(TEST_SCALE, jobs=jobs))
                 for jobs in (1, 2))
             assert serial == fanned and len(serial) == 4
         assert swept == [(4, 1), (4, 2)] * 2
