@@ -93,6 +93,16 @@ class ShardedIndex:
         """(shard, sub-index) pairs, in key order."""
         return list(enumerate(self._subs))
 
+    @property
+    def retry_policy(self):
+        return self._subs[0].retry_policy
+
+    @retry_policy.setter
+    def retry_policy(self, policy) -> None:
+        """Every sub-tree's clients retry under *policy*."""
+        for sub in self._subs:
+            sub.retry_policy = policy
+
     # -- index interface -----------------------------------------------------
 
     def bulk_load(self, pairs, future_keys=None) -> None:

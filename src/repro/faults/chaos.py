@@ -185,9 +185,9 @@ def run_chaos(cfg: ChaosConfig) -> ChaosResult:
                                         deadline=cfg.deadline)
     with recording() as rec:
         cluster = Cluster(cluster_config)
-        # Families whose factories take no span or retry knob ignore them.
-        index = build_index(cfg.index, cluster, span=cfg.span,
-                            chime_overrides={"retry": retry})
+        # Families whose factories take no span ignore it.
+        index = build_index(cfg.index, cluster, span=cfg.span)
+        index.retry_policy = retry
         pairs = dataset(cfg.initial_keys, key_space=cfg.key_space, seed=1)
         index.bulk_load(pairs)
         injector = cluster.install_faults(build_plan(cfg))

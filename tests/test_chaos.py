@@ -164,6 +164,19 @@ class TestDeterminism:
         second = json.dumps(run_chaos(other).to_dict(), sort_keys=True)
         assert first != second
 
+    @pytest.mark.parametrize("index_name", ["chime", "sherman"])
+    def test_max_attempts_reaches_the_family(self, index_name):
+        # Only CHIME read the budget once; Sherman's run was the same
+        # byte for byte at 2 attempts and at 256.
+        lossy = dataclasses.replace(CANONICAL, index=index_name, seed=3,
+                                    lock_leases=False, crash_owner="",
+                                    loss_probability=0.05)
+        tight = run_chaos(dataclasses.replace(lossy, max_attempts=2))
+        roomy = run_chaos(dataclasses.replace(lossy, max_attempts=256))
+        assert roomy.ok
+        assert {error["error"] for error in tight.errors} == {
+            "RetryExhaustedError"}
+
 
 class TestInvariantChecker:
     def test_clean_run_without_faults_passes(self):
