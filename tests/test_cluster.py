@@ -104,6 +104,33 @@ class TestRdwc:
         assert results == [(10.0, "value")] * 5
         assert combiner.delegated_reads == 4
 
+    def test_a_follower_arriving_mid_flight_runs_its_own_read(self):
+        # A read that joined mid-flight could answer a value a write had
+        # overwritten before the follower arrived: it reads for itself.
+        engine = Engine()
+        combiner = RdwcCombiner(engine)
+        remote_calls = []
+        results = []
+
+        def remote_read():
+            started = engine.now
+            remote_calls.append(started)
+            yield engine.timeout(10.0)
+            return f"read at {started}"
+
+        def client(arrival):
+            yield engine.timeout(arrival)
+            value = yield from combiner.read("k", remote_read)
+            results.append((arrival, engine.now, value))
+
+        for arrival in (0.0, 0.0, 4.0, 4.0, 12.0):
+            engine.process(client(arrival))
+        engine.run()
+        assert remote_calls == [0.0, 4.0, 12.0]
+        assert results == [(0.0, 10.0, "read at 0.0")] * 2 + [
+            (4.0, 14.0, "read at 4.0")] * 2 + [(12.0, 22.0, "read at 12.0")]
+        assert combiner.delegated_reads == 2
+
     def test_reads_of_distinct_keys_not_combined(self):
         engine = Engine()
         combiner = RdwcCombiner(engine)

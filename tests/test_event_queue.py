@@ -144,39 +144,41 @@ CONFIGS = {
 #: ``smart-rcu`` was re-recorded when an RCU update began to WRITE a
 #: tombstone over the leaf it replaced (3338 -> 3494 events), and
 #: ``marlin`` when its update began to take the leaf lock (2276 -> 2680).
+#: Read delegation joining only same-instant reads re-recorded every row
+#: but ``flexkv``, ``outback``, ``leases-crash`` and ``pessimistic``.
 EVENT_LOGS = {
-    "chime": (2014, "6bcb8f2321c4ac7064f397ebb96656f7"
-                    "017c49dc8ca57fc28bd904784fddca41"),
-    "chime-indirect": (2811, "c5e1d39aa93c01c76fe1a9e1de1d5069"
-                             "6fa115e00693322706847eb39f6395c8"),
-    "chime-learned": (2827, "82780fedbd3030f233702ac22bf1a1ab"
-                            "102c6d19af93270fcc12171835943d46"),
+    "chime": (2016, "a8f5c388520876aaf9ec775ee7841fdc"
+                    "286a3b6c98090f3248ac43092c80b2d3"),
+    "chime-indirect": (2828, "e4e4d4193cd0cb7ba87dc5e22235cb80"
+                             "6504654883a3bf21061af8a6f9efcb19"),
+    "chime-learned": (2860, "1185f3fa17c8bbfd4ea6fbbe1e7f183b"
+                            "91e5f383028adc50767ff007109e4059"),
     "flexkv": (1032, "90564ec343c7fd3ae8015cfff14228d5"
                      "0d90ee215a77af450b09f7ca0269701a"),
-    "marlin": (2680, "9801a2e4a04c889b14e7611081a658ba"
-                     "917c4bf429bb7de18129eface5e0ef4e"),
+    "marlin": (2707, "11ec30933844fb5ff1c1ba5f0f98cfbc"
+                     "5dab50ade68549207cfcf2ad2f61e7b8"),
     "outback": (968, "3af98019186f77b32ce9c86607b41036"
                      "181cfebc09304df56cf598de47920606"),
-    "rolex": (3431, "63976bb4d7d212072c6ed7524dab0742"
-                    "1e4770665c2b16bf66589892106b1ec9"),
-    "rolex-indirect": (4208, "e5c5e479f3123347ac5cd2fd46fd8087"
-                             "00609f781fa874accc19373d7426ec23"),
-    "sherman": (1972, "e00119bee1e59a42c20a64bd924a6b17"
-                      "3ccd7159c0e8c55e2e264b9e1c526ce4"),
-    "smart": (2612, "648dacd51cc8ab39c03f5aff6a066aaa"
-                    "88c7517efc3e74dbc7e26835cb4d0968"),
-    "smart-opt": (2612, "648dacd51cc8ab39c03f5aff6a066aaa"
-                        "88c7517efc3e74dbc7e26835cb4d0968"),
-    "smart-rcu": (3494, "d8ddfd4f192e84672d1a3a0ae984c3c7"
-                        "e91ccbe586576fca1d0e6fefc2bfaa5d"),
-    "adaptive": (7945, "24a8f440b4942a1fcd1c58f489c8e6ab"
-                       "1e49b65d4647ce9128beec9797d98279"),
+    "rolex": (3452, "21e86467f24bb230cf24684aa46635a7"
+                    "afbfb0cd82ef9e06793c74140f5bff0b"),
+    "rolex-indirect": (4246, "aad8d03ec57dfa6d0833fd6191f9020d"
+                             "ab545cef850b90bbe180855414e4bce2"),
+    "sherman": (1964, "b03c584256b18faeb7c1f1b42d7eb0e6"
+                      "3fc2e32f57dde0689ac763715f0bccb5"),
+    "smart": (2621, "f818059796730ef97e064e4e16030155"
+                    "fec194556856f3c8adb6ecafb6ce2aab"),
+    "smart-opt": (2621, "f818059796730ef97e064e4e16030155"
+                        "fec194556856f3c8adb6ecafb6ce2aab"),
+    "smart-rcu": (3503, "47d27d39d7fbf5b8837e8849132957f5"
+                        "39d68bb0e5f9d640bc9cb3c497d76756"),
+    "adaptive": (8098, "4023bb0a43b4b75a1970ebddeabfbc9e"
+                       "95a64544b02cd0e8d198968e62bfbb93"),
     "leases-crash": (1778, "7eb3955e24b5aa4c0fb9c986005f2d8e"
                            "0e83ff75896b7e318e8446805f12baac"),
     "pessimistic": (2834, "481dee68bd43873ad03dc63130d8c87c"
                           "574cd86a7ea337ccd308909695c0ca32"),
-    "write-scaleout": (2136, "25407c462a5c23ad1443849609e0d599"
-                             "94f62fa99a7cc3c020c1f7062d047459"),
+    "write-scaleout": (2154, "dc50509cd80f5edc49d527e8d437855b"
+                             "5a82a8ec3d0274dd982609471343d3bb"),
 }
 
 
@@ -289,7 +291,8 @@ class TestShardedPinned:
 #: delegation handoffs).  Recorded before every lock-word family took
 #: one lock path; the chime rows re-recorded when hopscotch bitmaps
 #: shrank to ⌈H/8⌉ bytes (sharded-adaptive 2017 -> 2016 events,
-#: adaptive-cxl 9840 -> 9802).
+#: adaptive-cxl 9840 -> 9802), and four rows when read delegation began
+#: to join only same-instant reads (the two pessimistic shards hold).
 _SHARDED_LOCKS = dict(num_mns=4, num_shards=4, pipeline_depth=2)
 LOCK_SHAPES = {
     "sharded-pessimistic": (
@@ -303,23 +306,23 @@ LOCK_SHAPES = {
               "77cf1fe29416159958b253de47040128"),
     "sharded-adaptive": (
         "chime", dict(_SHARDED_LOCKS, sync_mode="adaptive"), None,
-        2016, "3bb8865a16b1f160e812256abe9aae76"
-              "151145508a9f1e336ce41b21f96e6781"),
+        2026, "74703d79b60a0dff9a6a60f25676862e"
+              "bc0393ac91b264aa61bf0cdccaebdd17"),
     "sharded-adaptive-leases": (
         "chime", dict(_SHARDED_LOCKS, sync_mode="adaptive",
                       lock_leases=True), None,
-        2667, "2c9098c8abfd5fcf11e5f52474b0cb75"
-              "13698729a23578d2c35224d2ca1d8c80"),
+        2676, "4353dd821200614105a0a18488645398"
+              "73186d1f520e7ca3cc903ac57837834a"),
     "adaptive-cxl": (
         "chime", dict(sync_mode="adaptive", clients_per_cn=8,
                       pipeline_depth=4), {"cxl_atomics": True},
-        9802, "0054e018e41228ea2e3f38407c0d7af7"
-              "8289d875edde9ed4e4984cded22ee864"),
+        9982, "4e284928593582bc60c7c104fb61ce38"
+              "121668e8507a00a45dc2161407af6b9f"),
     "sherman-pessimistic-leases": (
         "sherman", dict(sync_mode="pessimistic", lock_leases=True,
                         clients_per_cn=8), None,
-        10077, "86e4b99992c208bf830bcb7b28d05c80"
-               "aae75922fd0fd7c211605743e099d551"),
+        10301, "c968b516d5fbcc8a179b0ed2e1c8ebb9"
+               "bcc76505564130ccb26704f833de1e5f"),
 }
 
 

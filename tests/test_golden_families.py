@@ -39,7 +39,10 @@ unlinked; a search that reads it walks again uncached) re-recorded
 ``smart-rcu A``, the one row that deletes or updates out of place.
 Marlin's update taking the leaf lock (its lock-free pointer CAS lost
 updates to concurrent inserts) re-recorded ``marlin A``, the one Marlin
-row that updates.
+row that updates.  Read delegation joining only a read issued at the
+instant the follower arrived (a late follower had been handed values
+overwritten before it was invoked) re-recorded the 39 rows whose runs
+delegate a search, and the event counts of the pinned points below.
 
 The second half pins what the deleted ``repro perf --check`` enforced:
 the event counts of twelve YCSB-C points at the :data:`PINNED` scale,
@@ -80,63 +83,63 @@ def _observe(index_name, workload, monkeypatch, **knobs):
 #: (family, workload, knobs) -> (events, ops, TrafficStats fields, now).
 GOLDEN = {
     ('chime', 'A', ()):
-        (2014, 120, (246, 314, 134, 110, 70, 0, 16339, 1440, 15), '0.000225466080000001'),
+        (2016, 120, (246, 314, 135, 110, 69, 0, 16495, 1440, 14), '0.000225466080000001'),
     ('chime', 'D', ()):
-        (1185, 120, (126, 147, 134, 8, 5, 0, 16062, 125, 1), '0.0001062555866666667'),
+        (1234, 120, (131, 153, 140, 8, 5, 0, 16567, 125, 1), '0.0001091901066666667'),
     ('chime', 'E', ()):
         (1796, 120, (148, 315, 282, 18, 15, 0, 245138, 256, 6), '0.00014696701333333337'),
     ('chime-indirect', 'A', ()):
-        (2811, 120, (374, 437, 195, 162, 80, 4, 17313, 2278, 26), '0.0003755026800000002'),
+        (2828, 120, (376, 439, 197, 162, 80, 4, 17347, 2278, 26), '0.0003755026800000002'),
     ('chime-indirect', 'D', ()):
-        (2143, 120, (248, 266, 246, 12, 8, 3, 17858, 189, 4), '0.00021259421333333424'),
+        (2201, 120, (254, 273, 255, 12, 6, 3, 18270, 189, 2), '0.00021109934666666756'),
     ('chime-indirect', 'E', ()):
         (37786, 120, (4650, 4813, 4777, 27, 9, 4, 317058, 400, 0), '0.003893651653333454'),
     ('sherman', 'A', ()):
-        (1972, 120, (247, 302, 121, 110, 71, 0, 137218, 1384, 16), '0.00022139194666666762'),
+        (1964, 120, (246, 301, 122, 110, 69, 0, 138352, 1384, 14), '0.00022816920000000106'),
     ('sherman', 'D', ()):
-        (1260, 120, (127, 131, 117, 8, 6, 0, 132681, 4568, 2), '0.00011216746666666675'),
+        (1298, 120, (131, 135, 122, 8, 5, 0, 138351, 4568, 1), '0.00011180845333333352'),
     ('sherman', 'E', ()):
         (1850, 120, (148, 252, 219, 18, 15, 0, 248350, 10278, 6), '0.0001467895733333338'),
     ('marlin', 'A', ()):
-        (2680, 120, (363, 414, 179, 165, 70, 4, 134790, 2264, 15), '0.00032431760000000055'),
+        (2707, 120, (366, 417, 183, 165, 69, 4, 137090, 2264, 14), '0.00032431760000000055'),
     ('marlin', 'D', ()):
-        (2199, 120, (246, 247, 230, 12, 5, 3, 136725, 4632, 2), '0.00020448812000000083'),
+        (2251, 120, (252, 253, 237, 12, 4, 3, 140191, 4632, 0), '0.000206924440000001'),
     ('marlin', 'E', ()):
         (37832, 120, (4649, 4749, 4713, 27, 9, 4, 319135, 10422, 0), '0.003893523506666782'),
     ('smart', 'A', ()):
-        (2612, 120, (338, 338, 284, 54, 0, 0, 210752, 432, 0), '0.0003254292666666671'),
+        (2621, 120, (339, 339, 285, 54, 0, 0, 210768, 432, 0), '0.0003254292666666671'),
     ('smart', 'D', ()):
-        (1725, 120, (209, 206, 147, 6, 53, 3, 34672, 2144, 0), '0.0002934327600000002'),
+        (1786, 120, (216, 213, 154, 6, 53, 3, 36864, 2144, 0), '0.00031155610666666676'),
     ('smart', 'E', ()):
         (23200, 120, (468, 5337, 5270, 10, 57, 4, 248608, 2208, 0), '0.00041581085333334454'),
     ('smart-opt', 'A', ()):
-        (2612, 120, (338, 338, 284, 54, 0, 0, 210752, 432, 0), '0.0003254292666666671'),
+        (2621, 120, (339, 339, 285, 54, 0, 0, 210768, 432, 0), '0.0003254292666666671'),
     ('smart-opt', 'D', ()):
-        (1725, 120, (209, 206, 147, 6, 53, 3, 34672, 2144, 0), '0.0002934327600000002'),
+        (1786, 120, (216, 213, 154, 6, 53, 3, 36864, 2144, 0), '0.00031155610666666676'),
     ('smart-opt', 'E', ()):
         (23200, 120, (468, 5337, 5270, 10, 57, 4, 248608, 2208, 0), '0.00041581085333334454'),
     ('smart-rcu', 'A', ()):
-        (3494, 120, (490, 486, 320, 110, 56, 4, 260288, 1328, 0), '0.00048758602666666587'),
+        (3503, 120, (491, 487, 321, 110, 56, 4, 260304, 1328, 0), '0.00048758602666666587'),
     ('smart-rcu', 'D', ()):
-        (1725, 120, (209, 206, 147, 6, 53, 3, 34672, 2144, 0), '0.0002934327600000002'),
+        (1786, 120, (216, 213, 154, 6, 53, 3, 36864, 2144, 0), '0.00031155610666666676'),
     ('smart-rcu', 'E', ()):
         (23200, 120, (468, 5337, 5270, 10, 57, 4, 248608, 2208, 0), '0.00041581085333334454'),
     ('rolex', 'A', ()):
-        (3431, 120, (283, 626, 459, 108, 59, 0, 139995, 1361, 5), '0.0002733363333333347'),
+        (3452, 120, (284, 630, 463, 108, 59, 0, 141215, 1361, 5), '0.0002733363333333347'),
     ('rolex', 'D', ()):
-        (2433, 120, (129, 448, 434, 8, 6, 0, 132370, 1252, 2), '0.00011610773333333387'),
+        (2506, 120, (132, 462, 449, 8, 5, 0, 136945, 1252, 1), '0.00011540733333333367'),
     ('rolex', 'E', ()):
         (4859, 120, (255, 955, 924, 18, 13, 0, 281820, 2817, 4), '0.00022487213333333627'),
     ('rolex-indirect', 'A', ()):
-        (4208, 120, (410, 746, 516, 162, 68, 4, 139751, 2225, 14), '0.0003963837333333329'),
+        (4246, 120, (411, 753, 526, 162, 65, 4, 142223, 2225, 11), '0.00038977279999999966'),
     ('rolex-indirect', 'D', ()):
-        (3375, 120, (249, 565, 545, 12, 8, 3, 134146, 1316, 4), '0.00021895206666666827'),
+        (3473, 120, (255, 582, 564, 12, 6, 3, 138785, 1316, 2), '0.00021740046666666833'),
     ('rolex-indirect', 'E', ()):
         (40850, 120, (4758, 5453, 5417, 27, 9, 4, 353419, 2961, 0), '0.003978662706666759'),
     ('chime-learned', 'A', ()):
-        (2827, 120, (342, 420, 243, 110, 67, 0, 104423, 1441, 12), '0.00030572596000000046'),
+        (2860, 120, (346, 424, 245, 110, 69, 0, 104769, 1441, 14), '0.0003025012533333338'),
     ('chime-learned', 'D', ()):
-        (2016, 120, (222, 258, 245, 8, 5, 0, 46399, 122, 1), '0.00018546245333333385'),
+        (2065, 120, (226, 266, 252, 8, 6, 0, 46916, 122, 2), '0.0001887326533333339'),
     ('chime-learned', 'E', ()):
         (2359, 120, (242, 360, 333, 18, 9, 0, 448093, 253, 0), '0.00023257233333333406'),
     ('outback', 'A', ()):
@@ -148,57 +151,57 @@ GOLDEN = {
     ('flexkv', 'D', ()):
         (1104, 120, (140, 140, 132, 4, 4, 0, 8448, 32, 0), '0.00011165000000000003'),
     ('chime', 'A', (('pipeline_depth', 4),)):
-        (2105, 120, (258, 321, 138, 100, 83, 0, 28836, 1310, 33), '9.605885333333336e-05'),
+        (2132, 120, (261, 324, 141, 100, 83, 0, 29166, 1310, 33), '9.605885333333336e-05'),
     ('chime', 'A', (('lock_leases', True),)):
-        (2588, 120, (302, 424, 199, 165, 60, 0, 18327, 1880, 12), '0.0002857038133333343'),
+        (2606, 120, (304, 426, 201, 165, 60, 0, 18501, 1880, 12), '0.0002857038133333343'),
     ('chime', 'A', (('sync_mode', 'pessimistic'),)):
         (2834, 120, (345, 460, 199, 158, 103, 0, 19339, 1824, 17), '0.0003470153930099381'),
     # Recorded after Sherman's unlocks were routed through the lease- and
     # ticket-aware release (at 28828c4 both configurations failed to finish).
     ('sherman', 'A', (('lock_leases', True),)):
-        (2540, 120, (302, 412, 187, 165, 60, 0, 138228, 1824, 12), '0.0002883942000000009'),
+        (2558, 120, (304, 414, 189, 165, 60, 0, 140496, 1824, 12), '0.0002883942000000009'),
     ('sherman', 'A', (('sync_mode', 'pessimistic'),)):
         (2856, 120, (353, 457, 194, 159, 104, 0, 141808, 1776, 23), '0.0003433783680445866'),
     # The CHIME_LAYOUTS rows, recorded at cb475a0 (before the compiled
     # read shapes replaced the per-entry checks on lock-free reads).
     ('chime', 'A', (('metadata_replication', False),)):
-        (2572, 120, (316, 384, 203, 110, 71, 0, 16314, 1443, 16), '0.00028639062666666753'),
+        (2584, 120, (317, 385, 206, 110, 69, 0, 16490, 1443, 14), '0.00028639062666666753'),
     ('chime', 'D', (('metadata_replication', False),)):
-        (1787, 120, (200, 223, 211, 8, 4, 0, 15848, 124, 0), '0.00017227496000000046'),
+        (1843, 120, (206, 230, 218, 8, 4, 0, 16196, 124, 0), '0.00017227496000000046'),
     ('chime', 'A', (('sibling_validation', False),)):
-        (2014, 120, (246, 314, 134, 110, 70, 0, 17475, 1441, 15), '0.00022549228000000098'),
+        (2016, 120, (246, 314, 135, 110, 69, 0, 17648, 1441, 14), '0.00022549228000000098'),
     ('chime', 'D', (('sibling_validation', False),)):
-        (1185, 120, (126, 147, 134, 8, 5, 0, 17308, 122, 1), '0.0001062871866666667'),
+        (1234, 120, (131, 153, 140, 8, 5, 0, 17861, 122, 1), '0.0001092228266666667'),
     ('chime', 'A', (('neighborhood', 2),)):
-        (1917, 120, (238, 296, 123, 108, 65, 0, 8635, 1428, 11), '0.0002560426666666678'),
+        (1928, 120, (239, 297, 125, 108, 64, 0, 8700, 1428, 10), '0.0002560426666666678'),
     ('chime', 'D', (('neighborhood', 2),)):
-        (1153, 120, (126, 139, 126, 8, 5, 0, 7765, 105, 1), '0.00010602828000000004'),
+        (1198, 120, (131, 144, 131, 8, 5, 0, 7942, 105, 1), '0.00010898661333333337'),
     ('chime', 'A', (('neighborhood', 16),)):
-        (2038, 120, (246, 320, 140, 110, 70, 0, 27762, 1506, 15), '0.0002257870133333344'),
+        (2040, 120, (246, 320, 141, 110, 69, 0, 28081, 1506, 14), '0.0002257870133333344'),
     ('chime', 'D', (('neighborhood', 16),)):
-        (1221, 120, (126, 156, 143, 8, 5, 0, 27992, 129, 1), '0.00010658914666666675'),
+        (1270, 120, (131, 162, 149, 8, 5, 0, 28986, 129, 1), '0.00010952646666666676'),
     ('chime', 'A', (('span', 16),)):
-        (2070, 120, (239, 330, 162, 108, 60, 0, 14645, 1415, 6), '0.00022160661333333432'),
+        (2072, 120, (239, 330, 163, 108, 59, 0, 14801, 1415, 5), '0.00022160661333333432'),
     ('chime', 'D', (('span', 16),)):
-        (1318, 120, (132, 174, 161, 8, 5, 0, 15016, 106, 1), '0.0001152513333333334'),
+        (1354, 120, (136, 178, 165, 8, 5, 0, 15226, 106, 1), '0.0001152513333333334'),
     ('chime', 'A', (('value_size', 64),)):
-        (2134, 120, (246, 314, 134, 110, 70, 0, 50868, 4570, 15), '0.0002262438000000008'),
+        (2136, 120, (246, 314, 135, 110, 69, 0, 51480, 4570, 14), '0.0002262438000000008'),
     ('chime', 'D', (('value_size', 64),)):
-        (1204, 120, (127, 148, 134, 8, 6, 0, 52796, 408, 2), '0.00011054710666666671'),
+        (1246, 120, (131, 153, 140, 8, 5, 0, 54780, 408, 1), '0.00011011513333333339'),
     ('chime', 'A', (('speculative_read', False),)):
-        (2026, 120, (246, 317, 137, 110, 70, 0, 22834, 1440, 15), '0.00022555125333333423'),
+        (2028, 120, (246, 317, 138, 110, 69, 0, 22990, 1440, 14), '0.00022555125333333423'),
     ('chime', 'D', (('speculative_read', False),)):
-        (1217, 120, (126, 155, 142, 8, 5, 0, 21713, 125, 1), '0.00010631190666666669'),
+        (1266, 120, (131, 161, 148, 8, 5, 0, 22494, 125, 1), '0.00010924626666666668'),
     # The VERB_PATHS rows, recorded at 366387e (before verb timelines
     # replaced the coroutine verb bodies).
     ('chime', 'A', (('mn_nic', NicSpec(lanes=2)),)):
-        (2010, 120, (246, 313, 133, 110, 70, 0, 16201, 1440, 15), '0.0002251565866666676'),
+        (2012, 120, (246, 313, 134, 110, 69, 0, 16357, 1440, 14), '0.0002251565866666676'),
     ('chime', 'E', (('num_mns', 2),)):
         (1807, 120, (150, 316, 281, 18, 17, 0, 245119, 256, 8), '0.0001437985333333334'),
     ('smart', 'A', (('num_mns', 2),)):
         (2621, 120, (339, 339, 285, 54, 0, 0, 210768, 432, 0), '0.0003254292666666671'),
     ('chime', 'A', (('torn_writes', False), ('value_size', 64))):
-        (2014, 120, (246, 314, 134, 110, 70, 0, 50868, 4570, 15), '0.00022624380000000076'),
+        (2016, 120, (246, 314, 135, 110, 69, 0, 51480, 4570, 14), '0.00022624380000000076'),
     # FlexKV with room for one partition directory of four: the policy
     # flips partitions to MN-side mid-run (search / update RPCs on A,
     # insert RPCs on D).
@@ -300,21 +303,21 @@ def _pinned_point(index_name, theta=0.99, **config_fields):
 
 
 @pytest.mark.parametrize("index_name,events", [
-    ("chime", 27279), ("rolex", 57447), ("sherman", 26579),
-    ("smart", 45686)])
+    ("chime", 29775), ("rolex", 63043), ("sherman", 29063),
+    ("smart", 49055)])
 def test_perf_point_event_count(index_name, events):
     assert _pinned_point(index_name).events == events
 
 
 @pytest.mark.parametrize("index_name,events", [
-    ("chime", 30437), ("outback", 25632)])
+    ("chime", 30464), ("outback", 25632)])
 def test_perf_placement_event_count(index_name, events):
     assert _pinned_point(index_name, theta=0.0).events == events
 
 
 def test_outback_beats_chime_on_uniform_reads():
     # Outback's claim: one-RTT hash routing beats a cached tree
-    # traversal on uniform read-only YCSB-C (3.7357 vs 1.7785 Mops).
+    # traversal on uniform read-only YCSB-C (3.7357 vs 1.8418 Mops).
     assert (_pinned_point("outback", theta=0.0).mops
             > _pinned_point("chime", theta=0.0).mops)
 
@@ -333,20 +336,20 @@ def test_perf_flexkv_constrained_event_count():
 def test_shard_sweep_mops_rise_with_mns():
     # DEX's claim: past the one-NIC wall (24 clients here) every added
     # MN brings its own NIC, so aggregate Mops rise with each shard
-    # (2.6241 -> 4.5985 -> 6.2503).
+    # (2.4289 -> 4.1667 -> 5.9339).
     points = [_pinned_point("chime", clients=24, num_mns=mns, num_shards=mns)
               for mns in (1, 2, 4)]
-    assert [point.events for point in points] == [39463, 39471, 39266]
+    assert [point.events for point in points] == [44581, 44529, 44249]
     assert points[0].mops < points[1].mops < points[2].mops
 
 
 def test_depth_sweep_hides_verb_latency():
     # With NIC headroom (4 clients) four op coroutines per client hide
-    # verb latency: 1.0224 -> 1.8542 Mops.  At the saturated 16-client
+    # verb latency: 1.0175 -> 1.8372 Mops.  At the saturated 16-client
     # point depth cannot help, which is why the sweep runs below it.
     shallow, deep = (_pinned_point("chime", clients=4, pipeline_depth=depth)
                      for depth in (1, 4))
-    assert (shallow.events, deep.events) == (7423, 7238)
+    assert (shallow.events, deep.events) == (7544, 7736)
     assert deep.mops > shallow.mops
 
 
