@@ -280,54 +280,43 @@ def _parse_crash(spec: str):
 
 def _cmd_chaos(args) -> int:
     from repro.errors import WorkloadError
-    from repro.faults import ChaosConfig, run_chaos
+    from repro.faults import CHAOS_CLUSTER, FaultPlan, run_chaos
 
-    overrides: dict = {"seed": args.seed, "lock_leases": not args.no_leases}
-    if args.index:
-        overrides["index"] = args.index
-    values = _knob_values(args)
-    for name in ("depth", "sync_mode", "num_mns", "num_shards"):
-        if name in values:
-            field = "pipeline_depth" if name == "depth" else name
-            overrides[field] = values[name]
-    if args.crash is not None:
-        if args.crash:
-            try:
-                owner, kinds, nth, when = _parse_crash(args.crash)
-            except ValueError as exc:
-                print(str(exc), file=sys.stderr)
-                return 2
-            overrides.update(crash_owner=owner, crash_kinds=kinds,
-                             crash_nth=nth, crash_when=when)
-        else:
-            overrides["crash_owner"] = ""
-    if args.loss:
-        overrides["loss_probability"] = args.loss
-    if args.delay:
-        overrides["delay_probability"] = args.delay
-    if args.lease_duration:
-        overrides["lease_duration"] = _parse_time(args.lease_duration)
-    if args.max_attempts:
-        overrides["max_attempts"] = args.max_attempts
-    if args.ops:
-        overrides["ops_per_client"] = args.ops
-    if args.keys:
-        overrides["initial_keys"] = args.keys
-        overrides["key_space"] = args.keys * 2
-    outages = []
-    for spec in args.outage or ():
-        try:
-            mn_text, start_text, end_text = spec.split(":")
-            outages.append((int(mn_text), _parse_time(start_text),
-                            _parse_time(end_text)))
-        except ValueError:
-            print(f"bad outage spec {spec!r} (want MN:START:END)",
-                  file=sys.stderr)
+    for flag, value in (("--ops", args.ops), ("--keys", args.keys)):
+        if value < 1:
+            print(f"{flag} must be >= 1: {value}", file=sys.stderr)
             return 2
-    if outages:
-        overrides["mn_outages"] = tuple(outages)
+    values = _knob_values(args)
+    knobs = {("pipeline_depth" if name == "depth" else name): values[name]
+             for name in ("depth", "sync_mode", "num_mns", "num_shards")
+             if name in values}
+    plan = FaultPlan(seed=args.seed)
     try:
-        result = run_chaos(ChaosConfig(**overrides))
+        if args.lease_duration is not None:
+            knobs["lease_duration"] = _parse_time(args.lease_duration)
+        if args.crash:
+            plan.crash(*_parse_crash(args.crash))
+        if args.loss:
+            plan.drop(args.loss)
+        if args.delay:
+            plan.spike(args.delay, 5e-6)
+        for spec in args.outage or ():
+            try:
+                mn_text, start_text, end_text = spec.split(":")
+                window = (int(mn_text), _parse_time(start_text),
+                          _parse_time(end_text))
+            except ValueError:
+                raise ValueError(
+                    f"bad outage spec {spec!r} (want MN:START:END)") from None
+            plan.outage(*window)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    try:
+        result = run_chaos(
+            CHAOS_CLUSTER.scaled(seed=args.seed,
+                                 lock_leases=not args.no_leases, **knobs),
+            plan, args.index, args.ops, args.keys, args.max_attempts)
     except WorkloadError as exc:  # an unknown family, an undeclared mode
         print(str(exc), file=sys.stderr)
         return 2
@@ -538,15 +527,16 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser = sub.add_parser(
         "chaos",
         help="run a seeded fault-injection campaign against any index family")
-    chaos_parser.add_argument("--index", default=None,
+    chaos_parser.add_argument("--index", default="chime",
                               help="index family under test (default: "
                                    "chime; any registry family)")
     chaos_parser.add_argument("--seed", type=int, default=7,
                               help="campaign seed (workload + fault draws)")
-    chaos_parser.add_argument("--crash", default=None, metavar="SPEC",
+    chaos_parser.add_argument("--crash", default="cn0/c0:lock",
+                              metavar="SPEC",
                               help="crash spec 'owner[:point]', e.g. "
-                                   "'cn0/c0:lock' (default campaign) or "
-                                   "'cn0/c1:read@3:after'; '' disables")
+                                   "'cn0/c1:read@3:after'; '' disables "
+                                   "(default: cn0/c0:lock)")
     chaos_parser.add_argument("--no-leases", action="store_true",
                               help="disable lease-based lock recovery "
                                    "(demonstrates the orphaned-lock hang)")
@@ -555,16 +545,19 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser.add_argument("--loss", type=float, default=0.0,
                               help="per-verb loss probability")
     chaos_parser.add_argument("--delay", type=float, default=0.0,
-                              help="per-verb latency-spike probability")
+                              help="per-verb probability of a 5us "
+                                   "latency spike")
     chaos_parser.add_argument("--outage", action="append", metavar="SPEC",
                               help="MN outage 'MN:START:END' (repeatable), "
                                    "e.g. '0:100us:300us'")
-    chaos_parser.add_argument("--max-attempts", type=int, default=None,
-                              help="retry budget per operation")
-    chaos_parser.add_argument("--ops", type=int, default=None,
-                              help="ops per client")
-    chaos_parser.add_argument("--keys", type=int, default=None,
-                              help="bulk-loaded key count")
+    chaos_parser.add_argument("--max-attempts", type=int, default=256,
+                              help="retry budget per operation "
+                                   "(default: 256)")
+    chaos_parser.add_argument("--ops", type=int, default=40,
+                              help="ops per client (default: 40)")
+    chaos_parser.add_argument("--keys", type=int, default=400,
+                              help="bulk-loaded key count, drawn from "
+                                   "twice as many (default: 400)")
     _add_knob_flags(chaos_parser, "depth sync_mode num_mns num_shards",
                     env="num_mns num_shards")
 

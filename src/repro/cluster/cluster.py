@@ -7,6 +7,7 @@ from typing import Dict, Iterator, List
 from repro.cluster.compute import ClientContext, ComputeNode
 from repro.cluster.shards import ShardMap
 from repro.config import ClusterConfig
+from repro.errors import ConfigError
 from repro.memory.allocator import PartitionedAllocator
 from repro.memory.node import MemoryNode
 from repro.obs.bus import BUS
@@ -60,10 +61,25 @@ class Cluster:
 
         Every client queue pair in the cluster starts consulting the
         injector before and after each verb.  Returns the injector so
-        the caller can read its counters / dead-CN set afterwards.
+        the caller can read its counters / dead-CN set afterwards.  A
+        spec naming a client or an MN this cluster lacks could never
+        fire: it raises :class:`~repro.errors.ConfigError`.
         """
         from repro.faults.injector import FaultInjector
 
+        owners = {ctx.qp.owner for ctx in self.clients()}
+        named = [crash.owner for crash in plan.crashes] + [
+            fault.owner for fault in (*plan.losses, *plan.delays)
+            if fault.owner]  # an empty owner matches every client
+        for owner in named:
+            if owner not in owners:
+                raise ConfigError(f"fault owner {owner!r} names no client "
+                                  f"(cn0/c0 .. cn{len(self.cns) - 1}"
+                                  f"/c{self.config.clients_per_cn - 1})")
+        for outage in plan.outages:
+            if outage.mn_id not in self.mns:
+                raise ConfigError(f"outage MN {outage.mn_id} is not one of "
+                                  f"the cluster's {len(self.mns)} MN(s)")
         injector = FaultInjector(self.engine, plan)
         for ctx in self.clients():
             ctx.qp.injector = injector

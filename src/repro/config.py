@@ -17,7 +17,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.rdma.nic import NicSpec
-from repro.retry import RetryPolicy
 
 #: The paper's dataset size; used as the budget-scaling reference.
 PAPER_DATASET_SIZE = 60_000_000
@@ -293,8 +292,6 @@ class ChimeConfig:
     cxl_atomics: bool = False
     #: Target leaf fill fraction for bulk loading.
     bulk_load_factor: float = 0.7
-    #: Retry budget for client operations (None = the default policy).
-    retry: Optional[RetryPolicy] = None
 
     def __post_init__(self) -> None:
         if self.neighborhood < 1 or self.neighborhood > 16:

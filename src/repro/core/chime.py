@@ -106,8 +106,6 @@ class ChimeIndex(BTreeIndexBase):
 
     def __init__(self, cluster: Cluster, config: Optional[ChimeConfig] = None) -> None:
         super().__init__(cluster, config or ChimeConfig())
-        if self.config.retry is not None:
-            self.retry_policy = self.config.retry
         entry_value_size = 8 if self.config.indirect_values else self.config.value_size
         self.leaf_layout = LeafLayout(
             span=self.config.span,

@@ -63,7 +63,6 @@ from repro.errors import (
     IndexError_,
     LayoutError,
     LockLeaseExpiredError,
-    OperationTimeoutError,
     QueueWaitTimeoutError,
     RetryExhaustedError,
     TornReadError,
@@ -766,7 +765,7 @@ class FamilyClientBase(SpanInstrumentedOps):
         while True:
             try:
                 retry.check()
-            except (RetryExhaustedError, OperationTimeoutError) as exc:
+            except RetryExhaustedError as exc:
                 sync.abandon(cn_id, owner_name, lock_addr)
                 if BUS.active:
                     BUS.emit("queue.wait_timeout", engine.now,

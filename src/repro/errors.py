@@ -50,7 +50,8 @@ class WorkloadError(ReproError):
 
 class ConfigError(ReproError, ValueError):
     """A run-level knob (flag, ``REPRO_*`` variable or config field)
-    carries a value its validator rejects; the message names the knob."""
+    carries a value its validator rejects, or a fault spec could never
+    fire; the message names the knob or the spec's value."""
 
 
 class RetryExhaustedError(ReproError):
@@ -61,15 +62,6 @@ class RetryExhaustedError(ReproError):
     keeps failing past ``RetryPolicy.max_attempts``.  Replaces silent
     live-locking: an orphaned remote lock or a persistently torn node
     surfaces as this typed error instead of hanging the client.
-    """
-
-
-class OperationTimeoutError(ReproError):
-    """An operation overran its retry deadline in simulated time.
-
-    Raised by :class:`repro.retry.RetryState` when
-    ``RetryPolicy.deadline`` (seconds of simulated time from the first
-    attempt) elapses before the operation completes.
     """
 
 

@@ -12,7 +12,7 @@ Three pieces:
   and the seeded chaos harness built on them (the ``chaos`` subcommand).
 """
 
-from repro.faults.chaos import ChaosConfig, ChaosResult, build_plan, run_chaos
+from repro.faults.chaos import CHAOS_CLUSTER, ChaosResult, run_chaos
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import InvariantReport, check_index_invariants
 from repro.faults.plan import (
@@ -27,5 +27,5 @@ __all__ = [
     "FaultPlan", "LossFault", "DelayFault", "MnOutage", "CrashFault",
     "FaultInjector",
     "InvariantReport", "check_index_invariants",
-    "ChaosConfig", "ChaosResult", "build_plan", "run_chaos",
+    "CHAOS_CLUSTER", "ChaosResult", "run_chaos",
 ]

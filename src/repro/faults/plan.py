@@ -10,21 +10,53 @@ queue pairs (see :meth:`repro.cluster.cluster.Cluster.install_faults`).
 
 Fault matching vocabulary:
 
-* ``kinds`` — verb names as the queue pair reports them (``read``,
-  ``read_batch``, ``write``, ``write_batch``, ``cas``, ``masked_cas``,
-  ``faa``, ``rpc``); None matches every verb.
+* ``kinds`` — verb names as the queue pair reports them
+  (:data:`VERB_KINDS`); None matches every verb.
 * ``owner`` — a client identity string (``"cn0/c0"``, set by
   :class:`~repro.cluster.compute.ClientContext`); empty matches anyone.
 * ``start`` / ``end`` — a half-open window in simulated seconds.
+
+A spec that could never fire — a probability outside [0, 1], an unknown
+verb kind, an empty window — raises :class:`~repro.errors.ConfigError`
+when it is built; an owner or MN the cluster lacks is refused by
+:meth:`~repro.cluster.cluster.Cluster.install_faults`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Optional, Sequence
 
-__all__ = ["LossFault", "DelayFault", "MnOutage", "CrashFault", "FaultPlan"]
+from repro.errors import ConfigError
+
+__all__ = ["LossFault", "DelayFault", "MnOutage", "CrashFault", "FaultPlan",
+           "VERB_KINDS"]
+
+#: The verb names :class:`~repro.rdma.verbs.RdmaQp` reports to its injector.
+VERB_KINDS = frozenset({"read", "read_batch", "write", "write_batch", "cas",
+                        "masked_cas", "faa", "rpc"})
+
+
+def _kinds(kinds: Optional[Sequence[str]]) -> Optional[frozenset]:
+    """*kinds* as a set of verb names (None matches every verb)."""
+    if kinds is None:
+        return None
+    chosen = frozenset(kinds)
+    if not chosen <= VERB_KINDS:
+        raise ConfigError(
+            f"unknown verb kind(s) {sorted(chosen - VERB_KINDS)}; "
+            f"choose from {sorted(VERB_KINDS)}")
+    return chosen
+
+
+def _can_fire(start: float, end: float, probability: float = 1.0) -> None:
+    """Refuse a window or a probability with which a spec never fires."""
+    if not 0.0 <= probability <= 1.0:
+        raise ConfigError(f"fault probability must be in [0, 1]: "
+                          f"{probability}")
+    if not start < end:
+        raise ConfigError(f"empty fault window [{start}, {end})")
 
 
 @dataclass(frozen=True)
@@ -84,9 +116,9 @@ class CrashFault:
 
     def __post_init__(self) -> None:
         if self.when not in ("before", "after"):
-            raise ValueError(f"crash 'when' must be before/after: {self.when}")
+            raise ConfigError(f"crash 'when' must be before/after: {self.when}")
         if self.nth < 1:
-            raise ValueError("crash 'nth' is 1-based")
+            raise ConfigError(f"crash 'nth' is 1-based: {self.nth}")
 
 
 class FaultPlan:
@@ -113,23 +145,23 @@ class FaultPlan:
              start: float = 0.0, end: float = math.inf,
              max_count: Optional[int] = None) -> "FaultPlan":
         """Lose matching verbs with the given probability."""
-        self.losses.append(LossFault(
-            probability, frozenset(kinds) if kinds is not None else None,
-            owner, start, end, max_count))
+        _can_fire(start, end, probability)
+        self.losses.append(LossFault(probability, _kinds(kinds), owner,
+                                     start, end, max_count))
         return self
 
     def spike(self, probability: float, delay: float,
               kinds: Optional[Sequence[str]] = None, owner: str = "",
               start: float = 0.0, end: float = math.inf) -> "FaultPlan":
         """Add a latency spike of *delay* seconds to matching verbs."""
-        self.delays.append(DelayFault(
-            probability, delay,
-            frozenset(kinds) if kinds is not None else None,
-            owner, start, end))
+        _can_fire(start, end, probability)
+        self.delays.append(DelayFault(probability, delay, _kinds(kinds),
+                                      owner, start, end))
         return self
 
     def outage(self, mn_id: int, start: float, end: float) -> "FaultPlan":
         """Make MN *mn_id* unreachable during [start, end)."""
+        _can_fire(start, end)
         self.outages.append(MnOutage(mn_id, start, end))
         return self
 
@@ -137,10 +169,21 @@ class FaultPlan:
               kinds: Sequence[str] = ("write", "write_batch"),
               nth: int = 1, when: str = "before") -> "FaultPlan":
         """Crash *owner*'s CN at its nth matching verb."""
-        self.crashes.append(CrashFault(owner, frozenset(kinds), nth, when))
+        self.crashes.append(CrashFault(owner, _kinds(kinds), nth, when))
         return self
 
     @property
     def empty(self) -> bool:
         return not (self.losses or self.delays or self.outages
                     or self.crashes)
+
+    def to_dict(self) -> Dict:
+        """The plan as JSON-stable data: kinds as sorted lists, an open
+        window's end as None."""
+        def spec(fault) -> Dict:
+            return {name: sorted(value) if isinstance(value, frozenset)
+                    else None if value == math.inf else value
+                    for name, value in asdict(fault).items()}
+        return {"seed": self.seed, "verb_timeout": self.verb_timeout,
+                **{name: [spec(fault) for fault in getattr(self, name)]
+                   for name in ("crashes", "losses", "delays", "outages")}}

@@ -2,10 +2,8 @@
 
 Every retry loop in the client stack (remote lock acquisition,
 optimistic read validation, whole-operation retraversal) runs under a
-:class:`RetryPolicy`: a maximum attempt count and an optional deadline
-in simulated time.  Exhausting the budget raises a typed
-:class:`~repro.errors.RetryExhaustedError` /
-:class:`~repro.errors.OperationTimeoutError` instead of live-locking —
+:class:`RetryPolicy`: an attempt budget.  Exhausting it raises a typed
+:class:`~repro.errors.RetryExhaustedError` instead of live-locking —
 the behaviour an orphaned remote lock would otherwise cause.
 
 Between attempts every loop backs off on one linear curve,
@@ -15,10 +13,10 @@ lock's poll alone jitters it, from the client's seeded RNG.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Generator, Optional
 
-from repro.errors import OperationTimeoutError, RetryExhaustedError
+from repro.errors import ConfigError, RetryExhaustedError
 from repro.sim.engine import Engine
 
 #: Backoff before the first retry, in seconds.
@@ -29,12 +27,15 @@ LINEAR_CAP = 16
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How often and how long to retry a failing step."""
+    """How often to retry a failing step."""
 
     #: Attempt budget; the (max_attempts + 1)-th check raises.
     max_attempts: int = 256
-    #: Optional budget in simulated seconds from the first attempt.
-    deadline: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ConfigError(f"RetryPolicy.max_attempts must be >= 1: "
+                              f"{self.max_attempts}")
 
     @staticmethod
     def delay(attempt: int, rng=None, jitter: float = 0.0) -> float:
@@ -55,20 +56,15 @@ class RetryPolicy:
         so the label costs a started sequence nothing."""
         return RetryState(self, what, engine, rng, args)
 
-    def scaled(self, **overrides) -> "RetryPolicy":
-        """A copy with fields replaced (convenience for sweeps)."""
-        return replace(self, **overrides)
 
-
-#: 256 attempts and no deadline.
+#: 256 attempts.
 DEFAULT_RETRY_POLICY = RetryPolicy()
 
 
 class RetryState:
     """Progress of one attempt sequence under a :class:`RetryPolicy`."""
 
-    __slots__ = ("policy", "what", "args", "engine", "rng", "attempt",
-                 "started")
+    __slots__ = ("policy", "what", "args", "engine", "rng", "attempt")
 
     def __init__(self, policy: RetryPolicy, what: str, engine: Engine,
                  rng=None, args: tuple = ()) -> None:
@@ -78,7 +74,6 @@ class RetryState:
         self.engine = engine
         self.rng = rng
         self.attempt = 0
-        self.started = engine.now
 
     def check(self) -> bool:
         """Account one attempt; True, or raises once the budget is gone.
@@ -86,16 +81,9 @@ class RetryState:
         Written for ``while retry.check():`` loops — the bounded
         equivalent of ``while True:``.
         """
-        policy = self.policy
-        if self.attempt >= policy.max_attempts:
+        if self.attempt >= self.policy.max_attempts:
             raise RetryExhaustedError(
                 f"{self.what.format(*self.args)}: gave up after "
-                f"{self.attempt} attempts")
-        if policy.deadline is not None and \
-                self.engine.now - self.started >= policy.deadline:
-            raise OperationTimeoutError(
-                f"{self.what.format(*self.args)}: deadline of "
-                f"{policy.deadline * 1e6:.1f}us exceeded after "
                 f"{self.attempt} attempts")
         self.attempt += 1
         return True

@@ -227,8 +227,8 @@ class TestPessimisticRuns:
         config = _contended_config("pessimistic", num_cns=1,
                                    clients_per_cn=1, lock_leases=False)
         cluster = Cluster(config)
-        index = ChimeIndex(cluster, ChimeConfig(
-            retry=RetryPolicy(max_attempts=32)))
+        index = ChimeIndex(cluster, ChimeConfig())
+        index.retry_policy = RetryPolicy(max_attempts=32)
         index.bulk_load([(k, k) for k in range(1, 201)])
         lock_addr = index.leaf_addrs()[0] + index.leaf_layout.lock_offset
         index._host_write(lock_addr + LOCK_TICKET_OFFSET, encode_u64(3))

@@ -4,7 +4,6 @@ Marked ``chaos`` so CI can run them as a dedicated smoke job
 (``pytest -m chaos``); they also run in the default suite.
 """
 
-import dataclasses
 import json
 
 import pytest
@@ -18,21 +17,32 @@ from repro.core.node_layout import (
     LOCK_TICKET_OFFSET,
     pack_lease,
 )
-from repro.faults import ChaosConfig, check_index_invariants, run_chaos
+from repro.faults import (
+    CHAOS_CLUSTER,
+    FaultPlan,
+    check_index_invariants,
+    run_chaos,
+)
 from repro.layout import decode_u64, encode_u64
 from repro.registry import build_index, families, get_family
 from tests.test_family_base import LOCK_WORD_FAMILIES
 
 pytestmark = pytest.mark.chaos
 
-#: The canonical campaign: kill cn0/c0's CN right before its first WRITE
-#: verb — after the lock-acquiring CAS, before the unlocking WRITE.
-CANONICAL = ChaosConfig()
+#: The canonical campaign, ``run_chaos()``: kill cn0/c0's CN right before
+#: its first WRITE verb — after the lock-acquiring CAS, before the
+#: unlocking WRITE.  Without leases, and with a lossy fabric instead:
+NO_LEASES = CHAOS_CLUSTER.scaled(lock_leases=False)
+
+
+def lossy(probability=0.02, seed=7):
+    """A plan that loses *probability* of the verbs and crashes nothing."""
+    return FaultPlan(seed=seed).drop(probability)
 
 
 class TestCrashRecovery:
     def test_without_leases_orphaned_lock_wedges_survivors(self):
-        result = run_chaos(dataclasses.replace(CANONICAL, lock_leases=False))
+        result = run_chaos(NO_LEASES)
         # The victim CN died holding at least one leaf lock...
         assert result.dead_cns == [0]
         assert result.fault_counters["fault.crash"] == 1
@@ -45,13 +55,13 @@ class TestCrashRecovery:
         assert all(e["client"].startswith("cn1/") for e in result.errors)
 
     def test_with_leases_survivors_steal_and_complete(self):
-        result = run_chaos(CANONICAL)
+        result = run_chaos()
         assert result.dead_cns == [0]
         assert result.errors == []
         # Every survivor client finished its full op stream.
         for name, count in result.completed.items():
             expected = 0 if name.startswith("cn0/") else \
-                CANONICAL.ops_per_client
+                result.config["ops_per_client"]
             assert count == expected, name
         # Recovery showed up in the observability metrics...
         assert result.metrics.get("obs.lock.steal", 0) >= 1
@@ -68,18 +78,15 @@ class TestCrashRecovery:
         is restored and a lost queue verb re-issued, so no lock, lease
         or ticket leaks.  Every seed failed this (a lost unlock wedged
         its leaf) while releases gave the lock up at build time."""
-        cfg = dataclasses.replace(CANONICAL, crash_owner="", sync_mode=mode,
-                                  lock_leases=False, loss_probability=0.02)
-        result = run_chaos(cfg)
+        result = run_chaos(NO_LEASES.scaled(sync_mode=mode), lossy())
         assert result.fault_counters.get("fault.loss", 0) > 0
         assert result.errors == []
         assert result.invariants.ok, result.invariants.violations
 
     def test_lossy_fabric_with_leases_stays_consistent(self):
-        cfg = dataclasses.replace(
-            CANONICAL, loss_probability=0.02, delay_probability=0.05,
-            mn_outages=((0, 100e-6, 200e-6),))
-        result = run_chaos(cfg)
+        plan = (FaultPlan(seed=7).crash("cn0/c0").drop(0.02)
+                .spike(0.05, 5e-6).outage(0, 100e-6, 200e-6))
+        result = run_chaos(plan=plan)
         assert result.fault_counters.get("fault.loss", 0) > 0
         assert result.errors == []
         assert result.invariants.ok, result.invariants.violations
@@ -97,17 +104,16 @@ class TestEveryFamily:
 
     @pytest.mark.parametrize("index_name,mode", _FAMILY_MODES)
     def test_crash_with_leases_recovers(self, index_name, mode):
-        result = run_chaos(dataclasses.replace(
-            CANONICAL, index=index_name, sync_mode=mode))
+        result = run_chaos(CHAOS_CLUSTER.scaled(sync_mode=mode),
+                           index=index_name)
         assert result.dead_cns == [0]
         assert result.errors == []
         assert result.invariants.ok, result.invariants.violations
 
     @pytest.mark.parametrize("index_name,mode", _FAMILY_MODES)
     def test_lossy_fabric_without_leases_stays_clean(self, index_name, mode):
-        result = run_chaos(dataclasses.replace(
-            CANONICAL, index=index_name, sync_mode=mode, crash_owner="",
-            lock_leases=False, loss_probability=0.02))
+        result = run_chaos(NO_LEASES.scaled(sync_mode=mode), lossy(),
+                           index_name)
         assert result.fault_counters.get("fault.loss", 0) > 0
         assert result.errors == []
         assert result.invariants.ok, result.invariants.violations
@@ -119,7 +125,7 @@ class TestSyncModes:
     @pytest.mark.parametrize("mode", ["optimistic", "pessimistic",
                                       "adaptive"])
     def test_canonical_crash_recovers(self, mode):
-        result = run_chaos(dataclasses.replace(CANONICAL, sync_mode=mode))
+        result = run_chaos(CHAOS_CLUSTER.scaled(sync_mode=mode))
         assert result.dead_cns == [0]
         assert result.errors == []
         assert result.invariants.ok, result.invariants.violations
@@ -133,10 +139,9 @@ class TestSyncModes:
         ticket is claimed on the MN but its owner is gone.  Survivors
         watch the serving word stall, CAS it past the dead tickets
         (``queue.drop``), and every surviving op completes."""
-        cfg = dataclasses.replace(CANONICAL, sync_mode="pessimistic",
-                                  crash_kinds=("faa",),
-                                  crash_when="after")
-        result = run_chaos(cfg)
+        result = run_chaos(
+            CHAOS_CLUSTER.scaled(sync_mode="pessimistic"),
+            FaultPlan(seed=7).crash("cn0/c0", kinds=("faa",), when="after"))
         assert result.dead_cns == [0]
         assert result.errors == []
         assert result.invariants.ok, result.invariants.violations
@@ -146,21 +151,21 @@ class TestSyncModes:
 
     @pytest.mark.parametrize("mode", ["pessimistic", "adaptive"])
     def test_modes_are_deterministic(self, mode):
-        cfg = dataclasses.replace(CANONICAL, sync_mode=mode)
-        first = json.dumps(run_chaos(cfg).to_dict(), sort_keys=True)
-        second = json.dumps(run_chaos(cfg).to_dict(), sort_keys=True)
+        config = CHAOS_CLUSTER.scaled(sync_mode=mode)
+        first = json.dumps(run_chaos(config).to_dict(), sort_keys=True)
+        second = json.dumps(run_chaos(config).to_dict(), sort_keys=True)
         assert first == second
 
 
 class TestDeterminism:
     def test_same_seeds_give_byte_identical_results(self):
-        first = json.dumps(run_chaos(CANONICAL).to_dict(), sort_keys=True)
-        second = json.dumps(run_chaos(CANONICAL).to_dict(), sort_keys=True)
+        first = json.dumps(run_chaos().to_dict(), sort_keys=True)
+        second = json.dumps(run_chaos().to_dict(), sort_keys=True)
         assert first == second
 
     def test_different_seed_gives_a_different_run(self):
-        other = dataclasses.replace(CANONICAL, seed=8)
-        first = json.dumps(run_chaos(CANONICAL).to_dict(), sort_keys=True)
+        other = CHAOS_CLUSTER.scaled(seed=8)
+        first = json.dumps(run_chaos().to_dict(), sort_keys=True)
         second = json.dumps(run_chaos(other).to_dict(), sort_keys=True)
         assert first != second
 
@@ -168,11 +173,11 @@ class TestDeterminism:
     def test_max_attempts_reaches_the_family(self, index_name):
         # Only CHIME read the budget once; Sherman's run was the same
         # byte for byte at 2 attempts and at 256.
-        lossy = dataclasses.replace(CANONICAL, index=index_name, seed=3,
-                                    lock_leases=False, crash_owner="",
-                                    loss_probability=0.05)
-        tight = run_chaos(dataclasses.replace(lossy, max_attempts=2))
-        roomy = run_chaos(dataclasses.replace(lossy, max_attempts=256))
+        config = NO_LEASES.scaled(seed=3)
+        tight = run_chaos(config, lossy(0.05, seed=3), index_name,
+                          max_attempts=2)
+        roomy = run_chaos(config, lossy(0.05, seed=3), index_name,
+                          max_attempts=256)
         assert roomy.ok
         assert {error["error"] for error in tight.errors} == {
             "RetryExhaustedError"}
@@ -180,13 +185,12 @@ class TestDeterminism:
 
 class TestInvariantChecker:
     def test_clean_run_without_faults_passes(self):
-        cfg = dataclasses.replace(CANONICAL, crash_owner="")
-        result = run_chaos(cfg)
+        result = run_chaos(plan=FaultPlan(seed=7))
         assert result.dead_cns == []
         assert result.errors == []
         assert result.invariants.ok
         assert result.invariants.leaves > 1
-        assert result.invariants.keys >= CANONICAL.initial_keys
+        assert result.invariants.keys >= result.config["keys"]
 
     def test_checker_catches_a_planted_stuck_lock(self):
         from repro.cluster import Cluster

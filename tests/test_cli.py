@@ -114,6 +114,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and complaint in err
 
+    @pytest.mark.parametrize("argv,complaint", [
+        (["--ops", "0"], "--ops must be >= 1"),
+        (["--ops", "-5"], "--ops must be >= 1"),
+        (["--keys", "0"], "--keys must be >= 1"),
+        (["--max-attempts", "0"], "max_attempts must be >= 1"),
+        (["--max-attempts", "-3"], "max_attempts must be >= 1"),
+        (["--loss", "-0.5"], "probability must be in [0, 1]"),
+        (["--loss", "1.5"], "probability must be in [0, 1]"),
+        (["--delay", "-1"], "probability must be in [0, 1]"),
+        (["--crash", "cn9/c0:lock"], "'cn9/c0' names no client"),
+        (["--crash", "cn0/c0:reed@1"], "unknown verb kind(s) ['reed']"),
+        (["--crash", "cn0/c0:read@0"], "1-based"),
+        (["--outage", "5:10us:20us"], "outage MN 5"),
+        (["--outage", "0:300us:100us"], "empty fault window"),
+    ], ids=["ops-0", "ops-negative", "keys-0", "attempts-0",
+            "attempts-negative", "loss-negative", "loss-above-1",
+            "delay-negative", "crash-no-client", "crash-no-verb",
+            "crash-nth-0", "outage-no-mn", "outage-empty"])
+    def test_chaos_refuses_what_never_fires_in_one_line(self, argv, complaint,
+                                                        capsys):
+        """Each ran the default, ran nothing or never fired, and exited 0
+        (``read@0`` died with a ValueError traceback)."""
+        assert main(["chaos", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and complaint in err
+
     def test_list_indexes_has_no_chaos_column(self, capsys):
         # Every family runs the chaos harness; the column said otherwise.
         assert main(["run", "--list-indexes"]) == 0

@@ -231,7 +231,10 @@ class TestEventLogsPinned:
 #: the next shard only while its result was short (3843 -> 2146).
 #: ``sharded-chaos``'s report digest was re-recorded when the report
 #: dropped its ``inserted`` count (the history checker judges committed
-#: keys); its events and event log hold.
+#: keys); its events and event log hold.  ``default-chaos`` is the
+#: unsharded default campaign, ``run_chaos()``, pinned the same way;
+#: both were recorded before ``run_chaos`` took a ``ClusterConfig`` and a
+#: ``FaultPlan``, which moved neither.
 SHARDED_LOGS = {
     "sharded-scan": (2146, "ccf8fdeeb14f7f129364ca8a03e5572f"
                            "6f89aae86436ad3099f5ebbc2266a55c"),
@@ -239,11 +242,13 @@ SHARDED_LOGS = {
                             "6b2f204aa34923c66b68d520d81ad8c0",
                       "98e022b43782fcdf21970d3b2897f440"
                       "28b4263351cf5b6eedca7fbb3f5a7785"),
+    "default-chaos": (4380, "570e191db2ecb8333686080138dc794b"
+                            "ccfee65b25c0b260b99b311e960d09b8",
+                      "166cea919f9c1600c92052c2de299fff"
+                      "ae96b88530a2a8aaae1ad95b024e2bc1"),
 }
 
 SHARDED_SCAN = dict(num_mns=4, num_shards=4, pipeline_depth=2)
-SHARDED_CHAOS = dict(num_mns=4, num_shards=4, crash_owner="",
-                     mn_outages=((2, 30e-6, 120e-6),), seed=7)
 
 
 class TestShardedPinned:
@@ -258,27 +263,40 @@ class TestShardedPinned:
             SHARDED_LOGS["sharded-scan"]
 
     def test_sharded_chaos_is_pinned(self, monkeypatch):
-        from repro.faults import ChaosConfig, chaos, run_chaos
+        from repro.faults import CHAOS_CLUSTER, FaultPlan
 
-        engines = []
-        build = chaos.Cluster
+        assert _chaos_pin(
+            monkeypatch, CHAOS_CLUSTER.scaled(num_mns=4, num_shards=4),
+            FaultPlan(seed=7).outage(2, 30e-6, 120e-6),
+        ) == SHARDED_LOGS["sharded-chaos"]
 
-        def logged_cluster(config):
-            cluster = build(config)
-            cluster.engine.event_log = []
-            engines.append(cluster.engine)
-            return cluster
+    def test_default_chaos_is_pinned(self, monkeypatch):
+        assert _chaos_pin(monkeypatch) == SHARDED_LOGS["default-chaos"]
 
-        monkeypatch.setattr(chaos, "Cluster", logged_cluster)
-        result = run_chaos(ChaosConfig(**SHARDED_CHAOS))
-        assert result.ok, result.invariants.violations
-        body = result.to_dict()
-        del body["config"]
-        body_digest = hashlib.sha256(
-            json.dumps(body, sort_keys=True).encode()).hexdigest()
-        (engine,) = engines
-        assert (engine.events_processed, _log_digest(engine.event_log),
-                body_digest) == SHARDED_LOGS["sharded-chaos"]
+
+def _chaos_pin(monkeypatch, *args):
+    """``run_chaos(*args)`` as (events, event-log digest, SHA-256 of its
+    report without ``config``)."""
+    from repro.faults import chaos
+
+    engines = []
+    build = chaos.Cluster
+
+    def logged_cluster(config):
+        cluster = build(config)
+        cluster.engine.event_log = []
+        engines.append(cluster.engine)
+        return cluster
+
+    monkeypatch.setattr(chaos, "Cluster", logged_cluster)
+    result = chaos.run_chaos(*args)
+    assert result.ok, result.invariants.violations
+    body = result.to_dict()
+    del body["config"]
+    body_digest = hashlib.sha256(
+        json.dumps(body, sort_keys=True).encode()).hexdigest()
+    (engine,) = engines
+    return engine.events_processed, _log_digest(engine.event_log), body_digest
 
 
 #: Lock shapes the rows above do not reach: run id -> (family,

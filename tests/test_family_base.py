@@ -36,7 +36,7 @@ from repro.core.node_layout import (
     pack_lease,
     unpack_lease,
 )
-from repro.errors import OperationTimeoutError, RetryExhaustedError
+from repro.errors import RetryExhaustedError
 from repro.faults import FaultPlan, check_index_invariants
 from repro.layout import decode_u64, encode_key, encode_u64
 from repro import obs
@@ -438,11 +438,6 @@ def test_retry_label_is_formatted_only_when_raised(what, args, label):
     with pytest.raises(RetryExhaustedError) as raised:
         state.check()
     assert str(raised.value) == f"{label}: gave up after 3 attempts"
-    overdue = RetryPolicy(deadline=0.0).start(what, engine, None, *args)
-    with pytest.raises(OperationTimeoutError) as raised:
-        overdue.check()
-    assert str(raised.value) == (
-        f"{label}: deadline of 0.0us exceeded after 0 attempts")
 
 
 def test_sherman_bulk_load_bounded_like_chime():

@@ -1,6 +1,8 @@
 """Unit tests for retry policies, lease encoding, and fault injection."""
 
+import inspect
 import random
+import re
 
 import pytest
 
@@ -14,15 +16,17 @@ from repro.core.node_layout import (
     unpack_lease,
 )
 from repro.errors import (
+    ConfigError,
     FaultInjectedError,
     LayoutError,
     LockLeaseExpiredError,
-    OperationTimeoutError,
     ReproError,
     RetryExhaustedError,
 )
 from repro.faults import FaultPlan
+from repro.faults.plan import VERB_KINDS
 from repro.memory import make_addr
+from repro.rdma import verbs
 from repro.retry import (
     BASE_BACKOFF,
     DEFAULT_RETRY_POLICY,
@@ -49,7 +53,6 @@ def drive(engine, gen):
 class TestRetryPolicy:
     def test_default_matches_legacy_constants(self):
         assert DEFAULT_RETRY_POLICY.max_attempts == 256
-        assert DEFAULT_RETRY_POLICY.deadline is None
         # Legacy backoff_delay(attempt) = 0.2us * min(attempt + 1, 16).
         for attempt in range(20):
             expected = 0.2e-6 * min(attempt + 1, 16)
@@ -83,23 +86,10 @@ class TestRetryPolicy:
         with pytest.raises(RetryExhaustedError, match="3 attempts"):
             state.check()
 
-    def test_deadline_raises_timeout(self):
-        engine = Engine()
-        policy = RetryPolicy(max_attempts=1000, deadline=5e-6)
-
-        def loop():
-            state = policy.start("op", engine, None)
-            while state.check():
-                yield engine.timeout(2e-6)
-
-        with pytest.raises(OperationTimeoutError, match="deadline"):
-            drive(engine, loop())
-
-    def test_scaled_overrides(self):
-        policy = DEFAULT_RETRY_POLICY.scaled(max_attempts=7, deadline=1.0)
-        assert policy.max_attempts == 7
-        assert policy.deadline == 1.0
-        assert DEFAULT_RETRY_POLICY.max_attempts == 256
+    @pytest.mark.parametrize("attempts", [0, -3])
+    def test_a_budget_that_allows_no_attempt_is_refused(self, attempts):
+        with pytest.raises(ConfigError, match="max_attempts"):
+            RetryPolicy(max_attempts=attempts)
 
     def test_backoff_generator_matches_delay(self):
         engine = Engine()
@@ -139,8 +129,8 @@ class TestLeaseWord:
 
 class TestErrorHierarchy:
     def test_all_fault_errors_are_repro_errors(self):
-        for exc_type in (RetryExhaustedError, OperationTimeoutError,
-                         LockLeaseExpiredError, FaultInjectedError):
+        for exc_type in (RetryExhaustedError, LockLeaseExpiredError,
+                         FaultInjectedError):
             assert issubclass(exc_type, ReproError)
 
 
@@ -152,6 +142,40 @@ class TestFaultPlan:
     def test_crash_nth_is_one_based(self):
         with pytest.raises(ValueError):
             FaultPlan().crash("cn0/c0", nth=0)
+
+    @pytest.mark.parametrize("build", [
+        lambda plan: plan.drop(1.5),
+        lambda plan: plan.drop(-0.5),
+        lambda plan: plan.spike(-1.0, 5e-6),
+        lambda plan: plan.drop(0.1, kinds=("reed",)),
+        lambda plan: plan.crash("cn0/c0", kinds=("reed",)),
+        lambda plan: plan.outage(0, 300e-6, 100e-6),
+        lambda plan: plan.outage(0, 100e-6, 100e-6),
+        lambda plan: plan.spike(0.1, 5e-6, start=1.0, end=0.5),
+    ], ids=["loss>1", "loss<0", "spike<0", "loss-kind", "crash-kind",
+            "outage-reversed", "outage-empty", "spike-window"])
+    def test_a_spec_that_can_never_fire_is_refused(self, build):
+        """Like ``when="during"`` and ``nth=0``: a probability outside
+        [0, 1], a verb the queue pair never reports or an empty window
+        would be accepted and never fire."""
+        with pytest.raises(ConfigError):
+            build(FaultPlan())
+
+    def test_verb_kinds_are_the_ones_the_queue_pair_reports(self):
+        source = inspect.getsource(verbs)
+        assert VERB_KINDS == set(re.findall(
+            r'injector\.before_verb\(self, "(\w+)"', source))
+
+    @pytest.mark.parametrize("plan,complaint", [
+        (FaultPlan().crash("cn9/c0"), "'cn9/c0' names no client"),
+        (FaultPlan().drop(0.1, owner="cn0/c7"), "'cn0/c7' names no client"),
+        (FaultPlan().outage(5, 10e-6, 20e-6), "outage MN 5"),
+    ], ids=["crash-owner", "loss-owner", "outage-mn"])
+    def test_install_refuses_a_client_or_mn_the_cluster_lacks(
+            self, plan, complaint):
+        cluster = Cluster(ClusterConfig(num_cns=1, clients_per_cn=2))
+        with pytest.raises(ConfigError, match=complaint):
+            cluster.install_faults(plan)
 
     def test_builders_chain_and_fill_lists(self):
         plan = (FaultPlan(seed=3).drop(0.5).spike(0.1, 1e-6)

@@ -259,8 +259,8 @@ class TestLaneContext:
 
 class TestChaosAtDepth:
     def test_cn_crash_at_depth4_parks_all_lanes_and_tree_survives(self):
-        from repro.faults import ChaosConfig, run_chaos
-        result = run_chaos(ChaosConfig(pipeline_depth=4))
+        from repro.faults import CHAOS_CLUSTER, run_chaos
+        result = run_chaos(CHAOS_CLUSTER.scaled(pipeline_depth=4))
         assert result.invariants.ok
         assert not result.errors
         assert result.dead_cns == [0]
@@ -275,15 +275,13 @@ class TestChaosAtDepth:
         assert sum(result.parked.values()) > 1
 
     def test_chaos_depth_is_config_determined_not_env(self, monkeypatch):
-        from repro.faults import ChaosConfig, run_chaos
+        from repro.faults import run_chaos
         monkeypatch.setenv("REPRO_DEPTH", "4")
-        blob_env = json.dumps(
-            run_chaos(ChaosConfig(ops_per_client=10)).to_dict(),
-            sort_keys=True)
+        blob_env = json.dumps(run_chaos(ops_per_client=10).to_dict(),
+                              sort_keys=True)
         monkeypatch.delenv("REPRO_DEPTH")
-        blob_plain = json.dumps(
-            run_chaos(ChaosConfig(ops_per_client=10)).to_dict(),
-            sort_keys=True)
+        blob_plain = json.dumps(run_chaos(ops_per_client=10).to_dict(),
+                                sort_keys=True)
         assert blob_env == blob_plain
 
 

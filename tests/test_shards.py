@@ -7,7 +7,6 @@ families, shard-aware chaos, and the xpmt spec-hash stability rules.
 """
 
 import ast
-import dataclasses
 import json
 import pathlib
 
@@ -22,7 +21,7 @@ from repro.cluster import Cluster
 from repro.cluster.shards import ShardMap, partition_pairs
 from repro.config import ClusterConfig
 from repro.errors import ConfigError, WorkloadError
-from repro.faults import ChaosConfig, run_chaos
+from repro.faults import CHAOS_CLUSTER, FaultPlan, run_chaos
 from repro.layout import MAX_KEY
 from repro.memory import addr_mn, make_addr
 from repro.registry import build_index, get_family
@@ -305,22 +304,20 @@ class TestRegistryGuard:
 
 class TestShardChaos:
     def test_one_shard_mn_outage_survivors_pass(self):
-        cfg = dataclasses.replace(
-            ChaosConfig(), num_mns=4, num_shards=4, crash_owner="",
-            mn_outages=((2, 30e-6, 120e-6),))
-        result = run_chaos(cfg)
+        result = run_chaos(CHAOS_CLUSTER.scaled(num_mns=4, num_shards=4),
+                           FaultPlan(seed=7).outage(2, 30e-6, 120e-6))
         assert result.ok, result.invariants.violations
         assert result.fault_counters.get("fault.outage", 0) > 0
         # No client lost ops: the outage parked lanes, not killed them.
-        assert all(count == cfg.ops_per_client
+        assert all(count == result.config["ops_per_client"]
                    for count in result.completed.values())
 
     def test_sharded_chaos_is_deterministic(self):
-        cfg = dataclasses.replace(
-            ChaosConfig(), num_mns=2, num_shards=2, crash_owner="",
-            mn_outages=((1, 30e-6, 90e-6),))
-        first = json.dumps(run_chaos(cfg).to_dict(), sort_keys=True)
-        second = json.dumps(run_chaos(cfg).to_dict(), sort_keys=True)
+        config = CHAOS_CLUSTER.scaled(num_mns=2, num_shards=2)
+        first, second = (
+            json.dumps(run_chaos(config, FaultPlan(seed=7).outage(
+                1, 30e-6, 90e-6)).to_dict(), sort_keys=True)
+            for _ in range(2))
         assert first == second
 
 
