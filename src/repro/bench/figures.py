@@ -591,11 +591,12 @@ _FIGURES = (
                         lambda r: not _match(r, {"workload": "LOAD", "index": "rolex"})),
                   beats("index", "chime", "sherman", workload="LOAD"))),
         # ROLEX scans best (small leaves; the model's window arrives in one
-        # batch), SMART worst (per-item reads saturate IOPS).
+        # batch), SMART worst (per-item reads saturate IOPS); CHIME beats
+        # Sherman by reading its end leaves for their candidates (§4.4).
         Table("fig12_ycsb_scan", "Figure 12 (E): scan workload", YCSB,
               {"workloads": ("E",)}, tuple(beats("index", "rolex", other, workload="E")
                                            for other in ("sherman", "chime", "smart"))
-              + _chime_peak("E", "smart")))),
+              + _chime_peak("E", "sherman", "smart")))),
     Figure("figpoint", "point workloads across access-path placements", grid=figpoint_grid),
     Figure("figplacement", "FlexKV placement under a shrinking cache", probe=figplacement),
     Figure("figshard", "aggregate throughput vs MN count", grid=figshard_grid),

@@ -43,6 +43,7 @@ import io
 import json
 import sys
 import time
+from contextlib import nullcontext
 from typing import List, Optional, Sequence
 
 from repro.bench import PRESETS, Scale
@@ -174,17 +175,14 @@ def _cmd_run(args) -> int:
         return 2
     scale = dataclasses.replace(PRESETS[args.scale], **_knob_values(args))
 
-    recorder = None
     if args.trace:
         try:
             open(args.trace, "a").close()  # fail before the run, not after
         except OSError as exc:
             print(f"cannot write trace file: {exc}", file=sys.stderr)
             return 2
-        from repro import obs
-        recorder = obs.recording()
-        recorder.__enter__()
-    try:
+    from repro import obs
+    with obs.recording() if args.trace else nullcontext() as recorder:
         for name in names:
             started = time.time()
             rows = FIGURES[name].rows(scale)
@@ -196,15 +194,10 @@ def _cmd_run(args) -> int:
             if args.out:
                 with open(args.out, "a") as sink:
                     sink.write(rendered + "\n\n")
-    finally:
-        if recorder is not None:
-            recorder.__exit__(None, None, None)
     if recorder is not None:
-        from repro.obs import write_chrome_trace
-        write_chrome_trace(recorder.spans, args.trace,
-                           metadata={"figures": names,
-                                     "scale": scale.name,
-                                     "seed": scale.seed})
+        obs.write_chrome_trace(recorder.spans, args.trace,
+                               metadata={"figures": names, "scale": scale.name,
+                                         "seed": scale.seed})
         print(f"[trace: {len(recorder.spans)} spans -> {args.trace}]",
               file=sys.stderr)  # keep stdout clean for --format json/csv
     return 0
@@ -275,7 +268,11 @@ def _parse_crash(spec: str):
     if rest.endswith((":before", ":after")):
         rest, _, when = rest.rpartition(":")
     kind, _, nth_text = rest.partition("@")
-    return owner, (kind,), int(nth_text) if nth_text else 1, when
+    try:
+        return owner, (kind,), int(nth_text) if nth_text else 1, when
+    except ValueError:
+        raise ValueError(f"bad crash spec {spec!r} (want "
+                         "OWNER[:KIND[@NTH][:before|after]])") from None
 
 
 def _cmd_chaos(args) -> int:

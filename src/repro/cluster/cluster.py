@@ -83,7 +83,6 @@ class Cluster:
         injector = FaultInjector(self.engine, plan)
         for ctx in self.clients():
             ctx.qp.injector = injector
-        self.fault_injector = injector
         return injector
 
     def clients(self) -> Iterator[ClientContext]:

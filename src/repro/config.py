@@ -244,6 +244,9 @@ class ClusterConfig:
             raise ConfigError(
                 f"ClusterConfig.cache_mode must be shared: "
                 f"{self.cache_mode!r}")
+        if self.lease_duration <= 0:  # every holder's lease would expire
+            raise ConfigError("ClusterConfig.lease_duration must be > 0: "
+                              f"{self.lease_duration:g} s")
 
     @property
     def total_clients(self) -> int:

@@ -289,46 +289,59 @@ class BTreeClientBase(FamilyClientBase):
 
     def _scan_once(self, key: int, count: int) -> Generator:
         """Candidate leaves from the (possibly cached) parent in one
-        doorbell batch (§4.4), then the sibling chain for the tail."""
+        doorbell batch (§4.4), each by its plan, then the sibling chain;
+        a leaf read only below ``key + count`` whose pairs fall short (a
+        deleted key, a split the parent predates) is read again whole."""
         ref = yield from self._phase("traverse", self._locate_leaf(key))
-        addrs = self._scan_batch(ref, key, count)
-        parent, at = ref.parent, ref.parent_index
-        head = self._first_leaf_read(key, parent.pivots[at + 1]
-                                     if at + 1 < parent.count
-                                     else parent.fence_high)  # keys below it
+        addrs, plans = self._scan_batch(ref, key, count)
         results: List[Tuple[int, int]] = []
-        first = True
         while True:  # the chain ends: the last leaf's sibling is null
             leaves = yield from self._phase(
-                "leaf_read", self._read_scan_leaves(addrs, key, head))
-            head = ()
+                "leaf_read", self._read_scan_leaves(addrs, key, plans))
             for index, (pairs, read) in enumerate(leaves):
                 results.extend(pairs)
                 sibling = read.sibling
-                if not first:  # past the first leaf every key is >= *key*
-                    self._note_leaf_keys(len(pairs))
-                first = False
+                if plans[index] is None and addrs[index] != ref.leaf_addr:
+                    self._note_leaf_keys(len(pairs))  # every key >= *key*
                 if index + 1 < len(addrs) and self._stale_route(
                         ref, key, sibling, nth=index):
                     # The parent predates a split of this leaf: its next
                     # child is not the next leaf.  Follow the chain.
                     self._drop_stale(ref.trusted, True)
                     break
-            if len(results) >= count or sibling == NULL_ADDR:
+            cut = getattr(plans[index], "cut", False)
+            if len(results) >= count or sibling == NULL_ADDR and not cut:
                 return results
-            addrs = [sibling]
+            if cut:  # read it whole
+                del results[len(results) - len(pairs):]
+            addrs, plans = addrs[index:] if cut else [sibling], [None]
 
-    def _scan_batch(self, ref: LeafRef, key: int, count: int) -> List[int]:
-        """The scan's first batch: the leaf holding *key*, then children
-        of the parent by :meth:`_more_leaves`, the first leaf expected to
+    def _scan_batch(self, ref: LeafRef, key: int, count: int) -> tuple:
+        """The scan's first batch and each leaf's plan (None: read it
+        whole, as a sorted leaf always is).  On dense keys — pivot ranges
+        of at most ``span`` keys on average — the parent's children up to
+        the one holding ``key + count - 1``; else the leaf holding *key*,
+        then children by :meth:`_more_leaves`, the first leaf expected to
         hold the share of its pivot range at or above *key*."""
-        parent, index = ref.parent, ref.parent_index
-        if index + 1 >= parent.count:
-            return [ref.leaf_addr]
-        low, high = parent.pivots[index], parent.pivots[index + 1]
-        return [ref.leaf_addr] + self._more_leaves(
-            self._leaf_keys * (high - max(key, low)) / (high - low), count,
-            parent.children[index + 1:parent.count])
+        parent, at, end = ref.parent, ref.parent_index, key + count
+        bounds = parent.pivots[:parent.count] + [parent.fence_high]
+        low, high = bounds[at:at + 2]
+        last = max(bisect_right(bounds, end - 1, at, parent.count) - 1, at)
+        addrs = parent.children[at:last + 1]
+        if not (self.reads_candidates and end <= bounds[last + 1] and (
+                bounds[last + 1] - low <= (last + 1 - at) * self.layout.span)):
+            last, end, addrs = at, high, [ref.leaf_addr]
+            if at + 1 < parent.count:
+                addrs += self._more_leaves(
+                    self._leaf_keys * (high - max(key, low)) / (high - low),
+                    count, parent.children[at + 1:parent.count])
+        plans = [None] * len(addrs)
+        if self.reads_candidates:  # the first and last leaves' candidates
+            plans[0] = self._candidate_read(key, min(end, high), low, high)
+            if last > at:
+                plans[last - at] = self._candidate_read(
+                    bounds[last], end, *bounds[last:last + 2])
+        return addrs, plans
 
     # -- split up-propagation --------------------------------------------------------------
 

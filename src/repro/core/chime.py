@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import partial
 from itertools import compress
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -64,9 +63,9 @@ from repro.core.node_layout import (
 from repro.core.nodes import LeafNodeView, reconstruct_bitmaps
 from repro.errors import IndexError_, TornReadError
 from repro.hashing.hopscotch import (
-    default_hash,
     distance,
     find_first_empty,
+    home_hash,
     place_run,
     plan_insert,
 )
@@ -116,7 +115,7 @@ class ChimeIndex(BTreeIndexBase):
         )
         self.vacancy_map = VacancyBitmap(self.config.span)
         #: A key's home entry in a leaf (shared with clients).
-        self.home_of = partial(default_hash, capacity=self.config.span)
+        self.home_of = home_hash(self.config.span)
         self._hotspots: Dict[int, HotspotBuffer] = {}
 
     # -- clients -----------------------------------------------------------------
@@ -501,23 +500,18 @@ class ChimeClient(BTreeClientBase, HopscotchLeafOpsMixin):
             full_read = True
             last = (home - 1) % layout.span
             empty = self._first_empty(view, home, last)
-        if empty is None:
+        # Plan the hop sequence over the fetched entries; split without.
+        plan = empty is not None and plan_insert(
+            home, empty, layout.span, layout.neighborhood,
+            self._make_home_of(view))
+        if not plan:
             result = yield from self._phase("split", self._split_leaf(
                 guard, ref, leaf_addr, view if full_read else None,
                 fence_low, fence_high))
             return result
-        # Plan the hop sequence over the fetched entries.
-        home_of = self._make_home_of(view)
-        plan = plan_insert(home, empty, layout.span, layout.neighborhood,
-                           home_of)
-        if plan is not None and self._plan_needs_extension(plan, home, empty):
+        if self._plan_needs_extension(plan, home, empty):
             view = yield from self._fetch_whole(leaf_addr)
             full_read = True
-        if plan is None:
-            result = yield from self._phase("split", self._split_leaf(
-                guard, ref, leaf_addr, view if full_read else None,
-                fence_low, fence_high))
-            return result
         if BUS.active:
             BUS.emit("hopscotch.displacement", self.engine.now,
                      moves=len(plan.moves), leaf_addr=leaf_addr)

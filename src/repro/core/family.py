@@ -433,24 +433,26 @@ class FamilyClientBase(SpanInstrumentedOps):
         self._leaf_keys += (keys - self._leaf_keys) / 16
 
     def _read_scan_leaves(self, addrs: List[int], key: int,
-                          first: tuple = ()) -> Generator:
-        """Whole-leaf READs of *addrs* in one batch — the first leaf's
-        through ``first = (read,)`` of ``_first_leaf_read``, if given —
-        each decoded by the leaf format's ``_scan_leaf(raw, key,
-        *first) -> (pairs >= key, read)`` and re-read alone while that
-        finds it torn."""
+                          plans: Optional[Sequence] = None) -> Generator:
+        """The leaves of *addrs* in one doorbell batch: a whole-leaf READ
+        each, or the READs of its plan in *plans* (``_candidate_read``;
+        None for the whole leaf), each decoded by the leaf format's
+        ``_scan_leaf(raw, key, plan) -> (pairs >= key, read)`` and re-read
+        alone while that finds it torn."""
         size = self.layout.raw_size
-        parts = first[0].rounds[0] if first else [(0, size)]
-        payloads = yield from self.qp.read_batch(
-            [(addrs[0] + off, length) for off, length in parts]
-            + [(addr, size) for addr in addrs[1:]])
-        payloads[:len(parts)] = [b"".join(payloads[:len(parts)])]
+        plans = plans or [None] * len(addrs)
+        parts = [plan.rounds[0] if plan else ((0, size),) for plan in plans]
+        payloads = iter((yield from self.qp.read_batch(
+            [(addr + off, length) for addr, runs in zip(addrs, parts)
+             for off, length in runs])))
         leaves = []
-        for addr, raw in zip(addrs, payloads):
+        for addr, plan, runs in zip(addrs, plans, parts):
+            raw = next(payloads) if len(runs) == 1 else b"".join(
+                next(payloads) for _run in runs)
             retry = None
             while True:
                 try:
-                    leaves.append(self._scan_leaf(raw, key, *first))
+                    leaves.append(self._scan_leaf(raw, key, plan))
                     break
                 except TornReadError:
                     retry = retry or self.retry.start(
@@ -458,9 +460,8 @@ class FamilyClientBase(SpanInstrumentedOps):
                     retry.check()
                     self.qp.stats.retries += 1
                     yield from retry.backoff()
-                    raw = yield from (self._fetch_shape(addr, first[0])
-                                      if first else self.qp.read(addr, size))
-            first = ()
+                    raw = yield from (self._fetch_shape(addr, plan) if plan
+                                      else self.qp.read(addr, size))
         return leaves
 
     # -- sorted-array nodes (internal levels, sorted leaves) ------------------

@@ -3,10 +3,11 @@
 The hopscotch leaf serves CHIME and CHIME-Learned (§5.3), the sorted
 array Sherman, Marlin and ROLEX, each format's code in one mixin for a
 :class:`~repro.core.family.FamilyClientBase` whose ``self.layout`` is
-the format's.  Each supplies ``_first_leaf_read(key, high)`` (how a
-scan's first leaf is read) and the scan decoder ``_scan_leaf(raw, key,
-*first) -> (pairs >= key, checked read with sibling and fences)``; a
-routing base has none to shadow them.  :func:`place_items` /
+the format's.  Each supplies the scan decoder ``_scan_leaf(raw, key,
+plan) -> (pairs >= key, checked read with sibling and fences)`` and
+says whether a scan ``reads_candidates``: reads a leaf, where it can,
+by ``_candidate_read(first, end, low, high)`` (the hopscotch leaf's);
+a routing base has none to shadow them.  :func:`place_items` /
 :func:`slot_columns` fill whole hopscotch leaves (bulk load, split
 halves, synonym leaves).
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional, Sequence, Tuple
 
-from repro.core.node_layout import FirstLeafRead, LeafLayout, ReadShape
+from repro.core.node_layout import CandidateRead, LeafLayout, ReadShape
 from repro.core.nodes import LeafNodeView, SortedNodeView
 from repro.errors import HashTableFullError, LayoutError, TornReadError
 from repro.hashing.hopscotch import distance, place_run
@@ -59,16 +60,15 @@ def place_items(items: Sequence[Tuple[int, int]], layout: LeafLayout
 class SortedLeafOpsMixin:
     """The sorted-array leaf (Sherman's leaves, ROLEX's tables)."""
 
-    def _scan_leaf(self, raw: bytes, key: int):
+    reads_candidates = False  # a scan reads every sorted leaf whole
+
+    def _scan_leaf(self, raw: bytes, key: int, plan: None = None):
         """One whole leaf of a scan batch: the node-level check, then
         the pairs >= *key* and the view."""
         view = SortedNodeView(self.layout, StripedSpan(raw, 0))
         if not view.is_consistent():
             raise TornReadError("leaf node-level versions disagree")
         return [pair for pair in view.items() if pair[0] >= key], view
-
-    def _first_leaf_read(self, key: int, high: int) -> tuple:
-        return ()  # a sorted leaf is read whole
 
 
 class HopscotchLeafOpsMixin:
@@ -81,23 +81,24 @@ class HopscotchLeafOpsMixin:
     The client adds ``self.home_of(key)``.
     """
 
+    reads_candidates = True  # see ``BTreeClientBase._scan_batch``
+
     def _scan_leaf(self, raw: bytes, key: int,
-                   first: Optional[FirstLeafRead] = None):
-        """One leaf of a scan batch, read whole or as *first*
-        (:meth:`_first_leaf_read`): NV, EV and bitmap checks, then the
-        pairs >= *key* and the read."""
-        if first is None:  # the shape starts at the first payload byte
+                   plan: Optional[CandidateRead] = None):
+        """One leaf of a scan batch, read whole or as *plan*
+        (:meth:`_candidate_read`): NV, EV and bitmap checks, then the
+        pairs >= *key* (and below the plan's end) and the read."""
+        if plan is None:  # the shape starts at the first payload byte
             read = self.layout.full_shape().decode(memoryview(raw)[1:],
                                                    self.home_of)
-        else:
-            read = first.decode(raw, self.home_of)
-        return read.pairs(key), read
+            return read.pairs(key), read
+        read, end = plan.decode(raw, self.home_of), plan.end
+        return [pair for pair in read.pairs(key) if pair[0] < end], read
 
-    def _first_leaf_read(self, key: int, high: int) -> tuple:
-        """``(read,)`` of :meth:`LeafLayout.first_leaf_read`, or () to
-        read the scan's first leaf whole."""
-        first = self.layout.first_leaf_read(key, high, self.home_of)
-        return () if first is None else (first,)
+    def _candidate_read(self, first: int, end: int, low: int,
+                        high: int) -> Optional[CandidateRead]:
+        return self.layout.candidate_read(first, end, low, high,
+                                          self.home_of)
 
     # -- lock-free reads ----------------------------------------------------------
 

@@ -20,7 +20,6 @@ coalescing ones (:mod:`repro.core.leaf_ops`): no scan code lives here.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Generator, List, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
@@ -34,8 +33,8 @@ from repro.core.leaf_ops import HopscotchLeafOpsMixin, place_items
 from repro.core.node_layout import LeafLayout, VacancyBitmap
 from repro.core.nodes import LeafNodeView
 from repro.hashing.hopscotch import (
-    default_hash,
     find_first_empty,
+    home_hash,
     plan_insert,
 )
 from repro.layout import StripedSpan, encode_key, encode_u64
@@ -60,7 +59,7 @@ class LearnedChimeIndex(ModelRoutedIndexBase):
                        fence_keys=True),
             MODEL_ERROR, BULK_LOAD_FACTOR)
         self.vacancy_map = VacancyBitmap(span)
-        self.home_of = partial(default_hash, capacity=span)
+        self.home_of = home_hash(span)
 
     def client(self, ctx: ClientContext) -> "LearnedChimeClient":
         return LearnedChimeClient(self, ctx)

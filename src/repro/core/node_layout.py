@@ -279,8 +279,8 @@ class SortedNodeLayout:
         raise LayoutError(f"node entry index {index} out of range")
 
 
-#: Raw gap under which two runs of a scan's first leaf are one READ: a
-#: READ costs the MN's egress ``WIRE_OVERHEAD`` bytes on top of its data.
+#: Raw gap under which two runs of a scan's candidate read are one READ:
+#: a READ costs the MN's egress ``WIRE_OVERHEAD`` bytes on top of its data.
 MERGE_GAP = WIRE_OVERHEAD
 #: 1 << position, for every entry position a leaf can have.
 _POSITION_BIT = tuple(1 << position for position in range(1 << ARGMAX_BITS))
@@ -451,9 +451,9 @@ class ReadShape:
             raise LayoutError(
                 f"read shape expects {self.raw_len} raw bytes, got {len(raw)}")
         version_bytes = bytes(self._versions(raw))
-        nvs = set(version_bytes.translate(versions.NV_OF_BYTE))
-        if len(nvs) > 1:
-            raise _torn(1, f"node-level versions disagree: {sorted(nvs)}")
+        nvs = version_bytes.translate(versions.NV_OF_BYTE)
+        if nvs.count(nvs[:1]) < len(nvs):  # not all one NV
+            raise _torn(1, f"node-level versions disagree: {sorted(set(nvs))}")
         if self._ev_entry is not None:
             evs = version_bytes.translate(versions.EV_OF_BYTE)
             if self._ev_entry(evs) != self._ev_line(evs):
@@ -481,11 +481,10 @@ class ReadShape:
         layout = self._layout
         span, reach = layout.span, layout.neighborhood
         actual = dict.fromkeys(homes, 0)
-        for position, key in zip(self.positions, keys):
-            if key:
-                home = hash_home(key)
-                if home in actual and (position - home) % span < reach:
-                    actual[home] |= 1 << (position - home) % span
+        for position, key in compress(zip(self.positions, keys), keys):
+            home = hash_home(key)
+            if home in actual and (position - home) % span < reach:
+                actual[home] |= 1 << (position - home) % span
         unpack = layout.bitmap_codec.unpack_from
         for home, bits in actual.items():
             stored, = unpack(payload, self._bitmap_at[home])
@@ -525,20 +524,23 @@ class ReadShape:
                                 "(in-flight hop)")
 
 
-class FirstLeafRead:
-    """A scan's first leaf read in the neighbourhoods ``[h, h + H)`` of
-    its candidates' *homes* and one replica (§4.4), a READ per run of
-    entries (``MERGE_GAP`` apart) in the scan's doorbell batch.  Nothing
-    is compiled per read: :meth:`decode` checks the fetched bytes placed
-    in a leaf image through the whole leaf's shape, where every version
+class CandidateRead:
+    """A scan's leaf read for its candidate keys only (§4.4): the
+    neighbourhoods ``[h, h + H)`` of the candidates' *homes* and one
+    replica, a READ per run of entries (``MERGE_GAP`` apart) in the
+    scan's doorbell batch; the read answers for the keys below *end*
+    alone (*cut*: the leaf may hold keys at or above it).  Nothing is
+    compiled per read: :meth:`decode` checks the fetched bytes placed in
+    a leaf image through the whole leaf's shape, where every version
     byte not fetched copies a fetched one (NV and EV see only fetched
     bytes) and every other byte not fetched is zero: an empty entry.
     """
 
-    __slots__ = ("rounds", "raw_len", "homes", "_layout", "_version_at",
-                 "_replica_at")
+    __slots__ = ("rounds", "raw_len", "homes", "end", "cut", "_layout",
+                 "_version_at", "_replica_at")
 
-    def __init__(self, layout: "LeafLayout", homes: set, entries: int) -> None:
+    def __init__(self, layout: "LeafLayout", homes: set, entries: int,
+                 end: int, cut: bool) -> None:
         """*entries*: bit *i* set for every entry *i* to fetch."""
         ranges, reach = layout._entry_ev_ranges, layout.neighborhood
         runs = []  # [first entry, last entry, raw start, raw end] per READ
@@ -562,7 +564,7 @@ class FirstLeafRead:
         self.rounds = (tuple((start, end - start)
                              for _first, _last, start, end in runs),)
         self.raw_len = sum(end - start for _first, _last, start, end in runs)
-        self.homes, self._layout = homes, layout
+        self.homes, self.end, self.cut, self._layout = homes, end, cut, layout
         self._version_at = ranges[runs[0][0]][0] - runs[0][2]
         self._replica_at = block * layout.block_size
 
@@ -698,16 +700,17 @@ class LeafLayout:
                for index, off in entries], logical_size))
         # Read shapes, compiled on first use: one per neighbourhood home
         # (and, under None, the whole leaf's) and one per speculatively
-        # read entry — at most 2 * span + 1.  A scan's first leaf is
+        # read entry — at most 2 * span + 1.  A scan's candidate read is
         # decoded through the whole leaf's from an image laid over this
-        # mask of its version bytes (:class:`FirstLeafRead`).
+        # mask of its version bytes (:class:`CandidateRead`).
         set_attr(self, "_neighborhood_shapes", {})
         set_attr(self, "_entry_shapes", {})
         mask = bytearray(raw)
         for pos in (*range(0, raw, versions.LINE), *next(zip(*ev_ranges))):
             mask[pos] = 1
         set_attr(self, "_version_mask", bytes(mask[1:]))
-        set_attr(self, "_suffixes", {})  # high -> homes below it
+        # high -> homes of the keys below it, ~low -> of those from it on.
+        set_attr(self, "_runs", {})
         ones = (1 << self.neighborhood) - 1
         set_attr(self, "_home_entries", tuple(  # each neighbourhood's entries
             (ones << home | ones >> span - home) & ((1 << span) - 1)
@@ -845,31 +848,36 @@ class LeafLayout:
                 replica_block=0)
         return shape
 
-    def first_leaf_read(self, key: int, high: int, home_of: Callable
-                        ) -> Optional["FirstLeafRead"]:
-        """A scan's first leaf, which can hold no key outside the
-        candidates [*key*, *high*) (§4.4), read in the neighbourhoods of
-        the candidates' homes; None — read it whole — from ``span``
-        candidates on, once those reach into every block, or with no
-        replicas.  The homes are a slice of *high*'s suffix, hashed
-        once per leaf range."""
-        if not self.replicated:
+    def candidate_read(self, first: int, end: int, low: int, high: int,
+                       home_of: Callable) -> Optional[CandidateRead]:
+        """A scan's leaf of pivot range [*low*, *high*) read for the
+        candidates [*first*, *end*) (§4.4) in the neighbourhoods of
+        their homes; None — read it whole — from ``span`` candidates on,
+        once those reach into every block, or with no replicas.  The
+        homes of keys below *high* or from *low* on are hashed once per
+        pivot, up to the key that reaches the last block."""
+        if not self.replicated or not 0 < end - first < self.span:
             return None
-        suffix = self._suffixes.get(high)
-        if suffix is None:  # homes of high - 1, ... while a block is left
-            every, blocks = (1 << self.num_blocks) - 1, 0
-            suffix = self._suffixes[high] = array("H")
-            for start in range(high - 1, max(high - self.span, 0), -1):
-                home = home_of(start)
+        pivot = high if end == high else ~low if first == low else None
+        run = self._runs.get(pivot)
+        if run is None:  # homes of keys[0], ... while a block is left
+            keys = (range(high - 1, max(high - self.span, 0), -1)
+                    if end == high else range(low, low + self.span)
+                    if first == low else range(first, end))
+            every, blocks, run = (1 << self.num_blocks) - 1, 0, array("H")
+            for key in keys:
+                home = home_of(key)
                 blocks |= self._home_blocks[home]
                 if blocks == every:
                     break
-                suffix.append(home)
-        if not 0 < high - key <= len(suffix):
+                run.append(home)
+            if pivot is not None:
+                self._runs[pivot] = run
+        if len(run) < end - first:
             return None
-        homes = set(suffix[:high - key])
-        return FirstLeafRead(self, homes, reduce(
-            or_, map(self._home_entries.__getitem__, homes)))
+        homes = set(run[:end - first])
+        return CandidateRead(self, homes, reduce(
+            or_, map(self._home_entries.__getitem__, homes)), end, end < high)
 
     def range_segments(self, first: int, last: int) -> List[Tuple[int, int]]:
         """Logical segments covering entries [first..last] (circular) plus

@@ -41,6 +41,13 @@ def default_hash(key: int, capacity: int) -> int:
     return mixed % capacity
 
 
+def home_hash(capacity: int) -> Callable[[int], int]:
+    """:func:`default_hash` onto [0, *capacity*) of the key alone (a
+    keyword ``partial`` of it costs as much again as the hash)."""
+    return lambda key: ((mixed := key * _GOLDEN & _MASK64)
+                        ^ mixed >> 29) % capacity
+
+
 def distance(home: int, pos: int, capacity: int) -> int:
     """Circular forward distance from *home* to *pos*."""
     return (pos - home) % capacity
@@ -203,16 +210,24 @@ class HopscotchTable:
 
     # -- operations ----------------------------------------------------------
 
-    def lookup(self, key: int):
-        """Return the value for *key*, or raise KeyError."""
+    def _find(self, key: int) -> Tuple[int, Optional[int]]:
+        """*key*'s home and the position its bitmap flags it at (None:
+        absent)."""
         home = self.home_of_key(key)
         bitmap = self._bitmaps[home]
         for offset in range(self.neighborhood):
             if bitmap & (1 << offset):
                 pos = (home + offset) % self.capacity
                 if self._keys[pos] == key:
-                    return self._values[pos]
-        raise KeyError(key)
+                    return home, pos
+        return home, None
+
+    def lookup(self, key: int):
+        """Return the value for *key*, or raise KeyError."""
+        _home, pos = self._find(key)
+        if pos is None:
+            raise KeyError(key)
+        return self._values[pos]
 
     def __contains__(self, key: int) -> bool:
         try:
@@ -223,15 +238,10 @@ class HopscotchTable:
 
     def insert(self, key: int, value: object) -> HopPlan:
         """Insert or overwrite; returns the executed :class:`HopPlan`."""
-        home = self.home_of_key(key)
-        # Update in place if the key exists.
-        bitmap = self._bitmaps[home]
-        for offset in range(self.neighborhood):
-            if bitmap & (1 << offset):
-                pos = (home + offset) % self.capacity
-                if self._keys[pos] == key:
-                    self._values[pos] = value
-                    return HopPlan(target=pos, touched=[pos])
+        home, pos = self._find(key)
+        if pos is not None:  # update in place
+            self._values[pos] = value
+            return HopPlan(target=pos, touched=[pos])
         empty = find_first_empty(lambda p: self._keys[p] is not None,
                                  home, self.capacity)
         if empty is None:
@@ -249,18 +259,12 @@ class HopscotchTable:
 
     def delete(self, key: int) -> None:
         """Remove *key* or raise KeyError."""
-        home = self.home_of_key(key)
-        bitmap = self._bitmaps[home]
-        for offset in range(self.neighborhood):
-            if bitmap & (1 << offset):
-                pos = (home + offset) % self.capacity
-                if self._keys[pos] == key:
-                    self._keys[pos] = None
-                    self._values[pos] = None
-                    self._bitmaps[home] &= ~(1 << offset)
-                    self.size -= 1
-                    return
-        raise KeyError(key)
+        home, pos = self._find(key)
+        if pos is None:
+            raise KeyError(key)
+        self._keys[pos] = self._values[pos] = None
+        self._bitmaps[home] &= ~(1 << distance(home, pos, self.capacity))
+        self.size -= 1
 
     # -- internals -----------------------------------------------------------
 

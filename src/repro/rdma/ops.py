@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-#: Application-level request header bytes for a one-sided verb (address,
-#: length, keys).  Wire overhead is added separately by the NIC model.
-REQUEST_HEADER = 28
+from dataclasses import astuple, dataclass, replace
+from operator import sub
 
 #: Payload of an atomic verb (the 8-byte operand; masked-CAS carries masks
 #: too, folded into the header).
@@ -37,32 +34,13 @@ class TrafficStats:
 
     def snapshot(self) -> "TrafficStats":
         """A copy for delta computation around one index operation."""
-        return TrafficStats(self.rtts, self.verbs, self.reads, self.writes,
-                            self.atomics, self.rpcs, self.bytes_read,
-                            self.bytes_written, self.retries)
+        return replace(self)
 
     def delta(self, before: "TrafficStats") -> "TrafficStats":
         """Counters accumulated since *before* was snapshotted."""
-        return TrafficStats(
-            self.rtts - before.rtts,
-            self.verbs - before.verbs,
-            self.reads - before.reads,
-            self.writes - before.writes,
-            self.atomics - before.atomics,
-            self.rpcs - before.rpcs,
-            self.bytes_read - before.bytes_read,
-            self.bytes_written - before.bytes_written,
-            self.retries - before.retries,
-        )
+        return TrafficStats(*map(sub, astuple(self), astuple(before)))
 
     def merge(self, other: "TrafficStats") -> None:
         """Accumulate *other* into this instance (for cluster-wide totals)."""
-        self.rtts += other.rtts
-        self.verbs += other.verbs
-        self.reads += other.reads
-        self.writes += other.writes
-        self.atomics += other.atomics
-        self.rpcs += other.rpcs
-        self.bytes_read += other.bytes_read
-        self.bytes_written += other.bytes_written
-        self.retries += other.retries
+        for name, value in vars(other).items():
+            setattr(self, name, getattr(self, name) + value)

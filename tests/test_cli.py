@@ -128,14 +128,21 @@ class TestCli:
         (["--crash", "cn0/c0:read@0"], "1-based"),
         (["--outage", "5:10us:20us"], "outage MN 5"),
         (["--outage", "0:300us:100us"], "empty fault window"),
+        (["--ops", "5", "--lease-duration=-5us"], "lease_duration must be > 0"),
+        (["--ops", "5", "--lease-duration=0us"], "lease_duration must be > 0"),
+        (["--crash", "cn0/c0:read@x"], "bad crash spec 'cn0/c0:read@x' (want "
+         "OWNER[:KIND[@NTH][:before|after]])"),
     ], ids=["ops-0", "ops-negative", "keys-0", "attempts-0",
             "attempts-negative", "loss-negative", "loss-above-1",
             "delay-negative", "crash-no-client", "crash-no-verb",
-            "crash-nth-0", "outage-no-mn", "outage-empty"])
+            "crash-nth-0", "outage-no-mn", "outage-empty", "lease-negative",
+            "lease-0", "crash-nth-not-a-number"])
     def test_chaos_refuses_what_never_fires_in_one_line(self, argv, complaint,
                                                         capsys):
         """Each ran the default, ran nothing or never fired, and exited 0
-        (``read@0`` died with a ValueError traceback)."""
+        (``read@0`` died with a ValueError traceback); a lease of no
+        length ran every client into ``LockLeaseExpiredError``, and a
+        crash spec's bad NTH printed only ``int()``'s complaint."""
         assert main(["chaos", *argv]) == 2
         out, err = capsys.readouterr()
         assert out == ""

@@ -43,6 +43,10 @@ row that updates.  Read delegation joining only a read issued at the
 instant the follower arrived (a late follower had been handed values
 overwritten before it was invoked) re-recorded the 39 rows whose runs
 delegate a search, and the event counts of the pinned points below.
+Reading a scan's last leaf (and a first leaf the range ends in) only
+for its candidate keys below ``start + count``, the batch ending at
+that leaf on dense keys, re-recorded the three chime and
+chime-indirect ``E`` rows again.
 
 The second half pins what the deleted ``repro perf --check`` enforced:
 the event counts of twelve YCSB-C points at the :data:`PINNED` scale,
@@ -87,13 +91,13 @@ GOLDEN = {
     ('chime', 'D', ()):
         (1234, 120, (131, 153, 140, 8, 5, 0, 16567, 125, 1), '0.0001091901066666667'),
     ('chime', 'E', ()):
-        (1796, 120, (148, 315, 282, 18, 15, 0, 245138, 256, 6), '0.00014696701333333337'),
+        (1852, 120, (148, 329, 296, 18, 15, 0, 228750, 256, 6), '0.00014663960000000007'),
     ('chime-indirect', 'A', ()):
         (2828, 120, (376, 439, 197, 162, 80, 4, 17347, 2278, 26), '0.0003755026800000002'),
     ('chime-indirect', 'D', ()):
         (2201, 120, (254, 273, 255, 12, 6, 3, 18270, 189, 2), '0.00021109934666666756'),
     ('chime-indirect', 'E', ()):
-        (37786, 120, (4650, 4813, 4777, 27, 9, 4, 317058, 400, 0), '0.003893651653333454'),
+        (37842, 120, (4650, 4827, 4791, 27, 9, 4, 300670, 400, 0), '0.003893298866666789'),
     ('sherman', 'A', ()):
         (1964, 120, (246, 301, 122, 110, 69, 0, 138352, 1384, 14), '0.00022816920000000106'),
     ('sherman', 'D', ()):
@@ -197,7 +201,7 @@ GOLDEN = {
     ('chime', 'A', (('mn_nic', NicSpec(lanes=2)),)):
         (2012, 120, (246, 313, 134, 110, 69, 0, 16357, 1440, 14), '0.0002251565866666676'),
     ('chime', 'E', (('num_mns', 2),)):
-        (1807, 120, (150, 316, 281, 18, 17, 0, 245119, 256, 8), '0.0001437985333333334'),
+        (1863, 120, (150, 330, 295, 18, 17, 0, 228731, 256, 8), '0.00014357049333333342'),
     ('smart', 'A', (('num_mns', 2),)):
         (2621, 120, (339, 339, 285, 54, 0, 0, 210768, 432, 0), '0.0003254292666666671'),
     ('chime', 'A', (('torn_writes', False), ('value_size', 64))):

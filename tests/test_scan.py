@@ -18,6 +18,7 @@ leaf.  The shared loop validates it;
 
 import random
 from functools import partial
+from itertools import product
 from operator import or_
 
 import pytest
@@ -26,7 +27,9 @@ from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.config import ClusterConfig
-from repro.core.leaf_ops import HopscotchLeafOpsMixin, place_items
+from repro.core.btree_base import BTreeClientBase
+from repro.core.family import FamilyClientBase
+from repro.core.leaf_ops import place_items
 from repro.core.node_layout import MERGE_GAP, LeafLayout
 from repro.core.nodes import LeafNodeView, SortedNodeView
 from repro.errors import TornReadError
@@ -130,20 +133,34 @@ def drive(cluster, *gens):
 def test_shared_scan_equals_the_whole_leaf_oracle(family, key_space_factor,
                                                   monkeypatch):
     """Scanners race inserting / updating writers (hops, node rewrites,
-    splits); every answer is legal for the history.  Once the writers are done, each client — its
-    CN's cached parents as stale as the run left them — scans the same
-    pairs as the oracle, which are the tree's.  A CHIME tree reads a
-    scan's first leaf only in the entries its candidate keys can live in
-    (§4.4) — on dense keys, often; the oracle reads every leaf whole."""
-    first_leaf_read = HopscotchLeafOpsMixin._first_leaf_read
-    partial = []
+    splits) and, on dense keys, writers deleting keys inside the later
+    probes' ranges; every answer is legal for the history.  Once the
+    writers are done, each client — its CN's cached parents as stale as
+    the run left them — scans the same pairs as the oracle, which are
+    the tree's.  A CHIME tree reads a scan's first and last leaves only
+    in the entries its candidate keys can live in (§4.4) — on dense
+    keys, often — and reads on where a deleted key leaves the candidates
+    short; the oracle reads every leaf whole."""
+    scan_batch = BTreeClientBase._scan_batch
+    read_leaves = FamilyClientBase._read_scan_leaves
+    seen = {"first": 0, "last": 0, "short": 0}  # leaves read partly
+    cut = {}  # client -> [leaf] its scan's last batch read cut at the end
 
-    def counted(client, key, high):
-        head = first_leaf_read(client, key, high)
-        partial.extend(head[:1])
-        return head
+    def counted_batch(client, ref, key, count):
+        addrs, plans = scan_batch(client, ref, key, count)
+        seen["first"] += plans[0] is not None
+        seen["last"] += len(plans) > 1 and plans[-1] is not None
+        cut[client] = None
+        return addrs, plans
 
-    monkeypatch.setattr(HopscotchLeafOpsMixin, "_first_leaf_read", counted)
+    def counted_reads(client, addrs, key, plans=None):
+        seen["short"] += addrs == cut.get(client)  # read on: whole
+        last = plans[-1] if plans else None
+        cut[client] = addrs[-1:] if last is not None and last.cut else None
+        return read_leaves(client, addrs, key, plans)
+
+    monkeypatch.setattr(BTreeClientBase, "_scan_batch", counted_batch)
+    monkeypatch.setattr(FamilyClientBase, "_read_scan_leaves", counted_reads)
     num_keys = 1500
     cluster = Cluster(ClusterConfig(num_cns=3, clients_per_cn=2, seed=9,
                                     cache_bytes=1 << 22, rdwc=False))
@@ -156,6 +173,15 @@ def test_shared_scan_equals_the_whole_leaf_oracle(family, key_space_factor,
     clients = [index.client(ctx) for ctx in cluster.clients()]
     writers, scanners = clients[:3], clients[3:]
     leaves = tables(index)
+    rng = random.Random(family)
+    probes = [(1, 100), (top - 30, 100)] + [
+        (rng.randrange(1, top + 50), rng.randrange(1, 121))
+        for _ in range(12)]
+    # Dense keys: keys the probes' candidates miss, near each range's end
+    # (a short last leaf) and inside it (a short first leaf).
+    doomed = sorted({key for start, count in probes
+                     for key in (start + count - 2, start + count // 2)
+                     if key < top} if key_space_factor == 1 else ())
 
     def writer(client, lane):
         rng = random.Random(lane)
@@ -164,9 +190,13 @@ def test_shared_scan_equals_the_whole_leaf_oracle(family, key_space_factor,
                 key = top + 1 + i * len(writers) + lane
             else:  # anywhere (sparse: between loaded keys — hops)
                 key = rng.randrange(1, top)
+                while key in doomed:
+                    key = rng.randrange(1, top)
             yield from client.insert(key, key)
             hot = rng.choice(loaded)
             yield from client.update(hot, hot + lane + 1)
+            if i < len(doomed) and i % len(writers) == lane:
+                yield from client.delete(doomed[i])
 
     def scanner(client, seed):
         rng = random.Random(seed)
@@ -183,10 +213,7 @@ def test_shared_scan_equals_the_whole_leaf_oracle(family, key_space_factor,
     assert tables(index) > leaves + (1 if is_model_routed(index) else 2)
 
     truth = index.collect_items()
-    rng = random.Random(family)
-    probes = [(1, 100), (top - 30, 100)] + [
-        (rng.randrange(1, top + 50), rng.randrange(1, 121))
-        for _ in range(12)]
+    assert not set(doomed) & {key for key, _value in truth}
     results = []
 
     def compare(client):
@@ -201,9 +228,11 @@ def test_shared_scan_equals_the_whole_leaf_oracle(family, key_space_factor,
     for shared, oracle, expected in results:
         assert shared == oracle == expected
     if family in ("chime", "chime-indirect") and key_space_factor == 1:
-        assert len(partial) > 0  # partial first leaves really happened
+        # Partial first and last leaves, and short candidates read on,
+        # really happened.
+        assert min(seen.values()) > 0, seen
     elif family not in ("chime", "chime-indirect"):
-        assert not partial  # whole leaves: no known high, or sorted
+        assert not any(seen.values())  # whole leaves: no pivots, or sorted
 
 
 #: (op, args, answer) routed by a parent that predates the splits of
@@ -258,7 +287,9 @@ def test_first_batch_is_sized_from_the_parent_pivots():
     """``_scan_batch`` takes the leaf holding the key, then children
     while the pairs expected so far fall short of *count*: the share of
     the first leaf's pivot range at or above the key, a running-mean
-    leaf for each further child."""
+    leaf for each further child.  On these dense keys that is the leaf
+    holding the last candidate ``key + count - 1``, which ends the batch
+    while it lies under the parent."""
     cluster = Cluster(ClusterConfig(num_cns=1, clients_per_cn=1))
     index = build_index("chime", cluster)
     index.bulk_load([(k, k) for k in range(1, 4001)])
@@ -273,16 +304,17 @@ def test_first_batch_is_sized_from_the_parent_pivots():
 
     first = 10 * per_leaf + 1  # the first key of the eleventh leaf
     drive(cluster, locate(first), locate(first + per_leaf // 2))
-    sizes = [len(client._scan_batch(refs[first], first, count))
+    sizes = [len(client._scan_batch(refs[first], first, count)[0])
              for count in (1, per_leaf, per_leaf + 1, 100, 3 * per_leaf)]
     assert sizes == [1, 1, 2, 3, 3]
     half = first + per_leaf // 2  # half the first leaf's range is left
-    sizes = [len(client._scan_batch(refs[half], half, count))
+    sizes = [len(client._scan_batch(refs[half], half, count)[0])
              for count in (1, per_leaf // 2, per_leaf // 2 + 1, 100)]
     assert sizes == [1, 1, 2, 3]
     # Never fewer than the leaf holding the key, never past the parent.
     ref = refs[first]
-    assert client._scan_batch(ref, first, 10**6) == [ref.leaf_addr] + list(
+    assert client._scan_batch(ref, first, 10**6)[0] == [
+        ref.leaf_addr] + list(
         ref.parent.children[ref.parent_index + 1:ref.parent.count])
 
 
@@ -325,21 +357,22 @@ def neighbourhood(layout, home):
                 {entry // layout.neighborhood for entry in entries}))
 
 
-def check_first_leaf(layout, image, home_of, start, high, whole, homes,
-                     entries, blocks):
-    """The first-leaf read of candidates [*start*, *high*) out of the
-    raw leaf *image*, whose whole-leaf decode is *whole*: the leaf whole
-    (None) from ``span`` candidates on or once their *homes*'
-    neighbourhoods — the *entries* and *blocks* bits — reach into every
-    block; else every entry of *entries* and one replica, in READs at
-    least ``MERGE_GAP`` raw bytes apart, answering what the whole leaf
-    answers.  Returns the read's raw length, or None."""
-    read = layout.first_leaf_read(start, high, home_of)
-    if (high - start >= layout.span
+def check_candidate_read(layout, image, home_of, start, end, low, high,
+                         whole, homes, entries, blocks):
+    """The read of candidates [*start*, *end*) out of the raw leaf
+    *image* of pivot range [*low*, *high*), whose whole-leaf decode is
+    *whole*: the leaf whole (None) from ``span`` candidates on or once
+    their *homes*' neighbourhoods — the *entries* and *blocks* bits —
+    reach into every block; else every entry of *entries* and one
+    replica, in READs at least ``MERGE_GAP`` raw bytes apart, answering
+    for the candidates what the whole leaf answers.  Returns the read's
+    raw length, or None."""
+    read = layout.candidate_read(start, end, low, high, home_of)
+    if (end - start >= layout.span
             or blocks == (1 << layout.num_blocks) - 1):
         assert read is None
         return None
-    assert read.homes == homes
+    assert read.homes == homes and read.cut == (end < high)
     requests = read.rounds[0]
 
     def fetched(offset, length):
@@ -356,53 +389,89 @@ def check_first_leaf(layout, image, home_of, start, high, whole, homes,
     raw = b"".join(image[off:off + size] for off, size in requests)
     assert len(raw) == read.raw_len
     got = read.decode(raw, home_of)
-    assert got.pairs(start) == whole.pairs(start)
+    assert ([pair for pair in got.pairs(start) if pair[0] < end]
+            == [pair for pair in whole.pairs(start) if pair[0] < end])
     assert got.sibling == whole.sibling
     return read.raw_len
 
 
-def test_a_first_leaf_reads_the_entries_of_its_candidate_homes():
-    """Every start key of a bulk-loaded leaf's pivot range [low, high),
-    dense (44 keys) and sparse (44 keys x 100): the scan's first leaf
-    can hold only the candidates [start, high), so its read covers the
-    neighbourhood of every candidate's home, carries a replica and
-    answers what the whole leaf answers; from ``span`` candidates on it
-    is the whole leaf.  The homes accumulate from *high* down, one hash
-    per start."""
+def bulk_loaded_leaves():
+    """A CHIME client and two bulk-loaded leaves of one parent, dense
+    (44 keys) and sparse (44 keys x 100): (kind, image, whole-leaf
+    decode, low, high) each."""
     cluster = Cluster(ClusterConfig(num_cns=1, clients_per_cn=1))
     index = build_index("chime", cluster)
     index.bulk_load([(k, k) for k in range(1, 2001)]
                     + [(k, k) for k in range(10**6, 10**6 + 440_000, 100)])
     client = index.client(next(iter(cluster.clients())))
-    layout, home_of = client.layout, client.home_of
     parent = next(node for _addr, node in index.internal_nodes()
                   if node.level == 1)
-    wire = {"dense": [], "sparse": []}
+    leaves = []
     for kind, at in (("dense", 10), ("sparse", parent.count - 10)):
-        leaf, low, high = (parent.children[at], parent.pivots[at],
-                           parent.pivots[at + 1])
-        image = index._host_read(leaf, layout.raw_size)
-        whole = layout.full_shape().decode(image[1:], home_of)
+        image = index._host_read(parent.children[at], client.layout.raw_size)
+        leaves.append((kind, image, client.layout.full_shape().decode(
+            image[1:], client.home_of), parent.pivots[at],
+            parent.pivots[at + 1]))
+    return client, leaves
+
+
+def candidate_wire(ranges):
+    """The raw bytes of each partial read of a bulk-loaded leaf, for the
+    candidate ranges ``ranges(low, high)`` yields, each one key wider
+    than the last (:func:`check_candidate_read` holds each read to the
+    whole leaf)."""
+    client, leaves = bulk_loaded_leaves()
+    layout, home_of = client.layout, client.home_of
+    wire = {}
+    for kind, image, whole, low, high in leaves:
         homes, entries, blocks = set(), 0, 0
-        for start in range(high - 1, low - 1, -1):
-            home = home_of(start)
-            homes.add(home)
+        wire[kind] = []
+        for start, end, new in ranges(low, high):
+            homes.add(home_of(new))
             entries, blocks = map(or_, (entries, blocks),
-                                  neighbourhood(layout, home))
-            raw_len = check_first_leaf(layout, image, home_of, start, high,
-                                       whole, homes, entries, blocks)
+                                  neighbourhood(layout, home_of(new)))
+            raw_len = check_candidate_read(layout, image, home_of, start,
+                                           end, low, high, whole, homes,
+                                           entries, blocks)
             if raw_len is not None:
-                wire[kind].insert(0, raw_len)
-    assert client._first_leaf_read(high - 1, high)[0].homes == {
+                wire[kind].append(raw_len)
+    assert client._candidate_read(high - 1, high, low, high).homes == {
         home_of(high - 1)}
+    return wire
+
+
+def test_a_first_leaf_reads_the_entries_of_its_candidate_homes():
+    """Every start key of a bulk-loaded leaf's pivot range [low, high):
+    the scan's first leaf can hold only the candidates [start, high), so
+    its read covers the neighbourhood of every candidate's home, carries
+    a replica and answers what the whole leaf answers; from ``span``
+    candidates on it is the whole leaf.  The homes accumulate from
+    *high* down, one hash per start."""
+    wire = candidate_wire(lambda low, high: (
+        (start, high, start) for start in range(high - 1, low - 1, -1)))
     # Pinned: the raw bytes of each partial read, by start key (a whole
     # leaf's READ is 1,252 bytes, one neighbourhood 156 or 157).  The
     # dense leaf's candidates reach into every block until 11 starts
     # from its end, the sparse leaf's until 12.
-    assert wire == {
+    assert {kind: raw[::-1] for kind, raw in wire.items()} == {
         "dense": [936, 881, 761, 688, 688, 605, 532, 376, 340, 303, 156],
         "sparse": [881, 725, 725, 660, 660, 660, 587, 587, 431, 394, 303,
                    157]}
+
+
+def test_a_last_leaf_reads_the_entries_of_its_candidate_homes():
+    """Every end key of a bulk-loaded leaf's pivot range [low, high):
+    a scan whose candidates end inside its last leaf reads it only for
+    [low, end), as the first leaf is read for its candidates."""
+    wire = candidate_wire(lambda low, high: (
+        (low, end, end - 1) for end in range(low + 1, high)))
+    # Pinned as above, by end key: the dense leaf's candidates reach
+    # into every block from its 8th key on, the sparse leaf's from its
+    # 14th.
+    assert wire == {
+        "dense": [157, 331, 506, 506, 579, 736, 754],
+        "sparse": [156, 312, 468, 486, 559, 661, 807, 807, 844, 844, 844,
+                   844, 844]}
 
 
 @settings(max_examples=60, deadline=None)
@@ -415,9 +484,11 @@ def test_a_first_leaf_read_equals_the_whole_leaf(neighborhood, blocks,
                                                  seed):
     """Random leaves of keys in [low, high), 1- and 2-byte bitmaps, with
     or without fence keys, the last candidate's neighbourhood wrapping
-    past the table's end: at every start the first-leaf read answers
-    what the whole leaf answers (:func:`check_first_leaf`), and a layout
-    without replicas reads the leaf whole."""
+    past the table's end: at every start, for candidates up to *high*
+    (a first leaf) and up to a random end below it (a range ending
+    inside the leaf), the candidate read answers what the whole leaf
+    answers (:func:`check_candidate_read`), and a layout without
+    replicas reads the leaf whole."""
     rng = random.Random(seed)
     layouts = [LeafLayout(span=neighborhood * blocks,
                           neighborhood=neighborhood, fence_keys=fence_keys,
@@ -431,19 +502,21 @@ def test_a_first_leaf_read_equals_the_whole_leaf(neighborhood, blocks,
         high += 1
     items = [(key, rng.randrange(1, 2**63)) for key in rng.sample(
         range(low, high), min(high - low, int(span * load) + 1))]
-    for layout in layouts:
+    ends = (high, rng.randrange(low + 1, high + 1))
+    for layout, end in product(layouts, ends):
         keys, values, bitmaps, _spilled = place_items(items, layout)
         image = layout.encode_image(keys, values, bitmaps,
                                     rng.randrange(1, 2**48), low, high,
                                     rng.randrange(16))
         whole = layout.full_shape().decode(image[1:], home_of)
         homes, entries, blocks = set(), 0, 0
-        for start in range(high - 1, low - 1, -1):
+        for start in range(end - 1, low - 1, -1):
             if not layout.replicated:
-                assert layout.first_leaf_read(start, high, home_of) is None
+                assert layout.candidate_read(start, end, low, high,
+                                             home_of) is None
                 continue
             homes.add(home_of(start))
             entries, blocks = map(or_, (entries, blocks),
                                   neighbourhood(layout, home_of(start)))
-            check_first_leaf(layout, image, home_of, start, high, whole,
-                             homes, entries, blocks)
+            check_candidate_read(layout, image, home_of, start, end, low,
+                                 high, whole, homes, entries, blocks)
