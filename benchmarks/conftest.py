@@ -8,14 +8,14 @@ numbers.
 
 A table is written once, as ``results/<name>.txt`` rendered by
 :func:`repro.bench.report.format_table`.  Multi-seed replicates of a
-point live in the campaign store's ``points`` table instead
-(``python -m repro campaign run``).
+table live in the campaign store's ``points`` table instead
+(``python -m repro campaign run <table> --seeds 42-46``).
 
 Scale selection: set ``REPRO_SCALE`` to ``quick`` / ``default`` / ``full``
 (benchmarks default to ``quick`` so the whole suite completes in
 minutes; EXPERIMENTS.md notes the preset used).  ``REPRO_SEED``
-overrides the preset's RNG seed, so campaign replicates can rerun the
-suite point-by-point under an explicit seed.
+overrides the preset's RNG seed, so the suite can rerun one seed of a
+campaign point-by-point.
 """
 
 import os

@@ -598,7 +598,17 @@ _FIGURES = (
                                            for other in ("sherman", "chime", "smart"))
               + _chime_peak("E", "sherman", "smart")))),
     Figure("figpoint", "point workloads across access-path placements", grid=figpoint_grid),
-    Figure("figplacement", "FlexKV placement under a shrinking cache", probe=figplacement),
+    Figure("figplacement", "FlexKV placement under a shrinking cache", probe=figplacement,
+           tables=(Table(
+               "figplacement", "FlexKV placement under a shrinking CN cache (YCSB C)",
+               ("cache_bytes", "throughput_mops", "p50_us", "switches", "mn_partitions"), claims=(
+                   # Placement is measured, not configured: a roomy cache keeps
+                   # every partition CN-side, the smallest one goes MN-side.
+                   Claim("the roomiest budget: 0 switches",
+                         lambda r: last(r, "cache_bytes", "switches") == 0),
+                   Claim("the smallest budget: switches > 0 and MN partitions > 0",
+                         lambda r: first(r, "cache_bytes", "switches") > 0
+                         and first(r, "cache_bytes", "mn_partitions") > 0))),)),
     Figure("figshard", "aggregate throughput vs MN count", grid=figshard_grid),
     Figure("fig13", "variable-length KV items", grid=fig13_grid, tables=(Table(
         "fig13_variable_kv", "Figure 13: variable-length KV items (32 B indirect values)",
@@ -699,7 +709,13 @@ _FIGURES = (
                 Claim("H=2 > H=16 × 0.8",
                       lambda r: first(r, "neighborhood") > last(r, "neighborhood") * 0.8),
                 Claim("H=2 < H=16 × 3.0",
-                      lambda r: first(r, "neighborhood") < last(r, "neighborhood") * 3.0))),)),
+                      lambda r: first(r, "neighborhood") < last(r, "neighborhood") * 3.0),
+                # A wider neighbourhood reads more per op (one-byte bitmaps up
+                # to H = 8, two at 16) and runs slower.
+                Claim("Mops fall strictly with H",
+                      lambda r: rising(series(r, "neighborhood")[::-1], strictly=True)),
+                Claim("read bytes per op rise strictly with H", lambda r: rising(
+                    series(r, "neighborhood", "read_bytes_per_op"), strictly=True)))),)),
     Figure("fig19a", "span size vs cache and load factor", probe=fig19a_span_metrics,
            tables=(Table(
                "fig19a_span_metrics", "Figure 19a: span size vs cache consumption + load factor",
@@ -723,7 +739,11 @@ _FIGURES = (
         "fig19c_hotspot", "Figure 19c: hotspot buffer size (YCSB C)",
         ("hotspot_bytes", "throughput_mops", "hit_ratio", "correct_ratio"), claims=(
             Claim("no buffer: hit ratio 0",
-                  lambda r: first(r, "hotspot_bytes", "hit_ratio") == 0.0),
+                  lambda r: peak(r, "hit_ratio", hotspot_bytes=0) == 0.0),
+            Claim("hit ratio rises strictly with the budget",
+                  lambda r: rising(series(r, "hotspot_bytes", "hit_ratio"), strictly=True)),
+            Claim("every non-zero budget: correct ratio 1.0",
+                  lambda r: all(row["correct_ratio"] == 1.0 for row in r if row["hotspot_bytes"])),
             Claim("largest buffer: hit ratio > 0.3",
                   lambda r: last(r, "hotspot_bytes", "hit_ratio") > 0.3),
             # Fingerprints keep speculation accurate (paper: ~100%).

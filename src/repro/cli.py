@@ -19,7 +19,7 @@ Usage::
     python -m repro chaos --sync-mode pessimistic --crash cn0/c0:lock
     python -m repro chaos --no-leases --crash cn0/c0:lock
     python -m repro chaos --loss 0.01 --delay 0.05 --outage 0:100us:300us
-    python -m repro campaign run --indexes chime,sherman --seeds 3
+    python -m repro campaign run fig12_ycsb_read --seeds 42-46
     python -m repro campaign status
     python -m repro campaign report --out campaign-report.txt
     python -m repro campaign diff
@@ -46,7 +46,7 @@ import time
 from contextlib import nullcontext
 from typing import List, Optional, Sequence
 
-from repro.bench import PRESETS, Scale
+from repro.bench import PRESETS
 from repro.bench.report import format_table, trace_rows
 from repro.bench.figures import FIGURES
 from repro.config import KNOBS, Knob, scale_fields, unknown_env_warnings
@@ -333,39 +333,20 @@ def _cmd_chaos(args) -> int:
 CAMPAIGN_DB = "campaigns.sqlite"
 
 
-def _campaign_scale(args) -> Scale:
-    """Resolve --scale + the dataset-size overrides."""
-    overrides: dict = {}
-    if getattr(args, "num_keys", None):
-        overrides["num_keys"] = args.num_keys
-    if getattr(args, "ops", None):
-        overrides["ops_per_client"] = args.ops
-    return dataclasses.replace(PRESETS[args.scale], **overrides)
-
-
-def _campaign_plan(args):
-    from repro.xpmt.spec import CampaignPlan, CellSpec
-
-    scale = _campaign_scale(args)
-    indexes = [n.strip() for n in args.indexes.split(",") if n.strip()]
-    workloads = [w.strip().upper() for w in args.workloads.split(",")
-                 if w.strip()]
-    if args.clients:
-        clients = [int(c) for c in args.clients.split(",")]
-    else:
-        clients = [scale.clients]
-    cells = tuple(
-        CellSpec(index, workload, count, depth=args.depth,
-                 value_size=args.value_size, theta=args.theta,
-                 span=args.span, neighborhood=args.neighborhood,
-                 sync_mode=args.sync_mode, num_mns=args.num_mns)
-        for index in indexes
-        for workload in workloads
-        for count in clients)
-    base = args.seed_base if args.seed_base is not None else scale.seed
-    seeds = tuple(base + i for i in range(args.seeds))
-    return CampaignPlan(scale=scale, cells=cells, seeds=seeds,
-                        name=args.name or "")
+def _seed_list(text: str) -> List[int]:
+    """``--seeds``: a seed, a comma list or a range (``7``, ``1,3,7``,
+    ``42-46``)."""
+    seeds: List[int] = []
+    try:
+        for part in text.split(","):
+            low, dash, high = part.partition("-")
+            seeds += range(int(low), int(high) + 1) if dash else [int(low)]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad seed list {text!r} (want 7, 1,3,7 or 42-46)") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return list(dict.fromkeys(seeds))
 
 
 def _stored_campaign(store, requested: str) -> Optional[str]:
@@ -391,34 +372,23 @@ def _stored_campaign(store, requested: str) -> Optional[str]:
 
 
 def _cmd_campaign(args) -> int:
-    from repro.registry import get_family
-    from repro.workloads.ycsb import WORKLOADS
     from repro.xpmt.store import CampaignStore
 
     if args.campaign_command == "run":
+        from repro.xpmt.runner import run_campaign
+        from repro.xpmt.spec import CampaignPlan
+
+        sizes = {name: value for name, value in (("num_keys", args.num_keys),
+                                                 ("ops_per_client", args.ops)) if value}
+        scale = dataclasses.replace(PRESETS[args.scale], **_knob_values(args), **sizes)
+        seeds = args.seeds or [scale.seed + i for i in range(3)]
         try:
-            plan = _campaign_plan(args)
-        except KeyError as exc:
-            print(f"bad campaign matrix: {exc}", file=sys.stderr)
-            return 2
-        for cell in plan.cells:
-            try:
-                get_family(cell.index)
-            except KeyError:
-                print(f"unknown index {cell.index!r}; see "
-                      f"'repro run --list-indexes'", file=sys.stderr)
-                return 2
-            if cell.workload not in WORKLOADS:
-                print(f"unknown workload {cell.workload!r}; choose from "
-                      f"{', '.join(sorted(WORKLOADS))}", file=sys.stderr)
-                return 2
-        if not plan.cells:
-            print("empty campaign matrix", file=sys.stderr)
+            plan = CampaignPlan.of(args.figure, scale, seeds, args.name)
+        except ValueError as exc:
+            print(str(exc), file=sys.stderr)
             return 2
         with CampaignStore(args.db) as store:
-            from repro.xpmt.runner import run_campaign
-            summary = run_campaign(store, plan,
-                                   jobs=_knob_values(args).get("jobs"),
+            summary = run_campaign(store, plan, jobs=scale.jobs,
                                    limit=args.limit, echo=print)
         print(summary.describe())
         return 0
@@ -573,27 +543,17 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run (or resume) a campaign; stored points are "
                     "skipped")
     _db_arg(crun)
+    crun.add_argument("figure", metavar="NAME",
+                      help="a grid figure record (every table's slice) or "
+                           "one of its bench tables")
     crun.add_argument("--name", default="", help="campaign id (default: "
-                                                 "derived from the matrix)")
+                                                 "derived from the points)")
     crun.add_argument("--scale", default="quick", choices=sorted(PRESETS),
                       help="scaling preset (default: quick)")
-    crun.add_argument("--indexes", default="chime", metavar="A,B",
-                      help="comma-separated index families "
-                           "(default: chime)")
-    crun.add_argument("--workloads", default="C", metavar="X,Y",
-                      help="comma-separated YCSB letters (default: C)")
-    crun.add_argument("--clients", default="", metavar="N,M",
-                      help="comma-separated client counts "
-                           "(default: the preset's operating point)")
-    crun.add_argument("--value-size", type=int, default=8, metavar="B")
-    crun.add_argument("--theta", type=float, default=0.99,
-                      help="zipf skew for A-style workloads")
-    crun.add_argument("--span", type=int, default=None)
-    crun.add_argument("--neighborhood", type=int, default=None)
-    crun.add_argument("--seeds", type=int, default=3, metavar="N",
-                      help="replicates per cell (default: 3)")
-    crun.add_argument("--seed-base", type=int, default=None, metavar="S",
-                      help="first replicate seed (default: preset seed)")
+    crun.add_argument("--seeds", type=_seed_list, default=None,
+                      metavar="7|1,3,7|42-46",
+                      help="replicate seeds (default: the preset's seed "
+                           "and the next two)")
     crun.add_argument("--num-keys", type=int, default=None,
                       help="override the preset's dataset size")
     crun.add_argument("--ops", type=int, default=None,

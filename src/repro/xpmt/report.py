@@ -2,16 +2,18 @@
 
 The report is plain text printed through
 :func:`repro.bench.report.format_table`, the renderer every figure table
-uses: the verdict lines, one row per cell (head-commit mean, its CI, the
-change against the previous commit and the per-commit means as the
-trend), then every commit's replicate statistics and each cell's spec
-payload.  No
-timestamps are printed, so the same stored points always render
-byte-identical text — the resume tests rely on that.
+uses: the verdict lines, one row per cell (a stored point's label,
+head-commit mean, its CI, the change against the previous commit and the
+per-commit means as the trend), then every commit's replicate
+statistics, each cell's spec payload and, per seed, the figure record's
+claims on its stored rows at the head commit.  No timestamps are
+printed, so the same stored points always render byte-identical text —
+the resume tests rely on that.
 
 There is one verdict: the campaign's newest commit diffed against the
 previous one in the stored trajectory (Mann-Whitney over the seed
-replicates).
+replicates).  The claims table is advisory: it does not move the exit
+code.
 """
 
 from __future__ import annotations
@@ -20,14 +22,16 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.bench.figures import FIGURES
 from repro.bench.report import format_table
 from repro.xpmt import stats
-from repro.xpmt.spec import cell_label
+from repro.xpmt.spec import point_label
 from repro.xpmt.store import CampaignStore
 
 __all__ = [
     "CellSeries",
     "build_report",
+    "claim_rows",
     "collect_cells",
     "diff_cells",
     "regression_verdict",
@@ -89,7 +93,7 @@ def collect_cells(store: CampaignStore, campaign_id: str) -> List[CellSeries]:
         series = CellSeries(
             spec_hash=spec_hash,
             spec=points[0].spec,
-            label=cell_label(points[0].spec),
+            label=point_label(points[0].metrics, points[0].spec.get("point", {}).get("extra", ())),
         )
         aux_sums: Dict[str, Dict[str, List[float]]] = {}
         for point in points:
@@ -107,6 +111,42 @@ def collect_cells(store: CampaignStore, campaign_id: str) -> List[CellSeries]:
         cells.append(series)
     cells.sort(key=lambda s: (s.label, s.spec_hash))
     return cells
+
+
+def claim_rows(store: CampaignStore, campaign_id: str) -> List[Dict]:
+    """Each claim of the campaign's bench tables, judged per stored seed
+    on the table's rows at the head commit (``-``: a seed lacks a row)."""
+    spec = next((c["spec"] for c in store.campaigns() if c["id"] == campaign_id), {})
+    figure = FIGURES.get(spec.get("figure", ""))
+    tables = spec.get("tables") or {}
+    hashes = sorted({digest for table_hashes in tables.values() for digest in table_hashes})
+    commits = store.commit_order(hashes) if figure is not None and hashes else []
+    if not commits:
+        return []
+    stored = {
+        (point.seed, point.spec_hash): point.metrics
+        for digest in hashes
+        for point in store.points(spec_hash=digest, commit=commits[-1])
+    }
+    seeds = sorted({seed for seed, _ in stored})
+    rows = []
+    for table in figure.tables:
+        if table.name not in tables:
+            continue
+        failed = {}
+        for seed in seeds:
+            found = [stored.get((seed, digest)) for digest in tables[table.name]]
+            if None not in found:
+                failed[seed] = set(figure.failed_claims(table, found))
+        for claim in table.claims:
+            name = f"{figure.name}.{claim.name}"
+            verdicts = {f"seed {seed}": "-" for seed in seeds}
+            for seed, broken in failed.items():
+                verdicts[f"seed {seed}"] = "FAILS" if name in broken else "holds"
+            holding = sum(verdict == "holds" for verdict in verdicts.values())
+            row = {"table": table.name, "claim": name, "holds": f"{holding}/{len(failed)}"}
+            rows.append({**row, **verdicts})
+    return rows
 
 
 # -- verdict -----------------------------------------------------------------
@@ -176,8 +216,11 @@ def _f4(value: float) -> str:
     return f"{value:.4f}"
 
 
-def render_text(campaign_id: str, cells: Sequence[CellSeries], verdict: Dict) -> str:
-    """The report: verdict lines, then the cell, per-commit and spec tables."""
+def render_text(
+    campaign_id: str, cells: Sequence[CellSeries], verdict: Dict, claims: Sequence[Dict] = ()
+) -> str:
+    """The report: verdict lines, then the cell, per-commit, spec and
+    (if the campaign's record has any) claims tables."""
     status = "PASS" if verdict["ok"] else "FAIL"
     lines = [
         f"campaign {campaign_id}: {status} — {len(verdict['checks'])} cells, "
@@ -229,6 +272,8 @@ def render_text(campaign_id: str, cells: Sequence[CellSeries], verdict: Dict) ->
         format_table(commit_rows, title="per commit"),
         format_table(spec_rows, title="specs"),
     ]
+    if claims:
+        tables.append(format_table(claims, title="claims at the head commit (advisory)"))
     return "\n".join(lines) + "\n\n" + "\n\n".join(tables)
 
 
@@ -241,4 +286,5 @@ def build_report(
     """Collect, judge, and render one campaign: ``(text, verdict)``."""
     cells = collect_cells(store, campaign_id)
     verdict = regression_verdict(cells, alpha=alpha, min_drop=min_drop)
-    return render_text(campaign_id, cells, verdict), verdict
+    claims = claim_rows(store, campaign_id)
+    return render_text(campaign_id, cells, verdict, claims), verdict

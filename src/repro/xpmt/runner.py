@@ -1,17 +1,17 @@
 """The resumable campaign runner.
 
 Layered on :mod:`repro.bench.parallel`: a campaign's missing points
-(those without a ``(commit, seed, spec_hash)`` row in the store) are
-materialized as :class:`~repro.bench.runner.PointSpec` instances and
-fanned out through :func:`~repro.bench.parallel.run_sweep`, so a
-campaign parallelizes exactly like the figure sweeps do.  Stored points
-are never re-executed and never overwritten — interrupt a campaign at
-any moment and the next ``run`` picks up the remainder.
+(the record's :class:`~repro.bench.runner.PointSpec` instances without a
+``(commit, seed, spec_hash)`` row in the store) are fanned out through
+:func:`~repro.bench.parallel.sweep_rows`, exactly as ``repro run`` sweeps
+the record, and each stores the row that sweep would print.  Stored
+points are never re-executed and never overwritten — interrupt a
+campaign at any moment and the next ``run`` picks up the remainder.
 
-Each replicate's seed is threaded into the point's cluster config, which
-seeds the dataset, the workload streams, and every other RNG in the
-simulation: a stored point is reproducible point-by-point from its key
-alone.
+Each replicate's seed is the seed of the scale its points are built
+at, so it sits in the point's cluster config, which seeds the dataset,
+the workload streams, and every other RNG in the simulation: a stored
+point is reproducible point-by-point from its key alone.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.bench.parallel import run_sweep
-from repro.bench.runner import PointSpec
-from repro.xpmt.spec import CampaignPlan, CellSpec, current_commit
+from repro.bench.parallel import sweep_rows
+from repro.xpmt.spec import CampaignPlan, current_commit
 from repro.xpmt.store import CampaignStore
 
-__all__ = ["RunSummary", "build_point_spec", "run_campaign", "campaign_status"]
+__all__ = ["RunSummary", "run_campaign", "campaign_status"]
 
 
 @dataclass
@@ -55,33 +54,6 @@ class RunSummary:
         return text
 
 
-def build_point_spec(plan: CampaignPlan, cell: CellSpec, seed: int) -> PointSpec:
-    """The picklable sweep point for one (cell, seed) replicate."""
-    scale = plan.scale
-    # Every knob a cell carries is pinned explicitly (num_shards too:
-    # one sub-tree per MN when the cell scales MNs out), so a stored
-    # point depends on its cell, never on the plan's scale having
-    # picked up ambient knobs.
-    config = scale.cluster_config(
-        clients=cell.clients,
-        seed=seed,
-        sync_mode=cell.sync_mode,
-        num_mns=cell.num_mns,
-        num_shards=cell.num_mns if cell.num_mns > 1 else 0,
-        pipeline_depth=cell.depth,
-    )
-    return scale.point(
-        cell.index,
-        cell.workload,
-        config,
-        overrides=dict(plan.chime_overrides),
-        value_size=cell.value_size,
-        span=cell.span,
-        neighborhood=cell.neighborhood,
-        theta=cell.theta,
-    )
-
-
 def run_campaign(
     store: CampaignStore,
     plan: CampaignPlan,
@@ -100,8 +72,8 @@ def run_campaign(
     store.upsert_campaign(campaign_id, plan.name, commit, plan.describe())
     targets = plan.targets()
     missing = [
-        (cell, seed, digest, payload)
-        for cell, seed, digest, payload in targets
+        (point, seed, digest, payload)
+        for point, seed, digest, payload in targets
         if not store.has_point(commit, seed, digest)
     ]
     to_run = missing if limit is None else missing[: max(0, limit)]
@@ -110,18 +82,10 @@ def run_campaign(
             f"[campaign {campaign_id}] {len(targets)} points, "
             f"{len(targets) - len(missing)} stored, running {len(to_run)}"
         )
-    specs = [build_point_spec(plan, cell, seed) for cell, seed, _, _ in to_run]
-    results = run_sweep(specs, jobs=jobs)
+    rows = sweep_rows([point for point, _, _, _ in to_run], jobs=jobs)
     executed_keys = []
-    for (cell, seed, digest, payload), result in zip(to_run, results):
-        store.put_point(
-            commit,
-            seed,
-            digest,
-            payload,
-            result.summary(),
-            campaign_id=campaign_id,
-        )
+    for (_, seed, digest, payload), row in zip(to_run, rows):
+        store.put_point(commit, seed, digest, payload, row, campaign_id=campaign_id)
         executed_keys.append((seed, digest))
     return RunSummary(
         campaign_id=campaign_id,
@@ -140,17 +104,17 @@ def campaign_status(store: CampaignStore) -> List[Dict]:
     rows = []
     for campaign in store.campaigns():
         spec = campaign["spec"]
-        expected = len(spec.get("cells", ())) * len(spec.get("seeds", ()))
         rows.append(
             {
                 "id": campaign["id"],
                 "name": campaign["name"] or "-",
-                "cells": len(spec.get("cells", ())),
+                "figure": spec.get("figure", "?"),
+                "points": spec.get("points", 0),
                 "seeds": len(spec.get("seeds", ())),
-                "expected": expected,
+                "expected": spec.get("points", 0) * len(spec.get("seeds", ())),
                 "stored": store.point_count(campaign_id=campaign["id"]),
                 "at_commit": store.point_count(campaign_id=campaign["id"], commit=commit),
-                "scale": spec.get("scale", {}).get("name", "?"),
+                "scale": spec.get("scale", "?"),
             }
         )
     return rows

@@ -1,19 +1,17 @@
-"""Deterministic campaign specs and their content hashes.
+"""Campaign plans and the content hashes of their points.
 
-A campaign is a cross-product of *cells* (index family x workload x
-client count x pipeline depth, plus the per-point knobs a
-:class:`~repro.bench.runner.PointSpec` accepts) and *seeds*.  Each
-(cell, seed) pair is one sweep point, persisted in the campaign store
-keyed by ``(commit, seed, spec_hash)``.
+A campaign is a figure record run over seeds: for each seed, the
+record's grid (the union of its bench tables' axes slices, or its
+default grid if it has none) at ``replace(scale, seed=s)``.  Each
+(point, seed) pair is stored in the campaign store keyed by
+``(commit, seed, spec_hash)``.
 
-The spec hash must never alias across configurations: it covers the
-cell's own fields, the resolved scale preset (name *and* the concrete
-numbers, so an edited preset re-keys), the CHIME overrides the runner
-will apply, and any ``REPRO_*`` environment variable the runner does
-not pin.  Knobs whose values are first-class hash fields, or that cannot
-change a point's result (jobs, the commit key), are excluded from the
-environment section — including the raw environment too would alias
-identical runs apart.
+The spec hash is taken over the :class:`~repro.bench.runner.PointSpec`
+itself, seed removed, so a point's seeds share one hash and every field
+that decides a result re-keys it.  Any ``REPRO_*`` environment variable
+no knob owns is hashed too; known knobs either reach the point's fields
+or cannot change a result (jobs, the commit key), and hashing the raw
+environment would alias identical runs apart.
 """
 
 from __future__ import annotations
@@ -21,31 +19,33 @@ from __future__ import annotations
 import hashlib
 import json
 import subprocess
-from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, replace
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
+from repro.bench.figures import FIGURES, Figure, Table
+from repro.bench.runner import PointSpec
 from repro.bench.scale import Scale
 from repro.config import KNOWN_ENV_VARS, env_value, repro_environ
 
 __all__ = [
-    "CellSpec",
     "CampaignPlan",
-    "cell_label",
     "current_commit",
+    "point_label",
     "relevant_env",
     "spec_hash",
+    "spec_payload",
 ]
 
 #: Spec-payload schema version; bump when the payload shape changes so
 #: old stored points can never collide with new ones.
-SPEC_VERSION = 1
+SPEC_VERSION = 2
 
 
 def relevant_env() -> Dict[str, str]:
     """Unknown ``REPRO_*`` environment variables, for the spec payload.
 
-    No known knob re-keys a campaign point: cells pin them (payload
-    fields), or they cannot change a result.
+    No known knob re-keys a campaign point: a knob reaches the point's
+    fields through the plan's scale, or cannot change a result.
     """
     return {
         key: value for key, value in sorted(repro_environ().items()) if key not in KNOWN_ENV_VARS
@@ -76,95 +76,12 @@ def current_commit() -> str:
     return commit if out.returncode == 0 and commit else "unknown"
 
 
-@dataclass(frozen=True)
-class CellSpec:
-    """One sweep cell: everything but the seed and the commit."""
-
-    index: str
-    workload: str
-    clients: int
-    depth: int = 1
-    value_size: int = 8
-    theta: float = 0.99
-    span: Optional[int] = None
-    neighborhood: Optional[int] = None
-    #: Lock synchronization mode (see :mod:`repro.core.adaptive`).
-    sync_mode: str = "optimistic"
-    #: Memory nodes; > 1 shards the key space one shard per MN (see
-    #: :mod:`repro.cluster.shards`).
-    num_mns: int = 1
-
-    def label(self) -> str:
-        """Compact human label (see :func:`cell_label`)."""
-        return cell_label({"cell": _cell_payload(self)})
-
-
-#: The cell fields of the v1 payload: always hashed, even at default.
-_V1_CELL_FIELDS = ("index", "workload", "clients", "depth", "value_size",
-                   "theta", "span", "neighborhood")
-
-
-def _cell_payload(cell: CellSpec) -> Dict:
-    """A cell's hash payload fields.
-
-    Every field added after the v1 payload is omitted at its dataclass
-    default, so spec hashes and auto campaign ids minted before the
-    field existed still resolve to the same stored points; a
-    non-default value re-keys.
-    """
-    return {f.name: getattr(cell, f.name) for f in fields(cell)
-            if f.name in _V1_CELL_FIELDS
-            or getattr(cell, f.name) != f.default}
-
-
-def cell_label(spec: Dict) -> str:
-    """Compact human label of a stored spec payload: the cell's fields
-    that differ from their defaults, then the scale name if recorded.
-
-    Works on the payload dict because that is all a report has; every
-    field that re-keys a cell must show here, or two distinct cells
-    print alike.
-    """
-    cell = spec.get("cell", {})
-    text = f"{cell.get('index', '?')}/{cell.get('workload', '?')} c{cell.get('clients', '?')}"
-    if cell.get("depth", 1) != 1:
-        text += f" d{cell['depth']}"
-    if cell.get("value_size", 8) != 8:
-        text += f" v{cell['value_size']}"
-    if cell.get("span") is not None:
-        text += f" s{cell['span']}"
-    if cell.get("neighborhood") is not None:
-        text += f" h{cell['neighborhood']}"
-    if cell.get("sync_mode", "optimistic") != "optimistic":
-        text += f" {cell['sync_mode']}"
-    if cell.get("num_mns", 1) != 1:
-        text += f" m{cell['num_mns']}"
-    scale = spec.get("scale", {}).get("name")
-    if scale:
-        text += f" [{scale}]"
-    return text
-
-
-def _scale_payload(scale: Scale) -> Dict:
-    return {
-        "name": scale.name,
-        "num_keys": scale.num_keys,
-        "ops_per_client": scale.ops_per_client,
-        "nic_scale": scale.nic_scale,
-        "num_mns": scale.num_mns,
-        "key_space_factor": scale.key_space_factor,
-    }
-
-
-def spec_payload(cell: CellSpec, scale: Scale, chime_overrides: Optional[Dict] = None) -> Dict:
-    """The canonical (JSON-stable) description one spec hash covers."""
-    return {
-        "v": SPEC_VERSION,
-        "cell": _cell_payload(cell),
-        "scale": _scale_payload(scale),
-        "chime_overrides": dict(chime_overrides) if chime_overrides else None,
-        "env": relevant_env(),
-    }
+def spec_payload(point: PointSpec) -> Dict:
+    """The canonical (JSON-stable) description one spec hash covers:
+    the point with its cluster config as a dict, seed removed."""
+    fields = asdict(point)
+    del fields["cluster_config"]["seed"]
+    return {"v": SPEC_VERSION, "point": fields, "env": relevant_env()}
 
 
 def spec_hash(payload: Dict) -> str:
@@ -173,55 +90,96 @@ def spec_hash(payload: Dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
+def point_label(row: Mapping, extra: Sequence[Sequence[Any]] = ()) -> str:
+    """``index/workload cN`` of a sweep row, then its *extra* pairs (the
+    point's ``extra`` fields, which tell a record's points apart)."""
+    text = f"{row.get('index', '?')}/{row.get('workload', '?')} c{row.get('clients', '?')}"
+    return text + "".join(f" {name}={row.get(name, value)}" for name, value in extra)
+
+
 @dataclass(frozen=True)
 class CampaignPlan:
-    """A campaign: cells x seeds at one scale, with a stable identity."""
+    """A figure record's grid over *seeds* at one scale: the union of
+    *tables*' axes slices, or the default grid if *tables* is empty."""
 
+    figure: Figure
+    tables: Tuple[Table, ...]
     scale: Scale
-    cells: Tuple[CellSpec, ...]
     seeds: Tuple[int, ...]
     name: str = ""
-    #: Extra CHIME overrides applied on top of the scale's own (rare).
-    chime_overrides: Tuple[Tuple[str, object], ...] = field(default_factory=tuple)
+
+    @classmethod
+    def of(cls, target: str, scale: Scale, seeds: Sequence[int], name: str = "") -> "CampaignPlan":
+        """The plan of a grid record (all its tables) or of one bench
+        table; ValueError for a probe record or an unknown name."""
+        grids = ", ".join(figure.name for figure in FIGURES.values() if figure.grid is not None)
+        for figure in FIGURES.values():
+            tables = [table for table in figure.tables if table.name == target]
+            if target != figure.name and not tables:
+                continue
+            if figure.grid is None:
+                raise ValueError(
+                    f"{figure.name} is a probe record (it returns rows, not points); "
+                    f"grid records: {grids} or one of their bench tables"
+                )
+            return cls(figure, tuple(tables) or figure.tables, scale, tuple(seeds), name)
+        raise ValueError(
+            f"unknown figure or table {target!r}; "
+            f"grid records: {grids} or one of their bench tables"
+        )
+
+    def points(self, seed: int) -> List[Tuple[PointSpec, str, Dict]]:
+        """Every distinct ``(point, spec_hash, payload)`` at *seed*, in
+        grid order (a point two tables share runs once)."""
+        scale = replace(self.scale, seed=seed)
+        slices = [table.axes for table in self.tables] or [{}]
+        out: Dict[str, Tuple[PointSpec, str, Dict]] = {}
+        for axes in slices:
+            for point in self.figure.grid(scale, **axes):
+                payload = spec_payload(point)
+                digest = spec_hash(payload)
+                out.setdefault(digest, (point, digest, payload))
+        return list(out.values())
+
+    def targets(self) -> List[Tuple[PointSpec, int, str, Dict]]:
+        """Every ``(point, seed, spec_hash, payload)``, in plan order."""
+        return [
+            (point, seed, digest, payload)
+            for seed in self.seeds
+            for point, digest, payload in self.points(seed)
+        ]
+
+    def table_hashes(self) -> Dict[str, List[str]]:
+        """Each table's point hashes (a hash holds for every seed)."""
+        scale = replace(self.scale, seed=self.seeds[0])
+        return {
+            table.name: [
+                spec_hash(spec_payload(point)) for point in self.figure.grid(scale, **table.axes)
+            ]
+            for table in self.tables
+        }
 
     @property
     def campaign_id(self) -> str:
-        """Explicit name, else a content-derived ``auto-<digest>`` id.
+        """Explicit name, else ``<figure>-<digest>`` of its points and seeds.
 
         Deterministic so rerunning the same command resumes the same
         campaign instead of forking a new one.
         """
         if self.name:
             return self.name
-        digest = spec_hash(
-            {
-                "scale": _scale_payload(self.scale),
-                "cells": [_cell_payload(cell) for cell in self.cells],
-                "seeds": list(self.seeds),
-            }
-        )
-        return f"auto-{digest[:10]}"
+        hashes = [digest for _, digest, _ in self.points(self.seeds[0])]
+        digest = spec_hash({"points": hashes, "seeds": list(self.seeds)})
+        return f"{self.figure.name}-{digest[:10]}"
 
     def describe(self) -> Dict:
-        """JSON-stable plan description stored in the campaigns table."""
+        """JSON-stable plan description stored in the campaigns table;
+        the report judges each table's claims on its hashes' rows."""
         return {
             "name": self.name,
-            "scale": _scale_payload(self.scale),
-            "cells": [_cell_payload(cell) for cell in self.cells],
+            "figure": self.figure.name,
+            "tables": self.table_hashes(),
+            "points": len(self.points(self.seeds[0])),
             "seeds": list(self.seeds),
-            "chime_overrides": dict(self.chime_overrides) or None,
+            "scale": self.scale.name,
         }
-
-    def cell_overrides(self, cell: CellSpec) -> Optional[Dict]:
-        """The CHIME overrides the runner applies to *cell*'s points."""
-        return self.scale.chime_overrides(cell.index, **dict(self.chime_overrides))
-
-    def targets(self) -> List[Tuple[CellSpec, int, str, Dict]]:
-        """Every (cell, seed, spec_hash, payload) point, in plan order."""
-        out = []
-        for cell in self.cells:
-            payload = spec_payload(cell, self.scale, self.cell_overrides(cell))
-            digest = spec_hash(payload)
-            for seed in self.seeds:
-                out.append((cell, seed, digest, payload))
-        return out

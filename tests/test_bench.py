@@ -166,7 +166,7 @@ class TestFigureRecords:
         names = [table.name for figure in FIGURES.values()
                  for table in figure.tables]
         results = Path(__file__).parent.parent / "benchmarks" / "results"
-        assert len(names) == len(set(names)) == 30
+        assert len(names) == len(set(names)) == 31
         assert set(names) == {path.stem for path in results.glob("*.txt")}
 
     def test_a_claim_states_its_bound(self):

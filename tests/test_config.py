@@ -27,8 +27,8 @@ from repro.config import (
 )
 from repro.core.adaptive import SYNC_MODES
 from repro.errors import ConfigError, ReproError
-from repro.xpmt.runner import build_point_spec
-from repro.xpmt.spec import CampaignPlan, CellSpec, relevant_env
+from repro.bench.figures import Figure
+from repro.xpmt.spec import CampaignPlan, relevant_env
 
 #: Per knob: environment text, the value it parses to, a different
 #: value for the flag, and environment texts the validator must reject.
@@ -192,12 +192,13 @@ class TestPinnedSuitesIgnoreAmbientKnobs:
     def test_campaign_points(self, clean_env):
         tiny = Scale(name="tiny", num_keys=600, ops_per_client=20,
                      client_sweep=[2], clients=2, nic_scale=64.0, seed=7)
-        cell = CellSpec(index="flexkv", workload="C", clients=2)
-        plan = CampaignPlan(scale=tiny, cells=(cell,), seeds=(7,))
-        clean = build_point_spec(plan, cell, 7)
+        figure = Figure("flexkv-c", "one point", grid=lambda scale: [
+            scale.point("flexkv", "C", scale.cluster_config(clients=2))])
+        plan = CampaignPlan(figure, (), tiny, (7,))
+        clean = plan.targets()
         for name, value in AMBIENT.items():
             clean_env.setenv(name, value)
-        assert build_point_spec(plan, cell, 7) == clean
-        # Every knob is pinned by the cell or cannot change a result,
-        # so none re-keys stored points.
+        # The points and their hash payloads come from the plan's literal
+        # scale: a knob reaches them through its fields, or not at all.
+        assert plan.targets() == clean
         assert relevant_env() == {}

@@ -322,24 +322,20 @@ class TestShardChaos:
 
 
 class TestSpecHashStability:
+    @staticmethod
+    def digest(**knobs):
+        from repro.xpmt.spec import spec_hash, spec_payload
+        return spec_hash(spec_payload(TINY.point(
+            "chime", "C", TINY.cluster_config(clients=4, **knobs))))
+
     def test_default_sharding_fields_do_not_rekey(self):
-        from repro.xpmt.spec import CellSpec, spec_hash, spec_payload
-        pre = spec_payload(
-            CellSpec(index="chime", workload="C", clients=4), TINY)
-        assert "num_mns" not in pre["cell"]
-        post = spec_payload(
-            CellSpec(index="chime", workload="C", clients=4,
-                     num_mns=1), TINY)
-        assert spec_hash(pre) == spec_hash(post)
+        # The hash covers the point's ClusterConfig, so spelling out the
+        # sharding defaults builds the same point.
+        assert self.digest() == self.digest(num_mns=1, num_shards=0)
 
     def test_non_default_sharding_rekeys(self):
-        from repro.xpmt.spec import CellSpec, spec_hash, spec_payload
-        base = spec_payload(
-            CellSpec(index="chime", workload="C", clients=4), TINY)
-        sharded = spec_payload(
-            CellSpec(index="chime", workload="C", clients=4,
-                     num_mns=4), TINY)
-        assert spec_hash(base) != spec_hash(sharded)
+        assert self.digest() != self.digest(num_mns=4, num_shards=4)
+        assert self.digest(num_mns=4) != self.digest(num_mns=4, num_shards=4)
 
 
 #: What static shards deleted: the hot-shard rebalancer, online shard

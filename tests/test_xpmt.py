@@ -1,31 +1,37 @@
 """Tests for the experiment campaign service (repro.xpmt).
 
-Covers the spec-hash contract (no aliasing across configurations), the
-sqlite store's first-write-wins semantics, the resumable runner
-(interrupt mid-sweep, resume runs only the missing points, and the
-resumed report is byte-identical to an uninterrupted run's), the
-replicate statistics, the regression verdict over fabricated commit
-trajectories, and the text report and its CLI exits.
+Covers the spec-hash contract (no aliasing across configurations, one
+hash for a point's seeds), the figure records as campaigns (distinct
+labels and hashes, probes refused), the sqlite store's first-write-wins
+semantics, the resumable runner (interrupt mid-sweep, resume runs only
+the missing points, and the resumed report is byte-identical to an
+uninterrupted run's), the replicate statistics, the regression verdict
+over fabricated commit trajectories, the claims table, and the text
+report and its CLI exits.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.bench.scale import Scale, current_scale
-from repro.cli import main
+from repro.bench.figures import FIGURES, Claim, Figure, Table
+from repro.bench.runner import PointSpec
+from repro.bench.scale import QUICK, Scale, current_scale
+from repro.cli import build_parser, main
+from repro.config import ClusterConfig
 from repro.xpmt import stats
 from repro.xpmt.report import (
     build_report,
+    claim_rows,
     collect_cells,
     diff_cells,
     regression_verdict,
 )
-from repro.xpmt.runner import build_point_spec, campaign_status, run_campaign
+from repro.xpmt.runner import campaign_status, run_campaign
 from repro.xpmt.spec import (
     CampaignPlan,
-    CellSpec,
     current_commit,
+    point_label,
     relevant_env,
     spec_hash,
     spec_payload,
@@ -42,6 +48,13 @@ TINY = Scale(
     seed=7,
 )
 
+#: A one-point grid record: CHIME on YCSB C with two clients.
+TINY_FIGURE = Figure(
+    "tiny",
+    "one point",
+    grid=lambda scale: [scale.point("chime", "C", scale.cluster_config(clients=2))],
+)
+
 
 @pytest.fixture
 def ticking_clock(monkeypatch):
@@ -52,76 +65,91 @@ def ticking_clock(monkeypatch):
     monkeypatch.setattr(store_module.time, "time", lambda: float(next(clock)))
 
 
-def tiny_plan(name="t", seeds=(7, 8), index="chime"):
-    cell = CellSpec(index=index, workload="C", clients=2)
-    return CampaignPlan(scale=TINY, cells=(cell,), seeds=tuple(seeds), name=name)
+def tiny_plan(name="t", seeds=(7, 8), figure=TINY_FIGURE, scale=TINY):
+    return CampaignPlan(figure, figure.tables, scale, tuple(seeds), name)
+
+
+def tiny_point(**fields):
+    return TINY.point("chime", "C", TINY.cluster_config(clients=4), **fields)
+
+
+def digest(point):
+    return spec_hash(spec_payload(point))
+
+
+def label(point):
+    """The label a point's sweep row will get, before it runs."""
+    row = {
+        "index": point.index_name,
+        "workload": point.workload_name,
+        "clients": point.cluster_config.total_clients,
+    }
+    return point_label(row, point.extra)
 
 
 class TestSpecHash:
     def test_deterministic(self):
-        cell = CellSpec(index="chime", workload="C", clients=4)
-        first = spec_hash(spec_payload(cell, TINY))
-        second = spec_hash(spec_payload(cell, TINY))
-        assert first == second
-        assert len(first) == 16
+        assert digest(tiny_point()) == digest(tiny_point())
+        assert len(digest(tiny_point())) == 16
 
     def test_default_cell_hash_is_pinned(self, monkeypatch):
         # Golden value: a payload-rule change that would re-key every
         # stored campaign point must show up here, not in a user's store.
         monkeypatch.setattr("repro.xpmt.spec.repro_environ", dict)
-        cell = CellSpec(index="chime", workload="C", clients=4)
-        payload = spec_payload(cell, TINY)
-        assert sorted(payload["cell"]) == [
-            "clients", "depth", "index", "neighborhood", "span", "theta",
-            "value_size", "workload"]
-        assert spec_hash(payload) == "2e3135c13f232ab0"
+        config = ClusterConfig(num_cns=2, clients_per_cn=2, seed=7)
+        payload = spec_payload(PointSpec("chime", "C", 600, 20, config))
+        assert sorted(payload) == ["env", "point", "v"]
+        assert payload["v"] == 2
+        assert "seed" not in payload["point"]["cluster_config"]
+        assert spec_hash(payload) == "1d77711ae35c2082"
 
     def test_cell_fields_change_the_hash(self):
-        base = CellSpec(index="chime", workload="C", clients=4)
-        digests = {spec_hash(spec_payload(base, TINY))}
+        base = tiny_point()
+        config = base.cluster_config
+        digests = {digest(base)}
         for variant in (
-            dataclasses.replace(base, clients=8),
-            dataclasses.replace(base, depth=4),
-            dataclasses.replace(base, workload="A"),
+            dataclasses.replace(base, cluster_config=config.scaled(clients_per_cn=4)),
+            dataclasses.replace(base, cluster_config=config.scaled(pipeline_depth=4)),
+            dataclasses.replace(base, cluster_config=config.scaled(sync_mode="pessimistic")),
+            dataclasses.replace(base, cluster_config=config.scaled(num_mns=2)),
+            dataclasses.replace(base, workload_name="A"),
             dataclasses.replace(base, value_size=64),
             dataclasses.replace(base, theta=0.5),
             dataclasses.replace(base, span=16),
             dataclasses.replace(base, neighborhood=4),
+            dataclasses.replace(base, extra=(("step", "x"),)),
         ):
-            digests.add(spec_hash(spec_payload(variant, TINY)))
-        assert len(digests) == 8
+            digests.add(digest(variant))
+        assert len(digests) == 11
+        # ... but not the seed: a point's replicates share one hash.
+        reseeded = dataclasses.replace(base, cluster_config=config.scaled(seed=99))
+        assert digest(reseeded) == digest(base)
 
     def test_scale_numbers_change_the_hash(self):
-        cell = CellSpec(index="chime", workload="C", clients=4)
         edited = dataclasses.replace(TINY, num_keys=TINY.num_keys * 2)
-        assert spec_hash(spec_payload(cell, TINY)) != spec_hash(
-            spec_payload(cell, edited)
-        )
+        (first,) = tiny_plan().points(7)
+        (second,) = tiny_plan(scale=edited).points(7)
+        assert first[1] != second[1]
 
     def test_overrides_change_the_hash(self):
-        cell = CellSpec(index="chime", workload="C", clients=4)
-        plain = spec_hash(spec_payload(cell, TINY))
-        tuned = spec_hash(spec_payload(cell, TINY, {"hotspot_bytes": 1}))
-        assert plain != tuned
+        assert digest(tiny_point()) != digest(tiny_point(overrides={"hotspot_bytes": 1}))
 
     def test_unresolved_env_knob_changes_the_hash(self, monkeypatch):
-        cell = CellSpec(index="chime", workload="C", clients=4)
-        before = spec_hash(spec_payload(cell, TINY))
+        before = digest(tiny_point())
         monkeypatch.setenv("REPRO_FAULTS", "cn0/c0:lock")
         assert "REPRO_FAULTS" in relevant_env()
-        assert spec_hash(spec_payload(cell, TINY)) != before
+        assert digest(tiny_point()) != before
 
     def test_resolved_env_is_excluded(self, monkeypatch):
-        cell = CellSpec(index="chime", workload="C", clients=4)
-        before = spec_hash(spec_payload(cell, TINY))
+        before = digest(tiny_point())
         monkeypatch.setenv("REPRO_SEED", "99")
         monkeypatch.setenv("REPRO_SCALE", "full")
         monkeypatch.setenv("REPRO_JOBS", "4")
-        assert spec_hash(spec_payload(cell, TINY)) == before
+        assert digest(tiny_point()) == before
 
     def test_campaign_id_is_deterministic(self):
         assert tiny_plan(name="").campaign_id == tiny_plan(name="").campaign_id
-        assert tiny_plan(name="").campaign_id.startswith("auto-")
+        assert tiny_plan(name="").campaign_id.startswith("tiny-")
         assert tiny_plan(name="x").campaign_id == "x"
         other_seeds = tiny_plan(name="", seeds=(7, 9))
         assert other_seeds.campaign_id != tiny_plan(name="").campaign_id
@@ -129,6 +157,63 @@ class TestSpecHash:
     def test_commit_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_COMMIT", "feedface")
         assert current_commit() == "feedface"
+
+
+class TestFigureCampaigns:
+    def test_every_grid_campaign_has_distinct_labels_and_seed_free_hashes(self):
+        # Nothing runs: within each grid record and each table slice, no
+        # two points share a hash or print alike in the report, and a
+        # point's hash is the same at every seed.
+        targets = [
+            name
+            for figure in FIGURES.values()
+            if figure.grid is not None
+            for name in (figure.name, *(table.name for table in figure.tables))
+        ]
+        assert "fig12_ycsb_read" in targets and "fig3d" not in targets
+        for target in targets:
+            plan = CampaignPlan.of(target, QUICK, (1, 2))
+            first, second = plan.points(1), plan.points(2)
+            assert [d for _, d, _ in first] == [d for _, d, _ in second], target
+            assert [p.cluster_config.seed for p, _, _ in second] == [2] * len(second)
+            labels = {label(point) for point, _, _ in first}
+            assert len(labels) == len(first), target
+            for table, hashes in plan.table_hashes().items():
+                assert len(set(hashes)) == len(hashes), table
+
+    def test_a_table_runs_its_slice_and_a_figure_the_union(self):
+        read = CampaignPlan.of("fig12_ycsb_read", QUICK, (1,))
+        scan = CampaignPlan.of("fig12_ycsb_scan", QUICK, (1,))
+        whole = CampaignPlan.of("fig12", QUICK, (1,))
+        assert {p.workload_name for p, _, _ in read.points(1)} == {"B", "C"}
+        assert len(whole.points(1)) == len(FIGURES["fig12"].grid(QUICK))
+        assert len(read.points(1)) + len(scan.points(1)) < len(whole.points(1))
+
+    def test_cli_refuses_a_probe_record_and_an_unknown_name(self, tmp_path, capsys):
+        db = str(tmp_path / "c.sqlite")
+        for name, reason in (
+            ("fig3d", "fig3d is a probe record"),
+            ("fig3d_hashing", "fig3d is a probe record"),
+            ("nosuch", "unknown figure or table 'nosuch'"),
+        ):
+            assert main(["campaign", "run", name, "--db", db, "--seeds", "1"]) == 2
+            err = capsys.readouterr().err
+            assert reason in err and "grid records: fig3b, fig3c, fig12," in err, err
+
+    def test_seed_lists_and_ranges(self, capsys):
+        parser = build_parser()
+
+        def seeds(text):
+            return parser.parse_args(["campaign", "run", "fig12", "--seeds", text]).seeds
+
+        assert seeds("7") == [7]
+        assert seeds("1,3,7") == [1, 3, 7]
+        assert seeds("42-46") == [42, 43, 44, 45, 46]
+        assert seeds("1-2,2,5") == [1, 2, 5]
+        for bad in ("x", "5-3", "1,,2"):
+            with pytest.raises(SystemExit):
+                seeds(bad)
+        assert "bad seed list" in capsys.readouterr().err
 
 
 class TestStore:
@@ -215,6 +300,10 @@ class TestRunnerResume:
             (status,) = campaign_status(store)
             assert status["stored"] == status["expected"] == 2
             assert "2 total" in third.describe()
+            # What is stored is the row `repro run` prints for the point.
+            stored = {p.seed: p.metrics for p in store.points()}
+            for seed in (7, 8):
+                assert [stored[seed]] == TINY_FIGURE.rows(dataclasses.replace(TINY, seed=seed))
 
     def test_resumed_report_equals_uninterrupted(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_COMMIT", "c1")
@@ -231,32 +320,39 @@ class TestRunnerResume:
         assert resumed_verdict["ok"] and fresh_verdict["ok"]
 
     def test_point_spec_pins_seed_and_depth(self):
-        cell = CellSpec(index="chime", workload="C", clients=2, depth=4)
-        plan = CampaignPlan(scale=TINY, cells=(cell,), seeds=(31,), name="d")
-        spec = build_point_spec(plan, cell, 31)
-        assert spec.cluster_config.seed == 31
-        assert spec.cluster_config.pipeline_depth == 4
+        plan = tiny_plan(seeds=(31, 32), scale=dataclasses.replace(TINY, depth=4))
+        (first, _, first_hash, _), (second, _, second_hash, _) = plan.targets()
+        assert (first.cluster_config.seed, second.cluster_config.seed) == (31, 32)
+        assert first.cluster_config.pipeline_depth == 4
+        assert first_hash == second_hash
         # ... and nowhere else: PointSpec no longer duplicates the field.
-        assert not hasattr(spec, "depth") and not hasattr(spec, "placement")
+        assert not hasattr(first, "depth") and not hasattr(first, "placement")
 
 
-def fabricate_trajectory(store, metrics_by_commit, cell=None, scale=TINY):
-    """Lay replicate points for one cell across fabricated commits."""
-    cell = cell or CellSpec(index="chime", workload="C", clients=2)
-    payload = spec_payload(cell, scale)
-    digest = spec_hash(payload)
+def fabricate_trajectory(store, metrics_by_commit, point=None):
+    """Lay replicate points for one point across fabricated commits."""
+    point = point or TINY.point("chime", "C", TINY.cluster_config(clients=2))
+    payload = spec_payload(point)
+    row = {
+        "index": point.index_name,
+        "workload": point.workload_name,
+        "clients": point.cluster_config.total_clients,
+        "p50_us": 10.0,
+        "p99_us": 20.0,
+        **dict(point.extra),
+    }
     for commit, values in metrics_by_commit:
         for seed, value in enumerate(values):
             store.put_point(
                 commit,
                 seed,
-                digest,
+                spec_hash(payload),
                 payload,
-                {"throughput_mops": value, "p50_us": 10.0, "p99_us": 20.0},
+                {**row, "throughput_mops": value},
                 campaign_id="fab",
             )
     store.upsert_campaign("fab", "fab", metrics_by_commit[-1][0], {})
-    return digest
+    return spec_hash(payload)
 
 
 class TestVerdict:
@@ -290,19 +386,20 @@ class TestVerdict:
             assert not verdict["warnings"]
 
     def test_cells_differing_only_in_a_later_field_are_told_apart(self, tmp_path):
-        # Fields added after the v1 payload re-key a cell only off their
-        # default, so the report's labeller must print them, or
-        # `campaign report` / `campaign diff` print distinct cells alike.
+        # A record tells its points apart by their `extra` fields, so the
+        # label prints them after `index/workload cN`, or `campaign
+        # report` / `campaign diff` would print distinct points alike.
         with CampaignStore(str(tmp_path / "c.sqlite")) as store:
             for knobs in ({}, {"sync_mode": "pessimistic"}, {"num_mns": 2}):
-                cell = CellSpec(index="chime", workload="C", clients=2, **knobs)
-                fabricate_trajectory(store, [("aaa", [1.0, 1.1]), ("bbb", [1.2, 1.3])], cell=cell)
+                config = TINY.cluster_config(clients=2, **knobs)
+                point = TINY.point("chime", "C", config, extra=tuple(knobs.items()))
+                fabricate_trajectory(store, [("aaa", [1.0, 1.1]), ("bbb", [1.2, 1.3])], point=point)
             cells = collect_cells(store, "fab")
             rows = diff_cells(cells, "aaa", "bbb")
         assert sorted(c.label for c in cells) == [
-            "chime/C c2 [tiny]",
-            "chime/C c2 m2 [tiny]",
-            "chime/C c2 pessimistic [tiny]",
+            "chime/C c2",
+            "chime/C c2 num_mns=2",
+            "chime/C c2 sync_mode=pessimistic",
         ]
         assert [r["cell"] for r in rows] == [c.label for c in cells]
 
@@ -347,6 +444,64 @@ class TestVerdict:
         out = tmp_path / "report.txt"
         assert main(["campaign", "report", "--db", db, "--out", str(out)]) == 0
         assert out.read_text() == capsys.readouterr().out
+
+
+class TestClaims:
+    def test_claims_are_judged_per_seed_and_stay_advisory(self, tmp_path, monkeypatch, capsys):
+        # One claim that holds and one that fails, on each seed's row.
+        figure = dataclasses.replace(
+            TINY_FIGURE,
+            name="tiny-claims",
+            tables=(
+                Table(
+                    "tiny_table",
+                    "one point",
+                    claims=(
+                        Claim("every op ran", lambda r: r[0]["ops"] > 0),
+                        Claim("throughput is negative", lambda r: r[0]["throughput_mops"] < 0),
+                    ),
+                ),
+            ),
+        )
+        monkeypatch.setitem(FIGURES, figure.name, figure)
+        monkeypatch.setenv("REPRO_COMMIT", "c1")
+        db = str(tmp_path / "c.sqlite")
+        with CampaignStore(db) as store:
+            run_campaign(store, tiny_plan(seeds=(7, 8), figure=figure), jobs=1)
+            rows = claim_rows(store, "t")
+        assert rows == [
+            {
+                "table": "tiny_table",
+                "claim": "tiny-claims.every op ran",
+                "holds": "2/2",
+                "seed 7": "holds",
+                "seed 8": "holds",
+            },
+            {
+                "table": "tiny_table",
+                "claim": "tiny-claims.throughput is negative",
+                "holds": "0/2",
+                "seed 7": "FAILS",
+                "seed 8": "FAILS",
+            },
+        ]
+        # The exit code stays with the regression verdict.
+        assert main(["campaign", "report", "--db", db]) == 0
+        assert "claims at the head commit (advisory)" in capsys.readouterr().out
+
+    def test_a_seed_missing_a_row_is_not_judged(self, tmp_path, monkeypatch):
+        figure = dataclasses.replace(
+            TINY_FIGURE,
+            tables=(Table("tiny_table", "one point", claims=(Claim("ran", lambda r: True),)),),
+        )
+        monkeypatch.setitem(FIGURES, figure.name, figure)
+        monkeypatch.setenv("REPRO_COMMIT", "c1")
+        with CampaignStore(str(tmp_path / "c.sqlite")) as store:
+            plan = tiny_plan(seeds=(7, 8), figure=figure)
+            run_campaign(store, plan, jobs=1, limit=1)
+            (row,) = claim_rows(store, plan.campaign_id)
+        assert (row["holds"], row["seed 7"]) == ("1/1", "holds")
+        assert "seed 8" not in row
 
 
 class TestSeedThreading:
